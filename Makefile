@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race race-cluster check bench-smoke bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke
+.PHONY: build vet lint test race race-cluster check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/...
 	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -shards 2 -batch -churn -json /dev/null
 
+# End-to-end benchmark smoke: the repeatable HTTP benchmark BENCHMARK.json
+# declares (bench/), one short untraced run of its cheapest workload. It
+# builds ./bench, serves an engine on loopback, drives every phase and
+# checks answers against the oracle, so it catches a benchmark that no
+# longer compiles against the library or an answer that changed.
+bench-e2e:
+	bash bench/run.sh --workload exs-scan --seed 7 --seconds 2 --trace 0
+
 # Kernel micro-benchmarks: the batched DotBatch/L2SqBatch kernels against
 # repeated single-query Dot calls, plus the bounded top-k selection. The
 # transcript lands in benchrun_kernels.txt so kernel regressions show up in
@@ -61,11 +69,12 @@ segment-churn-smoke:
 # protocol and replica failover (hung replica, whole set down, malformed
 # responses), the bit-identical-to-single-engine merge over the wire, a
 # replica killed mid-run leaving every query answered, and the coordinator
-# mode of the HTTP API.
+# mode of the HTTP API (one subtest of every three-mode TestServer* suite,
+# plus the search-during-a-stuck-write test).
 netcluster-smoke:
 	$(GO) test -race ./internal/netcluster/
 	$(GO) test -race -run 'TestNetShard|TestNetCluster' .
-	$(GO) test -race -run 'TestCoordinatorServer' ./internal/httpapi/
+	$(GO) test -race -run 'TestServer' ./internal/httpapi/
 
 # End-to-end tracing smoke: serve a freshly generated corpus as a 4-shard
 # hedged cluster with every trace retained, run one search, and assert the
@@ -81,3 +90,10 @@ trace-smoke:
 # paper-grade numbers.
 bench-json:
 	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.15 -dim 192 -train=false -cost -batch -churn -json BENCH_$(CORPUS).json
+
+# Non-test Go lines per package, bench/ excluded, with a total: the number
+# simplification PRs quote. Plain line counts, so comments and blanks count.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		-exec sh -c 'for f; do echo "$$(dirname "$$f") $$(wc -l < "$$f")"; done' _ {} + \
+		| awk '{n[$$1] += $$2; t += $$2} END {for (p in n) print n[p], p; print t, "total"}' | sort -k2

@@ -8,37 +8,19 @@ import (
 	"semdisco/internal/obs"
 )
 
-// Query is one item of a batched search: the query text and its result
-// bound. Items with K ≤ 0 yield an empty answer without being scored.
-type Query struct {
-	Text string
-	K    int
-}
-
-// BatchResult is one query's slice of a SearchBatch answer: the ranked
-// matches plus the work accounting for that item. In-batch duplicates of
-// the same (Text, K) share one scan; every duplicate still receives its own
-// full Matches copy, with the cost charged once to the first occurrence.
-type BatchResult struct {
-	Matches []Match
-	Cost    CostReport
-}
-
-// SearchBatch answers a block of queries in one fused pass over the index.
-// Each distinct query text is encoded once (duplicate strings share the
-// vector), and when the engine's method supports batched execution — all
-// three do — the whole block is scored together: ExS runs a single blocked
-// scan over the corpus reusing each value vector across every query of the
-// batch, ANNS walks the graph per query over shared scratch state, and CTS
-// deduplicates cluster probes across the batch.
+// DoBatch implements Backend. Each distinct query text is encoded once
+// (duplicate strings share the vector) and the whole block is scored
+// together: ExS runs a single blocked scan over the corpus reusing each
+// value vector across every query of the batch, ANNS walks the graph per
+// query over shared scratch state, and CTS deduplicates cluster probes
+// across the batch.
 //
 // Results are positionally aligned with queries and, for ExS, bit-identical
-// to issuing each query through Search — batching changes throughput, never
-// answers. Cancellation via ctx aborts the whole batch with the context's
-// error. Per-item costs also fold into a cost accumulator carried by ctx
-// (see SearchCost), so batch work is visible to callers accounting at the
-// request level.
-func (e *Engine) SearchBatch(ctx context.Context, queries []Query) ([]BatchResult, error) {
+// to issuing each query through Do. Cancellation via ctx aborts the whole
+// batch with the context's error. Per-item costs also fold into a cost
+// accumulator carried by ctx, so batch work is visible to callers
+// accounting at the request level.
+func (e *Engine) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
@@ -87,43 +69,53 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query) ([]BatchResul
 		}
 	}
 
-	dur := time.Since(start)
-	perItem := dur / time.Duration(len(queries))
 	parent := obs.CostFrom(ctx)
-	method := e.Method().String()
-	now := time.Now()
-	out := make([]BatchResult, len(queries))
+	out := make([]*Response, len(queries))
 	for i := range queries {
-		out[i] = BatchResult{Matches: ms[i]}
+		out[i] = &Response{ClusterResult: ClusterResult{Matches: ms[i]}}
 	}
 	for s, i := range active {
-		rep := costs[s].Report()
-		out[i].Cost = rep
-		if parent != nil {
-			parent.AddReport(rep)
-		}
-		// Workload analytics see each batch item with its amortized share of
-		// the batch latency — heavy-hitter and cost rankings stay meaningful
-		// under batched traffic.
-		e.workload.Record(queries[i].Text, method, "", rep, perItem, now)
+		out[i].Cost = costs[s].Report()
+		parent.AddReport(out[i].Cost)
 		e.workload.RecordShard(0)
-		e.slo.Record(perItem, false)
 	}
+	e.observeBatch(queries, out, time.Since(start))
 	return out, nil
 }
 
-// SearchBatch answers a block of queries with one scatter-gather per shard:
-// the router checks its result cache per item, encodes each distinct
-// remaining query text once, deduplicates identical (Text, K) items inside
-// the batch, and sends the whole encoded block to every shard in a single
-// fan-out — one deadline and one hedge decision per shard for the block,
-// not per query. Results are positionally aligned with queries; per-item
-// degradation semantics match SearchContext, and coalesced duplicates are
-// marked Result.Coalesced with their cost charged to the slot owner.
-func (c *Cluster) SearchBatch(ctx context.Context, queries []Query) ([]*ClusterResult, error) {
+// DoBatch implements Backend with one scatter-gather per shard: the router
+// checks its result cache per item, encodes each distinct remaining query
+// text once, deduplicates identical (Text, K) items inside the batch, and
+// sends the whole encoded block to every shard in a single fan-out — one
+// deadline and one hedge decision per shard for the block, not per query.
+// Per-item degradation semantics match Do, and coalesced duplicates are
+// marked Coalesced with their cost charged to the slot owner.
+func (c *Cluster) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
+	start := time.Now()
+	results, err := c.router.SearchBatch(ctx, batchItems(queries))
+	return c.batchResponses(queries, results, err, time.Since(start))
+}
+
+// batchItems converts public batch queries to the router's form.
+func batchItems(queries []Query) []cluster.BatchQuery {
 	items := make([]cluster.BatchQuery, len(queries))
 	for i, q := range queries {
 		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
 	}
-	return c.router.SearchBatch(ctx, items)
+	return items
+}
+
+// batchResponses wraps a router batch answer as responses and feeds it to
+// the workload analyzer and the SLO engine.
+func (t *telemetry) batchResponses(queries []Query, results []*ClusterResult, err error, dur time.Duration) ([]*Response, error) {
+	if err != nil {
+		t.slo.Record(dur, true)
+		return nil, err
+	}
+	out := make([]*Response, len(results))
+	for i, r := range results {
+		out[i] = &Response{ClusterResult: *r}
+	}
+	t.observeBatch(queries, out, dur)
+	return out, nil
 }

@@ -23,7 +23,7 @@ func TestEngineSearchBatchMatchesSearch(t *testing.T) {
 		queries[4].K = 0
 		queries[7].K = -2
 
-		results, err := eng.SearchBatch(context.Background(), queries)
+		results, err := eng.DoBatch(context.Background(), queries)
 		if err != nil {
 			t.Fatalf("%v batch: %v", m, err)
 		}
@@ -62,12 +62,12 @@ func TestEngineSearchBatchEmptyAndCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := eng.SearchBatch(context.Background(), nil); err != nil || res != nil {
+	if res, err := eng.DoBatch(context.Background(), nil); err != nil || res != nil {
 		t.Fatalf("empty batch: %v, %v", res, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.SearchBatch(ctx, []Query{{Text: "abc", K: 3}}); err == nil {
+	if _, err := eng.DoBatch(ctx, []Query{{Text: "abc", K: 3}}); err == nil {
 		t.Fatal("dead context must fail the batch")
 	}
 }
@@ -89,7 +89,7 @@ func TestClusterSearchBatchMatchesSearch(t *testing.T) {
 		{Text: "abc def", K: 5}, // in-batch duplicate
 		{Text: "mno", K: 0},     // skipped
 	}
-	results, err := cl.SearchBatch(context.Background(), queries)
+	results, err := cl.DoBatch(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestClusterSearchBatchMatchesSearch(t *testing.T) {
 		t.Error("in-batch duplicate not coalesced")
 	}
 	for _, i := range []int{0, 1} {
-		want, err := cl.SearchContext(context.Background(), queries[i].Text, queries[i].K)
+		want, err := cl.Do(context.Background(), Request{Query: queries[i].Text, K: queries[i].K})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestClusterSearchBatchMatchesSearch(t *testing.T) {
 		}
 	}
 	// A repeat batch should answer from the cluster cache.
-	again, err := cl.SearchBatch(context.Background(), queries[:1])
+	again, err := cl.DoBatch(context.Background(), queries[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

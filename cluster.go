@@ -67,11 +67,6 @@ type ClusterConfig struct {
 	CacheSize int
 }
 
-// clusterShard is one partition's segment store.
-type clusterShard struct {
-	store *core.SegmentStore
-}
-
 // Cluster is a sharded federation index: N per-partition segment stores
 // behind a scatter-gather router with per-shard deadlines, hedged retries
 // and partial-result degradation. Search, Add, Delete and Update are all
@@ -79,15 +74,12 @@ type clusterShard struct {
 // segment (or tombstone in place) and fence the router's result cache and
 // coalescer.
 type Cluster struct {
-	cfg      ClusterConfig
-	model    *embed.Model
-	stats    *text.CorpusStats
-	shards   []clusterShard
-	router   *cluster.Router
-	reg      *obs.Registry
-	traces   *obs.TraceStore // nil when Config.Tracing.Disable
-	workload *obs.Workload   // heavy hitters, shard load skew, costliest queries
-	slo      *obs.SLOEngine  // nil when Config.SLO.Disable
+	telemetry
+	cfg    ClusterConfig
+	model  *embed.Model
+	stats  *text.CorpusStats
+	shards []*core.SegmentStore // one segment store per partition
+	router *cluster.Router
 	// orderMu guards order/owner/nextOrder: mutations write them, the
 	// router's merge tie-break reads order on every query.
 	orderMu sync.RWMutex
@@ -170,13 +162,10 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	c := &Cluster{
+		telemetry: clusterTelemetry(cfg.Method, reg, cfg.Shards, cfg.Tracing, cfg.SLO),
 		cfg:       cfg,
 		model:     model,
 		stats:     stats,
-		reg:       reg,
-		traces:    newTraceStore(cfg.Tracing),
-		workload:  newWorkload(cfg.Shards, reg),
-		slo:       newSLOEngine(cfg.SLO, reg),
 		order:     order,
 		owner:     owner,
 		nextOrder: fed.Len(),
@@ -190,7 +179,7 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.shards = append(c.shards, sh)
 		relCounts[i] = p.Len()
-		routerShards[i] = sh.store
+		routerShards[i] = sh
 	}
 	router, err := cluster.NewRouter(routerShards, relCounts, c.routerOptions())
 	if err != nil {
@@ -203,14 +192,14 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 // buildClusterShard embeds one partition with the shared model and wraps
 // it in a segment store, so every shard supports mutation and background
 // compaction independently.
-func buildClusterShard(cfg Config, part *Federation, model *embed.Model, reg *obs.Registry) (clusterShard, error) {
+func buildClusterShard(cfg Config, part *Federation, model *embed.Model, reg *obs.Registry) (*core.SegmentStore, error) {
 	emb := core.EmbedFederation(part, model)
 	emb.Obs = reg
 	s, err := buildSearcher(cfg, emb)
 	if err != nil {
-		return clusterShard{}, err
+		return nil, err
 	}
-	return clusterShard{store: core.NewSegmentStore(emb, s, segmentStoreOptions(cfg))}, nil
+	return core.NewSegmentStore(emb, s, segmentStoreOptions(cfg)), nil
 }
 
 // routerOptions translates the public config into the router's options.
@@ -237,121 +226,55 @@ func (c *Cluster) routerOptions() cluster.Options {
 		Registry:  c.reg,
 		Workload:  c.workload,
 		SegmentInfo: func(shard int) (int, int) {
-			st := c.shards[shard].store.Stats()
+			st := c.shards[shard].Stats()
 			return st.Segments, st.DeadRelations
 		},
 	}
 }
 
-// Search answers a query by scatter-gather over all shards: the query is
-// encoded once, every shard ranks its partition concurrently, and the
-// per-shard top-(k+Slack) lists merge into the global top-k. A failed or
-// timed-out shard degrades the result (Result.Degraded, Result.ShardErrors)
-// instead of failing the query; only all shards failing — or the caller's
-// own context expiring — returns an error.
+// clusterTelemetry is the bookkeeping of a sharded cluster.
+func clusterTelemetry(m Method, reg *obs.Registry, shards int, tc TracingConfig, sc SLOConfig) telemetry {
+	return telemetry{method: m, span: "cluster_search", latency: cluster.MetricSearchSeconds, reg: reg,
+		traces: newTraceStore(tc), workload: newWorkload(shards, reg), slo: newSLOEngine(sc, reg)}
+}
+
+// Do implements Backend by scatter-gather over all shards: the query is
+// encoded once, every shard ranks its partition concurrently (the context
+// is threaded into every shard's inner scan loops), and the per-shard
+// top-(k+Slack) lists merge into the global top-k. A failed or timed-out
+// shard degrades the response (Degraded, ShardErrors) instead of failing
+// the query; only all shards failing — or the caller's own context
+// expiring — returns an error. Request.Trace returns the federated stage
+// breakdown: encode, scatter (one stage per shard attempt, hedges
+// included), merge. Interesting outcomes (degraded, hedged, errored, slow)
+// land in the trace store under Response.TraceID. Source filters and
+// feedback are not federated: they answer ErrUnsupported.
+func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
+	if len(req.Sources) > 0 || req.Feedback {
+		return nil, ErrUnsupported
+	}
+	return c.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
+		return c.router.SearchTraced(ctx, req.Query, req.K, tr)
+	})
+}
+
+// Search is Do for a bare query under a background context.
 func (c *Cluster) Search(query string, k int) (*ClusterResult, error) {
-	return c.SearchContext(context.Background(), query, k)
+	return resultOf(c.Do(context.Background(), Request{Query: query, K: k}))
 }
 
-// SearchContext is Search under a caller-controlled deadline; the context
-// is threaded into every shard's inner scan loops. With tracing enabled
-// (the default) the query runs under a root span — continuing a propagated
-// trace when ctx carries one — and interesting outcomes (degraded, hedged,
-// errored, slow) land in the trace store under Result.TraceID.
-func (c *Cluster) SearchContext(ctx context.Context, query string, k int) (*ClusterResult, error) {
-	if c.traces == nil {
-		return c.router.Search(ctx, query, k)
-	}
-	res, _, err := c.searchTraced(ctx, query, k)
-	return res, err
-}
-
-// SearchTraced is Search with the per-stage breakdown of the federated
-// query: encode, scatter (annotated with shard count, failures and
-// hedges, one child span per shard attempt), merge.
-func (c *Cluster) SearchTraced(query string, k int) (*ClusterResult, []TraceStage, error) {
-	return c.SearchTracedContext(context.Background(), query, k)
-}
-
-// SearchTracedContext is SearchTraced under a caller-controlled context; a
-// propagated span context (see obs.ContextWithSpan) is continued instead
-// of minting a fresh trace ID.
-func (c *Cluster) SearchTracedContext(ctx context.Context, query string, k int) (*ClusterResult, []TraceStage, error) {
-	res, tr, err := c.searchTraced(ctx, query, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, toTraceStages(tr.Stages()), nil
-}
-
-// searchTraced is the shared traced path behind SearchContext and
-// SearchTraced: the federated query runs under a root span, the finished
-// span tree is offered to the tail-based trace store with the scatter-
-// gather outcome (degradation, hedges, per-shard errors), and a retained
-// trace is linked from the cluster latency histogram via an exemplar.
-func (c *Cluster) searchTraced(ctx context.Context, query string, k int) (*ClusterResult, *obs.Trace, error) {
-	tr := obs.NewTraceFrom(ctx)
-	root := tr.StartRoot("cluster_search")
-	res, err := c.router.SearchTraced(ctx, query, k, tr)
-	if res != nil {
-		root.AnnotateInt("matches", len(res.Matches)).
-			AnnotateInt("distance_comps", int(res.Cost.DistanceComps)).
-			AnnotateInt("pq_lookups", int(res.Cost.PQLookups))
-		res.TraceID = tr.ID().String()
-	}
-	dur := root.End()
-	failed := err != nil || (res != nil && res.Degraded)
-	c.slo.Record(dur, failed)
-	if res != nil {
-		c.workload.Record(query, c.cfg.Method.String(), res.TraceID, res.Cost, dur, time.Now())
-	}
-	o := obs.TraceOutcome{
-		Duration:  dur,
-		Query:     query,
-		Method:    c.cfg.Method.String(),
-		K:         k,
-		RequestID: obs.RequestIDFrom(ctx),
-	}
-	if err != nil {
-		o.Err = err.Error()
-	}
-	if res != nil {
-		o.Matches = len(res.Matches)
-		o.Degraded = res.Degraded
-		o.Hedged = res.Hedged
-		for _, se := range res.ShardErrors {
-			o.ShardErrors = append(o.ShardErrors, se.Error())
-		}
-	}
-	offerTrace(c.traces, c.reg, cluster.MetricSearchSeconds, tr, o)
-	return res, tr, err
-}
-
-// Traces exposes the cluster's tail-sampling trace store: retained span
-// trees (root → encode/scatter/merge, per-shard attempt children)
-// listable, fetchable by trace ID and exportable as JSON lines. Nil when
-// tracing is disabled.
-func (c *Cluster) Traces() *obs.TraceStore { return c.traces }
-
-// ConfigureTracing replaces the cluster's tracing subsystem, e.g. to apply
-// a retention threshold to a cluster restored with LoadCluster. Call it
-// before serving traffic; it must not race with Search.
-func (c *Cluster) ConfigureTracing(tc TracingConfig) {
-	c.traces = newTraceStore(tc)
-}
-
-// Add routes one new relation to a shard — its hash bucket under
-// ShardByHash, the currently smallest shard under ShardRoundRobin — where
-// it lands in the shard store's mutable segment. The router's result cache
-// and coalescer are fenced. Safe for concurrent use with Search.
-func (c *Cluster) Add(r *Relation) error {
+// AddRelation implements Backend: the relation is routed to a shard — its
+// hash bucket under ShardByHash, the currently smallest shard under
+// ShardRoundRobin — where it lands in the shard store's mutable segment.
+// The router's result cache and coalescer are fenced.
+func (c *Cluster) AddRelation(_ context.Context, r *Relation) error {
 	c.orderMu.Lock()
 	if _, dup := c.owner[r.ID]; dup {
 		c.orderMu.Unlock()
 		return fmt.Errorf("semdisco: relation %q already indexed", r.ID)
 	}
 	shard := c.router.Route(r.ID)
-	if err := c.shards[shard].store.Add(r); err != nil {
+	if err := c.shards[shard].Add(r); err != nil {
 		c.orderMu.Unlock()
 		return err
 	}
@@ -363,18 +286,18 @@ func (c *Cluster) Add(r *Relation) error {
 	return nil
 }
 
-// Delete tombstones a relation on its owning shard: it stops appearing in
-// federated results immediately, the router's result cache and coalescer
-// are fenced, and the shard's next compaction reclaims the space. Safe
-// for concurrent use with Search.
-func (c *Cluster) Delete(relationName string) error {
+// DeleteRelation implements Backend: the relation is tombstoned on its
+// owning shard and stops appearing in federated results immediately, the
+// router's result cache and coalescer are fenced, and the shard's next
+// compaction reclaims the space.
+func (c *Cluster) DeleteRelation(_ context.Context, relationName string) error {
 	c.orderMu.Lock()
 	shard, ok := c.owner[relationName]
 	if !ok {
 		c.orderMu.Unlock()
 		return fmt.Errorf("semdisco: relation %q not found", relationName)
 	}
-	if err := c.shards[shard].store.Delete(relationName); err != nil {
+	if err := c.shards[shard].Delete(relationName); err != nil {
 		c.orderMu.Unlock()
 		return err
 	}
@@ -385,18 +308,17 @@ func (c *Cluster) Delete(relationName string) error {
 	return nil
 }
 
-// Update replaces a relation's contents on its owning shard (the relation
-// does not migrate shards) and moves it to the end of the global merge
-// order, matching single-engine Update semantics. Safe for concurrent use
-// with Search.
-func (c *Cluster) Update(r *Relation) error {
+// UpdateRelation implements Backend: the relation's contents are replaced
+// on its owning shard (it does not migrate shards) and it moves to the end
+// of the global merge order, matching single-engine semantics.
+func (c *Cluster) UpdateRelation(_ context.Context, r *Relation) error {
 	c.orderMu.Lock()
 	shard, ok := c.owner[r.ID]
 	if !ok {
 		c.orderMu.Unlock()
 		return fmt.Errorf("semdisco: relation %q not found", r.ID)
 	}
-	if err := c.shards[shard].store.Update(r); err != nil {
+	if err := c.shards[shard].Update(r); err != nil {
 		c.orderMu.Unlock()
 		return err
 	}
@@ -410,7 +332,7 @@ func (c *Cluster) Update(r *Relation) error {
 // Compact forces a full compaction on every shard, sequentially.
 func (c *Cluster) Compact() error {
 	for i := range c.shards {
-		if err := c.shards[i].store.Compact(); err != nil {
+		if err := c.shards[i].Compact(); err != nil {
 			return fmt.Errorf("semdisco: compacting shard %d: %w", i, err)
 		}
 	}
@@ -422,7 +344,7 @@ func (c *Cluster) Compact() error {
 // policy trigger fires.
 func (c *Cluster) CompactionCheck() error {
 	for i := range c.shards {
-		if err := c.shards[i].store.Maintain(); err != nil {
+		if err := c.shards[i].Maintain(); err != nil {
 			return fmt.Errorf("semdisco: maintaining shard %d: %w", i, err)
 		}
 	}
@@ -436,21 +358,14 @@ func (c *Cluster) NumShards() int { return len(c.shards) }
 func (c *Cluster) NumRelations() int {
 	n := 0
 	for _, sh := range c.shards {
-		n += sh.store.NumLiveRelations()
+		n += sh.NumLiveRelations()
 	}
 	return n
 }
 
-// Method reports the per-shard search strategy.
-func (c *Cluster) Method() Method { return c.cfg.Method }
-
 // Stats snapshots per-shard health: searches, errors, timeouts, hedges and
 // latency quantiles per shard, plus cache and degradation counters.
 func (c *Cluster) Stats() ClusterStats { return c.router.Stats() }
-
-// MetricsRegistry exposes the cluster's metrics registry (nil under
-// Config.DisableMetrics; a nil registry is valid everywhere).
-func (c *Cluster) MetricsRegistry() *obs.Registry { return c.reg }
 
 // clusterPersist is the gob envelope of a saved cluster: the shared
 // engine configuration, the full-federation IDF statistics, the global
@@ -497,7 +412,7 @@ func (c *Cluster) Save(w io.Writer) error {
 	blobs := make([][]byte, len(c.shards))
 	for i, sh := range c.shards {
 		var buf bytes.Buffer
-		if err := sh.store.Persist(&buf); err != nil {
+		if err := sh.Persist(&buf); err != nil {
 			return fmt.Errorf("semdisco: save shard %d: %w", i, err)
 		}
 		blobs[i] = buf.Bytes()
@@ -594,13 +509,10 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 		p.Owner = make(map[string]int)
 	}
 	c := &Cluster{
+		telemetry: clusterTelemetry(cfg.Method, reg, len(blobs), TracingConfig{}, SLOConfig{}),
 		cfg:       cfg,
 		model:     model,
 		stats:     p.Stats,
-		reg:       reg,
-		traces:    newTraceStore(TracingConfig{}),
-		workload:  newWorkload(len(blobs), reg),
-		slo:       newSLOEngine(SLOConfig{}, reg),
 		order:     p.Order,
 		owner:     p.Owner,
 		nextOrder: p.NextOrder,
@@ -634,7 +546,7 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 				c.owner[id] = i
 			}
 		}
-		c.shards = append(c.shards, clusterShard{store: store})
+		c.shards = append(c.shards, store)
 		relCounts[i] = store.NumLiveRelations()
 		routerShards[i] = store
 	}

@@ -160,10 +160,10 @@ func TestClusterAddEquivalence(t *testing.T) {
 	if err := eng.Add(extra); err != nil {
 		t.Fatalf("engine add: %v", err)
 	}
-	if err := cl.Add(extra); err != nil {
+	if err := cl.AddRelation(context.Background(), extra); err != nil {
 		t.Fatalf("cluster add: %v", err)
 	}
-	if err := cl.Add(extra); err == nil {
+	if err := cl.AddRelation(context.Background(), extra); err == nil {
 		t.Fatal("duplicate add must fail")
 	}
 	want, err := eng.Search("abc def", 10)
@@ -216,10 +216,11 @@ func TestClusterTracedStages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	_, stages, err := cl.SearchTraced("abc", 5)
+	resp, err := cl.Do(context.Background(), Request{Query: "abc", K: 5, Trace: true})
 	if err != nil {
 		t.Fatalf("traced: %v", err)
 	}
+	stages := resp.Stages
 	names := make(map[string]bool)
 	for _, s := range stages {
 		names[s.Name] = true
@@ -239,7 +240,7 @@ func TestClusterSearchContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.SearchContext(ctx, "abc", 5); !errors.Is(err, context.Canceled) {
+	if _, err := cl.Do(ctx, Request{Query: "abc", K: 5}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // journal. The zero value enables diagnostics with sane defaults (128-deep
 // slow ring retaining every query, 256-event journal, sampling off).
 type DiagnosticsConfig struct {
-	// Disable turns the whole layer off; Search then skips per-query
-	// tracing entirely, as before.
+	// Disable turns the whole layer off: no slow-query log, sampler,
+	// journal or recent-query ring. Workload, SLO and trace retention are
+	// independent of it.
 	Disable bool
 	// SlowLogSize is the slow-query ring capacity; default 128.
 	SlowLogSize int
@@ -98,7 +99,7 @@ func (d *diagnostics) observe(method, query string, k int, matches []Match, dur 
 // apply a latency threshold to an engine restored with LoadEngine. Call it
 // before serving traffic; it must not race with Search.
 func (e *Engine) ConfigureDiagnostics(dc DiagnosticsConfig) {
-	e.diag = newDiagnostics(dc, e.obs)
+	e.diag = newDiagnostics(dc, e.reg)
 }
 
 // SlowQuery is one retained slow-query record with its stage trace.
@@ -187,17 +188,17 @@ type IndexHealth = core.IndexHealth
 func (e *Engine) IndexHealth() IndexHealth {
 	h := e.store.IndexHealth()
 	if h.Graph != nil {
-		e.obs.Gauge(core.MetricReachableFraction).Set(h.Graph.ReachableFraction)
+		e.reg.Gauge(core.MetricReachableFraction).Set(h.Graph.ReachableFraction)
 	}
 	if h.Graphs != nil {
-		e.obs.Gauge(core.MetricReachableFraction).Set(h.Graphs.MeanReachable)
+		e.reg.Gauge(core.MetricReachableFraction).Set(h.Graphs.MeanReachable)
 	}
 	if h.PQ != nil && h.PQ.Trained {
-		e.obs.Gauge(core.MetricPQDistortion).Set(h.PQ.Distortion.Mean)
+		e.reg.Gauge(core.MetricPQDistortion).Set(h.PQ.Distortion.Mean)
 	}
 	if h.Clusters != nil {
-		e.obs.Gauge(core.MetricClusterSizeCV).Set(h.Clusters.SizeCV)
-		e.obs.Gauge(core.MetricMedoidDrift).Set(h.Clusters.MeanMedoidDrift)
+		e.reg.Gauge(core.MetricClusterSizeCV).Set(h.Clusters.SizeCV)
+		e.reg.Gauge(core.MetricMedoidDrift).Set(h.Clusters.MeanMedoidDrift)
 	}
 	return h
 }
@@ -242,7 +243,7 @@ func (e *Engine) RecallProbe(k int) (RecallResult, error) {
 		return res, err
 	}
 	res.Source = source
-	e.obs.Gauge(obs.L(core.MetricRecallAtK,
+	e.reg.Gauge(obs.L(core.MetricRecallAtK,
 		"method", res.Method, "k", strconv.Itoa(k))).Set(res.Recall)
 	return res, nil
 }

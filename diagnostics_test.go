@@ -2,6 +2,7 @@ package semdisco
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -136,10 +137,11 @@ func TestSearchTracedWithoutRegistry(t *testing.T) {
 	if eng.MetricsRegistry() != nil {
 		t.Fatal("registry should be nil under DisableMetrics")
 	}
-	matches, stages, err := eng.SearchTraced("COVID", 3)
+	resp, err := eng.Do(context.Background(), Request{Query: "COVID", K: 3, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	matches, stages := resp.Matches, resp.Stages
 	if len(matches) == 0 {
 		t.Fatal("no matches")
 	}

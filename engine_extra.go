@@ -2,6 +2,7 @@ package semdisco
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -13,12 +14,12 @@ import (
 	"semdisco/internal/text"
 )
 
-// Add indexes one more relation without rebuilding the engine: the
-// relation lands in the store's mutable segment (encode and append — no
-// index build on the write path) and is served at exhaustive-scan quality
-// until background maintenance seals the segment and builds the method's
-// index over it. Safe for concurrent use with Search.
-func (e *Engine) Add(r *Relation) error {
+// AddRelation implements Backend: index one more relation without
+// rebuilding the engine. The relation lands in the store's mutable segment
+// (encode and append — no index build on the write path) and is served at
+// exhaustive-scan quality until background maintenance seals the segment
+// and builds the method's index over it.
+func (e *Engine) AddRelation(_ context.Context, r *Relation) error {
 	if err := e.store.Add(r); err != nil {
 		return err
 	}
@@ -27,6 +28,9 @@ func (e *Engine) Add(r *Relation) error {
 	e.relMu.Unlock()
 	return nil
 }
+
+// Add is AddRelation under a background context.
+func (e *Engine) Add(r *Relation) error { return e.AddRelation(context.Background(), r) }
 
 // Contribution is one value's share of a match, as reported by Explain.
 type Contribution = core.Contribution
@@ -42,35 +46,6 @@ func (e *Engine) Explain(query, relationID string, topN int) (*Explanation, erro
 	return e.store.Explain(query, relationID, topN)
 }
 
-// SearchWithFeedback runs pseudo-relevance feedback (Rocchio): an initial
-// search retrieves a few top relations, their embedding centroids expand
-// the query, and the expanded query is searched. Useful for very short
-// queries that lack context on their own.
-func (e *Engine) SearchWithFeedback(query string, k int) ([]Match, error) {
-	// Feedback centroids come from the base segment's embedding; matches
-	// that live in younger segments still rank, they just contribute no
-	// centroid until compaction folds them into the base.
-	_, baseEmb := e.store.Base()
-	return core.SearchPRF(e.store, baseEmb, query, k, core.PRFOptions{})
-}
-
-// SearchSources restricts a search to relations belonging to any of the
-// named federation members — "find COVID tables, but only from WHO or
-// ECDC". An empty source list returns no matches.
-func (e *Engine) SearchSources(query string, k int, sources ...string) ([]Match, error) {
-	allowed := make(map[string]struct{}, len(sources))
-	for _, s := range sources {
-		allowed[s] = struct{}{}
-	}
-	return e.store.SearchFiltered(query, k, func(relID string) bool {
-		e.relMu.RLock()
-		src := e.relSource[relID]
-		e.relMu.RUnlock()
-		_, ok := allowed[src]
-		return ok
-	})
-}
-
 // DatasetMatch is one dataset-level discovery result: the paper's §3
 // generalization from single-relation datasets to multi-relation ones. A
 // dataset is identified by its relations' Source; its score is the best
@@ -84,7 +59,7 @@ type DatasetMatch struct {
 // SearchDatasets ranks datasets (groups of relations sharing a Source) for
 // the query and returns at most k of them, best first. Internally it
 // over-fetches relations (4k, bounded by the corpus) and groups them.
-func (e *Engine) SearchDatasets(query string, k int) ([]DatasetMatch, error) {
+func (e *Engine) SearchDatasets(ctx context.Context, query string, k int) ([]DatasetMatch, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -92,7 +67,7 @@ func (e *Engine) SearchDatasets(query string, k int) ([]DatasetMatch, error) {
 	if n := e.store.NumLiveRelations(); fetch > n {
 		fetch = n
 	}
-	matches, err := e.Search(query, fetch)
+	matches, err := matchesOf(e.Do(ctx, Request{Query: query, K: fetch}))
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +217,5 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if p.RelSource == nil {
 		p.RelSource = make(map[string]string)
 	}
-	return &Engine{cfg: cfg, model: model, store: store, obs: reg,
-		diag:   newDiagnostics(DiagnosticsConfig{}, reg),
-		traces: newTraceStore(TracingConfig{}),
-		stats:  p.Stats, relSource: p.RelSource}, nil
+	return &Engine{telemetry: engineTelemetry(cfg, reg), cfg: cfg, model: model, store: store, stats: p.Stats, relSource: p.RelSource}, nil
 }

@@ -2,6 +2,7 @@ package semdisco
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func TestEngineSearchDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.SearchDatasets("COVID vaccines", 2)
+	got, err := eng.SearchDatasets(context.Background(), "COVID vaccines", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestEngineSearchDatasets(t *testing.T) {
 	if got[0].Score < got[1].Score {
 		t.Fatal("datasets not sorted by score")
 	}
-	if r, err := eng.SearchDatasets("x", 0); err != nil || r != nil {
+	if r, err := eng.SearchDatasets(context.Background(), "x", 0); err != nil || r != nil {
 		t.Fatal("k=0 should return nothing")
 	}
 }
@@ -107,7 +108,7 @@ func TestEngineSaveLoad(t *testing.T) {
 			}
 		}
 		// Loaded engines keep dataset grouping.
-		ds, err := loaded.SearchDatasets("COVID", 2)
+		ds, err := loaded.SearchDatasets(context.Background(), "COVID", 2)
 		if err != nil || len(ds) == 0 {
 			t.Fatalf("%v: SearchDatasets after load: %v %v", m, ds, err)
 		}
@@ -142,7 +143,7 @@ func TestEngineSearchSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		got, err := eng.SearchSources("COVID", 5, "WHO", "CDC")
+		got, err := matchesOf(eng.Do(context.Background(), Request{Query: "COVID", K: 5, Sources: []string{"WHO", "CDC"}}))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -155,7 +156,7 @@ func TestEngineSearchSources(t *testing.T) {
 			}
 		}
 		// Unknown source: nothing.
-		none, err := eng.SearchSources("COVID", 5, "NOPE")
+		none, err := matchesOf(eng.Do(context.Background(), Request{Query: "COVID", K: 5, Sources: []string{"NOPE"}}))
 		if err != nil || len(none) != 0 {
 			t.Fatalf("%v: unknown source gave %v, %v", m, none, err)
 		}
@@ -169,7 +170,7 @@ func TestEngineSearchWithFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.SearchWithFeedback("COVID", 2)
+	got, err := matchesOf(eng.Do(context.Background(), Request{Query: "COVID", K: 2, Feedback: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

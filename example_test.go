@@ -1,6 +1,7 @@
 package semdisco_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -84,7 +85,7 @@ func ExampleEngine_SearchDatasets() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	datasets, err := eng.SearchDatasets("renewable energy", 1)
+	datasets, err := eng.SearchDatasets(context.Background(), "renewable energy", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Batched execution: answer a block of queries in one fused pass with
-// Engine.SearchBatch — each distinct query text encoded once, the whole
+// Engine.DoBatch — each distinct query text encoded once, the whole
 // block scored together, per-item cost accounting. Run with:
 //
 //	go run ./examples/batch
@@ -42,8 +42,8 @@ func main() {
 	// over the corpus: each value vector is loaded once and reused across
 	// all queries. Duplicate texts (the two "vaccination" items) are
 	// encoded only once. Results are positionally aligned and identical to
-	// per-query Search calls.
-	results, err := eng.SearchBatch(context.Background(), []semdisco.Query{
+	// per-query Do calls.
+	results, err := eng.DoBatch(context.Background(), []semdisco.Query{
 		{Text: "vaccination coverage", K: 2},
 		{Text: "rock hardness scale", K: 1},
 		{Text: "vaccination coverage", K: 2},

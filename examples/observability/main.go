@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -48,18 +49,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A traced search returns the usual matches plus the per-stage
+	// A traced request returns the usual matches plus the per-stage
 	// breakdown of where the time went.
-	matches, stages, err := eng.SearchTraced("COVID vaccines in Europe", 3)
+	resp, err := eng.Do(context.Background(), semdisco.Request{
+		Query: "COVID vaccines in Europe", K: 3, Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("matches:")
-	for _, m := range matches {
+	for _, m := range resp.Matches {
 		fmt.Printf("  %-10s score=%.3f\n", m.RelationID, m.Score)
 	}
 	fmt.Println("trace:")
-	for _, st := range stages {
+	for _, st := range resp.Stages {
 		fmt.Printf("  %-14s %8.3fms  %v\n", st.Name, st.DurationMS, st.Annotations)
 	}
 

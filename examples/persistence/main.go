@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -113,7 +114,7 @@ func main() {
 		fmt.Printf("  %-16s %.3f\n", m.RelationID, m.Score)
 	}
 
-	datasets, err := restored.SearchDatasets("renewable energy output", 2)
+	datasets, err := restored.SearchDatasets(context.Background(), "renewable energy output", 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -674,30 +673,13 @@ func (r *Router) merge(perShard [][]core.Match, k int) []core.Match {
 	for _, ms := range perShard {
 		total += len(ms)
 	}
-	type ranked struct {
-		m     core.Match
-		order int
-	}
-	all := make([]ranked, 0, total)
+	all := make([]core.RankedMatch, 0, total)
 	for _, ms := range perShard {
 		for _, m := range ms {
-			all = append(all, ranked{m: m, order: r.opts.Order(m.RelationID)})
+			all = append(all, core.RankedMatch{Match: m, Order: r.opts.Order(m.RelationID)})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].m.Score != all[j].m.Score {
-			return all[i].m.Score > all[j].m.Score
-		}
-		return all[i].order < all[j].order
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]core.Match, len(all))
-	for i, a := range all {
-		out[i] = a.m
-	}
-	return out
+	return core.MergeRanked(all, k)
 }
 
 // ShardStats is one shard's health snapshot.

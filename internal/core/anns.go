@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"semdisco/internal/obs"
 	"semdisco/internal/vectordb"
 )
 
@@ -116,72 +115,69 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 // Name implements Searcher.
 func (s *ANNS) Name() string { return "ANNS" }
 
-// Search implements Searcher: Algorithm 2, step 2.
+// Search implements Searcher: Algorithm 2, step 2, for a keyword query.
 func (s *ANNS) Search(query string, k int) ([]Match, error) {
-	return s.SearchTraced(query, k, nil)
+	return Search(context.Background(), s, s.emb.Enc, s.emb.Obs, query, k)
 }
 
-// SearchTraced implements TracedSearcher: Algorithm 2 with a per-stage
-// breakdown (encode → retrieve → rank).
-func (s *ANNS) SearchTraced(query string, k int, tr *obs.Trace) ([]Match, error) {
-	return s.SearchTracedContext(context.Background(), query, k, tr)
+// SearchEncoded implements EncodedSearcher: Algorithm 2 for an already-
+// encoded query vector (retrieve → rank), honoring ctx between HNSW hops.
+func (s *ANNS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
+	return s.SearchFiltered(ctx, q, k, nil)
 }
 
-// SearchTracedContext implements ContextSearcher: SearchTraced with
-// cooperative cancellation threaded into the HNSW walk.
-func (s *ANNS) SearchTracedContext(ctx context.Context, query string, k int, tr *obs.Trace) ([]Match, error) {
+// SearchFiltered implements EncodedSearcher: the restriction is pushed
+// into the vector database as a payload filter, so the graph walk routes
+// through rejected points but never returns them.
+func (s *ANNS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	o := startSearch(s.emb.Obs, s.Name(), tr)
-	sp := o.stage("encode")
-	q := s.emb.Enc.Encode(query)
-	o.endStage(sp)
-
-	fanout := s.fanout
-	if fanout == 0 {
-		fanout = 32 * k
+	allowed := s.emb.allowedSet(allow)
+	if allowed != nil && len(allowed) == 0 {
+		return nil, nil
 	}
-	ef := s.efSearch
-	if ef < fanout {
-		ef = fanout
-	}
-	sp = o.stage("retrieve").AnnotateInt("fanout", fanout).AnnotateInt("ef", ef)
-	hits, err := s.coll.SearchContext(ctx, q, fanout, ef, liveFilter(s.emb))
+	o := startSearch(ctx, s.emb.Obs, s.Name())
+	fanout, ef := s.beam(k)
+	sp := o.stage("retrieve").AnnotateInt("fanout", fanout).AnnotateInt("ef", ef)
+	hits, err := s.coll.SearchContext(ctx, q, fanout, ef, s.emb.valueFilter(allowed))
 	if err != nil {
 		return nil, err
 	}
 	o.endStage(sp.AnnotateInt("hits", len(hits)))
 
 	sp = o.stage("rank")
-	matches, err := s.foldHits(hits, k)
+	matches, err := s.rankHits(hits, k)
 	if err != nil {
 		return nil, err
 	}
 	o.endStage(sp.AnnotateInt("matches", len(matches)))
-	o.finish()
 	return matches, nil
 }
 
-// SearchEncoded implements EncodedSearcher: rank relations for an
-// already-encoded query vector, honoring ctx between HNSW hops.
-func (s *ANNS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	fanout := s.fanout
+// beam returns how many value vectors a top-k query retrieves and the
+// HNSW beam width it walks with.
+func (s *ANNS) beam(k int) (fanout, ef int) {
+	fanout = s.fanout
 	if fanout == 0 {
 		fanout = 32 * k
 	}
-	ef := s.efSearch
+	ef = s.efSearch
 	if ef < fanout {
 		ef = fanout
 	}
-	hits, err := s.coll.SearchContext(ctx, q, fanout, ef, liveFilter(s.emb))
-	if err != nil {
+	return fanout, ef
+}
+
+// rankHits groups value hits into ranked relations.
+func (s *ANNS) rankHits(hits []vectordb.Result, k int) ([]Match, error) {
+	n := s.emb.NumRelations()
+	sums := make([]float32, n)
+	hitCount := make([]float32, n)
+	if err := s.emb.foldHits(hits, sums, hitCount); err != nil {
 		return nil, err
 	}
-	return s.foldHits(hits, k)
+	return s.emb.rankRelations(sums, hitCount, s.threshold, k), nil
 }
 
 // Stats exposes the underlying collection's storage statistics.

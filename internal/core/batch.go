@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"semdisco/internal/obs"
+	"semdisco/internal/par"
 	"semdisco/internal/vec"
 	"semdisco/internal/vectordb"
 )
@@ -123,29 +121,7 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 			}
 		}
 	}
-	if s.parallel && n > 1 && len(s.emb.Values) > parallelScanMinValues {
-		workers := runtime.GOMAXPROCS(0)
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				scoreRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		scoreRange(0, n)
-	}
+	par.For(n, s.scanWorkers(), scoreRange)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -274,20 +250,11 @@ func (s *ANNS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int,
 	fanouts := make([]int, nq)
 	efs := make([]int, nq)
 	for i, k := range ks {
-		if k <= 0 {
-			continue
+		if k > 0 {
+			fanouts[i], efs[i] = s.beam(k)
 		}
-		fanout := s.fanout
-		if fanout == 0 {
-			fanout = 32 * k
-		}
-		ef := s.efSearch
-		if ef < fanout {
-			ef = fanout
-		}
-		fanouts[i], efs[i] = fanout, ef
 	}
-	hitsPerQuery, err := s.coll.SearchBatch(ctx, qs, fanouts, efs, liveFilter(s.emb), costs)
+	hitsPerQuery, err := s.coll.SearchBatch(ctx, qs, fanouts, efs, s.emb.valueFilter(nil), costs)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +263,7 @@ func (s *ANNS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int,
 		if k <= 0 {
 			continue
 		}
-		matches, err := s.foldHits(hitsPerQuery[i], k)
+		matches, err := s.rankHits(hitsPerQuery[i], k)
 		if err != nil {
 			return nil, err
 		}
@@ -361,18 +328,7 @@ func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 			costs[qi].AddBytesScanned(int64(numClusters) * int64(dim) * 4)
 			costs[qi].AddCandidatesPruned(int64(numClusters - len(selected)))
 		}
-		fanout := s.fanout
-		if fanout == 0 {
-			fanout = 32 * k
-		}
-		perCluster := fanout / len(selected)
-		if perCluster < k {
-			perCluster = k
-		}
-		ef := s.efSearch
-		if ef < perCluster {
-			ef = perCluster
-		}
+		perCluster, ef := s.descent(k, len(selected))
 		p := &ctsPlan{selected: selected, perCluster: perCluster, ef: ef,
 			hits: make([][]vectordb.Result, len(selected))}
 		plans[qi] = p
@@ -400,21 +356,13 @@ func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 		}
 		for j, pr := range probes {
 			p := plans[pr.qi]
-			pc, pcEf := p.perCluster, p.ef
-			if pc > l { // beams wider than the cluster only add heap overhead
-				pc = l
-				if pcEf > l {
-					pcEf = l
-				}
-			}
 			subQs[j] = qs[pr.qi]
-			subKs[j] = pc
-			subEfs[j] = pcEf
+			subKs[j], subEfs[j] = clampBeam(p.perCluster, p.ef, l)
 			if costs != nil {
 				subCosts[j] = costs[pr.qi]
 			}
 		}
-		hits, err := coll.SearchBatch(ctx, subQs, subKs, subEfs, liveFilter(s.emb), subCosts)
+		hits, err := coll.SearchBatch(ctx, subQs, subKs, subEfs, s.emb.valueFilter(nil), subCosts)
 		if err != nil {
 			return nil, err
 		}
@@ -434,16 +382,8 @@ func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 		sums := make([]float32, n)
 		hitCount := make([]float32, n)
 		for _, hits := range p.hits {
-			for _, h := range hits {
-				vi, err := strconv.Atoi(h.Payload["vi"])
-				if err != nil || vi < 0 || vi >= len(s.emb.Values) {
-					return nil, fmt.Errorf("core: cts: corrupt payload %q", h.Payload["vi"])
-				}
-				v := &s.emb.Values[vi]
-				if h.Score > 0 {
-					sums[v.Rel] += v.Weight * h.Score
-				}
-				hitCount[v.Rel]++
+			if err := s.emb.foldHits(hits, sums, hitCount); err != nil {
+				return nil, err
 			}
 		}
 		out[qi] = s.emb.rankRelations(sums, hitCount, s.threshold, ks[qi])

@@ -52,7 +52,7 @@ func TestSearchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	searchers := []ContextSearcher{NewExS(emb, ExSOptions{})}
+	searchers := []EncodedSearcher{NewExS(emb, ExSOptions{})}
 	if anns, err := NewANNS(emb, ANNSOptions{Seed: 1, DisablePQ: true}); err != nil {
 		t.Fatalf("anns: %v", err)
 	} else {
@@ -65,13 +65,12 @@ func TestSearchContextCancelled(t *testing.T) {
 	}
 
 	for _, s := range searchers {
-		name := s.(Searcher).Name()
-		matches, err := s.SearchTracedContext(ctx, "abc", 5, nil)
+		name := s.Name()
+		matches, err := Search(ctx, s, emb.Enc, emb.Obs, "abc", 5)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: want context.Canceled, got matches=%v err=%v", name, matches, err)
 		}
-		es := s.(EncodedSearcher)
-		matches, err = es.SearchEncoded(ctx, emb.Enc.Encode("abc"), 5)
+		matches, err = s.SearchEncoded(ctx, emb.Enc.Encode("abc"), 5)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s SearchEncoded: want context.Canceled, got matches=%v err=%v", name, matches, err)
 		}
@@ -89,7 +88,7 @@ func TestSearchContextBackground(t *testing.T) {
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
-	ctxed, err := s.SearchTracedContext(context.Background(), "abc def", 10, nil)
+	ctxed, err := s.SearchEncoded(context.Background(), emb.Enc.Encode("abc def"), 10)
 	if err != nil {
 		t.Fatalf("ctx search: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"semdisco/internal/corpus"
@@ -83,7 +84,7 @@ func covidFederation(t testing.TB) (*table.Federation, *embed.Model) {
 	return fed, model
 }
 
-func searcherSet(t testing.TB, emb *Embedded) []Searcher {
+func searcherSet(t testing.TB, emb *Embedded) []EncodedSearcher {
 	t.Helper()
 	anns, err := NewANNS(emb, ANNSOptions{Seed: 1, DisablePQ: true})
 	if err != nil {
@@ -93,7 +94,7 @@ func searcherSet(t testing.TB, emb *Embedded) []Searcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Searcher{NewExS(emb, ExSOptions{}), anns, cts}
+	return []EncodedSearcher{NewExS(emb, ExSOptions{}), anns, cts}
 }
 
 // TestMotivatingExample is the paper's §2 scenario: the keyword "COVID"
@@ -327,7 +328,7 @@ func TestSearchPRF(t *testing.T) {
 	fed, model := covidFederation(t)
 	emb := EmbedFederation(fed, model)
 	for _, s := range searcherSet(t, emb) {
-		got, err := SearchPRF(s, emb, "COVID", 3, PRFOptions{})
+		got, err := SearchPRF(context.Background(), s, emb, "COVID", 3, PRFOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -355,7 +356,7 @@ func TestSearchPRFZeroK(t *testing.T) {
 	fed, model := covidFederation(t)
 	emb := EmbedFederation(fed, model)
 	s := NewExS(emb, ExSOptions{})
-	got, err := SearchPRF(s, emb, "COVID", 0, PRFOptions{})
+	got, err := SearchPRF(context.Background(), s, emb, "COVID", 0, PRFOptions{})
 	if err != nil || got != nil {
 		t.Fatalf("k=0: %v %v", got, err)
 	}

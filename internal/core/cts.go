@@ -280,51 +280,60 @@ func (s *CTS) NumClusters() int { return len(s.medoidVecs) }
 // ClusterOf exposes the value-to-cluster assignment for diagnostics.
 func (s *CTS) ClusterOf(valueIdx int) int { return s.clusterOf[valueIdx] }
 
-// Search implements Searcher: Algorithm 3's query phase.
+// Search implements Searcher: Algorithm 3's query phase for a keyword query.
 func (s *CTS) Search(query string, k int) ([]Match, error) {
-	return s.SearchTraced(query, k, nil)
-}
-
-// SearchTraced implements TracedSearcher: Algorithm 3 with a per-stage
-// breakdown (encode → medoid_match → descent → rank).
-func (s *CTS) SearchTraced(query string, k int, tr *obs.Trace) ([]Match, error) {
-	return s.SearchTracedContext(context.Background(), query, k, tr)
-}
-
-// SearchTracedContext implements ContextSearcher: SearchTraced with
-// cooperative cancellation checked between clusters and inside each
-// cluster's HNSW walk.
-func (s *CTS) SearchTracedContext(ctx context.Context, query string, k int, tr *obs.Trace) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	o := startSearch(s.emb.Obs, s.Name(), tr)
-	sp := o.stage("encode")
-	q := s.emb.Enc.Encode(query)
-	o.endStage(sp)
-	matches, err := s.searchObserved(ctx, q, k, o)
-	if err == nil {
-		o.finish()
-	}
-	return matches, err
+	return Search(context.Background(), s, s.emb.Enc, s.emb.Obs, query, k)
 }
 
 // SearchEncoded implements EncodedSearcher: the cluster walk for an
-// already-encoded query vector under a context.
+// already-encoded query vector (medoid_match → descent → rank), with
+// cancellation checked between clusters and inside each HNSW walk.
 func (s *CTS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
+	return s.SearchFiltered(ctx, q, k, nil)
+}
+
+// descent returns one query's per-cluster retrieval parameters: how many
+// value hits to ask of each of the selected clusters and the beam width.
+func (s *CTS) descent(k, selected int) (perCluster, ef int) {
+	fanout := s.fanout
+	if fanout == 0 {
+		fanout = 32 * k
+	}
+	perCluster = fanout / selected
+	if perCluster < k {
+		perCluster = k
+	}
+	ef = s.efSearch
+	if ef < perCluster {
+		ef = perCluster
+	}
+	return perCluster, ef
+}
+
+// clampBeam narrows a descent to one collection: beams wider than the
+// cluster only add heap overhead.
+func clampBeam(perCluster, ef, collLen int) (int, int) {
+	if perCluster > collLen {
+		perCluster = collLen
+		if ef > collLen {
+			ef = collLen
+		}
+	}
+	return perCluster, ef
+}
+
+// SearchFiltered implements EncodedSearcher: cluster selection ignores the
+// restriction (medoids summarize the whole corpus) and the per-cluster
+// searches carry it as a payload filter.
+func (s *CTS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	return s.searchObserved(ctx, q, k, startSearch(nil, s.Name(), nil))
-}
-
-// searchEncoded runs the cluster walk for an already-encoded query vector.
-func (s *CTS) searchEncoded(q []float32, k int) ([]Match, error) {
-	return s.SearchEncoded(context.Background(), q, k)
-}
-
-// searchObserved is the cluster walk, instrumented through o.
-func (s *CTS) searchObserved(ctx context.Context, q []float32, k int, o *searchObs) ([]Match, error) {
+	allowed := s.emb.allowedSet(allow)
+	if allowed != nil && len(allowed) == 0 {
+		return nil, nil
+	}
+	o := startSearch(ctx, s.emb.Obs, s.Name())
 	// Rank clusters by medoid similarity (original space; medoids are data
 	// points, so the query needs no reduction).
 	sp := o.stage("medoid_match").AnnotateInt("clusters_total", len(s.medoidVecs))
@@ -342,19 +351,8 @@ func (s *CTS) searchObserved(ctx context.Context, q []float32, k int, o *searchO
 		cost.AddCandidatesPruned(int64(len(s.medoidVecs) - len(selected)))
 	}
 
-	fanout := s.fanout
-	if fanout == 0 {
-		fanout = 32 * k
-	}
-	perCluster := fanout / len(selected)
-	if perCluster < k {
-		perCluster = k
-	}
-	ef := s.efSearch
-	if ef < perCluster {
-		ef = perCluster
-	}
-
+	perCluster, ef := s.descent(k, len(selected))
+	filter := s.emb.valueFilter(allowed)
 	sp = o.stage("descent").AnnotateInt("per_cluster_fanout", perCluster)
 	n := s.emb.NumRelations()
 	sums := make([]float32, n)
@@ -365,29 +363,14 @@ func (s *CTS) searchObserved(ctx context.Context, q []float32, k int, o *searchO
 			return nil, err
 		}
 		coll := s.clusterColl[sc.ID]
-		// Beams wider than the cluster only add heap overhead.
-		pc, pcEf := perCluster, ef
-		if l := coll.Len(); pc > l {
-			pc = l
-			if pcEf > l {
-				pcEf = l
-			}
-		}
-		hits, err := coll.SearchContext(ctx, q, pc, pcEf, liveFilter(s.emb))
+		pc, pcEf := clampBeam(perCluster, ef, coll.Len())
+		hits, err := coll.SearchContext(ctx, q, pc, pcEf, filter)
 		if err != nil {
 			return nil, err
 		}
 		totalHits += len(hits)
-		for _, h := range hits {
-			vi, err := strconv.Atoi(h.Payload["vi"])
-			if err != nil || vi < 0 || vi >= len(s.emb.Values) {
-				return nil, fmt.Errorf("core: cts: corrupt payload %q", h.Payload["vi"])
-			}
-			v := &s.emb.Values[vi]
-			if h.Score > 0 {
-				sums[v.Rel] += v.Weight * h.Score
-			}
-			hitCount[v.Rel]++
+		if err := s.emb.foldHits(hits, sums, hitCount); err != nil {
+			return nil, err
 		}
 	}
 	o.endStage(sp.AnnotateInt("hits", totalHits))

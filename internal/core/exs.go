@@ -4,10 +4,10 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"semdisco/internal/obs"
+	"semdisco/internal/par"
 	"semdisco/internal/vec"
 )
 
@@ -53,6 +53,14 @@ type ExSOptions struct {
 // overhead no matter how it is partitioned.
 const parallelScanMinValues = 2048
 
+// scanWorkers is how many contiguous relation ranges a scan splits into.
+func (s *ExS) scanWorkers() int {
+	if s.parallel && len(s.emb.Values) > parallelScanMinValues {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
 // NewExS builds an exhaustive searcher over the embedded federation.
 func NewExS(emb *Embedded, opt ExSOptions) *ExS {
 	if opt.TopM == 0 {
@@ -74,50 +82,16 @@ func NewExS(emb *Embedded, opt ExSOptions) *ExS {
 // Name implements Searcher.
 func (s *ExS) Name() string { return "ExS" }
 
-// Search implements Searcher: Algorithm 1.
+// Search implements Searcher: Algorithm 1 for a keyword query.
 func (s *ExS) Search(query string, k int) ([]Match, error) {
-	return s.SearchTraced(query, k, nil)
+	return Search(context.Background(), s, s.emb.Enc, s.emb.Obs, query, k)
 }
 
-// SearchTraced implements TracedSearcher: Algorithm 1 with a per-stage
-// breakdown (encode → scan → rank) recorded on tr and on the method's
-// stage histograms.
-func (s *ExS) SearchTraced(query string, k int, tr *obs.Trace) ([]Match, error) {
-	return s.SearchTracedContext(context.Background(), query, k, tr)
-}
-
-// SearchTracedContext implements ContextSearcher: SearchTraced with
-// cooperative cancellation checked between scan chunks, so a cluster
-// deadline interrupts the exhaustive scan mid-corpus.
-func (s *ExS) SearchTracedContext(ctx context.Context, query string, k int, tr *obs.Trace) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	o := startSearch(s.emb.Obs, s.Name(), tr)
-	sp := o.stage("encode")
-	q := s.emb.Enc.Encode(query)
-	o.endStage(sp)
-	matches, err := s.searchObserved(ctx, q, k, o)
-	if err == nil {
-		o.finish()
-	}
-	return matches, err
-}
-
-// SearchEncoded implements EncodedSearcher: rank relations for an
-// already-encoded query vector, honoring ctx between scan chunks. This is
-// the cluster layer's shard entry point — the router encodes once and fans
-// the vector out.
+// SearchEncoded implements EncodedSearcher: Algorithm 1 for an already-
+// encoded query vector, with its stages (scan → rank) recorded on the
+// context's trace and on the method's stage histograms.
 func (s *ExS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	return s.searchObserved(ctx, q, k, startSearch(nil, s.Name(), nil))
-}
-
-// searchEncoded ranks relations for an already-encoded query vector.
-func (s *ExS) searchEncoded(q []float32, k int) ([]Match, error) {
-	return s.SearchEncoded(context.Background(), q, k)
+	return s.SearchFiltered(ctx, q, k, nil)
 }
 
 // cancelCheckRelations is how many relations each scan worker scores
@@ -125,8 +99,15 @@ func (s *ExS) searchEncoded(q []float32, k int) ([]Match, error) {
 // fraction of a millisecond, large enough that ctx.Err() stays free.
 const cancelCheckRelations = 64
 
-// searchObserved is the scan + rank body, instrumented through o.
-func (s *ExS) searchObserved(ctx context.Context, q []float32, k int, o *searchObs) ([]Match, error) {
+// SearchFiltered implements EncodedSearcher: the scan + rank body. Only
+// relations allow accepts are scored; the rest share the tombstones' −Inf
+// sentinel.
+func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	o := startSearch(ctx, s.emb.Obs, s.Name())
+	allowed := s.emb.allowedSet(allow)
 	n := s.emb.NumRelations()
 	scores := make([]float32, n)
 	sp := o.stage("scan").
@@ -159,7 +140,7 @@ func (s *ExS) searchObserved(ctx context.Context, q []float32, k int, o *searchO
 					break
 				}
 			}
-			if hasDead && tombs.Dead(rel) {
+			if hasDead && tombs.Dead(rel) || !allowed.has(rel) {
 				scores[rel] = negInf
 				continue
 			}
@@ -172,29 +153,7 @@ func (s *ExS) searchObserved(ctx context.Context, q []float32, k int, o *searchO
 			cost.AddBytesScanned(scanned * vecBytes)
 		}
 	}
-	if s.parallel && n > 1 && len(s.emb.Values) > parallelScanMinValues {
-		workers := runtime.GOMAXPROCS(0)
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				scoreRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		scoreRange(0, n)
-	}
+	par.For(n, s.scanWorkers(), scoreRange)
 	o.endStage(sp)
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,32 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"semdisco/internal/vec"
 )
-
-// vectorSearcher is the internal contract PRF needs: rank relations for an
-// arbitrary query vector. All three methods satisfy it.
-type vectorSearcher interface {
-	searchVec(q []float32, k int) ([]Match, error)
-}
-
-// searchVec implements vectorSearcher for ExS.
-func (s *ExS) searchVec(q []float32, k int) ([]Match, error) {
-	return s.searchEncoded(q, k)
-}
-
-// searchVec implements vectorSearcher for ANNS.
-func (s *ANNS) searchVec(q []float32, k int) ([]Match, error) {
-	return s.SearchEncoded(context.Background(), q, k)
-}
-
-// searchVec implements vectorSearcher for CTS by re-entering the cluster
-// walk with the given vector.
-func (s *CTS) searchVec(q []float32, k int) ([]Match, error) {
-	return s.searchEncoded(q, k)
-}
 
 // PRFOptions tunes pseudo-relevance feedback.
 type PRFOptions struct {
@@ -44,11 +21,7 @@ type PRFOptions struct {
 // the expanded query α·q + β·centroid is searched again. This is the
 // classic query-expansion extension of embedding retrieval; it helps
 // exactly where the paper's §5.3 analysis says short queries lack context.
-func SearchPRF(s Searcher, emb *Embedded, query string, k int, opt PRFOptions) ([]Match, error) {
-	vs, ok := s.(vectorSearcher)
-	if !ok {
-		return nil, fmt.Errorf("core: %s does not support vector search", s.Name())
-	}
+func SearchPRF(ctx context.Context, s EncodedSearcher, emb *Embedded, query string, k int, opt PRFOptions) ([]Match, error) {
 	if opt.FeedbackDocs == 0 {
 		opt.FeedbackDocs = 3
 	}
@@ -59,12 +32,12 @@ func SearchPRF(s Searcher, emb *Embedded, query string, k int, opt PRFOptions) (
 		opt.Beta = 0.5
 	}
 	q := emb.Enc.Encode(query)
-	initial, err := vs.searchVec(q, opt.FeedbackDocs)
+	initial, err := s.SearchEncoded(ctx, q, opt.FeedbackDocs)
 	if err != nil {
 		return nil, err
 	}
 	if len(initial) == 0 {
-		return vs.searchVec(q, k)
+		return s.SearchEncoded(ctx, q, k)
 	}
 	centroid := make([]float32, emb.Enc.Dim())
 	for _, m := range initial {
@@ -87,5 +60,5 @@ func SearchPRF(s Searcher, emb *Embedded, query string, k int, opt PRFOptions) (
 	vec.AddScaled(expanded, opt.Alpha, q)
 	vec.AddScaled(expanded, opt.Beta, centroid)
 	vec.Normalize(expanded)
-	return vs.searchVec(expanded, k)
+	return s.SearchEncoded(ctx, expanded, k)
 }

@@ -4,28 +4,30 @@ import (
 	"fmt"
 	"strconv"
 
-	"semdisco/internal/vec"
 	"semdisco/internal/vectordb"
 )
 
-// FilteredSearcher is implemented by searchers that can restrict a query
-// to a subset of relations — e.g. "only datasets from the WHO and ECDC
-// members of the federation". All three methods implement it.
-type FilteredSearcher interface {
-	// SearchFiltered ranks only relations accepted by allow. A nil allow
-	// behaves like Search.
-	SearchFiltered(query string, k int, allow func(relationID string) bool) ([]Match, error)
+// relSet is the set of relation slots a filtered search may return. The
+// nil set accepts every slot — the unfiltered search.
+type relSet map[int32]struct{}
+
+func (s relSet) has(rel int) bool {
+	if s == nil {
+		return true
+	}
+	_, ok := s[int32(rel)]
+	return ok
 }
 
-// allowedSet precomputes the relation indices accepted by allow.
-// Tombstoned relations never enter the set, which makes the dead filter a
-// single check shared by every SearchFiltered implementation.
-func (e *Embedded) allowedSet(allow func(string) bool) map[int32]struct{} {
+// allowedSet precomputes the relation slots accepted by allow; nil for a
+// nil allow. Tombstoned relations never enter the set, which makes the
+// dead filter a single check shared by every filtered search.
+func (e *Embedded) allowedSet(allow func(string) bool) relSet {
 	if allow == nil {
 		return nil
 	}
 	hasDead := e.deadCount() > 0
-	set := make(map[int32]struct{})
+	set := make(relSet)
 	for i, id := range e.RelIDs {
 		if hasDead && e.Tombs.Dead(i) {
 			continue
@@ -37,180 +39,45 @@ func (e *Embedded) allowedSet(allow func(string) bool) map[int32]struct{} {
 	return set
 }
 
-// SearchFiltered implements FilteredSearcher for the exhaustive scan.
-func (s *ExS) SearchFiltered(query string, k int, allow func(string) bool) ([]Match, error) {
-	if allow == nil {
-		return s.Search(query, k)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	set := s.emb.allowedSet(allow)
-	q := s.emb.Enc.Encode(query)
-	scored := make([]vec.Scored, 0, len(set))
-	topm := s.newTopMScratch()
-	for rel := range set {
-		scored = append(scored, vec.Scored{ID: int(rel), Score: s.scoreRelation(q, int(rel), topm)})
-	}
-	vec.SortScoredDesc(scored)
-	out := make([]Match, 0, k)
-	for _, sc := range scored {
-		if sc.Score < s.threshold {
-			break
-		}
-		out = append(out, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
-		if len(out) == k {
-			break
-		}
-	}
-	return out, nil
-}
-
-// payloadRelFilter builds a vectordb payload filter accepting points whose
-// value belongs to an allowed relation.
-func payloadRelFilter(emb *Embedded, set map[int32]struct{}) vectordb.Filter {
-	return func(p map[string]string) bool {
-		vi, err := strconv.Atoi(p["vi"])
-		if err != nil || vi < 0 || vi >= len(emb.Values) {
-			return false
-		}
-		_, ok := set[emb.Values[vi].Rel]
-		return ok
-	}
-}
-
-// liveFilter returns a vectordb payload filter rejecting values of
-// tombstoned relations, or nil when the segment has no tombstones — the
-// common case, which keeps churn-free searches on the exact pre-mutation
+// valueFilter returns the vectordb payload filter of one search: values of
+// relations outside allowed are rejected, and so are values of tombstoned
+// relations. It is nil when there is nothing to reject — the common case,
+// which keeps churn-free unfiltered searches on the exact pre-mutation
 // code path. Pushing the filter into the index means the graph walk still
-// routes through dead points but replaces them in the result beam, so a
-// heavily tombstoned segment keeps returning k live values until
+// routes through rejected points but replaces them in the result beam, so
+// a heavily tombstoned segment keeps returning k live values until
 // compaction reclaims the space.
-func liveFilter(emb *Embedded) vectordb.Filter {
-	if emb.deadCount() == 0 {
+func (e *Embedded) valueFilter(allowed relSet) vectordb.Filter {
+	if allowed == nil && e.deadCount() == 0 {
 		return nil
 	}
 	return func(p map[string]string) bool {
 		vi, err := strconv.Atoi(p["vi"])
-		if err != nil || vi < 0 || vi >= len(emb.Values) {
+		if err != nil || vi < 0 || vi >= len(e.Values) {
 			return false
 		}
-		return !emb.Tombs.Dead(int(emb.Values[vi].Rel))
+		rel := int(e.Values[vi].Rel)
+		if allowed != nil {
+			return allowed.has(rel) // the set already excludes dead slots
+		}
+		return !e.Tombs.Dead(rel)
 	}
 }
 
-// SearchFiltered implements FilteredSearcher for ANNS: the restriction is
-// pushed into the vector database as a payload filter, so the graph walk
-// routes through rejected points but never returns them.
-func (s *ANNS) SearchFiltered(query string, k int, allow func(string) bool) ([]Match, error) {
-	if allow == nil {
-		return s.Search(query, k)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	set := s.emb.allowedSet(allow)
-	if len(set) == 0 {
-		return nil, nil
-	}
-	q := s.emb.Enc.Encode(query)
-	fanout := s.fanout
-	if fanout == 0 {
-		fanout = 32 * k
-	}
-	ef := s.efSearch
-	if ef < fanout {
-		ef = fanout
-	}
-	hits, err := s.coll.Search(q, fanout, ef, payloadRelFilter(s.emb, set))
-	if err != nil {
-		return nil, err
-	}
-	return s.foldHits(hits, k)
-}
-
-// foldHits groups value hits into ranked relations (shared by Search and
-// SearchFiltered).
-func (s *ANNS) foldHits(hits []vectordb.Result, k int) ([]Match, error) {
-	n := s.emb.NumRelations()
-	sums := make([]float32, n)
-	hitCount := make([]float32, n)
+// foldHits accumulates value hits into per-relation weighted sums and hit
+// counts — the inputs of rankRelations — shared by ANNS and CTS, sequential
+// and batched.
+func (e *Embedded) foldHits(hits []vectordb.Result, sums, hitCount []float32) error {
 	for _, h := range hits {
 		vi, err := strconv.Atoi(h.Payload["vi"])
-		if err != nil || vi < 0 || vi >= len(s.emb.Values) {
-			return nil, fmt.Errorf("core: anns: corrupt payload %q", h.Payload["vi"])
+		if err != nil || vi < 0 || vi >= len(e.Values) {
+			return fmt.Errorf("core: corrupt payload %q", h.Payload["vi"])
 		}
-		v := &s.emb.Values[vi]
+		v := &e.Values[vi]
 		if h.Score > 0 {
 			sums[v.Rel] += v.Weight * h.Score
 		}
 		hitCount[v.Rel]++
 	}
-	return s.emb.rankRelations(sums, hitCount, s.threshold, k), nil
-}
-
-// SearchFiltered implements FilteredSearcher for CTS: cluster selection is
-// unchanged (medoids summarize the whole corpus) and the per-cluster
-// searches carry the payload filter.
-func (s *CTS) SearchFiltered(query string, k int, allow func(string) bool) ([]Match, error) {
-	if allow == nil {
-		return s.Search(query, k)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	set := s.emb.allowedSet(allow)
-	if len(set) == 0 {
-		return nil, nil
-	}
-	q := s.emb.Enc.Encode(query)
-	top := vec.NewTopK(minInt(s.topClusters, len(s.medoidVecs)))
-	for c, m := range s.medoidVecs {
-		top.Push(c, vec.Dot(q, m))
-	}
-	selected := top.Sorted()
-
-	fanout := s.fanout
-	if fanout == 0 {
-		fanout = 32 * k
-	}
-	perCluster := fanout / len(selected)
-	if perCluster < k {
-		perCluster = k
-	}
-	ef := s.efSearch
-	if ef < perCluster {
-		ef = perCluster
-	}
-	filter := payloadRelFilter(s.emb, set)
-
-	n := s.emb.NumRelations()
-	sums := make([]float32, n)
-	hitCount := make([]float32, n)
-	for _, sc := range selected {
-		coll := s.clusterColl[sc.ID]
-		pc, pcEf := perCluster, ef
-		if l := coll.Len(); pc > l {
-			pc = l
-			if pcEf > l {
-				pcEf = l
-			}
-		}
-		hits, err := coll.Search(q, pc, pcEf, filter)
-		if err != nil {
-			return nil, err
-		}
-		for _, h := range hits {
-			vi, err := strconv.Atoi(h.Payload["vi"])
-			if err != nil || vi < 0 || vi >= len(s.emb.Values) {
-				return nil, fmt.Errorf("core: cts: corrupt payload %q", h.Payload["vi"])
-			}
-			v := &s.emb.Values[vi]
-			if h.Score > 0 {
-				sums[v.Rel] += v.Weight * h.Score
-			}
-			hitCount[v.Rel]++
-		}
-	}
-	return s.emb.rankRelations(sums, hitCount, s.threshold, k), nil
+	return nil
 }

@@ -90,9 +90,8 @@ type relLoc struct {
 // trip. Searches load one manifest snapshot and never block on writers;
 // writers serialize on a mutation mutex that searches never touch.
 //
-// It implements the full searcher surface (Searcher, TracedSearcher,
-// ContextSearcher, EncodedSearcher, BatchSearcher, FilteredSearcher). When
-// the store is "simple" — one sealed segment, no tombstones, empty mutable
+// It implements the full searcher surface (EncodedSearcher, BatchSearcher).
+// When the store is "simple" — one sealed segment, no tombstones, empty mutable
 // segment, i.e. any index that has never been mutated — every search
 // delegates straight to the base searcher, preserving the monolithic fast
 // paths (and their results) bit for bit.
@@ -759,86 +758,50 @@ func (st *SegmentStore) Name() string { return st.method }
 
 // Search implements Searcher.
 func (st *SegmentStore) Search(query string, k int) ([]Match, error) {
-	return st.SearchTracedContext(context.Background(), query, k, nil)
+	return Search(context.Background(), st, st.enc, st.reg, query, k)
 }
 
-// SearchTraced implements TracedSearcher.
-func (st *SegmentStore) SearchTraced(query string, k int, tr *obs.Trace) ([]Match, error) {
-	return st.SearchTracedContext(context.Background(), query, k, tr)
-}
-
-// SearchTracedContext implements ContextSearcher. A simple (never-mutated)
-// store delegates to the base searcher's own instrumented path; a
-// multi-segment store encodes once, searches every segment against the
-// loaded snapshot, and merges the per-segment prefixes.
-func (st *SegmentStore) SearchTracedContext(ctx context.Context, query string, k int, tr *obs.Trace) ([]Match, error) {
-	v := st.view()
-	if v.simple() {
-		return v.segs[0].searcher.(ContextSearcher).SearchTracedContext(ctx, query, k, tr)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	o := startSearch(st.reg, st.method, tr)
-	sp := o.stage("encode")
-	q := st.enc.Encode(query)
-	o.endStage(sp)
-	sp = o.stage("segments")
-	matches, err := st.searchSegments(ctx, q, k, v)
-	if err != nil {
-		return nil, err
-	}
-	o.endStage(sp.AnnotateInt("segments", len(v.segs)+1).AnnotateInt("matches", len(matches)))
-	o.finish()
-	return matches, nil
-}
-
-// SearchEncoded implements EncodedSearcher — the cluster layer's shard
-// entry point.
+// SearchEncoded implements EncodedSearcher — the engine's query path and
+// the cluster layer's shard entry point.
 func (st *SegmentStore) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
-	v := st.view()
+	return st.SearchFiltered(ctx, q, k, nil)
+}
+
+// SearchFiltered implements EncodedSearcher. A simple (never-mutated)
+// store delegates to the base searcher's own instrumented path; a
+// multi-segment store searches every segment of the loaded snapshot with
+// the allow predicate (tombstoned relations never pass) and merges the
+// per-segment prefixes under the total order (score descending, insertion
+// order ascending) — the same comparator a monolithic scan ranks by, so
+// the merged prefix is exactly the ranking a fresh build over the
+// surviving corpus would produce.
+func (st *SegmentStore) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
+	return st.searchView(ctx, st.view(), q, k, allow)
+}
+
+// searchView is SearchFiltered against one loaded snapshot.
+func (st *SegmentStore) searchView(ctx context.Context, v *storeView, q []float32, k int, allow func(string) bool) ([]Match, error) {
 	if v.simple() {
-		return v.segs[0].searcher.SearchEncoded(ctx, q, k)
+		return v.segs[0].searcher.SearchFiltered(ctx, q, k, allow)
 	}
 	if k <= 0 {
 		return nil, nil
 	}
-	return st.searchSegments(ctx, q, k, v)
-}
-
-// searchVec implements vectorSearcher so pseudo-relevance feedback
-// (SearchPRF) runs against the whole segment set.
-func (st *SegmentStore) searchVec(q []float32, k int) ([]Match, error) {
-	return st.SearchEncoded(context.Background(), q, k)
-}
-
-// segMatch tags a match with its store-global insertion rank for merging.
-type segMatch struct {
-	m     Match
-	order int
-}
-
-// searchSegments runs the query against every segment of the snapshot and
-// merges the per-segment top-k prefixes under the total order (score
-// descending, insertion order ascending) — the same comparator a
-// monolithic scan ranks by, so the merged prefix is exactly the ranking a
-// fresh build over the surviving corpus would produce.
-func (st *SegmentStore) searchSegments(ctx context.Context, q []float32, k int, v *storeView) ([]Match, error) {
-	var all []segMatch
+	o := startSearch(ctx, st.reg, st.method)
+	sp := o.stage("segments")
+	var all []RankedMatch
 	run := func(s EncodedSearcher, emb *Embedded) error {
 		if emb.NumValues() == 0 {
 			return nil
 		}
-		ms, err := s.SearchEncoded(ctx, q, k)
+		ms, err := s.SearchFiltered(ctx, q, k, allow)
 		if err != nil {
 			return err
 		}
 		for _, m := range ms {
-			i, ok := emb.RelIndex(m.RelationID)
-			if !ok {
-				continue
+			if i, ok := emb.RelIndex(m.RelationID); ok {
+				all = append(all, RankedMatch{Match: m, Order: emb.orderOf(i)})
 			}
-			all = append(all, segMatch{m: m, order: emb.orderOf(i)})
 		}
 		return nil
 	}
@@ -852,24 +815,37 @@ func (st *SegmentStore) searchSegments(ctx context.Context, q []float32, k int, 
 			return nil, err
 		}
 	}
-	return mergeSegMatches(all, k), nil
+	matches := MergeRanked(all, k)
+	o.endStage(sp.AnnotateInt("segments", len(v.segs)+1).AnnotateInt("matches", len(matches)))
+	return matches, nil
 }
 
-// mergeSegMatches sorts tagged matches score-descending with insertion
-// order as the tie-break and truncates to k.
-func mergeSegMatches(all []segMatch, k int) []Match {
+// RankedMatch is a match tagged with its relation's global insertion rank,
+// the tie-break of every merge in the system.
+type RankedMatch struct {
+	Match
+	Order int
+}
+
+// MergeRanked folds top-k prefixes gathered from disjoint partitions of
+// one corpus — the segments of a store, the shards of a cluster — into the
+// global top-k: score descending, ties broken by ascending insertion rank.
+// That is the comparator a monolithic scan ranks by (score descending,
+// relation index ascending), so for exact partitions the merged ranking is
+// bit-identical to the monolith's. all is sorted in place.
+func MergeRanked(all []RankedMatch, k int) []Match {
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].m.Score != all[j].m.Score {
-			return all[i].m.Score > all[j].m.Score
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
 		}
-		return all[i].order < all[j].order
+		return all[i].Order < all[j].Order
 	})
 	if len(all) > k {
 		all = all[:k]
 	}
 	out := make([]Match, len(all))
 	for i, t := range all {
-		out[i] = t.m
+		out[i] = t.Match
 	}
 	return out
 }
@@ -897,62 +873,13 @@ func (st *SegmentStore) SearchEncodedBatch(ctx context.Context, qs [][]float32, 
 		if ks[i] <= 0 {
 			continue
 		}
-		ms, err := st.searchSegments(ictx, qs[i], ks[i], v)
+		ms, err := st.searchView(ictx, v, qs[i], ks[i], nil)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = ms
 	}
 	return out, nil
-}
-
-// SearchFiltered implements FilteredSearcher: each segment's own filtered
-// search runs with the allow predicate (tombstoned relations never pass,
-// via allowedSet), and the per-segment prefixes merge as usual.
-func (st *SegmentStore) SearchFiltered(query string, k int, allow func(string) bool) ([]Match, error) {
-	v := st.view()
-	if v.simple() {
-		return v.segs[0].searcher.(FilteredSearcher).SearchFiltered(query, k, allow)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	if allow == nil {
-		allow = func(string) bool { return true }
-	}
-	var all []segMatch
-	run := func(fs FilteredSearcher, emb *Embedded) error {
-		if emb.NumValues() == 0 {
-			return nil
-		}
-		ms, err := fs.SearchFiltered(query, k, allow)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			i, ok := emb.RelIndex(m.RelationID)
-			if !ok {
-				continue
-			}
-			all = append(all, segMatch{m: m, order: emb.orderOf(i)})
-		}
-		return nil
-	}
-	for _, sg := range v.segs {
-		fs, ok := sg.searcher.(FilteredSearcher)
-		if !ok {
-			return nil, fmt.Errorf("core: segment searcher %T does not support filtered search", sg.searcher)
-		}
-		if err := run(fs, sg.emb); err != nil {
-			return nil, err
-		}
-	}
-	if ex, memb := st.mutScan(v); ex != nil {
-		if err := run(ex, memb); err != nil {
-			return nil, err
-		}
-	}
-	return mergeSegMatches(all, k), nil
 }
 
 // IndexHealth implements HealthReporter by reporting the base segment's

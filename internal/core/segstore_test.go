@@ -495,7 +495,7 @@ func TestSegmentStoreDriftTrigger(t *testing.T) {
 	fed, model := covidFederation(t)
 	emb := EmbedFederation(fed, model)
 	build := func(e *Embedded) (EncodedSearcher, error) {
-		return NewCTS(e, CTSOptions{Seed: 1, MinClusterSize: 4, UMAPEpochs: 30})
+		return NewCTS(e, CTSOptions{Seed: 1, MinClusterSize: 4, UMAPEpochs: 30, Build: BuildOptions{Workers: 1}})
 	}
 	base, err := build(emb)
 	if err != nil {

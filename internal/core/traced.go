@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"semdisco/internal/embed"
 	"semdisco/internal/obs"
 )
 
@@ -69,58 +70,72 @@ const (
 // HELP texts, registered on the registry at engine construction so the
 // exposition emits both # HELP and # TYPE per the text-format spec.
 var MetricHelp = map[string]string{
-	MetricSearches:          "Completed searches by method.",
-	MetricSearchSeconds:     "End-to-end query latency in seconds by method.",
-	MetricStageSeconds:      "Per-stage query latency in seconds by method and stage.",
-	MetricBuildSeconds:      "Index-build phase wall-clock seconds by phase.",
-	MetricClusters:          "CTS cluster count.",
-	MetricValues:            "Number of indexed value vectors.",
-	MetricSlowQueries:       "Queries at or over the slow-log threshold by method.",
-	MetricSampledTraces:     "Queries whose exemplar trace was journaled by head sampling.",
-	MetricRecallAtK:         "Latest online recall probe result by method and k.",
-	MetricReachableFraction: "Share of HNSW layer-0 nodes reachable from the entry point.",
-	MetricPQDistortion:      "Mean sampled PQ reconstruction error.",
-	MetricClusterSizeCV:     "Coefficient of variation of CTS cluster sizes.",
-	MetricMedoidDrift:       "Mean CTS medoid drift since build.",
-	MetricSegments:          "Number of segments in the store.",
-	MetricTombstonedRels:    "Tombstoned relations awaiting compaction.",
-	MetricSeals:             "Mutable-segment seals.",
-	MetricCompactions:       "Completed compactions by trigger.",
-	MetricCompactionSeconds: "Compaction wall-clock seconds.",
+	MetricSearches:                      "Completed searches by method.",
+	MetricSearchSeconds:                 "End-to-end query latency in seconds by method.",
+	MetricStageSeconds:                  "Per-stage query latency in seconds by method and stage.",
+	MetricBuildSeconds:                  "Index-build phase wall-clock seconds by phase.",
+	MetricClusters:                      "CTS cluster count.",
+	MetricValues:                        "Number of indexed value vectors.",
+	MetricSlowQueries:                   "Queries at or over the slow-log threshold by method.",
+	MetricSampledTraces:                 "Queries whose exemplar trace was journaled by head sampling.",
+	MetricRecallAtK:                     "Latest online recall probe result by method and k.",
+	MetricReachableFraction:             "Share of HNSW layer-0 nodes reachable from the entry point.",
+	MetricPQDistortion:                  "Mean sampled PQ reconstruction error.",
+	MetricClusterSizeCV:                 "Coefficient of variation of CTS cluster sizes.",
+	MetricMedoidDrift:                   "Mean CTS medoid drift since build.",
+	MetricSegments:                      "Number of segments in the store.",
+	MetricTombstonedRels:                "Tombstoned relations awaiting compaction.",
+	MetricSeals:                         "Mutable-segment seals.",
+	MetricCompactions:                   "Completed compactions by trigger.",
+	MetricCompactionSeconds:             "Compaction wall-clock seconds.",
 	"semdisco_embed_cache_hits_total":   "Encoder token-cache hits.",
 	"semdisco_embed_cache_misses_total": "Encoder token-cache misses.",
 }
 
-// TracedSearcher is implemented by searchers that can report a per-stage
-// breakdown of one query. ExS, ANNS and CTS implement it; tr may be nil,
-// in which case the call behaves exactly like Search (metrics still
-// recorded, no per-request overhead beyond a few atomic adds).
-type TracedSearcher interface {
-	SearchTraced(query string, k int, tr *obs.Trace) ([]Match, error)
-}
-
-// ContextSearcher is implemented by searchers whose query work honors a
-// context: cancellation is polled between ExS scan chunks, between CTS
-// clusters, and between HNSW hops, so an expired deadline interrupts the
-// search mid-flight instead of after the fact. ExS, ANNS and CTS all
-// implement it.
-type ContextSearcher interface {
-	SearchTracedContext(ctx context.Context, query string, k int, tr *obs.Trace) ([]Match, error)
-}
-
-// EncodedSearcher is the shard contract of the cluster layer: rank
-// relations for an already-encoded query vector under a context. The
-// router encodes the query once and fans the vector out to every shard.
-// ExS, ANNS and CTS all implement it.
+// EncodedSearcher is the query contract of ExS, ANNS, CTS and the segment
+// store: rank relations for an already-encoded query vector. It is also
+// the shard contract of the cluster layer — the router encodes the query
+// once and fans the vector out to every shard.
+//
+// The context carries everything per-query: cancellation (polled between
+// ExS scan chunks, between CTS clusters and between HNSW hops, so an
+// expired deadline interrupts the search mid-flight), the request trace
+// the stage spans are recorded on (obs.TraceFrom; nil records nothing) and
+// the cost accumulator the index layers charge (obs.CostFrom; nil charges
+// nothing).
 type EncodedSearcher interface {
 	Searcher
 	SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error)
+	// SearchFiltered is SearchEncoded restricted to the relations allow
+	// accepts — e.g. "only datasets from the WHO and ECDC members of the
+	// federation". A nil allow accepts every relation.
+	SearchFiltered(ctx context.Context, q []float32, k int, allow func(relationID string) bool) ([]Match, error)
+}
+
+// Search answers a keyword query on any encoded searcher: an "encode"
+// stage embeds the query with enc, SearchEncoded ranks, and the completed
+// query is counted under the searcher's name on reg (nil disables). It is
+// the one text entry point — the Search(query, k) methods the Searcher
+// contract asks of ExS, ANNS, CTS and the segment store all call it.
+func Search(ctx context.Context, s EncodedSearcher, enc embed.Encoder, reg *obs.Registry, query string, k int) ([]Match, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	o := startSearch(ctx, reg, s.Name())
+	sp := o.stage("encode")
+	q := enc.Encode(query)
+	o.endStage(sp)
+	matches, err := s.SearchEncoded(ctx, q, k)
+	if err == nil {
+		o.finish()
+	}
+	return matches, err
 }
 
 // searchObs accumulates the per-query observability of one method: stage
-// spans feed both the request trace (when present) and the method's stage
-// histograms; finish records the query counter and total latency. All
-// methods are safe when the registry is nil.
+// spans feed both the request trace (when the context carries one) and the
+// method's stage histograms; finish records the query counter and total
+// latency. All methods are safe when the registry is nil.
 type searchObs struct {
 	reg    *obs.Registry
 	method string
@@ -128,24 +143,24 @@ type searchObs struct {
 	start  time.Time
 }
 
-func startSearch(reg *obs.Registry, method string, tr *obs.Trace) *searchObs {
-	return &searchObs{reg: reg, method: method, tr: tr, start: time.Now()}
+func startSearch(ctx context.Context, reg *obs.Registry, method string) searchObs {
+	return searchObs{reg: reg, method: method, tr: obs.TraceFrom(ctx), start: time.Now()}
 }
 
 // stage begins a named span; pass the returned span to endStage.
-func (o *searchObs) stage(name string) *obs.Span {
+func (o searchObs) stage(name string) *obs.Span {
 	return o.tr.StartSpan(name)
 }
 
 // endStage completes a span and feeds its duration to the stage histogram.
-func (o *searchObs) endStage(sp *obs.Span) {
+func (o searchObs) endStage(sp *obs.Span) {
 	name := sp.Name()
 	d := sp.End()
 	o.reg.Histogram(obs.L(MetricStageSeconds, "method", o.method, "stage", name)).Observe(d)
 }
 
 // finish records the completed query.
-func (o *searchObs) finish() {
+func (o searchObs) finish() {
 	o.reg.Counter(obs.L(MetricSearches, "method", o.method)).Inc()
 	o.reg.Histogram(obs.L(MetricSearchSeconds, "method", o.method)).Observe(time.Since(o.start))
 }

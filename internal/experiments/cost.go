@@ -62,14 +62,14 @@ func (b *Bench) CostReport(k int) (*CostReportJSON, error) {
 		if !ok {
 			continue
 		}
-		cs, ok := s.(core.ContextSearcher)
+		cs, ok := s.(core.EncodedSearcher)
 		if !ok {
 			return nil, fmt.Errorf("experiments: %s does not support context search", method)
 		}
 		var sum obs.CostReport
 		for _, q := range b.Corpus.Queries {
 			cost := &obs.Cost{}
-			if _, err := cs.SearchTracedContext(obs.ContextWithCost(ctx, cost), q.Text, k, nil); err != nil {
+			if _, err := core.Search(obs.ContextWithCost(ctx, cost), cs, sb.Emb.Enc, sb.Emb.Obs, q.Text, k); err != nil {
 				return nil, err
 			}
 			sum.Add(cost.Report())
@@ -91,11 +91,11 @@ func (b *Bench) CostReport(k int) (*CostReportJSON, error) {
 	if !ok {
 		return r, nil
 	}
-	cs := s.(core.ContextSearcher)
+	cs := s.(core.EncodedSearcher)
 	run := func(accounted bool) ([]float64, error) {
 		// One untimed pass warms the encoder cache so both runs pay it.
 		for _, q := range b.Corpus.Queries {
-			if _, err := cs.SearchTracedContext(ctx, q.Text, k, nil); err != nil {
+			if _, err := core.Search(ctx, cs, sb.Emb.Enc, sb.Emb.Obs, q.Text, k); err != nil {
 				return nil, err
 			}
 		}
@@ -107,7 +107,7 @@ func (b *Bench) CostReport(k int) (*CostReportJSON, error) {
 					qctx = obs.ContextWithCost(ctx, &obs.Cost{})
 				}
 				start := time.Now()
-				if _, err := cs.SearchTracedContext(qctx, q.Text, k, nil); err != nil {
+				if _, err := core.Search(qctx, cs, sb.Emb.Enc, sb.Emb.Obs, q.Text, k); err != nil {
 					return nil, err
 				}
 				durations = append(durations, float64(time.Since(start).Microseconds())/1000)

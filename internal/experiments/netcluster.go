@@ -187,7 +187,7 @@ func (b *Bench) NetclusterReport(sets, replicas, k int) (*NetclusterReportJSON, 
 	if _, err := router.Search(ctx, texts[0], k); err != nil { // warm-up
 		return nil, err
 	}
-	if _, err := coord.Search(ctx, texts[0], k); err != nil {
+	if _, err := coord.Search(ctx, texts[0], k, nil); err != nil {
 		return nil, err
 	}
 
@@ -206,7 +206,7 @@ func (b *Bench) NetclusterReport(sets, replicas, k int) (*NetclusterReportJSON, 
 	healthy := make([]float64, 0, len(texts))
 	for _, q := range texts {
 		start := time.Now()
-		res, err := coord.Search(ctx, q, k)
+		res, err := coord.Search(ctx, q, k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ func (b *Bench) NetclusterReport(sets, replicas, k int) (*NetclusterReportJSON, 
 	strag := make([]float64, 0, len(texts))
 	for _, q := range texts {
 		start := time.Now()
-		res, err := coord.Search(ctx, q, k)
+		res, err := coord.Search(ctx, q, k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +271,7 @@ func (b *Bench) NetclusterReport(sets, replicas, k int) (*NetclusterReportJSON, 
 			servers[report.KilledSet][0].Close()
 			servers[report.KilledSet][0] = nil
 		}
-		res, err := coord.Search(ctx, q, k)
+		res, err := coord.Search(ctx, q, k, nil)
 		if err != nil {
 			continue
 		}

@@ -48,7 +48,7 @@ func (b *Bench) TracingReport(k int) (*TracingReportJSON, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: ExS not built")
 	}
-	cs, ok := s.(core.ContextSearcher)
+	cs, ok := s.(core.EncodedSearcher)
 	if !ok {
 		return nil, fmt.Errorf("experiments: ExS does not support context search")
 	}
@@ -58,7 +58,7 @@ func (b *Bench) TracingReport(k int) (*TracingReportJSON, error) {
 	run := func(traced bool) ([]float64, error) {
 		// One untimed pass warms the encoder cache so both runs pay it.
 		for _, q := range b.Corpus.Queries {
-			if _, err := cs.SearchTracedContext(ctx, q.Text, k, nil); err != nil {
+			if _, err := core.Search(ctx, cs, sb.Emb.Enc, sb.Emb.Obs, q.Text, k); err != nil {
 				return nil, err
 			}
 		}
@@ -71,7 +71,7 @@ func (b *Bench) TracingReport(k int) (*TracingReportJSON, error) {
 					// recorded by the searcher, outcome offered to the store.
 					tr := obs.NewTrace()
 					root := tr.StartRoot("search")
-					m, err := cs.SearchTracedContext(ctx, q.Text, k, tr)
+					m, err := core.Search(obs.ContextWithTrace(ctx, tr), cs, sb.Emb.Enc, sb.Emb.Obs, q.Text, k)
 					if err != nil {
 						return nil, err
 					}
@@ -81,7 +81,7 @@ func (b *Bench) TracingReport(k int) (*TracingReportJSON, error) {
 						Duration: dur, Query: q.Text, Method: "ExS",
 						K: k, Matches: len(m),
 					})
-				} else if _, err := cs.SearchTracedContext(ctx, q.Text, k, nil); err != nil {
+				} else if _, err := core.Search(ctx, cs, sb.Emb.Enc, sb.Emb.Obs, q.Text, k); err != nil {
 					return nil, err
 				}
 				durations = append(durations, float64(time.Since(start).Microseconds())/1000)

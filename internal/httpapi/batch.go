@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -52,8 +51,7 @@ type BatchSearchResponse struct {
 // block in cluster mode. Results are positionally aligned with the request.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad body: %v", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -70,68 +68,28 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("queries[%d].query is required", i))
 			return
 		}
-		k := q.K
-		if k <= 0 {
-			k = 10
-		}
-		if k > 1000 {
-			k = 1000
-		}
-		queries[i] = semdisco.Query{Text: q.Query, K: k}
+		queries[i] = semdisco.Query{Text: q.Query, K: clampK(q.K)}
 	}
 	annotate(r, slog.Int("batch", len(queries)))
 
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	resp := BatchSearchResponse{Results: make([]BatchItemJSON, len(queries))}
-	if s.cluster != nil || s.coord != nil {
-		var (
-			results []*semdisco.ClusterResult
-			err     error
-		)
-		if s.coord != nil {
-			results, err = s.coord.SearchBatch(r.Context(), queries)
-		} else {
-			results, err = s.cluster.SearchBatch(r.Context(), queries)
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		for i, res := range results {
-			cost := res.Cost
-			item := BatchItemJSON{
-				Matches:   matchesJSON(res.Matches),
-				Cost:      &cost,
-				Degraded:  res.Degraded,
-				CacheHit:  res.CacheHit,
-				Coalesced: res.Coalesced,
-			}
-			for _, se := range res.ShardErrors {
-				item.ShardErrors = append(item.ShardErrors, se.Error())
-			}
-			resp.Results[i] = item
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	results, err := s.eng.SearchBatch(r.Context(), queries)
+	results, err := s.backend.DoBatch(r.Context(), queries)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	resp := BatchSearchResponse{Results: make([]BatchItemJSON, len(results))}
 	for i, res := range results {
-		cost := res.Cost
-		resp.Results[i] = BatchItemJSON{Matches: matchesJSON(res.Matches), Cost: &cost}
+		item := BatchItemJSON{
+			Matches:   matchesJSON(res.Matches),
+			Cost:      &res.Cost,
+			Degraded:  res.Degraded,
+			CacheHit:  res.CacheHit,
+			Coalesced: res.Coalesced,
+		}
+		for _, se := range res.ShardErrors {
+			item.ShardErrors = append(item.ShardErrors, se.Error())
+		}
+		resp.Results[i] = item
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// matchesJSON converts matches to their wire form.
-func matchesJSON(ms []semdisco.Match) []MatchJSON {
-	out := make([]MatchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = MatchJSON{RelationID: m.RelationID, Score: m.Score}
-	}
-	return out
 }

@@ -2,46 +2,9 @@ package httpapi
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 )
-
-func TestBatchSearchEndpoint(t *testing.T) {
-	srv := testServer(t)
-	rec, body := do(t, srv, "POST", "/v1/search/batch",
-		`{"queries":[{"query":"COVID","k":1},{"query":"Quartz","k":2}]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch=%d %s", rec.Code, body)
-	}
-	var resp BatchSearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 2 {
-		t.Fatalf("%d results", len(resp.Results))
-	}
-	if len(resp.Results[0].Matches) != 1 || resp.Results[0].Matches[0].RelationID != "vaccines" {
-		t.Fatalf("item 0: %+v", resp.Results[0])
-	}
-	if resp.Results[0].Cost == nil || resp.Results[0].Cost.DistanceComps == 0 {
-		t.Errorf("item 0 missing cost accounting: %+v", resp.Results[0].Cost)
-	}
-
-	// Each item must equal the single-query endpoint's answer.
-	rec, single := do(t, srv, "POST", "/v1/search", `{"query":"COVID","k":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("search=%d", rec.Code)
-	}
-	var sr SearchResponse
-	if err := json.Unmarshal(single, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Matches[0] != resp.Results[0].Matches[0] {
-		t.Errorf("batch %+v vs single %+v", resp.Results[0].Matches[0], sr.Matches[0])
-	}
-}
 
 func TestBatchSearchEndpointCluster(t *testing.T) {
 	srv := testClusterServer(t)
@@ -67,37 +30,5 @@ func TestBatchSearchEndpointCluster(t *testing.T) {
 	if len(resp.Results[1].Matches) != len(resp.Results[0].Matches) {
 		t.Errorf("coalesced item lost matches: %d vs %d",
 			len(resp.Results[1].Matches), len(resp.Results[0].Matches))
-	}
-}
-
-func TestBatchSearchEndpointValidation(t *testing.T) {
-	srv := testServer(t)
-	for _, tc := range []struct {
-		name, body string
-	}{
-		{"empty", `{"queries":[]}`},
-		{"missing", `{}`},
-		{"blank query", `{"queries":[{"query":"","k":1}]}`},
-		{"garbage", `{`},
-	} {
-		rec, _ := do(t, srv, "POST", "/v1/search/batch", tc.body)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: code=%d, want 400", tc.name, rec.Code)
-		}
-	}
-	// Over the batch cap.
-	items := make([]string, maxBatchQueries+1)
-	for i := range items {
-		items[i] = fmt.Sprintf(`{"query":"q%d","k":1}`, i)
-	}
-	rec, _ := do(t, srv, "POST", "/v1/search/batch",
-		`{"queries":[`+strings.Join(items, ",")+`]}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("oversized batch: code=%d, want 400", rec.Code)
-	}
-	// Wrong method.
-	rec, _ = do(t, srv, "GET", "/v1/search/batch", "")
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET: code=%d, want 405", rec.Code)
 	}
 }

@@ -61,78 +61,6 @@ func TestClusterSearchEndpoint(t *testing.T) {
 	}
 }
 
-func TestClusterTracedSearchEndpoint(t *testing.T) {
-	srv := testClusterServer(t)
-	rec, body := do(t, srv, "POST", "/v1/search", `{"query":"val3","k":3,"trace":true}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace == nil {
-		t.Fatal("no trace in response")
-	}
-	names := make(map[string]bool)
-	for _, s := range resp.Trace.Stages {
-		names[s.Name] = true
-	}
-	for _, want := range []string{"encode", "scatter", "merge"} {
-		if !names[want] {
-			t.Errorf("missing stage %q", want)
-		}
-	}
-}
-
-func TestClusterStatsEndpoint(t *testing.T) {
-	srv := testClusterServer(t)
-	do(t, srv, "POST", "/v1/search", `{"query":"common","k":5}`)
-	rec, body := do(t, srv, "GET", "/v1/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp StatsResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cluster == nil {
-		t.Fatal("stats response carries no cluster section")
-	}
-	if len(resp.Cluster.Shards) != 2 {
-		t.Fatalf("shard health entries: %d, want 2", len(resp.Cluster.Shards))
-	}
-	if resp.Cluster.Shards[0].Relations != 4 || resp.Cluster.Shards[1].Relations != 4 {
-		t.Errorf("shard relation counts: %+v", resp.Cluster.Shards)
-	}
-}
-
-func TestClusterAddRelationEndpoint(t *testing.T) {
-	srv := testClusterServer(t)
-	rec, body := do(t, srv, "POST", "/v1/relations",
-		`{"id":"rel-new","source":"src","columns":["a"],"rows":[["fresh"]]}`)
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	rec, body = do(t, srv, "POST", "/v1/search", `{"query":"fresh","k":3}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range resp.Matches {
-		if m.RelationID == "rel-new" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("added relation not found: %+v", resp.Matches)
-	}
-}
-
 func TestClusterDeleteRelationEndpoint(t *testing.T) {
 	srv := testClusterServer(t)
 	// Warm the router's result cache with a query the victim answers.
@@ -165,23 +93,5 @@ func TestClusterDeleteRelationEndpoint(t *testing.T) {
 	rec, _ = do(t, srv, "DELETE", "/v1/relations/rel-3", "")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("double delete=%d, want 404", rec.Code)
-	}
-}
-
-func TestClusterEngineOnlyEndpoints(t *testing.T) {
-	srv := testClusterServer(t)
-	for _, path := range []string{"/v1/debug/slow", "/v1/debug/index", "/v1/debug/recall", "/v1/debug/journal"} {
-		rec, _ := do(t, srv, "GET", path, "")
-		if rec.Code != http.StatusNotImplemented {
-			t.Errorf("%s: status %d, want 501", path, rec.Code)
-		}
-	}
-	rec, _ := do(t, srv, "POST", "/v1/datasets", `{"query":"common","k":3}`)
-	if rec.Code != http.StatusNotImplemented {
-		t.Errorf("/v1/datasets: status %d, want 501", rec.Code)
-	}
-	rec, _ = do(t, srv, "POST", "/v1/search", `{"query":"common","k":3,"sources":["src"]}`)
-	if rec.Code != http.StatusNotImplemented {
-		t.Errorf("sourced search: status %d, want 501", rec.Code)
 	}
 }

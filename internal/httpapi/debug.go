@@ -62,7 +62,8 @@ func limitParam(r *http.Request, name string, def, max int) (int, bool) {
 // handleDebugSlow serves the slow-query log: up to ?n records (default 20,
 // capped at 100), slowest first, each with its full stage trace.
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	if !s.requireEngine(w) {
+	eng, ok := s.requireEngine(w)
+	if !ok {
 		return
 	}
 	n, ok := limitParam(r, "n", defaultSlowN, maxSlowN)
@@ -70,11 +71,9 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, SlowQueriesResponse{
-		SlowLogStats: s.eng.SlowLogStats(),
-		SlowQueries:  s.eng.SlowQueries(n),
+		SlowLogStats: eng.SlowLogStats(),
+		SlowQueries:  eng.SlowQueries(n),
 	})
 }
 
@@ -90,14 +89,13 @@ type IndexDebugResponse struct {
 // graph shape and reachability, PQ distortion, CTS cluster balance, and
 // the segment store's compaction state.
 func (s *Server) handleDebugIndex(w http.ResponseWriter, _ *http.Request) {
-	if !s.requireEngine(w) {
+	eng, ok := s.requireEngine(w)
+	if !ok {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, IndexDebugResponse{
-		IndexHealth: s.eng.IndexHealth(),
-		Segments:    s.eng.SegmentStats(),
+		IndexHealth: eng.IndexHealth(),
+		Segments:    eng.SegmentStats(),
 	})
 }
 
@@ -106,7 +104,8 @@ func (s *Server) handleDebugIndex(w http.ResponseWriter, _ *http.Request) {
 // replayed query — so at most one runs at a time; concurrent requests get
 // a 429 with Retry-After rather than queueing up probe work.
 func (s *Server) handleDebugRecall(w http.ResponseWriter, r *http.Request) {
-	if !s.requireEngine(w) {
+	eng, ok := s.requireEngine(w)
+	if !ok {
 		return
 	}
 	k, ok := limitParam(r, "k", defaultProbeK, maxProbeK)
@@ -120,9 +119,7 @@ func (s *Server) handleDebugRecall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.probeMu.Unlock()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, err := s.eng.RecallProbe(k)
+	res, err := eng.RecallProbe(k)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -136,7 +133,8 @@ func (s *Server) handleDebugRecall(w http.ResponseWriter, r *http.Request) {
 // at 1000); negative or non-numeric values are rejected, the same
 // convention as the other list endpoints.
 func (s *Server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
-	if !s.requireEngine(w) {
+	eng, ok := s.requireEngine(w)
+	if !ok {
 		return
 	}
 	n, ok := limitParam(r, "n", 0, maxJournalN)
@@ -144,7 +142,7 @@ func (s *Server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
 		return
 	}
-	j := s.eng.Journal()
+	j := eng.Journal()
 	if j == nil {
 		writeError(w, http.StatusNotFound, "diagnostics are disabled on this engine")
 		return
@@ -160,11 +158,12 @@ func (s *Server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
 }
 
 // StartRecallProbe launches a goroutine probing recall@k every interval
-// until ctx is done (used by semdisco-serve's -recall-probe-interval).
-// Each probe takes the server's read lock, so probes never race adds, and
-// the probe mutex, so they never pile up behind a slow manual probe.
+// until done is closed (used by semdisco-serve's -recall-probe-interval);
+// a no-op unless the server fronts an engine. Each probe takes the probe
+// mutex, so probes never pile up behind a slow manual probe.
 func (s *Server) StartRecallProbe(done <-chan struct{}, interval time.Duration, k int) {
-	if interval <= 0 || s.eng == nil {
+	eng, ok := s.backend.(*semdisco.Engine)
+	if interval <= 0 || !ok {
 		return
 	}
 	if k <= 0 {
@@ -181,9 +180,7 @@ func (s *Server) StartRecallProbe(done <-chan struct{}, interval time.Duration, 
 				if !s.probeMu.TryLock() {
 					continue
 				}
-				s.mu.RLock()
-				res, err := s.eng.RecallProbe(k)
-				s.mu.RUnlock()
+				res, err := eng.RecallProbe(k)
 				s.probeMu.Unlock()
 				if s.log != nil {
 					if err != nil {

@@ -149,7 +149,7 @@ func TestDebugRecallBusy(t *testing.T) {
 func TestDebugJournalEndpoint(t *testing.T) {
 	srv := testServer(t)
 	// Re-arm diagnostics so every query journals a sampled trace.
-	srv.eng.ConfigureDiagnostics(semdisco.DiagnosticsConfig{TraceSampleEvery: 1})
+	srv.backend.(*semdisco.Engine).ConfigureDiagnostics(semdisco.DiagnosticsConfig{TraceSampleEvery: 1})
 	burst(t, srv, "COVID", "quartz")
 
 	rec, body := do(t, srv, "GET", "/v1/debug/journal", "")
@@ -178,7 +178,7 @@ func TestDebugJournalEndpoint(t *testing.T) {
 
 func TestDebugJournalDisabled(t *testing.T) {
 	srv := testServer(t)
-	srv.eng.ConfigureDiagnostics(semdisco.DiagnosticsConfig{Disable: true})
+	srv.backend.(*semdisco.Engine).ConfigureDiagnostics(semdisco.DiagnosticsConfig{Disable: true})
 	rec, _ := do(t, srv, "GET", "/v1/debug/journal", "")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("disabled journal: code=%d", rec.Code)
@@ -192,7 +192,7 @@ func TestStartRecallProbe(t *testing.T) {
 	defer close(done)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		snap := srv.eng.MetricsRegistry().Snapshot()
+		snap := srv.backend.MetricsRegistry().Snapshot()
 		for name := range snap.Gauges {
 			if strings.HasPrefix(name, "semdisco_recall_at_k") {
 				return

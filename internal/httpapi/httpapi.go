@@ -1,7 +1,11 @@
-// Package httpapi exposes a discovery Engine over HTTP with a small JSON
-// API, so a federation member can host its (embedding-only, non-reversible)
-// index as a service — the deployment shape the paper's federation setting
-// implies.
+// Package httpapi exposes a semdisco.Backend — an Engine, a sharded
+// Cluster or a networked-cluster NetCoordinator — over HTTP with a small
+// JSON API, so a federation member can host its (embedding-only,
+// non-reversible) index as a service — the deployment shape the paper's
+// federation setting implies. Every route has one handler over the Backend;
+// the routes only a single engine can serve (/v1/datasets, "sources" on
+// /v1/search, /v1/debug/{slow,index,recall,journal}) answer 501 in the
+// other two modes.
 //
 // Endpoints:
 //
@@ -38,7 +42,8 @@
 // X-Request-Id (defaulting to the trace ID) rides along the same way.
 //
 // Every non-2xx response carries an ErrorResponse JSON body, including
-// wrong-method (405) and unknown-route (404) requests. When a logger is
+// wrong-method (405), unknown-route (404) and oversized-body (413, bodies
+// are capped at 16 MiB) requests. When a logger is
 // attached (WithLogger), each request is logged with method, path, status,
 // duration, trace and request IDs and — for search requests — query
 // length and k.
@@ -47,6 +52,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -61,25 +67,20 @@ import (
 	"semdisco/internal/obs"
 )
 
-// Server wraps an Engine with HTTP handlers. Incremental adds are
-// serialized with searches through an RWMutex because Engine.Add must not
-// race with Engine.Search.
+// Server serves one semdisco.Backend over HTTP. It holds no lock of its
+// own around the backend: Engine, Cluster and NetCoordinator are all safe
+// for concurrent searches and writes, so a slow write (a compaction-heavy
+// add, a replica fan-out) never stalls a read.
 type Server struct {
-	mu      sync.RWMutex
 	probeMu sync.Mutex // at most one recall probe at a time
-	eng     *semdisco.Engine
-	// cluster is set instead of eng when the server fronts a sharded
-	// federation (NewCluster). Engine-only surfaces (datasets, the debug
-	// endpoints) respond 501 in cluster mode.
-	cluster *semdisco.Cluster
-	// coord is set instead when the server is a networked-cluster
-	// coordinator (NewCoordinator): searches fan out over the wire to
-	// replica sets, writes route to the ring-owning set's replicas.
-	coord *semdisco.NetCoordinator
+	backend semdisco.Backend
+	// mode names the backend's deployment shape ("engine", "cluster",
+	// "coordinator") in the 501 bodies of the surfaces it cannot serve.
+	mode  string
 	mux   *http.ServeMux
-	log     *slog.Logger  // nil: request logging off
-	reg     *obs.Registry // engine registry; nil when metrics are disabled
-	start   time.Time
+	log   *slog.Logger  // nil: request logging off
+	reg   *obs.Registry // backend registry; nil when metrics are disabled
+	start time.Time
 }
 
 // Option configures a Server.
@@ -107,10 +108,10 @@ func WithPprof() Option {
 // semdisco/internal/netcluster): a coordinator that has already embedded a
 // query POSTs the raw vector here, so the shard never re-encodes. They are
 // what make an ordinary engine server usable as one shard of a networked
-// cluster.
+// cluster. Only an engine serves /v1/datasets, source filters and the
+// slow/index/recall/journal debug endpoints; the other modes answer 501.
 func New(eng *semdisco.Engine, opts ...Option) *Server {
-	s := &Server{eng: eng, reg: eng.MetricsRegistry()}
-	s.init(opts)
+	s := newServer(eng, "engine", opts)
 	sh := netcluster.NewShardHandler(eng.EncodedBackend(), eng.Traces(), eng.Dim())
 	s.mux.Handle(netcluster.PathEncodedSearch, sh)
 	s.mux.Handle(netcluster.PathEncodedSearchBatch, sh)
@@ -119,11 +120,38 @@ func New(eng *semdisco.Engine, opts ...Option) *Server {
 
 // NewCluster builds a Server around a sharded cluster: /v1/search answers
 // by scatter-gather (with degradation metadata in the response), /v1/stats
-// reports per-shard health, /v1/relations routes adds to shards.
+// reports per-shard health, /v1/relations routes writes to shards.
 func NewCluster(cl *semdisco.Cluster, opts ...Option) *Server {
-	s := &Server{cluster: cl, reg: cl.MetricsRegistry()}
+	return newServer(cl, "cluster", opts)
+}
+
+// NewCoordinator builds a Server fronting a networked-cluster coordinator:
+// /v1/search and /v1/search/batch answer by wire-level scatter-gather over
+// the replica sets (with the same degradation metadata cluster mode
+// reports), /v1/relations writes route to the ring-owning set's replicas,
+// /v1/stats reports router plus per-replica-set failover health, and the
+// trace endpoints serve the coordinator's store — federated span trees with
+// every winning replica's remote spans grafted in.
+func NewCoordinator(nc *semdisco.NetCoordinator, opts ...Option) *Server {
+	return newServer(nc, "coordinator", opts)
+}
+
+func newServer(b semdisco.Backend, mode string, opts []Option) *Server {
+	s := &Server{backend: b, mode: mode, reg: b.MetricsRegistry()}
 	s.init(opts)
 	return s
+}
+
+// requireEngine returns the backend as an Engine for the surfaces only a
+// single index has (datasets, slow log, index health, recall probes, journal). In
+// cluster and coordinator modes it answers 501 rather than pretending a
+// monolithic engine exists behind the router.
+func (s *Server) requireEngine(w http.ResponseWriter) (*semdisco.Engine, bool) {
+	eng, ok := s.backend.(*semdisco.Engine)
+	if !ok {
+		writeError(w, http.StatusNotImplemented, "endpoint not available in "+s.mode+" mode")
+	}
+	return eng, ok
 }
 
 func (s *Server) init(opts []Option) {
@@ -264,8 +292,7 @@ type SearchRequest struct {
 	// Sources optionally restricts the search to federation members.
 	Sources []string `json:"sources,omitempty"`
 	// Trace asks for the per-stage breakdown of this query in the
-	// response. Ignored when Sources is set (filtered searches are not
-	// traced).
+	// response, in every mode.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -391,74 +418,58 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	resp := StatsResponse{UptimeSeconds: time.Since(s.start).Seconds()}
-	switch {
-	case s.cluster != nil:
-		cs := s.cluster.Stats()
+	resp.Method = s.backend.Method().String()
+	resp.NumRelations = s.backend.NumRelations()
+	// The one place the three deployment shapes differ by design: each
+	// reports the health of what it is made of.
+	switch b := s.backend.(type) {
+	case *semdisco.Engine:
+		resp.EngineStats = b.Stats()
+	case *semdisco.Cluster:
+		cs := b.Stats()
 		resp.Cluster = &cs
-		resp.Method = s.cluster.Method().String()
-		resp.NumRelations = s.cluster.NumRelations()
-	case s.coord != nil:
-		ns := s.coord.Stats()
+	case *semdisco.NetCoordinator:
+		ns := b.Stats()
 		resp.Netcluster = &ns
-		resp.Method = s.coord.Method().String()
-		resp.NumRelations = s.coord.NumRelations()
-	default:
-		resp.EngineStats = s.eng.Stats()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleSearch answers /v1/search through the backend's one query entry
+// point. The request context is threaded into the index walk (and, behind
+// a router, into every shard's scan loops or replica attempts), so a
+// client hanging up stops the work; in cluster and coordinator modes
+// degradation metadata rides along in the response instead of failing the
+// query.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeSearch(w, r)
 	if !ok {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.cluster != nil {
-		s.clusterSearch(w, r, req)
+	res, err := s.backend.Do(r.Context(), semdisco.Request{
+		Query: req.Query, K: req.K, Sources: req.Sources, Trace: req.Trace})
+	if errors.Is(err, semdisco.ErrUnsupported) {
+		writeError(w, http.StatusNotImplemented, "source-filtered search not available in "+s.mode+" mode")
 		return
-	}
-	if s.coord != nil {
-		s.coordSearch(w, r, req)
-		return
-	}
-	var (
-		matches []semdisco.Match
-		stages  []semdisco.TraceStage
-		cost    *semdisco.CostReport
-		err     error
-	)
-	switch {
-	case len(req.Sources) > 0:
-		matches, err = s.eng.SearchSources(req.Query, req.K, req.Sources...)
-	case req.Trace:
-		matches, stages, err = s.eng.SearchTracedContext(r.Context(), req.Query, req.K)
-	default:
-		var rep semdisco.CostReport
-		matches, rep, err = s.eng.SearchCost(r.Context(), req.Query, req.K)
-		cost = &rep
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := SearchResponse{Matches: make([]MatchJSON, len(matches)), Cost: cost}
-	if sc, ok := obs.SpanContextFrom(r.Context()); ok && len(req.Sources) == 0 {
-		// Engine searches continue the middleware's span context, so its
-		// trace ID is the one the stored trace carries. Source-filtered
-		// searches are not traced.
-		resp.TraceID = sc.TraceID.String()
+	resp := SearchResponse{
+		Matches:  matchesJSON(res.Matches),
+		TraceID:  res.TraceID,
+		Degraded: res.Degraded,
+		CacheHit: res.CacheHit,
+		Cost:     &res.Cost,
 	}
-	for i, m := range matches {
-		resp.Matches[i] = MatchJSON{RelationID: m.RelationID, Score: m.Score}
+	for _, se := range res.ShardErrors {
+		resp.ShardErrors = append(resp.ShardErrors, se.Error())
 	}
-	if stages != nil {
-		t := &TraceJSON{Stages: stages}
-		for _, st := range stages {
+	if res.Stages != nil {
+		t := &TraceJSON{Stages: res.Stages}
+		for _, st := range res.Stages {
 			t.TotalMS += st.DurationMS
 		}
 		resp.Trace = t
@@ -471,61 +482,86 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !s.requireEngine(w) {
+	eng, ok := s.requireEngine(w)
+	if !ok {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	datasets, err := s.eng.SearchDatasets(req.Query, req.K)
+	datasets, err := eng.SearchDatasets(r.Context(), req.Query, req.K)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := DatasetsResponse{Datasets: make([]DatasetJSON, len(datasets))}
 	for i, d := range datasets {
-		dj := DatasetJSON{Source: d.Source, Score: d.Score}
-		for _, m := range d.Relations {
-			dj.Relations = append(dj.Relations, MatchJSON{RelationID: m.RelationID, Score: m.Score})
-		}
-		resp.Datasets[i] = dj
+		resp.Datasets[i] = DatasetJSON{Source: d.Source, Score: d.Score, Relations: matchesJSON(d.Relations)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// RelationJSON mirrors semdisco.Relation for the ingest endpoint.
-type RelationJSON struct {
-	ID           string     `json:"id"`
-	Source       string     `json:"source"`
-	PageTitle    string     `json:"page_title,omitempty"`
-	SectionTitle string     `json:"section_title,omitempty"`
-	Caption      string     `json:"caption,omitempty"`
-	Columns      []string   `json:"columns"`
-	Rows         [][]string `json:"rows"`
+// RelationJSON is the body of the ingest endpoints — the same shape a
+// coordinator forwards to its replicas.
+type RelationJSON = netcluster.Relation
+
+// decodeRelation reads and validates an ingest body, answering 400 (or
+// 413) itself when it cannot. On PUT the path names the relation: the
+// body's ID may be omitted (the path wins) but must match when present.
+func decodeRelation(w http.ResponseWriter, r *http.Request, pathID string) (*semdisco.Relation, bool) {
+	var body RelationJSON
+	if !decodeJSON(w, r, &body) {
+		return nil, false
+	}
+	if pathID != "" {
+		if body.ID == "" {
+			body.ID = pathID
+		}
+		if body.ID != pathID {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("body relation ID %q does not match path ID %q", body.ID, pathID))
+			return nil, false
+		}
+	}
+	annotate(r, slog.String("relation", body.ID))
+	rel := &semdisco.Relation{
+		ID:           body.ID,
+		Source:       body.Source,
+		PageTitle:    body.PageTitle,
+		SectionTitle: body.SectionTitle,
+		Caption:      body.Caption,
+		Columns:      body.Columns,
+		Rows:         body.Rows,
+	}
+	if err := rel.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	return rel, true
 }
 
 func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
-	var rel RelationJSON
-	if err := json.NewDecoder(r.Body).Decode(&rel); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad body: %v", err))
+	rel, ok := decodeRelation(w, r, "")
+	if !ok {
 		return
 	}
-	annotate(r, slog.String("relation", rel.ID))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.add(r.Context(), &semdisco.Relation{
-		ID:           rel.ID,
-		Source:       rel.Source,
-		PageTitle:    rel.PageTitle,
-		SectionTitle: rel.SectionTitle,
-		Caption:      rel.Caption,
-		Columns:      rel.Columns,
-		Rows:         rel.Rows,
-	})
-	if err != nil {
+	if err := s.backend.AddRelation(r.Context(), rel); err != nil {
 		writeBackendError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"status": "indexed", "id": rel.ID})
+}
+
+// handleUpdateRelation replaces a relation's contents in place (PUT
+// /v1/relations/{id}): tombstone plus re-ingest under the same ID, moving
+// the relation to the end of the global merge order.
+func (s *Server) handleUpdateRelation(w http.ResponseWriter, r *http.Request) {
+	rel, ok := decodeRelation(w, r, r.PathValue("id"))
+	if !ok {
+		return
+	}
+	if err := s.backend.UpdateRelation(r.Context(), rel); err != nil {
+		writeBackendError(w, err, http.StatusNotFound)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "updated", "id": rel.ID})
 }
 
 // handleDeleteRelation tombstones one relation by ID. The slot's vectors
@@ -534,22 +570,31 @@ func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	annotate(r, slog.String("relation", id))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var err error
-	switch {
-	case s.coord != nil:
-		err = s.coord.Delete(r.Context(), id)
-	case s.cluster != nil:
-		err = s.cluster.Delete(id)
-	default:
-		err = s.eng.Delete(id)
-	}
-	if err != nil {
+	if err := s.backend.DeleteRelation(r.Context(), id); err != nil {
 		writeBackendError(w, err, http.StatusNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "id": id})
+}
+
+// writeBackendError maps a backend mutation error onto the unified error
+// body. A *netcluster.WriteError (partial replica application) is an
+// internal fault: the write is durable somewhere and the failed replicas
+// need repair. A *netcluster.RemoteError passes the shard's own status
+// through — a 404 from every replica of the owning set surfaces as this
+// server's 404. Anything else gets the caller's fallback status.
+func writeBackendError(w http.ResponseWriter, err error, fallback int) {
+	var we *netcluster.WriteError
+	if errors.As(err, &we) {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	var re *netcluster.RemoteError
+	if errors.As(err, &re) && re.Status >= 400 {
+		writeError(w, re.Status, err.Error())
+		return
+	}
+	writeError(w, fallback, err.Error())
 }
 
 func (s *Server) methodNotAllowed(allow string) http.HandlerFunc {
@@ -563,24 +608,60 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, fmt.Sprintf("no such route %s", r.URL.Path))
 }
 
+// maxBodyBytes caps every request body: far above any batch of 256
+// queries or any table worth indexing over HTTP, far below what would let
+// one request exhaust the server's memory.
+const maxBodyBytes = 16 << 20
+
+// decodeJSON reads a size-capped JSON body into v, answering 413 for an
+// oversized body and 400 for a malformed one.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Sprintf("bad body: %v", err))
+	return false
+}
+
+// clampK applies the result-bound rule every search body shares: absent or
+// non-positive selects 10, anything above 1000 is cut to 1000.
+func clampK(k int) int {
+	if k <= 0 {
+		return 10
+	}
+	if k > 1000 {
+		return 1000
+	}
+	return k
+}
+
 func decodeSearch(w http.ResponseWriter, r *http.Request) (SearchRequest, bool) {
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad body: %v", err))
+	if !decodeJSON(w, r, &req) {
 		return req, false
 	}
 	if req.Query == "" {
 		writeError(w, http.StatusBadRequest, "query is required")
 		return req, false
 	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > 1000 {
-		req.K = 1000
-	}
+	req.K = clampK(req.K)
 	annotate(r, slog.Int("query_len", len(req.Query)), slog.Int("k", req.K))
 	return req, true
+}
+
+// matchesJSON converts matches to their wire form.
+func matchesJSON(ms []semdisco.Match) []MatchJSON {
+	out := make([]MatchJSON, len(ms))
+	for i, m := range ms {
+		out[i] = MatchJSON{RelationID: m.RelationID, Score: m.Score}
+	}
+	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

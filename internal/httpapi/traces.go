@@ -14,19 +14,6 @@ const (
 	maxTracesN     = 100 // /v1/debug/traces cap on ?n
 )
 
-// traces returns whichever backend's trace store the server fronts; nil
-// when tracing is disabled (a nil *obs.TraceStore is a valid no-op, but
-// the handlers distinguish it to answer 404 honestly).
-func (s *Server) traces() *obs.TraceStore {
-	switch {
-	case s.coord != nil:
-		return s.coord.Traces()
-	case s.cluster != nil:
-		return s.cluster.Traces()
-	}
-	return s.eng.Traces()
-}
-
 // TracesResponse is the body of /v1/debug/traces: store volume counters
 // and the retained traces, newest first.
 type TracesResponse struct {
@@ -103,7 +90,7 @@ func SpanTree(spans []obs.StoredSpan) []*SpanTreeJSON {
 // (default 20, capped at 100). ?format=jsonl streams every retained trace
 // as JSON lines, oldest first, for offline analysis.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	store := s.traces()
+	store := s.backend.Traces()
 	if store == nil {
 		writeError(w, http.StatusNotFound, "tracing is disabled on this server")
 		return
@@ -130,7 +117,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // handleDebugTrace fetches one retained trace by hex trace ID and renders
 // its span tree.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	store := s.traces()
+	store := s.backend.Traces()
 	if store == nil {
 		writeError(w, http.StatusNotFound, "tracing is disabled on this server")
 		return
@@ -138,7 +125,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := store.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no retained trace " + id + "; only interesting or head-sampled traces are stored")
+		writeError(w, http.StatusNotFound, "no retained trace "+id+"; only interesting or head-sampled traces are stored")
 		return
 	}
 	writeJSON(w, http.StatusOK, TraceResponse{StoredTrace: st, Tree: SpanTree(st.Spans)})

@@ -20,14 +20,14 @@ var keepAll = semdisco.TracingConfig{HeadSampleEvery: 1}
 func testTracedServer(t *testing.T) *Server {
 	t.Helper()
 	srv := testServer(t)
-	srv.eng.ConfigureTracing(keepAll)
+	srv.backend.(*semdisco.Engine).ConfigureTracing(keepAll)
 	return srv
 }
 
 func testTracedClusterServer(t *testing.T) *Server {
 	t.Helper()
 	srv := testClusterServer(t)
-	srv.cluster.ConfigureTracing(keepAll)
+	srv.backend.(*semdisco.Cluster).ConfigureTracing(keepAll)
 	return srv
 }
 
@@ -193,7 +193,7 @@ func TestDebugTraceErrors(t *testing.T) {
 	}
 
 	// With tracing disabled, both endpoints answer 404 honestly.
-	srv.eng.ConfigureTracing(semdisco.TracingConfig{Disable: true})
+	srv.backend.(*semdisco.Engine).ConfigureTracing(semdisco.TracingConfig{Disable: true})
 	for _, path := range []string{"/v1/debug/traces", "/v1/debug/traces/deadbeef"} {
 		if rec, _ := do(t, srv, "GET", path, ""); rec.Code != http.StatusNotFound {
 			t.Errorf("%s with tracing disabled: %d, want 404", path, rec.Code)

@@ -10,26 +10,6 @@ import (
 	"semdisco"
 )
 
-// TestSearchResponseCarriesCost checks the default engine search path
-// attaches a cost report with visible work.
-func TestSearchResponseCarriesCost(t *testing.T) {
-	srv := testServer(t)
-	rec, body := do(t, srv, "POST", "/v1/search", `{"query":"COVID","k":3}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("search=%d %s", rec.Code, body)
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cost == nil {
-		t.Fatalf("search response has no cost block: %s", body)
-	}
-	if resp.Cost.DistanceComps+resp.Cost.PQLookups == 0 {
-		t.Fatalf("cost reports no comparison work: %+v", resp.Cost)
-	}
-}
-
 // TestDebugWorkloadEngine checks the single-node workload endpoint: heavy
 // hitters fold query case/whitespace, and the costliest board is populated.
 func TestDebugWorkloadEngine(t *testing.T) {
@@ -81,7 +61,7 @@ func TestDebugSLOEngine(t *testing.T) {
 		}
 	}
 
-	srv.eng.ConfigureSLO(semdisco.SLOConfig{Disable: true})
+	srv.backend.(*semdisco.Engine).ConfigureSLO(semdisco.SLOConfig{Disable: true})
 	rec, _ = do(t, srv, "GET", "/v1/debug/slo", "")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("disabled slo: code=%d", rec.Code)
@@ -178,7 +158,7 @@ func TestDebugWorkloadCluster(t *testing.T) {
 // unlimited default.
 func TestDebugJournalLimit(t *testing.T) {
 	srv := testServer(t)
-	srv.eng.ConfigureDiagnostics(semdisco.DiagnosticsConfig{TraceSampleEvery: 1})
+	srv.backend.(*semdisco.Engine).ConfigureDiagnostics(semdisco.DiagnosticsConfig{TraceSampleEvery: 1})
 	burst(t, srv, "COVID", "quartz", "coronavirus vaccines")
 
 	rec, body := do(t, srv, "GET", "/v1/debug/journal?n=1", "")

@@ -47,8 +47,9 @@ type CoordinatorOptions struct {
 	// Registry receives coordinator, router and group metrics; nil
 	// disables them.
 	Registry *obs.Registry
-	// Traces receives the span trees of interesting federated queries
-	// (remote shard spans grafted in); nil disables retention.
+	// Traces receives the span trees of interesting batched queries
+	// (remote shard spans grafted in); nil disables retention. Single
+	// queries are offered by the caller that owns their root span.
 	Traces *obs.TraceStore
 }
 
@@ -142,28 +143,14 @@ func (c *Coordinator) NumSets() int { return len(c.groups) }
 // applies the identical assignment by construction.
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
-// Traces exposes the coordinator's trace store; nil when disabled.
-func (c *Coordinator) Traces() *obs.TraceStore { return c.traces }
-
-// Search answers one query by networked scatter-gather, traced end to
-// end: the federated query runs under a root span, every replica attempt
-// carries its traceparent over the wire, and the winning replicas' remote
-// span trees come back grafted under this trace. Partial failure (a whole
-// replica set down) degrades the Result; only every set failing — or the
-// caller's context expiring — is an error.
-func (c *Coordinator) Search(ctx context.Context, query string, k int) (*cluster.Result, error) {
-	tr := obs.NewTraceFrom(ctx)
-	root := tr.StartRoot("coordinator_search").AnnotateInt("k", k).AnnotateInt("sets", len(c.groups))
-	ctx = c.propagate(ctx, tr, root)
-	res, err := c.router.SearchTraced(ctx, query, k, tr)
-	if res != nil {
-		root.AnnotateInt("matches", len(res.Matches)).
-			AnnotateInt("distance_comps", int(res.Cost.DistanceComps))
-		res.TraceID = tr.ID().String()
-	}
-	dur := root.End()
-	c.offer(tr, dur, query, k, res, err)
-	return res, err
+// Search answers one query by networked scatter-gather, recording its
+// spans on tr (the caller owns the root span and the trace's retention):
+// every replica attempt carries the root's traceparent over the wire, and
+// the winning replicas' remote span trees come back grafted under tr.
+// Partial failure (a whole replica set down) degrades the Result; only
+// every set failing — or the caller's context expiring — is an error.
+func (c *Coordinator) Search(ctx context.Context, query string, k int, tr *obs.Trace) (*cluster.Result, error) {
+	return c.router.SearchTraced(c.propagate(ctx, tr), query, k, tr)
 }
 
 // SearchBatch answers a block of queries with one networked fan-out per
@@ -174,7 +161,7 @@ func (c *Coordinator) SearchBatch(ctx context.Context, items []cluster.BatchQuer
 	root := tr.StartRoot("coordinator_search_batch").
 		AnnotateInt("queries", len(items)).
 		AnnotateInt("sets", len(c.groups))
-	ctx = c.propagate(ctx, tr, root)
+	ctx = c.propagate(ctx, tr)
 	results, err := c.router.SearchBatch(ctx, items)
 	dur := root.End()
 	o := obs.TraceOutcome{Duration: dur, Method: c.opts.Method + "_batch", K: len(items),
@@ -191,41 +178,18 @@ func (c *Coordinator) SearchBatch(ctx context.Context, items []cluster.BatchQuer
 			o.Hedged += res.Hedged
 		}
 	}
-	c.offerOutcome(tr, o)
+	if kept, _ := c.traces.Offer(tr, o); kept {
+		c.reg.Histogram(cluster.MetricSearchSeconds).SetExemplar(o.Duration, tr.ID().String())
+	}
 	return results, err
 }
 
 // propagate threads the trace down the stack: the live *Trace so replica
 // groups can graft remote spans, and the root's span context so every
 // wire request carries a traceparent parenting the shard's spans here.
-func (c *Coordinator) propagate(ctx context.Context, tr *obs.Trace, root *obs.Span) context.Context {
+func (c *Coordinator) propagate(ctx context.Context, tr *obs.Trace) context.Context {
 	ctx = obs.ContextWithTrace(ctx, tr)
-	return obs.ContextWithSpan(ctx, obs.SpanContext{TraceID: tr.ID(), SpanID: root.ID(), Flags: tr.Flags()})
-}
-
-func (c *Coordinator) offer(tr *obs.Trace, dur time.Duration, query string, k int, res *cluster.Result, err error) {
-	o := obs.TraceOutcome{Duration: dur, Query: query, Method: c.opts.Method, K: k}
-	if err != nil {
-		o.Err = err.Error()
-	}
-	if res != nil {
-		o.Matches = len(res.Matches)
-		o.Degraded = res.Degraded
-		o.Hedged = res.Hedged
-		for _, se := range res.ShardErrors {
-			o.ShardErrors = append(o.ShardErrors, se.Error())
-		}
-	}
-	c.offerOutcome(tr, o)
-}
-
-func (c *Coordinator) offerOutcome(tr *obs.Trace, o obs.TraceOutcome) {
-	if c.traces == nil {
-		return
-	}
-	if kept, _ := c.traces.Offer(tr, o); kept {
-		c.reg.Histogram(cluster.MetricSearchSeconds).SetExemplar(o.Duration, tr.ID().String())
-	}
+	return obs.ContextWithSpan(ctx, obs.SpanContext{TraceID: tr.ID(), SpanID: tr.RootID(), Flags: tr.Flags()})
 }
 
 // WriteError is a partial write-path failure: some replicas of the owning

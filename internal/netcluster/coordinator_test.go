@@ -147,7 +147,7 @@ func TestCoordinatorMatchesRouter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d router: %v", k, err)
 		}
-		got, err := fx.coord.Search(ctx, "q", k)
+		got, err := fx.coord.Search(ctx, "q", k, nil)
 		if err != nil {
 			t.Fatalf("k=%d coordinator: %v", k, err)
 		}
@@ -174,7 +174,7 @@ func TestCoordinatorBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("%d results for %d items", len(batch), len(items))
 	}
 	for i, it := range items {
-		want, err := fx.coord.Search(ctx, it.Query, it.K)
+		want, err := fx.coord.Search(ctx, it.Query, it.K, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestCoordinatorDegradedWhenSetDown(t *testing.T) {
 	fx := newCoordFixture(t, 2, 1, CoordinatorOptions{})
 	ctx := context.Background()
 	fx.inj.Set(fx.urls[1][0], Fault{Drop: true, Remaining: -1})
-	res, err := fx.coord.Search(ctx, "q", 10)
+	res, err := fx.coord.Search(ctx, "q", 10, nil)
 	if err != nil {
 		t.Fatalf("partial degradation must not error: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestCoordinatorDegradedWhenSetDown(t *testing.T) {
 		}
 	}
 	fx.inj.Set(fx.urls[0][0], Fault{Drop: true, Remaining: -1})
-	if _, err := fx.coord.Search(ctx, "q2", 10); err == nil {
+	if _, err := fx.coord.Search(ctx, "q2", 10, nil); err == nil {
 		t.Fatal("want error with every set down")
 	}
 }
@@ -284,10 +284,10 @@ func TestCoordinatorWritePartialFailure(t *testing.T) {
 func TestCoordinatorWriteFencesCache(t *testing.T) {
 	fx := newCoordFixture(t, 1, 1, CoordinatorOptions{CacheSize: 8})
 	ctx := context.Background()
-	if _, err := fx.coord.Search(ctx, "q", 5); err != nil {
+	if _, err := fx.coord.Search(ctx, "q", 5, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := fx.coord.Search(ctx, "q", 5)
+	res, err := fx.coord.Search(ctx, "q", 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCoordinatorWriteFencesCache(t *testing.T) {
 	if err := fx.coord.Add(ctx, rel); err != nil {
 		t.Fatal(err)
 	}
-	res, err = fx.coord.Search(ctx, "q", 5)
+	res, err = fx.coord.Search(ctx, "q", 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestCoordinatorHungReplicaTail(t *testing.T) {
 	fx.inj.Set(fx.urls[0][0], Fault{Hang: true, Remaining: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := fx.coord.Search(ctx, "q", 10)
+	res, err := fx.coord.Search(ctx, "q", 10, nil)
 	if err != nil {
 		t.Fatalf("search with a hung replica: %v", err)
 	}

@@ -115,12 +115,9 @@ type NetCoordinatorConfig struct {
 // the wire) and the global insertion order the merge tie-breaks on, and
 // routes every search and mutation through a netcluster.Coordinator.
 type NetCoordinator struct {
-	coord  *netcluster.Coordinator
-	cfg    NetCoordinatorConfig
-	model  *embed.Model
-	reg    *obs.Registry
-	traces *obs.TraceStore
-	slo    *obs.SLOEngine
+	telemetry
+	coord *netcluster.Coordinator
+	model *embed.Model
 	// orderMu guards order/nextOrder: mutations write, merges read.
 	orderMu   sync.RWMutex
 	order     map[string]int
@@ -157,11 +154,9 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 		order[r.ID] = i
 	}
 	nc := &NetCoordinator{
-		cfg:       cfg,
+		telemetry: telemetry{method: cfg.Method, span: "coordinator_search", latency: cluster.MetricSearchSeconds,
+			reg: reg, traces: newTraceStore(cfg.Tracing), slo: newSLOEngine(cfg.SLO, reg)},
 		model:     model,
-		reg:       reg,
-		traces:    newTraceStore(cfg.Tracing),
-		slo:       newSLOEngine(cfg.SLO, reg),
 		order:     order,
 		nextOrder: fed.Len(),
 	}
@@ -195,46 +190,39 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 	return nc, nil
 }
 
-// Search answers a query by networked scatter-gather over the replica
-// sets. See SearchContext.
-func (nc *NetCoordinator) Search(query string, k int) (*ClusterResult, error) {
-	return nc.SearchContext(context.Background(), query, k)
+// Do implements Backend: the query is encoded once, the raw vector fans
+// out to one replica per set (with failover, hedging and per-attempt
+// timeouts inside each set), and per-set answers merge bit-identically to
+// the in-process cluster. A whole replica set failing degrades the
+// Response; only every set failing — or ctx expiring — returns an error.
+// The retained trace holds the federated span tree with every winning
+// replica's remote spans grafted in; Request.Trace returns its flat stage
+// view. Source filters and feedback answer ErrUnsupported.
+func (nc *NetCoordinator) Do(ctx context.Context, req Request) (*Response, error) {
+	if len(req.Sources) > 0 || req.Feedback {
+		return nil, ErrUnsupported
+	}
+	return nc.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
+		return nc.coord.Search(ctx, req.Query, req.K, tr)
+	})
 }
 
-// SearchContext encodes the query once, fans the raw vector out to one
-// replica per set (with failover, hedging and per-attempt timeouts inside
-// each set), and merges per-set answers bit-identically to the in-process
-// cluster. A whole replica set failing degrades the Result; only every
-// set failing — or ctx expiring — returns an error.
+// SearchContext is Do for a bare query.
 func (nc *NetCoordinator) SearchContext(ctx context.Context, query string, k int) (*ClusterResult, error) {
-	start := time.Now()
-	res, err := nc.coord.Search(ctx, query, k)
-	nc.slo.Record(time.Since(start), err != nil || (res != nil && res.Degraded))
-	return res, err
+	return resultOf(nc.Do(ctx, Request{Query: query, K: k}))
 }
 
-// SearchBatch answers a block of queries with one networked fan-out per
-// replica set.
-func (nc *NetCoordinator) SearchBatch(ctx context.Context, queries []Query) ([]*ClusterResult, error) {
-	items := make([]cluster.BatchQuery, len(queries))
-	for i, q := range queries {
-		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
-	}
+// DoBatch implements Backend with one networked fan-out per replica set.
+func (nc *NetCoordinator) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
 	start := time.Now()
-	results, err := nc.coord.SearchBatch(ctx, items)
-	failed := err != nil
-	for _, r := range results {
-		if r != nil && r.Degraded {
-			failed = true
-		}
-	}
-	nc.slo.Record(time.Since(start), failed)
-	return results, err
+	results, err := nc.coord.SearchBatch(ctx, batchItems(queries))
+	return nc.batchResponses(queries, results, err, time.Since(start))
 }
 
-// Add routes one new relation to its ring-owning set, ingesting it on
-// every replica of that set, and appends it to the global merge order.
-func (nc *NetCoordinator) Add(ctx context.Context, r *Relation) error {
+// AddRelation implements Backend: the relation is routed to its
+// ring-owning set, ingested on every replica of that set, and appended to
+// the global merge order.
+func (nc *NetCoordinator) AddRelation(ctx context.Context, r *Relation) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
@@ -250,8 +238,12 @@ func (nc *NetCoordinator) Add(ctx context.Context, r *Relation) error {
 	return nil
 }
 
-// Delete tombstones a relation on every replica of its owning set.
-func (nc *NetCoordinator) Delete(ctx context.Context, id string) error {
+// Add is AddRelation.
+func (nc *NetCoordinator) Add(ctx context.Context, r *Relation) error { return nc.AddRelation(ctx, r) }
+
+// DeleteRelation implements Backend: the relation is tombstoned on every
+// replica of its owning set.
+func (nc *NetCoordinator) DeleteRelation(ctx context.Context, id string) error {
 	if err := nc.coord.Delete(ctx, id); err != nil {
 		return err
 	}
@@ -261,10 +253,10 @@ func (nc *NetCoordinator) Delete(ctx context.Context, id string) error {
 	return nil
 }
 
-// Update replaces a relation's contents on every replica of its owning
-// set and moves it to the end of the global merge order, matching
-// single-engine Update semantics.
-func (nc *NetCoordinator) Update(ctx context.Context, r *Relation) error {
+// UpdateRelation implements Backend: the relation's contents are replaced
+// on every replica of its owning set and it moves to the end of the global
+// merge order, matching single-engine semantics.
+func (nc *NetCoordinator) UpdateRelation(ctx context.Context, r *Relation) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
@@ -291,9 +283,6 @@ func toWireRelation(r *Relation) netcluster.Relation {
 	}
 }
 
-// Method reports the deployment's search strategy label.
-func (nc *NetCoordinator) Method() Method { return nc.cfg.Method }
-
 // NumSets reports the replica-set (partition) count.
 func (nc *NetCoordinator) NumSets() int { return nc.coord.NumSets() }
 
@@ -310,15 +299,3 @@ func (nc *NetCoordinator) Embed(text string) []float32 { return nc.model.Encode(
 // Stats snapshots the coordinator's health: the federated router view plus
 // each replica set's failover counters.
 func (nc *NetCoordinator) Stats() netcluster.CoordinatorStats { return nc.coord.Stats() }
-
-// MetricsRegistry exposes the coordinator's metrics registry (nil under
-// Config.DisableMetrics; a nil registry is valid everywhere).
-func (nc *NetCoordinator) MetricsRegistry() *obs.Registry { return nc.reg }
-
-// Traces exposes the coordinator's tail-sampling trace store — retained
-// federated span trees with every winning replica's remote spans grafted
-// in. Nil when tracing is disabled.
-func (nc *NetCoordinator) Traces() *obs.TraceStore { return nc.traces }
-
-// SLO exposes the coordinator's burn-rate engine; nil when disabled.
-func (nc *NetCoordinator) SLO() *obs.SLOEngine { return nc.slo }

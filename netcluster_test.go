@@ -129,7 +129,7 @@ func assertNetEquivalence(t *testing.T, fx *netFixture, label string) {
 			if err != nil {
 				t.Fatalf("%s: engine search: %v", label, err)
 			}
-			res, err := fx.nc.Search(q, k)
+			res, err := fx.nc.SearchContext(context.Background(), q, k)
 			if err != nil {
 				t.Fatalf("%s: networked search q=%q k=%d: %v", label, q, k, err)
 			}
@@ -215,7 +215,7 @@ func TestNetClusterSetDownDegrades(t *testing.T) {
 	}
 	for _, q := range []string{"abc", "xyz qrs"} {
 		const k = 10
-		res, err := fx.nc.Search(q, k)
+		res, err := fx.nc.SearchContext(context.Background(), q, k)
 		if err != nil {
 			t.Fatalf("degraded search must not error: %v", err)
 		}
@@ -282,7 +282,7 @@ func TestNetClusterWritePath(t *testing.T) {
 		Columns: []string{"a", "b"},
 		Rows:    [][]string{{"qrs", "bfd"}, {"abc", "mno"}},
 	}
-	if err := fx.nc.Update(ctx, upd); err != nil {
+	if err := fx.nc.UpdateRelation(ctx, upd); err != nil {
 		t.Fatalf("networked update: %v", err)
 	}
 	if err := fx.single.Update(upd); err != nil {
@@ -290,7 +290,7 @@ func TestNetClusterWritePath(t *testing.T) {
 	}
 	assertNetEquivalence(t, fx, "after update")
 
-	if err := fx.nc.Delete(ctx, "rel-new"); err != nil {
+	if err := fx.nc.DeleteRelation(ctx, "rel-new"); err != nil {
 		t.Fatalf("networked delete: %v", err)
 	}
 	if err := fx.single.Delete("rel-new"); err != nil {
@@ -301,7 +301,7 @@ func TestNetClusterWritePath(t *testing.T) {
 	}
 	assertNetEquivalence(t, fx, "after delete")
 
-	if err := fx.nc.Delete(ctx, "rel-new"); err == nil {
+	if err := fx.nc.DeleteRelation(ctx, "rel-new"); err == nil {
 		t.Fatal("deleting an unknown relation must error")
 	}
 }

@@ -1,7 +1,6 @@
 package semdisco
 
 import (
-	"context"
 	"time"
 
 	"semdisco/internal/core"
@@ -17,78 +16,6 @@ type TraceStage struct {
 	Annotations map[string]string `json:"annotations,omitempty"`
 }
 
-// SearchTraced runs Search and additionally returns the per-stage
-// breakdown of the query (encode → index walk → rank, with per-method
-// stage names). Tracing costs a few timestamps and map writes per query;
-// with diagnostics disabled, plain Search skips even that. Traces are
-// independent of the metrics registry: the full stage breakdown is
-// returned even under Config.DisableMetrics.
-func (e *Engine) SearchTraced(query string, k int) ([]Match, []TraceStage, error) {
-	return e.SearchTracedContext(context.Background(), query, k)
-}
-
-// SearchTracedContext is SearchTraced under a caller-controlled context:
-// cancellation is threaded into the index walk, a propagated span context
-// (see obs.ContextWithSpan) is continued instead of minting a fresh trace
-// ID, and the request correlation ID rides into the diagnostics records.
-func (e *Engine) SearchTracedContext(ctx context.Context, query string, k int) ([]Match, []TraceStage, error) {
-	matches, tr, _, err := e.searchWithTrace(ctx, query, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return matches, toTraceStages(tr.Stages()), nil
-}
-
-// searchWithTrace is the shared traced-search path behind Search and
-// SearchTraced: it runs the query under a root span — continuing a
-// propagated trace when ctx carries one — with a cost accumulator in the
-// context so the index layers account their work, and feeds the outcome to
-// the diagnostics layer (slow-query log, sampler, journal), the workload
-// analyzer, the SLO engine and the tail-based trace store, linking the
-// latency histogram to the trace via an exemplar when it is retained. All
-// these layers are nil-safe no-ops when disabled.
-func (e *Engine) searchWithTrace(ctx context.Context, query string, k int) ([]Match, *obs.Trace, obs.CostReport, error) {
-	cost := obs.CostFrom(ctx)
-	if cost == nil {
-		cost = &obs.Cost{}
-		ctx = obs.ContextWithCost(ctx, cost)
-	}
-	tr := obs.NewTraceFrom(ctx)
-	root := tr.StartRoot("search")
-	var (
-		matches []Match
-		err     error
-	)
-	matches, err = e.store.SearchTracedContext(ctx, query, k, tr)
-	rep := cost.Report()
-	root.AnnotateInt("matches", len(matches)).
-		AnnotateInt("distance_comps", int(rep.DistanceComps)).
-		AnnotateInt("hnsw_hops", int(rep.HNSWHops)).
-		AnnotateInt("pq_lookups", int(rep.PQLookups))
-	dur := root.End()
-	method := e.Method().String()
-	requestID := obs.RequestIDFrom(ctx)
-	e.diag.observe(method, query, k, matches, dur, tr, requestID, err)
-	e.workload.Record(query, method, tr.ID().String(), rep, dur, time.Now())
-	e.workload.RecordShard(0)
-	e.slo.Record(dur, err != nil)
-	if e.traces != nil {
-		o := obs.TraceOutcome{
-			Duration:  dur,
-			Query:     query,
-			Method:    method,
-			K:         k,
-			Matches:   len(matches),
-			RequestID: requestID,
-		}
-		if err != nil {
-			o.Err = err.Error()
-		}
-		offerTrace(e.traces, e.obs, obs.L(core.MetricSearchSeconds, "method", method), tr, o)
-	}
-	return matches, tr, rep, err
-}
-
 // toTraceStages converts internal trace stages to the public form.
 func toTraceStages(stages []obs.Stage) []TraceStage {
 	out := make([]TraceStage, len(stages))
@@ -101,15 +28,6 @@ func toTraceStages(stages []obs.Stage) []TraceStage {
 	}
 	return out
 }
-
-// MetricsRegistry exposes the engine's metrics registry for in-process
-// surfaces such as internal/httpapi's /metrics endpoint. Nil when the
-// engine was opened with Config.DisableMetrics — and a nil *obs.Registry
-// is a valid value everywhere in this codebase: every method on it is a
-// no-op, so callers may hand it to exporters or record against it without
-// a nil check. Tracing (SearchTraced) and diagnostics (SlowQueries,
-// Journal) do not depend on the registry and keep working without one.
-func (e *Engine) MetricsRegistry() *obs.Registry { return e.obs }
 
 // LatencySummary is the quantile snapshot of one latency histogram.
 type LatencySummary struct {
@@ -162,10 +80,10 @@ func (e *Engine) Stats() EngineStats {
 			st.NumClusters = cts.NumClusters()
 		}
 	}
-	if e.obs == nil {
+	if e.reg == nil {
 		return st
 	}
-	snap := e.obs.Snapshot()
+	snap := e.reg.Snapshot()
 	for series, v := range snap.Counters {
 		base, labels := obs.ParseName(series)
 		switch base {

@@ -1,6 +1,7 @@
 package semdisco
 
 import (
+	"context"
 	"time"
 
 	"semdisco/internal/core"
@@ -97,11 +98,11 @@ type SegmentStats = core.SegmentStats
 // SegmentStats snapshots the engine's segment store.
 func (e *Engine) SegmentStats() SegmentStats { return e.store.Stats() }
 
-// Delete removes a relation from the engine by tombstoning it: the
-// relation stops appearing in every search method's results immediately,
-// and its vectors are physically reclaimed by the next compaction. Safe
-// for concurrent use with Search. Returns an error for unknown IDs.
-func (e *Engine) Delete(relationName string) error {
+// DeleteRelation implements Backend: the relation is tombstoned, stops
+// appearing in every search method's results immediately, and its vectors
+// are physically reclaimed by the next compaction. Returns an error for
+// unknown IDs.
+func (e *Engine) DeleteRelation(_ context.Context, relationName string) error {
 	if err := e.store.Delete(relationName); err != nil {
 		return err
 	}
@@ -111,11 +112,11 @@ func (e *Engine) Delete(relationName string) error {
 	return nil
 }
 
-// Update replaces a relation's contents: the old copy is tombstoned and
-// the new one lands in the mutable segment, atomically with respect to
-// other mutations. Returns an error for unknown IDs (use Add for new
+// UpdateRelation implements Backend: the old copy is tombstoned and the
+// new one lands in the mutable segment, atomically with respect to other
+// mutations. Returns an error for unknown IDs (use AddRelation for new
 // relations).
-func (e *Engine) Update(r *Relation) error {
+func (e *Engine) UpdateRelation(_ context.Context, r *Relation) error {
 	if err := e.store.Update(r); err != nil {
 		return err
 	}
@@ -124,6 +125,14 @@ func (e *Engine) Update(r *Relation) error {
 	e.relMu.Unlock()
 	return nil
 }
+
+// Delete is DeleteRelation under a background context.
+func (e *Engine) Delete(relationName string) error {
+	return e.DeleteRelation(context.Background(), relationName)
+}
+
+// Update is UpdateRelation under a background context.
+func (e *Engine) Update(r *Relation) error { return e.UpdateRelation(context.Background(), r) }
 
 // Compact forces a full compaction now: every segment's surviving
 // relations merge into one fresh base segment and the method's index is

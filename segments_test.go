@@ -117,17 +117,17 @@ func TestEngineDeleteUpdate(t *testing.T) {
 			t.Fatalf("%v: %v", m, err)
 		}
 		assertNo("Search", ms)
-		ms, err = eng.SearchSources("COVID vaccine", 5, "WHO", "ECDC")
+		ms, err = matchesOf(eng.Do(context.Background(), Request{Query: "COVID vaccine", K: 5, Sources: []string{"WHO", "ECDC"}}))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		assertNo("SearchSources", ms)
-		batch, err := eng.SearchBatch(context.Background(), []Query{{Text: "COVID vaccine", K: 5}})
+		batch, err := eng.DoBatch(context.Background(), []Query{{Text: "COVID vaccine", K: 5}})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		assertNo("SearchBatch", batch[0].Matches)
-		ds, err := eng.SearchDatasets("COVID vaccine", 5)
+		ds, err := eng.SearchDatasets(context.Background(), "COVID vaccine", 5)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -281,8 +281,8 @@ func TestEngineSearchNonBlockingDuringCompaction(t *testing.T) {
 				if w%2 == 0 {
 					got, err = eng.Search(q, 5)
 				} else {
-					var batch []BatchResult
-					batch, err = eng.SearchBatch(context.Background(), []Query{{Text: q, K: 5}})
+					var batch []*Response
+					batch, err = eng.DoBatch(context.Background(), []Query{{Text: q, K: 5}})
 					if err == nil {
 						got = batch[0].Matches
 					}
@@ -371,7 +371,7 @@ func TestEngineSaveLoadChurned(t *testing.T) {
 		}
 	}
 	// The restored engine keeps mutating and compacting.
-	if err := re.Delete("mutable-flu"); err != nil {
+	if err := re.DeleteRelation(context.Background(), "mutable-flu"); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Compact(); err != nil {
@@ -443,7 +443,7 @@ func TestClusterDeleteUpdate(t *testing.T) {
 	if len(res.Matches) == 0 || res.Matches[0].RelationID != "rel-00" {
 		t.Fatalf("warmup: %+v", res.Matches)
 	}
-	if err := cl.Delete("rel-00"); err != nil {
+	if err := cl.DeleteRelation(context.Background(), "rel-00"); err != nil {
 		t.Fatal(err)
 	}
 	res, err = cl.Search("solar energy", 5)
@@ -458,7 +458,7 @@ func TestClusterDeleteUpdate(t *testing.T) {
 			t.Fatalf("deleted relation served: %+v", res.Matches)
 		}
 	}
-	if err := cl.Delete("rel-00"); err == nil {
+	if err := cl.DeleteRelation(context.Background(), "rel-00"); err == nil {
 		t.Fatal("double delete accepted")
 	}
 	if cl.NumRelations() != 11 {
@@ -468,7 +468,7 @@ func TestClusterDeleteUpdate(t *testing.T) {
 	// Update rewrites content in place (same shard) and purges the cache.
 	upd := churnRelation("rel-01", 1)
 	upd.Rows = [][]string{{"lighthouse beacon coastal", "signal"}}
-	if err := cl.Update(upd); err != nil {
+	if err := cl.UpdateRelation(context.Background(), upd); err != nil {
 		t.Fatal(err)
 	}
 	res, err = cl.Search("lighthouse beacon", 3)
@@ -478,7 +478,7 @@ func TestClusterDeleteUpdate(t *testing.T) {
 	if len(res.Matches) == 0 || res.Matches[0].RelationID != "rel-01" {
 		t.Fatalf("updated relation not served: %+v", res.Matches)
 	}
-	if err := cl.Update(churnRelation("ghost", 0)); err == nil {
+	if err := cl.UpdateRelation(context.Background(), churnRelation("ghost", 0)); err == nil {
 		t.Fatal("update of unknown relation accepted")
 	}
 
@@ -515,10 +515,10 @@ func TestClusterSaveLoadChurned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Delete("rel-04"); err != nil {
+	if err := cl.DeleteRelation(context.Background(), "rel-04"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Add(churnRelation("rel-09", 9)); err != nil {
+	if err := cl.AddRelation(context.Background(), churnRelation("rel-09", 9)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -547,10 +547,10 @@ func TestClusterSaveLoadChurned(t *testing.T) {
 		}
 	}
 	// Mutations still route correctly after the roundtrip.
-	if err := re.Delete("rel-09"); err != nil {
+	if err := re.DeleteRelation(context.Background(), "rel-09"); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Delete("rel-04"); err == nil {
+	if err := re.DeleteRelation(context.Background(), "rel-04"); err == nil {
 		t.Fatal("tombstone lost in roundtrip: deleted relation resurfaced")
 	}
 }

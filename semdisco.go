@@ -20,7 +20,12 @@
 //	fed := semdisco.NewFederation()
 //	fed.Add(&semdisco.Relation{ID: "who", Columns: ..., Rows: ...})
 //	eng, err := semdisco.Open(fed, semdisco.Config{Method: semdisco.CTS})
-//	matches, err := eng.Search("COVID vaccines in Europe", 10)
+//	resp, err := eng.Do(ctx, semdisco.Request{Query: "COVID vaccines in Europe", K: 10})
+//
+// Engine, Cluster (in-process shards) and NetCoordinator (replica sets
+// over the wire) all implement Backend: one Request → Response entry point
+// (Do), its batched form (DoBatch) and the mutation trio. The older
+// Search* names are one-line wrappers over Do.
 package semdisco
 
 import (
@@ -92,7 +97,7 @@ type Config struct {
 	// Engine.MetricsRegistry). The default keeps metrics on: the cost is a
 	// few atomic adds per query, cheap enough for production. Diagnostics
 	// (slow-query log, trace sampling — see Diagnostics) are independent of
-	// this switch: SearchTraced and the slow log work even without a
+	// this switch: Request.Trace and the slow log work even without a
 	// registry.
 	DisableMetrics bool
 	// Diagnostics tunes the slow-query log, trace sampling and event
@@ -130,15 +135,11 @@ type Config struct {
 // and Update are all safe for concurrent use — searches run against an
 // atomically swapped segment snapshot and never block on writers.
 type Engine struct {
-	cfg      Config
-	model    *embed.Model
-	store    *core.SegmentStore
-	obs      *obs.Registry     // nil when Config.DisableMetrics
-	diag     *diagnostics      // nil when Config.Diagnostics.Disable
-	traces   *obs.TraceStore   // nil when Config.Tracing.Disable
-	workload *obs.Workload     // heavy hitters, costliest queries
-	slo      *obs.SLOEngine    // nil when Config.SLO.Disable
-	stats    *text.CorpusStats // nil when Config.IDF was supplied
+	telemetry
+	cfg   Config
+	model *embed.Model
+	store *core.SegmentStore
+	stats *text.CorpusStats // nil when Config.IDF was supplied
 	// relMu guards relSource: mutations write it, filtered searches and
 	// dataset grouping read it.
 	relMu     sync.RWMutex
@@ -184,12 +185,17 @@ func Open(fed *Federation, cfg Config) (*Engine, error) {
 	for _, r := range fed.Relations() {
 		relSource[r.ID] = r.Source
 	}
-	return &Engine{cfg: cfg, model: model, store: store, obs: reg,
+	return &Engine{telemetry: engineTelemetry(cfg, reg), cfg: cfg, model: model, store: store, stats: stats, relSource: relSource}, nil
+}
+
+// engineTelemetry is the bookkeeping of a single engine.
+func engineTelemetry(cfg Config, reg *obs.Registry) telemetry {
+	return telemetry{method: cfg.Method, span: "search", reg: reg,
+		latency:  obs.L(core.MetricSearchSeconds, "method", cfg.Method.String()),
 		diag:     newDiagnostics(cfg.Diagnostics, reg),
 		traces:   newTraceStore(cfg.Tracing),
 		workload: newWorkload(1, reg),
-		slo:      newSLOEngine(cfg.SLO, reg),
-		stats:    stats, relSource: relSource}, nil
+		slo:      newSLOEngine(cfg.SLO, reg)}
 }
 
 // buildSearcher constructs the configured method's index over an embedded
@@ -235,31 +241,77 @@ func buildSearcher(cfg Config, emb *core.Embedded) (core.EncodedSearcher, error)
 	return s, nil
 }
 
-// Search ranks the federation's relations for a keyword query and returns
-// at most k matches, best first, all scoring at least the configured
-// threshold. With diagnostics enabled (the default) every query runs
-// traced and feeds the slow-query log; the overhead is a few timestamps
-// and map writes per query.
-func (e *Engine) Search(query string, k int) ([]Match, error) {
-	return e.SearchContext(context.Background(), query, k)
+// Do implements Backend: rank the federation's relations for the request
+// and return at most K matches, best first, all scoring at least the
+// configured threshold. The context is threaded into the method's inner
+// loops (between ExS scan chunks, between CTS clusters, between HNSW hops),
+// so an expired deadline or a cancelled request interrupts the query
+// mid-index and returns the context's error; a propagated span context
+// (see obs.ContextWithSpan) is continued instead of minting a fresh trace
+// ID. Every query feeds the slow-query log, workload analyzer, SLO engine
+// and trace store that are enabled; the overhead is a few timestamps and
+// map writes.
+func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
+	return e.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
+		e.workload.RecordShard(0)
+		matches, err := e.search(obs.ContextWithTrace(ctx, tr), req)
+		return &ClusterResult{Matches: matches, Cost: obs.CostFrom(ctx).Report()}, err
+	})
 }
 
-// SearchContext is Search with cooperative cancellation: the context is
-// threaded into the method's inner loops (between ExS scan chunks, between
-// CTS clusters, between HNSW hops), so an expired deadline or a cancelled
-// request interrupts the query mid-index and returns the context's error.
-// This is what lets a cluster deadline actually stop shard work rather
-// than merely abandoning its result.
-func (e *Engine) SearchContext(ctx context.Context, query string, k int) ([]Match, error) {
-	if e.diag == nil && e.traces == nil {
-		return e.store.SearchTracedContext(ctx, query, k, nil)
+// search runs the request's query against the segment store.
+func (e *Engine) search(ctx context.Context, req Request) ([]Match, error) {
+	var s core.EncodedSearcher = e.store
+	if len(req.Sources) > 0 {
+		allowed := make(map[string]struct{}, len(req.Sources))
+		for _, src := range req.Sources {
+			allowed[src] = struct{}{}
+		}
+		s = sourceFiltered{e.store, func(relID string) bool {
+			e.relMu.RLock()
+			src := e.relSource[relID]
+			e.relMu.RUnlock()
+			_, ok := allowed[src]
+			return ok
+		}}
 	}
-	matches, _, _, err := e.searchWithTrace(ctx, query, k)
-	return matches, err
+	if req.Feedback {
+		// Feedback centroids come from the base segment's embedding; matches
+		// that live in younger segments still rank, they just contribute no
+		// centroid until compaction folds them into the base.
+		_, baseEmb := e.store.Base()
+		return core.SearchPRF(ctx, s, baseEmb, req.Query, req.K, core.PRFOptions{})
+	}
+	return core.Search(ctx, s, e.model, e.reg, req.Query, req.K)
 }
 
-// Method reports the engine's search strategy.
-func (e *Engine) Method() Method { return e.cfg.Method }
+// sourceFiltered narrows the store to the relations allow accepts, so the
+// one text entry point (and feedback on top of it) serves filtered queries.
+type sourceFiltered struct {
+	*core.SegmentStore
+	allow func(relationID string) bool
+}
+
+func (f sourceFiltered) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
+	return f.SearchFiltered(ctx, q, k, f.allow)
+}
+
+// Search is Do for a bare query under a background context.
+func (e *Engine) Search(query string, k int) ([]Match, error) {
+	return matchesOf(e.Do(context.Background(), Request{Query: query, K: k}))
+}
+
+// SearchCost is Do returning the query's cost accounting alongside its
+// matches: the distance computations, graph hops, PQ lookups and candidate
+// counts the query actually performed — the hardware-independent
+// complement to latency.
+func (e *Engine) SearchCost(ctx context.Context, query string, k int) ([]Match, CostReport, error) {
+	resp, err := e.Do(ctx, Request{Query: query, K: k})
+	if err != nil {
+		return nil, CostReport{}, err
+	}
+	return resp.Matches, resp.Cost, nil
+}
 
 // NumValues reports how many distinct attribute values are live (indexed
 // and not tombstoned).

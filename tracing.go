@@ -14,9 +14,8 @@ import (
 // zero value enables tracing with defaults (256-trace store, no latency
 // criterion, head sample 1 in 64).
 type TracingConfig struct {
-	// Disable turns the subsystem off: searches stop minting trace IDs and
-	// the trace store is not created. SearchTraced still returns stage
-	// breakdowns (they ride on the diagnostics layer).
+	// Disable turns trace retention off: the trace store is not created.
+	// Request.Trace still returns stage breakdowns.
 	Disable bool
 	// StoreSize is the retained-trace ring capacity; default 256.
 	StoreSize int
@@ -58,25 +57,12 @@ func newTraceStore(tc TracingConfig) *obs.TraceStore {
 	})
 }
 
-// Traces exposes the engine's tail-sampling trace store: retained span
-// trees listable, fetchable by trace ID and exportable as JSON lines. Nil
-// when tracing is disabled — and a nil *obs.TraceStore is a valid no-op
-// everywhere.
-func (e *Engine) Traces() *obs.TraceStore { return e.traces }
-
 // ConfigureTracing replaces the engine's tracing subsystem, e.g. to apply
 // a retention threshold to an engine restored with LoadEngine. Call it
-// before serving traffic; it must not race with Search.
-func (e *Engine) ConfigureTracing(tc TracingConfig) {
-	e.traces = newTraceStore(tc)
-}
+// before serving traffic; it must not race with Do.
+func (e *Engine) ConfigureTracing(tc TracingConfig) { e.traces = newTraceStore(tc) }
 
-// offerTrace submits a finished search trace to the store and, when it is
-// retained, links the search-latency histogram's current bucket to it via
-// an exemplar — so a p99 spike on /metrics resolves to a stored span tree.
-func offerTrace(store *obs.TraceStore, reg *obs.Registry, metric string, tr *obs.Trace, o obs.TraceOutcome) {
-	kept, _ := store.Offer(tr, o)
-	if kept {
-		reg.Histogram(metric).SetExemplar(o.Duration, tr.ID().String())
-	}
-}
+// ConfigureTracing replaces the cluster's tracing subsystem, e.g. to apply
+// a retention threshold to a cluster restored with LoadCluster. Call it
+// before serving traffic; it must not race with Do.
+func (c *Cluster) ConfigureTracing(tc TracingConfig) { c.traces = newTraceStore(tc) }

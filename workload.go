@@ -1,7 +1,6 @@
 package semdisco
 
 import (
-	"context"
 	"time"
 
 	"semdisco/internal/obs"
@@ -65,42 +64,12 @@ func newWorkload(shards int, reg *obs.Registry) *obs.Workload {
 	return obs.NewWorkload(obs.WorkloadConfig{Shards: shards}, reg)
 }
 
-// Workload exposes the engine's workload analyzer: heavy-hitter queries,
-// load counters and the costliest-queries board. Nil when the engine was
-// opened with Config.DisableMetrics — and a nil *obs.Workload is a valid
-// no-op everywhere.
-func (e *Engine) Workload() *obs.Workload { return e.workload }
-
-// SLO exposes the engine's SLO burn-rate engine; nil when disabled.
-func (e *Engine) SLO() *obs.SLOEngine { return e.slo }
-
 // ConfigureSLO replaces the engine's SLO subsystem, e.g. to set objectives
 // on an engine restored with LoadEngine. Call it before serving traffic;
-// it must not race with Search.
-func (e *Engine) ConfigureSLO(sc SLOConfig) {
-	e.slo = newSLOEngine(sc, e.obs)
-}
-
-// SearchCost is SearchContext returning the query's cost accounting
-// alongside its matches: the distance computations, graph hops, PQ
-// lookups and candidate counts the query actually performed. This is the
-// hardware-independent complement to latency — DESSERT-style cost-model
-// numbers measured on the live index.
-func (e *Engine) SearchCost(ctx context.Context, query string, k int) ([]Match, CostReport, error) {
-	matches, _, rep, err := e.searchWithTrace(ctx, query, k)
-	return matches, rep, err
-}
-
-// Workload exposes the cluster's workload analyzer: heavy hitters, the
-// per-shard load-skew gauge and the costliest-queries board.
-func (c *Cluster) Workload() *obs.Workload { return c.workload }
-
-// SLO exposes the cluster's SLO burn-rate engine; nil when disabled.
-func (c *Cluster) SLO() *obs.SLOEngine { return c.slo }
+// it must not race with Do.
+func (e *Engine) ConfigureSLO(sc SLOConfig) { e.slo = newSLOEngine(sc, e.reg) }
 
 // ConfigureSLO replaces the cluster's SLO subsystem, e.g. to set
 // objectives on a cluster restored with LoadCluster. Call it before
-// serving traffic; it must not race with Search.
-func (c *Cluster) ConfigureSLO(sc SLOConfig) {
-	c.slo = newSLOEngine(sc, c.reg)
-}
+// serving traffic; it must not race with Do.
+func (c *Cluster) ConfigureSLO(sc SLOConfig) { c.slo = newSLOEngine(sc, c.reg) }
