@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race race-cluster check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
+.PHONY: build vet lint test race race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -27,10 +27,17 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the scatter-gather layer: the cluster router's
-# concurrent fan-out, hedging and cache invalidation, plus the LRU it
-# shares. Fast enough to run on every change to either package.
+# concurrent fan-out, hedging and cache invalidation, the LRU it shares,
+# and the replica groups, which run the router package's Race. Fast enough
+# to run on every change to any of the three packages.
 race-cluster:
-	$(GO) test -race ./internal/cluster/... ./internal/cache/...
+	$(GO) test -race ./internal/cluster/... ./internal/cache/... ./internal/netcluster/
+
+# The timing-based tests of Router and Group all guard one state machine
+# (cluster.Race); ten race-checked rounds shake out an ordering that one
+# round lets through.
+hedge-stress:
+	$(GO) test -race -count=10 -run 'Race|Hedg|Failover|FailsOver|Straggler|HungReplica' ./internal/cluster/ ./internal/netcluster/
 
 check: lint race
 

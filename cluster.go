@@ -58,11 +58,6 @@ type ClusterConfig struct {
 	// Hedge races a second attempt against a shard running past its
 	// observed p95 latency.
 	Hedge bool
-	// MinHedgeDelay floors the hedge trigger; default 1ms.
-	MinHedgeDelay time.Duration
-	// HedgeAfter is the per-shard sample count before hedging arms;
-	// default 16.
-	HedgeAfter int
 	// CacheSize bounds the query-result LRU (entries); 0 disables caching.
 	CacheSize int
 }
@@ -205,14 +200,12 @@ func buildClusterShard(cfg Config, part *Federation, model *embed.Model, reg *ob
 // routerOptions translates the public config into the router's options.
 func (c *Cluster) routerOptions() cluster.Options {
 	return cluster.Options{
-		Policy:        c.cfg.Policy,
-		Slack:         c.cfg.Slack,
-		ShardTimeout:  c.cfg.ShardTimeout,
-		Hedge:         c.cfg.Hedge,
-		MinHedgeDelay: c.cfg.MinHedgeDelay,
-		HedgeAfter:    c.cfg.HedgeAfter,
-		Method:        c.cfg.Method.String(),
-		Encode:        c.model.Encode,
+		Policy:       c.cfg.Policy,
+		Slack:        c.cfg.Slack,
+		ShardTimeout: c.cfg.ShardTimeout,
+		Hedge:        c.cfg.Hedge,
+		Method:       c.cfg.Method.String(),
+		Encode:       c.model.Encode,
 		Order: func(relID string) int {
 			c.orderMu.RLock()
 			o, ok := c.order[relID]
@@ -372,25 +365,23 @@ func (c *Cluster) Stats() ClusterStats { return c.router.Stats() }
 // order map the merge tie-breaks on, and one embedded-corpus blob per
 // shard. Index structures are rebuilt deterministically on load.
 type clusterPersist struct {
-	Version       int
-	Method        Method
-	Dim           int
-	Seed          int64
-	Threshold     float32
-	ExS           ExSOptions
-	ANNS          ANNSOptions
-	CTS           CTSOptions
-	Lexicon       *Lexicon
-	Stats         *text.CorpusStats
-	Policy        int
-	Slack         int
-	ShardTimeout  time.Duration
-	Hedge         bool
-	MinHedgeDelay time.Duration
-	HedgeAfter    int
-	CacheSize     int
-	Order         map[string]int
-	NextOrder     int
+	Version      int
+	Method       Method
+	Dim          int
+	Seed         int64
+	Threshold    float32
+	ExS          ExSOptions
+	ANNS         ANNSOptions
+	CTS          CTSOptions
+	Lexicon      *Lexicon
+	Stats        *text.CorpusStats
+	Policy       int
+	Slack        int
+	ShardTimeout time.Duration
+	Hedge        bool
+	CacheSize    int
+	Order        map[string]int
+	NextOrder    int
 	// EmbBlobs carries one monolithic embedding per shard; version 1 only.
 	EmbBlobs [][]byte
 	// StoreBlobs carries one segment-store image per shard (version 2),
@@ -429,28 +420,26 @@ func (c *Cluster) Save(w io.Writer) error {
 	nextOrder := c.nextOrder
 	c.orderMu.RUnlock()
 	return gob.NewEncoder(w).Encode(clusterPersist{
-		Version:       2,
-		Method:        c.cfg.Method,
-		Dim:           c.cfg.Dim,
-		Seed:          c.cfg.Seed,
-		Threshold:     c.cfg.Threshold,
-		ExS:           c.cfg.ExS,
-		ANNS:          c.cfg.ANNS,
-		CTS:           c.cfg.CTS,
-		Lexicon:       c.cfg.Lexicon,
-		Stats:         c.stats,
-		Policy:        int(c.cfg.Policy),
-		Slack:         c.cfg.Slack,
-		ShardTimeout:  c.cfg.ShardTimeout,
-		Hedge:         c.cfg.Hedge,
-		MinHedgeDelay: c.cfg.MinHedgeDelay,
-		HedgeAfter:    c.cfg.HedgeAfter,
-		CacheSize:     c.cfg.CacheSize,
-		Order:         order,
-		NextOrder:     nextOrder,
-		StoreBlobs:    blobs,
-		Owner:         owner,
-		Segments:      c.cfg.Segments,
+		Version:      2,
+		Method:       c.cfg.Method,
+		Dim:          c.cfg.Dim,
+		Seed:         c.cfg.Seed,
+		Threshold:    c.cfg.Threshold,
+		ExS:          c.cfg.ExS,
+		ANNS:         c.cfg.ANNS,
+		CTS:          c.cfg.CTS,
+		Lexicon:      c.cfg.Lexicon,
+		Stats:        c.stats,
+		Policy:       int(c.cfg.Policy),
+		Slack:        c.cfg.Slack,
+		ShardTimeout: c.cfg.ShardTimeout,
+		Hedge:        c.cfg.Hedge,
+		CacheSize:    c.cfg.CacheSize,
+		Order:        order,
+		NextOrder:    nextOrder,
+		StoreBlobs:   blobs,
+		Owner:        owner,
+		Segments:     c.cfg.Segments,
 	})
 }
 
@@ -480,14 +469,12 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 			Lexicon:   p.Lexicon,
 			Segments:  p.Segments,
 		},
-		Shards:        len(blobs),
-		Policy:        ShardPolicy(p.Policy),
-		Slack:         p.Slack,
-		ShardTimeout:  p.ShardTimeout,
-		Hedge:         p.Hedge,
-		MinHedgeDelay: p.MinHedgeDelay,
-		HedgeAfter:    p.HedgeAfter,
-		CacheSize:     p.CacheSize,
+		Shards:       len(blobs),
+		Policy:       ShardPolicy(p.Policy),
+		Slack:        p.Slack,
+		ShardTimeout: p.ShardTimeout,
+		Hedge:        p.Hedge,
+		CacheSize:    p.CacheSize,
 	}
 	var idf func(string) float64
 	if p.Stats != nil {

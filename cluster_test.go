@@ -3,9 +3,12 @@ package semdisco
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 )
 
 // synthFederation builds n deterministic relations with overlapping
@@ -87,12 +90,47 @@ func TestClusterExSEquivalence(t *testing.T) {
 	}
 }
 
+// parentEnvelope re-encodes a saved cluster the way the commit before the
+// one attempt policy wrote it: the same envelope plus the two hedge tuning
+// values ClusterConfig no longer has. gob matches fields by name, so a
+// struct type assembled from today's fields and the two dropped ones is
+// that format.
+func parentEnvelope(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	var p clusterPersist
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	cur := reflect.ValueOf(p)
+	var fields []reflect.StructField
+	for i := 0; i < cur.NumField(); i++ {
+		fields = append(fields, cur.Type().Field(i))
+	}
+	fields = append(fields,
+		reflect.StructField{Name: "MinHedgeDelay", Type: reflect.TypeOf(time.Duration(0))},
+		reflect.StructField{Name: "HedgeAfter", Type: reflect.TypeOf(0)})
+	old := reflect.New(reflect.StructOf(fields)).Elem()
+	for i := 0; i < cur.NumField(); i++ {
+		old.Field(i).Set(cur.Field(i))
+	}
+	old.FieldByName("MinHedgeDelay").SetInt(int64(3 * time.Millisecond))
+	old.FieldByName("HedgeAfter").SetInt(32)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).EncodeValue(old); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestClusterPersistRoundTrip is satellite 3: Save/Load must restore shard
-// assignment and produce identical search results.
+// assignment and produce identical search results — from a blob saved now
+// and from one in the parent commit's format, whose extra fields load as
+// if absent.
 func TestClusterPersistRoundTrip(t *testing.T) {
 	fed := synthFederation(t, 24)
 	cfg := clusterCfg(3)
 	cfg.CacheSize = 8
+	cfg.Hedge = true
 	cl, err := NewCluster(fed, cfg)
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
@@ -101,39 +139,44 @@ func TestClusterPersistRoundTrip(t *testing.T) {
 	if err := cl.Save(&buf); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	restored, err := LoadCluster(&buf)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if restored.NumShards() != cl.NumShards() {
-		t.Fatalf("shards: %d vs %d", restored.NumShards(), cl.NumShards())
-	}
-	if restored.NumRelations() != cl.NumRelations() {
-		t.Fatalf("relations: %d vs %d", restored.NumRelations(), cl.NumRelations())
-	}
-	// Shard assignment survives: per-shard relation counts match.
-	before, after := cl.Stats(), restored.Stats()
-	for i := range before.Shards {
-		if before.Shards[i].Relations != after.Shards[i].Relations {
-			t.Errorf("shard %d relations: %d vs %d",
-				i, before.Shards[i].Relations, after.Shards[i].Relations)
-		}
-	}
-	for _, q := range []string{"abc", "def ghi", "mno"} {
-		want, err := cl.Search(q, 10)
+	for name, blob := range map[string][]byte{"current": buf.Bytes(), "parent format": parentEnvelope(t, buf.Bytes())} {
+		restored, err := LoadCluster(bytes.NewReader(blob))
 		if err != nil {
-			t.Fatalf("search: %v", err)
+			t.Fatalf("%s: load: %v", name, err)
 		}
-		got, err := restored.Search(q, 10)
-		if err != nil {
-			t.Fatalf("restored search: %v", err)
+		if restored.NumShards() != cl.NumShards() {
+			t.Fatalf("%s: shards: %d vs %d", name, restored.NumShards(), cl.NumShards())
 		}
-		if len(got.Matches) != len(want.Matches) {
-			t.Fatalf("q=%q: %d vs %d matches", q, len(got.Matches), len(want.Matches))
+		if restored.NumRelations() != cl.NumRelations() {
+			t.Fatalf("%s: relations: %d vs %d", name, restored.NumRelations(), cl.NumRelations())
 		}
-		for i := range want.Matches {
-			if got.Matches[i] != want.Matches[i] {
-				t.Errorf("q=%q match %d: %+v vs %+v", q, i, got.Matches[i], want.Matches[i])
+		if !restored.cfg.Hedge || restored.cfg.CacheSize != 8 {
+			t.Errorf("%s: router settings lost: %+v", name, restored.cfg)
+		}
+		// Shard assignment survives: per-shard relation counts match.
+		before, after := cl.Stats(), restored.Stats()
+		for i := range before.Shards {
+			if before.Shards[i].Relations != after.Shards[i].Relations {
+				t.Errorf("%s: shard %d relations: %d vs %d",
+					name, i, before.Shards[i].Relations, after.Shards[i].Relations)
+			}
+		}
+		for _, q := range []string{"abc", "def ghi", "mno"} {
+			want, err := cl.Search(q, 10)
+			if err != nil {
+				t.Fatalf("search: %v", err)
+			}
+			got, err := restored.Search(q, 10)
+			if err != nil {
+				t.Fatalf("%s: restored search: %v", name, err)
+			}
+			if len(got.Matches) != len(want.Matches) {
+				t.Fatalf("%s: q=%q: %d vs %d matches", name, q, len(got.Matches), len(want.Matches))
+			}
+			for i := range want.Matches {
+				if got.Matches[i] != want.Matches[i] {
+					t.Errorf("%s: q=%q match %d: %+v vs %+v", name, q, i, got.Matches[i], want.Matches[i])
+				}
 			}
 		}
 	}

@@ -2,21 +2,16 @@ package cluster
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strconv"
 	"time"
 
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
-	"semdisco/internal/par"
 )
 
 // BatchShard is optionally implemented by shards that can answer a block of
 // queries in one call (core.ExS/ANNS/CTS do, via SearchEncodedBatch). The
-// router's SearchBatch uses it to fan one batched request out per shard —
-// one deadline and one hedge decision per shard for the whole block —
-// falling back to per-query SearchEncoded calls on shards without it.
+// router uses it to send a block of more than one query to a shard in one
+// call, falling back to per-query SearchEncoded calls on shards without it.
 type BatchShard interface {
 	SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]core.Match, error)
 }
@@ -28,11 +23,13 @@ type BatchQuery struct {
 }
 
 // SearchBatch answers a block of queries with one scatter-gather: the
-// router checks the result cache per item, encodes each distinct remaining
-// query string once, sends the whole encoded block to every shard in a
-// single fan-out (per-shard deadline and hedging decided once per shard,
-// not once per query), merges per item, and deduplicates identical
-// (query, k) items inside the batch so repeated requests ride one slot.
+// router checks the result cache per item, deduplicates identical
+// (query, k) items so repeated requests ride one slot, and hands the
+// distinct remainder to the same scatter a single Search runs — each
+// distinct query string encoded once, the whole encoded block sent to every
+// shard in a single fan-out (per-shard deadline and hedging decided once
+// per shard, not once per query), merged and recorded per item. The spans
+// land on the trace ctx carries, if any.
 //
 // The returned slice has one Result per item, in input order. Per-item
 // semantics match Search: an item with K ≤ 0 yields an empty Result, a
@@ -46,246 +43,52 @@ func (r *Router) SearchBatch(ctx context.Context, items []BatchQuery) ([]*Result
 	start := time.Now()
 	results := make([]*Result, len(items))
 
-	// Per-item cache check and in-batch (query, k) dedup: slots lists the
-	// distinct uncached items that actually scatter; dupOf maps each item
-	// to its slot.
-	type slotKey = cacheKey
-	slotOf := make(map[slotKey]int)
-	dupOf := make([]int, len(items))
-	var slots []int // item index owning each slot
+	// keys lists the distinct uncached (query, k) slots that actually
+	// scatter; slot maps each remaining item to its key.
+	slotOf := make(map[cacheKey]int)
+	slot := make([]int, len(items))
+	var keys []cacheKey
 	for i, it := range items {
-		dupOf[i] = -1
 		if it.K <= 0 {
 			results[i] = &Result{}
 			continue
 		}
-		key := slotKey{query: it.Query, k: it.K}
+		key := cacheKey{query: it.Query, k: it.K}
 		if res, ok := r.cacheLookup(ctx, key, start); ok {
 			results[i] = res
 			continue
 		}
-		if s, ok := slotOf[key]; ok {
-			dupOf[i] = s
-			continue
+		s, ok := slotOf[key]
+		if !ok {
+			s = len(keys)
+			slotOf[key] = s
+			keys = append(keys, key)
 		}
-		slotOf[key] = len(slots)
-		dupOf[i] = len(slots)
-		slots = append(slots, i)
+		slot[i] = s
 	}
-	if len(slots) == 0 {
+	if len(keys) == 0 {
 		return results, nil
 	}
-
-	// Encode each distinct query string once; duplicate strings under
-	// different k share the vector.
-	encoded := make(map[string][]float32, len(slots))
-	qs := make([][]float32, len(slots))
-	ks := make([]int, len(slots))
-	kPrimes := make([]int, len(slots))
-	for s, i := range slots {
-		q, ok := encoded[items[i].Query]
-		if !ok {
-			q = r.opts.Encode(items[i].Query)
-			encoded[items[i].Query] = q
-		}
-		qs[s] = q
-		ks[s] = items[i].K
-		kPrimes[s] = items[i].K + r.opts.Slack
-	}
-
-	n := len(r.shards)
-	type shardOut struct {
-		matches [][]core.Match
-		costs   []obs.CostReport
-		err     error
-		hedged  bool
-	}
-	outs := make([]shardOut, n)
-	par.Each(n, n, func(i int) {
-		outs[i].matches, outs[i].costs, outs[i].err, outs[i].hedged = r.searchShardBatch(ctx, i, qs, kPrimes)
-	})
-	if err := ctx.Err(); err != nil {
+	scattered, err := r.scatter(ctx, obs.TraceFrom(ctx), start, keys)
+	if err != nil {
 		return nil, err
 	}
-
-	var shardErrs []ShardError
-	healthy := 0
-	for i := range outs {
-		if outs[i].err != nil {
-			shardErrs = append(shardErrs, ShardError{Shard: i, Err: outs[i].err})
-			continue
-		}
-		healthy++
-	}
-	if healthy == 0 {
-		return nil, fmt.Errorf("cluster: all %d shards failed: %w", n, shardErrs[0])
-	}
-	degraded := len(shardErrs) > 0
-
-	// Merge per slot, then fan results out to the slot's items.
 	r.reg.Counter(MetricBatchSearches).Inc()
-	for s, owner := range slots {
-		perShard := make([][]core.Match, 0, n)
-		res := &Result{
-			Degraded:    degraded,
-			ShardErrors: shardErrs,
-			ShardCosts:  make([]obs.CostReport, n),
-		}
-		for i := range outs {
-			if outs[i].err != nil {
-				continue
-			}
-			res.ShardCosts[i] = outs[i].costs[s]
-			res.Cost.Add(outs[i].costs[s])
-			if outs[i].hedged {
-				res.Hedged++
-			}
-			perShard = append(perShard, outs[i].matches[s])
-		}
-		res.Matches = r.merge(perShard, ks[s])
-		obs.CostFrom(ctx).AddReport(res.Cost)
-		results[owner] = res
-		r.searches.Add(1)
-		r.reg.Counter(MetricSearches).Inc()
-		r.reg.Counter(MetricBatchQueries).Inc()
-		if degraded {
-			r.degraded.Add(1)
-			r.reg.Counter(MetricDegraded).Inc()
-		} else if r.cache != nil {
-			r.cache.Put(cacheKey{query: items[owner].Query, k: ks[s]}, cloneMatches(res.Matches))
-		}
-	}
-	r.reg.Histogram(MetricSearchSeconds).Observe(time.Since(start))
 
-	// In-batch duplicates share their slot's answer, marked Coalesced with
-	// no cost of their own — the slot owner's Result carries the work.
+	// The first item of a slot owns its Result; in-batch duplicates share
+	// the answer as coalesced copies.
+	owned := make([]bool, len(keys))
 	for i := range items {
 		if results[i] != nil {
 			continue
 		}
-		src := results[slots[dupOf[i]]]
-		dup := *src
-		dup.Matches = cloneMatches(src.Matches)
-		dup.Coalesced = true
-		dup.Cost = obs.CostReport{}
-		dup.ShardCosts = nil
-		results[i] = &dup
-		r.reg.Counter(MetricCoalesced).Inc()
-		r.searches.Add(1)
-		r.reg.Counter(MetricSearches).Inc()
 		r.reg.Counter(MetricBatchQueries).Inc()
+		if s := slot[i]; owned[s] {
+			results[i] = r.coalesced(scattered[s])
+		} else {
+			owned[s] = true
+			results[i] = scattered[s]
+		}
 	}
 	return results, nil
-}
-
-// searchShardBatch runs one shard's whole block under a single per-shard
-// deadline, with a single hedge decision: when the primary attempt runs
-// past the shard's observed p95 (which, under batch traffic, reflects
-// batch-sized attempts), one hedged retry of the whole block races it.
-func (r *Router) searchShardBatch(ctx context.Context, i int, qs [][]float32, ks []int) ([][]core.Match, []obs.CostReport, error, bool) {
-	sctx := ctx
-	if r.opts.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, r.opts.ShardTimeout)
-		defer cancel()
-	}
-	delay, hedge := r.hedgeDelay(i)
-	if !hedge {
-		m, costs, err := r.runShardBatch(sctx, ctx, i, qs, ks, "primary")
-		return m, costs, err, false
-	}
-
-	type outcome struct {
-		matches [][]core.Match
-		costs   []obs.CostReport
-		err     error
-		isHedge bool
-	}
-	ch := make(chan outcome, 2) // buffered: the loser never blocks or leaks
-	launch := func(isHedge bool) {
-		attempt := "primary"
-		if isHedge {
-			attempt = "hedge"
-		}
-		go func() {
-			m, costs, err := r.runShardBatch(sctx, ctx, i, qs, ks, attempt)
-			ch <- outcome{m, costs, err, isHedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	hedged := false
-	var first outcome
-	select {
-	case first = <-ch:
-	case <-timer.C:
-		hedged = true
-		r.state[i].hedges.Add(1)
-		r.reg.Counter(MetricHedges).Inc()
-		launch(true)
-		first = <-ch
-	}
-	if first.err == nil {
-		if first.isHedge {
-			r.reg.Counter(MetricHedgeWins).Inc()
-		}
-		return first.matches, first.costs, nil, hedged
-	}
-	if hedged {
-		if second := <-ch; second.err == nil {
-			if second.isHedge {
-				r.reg.Counter(MetricHedgeWins).Inc()
-			}
-			return second.matches, second.costs, nil, hedged
-		}
-	}
-	return nil, first.costs, first.err, hedged
-}
-
-// runShardBatch executes one batched shard attempt: the BatchShard fast
-// path when the shard supports it, a per-query fallback loop otherwise.
-// Per-query costs are collected either way.
-func (r *Router) runShardBatch(sctx, parent context.Context, i int, qs [][]float32, ks []int, attempt string) ([][]core.Match, []obs.CostReport, error) {
-	st := r.state[i]
-	st.searches.Add(1)
-	r.opts.Workload.RecordShard(i)
-	costs := make([]*obs.Cost, len(qs))
-	for j := range costs {
-		costs[j] = &obs.Cost{}
-	}
-	start := time.Now()
-	var (
-		ms  [][]core.Match
-		err error
-	)
-	if bs, ok := r.shards[i].(BatchShard); ok {
-		ms, err = bs.SearchEncodedBatch(sctx, qs, ks, costs)
-	} else {
-		ms = make([][]core.Match, len(qs))
-		for j := range qs {
-			ms[j], err = r.shards[i].SearchEncoded(obs.ContextWithCost(sctx, costs[j]), qs[j], ks[j])
-			if err != nil {
-				break
-			}
-		}
-	}
-	d := time.Since(start)
-	reps := make([]obs.CostReport, len(costs))
-	for j, c := range costs {
-		reps[j] = c.Report()
-	}
-	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", strconv.Itoa(i))).Observe(d)
-	if err == nil {
-		st.lat.record(d)
-		return ms, reps, nil
-	}
-	st.errors.Add(1)
-	r.reg.Counter(obs.L(MetricShardErrors, "shard", strconv.Itoa(i))).Inc()
-	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-		st.timeouts.Add(1)
-		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", strconv.Itoa(i))).Inc()
-	}
-	return nil, reps, err
 }

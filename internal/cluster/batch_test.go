@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"semdisco/internal/core"
@@ -28,9 +31,11 @@ type gatedShard struct {
 	entered chan struct{} // closed on first entry
 	release chan struct{} // entry blocks until closed
 	once    sync.Once
+	inside  atomic.Int32 // searches that have entered
 }
 
 func (s *gatedShard) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
+	s.inside.Add(1)
 	s.once.Do(func() { close(s.entered) })
 	select {
 	case <-s.release:
@@ -253,8 +258,9 @@ func TestSearchBatchCacheAndEdgeCases(t *testing.T) {
 	if !second[0].CacheHit {
 		t.Error("repeat batch item missed the cache")
 	}
-	if got := shard.batchCallCount(); got != 1 {
-		t.Errorf("cacheable repeat caused %d batch scans, want 1", got)
+	// A block of one distinct query goes through SearchEncoded, like Search.
+	if got, batched := shard.callCount(), shard.batchCallCount(); got != 1 || batched != 0 {
+		t.Errorf("cacheable repeat caused %d scans (%d batched), want 1 (0)", got, batched)
 	}
 
 	bad := mustRouter(t, []Shard{&stubShard{err: context.DeadlineExceeded}}, testOpts())
@@ -280,5 +286,59 @@ func TestSearchBatchDegraded(t *testing.T) {
 		if len(res.Matches) != 1 {
 			t.Errorf("item %d: lost the healthy shard's matches", i)
 		}
+	}
+}
+
+// costlyFailingShard does some accounted work and then fails, like a scan
+// cut off by its deadline.
+type costlyFailingShard struct{ err error }
+
+func (s costlyFailingShard) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
+	obs.CostFrom(ctx).AddDistanceComps(7)
+	return nil, s.err
+}
+
+// TestSearchBatchMatchesSearchUnderFailedShard: a query must report the
+// same answer and the same health metadata — the failing attempt's cost
+// included — whether it arrives alone or as a batch of one, and both paths
+// record one shard span per attempt.
+func TestSearchBatchMatchesSearchUnderFailedShard(t *testing.T) {
+	shards := []Shard{
+		&stubShard{matches: []core.Match{m(0, 0.9), m(1, 0.8)}},
+		costlyFailingShard{err: errors.New("scan aborted")},
+	}
+	r := mustRouter(t, shards, testOpts())
+	shardSpans := func(tr *obs.Trace) int {
+		n := 0
+		for _, sp := range tr.Spans() {
+			if sp.Name == "shard" {
+				n++
+			}
+		}
+		return n
+	}
+
+	single := obs.NewTrace()
+	want, err := r.SearchTraced(context.Background(), "q", 2, single)
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	batched := obs.NewTrace()
+	results, err := r.SearchBatch(obs.ContextWithTrace(context.Background(), batched), []BatchQuery{{"q", 2}})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	got := results[0]
+
+	if !want.Degraded || want.ShardCosts[1].DistanceComps != 7 || want.Cost.DistanceComps != 7 {
+		t.Fatalf("single result does not report the failed shard's work: %+v", want)
+	}
+	if !reflect.DeepEqual(got.Matches, want.Matches) || got.Degraded != want.Degraded || got.Hedged != want.Hedged ||
+		!reflect.DeepEqual(got.ShardErrors, want.ShardErrors) || !reflect.DeepEqual(got.ShardCosts, want.ShardCosts) ||
+		got.Cost != want.Cost {
+		t.Errorf("batch of one disagrees with the single search:\nbatch  %+v\nsingle %+v", got, want)
+	}
+	if s, b := shardSpans(single), shardSpans(batched); s != 2 || b != 2 {
+		t.Errorf("shard spans: single %d, batch %d, want 2 each", s, b)
 	}
 }

@@ -150,16 +150,10 @@ type Options struct {
 	// expires is interrupted mid-scan and reported as a timeout. 0 disables.
 	ShardTimeout time.Duration
 	// Hedge enables hedged retries: when a shard runs past its observed p95
-	// latency, a second attempt is raced against the first and the earlier
-	// answer wins. Hedging needs HedgeAfter recorded latencies per shard
-	// before it arms.
+	// latency (floored at 1ms), a second attempt is raced against the first
+	// and the earlier answer wins. Hedging arms once a shard has answered 16
+	// searches.
 	Hedge bool
-	// MinHedgeDelay floors the hedge trigger so cold p95 estimates cannot
-	// hedge instantly. Default 1ms.
-	MinHedgeDelay time.Duration
-	// HedgeAfter is how many successful searches a shard must have before
-	// its p95 is trusted for hedging. Default 16.
-	HedgeAfter int
 	// Method labels metrics and stats ("ExS", "CTS", …).
 	Method string
 	// Encode embeds a query string once; the vector fans out to all shards.
@@ -235,7 +229,7 @@ type shardState struct {
 	errors   atomic.Int64
 	timeouts atomic.Int64
 	hedges   atomic.Int64
-	lat      *latencyWindow
+	lat      Window
 }
 
 // inflightCall is one in-progress scatter-gather that concurrent identical
@@ -260,6 +254,7 @@ type inflightCall struct {
 type Router struct {
 	shards []Shard
 	opts   Options
+	policy RacePolicy
 	state  []*shardState
 	reg    *obs.Registry
 	cache  *cache.LRU[cacheKey, []core.Match]
@@ -299,15 +294,12 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 	if opts.Slack == 0 {
 		opts.Slack = 8
 	}
-	if opts.MinHedgeDelay == 0 {
-		opts.MinHedgeDelay = time.Millisecond
-	}
-	if opts.HedgeAfter == 0 {
-		opts.HedgeAfter = 16
-	}
 	r := &Router{
-		shards:   shards,
-		opts:     opts,
+		shards: shards,
+		opts:   opts,
+		// Two attempts on the same shard, no sequential failover; the shard
+		// deadline is applied outside the race (searchShard).
+		policy:   RacePolicy{Targets: 2, Hedge: opts.Hedge, HedgeFloor: time.Millisecond, HedgeWarmup: 16},
 		state:    make([]*shardState, len(shards)),
 		reg:      opts.Registry,
 		inflight: make(map[cacheKey]*inflightCall),
@@ -315,7 +307,7 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 	}
 	r.reg.SetHelps(MetricHelp)
 	for i := range r.state {
-		r.state[i] = &shardState{lat: newLatencyWindow(latencyWindowSize)}
+		r.state[i] = &shardState{}
 		r.relCount[i].Store(int64(relCounts[i]))
 	}
 	if opts.CacheSize > 0 {
@@ -402,16 +394,11 @@ func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.
 	// scattering, ride it instead of duplicating the fan-out. The loop
 	// re-checks after a leader fails — its deadline may have expired while
 	// ours is still live, in which case we become (or follow) a new leader.
+	// A leader that scattered before a mutation is not followed — its answer
+	// would resurrect a deleted relation or miss a new one — but replaced.
 	for {
 		r.inflightMu.Lock()
-		if c, ok := r.inflight[key]; ok {
-			if c.gen != r.mutGen.Load() {
-				// The corpus mutated after the leader scattered; its answer
-				// would resurrect a deleted relation or miss a new one.
-				// Scatter independently against the current state.
-				r.inflightMu.Unlock()
-				return r.searchScatter(ctx, query, k, tr, start, key)
-			}
+		if c, ok := r.inflight[key]; ok && c.gen == r.mutGen.Load() {
 			c.waiters.Add(1)
 			r.inflightMu.Unlock()
 			select {
@@ -420,16 +407,7 @@ func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.
 				return nil, ctx.Err()
 			}
 			if c.err == nil {
-				r.reg.Counter(MetricCoalesced).Inc()
-				r.searches.Add(1)
-				r.reg.Counter(MetricSearches).Inc()
-				res := *c.res // shallow copy of the shared result
-				res.Matches = cloneMatches(c.res.Matches)
-				res.Coalesced = true
-				// The leader did the work; this request scattered nothing.
-				res.Cost = obs.CostReport{}
-				res.ShardCosts = nil
-				return &res, nil
+				return r.coalesced(c.res), nil
 			}
 			continue
 		}
@@ -437,14 +415,35 @@ func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.
 		r.inflight[key] = c
 		r.inflightMu.Unlock()
 
-		res, err := r.searchScatter(ctx, query, k, tr, start, key)
-		c.res, c.err = res, err
+		if res, err := r.scatter(ctx, tr, start, []cacheKey{key}); err != nil {
+			c.err = err
+		} else {
+			c.res = res[0]
+		}
 		r.inflightMu.Lock()
-		delete(r.inflight, key)
+		if r.inflight[key] == c {
+			delete(r.inflight, key)
+		}
 		r.inflightMu.Unlock()
 		close(c.done)
-		return res, err
+		return c.res, c.err
 	}
+}
+
+// coalesced answers a request from the Result of an identical one that
+// scattered for it — a concurrent leader, or an earlier item of the same
+// batch: a private copy marked Coalesced, with no cost of its own since the
+// request scattered nothing.
+func (r *Router) coalesced(src *Result) *Result {
+	r.reg.Counter(MetricCoalesced).Inc()
+	r.searches.Add(1)
+	r.reg.Counter(MetricSearches).Inc()
+	res := *src
+	res.Matches = cloneMatches(src.Matches)
+	res.Coalesced = true
+	res.Cost = obs.CostReport{}
+	res.ShardCosts = nil
+	return &res
 }
 
 // cacheLookup serves a query from the result cache when possible,
@@ -470,48 +469,50 @@ func (r *Router) cacheLookup(ctx context.Context, key cacheKey, start time.Time)
 	return res, true
 }
 
-// searchScatter is the uncached, uncoalesced scatter-gather body of one
-// federated query: encode → fan out → merge → record.
-func (r *Router) searchScatter(ctx context.Context, query string, k int, tr *obs.Trace, start time.Time, key cacheKey) (*Result, error) {
+// scatter is the uncached, uncoalesced body of every federated search, one
+// query or a block of distinct ones: encode → fan out → merge → record,
+// yielding one Result per key. Search and SearchBatch share it whole, so
+// cache fencing, failed-shard cost, hedge counting and shard spans cannot
+// differ between them.
+func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, keys []cacheKey) ([]*Result, error) {
 	startGen := r.mutGen.Load()
 	sp := tr.StartSpan("encode")
-	q := r.opts.Encode(query)
+	// Each distinct string is encoded once; the same string under another k
+	// shares the vector.
+	encoded := make(map[string][]float32, len(keys))
+	qs := make([][]float32, len(keys))
+	kPrimes := make([]int, len(keys))
+	widest := 0
+	for s, key := range keys {
+		q, ok := encoded[key.query]
+		if !ok {
+			q = r.opts.Encode(key.query)
+			encoded[key.query] = q
+		}
+		qs[s] = q
+		kPrimes[s] = key.k + r.opts.Slack
+		widest = max(widest, kPrimes[s])
+	}
 	sp.End()
 
 	n := len(r.shards)
-	kPrime := k + r.opts.Slack
-	type shardOut struct {
-		matches []core.Match
-		cost    obs.CostReport
-		err     error
-		hedged  bool
-	}
-	outs := make([]shardOut, n)
+	outs, errs := make([]shardAnswer, n), make([]error, n)
 	sp = tr.StartSpan("scatter").
 		AnnotateInt("shards", n).
-		AnnotateInt("k_prime", kPrime)
+		AnnotateInt("queries", len(keys)).
+		AnnotateInt("k_prime", widest)
 	par.Each(n, n, func(i int) {
-		outs[i].matches, outs[i].cost, outs[i].err, outs[i].hedged = r.searchShard(ctx, sp, i, q, kPrime)
+		outs[i], errs[i] = r.searchShard(ctx, sp, i, qs, kPrimes)
 	})
-
-	res := &Result{ShardCosts: make([]obs.CostReport, n)}
-	perShard := make([][]core.Match, 0, n)
+	var shardErrs []ShardError
+	hedges := 0
 	for i := range outs {
-		res.ShardCosts[i] = outs[i].cost
-		res.Cost.Add(outs[i].cost)
-		if outs[i].hedged {
-			res.Hedged++
+		hedges += outs[i].hedges
+		if errs[i] != nil {
+			shardErrs = append(shardErrs, ShardError{Shard: i, Err: errs[i]})
 		}
-		if outs[i].err != nil {
-			res.ShardErrors = append(res.ShardErrors, ShardError{Shard: i, Err: outs[i].err})
-			continue
-		}
-		perShard = append(perShard, outs[i].matches)
 	}
-	// Fold the aggregate into a caller-provided accumulator, so a layer
-	// above the router (or a test) can account federated work uniformly.
-	obs.CostFrom(ctx).AddReport(res.Cost)
-	sp.AnnotateInt("failed_shards", len(res.ShardErrors)).AnnotateInt("hedges", res.Hedged)
+	sp.AnnotateInt("failed_shards", len(shardErrs)).AnnotateInt("hedges", hedges)
 	sp.End()
 
 	// The parent context dying is a query-level failure: whatever shards
@@ -519,148 +520,165 @@ func (r *Router) searchScatter(ctx context.Context, query string, k int, tr *obs
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(perShard) == 0 {
-		return nil, fmt.Errorf("cluster: all %d shards failed: %w", n, res.ShardErrors[0])
+	if len(shardErrs) == n {
+		return nil, fmt.Errorf("cluster: all %d shards failed: %w", n, shardErrs[0])
 	}
 
 	sp = tr.StartSpan("merge")
-	res.Matches = r.merge(perShard, k)
-	sp.AnnotateInt("matches", len(res.Matches)).End()
-
-	res.Degraded = len(res.ShardErrors) > 0
-	r.searches.Add(1)
-	r.reg.Counter(MetricSearches).Inc()
-	r.reg.Histogram(MetricSearchSeconds).Observe(time.Since(start))
-	if res.Degraded {
-		r.degraded.Add(1)
-		r.reg.Counter(MetricDegraded).Inc()
-	} else if r.cache != nil && r.mutGen.Load() == startGen {
-		// Only complete answers are worth remembering — and only if no
-		// mutation landed while we scattered, else the entry would outlive
-		// the purge that should have killed it.
-		r.cache.Put(key, cloneMatches(res.Matches))
+	results := make([]*Result, len(keys))
+	perShard := make([][]core.Match, 0, n)
+	merged := 0
+	for s, key := range keys {
+		res := &Result{
+			Degraded:    len(shardErrs) > 0,
+			ShardErrors: shardErrs,
+			Hedged:      hedges,
+			ShardCosts:  make([]obs.CostReport, n),
+		}
+		perShard = perShard[:0]
+		for i := range outs {
+			res.ShardCosts[i] = outs[i].costs[s]
+			res.Cost.Add(outs[i].costs[s])
+			if errs[i] == nil {
+				perShard = append(perShard, outs[i].matches[s])
+			}
+		}
+		res.Matches = r.merge(perShard, key.k)
+		merged += len(res.Matches)
+		// Fold the aggregate into a caller-provided accumulator, so a layer
+		// above the router (or a test) can account federated work uniformly.
+		obs.CostFrom(ctx).AddReport(res.Cost)
+		r.searches.Add(1)
+		r.reg.Counter(MetricSearches).Inc()
+		if res.Degraded {
+			r.degraded.Add(1)
+			r.reg.Counter(MetricDegraded).Inc()
+		} else if r.cache != nil && r.mutGen.Load() == startGen {
+			// Only complete answers are worth remembering — and only if no
+			// mutation landed while we scattered, else the entry would outlive
+			// the purge that should have killed it.
+			r.cache.Put(key, cloneMatches(res.Matches))
+		}
+		results[s] = res
 	}
-	return res, nil
+	sp.AnnotateInt("matches", merged).End()
+	r.reg.Histogram(MetricSearchSeconds).Observe(time.Since(start))
+	return results, nil
 }
 
-// searchShard runs one shard's query under the per-shard deadline, with a
-// hedged retry when the primary runs past the shard's observed p95. Each
-// attempt records a child span under the scatter span.
-func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, q []float32, k int) ([]core.Match, obs.CostReport, error, bool) {
+// shardAnswer is what one shard attempt yields for a block of queries.
+type shardAnswer struct {
+	// matches holds one ranking per query; nil when the attempt failed.
+	matches [][]core.Match
+	// costs holds the work done per query, reported by failed attempts too.
+	costs []obs.CostReport
+	// hedges counts the hedges launched for the shard: the Router's own and
+	// those a Shard raced beneath the attempt (NoteHedge).
+	hedges int
+}
+
+// searchShard runs one shard's block under the per-shard deadline, which
+// spans the primary and its hedge: the Router's configuration of Race is
+// two attempts on the same shard and no sequential failover, so a failed
+// un-hedged shard is not retried and a failed first finisher waits for its
+// twin.
+func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [][]float32, ks []int) (shardAnswer, error) {
 	sctx := ctx
 	if r.opts.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		sctx, cancel = context.WithTimeout(ctx, r.opts.ShardTimeout)
 		defer cancel()
 	}
-	delay, hedge := r.hedgeDelay(i)
-	if !hedge {
-		m, cost, err := r.runShard(sctx, ctx, scatter, i, q, k, "primary")
-		return m, cost, err, false
-	}
-
-	type outcome struct {
-		matches []core.Match
-		cost    obs.CostReport
-		err     error
-		isHedge bool
-	}
-	ch := make(chan outcome, 2) // buffered: the loser never blocks or leaks
-	launch := func(isHedge bool) {
-		attempt := "primary"
-		if isHedge {
-			attempt = "hedge"
-		}
-		go func() {
-			m, cost, err := r.runShard(sctx, ctx, scatter, i, q, k, attempt)
-			ch <- outcome{m, cost, err, isHedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	hedged := false
-	var first outcome
-	select {
-	case first = <-ch:
-	case <-timer.C:
-		hedged = true
-		r.state[i].hedges.Add(1)
+	st := r.state[i]
+	ans, out, err := Race(sctx, r.policy, &st.lat, func(actx context.Context, _ int, hedge bool) (shardAnswer, error) {
+		return r.attemptShard(actx, ctx, scatter, i, qs, ks, hedge)
+	})
+	if out.Hedged {
+		ans.hedges++
+		st.hedges.Add(1)
 		r.reg.Counter(MetricHedges).Inc()
-		launch(true)
-		first = <-ch
 	}
-	if first.err == nil {
-		if first.isHedge {
-			r.reg.Counter(MetricHedgeWins).Inc()
-		}
-		return first.matches, first.cost, nil, hedged
+	if out.HedgeWon {
+		r.reg.Counter(MetricHedgeWins).Inc()
 	}
-	if hedged {
-		// The first finisher failed; its twin may still come through.
-		if second := <-ch; second.err == nil {
-			if second.isHedge {
-				r.reg.Counter(MetricHedgeWins).Inc()
-			}
-			return second.matches, second.cost, nil, hedged
-		}
-	}
-	return nil, first.cost, first.err, hedged
+	return ans, err
 }
 
-// runShard executes one shard search attempt, recording latency, its span
-// (a child of the scatter span, annotated with shard index, attempt kind
-// and failure detail) and classifying failures. parent distinguishes a
-// shard-deadline timeout from the whole query's context dying.
-func (r *Router) runShard(sctx, parent context.Context, scatter *obs.Span, i int, q []float32, k int, attempt string) ([]core.Match, obs.CostReport, error) {
+// attemptShard executes one shard attempt for a block of queries — a block
+// of one through SearchEncoded, a larger one through the BatchShard fast
+// path when the shard has it and query by query otherwise — recording
+// latency, per-query cost, its span (a child of the scatter span,
+// annotated with shard index, attempt kind and failure detail) and
+// classifying failures. parent distinguishes a shard-deadline timeout from
+// the whole query's context dying.
+func (r *Router) attemptShard(sctx, parent context.Context, scatter *obs.Span, i int, qs [][]float32, ks []int, hedge bool) (shardAnswer, error) {
 	st := r.state[i]
 	st.searches.Add(1)
 	r.opts.Workload.RecordShard(i)
+	attempt := "primary"
+	if hedge {
+		attempt = "hedge"
+	}
 	sp := scatter.StartChild("shard").
 		AnnotateInt("shard", i).
 		Annotate("attempt", attempt)
-	cost := &obs.Cost{}
+	var hedges atomic.Int64 // NoteHedge's tally
+	sctx = context.WithValue(sctx, hedgeKey{}, &hedges)
+	costs := make([]*obs.Cost, len(qs))
+	for j := range costs {
+		costs[j] = &obs.Cost{}
+	}
+	var (
+		ms  [][]core.Match
+		err error
+	)
 	start := time.Now()
-	m, err := r.shards[i].SearchEncoded(obs.ContextWithCost(sctx, cost), q, k)
+	if bs, ok := r.shards[i].(BatchShard); ok && len(qs) > 1 {
+		ms, err = bs.SearchEncodedBatch(sctx, qs, ks, costs)
+	} else {
+		ms = make([][]core.Match, len(qs))
+		for j := range qs {
+			ms[j], err = r.shards[i].SearchEncoded(obs.ContextWithCost(sctx, costs[j]), qs[j], ks[j])
+			if err != nil {
+				break
+			}
+		}
+	}
 	d := time.Since(start)
-	rep := cost.Report()
-	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", strconv.Itoa(i))).Observe(d)
+
+	ans := shardAnswer{costs: make([]obs.CostReport, len(qs)), hedges: int(hedges.Load())}
+	var work obs.CostReport
+	for j, c := range costs {
+		ans.costs[j] = c.Report()
+		work.Add(ans.costs[j])
+	}
+	shard := strconv.Itoa(i)
+	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", shard)).Observe(d)
+	if ans.hedges > 0 {
+		sp.AnnotateInt("hedges", ans.hedges)
+	}
 	if err == nil {
-		st.lat.record(d)
-		sp.AnnotateInt("matches", len(m)).
-			AnnotateInt("distance_comps", int(rep.DistanceComps)).
-			AnnotateInt("pq_lookups", int(rep.PQLookups)).
+		ans.matches = ms
+		found := 0
+		for _, m := range ms {
+			found += len(m)
+		}
+		sp.AnnotateInt("matches", found).
+			AnnotateInt("distance_comps", int(work.DistanceComps)).
+			AnnotateInt("pq_lookups", int(work.PQLookups)).
 			End()
-		return m, rep, nil
+		return ans, nil
 	}
 	st.errors.Add(1)
-	r.reg.Counter(obs.L(MetricShardErrors, "shard", strconv.Itoa(i))).Inc()
+	r.reg.Counter(obs.L(MetricShardErrors, "shard", shard)).Inc()
 	sp.Annotate("error", err.Error())
 	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
 		st.timeouts.Add(1)
-		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", strconv.Itoa(i))).Inc()
+		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", shard)).Inc()
 		sp.Annotate("timeout", "true")
 	}
 	sp.End()
-	return nil, rep, err
-}
-
-// hedgeDelay returns when a hedge should launch for shard i, and whether
-// hedging is armed at all: it needs the feature enabled and enough
-// latency history for the p95 to mean something.
-func (r *Router) hedgeDelay(i int) (time.Duration, bool) {
-	if !r.opts.Hedge {
-		return 0, false
-	}
-	p95, ok := r.state[i].lat.p95(r.opts.HedgeAfter)
-	if !ok {
-		return 0, false
-	}
-	if p95 < r.opts.MinHedgeDelay {
-		p95 = r.opts.MinHedgeDelay
-	}
-	return p95, true
+	return ans, err
 }
 
 // merge folds per-shard top-k′ lists into the global top-k. Ordering is
@@ -721,8 +739,8 @@ func (r *Router) Stats() Stats {
 		s.CacheLen = r.cache.Len()
 	}
 	for i, st := range r.state {
-		p50 := st.lat.quantile(0.50)
-		p95 := st.lat.quantile(0.95)
+		p50 := st.lat.Quantile(0.50)
+		p95 := st.lat.Quantile(0.95)
 		ss := ShardStats{
 			Shard:     i,
 			Relations: int(r.relCount[i].Load()),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -179,14 +180,13 @@ func TestHedging(t *testing.T) {
 	slow := &stubShard{matches: []core.Match{m(0, 1)}}
 	opts := testOpts()
 	opts.Hedge = true
-	opts.HedgeAfter = 4
-	opts.MinHedgeDelay = 5 * time.Millisecond
 	opts.CacheSize = 0
 	reg := obs.NewRegistry()
 	opts.Registry = reg
 	r := mustRouter(t, []Shard{slow}, opts)
 
-	for i := 0; i < 4; i++ {
+	const warm = 16
+	for i := 0; i < warm; i++ {
 		if _, err := r.Search(context.Background(), fmt.Sprintf("warm-%d", i), 1); err != nil {
 			t.Fatalf("warm search: %v", err)
 		}
@@ -200,8 +200,8 @@ func TestHedging(t *testing.T) {
 	if res.Hedged != 1 {
 		t.Fatalf("hedged = %d, want 1", res.Hedged)
 	}
-	if slow.callCount() != 4+2 {
-		t.Fatalf("shard saw %d calls, want 6 (4 warm + primary + hedge)", slow.callCount())
+	if slow.callCount() != warm+2 {
+		t.Fatalf("shard saw %d calls, want %d (warm-up + primary + hedge)", slow.callCount(), warm+2)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters[MetricHedges] != 1 {
@@ -293,45 +293,77 @@ func TestCachePurgedOnDeleteAndUpdate(t *testing.T) {
 
 // TestMutationFencesInflightScatter: a scatter that started before a
 // mutation must neither populate the result cache with its pre-mutation
-// ranking nor serve as a coalescing leader for post-mutation followers.
+// ranking nor serve as a coalescing leader for post-mutation followers —
+// whether it was started by Search or by SearchBatch.
 func TestMutationFencesInflightScatter(t *testing.T) {
-	shard := &stubShard{matches: []core.Match{m(0, 1)}, delay: 100 * time.Millisecond}
-	opts := testOpts()
-	opts.CacheSize = 8
-	r := mustRouter(t, []Shard{shard}, opts)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Search(context.Background(), "q", 1)
-		done <- err
-	}()
-	// Let the leader's scatter get in flight, then mutate.
-	time.Sleep(20 * time.Millisecond)
-	r.NoteDelete(0)
-
-	// A follower arriving after the mutation must not ride the stale
-	// leader: it scatters on its own.
-	if _, err := r.Search(context.Background(), "q", 1); err != nil {
-		t.Fatal(err)
+	entries := map[string]func(*Router) error{
+		"Search": func(r *Router) error {
+			_, err := r.Search(context.Background(), "q", 1)
+			return err
+		},
+		"SearchBatch": func(r *Router) error {
+			_, err := r.SearchBatch(context.Background(), []BatchQuery{{"q", 1}})
+			return err
+		},
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if c := shard.callCount(); c != 2 {
-		t.Fatalf("shard calls = %d, want 2 (follower must bypass a pre-mutation leader)", c)
-	}
-	// Neither scatter may have cached a ranking that predates... the leader
-	// started pre-mutation, the follower post-mutation: only the follower's
-	// answer is cacheable.
-	res, err := r.Search(context.Background(), "q", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("post-mutation scatter should have repopulated the cache")
-	}
-	if c := shard.callCount(); c != 2 {
-		t.Fatalf("shard calls = %d after cached search, want 2", c)
+	for name, search := range entries {
+		// inflight starts a scatter, parks it inside the shard and lands a
+		// mutation on it.
+		inflight := func(t *testing.T) (*gatedShard, *Router, chan error) {
+			shard := &gatedShard{
+				stubShard: stubShard{matches: []core.Match{m(0, 1)}},
+				entered:   make(chan struct{}),
+				release:   make(chan struct{}),
+			}
+			opts := testOpts()
+			opts.CacheSize = 8
+			r := mustRouter(t, []Shard{shard}, opts)
+			done := make(chan error, 1)
+			go func() { done <- search(r) }()
+			<-shard.entered
+			r.NoteDelete(0)
+			return shard, r, done
+		}
+		t.Run(name+"/cache", func(t *testing.T) {
+			shard, r, done := inflight(t)
+			close(shard.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := search(r); err != nil {
+				t.Fatal(err)
+			}
+			if c := shard.callCount(); c != 2 {
+				t.Fatalf("shard calls = %d, want 2 (a pre-mutation scatter must not repopulate the cache)", c)
+			}
+			res, err := r.Search(context.Background(), "q", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.CacheHit || shard.callCount() != 2 {
+				t.Fatal("post-mutation scatter should have repopulated the cache")
+			}
+		})
+		t.Run(name+"/coalescer", func(t *testing.T) {
+			shard, r, done := inflight(t)
+			follower := make(chan error, 1)
+			go func() { follower <- search(r) }()
+			// The follower either reaches the shard on its own or (the bug)
+			// parks on the stale leader.
+			for shard.inside.Load() < 2 && r.inflightWaiters() == 0 {
+				runtime.Gosched()
+			}
+			close(shard.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-follower; err != nil {
+				t.Fatal(err)
+			}
+			if c := shard.callCount(); c != 2 {
+				t.Fatalf("shard calls = %d, want 2 (follower must bypass a pre-mutation leader)", c)
+			}
+		})
 	}
 }
 
@@ -396,7 +428,6 @@ func TestConcurrentSearch(t *testing.T) {
 	opts := testOpts()
 	opts.CacheSize = 16
 	opts.Hedge = true
-	opts.HedgeAfter = 2
 	opts.ShardTimeout = time.Second
 	r := mustRouter(t, shards, opts)
 
@@ -461,15 +492,13 @@ func TestSearchTracedSpanTree(t *testing.T) {
 	stuck := &stubShard{matches: []core.Match{m(3, 0.6)}}
 	opts := testOpts()
 	opts.Hedge = true
-	opts.HedgeAfter = 4
-	opts.MinHedgeDelay = 5 * time.Millisecond
 	opts.ShardTimeout = 250 * time.Millisecond
 	opts.CacheSize = 0
 	r := mustRouter(t, []Shard{fast0, fast1, slow, stuck}, opts)
 
-	// Warm every shard's latency window so the hedge delay is the floored
-	// MinHedgeDelay, then degrade shards 2 and 3.
-	for i := 0; i < 4; i++ {
+	// Warm every shard's latency window so the hedge arms at the 1ms floor,
+	// then degrade shards 2 and 3.
+	for i := 0; i < 16; i++ {
 		if _, err := r.Search(context.Background(), fmt.Sprintf("warm-%d", i), 1); err != nil {
 			t.Fatalf("warm search: %v", err)
 		}

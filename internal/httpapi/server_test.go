@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -262,16 +263,48 @@ func TestServerWrites(t *testing.T) {
 			}
 			sameMatches(t, q, resp.Matches, want)
 		}
-		fresh := &semdisco.Relation{ID: "rel-new", Source: "src-9",
-			Columns: []string{"a", "b"}, Rows: [][]string{{"abc", "def"}, {"mno", "xyz"}}}
-		const freshBody = `{"id":"rel-new","source":"src-9","columns":["a","b"],"rows":[["abc","def"],["mno","xyz"]]}`
+		// One write sequence per ID: a plain one, and one whose every reserved
+		// character must survive the item route's path — and, in coordinator
+		// mode, the path of the request forwarded to each replica.
+		ids := []string{"rel-new", "a/b c?d"}
+		for _, id := range ids {
+			item := "/v1/relations/" + url.PathEscape(id)
+			fresh := &semdisco.Relation{ID: id, Source: "src-9",
+				Columns: []string{"a", "b"}, Rows: [][]string{{"abc", "def"}, {"mno", "xyz"}}}
+			freshBody := fmt.Sprintf(`{"id":%q,"source":"src-9","columns":["a","b"],"rows":[["abc","def"],["mno","xyz"]]}`, id)
 
-		mustJSON(t, m.srv, "POST", "/v1/relations", freshBody, http.StatusCreated, nil)
-		if err := oracle.Add(fresh); err != nil {
-			t.Fatal(err)
+			mustJSON(t, m.srv, "POST", "/v1/relations", freshBody, http.StatusCreated, nil)
+			if err := oracle.Add(fresh); err != nil {
+				t.Fatal(err)
+			}
+			agree("abc def")
+			wantError(t, m.srv, "POST", "/v1/relations", freshBody, http.StatusBadRequest, netcluster.CodeBadRequest) // duplicate
+			wantError(t, m.srv, "PUT", item, `{"columns":["a","b"],"rows":[["only-one"]]}`,
+				http.StatusBadRequest, netcluster.CodeBadRequest)
+
+			// PUT with a body whose ID contradicts the path is the caller's error.
+			wantError(t, m.srv, "PUT", item, `{"id":"other","source":"src-9","columns":["a"],"rows":[["x"]]}`,
+				http.StatusBadRequest, netcluster.CodeBadRequest)
+			mustJSON(t, m.srv, "PUT", item,
+				`{"source":"src-9","columns":["a","b"],"rows":[["qrs","bfd"]]}`, http.StatusOK, nil)
+			upd := *fresh
+			upd.Rows = [][]string{{"qrs", "bfd"}}
+			if err := oracle.Update(&upd); err != nil {
+				t.Fatal(err)
+			}
+			agree("qrs bfd")
+
+			mustJSON(t, m.srv, "DELETE", item, "", http.StatusOK, nil)
+			if err := oracle.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			agree("qrs bfd")
+			// Repeated and unknown deletes are 404 — in coordinator mode the
+			// replicas' own status, surfaced with the unified body.
+			for _, path := range []string{item, "/v1/relations/nope"} {
+				wantError(t, m.srv, "DELETE", path, "", http.StatusNotFound, netcluster.CodeNotFound)
+			}
 		}
-		agree("abc def")
-		wantError(t, m.srv, "POST", "/v1/relations", freshBody, http.StatusBadRequest, netcluster.CodeBadRequest) // duplicate
 		wantError(t, m.srv, "POST", "/v1/relations", "{", http.StatusBadRequest, netcluster.CodeBadRequest)
 		// An invalid relation (ragged row, empty ID) is the caller's error on
 		// POST exactly as on PUT.
@@ -279,42 +312,17 @@ func TestServerWrites(t *testing.T) {
 			http.StatusBadRequest, netcluster.CodeBadRequest)
 		wantError(t, m.srv, "POST", "/v1/relations", `{"columns":["a"],"rows":[["x"]]}`,
 			http.StatusBadRequest, netcluster.CodeBadRequest)
-		wantError(t, m.srv, "PUT", "/v1/relations/rel-new", `{"columns":["a","b"],"rows":[["only-one"]]}`,
-			http.StatusBadRequest, netcluster.CodeBadRequest)
-
-		// PUT with a body whose ID contradicts the path is the caller's error.
-		wantError(t, m.srv, "PUT", "/v1/relations/rel-new", `{"id":"other","source":"src-9","columns":["a"],"rows":[["x"]]}`,
-			http.StatusBadRequest, netcluster.CodeBadRequest)
-		mustJSON(t, m.srv, "PUT", "/v1/relations/rel-new",
-			`{"source":"src-9","columns":["a","b"],"rows":[["qrs","bfd"]]}`, http.StatusOK, nil)
-		upd := *fresh
-		upd.Rows = [][]string{{"qrs", "bfd"}}
-		if err := oracle.Update(&upd); err != nil {
-			t.Fatal(err)
-		}
-		agree("qrs bfd")
 		wantError(t, m.srv, "PUT", "/v1/relations/ghost", `{"columns":["a"],"rows":[["x"]]}`,
 			http.StatusNotFound, netcluster.CodeNotFound)
-
-		mustJSON(t, m.srv, "DELETE", "/v1/relations/rel-new", "", http.StatusOK, nil)
-		if err := oracle.Delete("rel-new"); err != nil {
-			t.Fatal(err)
-		}
-		agree("qrs bfd")
-		// Repeated and unknown deletes are 404 — in coordinator mode the
-		// replicas' own status, surfaced with the unified body.
-		for _, path := range []string{"/v1/relations/rel-new", "/v1/relations/nope"} {
-			wantError(t, m.srv, "DELETE", path, "", http.StatusNotFound, netcluster.CodeNotFound)
-		}
 		rec, _ := do(t, m.srv, "POST", "/v1/relations/rel-000", "")
 		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "DELETE, PUT" {
 			t.Fatalf("POST on item route = %d, Allow %q", rec.Code, rec.Header().Get("Allow"))
 		}
 		// The corpus is back to its 24 relations; the engine's stats also
-		// report the two tombstones the update and the delete left behind.
+		// report the two tombstones each update-then-delete left behind.
 		var stats StatsResponse
 		mustJSON(t, m.srv, "GET", "/v1/stats", "", http.StatusOK, &stats)
-		if stats.NumRelations != 24 || (m.mode == "engine" && stats.Segments.DeadRelations != 2) {
+		if stats.NumRelations != 24 || (m.mode == "engine" && stats.Segments.DeadRelations != 2*len(ids)) {
 			t.Fatalf("stats after writes: relations=%d segments=%+v", stats.NumRelations, stats.Segments)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"semdisco/internal/core"
@@ -68,12 +69,17 @@ func NewClient(base string, rt http.RoundTripper) *Client {
 // URL reports the shard's base URL.
 func (c *Client) URL() string { return c.base }
 
+// maxResponseBytes caps a shard's 2xx body, the limit httpapi puts on
+// request bodies: a replica streaming garbage must not exhaust the
+// coordinator's memory.
+const maxResponseBytes = 16 << 20
+
 // call issues one request and decodes the JSON answer into out (which may
 // be nil to discard the body), propagating the context's W3C trace
 // context as a traceparent header and classifying every failure mode:
 // transport errors attribute to the context's error when it caused them,
 // non-2xx becomes *RemoteError carrying the unified error body's code,
-// and an undecodable 2xx body becomes *MalformedError.
+// and an undecodable or oversized 2xx body becomes *MalformedError.
 func (c *Client) call(ctx context.Context, method, path string, in, out interface{}) error {
 	var body io.Reader
 	if in != nil {
@@ -117,7 +123,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) // drain for keep-alive reuse
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxResponseBytes)).Decode(out); err != nil {
 		return &MalformedError{URL: c.base + path, Err: err}
 	}
 	return nil
@@ -156,12 +162,12 @@ func (c *Client) AddRelation(ctx context.Context, rel Relation) error {
 
 // DeleteRelation tombstones one relation on the shard.
 func (c *Client) DeleteRelation(ctx context.Context, id string) error {
-	return c.call(ctx, http.MethodDelete, "/v1/relations/"+id, nil, nil)
+	return c.call(ctx, http.MethodDelete, "/v1/relations/"+url.PathEscape(id), nil, nil)
 }
 
 // UpdateRelation replaces one relation's contents on the shard.
 func (c *Client) UpdateRelation(ctx context.Context, rel Relation) error {
-	return c.call(ctx, http.MethodPut, "/v1/relations/"+rel.ID, rel, nil)
+	return c.call(ctx, http.MethodPut, "/v1/relations/"+url.PathEscape(rel.ID), rel, nil)
 }
 
 // Healthz reports whether the shard answers its liveness probe.

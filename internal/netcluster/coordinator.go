@@ -35,12 +35,6 @@ type CoordinatorOptions struct {
 	AttemptTimeout time.Duration
 	// Hedge enables cross-replica hedging inside each set.
 	Hedge bool
-	// MinHedgeDelay / HedgeAfter tune the hedge trigger (see GroupOptions).
-	MinHedgeDelay time.Duration
-	HedgeAfter    int
-	// BackoffBase / BackoffMax tune sequential failover retries.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Transport carries every coordinator→shard request; nil means
 	// http.DefaultTransport. Tests and the bench pass a *FaultInjector.
 	Transport http.RoundTripper
@@ -105,10 +99,6 @@ func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinat
 		g, err := NewGroup(i, urls, newClient, GroupOptions{
 			AttemptTimeout: opts.AttemptTimeout,
 			Hedge:          opts.Hedge,
-			MinHedgeDelay:  opts.MinHedgeDelay,
-			HedgeAfter:     opts.HedgeAfter,
-			BackoffBase:    opts.BackoffBase,
-			BackoffMax:     opts.BackoffMax,
 			Registry:       opts.Registry,
 		})
 		if err != nil {
@@ -120,7 +110,8 @@ func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinat
 	// The Router sees one logical shard per replica set. Its own per-shard
 	// timeout and same-shard hedging stay off: the group already bounds
 	// each attempt and hedges across replicas, which a same-shard retry
-	// could never do for a wedged server.
+	// could never do for a wedged server. Both run the one cluster.Race, and
+	// a group's hedges reach the query's Result through cluster.NoteHedge.
 	router, err := cluster.NewRouter(routerShards, relCounts, cluster.Options{
 		Slack:     opts.Slack,
 		Method:    opts.Method,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"semdisco/internal/cluster"
+	"semdisco/internal/obs"
 )
 
 // writeLog records the mutations one replica server received.
@@ -326,5 +327,42 @@ func TestCoordinatorHungReplicaTail(t *testing.T) {
 	}
 	if res.Degraded {
 		t.Fatal("one hung replica of two must not degrade the set")
+	}
+}
+
+// TestCoordinatorReportsReplicaHedges: the Router's own hedger is off in a
+// coordinator, so the hedges a Group races across replicas must still reach
+// the query's Result and its shard span — TestGroupHedgesPastStraggler's
+// scenario, seen from above the Group.
+func TestCoordinatorReportsReplicaHedges(t *testing.T) {
+	fx := newCoordFixture(t, 1, 2, CoordinatorOptions{AttemptTimeout: 2 * time.Second, Hedge: true})
+	ctx := context.Background()
+	for i := 0; i < 20; i++ { // warm the set's p95 window past its 16 samples
+		if _, err := fx.coord.Search(ctx, fmt.Sprintf("warm-%d", i), 3, nil); err != nil {
+			t.Fatalf("warm-up %d: %v", i, err)
+		}
+	}
+	fx.inj.Set(fx.urls[0][0], Fault{Latency: 150 * time.Millisecond, Remaining: -1})
+	hedged, annotated := 0, 0
+	for i := 0; i < 4; i++ { // the rotating primary lands on the straggler every other query
+		tr := obs.NewTrace()
+		root := tr.StartRoot("test_root")
+		res, err := fx.coord.Search(ctx, fmt.Sprintf("straggler-%d", i), 3, tr)
+		root.End()
+		if err != nil {
+			t.Fatalf("straggler query %d: %v", i, err)
+		}
+		hedged += res.Hedged
+		for _, sp := range tr.Spans() {
+			if sp.Name == "shard" && sp.Annotations["hedges"] == "1" {
+				annotated++
+			}
+		}
+	}
+	if st := fx.coord.Stats().Groups[0]; st.Hedges == 0 {
+		t.Fatal("the group launched no hedge against a 150ms straggler")
+	}
+	if hedged < 1 || annotated < 1 {
+		t.Errorf("Result.Hedged summed to %d over %d annotated shard spans, want at least 1 each", hedged, annotated)
 	}
 }

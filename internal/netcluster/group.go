@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"semdisco/internal/cluster"
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
 )
@@ -52,38 +50,12 @@ type GroupOptions struct {
 	// query's own deadline.
 	AttemptTimeout time.Duration
 	// Hedge races a second replica against an attempt running past the
-	// set's observed p95 latency — hedging across replicas, not a retry of
-	// the same process, so a wedged replica cannot also absorb the hedge.
+	// set's observed p95 latency (floored at 2ms, armed after 16 answers) —
+	// hedging across replicas, not a retry of the same process, so a wedged
+	// replica cannot also absorb the hedge.
 	Hedge bool
-	// MinHedgeDelay floors the hedge trigger; default 2ms.
-	MinHedgeDelay time.Duration
-	// HedgeAfter is how many recorded latencies the set needs before its
-	// p95 is trusted for hedging; default 16.
-	HedgeAfter int
-	// BackoffBase seeds the exponential backoff between sequential
-	// failover retries (base, 2·base, 4·base, … each with up to 50% added
-	// jitter); default 5ms.
-	BackoffBase time.Duration
-	// BackoffMax caps a single backoff sleep; default 250ms.
-	BackoffMax time.Duration
 	// Registry receives the group's metrics; nil disables them.
 	Registry *obs.Registry
-}
-
-func (o GroupOptions) withDefaults() GroupOptions {
-	if o.MinHedgeDelay == 0 {
-		o.MinHedgeDelay = 2 * time.Millisecond
-	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 16
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 250 * time.Millisecond
-	}
-	return o
 }
 
 // replicaState is one replica's health counters.
@@ -101,9 +73,12 @@ type replicaState struct {
 type Group struct {
 	set     int
 	clients []*Client
-	opts    GroupOptions
-	reg     *obs.Registry
-	state   []*replicaState
+	// policy is the Group's configuration of cluster.Race: one attempt per
+	// replica, each under the attempt timeout, failing over on anything but
+	// a request error (DESIGN.md §9).
+	policy cluster.RacePolicy
+	reg    *obs.Registry
+	state  []*replicaState
 	// rr rotates the preferred replica so read load spreads across the
 	// set instead of hammering replica 0.
 	rr        atomic.Uint64
@@ -111,16 +86,10 @@ type Group struct {
 	hedgeWins atomic.Int64
 	retries   atomic.Int64
 	setDown   atomic.Int64
-
-	// lat is the set's recent successful-attempt latency window, the p95
-	// estimator behind the hedge trigger.
-	latMu    sync.Mutex
-	lat      []time.Duration
-	latNext  int
-	latCount int
+	// lat is the set's recent winning-attempt latency, the p95 estimator
+	// behind the hedge trigger.
+	lat cluster.Window
 }
-
-const groupLatencyWindow = 128
 
 // NewGroup builds a replica set over shard base URLs sharing one
 // transport.
@@ -129,10 +98,18 @@ func NewGroup(set int, urls []string, rt func(string) *Client, opts GroupOptions
 		return nil, fmt.Errorf("netcluster: replica set %d has no members", set)
 	}
 	g := &Group{
-		set:   set,
-		opts:  opts.withDefaults(),
+		set: set,
+		policy: cluster.RacePolicy{
+			Targets:        len(urls),
+			AttemptTimeout: opts.AttemptTimeout,
+			Hedge:          opts.Hedge,
+			HedgeFloor:     2 * time.Millisecond,
+			HedgeWarmup:    16,
+			BackoffBase:    5 * time.Millisecond,
+			BackoffMax:     250 * time.Millisecond,
+			Final:          requestError,
+		},
 		reg:   opts.Registry,
-		lat:   make([]time.Duration, groupLatencyWindow),
 		state: make([]*replicaState, len(urls)),
 	}
 	for i, u := range urls {
@@ -142,233 +119,102 @@ func NewGroup(set int, urls []string, rt func(string) *Client, opts GroupOptions
 	return g, nil
 }
 
+// requestError reports a 4xx: the request itself is bad, every replica
+// would answer the same, so failing over just multiplies the damage.
+func requestError(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re) && !re.Retryable()
+}
+
 // Replicas reports the set's member count.
 func (g *Group) Replicas() int { return len(g.clients) }
 
-// URLs reports the member base URLs.
-func (g *Group) URLs() []string {
-	out := make([]string, len(g.clients))
-	for i, c := range g.clients {
-		out[i] = c.URL()
-	}
-	return out
+// reply is one replica's answer to an encoded search, single or batched.
+type reply struct {
+	ms    [][]core.Match
+	costs []obs.CostReport
+	spans []obs.SpanRecord
 }
 
-func (g *Group) recordLatency(d time.Duration) {
-	g.latMu.Lock()
-	g.lat[g.latNext] = d
-	g.latNext = (g.latNext + 1) % len(g.lat)
-	if g.latCount < len(g.lat) {
-		g.latCount++
-	}
-	g.latMu.Unlock()
-}
-
-// quantile estimates the q-quantile of the latency window; ok is false
-// with fewer than min samples.
-func (g *Group) quantile(q float64, min int) (time.Duration, bool) {
-	g.latMu.Lock()
-	defer g.latMu.Unlock()
-	if g.latCount < min {
-		return 0, false
-	}
-	tmp := make([]time.Duration, g.latCount)
-	copy(tmp, g.lat[:g.latCount])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return obs.SampleQuantile(tmp, q), true
-}
-
-// hedgeDelay returns when a cross-replica hedge should launch, and
-// whether hedging is armed: enabled, more than one replica, and enough
-// latency history for the p95 to mean something.
-func (g *Group) hedgeDelay() (time.Duration, bool) {
-	if !g.opts.Hedge || len(g.clients) < 2 {
-		return 0, false
-	}
-	p95, ok := g.quantile(0.95, g.opts.HedgeAfter)
-	if !ok {
-		return 0, false
-	}
-	if p95 < g.opts.MinHedgeDelay {
-		p95 = g.opts.MinHedgeDelay
-	}
-	return p95, true
-}
-
-// backoff returns the nth sequential-retry sleep: exponential from
-// BackoffBase, capped at BackoffMax, with up to 50% added jitter so a
-// coordinator fleet retrying a flapping replica does not beat on it in
-// lockstep.
-func (g *Group) backoff(n int) time.Duration {
-	d := g.opts.BackoffBase << uint(n)
-	if d > g.opts.BackoffMax || d <= 0 {
-		d = g.opts.BackoffMax
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// outcome is one replica attempt's result; payload holds the
-// call-specific answer.
-type outcome struct {
-	payload interface{}
-	spans   []obs.SpanRecord
-	err     error
-	replica int
-	hedge   bool
-	dur     time.Duration
-}
-
-// race runs the replica-failover state machine around one remote call:
-// launch the preferred replica, hedge the next one against a straggler,
-// fail over sequentially (with backoff) on errors, and return the first
-// success. It returns an error only when every replica failed or the
-// query's own context died. Remote spans of the winning attempt are
-// grafted into the trace carried by ctx.
-func (g *Group) race(ctx context.Context, do func(context.Context, *Client) (interface{}, []obs.SpanRecord, error)) (interface{}, error) {
+// race runs one remote call through the replica-failover race: the
+// preferred replica first (rotating per call), a hedge or a failover going
+// to the next untried one. It returns an error only when every replica
+// failed, the request itself was bad, or the query's own context died. The
+// winner's remote spans are grafted into the trace ctx carries, and a hedge
+// is reported to the Router whose shard attempt this is.
+func (g *Group) race(ctx context.Context, call func(context.Context, *Client) (reply, error)) (reply, error) {
 	n := len(g.clients)
-	order := make([]int, n)
-	start := int(g.rr.Add(1)-1) % n
-	for i := range order {
-		order[i] = (start + i) % n
-	}
-
-	ch := make(chan outcome, n) // buffered: losers never block or leak
-	launched, done := 0, 0
-	launch := func(hedge bool) {
-		idx := order[launched]
-		launched++
+	first := int(g.rr.Add(1)-1) % n
+	set := strconv.Itoa(g.set)
+	rep, out, err := cluster.Race(ctx, g.policy, &g.lat, func(actx context.Context, attempt int, _ bool) (reply, error) {
+		idx := (first + attempt) % n
+		replica := strconv.Itoa(idx)
 		g.state[idx].attempts.Add(1)
-		g.reg.Counter(obs.L(MetricAttempts, "set", strconv.Itoa(g.set), "replica", strconv.Itoa(idx))).Inc()
-		go func() {
-			actx := ctx
-			var cancel context.CancelFunc
-			if g.opts.AttemptTimeout > 0 {
-				actx, cancel = context.WithTimeout(ctx, g.opts.AttemptTimeout)
-				defer cancel()
-			}
-			t0 := time.Now()
-			payload, spans, err := do(actx, g.clients[idx])
-			ch <- outcome{payload: payload, spans: spans, err: err, replica: idx, hedge: hedge, dur: time.Since(t0)}
-		}()
-	}
-	launch(false)
-
-	var hedgeC <-chan time.Time
-	if d, ok := g.hedgeDelay(); ok {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var (
-		backoffC <-chan time.Time
-		backoffT *time.Timer
-	)
-	defer func() {
-		if backoffT != nil {
-			backoffT.Stop()
+		g.reg.Counter(obs.L(MetricAttempts, "set", set, "replica", replica)).Inc()
+		rep, err := call(actx, g.clients[idx])
+		if err != nil && ctx.Err() == nil { // a query that gave up is not the replica's failure
+			g.state[idx].errors.Add(1)
+			g.reg.Counter(obs.L(MetricReplicaErrors, "set", set, "replica", replica)).Inc()
 		}
-	}()
-	retryN := 0
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case o := <-ch:
-			done++
-			if o.err == nil {
-				if o.hedge {
-					g.hedgeWins.Add(1)
-					g.reg.Counter(obs.L(MetricGroupHedgeWins, "set", strconv.Itoa(g.set))).Inc()
-				}
-				g.recordLatency(o.dur)
-				obs.TraceFrom(ctx).Adopt(o.spans)
-				return o.payload, nil
-			}
-			lastErr = o.err
-			g.state[o.replica].errors.Add(1)
-			g.reg.Counter(obs.L(MetricReplicaErrors, "set", strconv.Itoa(g.set), "replica", strconv.Itoa(o.replica))).Inc()
-			var re *RemoteError
-			if errors.As(o.err, &re) && !re.Retryable() {
-				// The request itself is bad (4xx): every replica would answer
-				// the same, so failing over just multiplies the damage.
-				return nil, o.err
-			}
-			if launched < n && backoffC == nil {
-				g.retries.Add(1)
-				g.reg.Counter(obs.L(MetricRetries, "set", strconv.Itoa(g.set))).Inc()
-				backoffT = time.NewTimer(g.backoff(retryN))
-				backoffC = backoffT.C
-				retryN++
-			} else if done == launched && launched == n {
-				g.setDown.Add(1)
-				g.reg.Counter(obs.L(MetricSetDown, "set", strconv.Itoa(g.set))).Inc()
-				return nil, fmt.Errorf("netcluster: replica set %d down (%d replicas failed): %w", g.set, n, lastErr)
-			}
-		case <-backoffC:
-			backoffC = nil
-			if launched < n {
-				launch(false)
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < n {
-				g.hedges.Add(1)
-				g.reg.Counter(obs.L(MetricGroupHedges, "set", strconv.Itoa(g.set))).Inc()
-				launch(true)
-			}
-		}
+		return rep, err
+	})
+	if out.Retries > 0 {
+		g.retries.Add(int64(out.Retries))
+		g.reg.Counter(obs.L(MetricRetries, "set", set)).Add(int64(out.Retries))
 	}
+	if out.Hedged {
+		g.hedges.Add(1)
+		g.reg.Counter(obs.L(MetricGroupHedges, "set", set)).Inc()
+		cluster.NoteHedge(ctx)
+	}
+	if out.HedgeWon {
+		g.hedgeWins.Add(1)
+		g.reg.Counter(obs.L(MetricGroupHedgeWins, "set", set)).Inc()
+	}
+	switch {
+	case err == nil:
+		obs.TraceFrom(ctx).Adopt(rep.spans)
+		return rep, nil
+	case ctx.Err() != nil || requestError(err):
+		return reply{}, err
+	}
+	g.setDown.Add(1)
+	g.reg.Counter(obs.L(MetricSetDown, "set", set)).Inc()
+	return reply{}, fmt.Errorf("netcluster: replica set %d down (%d replicas failed): %w", g.set, n, err)
 }
 
 // SearchEncoded implements cluster.Shard: one pre-encoded query answered
 // by whichever replica wins the failover race. The remote cost report is
 // folded into the accumulator ctx carries (the Router's per-shard Cost).
 func (g *Group) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
-	type payload struct {
-		ms   []core.Match
-		cost obs.CostReport
-	}
-	out, err := g.race(ctx, func(actx context.Context, cl *Client) (interface{}, []obs.SpanRecord, error) {
+	rep, err := g.race(ctx, func(actx context.Context, cl *Client) (reply, error) {
 		ms, cost, spans, err := cl.SearchEncoded(actx, q, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		return payload{ms: ms, cost: cost}, spans, nil
+		return reply{ms: [][]core.Match{ms}, costs: []obs.CostReport{cost}, spans: spans}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	p := out.(payload)
-	obs.CostFrom(ctx).AddReport(p.cost)
-	return p.ms, nil
+	obs.CostFrom(ctx).AddReport(rep.costs[0])
+	return rep.ms[0], nil
 }
 
 // SearchEncodedBatch implements cluster.BatchShard: the whole block rides
 // one failover race, so a straggling replica costs one hedge for the
 // batch, not one per query.
 func (g *Group) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]core.Match, error) {
-	type payload struct {
-		ms    [][]core.Match
-		costs []obs.CostReport
-	}
-	out, err := g.race(ctx, func(actx context.Context, cl *Client) (interface{}, []obs.SpanRecord, error) {
+	rep, err := g.race(ctx, func(actx context.Context, cl *Client) (reply, error) {
 		ms, reps, spans, err := cl.SearchEncodedBatch(actx, qs, ks)
-		if err != nil {
-			return nil, nil, err
-		}
-		return payload{ms: ms, costs: reps}, spans, nil
+		return reply{ms: ms, costs: reps, spans: spans}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	p := out.(payload)
-	for i := range p.costs {
+	for i := range rep.costs {
 		if i < len(costs) {
-			costs[i].AddReport(p.costs[i])
+			costs[i].AddReport(rep.costs[i])
 		}
 	}
-	return p.ms, nil
+	return rep.ms, nil
 }
 
 // ReplicaStats is one replica's health snapshot.
@@ -399,10 +245,8 @@ func (g *Group) Stats() GroupStats {
 		Retries:   g.retries.Load(),
 		SetDown:   g.setDown.Load(),
 	}
-	p50, _ := g.quantile(0.50, 1)
-	p95, _ := g.quantile(0.95, 1)
-	s.P50MS = float64(p50) / float64(time.Millisecond)
-	s.P95MS = float64(p95) / float64(time.Millisecond)
+	s.P50MS = float64(g.lat.Quantile(0.50)) / float64(time.Millisecond)
+	s.P95MS = float64(g.lat.Quantile(0.95)) / float64(time.Millisecond)
 	for i, c := range g.clients {
 		s.Replicas = append(s.Replicas, ReplicaStats{
 			URL:      c.URL(),

@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -120,12 +121,11 @@ func (f *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if fault.Latency > 0 {
 		f.note("latency")
-		t := time.NewTimer(fault.Latency)
-		select {
-		case <-t.C:
-		case <-req.Context().Done():
-			t.Stop()
-			return nil, req.Context().Err()
+		sleep, cancel := context.WithTimeout(req.Context(), fault.Latency)
+		<-sleep.Done()
+		cancel()
+		if err := req.Context().Err(); err != nil {
+			return nil, err
 		}
 	}
 	if fault.Hang {

@@ -3,7 +3,10 @@ package netcluster
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -125,5 +128,41 @@ func TestFaultHangHonorsContext(t *testing.T) {
 	_, _, _, err := cl.SearchEncoded(ctx, testVec, 3)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded from a hung replica, got %v", err)
+	}
+}
+
+// bloatTransport answers requests to one host with a 200 whose body is a
+// well-formed answer padded past maxResponseBytes — a replica streaming
+// without end, as far as a reader bounded by bytes can tell.
+type bloatTransport struct{ host string }
+
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+func (b bloatTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host != b.host {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	body := io.MultiReader(io.LimitReader(spaces{}, maxResponseBytes), strings.NewReader(`{"matches":[]}`))
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": []string{"application/json"}},
+		Body: io.NopCloser(body), Request: req}, nil
+}
+
+// TestClientOversizedResponseIsMalformed: a 2xx body past the cap is a
+// broken replica — *MalformedError, which a Group fails over on
+// (TestGroupMalformedResponseFailsOver) — never an unbounded read.
+func TestClientOversizedResponseIsMalformed(t *testing.T) {
+	cl, _, _, url := transportFixture(t)
+	cl = NewClient(url, bloatTransport{host: hostOf(url)})
+	_, _, _, err := cl.SearchEncoded(context.Background(), testVec, 3)
+	var me *MalformedError
+	if !errors.As(err, &me) {
+		t.Fatalf("oversized body: want *MalformedError, got %v", err)
 	}
 }

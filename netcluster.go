@@ -100,9 +100,6 @@ type NetCoordinatorConfig struct {
 	// Hedge races a second replica against an attempt running past the
 	// set's observed p95 latency.
 	Hedge bool
-	// MinHedgeDelay / HedgeAfter tune the hedge trigger.
-	MinHedgeDelay time.Duration
-	HedgeAfter    int
 	// Transport carries coordinator→shard requests; nil means
 	// http.DefaultTransport. Tests and benches pass a
 	// *netcluster.FaultInjector.
@@ -177,8 +174,6 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 		Vnodes:         cfg.Vnodes,
 		AttemptTimeout: cfg.AttemptTimeout,
 		Hedge:          cfg.Hedge,
-		MinHedgeDelay:  cfg.MinHedgeDelay,
-		HedgeAfter:     cfg.HedgeAfter,
 		Transport:      cfg.Transport,
 		Registry:       reg,
 		Traces:         nc.traces,
