@@ -49,12 +49,16 @@ bench-smoke:
 	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -shards 2 -batch -churn -json /dev/null
 
 # End-to-end benchmark smoke: the repeatable HTTP benchmark BENCHMARK.json
-# declares (bench/), one short untraced run of its cheapest workload. It
-# builds ./bench, serves an engine on loopback, drives every phase and
-# checks answers against the oracle, so it catches a benchmark that no
-# longer compiles against the library or an answer that changed.
+# declares (bench/), one short untraced run of its cheapest workload and one
+# of the workload that builds an index. Each builds ./bench, serves an
+# engine on loopback, drives every phase and checks answers against the
+# oracle, so it catches a benchmark that no longer compiles against the
+# library or an answer that changed. exs-scan executes no hnsw, pq or
+# vectordb code; anns-graph's set-up is an HNSW + PQ build, so a broken
+# index build fails the benchmark's correctness gate here.
 bench-e2e:
 	bash bench/run.sh --workload exs-scan --seed 7 --seconds 2 --trace 0
+	bash bench/run.sh --workload anns-graph --seed 7 --seconds 2 --trace 0
 
 # Kernel micro-benchmarks: the batched DotBatch/L2SqBatch kernels against
 # repeated single-query Dot calls, plus the bounded top-k selection. The

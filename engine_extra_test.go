@@ -3,6 +3,9 @@ package semdisco
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -245,4 +248,56 @@ func TestEngineConcurrentSearch(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestLoadsParentCommitEngineImage loads an engine image saved by the
+// commit before HNSW construction moved off the SDC table
+// (testdata/engine_anns_pq.img: ANNS, dim 32, PQ K 64 trained at 128, 942
+// values, serial build). LoadEngine rebuilds the index from the stored
+// vectors, so the rebuilt graph — and with it every ranked list, score bits
+// included — must match what that commit's own rebuild answered, recorded
+// beside the image.
+func TestLoadsParentCommitEngineImage(t *testing.T) {
+	img, err := os.Open("testdata/engine_anns_pq.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer img.Close()
+	eng, err := LoadEngine(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("testdata/engine_anns_pq.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []struct {
+		Query   string `json:"query"`
+		K       int    `json:"k"`
+		Matches []struct {
+			ID        string `json:"id"`
+			ScoreBits uint32 `json:"score_bits"`
+		} `json:"matches"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) == 0 {
+		t.Fatal("no golden queries")
+	}
+	for _, g := range golden {
+		got, err := eng.Search(g.Query, g.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(g.Matches) {
+			t.Fatalf("%q: %d matches, recorded %d", g.Query, len(got), len(g.Matches))
+		}
+		for i, m := range g.Matches {
+			if got[i].RelationID != m.ID || math.Float32bits(got[i].Score) != m.ScoreBits {
+				t.Fatalf("%q rank %d: %s %v, recorded %s %v", g.Query, i,
+					got[i].RelationID, got[i].Score, m.ID, math.Float32frombits(m.ScoreBits))
+			}
+		}
+	}
 }

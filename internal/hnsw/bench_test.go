@@ -13,7 +13,7 @@ func benchBuild(b *testing.B, n, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := New(Config{M: 16, EfConstruction: 100, Seed: 17}, dist)
+		ix := New(Config{M: 16, EfConstruction: 100, Seed: 17}, dist, nil)
 		ix.AddBatch(n, workers)
 	}
 }

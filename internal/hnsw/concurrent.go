@@ -1,7 +1,6 @@
 package hnsw
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 )
@@ -48,9 +47,7 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 	levels := make([]int, count)
 	for i := range levels {
 		levels[i] = ix.randomLevel()
-	}
-	for i := 0; i < count; i++ {
-		ix.nodes = append(ix.nodes, node{neighbors: make([][]int32, levels[i]+1)})
+		ix.grow(levels[i])
 	}
 	start := 0
 	if ix.entry < 0 {
@@ -61,10 +58,7 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 		start = 1
 	}
 
-	shared := &batchState{
-		ix:    ix,
-		locks: make([]sync.Mutex, len(ix.nodes)),
-	}
+	batch := &batchState{locks: make([]sync.Mutex, len(ix.nodes))}
 	var next atomic.Int64
 	next.Store(int64(start))
 	var wg sync.WaitGroup
@@ -72,13 +66,13 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ins := &inserter{batchState: shared}
+			b := ix.newBuilder(batch)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= count {
 					return
 				}
-				ins.insert(first+int32(i), levels[i])
+				b.insert(first+int32(i), levels[i])
 			}
 		}()
 	}
@@ -88,142 +82,9 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 
 // batchState is the lock set shared by one AddBatch call: one mutex per
 // node guarding that node's adjacency lists, plus entryMu guarding the
-// (entry, maxLevel) pair.
+// (entry, maxLevel) pair. Its workers are builders (see builder.insert),
+// the same insertion the serial path runs, with these locks switched on.
 type batchState struct {
-	ix      *Index
 	locks   []sync.Mutex
 	entryMu sync.Mutex
-}
-
-// inserter is one worker's view of the batch, carrying per-worker scratch
-// buffers so the hot path does not allocate per node visited.
-type inserter struct {
-	*batchState
-	nbBuf []int32
-}
-
-// neighbors copies id's adjacency list at layer l under the node's lock.
-// The copy means distance evaluations never run while holding a lock.
-func (b *inserter) neighbors(id int32, l int) []int32 {
-	b.locks[id].Lock()
-	nbs := b.ix.nodes[id].neighbors
-	if l >= len(nbs) {
-		b.locks[id].Unlock()
-		return b.nbBuf[:0]
-	}
-	b.nbBuf = append(b.nbBuf[:0], nbs[l]...)
-	b.locks[id].Unlock()
-	return b.nbBuf
-}
-
-// insert links one pre-allocated node into the graph. It mirrors
-// Index.addLocked, with every adjacency read/write funneled through the
-// per-node locks.
-func (b *inserter) insert(id int32, level int) {
-	ix := b.ix
-
-	b.entryMu.Lock()
-	ep, maxLevel := ix.entry, ix.maxLevel
-	b.entryMu.Unlock()
-
-	// Greedy descent through layers above the new node's level.
-	for l := maxLevel; l > level; l-- {
-		ep = b.greedyClosest(ep, id, l)
-	}
-	topLayer := level
-	if topLayer > maxLevel {
-		topLayer = maxLevel
-	}
-	for l := topLayer; l >= 0; l-- {
-		candidates := b.searchLayer(ep, id, ix.efConstruction, l)
-		maxConn := ix.m
-		if l == 0 {
-			maxConn = ix.mMax0
-		}
-		selected := ix.selectHeuristic(candidates, ix.m)
-		b.locks[id].Lock()
-		ix.nodes[id].neighbors[l] = append(ix.nodes[id].neighbors[l], selected...)
-		b.locks[id].Unlock()
-		for _, n := range selected {
-			b.locks[n].Lock()
-			ix.nodes[n].neighbors[l] = append(ix.nodes[n].neighbors[l], id)
-			if len(ix.nodes[n].neighbors[l]) > maxConn {
-				// shrink takes no locks itself; holding n's lock for the
-				// duration keeps the re-selection atomic. Only one node
-				// lock is ever held at a time, so lock order cannot cycle.
-				ix.shrink(n, l, maxConn)
-			}
-			b.locks[n].Unlock()
-		}
-		if len(candidates) > 0 {
-			ep = candidates[0].ID
-		}
-	}
-	if level > maxLevel {
-		b.entryMu.Lock()
-		if level > ix.maxLevel {
-			ix.maxLevel = level
-			ix.entry = id
-		}
-		b.entryMu.Unlock()
-	}
-}
-
-// greedyClosest is the lock-aware twin of Index.greedyClosest.
-func (b *inserter) greedyClosest(ep, target int32, l int) int32 {
-	ix := b.ix
-	cur := ep
-	curD := ix.dist(cur, target)
-	for {
-		improved := false
-		for _, n := range b.neighbors(cur, l) {
-			if d := ix.dist(n, target); d < curD {
-				cur, curD = n, d
-				improved = true
-			}
-		}
-		if !improved {
-			return cur
-		}
-	}
-}
-
-// searchLayer is the lock-aware twin of Index.searchLayer specialized for
-// construction (distances to stored item target, no filter).
-func (b *inserter) searchLayer(ep, target int32, ef, l int) []Neighbor {
-	ix := b.ix
-	visited := make(map[int32]struct{}, ef*4)
-	visited[ep] = struct{}{}
-
-	epDist := ix.dist(ep, target)
-	candidates := &minHeap{{ep, epDist}}
-	results := maxHeap{{ep, epDist}}
-
-	for candidates.Len() > 0 {
-		c := heap.Pop(candidates).(Neighbor)
-		if len(results) >= ef && c.Dist > results[0].Dist {
-			break
-		}
-		// Copy the frontier's neighbors out under the node lock; the scan
-		// below runs lock-free. nbBuf is reused by the next neighbors call,
-		// so expansion must finish before the next frontier pop — it does.
-		for _, n := range b.neighbors(c.ID, l) {
-			if _, seen := visited[n]; seen {
-				continue
-			}
-			visited[n] = struct{}{}
-			d := ix.dist(n, target)
-			if len(results) < ef || d < results[0].Dist {
-				heap.Push(candidates, Neighbor{n, d})
-				heap.Push(&results, Neighbor{n, d})
-				if len(results) > ef {
-					heap.Pop(&results)
-				}
-			}
-		}
-	}
-	out := make([]Neighbor, len(results))
-	copy(out, results)
-	sortNeighbors(out)
-	return out
 }

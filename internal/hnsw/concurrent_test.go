@@ -34,11 +34,11 @@ func TestAddBatchSerialMatchesAdd(t *testing.T) {
 	pts := randomPoints(300, 16, 1)
 	dist := l2DistFn(pts)
 
-	one := New(Config{M: 8, EfConstruction: 60, Seed: 42}, dist)
+	one := New(Config{M: 8, EfConstruction: 60, Seed: 42}, dist, nil)
 	for range pts {
 		one.Add()
 	}
-	batch := New(Config{M: 8, EfConstruction: 60, Seed: 42}, dist)
+	batch := New(Config{M: 8, EfConstruction: 60, Seed: 42}, dist, nil)
 	if first := batch.AddBatch(len(pts), 1); first != 0 {
 		t.Fatalf("first id = %d, want 0", first)
 	}
@@ -82,7 +82,7 @@ func TestConcurrentBuildInvariants(t *testing.T) {
 		m   = 12
 	)
 	pts := randomPoints(n, dim, 7)
-	ix := New(Config{M: m, EfConstruction: 120, Seed: 7}, l2DistFn(pts))
+	ix := New(Config{M: m, EfConstruction: 120, Seed: 7}, l2DistFn(pts), nil)
 	if first := ix.AddBatch(n, workers); first != 0 {
 		t.Fatalf("first id = %d, want 0", first)
 	}
@@ -129,7 +129,7 @@ func TestConcurrentBuildRecall(t *testing.T) {
 		k   = 10
 	)
 	pts := randomPoints(n, dim, 3)
-	ix := New(Config{M: 16, EfConstruction: 150, Seed: 3}, l2DistFn(pts))
+	ix := New(Config{M: 16, EfConstruction: 150, Seed: 3}, l2DistFn(pts), nil)
 	ix.AddBatch(n, 8)
 
 	queries := randomPoints(40, dim, 99)
@@ -162,7 +162,7 @@ func TestConcurrentBuildRecall(t *testing.T) {
 // inserts (the incremental AddRelation path).
 func TestAddBatchThenAdd(t *testing.T) {
 	pts := randomPoints(600, 8, 5)
-	ix := New(Config{M: 8, EfConstruction: 80, Seed: 5}, l2DistFn(pts))
+	ix := New(Config{M: 8, EfConstruction: 80, Seed: 5}, l2DistFn(pts), nil)
 	ix.AddBatch(500, 6)
 	for i := 500; i < 600; i++ {
 		if got := ix.Add(); got != int32(i) {
@@ -181,7 +181,7 @@ func TestAddBatchThenAdd(t *testing.T) {
 // TestAddBatchEmptyAndOnEmptyIndex covers the entry-seeding edge cases.
 func TestAddBatchEmptyAndOnEmptyIndex(t *testing.T) {
 	pts := randomPoints(10, 4, 9)
-	ix := New(Config{M: 4, EfConstruction: 20, Seed: 9}, l2DistFn(pts))
+	ix := New(Config{M: 4, EfConstruction: 20, Seed: 9}, l2DistFn(pts), nil)
 	if first := ix.AddBatch(0, 4); first != 0 {
 		t.Fatalf("empty batch first = %d", first)
 	}

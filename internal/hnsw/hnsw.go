@@ -2,20 +2,21 @@
 // of Malkov & Yashunin (TPAMI 2018) for approximate nearest-neighbour search.
 //
 // The index is decoupled from vector storage: it identifies items by dense
-// int32 ids and asks the caller for distances through two callbacks — an
-// item-to-item distance used during construction, and a per-query closure
-// used during search. This lets the vector database run the same graph over
-// raw float32 vectors or over Product-Quantization codes with an ADC table
-// built once per query.
+// int32 ids and asks the caller for distances through callbacks — an
+// item-to-item distance used during construction (optionally specialized
+// per inserted item, see TargetDist), and a per-query closure used during
+// search. This lets the vector database run the same graph over raw float32
+// vectors or over Product-Quantization codes with a lookup table built once
+// per query, and once per inserted item.
 //
 // Distances are "smaller is closer". For cosine similarity over unit
 // vectors, pass 1 - dot(a, b).
 package hnsw
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -47,6 +48,15 @@ type SearchStats struct {
 	Pruned     int64
 }
 
+// TargetDist is the build-time twin of the per-query qd Search takes: given
+// the item about to be inserted, it returns that item's distance-to-target
+// function, which the insertion's greedy descent and beams then call once
+// per evaluated node. It lets the owner do per-target work once (a PQ row
+// table, say) instead of per pair. A nil return falls back to dist(id,
+// target). The returned function must agree with dist bit for bit; it is
+// only valid until the next call.
+type TargetDist func(target int32) func(id int32) float32
+
 // Index is an HNSW graph. Add must not race with Search; a sync.RWMutex
 // internally allows concurrent Search calls after (or between) Adds.
 type Index struct {
@@ -56,24 +66,28 @@ type Index struct {
 	ml             float64
 	seed           int64
 
-	dist func(a, b int32) float32
+	dist          func(a, b int32) float32
+	newTargetDist func() TargetDist
 
-	mu       sync.RWMutex
-	rng      *rand.Rand
-	nodes    []node
+	mu  sync.RWMutex
+	rng *rand.Rand
+	// nodes[id][l] lists the ids node id is connected to on layer l;
+	// len(nodes[id]) is the node's level + 1.
+	nodes    [][][]int32
 	entry    int32
 	maxLevel int
-}
-
-type node struct {
-	// neighbors[l] lists the ids connected at layer l; len(neighbors) is the
-	// node's level + 1.
-	neighbors [][]int32
+	// serial is the builder of the Add / AddBatch(workers ≤ 1) path,
+	// created on first use and guarded by mu's write side.
+	serial *builder
 }
 
 // New creates an empty index whose construction-time distances come from
-// dist, which must be symmetric and non-negative.
-func New(cfg Config, dist func(a, b int32) float32) *Index {
+// dist, which must be symmetric and non-negative. newTargetDist, when
+// non-nil, supplies the owner's per-insertion distance: it is called once
+// per builder — once for the serial insertion path, once per AddBatch worker
+// — so whatever state the TargetDist it returns keeps between insertions is
+// never shared between two goroutines.
+func New(cfg Config, dist func(a, b int32) float32, newTargetDist func() TargetDist) *Index {
 	if cfg.M == 0 {
 		cfg.M = 16
 	}
@@ -87,6 +101,7 @@ func New(cfg Config, dist func(a, b int32) float32) *Index {
 		ml:             1 / math.Log(float64(cfg.M)),
 		seed:           cfg.Seed,
 		dist:           dist,
+		newTargetDist:  newTargetDist,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		entry:          -1,
 		maxLevel:       -1,
@@ -109,54 +124,29 @@ func (ix *Index) Add() int32 {
 	return ix.addLocked()
 }
 
-// addLocked is the serial insertion body; the caller holds ix.mu. AddBatch
-// with Workers: 1 funnels through this exact path, which is what makes the
+// addLocked is the serial insertion; the caller holds ix.mu. AddBatch with
+// Workers: 1 funnels through this exact path, which is what makes the
 // serial build bit-identical whether items arrive one Add at a time or in
 // one batch.
 func (ix *Index) addLocked() int32 {
 	id := int32(len(ix.nodes))
 	level := ix.randomLevel()
-	ix.nodes = append(ix.nodes, node{neighbors: make([][]int32, level+1)})
-
+	ix.grow(level)
 	if ix.entry < 0 {
 		ix.entry = id
 		ix.maxLevel = level
 		return id
 	}
-
-	ep := ix.entry
-	// Greedy descent through layers above the new node's level.
-	for l := ix.maxLevel; l > level; l-- {
-		ep = ix.greedyClosest(ep, id, l)
+	if ix.serial == nil {
+		ix.serial = ix.newBuilder(nil)
 	}
-	// Beam search + heuristic selection on each layer the node occupies.
-	topLayer := level
-	if topLayer > ix.maxLevel {
-		topLayer = ix.maxLevel
-	}
-	for l := topLayer; l >= 0; l-- {
-		candidates := ix.searchLayerConstruct(ep, id, ix.efConstruction, l)
-		maxConn := ix.m
-		if l == 0 {
-			maxConn = ix.mMax0
-		}
-		selected := ix.selectHeuristic(candidates, ix.m)
-		ix.nodes[id].neighbors[l] = append(ix.nodes[id].neighbors[l], selected...)
-		for _, n := range selected {
-			ix.nodes[n].neighbors[l] = append(ix.nodes[n].neighbors[l], id)
-			if len(ix.nodes[n].neighbors[l]) > maxConn {
-				ix.shrink(n, l, maxConn)
-			}
-		}
-		if len(candidates) > 0 {
-			ep = candidates[0].ID
-		}
-	}
-	if level > ix.maxLevel {
-		ix.maxLevel = level
-		ix.entry = id
-	}
+	ix.serial.insert(id, level)
 	return id
+}
+
+// grow appends one unlinked node of the given level.
+func (ix *Index) grow(level int) {
+	ix.nodes = append(ix.nodes, make([][]int32, level+1))
 }
 
 // randomLevel samples the exponentially-decaying level distribution.
@@ -168,15 +158,31 @@ func (ix *Index) randomLevel() int {
 	return int(math.Floor(-math.Log(u) * ix.ml))
 }
 
-// greedyClosest walks layer l from ep toward the item target, following the
-// steepest descent until no neighbour is closer.
-func (ix *Index) greedyClosest(ep, target int32, l int) int32 {
+// neighborsAt returns id's adjacency list on layer l, nil above the node's
+// level. The slice aliases the graph.
+func (ix *Index) neighborsAt(id int32, l int) []int32 {
+	layers := ix.nodes[id]
+	if l >= len(layers) {
+		return nil
+	}
+	return layers[l]
+}
+
+// cancelCheckHops is how many beam-search node expansions pass between two
+// cancellation checks: frequent enough that a deadline interrupts a walk
+// within a handful of distance computations, rare enough that the check
+// never shows up in profiles.
+const cancelCheckHops = 64
+
+// greedyClosest walks layer l from ep, following the steepest descent under
+// qd until no neighbour is closer.
+func (ix *Index) greedyClosest(sc *Scratch, ep int32, qd func(int32) float32, l int) int32 {
 	cur := ep
-	curD := ix.dist(cur, target)
+	curD := qd(cur)
 	for {
 		improved := false
-		for _, n := range ix.neighborsAt(cur, l) {
-			if d := ix.dist(n, target); d < curD {
+		for _, n := range ix.neighbors(sc, cur, l) {
+			if d := qd(n); d < curD {
 				cur, curD = n, d
 				improved = true
 			}
@@ -187,99 +193,69 @@ func (ix *Index) greedyClosest(ep, target int32, l int) int32 {
 	}
 }
 
-func (ix *Index) neighborsAt(id int32, l int) []int32 {
-	nbs := ix.nodes[id].neighbors
-	if l >= len(nbs) {
-		return nil
+// neighbors is neighborsAt for a walk: inside a concurrent batch (sc.locks
+// set) it copies the list out under the node's lock, so distance
+// evaluations never run while holding one. The copy lives in sc and is
+// overwritten by the next call.
+func (ix *Index) neighbors(sc *Scratch, id int32, l int) []int32 {
+	if sc.locks == nil {
+		return ix.neighborsAt(id, l)
 	}
-	return nbs[l]
+	sc.locks[id].Lock()
+	sc.nbBuf = append(sc.nbBuf[:0], ix.neighborsAt(id, l)...)
+	sc.locks[id].Unlock()
+	return sc.nbBuf
 }
 
-// searchLayerConstruct is the ef-bounded beam search used during insertion,
-// measuring distance to stored item `target`. Results are sorted ascending
-// by distance.
-func (ix *Index) searchLayerConstruct(ep, target int32, ef, l int) []Neighbor {
-	return ix.searchLayer(ep, func(id int32) float32 { return ix.dist(id, target) }, ef, l, nil, nil, nil, nil)
-}
-
-// cancelCheckHops is how many beam-search node expansions pass between two
-// cancellation checks: frequent enough that a deadline interrupts a walk
-// within a handful of distance computations, rare enough that the check
-// never shows up in profiles.
-const cancelCheckHops = 64
-
-// searchLayer runs the beam search at layer l starting from ep with beam
-// width ef, using qd for distances and skipping items rejected by filter.
-// The entry point is always evaluated even if filtered, so the walk can
-// escape filtered regions. Results sorted ascending by distance; filtered
+// searchLayer is the one beam search: every walk — serial and concurrent
+// insertion, single and batched query — runs this body over its own sc. It
+// walks layer l from ep with beam width ef, using qd for distances and
+// skipping items rejected by filter. The entry point is always evaluated
+// even if filtered, so the walk can escape filtered regions; filtered
 // items never appear in the result. cancelled, when non-nil, is polled
 // every cancelCheckHops expansions; a true return abandons the walk and
-// yields nil. st, when non-nil, receives the walk's work counters; it is
-// written once at the end from plain locals, so the loop body stays free
-// of pointer chasing. sc, when non-nil, supplies the visited set and heap
-// backings (see Scratch); a nil sc allocates per call. The visited
-// semantics are identical either way, so scratch reuse never changes which
-// nodes a walk evaluates.
-func (ix *Index) searchLayer(ep int32, qd func(int32) float32, ef, l int, filter func(int32) bool, cancelled func() bool, st *SearchStats, sc *Scratch) []Neighbor {
-	var seen func(int32) bool // marks n visited; reports whether it already was
-	var candidates *minHeap
-	var results *maxHeap
-	if sc != nil {
-		gen := sc.begin(len(ix.nodes))
-		visited := sc.visited
-		seen = func(n int32) bool {
-			if visited[n] == gen {
-				return true
-			}
-			visited[n] = gen
-			return false
-		}
-		candidates, results = &sc.cand, &sc.res
-	} else {
-		visited := make(map[int32]struct{}, ef*4)
-		seen = func(n int32) bool {
-			if _, ok := visited[n]; ok {
-				return true
-			}
-			visited[n] = struct{}{}
-			return false
-		}
-		candidates, results = new(minHeap), new(maxHeap)
-	}
-	seen(ep)
+// reports false. st, when non-nil, receives the walk's work counters; it is
+// written once at the end from plain locals, so the loop body stays free of
+// pointer chasing. The result is sorted ascending by (distance, id) and
+// aliases sc: it is valid until sc's next walk.
+func (ix *Index) searchLayer(sc *Scratch, ep int32, qd func(int32) float32, ef, l int, filter func(int32) bool, cancelled func() bool, st *SearchStats) ([]Neighbor, bool) {
+	gen := sc.begin(len(ix.nodes))
+	visited := sc.visited
+	visited[ep] = gen
 
 	epDist := qd(ep)
-	*candidates = append(*candidates, Neighbor{ep, epDist})
+	sc.cand.push(Neighbor{ep, epDist})
 	if filter == nil || filter(ep) {
-		*results = append(*results, Neighbor{ep, epDist})
+		sc.res.push(Neighbor{ep, epDist})
 	}
 
 	hops := 0
 	var expansions, admitted, pruned int64
-	for candidates.Len() > 0 {
+	for len(sc.cand) > 0 {
 		if cancelled != nil {
 			hops++
 			if hops%cancelCheckHops == 0 && cancelled() {
-				return nil
+				return nil, false
 			}
 		}
-		c := heap.Pop(candidates).(Neighbor)
-		if len(*results) >= ef && c.Dist > (*results)[0].Dist {
+		c := sc.cand.pop()
+		if len(sc.res) >= ef && c.Dist > sc.res[0].Dist {
 			break
 		}
 		expansions++
-		for _, n := range ix.neighborsAt(c.ID, l) {
-			if seen(n) {
+		for _, n := range ix.neighbors(sc, c.ID, l) {
+			if visited[n] == gen {
 				continue
 			}
+			visited[n] = gen
 			d := qd(n)
-			if len(*results) < ef || d < (*results)[0].Dist {
+			if len(sc.res) < ef || d < sc.res[0].Dist {
 				admitted++
-				heap.Push(candidates, Neighbor{n, d})
+				sc.cand.push(Neighbor{n, d})
 				if filter == nil || filter(n) {
-					heap.Push(results, Neighbor{n, d})
-					if len(*results) > ef {
-						heap.Pop(results)
+					sc.res.push(Neighbor{n, d})
+					if len(sc.res) > ef {
+						sc.res.pop()
 						pruned++
 					}
 				}
@@ -293,62 +269,209 @@ func (ix *Index) searchLayer(ep int32, qd func(int32) float32, ef, l int, filter
 		st.Candidates += admitted
 		st.Pruned += pruned
 	}
-	out := make([]Neighbor, len(*results))
-	copy(out, *results)
-	sortNeighbors(out)
-	return out
+	// Drain the result heap worst-first into the tail of out: popping a
+	// max-heap under less's total order yields exactly the ascending order.
+	out := slices.Grow(sc.out[:0], len(sc.res))[:len(sc.res)]
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = sc.res.pop()
+	}
+	sc.out = out
+	return out, true
 }
 
-// selectHeuristic implements Algorithm 4 (neighbour selection by heuristic):
-// scan candidates in ascending distance and keep one only if it is closer to
-// the target than to every already-kept neighbour, which preserves graph
-// navigability around cluster boundaries. Pruned candidates backfill the
-// list if fewer than m survive.
-func (ix *Index) selectHeuristic(candidates []Neighbor, m int) []int32 {
-	if len(candidates) <= m {
-		out := make([]int32, len(candidates))
-		for i, c := range candidates {
-			out[i] = c.ID
-		}
-		return out
+// builder is one insertion worker: the serial path owns one for the life
+// of the index, each AddBatch worker owns one for the batch. Everything an
+// insertion needs between its distance evaluations lives here, so the
+// steady state allocates nothing per node but the target closure.
+type builder struct {
+	ix *Index
+	sc Scratch
+	// batch is the lock set of a concurrent AddBatch, nil on the serial
+	// path (which runs under ix.mu alone).
+	batch      *batchState
+	targetDist TargetDist
+	selected   [][]int32  // the inserted node's chosen neighbours, per layer
+	reselected []int32    // a full neighbour's re-chosen list
+	pruned     []Neighbor // selectHeuristic's backfill pool
+	cands      []Neighbor // a full neighbour's list with distances
+}
+
+func (ix *Index) newBuilder(batch *batchState) *builder {
+	b := &builder{ix: ix, batch: batch}
+	if batch != nil {
+		b.sc.locks = batch.locks
 	}
-	selected := make([]int32, 0, m)
-	var pruned []Neighbor
+	if ix.newTargetDist != nil {
+		b.targetDist = ix.newTargetDist()
+	}
+	return b
+}
+
+func (b *builder) lock(id int32) {
+	if b.sc.locks != nil {
+		b.sc.locks[id].Lock()
+	}
+}
+
+func (b *builder) unlock(id int32) {
+	if b.sc.locks != nil {
+		b.sc.locks[id].Unlock()
+	}
+}
+
+// insert links the already-allocated node id into the graph (Algorithm 1).
+// On the serial path it runs under ix.mu with no other lock; inside a
+// concurrent batch every adjacency read and write goes through the
+// per-node locks, one held at a time, so lock order cannot cycle.
+func (b *builder) insert(id int32, level int) {
+	ix := b.ix
+	var qd func(int32) float32
+	if b.targetDist != nil {
+		qd = b.targetDist(id)
+	}
+	if qd == nil {
+		dist := ix.dist
+		qd = func(n int32) float32 { return dist(n, id) }
+	}
+	var notSelf func(int32) bool
+	if b.batch != nil {
+		// Another worker that already linked to id on an upper layer can
+		// lead this walk back to id; the serial path never meets its own
+		// node.
+		notSelf = func(n int32) bool { return n != id }
+	}
+	ep, maxLevel := b.entryPoint()
+
+	// Greedy descent through layers above the new node's level.
+	for l := maxLevel; l > level; l-- {
+		ep = ix.greedyClosest(&b.sc, ep, qd, l)
+	}
+	// Beam search + heuristic selection on each layer the node occupies,
+	// top down; then link bottom up. A layer's links touch that layer's
+	// lists only, so the order changes nothing on the serial path. Inside a
+	// concurrent batch it means that by the time another worker can find id
+	// on a layer, id is fully linked on every layer below: a walk descending
+	// through id never starts a layer from a node with no edges there.
+	topLayer := level
+	if topLayer > maxLevel {
+		topLayer = maxLevel
+	}
+	for len(b.selected) <= topLayer {
+		b.selected = append(b.selected, nil)
+	}
+	for l := topLayer; l >= 0; l-- {
+		candidates, _ := ix.searchLayer(&b.sc, ep, qd, ix.efConstruction, l, notSelf, nil, nil)
+		b.selected[l] = b.selectHeuristic(b.selected[l][:0], candidates, ix.m)
+		if len(candidates) > 0 {
+			ep = candidates[0].ID
+		}
+	}
+	for l, selected := range b.selected[:topLayer+1] {
+		maxConn := ix.m
+		if l == 0 {
+			maxConn = ix.mMax0
+		}
+		b.lock(id)
+		for _, n := range selected {
+			b.connect(id, l, n, maxConn)
+		}
+		b.unlock(id)
+		for _, n := range selected {
+			b.lock(n)
+			b.connect(n, l, id, maxConn)
+			b.unlock(n)
+		}
+	}
+	if level > maxLevel {
+		b.promote(id, level)
+	}
+}
+
+// entryPoint reads the (entry, maxLevel) pair an insertion starts from.
+func (b *builder) entryPoint() (int32, int) {
+	if b.batch != nil {
+		b.batch.entryMu.Lock()
+		defer b.batch.entryMu.Unlock()
+	}
+	return b.ix.entry, b.ix.maxLevel
+}
+
+// promote makes id the entry point if its level still tops the graph.
+func (b *builder) promote(id int32, level int) {
+	if b.batch != nil {
+		b.batch.entryMu.Lock()
+		defer b.batch.entryMu.Unlock()
+	}
+	if level > b.ix.maxLevel {
+		b.ix.maxLevel = level
+		b.ix.entry = id
+	}
+}
+
+// connect adds the edge from → to on layer l. A list already at maxConn is
+// re-selected with the heuristic over its members plus to (Algorithm 1's
+// shrink step). The caller holds from's lock inside a concurrent batch,
+// where an edge another worker already added is left alone.
+func (b *builder) connect(from int32, l int, to int32, maxConn int) {
+	ix := b.ix
+	nbs := ix.neighborsAt(from, l)
+	if b.batch != nil && slices.Contains(nbs, to) {
+		return
+	}
+	if len(nbs) < maxConn {
+		ix.nodes[from][l] = append(nbs, to)
+		return
+	}
+	cands := b.cands[:0]
+	for _, n := range nbs {
+		cands = append(cands, Neighbor{n, ix.dist(from, n)})
+	}
+	cands = append(cands, Neighbor{to, ix.dist(from, to)})
+	slices.SortFunc(cands, compare)
+	b.cands = cands
+	b.reselected = b.selectHeuristic(b.reselected[:0], cands, maxConn)
+	ix.nodes[from][l] = append(nbs[:0], b.reselected...)
+}
+
+// selectHeuristic implements Algorithm 4 (neighbour selection by heuristic)
+// appending to dst: scan candidates in ascending distance and keep one only
+// if it is closer to the target than to every already-kept neighbour, which
+// preserves graph navigability around cluster boundaries. Pruned candidates
+// backfill the list if fewer than m survive.
+func (b *builder) selectHeuristic(dst []int32, candidates []Neighbor, m int) []int32 {
+	if len(candidates) <= m {
+		for _, c := range candidates {
+			dst = append(dst, c.ID)
+		}
+		return dst
+	}
+	dist := b.ix.dist
+	pruned := b.pruned[:0]
 	for _, c := range candidates {
-		if len(selected) >= m {
+		if len(dst) >= m {
 			break
 		}
 		ok := true
-		for _, s := range selected {
-			if ix.dist(c.ID, s) < c.Dist {
+		for _, s := range dst {
+			if dist(c.ID, s) < c.Dist {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			selected = append(selected, c.ID)
+			dst = append(dst, c.ID)
 		} else {
 			pruned = append(pruned, c)
 		}
 	}
 	for _, c := range pruned {
-		if len(selected) >= m {
+		if len(dst) >= m {
 			break
 		}
-		selected = append(selected, c.ID)
+		dst = append(dst, c.ID)
 	}
-	return selected
-}
-
-// shrink re-selects the best maxConn neighbours of id at layer l.
-func (ix *Index) shrink(id int32, l, maxConn int) {
-	nbs := ix.nodes[id].neighbors[l]
-	cands := make([]Neighbor, len(nbs))
-	for i, n := range nbs {
-		cands[i] = Neighbor{n, ix.dist(id, n)}
-	}
-	sortNeighbors(cands)
-	ix.nodes[id].neighbors[l] = ix.selectHeuristic(cands, maxConn)
+	b.pruned = pruned
+	return dst
 }
 
 // Search returns up to k items closest to the query, where qd returns the
@@ -379,12 +502,13 @@ func (ix *Index) SearchCancelStats(qd func(id int32) float32, k, ef int, filter 
 	return ix.SearchScratch(nil, qd, k, ef, filter, cancelled)
 }
 
-// SearchScratch is SearchCancelStats with caller-owned working state: sc,
-// when non-nil, supplies the layer-0 walk's visited set and heap backings,
-// so a caller running a block of queries pays the allocations once. Results
-// are identical to SearchCancelStats — the scratch only changes where the
-// bookkeeping lives, not which nodes are evaluated. sc must not be shared
-// between concurrent searches.
+// SearchScratch is SearchCancelStats with caller-owned working state: sc
+// supplies the walk's visited set and heaps, so a caller that keeps one (per
+// batch or per worker) pays no allocation per query beyond the k results. A
+// nil sc borrows one from a package-wide pool for the call, which is what
+// Search, SearchCancel and SearchCancelStats do. Results never depend on the
+// scratch — it only changes where the bookkeeping lives, not which nodes are
+// evaluated. sc must not be shared between concurrent searches.
 func (ix *Index) SearchScratch(sc *Scratch, qd func(id int32) float32, k, ef int, filter func(int32) bool, cancelled func() bool) ([]Neighbor, bool, SearchStats) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -395,6 +519,10 @@ func (ix *Index) SearchScratch(sc *Scratch, qd func(id int32) float32, k, ef int
 	}
 	if ef < k {
 		ef = k
+	}
+	if sc == nil {
+		sc = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(sc)
 	}
 	ep := ix.entry
 	epD := qd(ep)
@@ -416,17 +544,15 @@ func (ix *Index) SearchScratch(sc *Scratch, qd func(id int32) float32, k, ef int
 			st.Hops++
 		}
 	}
-	res := ix.searchLayer(ep, qd, ef, 0, filter, cancelled, &st, sc)
-	if res == nil && cancelled != nil && cancelled() {
+	res, done := ix.searchLayer(sc, ep, qd, ef, 0, filter, cancelled, &st)
+	if !done {
 		return nil, false, st
 	}
 	if n := int64(len(res)) - int64(k); n > 0 {
 		st.Pruned += n
-	}
-	if len(res) > k {
 		res = res[:k]
 	}
-	return res, true, st
+	return slices.Clone(res), true, st
 }
 
 // MaxLevel reports the current top layer, for diagnostics.
@@ -442,25 +568,16 @@ func (ix *Index) Graph(l int) map[int32][]int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	out := make(map[int32][]int32)
-	for id := range ix.nodes {
-		if l < len(ix.nodes[id].neighbors) {
-			nbs := make([]int32, len(ix.nodes[id].neighbors[l]))
-			copy(nbs, ix.nodes[id].neighbors[l])
-			out[int32(id)] = nbs
+	for id, layers := range ix.nodes {
+		if l < len(layers) {
+			out[int32(id)] = slices.Clone(layers[l])
 		}
 	}
 	return out
 }
 
-func sortNeighbors(ns []Neighbor) {
-	// Insertion sort is fine: lists are ef-bounded and nearly sorted.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && less(ns[j], ns[j-1]); j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
+// less is the (distance, id) total order every heap and every result list
+// uses; ids are unique within a walk, so no two entries tie.
 func less(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
@@ -468,30 +585,94 @@ func less(a, b Neighbor) bool {
 	return a.ID < b.ID
 }
 
-type minHeap []Neighbor
-
-func (h minHeap) Len() int            { return len(h) }
-func (h minHeap) Less(i, j int) bool  { return less(h[i], h[j]) }
-func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func compare(a, b Neighbor) int {
+	if less(a, b) {
+		return -1
+	}
+	if less(b, a) {
+		return 1
+	}
+	return 0
 }
 
-type maxHeap []Neighbor
+// minHeap and maxHeap are binary heaps of Neighbors under less, closest and
+// farthest on top respectively: the beam's frontier and its bounded result
+// set. Typed push/pop, so nothing is boxed on the way in or out.
+type (
+	minHeap []Neighbor
+	maxHeap []Neighbor
+)
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return less(h[j], h[i]) }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *minHeap) push(x Neighbor) {
+	s := append(*h, x)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !less(s[i], s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *minHeap) pop() Neighbor {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && less(s[c+1], s[c]) {
+			c++
+		}
+		if !less(s[c], s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	return top
+}
+
+func (h *maxHeap) push(x Neighbor) {
+	s := append(*h, x)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !less(s[p], s[i]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *maxHeap) pop() Neighbor {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && less(s[c], s[c+1]) {
+			c++
+		}
+		if !less(s[i], s[c]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	return top
 }

@@ -20,7 +20,7 @@ func newStore(cfg Config) *store {
 	s := &store{}
 	s.ix = New(cfg, func(a, b int32) float32 {
 		return vec.L2Sq(s.vecs[a], s.vecs[b])
-	})
+	}, nil)
 	return s
 }
 
@@ -366,7 +366,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	restored, err := Read(bytes.NewReader(buf.Bytes()), func(a, b int32) float32 {
 		return vec.L2Sq(s.vecs[a], s.vecs[b])
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSerializationEmpty(t *testing.T) {
 	if _, err := s.ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(bytes.NewReader(buf.Bytes()), s.ix.dist)
+	restored, err := Read(bytes.NewReader(buf.Bytes()), s.ix.dist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		{1, 2, 3},
 		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
 	} {
-		if _, err := Read(bytes.NewReader(data), nil); err == nil {
+		if _, err := Read(bytes.NewReader(data), nil, nil); err == nil {
 			t.Fatalf("garbage %v parsed", data)
 		}
 	}

@@ -1,8 +1,11 @@
 package hnsw
 
-// Scratch holds the per-search working state of a beam search — the visited
-// set and both heap backings — so a caller issuing many searches in a row
-// (the batched query path) allocates them once instead of per query.
+import "sync"
+
+// Scratch holds the working state of a beam search — the visited set, both
+// heaps and the result buffer — so a caller issuing many searches in a row
+// allocates them once instead of per walk. Every walk runs over one: an
+// insertion over its builder's, a query over the caller's.
 //
 // The visited set is a generation-stamped array: slot i is "visited" when
 // visited[i] equals the current generation, so resetting between searches is
@@ -16,7 +19,18 @@ type Scratch struct {
 	gen     uint32
 	cand    minHeap
 	res     maxHeap
+	out     []Neighbor // the last walk's results, ascending
+	// locks and nbBuf are set only on an AddBatch worker's scratch: the
+	// batch's per-node locks, and the buffer adjacency lists are copied
+	// into under them.
+	locks []sync.Mutex
+	nbBuf []int32
 }
+
+// scratchPool serves the searches that bring no Scratch of their own: a walk
+// borrows one and returns it, so no two live walks share one and a steady
+// query load allocates none.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // NewScratch returns an empty scratch. Equivalent to new(Scratch); provided
 // so callers outside the package don't depend on the zero value being valid.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // The on-wire format is little-endian:
@@ -56,11 +57,11 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 	}
-	for _, node := range ix.nodes {
-		if err := put32(uint32(len(node.neighbors))); err != nil {
+	for _, layers := range ix.nodes {
+		if err := put32(uint32(len(layers))); err != nil {
 			return n, err
 		}
-		for _, layer := range node.neighbors {
+		for _, layer := range layers {
 			if err := put32(uint32(len(layer))); err != nil {
 				return n, err
 			}
@@ -75,106 +76,84 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read deserializes a graph written by WriteTo. The caller supplies the
-// same construction-time distance function the original index used; it is
-// needed only for future Add calls.
-func Read(r io.Reader, dist func(a, b int32) float32) (*Index, error) {
-	get32 := func() (uint32, error) {
-		var buf [4]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
+// same construction-time distances the original index used (see New); they
+// are needed only for future Add calls.
+//
+// The blob is untrusted. Nothing is allocated on the word of a count in it:
+// the node table and every adjacency list grow as their bytes are actually
+// read, so memory stays proportional to the bytes consumed. A list may hold
+// up to 4·M neighbours, not the M (2·M on layer 0) a fresh build keeps to:
+// concurrent builds of earlier versions wrote lists past that bound, and
+// they load and search as they did there.
+func Read(r io.Reader, dist func(a, b int32) float32, newTargetDist func() TargetDist) (*Index, error) {
+	var rerr error
+	var buf [4]byte // outside get32: it escapes into r, once instead of per word
+	get32 := func() uint32 {
+		if rerr != nil {
+			return 0
 		}
-		return binary.LittleEndian.Uint32(buf[:]), nil
-	}
-	get64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
+		if _, rerr = io.ReadFull(r, buf[:]); rerr != nil {
+			return 0
 		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
+		return binary.LittleEndian.Uint32(buf[:])
 	}
-	magic, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if magic != hnswMagic {
+	magic, version := get32(), get32()
+	m, efc := get32(), get32()
+	seed := uint64(get32()) | uint64(get32())<<32
+	entry, maxLevel, numNodes := int32(get32()), int32(get32()), get32()
+	switch {
+	case rerr != nil:
+		return nil, rerr
+	case magic != hnswMagic:
 		return nil, errors.New("hnsw: bad magic")
-	}
-	version, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if version != hnswVersion {
+	case version != hnswVersion:
 		return nil, fmt.Errorf("hnsw: unsupported version %d", version)
-	}
-	m, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	efc, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	seed, err := get64()
-	if err != nil {
-		return nil, err
-	}
-	if m == 0 || m > 1<<16 {
+	case m == 0 || m > 1<<16:
 		return nil, fmt.Errorf("hnsw: corrupt M=%d", m)
-	}
-	entry, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	maxLevel, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	numNodes, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if numNodes > 1<<30 {
+	case numNodes > 1<<30:
 		return nil, fmt.Errorf("hnsw: corrupt node count %d", numNodes)
+	case numNodes == 0 && (entry != -1 || maxLevel != -1):
+		return nil, fmt.Errorf("hnsw: empty graph with entry point %d, level %d", entry, maxLevel)
+	case numNodes > 0 && (entry < 0 || uint32(entry) >= numNodes):
+		return nil, fmt.Errorf("hnsw: corrupt entry point %d", entry)
 	}
 
-	ix := New(Config{M: int(m), EfConstruction: int(efc), Seed: int64(seed)}, dist)
-	ix.entry = int32(entry)
-	ix.maxLevel = int32AsLevel(maxLevel)
-	ix.nodes = make([]node, numNodes)
-	for i := range ix.nodes {
-		layers, err := get32()
-		if err != nil {
-			return nil, err
+	ix := New(Config{M: int(m), EfConstruction: int(efc), Seed: int64(seed)}, dist, newTargetDist)
+	ix.entry, ix.maxLevel = entry, int(maxLevel)
+	var layer []int32 // reused: a list is copied out at the size actually read
+	for id := uint32(0); id < numNodes; id++ {
+		layers := get32()
+		if rerr != nil {
+			return nil, rerr
 		}
-		if layers > 64 {
+		if layers < 1 || layers > 64 {
 			return nil, fmt.Errorf("hnsw: corrupt layer count %d", layers)
 		}
-		nbs := make([][]int32, layers)
-		for l := range nbs {
-			deg, err := get32()
-			if err != nil {
-				return nil, err
+		ix.grow(int(layers) - 1)
+		for l := range ix.nodes[id] {
+			deg := get32()
+			if rerr != nil {
+				return nil, rerr
 			}
 			if deg > 4*m {
-				return nil, fmt.Errorf("hnsw: corrupt degree %d", deg)
+				return nil, fmt.Errorf("hnsw: corrupt degree %d on layer %d", deg, l)
 			}
-			layer := make([]int32, deg)
-			for d := range layer {
-				v, err := get32()
-				if err != nil {
-					return nil, err
+			layer = layer[:0]
+			for d := uint32(0); d < deg; d++ {
+				v := get32()
+				if rerr != nil {
+					return nil, rerr
 				}
 				if v >= numNodes {
 					return nil, fmt.Errorf("hnsw: neighbor %d out of range", v)
 				}
-				layer[d] = int32(v)
+				layer = append(layer, int32(v))
 			}
-			nbs[l] = layer
+			ix.nodes[id][l] = slices.Clone(layer)
 		}
-		ix.nodes[i].neighbors = nbs
 	}
-	if numNodes > 0 && (ix.entry < 0 || int(ix.entry) >= int(numNodes)) {
-		return nil, fmt.Errorf("hnsw: corrupt entry point %d", ix.entry)
+	if numNodes > 0 && ix.maxLevel != len(ix.nodes[entry])-1 {
+		return nil, fmt.Errorf("hnsw: max level %d, entry point's level %d", ix.maxLevel, len(ix.nodes[entry])-1)
 	}
 	// Re-burn the level RNG so future Adds continue a plausible stream.
 	for i := uint32(0); i < numNodes; i++ {
@@ -182,7 +161,3 @@ func Read(r io.Reader, dist func(a, b int32) float32) (*Index, error) {
 	}
 	return ix, nil
 }
-
-// int32AsLevel reinterprets the stored unsigned maxLevel, allowing the -1
-// sentinel of an empty index to round-trip.
-func int32AsLevel(v uint32) int { return int(int32(v)) }

@@ -45,12 +45,11 @@ func (ix *Index) Stats() GraphStats {
 	gs.Layers = make([]LayerStats, ix.maxLevel+1)
 	for l := 0; l <= ix.maxLevel; l++ {
 		ls := LayerStats{Level: l, MinDegree: -1}
-		for id := range ix.nodes {
-			nbs := ix.nodes[id].neighbors
-			if l >= len(nbs) {
+		for _, layers := range ix.nodes {
+			if l >= len(layers) {
 				continue
 			}
-			deg := len(nbs[l])
+			deg := len(layers[l])
 			ls.Nodes++
 			ls.Edges += deg
 			if ls.MinDegree < 0 || deg < ls.MinDegree {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestStatsEmpty(t *testing.T) {
-	ix := New(Config{}, func(a, b int32) float32 { return 0 })
+	ix := New(Config{}, func(a, b int32) float32 { return 0 }, nil)
 	gs := ix.Stats()
 	if gs.Nodes != 0 || gs.EntryPoint != -1 || gs.ReachableFraction != 1 {
 		t.Fatalf("empty stats=%+v", gs)
@@ -20,7 +20,7 @@ func TestStatsConnectedGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vecs := make([][]float32, 0, n)
 	dist := func(a, b int32) float32 { return vec.L2Sq(vecs[a], vecs[b]) }
-	ix := New(Config{M: 8, EfConstruction: 64, Seed: 3}, dist)
+	ix := New(Config{M: 8, EfConstruction: 64, Seed: 3}, dist, nil)
 	for i := 0; i < n; i++ {
 		v := make([]float32, dim)
 		for d := range v {

@@ -27,8 +27,22 @@ type Quantizer struct {
 	m      int // number of subspaces
 	k      int // centroids per subspace (≤ 256)
 	subDim int
-	// codebooks[s][c] is centroid c of subspace s, laid out as subDim floats.
-	codebooks [][][]float32
+	// codebook holds every centroid back to back: centroid c of subspace s
+	// is the subDim floats at (s·k + c)·subDim. One flat array (256 KiB at
+	// dim 256) keeps every distance below a walk over contiguous memory.
+	codebook []float32
+}
+
+// centroid returns centroid c of subspace s.
+func (q *Quantizer) centroid(s, c int) []float32 {
+	off := (s*q.k + c) * q.subDim
+	return q.codebook[off : off+q.subDim : off+q.subDim]
+}
+
+// subspace returns the k centroids of subspace s, back to back.
+func (q *Quantizer) subspace(s int) []float32 {
+	n := q.k * q.subDim
+	return q.codebook[s*n : (s+1)*n : (s+1)*n]
 }
 
 // Config controls training.
@@ -98,7 +112,7 @@ func Train(sample [][]float32, cfg Config) (*Quantizer, error) {
 	}
 	subDim := dim / m
 	q := &Quantizer{dim: dim, m: m, k: k, subDim: subDim,
-		codebooks: make([][][]float32, m)}
+		codebook: make([]float32, m*k*subDim)}
 	workers := par.Workers(cfg.Workers)
 	// The M subquantizers are independent k-means problems with disjoint
 	// seeds, so they shard across workers directly; leftover parallelism
@@ -117,7 +131,9 @@ func Train(sample [][]float32, cfg Config) (*Quantizer, error) {
 		res := kmeans.Run(sub, kmeans.Config{
 			K: k, Seed: cfg.Seed + int64(s), MaxIter: maxIter, Workers: innerWorkers,
 		})
-		q.codebooks[s] = res.Centroids
+		for c, cent := range res.Centroids {
+			copy(q.centroid(s, c), cent)
+		}
 	})
 	return q, nil
 }
@@ -146,16 +162,61 @@ func (q *Quantizer) EncodeTo(v []float32, code []byte) {
 	if len(code) != q.m {
 		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), q.m))
 	}
+	var buf [256]float32 // K ≤ 256
+	row := buf[:q.k]
 	for s := 0; s < q.m; s++ {
-		lo := s * q.subDim
-		subv := v[lo : lo+q.subDim]
+		l2sqRow(v[s*q.subDim:(s+1)*q.subDim], q.subspace(s), row)
 		best, bestD := 0, float32(math.MaxFloat32)
-		for c, cent := range q.codebooks[s] {
-			if d := vec.L2Sq(subv, cent); d < bestD {
+		for c, d := range row {
+			if d < bestD {
 				best, bestD = c, d
 			}
 		}
 		code[s] = byte(best)
+	}
+}
+
+// l2sqRow sets row[c] to the squared distance between x and the c-th of
+// the len(x)-dim centroids laid back to back in cents: one subspace's row
+// of every table this package builds, bit-equal to vec.L2Sq per entry.
+// Subvectors shorter than vec's 8-wide unroll — the index's 4-dim subspaces
+// — get only vec.L2Sq's scalar tail, which the loop below repeats float for
+// float without a call per centroid.
+func l2sqRow(x, cents, row []float32) {
+	sd := len(x)
+	if sd >= 8 {
+		for c := range row {
+			row[c] = vec.L2Sq(x, cents[c*sd:(c+1)*sd])
+		}
+		return
+	}
+	for c := range row {
+		y := cents[c*sd:][:sd]
+		var sum float32
+		for i, xi := range x {
+			d := xi - y[i]
+			sum += d * d
+		}
+		row[c] = sum
+	}
+}
+
+// dotRow is l2sqRow for inner products, bit-equal to vec.Dot per entry.
+func dotRow(x, cents, row []float32) {
+	sd := len(x)
+	if sd >= 8 {
+		for c := range row {
+			row[c] = vec.Dot(x, cents[c*sd:(c+1)*sd])
+		}
+		return
+	}
+	for c := range row {
+		y := cents[c*sd:][:sd]
+		var sum float32
+		for i, xi := range x {
+			sum += xi * y[i]
+		}
+		row[c] = sum
 	}
 }
 
@@ -166,99 +227,109 @@ func (q *Quantizer) Decode(code []byte) []float32 {
 	}
 	out := make([]float32, q.dim)
 	for s := 0; s < q.m; s++ {
-		copy(out[s*q.subDim:], q.codebooks[s][code[s]])
+		copy(out[s*q.subDim:], q.centroid(s, int(code[s])))
 	}
 	return out
 }
 
-// Table is an ADC lookup table for one query: Table[s][c] is the partial
-// squared distance (or negative partial dot product, depending on the
-// builder) between the query's s-th subvector and centroid c.
-type Table [][]float32
+// Table is an M × K lookup table over one fixed left-hand side — a query
+// (DistTable, DotTable) or a stored code (CodeDistRows): entry (s, c) is
+// the partial squared distance, or partial dot product, between that side's
+// s-th subvector and centroid c. It is one flat allocation, row s at s·K.
+// The zero Table is empty.
+type Table struct {
+	k int
+	v []float32
+}
+
+func (q *Quantizer) newTable() Table {
+	return Table{k: q.k, v: make([]float32, q.m*q.k)}
+}
 
 // DistTable precomputes squared-L2 partials for the query so that
 // approximate distance to any code is M table lookups.
 func (q *Quantizer) DistTable(query []float32) Table {
-	if len(query) != q.dim {
-		panic(fmt.Sprintf("pq: query dim %d, want %d", len(query), q.dim))
-	}
-	t := make(Table, q.m)
-	for s := 0; s < q.m; s++ {
-		lo := s * q.subDim
-		subq := query[lo : lo+q.subDim]
-		row := make([]float32, len(q.codebooks[s]))
-		for c, cent := range q.codebooks[s] {
-			row[c] = vec.L2Sq(subq, cent)
-		}
-		t[s] = row
-	}
-	return t
+	return q.queryTable(query, l2sqRow)
 }
 
 // DotTable precomputes inner-product partials, used when ranking by cosine
 // over unit vectors (higher is better).
 func (q *Quantizer) DotTable(query []float32) Table {
+	return q.queryTable(query, dotRow)
+}
+
+func (q *Quantizer) queryTable(query []float32, fillRow func(x, cents, row []float32)) Table {
 	if len(query) != q.dim {
 		panic(fmt.Sprintf("pq: query dim %d, want %d", len(query), q.dim))
 	}
-	t := make(Table, q.m)
+	t := q.newTable()
 	for s := 0; s < q.m; s++ {
-		lo := s * q.subDim
-		subq := query[lo : lo+q.subDim]
-		row := make([]float32, len(q.codebooks[s]))
-		for c, cent := range q.codebooks[s] {
-			row[c] = vec.Dot(subq, cent)
-		}
-		t[s] = row
+		fillRow(query[s*q.subDim:(s+1)*q.subDim], q.subspace(s), t.v[s*q.k:(s+1)*q.k])
 	}
 	return t
 }
 
 // Lookup sums the table partials for code: approximate squared distance for
-// DistTable, approximate dot product for DotTable.
+// DistTable and CodeDistRows, approximate dot product for DotTable.
 func (t Table) Lookup(code []byte) float32 {
-	var s float32
-	for i, c := range code {
-		s += t[i][c]
+	var sum float32
+	v := t.v
+	for _, c := range code {
+		sum += v[c]
+		v = v[t.k:]
 	}
-	return s
+	return sum
 }
 
-// SDC holds the symmetric distance computation tables: precomputed squared
-// distances between every pair of centroids within each subspace, allowing
-// code-to-code distance estimation without decoding. Used for graph
-// construction when raw vectors have been dropped after compression.
-type SDC struct {
-	k      int
-	tables [][]float32 // tables[s][ci*k+cj]
-}
-
-// SDCTables precomputes the symmetric tables; cost O(M·K²·subDim), sharded
-// across subspaces (each table is independent, so the output is identical
-// at any parallelism).
-func (q *Quantizer) SDCTables() *SDC {
-	s := &SDC{k: q.k, tables: make([][]float32, q.m)}
-	par.Each(q.m, par.Workers(0), func(sub int) {
-		t := make([]float32, q.k*q.k)
-		for i := 0; i < q.k; i++ {
-			for j := i + 1; j < q.k; j++ {
-				d := vec.L2Sq(q.codebooks[sub][i], q.codebooks[sub][j])
-				t[i*q.k+j] = d
-				t[j*q.k+i] = d
-			}
-		}
-		s.tables[sub] = t
-	})
-	return s
-}
-
-// Dist estimates the squared Euclidean distance between two codes.
-func (s *SDC) Dist(a, b []byte) float32 {
+// CodeDist estimates the squared Euclidean distance between two codes
+// without decoding them (symmetric distance computation): the sum over
+// subspaces of the squared distance between the two codes' centroids, read
+// straight from the codebook. Used for graph construction once raw vectors
+// have been dropped after compression: it is the pairwise distance of HNSW
+// neighbour selection, several thousand calls per inserted vector.
+func (q *Quantizer) CodeDist(a, b []byte) float32 {
+	sd, stride := q.subDim, q.k*q.subDim
+	b = b[:len(a)]
+	cents := q.codebook
 	var d float32
-	for i := range a {
-		d += s.tables[i][int(a[i])*s.k+int(b[i])]
+	if sd == 4 {
+		// The ANNS index's subspace width (dim/4 subspaces of 4 dims).
+		// Unrolled, with one bounds check per centroid: the same four
+		// squares added in the same order as vec.L2Sq's scalar tail.
+		for s := range a {
+			x := (*[4]float32)(cents[int(a[s])*4:])
+			y := (*[4]float32)(cents[int(b[s])*4:])
+			d0, d1, d2, d3 := x[0]-y[0], x[1]-y[1], x[2]-y[2], x[3]-y[3]
+			d += d0*d0 + d1*d1 + d2*d2 + d3*d3
+			cents = cents[stride:]
+		}
+		return d
+	}
+	for s := range a {
+		d += vec.L2Sq(cents[int(a[s])*sd:][:sd], cents[int(b[s])*sd:][:sd])
+		cents = cents[stride:]
 	}
 	return d
+}
+
+// CodeDistRows fills dst with the partials of CodeDist for one fixed code
+// and returns it: afterwards dst.Lookup(b) == q.CodeDist(code, b) bit for
+// bit, at M loads instead of M centroid distances. A dst not sized for q —
+// the zero Table, on first use — is replaced by a fresh one, so a caller
+// keeps one table and pays the allocation once. A construction beam
+// measures hundreds of items against one inserted target, which is what
+// pays for the M·K partials computed here.
+func (q *Quantizer) CodeDistRows(code []byte, dst Table) Table {
+	if len(code) != q.m {
+		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), q.m))
+	}
+	if dst.k != q.k || len(dst.v) != q.m*q.k {
+		dst = q.newTable()
+	}
+	for s := 0; s < q.m; s++ {
+		l2sqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
+	}
+	return dst
 }
 
 // WriteTo serializes the quantizer. Format: magic, dims, then codebooks as
@@ -280,13 +351,9 @@ func (q *Quantizer) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 	}
-	for s := 0; s < q.m; s++ {
-		for _, cent := range q.codebooks[s] {
-			for _, f := range cent {
-				if err := write(math.Float32bits(f)); err != nil {
-					return n, err
-				}
-			}
+	for _, f := range q.codebook {
+		if err := write(math.Float32bits(f)); err != nil {
+			return n, err
 		}
 	}
 	return n, nil
@@ -296,8 +363,8 @@ const pqMagic = 0x50511001
 
 // Read deserializes a quantizer written by WriteTo.
 func Read(r io.Reader) (*Quantizer, error) {
+	var buf [4]byte // outside read: it escapes into r, once instead of per float
 	read := func() (uint32, error) {
-		var buf [4]byte
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return 0, err
 		}
@@ -320,21 +387,17 @@ func Read(r io.Reader) (*Quantizer, error) {
 	if dim <= 0 || m <= 0 || k <= 0 || k > 256 || dim%m != 0 {
 		return nil, fmt.Errorf("pq: corrupt header dim=%d m=%d k=%d", dim, m, k)
 	}
+	// The header is untrusted: beyond 256 KiB (K = 256 at dim 256, one
+	// allocation) the codebook grows as floats actually arrive instead of
+	// being allocated on its word.
 	q := &Quantizer{dim: dim, m: m, k: k, subDim: dim / m,
-		codebooks: make([][][]float32, m)}
-	for s := 0; s < m; s++ {
-		q.codebooks[s] = make([][]float32, k)
-		for c := 0; c < k; c++ {
-			cent := make([]float32, q.subDim)
-			for d := range cent {
-				bits, err := read()
-				if err != nil {
-					return nil, err
-				}
-				cent[d] = math.Float32frombits(bits)
-			}
-			q.codebooks[s][c] = cent
+		codebook: make([]float32, 0, min(k*dim, 1<<16))}
+	for i := 0; i < k*dim; i++ {
+		bits, err := read()
+		if err != nil {
+			return nil, err
 		}
+		q.codebook = append(q.codebook, math.Float32frombits(bits))
 	}
 	return q, nil
 }

@@ -70,7 +70,7 @@ func TestQuantizationIsNearestCentroid(t *testing.T) {
 		subv := v[lo : lo+q.subDim]
 		bestD := float32(math.MaxFloat32)
 		best := 0
-		for c, cent := range q.codebooks[s] {
+		for c, cent := range nestedCodebooks(q)[s] {
 			if d := vec.L2Sq(subv, cent); d < bestD {
 				best, bestD = c, d
 			}
@@ -265,32 +265,30 @@ func BenchmarkADCLookup(b *testing.B) {
 	}
 }
 
-func TestSDCMatchesDecodedPairs(t *testing.T) {
+func TestCodeDistMatchesDecodedPairs(t *testing.T) {
 	vs := randomUnitVecs(300, 64, 20)
 	q, err := Train(vs, Config{M: 8, K: 32, Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdc := q.SDCTables()
 	for i := 0; i < 20; i++ {
 		a, b := q.Encode(vs[i]), q.Encode(vs[i+20])
-		got := sdc.Dist(a, b)
+		got := q.CodeDist(a, b)
 		want := vec.L2Sq(q.Decode(a), q.Decode(b))
 		if math.Abs(float64(got-want)) > 1e-3 {
-			t.Fatalf("SDC=%v decoded=%v", got, want)
+			t.Fatalf("CodeDist=%v decoded=%v", got, want)
 		}
 	}
 }
 
-func TestSDCSelfDistanceZero(t *testing.T) {
+func TestCodeDistSelfDistanceZero(t *testing.T) {
 	vs := randomUnitVecs(100, 32, 21)
 	q, err := Train(vs, Config{M: 4, K: 16, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdc := q.SDCTables()
 	code := q.Encode(vs[0])
-	if d := sdc.Dist(code, code); d != 0 {
+	if d := q.CodeDist(code, code); d != 0 {
 		t.Fatalf("self distance %v", d)
 	}
 }
@@ -310,14 +308,165 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s := range base.codebooks {
-			for c := range base.codebooks[s] {
-				for d := range base.codebooks[s][c] {
-					if q.codebooks[s][c][d] != base.codebooks[s][c][d] {
-						t.Fatalf("workers=%d: codebook[%d][%d][%d] not bit-identical", workers, s, c, d)
-					}
+		for i := range base.codebook {
+			if q.codebook[i] != base.codebook[i] {
+				t.Fatalf("workers=%d: codebook[%d] not bit-identical", workers, i)
+			}
+		}
+	}
+}
+
+// nestedCodebooks copies q's centroids into the [subspace][centroid][dim]
+// layout the reference implementations below index.
+func nestedCodebooks(q *Quantizer) [][][]float32 {
+	out := make([][][]float32, q.m)
+	for s := range out {
+		out[s] = make([][]float32, q.k)
+		for c := range out[s] {
+			out[s][c] = vec.Clone(q.centroid(s, c))
+		}
+	}
+	return out
+}
+
+// The ref* functions are the nested-slice implementations the flat
+// codebook replaced, kept as the reference the flat ones must match bit for
+// bit: refSDC is the precomputed K×K-per-subspace table construction
+// distances used to be read from.
+
+func refEncode(cb [][][]float32, subDim int, v []float32) []byte {
+	code := make([]byte, len(cb))
+	for s := range cb {
+		subv := v[s*subDim : (s+1)*subDim]
+		best, bestD := 0, float32(math.MaxFloat32)
+		for c, cent := range cb[s] {
+			if d := vec.L2Sq(subv, cent); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		code[s] = byte(best)
+	}
+	return code
+}
+
+func refTable(cb [][][]float32, subDim int, query []float32, partial func(a, b []float32) float32) [][]float32 {
+	t := make([][]float32, len(cb))
+	for s := range cb {
+		subq := query[s*subDim : (s+1)*subDim]
+		row := make([]float32, len(cb[s]))
+		for c, cent := range cb[s] {
+			row[c] = partial(subq, cent)
+		}
+		t[s] = row
+	}
+	return t
+}
+
+func refLookup(t [][]float32, code []byte) float32 {
+	var s float32
+	for i, c := range code {
+		s += t[i][c]
+	}
+	return s
+}
+
+type refSDC struct {
+	k      int
+	tables [][]float32 // tables[s][ci*k+cj]
+}
+
+func newRefSDC(cb [][][]float32) *refSDC {
+	k := len(cb[0])
+	s := &refSDC{k: k, tables: make([][]float32, len(cb))}
+	for sub := range cb {
+		t := make([]float32, k*k)
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				d := vec.L2Sq(cb[sub][i], cb[sub][j])
+				t[i*k+j] = d
+				t[j*k+i] = d
+			}
+		}
+		s.tables[sub] = t
+	}
+	return s
+}
+
+func (s *refSDC) dist(a, b []byte) float32 {
+	var d float32
+	for i := range a {
+		d += s.tables[i][int(a[i])*s.k+int(b[i])]
+	}
+	return d
+}
+
+// TestFlatCodebookBitIdentical pins every distance the flat codebook serves
+// to the nested-slice reference, bit for bit, on both sides of vec's 8-wide
+// unroll (subDim 1 and 4 run only its scalar tail, 8 only the unrolled
+// body, 12 both).
+func TestFlatCodebookBitIdentical(t *testing.T) {
+	const m, k, n = 6, 32, 120
+	for _, subDim := range []int{1, 4, 8, 12} {
+		vs := randomUnitVecs(n, m*subDim, int64(40+subDim))
+		q, err := Train(vs, Config{M: m, K: k, Seed: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb := nestedCodebooks(q)
+		sdc := newRefSDC(cb)
+		codes := make([][]byte, n)
+		for i, v := range vs {
+			codes[i] = q.Encode(v)
+			if want := refEncode(cb, subDim, v); !bytes.Equal(codes[i], want) {
+				t.Fatalf("subDim %d: Encode(%d) = %v, reference %v", subDim, i, codes[i], want)
+			}
+		}
+		var rows Table
+		for i := 0; i < n; i += 7 {
+			dist, dot := q.DistTable(vs[i]), q.DotTable(vs[i])
+			refDist, refDot := refTable(cb, subDim, vs[i], vec.L2Sq), refTable(cb, subDim, vs[i], vec.Dot)
+			rows = q.CodeDistRows(codes[i], rows)
+			for j, code := range codes {
+				if got, want := dist.Lookup(code), refLookup(refDist, code); got != want {
+					t.Fatalf("subDim %d: DistTable(%d).Lookup(%d) = %v, reference %v", subDim, i, j, got, want)
+				}
+				if got, want := dot.Lookup(code), refLookup(refDot, code); got != want {
+					t.Fatalf("subDim %d: DotTable(%d).Lookup(%d) = %v, reference %v", subDim, i, j, got, want)
+				}
+				want := sdc.dist(codes[i], code)
+				if got := q.CodeDist(codes[i], code); got != want {
+					t.Fatalf("subDim %d: CodeDist(%d, %d) = %v, reference SDC %v", subDim, i, j, got, want)
+				}
+				if got := q.CodeDist(code, codes[i]); got != want {
+					t.Fatalf("subDim %d: CodeDist(%d, %d) = %v, reference SDC %v", subDim, j, i, got, want)
+				}
+				if got := rows.Lookup(code); got != want {
+					t.Fatalf("subDim %d: CodeDistRows(%d).Lookup(%d) = %v, reference SDC %v", subDim, i, j, got, want)
 				}
 			}
 		}
 	}
 }
+
+// BenchmarkCodeDist measures the code-to-code distance in the shape the
+// ANNS index uses (dim 256, 4-dim subspaces, 256 centroids): the pairwise
+// distance of HNSW neighbour selection.
+func BenchmarkCodeDist(b *testing.B) {
+	vs := randomUnitVecs(600, 256, 12)
+	q, err := Train(vs, Config{M: 64, K: 256, Seed: 12, MaxIter: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	codes := make([][]byte, len(vs))
+	for i, v := range vs {
+		codes[i] = q.Encode(v)
+	}
+	var sink float32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += q.CodeDist(codes[i%len(codes)], codes[(i*7+1)%len(codes)])
+	}
+	benchSink = sink
+}
+
+var benchSink float32

@@ -156,7 +156,7 @@ func knnGraph(points [][]float32, k, exactThreshold int, seed int64, workers int
 	// Approximate path: build an HNSW over the points.
 	ix := hnsw.New(hnsw.Config{M: 16, EfConstruction: 100, Seed: seed}, func(a, b int32) float32 {
 		return vec.L2Sq(points[a], points[b])
-	})
+	}, nil)
 	ix.AddBatch(n, workers)
 	par.For(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

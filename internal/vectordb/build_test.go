@@ -1,0 +1,321 @@
+package vectordb
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// graphHash folds every layer's adjacency — layer, node id, degree and the
+// neighbour ids in stored order — into one FNV-1a value.
+func graphHash(c *Collection) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(v int32) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	for l := 0; l <= c.index.MaxLevel(); l++ {
+		g := c.index.Graph(l)
+		ids := make([]int32, 0, len(g))
+		for id := range g {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		put(int32(l))
+		for _, id := range ids {
+			put(id)
+			put(int32(len(g[id])))
+			for _, nb := range g[id] {
+				put(nb)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestSerialBuildGraphGolden pins the serial construction path edge for
+// edge: the constants were recorded by running this test body at the commit
+// before construction distances moved off the SDC table, so any change to
+// which floats are summed, in which order, or to the beam's tie-breaking
+// shows up here as a different graph.
+func TestSerialBuildGraphGolden(t *testing.T) {
+	const (
+		n   = 800
+		dim = 64
+	)
+	rng := rand.New(rand.NewSource(41))
+	vecs := make([][]float32, n)
+	for i := range vecs {
+		vecs[i] = randUnit(dim, rng)
+	}
+	for _, tc := range []struct {
+		name string
+		pq   *PQConfig
+		want uint64
+	}{
+		{"pq", &PQConfig{M: 16, K: 64, TrainSize: 256}, 0x1dc83a0d05f1019b},
+		{"raw", nil, 0x65fee130aa6bee46},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New().CreateCollection("c", CollectionConfig{Dim: dim, Seed: 41, PQ: tc.pq, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A quarter through Insert, the rest through an InsertBatch that
+			// crosses the PQ training boundary: both funnel into the same
+			// serial insertion body.
+			for _, v := range vecs[:n/4] {
+				if _, err := c.Insert(v, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.InsertBatch(vecs[n/4:], nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := graphHash(c); got != tc.want {
+				t.Fatalf("graph hash %#x, want %#x", got, tc.want)
+			}
+		})
+	}
+}
+
+// BenchmarkInsertBatchPQ times serial construction in the regime the
+// end-to-end benchmark's anns-graph set-up lives in: dim 256, 4-dim PQ
+// subspaces with 256 centroids, so every construction distance after the
+// first 512 vectors is a code-to-code distance.
+func BenchmarkInsertBatchPQ(b *testing.B) {
+	const (
+		n   = 3200
+		dim = 256
+	)
+	rng := rand.New(rand.NewSource(16))
+	vecs := make([][]float32, n)
+	for i := range vecs {
+		vecs[i] = randUnit(dim, rng)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := New().CreateCollection("c", CollectionConfig{
+			Dim: dim, Seed: 16, Workers: 1,
+			PQ: &PQConfig{M: 64, K: 256, TrainSize: 512},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.InsertBatch(vecs, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perVec := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/perVec, "µs/vector")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perVec, "allocs/vector")
+}
+
+// TestParallelBuildAcrossTrainingBoundary runs the concurrent construction
+// path end to end under -race: a four-worker InsertBatch whose rows straddle
+// the PQ training boundary, so the early rows enter the graph under raw
+// distances and the rest under per-target row tables, one table per worker.
+// The graph must come out whole and as useful as a serial one; then
+// concurrent single-query searches share the index's scratch pool, where a
+// scratch handed to two live walks would corrupt both answers.
+func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
+	const (
+		n   = 1200
+		dim = 32
+		k   = 10
+	)
+	rng := rand.New(rand.NewSource(77))
+	vecs := make([][]float32, n)
+	for i := range vecs {
+		vecs[i] = randUnit(dim, rng)
+	}
+	c, err := New().CreateCollection("c", CollectionConfig{
+		Dim: dim, Seed: 77, Workers: 4, EfConstruction: 100,
+		PQ: &PQConfig{M: 16, K: 64, TrainSize: 300},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InsertBatch(vecs[:100], nil); err != nil { // still raw
+		t.Fatal(err)
+	}
+	if _, err := c.InsertBatch(vecs[100:], nil); err != nil { // trains mid-batch
+		t.Fatal(err)
+	}
+	if !c.Stats().Compressed {
+		t.Fatal("PQ did not train")
+	}
+	// Which worker links first is up to the scheduler, and an insertion
+	// that re-selects a full list can take away another node's last
+	// in-edge: a few builds in a thousand leave one node of the 1,200
+	// unreachable. More than a handful means the locking is broken.
+	if got := c.GraphStats().ReachableFraction; got < 0.995 {
+		t.Fatalf("reachable fraction %v after the parallel build", got)
+	}
+
+	queries := vecs[:200]
+	want := make([][]Result, len(queries))
+	hits := 0
+	for i, q := range queries {
+		exact, err := c.SearchExact(q, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = c.Search(q, k, 128, nil); err != nil {
+			t.Fatal(err)
+		}
+		truth := make(map[uint64]bool, k)
+		for _, r := range exact {
+			truth[r.ID] = true
+		}
+		for _, r := range want[i] {
+			if truth[r.ID] {
+				hits++
+			}
+		}
+	}
+	if recall := float64(hits) / float64(k*len(queries)); recall < 0.9 {
+		t.Fatalf("recall@%d vs SearchExact = %.3f, want >= 0.9", k, recall)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(queries); i += 4 { // every query from two goroutines
+				got, err := c.Search(queries[i], k, 128, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != len(want[i]) {
+					t.Errorf("query %d: %d results under concurrency, %d alone", i, len(got), len(want[i]))
+					return
+				}
+				for j := range got {
+					if got[j].ID != want[i][j].ID || got[j].Score != want[i][j].Score {
+						t.Errorf("query %d result %d: %+v under concurrency, %+v alone", i, j, got[j], want[i][j])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestRestoreBuildsNoDistanceTable pins what loading a PQ collection costs
+// in memory: the collection's own rows, and nothing proportional to K².
+// Construction distances used to come from a 64 × 256 × 256 × 4 B = 16 MiB
+// table rebuilt on every load; they are now read from the 256 KiB codebook.
+func TestRestoreBuildsNoDistanceTable(t *testing.T) {
+	const (
+		n   = 600
+		dim = 256
+	)
+	rng := rand.New(rand.NewSource(5))
+	vecs := make([][]float32, n)
+	for i := range vecs {
+		vecs[i] = randUnit(dim, rng)
+	}
+	c, err := New().CreateCollection("c", CollectionConfig{
+		Dim: dim, Seed: 5, EfConstruction: 40,
+		PQ: &PQConfig{M: 64, K: 256, TrainSize: 512},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InsertBatch(vecs, nil); err != nil {
+		t.Fatal(err)
+	}
+	p := c.persist()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	restored, err := restoreCollection(p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restored.Stats().Compressed {
+		t.Fatal("restored collection lost its quantizer")
+	}
+	// The image's rows (ids, codes, payloads) are shared with p, not copied;
+	// what restore allocates is the codebook, the graph and the id map.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("restoreCollection allocated %d bytes, want under 2 MiB", got)
+	}
+}
+
+// TestLoadsParentCommitImages loads database files written by the commit
+// before the construction distances and the beam changed, each 16-dim with
+// PQ M 4 / K 16 trained at 64 and a v1 graph blob: parent_v1_pq.db is a
+// serial build (300 points, seed 30); parent_v1_workers.db is an eight-worker
+// InsertBatch (600 points, M 4, seed 32), whose concurrent insertion left
+// lists longer than a fresh build allows (12 on layer 0 against 2·M = 8, 8 on
+// layer 1 against M = 4). Either graph must come back edge for edge and rank
+// exactly as it did there; the constants were recorded at that commit.
+func TestLoadsParentCommitImages(t *testing.T) {
+	for _, tc := range []struct {
+		file          string
+		probeSeed     int64
+		graph, search uint64
+		maxDegree0    int
+	}{
+		{"testdata/parent_v1_pq.db", 31, 0xb77148a480782ba6, 0x19b374f6a8564ba8, 32},
+		{"testdata/parent_v1_workers.db", 33, 0x9088744a1136cbe2, 0x1bbabb22efd30867, 12},
+	} {
+		db, err := LoadFile(tc.file)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		c, ok := db.Collection("t")
+		if !ok {
+			t.Fatalf("%s: collection lost", tc.file)
+		}
+		if got := graphHash(c); got != tc.graph {
+			t.Errorf("%s: graph hash %#x, want %#x", tc.file, got, tc.graph)
+		}
+		if got := c.GraphStats().Layers[0].MaxDegree; got != tc.maxDegree0 {
+			t.Errorf("%s: layer-0 max degree %d, want %d", tc.file, got, tc.maxDegree0)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		rng := rand.New(rand.NewSource(tc.probeSeed))
+		for probe := 0; probe < 10; probe++ {
+			res, err := c.Search(randUnit(16, rng), 10, 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				binary.LittleEndian.PutUint64(buf[:], r.ID)
+				h.Write(buf[:])
+				binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(r.Score))
+				h.Write(buf[:4])
+			}
+		}
+		if got := h.Sum64(); got != tc.search {
+			t.Errorf("%s: search hash %#x, want %#x", tc.file, got, tc.search)
+		}
+		// A loaded graph keeps growing under the new construction path, and
+		// an over-long list shrinks to the bound the first time it is touched.
+		for i := 0; i < 50; i++ {
+			if _, err := c.Insert(randUnit(16, rng), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if gs := c.GraphStats(); gs.ReachableFraction != 1 {
+			t.Errorf("%s: reachable fraction %v after inserts", tc.file, gs.ReachableFraction)
+		}
+	}
+}

@@ -119,7 +119,6 @@ type Collection struct {
 
 	index     *hnsw.Index
 	quantizer *pq.Quantizer
-	sdc       *pq.SDC
 	nextID    uint64
 
 	// Observability hooks, resolved once by SetObserver so the insert path
@@ -153,14 +152,16 @@ func newCollection(cfg CollectionConfig) (*Collection, error) {
 		byID:    make(map[uint64]int32),
 		deleted: make(map[int32]struct{}),
 	}
-	c.index = hnsw.New(hnsw.Config{M: cfg.M, EfConstruction: cfg.EfConstruction, Seed: cfg.Seed}, c.itemDist)
+	c.index = hnsw.New(hnsw.Config{M: cfg.M, EfConstruction: cfg.EfConstruction, Seed: cfg.Seed}, c.itemDist, c.newTargetDist)
 	return c, nil
 }
 
-// itemDist is the construction-time distance between stored items.
+// itemDist is the construction-time distance between two stored items: the
+// pairwise distance of neighbour selection. Between PQ-coded items it is
+// the code-to-code distance, read from the codebook.
 func (c *Collection) itemDist(a, b int32) float32 {
 	if c.codes != nil && c.codes[a] != nil && c.codes[b] != nil {
-		return c.sdc.Dist(c.codes[a], c.codes[b])
+		return c.quantizer.CodeDist(c.codes[a], c.codes[b])
 	}
 	va, vb := c.vectorOf(a), c.vectorOf(b)
 	switch c.cfg.Metric {
@@ -170,6 +171,30 @@ func (c *Collection) itemDist(a, b int32) float32 {
 		return 1 - vec.Dot(va, vb) // vectors are unit-normalized on insert
 	default:
 		return vec.L2Sq(va, vb)
+	}
+}
+
+// newTargetDist answers the index once per builder (the serial insertion
+// path, each InsertBatch worker). The hnsw.TargetDist it returns owns one
+// M × K row table: per inserted PQ-coded target it fills the table with the
+// target's per-subspace distances to every centroid, after which each of
+// the beam's hundreds of distances to that target is M lookups in a table
+// small enough to stay in L1/L2 — and sums the same floats in the same
+// order as itemDist. Uncoded targets fall back to itemDist (a nil return).
+func (c *Collection) newTargetDist() hnsw.TargetDist {
+	var rows pq.Table
+	return func(target int32) func(int32) float32 {
+		if c.codes == nil || c.codes[target] == nil {
+			return nil
+		}
+		rows = c.quantizer.CodeDistRows(c.codes[target], rows)
+		codes := c.codes
+		return func(id int32) float32 {
+			if code := codes[id]; code != nil {
+				return rows.Lookup(code)
+			}
+			return c.itemDist(id, target)
+		}
 	}
 }
 
@@ -233,8 +258,8 @@ func (c *Collection) Insert(vector []float32, payload map[string]string) (uint64
 //
 // It is semantically the same as calling Insert per vector — PQ training
 // still triggers on exactly the first TrainSize stored vectors, and graph
-// edges created before training use raw distances while later ones use the
-// SDC tables, exactly as the incremental path does. With cfg.Workers 0 or
+// edges created before training use raw distances while later ones use
+// code-to-code distances, exactly as the incremental path does. With cfg.Workers 0 or
 // 1 the resulting collection is bit-identical to the Insert loop; with 2+
 // workers the clone/normalize and PQ-encode steps shard across workers and
 // the HNSW inserts run concurrently.
@@ -306,7 +331,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, payloads []map[string]stri
 	for i := range vs {
 		if c.quantizer == nil && c.cfg.PQ != nil && len(c.vectors)+1 >= c.cfg.PQ.TrainSize {
 			// The next append triggers PQ training, which flips itemDist
-			// from raw to SDC distances. Rows appended so far must enter
+			// from raw to code distances. Rows appended so far must enter
 			// the graph first, under the distances the serial Insert loop
 			// gave them.
 			flushGraphLocked()
@@ -351,7 +376,6 @@ func (c *Collection) trainPQLocked() error {
 	}
 	c.obsPQTrain.Add(time.Since(start).Seconds())
 	c.quantizer = q
-	c.sdc = q.SDCTables()
 	c.codes = make([][]byte, len(c.vectors))
 	par.For(len(c.vectors), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -486,7 +510,7 @@ func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.Sear
 
 // searchOneLocked runs one already-normalized query through the index and
 // materializes results. Caller holds at least a read lock. q must already
-// be cloned/normalized per the metric. sc may be nil (per-call state).
+// be cloned/normalized per the metric. sc may be nil (the index lends one).
 // A nil return with no error means the walk was cancelled; the caller
 // surfaces ctx.Err().
 func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, sc *hnsw.Scratch) []Result {
@@ -796,7 +820,6 @@ func restoreCollection(p *persistedCollection) (*Collection, error) {
 			return nil, err
 		}
 		c.quantizer = q
-		c.sdc = q.SDCTables()
 	}
 	c.ids = p.IDs
 	c.vectors = p.Vectors
@@ -808,7 +831,7 @@ func restoreCollection(p *persistedCollection) (*Collection, error) {
 	}
 	if len(p.GraphBlob) > 0 {
 		// Fast path: restore the serialized graph directly.
-		ix, err := hnsw.Read(bytes.NewReader(p.GraphBlob), c.itemDist)
+		ix, err := hnsw.Read(bytes.NewReader(p.GraphBlob), c.itemDist, c.newTargetDist)
 		if err != nil {
 			return nil, fmt.Errorf("vectordb: graph restore: %w", err)
 		}
