@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
+.PHONY: build vet lint test race portable race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,15 @@ race-cluster:
 hedge-stress:
 	$(GO) test -race -count=10 -run 'Race|Hedg|Failover|FailsOver|Straggler|HungReplica' ./internal/cluster/ ./internal/netcluster/
 
-check: lint race
+# Everything off the amd64 assembly path still has to build and agree:
+# arm64 compiles every package against the stubs in dotbatch_generic.go, and
+# the purego tag runs the vec tests and the HNSW golden graphs — the same
+# constants — through the pure-Go kernel bodies on this machine.
+portable:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec
+	$(GO) test -tags purego ./internal/vec ./internal/hnsw
+
+check: lint race portable
 
 # One-iteration pass over every microbenchmark (HNSW build, k-means, vector
 # kernels, ...): catches benchmarks that no longer compile or crash, without
@@ -50,22 +58,29 @@ bench-smoke:
 
 # End-to-end benchmark smoke: the repeatable HTTP benchmark BENCHMARK.json
 # declares (bench/), one short untraced run of its cheapest workload and one
-# of the workload that builds an index. Each builds ./bench, serves an
+# of each workload that builds an index. Each builds ./bench, serves an
 # engine on loopback, drives every phase and checks answers against the
 # oracle, so it catches a benchmark that no longer compiles against the
 # library or an answer that changed. exs-scan executes no hnsw, pq or
-# vectordb code; anns-graph's set-up is an HNSW + PQ build, so a broken
-# index build fails the benchmark's correctness gate here.
+# vectordb code; anns-graph's set-up is an HNSW + PQ build and cts-cluster's
+# a UMAP + HDBSCAN one, so a broken index, reduction or clustering build
+# fails the benchmark's correctness gate here.
 bench-e2e:
 	bash bench/run.sh --workload exs-scan --seed 7 --seconds 2 --trace 0
 	bash bench/run.sh --workload anns-graph --seed 7 --seconds 2 --trace 0
+	bash bench/run.sh --workload cts-cluster --seed 7 --seconds 2 --trace 0
 
-# Kernel micro-benchmarks: the batched DotBatch/L2SqBatch kernels against
-# repeated single-query Dot calls, plus the bounded top-k selection. The
-# transcript lands in benchrun_kernels.txt so kernel regressions show up in
-# review diffs.
+# Kernel micro-benchmarks: the single-pair Dot/L2Sq kernels beside their
+# scalar reference, the batched DotBatch/L2SqBatch kernels against repeated
+# single-query Dot calls, the bounded top-k selection, and the pieces of the
+# CTS build that run on them (the SGD's pow, a whole UMAP fit, HDBSCAN's
+# core-distance pass). The transcript lands in benchrun_kernels.txt so
+# kernel regressions show up in review diffs.
 bench-kernels:
-	$(GO) test -run=^$$ -bench 'Dot|L2Sq|TopK|FullSort' -benchtime=2s ./internal/vec/ | tee benchrun_kernels.txt
+	{ $(GO) test -run=^$$ -bench 'Dot|L2Sq|TopK|FullSort' -benchtime=2s ./internal/vec/ && \
+	  $(GO) test -run=^$$ -bench 'Pow32' -benchtime=2s ./internal/umap/ && \
+	  $(GO) test -run=^$$ -bench 'Fit3200x256' -benchtime=3x ./internal/umap/ && \
+	  $(GO) test -run=^$$ -bench 'CoreDistances4096x16' -benchtime=5x ./internal/hdbscan/; } | tee benchrun_kernels.txt
 
 # Segment-store churn smoke: race-checked delete/update/add churn against
 # the engine and segment store, pinning that a churned, compacted index

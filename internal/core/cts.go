@@ -122,84 +122,12 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	for i := range emb.Values {
 		points[i] = emb.Values[i].Vec
 	}
-
-	// 1. Dimensionality reduction.
-	var reduced [][]float32
-	buildPhase(emb.Obs, "umap", func() {
-		switch opt.Reduction {
-		case ReducePCA:
-			reduced = umap.PCA(points, opt.ReducedDim, opt.Seed)
-		case ReduceNone:
-			reduced = points
-		default:
-			reduced = umap.Fit(points, umap.Config{
-				NComponents: opt.ReducedDim,
-				NEpochs:     opt.UMAPEpochs,
-				Seed:        opt.Seed,
-				Workers:     workers,
-			})
-		}
-	})
-
-	// 2. HDBSCAN on (a sample of) the reduced vectors.
-	sampleIdx := strideSample(n, opt.SampleCap)
-	samplePts := make([][]float32, len(sampleIdx))
-	for i, gi := range sampleIdx {
-		samplePts[i] = reduced[gi]
-	}
-	var res hdbscan.Result
-	buildPhase(emb.Obs, "hdbscan", func() {
-		res = hdbscan.Cluster(samplePts, hdbscan.Config{MinClusterSize: opt.MinClusterSize, Workers: workers})
-	})
-
-	// 3. Medoids in reduced and original space. Degenerate clusterings
-	// (zero clusters) collapse to a single cluster around the global
-	// medoid so that CTS remains total.
-	var medoidGlobal []int
-	if res.NumClusters == 0 {
-		medoidGlobal = []int{globalMedoid(reduced, sampleIdx)}
-	} else {
-		medoidGlobal = make([]int, res.NumClusters)
-		for c, mi := range res.Medoids {
-			medoidGlobal[c] = sampleIdx[mi]
-		}
-	}
+	_, medoidGlobal, clusterOf := partitionValues(points, opt, workers, emb.Obs)
 	numClusters := len(medoidGlobal)
-	medoidReduced := make([][]float32, numClusters)
 	medoidVecs := make([][]float32, numClusters)
 	for c, gi := range medoidGlobal {
-		medoidReduced[c] = reduced[gi]
 		medoidVecs[c] = points[gi]
 	}
-
-	// 4. Assign every value to a cluster: sampled points keep their label
-	// (noise included — it routes to the nearest medoid), everything else
-	// goes to the nearest medoid in reduced space.
-	clusterOf := make([]int, n)
-	for i := range clusterOf {
-		clusterOf[i] = -1
-	}
-	if res.NumClusters > 0 {
-		for si, gi := range sampleIdx {
-			clusterOf[gi] = res.Labels[si]
-		}
-	}
-	// Each point's nearest medoid is an independent computation, so the
-	// assignment shards across workers without changing any label.
-	par.For(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if clusterOf[i] >= 0 {
-				continue
-			}
-			best, bestD := 0, float32(math.MaxFloat32)
-			for c := range medoidReduced {
-				if d := vec.L2Sq(reduced[i], medoidReduced[c]); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			clusterOf[i] = best
-		}
-	})
 
 	// 5. One collection per cluster.
 	db := vectordb.New()
@@ -269,6 +197,87 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 		fanout:      opt.Fanout,
 		efSearch:    opt.EfSearch,
 	}, nil
+}
+
+// partitionValues is NewCTS's reduce → cluster → assign pipeline over the
+// value vectors: it returns the reduced coordinates, each cluster's medoid
+// as an index into points, and every point's cluster. opt arrives with its
+// defaults filled.
+func partitionValues(points [][]float32, opt CTSOptions, workers int, reg *obs.Registry) (reduced [][]float32, medoidGlobal []int, clusterOf []int) {
+	n := len(points)
+
+	// 1. Dimensionality reduction.
+	buildPhase(reg, "umap", func() {
+		switch opt.Reduction {
+		case ReducePCA:
+			reduced = umap.PCA(points, opt.ReducedDim, opt.Seed)
+		case ReduceNone:
+			reduced = points
+		default:
+			reduced = umap.Fit(points, umap.Config{
+				NComponents: opt.ReducedDim,
+				NEpochs:     opt.UMAPEpochs,
+				Seed:        opt.Seed,
+				Workers:     workers,
+			})
+		}
+	})
+
+	// 2. HDBSCAN on (a sample of) the reduced vectors.
+	sampleIdx := strideSample(n, opt.SampleCap)
+	samplePts := make([][]float32, len(sampleIdx))
+	for i, gi := range sampleIdx {
+		samplePts[i] = reduced[gi]
+	}
+	var res hdbscan.Result
+	buildPhase(reg, "hdbscan", func() {
+		res = hdbscan.Cluster(samplePts, hdbscan.Config{MinClusterSize: opt.MinClusterSize, Workers: workers})
+	})
+
+	// 3. Medoids. Degenerate clusterings (zero clusters) collapse to a
+	// single cluster around the global medoid so that CTS remains total.
+	if res.NumClusters == 0 {
+		medoidGlobal = []int{globalMedoid(reduced, sampleIdx)}
+	} else {
+		medoidGlobal = make([]int, res.NumClusters)
+		for c, mi := range res.Medoids {
+			medoidGlobal[c] = sampleIdx[mi]
+		}
+	}
+	medoidReduced := make([][]float32, len(medoidGlobal))
+	for c, gi := range medoidGlobal {
+		medoidReduced[c] = reduced[gi]
+	}
+
+	// 4. Assign every value to a cluster: sampled points keep their label
+	// (noise included — it routes to the nearest medoid), everything else
+	// goes to the nearest medoid in reduced space.
+	clusterOf = make([]int, n)
+	for i := range clusterOf {
+		clusterOf[i] = -1
+	}
+	if res.NumClusters > 0 {
+		for si, gi := range sampleIdx {
+			clusterOf[gi] = res.Labels[si]
+		}
+	}
+	// Each point's nearest medoid is an independent computation, so the
+	// assignment shards across workers without changing any label.
+	par.For(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if clusterOf[i] >= 0 {
+				continue
+			}
+			best, bestD := 0, float32(math.MaxFloat32)
+			for c := range medoidReduced {
+				if d := vec.L2Sq(reduced[i], medoidReduced[c]); d < bestD {
+					best, bestD = c, d
+				}
+			}
+			clusterOf[i] = best
+		}
+	})
+	return reduced, medoidGlobal, clusterOf
 }
 
 // Name implements Searcher.

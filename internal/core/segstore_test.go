@@ -491,34 +491,58 @@ func TestSegmentStoreCompactToEmpty(t *testing.T) {
 // TestSegmentStoreDriftTrigger: churning a CTS store past the medoid-drift
 // bound must make compactTrigger fire with the drift trigger and Maintain
 // re-cluster, restoring drift to its baseline band.
+//
+// The trigger is a signed growth over the build-time baseline, and which
+// deletes make the mean drift grow depends on the layout the build happened
+// to produce. So the deletes are chosen from the built clustering: relations
+// are tombstoned one at a time, from each starting relation in turn, until
+// the store's own health report shows the mean over its baseline.
 func TestSegmentStoreDriftTrigger(t *testing.T) {
-	fed, model := covidFederation(t)
-	emb := EmbedFederation(fed, model)
+	const bound = 1e-9 // hair-trigger; other triggers disabled
 	build := func(e *Embedded) (EncodedSearcher, error) {
 		return NewCTS(e, CTSOptions{Seed: 1, MinClusterSize: 4, UMAPEpochs: 30, Build: BuildOptions{Workers: 1}})
 	}
-	base, err := build(emb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewSegmentStore(emb, base, SegmentStoreOptions{
-		Build:  build,
-		Method: "CTS",
-		// Hair-trigger drift bound; other triggers disabled.
-		Policy: segment.Policy{
-			MaxMutableValues: 1 << 20, MaxSegments: 100,
-			MaxDeadFraction: -1, MaxMedoidDrift: 1e-9, MaxPQDistortion: -1,
-		},
-	})
-	// Tombstone a third of the corpus to move the live centroids.
-	ids := st.LiveRelations()
-	for i := 0; i < len(ids); i += 3 {
-		if err := st.Delete(ids[i]); err != nil {
+	newStore := func() *SegmentStore {
+		fed, model := covidFederation(t)
+		emb := EmbedFederation(fed, model)
+		base, err := build(emb)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return NewSegmentStore(emb, base, SegmentStoreOptions{
+			Build:  build,
+			Method: "CTS",
+			Policy: segment.Policy{
+				MaxMutableValues: 1 << 20, MaxSegments: 100,
+				MaxDeadFraction: -1, MaxMedoidDrift: bound, MaxPQDistortion: -1,
+			},
+		})
 	}
-	trig := st.Stats()
-	_ = trig
+	// drifted tombstones ids[start], ids[start+1], ... (one relation always
+	// stays live) and reports whether the mean medoid drift rose.
+	drifted := func(st *SegmentStore, start int) bool {
+		baseline := st.IndexHealth().Clusters.MeanMedoidDrift
+		ids := st.LiveRelations()
+		for i := 0; i < len(ids)-1; i++ {
+			if err := st.Delete(ids[(start+i)%len(ids)]); err != nil {
+				t.Fatal(err)
+			}
+			if st.IndexHealth().Clusters.MeanMedoidDrift-baseline > bound {
+				return true
+			}
+		}
+		return false
+	}
+	var st *SegmentStore
+	for start := 0; ; start++ {
+		st = newStore()
+		if start == len(st.LiveRelations()) {
+			t.Fatal("no run of deletes raises the mean medoid drift over its baseline")
+		}
+		if drifted(st, start) {
+			break
+		}
+	}
 	if err := st.Maintain(); err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,8 @@ const parallelMinPoints = 256
 
 // coreDistances returns, for each point, the distance to its k-th nearest
 // neighbour (the point itself not counted). Rows are independent, so the
-// scan shards across workers with a per-worker distance buffer; the output
-// does not depend on the worker count.
+// scan shards across workers; the output does not depend on the worker
+// count.
 func coreDistances(points [][]float32, k, workers int) []float64 {
 	n := len(points)
 	if k >= n {
@@ -132,26 +132,16 @@ func coreDistances(points [][]float32, k, workers int) []float64 {
 	}
 	core := make([]float64, n)
 	par.For(n, workers, func(lo, hi int) {
-		dists := make([]float64, n)
-		for i := lo; i < hi; i++ {
-			for j := range points {
-				dists[j] = float64(vec.L2(points[i], points[j]))
-			}
-			dists[i] = math.Inf(1) // exclude self, keeps slice length stable
-			// k-th smallest via partial selection.
-			core[i] = kthSmallest(dists, k)
-		}
+		nearest := make([]vec.Neighbor, 0, k)
+		vec.L2SqRows(points, lo, hi, func(i int, row []float32) {
+			// The root is monotone, so the k-th smallest distance is the
+			// root of the k-th smallest square: one sqrt per row, and the
+			// value vec.L2 gives for that pair.
+			kth := vec.NearestK(row, k, i, nearest)[k-1].Dist
+			core[i] = float64(float32(math.Sqrt(float64(kth))))
+		})
 	})
 	return core
-}
-
-// kthSmallest returns the k-th smallest element (1-based) of ds without
-// permanently reordering the caller's view; it copies.
-func kthSmallest(ds []float64, k int) float64 {
-	cp := make([]float64, len(ds))
-	copy(cp, ds)
-	sort.Float64s(cp)
-	return cp[k-1]
 }
 
 type mstEdge struct {

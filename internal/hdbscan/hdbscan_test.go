@@ -298,6 +298,24 @@ func BenchmarkCluster1000(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreDistances4096x16 is the core-distance pass at the shape the
+// CTS build runs it: SampleCap points in the 16-dimensional reduced space,
+// k = 8, one worker.
+func BenchmarkCoreDistances4096x16(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	pts := make([][]float32, 4096)
+	for i := range pts {
+		pts[i] = make([]float32, 16)
+		for d := range pts[i] {
+			pts[i][d] = float32(rng.NormFloat64())
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = coreDistances(pts, 8, 1)
+	}
+}
+
 func TestSilhouette(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	var pts [][]float32

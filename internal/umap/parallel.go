@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"semdisco/internal/par"
+	"semdisco/internal/vec"
 )
 
 // optimizeParallel is the Workers >= 2 variant of optimize: Hogwild-style
@@ -21,12 +22,12 @@ import (
 // Edge bookkeeping (nextEpoch) is sharded with the edges themselves: a
 // shard owns a contiguous edge range across all epochs, so those arrays
 // need no synchronization beyond the per-epoch barrier.
-func optimizeParallel(emb [][]float32, rows, cols []int32, weights []float32, cfg Config, a, b float32, workers int) {
+func optimizeParallel(emb []float32, rows, cols []int32, weights []float32, cfg Config, a, b float32, workers int) {
 	if len(rows) == 0 {
 		return
 	}
-	n := len(emb)
 	dim := cfg.NComponents
+	n := len(emb) / dim
 
 	flat := newAtomicEmbedding(emb, dim)
 
@@ -43,15 +44,6 @@ func optimizeParallel(emb [][]float32, rows, cols []int32, weights []float32, cf
 	nextEpoch := make([]float32, len(weights))
 	copy(nextEpoch, epochsPerSample)
 
-	clip := func(x float32) float32 {
-		if x > 4 {
-			return 4
-		}
-		if x < -4 {
-			return -4
-		}
-		return x
-	}
 	alphaStart := cfg.LearningRate
 
 	// Per-shard RNGs: par.For chunks are deterministic in (len, workers),
@@ -85,9 +77,8 @@ func optimizeParallel(emb [][]float32, rows, cols []int32, weights []float32, cf
 				i, j := rows[e], cols[e]
 				flat.snapshot(int(i), vi)
 				flat.snapshot(int(j), vj)
-				d2 := l2sq(vi, vj)
-				if d2 > 0 {
-					g := (-2 * a * b * pow32(d2, b-1)) / (1 + a*pow32(d2, b))
+				if d2 := vec.L2Sq(vi, vj); d2 > 0 {
+					g := attractCoef(d2, a, b)
 					for dI := 0; dI < dim; dI++ {
 						gd := clip(g * (vi[dI] - vj[dI]))
 						flat.add(int(i), dI, alpha*gd)
@@ -103,36 +94,15 @@ func optimizeParallel(emb [][]float32, rows, cols []int32, weights []float32, cf
 						continue
 					}
 					flat.snapshot(int(k), vj)
-					d2n := l2sq(vi, vj)
-					var g float32
-					if d2n > 0 {
-						g = (2 * b) / ((0.001 + d2n) * (1 + a*pow32(d2n, b)))
-					} else {
-						g = 4
-					}
+					g := repelCoef(vec.L2Sq(vi, vj), a, b)
 					for dI := 0; dI < dim; dI++ {
-						var gd float32
-						if g > 0 {
-							gd = clip(g * (vi[dI] - vj[dI]))
-						} else {
-							gd = 4
-						}
-						flat.add(int(i), dI, alpha*gd)
+						flat.add(int(i), dI, alpha*clip(g*(vi[dI]-vj[dI])))
 					}
 				}
 			}
 		})
 	}
 	flat.copyOut(emb)
-}
-
-func l2sq(a, b []float32) float32 {
-	var s float32
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }
 
 // atomicEmbedding stores an n×dim float32 matrix as a flat slice of bit
@@ -143,12 +113,10 @@ type atomicEmbedding struct {
 	dim  int
 }
 
-func newAtomicEmbedding(emb [][]float32, dim int) *atomicEmbedding {
-	f := &atomicEmbedding{bits: make([]uint32, len(emb)*dim), dim: dim}
-	for i, row := range emb {
-		for d, v := range row {
-			f.bits[i*dim+d] = math.Float32bits(v)
-		}
+func newAtomicEmbedding(emb []float32, dim int) *atomicEmbedding {
+	f := &atomicEmbedding{bits: make([]uint32, len(emb)), dim: dim}
+	for i, v := range emb {
+		f.bits[i] = math.Float32bits(v)
 	}
 	return f
 }
@@ -175,11 +143,8 @@ func (f *atomicEmbedding) add(i, d int, delta float32) {
 	}
 }
 
-func (f *atomicEmbedding) copyOut(emb [][]float32) {
-	for i, row := range emb {
-		base := i * f.dim
-		for d := range row {
-			row[d] = math.Float32frombits(atomic.LoadUint32(&f.bits[base+d]))
-		}
+func (f *atomicEmbedding) copyOut(emb []float32) {
+	for i := range emb {
+		emb[i] = math.Float32frombits(atomic.LoadUint32(&f.bits[i]))
 	}
 }

@@ -1,10 +1,6 @@
 package umap
 
-import (
-	"sort"
-
-	"semdisco/internal/vec"
-)
+import "semdisco/internal/vec"
 
 // Embedding couples the training data with its learned low-dimensional
 // layout so that new points can be mapped into the same space — the
@@ -43,28 +39,18 @@ func (e *Embedding) Transform(p []float32) []float32 {
 	if k == 0 {
 		return make([]float32, e.cfg.NComponents)
 	}
-	type nd struct {
-		idx int
-		d   float32
-	}
-	nds := make([]nd, len(e.input))
+	dists := make([]float32, len(e.input))
 	for i, q := range e.input {
-		nds[i] = nd{i, vec.L2(p, q)}
+		dists[i] = vec.L2(p, q)
 	}
-	sort.Slice(nds, func(i, j int) bool {
-		if nds[i].d != nds[j].d {
-			return nds[i].d < nds[j].d
-		}
-		return nds[i].idx < nds[j].idx
-	})
-	nds = nds[:k]
+	nearest := vec.NearestK(dists, k, -1, make([]vec.Neighbor, 0, k))
 
 	out := make([]float32, e.cfg.NComponents)
 	var totalW float32
 	const eps = 1e-6
-	for _, n := range nds {
-		w := 1 / (n.d + eps)
-		vec.AddScaled(out, w, e.output[n.idx])
+	for _, nb := range nearest {
+		w := 1 / (nb.Dist + eps)
+		vec.AddScaled(out, w, e.output[nb.ID])
 		totalW += w
 	}
 	if totalW > 0 {

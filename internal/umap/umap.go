@@ -12,7 +12,6 @@ package umap
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"semdisco/internal/hnsw"
 	"semdisco/internal/par"
@@ -39,7 +38,8 @@ type Config struct {
 	// Seed makes the embedding deterministic.
 	Seed int64
 	// ExactKNNThreshold: inputs up to this size use exact O(n²) kNN, larger
-	// ones use an HNSW approximation. Defaults to 3000.
+	// ones use an HNSW approximation. Defaults to 7000, where the blocked
+	// exact scan and the HNSW build + n searches cost the same at dim 256.
 	ExactKNNThreshold int
 	// Workers bounds build parallelism. 0 or 1 runs the historical serial
 	// pipeline, bit-identical for a fixed seed. With 2+ workers the kNN
@@ -74,7 +74,7 @@ func (c *Config) fill(n int) {
 		c.NegativeSamples = 5
 	}
 	if c.ExactKNNThreshold == 0 {
-		c.ExactKNNThreshold = 3000
+		c.ExactKNNThreshold = 7000
 	}
 }
 
@@ -99,14 +99,22 @@ func Fit(points [][]float32, cfg Config) [][]float32 {
 	}
 	knnIdx, knnDist := knnGraph(points, k, cfg.ExactKNNThreshold, cfg.Seed, workers)
 	rows, cols, weights := fuzzySimplicialSet(knnIdx, knnDist)
-	emb := randomProjectionInit(points, cfg.NComponents, cfg.Seed)
+	// The layout lives in one n·dim buffer for the whole optimization: the
+	// SGD reads rows at random, and a flat buffer makes that one address
+	// computation instead of a slice-header load per row.
+	dim := cfg.NComponents
+	emb := randomProjectionInit(points, dim, cfg.Seed)
 	a, b := fitAB(1.0, float64(cfg.MinDist))
 	if workers > 1 {
 		optimizeParallel(emb, rows, cols, weights, cfg, float32(a), float32(b), workers)
 	} else {
 		optimize(emb, rows, cols, weights, cfg, float32(a), float32(b))
 	}
-	return emb
+	out := make([][]float32, n)
+	for i := range out {
+		out[i] = emb[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
 }
 
 // knnGraph returns, for each point, the indices and distances of its k
@@ -119,37 +127,23 @@ func knnGraph(points [][]float32, k, exactThreshold int, seed int64, workers int
 	idx = make([][]int32, n)
 	dist = make([][]float32, n)
 	if n <= exactThreshold {
-		type nd struct {
-			id int32
-			d  float32
-		}
 		par.For(n, workers, func(lo, hi int) {
-			buf := make([]nd, 0, n)
-			for i := lo; i < hi; i++ {
-				buf = buf[:0]
-				for j := range points {
-					if i == j {
-						continue
-					}
-					buf = append(buf, nd{int32(j), vec.L2(points[i], points[j])})
+			nearest := make([]vec.Neighbor, 0, k)
+			vec.L2SqRows(points, lo, hi, func(i int, row []float32) {
+				// Select on the rooted distances, not the squares: the
+				// float32 root merges neighbouring squares, and the lower
+				// index wins the tie that makes.
+				for j, d2 := range row {
+					row[j] = float32(math.Sqrt(float64(d2)))
 				}
-				sort.Slice(buf, func(a, b int) bool {
-					if buf[a].d != buf[b].d {
-						return buf[a].d < buf[b].d
-					}
-					return buf[a].id < buf[b].id
-				})
-				m := k
-				if m > len(buf) {
-					m = len(buf)
+				nearest = vec.NearestK(row, k, i, nearest)
+				idx[i] = make([]int32, len(nearest))
+				dist[i] = make([]float32, len(nearest))
+				for t, nb := range nearest {
+					idx[i][t] = nb.ID
+					dist[i][t] = nb.Dist
 				}
-				idx[i] = make([]int32, m)
-				dist[i] = make([]float32, m)
-				for t := 0; t < m; t++ {
-					idx[i][t] = buf[t].id
-					dist[i][t] = buf[t].d
-				}
-			}
+			})
 		})
 		return idx, dist
 	}
@@ -269,7 +263,8 @@ func smoothKNNDist(ds []float32, rho float32) float64 {
 
 // randomProjectionInit projects the input through a seeded Gaussian matrix,
 // the cheap structure-preserving initialization (Johnson–Lindenstrauss).
-func randomProjectionInit(points [][]float32, outDim int, seed int64) [][]float32 {
+// The result is row-major, outDim coordinates per point.
+func randomProjectionInit(points [][]float32, outDim int, seed int64) []float32 {
 	inDim := len(points[0])
 	rng := rand.New(rand.NewSource(seed ^ 0x5deece66d))
 	proj := make([][]float32, outDim)
@@ -281,13 +276,12 @@ func randomProjectionInit(points [][]float32, outDim int, seed int64) [][]float3
 		}
 		proj[c] = row
 	}
-	out := make([][]float32, len(points))
+	out := make([]float32, len(points)*outDim)
 	for i, p := range points {
-		e := make([]float32, outDim)
+		e := out[i*outDim : (i+1)*outDim]
 		for c := range proj {
 			e[c] = vec.Dot(proj[c], p) * 10
 		}
-		out[i] = e
 	}
 	return out
 }
@@ -332,13 +326,14 @@ func fitAB(spread, minDist float64) (a, b float64) {
 	return bestA, bestB
 }
 
-// optimize runs the negative-sampling SGD over the fuzzy graph.
-func optimize(emb [][]float32, rows, cols []int32, weights []float32, cfg Config, a, b float32) {
+// optimize runs the negative-sampling SGD over the fuzzy graph, in place on
+// the row-major layout emb.
+func optimize(emb []float32, rows, cols []int32, weights []float32, cfg Config, a, b float32) {
 	if len(rows) == 0 {
 		return
 	}
-	n := len(emb)
 	dim := cfg.NComponents
+	n := len(emb) / dim
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x2545f4914f6cdd1d))
 
 	// epochsPerSample: edges with higher membership are updated more often.
@@ -355,15 +350,6 @@ func optimize(emb [][]float32, rows, cols []int32, weights []float32, cfg Config
 	nextEpoch := make([]float32, len(weights))
 	copy(nextEpoch, epochsPerSample)
 
-	clip := func(x float32) float32 {
-		if x > 4 {
-			return 4
-		}
-		if x < -4 {
-			return -4
-		}
-		return x
-	}
 	alphaStart := cfg.LearningRate
 	for epoch := 1; epoch <= cfg.NEpochs; epoch++ {
 		alpha := alphaStart * (1 - float32(epoch)/float32(cfg.NEpochs))
@@ -376,46 +362,61 @@ func optimize(emb [][]float32, rows, cols []int32, weights []float32, cfg Config
 				continue
 			}
 			nextEpoch[e] += epochsPerSample[e]
-			i, j := rows[e], cols[e]
-			vi, vj := emb[i], emb[j]
-			d2 := vec.L2Sq(vi, vj)
+			i, j := int(rows[e]), int(cols[e])
+			// Reslicing the other row to len(vi) lets the update loops
+			// run without bounds checks.
+			vi := emb[i*dim : (i+1)*dim]
+			vj := emb[j*dim : (j+1)*dim][:len(vi)]
 			// Attractive gradient.
-			if d2 > 0 {
-				g := (-2 * a * b * pow32(d2, b-1)) / (1 + a*pow32(d2, b))
-				for dI := 0; dI < dim; dI++ {
-					gd := clip(g * (vi[dI] - vj[dI]))
-					vi[dI] += alpha * gd
-					vj[dI] -= alpha * gd
+			if d2 := vec.L2Sq(vi, vj); d2 > 0 {
+				g := attractCoef(d2, a, b)
+				for d, x := range vi {
+					gd := clip(g * (x - vj[d]))
+					vi[d] = x + alpha*gd
+					vj[d] -= alpha * gd
 				}
 			}
 			// Repulsive updates against random negatives.
 			for s := 0; s < cfg.NegativeSamples; s++ {
-				k := int32(rng.Intn(n))
+				k := rng.Intn(n)
 				if k == i {
 					continue
 				}
-				vk := emb[k]
-				d2n := vec.L2Sq(vi, vk)
-				var g float32
-				if d2n > 0 {
-					g = (2 * b) / ((0.001 + d2n) * (1 + a*pow32(d2n, b)))
-				} else {
-					g = 4
-				}
-				for dI := 0; dI < dim; dI++ {
-					var gd float32
-					if g > 0 {
-						gd = clip(g * (vi[dI] - vk[dI]))
-					} else {
-						gd = 4
-					}
-					vi[dI] += alpha * gd
+				vk := emb[k*dim : (k+1)*dim][:len(vi)]
+				g := repelCoef(vec.L2Sq(vi, vk), a, b)
+				for d, x := range vi {
+					vi[d] = x + alpha*clip(g*(x-vk[d]))
 				}
 			}
 		}
 	}
 }
 
-func pow32(x, p float32) float32 {
-	return float32(math.Pow(float64(x), float64(p)))
+// attractCoef is the coefficient of the attractive gradient at squared
+// layout distance d2 > 0: −2ab·d2^(b−1) / (1 + a·d2^b), with d2^b taken as
+// d2·d2^(b−1) so that the term costs one pow.
+func attractCoef(d2, a, b float32) float32 {
+	pw := pow32(d2, b-1)
+	return (-2 * a * b * pw) / (1 + a*d2*pw)
+}
+
+// repelCoef is the coefficient of the repulsive gradient against a negative
+// sample at squared distance d2: 2b / ((0.001 + d2)(1 + a·d2^b)), and the
+// gradient cap where the two points coincide.
+func repelCoef(d2, a, b float32) float32 {
+	if d2 > 0 {
+		return (2 * b) / ((0.001 + d2) * (1 + a*pow32(d2, b)))
+	}
+	return 4
+}
+
+// clip bounds one coordinate of a gradient to the reference's [−4, 4].
+func clip(x float32) float32 {
+	if x > 4 {
+		return 4
+	}
+	if x < -4 {
+		return -4
+	}
+	return x
 }

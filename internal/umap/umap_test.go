@@ -235,6 +235,83 @@ func BenchmarkFit500(b *testing.B) {
 	}
 }
 
+// BenchmarkFit3200x256 is the reduction the CTS benchmark workload pays for:
+// 3,200 points at dim 256 into 16 dimensions, 200 epochs, one worker.
+func BenchmarkFit3200x256(b *testing.B) {
+	pts, _ := clusters(40, 80, 256, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Fit(pts, Config{Seed: 8, Workers: 1})
+	}
+}
+
+// TestFastPowWithinOneULP holds pow32 to float32(math.Pow) over the range
+// the SGD feeds it — squared layout distances from coincident to far apart,
+// exponents around the b−1 and b of the default curve (b ≈ 0.9) — and to
+// the exact path outside it.
+func TestFastPowWithinOneULP(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var worst float64
+	for i := 0; i < 2_000_000; i++ {
+		x := float32(math.Exp(math.Log(1e-12) + rng.Float64()*(math.Log(1e5)-math.Log(1e-12))))
+		p := float32(-0.7 + 2*rng.Float64())
+		want := float64(float32(math.Pow(float64(x), float64(p))))
+		rel := math.Abs(float64(pow32(x, p))-want) / want
+		if rel > worst {
+			worst = rel
+		}
+	}
+	if worst > 1.2e-7 {
+		t.Errorf("worst relative error %.3g over 2M draws, want <= 1.2e-7 (one float32 ulp)", worst)
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, c := range [][2]float32{
+		{0, 0.5}, {0, -0.5}, {-1, 2}, {-1, 0.5}, {inf, 0.5}, {inf, -0.5}, {nan, 1}, {2, nan},
+		{2, inf}, {0.5, inf}, {1e-40, 0.5}, {1e-40, 1.2}, {1e30, 1.3}, {1e30, 2}, {1e-30, 1.3},
+		{1e-30, 2}, {1, 0.79}, {7, 0}, {math.MaxFloat32, 1}, {math.SmallestNonzeroFloat32, 1},
+	} {
+		got, want := pow32(c[0], c[1]), float32(math.Pow(float64(c[0]), float64(c[1])))
+		if got != want && !(got != got && want != want) {
+			t.Errorf("pow32(%g, %g) = %g, want %g", c[0], c[1], got, want)
+		}
+	}
+}
+
+func BenchmarkPow32(b *testing.B) {
+	xs := make([]float32, 1024)
+	rng := rand.New(rand.NewSource(32))
+	for i := range xs {
+		xs[i] = float32(math.Exp(rng.Float64()*16 - 10))
+	}
+	for _, k := range []struct {
+		name string
+		fn   func(x, p float32) float32
+	}{
+		{"fast", pow32},
+		{"mathPow", func(x, p float32) float32 { return float32(math.Pow(float64(x), float64(p))) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			var sink float32
+			for i := 0; i < b.N; i++ {
+				sink += k.fn(xs[i&1023], 0.79)
+			}
+			benchSink = sink
+		})
+		// Each call's argument depends on the previous result, as in the
+		// SGD, where a coefficient moves the point the next distance is
+		// measured from: this one times latency, the other throughput.
+		b.Run(k.name+"/chained", func(b *testing.B) {
+			x := float32(1)
+			for i := 0; i < b.N; i++ {
+				x = k.fn(x+xs[i&1023], 0.79)
+			}
+			benchSink = x
+		})
+	}
+}
+
+var benchSink float32
+
 func TestTransformPlacesNewPointsNearTheirCluster(t *testing.T) {
 	pts, labels := clusters(3, 40, 16, 20)
 	model := FitModel(pts, Config{NComponents: 4, NEpochs: 100, Seed: 20})

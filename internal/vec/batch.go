@@ -70,6 +70,26 @@ func L2SqBatch(qs, vs [][]float32, out []float32) {
 	}
 }
 
+// L2SqRows calls fn(i, row) for every i in [lo, hi), in order, with
+// row[j] = L2Sq(points[i], points[j]) for all j: the all-pairs scan of an
+// exact kNN or a core-distance pass, scored four rows at a time through
+// L2SqBatch so each point is loaded once per block. row is reused between
+// calls; fn must not retain it.
+func L2SqRows(points [][]float32, lo, hi int, fn func(i int, row []float32)) {
+	n := len(points)
+	block := make([]float32, 4*n)
+	for i := lo; i < hi; i += 4 {
+		end := i + 4
+		if end > hi {
+			end = hi
+		}
+		L2SqBatch(points[i:end], points, block)
+		for r := i; r < end; r++ {
+			fn(r, block[(r-i)*n:(r-i+1)*n])
+		}
+	}
+}
+
 // dot4 computes the inner product of four queries against one shared value
 // vector. Each of v's elements is loaded once for all four queries; each
 // query keeps its own four accumulators in the exact shape of Dot, so every
@@ -82,7 +102,7 @@ func dot4(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
 	assertSameLen(len(q1), n)
 	assertSameLen(len(q2), n)
 	assertSameLen(len(q3), n)
-	if batchKernelAsm && n >= 8 {
+	if kernelAsm && n >= 8 {
 		return dot4Asm(q0, q1, q2, q3, v)
 	}
 	q0, q1, q2, q3 = q0[:n], q1[:n], q2[:n], q3[:n]
@@ -132,7 +152,7 @@ func l2sq4(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
 	assertSameLen(len(q1), n)
 	assertSameLen(len(q2), n)
 	assertSameLen(len(q3), n)
-	if batchKernelAsm && n >= 8 {
+	if kernelAsm && n >= 8 {
 		return l2sq4Asm(q0, q1, q2, q3, v)
 	}
 	q0, q1, q2, q3 = q0[:n], q1[:n], q2[:n], q3[:n]

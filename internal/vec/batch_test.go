@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -202,6 +203,79 @@ func TestTopKDescBitIdenticalScores(t *testing.T) {
 		}
 		if got[i].ID != full[i].ID {
 			t.Fatalf("entry %d: ID %d != %d", i, got[i].ID, full[i].ID)
+		}
+	}
+}
+
+// NearestK replaced a sort.Slice over every (dist, index) pair of a row in
+// the exact kNN, the core-distance pass and Transform: it must return that
+// sort's prefix, ties and the skipped self entry included.
+func TestNearestKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var buf []Neighbor
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		dists := make([]float32, n)
+		for i := range dists {
+			dists[i] = float32(rng.Intn(5)) // dense ties
+		}
+		skip := rng.Intn(n+1) - 1 // -1: keep every entry
+		var full []Neighbor
+		for j, d := range dists {
+			if j != skip {
+				full = append(full, Neighbor{ID: int32(j), Dist: d})
+			}
+		}
+		sort.Slice(full, func(a, b int) bool {
+			if full[a].Dist != full[b].Dist {
+				return full[a].Dist < full[b].Dist
+			}
+			return full[a].ID < full[b].ID
+		})
+		for _, k := range []int{0, 1, 2, 7, n / 2, n - 1, n, n + 3} {
+			want := full
+			if k < len(want) {
+				want = want[:max(k, 0)]
+			}
+			buf = NearestK(dists, k, skip, buf)
+			if len(buf) != len(want) {
+				t.Fatalf("n=%d k=%d skip=%d: got %d entries, want %d", n, k, skip, len(buf), len(want))
+			}
+			for i := range buf {
+				if buf[i] != want[i] {
+					t.Fatalf("n=%d k=%d skip=%d entry %d: got %+v, full sort gives %+v\ndists=%v",
+						n, k, skip, i, buf[i], want[i], dists)
+				}
+			}
+		}
+	}
+}
+
+// L2SqRows must hand every row of [lo, hi) to fn once, in order, each entry
+// bit-identical to L2Sq — whatever the range's length modulo the 4-row block.
+func TestL2SqRowsBitIdenticalToL2Sq(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, dim := range []int{3, 16, 40} {
+		points := randMat(rng, 23, dim)
+		for _, r := range [][2]int{{0, 23}, {0, 0}, {5, 6}, {2, 9}, {7, 23}, {20, 23}} {
+			next := r[0]
+			L2SqRows(points, r[0], r[1], func(i int, row []float32) {
+				if i != next {
+					t.Fatalf("dim=%d range=%v: row %d delivered, want %d", dim, r, i, next)
+				}
+				next++
+				if len(row) != len(points) {
+					t.Fatalf("dim=%d row %d has %d entries, want %d", dim, i, len(row), len(points))
+				}
+				for j, got := range row {
+					if want := L2Sq(points[i], points[j]); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("dim=%d row[%d][%d]=%b L2Sq=%b: not bit-identical", dim, i, j, got, want)
+					}
+				}
+			})
+			if next != r[1] {
+				t.Fatalf("dim=%d range=%v: rows stopped at %d", dim, r, next)
+			}
 		}
 	}
 }

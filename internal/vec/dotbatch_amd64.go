@@ -1,19 +1,61 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package vec
 
-// The amd64 batched kernels run their 8-wide bodies in SSE2 assembly
-// (dotbatch_amd64.s). Bit-identity with the scalar kernels is preserved by
-// construction: Dot keeps four independent accumulator chains where chain j
-// receives a[i+j]*b[i+j] + a[i+4+j]*b[i+4+j] per 8-element block, and the
-// assembly maps chain j onto SSE lane j of one XMM accumulator — MULPS and
-// ADDPS round each lane exactly like the scalar MULSS/ADDSS sequence, in the
-// same order. The Go wrappers combine the four lanes as (s0+s1)+(s2+s3) and
-// run the scalar remainder loop, completing the exact Dot/L2Sq recipe.
+// The amd64 kernels, single-pair and 4-query, run their 8-wide bodies in
+// SSE2 assembly (dotbatch_amd64.s). Bit-identity with the scalar kernels is
+// preserved by construction: dotGo keeps four independent accumulator chains
+// where chain j receives a[i+j]*b[i+j] + a[i+4+j]*b[i+4+j] per 8-element
+// block, and the assembly maps chain j onto SSE lane j of one XMM
+// accumulator — MULPS and ADDPS round each lane exactly like the scalar
+// MULSS/ADDSS sequence, in the same order. The Go wrappers combine the four
+// lanes as (s0+s1)+(s2+s3) and run the scalar remainder loop, completing the
+// exact Dot/L2Sq recipe.
 //
-// SSE2 is in the amd64 baseline, so there is no runtime feature dispatch.
+// One accumulator register per pair is as wide as this goes: a second one
+// would split chain j in two and add the halves at the end, a different
+// rounding sequence. The single-pair loop is therefore bound by ADDPS
+// latency (8 floats per ~4 cycles) where the scalar loop is bound by issue
+// width; the 4-query block hides that latency behind four pairs.
+//
+// SSE2 is in the amd64 baseline, so there is no runtime feature dispatch;
+// the purego build tag selects the Go bodies instead.
 
-const batchKernelAsm = true
+const kernelAsm = true
+
+//go:noescape
+func dot1x8(a, b *float32, iters int, out *[4]float32)
+
+//go:noescape
+func l2sq1x8(a, b *float32, iters int, out *[4]float32)
+
+// dotAsm is Dot through the SSE2 body. Caller guarantees len(a) == len(b)
+// and len(a) >= 8.
+func dotAsm(a, b []float32) float32 {
+	n := len(a)
+	b = b[:n]
+	var acc [4]float32
+	dot1x8(&a[0], &b[0], n/8, &acc)
+	s := (acc[0] + acc[1]) + (acc[2] + acc[3])
+	for i := n &^ 7; i < n; i++ {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// l2sqAsm is dotAsm's squared-distance twin.
+func l2sqAsm(a, b []float32) float32 {
+	n := len(a)
+	b = b[:n]
+	var acc [4]float32
+	l2sq1x8(&a[0], &b[0], n/8, &acc)
+	s := (acc[0] + acc[1]) + (acc[2] + acc[3])
+	for i := n &^ 7; i < n; i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
 
 //go:noescape
 func dot4x8(q0, q1, q2, q3, v *float32, iters int, out *[16]float32)

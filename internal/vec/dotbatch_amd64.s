@@ -1,4 +1,6 @@
-// SSE2 bodies for the batched kernels. See dotbatch_amd64.go for the
+//go:build amd64 && !purego
+
+// SSE2 bodies for the vector kernels. See dotbatch_amd64.go for the
 // bit-identity argument: lanes 0..3 of each accumulator register are exactly
 // the four scalar accumulator chains of Dot/L2Sq, so MULPS/ADDPS perform the
 // same individually-rounded float32 operations the scalar kernels do.
@@ -6,6 +8,71 @@
 // SSE2 is part of the amd64 baseline, so no CPUID dispatch is needed.
 
 #include "textflag.h"
+
+// func dot1x8(a, b *float32, iters int, out *[4]float32)
+//
+// One pair, iters blocks of 8 floats: lane j of X0 receives
+// a[i+j]*b[i+j] + a[i+4+j]*b[i+4+j] per block — dotGo's s_j chain. The four
+// lanes are stored to out for the Go caller to combine and tail.
+TEXT ·dot1x8(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), R8
+	MOVQ b+8(FP), R9
+	MOVQ iters+16(FP), CX
+	MOVQ out+24(FP), DI
+	XORPS X0, X0 // chains s0..s3
+	TESTQ CX, CX
+	JZ    dot1done
+
+dot1loop:
+	MOVUPS (R8), X1
+	MOVUPS 16(R8), X2
+	MOVUPS (R9), X3
+	MOVUPS 16(R9), X4
+	MULPS  X3, X1 // a[i+j]*b[i+j]
+	MULPS  X4, X2 // a[i+4+j]*b[i+4+j]
+	ADDPS  X2, X1 // lane-wise p1 + p2
+	ADDPS  X1, X0 // s_j += (p1 + p2)
+	ADDQ   $32, R8
+	ADDQ   $32, R9
+	DECQ   CX
+	JNZ    dot1loop
+
+dot1done:
+	MOVUPS X0, (DI)
+	RET
+
+// func l2sq1x8(a, b *float32, iters int, out *[4]float32)
+//
+// The squared-distance twin: lane j accumulates d*d + d'*d' with
+// d = a[i+j]-b[i+j], d' = a[i+4+j]-b[i+4+j], matching l2sqGo's chains.
+TEXT ·l2sq1x8(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), R8
+	MOVQ b+8(FP), R9
+	MOVQ iters+16(FP), CX
+	MOVQ out+24(FP), DI
+	XORPS X0, X0
+	TESTQ CX, CX
+	JZ    l2sq1done
+
+l2sq1loop:
+	MOVUPS (R8), X1
+	MOVUPS 16(R8), X2
+	MOVUPS (R9), X3
+	MOVUPS 16(R9), X4
+	SUBPS  X3, X1 // d_j = a[i+j] - b[i+j]
+	SUBPS  X4, X2
+	MULPS  X1, X1 // d*d
+	MULPS  X2, X2
+	ADDPS  X2, X1
+	ADDPS  X1, X0
+	ADDQ   $32, R8
+	ADDQ   $32, R9
+	DECQ   CX
+	JNZ    l2sq1loop
+
+l2sq1done:
+	MOVUPS X0, (DI)
+	RET
 
 // func dot4x8(q0, q1, q2, q3, v *float32, iters int, out *[16]float32)
 //

@@ -1,19 +1,28 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package vec
 
-// Non-amd64 builds run the batched kernels through the pure-Go 4-query
-// bodies in batch.go, which carry the same bit-identity contract (each
-// query's accumulator chains mirror Dot/L2Sq exactly).
+// Without the assembly (another GOARCH, or the purego tag) every kernel runs
+// its pure-Go body: dotGo/l2sqGo for a pair, the 4-query bodies in batch.go
+// for a block, which carry the same bit-identity contract (each query's
+// accumulator chains mirror dotGo/l2sqGo exactly).
 
-const batchKernelAsm = false
+const kernelAsm = false
 
-// dot4Asm and l2sq4Asm are never called when batchKernelAsm is false; the
-// stubs exist so batch.go compiles on every GOARCH.
+// The assembly wrappers are never called when kernelAsm is false; the stubs
+// exist so vec.go and batch.go compile on every GOARCH.
+func dotAsm(a, b []float32) float32 {
+	panic("vec: assembly kernel unavailable in this build")
+}
+
+func l2sqAsm(a, b []float32) float32 {
+	panic("vec: assembly kernel unavailable in this build")
+}
+
 func dot4Asm(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
-	panic("vec: assembly kernel unavailable on this GOARCH")
+	panic("vec: assembly kernel unavailable in this build")
 }
 
 func l2sq4Asm(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
-	panic("vec: assembly kernel unavailable on this GOARCH")
+	panic("vec: assembly kernel unavailable in this build")
 }

@@ -161,3 +161,47 @@ func (h *scoredMinHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return x
 }
+
+// Neighbor is one entry of a nearest-neighbour list: an index into the
+// scanned row and the distance found there.
+type Neighbor struct {
+	ID   int32
+	Dist float32
+}
+
+// NearestK returns the k smallest entries of dists — ascending distance,
+// ties broken by ascending index — skipping index skip (pass -1 to keep
+// every entry). The result equals sorting all (dist, index) pairs and
+// truncating to k, which is what its callers used to do; it is appended to
+// buf[:0], so a buffer of capacity k makes a scan allocation-free. A NaN
+// distance has no place in that order, here as under the sort: rows are
+// expected to be NaN-free.
+//
+// The k survivors are held sorted and a candidate is placed by insertion:
+// after the first few entries of a row almost every candidate fails the one
+// comparison against the current k-th distance, so a row costs O(n) with k
+// only in the rare insertions. Indices arrive in ascending order, so a
+// candidate that ties with a survivor sorts after it and a strict < is the
+// whole tie-break.
+func NearestK(dists []float32, k, skip int, buf []Neighbor) []Neighbor {
+	buf = buf[:0]
+	if k <= 0 {
+		return buf
+	}
+	for j, d := range dists {
+		if j == skip {
+			continue
+		}
+		if len(buf) < k {
+			buf = append(buf, Neighbor{})
+		} else if !(d < buf[k-1].Dist) {
+			continue
+		}
+		p := len(buf) - 1
+		for ; p > 0 && d < buf[p-1].Dist; p-- {
+			buf[p] = buf[p-1]
+		}
+		buf[p] = Neighbor{ID: int32(j), Dist: d}
+	}
+	return buf
+}

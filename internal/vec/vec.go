@@ -12,14 +12,28 @@ import (
 	"math"
 )
 
+// pairKernelMinLen is where Dot and L2Sq hand over to the SSE2 bodies: two
+// 8-wide iterations. Below it the call into assembly and the lane store
+// cost as much as the loop they replace.
+const pairKernelMinLen = 16
+
 // Dot returns the inner product of a and b.
 func Dot(a, b []float32) float32 {
 	assertSameLen(len(a), len(b))
-	// Unrolled by 8 with 4 independent accumulators: the hot loop of the
-	// whole system. The Go compiler does not auto-vectorize, and a single
-	// accumulator serializes the FP adds on its ~4-cycle latency chain;
-	// four independent chains keep the FP units busy. The b = b[:len(a)]
-	// hint removes most bounds checks.
+	if kernelAsm && len(a) >= pairKernelMinLen {
+		return dotAsm(a, b)
+	}
+	return dotGo(a, b)
+}
+
+// dotGo defines Dot's value: every other kernel in the package — the SSE2
+// single-pair body, the 4-query blocks — reproduces this sequence of float32
+// roundings bit for bit. It is what runs off amd64 and on short vectors.
+func dotGo(a, b []float32) float32 {
+	// Unrolled by 8 with 4 independent accumulators. The Go compiler does
+	// not auto-vectorize, and a single accumulator serializes the FP adds
+	// on its ~4-cycle latency chain; four independent chains keep the FP
+	// units busy. The b = b[:len(a)] hint removes most bounds checks.
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float32
 	i := 0
@@ -44,7 +58,15 @@ func Norm(a []float32) float32 {
 // L2Sq returns the squared Euclidean distance between a and b.
 func L2Sq(a, b []float32) float32 {
 	assertSameLen(len(a), len(b))
-	// Same 8-wide / 4-accumulator shape as Dot; see the comment there.
+	if kernelAsm && len(a) >= pairKernelMinLen {
+		return l2sqAsm(a, b)
+	}
+	return l2sqGo(a, b)
+}
+
+// l2sqGo is L2Sq's defining loop, as dotGo is Dot's: same 8-wide,
+// 4-accumulator shape.
+func l2sqGo(a, b []float32) float32 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float32
 	i := 0

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -298,54 +299,152 @@ func TestL2SqMatchesFloat64Reference(t *testing.T) {
 	}
 }
 
-func BenchmarkDot768(b *testing.B) {
-	x := make([]float32, 768)
-	y := make([]float32, 768)
-	for i := range x {
-		x[i] = float32(i) * 0.001
-		y[i] = float32(768-i) * 0.001
+// refDot and refL2Sq are the scalar kernels as they stood before any
+// single-pair assembly existed, kept here verbatim: the reference every
+// build of Dot and L2Sq must match bit for bit.
+func refDot(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		s0 += a[i]*b[i] + a[i+4]*b[i+4]
+		s1 += a[i+1]*b[i+1] + a[i+5]*b[i+5]
+		s2 += a[i+2]*b[i+2] + a[i+6]*b[i+6]
+		s3 += a[i+3]*b[i+3] + a[i+7]*b[i+7]
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Dot(x, y)
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(a); i++ {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+func refL2Sq(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		d0 := a[i] - b[i]
+		d4 := a[i+4] - b[i+4]
+		s0 += d0*d0 + d4*d4
+		d1 := a[i+1] - b[i+1]
+		d5 := a[i+5] - b[i+5]
+		s1 += d1*d1 + d5*d5
+		d2 := a[i+2] - b[i+2]
+		d6 := a[i+6] - b[i+6]
+		s2 += d2*d2 + d6*d6
+		d3 := a[i+3] - b[i+3]
+		d7 := a[i+7] - b[i+7]
+		s3 += d3*d3 + d7*d7
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+
+// TestPairKernelsBitIdentical holds Dot and L2Sq to the scalar reference by
+// bit pattern: every length around the 8-wide body and the assembly cut,
+// the dimensions the system runs at, operands that start at every offset of
+// a 16-byte line (the kernels use unaligned loads), and the values where a
+// reordered or fused operation would show first.
+func TestPairKernelsBitIdentical(t *testing.T) {
+	check := func(t *testing.T, what string, a, b []float32) {
+		t.Helper()
+		if got, want := Dot(a, b), refDot(a, b); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s len=%d: Dot=%#08x ref=%#08x", what, len(a), math.Float32bits(got), math.Float32bits(want))
+		}
+		if got, want := L2Sq(a, b), refL2Sq(a, b); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s len=%d: L2Sq=%#08x ref=%#08x", what, len(a), math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	fill := func(n int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			// Mixed magnitudes, so that the order of additions matters.
+			x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+		}
+		return x
+	}
+	lengths := []int{192, 256, 768}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for rep := 0; rep < 4; rep++ {
+			check(t, "random", fill(n), fill(n))
+		}
+	}
+	for offA := 0; offA < 4; offA++ {
+		for offB := 0; offB < 4; offB++ {
+			for _, n := range []int{16, 23, 64, 257} {
+				check(t, "unaligned", fill(n + offA)[offA:], fill(n + offB)[offB:])
+			}
+		}
+	}
+	// One special value at a time, at every position of a 40-long operand
+	// (body lanes and tail), against finite data: the result's bits —
+	// which NaN included — are then fixed by IEEE 754 alone. Two different
+	// NaNs meeting in one operation would not be: x86 keeps the first
+	// operand's payload and Go does not fix operand order.
+	subnormal := math.Float32frombits(0x00000123)
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		subnormal, -subnormal, math.SmallestNonzeroFloat32, math.MaxFloat32,
+		-math.MaxFloat32, float32(math.Copysign(0, -1)),
+	}
+	for _, sp := range specials {
+		for pos := 0; pos < 40; pos++ {
+			a, b := fill(40), fill(40)
+			a[pos] = sp
+			check(t, "special in a", a, b)
+			check(t, "special in b", b, a)
+			b[pos] = 0 // Inf·0 and subnormal·0
+			check(t, "special against zero", a, b)
+			b[pos] = sp // Inf−Inf, subnormal²
+			check(t, "special against itself", a, b)
+		}
+	}
+	// All-subnormal operands: products underflow, differences stay exact.
+	a, b := make([]float32, 48), make([]float32, 48)
+	for i := range a {
+		a[i] = math.Float32frombits(uint32(rng.Intn(1 << 23)))
+		b[i] = -math.Float32frombits(uint32(rng.Intn(1 << 23)))
+	}
+	check(t, "subnormal", a, b)
+}
+
+// benchPair times one single-pair kernel at the dimensions the system runs
+// it at — 16 (the reduced space of the CTS build), 256 (the benchmark's
+// embeddings), 768 (the paper's) — with the scalar reference beside it.
+func benchPair(b *testing.B, kernel, scalar func(a, b []float32) float32) {
+	for _, dim := range []int{16, 256, 768} {
+		x := make([]float32, dim)
+		y := make([]float32, dim)
+		for i := range x {
+			x[i] = float32(i) * 0.001
+			y[i] = float32(dim-i) * 0.001
+		}
+		for _, k := range []struct {
+			name string
+			fn   func(a, b []float32) float32
+		}{{"kernel", kernel}, {"scalar", scalar}} {
+			b.Run(fmt.Sprintf("dim=%d/%s", dim, k.name), func(b *testing.B) {
+				b.SetBytes(int64(2 * 4 * dim))
+				var sink float32
+				for i := 0; i < b.N; i++ {
+					sink += k.fn(x, y)
+				}
+				benchSink = sink
+			})
+		}
 	}
 }
 
-func BenchmarkDot192(b *testing.B) {
-	x := make([]float32, 192)
-	y := make([]float32, 192)
-	for i := range x {
-		x[i] = float32(i) * 0.001
-		y[i] = float32(192-i) * 0.001
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Dot(x, y)
-	}
-}
+var benchSink float32
 
-func BenchmarkL2Sq768(b *testing.B) {
-	x := make([]float32, 768)
-	y := make([]float32, 768)
-	for i := range x {
-		x[i] = float32(i) * 0.001
-		y[i] = float32(768-i) * 0.001
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = L2Sq(x, y)
-	}
-}
-
-func BenchmarkL2Sq192(b *testing.B) {
-	x := make([]float32, 192)
-	y := make([]float32, 192)
-	for i := range x {
-		x[i] = float32(i) * 0.001
-		y[i] = float32(192-i) * 0.001
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = L2Sq(x, y)
-	}
-}
+func BenchmarkDot(b *testing.B)  { benchPair(b, Dot, refDot) }
+func BenchmarkL2Sq(b *testing.B) { benchPair(b, L2Sq, refL2Sq) }
