@@ -3,6 +3,7 @@ package semdisco
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +41,9 @@ func TestEngineSearchBatchMatchesSearch(t *testing.T) {
 			want, err := eng.Search(q.Text, q.K)
 			if err != nil {
 				t.Fatalf("%v sequential: %v", m, err)
+			}
+			if ref := oracleSearch(t, eng, q.Text, q.K); m == ExS && !reflect.DeepEqual(want, ref) {
+				t.Fatalf("%v item %d: sequential %v, oracle %v", m, i, want, ref)
 			}
 			if len(results[i].Matches) != len(want) {
 				t.Fatalf("%v item %d: %d matches vs %d sequential", m, i, len(results[i].Matches), len(want))

@@ -64,10 +64,7 @@ func TestClusterExSEquivalence(t *testing.T) {
 		}
 		for _, q := range []string{"abc", "bfd", "abc def", "xyz qrs", "mno"} {
 			for _, k := range []int{1, 5, 10, 32} {
-				want, err := eng.Search(q, k)
-				if err != nil {
-					t.Fatalf("engine search: %v", err)
-				}
+				want := oracleSearch(t, eng, q, k)
 				res, err := cl.Search(q, k)
 				if err != nil {
 					t.Fatalf("%v: cluster search: %v", policy, err)
@@ -209,10 +206,7 @@ func TestClusterAddEquivalence(t *testing.T) {
 	if err := cl.AddRelation(context.Background(), extra); err == nil {
 		t.Fatal("duplicate add must fail")
 	}
-	want, err := eng.Search("abc def", 10)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
+	want := oracleSearch(t, eng, "abc def", 10)
 	res, err := cl.Search("abc def", 10)
 	if err != nil {
 		t.Fatalf("cluster search: %v", err)

@@ -71,6 +71,13 @@ func TestExSBatchBitIdentical(t *testing.T) {
 				t.Fatalf("batch: %v", err)
 			}
 			assertRowsIdentical(t, tc.name, seq, batch)
+			if tc.opt.Aggregator == AggMean {
+				want := make([][]Match, len(qs))
+				for i := range qs {
+					want[i] = oracleRank(emb, qs[i], ks[i], tc.opt.Threshold)
+				}
+				assertRowsIdentical(t, tc.name+" vs oracle", want, batch)
+			}
 		})
 	}
 }

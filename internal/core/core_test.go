@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"semdisco/internal/corpus"
@@ -161,6 +162,28 @@ func TestThresholdFiltering(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("threshold 0.99 should filter everything, got %v", got)
+	}
+}
+
+// TestExSMatchesOracle: the default (AggMean) search equals the independent
+// value-by-value oracle bit for bit, across k and thresholds.
+func TestExSMatchesOracle(t *testing.T) {
+	fed, model := covidFederation(t)
+	emb := EmbedFederation(fed, model)
+	for _, h := range []float32{0, 0.05, 0.2} {
+		s := NewExS(emb, ExSOptions{Threshold: h})
+		for _, query := range []string{"COVID", "COVID vaccine europe", "football stadium", "quartz hardness", "zzz"} {
+			q := model.Encode(query)
+			for _, k := range []int{1, 2, 5, 50} {
+				got, err := s.SearchEncoded(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := oracleRank(emb, q, k, h); !reflect.DeepEqual(got, want) {
+					t.Fatalf("h=%v %q k=%d:\n got: %v\nwant: %v", h, query, k, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -38,29 +38,26 @@ var churnQueries = []string{
 	"violin music", "quantum physics", "baking bread", "ice erosion",
 }
 
-// freshExS builds a monolithic ExS engine over the given relations in the
-// given order — the reference a churned segment store must match.
-func freshExS(rels map[string]*table.Relation, order []string, model *embed.Model) *ExS {
+// freshEmbedded embeds the given relations in the given order from scratch
+// — the corpus a churned segment store must rank like, through the oracle.
+func freshEmbedded(rels map[string]*table.Relation, order []string, model *embed.Model) *Embedded {
 	fed := table.NewFederation()
 	for _, id := range order {
 		fed.Add(rels[id])
 	}
-	return NewExS(EmbedFederation(fed, model), ExSOptions{})
+	return EmbedFederation(fed, model)
 }
 
-func assertSameResults(t *testing.T, label string, st *SegmentStore, fresh *ExS, k int) {
+func assertSameResults(t *testing.T, label string, st *SegmentStore, fresh *Embedded, k int) {
 	t.Helper()
 	for _, q := range churnQueries {
 		got, err := st.Search(q, k)
 		if err != nil {
 			t.Fatalf("%s: store search %q: %v", label, q, err)
 		}
-		want, err := fresh.Search(q, k)
-		if err != nil {
-			t.Fatalf("%s: fresh search %q: %v", label, q, err)
-		}
+		want := oracleRank(fresh, fresh.Enc.Encode(q), k, 0)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: query %q diverged from fresh build:\n got: %v\nwant: %v", label, q, got, want)
+			t.Fatalf("%s: query %q diverged from the oracle over a fresh build:\n got: %v\nwant: %v", label, q, got, want)
 		}
 	}
 }
@@ -153,7 +150,7 @@ func TestSegmentStoreChurnEquivalence(t *testing.T) {
 
 	// Multi-segment, tombstoned, pre-compaction: must already rank exactly
 	// like a monolith over the survivors.
-	fresh := freshExS(rels, st.LiveRelations(), model)
+	fresh := freshEmbedded(rels, st.LiveRelations(), model)
 	assertSameResults(t, "pre-compaction", st, fresh, 5)
 
 	if err := st.Compact(); err != nil {
@@ -366,7 +363,7 @@ func TestSegmentStoreConcurrentChurn(t *testing.T) {
 		}
 		rels[id] = r
 	}
-	fresh := freshExS(rels, live, model)
+	fresh := freshEmbedded(rels, live, model)
 	assertSameResults(t, "post-churn", st, fresh, 5)
 }
 

@@ -125,10 +125,7 @@ func assertNetEquivalence(t *testing.T, fx *netFixture, label string) {
 	t.Helper()
 	for _, q := range []string{"abc", "bfd", "abc def", "xyz qrs", "mno"} {
 		for _, k := range []int{1, 5, 10, 32} {
-			want, err := fx.single.Search(q, k)
-			if err != nil {
-				t.Fatalf("%s: engine search: %v", label, err)
-			}
+			want := oracleSearch(t, fx.single, q, k)
 			res, err := fx.nc.SearchContext(context.Background(), q, k)
 			if err != nil {
 				t.Fatalf("%s: networked search q=%q k=%d: %v", label, q, k, err)
@@ -225,10 +222,7 @@ func TestNetClusterSetDownDegrades(t *testing.T) {
 		if len(res.ShardErrors) == 0 {
 			t.Error("degraded result carries no shard errors")
 		}
-		full, err := fx.single.Search(q, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := oracleSearch(t, fx.single, q, 48)
 		var want []Match
 		for _, m := range full {
 			if ring.Owner(m.RelationID) == 0 {

@@ -224,12 +224,8 @@ func TestEngineChurnEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Search(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %q diverged from fresh build:\n got: %v\nwant: %v", q, got, want)
+		if want := oracleSearch(t, fresh, q, 8); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %q diverged from the oracle over a fresh build:\n got: %v\nwant: %v", q, got, want)
 		}
 	}
 }
