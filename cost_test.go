@@ -31,42 +31,61 @@ func syntheticFederation(t testing.TB, rels, rows int) *Federation {
 	return fed
 }
 
-// TestSearchCostExSFormula pins the exhaustive scan's cost to its exact
-// formula: one distance computation per indexed value, every query.
+// TestSearchCostExSFormula pins the filter–verify scan's cost to its exact
+// formula: one distance computation per live relation (its centroid row)
+// plus one per value of each relation the filter could not rule out — at
+// least the k returned, and on this corpus of well-separated scores at
+// most a couple more — the same count on every run, single or batched.
 func TestSearchCostExSFormula(t *testing.T) {
-	fed := syntheticFederation(t, 40, 5)
-	eng, err := Open(fed, Config{Method: ExS, Dim: 64, Seed: 1})
+	const rels, rows, k, dim = 40, 5, 5, 64
+	fed := syntheticFederation(t, rels, rows)
+	eng, err := Open(fed, Config{Method: ExS, Dim: dim, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, rep, err := eng.SearchCost(context.Background(), "alpha1002 beta1", 5)
+	matches, rep, err := eng.SearchCost(context.Background(), "alpha1002 beta1", k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) == 0 {
-		t.Fatal("no matches")
+	if len(matches) != k {
+		t.Fatalf("%d matches, want %d", len(matches), k)
 	}
-	want := int64(eng.NumValues())
-	if want == 0 {
-		t.Fatal("no values indexed")
+	perRel := int64(eng.NumValues() / rels)
+	if perRel != 2*rows {
+		t.Fatalf("%d values per relation, want %d", perRel, 2*rows)
 	}
-	if rep.DistanceComps != want {
-		t.Fatalf("ExS DistanceComps = %d, want exactly NumValues = %d", rep.DistanceComps, want)
+	verified := (rep.DistanceComps - rels) / perRel
+	if rep.DistanceComps != rels+verified*perRel || verified < k || verified > k+2 {
+		t.Fatalf("ExS DistanceComps = %d, want %d centroid rows + %d values for each of %d..%d verified relations",
+			rep.DistanceComps, rels, perRel, k, k+2)
 	}
-	if rep.ValuesScanned != want {
-		t.Fatalf("ExS ValuesScanned = %d, want %d", rep.ValuesScanned, want)
+	if rep.ValuesScanned != rep.DistanceComps {
+		t.Fatalf("ExS ValuesScanned = %d, want %d", rep.ValuesScanned, rep.DistanceComps)
 	}
-	if rep.BytesScanned != want*64*4 {
-		t.Fatalf("ExS BytesScanned = %d, want %d", rep.BytesScanned, want*64*4)
+	if rep.BytesScanned != rep.DistanceComps*dim*4 {
+		t.Fatalf("ExS BytesScanned = %d, want %d", rep.BytesScanned, rep.DistanceComps*dim*4)
 	}
 	if rep.CandidatesGenerated == 0 {
 		t.Fatal("ExS reported no candidates generated")
 	}
+	_, again, err := eng.SearchCost(context.Background(), "alpha1002 beta1", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := eng.DoBatch(context.Background(), []Query{{Text: "alpha1002 beta1", K: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != rep || batch[0].Cost != rep {
+		t.Fatalf("cost does not repeat: first %+v, second %+v, batched %+v", rep, again, batch[0].Cost)
+	}
 }
 
-// TestSearchCostANNSBelowExS asserts the point of the index: on the same
-// corpus, the HNSW walk touches strictly fewer vectors than the exhaustive
-// scan, and the walk's work is visible (nonzero hops).
+// TestSearchCostANNSBelowExS asserts the point of the index against the
+// cost of Algorithm 1 as the paper states it — one comparison per indexed
+// value: the HNSW walk touches strictly fewer vectors, and the walk's work
+// is visible (nonzero hops). Separately, the filter–verify scan that ExS
+// runs for the paper's average touches fewer vectors than Algorithm 1 too.
 func TestSearchCostANNSBelowExS(t *testing.T) {
 	fed := syntheticFederation(t, 40, 5)
 	exs, err := Open(fed, Config{Method: ExS, Dim: 64, Seed: 1})
@@ -92,8 +111,12 @@ func TestSearchCostANNSBelowExS(t *testing.T) {
 	if annsRep.HNSWHops == 0 {
 		t.Fatal("ANNS reported zero HNSW hops")
 	}
-	if annsRep.DistanceComps >= exsRep.DistanceComps {
-		t.Fatalf("ANNS DistanceComps = %d, want < ExS's %d", annsRep.DistanceComps, exsRep.DistanceComps)
+	algorithm1 := int64(exs.NumValues())
+	if annsRep.DistanceComps >= algorithm1 {
+		t.Fatalf("ANNS DistanceComps = %d, want < Algorithm 1's %d (one per value)", annsRep.DistanceComps, algorithm1)
+	}
+	if exsRep.DistanceComps >= algorithm1 {
+		t.Fatalf("ExS filter–verify DistanceComps = %d, want < Algorithm 1's %d", exsRep.DistanceComps, algorithm1)
 	}
 }
 

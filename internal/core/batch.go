@@ -32,25 +32,21 @@ type BatchSearcher interface {
 // DotBatch register blocking reuses each value across 4 queries.
 const batchValueBlock = 64
 
-// exsBatchScratch is one scan worker's reusable state: the gathered value
-// block, the kernel output, and per-query aggregation state reset per
-// relation.
+// exsBatchScratch is one scan worker's reusable state for the AggMax and
+// AggTopM value scan: the gathered value block, the kernel output, and
+// per-query aggregation state reset per relation.
 type exsBatchScratch struct {
-	vblock  [][]float32 // value-vector block (slice headers only, no copy)
-	weights []float32   // matching multiplicities
-	dots    []float32   // kernel output, nq×len(vblock)
-	sums    []float32   // per-query running sum (AggMean)
-	best    []float32   // per-query running max (AggMax)
-	topm    [][]float32 // per-query AggTopM selection buffers
+	vblock [][]float32 // value-vector block (slice headers only, no copy)
+	dots   []float32   // kernel output, nq×len(vblock)
+	best   []float32   // per-query running max (AggMax)
+	topm   [][]float32 // per-query AggTopM selection buffers
 }
 
 func (s *ExS) newBatchScratch(nq int) *exsBatchScratch {
 	sc := &exsBatchScratch{
-		vblock:  make([][]float32, 0, batchValueBlock),
-		weights: make([]float32, 0, batchValueBlock),
-		dots:    make([]float32, nq*batchValueBlock),
-		sums:    make([]float32, nq),
-		best:    make([]float32, nq),
+		vblock: make([][]float32, 0, batchValueBlock),
+		dots:   make([]float32, nq*batchValueBlock),
+		best:   make([]float32, nq),
 	}
 	if s.agg == AggTopM {
 		sc.topm = make([][]float32, nq)
@@ -61,13 +57,15 @@ func (s *ExS) newBatchScratch(nq int) *exsBatchScratch {
 	return sc
 }
 
-// SearchEncodedBatch implements BatchSearcher for the exhaustive scan: one
-// blocked pass over the corpus scores every query of the batch against each
-// value block while it is hot in cache, via the vec.DotBatch kernel. Per
-// relation, each query's partial aggregates accumulate in PerRel order —
-// the same similarity values (DotBatch is bit-identical to Dot) folded in
-// the same order — so every row of the result is bit-identical to the
-// sequential SearchEncoded call.
+// SearchEncodedBatch implements BatchSearcher for the exhaustive scan.
+// AggMean runs the block through filterVerify, the body of the single
+// query. AggMax and AggTopM make one blocked pass over the corpus that
+// scores every query of the batch against each value block while it is hot
+// in cache, via the vec.DotBatch kernel; per relation, each query's partial
+// aggregates accumulate in PerRel order. Either way the same similarity
+// values (DotBatch is bit-identical to Dot) are folded in the same order,
+// so every row of the result is bit-identical to the sequential
+// SearchEncoded call.
 func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
 	if err := checkBatchArgs(len(qs), ks, costs); err != nil {
 		return nil, err
@@ -76,13 +74,31 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 	if nq == 0 {
 		return nil, nil
 	}
+	costOf := func(qi int) *obs.Cost {
+		if costs == nil {
+			return nil
+		}
+		return costs[qi]
+	}
+	out := make([][]Match, nq)
+	if s.agg == AggMean {
+		cands, scanned, err := s.filterVerify(ctx, qs, ks, nil)
+		if err != nil {
+			return nil, err
+		}
+		for qi, k := range ks {
+			if k > 0 {
+				out[qi] = s.rank(cands[qi], k, scanned[qi], costOf(qi))
+			}
+		}
+		return out, nil
+	}
 	n := s.emb.NumRelations()
 	// scores[qi*n+rel] is query qi's score for relation rel.
 	scores := make([]float32, nq*n)
 
 	var stop atomic.Bool
 	cancellable := ctx.Done() != nil
-	vecBytes := int64(s.emb.Enc.Dim()) * 4
 	// Same tombstone discipline as the sequential scan: dead relations get
 	// the −Inf sentinel in every query's row and are never scored.
 	tombs := s.emb.Tombs
@@ -109,16 +125,10 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 			s.scoreRelationBatch(qs, rel, n, scores, sc)
 			scanned += int64(len(s.emb.PerRel[rel]))
 		}
-		if scanned > 0 && costs != nil {
-			// Every query of the batch scanned the same values; charge each
-			// query's accumulator what its sequential scan would record.
-			for _, cost := range costs {
-				if cost != nil {
-					cost.AddDistanceComps(scanned)
-					cost.AddValuesScanned(scanned)
-					cost.AddBytesScanned(scanned * vecBytes)
-				}
-			}
+		// Every query of the batch scanned the same values; charge each
+		// query's accumulator what its sequential scan would record.
+		for qi := range qs {
+			s.chargeScan(costOf(qi), scanned)
 		}
 	}
 	par.For(n, s.scanWorkers(), scoreRange)
@@ -126,14 +136,13 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 		return nil, err
 	}
 
-	out := make([][]Match, nq)
 	for qi := range qs {
 		k := ks[qi]
 		if k <= 0 {
 			continue
 		}
 		row := scores[qi*n : (qi+1)*n]
-		matches := make([]Match, 0, k)
+		matches := make([]Match, 0, min(k, n))
 		for _, sc := range vec.TopKDesc(row, k) {
 			if sc.Score < s.threshold {
 				break
@@ -141,9 +150,9 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 			matches = append(matches, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
 		}
 		out[qi] = matches
-		if costs != nil && costs[qi] != nil {
-			costs[qi].AddCandidatesGenerated(int64(n))
-			costs[qi].AddCandidatesPruned(int64(n - len(matches)))
+		if cost := costOf(qi); cost != nil {
+			cost.AddCandidatesGenerated(int64(n))
+			cost.AddCandidatesPruned(int64(n - len(matches)))
 		}
 	}
 	return out, nil
@@ -158,8 +167,7 @@ func (s *ExS) scoreRelationBatch(qs [][]float32, rel, n int, scores []float32, s
 		return // scores rows are zero-initialized, matching the sequential 0
 	}
 	nq := len(qs)
-	for i := range sc.sums[:nq] {
-		sc.sums[i] = 0
+	for i := range sc.best[:nq] {
 		sc.best[i] = -1
 		if sc.topm != nil {
 			sc.topm[i] = sc.topm[i][:0]
@@ -172,11 +180,8 @@ func (s *ExS) scoreRelationBatch(qs [][]float32, rel, n int, scores []float32, s
 		}
 		bl := end - start
 		vblock := sc.vblock[:0]
-		weights := sc.weights[:0]
 		for _, vi := range idxs[start:end] {
-			v := &s.emb.Values[vi]
-			vblock = append(vblock, v.Vec)
-			weights = append(weights, v.Weight)
+			vblock = append(vblock, s.emb.Values[vi].Vec)
 		}
 		dots := sc.dots[:nq*bl]
 		vec.DotBatch(qs, vblock, dots)
@@ -201,15 +206,6 @@ func (s *ExS) scoreRelationBatch(qs [][]float32, rel, n int, scores []float32, s
 				}
 				sc.topm[qi] = buf
 			}
-		default: // AggMean
-			for qi := 0; qi < nq; qi++ {
-				row := dots[qi*bl : (qi+1)*bl]
-				sum := sc.sums[qi]
-				for j, sim := range row {
-					sum += weights[j] * sim
-				}
-				sc.sums[qi] = sum
-			}
 		}
 	}
 	switch s.agg {
@@ -225,11 +221,6 @@ func (s *ExS) scoreRelationBatch(qs [][]float32, rel, n int, scores []float32, s
 				sum += x
 			}
 			scores[qi*n+rel] = sum / float32(len(buf))
-		}
-	default:
-		tw := s.emb.TotalWeight[rel]
-		for qi := 0; qi < nq; qi++ {
-			scores[qi*n+rel] = sc.sums[qi] / tw
 		}
 	}
 }

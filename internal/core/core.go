@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -83,6 +84,13 @@ type Embedded struct {
 	PerRel [][]int32
 	// TotalWeight[i] is the summed multiplicity of relation i's values.
 	TotalWeight []float32
+	// Centroids is the relations × dim matrix of weighted value centroids
+	// c_rel = Σ wᵢvᵢ / W, one row per slot, and CentroidErr[rel]·‖q‖ (plus
+	// underflowSlack) bounds |Dot(q, c_rel) − ExS's AggMean score of rel|
+	// for any query q; see relationCentroid. Both are written wherever a
+	// relation's values are and never change afterwards, like the values.
+	Centroids   []float32
+	CentroidErr []float64
 	// Obs receives the searchers' metrics (search counters, stage latency,
 	// index-build phase timings). May be nil: all instrumentation is then a
 	// no-op. Set it before building a searcher to capture build phases.
@@ -132,46 +140,25 @@ func (e *Embedded) RelIndex(id string) (int, bool) {
 // in parallel. Deterministic: output order depends only on input order.
 func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 	rels := fed.Relations()
+	dim := enc.Dim()
 	e := &Embedded{
 		Enc:         enc,
 		RelIDs:      make([]string, len(rels)),
 		PerRel:      make([][]int32, len(rels)),
 		TotalWeight: make([]float32, len(rels)),
+		Centroids:   make([]float32, len(rels)*dim),
+		CentroidErr: make([]float64, len(rels)),
 		relIdx:      make(map[string]int, len(rels)),
 	}
-
-	type relValues struct {
-		texts   []string
-		weights []float32
-	}
-	prepared := make([]relValues, len(rels))
 	for i, r := range rels {
 		e.RelIDs[i] = r.ID
 		e.relIdx[r.ID] = i
-		counts := make(map[string]float32)
-		for _, v := range r.Values() {
-			if v == "" {
-				continue
-			}
-			counts[v]++
-		}
-		if r.Caption != "" {
-			counts[r.Caption]++
-		}
-		texts := make([]string, 0, len(counts))
-		for v := range counts {
-			texts = append(texts, v)
-		}
-		sort.Strings(texts)
-		weights := make([]float32, len(texts))
-		for j, v := range texts {
-			weights[j] = counts[v]
-		}
-		prepared[i] = relValues{texts: texts, weights: weights}
 	}
 
-	// Encode relations in parallel; assembly stays in input order.
-	encoded := make([][][]float32, len(rels))
+	// Encode relations in parallel, each worker also folding its relation's
+	// total weight and centroid row; assembly stays in input order.
+	texts := make([][]string, len(rels))
+	vals := make([][]valueRef, len(rels))
 	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	jobs := make(chan int, len(rels))
@@ -184,30 +171,117 @@ func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				vecs := make([][]float32, len(prepared[i].texts))
-				for j, t := range prepared[i].texts {
-					vecs[j] = enc.Encode(t)
-				}
-				encoded[i] = vecs
+				texts[i], vals[i], e.TotalWeight[i] = encodeRelation(rels[i], i, enc)
+				e.CentroidErr[i] = relationCentroid(vals[i], e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim])
 			}
 		}()
 	}
 	wg.Wait()
 
 	for i := range rels {
-		for j := range prepared[i].texts {
-			idx := int32(len(e.Values))
-			e.Values = append(e.Values, valueRef{
-				Rel:    int32(i),
-				Weight: prepared[i].weights[j],
-				Vec:    encoded[i][j],
-			})
-			e.valueTexts = append(e.valueTexts, prepared[i].texts[j])
-			e.PerRel[i] = append(e.PerRel[i], idx)
-			e.TotalWeight[i] += prepared[i].weights[j]
-		}
+		e.PerRel[i] = e.appendValues(texts[i], vals[i])
 	}
 	return e
+}
+
+// appendValues appends one relation's encoded values to the value arrays
+// and returns their indices, the relation's PerRel entry.
+func (e *Embedded) appendValues(texts []string, vals []valueRef) []int32 {
+	var idxs []int32
+	for j := range vals {
+		idxs = append(idxs, int32(len(e.Values)+j))
+	}
+	e.Values = append(e.Values, vals...)
+	e.valueTexts = append(e.valueTexts, texts...)
+	return idxs
+}
+
+// encodeRelation embeds relation slot rel's distinct non-empty cell values
+// and caption, in sorted text order, each weighted by its multiplicity, and
+// returns them with the float32 sum of the weights in that order.
+func encodeRelation(r *table.Relation, rel int, enc embed.Encoder) (texts []string, vals []valueRef, total float32) {
+	counts := make(map[string]float32)
+	for _, v := range r.Values() {
+		if v == "" {
+			continue
+		}
+		counts[v]++
+	}
+	if r.Caption != "" {
+		counts[r.Caption]++
+	}
+	texts = make([]string, 0, len(counts))
+	for v := range counts {
+		texts = append(texts, v)
+	}
+	sort.Strings(texts)
+	vals = make([]valueRef, len(texts))
+	for j, t := range texts {
+		vals[j] = valueRef{Rel: int32(rel), Weight: counts[t], Vec: enc.Encode(t)}
+		total += counts[t]
+	}
+	return texts, vals, total
+}
+
+// Limits under which no float32 intermediate of either scoring path can
+// overflow: every partial sum is at most ‖q‖·Σwᵢ‖vᵢ‖ ≤ 2¹²⁶. A relation over
+// maxWeightedNorm gets an infinite error factor and a query at or over
+// maxQueryNorm (or not finite) no filter at all; both then take the value
+// scan, whatever it computes.
+const (
+	maxWeightedNorm = 0x1p63
+	maxQueryNorm    = 0x1p63
+)
+
+// gamma32 is γ_n = n·u / (1 − n·u) for float32's unit roundoff u = 2⁻²⁴: the
+// relative error n successive roundings can compound to.
+func gamma32(n int) float64 {
+	nu := float64(n) * 0x1p-24
+	if nu >= 1 {
+		return math.Inf(1)
+	}
+	return nu / (1 - nu)
+}
+
+// relationCentroid writes the weighted centroid Σ wᵢvᵢ / total of one
+// relation's values (in PerRel order; total is their stored float32 weight
+// sum, the divisor ExS uses) into row, accumulating in float64, and returns
+// the relation's error factor A:
+//
+//	A = (γ_{dim+m+2} + γ_{dim+3}) · Σ wᵢ‖vᵢ‖ / total  +  dim·2⁻¹⁴⁹
+//
+// With s = q·c in real arithmetic, the value-by-value float32 score rounds
+// each term wᵢ·qⱼ·vᵢⱼ/total at most dim times in the dot product, once in
+// the multiply, m times in the sum and once in the divide, so it is within
+// γ_{dim+m+2}·Σᵢwᵢ Σⱼ|qⱼ||vᵢⱼ|/total of s; the float32 dot against the stored
+// row rounds dim times, the row once, and its float64 accumulation at most
+// m+2 times at 2⁻⁵³ — less than two float32 roundings for any m a slice can
+// hold — so it is within γ_{dim+3}· the same sum; and Σⱼ|qⱼ||vᵢⱼ| ≤ ‖q‖‖vᵢ‖.
+// The last term is a row entry rounded in the subnormal range. Fused
+// multiply-adds round fewer times, not more. DESIGN.md has the derivation.
+func relationCentroid(vals []valueRef, total float32, row []float32) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	acc := make([]float64, len(row))
+	var weightedNorm float64
+	for i := range vals {
+		w := float64(vals[i].Weight)
+		var sq float64
+		for j, x := range vals[i].Vec {
+			acc[j] += w * float64(x)
+			sq += float64(x) * float64(x)
+		}
+		weightedNorm += w * math.Sqrt(sq)
+	}
+	for j := range row {
+		row[j] = float32(acc[j] / float64(total))
+	}
+	if !(weightedNorm < maxWeightedNorm) {
+		return math.Inf(1)
+	}
+	dim := len(row)
+	return (gamma32(dim+len(vals)+2)+gamma32(dim+3))*weightedNorm/float64(total) + float64(dim)*0x1p-149
 }
 
 // NewEmptyEmbedded returns an embedded federation with no relations: the
@@ -236,6 +310,8 @@ func (e *Embedded) cloneForAppend() *Embedded {
 		Values:      e.Values,
 		PerRel:      e.PerRel,
 		TotalWeight: e.TotalWeight,
+		Centroids:   e.Centroids,
+		CentroidErr: e.CentroidErr,
 		Obs:         e.Obs,
 		Tombs:       e.Tombs,
 		RelOrder:    e.RelOrder,
@@ -249,8 +325,9 @@ func (e *Embedded) cloneForAppend() *Embedded {
 }
 
 // appendFrom copies relation slot src of other into e, reusing the stored
-// value vectors (compaction never re-encodes). The relation keeps its
-// store-global order rank.
+// value vectors and centroid row (compaction never re-encodes, and the
+// values it moves are unchanged). The relation keeps its store-global order
+// rank.
 func (e *Embedded) appendFrom(other *Embedded, src int) {
 	id := other.RelIDs[src]
 	dst := len(e.RelIDs)
@@ -266,6 +343,9 @@ func (e *Embedded) appendFrom(other *Embedded, src int) {
 		e.PerRel[dst] = append(e.PerRel[dst], idx)
 	}
 	e.TotalWeight = append(e.TotalWeight, other.TotalWeight[src])
+	dim := e.Enc.Dim()
+	e.Centroids = append(e.Centroids, other.Centroids[src*dim:(src+1)*dim]...)
+	e.CentroidErr = append(e.CentroidErr, other.CentroidErr[src])
 }
 
 // NumValues returns the number of embedded (deduplicated) values.
@@ -300,7 +380,7 @@ func (e *Embedded) rankRelations(sums, hits []float32, threshold float32, k int)
 		scored = append(scored, vec.Scored{ID: i, Score: sums[i] / totalWeight[i]})
 	}
 	vec.SortScoredDesc(scored)
-	out := make([]Match, 0, k)
+	out := make([]Match, 0, min(k, len(scored)))
 	for _, s := range scored {
 		if s.Score < threshold {
 			break // list is sorted descending; nothing below passes

@@ -187,6 +187,27 @@ func TestExSMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestHugeKIsBoundedByTheCorpus: k reaches SearchEncoded from the wire, so
+// no method may size anything by it — 1<<40 Match values are 24 TiB.
+func TestHugeKIsBoundedByTheCorpus(t *testing.T) {
+	fed, model := covidFederation(t)
+	emb := EmbedFederation(fed, model)
+	q := model.Encode("COVID vaccine")
+	for _, s := range searcherSet(t, emb) {
+		got, err := s.SearchEncoded(context.Background(), q, 1<<40)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if len(got) == 0 || len(got) > emb.NumRelations() {
+			t.Fatalf("%s: %d matches for k=1<<40 over %d relations", s.Name(), len(got), emb.NumRelations())
+		}
+		batch, err := s.(BatchSearcher).SearchEncodedBatch(context.Background(), [][]float32{q}, []int{1 << 40}, nil)
+		if err != nil || !reflect.DeepEqual(batch[0], got) {
+			t.Fatalf("%s: batch %v (%v), single %v", s.Name(), batch, err, got)
+		}
+	}
+}
+
 func TestKZeroAndTruncation(t *testing.T) {
 	fed, model := covidFederation(t)
 	emb := EmbedFederation(fed, model)

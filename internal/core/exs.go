@@ -20,9 +20,11 @@ var negInf = float32(math.Inf(-1))
 // ExS is the Exhaustive Search of §4.1 / Algorithm 1: every value vector of
 // every relation is compared against the query vector; per-relation scores
 // are the aggregate (by default the average) of the value similarities.
-// It is exact and complete, and its query cost is linear in the total
-// number of embedded values — the scalability ceiling the other two
-// methods exist to break.
+// It is exact and complete. For AggMax and AggTopM its query cost is linear
+// in the number of embedded values; the paper's average is linear in the
+// query, so AggMean computes the same ranking, bit for bit, from one dot
+// product per relation centroid plus a value scan of the few relations
+// rounding cannot separate (filterVerify).
 type ExS struct {
 	emb       *Embedded
 	threshold float32
@@ -46,16 +48,21 @@ type ExSOptions struct {
 	Parallel *bool
 }
 
-// parallelScanMinValues gates the scan fan-out on the real work — value-
-// vector dot products — rather than the relation count: a federation of a
-// few huge relations benefits from the parallel scan just as much as one
-// of many small relations, while a tiny corpus never pays the goroutine
-// overhead no matter how it is partitioned.
-const parallelScanMinValues = 2048
+// parallelScanMinVectors gates the scan fan-out on the vectors the pass
+// streams — centroid rows for AggMean, values otherwise — rather than the
+// relation count: a federation of a few huge relations benefits from the
+// parallel value scan just as much as one of many small relations, while a
+// tiny corpus never pays the goroutine overhead no matter how it is
+// partitioned.
+const parallelScanMinVectors = 2048
 
 // scanWorkers is how many contiguous relation ranges a scan splits into.
 func (s *ExS) scanWorkers() int {
-	if s.parallel && len(s.emb.Values) > parallelScanMinValues {
+	streamed := len(s.emb.Values)
+	if s.agg == AggMean {
+		streamed = s.emb.NumRelations()
+	}
+	if s.parallel && streamed > parallelScanMinVectors {
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
@@ -109,6 +116,19 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 	o := startSearch(ctx, s.emb.Obs, s.Name())
 	allowed := s.emb.allowedSet(allow)
 	n := s.emb.NumRelations()
+	cost := obs.CostFrom(ctx)
+	if s.agg == AggMean {
+		sp := o.stage("scan")
+		cands, scanned, err := s.filterVerify(ctx, [][]float32{q}, []int{k}, allowed)
+		if err != nil {
+			return nil, err
+		}
+		o.endStage(sp.AnnotateInt("relations", n).AnnotateInt("values_scanned", int(scanned[0])))
+		sp = o.stage("rank")
+		out := s.rank(cands[0], k, scanned[0], cost)
+		o.endStage(sp.AnnotateInt("matches", len(out)))
+		return out, nil
+	}
 	scores := make([]float32, n)
 	sp := o.stage("scan").
 		AnnotateInt("relations", n).
@@ -118,8 +138,6 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 	// first pull every other chunk out of the scan.
 	var stop atomic.Bool
 	cancellable := ctx.Done() != nil
-	cost := obs.CostFrom(ctx)
-	vecBytes := int64(s.emb.Enc.Dim()) * 4
 	// Tombstoned relations are not scored at all: their slots get the −Inf
 	// sentinel, which the ranked prefix can never admit. hasDead snapshots
 	// the set once, so churn-free scans pay one branch on a local bool.
@@ -147,11 +165,7 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 			scores[rel] = s.scoreRelation(q, rel, topm)
 			scanned += int64(len(s.emb.PerRel[rel]))
 		}
-		if cost != nil && scanned > 0 {
-			cost.AddDistanceComps(scanned)
-			cost.AddValuesScanned(scanned)
-			cost.AddBytesScanned(scanned * vecBytes)
-		}
+		s.chargeScan(cost, scanned)
 	}
 	par.For(n, s.scanWorkers(), scoreRange)
 	o.endStage(sp)
@@ -164,7 +178,7 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 	// requested, so heap-selecting them beats materializing and sorting all
 	// n. TopKDesc returns exactly the prefix the full sort would, ties
 	// included, so the ranking is unchanged bit for bit.
-	out := make([]Match, 0, k)
+	out := make([]Match, 0, min(k, n))
 	for _, sc := range vec.TopKDesc(scores, k) {
 		if sc.Score < s.threshold {
 			break
@@ -180,6 +194,157 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 		cost.AddCandidatesPruned(int64(n - len(out)))
 	}
 	return out, nil
+}
+
+// chargeScan records scanned vectors — one distance computation each — on a
+// query's cost accumulator; nil charges nothing.
+func (s *ExS) chargeScan(cost *obs.Cost, scanned int64) {
+	if cost != nil && scanned > 0 {
+		cost.AddDistanceComps(scanned)
+		cost.AddValuesScanned(scanned)
+		cost.AddBytesScanned(scanned * int64(s.emb.Enc.Dim()) * 4)
+	}
+}
+
+// underflowSlack is the absolute part of the filter's margin: a float32
+// product below 2⁻¹²⁶ rounds with an absolute error of 2⁻¹⁵⁰, not a relative
+// one, and the two scoring paths hold at most 2·dim+2 such roundings per
+// relation.
+func (s *ExS) underflowSlack() float64 { return float64(s.emb.Enc.Dim()+1) * 0x1p-148 }
+
+// filterVerify is the AggMean scan for a block of queries (a block of one
+// is the single query): the same candidates and scores the value-by-value
+// scan of every relation would rank, at one dot product per relation plus
+// the values of a few.
+//
+// Filter: every live, allowed relation is scored ã = Dot(q, c_rel) against
+// its centroid row, the whole block through DotBatch. By the bound
+// relationCentroid documents, the exact score E of a relation lies within
+// m = ‖q‖·CentroidErr[rel] + underflowSlack of its ã. Take any k relations
+// — the k best ã, for a tight bound — and let L be the least ã − m among
+// them: k relations score at least L, so the k-th best exact score does
+// too, and every relation of the exact top k has ã + m ≥ E ≥ L. Verify:
+// every relation with ã + m ≥ L is re-scored value by value with
+// scoreRelation. The candidates are a superset of the exact top k and carry
+// exact scores, so ranking them ranks the corpus; pruning only on strict
+// ã + m < L keeps a relation that ties L. Fewer than k scored relations, or
+// a query norm that is not finite or is large enough to overflow float32
+// (maxQueryNorm), makes every live relation a candidate; the comparisons
+// are written so that a NaN falls on the candidate side.
+//
+// It returns, per query with k > 0, the candidates in slot order with their
+// exact scores, and the vectors the query was scored against (centroid rows
+// plus verified values).
+func (s *ExS) filterVerify(ctx context.Context, qs [][]float32, ks []int, allowed relSet) ([][]vec.Scored, []int64, error) {
+	emb := s.emb
+	n, nq, dim := emb.NumRelations(), len(qs), emb.Enc.Dim()
+	tombs := emb.Tombs
+	hasDead := tombs.Count() > 0
+	skipped := func(rel int) bool { return hasDead && tombs.Dead(rel) || !allowed.has(rel) }
+	workers := s.scanWorkers()
+
+	// approx[qi*n+rel] is query qi's ã for relation rel.
+	approx := make([]float32, nq*n)
+	var stop atomic.Bool
+	cancellable := ctx.Done() != nil
+	var filtered atomic.Int64
+	par.For(n, workers, func(lo, hi int) {
+		rows := make([][]float32, 0, batchValueBlock)
+		rels := make([]int, 0, batchValueBlock)
+		dots := make([]float32, nq*batchValueBlock)
+		var scored int64
+		for start := lo; start < hi; start += batchValueBlock {
+			if cancellable {
+				if stop.Load() {
+					break
+				}
+				if ctx.Err() != nil {
+					stop.Store(true)
+					break
+				}
+			}
+			rows, rels = rows[:0], rels[:0]
+			for rel := start; rel < min(start+batchValueBlock, hi); rel++ {
+				if skipped(rel) {
+					for qi := 0; qi < nq; qi++ {
+						approx[qi*n+rel] = negInf
+					}
+					continue
+				}
+				rows = append(rows, emb.Centroids[rel*dim:(rel+1)*dim])
+				rels = append(rels, rel)
+			}
+			vec.DotBatch(qs, rows, dots)
+			for qi := 0; qi < nq; qi++ {
+				for j, rel := range rels {
+					approx[qi*n+rel] = dots[qi*len(rows)+j]
+				}
+			}
+			scored += int64(len(rows))
+		}
+		filtered.Add(scored)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+
+	slack := s.underflowSlack()
+	cands := make([][]vec.Scored, nq)
+	scanned := make([]int64, nq)
+	par.For(nq, workers, func(lo, hi int) {
+		for qi := lo; qi < hi; qi++ {
+			q, k, row := qs[qi], ks[qi], approx[qi*n:(qi+1)*n]
+			if k <= 0 {
+				continue
+			}
+			var sq float64
+			for _, x := range q {
+				sq += float64(x) * float64(x)
+			}
+			norm := math.Sqrt(sq)
+			cutoff := math.Inf(-1)
+			if top := vec.TopKDesc(row, k); len(top) == k && norm < maxQueryNorm {
+				cutoff = math.Inf(1)
+				for _, t := range top {
+					if low := float64(t.Score) - (norm*emb.CentroidErr[t.ID] + slack); !(low >= cutoff) {
+						cutoff = low
+					}
+				}
+			}
+			verified := make([]vec.Scored, 0, min(k, n))
+			scanned[qi] = filtered.Load()
+			for rel, a := range row {
+				if float64(a)+(norm*emb.CentroidErr[rel]+slack) < cutoff || skipped(rel) {
+					continue
+				}
+				verified = append(verified, vec.Scored{ID: rel, Score: s.scoreRelation(q, rel, nil)})
+				scanned[qi] += int64(len(emb.PerRel[rel]))
+			}
+			cands[qi] = verified
+		}
+	})
+	return cands, scanned, nil
+}
+
+// rank orders one query's candidates on their exact scores — descending,
+// ties by ascending slot, the order TopKDesc selects in — and emits the k
+// best at or above the threshold, charging the query's cost accumulator.
+func (s *ExS) rank(cands []vec.Scored, k int, scanned int64, cost *obs.Cost) []Match {
+	vec.SortScoredDesc(cands)
+	out := make([]Match, 0, min(k, len(cands)))
+	for _, sc := range cands {
+		if sc.Score < s.threshold || len(out) == k {
+			break
+		}
+		out = append(out, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
+	}
+	s.chargeScan(cost, scanned)
+	if cost != nil {
+		n := s.emb.NumRelations()
+		cost.AddCandidatesGenerated(int64(n))
+		cost.AddCandidatesPruned(int64(n - len(out)))
+	}
+	return out
 }
 
 // newTopMScratch returns a reusable AggTopM selection buffer for one

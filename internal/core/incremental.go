@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"semdisco/internal/table"
 )
@@ -11,9 +10,9 @@ import (
 // internal index. The relation's ID must be new.
 //
 // This is the write path of the segment store's mutable segment: the
-// relation's values are encoded and appended, nothing else — no HNSW
-// insert, no cluster assignment, no index maintenance of any kind. The
-// historical per-method AddRelation implementations (graft into the ANNS
+// relation's values are encoded and appended with their centroid row,
+// nothing else — no HNSW insert, no cluster assignment, no index
+// maintenance of any kind. The historical per-method AddRelation implementations (graft into the ANNS
 // graph, nearest-medoid assignment for CTS) are gone: new relations land in
 // the mutable segment, are found by its exhaustive scan at full ExS
 // quality, and enter real index structures only when the segment is sealed
@@ -32,34 +31,12 @@ func (e *Embedded) AddRelation(r *table.Relation) (int, error) {
 		e.relIdx = make(map[string]int)
 	}
 	e.relIdx[r.ID] = relIdx
-	e.PerRel = append(e.PerRel, nil)
-	e.TotalWeight = append(e.TotalWeight, 0)
 
-	counts := make(map[string]float32)
-	for _, v := range r.Values() {
-		if v == "" {
-			continue
-		}
-		counts[v]++
-	}
-	if r.Caption != "" {
-		counts[r.Caption]++
-	}
-	texts := make([]string, 0, len(counts))
-	for v := range counts {
-		texts = append(texts, v)
-	}
-	sort.Strings(texts)
-	for _, t := range texts {
-		idx := int32(len(e.Values))
-		e.Values = append(e.Values, valueRef{
-			Rel:    int32(relIdx),
-			Weight: counts[t],
-			Vec:    e.Enc.Encode(t),
-		})
-		e.valueTexts = append(e.valueTexts, t)
-		e.PerRel[relIdx] = append(e.PerRel[relIdx], idx)
-		e.TotalWeight[relIdx] += counts[t]
-	}
+	texts, vals, total := encodeRelation(r, relIdx, e.Enc)
+	e.PerRel = append(e.PerRel, e.appendValues(texts, vals))
+	e.TotalWeight = append(e.TotalWeight, total)
+	row := make([]float32, e.Enc.Dim())
+	e.CentroidErr = append(e.CentroidErr, relationCentroid(vals, total, row))
+	e.Centroids = append(e.Centroids, row...)
 	return relIdx, nil
 }

@@ -83,5 +83,22 @@ func RestoreEmbedded(r io.Reader, enc embed.Encoder) (*Embedded, error) {
 		}
 		e.Values = append(e.Values, valueRef{Rel: img.Rels[i], Weight: img.Weights[i], Vec: img.Vecs[i]})
 	}
+	// Centroids are not persisted: they are a function of the values, so the
+	// image format predates them and stays as it is.
+	if len(img.PerRel) != len(img.RelIDs) || len(img.TotalWeight) != len(img.RelIDs) {
+		return nil, fmt.Errorf("core: corrupt embedded image")
+	}
+	e.Centroids = make([]float32, len(img.RelIDs)*img.Dim)
+	e.CentroidErr = make([]float64, len(img.RelIDs))
+	for rel, idxs := range img.PerRel {
+		vals := make([]valueRef, len(idxs))
+		for j, vi := range idxs {
+			if vi < 0 || int(vi) >= len(e.Values) {
+				return nil, fmt.Errorf("core: relation %d references value %d of %d", rel, vi, len(e.Values))
+			}
+			vals[j] = e.Values[vi]
+		}
+		e.CentroidErr[rel] = relationCentroid(vals, img.TotalWeight[rel], e.Centroids[rel*img.Dim:(rel+1)*img.Dim])
+	}
 	return e, nil
 }

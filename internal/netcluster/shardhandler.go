@@ -11,8 +11,14 @@ import (
 )
 
 // maxEncodedBatch caps one encoded-batch request, mirroring the public
-// batch endpoint's limit.
-const maxEncodedBatch = 256
+// batch endpoint's limit. maxEncodedK caps the k of one encoded query: a
+// coordinator asks for k+Slack with k at most the public API's 1000, so
+// anything near this is not a coordinator, and the bytes come from outside
+// the process.
+const (
+	maxEncodedBatch = 256
+	maxEncodedK     = 1 << 16
+)
 
 // ShardBackend is what a shard server executes encoded searches against.
 // *core.SegmentStore satisfies it (and so does every core method), which
@@ -95,8 +101,8 @@ func (h *ShardHandler) serveSearch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("vector has %d dimensions; this shard indexes %d", len(req.Vector), h.dim))
 		return
 	}
-	if req.K <= 0 {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest, "k must be positive")
+	if req.K <= 0 || req.K > maxEncodedK {
+		writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("k must be between 1 and %d", maxEncodedK))
 		return
 	}
 
@@ -151,8 +157,8 @@ func (h *ShardHandler) serveBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("vectors[%d] has %d dimensions; this shard indexes %d", i, len(v), h.dim))
 			return
 		}
-		if req.Ks[i] <= 0 {
-			writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("ks[%d] must be positive", i))
+		if req.Ks[i] <= 0 || req.Ks[i] > maxEncodedK {
+			writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("ks[%d] must be between 1 and %d", i, maxEncodedK))
 			return
 		}
 	}
