@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race portable race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
+.PHONY: build vet lint test race portable fuzz race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -42,12 +42,22 @@ hedge-stress:
 # Everything off the amd64 assembly path still has to build and agree:
 # arm64 compiles every package against the stubs in dotbatch_generic.go, and
 # the purego tag runs the vec tests and the HNSW golden graphs — the same
-# constants — through the pure-Go kernel bodies on this machine.
+# constants — through the pure-Go kernel bodies on this machine. ExS's
+# centroid filter rests on a rounding bound, so its bound and oracle-
+# equivalence tests run on those bodies too (the bound must also hold for
+# arm64's fused multiply-adds, which round fewer times, not more).
 portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw
+	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence' ./internal/core
 
-check: lint race portable
+# A few seconds of coverage-guided search for parameters that break the
+# centroid bound; the checked-in corpus under testdata/fuzz runs with the
+# ordinary tests.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCentroidBound -fuzztime 5s ./internal/core
+
+check: lint race portable fuzz
 
 # One-iteration pass over every microbenchmark (HNSW build, k-means, vector
 # kernels, ...): catches benchmarks that no longer compile or crash, without

@@ -74,25 +74,13 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 	if nq == 0 {
 		return nil, nil
 	}
-	costOf := func(qi int) *obs.Cost {
-		if costs == nil {
-			return nil
-		}
-		return costs[qi]
+	if costs == nil {
+		costs = make([]*obs.Cost, nq)
+	}
+	if s.agg == AggMean {
+		return s.filterVerify(ctx, searchObs{}, qs, ks, nil, costs)
 	}
 	out := make([][]Match, nq)
-	if s.agg == AggMean {
-		cands, scanned, err := s.filterVerify(ctx, qs, ks, nil)
-		if err != nil {
-			return nil, err
-		}
-		for qi, k := range ks {
-			if k > 0 {
-				out[qi] = s.rank(cands[qi], k, scanned[qi], costOf(qi))
-			}
-		}
-		return out, nil
-	}
 	n := s.emb.NumRelations()
 	// scores[qi*n+rel] is query qi's score for relation rel.
 	scores := make([]float32, nq*n)
@@ -107,14 +95,8 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 		var scanned int64
 		sc := s.newBatchScratch(nq)
 		for rel := lo; rel < hi; rel++ {
-			if cancellable && rel%cancelCheckRelations == 0 {
-				if stop.Load() {
-					break
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					break
-				}
+			if cancellable && rel%cancelCheckRelations == 0 && stopped(ctx, &stop) {
+				break
 			}
 			if hasDead && tombs.Dead(rel) {
 				for qi := 0; qi < nq; qi++ {
@@ -127,11 +109,11 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 		}
 		// Every query of the batch scanned the same values; charge each
 		// query's accumulator what its sequential scan would record.
-		for qi := range qs {
-			s.chargeScan(costOf(qi), scanned)
+		for _, cost := range costs {
+			s.chargeScan(cost, scanned)
 		}
 	}
-	par.For(n, s.scanWorkers(), scoreRange)
+	par.For(n, s.scanWorkers(nq), scoreRange)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -150,7 +132,7 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 			matches = append(matches, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
 		}
 		out[qi] = matches
-		if cost := costOf(qi); cost != nil {
+		if cost := costs[qi]; cost != nil {
 			cost.AddCandidatesGenerated(int64(n))
 			cost.AddCandidatesPruned(int64(n - len(matches)))
 		}

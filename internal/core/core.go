@@ -8,12 +8,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"semdisco/internal/embed"
 	"semdisco/internal/obs"
+	"semdisco/internal/par"
 	"semdisco/internal/segment"
 	"semdisco/internal/table"
 	"semdisco/internal/vec"
@@ -85,10 +84,9 @@ type Embedded struct {
 	// TotalWeight[i] is the summed multiplicity of relation i's values.
 	TotalWeight []float32
 	// Centroids is the relations × dim matrix of weighted value centroids
-	// c_rel = Σ wᵢvᵢ / W, one row per slot, and CentroidErr[rel]·‖q‖ (plus
-	// underflowSlack) bounds |Dot(q, c_rel) − ExS's AggMean score of rel|
-	// for any query q; see relationCentroid. Both are written wherever a
-	// relation's values are and never change afterwards, like the values.
+	// c_rel = Σ wᵢvᵢ / W, one row per slot; CentroidErr[rel]·‖q‖ bounds how
+	// far Dot(q, c_rel) is from ExS's AggMean score (relationCentroid). Both
+	// are written with a relation's values and, like them, never change.
 	Centroids   []float32
 	CentroidErr []float64
 	// Obs receives the searchers' metrics (search counters, stage latency,
@@ -159,33 +157,18 @@ func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 	// total weight and centroid row; assembly stays in input order.
 	texts := make([][]string, len(rels))
 	vals := make([][]valueRef, len(rels))
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	jobs := make(chan int, len(rels))
-	for i := range rels {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				texts[i], vals[i], e.TotalWeight[i] = encodeRelation(rels[i], i, enc)
-				e.CentroidErr[i] = relationCentroid(vals[i], e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim])
-			}
-		}()
-	}
-	wg.Wait()
-
+	par.Each(len(rels), par.Workers(0), func(i int) {
+		texts[i], vals[i], e.TotalWeight[i] = encodeRelation(rels[i], i, enc)
+		e.CentroidErr[i] = relationCentroid(vals[i], e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim])
+	})
 	for i := range rels {
 		e.PerRel[i] = e.appendValues(texts[i], vals[i])
 	}
 	return e
 }
 
-// appendValues appends one relation's encoded values to the value arrays
-// and returns their indices, the relation's PerRel entry.
+// appendValues appends one relation's encoded values and returns their
+// indices, the relation's PerRel entry.
 func (e *Embedded) appendValues(texts []string, vals []valueRef) []int32 {
 	var idxs []int32
 	for j := range vals {
@@ -224,10 +207,9 @@ func encodeRelation(r *table.Relation, rel int, enc embed.Encoder) (texts []stri
 }
 
 // Limits under which no float32 intermediate of either scoring path can
-// overflow: every partial sum is at most ‖q‖·Σwᵢ‖vᵢ‖ ≤ 2¹²⁶. A relation over
-// maxWeightedNorm gets an infinite error factor and a query at or over
-// maxQueryNorm (or not finite) no filter at all; both then take the value
-// scan, whatever it computes.
+// overflow (every partial sum is at most ‖q‖·Σwᵢ‖vᵢ‖ ≤ 2¹²⁶): a relation over
+// maxWeightedNorm gets an infinite error factor, a query at or over
+// maxQueryNorm (or not finite) no filter, and both take the value scan.
 const (
 	maxWeightedNorm = 0x1p63
 	maxQueryNorm    = 0x1p63
@@ -236,29 +218,19 @@ const (
 // gamma32 is γ_n = n·u / (1 − n·u) for float32's unit roundoff u = 2⁻²⁴: the
 // relative error n successive roundings can compound to.
 func gamma32(n int) float64 {
-	nu := float64(n) * 0x1p-24
-	if nu >= 1 {
-		return math.Inf(1)
+	if nu := float64(n) * 0x1p-24; nu < 1 {
+		return nu / (1 - nu)
 	}
-	return nu / (1 - nu)
+	return math.Inf(1)
 }
 
 // relationCentroid writes the weighted centroid Σ wᵢvᵢ / total of one
-// relation's values (in PerRel order; total is their stored float32 weight
+// relation's m values (in PerRel order; total is their stored float32 weight
 // sum, the divisor ExS uses) into row, accumulating in float64, and returns
-// the relation's error factor A:
+// the relation's error factor (derived in DESIGN.md §11; the last term is a
+// row entry rounded in the subnormal range):
 //
 //	A = (γ_{dim+m+2} + γ_{dim+3}) · Σ wᵢ‖vᵢ‖ / total  +  dim·2⁻¹⁴⁹
-//
-// With s = q·c in real arithmetic, the value-by-value float32 score rounds
-// each term wᵢ·qⱼ·vᵢⱼ/total at most dim times in the dot product, once in
-// the multiply, m times in the sum and once in the divide, so it is within
-// γ_{dim+m+2}·Σᵢwᵢ Σⱼ|qⱼ||vᵢⱼ|/total of s; the float32 dot against the stored
-// row rounds dim times, the row once, and its float64 accumulation at most
-// m+2 times at 2⁻⁵³ — less than two float32 roundings for any m a slice can
-// hold — so it is within γ_{dim+3}· the same sum; and Σⱼ|qⱼ||vᵢⱼ| ≤ ‖q‖‖vᵢ‖.
-// The last term is a row entry rounded in the subnormal range. Fused
-// multiply-adds round fewer times, not more. DESIGN.md has the derivation.
 func relationCentroid(vals []valueRef, total float32, row []float32) float64 {
 	if len(vals) == 0 {
 		return 0

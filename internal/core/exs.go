@@ -20,11 +20,10 @@ var negInf = float32(math.Inf(-1))
 // ExS is the Exhaustive Search of §4.1 / Algorithm 1: every value vector of
 // every relation is compared against the query vector; per-relation scores
 // are the aggregate (by default the average) of the value similarities.
-// It is exact and complete. For AggMax and AggTopM its query cost is linear
-// in the number of embedded values; the paper's average is linear in the
-// query, so AggMean computes the same ranking, bit for bit, from one dot
-// product per relation centroid plus a value scan of the few relations
-// rounding cannot separate (filterVerify).
+// It is exact and complete. AggMax and AggTopM cost one dot product per
+// embedded value; the paper's average is linear in the query, so AggMean
+// gets the same ranking, bit for bit, from one per relation centroid plus a
+// value scan of the few relations rounding cannot separate (filterVerify).
 type ExS struct {
 	emb       *Embedded
 	threshold float32
@@ -48,21 +47,21 @@ type ExSOptions struct {
 	Parallel *bool
 }
 
-// parallelScanMinVectors gates the scan fan-out on the vectors the pass
-// streams — centroid rows for AggMean, values otherwise — rather than the
-// relation count: a federation of a few huge relations benefits from the
-// parallel value scan just as much as one of many small relations, while a
-// tiny corpus never pays the goroutine overhead no matter how it is
-// partitioned.
-const parallelScanMinVectors = 2048
+// parallelScanMinDots gates the scan fan-out on the dot products of the
+// pass — vectors streamed (centroid rows for AggMean, values otherwise)
+// times queries scored against each — not the relation count: a few huge
+// relations gain from the parallel value scan as much as many small ones,
+// and a tiny corpus never pays the goroutines. Measured on two cores at dim
+// 256 (DESIGN.md §11): even at 2,048, 10–20% saved at 4,096, 30% at 8,192.
+const parallelScanMinDots = 4096
 
-// scanWorkers is how many contiguous relation ranges a scan splits into.
-func (s *ExS) scanWorkers() int {
+// scanWorkers is how many relation ranges a scan of nq queries splits into.
+func (s *ExS) scanWorkers(nq int) int {
 	streamed := len(s.emb.Values)
 	if s.agg == AggMean {
 		streamed = s.emb.NumRelations()
 	}
-	if s.parallel && streamed > parallelScanMinVectors {
+	if s.parallel && streamed*nq > parallelScanMinDots {
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
@@ -106,6 +105,16 @@ func (s *ExS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, e
 // fraction of a millisecond, large enough that ctx.Err() stays free.
 const cancelCheckRelations = 64
 
+// stopped reports that the scan should end: stop is the workers' shared
+// flag, so whichever observes the expired context first pulls every other
+// chunk out of the scan.
+func stopped(ctx context.Context, stop *atomic.Bool) bool {
+	if !stop.Load() && ctx.Err() != nil {
+		stop.Store(true)
+	}
+	return stop.Load()
+}
+
 // SearchFiltered implements EncodedSearcher: the scan + rank body. Only
 // relations allow accepts are scored; the rest share the tombstones' −Inf
 // sentinel.
@@ -118,24 +127,17 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 	n := s.emb.NumRelations()
 	cost := obs.CostFrom(ctx)
 	if s.agg == AggMean {
-		sp := o.stage("scan")
-		cands, scanned, err := s.filterVerify(ctx, [][]float32{q}, []int{k}, allowed)
+		out, err := s.filterVerify(ctx, o, [][]float32{q}, []int{k}, allowed, []*obs.Cost{cost})
 		if err != nil {
 			return nil, err
 		}
-		o.endStage(sp.AnnotateInt("relations", n).AnnotateInt("values_scanned", int(scanned[0])))
-		sp = o.stage("rank")
-		out := s.rank(cands[0], k, scanned[0], cost)
-		o.endStage(sp.AnnotateInt("matches", len(out)))
-		return out, nil
+		return out[0], nil
 	}
 	scores := make([]float32, n)
 	sp := o.stage("scan").
 		AnnotateInt("relations", n).
 		AnnotateInt("values_scanned", len(s.emb.Values))
 
-	// A single stop flag lets whichever worker observes the expired context
-	// first pull every other chunk out of the scan.
 	var stop atomic.Bool
 	cancellable := ctx.Done() != nil
 	// Tombstoned relations are not scored at all: their slots get the −Inf
@@ -149,14 +151,8 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 		var scanned int64
 		topm := s.newTopMScratch()
 		for rel := lo; rel < hi; rel++ {
-			if cancellable && rel%cancelCheckRelations == 0 {
-				if stop.Load() {
-					break
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					break
-				}
+			if cancellable && rel%cancelCheckRelations == 0 && stopped(ctx, &stop) {
+				break
 			}
 			if hasDead && tombs.Dead(rel) || !allowed.has(rel) {
 				scores[rel] = negInf
@@ -167,7 +163,7 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 		}
 		s.chargeScan(cost, scanned)
 	}
-	par.For(n, s.scanWorkers(), scoreRange)
+	par.For(n, s.scanWorkers(1), scoreRange)
 	o.endStage(sp)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -196,8 +192,7 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 	return out, nil
 }
 
-// chargeScan records scanned vectors — one distance computation each — on a
-// query's cost accumulator; nil charges nothing.
+// chargeScan records scanned vectors, one distance computation each.
 func (s *ExS) chargeScan(cost *obs.Cost, scanned int64) {
 	if cost != nil && scanned > 0 {
 		cost.AddDistanceComps(scanned)
@@ -206,42 +201,32 @@ func (s *ExS) chargeScan(cost *obs.Cost, scanned int64) {
 	}
 }
 
-// underflowSlack is the absolute part of the filter's margin: a float32
-// product below 2⁻¹²⁶ rounds with an absolute error of 2⁻¹⁵⁰, not a relative
-// one, and the two scoring paths hold at most 2·dim+2 such roundings per
-// relation.
-func (s *ExS) underflowSlack() float64 { return float64(s.emb.Enc.Dim()+1) * 0x1p-148 }
+// margin bounds |q·c_rel − exact score| for a query of the given norm. The
+// absolute part is underflow: a product below 2⁻¹²⁶ rounds by up to 2⁻¹⁵⁰
+// absolutely, at most 2·dim+2 times a relation.
+func (s *ExS) margin(norm float64, rel int) float64 {
+	return norm*s.emb.CentroidErr[rel] + float64(s.emb.Enc.Dim()+1)*0x1p-148
+}
 
-// filterVerify is the AggMean scan for a block of queries (a block of one
-// is the single query): the same candidates and scores the value-by-value
-// scan of every relation would rank, at one dot product per relation plus
-// the values of a few.
-//
-// Filter: every live, allowed relation is scored ã = Dot(q, c_rel) against
-// its centroid row, the whole block through DotBatch. By the bound
-// relationCentroid documents, the exact score E of a relation lies within
-// m = ‖q‖·CentroidErr[rel] + underflowSlack of its ã. Take any k relations
-// — the k best ã, for a tight bound — and let L be the least ã − m among
-// them: k relations score at least L, so the k-th best exact score does
-// too, and every relation of the exact top k has ã + m ≥ E ≥ L. Verify:
-// every relation with ã + m ≥ L is re-scored value by value with
-// scoreRelation. The candidates are a superset of the exact top k and carry
-// exact scores, so ranking them ranks the corpus; pruning only on strict
-// ã + m < L keeps a relation that ties L. Fewer than k scored relations, or
-// a query norm that is not finite or is large enough to overflow float32
-// (maxQueryNorm), makes every live relation a candidate; the comparisons
-// are written so that a NaN falls on the candidate side.
-//
-// It returns, per query with k > 0, the candidates in slot order with their
-// exact scores, and the vectors the query was scored against (centroid rows
-// plus verified values).
-func (s *ExS) filterVerify(ctx context.Context, qs [][]float32, ks []int, allowed relSet) ([][]vec.Scored, []int64, error) {
+// filterVerify is the AggMean scan + rank of a block of queries (a block of
+// one is the single query, whose stages o records). Filter: every live,
+// allowed relation gets ã = q·c_rel from its centroid row, and its exact
+// score E lies within m = margin(‖q‖, rel) of ã. With L
+// the least ã − m among the k best ã, k relations score at least L, so
+// every relation of the exact top k has ã + m ≥ E ≥ L. Verify: exactly those
+// are re-scored with scoreRelation — pruning on strict ã + m < L keeps what
+// ties L — and ranking them as TopKDesc would (exact score descending, slot
+// ascending) ranks the corpus (DESIGN.md §11). Fewer than k scored
+// relations, a query norm over maxQueryNorm and any NaN all fall on the
+// candidate side. A query is charged its centroid rows + verified values.
+func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks []int, allowed relSet, costs []*obs.Cost) ([][]Match, error) {
 	emb := s.emb
 	n, nq, dim := emb.NumRelations(), len(qs), emb.Enc.Dim()
 	tombs := emb.Tombs
 	hasDead := tombs.Count() > 0
 	skipped := func(rel int) bool { return hasDead && tombs.Dead(rel) || !allowed.has(rel) }
-	workers := s.scanWorkers()
+	workers := s.scanWorkers(nq)
+	sp := o.stage("scan").AnnotateInt("relations", n)
 
 	// approx[qi*n+rel] is query qi's ã for relation rel.
 	approx := make([]float32, nq*n)
@@ -252,16 +237,9 @@ func (s *ExS) filterVerify(ctx context.Context, qs [][]float32, ks []int, allowe
 		rows := make([][]float32, 0, batchValueBlock)
 		rels := make([]int, 0, batchValueBlock)
 		dots := make([]float32, nq*batchValueBlock)
-		var scored int64
 		for start := lo; start < hi; start += batchValueBlock {
-			if cancellable {
-				if stop.Load() {
-					break
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					break
-				}
+			if cancellable && stopped(ctx, &stop) {
+				break
 			}
 			rows, rels = rows[:0], rels[:0]
 			for rel := start; rel < min(start+batchValueBlock, hi); rel++ {
@@ -280,15 +258,13 @@ func (s *ExS) filterVerify(ctx context.Context, qs [][]float32, ks []int, allowe
 					approx[qi*n+rel] = dots[qi*len(rows)+j]
 				}
 			}
-			scored += int64(len(rows))
+			filtered.Add(int64(len(rows)))
 		}
-		filtered.Add(scored)
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	slack := s.underflowSlack()
 	cands := make([][]vec.Scored, nq)
 	scanned := make([]int64, nq)
 	par.For(nq, workers, func(lo, hi int) {
@@ -306,45 +282,46 @@ func (s *ExS) filterVerify(ctx context.Context, qs [][]float32, ks []int, allowe
 			if top := vec.TopKDesc(row, k); len(top) == k && norm < maxQueryNorm {
 				cutoff = math.Inf(1)
 				for _, t := range top {
-					if low := float64(t.Score) - (norm*emb.CentroidErr[t.ID] + slack); !(low >= cutoff) {
+					if low := float64(t.Score) - s.margin(norm, t.ID); !(low >= cutoff) {
 						cutoff = low
 					}
 				}
 			}
-			verified := make([]vec.Scored, 0, min(k, n))
+			cands[qi] = make([]vec.Scored, 0, min(k, n))
 			scanned[qi] = filtered.Load()
 			for rel, a := range row {
-				if float64(a)+(norm*emb.CentroidErr[rel]+slack) < cutoff || skipped(rel) {
+				if float64(a)+s.margin(norm, rel) < cutoff || skipped(rel) {
 					continue
 				}
-				verified = append(verified, vec.Scored{ID: rel, Score: s.scoreRelation(q, rel, nil)})
+				cands[qi] = append(cands[qi], vec.Scored{ID: rel, Score: s.scoreRelation(q, rel, nil)})
 				scanned[qi] += int64(len(emb.PerRel[rel]))
 			}
-			cands[qi] = verified
 		}
 	})
-	return cands, scanned, nil
-}
+	o.endStage(sp.AnnotateInt("values_scanned", int(scanned[0])))
 
-// rank orders one query's candidates on their exact scores — descending,
-// ties by ascending slot, the order TopKDesc selects in — and emits the k
-// best at or above the threshold, charging the query's cost accumulator.
-func (s *ExS) rank(cands []vec.Scored, k int, scanned int64, cost *obs.Cost) []Match {
-	vec.SortScoredDesc(cands)
-	out := make([]Match, 0, min(k, len(cands)))
-	for _, sc := range cands {
-		if sc.Score < s.threshold || len(out) == k {
-			break
+	sp = o.stage("rank")
+	out := make([][]Match, nq)
+	for qi, k := range ks {
+		if k <= 0 {
+			continue
 		}
-		out = append(out, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
+		vec.SortScoredDesc(cands[qi])
+		out[qi] = make([]Match, 0, min(k, len(cands[qi])))
+		for _, sc := range cands[qi] {
+			if sc.Score < s.threshold || len(out[qi]) == k {
+				break
+			}
+			out[qi] = append(out[qi], Match{RelationID: emb.RelIDs[sc.ID], Score: sc.Score})
+		}
+		if costs[qi] != nil {
+			s.chargeScan(costs[qi], scanned[qi])
+			costs[qi].AddCandidatesGenerated(int64(n))
+			costs[qi].AddCandidatesPruned(int64(n - len(out[qi])))
+		}
 	}
-	s.chargeScan(cost, scanned)
-	if cost != nil {
-		n := s.emb.NumRelations()
-		cost.AddCandidatesGenerated(int64(n))
-		cost.AddCandidatesPruned(int64(n - len(out)))
-	}
-	return out
+	o.endStage(sp.AnnotateInt("matches", len(out[0])))
+	return out, nil
 }
 
 // newTopMScratch returns a reusable AggTopM selection buffer for one

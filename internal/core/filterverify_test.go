@@ -91,8 +91,7 @@ func boundCase(dim, m int, seed int64, qExp, vExp, wMax int) (*Embedded, []float
 }
 
 // centroidBoundUse checks the inequality filterVerify prunes by — the
-// centroid score within ‖q‖·CentroidErr + underflowSlack of the value-by-
-// value score — and returns the share of the margin the case used. A case
+// centroid score within ExS.margin of the value-by-value score — and returns the share of the margin the case used. A case
 // the search would not filter (infinite error factor, query norm over the
 // limit) uses none.
 func centroidBoundUse(t *testing.T, emb *Embedded, q []float32) float64 {
@@ -103,7 +102,7 @@ func centroidBoundUse(t *testing.T, emb *Embedded, q []float32) float64 {
 		sq += float64(x) * float64(x)
 	}
 	norm := math.Sqrt(sq)
-	margin := norm*emb.CentroidErr[0] + s.underflowSlack()
+	margin := s.margin(norm, 0)
 	if !(norm < maxQueryNorm) || math.IsInf(margin, 1) {
 		return 0
 	}
@@ -139,6 +138,17 @@ func TestCentroidBoundHolds(t *testing.T) {
 	t.Logf("largest |centroid − exact| / margin over %d cases: %.3f", trials, worst)
 	if worst == 0 {
 		t.Fatal("no case exercised the bound")
+	}
+	// Where the relative bound alone is not enough, or nothing is: products
+	// that underflow, centroid entries that round in the subnormal range
+	// under a large query, magnitudes just inside the overflow limits, and
+	// past either of them.
+	for _, edge := range []struct{ dim, m, qExp, vExp int }{
+		{256, 26, -72, -70}, {256, 26, -60, -80}, {8, 5, 30, -140}, {8, 5, 60, -146},
+		{256, 7, 62, 50}, {64, 3, 61, 61}, {256, 26, 70, 0}, {256, 26, 0, 70}, {64, 3, 127, 127},
+	} {
+		emb, q := boundCase(edge.dim, edge.m, 13, edge.qExp, edge.vExp, 3)
+		centroidBoundUse(t, emb, q)
 	}
 }
 

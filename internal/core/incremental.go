@@ -10,9 +10,9 @@ import (
 // internal index. The relation's ID must be new.
 //
 // This is the write path of the segment store's mutable segment: the
-// relation's values are encoded and appended with their centroid row,
-// nothing else — no HNSW insert, no cluster assignment, no index
-// maintenance of any kind. The historical per-method AddRelation implementations (graft into the ANNS
+// relation's values are encoded and appended, nothing else — no HNSW
+// insert, no cluster assignment, no index maintenance of any kind. The
+// historical per-method AddRelation implementations (graft into the ANNS
 // graph, nearest-medoid assignment for CTS) are gone: new relations land in
 // the mutable segment, are found by its exhaustive scan at full ExS
 // quality, and enter real index structures only when the segment is sealed

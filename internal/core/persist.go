@@ -83,8 +83,7 @@ func RestoreEmbedded(r io.Reader, enc embed.Encoder) (*Embedded, error) {
 		}
 		e.Values = append(e.Values, valueRef{Rel: img.Rels[i], Weight: img.Weights[i], Vec: img.Vecs[i]})
 	}
-	// Centroids are not persisted: they are a function of the values, so the
-	// image format predates them and stays as it is.
+	// Centroids are a function of the values, so no image carries them.
 	if len(img.PerRel) != len(img.RelIDs) || len(img.TotalWeight) != len(img.RelIDs) {
 		return nil, fmt.Errorf("core: corrupt embedded image")
 	}

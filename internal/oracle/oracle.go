@@ -1,9 +1,7 @@
-// Package oracle is the reference every ExS equivalence suite ranks against:
-// Algorithm 1 of the paper written as plainly as it can be, sharing no code
-// with core's search paths (no scan workers, no filter, no bounded
-// selection), so a test that compares core with it never compares a
-// shortcut with itself. It reads an Embedded's data and calls vec.Dot;
-// nothing else.
+// Package oracle is the reference the ExS equivalence suites rank against:
+// Algorithm 1 written plainly, sharing no code with core's search paths (no
+// scan workers, no filter, no bounded selection), so comparing core with it
+// never compares a shortcut with itself.
 package oracle
 
 import (
@@ -38,8 +36,7 @@ func Rank(emb *core.Embedded, q []float32, k int, h float32) []core.Match {
 		}
 		all = append(all, scored{rel, score})
 	}
-	// Slots were appended ascending, so a stable sort on score alone breaks
-	// ties by slot.
+	// Slots were appended ascending: a stable sort on score breaks ties by slot.
 	sort.SliceStable(all, func(i, j int) bool { return all[i].score > all[j].score })
 	out := []core.Match{}
 	for _, s := range all {
