@@ -51,11 +51,13 @@ portable:
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence' ./internal/core
 
-# A few seconds of coverage-guided search for parameters that break the
-# centroid bound; the checked-in corpus under testdata/fuzz runs with the
-# ordinary tests.
+# A few seconds each of coverage-guided search for parameters that break
+# the centroid bound and for bytes that crash, over-allocate or fail to
+# round-trip the coordinator↔shard wire frame; the checked-in corpora under
+# testdata/fuzz run with the ordinary tests.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCentroidBound -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/netcluster
 
 check: lint race portable fuzz
 

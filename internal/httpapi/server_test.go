@@ -394,9 +394,13 @@ func TestServerRoutes(t *testing.T) {
 }
 
 // TestServerBodyLimit: no handler reads an unbounded body — one byte over
-// the cap is refused with 413 before it is parsed.
+// the cap is refused with 413 before it is parsed. The internal
+// encoded-search routes' cap is the length their frame header declares: a
+// valid one-query header followed by the same oversized body is refused
+// the same way.
 func TestServerBodyLimit(t *testing.T) {
-	srv := New(mustOpen(t, netFed(t, 4), modeConfig()))
+	eng := mustOpen(t, netFed(t, 4), modeConfig())
+	srv := New(eng)
 	huge := `{"query":"` + strings.Repeat("a", maxBodyBytes) + `"}`
 	for _, r := range []struct{ method, path string }{
 		{"POST", "/v1/search"},
@@ -408,6 +412,18 @@ func TestServerBodyLimit(t *testing.T) {
 		rec, out := do(t, srv, r.method, r.path, huge)
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s %s with %d-byte body = %d, want 413: %.80s", r.method, r.path, len(huge), rec.Code, out)
+		}
+	}
+	// version 1, one query of eng.Dim() components, k = 1, then the rest.
+	frame := []byte{1, 1, 0, 0, 0, byte(eng.Dim()), byte(eng.Dim() >> 8), 0, 0, 1, 0, 0, 0}
+	frame = append(frame, huge...)
+	for _, path := range []string{netcluster.PathEncodedSearch, netcluster.PathEncodedSearchBatch} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(string(frame)))
+		req.Header.Set("Content-Type", netcluster.FrameContentType)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte frame body = %d, want 413: %.80s", path, len(frame), rec.Code, rec.Body)
 		}
 	}
 }

@@ -36,8 +36,9 @@ func (e *RemoteError) Retryable() bool {
 }
 
 // MalformedError is a response the client could not decode — a shard
-// returning garbage (truncated body, non-JSON proxy page). It is treated
-// as retryable: the replica is broken, not the request.
+// returning garbage (a truncated frame, trailing bytes, a proxy's HTML
+// page). It is treated as retryable: the replica is broken, not the
+// request.
 type MalformedError struct {
 	URL string
 	Err error
@@ -74,27 +75,23 @@ func (c *Client) URL() string { return c.base }
 // coordinator's memory.
 const maxResponseBytes = 16 << 20
 
-// call issues one request and decodes the JSON answer into out (which may
-// be nil to discard the body), propagating the context's W3C trace
-// context as a traceparent header and classifying every failure mode:
-// transport errors attribute to the context's error when it caused them,
-// non-2xx becomes *RemoteError carrying the unified error body's code,
-// and an undecodable or oversized 2xx body becomes *MalformedError.
-func (c *Client) call(ctx context.Context, method, path string, in, out interface{}) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("netcluster: encoding request: %w", err)
-		}
-		body = bytes.NewReader(b)
+// do issues one request with an optional body of the given content type,
+// propagating the context's W3C trace context as a traceparent header and
+// classifying every failure mode: transport errors attribute to the
+// context's error when it caused them, and non-2xx becomes *RemoteError
+// carrying the unified error body's code. On success the caller owns the
+// response body.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("netcluster: building request: %w", err)
+		return nil, fmt.Errorf("netcluster: building request: %w", err)
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	if sc, ok := obs.SpanContextFrom(ctx); ok && sc.Valid() {
 		req.Header.Set("traceparent", sc.Traceparent())
@@ -104,12 +101,12 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 		if ctx.Err() != nil {
 			// Attribute the failure to the deadline/cancellation that caused
 			// it, so errors.Is(err, context.DeadlineExceeded) holds upstream.
-			return fmt.Errorf("netcluster: %s %s: %w", method, c.base+path, ctx.Err())
+			return nil, fmt.Errorf("netcluster: %s %s: %w", method, c.base+path, ctx.Err())
 		}
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
 		re := &RemoteError{URL: c.base + path, Status: resp.StatusCode}
 		var eb ErrorBody
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); err == nil {
@@ -117,60 +114,97 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 		} else {
 			re.Msg = "undecodable error body"
 		}
-		return re
+		return nil, re
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) // drain for keep-alive reuse
-		return nil
+	return resp, nil
+}
+
+// call issues one JSON request of the write path or a probe (in may be
+// nil) and discards the answer's body.
+func (c *Client) call(ctx context.Context, method, path string, in interface{}) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("netcluster: encoding request: %w", err)
+		}
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxResponseBytes)).Decode(out); err != nil {
-		return &MalformedError{URL: c.base + path, Err: err}
+	resp, err := c.do(ctx, method, path, "application/json", body)
+	if err != nil {
+		return err
 	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) // drain for keep-alive reuse
 	return nil
+}
+
+// search posts a block of queries as one request frame to an
+// encoded-search route and decodes the response frame: the one body of
+// SearchEncoded and SearchEncodedBatch. A 2xx body over maxResponseBytes,
+// damaged, or answering another number of queries is *MalformedError.
+func (c *Client) search(ctx context.Context, path string, qs [][]float32, ks []int) (reply, error) {
+	frame, err := appendRequest(nil, qs, ks)
+	if err != nil {
+		return reply{}, err
+	}
+	resp, err := c.do(ctx, http.MethodPost, path, FrameContentType, frame)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	// MinRead spare bytes let the read that finds EOF run without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxResponseBytes)+bytes.MinRead))
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes+1))
+	var rep reply
+	switch {
+	case err != nil:
+	case buf.Len() > maxResponseBytes:
+		err = fmt.Errorf("body exceeds %d bytes", maxResponseBytes)
+	default:
+		if rep, err = decodeResponse(buf.Bytes()); err == nil && len(rep.ms) != len(qs) {
+			err = fmt.Errorf("sent %d queries, got %d answers", len(qs), len(rep.ms))
+		}
+	}
+	if err != nil {
+		return reply{}, &MalformedError{URL: c.base + path, Err: err}
+	}
+	return rep, nil
 }
 
 // SearchEncoded runs one pre-encoded query on the shard.
 func (c *Client) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, obs.CostReport, []obs.SpanRecord, error) {
-	var resp EncodedSearchResponse
-	if err := c.call(ctx, http.MethodPost, PathEncodedSearch, EncodedSearchRequest{Vector: q, K: k}, &resp); err != nil {
+	rep, err := c.search(ctx, PathEncodedSearch, [][]float32{q}, []int{k})
+	if err != nil {
 		return nil, obs.CostReport{}, nil, err
 	}
-	return fromWire(resp.Matches), resp.Cost, resp.Spans, nil
+	return rep.ms[0], rep.costs[0], rep.spans, nil
 }
 
 // SearchEncodedBatch runs a blocked multi-query request on the shard.
 func (c *Client) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int) ([][]core.Match, []obs.CostReport, []obs.SpanRecord, error) {
-	var resp EncodedBatchResponse
-	if err := c.call(ctx, http.MethodPost, PathEncodedSearchBatch, EncodedBatchRequest{Vectors: qs, Ks: ks}, &resp); err != nil {
+	rep, err := c.search(ctx, PathEncodedSearchBatch, qs, ks)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(resp.Results) != len(qs) || len(resp.Costs) != len(qs) {
-		return nil, nil, nil, &MalformedError{URL: c.base + PathEncodedSearchBatch,
-			Err: fmt.Errorf("sent %d queries, got %d results / %d costs", len(qs), len(resp.Results), len(resp.Costs))}
-	}
-	out := make([][]core.Match, len(resp.Results))
-	for i := range resp.Results {
-		out[i] = fromWire(resp.Results[i])
-	}
-	return out, resp.Costs, resp.Spans, nil
+	return rep.ms, rep.costs, rep.spans, nil
 }
 
 // AddRelation ingests one relation on the shard via the public API.
 func (c *Client) AddRelation(ctx context.Context, rel Relation) error {
-	return c.call(ctx, http.MethodPost, "/v1/relations", rel, nil)
+	return c.call(ctx, http.MethodPost, "/v1/relations", rel)
 }
 
 // DeleteRelation tombstones one relation on the shard.
 func (c *Client) DeleteRelation(ctx context.Context, id string) error {
-	return c.call(ctx, http.MethodDelete, "/v1/relations/"+url.PathEscape(id), nil, nil)
+	return c.call(ctx, http.MethodDelete, "/v1/relations/"+url.PathEscape(id), nil)
 }
 
 // UpdateRelation replaces one relation's contents on the shard.
 func (c *Client) UpdateRelation(ctx context.Context, rel Relation) error {
-	return c.call(ctx, http.MethodPut, "/v1/relations/"+url.PathEscape(rel.ID), rel, nil)
+	return c.call(ctx, http.MethodPut, "/v1/relations/"+url.PathEscape(rel.ID), rel)
 }
 
 // Healthz reports whether the shard answers its liveness probe.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.call(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.call(ctx, http.MethodGet, "/healthz", nil)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
@@ -55,7 +56,9 @@ func NewShardHandler(backend ShardBackend, traces *obs.TraceStore, dim int) *Sha
 	return &ShardHandler{backend: backend, traces: traces, dim: dim}
 }
 
-// ServeHTTP implements http.Handler for both internal paths.
+// ServeHTTP implements http.Handler for both internal paths: one frame
+// reader, one backend call and one frame writer, the single-query route
+// being a frame of exactly one query.
 func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -63,14 +66,81 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("method %s not allowed; use POST", r.Method))
 		return
 	}
-	switch r.URL.Path {
-	case PathEncodedSearch:
-		h.serveSearch(w, r)
-	case PathEncodedSearchBatch:
-		h.serveBatch(w, r)
-	default:
+	single := r.URL.Path == PathEncodedSearch
+	if !single && r.URL.Path != PathEncodedSearchBatch {
 		writeWireError(w, http.StatusNotFound, CodeNotFound, "no such internal route "+r.URL.Path)
+		return
 	}
+	if ct := r.Header.Get("Content-Type"); ct != FrameContentType {
+		// A 4xx: the coordinator speaks another protocol, so no replica of
+		// this deployment would answer it either.
+		writeWireError(w, http.StatusUnsupportedMediaType, CodeBadRequest,
+			fmt.Sprintf("content type %q; the encoded-search routes take %s", ct, FrameContentType))
+		return
+	}
+	maxN := maxEncodedBatch
+	if single {
+		maxN = 1
+	}
+	qs, ks, fe := readRequest(r.Body, r.ContentLength, h.dim, maxN)
+	if fe != nil {
+		writeWireError(w, fe.status, CodeBadRequest, fe.msg)
+		return
+	}
+
+	tr := traceFor(r)
+	rep := reply{costs: make([]obs.CostReport, len(qs))}
+	var sp *obs.Span
+	var o obs.TraceOutcome
+	var err error
+	if single {
+		sp = tr.StartRoot("shard_encoded_search").AnnotateInt("k", ks[0])
+		cost := &obs.Cost{}
+		var ms []core.Match
+		ms, err = h.backend.SearchEncoded(obs.ContextWithCost(r.Context(), cost), qs[0], ks[0])
+		rep.ms, rep.costs[0] = [][]core.Match{ms}, cost.Report()
+		sp.AnnotateInt("matches", len(ms)).AnnotateInt("distance_comps", int(rep.costs[0].DistanceComps))
+		o = obs.TraceOutcome{Method: "encoded", K: ks[0], Matches: len(ms)}
+	} else {
+		sp = tr.StartRoot("shard_encoded_batch").AnnotateInt("queries", len(qs))
+		costs := make([]*obs.Cost, len(qs))
+		for i := range costs {
+			costs[i] = &obs.Cost{}
+		}
+		rep.ms, err = h.backend.SearchEncodedBatch(r.Context(), qs, ks, costs)
+		for i, c := range costs {
+			rep.costs[i] = c.Report()
+		}
+		o = obs.TraceOutcome{Method: "encoded_batch", K: len(qs)}
+	}
+	if err == nil && len(rep.ms) != len(qs) {
+		err = fmt.Errorf("backend answered %d of %d queries", len(rep.ms), len(qs))
+	}
+	if err != nil {
+		sp.Annotate("error", err.Error())
+	}
+	o.Duration, o.Err = sp.End(), errString(err)
+	h.traces.Offer(tr, o)
+	if err != nil {
+		status, code := http.StatusInternalServerError, CodeInternal
+		if r.Context().Err() != nil {
+			// The coordinator hung up (deadline or hedge winner elsewhere);
+			// 503 tells the client this was availability, not a bad query.
+			status, code = http.StatusServiceUnavailable, CodeUnavailable
+		}
+		writeWireError(w, status, code, err.Error())
+		return
+	}
+	rep.spans = tr.Spans()
+	body := appendResponse(nil, rep)
+	hdr := w.Header()
+	if hdr.Get("X-Trace-Id") == "" {
+		hdr.Set("X-Trace-Id", tr.ID().String())
+	}
+	hdr.Set("Content-Type", FrameContentType)
+	hdr.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // traceFor continues the propagated trace context when the request (or
@@ -86,140 +156,11 @@ func traceFor(r *http.Request) *obs.Trace {
 	return obs.NewTrace()
 }
 
-func (h *ShardHandler) serveSearch(w http.ResponseWriter, r *http.Request) {
-	var req EncodedSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad body: %v", err))
-		return
-	}
-	if len(req.Vector) == 0 {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest, "vector is required")
-		return
-	}
-	if h.dim > 0 && len(req.Vector) != h.dim {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("vector has %d dimensions; this shard indexes %d", len(req.Vector), h.dim))
-		return
-	}
-	if req.K <= 0 || req.K > maxEncodedK {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("k must be between 1 and %d", maxEncodedK))
-		return
-	}
-
-	tr := traceFor(r)
-	sp := tr.StartRoot("shard_encoded_search").AnnotateInt("k", req.K)
-	cost := &obs.Cost{}
-	ctx := obs.ContextWithCost(r.Context(), cost)
-	ms, err := h.backend.SearchEncoded(ctx, req.Vector, req.K)
-	rep := cost.Report()
-	sp.AnnotateInt("matches", len(ms)).AnnotateInt("distance_comps", int(rep.DistanceComps))
-	if err != nil {
-		sp.Annotate("error", err.Error())
-	}
-	dur := sp.End()
-	h.offer(tr, obs.TraceOutcome{Duration: dur, Method: "encoded", K: req.K, Matches: len(ms), Err: errString(err)})
-	if err != nil {
-		status, code := http.StatusInternalServerError, CodeInternal
-		if r.Context().Err() != nil {
-			// The coordinator hung up (deadline or hedge winner elsewhere);
-			// 503 tells the client this was availability, not a bad query.
-			status, code = http.StatusServiceUnavailable, CodeUnavailable
-		}
-		writeWireError(w, status, code, err.Error())
-		return
-	}
-	writeWireJSON(w, r, tr, EncodedSearchResponse{Matches: toWire(ms), Cost: rep, Spans: tr.Spans()})
-}
-
-func (h *ShardHandler) serveBatch(w http.ResponseWriter, r *http.Request) {
-	var req EncodedBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad body: %v", err))
-		return
-	}
-	if len(req.Vectors) == 0 {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest, "vectors is required")
-		return
-	}
-	if len(req.Vectors) > maxEncodedBatch {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("batch of %d exceeds the %d-vector limit", len(req.Vectors), maxEncodedBatch))
-		return
-	}
-	if len(req.Ks) != len(req.Vectors) {
-		writeWireError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("%d vectors but %d ks", len(req.Vectors), len(req.Ks)))
-		return
-	}
-	for i, v := range req.Vectors {
-		if h.dim > 0 && len(v) != h.dim {
-			writeWireError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("vectors[%d] has %d dimensions; this shard indexes %d", i, len(v), h.dim))
-			return
-		}
-		if req.Ks[i] <= 0 || req.Ks[i] > maxEncodedK {
-			writeWireError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("ks[%d] must be between 1 and %d", i, maxEncodedK))
-			return
-		}
-	}
-
-	tr := traceFor(r)
-	sp := tr.StartRoot("shard_encoded_batch").AnnotateInt("queries", len(req.Vectors))
-	costs := make([]*obs.Cost, len(req.Vectors))
-	for i := range costs {
-		costs[i] = &obs.Cost{}
-	}
-	ms, err := h.backend.SearchEncodedBatch(r.Context(), req.Vectors, req.Ks, costs)
-	if err != nil {
-		sp.Annotate("error", err.Error())
-	}
-	dur := sp.End()
-	h.offer(tr, obs.TraceOutcome{Duration: dur, Method: "encoded_batch", K: len(req.Vectors), Err: errString(err)})
-	if err != nil {
-		status, code := http.StatusInternalServerError, CodeInternal
-		if r.Context().Err() != nil {
-			status, code = http.StatusServiceUnavailable, CodeUnavailable
-		}
-		writeWireError(w, status, code, err.Error())
-		return
-	}
-	resp := EncodedBatchResponse{
-		Results: make([][]WireMatch, len(ms)),
-		Costs:   make([]obs.CostReport, len(costs)),
-		Spans:   tr.Spans(),
-	}
-	for i := range ms {
-		resp.Results[i] = toWire(ms[i])
-	}
-	for i, c := range costs {
-		resp.Costs[i] = c.Report()
-	}
-	writeWireJSON(w, r, tr, resp)
-}
-
-// offer retains interesting shard-side traces locally when a store is
-// attached.
-func (h *ShardHandler) offer(tr *obs.Trace, o obs.TraceOutcome) {
-	if h.traces == nil {
-		return
-	}
-	h.traces.Offer(tr, o)
-}
-
 func errString(err error) string {
 	if err == nil {
 		return ""
 	}
 	return err.Error()
-}
-
-func writeWireJSON(w http.ResponseWriter, r *http.Request, tr *obs.Trace, v interface{}) {
-	if w.Header().Get("X-Trace-Id") == "" {
-		w.Header().Set("X-Trace-Id", tr.ID().String())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeWireError(w http.ResponseWriter, status int, code, msg string) {

@@ -31,8 +31,9 @@ type Fault struct {
 	// Status short-circuits with this status code (use 5xx) and a unified
 	// error body, never reaching the target.
 	Status int
-	// Truncate forwards the request but replaces the response body with a
-	// malformed JSON fragment — exercising the client's decode guard.
+	// Truncate forwards the request but cuts the response body to its
+	// first half — a connection lost mid-answer — exercising the client's
+	// decode guard.
 	Truncate bool
 	// Remaining bounds how many requests the fault applies to; negative
 	// means every request until the rule is cleared.
@@ -154,8 +155,9 @@ func (f *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if fault.Truncate {
 		f.note("truncate")
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes)) // a read error only truncates sooner
 		resp.Body.Close()
-		resp.Body = io.NopCloser(bytes.NewReader([]byte(`{"matches":[{"relation_`)))
+		resp.Body = io.NopCloser(bytes.NewReader(b[:len(b)/2]))
 		resp.ContentLength = -1
 		resp.Header.Del("Content-Length")
 	}

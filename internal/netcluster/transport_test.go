@@ -1,14 +1,17 @@
 package netcluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
+
+	"semdisco/internal/core"
+	"semdisco/internal/obs"
 )
 
 func TestHostOf(t *testing.T) {
@@ -132,7 +135,7 @@ func TestFaultHangHonorsContext(t *testing.T) {
 }
 
 // bloatTransport answers requests to one host with a 200 whose body is a
-// well-formed answer padded past maxResponseBytes — a replica streaming
+// well-formed response frame padded past maxResponseBytes — a replica streaming
 // without end, as far as a reader bounded by bytes can tell.
 type bloatTransport struct{ host string }
 
@@ -149,9 +152,10 @@ func (b bloatTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.URL.Host != b.host {
 		return http.DefaultTransport.RoundTrip(req)
 	}
-	body := io.MultiReader(io.LimitReader(spaces{}, maxResponseBytes), strings.NewReader(`{"matches":[]}`))
-	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": []string{"application/json"}},
-		Body: io.NopCloser(body), Request: req}, nil
+	frame := appendResponse(nil, reply{ms: make([][]core.Match, 1), costs: make([]obs.CostReport, 1)})
+	body := io.MultiReader(bytes.NewReader(frame), io.LimitReader(spaces{}, maxResponseBytes))
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": []string{FrameContentType}},
+		ContentLength: -1, Body: io.NopCloser(body), Request: req}, nil
 }
 
 // TestClientOversizedResponseIsMalformed: a 2xx body past the cap is a
