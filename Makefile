@@ -116,8 +116,9 @@ netcluster-smoke:
 
 # End-to-end tracing smoke: serve a freshly generated corpus as a 4-shard
 # hedged cluster with every trace retained, run one search, and assert the
-# span tree comes back from /v1/debug/traces/{id} and its exemplar shows
-# up on the OpenMetrics scrape. Needs curl and jq.
+# span tree comes back from /v1/debug/traces/{id}, its exemplar shows up on
+# the OpenMetrics scrape, and the slow and journal views of the store name
+# it. Needs curl and jq.
 trace-smoke:
 	sh ./scripts/trace-smoke.sh
 

@@ -2,7 +2,6 @@ package semdisco
 
 import (
 	"context"
-	"time"
 
 	"semdisco/internal/cluster"
 	"semdisco/internal/obs"
@@ -21,13 +20,17 @@ import (
 // accumulator carried by ctx, so batch work is visible to callers
 // accounting at the request level.
 func (e *Engine) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
+	return e.observeBatch(ctx, queries, func(ctx context.Context, _ *obs.Trace) ([]*ClusterResult, error) {
+		return e.searchBatch(ctx, queries)
+	})
+}
+
+// searchBatch runs a block of queries against the segment store in one
+// fused pass.
+func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 
 	// Encode once per distinct text; duplicate strings — the common shape
 	// under coalesced traffic — share one vector. Items with K ≤ 0 are
@@ -58,28 +61,24 @@ func (e *Engine) DoBatch(ctx context.Context, queries []Query) ([]*Response, err
 		costs[i] = &obs.Cost{}
 	}
 
-	ms := make([][]Match, len(queries))
+	res := make([]ClusterResult, len(queries))
 	if len(qs) > 0 {
 		rows, err := e.store.SearchEncodedBatch(ctx, qs, ks, costs)
 		if err != nil {
 			return nil, err
 		}
+		parent := obs.CostFrom(ctx)
 		for s, i := range active {
-			ms[i] = rows[s]
+			res[i].Matches = rows[s]
+			res[i].Cost = costs[s].Report()
+			parent.AddReport(res[i].Cost)
+			e.workload.RecordShard(0)
 		}
 	}
-
-	parent := obs.CostFrom(ctx)
-	out := make([]*Response, len(queries))
-	for i := range queries {
-		out[i] = &Response{ClusterResult: ClusterResult{Matches: ms[i]}}
+	out := make([]*ClusterResult, len(queries))
+	for i := range res {
+		out[i] = &res[i]
 	}
-	for s, i := range active {
-		out[i].Cost = costs[s].Report()
-		parent.AddReport(out[i].Cost)
-		e.workload.RecordShard(0)
-	}
-	e.observeBatch(queries, out, time.Since(start))
 	return out, nil
 }
 
@@ -91,9 +90,9 @@ func (e *Engine) DoBatch(ctx context.Context, queries []Query) ([]*Response, err
 // Per-item degradation semantics match Do, and coalesced duplicates are
 // marked Coalesced with their cost charged to the slot owner.
 func (c *Cluster) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
-	start := time.Now()
-	results, err := c.router.SearchBatch(ctx, batchItems(queries))
-	return c.batchResponses(queries, results, err, time.Since(start))
+	return c.observeBatch(ctx, queries, func(ctx context.Context, tr *obs.Trace) ([]*ClusterResult, error) {
+		return c.router.SearchBatch(obs.ContextWithTrace(ctx, tr), batchItems(queries))
+	})
 }
 
 // batchItems converts public batch queries to the router's form.
@@ -103,19 +102,4 @@ func batchItems(queries []Query) []cluster.BatchQuery {
 		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
 	}
 	return items
-}
-
-// batchResponses wraps a router batch answer as responses and feeds it to
-// the workload analyzer and the SLO engine.
-func (t *telemetry) batchResponses(queries []Query, results []*ClusterResult, err error, dur time.Duration) ([]*Response, error) {
-	if err != nil {
-		t.slo.Record(dur, true)
-		return nil, err
-	}
-	out := make([]*Response, len(results))
-	for i, r := range results {
-		out[i] = &Response{ClusterResult: *r}
-	}
-	t.observeBatch(queries, out, dur)
-	return out, nil
 }

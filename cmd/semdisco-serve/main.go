@@ -13,7 +13,8 @@
 // retry against shards running past their p95, and a failed shard degrades
 // the answer (response carries "degraded" and "shard_errors") instead of
 // failing the query. /v1/stats then reports per-shard health. The
-// engine-only debug endpoints respond 501 in cluster mode.
+// engine-only debug endpoints (/v1/debug/index, /v1/debug/recall) respond
+// 501 in cluster mode.
 //
 // Networked cluster: -role turns the process into one node of a wire-level
 // deployment. A shard server
@@ -50,21 +51,21 @@
 // metrics are served at /metrics in Prometheus text format, and -pprof
 // mounts the runtime profiler at /debug/pprof/.
 //
-// Diagnostics: /v1/debug/slow serves the slow-query log
-// (-slowlog-threshold sets the retention floor), /v1/debug/journal the
-// sampled exemplar traces (-trace-sample picks 1 in M queries),
-// /v1/debug/index the index-health report, and /v1/debug/recall an
-// on-demand recall probe; -recall-probe-interval probes periodically and
-// exports semdisco_recall_at_k on /metrics.
+// Diagnostics: /v1/debug/index serves the index-health report and
+// /v1/debug/recall an on-demand recall probe; -recall-probe-interval probes
+// periodically and exports semdisco_recall_at_k on /metrics.
 //
 // Tracing: every request runs under a W3C trace context (inbound
 // traceparent headers are continued; X-Trace-Id / Traceparent /
 // X-Request-Id are stamped on responses), and interesting traces — slow
 // per -trace-threshold, degraded, hedged, errored, plus a 1-in-M head
 // sample per -trace-head-sample — are retained in a -trace-store-sized
-// ring served at /v1/debug/traces. Scrapes accepting OpenMetrics get
-// histogram exemplars on /metrics linking latency buckets to stored trace
-// IDs. -no-trace turns the subsystem off.
+// ring. It is the one retained-query record, in every mode:
+// /v1/debug/traces lists it newest first, /v1/debug/slow slowest first and
+// /v1/debug/journal streams it as JSON lines (-trace-head-sample 1 keeps
+// every query). Scrapes accepting OpenMetrics get histogram exemplars on
+// /metrics linking latency buckets to stored trace IDs. -no-trace turns
+// the subsystem off.
 //
 // Cost accounting and SLOs: every search response carries a "cost" block
 // (distance computations, graph hops, PQ lookups, bytes scanned),
@@ -102,15 +103,11 @@ var (
 	logFormat   = flag.String("log-format", "text", "log output format: text or json")
 	enablePprof = flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/")
 
-	slowThreshold = flag.Duration("slowlog-threshold", 0,
-		"retain only queries at least this slow in /v1/debug/slow (0 retains all)")
-	traceSample = flag.Int("trace-sample", 0,
-		"journal the full trace of 1 in every M queries (0 disables sampling)")
 	probeInterval = flag.Duration("recall-probe-interval", 0,
 		"probe recall@10 against an exhaustive scan this often (0 disables)")
 
 	noTrace = flag.Bool("no-trace", false,
-		"disable span-tree tracing and the /v1/debug/traces store")
+		"disable span-tree tracing and the /v1/debug/{traces,slow,journal} store")
 	traceStore = flag.Int("trace-store", 0,
 		"retained-trace ring capacity (0 = default 256)")
 	traceThreshold = flag.Duration("trace-threshold", 0,
@@ -333,20 +330,9 @@ func serveCoordinator(logger *slog.Logger, cfg semdisco.Config) {
 }
 
 // serveEngine serves one engine — standalone or one networked shard —
-// with diagnostics, periodic probes, the background compactor and graceful
-// shutdown wired up.
+// with periodic probes, the background compactor and graceful shutdown
+// wired up.
 func serveEngine(logger *slog.Logger, eng *semdisco.Engine) {
-	if *slowThreshold > 0 || *traceSample > 0 {
-		// Re-arm diagnostics with the flag-driven settings; this also covers
-		// the -load path, where the engine's config is not ours to set.
-		eng.ConfigureDiagnostics(semdisco.DiagnosticsConfig{
-			SlowLogThreshold: *slowThreshold,
-			TraceSampleEvery: *traceSample,
-		})
-		logger.Info("diagnostics configured",
-			"slowlog_threshold", *slowThreshold, "trace_sample", *traceSample)
-	}
-
 	opts := []httpapi.Option{httpapi.WithLogger(logger)}
 	if *enablePprof {
 		opts = append(opts, httpapi.WithPprof())
@@ -481,7 +467,7 @@ func flushTraces(logger *slog.Logger, store *obs.TraceStore) {
 		return
 	}
 	defer f.Close()
-	if err := store.WriteJSONL(f); err != nil {
+	if err := store.WriteJSONL(f, 0); err != nil {
 		logger.Error("flushing traces", "error", err)
 		return
 	}

@@ -140,11 +140,10 @@ func TestSearchCostCTSNonzero(t *testing.T) {
 }
 
 // TestSearchRecordsWorkloadAndSLO asserts a plain engine search feeds the
-// workload analyzer and the SLO engine — also with the diagnostics layer
-// and the trace store switched off, which used to short-circuit past both.
+// workload analyzer and the SLO engine — also with the trace store
+// switched off, which used to short-circuit past both.
 func TestSearchRecordsWorkloadAndSLO(t *testing.T) {
 	quiet := Config{Method: ExS, Dim: 64, Seed: 1}
-	quiet.Diagnostics.Disable = true
 	quiet.Tracing.Disable = true
 	for name, cfg := range map[string]Config{"default": {Method: ExS, Dim: 64, Seed: 1}, "diagnostics+tracing off": quiet} {
 		t.Run(name, func(t *testing.T) { searchRecordsWorkloadAndSLO(t, cfg) })

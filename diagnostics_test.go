@@ -25,81 +25,98 @@ func diagEngine(t *testing.T, cfg Config) *Engine {
 }
 
 func TestSlowQueriesAfterBurst(t *testing.T) {
-	eng := diagEngine(t, Config{Method: ExS})
+	eng := diagEngine(t, Config{Method: ExS, Tracing: TracingConfig{HeadSampleEvery: 1}})
 	queries := []string{"COVID", "vaccines in Europe", "mineral hardness", "COVID", "quartz"}
 	for _, q := range queries {
 		if _, err := eng.Search(q, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	slow := eng.SlowQueries(3)
+	slow := eng.Traces().Slowest(3)
 	if len(slow) != 3 {
 		t.Fatalf("got %d slow queries, want 3", len(slow))
 	}
-	for i, sq := range slow {
-		if sq.Method != "ExS" || sq.Query == "" || sq.K != 5 {
-			t.Fatalf("record %d = %+v", i, sq)
+	for i, st := range slow {
+		if st.Method != "ExS" || st.Query == "" || st.K != 5 || st.Kind != "sampled" {
+			t.Fatalf("trace %d = %+v", i, st)
 		}
-		if len(sq.Stages) == 0 {
-			t.Fatalf("record %d has no stage trace: %+v", i, sq)
+		if len(st.Spans) < 2 {
+			t.Fatalf("trace %d has no stage spans: %+v", i, st)
 		}
-		if i > 0 && sq.DurationMS > slow[i-1].DurationMS {
-			t.Fatalf("not sorted slowest-first: %v after %v", sq.DurationMS, slow[i-1].DurationMS)
+		if i > 0 && st.DurationMS > slow[i-1].DurationMS {
+			t.Fatalf("not sorted slowest-first: %v after %v", st.DurationMS, slow[i-1].DurationMS)
 		}
 	}
-	st := eng.SlowLogStats()
-	if st.Recorded != int64(len(queries)) || st.Retained != len(queries) {
-		t.Fatalf("stats=%+v", st)
+	if s := eng.Traces(); s.Kept() != int64(len(queries)) || s.Len() != len(queries) {
+		t.Fatalf("kept=%d retained=%d, want %d", s.Kept(), s.Len(), len(queries))
 	}
 }
 
+// TestSlowQueryThresholdAndCounter: a query under the latency threshold is
+// not retained as slow and moves no counter; the retention kind the store
+// returns is what the slow and sampled counters count.
 func TestSlowQueryThresholdAndCounter(t *testing.T) {
 	eng := diagEngine(t, Config{
-		Diagnostics: DiagnosticsConfig{SlowLogThreshold: time.Hour},
+		Tracing: TracingConfig{LatencyThreshold: time.Hour, HeadSampleEvery: -1},
 	})
 	if _, err := eng.Search("COVID", 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.SlowQueries(0); len(got) != 0 {
+	if got := eng.Traces().Slowest(0); len(got) != 0 {
 		t.Fatalf("sub-threshold query retained: %+v", got)
 	}
-	st := eng.SlowLogStats()
-	if st.Recorded != 0 || st.Retained != 0 || st.ThresholdMS != time.Hour.Seconds()*1000 {
-		t.Fatalf("stats=%+v", st)
-	}
-	// No query crossed the threshold, so the slow counter must not move.
-	for name := range eng.MetricsRegistry().Snapshot().Counters {
-		if strings.HasPrefix(name, "semdisco_slow_queries_total") {
-			t.Fatalf("slow counter incremented: %s", name)
+	counted := func(base string) int64 {
+		var n int64
+		for name, v := range eng.MetricsRegistry().Snapshot().Counters {
+			if strings.HasPrefix(name, base) {
+				n += v
+			}
 		}
+		return n
+	}
+	if n := counted("semdisco_slow_queries_total"); n != 0 {
+		t.Fatalf("slow counter moved for a sub-threshold query: %d", n)
+	}
+	eng.ConfigureTracing(TracingConfig{LatencyThreshold: time.Nanosecond, HeadSampleEvery: -1})
+	if _, err := eng.Search("COVID", 3); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Traces().Slowest(0); len(st) != 1 || st[0].Kind != "slow" {
+		t.Fatalf("over-threshold query not retained as slow: %+v", st)
+	}
+	if n := counted("semdisco_slow_queries_total"); n != 1 {
+		t.Fatalf("slow counter = %d, want 1", n)
+	}
+	eng.ConfigureTracing(TracingConfig{LatencyThreshold: time.Hour, HeadSampleEvery: 1})
+	if _, err := eng.Search("COVID", 3); err != nil {
+		t.Fatal(err)
+	}
+	if n := counted("semdisco_traces_sampled_total"); n != 1 {
+		t.Fatalf("sampled counter = %d, want 1", n)
 	}
 }
 
 func TestTraceSamplingJournal(t *testing.T) {
 	eng := diagEngine(t, Config{
-		Method:      ExS,
-		Diagnostics: DiagnosticsConfig{TraceSampleEvery: 2},
+		Method:  ExS,
+		Tracing: TracingConfig{HeadSampleEvery: 2},
 	})
 	for i := 0; i < 6; i++ {
 		if _, err := eng.Search("COVID vaccines", 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	j := eng.Journal()
-	if j == nil {
-		t.Fatal("journal nil with diagnostics enabled")
+	traces := eng.Traces().List(0)
+	if len(traces) != 3 { // 1-in-2 of 6 queries
+		t.Fatalf("got %d retained traces, want 3", len(traces))
 	}
-	events := j.Events(0)
-	if len(events) != 3 { // 1-in-2 of 6 queries
-		t.Fatalf("got %d journal events, want 3", len(events))
-	}
-	for _, ev := range events {
-		if ev.Kind != "sampled" || len(ev.Stages) == 0 {
-			t.Fatalf("event=%+v", ev)
+	for _, st := range traces {
+		if st.Kind != "sampled" || len(st.Spans) == 0 {
+			t.Fatalf("trace=%+v", st)
 		}
 	}
 	var buf bytes.Buffer
-	if err := j.WriteJSONL(&buf); err != nil {
+	if err := eng.Traces().WriteJSONL(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -113,19 +130,19 @@ func TestTraceSamplingJournal(t *testing.T) {
 }
 
 func TestDiagnosticsDisabled(t *testing.T) {
-	eng := diagEngine(t, Config{Diagnostics: DiagnosticsConfig{Disable: true}})
+	eng := diagEngine(t, Config{Tracing: TracingConfig{Disable: true}})
 	if _, err := eng.Search("COVID", 3); err != nil {
 		t.Fatal(err)
 	}
-	if eng.SlowQueries(0) != nil || eng.Journal() != nil {
-		t.Fatal("diagnostics surfaces should be nil when disabled")
+	if eng.Traces() != nil {
+		t.Fatal("trace store should be nil when tracing is disabled")
 	}
-	// Re-enabling via ConfigureDiagnostics brings them back.
-	eng.ConfigureDiagnostics(DiagnosticsConfig{})
+	// Re-enabling via ConfigureTracing brings it back.
+	eng.ConfigureTracing(TracingConfig{HeadSampleEvery: 1})
 	if _, err := eng.Search("COVID", 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.SlowQueries(0); len(got) != 1 {
+	if got := eng.Traces().Slowest(0); len(got) != 1 {
 		t.Fatalf("after re-enable: %+v", got)
 	}
 }
@@ -160,9 +177,10 @@ func TestSearchTracedWithoutRegistry(t *testing.T) {
 	if st.NumValues == 0 || st.Searches != nil {
 		t.Fatalf("stats=%+v", st)
 	}
-	// Diagnostics still work without a registry.
-	if got := eng.SlowQueries(0); len(got) != 1 {
-		t.Fatalf("slow log without registry: %+v", got)
+	// The trace store still works without a registry: the head sampler
+	// keeps the first query.
+	if got := eng.Traces().Len(); got != 1 {
+		t.Fatalf("trace store without registry retained %d traces, want 1", got)
 	}
 }
 
@@ -214,7 +232,7 @@ func TestEngineRecallProbe(t *testing.T) {
 		t.Fatalf("recall=%v out of [0,1]", res.Recall)
 	}
 
-	// After real traffic the probe replays the recent-query ring.
+	// After real traffic the probe replays the workload's heavy hitters.
 	for _, q := range []string{"COVID", "mineral hardness"} {
 		if _, err := eng.Search(q, 5); err != nil {
 			t.Fatal(err)
@@ -224,7 +242,7 @@ func TestEngineRecallProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != "recent_queries" {
+	if res.Source != "heavy_hitters" {
 		t.Fatalf("warm probe=%+v", res)
 	}
 	if res.Method != "ANNS" || res.K != 5 {
@@ -239,9 +257,9 @@ func TestEngineRecallProbe(t *testing.T) {
 	if !found {
 		t.Fatal("recall gauge not exported")
 	}
-	// Probes must not pollute the slow log they sample from.
-	if got := eng.SlowLogStats().Recorded; got != 2 {
-		t.Fatalf("probe polluted slow log: recorded=%d", got)
+	// Probes must not pollute the workload they sample from.
+	if got := eng.Workload().Snapshot().Queries; got != 2 {
+		t.Fatalf("probe polluted the workload: queries=%d", got)
 	}
 }
 
@@ -255,11 +273,13 @@ func TestLoadedEngineHasDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded.ConfigureDiagnostics(DiagnosticsConfig{TraceSampleEvery: 1})
-	if _, err := loaded.Search("COVID", 3); err != nil {
-		t.Fatal(err)
+	loaded.ConfigureTracing(TracingConfig{HeadSampleEvery: 1})
+	for _, q := range []string{"COVID", "quartz"} {
+		if _, err := loaded.Search(q, 3); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(loaded.SlowQueries(0)) != 1 || loaded.Journal().Len() != 1 {
-		t.Fatal("diagnostics not active on loaded engine")
+	if got := loaded.Traces().Slowest(0); len(got) != 2 {
+		t.Fatalf("tracing config not applied to loaded engine: %d traces retained, want 2", len(got))
 	}
 }

@@ -97,12 +97,12 @@ func main() {
 		fmt.Printf("  %-12s %.1fms\n", phase, sec*1000)
 	}
 
-	// Diagnostics are on by default: every query above fed the slow-query
-	// log, slowest first, each with its full stage trace.
+	// The same store ranks its traces slowest first — what a served engine
+	// answers at /v1/debug/slow — each with its full span tree.
 	fmt.Println("\nslowest queries:")
-	for _, sq := range eng.SlowQueries(3) {
-		fmt.Printf("  %-28q %8.3fms  %d stages, %d matches\n",
-			sq.Query, sq.DurationMS, len(sq.Stages), sq.Matches)
+	for _, st := range eng.Traces().Slowest(3) {
+		fmt.Printf("  %-28q %8.3fms  %d spans, %d matches\n",
+			st.Query, st.DurationMS, len(st.Spans), st.Matches)
 	}
 
 	// IndexHealth introspects the built index: for CTS, per-cluster HNSW
@@ -120,8 +120,9 @@ func main() {
 			h.Clusters.SizeCV, h.Clusters.MeanMedoidDrift, h.Clusters.MaxMedoidDrift)
 	}
 
-	// The recall probe replays recent real queries through both this index
-	// and an exhaustive scan, measuring how much the approximation loses.
+	// The recall probe replays the workload's heavy-hitter queries through
+	// both this index and an exhaustive scan, measuring how much the
+	// approximation loses.
 	res, err := eng.RecallProbe(3)
 	if err != nil {
 		log.Fatal(err)

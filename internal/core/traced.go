@@ -26,11 +26,11 @@ const (
 	// MetricValues is the number of indexed value vectors.
 	MetricValues = "semdisco_index_values"
 
-	// MetricSlowQueries counts queries at or over the slow-log threshold,
-	// labelled by method.
+	// MetricSlowQueries counts queries whose trace was retained as slow (at
+	// or over the trace latency threshold), labelled by method.
 	MetricSlowQueries = "semdisco_slow_queries_total"
-	// MetricSampledTraces counts queries whose exemplar trace was journaled
-	// by head-based 1-in-M sampling.
+	// MetricSampledTraces counts queries whose trace was retained by
+	// head-based 1-in-M sampling, labelled by method.
 	MetricSampledTraces = "semdisco_traces_sampled_total"
 	// MetricRecallAtK is the latest online recall probe result, labelled by
 	// method and k. Values in [0,1]; a falling gauge means the approximate
@@ -76,8 +76,8 @@ var MetricHelp = map[string]string{
 	MetricBuildSeconds:                  "Index-build phase wall-clock seconds by phase.",
 	MetricClusters:                      "CTS cluster count.",
 	MetricValues:                        "Number of indexed value vectors.",
-	MetricSlowQueries:                   "Queries at or over the slow-log threshold by method.",
-	MetricSampledTraces:                 "Queries whose exemplar trace was journaled by head sampling.",
+	MetricSlowQueries:                   "Queries retained as slow traces by method.",
+	MetricSampledTraces:                 "Queries whose trace was retained by head sampling, by method.",
 	MetricRecallAtK:                     "Latest online recall probe result by method and k.",
 	MetricReachableFraction:             "Share of HNSW layer-0 nodes reachable from the entry point.",
 	MetricPQDistortion:                  "Mean sampled PQ reconstruction error.",

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,18 +12,9 @@ import (
 // Bounds on the debug endpoints: they exist for humans with curl, and must
 // not become a way to make the server do unbounded work.
 const (
-	defaultSlowN  = 20   // /v1/debug/slow default ?n
-	maxSlowN      = 100  // /v1/debug/slow cap on ?n
-	defaultProbeK = 10   // /v1/debug/recall default ?k
-	maxProbeK     = 50   // /v1/debug/recall cap on ?k
-	maxJournalN   = 1000 // /v1/debug/journal cap on ?n
+	defaultProbeK = 10 // /v1/debug/recall default ?k
+	maxProbeK     = 50 // /v1/debug/recall cap on ?k
 )
-
-// SlowQueriesResponse is the body of /v1/debug/slow.
-type SlowQueriesResponse struct {
-	semdisco.SlowLogStats
-	SlowQueries []semdisco.SlowQuery `json:"slow_queries"`
-}
 
 // queryInt parses an optional integer query parameter. Returns (def, true)
 // when absent, (0, false) on garbage.
@@ -44,7 +34,7 @@ func queryInt(r *http.Request, name string, def int) (int, bool) {
 // endpoint shares: an absent or explicit-zero ?name= selects def, a
 // negative or non-numeric value rejects (the caller answers 400), and
 // values above max clamp to max. A def of 0 means "no limit" (the
-// journal's natural default — its retention is already bounded).
+// JSON-lines export's natural default — the store is already bounded).
 func limitParam(r *http.Request, name string, def, max int) (int, bool) {
 	n, ok := queryInt(r, name, def)
 	if !ok || n < 0 {
@@ -57,24 +47,6 @@ func limitParam(r *http.Request, name string, def, max int) (int, bool) {
 		n = max
 	}
 	return n, true
-}
-
-// handleDebugSlow serves the slow-query log: up to ?n records (default 20,
-// capped at 100), slowest first, each with its full stage trace.
-func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	eng, ok := s.requireEngine(w)
-	if !ok {
-		return
-	}
-	n, ok := limitParam(r, "n", defaultSlowN, maxSlowN)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
-		return
-	}
-	writeJSON(w, http.StatusOK, SlowQueriesResponse{
-		SlowLogStats: eng.SlowLogStats(),
-		SlowQueries:  eng.SlowQueries(n),
-	})
 }
 
 // IndexDebugResponse is the body of /v1/debug/index: the engine's index
@@ -125,36 +97,6 @@ func (s *Server) handleDebugRecall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// handleDebugJournal streams the structured event journal (slow and
-// sampled query traces) as JSON lines, oldest first. ?n limits the stream
-// to the newest n events (absent or 0 streams everything retained, capped
-// at 1000); negative or non-numeric values are rejected, the same
-// convention as the other list endpoints.
-func (s *Server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
-	eng, ok := s.requireEngine(w)
-	if !ok {
-		return
-	}
-	n, ok := limitParam(r, "n", 0, maxJournalN)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
-		return
-	}
-	j := eng.Journal()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "diagnostics are disabled on this engine")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, e := range j.Events(n) {
-		if err := enc.Encode(e); err != nil {
-			return
-		}
-	}
 }
 
 // StartRecallProbe launches a goroutine probing recall@k every interval

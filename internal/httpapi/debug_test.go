@@ -21,25 +21,25 @@ func burst(t *testing.T, srv *Server, queries ...string) {
 }
 
 func TestDebugSlowEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testTracedServer(t)
 	burst(t, srv, "COVID", "quartz hardness", "coronavirus vaccines")
 
 	rec, body := do(t, srv, "GET", "/v1/debug/slow", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("debug/slow=%d %s", rec.Code, body)
 	}
-	var resp SlowQueriesResponse
+	var resp TracesResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Recorded != 3 || len(resp.SlowQueries) != 3 {
+	if resp.Kept != 3 || len(resp.Traces) != 3 {
 		t.Fatalf("resp=%+v", resp)
 	}
-	for i, sq := range resp.SlowQueries {
-		if sq.Method != "ANNS" || sq.Query == "" || len(sq.Stages) == 0 {
-			t.Fatalf("record %d = %+v", i, sq)
+	for i, st := range resp.Traces {
+		if st.Method != "ANNS" || st.Query == "" || len(st.Spans) == 0 {
+			t.Fatalf("trace %d = %+v", i, st)
 		}
-		if i > 0 && sq.DurationMS > resp.SlowQueries[i-1].DurationMS {
+		if i > 0 && st.DurationMS > resp.Traces[i-1].DurationMS {
 			t.Fatal("not sorted slowest-first")
 		}
 	}
@@ -49,7 +49,7 @@ func TestDebugSlowEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Code != http.StatusOK || len(resp.SlowQueries) != 1 {
+	if rec.Code != http.StatusOK || len(resp.Traces) != 1 {
 		t.Fatalf("n=1: %d %+v", rec.Code, resp)
 	}
 }
@@ -147,9 +147,7 @@ func TestDebugRecallBusy(t *testing.T) {
 }
 
 func TestDebugJournalEndpoint(t *testing.T) {
-	srv := testServer(t)
-	// Re-arm diagnostics so every query journals a sampled trace.
-	srv.backend.(*semdisco.Engine).ConfigureDiagnostics(semdisco.DiagnosticsConfig{TraceSampleEvery: 1})
+	srv := testTracedServer(t)
 	burst(t, srv, "COVID", "quartz")
 
 	rec, body := do(t, srv, "GET", "/v1/debug/journal", "")
@@ -163,25 +161,24 @@ func TestDebugJournalEndpoint(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("journal lines=%d body=%s", len(lines), body)
 	}
-	var ev struct {
-		Kind       string  `json:"kind"`
-		Query      string  `json:"query"`
-		DurationMS float64 `json:"duration_ms"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+	var st semdisco.StoredTrace
+	if err := json.Unmarshal([]byte(lines[0]), &st); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Kind != "sampled" || ev.Query == "" {
-		t.Fatalf("event=%+v", ev)
+	if st.Kind != "sampled" || st.Query != "COVID" || len(st.Spans) == 0 {
+		t.Fatalf("oldest line=%+v", st)
 	}
 }
 
+// TestDebugJournalDisabled: the slow and journal views read the trace
+// store, so disabling tracing 404s them with it.
 func TestDebugJournalDisabled(t *testing.T) {
 	srv := testServer(t)
-	srv.backend.(*semdisco.Engine).ConfigureDiagnostics(semdisco.DiagnosticsConfig{Disable: true})
-	rec, _ := do(t, srv, "GET", "/v1/debug/journal", "")
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("disabled journal: code=%d", rec.Code)
+	srv.backend.(*semdisco.Engine).ConfigureTracing(semdisco.TracingConfig{Disable: true})
+	for _, path := range []string{"/v1/debug/journal", "/v1/debug/slow"} {
+		if rec, _ := do(t, srv, "GET", path, ""); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s with tracing disabled: code=%d", path, rec.Code)
+		}
 	}
 }
 

@@ -4,8 +4,9 @@
 // non-reversible) index as a service — the deployment shape the paper's
 // federation setting implies. Every route has one handler over the Backend;
 // the routes only a single engine can serve (/v1/datasets, "sources" on
-// /v1/search, /v1/debug/{slow,index,recall,journal}) answer 501 in the
-// other two modes.
+// /v1/search, /v1/debug/{index,recall}) answer 501 in the other two modes.
+// The retained-query views — /v1/debug/{traces,slow,journal} — all read
+// the backend's one trace store, so they answer in every mode.
 //
 // Endpoints:
 //
@@ -18,11 +19,11 @@
 //	POST /v1/relations          a Relation to index incrementally
 //	DELETE /v1/relations/{id}   tombstone a relation (404 when unknown)
 //	PUT  /v1/relations/{id}     replace a relation's contents in place
-//	GET  /v1/debug/slow         slow-query log with per-stage traces (?n=20, max 100)
+//	GET  /v1/debug/slow         retained traces, slowest first (?n=20, max 100)
 //	GET  /v1/debug/index        index health: HNSW graphs, PQ distortion, cluster balance
 //	GET  /v1/debug/recall       online recall probe vs exhaustive scan (?k=10, max 50)
-//	GET  /v1/debug/journal      slow/sampled query trace journal as JSON lines (?n limits)
-//	GET  /v1/debug/traces       retained traces, newest first (?n=20, ?format=jsonl)
+//	GET  /v1/debug/journal      retained traces as JSON lines, oldest first (?n keeps the newest n)
+//	GET  /v1/debug/traces       retained traces, newest first (?n=20; ?format=jsonl is /v1/debug/journal)
 //	GET  /v1/debug/traces/{id}  one retained trace rendered as a span tree
 //	GET  /v1/debug/workload     workload analytics: heavy hitters, shard load skew, costliest queries
 //	GET  /v1/debug/slo          SLO burn rates per objective and window, with alert states
@@ -38,7 +39,7 @@
 // Every request runs under a W3C trace context: an inbound traceparent
 // header is continued, otherwise a trace ID is minted; the ID is stamped
 // on the X-Trace-Id and Traceparent response headers and correlates the
-// access log, the slow-query log and the stored span trees. An inbound
+// access log with the stored span trees. An inbound
 // X-Request-Id (defaulting to the trace ID) rides along the same way.
 //
 // Every non-2xx response carries an ErrorResponse JSON body, including
@@ -109,7 +110,7 @@ func WithPprof() Option {
 // query POSTs the raw vector here, so the shard never re-encodes. They are
 // what make an ordinary engine server usable as one shard of a networked
 // cluster. Only an engine serves /v1/datasets, source filters and the
-// slow/index/recall/journal debug endpoints; the other modes answer 501.
+// index/recall debug endpoints; the other modes answer 501.
 func New(eng *semdisco.Engine, opts ...Option) *Server {
 	s := newServer(eng, "engine", opts)
 	sh := netcluster.NewShardHandler(eng.EncodedBackend(), eng.Traces(), eng.Dim())
@@ -143,7 +144,7 @@ func newServer(b semdisco.Backend, mode string, opts []Option) *Server {
 }
 
 // requireEngine returns the backend as an Engine for the surfaces only a
-// single index has (datasets, slow log, index health, recall probes, journal). In
+// single index has (datasets, sources, index health, recall probes). In
 // cluster and coordinator modes it answers 501 rather than pretending a
 // monolithic engine exists behind the router.
 func (s *Server) requireEngine(w http.ResponseWriter) (*semdisco.Engine, bool) {
@@ -176,7 +177,7 @@ func (s *Server) init(opts []Option) {
 	route("GET", "/v1/debug/slow", s.handleDebugSlow)
 	route("GET", "/v1/debug/index", s.handleDebugIndex)
 	route("GET", "/v1/debug/recall", s.handleDebugRecall)
-	route("GET", "/v1/debug/journal", s.handleDebugJournal)
+	route("GET", "/v1/debug/journal", s.handleTracesJSONL)
 	route("GET", "/v1/debug/traces", s.handleDebugTraces)
 	route("GET", "/v1/debug/traces/{id}", s.handleDebugTrace)
 	route("GET", "/v1/debug/workload", s.handleDebugWorkload)
@@ -224,9 +225,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // otherwise — and under a correlation ID (inbound X-Request-Id, defaulting
 // to the trace ID). Both are stamped on the response headers (X-Trace-Id,
 // Traceparent, X-Request-Id), threaded through the request context into
-// the engine's trace store and slow-query log, and attached to the access
-// log line, so one grep joins the log, the slow log, the journal and the
-// stored span tree.
+// the backend's trace store, and attached to the access log line, so one
+// grep joins the log and the stored span tree.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

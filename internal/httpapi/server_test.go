@@ -206,12 +206,21 @@ func TestServerSearch(t *testing.T) {
 }
 
 // TestServerBatch: /v1/search/batch answers positionally, each item equal
-// to the single engine's answer, with the same validation in every mode.
+// to the single engine's answer, with the same validation in every mode,
+// and its trace — head-sampled here — is retained under the X-Trace-Id the
+// response carries.
 func TestServerBatch(t *testing.T) {
-	forEachMode(t, modeConfig(), func(t *testing.T, m modeServer, oracle *semdisco.Engine) {
+	cfg := modeConfig()
+	cfg.Tracing.HeadSampleEvery = 1
+	forEachMode(t, cfg, func(t *testing.T, m modeServer, oracle *semdisco.Engine) {
 		var resp BatchSearchResponse
-		mustJSON(t, m.srv, "POST", "/v1/search/batch",
+		rec := mustJSON(t, m.srv, "POST", "/v1/search/batch",
 			`{"queries":[{"query":"abc","k":3},{"query":"bfd","k":7},{"query":"mno"}]}`, http.StatusOK, &resp)
+		var tr TraceResponse
+		mustJSON(t, m.srv, "GET", "/v1/debug/traces/"+rec.Header().Get("X-Trace-Id"), "", http.StatusOK, &tr)
+		if len(tr.Tree) == 0 || !strings.HasSuffix(tr.Tree[0].Name, "search_batch") || tr.Tree[0].Annotations["queries"] != "3" {
+			t.Errorf("batch trace spans = %+v, want a *search_batch root over 3 queries", tr.Spans)
+		}
 		if len(resp.Results) != 3 {
 			t.Fatalf("%d results, want 3", len(resp.Results))
 		}
@@ -329,9 +338,9 @@ func TestServerWrites(t *testing.T) {
 }
 
 // TestServerRoutes covers what every mode answers alike outside the query
-// path — liveness, stats identity, JSON 405/404 bodies — and the one
-// capability split: the surfaces only a single engine has answer 501 with
-// the unified body elsewhere.
+// path — liveness, stats identity, JSON 405/404 bodies, the telemetry
+// views — and the one capability split: the surfaces only a single engine
+// has answer 501 with the unified body elsewhere.
 func TestServerRoutes(t *testing.T) {
 	forEachMode(t, modeConfig(), func(t *testing.T, m modeServer, _ *semdisco.Engine) {
 		mustJSON(t, m.srv, "GET", "/healthz", "", http.StatusOK, nil)
@@ -364,10 +373,8 @@ func TestServerRoutes(t *testing.T) {
 		wantError(t, m.srv, "GET", "/nope", "", http.StatusNotFound, netcluster.CodeNotFound)
 
 		engineOnly := []struct{ method, path, body string }{
-			{"GET", "/v1/debug/slow", ""},
 			{"GET", "/v1/debug/index", ""},
 			{"GET", "/v1/debug/recall", ""},
-			{"GET", "/v1/debug/journal", ""},
 			{"POST", "/v1/datasets", `{"query":"abc","k":3}`},
 			{"POST", "/v1/search", `{"query":"abc","k":3,"sources":["src-1"]}`},
 		}
@@ -381,10 +388,13 @@ func TestServerRoutes(t *testing.T) {
 				t.Errorf("%s %s: 501 body %q does not name %s mode", r.method, r.path, e.Error, m.mode)
 			}
 		}
-		// Telemetry every backend carries, and the one it may not: the
-		// coordinator runs no workload analyzer and says so with a 404.
+		// Telemetry every backend carries — the SLO engine and the three views
+		// of the one trace store — and the one it may not: the coordinator
+		// runs no workload analyzer and says so with a 404.
 		mustJSON(t, m.srv, "GET", "/v1/debug/slo", "", http.StatusOK, nil)
-		mustJSON(t, m.srv, "GET", "/v1/debug/traces", "", http.StatusOK, nil)
+		for _, path := range []string{"/v1/debug/traces", "/v1/debug/slow", "/v1/debug/journal"} {
+			mustJSON(t, m.srv, "GET", path, "", http.StatusOK, nil)
+		}
 		wantWorkload := http.StatusOK
 		if m.mode == "coordinator" {
 			wantWorkload = http.StatusNotFound
@@ -437,12 +447,11 @@ func mustOpen(t *testing.T, fed *semdisco.Federation, cfg semdisco.Config) *semd
 	return eng
 }
 
-// TestServerSLOCountsEveryQuery: with the diagnostics layer and the trace
-// store both switched off, searches must still feed the SLO engine — the
-// bookkeeping is one path, not a fast path that skips it.
+// TestServerSLOCountsEveryQuery: with the trace store switched off,
+// searches must still feed the SLO engine — the bookkeeping is one path,
+// not a fast path that skips it.
 func TestServerSLOCountsEveryQuery(t *testing.T) {
 	cfg := modeConfig()
-	cfg.Diagnostics.Disable = true
 	cfg.Tracing.Disable = true
 	forEachMode(t, cfg, func(t *testing.T, m modeServer, _ *semdisco.Engine) {
 		mustJSON(t, m.srv, "POST", "/v1/search", `{"query":"abc","k":3}`, http.StatusOK, nil)

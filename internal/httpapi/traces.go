@@ -8,14 +8,17 @@ import (
 	"semdisco/internal/obs"
 )
 
-// Bounds on the trace debug endpoint, same rationale as the slow-log caps.
+// Bounds on the trace debug endpoints: they exist for humans with curl,
+// and must not become a way to make the server do unbounded work.
 const (
-	defaultTracesN = 20  // /v1/debug/traces default ?n
-	maxTracesN     = 100 // /v1/debug/traces cap on ?n
+	defaultTracesN = 20   // /v1/debug/{traces,slow} default ?n
+	maxTracesN     = 100  // /v1/debug/{traces,slow} cap on ?n
+	maxJSONLN      = 1000 // JSON-lines export cap on ?n; absent streams all
 )
 
-// TracesResponse is the body of /v1/debug/traces: store volume counters
-// and the retained traces, newest first.
+// TracesResponse is the body of /v1/debug/traces (retained traces, newest
+// first) and /v1/debug/slow (the same traces, slowest first): store volume
+// counters and the listed traces.
 type TracesResponse struct {
 	// Offered counts every trace submitted to the store; Kept the ones
 	// retained (tail criteria or head sample); Evicted the retained traces
@@ -86,19 +89,37 @@ func SpanTree(spans []obs.StoredSpan) []*SpanTreeJSON {
 	return roots
 }
 
-// handleDebugTraces lists the retained traces, newest first: up to ?n
-// (default 20, capped at 100). ?format=jsonl streams every retained trace
-// as JSON lines, oldest first, for offline analysis.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
+// traceStore returns the backend's trace store, answering 404 itself when
+// tracing is disabled.
+func (s *Server) traceStore(w http.ResponseWriter) (*obs.TraceStore, bool) {
 	store := s.backend.Traces()
 	if store == nil {
 		writeError(w, http.StatusNotFound, "tracing is disabled on this server")
+	}
+	return store, store != nil
+}
+
+// handleDebugTraces lists the retained traces, newest first: up to ?n
+// (default 20, capped at 100). ?format=jsonl is the JSON-lines export.
+func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "jsonl" {
+		s.handleTracesJSONL(w, r)
 		return
 	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		_ = store.WriteJSONL(w)
+	s.listTraces(w, r, (*obs.TraceStore).List)
+}
+
+// handleDebugSlow lists the retained traces slowest first, under the same
+// ?n bounds as the newest-first list.
+func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
+	s.listTraces(w, r, (*obs.TraceStore).Slowest)
+}
+
+// listTraces answers a TracesResponse with up to ?n traces in the order
+// list returns them.
+func (s *Server) listTraces(w http.ResponseWriter, r *http.Request, list func(*obs.TraceStore, int) []obs.StoredTrace) {
+	store, ok := s.traceStore(w)
+	if !ok {
 		return
 	}
 	n, ok := limitParam(r, "n", defaultTracesN, maxTracesN)
@@ -110,16 +131,34 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		Offered: store.Offered(),
 		Kept:    store.Kept(),
 		Evicted: store.Evicted(),
-		Traces:  store.List(n),
+		Traces:  list(store, n),
 	})
+}
+
+// handleTracesJSONL streams the retained traces as JSON lines, oldest
+// first, for offline analysis: /v1/debug/journal and
+// /v1/debug/traces?format=jsonl. ?n keeps the newest n (absent or 0
+// streams everything retained, capped at 1000).
+func (s *Server) handleTracesJSONL(w http.ResponseWriter, r *http.Request) {
+	store, ok := s.traceStore(w)
+	if !ok {
+		return
+	}
+	n, ok := limitParam(r, "n", 0, maxJSONLN)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	_ = store.WriteJSONL(w, n)
 }
 
 // handleDebugTrace fetches one retained trace by hex trace ID and renders
 // its span tree.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	store := s.backend.Traces()
-	if store == nil {
-		writeError(w, http.StatusNotFound, "tracing is disabled on this server")
+	store, ok := s.traceStore(w)
+	if !ok {
 		return
 	}
 	id := r.PathValue("id")

@@ -153,48 +153,50 @@ func TestDebugWorkloadCluster(t *testing.T) {
 	}
 }
 
-// TestDebugJournalLimit checks the journal's ?n follows the shared
-// limit-parameter convention: newest-n selection, 400 on garbage, and the
-// unlimited default.
+// TestDebugJournalLimit checks the JSON-lines export's ?n follows the
+// shared limit-parameter convention on both of its paths: newest-n
+// selection, oldest first, 400 on garbage, and the unlimited default.
 func TestDebugJournalLimit(t *testing.T) {
-	srv := testServer(t)
-	srv.backend.(*semdisco.Engine).ConfigureDiagnostics(semdisco.DiagnosticsConfig{TraceSampleEvery: 1})
+	srv := testTracedServer(t)
 	burst(t, srv, "COVID", "quartz", "coronavirus vaccines")
 
-	rec, body := do(t, srv, "GET", "/v1/debug/journal?n=1", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("journal?n=1 = %d %s", rec.Code, body)
-	}
-	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("n=1 returned %d lines: %s", len(lines), body)
-	}
-	var ev struct {
-		Query string `json:"query"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Query != "coronavirus vaccines" {
-		t.Fatalf("n=1 returned %q, want the newest event", ev.Query)
-	}
-
-	// Explicit n=0 means no limit, same as the absent parameter.
-	for _, path := range []string{"/v1/debug/journal", "/v1/debug/journal?n=0"} {
-		_, body = do(t, srv, "GET", path, "")
-		if got := len(strings.Split(strings.TrimSpace(string(body)), "\n")); got != 3 {
-			t.Fatalf("%s returned %d lines, want 3", path, got)
+	for _, base := range []string{"/v1/debug/journal?", "/v1/debug/traces?format=jsonl&"} {
+		queries := func(body []byte) []string {
+			var out []string
+			for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+				var st semdisco.StoredTrace
+				if err := json.Unmarshal([]byte(line), &st); err != nil {
+					t.Fatalf("%s: bad line %q: %v", base, line, err)
+				}
+				out = append(out, st.Query)
+			}
+			return out
 		}
-	}
-
-	for _, q := range []string{"?n=abc", "?n=-1", "?n=2.5"} {
-		rec, body := do(t, srv, "GET", "/v1/debug/journal"+q, "")
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s: code=%d %s", q, rec.Code, body)
+		rec, body := do(t, srv, "GET", base+"n=2", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%sn=2 = %d %s", base, rec.Code, body)
 		}
-		var e ErrorResponse
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Fatalf("%s: error body=%s", q, body)
+		if got := queries(body); len(got) != 2 || got[0] != "quartz" || got[1] != "coronavirus vaccines" {
+			t.Fatalf("%sn=2 returned %q, want the newest two, oldest first", base, got)
+		}
+
+		// Explicit n=0 means no limit, same as the absent parameter.
+		for _, path := range []string{base, base + "n=0"} {
+			_, body = do(t, srv, "GET", path, "")
+			if got := queries(body); len(got) != 3 {
+				t.Fatalf("%s returned %d lines, want 3", path, len(got))
+			}
+		}
+
+		for _, q := range []string{"n=abc", "n=-1", "n=2.5"} {
+			rec, body := do(t, srv, "GET", base+q, "")
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s%s: code=%d %s", base, q, rec.Code, body)
+			}
+			var e ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s%s: error body=%s", base, q, body)
+			}
 		}
 	}
 }

@@ -22,7 +22,7 @@ type CoordinatorOptions struct {
 	// in-process Router's and the single engine's for exact search.
 	// Required.
 	Order func(relID string) int
-	// Method labels stats and trace outcomes ("ExS", …).
+	// Method labels the router's stats and metrics ("ExS", …).
 	Method string
 	// Slack widens each set's fetch to k+Slack before the merge; default 8.
 	Slack int
@@ -41,10 +41,6 @@ type CoordinatorOptions struct {
 	// Registry receives coordinator, router and group metrics; nil
 	// disables them.
 	Registry *obs.Registry
-	// Traces receives the span trees of interesting batched queries
-	// (remote shard spans grafted in); nil disables retention. Single
-	// queries are offered by the caller that owns their root span.
-	Traces *obs.TraceStore
 }
 
 // Coordinator is the client-facing node of a networked cluster: it owns
@@ -60,9 +56,6 @@ type Coordinator struct {
 	ring   *Ring
 	groups []*Group
 	router *cluster.Router
-	opts   CoordinatorOptions
-	reg    *obs.Registry
-	traces *obs.TraceStore
 }
 
 // NewCoordinator builds a coordinator over replica sets: replicaSets[i]
@@ -85,13 +78,8 @@ func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinat
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		ring:   ring,
-		opts:   opts,
-		reg:    opts.Registry,
-		traces: opts.Traces,
-	}
-	c.reg.SetHelps(MetricHelp)
+	c := &Coordinator{ring: ring}
+	opts.Registry.SetHelps(MetricHelp)
 	newClient := func(u string) *Client { return NewClient(u, opts.Transport) }
 	routerShards := make([]cluster.Shard, len(replicaSets))
 	relCounts := make([]int, len(replicaSets))
@@ -145,34 +133,11 @@ func (c *Coordinator) Search(ctx context.Context, query string, k int, tr *obs.T
 }
 
 // SearchBatch answers a block of queries with one networked fan-out per
-// replica set (one failover race per set for the whole block), under one
-// batch-level trace.
-func (c *Coordinator) SearchBatch(ctx context.Context, items []cluster.BatchQuery) ([]*cluster.Result, error) {
-	tr := obs.NewTraceFrom(ctx)
-	root := tr.StartRoot("coordinator_search_batch").
-		AnnotateInt("queries", len(items)).
-		AnnotateInt("sets", len(c.groups))
-	ctx = c.propagate(ctx, tr)
-	results, err := c.router.SearchBatch(ctx, items)
-	dur := root.End()
-	o := obs.TraceOutcome{Duration: dur, Method: c.opts.Method + "_batch", K: len(items),
-		RequestID: obs.RequestIDFrom(ctx)}
-	if err != nil {
-		o.Err = err.Error()
-	}
-	for _, res := range results {
-		if res != nil {
-			res.TraceID = tr.ID().String()
-			if res.Degraded {
-				o.Degraded = true
-			}
-			o.Hedged += res.Hedged
-		}
-	}
-	if kept, _ := c.traces.Offer(tr, o); kept {
-		c.reg.Histogram(cluster.MetricSearchSeconds).SetExemplar(o.Duration, tr.ID().String())
-	}
-	return results, err
+// replica set (one failover race per set for the whole block), recording
+// its spans on tr as Search does; the caller owns the root span and the
+// trace's retention.
+func (c *Coordinator) SearchBatch(ctx context.Context, items []cluster.BatchQuery, tr *obs.Trace) ([]*cluster.Result, error) {
+	return c.router.SearchBatch(c.propagate(ctx, tr), items)
 }
 
 // propagate threads the trace down the stack: the live *Trace so replica

@@ -167,7 +167,7 @@ func TestCoordinatorBatchMatchesSequential(t *testing.T) {
 	fx := newCoordFixture(t, 2, 2, CoordinatorOptions{})
 	ctx := context.Background()
 	items := []cluster.BatchQuery{{Query: "a", K: 3}, {Query: "b", K: 7}, {Query: "c", K: 15}}
-	batch, err := fx.coord.SearchBatch(ctx, items)
+	batch, err := fx.coord.SearchBatch(ctx, items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

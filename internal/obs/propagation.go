@@ -153,7 +153,7 @@ func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
 }
 
 // ContextWithRequestID attaches the request correlation ID so the access
-// log, slow-query log and journal can be joined on it.
+// log and the stored traces can be joined on it.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }

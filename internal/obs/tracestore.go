@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,7 +174,9 @@ func (s *TraceStore) Offer(tr *Trace, o TraceOutcome) (kept bool, kind string) {
 	s.mu.Lock()
 	if s.n == len(s.buf) {
 		s.evicted.Add(1)
-		if old := s.buf[s.next].TraceID; old != "" {
+		// A retry may reuse its traceparent, so the evicted ID can also name
+		// a newer slot; that entry stays.
+		if old := s.buf[s.next].TraceID; s.byID[old] == s.next {
 			delete(s.byID, old)
 		}
 	}
@@ -280,23 +283,49 @@ func (s *TraceStore) List(n int) []StoredTrace {
 	return out
 }
 
-// WriteJSONL streams every retained trace to w as JSON lines, oldest
-// first. Safe on a nil receiver (writes nothing).
-func (s *TraceStore) WriteJSONL(w io.Writer) error {
-	if s == nil {
-		return nil
+// Slowest returns up to n retained traces, longest duration first, ties
+// newest first. n ≤ 0 returns all.
+func (s *TraceStore) Slowest(n int) []StoredTrace {
+	out := s.List(0)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].DurationMS > out[j].DurationMS })
+	if n > 0 && len(out) > n {
+		out = out[:n]
 	}
-	s.mu.Lock()
-	out := make([]StoredTrace, 0, s.n)
-	for i := s.n; i >= 1; i-- {
-		out = append(out, s.buf[((s.next-i)%len(s.buf)+len(s.buf))%len(s.buf)])
-	}
-	s.mu.Unlock()
+	return out
+}
+
+// WriteJSONL streams the newest n retained traces (n ≤ 0: all) to w as
+// JSON lines, oldest first. Safe on a nil receiver (writes nothing).
+func (s *TraceStore) WriteJSONL(w io.Writer, n int) error {
+	list := s.List(n)
 	enc := json.NewEncoder(w)
-	for _, st := range out {
-		if err := enc.Encode(st); err != nil {
+	for i := len(list) - 1; i >= 0; i-- {
+		if err := enc.Encode(list[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Sampler implements head-based 1-in-M sampling with a single atomic
+// counter: the first call samples, then every M-th after it, so the sample
+// is deterministic under load rather than probabilistic. A nil *Sampler
+// (or M ≤ 0) never samples.
+type Sampler struct {
+	every int64
+	ctr   atomic.Int64
+}
+
+// NewSampler returns a sampler firing on 1 of every `every` calls.
+// every ≤ 0 disables sampling; every == 1 samples every call.
+func NewSampler(every int) *Sampler {
+	return &Sampler{every: int64(every)}
+}
+
+// Sample reports whether this call is part of the 1-in-M sample.
+func (s *Sampler) Sample() bool {
+	if s == nil || s.every <= 0 {
+		return false
+	}
+	return (s.ctr.Add(1)-1)%s.every == 0
 }

@@ -98,6 +98,108 @@ func TestTraceStoreEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestTraceStoreGetAfterReusedID: a retry may reuse its traceparent, so one
+// trace ID can be offered twice. Evicting the older copy must leave the
+// newer one retrievable.
+func TestTraceStoreGetAfterReusedID(t *testing.T) {
+	s := NewTraceStore(TraceStoreConfig{Capacity: 3})
+	x, y, z := NewTraceID(), NewTraceID(), NewTraceID()
+	for _, id := range []TraceID{x, y, x, z} { // the fourth offer evicts the first X
+		tr := NewTraceWith(id, NewSpanID(), FlagSampled)
+		tr.StartRoot("search").End()
+		if kept, _ := s.Offer(tr, TraceOutcome{Err: "x"}); !kept {
+			t.Fatalf("offer of %s not kept", id)
+		}
+	}
+	for _, id := range []TraceID{x, y, z} {
+		if _, ok := s.Get(id.String()); !ok {
+			t.Errorf("Get(%s) missed a trace List still holds", id)
+		}
+	}
+}
+
+func TestTraceStoreSlowest(t *testing.T) {
+	s := NewTraceStore(TraceStoreConfig{})
+	ids := make(map[time.Duration]string)
+	for _, d := range []time.Duration{3, 9, 1, 7, 5, 7} {
+		tr := finishedTrace(t)
+		ids[d] = tr.ID().String() // the later 7 overwrites: ties rank newest first
+		s.Offer(tr, TraceOutcome{Err: "x", Duration: d * time.Millisecond})
+	}
+	top := s.Slowest(3)
+	if len(top) != 3 {
+		t.Fatalf("Slowest(3) returned %d traces", len(top))
+	}
+	for i, d := range []time.Duration{9, 7, 7} {
+		if top[i].DurationMS != float64(d) {
+			t.Errorf("slowest[%d] ran %vms, want %dms", i, top[i].DurationMS, d)
+		}
+	}
+	if top[1].TraceID != ids[7] {
+		t.Errorf("tie broken oldest first: slowest[1] = %s, want the newer %s", top[1].TraceID, ids[7])
+	}
+	if all := s.Slowest(0); len(all) != 6 {
+		t.Errorf("Slowest(0) returned %d traces, want 6", len(all))
+	}
+}
+
+func TestSamplerRate(t *testing.T) {
+	s := NewSampler(3)
+	var hits int
+	for i := 0; i < 9; i++ {
+		if s.Sample() {
+			hits++
+		}
+	}
+	if hits != 3 {
+		t.Fatalf("1-in-3 over 9 calls: hits=%d want 3", hits)
+	}
+	if NewSampler(0).Sample() {
+		t.Fatal("disabled sampler fired")
+	}
+	if !NewSampler(1).Sample() {
+		t.Fatal("1-in-1 sampler did not fire")
+	}
+	var nilSampler *Sampler
+	if nilSampler.Sample() {
+		t.Fatal("nil sampler fired")
+	}
+}
+
+// TestSamplerConcurrent verifies the 1-in-M invariant holds exactly under
+// concurrent callers: the atomic counter hands out sample slots without
+// loss or duplication.
+func TestSamplerConcurrent(t *testing.T) {
+	const (
+		workers = 8
+		each    = 300
+		every   = 4
+	)
+	s := NewSampler(every)
+	var mu sync.Mutex
+	total := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			local := 0
+			for i := 0; i < each; i++ {
+				if s.Sample() {
+					local++
+				}
+			}
+			mu.Lock()
+			total += local
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if want := workers * each / every; total != want {
+		t.Fatalf("sampled=%d want exactly %d", total, want)
+	}
+}
+
 func TestTraceStoreSpanTreeParents(t *testing.T) {
 	s := NewTraceStore(TraceStoreConfig{})
 	tr := NewTrace()
@@ -210,7 +312,7 @@ func TestTraceStoreWriteJSONL(t *testing.T) {
 		s.Offer(tr, TraceOutcome{Err: "x", Query: fmt.Sprintf("q%d", i)})
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
+	if err := s.WriteJSONL(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -247,7 +349,10 @@ func TestTraceStoreNil(t *testing.T) {
 	if s.List(5) != nil {
 		t.Error("nil store listed traces")
 	}
-	if err := s.WriteJSONL(&bytes.Buffer{}); err != nil {
+	if s.Slowest(5) != nil {
+		t.Error("nil store listed slow traces")
+	}
+	if err := s.WriteJSONL(&bytes.Buffer{}, 0); err != nil {
 		t.Errorf("nil store WriteJSONL: %v", err)
 	}
 	// Offer with a nil trace keeps nothing either.

@@ -176,7 +176,6 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 		Hedge:          cfg.Hedge,
 		Transport:      cfg.Transport,
 		Registry:       reg,
-		Traces:         nc.traces,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("semdisco: %w", err)
@@ -209,9 +208,9 @@ func (nc *NetCoordinator) SearchContext(ctx context.Context, query string, k int
 
 // DoBatch implements Backend with one networked fan-out per replica set.
 func (nc *NetCoordinator) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
-	start := time.Now()
-	results, err := nc.coord.SearchBatch(ctx, batchItems(queries))
-	return nc.batchResponses(queries, results, err, time.Since(start))
+	return nc.observeBatch(ctx, queries, func(ctx context.Context, tr *obs.Trace) ([]*ClusterResult, error) {
+		return nc.coord.SearchBatch(ctx, batchItems(queries), tr)
+	})
 }
 
 // AddRelation implements Backend: the relation is routed to its

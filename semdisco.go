@@ -95,20 +95,16 @@ type Config struct {
 	// DisableMetrics turns off the engine's always-on observability
 	// (atomic counters and latency histograms, see Engine.Stats and
 	// Engine.MetricsRegistry). The default keeps metrics on: the cost is a
-	// few atomic adds per query, cheap enough for production. Diagnostics
-	// (slow-query log, trace sampling — see Diagnostics) are independent of
-	// this switch: Request.Trace and the slow log work even without a
-	// registry.
+	// few atomic adds per query, cheap enough for production. Tracing is
+	// independent of this switch: Request.Trace and the trace store work
+	// even without a registry.
 	DisableMetrics bool
-	// Diagnostics tunes the slow-query log, trace sampling and event
-	// journal; the zero value enables them with defaults. See
-	// DiagnosticsConfig.
-	Diagnostics DiagnosticsConfig
 	// Tracing tunes the span-tree tracing subsystem: every search runs
 	// under a 128-bit trace ID, and the tail-based trace store retains the
 	// traces whose outcome is interesting (slow, degraded, hedged, failed)
-	// plus a 1-in-M head sample. The zero value enables tracing with
-	// defaults. See TracingConfig.
+	// plus a 1-in-M head sample — the one record behind the trace list, the
+	// slowest-first view and the JSON-lines export. The zero value enables
+	// tracing with defaults. See TracingConfig.
 	Tracing TracingConfig
 	// SLO tunes the service-level-objective burn-rate engine (availability
 	// and latency objectives over rolling 5m/1h/6h windows). The zero value
@@ -192,7 +188,6 @@ func Open(fed *Federation, cfg Config) (*Engine, error) {
 func engineTelemetry(cfg Config, reg *obs.Registry) telemetry {
 	return telemetry{method: cfg.Method, span: "search", reg: reg,
 		latency:  obs.L(core.MetricSearchSeconds, "method", cfg.Method.String()),
-		diag:     newDiagnostics(cfg.Diagnostics, reg),
 		traces:   newTraceStore(cfg.Tracing),
 		workload: newWorkload(1, reg),
 		slo:      newSLOEngine(cfg.SLO, reg)}
@@ -248,9 +243,8 @@ func buildSearcher(cfg Config, emb *core.Embedded) (core.EncodedSearcher, error)
 // so an expired deadline or a cancelled request interrupts the query
 // mid-index and returns the context's error; a propagated span context
 // (see obs.ContextWithSpan) is continued instead of minting a fresh trace
-// ID. Every query feeds the slow-query log, workload analyzer, SLO engine
-// and trace store that are enabled; the overhead is a few timestamps and
-// map writes.
+// ID. Every query feeds the workload analyzer, SLO engine and trace store
+// that are enabled; the overhead is a few timestamps and map writes.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	return e.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
 		e.workload.RecordShard(0)
