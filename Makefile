@@ -51,13 +51,19 @@ portable:
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence' ./internal/core
 
-# A few seconds each of coverage-guided search for parameters that break
-# the centroid bound and for bytes that crash, over-allocate or fail to
-# round-trip the coordinator↔shard wire frame; the checked-in corpora under
-# testdata/fuzz run with the ordinary tests.
+# A few seconds of coverage-guided search per fuzz target in the tree: the
+# centroid bound, the coordinator↔shard wire frame, the HNSW and PQ image
+# readers, the CSV reader, the text pipeline and the traceparent parser.
+# The checked-in corpora under testdata/fuzz run with the ordinary tests.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzCentroidBound -fuzztime 5s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/netcluster
+	$(GO) test -run '^$$' -fuzz '^FuzzCentroidBound$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 5s ./internal/netcluster
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/hnsw
+	$(GO) test -run '^$$' -fuzz '^FuzzPQRead$$' -fuzztime 5s ./internal/pq
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime 5s ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 5s ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 5s ./internal/obs
 
 check: lint race portable fuzz
 

@@ -31,7 +31,7 @@ type Federation = table.Federation
 // near each other regardless of surface form.
 type Lexicon = embed.Lexicon
 
-// ExSOptions tunes the exhaustive searcher (threshold, aggregation).
+// ExSOptions tunes the exhaustive searcher (threshold, parallel scan).
 type ExSOptions = core.ExSOptions
 
 // ANNSOptions tunes the vector-database searcher (HNSW beam widths, PQ
@@ -41,14 +41,6 @@ type ANNSOptions = core.ANNSOptions
 // CTSOptions tunes the clustered searcher (reduction, cluster granularity,
 // clusters visited per query).
 type CTSOptions = core.CTSOptions
-
-// Aggregators for ExSOptions.Aggregator: the paper averages value scores;
-// max and top-m are the ablation variants discussed in §5.3.
-const (
-	AggMean = core.AggMean
-	AggMax  = core.AggMax
-	AggTopM = core.AggTopM
-)
 
 // NewFederation returns an empty federation.
 func NewFederation() *Federation { return table.NewFederation() }

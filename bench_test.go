@@ -15,6 +15,7 @@ package semdisco
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -281,24 +282,79 @@ func BenchmarkAblationEfSearch(b *testing.B) {
 }
 
 // BenchmarkAblationAggregation compares the §5.3 aggregation variants:
-// mean (the paper's), max, and top-m.
+// mean (the paper's, core.ExS), max, and the mean of the top 5 value
+// scores (valueScan). On the first moderate query each relation's best
+// value bounds its top-m mean, which bounds its mean, so the top scores
+// must order max ≥ top-m ≥ mean.
 func BenchmarkAblationAggregation(b *testing.B) {
 	bench := benchSetup(b)
-	sb := bench.PerSize["LD"]
-	variants := map[string]core.ExSOptions{
-		"mean": {Aggregator: core.AggMean},
-		"max":  {Aggregator: core.AggMax},
-		"topM": {Aggregator: core.AggTopM, TopM: 5},
+	emb := bench.PerSize["LD"].Emb
+	variants := []struct {
+		name string
+		s    core.Searcher
+	}{
+		{"mean", core.NewExS(emb, core.ExSOptions{})},
+		{"max", valueScan{emb, 1}},
+		{"topM", valueScan{emb, 5}},
 	}
-	for name, opt := range variants {
-		s := core.NewExS(sb.Emb, opt)
+	probe := bench.Corpus.QueriesOf(corpus.Moderate)[0].Text
+	var top []float32
+	for _, v := range variants {
+		name, s := v.name, v.s
 		var m float64
 		for i := 0; i < b.N; i++ {
 			m = mapOf(b, bench, s, corpus.Moderate)
 		}
 		b.ReportMetric(m*1000, name+"-MAP‰")
 		b.Logf("ExS agg=%s MAP=%.3f", name, m)
+		got, err := s.Search(probe, 1)
+		if err != nil || len(got) == 0 {
+			b.Fatalf("agg=%s: no result for %q (%v)", name, probe, err)
+		}
+		top = append(top, got[0].Score)
 	}
+	if mean, max, topM := top[0], top[1], top[2]; !(max >= topM && topM >= mean) {
+		b.Fatalf("aggregation ordering violated on %q: max=%v topM=%v mean=%v", probe, max, topM, mean)
+	}
+}
+
+// valueScan is the ablation's max / top-m searcher: every value of every
+// relation is compared with the query, and a relation scores the mean of
+// its m best value similarities (m = 1 is max). Relations scoring below
+// zero are dropped, like ExS's default threshold.
+type valueScan struct {
+	emb *core.Embedded
+	m   int
+}
+
+func (s valueScan) Name() string { return fmt.Sprintf("top-%d", s.m) }
+
+func (s valueScan) Search(query string, k int) ([]core.Match, error) {
+	q := s.emb.Enc.Encode(query)
+	scores := make([]float32, len(s.emb.RelIDs))
+	for rel, idxs := range s.emb.PerRel {
+		sims := make([]float32, 0, len(idxs))
+		for _, vi := range idxs {
+			sims = append(sims, vec.Dot(q, s.emb.Values[vi].Vec))
+		}
+		sort.Slice(sims, func(i, j int) bool { return sims[i] > sims[j] })
+		sims = sims[:min(s.m, len(sims))]
+		var sum float32
+		for _, x := range sims {
+			sum += x
+		}
+		if len(sims) > 0 {
+			scores[rel] = sum / float32(len(sims))
+		}
+	}
+	var out []core.Match
+	for _, sc := range vec.TopKDesc(scores, k) {
+		if sc.Score < 0 {
+			break
+		}
+		out = append(out, core.Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
+	}
+	return out, nil
 }
 
 // BenchmarkEngineOpen measures full index build time per method.

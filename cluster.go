@@ -370,7 +370,7 @@ type clusterPersist struct {
 	Dim          int
 	Seed         int64
 	Threshold    float32
-	ExS          ExSOptions
+	ExS          exsPersist
 	ANNS         ANNSOptions
 	CTS          CTSOptions
 	Lexicon      *Lexicon
@@ -425,7 +425,7 @@ func (c *Cluster) Save(w io.Writer) error {
 		Dim:          c.cfg.Dim,
 		Seed:         c.cfg.Seed,
 		Threshold:    c.cfg.Threshold,
-		ExS:          c.cfg.ExS,
+		ExS:          persistExS(c.cfg.ExS),
 		ANNS:         c.cfg.ANNS,
 		CTS:          c.cfg.CTS,
 		Lexicon:      c.cfg.Lexicon,
@@ -453,6 +453,10 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 	if p.Version != 1 && p.Version != 2 {
 		return nil, fmt.Errorf("semdisco: unsupported cluster version %d", p.Version)
 	}
+	exs, err := p.ExS.options()
+	if err != nil {
+		return nil, fmt.Errorf("semdisco: load cluster: %w", err)
+	}
 	blobs := p.StoreBlobs
 	if p.Version == 1 {
 		blobs = p.EmbBlobs
@@ -463,7 +467,7 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 			Dim:       p.Dim,
 			Seed:      p.Seed,
 			Threshold: p.Threshold,
-			ExS:       p.ExS,
+			ExS:       exs,
 			ANNS:      p.ANNS,
 			CTS:       p.CTS,
 			Lexicon:   p.Lexicon,

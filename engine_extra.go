@@ -108,7 +108,7 @@ type enginePersist struct {
 	Dim       int
 	Seed      int64
 	Threshold float32
-	ExS       ExSOptions
+	ExS       exsPersist
 	ANNS      ANNSOptions
 	CTS       CTSOptions
 	Lexicon   *Lexicon
@@ -122,6 +122,27 @@ type enginePersist struct {
 	StoreBlob []byte
 	// Segments preserves the store policy across the roundtrip.
 	Segments SegmentsConfig
+}
+
+// exsPersist is ExSOptions as images carry it. Aggregator is the field
+// through which earlier images chose a max or top-m ranking; those
+// aggregators are gone, and gob drops a field its destination lacks, so it
+// is decoded only to refuse such an image rather than rank it by the mean.
+type exsPersist struct {
+	Threshold  float32
+	Parallel   *bool
+	Aggregator int
+}
+
+func persistExS(o ExSOptions) exsPersist {
+	return exsPersist{Threshold: o.Threshold, Parallel: o.Parallel}
+}
+
+func (p exsPersist) options() (ExSOptions, error) {
+	if p.Aggregator != 0 {
+		return ExSOptions{}, fmt.Errorf("image ranks ExS with aggregator %d; only the mean is supported", p.Aggregator)
+	}
+	return ExSOptions{Threshold: p.Threshold, Parallel: p.Parallel}, nil
 }
 
 // Save writes the engine so LoadEngine can restore it without re-encoding
@@ -148,7 +169,7 @@ func (e *Engine) Save(w io.Writer) error {
 		Dim:       e.cfg.Dim,
 		Seed:      e.cfg.Seed,
 		Threshold: e.cfg.Threshold,
-		ExS:       e.cfg.ExS,
+		ExS:       persistExS(e.cfg.ExS),
 		ANNS:      e.cfg.ANNS,
 		CTS:       e.cfg.CTS,
 		Lexicon:   e.cfg.Lexicon,
@@ -169,12 +190,16 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if p.Version != 1 && p.Version != 2 {
 		return nil, fmt.Errorf("semdisco: unsupported engine version %d", p.Version)
 	}
+	exs, err := p.ExS.options()
+	if err != nil {
+		return nil, fmt.Errorf("semdisco: load: %w", err)
+	}
 	cfg := Config{
 		Method:    p.Method,
 		Dim:       p.Dim,
 		Seed:      p.Seed,
 		Threshold: p.Threshold,
-		ExS:       p.ExS,
+		ExS:       exs,
 		ANNS:      p.ANNS,
 		CTS:       p.CTS,
 		Lexicon:   p.Lexicon,

@@ -3,6 +3,7 @@ package semdisco
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"math"
 	"os"
@@ -299,5 +300,53 @@ func TestLoadsParentCommitEngineImage(t *testing.T) {
 					got[i].RelationID, got[i].Score, m.ID, math.Float32frombits(m.ScoreBits))
 			}
 		}
+	}
+}
+
+// TestLoadRefusesRemovedAggregator: images could once rank ExS by the max
+// or top-m of value scores. Those aggregators are gone, and an image that
+// names one must fail to load rather than come back ranking by the mean.
+func TestLoadRefusesRemovedAggregator(t *testing.T) {
+	cfg := Config{Method: ExS, Dim: 64, Seed: 7, Lexicon: vaccineLexicon()}
+	eng, err := Open(vaccineFederation(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := eng.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	var ep enginePersist
+	if err := gob.NewDecoder(&img).Decode(&ep); err != nil {
+		t.Fatal(err)
+	}
+	ep.ExS.Aggregator = 1
+	img.Reset()
+	if err := gob.NewEncoder(&img).Encode(ep); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(&img); err == nil {
+		t.Fatal("LoadEngine accepted an image with Aggregator 1")
+	}
+
+	cl, err := NewCluster(vaccineFederation(t), ClusterConfig{Config: cfg, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Reset()
+	if err := cl.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	var cp clusterPersist
+	if err := gob.NewDecoder(&img).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.ExS.Aggregator = 1
+	img.Reset()
+	if err := gob.NewEncoder(&img).Encode(cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCluster(&img); err == nil {
+		t.Fatal("LoadCluster accepted an image with Aggregator 1")
 	}
 }

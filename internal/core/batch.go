@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"semdisco/internal/obs"
-	"semdisco/internal/par"
 	"semdisco/internal/vec"
 	"semdisco/internal/vectordb"
 )
@@ -26,185 +24,28 @@ type BatchSearcher interface {
 	SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error)
 }
 
-// batchValueBlock is how many value vectors the ExS batch scan gathers per
-// kernel call: 64 vectors × 192 dims × 4 B = 48 KiB of values per block,
+// centroidBlock is how many relation centroid rows the ExS filter pass
+// gathers per kernel call: 64 rows × 192 dims × 4 B = 48 KiB per block,
 // sized so a block plus the query rows streams through L1/L2 while the
-// DotBatch register blocking reuses each value across 4 queries.
-const batchValueBlock = 64
+// DotBatch register blocking reuses each row across 4 queries.
+const centroidBlock = 64
 
-// exsBatchScratch is one scan worker's reusable state for the AggMax and
-// AggTopM value scan: the gathered value block, the kernel output, and
-// per-query aggregation state reset per relation.
-type exsBatchScratch struct {
-	vblock [][]float32 // value-vector block (slice headers only, no copy)
-	dots   []float32   // kernel output, nq×len(vblock)
-	best   []float32   // per-query running max (AggMax)
-	topm   [][]float32 // per-query AggTopM selection buffers
-}
-
-func (s *ExS) newBatchScratch(nq int) *exsBatchScratch {
-	sc := &exsBatchScratch{
-		vblock: make([][]float32, 0, batchValueBlock),
-		dots:   make([]float32, nq*batchValueBlock),
-		best:   make([]float32, nq),
-	}
-	if s.agg == AggTopM {
-		sc.topm = make([][]float32, nq)
-		for i := range sc.topm {
-			sc.topm[i] = make([]float32, 0, s.topM)
-		}
-	}
-	return sc
-}
-
-// SearchEncodedBatch implements BatchSearcher for the exhaustive scan.
-// AggMean runs the block through filterVerify, the body of the single
-// query. AggMax and AggTopM make one blocked pass over the corpus that
-// scores every query of the batch against each value block while it is hot
-// in cache, via the vec.DotBatch kernel; per relation, each query's partial
-// aggregates accumulate in PerRel order. Either way the same similarity
-// values (DotBatch is bit-identical to Dot) are folded in the same order,
-// so every row of the result is bit-identical to the sequential
+// SearchEncodedBatch implements BatchSearcher for the exhaustive scan: the
+// block runs through filterVerify, the body of the single query, so the
+// same similarities (DotBatch is bit-identical to Dot) are folded in the
+// same order and every row is bit-identical to the sequential
 // SearchEncoded call.
 func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
 	if err := checkBatchArgs(len(qs), ks, costs); err != nil {
 		return nil, err
 	}
-	nq := len(qs)
-	if nq == 0 {
+	if len(qs) == 0 {
 		return nil, nil
 	}
 	if costs == nil {
-		costs = make([]*obs.Cost, nq)
+		costs = make([]*obs.Cost, len(qs))
 	}
-	if s.agg == AggMean {
-		return s.filterVerify(ctx, searchObs{}, qs, ks, nil, costs)
-	}
-	out := make([][]Match, nq)
-	n := s.emb.NumRelations()
-	// scores[qi*n+rel] is query qi's score for relation rel.
-	scores := make([]float32, nq*n)
-
-	var stop atomic.Bool
-	cancellable := ctx.Done() != nil
-	// Same tombstone discipline as the sequential scan: dead relations get
-	// the −Inf sentinel in every query's row and are never scored.
-	tombs := s.emb.Tombs
-	hasDead := tombs.Count() > 0
-	scoreRange := func(lo, hi int) {
-		var scanned int64
-		sc := s.newBatchScratch(nq)
-		for rel := lo; rel < hi; rel++ {
-			if cancellable && rel%cancelCheckRelations == 0 && stopped(ctx, &stop) {
-				break
-			}
-			if hasDead && tombs.Dead(rel) {
-				for qi := 0; qi < nq; qi++ {
-					scores[qi*n+rel] = negInf
-				}
-				continue
-			}
-			s.scoreRelationBatch(qs, rel, n, scores, sc)
-			scanned += int64(len(s.emb.PerRel[rel]))
-		}
-		// Every query of the batch scanned the same values; charge each
-		// query's accumulator what its sequential scan would record.
-		for _, cost := range costs {
-			s.chargeScan(cost, scanned)
-		}
-	}
-	par.For(n, s.scanWorkers(nq), scoreRange)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	for qi := range qs {
-		k := ks[qi]
-		if k <= 0 {
-			continue
-		}
-		row := scores[qi*n : (qi+1)*n]
-		matches := make([]Match, 0, min(k, n))
-		for _, sc := range vec.TopKDesc(row, k) {
-			if sc.Score < s.threshold {
-				break
-			}
-			matches = append(matches, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
-		}
-		out[qi] = matches
-		if cost := costs[qi]; cost != nil {
-			cost.AddCandidatesGenerated(int64(n))
-			cost.AddCandidatesPruned(int64(n - len(matches)))
-		}
-	}
-	return out, nil
-}
-
-// scoreRelationBatch folds one relation's value similarities for every
-// query of the batch, writing scores[qi*n+rel]. Value vectors are gathered
-// in blocks so the DotBatch kernel reuses each across the query block.
-func (s *ExS) scoreRelationBatch(qs [][]float32, rel, n int, scores []float32, sc *exsBatchScratch) {
-	idxs := s.emb.PerRel[rel]
-	if len(idxs) == 0 {
-		return // scores rows are zero-initialized, matching the sequential 0
-	}
-	nq := len(qs)
-	for i := range sc.best[:nq] {
-		sc.best[i] = -1
-		if sc.topm != nil {
-			sc.topm[i] = sc.topm[i][:0]
-		}
-	}
-	for start := 0; start < len(idxs); start += batchValueBlock {
-		end := start + batchValueBlock
-		if end > len(idxs) {
-			end = len(idxs)
-		}
-		bl := end - start
-		vblock := sc.vblock[:0]
-		for _, vi := range idxs[start:end] {
-			vblock = append(vblock, s.emb.Values[vi].Vec)
-		}
-		dots := sc.dots[:nq*bl]
-		vec.DotBatch(qs, vblock, dots)
-		switch s.agg {
-		case AggMax:
-			for qi := 0; qi < nq; qi++ {
-				row := dots[qi*bl : (qi+1)*bl]
-				best := sc.best[qi]
-				for _, sim := range row {
-					if sim > best {
-						best = sim
-					}
-				}
-				sc.best[qi] = best
-			}
-		case AggTopM:
-			for qi := 0; qi < nq; qi++ {
-				row := dots[qi*bl : (qi+1)*bl]
-				buf := sc.topm[qi]
-				for _, sim := range row {
-					buf = insertTopM(buf, sim, s.topM)
-				}
-				sc.topm[qi] = buf
-			}
-		}
-	}
-	switch s.agg {
-	case AggMax:
-		for qi := 0; qi < nq; qi++ {
-			scores[qi*n+rel] = sc.best[qi]
-		}
-	case AggTopM:
-		for qi := 0; qi < nq; qi++ {
-			buf := sc.topm[qi]
-			var sum float32
-			for _, x := range buf {
-				sum += x
-			}
-			scores[qi*n+rel] = sum / float32(len(buf))
-		}
-	}
+	return s.filterVerify(ctx, searchObs{}, qs, ks, nil, costs)
 }
 
 // SearchEncodedBatch implements BatchSearcher for ANNS: the whole block of

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -35,33 +34,6 @@ type Searcher interface {
 	Search(query string, k int) ([]Match, error)
 }
 
-// Aggregator folds the per-value similarity scores of one relation into a
-// single relation score. The paper averages (§4.1); §5.3 discusses how
-// averaging dilutes relevance, which motivates the ablation variants.
-type Aggregator int
-
-const (
-	// AggMean averages all value scores (the paper's choice).
-	AggMean Aggregator = iota
-	// AggMax takes the best value score.
-	AggMax
-	// AggTopM averages only the m best value scores.
-	AggTopM
-)
-
-func (a Aggregator) String() string {
-	switch a {
-	case AggMean:
-		return "mean"
-	case AggMax:
-		return "max"
-	case AggTopM:
-		return "topM"
-	default:
-		return fmt.Sprintf("agg(%d)", int(a))
-	}
-}
-
 // valueRef is one embedded attribute value of a relation. Values are
 // deduplicated per relation and carry their multiplicity as Weight, so the
 // weighted mean equals the paper's average over every attribute occurrence.
@@ -85,7 +57,7 @@ type Embedded struct {
 	TotalWeight []float32
 	// Centroids is the relations × dim matrix of weighted value centroids
 	// c_rel = Σ wᵢvᵢ / W, one row per slot; CentroidErr[rel]·‖q‖ bounds how
-	// far Dot(q, c_rel) is from ExS's AggMean score (relationCentroid). Both
+	// far Dot(q, c_rel) is from ExS's score (relationCentroid). Both
 	// are written with a relation's values and, like them, never change.
 	Centroids   []float32
 	CentroidErr []float64

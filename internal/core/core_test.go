@@ -165,7 +165,7 @@ func TestThresholdFiltering(t *testing.T) {
 	}
 }
 
-// TestExSMatchesOracle: the default (AggMean) search equals the independent
+// TestExSMatchesOracle: the search equals the independent
 // value-by-value oracle bit for bit, across k and thresholds.
 func TestExSMatchesOracle(t *testing.T) {
 	fed, model := covidFederation(t)
@@ -234,27 +234,6 @@ func TestScoresDescending(t *testing.T) {
 				t.Fatalf("%s: scores not descending: %v", s.Name(), got)
 			}
 		}
-	}
-}
-
-func TestAggregators(t *testing.T) {
-	fed, model := covidFederation(t)
-	emb := EmbedFederation(fed, model)
-	mean := NewExS(emb, ExSOptions{Aggregator: AggMean})
-	max := NewExS(emb, ExSOptions{Aggregator: AggMax})
-	topM := NewExS(emb, ExSOptions{Aggregator: AggTopM, TopM: 3})
-
-	q := "COVID"
-	rm, _ := mean.Search(q, 5)
-	rx, _ := max.Search(q, 5)
-	rt, _ := topM.Search(q, 5)
-	if len(rm) == 0 || len(rx) == 0 || len(rt) == 0 {
-		t.Fatal("aggregator produced no results")
-	}
-	// Max ≥ topM ≥ mean for the same top relation (averaging dilutes).
-	if !(rx[0].Score >= rt[0].Score && rt[0].Score >= rm[0].Score) {
-		t.Fatalf("aggregation ordering violated: max=%v topM=%v mean=%v",
-			rx[0].Score, rt[0].Score, rm[0].Score)
 	}
 }
 

@@ -23,8 +23,8 @@ type Contribution struct {
 // Explanation answers "why did this relation match this query".
 type Explanation struct {
 	RelationID string
-	// Score is the relation's mean-aggregated score (AggMean), the paper's
-	// scoring rule.
+	// Score is the relation's mean-aggregated score, the paper's scoring
+	// rule.
 	Score float32
 	// Top lists the highest-contributing values, best first.
 	Top []Contribution

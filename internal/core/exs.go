@@ -17,18 +17,15 @@ import (
 // when fewer than k live relations remain.
 var negInf = float32(math.Inf(-1))
 
-// ExS is the Exhaustive Search of §4.1 / Algorithm 1: every value vector of
-// every relation is compared against the query vector; per-relation scores
-// are the aggregate (by default the average) of the value similarities.
-// It is exact and complete. AggMax and AggTopM cost one dot product per
-// embedded value; the paper's average is linear in the query, so AggMean
-// gets the same ranking, bit for bit, from one per relation centroid plus a
-// value scan of the few relations rounding cannot separate (filterVerify).
+// ExS is the Exhaustive Search of §4.1 / Algorithm 1: every relation is
+// scored against the query by the average of its value similarities. It is
+// exact and complete. The average is linear in the query, so one dot
+// product per relation centroid plus a value scan of the few relations
+// rounding cannot separate (filterVerify) gets the ranking a scan of every
+// value would, bit for bit.
 type ExS struct {
 	emb       *Embedded
 	threshold float32
-	agg       Aggregator
-	topM      int
 	parallel  bool
 }
 
@@ -37,31 +34,20 @@ type ExSOptions struct {
 	// Threshold is the paper's h: relations scoring below it are filtered
 	// out. Zero keeps everything with a non-negative score.
 	Threshold float32
-	// Aggregator selects how value scores fold into a relation score;
-	// default AggMean (the paper's averaging).
-	Aggregator Aggregator
-	// TopM is the m for AggTopM; default 5.
-	TopM int
 	// Parallel scans relations on all cores; default true. The benchmarks
 	// disable it to measure the single-threaded scan the paper reports.
 	Parallel *bool
 }
 
 // parallelScanMinDots gates the scan fan-out on the dot products of the
-// pass — vectors streamed (centroid rows for AggMean, values otherwise)
-// times queries scored against each — not the relation count: a few huge
-// relations gain from the parallel value scan as much as many small ones,
-// and a tiny corpus never pays the goroutines. Measured on two cores at dim
-// 256 (DESIGN.md §11): even at 2,048, 10–20% saved at 4,096, 30% at 8,192.
+// pass — centroid rows streamed times queries scored against each — so a
+// tiny corpus never pays the goroutines. Measured on two cores at dim 256
+// (DESIGN.md §11): even at 2,048, 10–20% saved at 4,096, 30% at 8,192.
 const parallelScanMinDots = 4096
 
 // scanWorkers is how many relation ranges a scan of nq queries splits into.
 func (s *ExS) scanWorkers(nq int) int {
-	streamed := len(s.emb.Values)
-	if s.agg == AggMean {
-		streamed = s.emb.NumRelations()
-	}
-	if s.parallel && streamed*nq > parallelScanMinDots {
+	if s.parallel && s.emb.NumRelations()*nq > parallelScanMinDots {
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
@@ -69,20 +55,11 @@ func (s *ExS) scanWorkers(nq int) int {
 
 // NewExS builds an exhaustive searcher over the embedded federation.
 func NewExS(emb *Embedded, opt ExSOptions) *ExS {
-	if opt.TopM == 0 {
-		opt.TopM = 5
-	}
 	parallel := true
 	if opt.Parallel != nil {
 		parallel = *opt.Parallel
 	}
-	return &ExS{
-		emb:       emb,
-		threshold: opt.Threshold,
-		agg:       opt.Aggregator,
-		topM:      opt.TopM,
-		parallel:  parallel,
-	}
+	return &ExS{emb: emb, threshold: opt.Threshold, parallel: parallel}
 }
 
 // Name implements Searcher.
@@ -99,11 +76,6 @@ func (s *ExS) Search(query string, k int) ([]Match, error) {
 func (s *ExS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
 	return s.SearchFiltered(ctx, q, k, nil)
 }
-
-// cancelCheckRelations is how many relations each scan worker scores
-// between two context polls: small enough that a deadline lands within a
-// fraction of a millisecond, large enough that ctx.Err() stays free.
-const cancelCheckRelations = 64
 
 // stopped reports that the scan should end: stop is the workers' shared
 // flag, so whichever observes the expired context first pulls every other
@@ -123,73 +95,11 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 		return nil, nil
 	}
 	o := startSearch(ctx, s.emb.Obs, s.Name())
-	allowed := s.emb.allowedSet(allow)
-	n := s.emb.NumRelations()
-	cost := obs.CostFrom(ctx)
-	if s.agg == AggMean {
-		out, err := s.filterVerify(ctx, o, [][]float32{q}, []int{k}, allowed, []*obs.Cost{cost})
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
-	}
-	scores := make([]float32, n)
-	sp := o.stage("scan").
-		AnnotateInt("relations", n).
-		AnnotateInt("values_scanned", len(s.emb.Values))
-
-	var stop atomic.Bool
-	cancellable := ctx.Done() != nil
-	// Tombstoned relations are not scored at all: their slots get the −Inf
-	// sentinel, which the ranked prefix can never admit. hasDead snapshots
-	// the set once, so churn-free scans pay one branch on a local bool.
-	tombs := s.emb.Tombs
-	hasDead := tombs.Count() > 0
-	scoreRange := func(lo, hi int) {
-		// Each worker counts its scanned values in a plain local and flushes
-		// once at the end, so cost accounting adds no atomics to the scan.
-		var scanned int64
-		topm := s.newTopMScratch()
-		for rel := lo; rel < hi; rel++ {
-			if cancellable && rel%cancelCheckRelations == 0 && stopped(ctx, &stop) {
-				break
-			}
-			if hasDead && tombs.Dead(rel) || !allowed.has(rel) {
-				scores[rel] = negInf
-				continue
-			}
-			scores[rel] = s.scoreRelation(q, rel, topm)
-			scanned += int64(len(s.emb.PerRel[rel]))
-		}
-		s.chargeScan(cost, scanned)
-	}
-	par.For(n, s.scanWorkers(1), scoreRange)
-	o.endStage(sp)
-	if err := ctx.Err(); err != nil {
+	out, err := s.filterVerify(ctx, o, [][]float32{q}, []int{k}, s.emb.allowedSet(allow), []*obs.Cost{obs.CostFrom(ctx)})
+	if err != nil {
 		return nil, err
 	}
-
-	sp = o.stage("rank")
-	// Bounded selection: only the top k of the n relation scores are ever
-	// requested, so heap-selecting them beats materializing and sorting all
-	// n. TopKDesc returns exactly the prefix the full sort would, ties
-	// included, so the ranking is unchanged bit for bit.
-	out := make([]Match, 0, min(k, n))
-	for _, sc := range vec.TopKDesc(scores, k) {
-		if sc.Score < s.threshold {
-			break
-		}
-		out = append(out, Match{RelationID: s.emb.RelIDs[sc.ID], Score: sc.Score})
-		if len(out) == k {
-			break
-		}
-	}
-	o.endStage(sp.AnnotateInt("matches", len(out)))
-	if cost != nil {
-		cost.AddCandidatesGenerated(int64(n))
-		cost.AddCandidatesPruned(int64(n - len(out)))
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // chargeScan records scanned vectors, one distance computation each.
@@ -208,7 +118,7 @@ func (s *ExS) margin(norm float64, rel int) float64 {
 	return norm*s.emb.CentroidErr[rel] + float64(s.emb.Enc.Dim()+1)*0x1p-148
 }
 
-// filterVerify is the AggMean scan + rank of a block of queries (a block of
+// filterVerify is the scan + rank of a block of queries (a block of
 // one is the single query, whose stages o records). Filter: every live,
 // allowed relation gets ã = q·c_rel from its centroid row, and its exact
 // score E lies within m = margin(‖q‖, rel) of ã. With L
@@ -234,15 +144,15 @@ func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks 
 	cancellable := ctx.Done() != nil
 	var filtered atomic.Int64
 	par.For(n, workers, func(lo, hi int) {
-		rows := make([][]float32, 0, batchValueBlock)
-		rels := make([]int, 0, batchValueBlock)
-		dots := make([]float32, nq*batchValueBlock)
-		for start := lo; start < hi; start += batchValueBlock {
+		rows := make([][]float32, 0, centroidBlock)
+		rels := make([]int, 0, centroidBlock)
+		dots := make([]float32, nq*centroidBlock)
+		for start := lo; start < hi; start += centroidBlock {
 			if cancellable && stopped(ctx, &stop) {
 				break
 			}
 			rows, rels = rows[:0], rels[:0]
-			for rel := start; rel < min(start+batchValueBlock, hi); rel++ {
+			for rel := start; rel < min(start+centroidBlock, hi); rel++ {
 				if skipped(rel) {
 					for qi := 0; qi < nq; qi++ {
 						approx[qi*n+rel] = negInf
@@ -293,7 +203,7 @@ func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks 
 				if float64(a)+s.margin(norm, rel) < cutoff || skipped(rel) {
 					continue
 				}
-				cands[qi] = append(cands[qi], vec.Scored{ID: rel, Score: s.scoreRelation(q, rel, nil)})
+				cands[qi] = append(cands[qi], vec.Scored{ID: rel, Score: s.scoreRelation(q, rel)})
 				scanned[qi] += int64(len(emb.PerRel[rel]))
 			}
 		}
@@ -324,72 +234,17 @@ func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks 
 	return out, nil
 }
 
-// newTopMScratch returns a reusable AggTopM selection buffer for one
-// worker, or nil when the aggregator never needs one.
-func (s *ExS) newTopMScratch() []float32 {
-	if s.agg != AggTopM {
-		return nil
-	}
-	return make([]float32, 0, s.topM)
-}
-
-// insertTopM folds x into buf, a descending-sorted buffer of the m largest
-// values seen so far. Replacement is strict (x must beat the current
-// minimum), so among equal values the earliest arrivals are kept — the same
-// multiset a full descending sort selects — and summing buf front to back
-// adds the values in descending order, exactly like sort-then-sum. That
-// makes the bounded selection bit-identical to the historical
-// sort.Slice-the-whole-relation path while doing O(len·m) work on a buffer
-// that never reallocates.
-func insertTopM(buf []float32, x float32, m int) []float32 {
-	if len(buf) == m {
-		if x <= buf[m-1] {
-			return buf
-		}
-		buf = buf[:m-1]
-	}
-	i := len(buf)
-	buf = append(buf, x)
-	for ; i > 0 && buf[i-1] < x; i-- {
-		buf[i] = buf[i-1]
-	}
-	buf[i] = x
-	return buf
-}
-
-// scoreRelation folds the similarities of one relation's values. topm is
-// the worker's reusable AggTopM buffer (see newTopMScratch); ignored by
-// the other aggregators.
-func (s *ExS) scoreRelation(q []float32, rel int, topm []float32) float32 {
+// scoreRelation is relation rel's exact score: the multiplicity-weighted
+// mean of its value similarities, the paper's plain average.
+func (s *ExS) scoreRelation(q []float32, rel int) float32 {
 	idxs := s.emb.PerRel[rel]
 	if len(idxs) == 0 {
 		return 0
 	}
-	switch s.agg {
-	case AggMax:
-		best := float32(-1)
-		for _, vi := range idxs {
-			if sim := vec.Dot(q, s.emb.Values[vi].Vec); sim > best {
-				best = sim
-			}
-		}
-		return best
-	case AggTopM:
-		buf := topm[:0]
-		for _, vi := range idxs {
-			buf = insertTopM(buf, vec.Dot(q, s.emb.Values[vi].Vec), s.topM)
-		}
-		var sum float32
-		for _, x := range buf {
-			sum += x
-		}
-		return sum / float32(len(buf))
-	default: // AggMean: multiplicity-weighted mean = paper's plain average
-		var sum float32
-		for _, vi := range idxs {
-			v := &s.emb.Values[vi]
-			sum += v.Weight * vec.Dot(q, v.Vec)
-		}
-		return sum / s.emb.TotalWeight[rel]
+	var sum float32
+	for _, vi := range idxs {
+		v := &s.emb.Values[vi]
+		sum += v.Weight * vec.Dot(q, v.Vec)
 	}
+	return sum / s.emb.TotalWeight[rel]
 }

@@ -106,7 +106,7 @@ func centroidBoundUse(t *testing.T, emb *Embedded, q []float32) float64 {
 	if !(norm < maxQueryNorm) || math.IsInf(margin, 1) {
 		return 0
 	}
-	exact := s.scoreRelation(q, 0, nil)
+	exact := s.scoreRelation(q, 0)
 	approx := vec.Dot(q, emb.Centroids)
 	diff := math.Abs(float64(approx) - float64(exact))
 	if !(diff <= margin) {

@@ -170,3 +170,26 @@ func TestContextPropagation(t *testing.T) {
 		t.Error("fresh trace reused the propagated ID")
 	}
 }
+
+// FuzzParseTraceparent feeds ParseTraceparent arbitrary header values: it
+// must never panic, whatever it accepts must be a valid context, and an
+// accepted version-00 header must render back to the same bytes.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-" + validTraceHex + "-" + validSpanHex + "-01")
+	f.Add("01-" + validTraceHex + "-" + validSpanHex + "-00-extra")
+	f.Add("00-" + strings.ToUpper(validTraceHex) + "-" + validSpanHex + "-01")
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("%q: accepted an invalid context %+v", h, sc)
+		}
+		if strings.HasPrefix(h, "00-") {
+			if got := sc.Traceparent(); got != h {
+				t.Fatalf("%q renders back as %q", h, got)
+			}
+		}
+	})
+}

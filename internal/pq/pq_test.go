@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -220,6 +221,48 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty must not parse")
 	}
+}
+
+// readAllocBudget bounds what Read may allocate for an n-byte image: the
+// codebook's up-front 256 KiB plus a constant factor of the floats that
+// actually arrive, however large the header claims the codebook is.
+func readAllocBudget(n int) uint64 {
+	return 320<<10 + 32*uint64(n)
+}
+
+// FuzzPQRead feeds Read arbitrary images: it must return a quantizer or an
+// error, never panic, allocate no more than the input's length justifies,
+// and whatever it accepts must serialize back to the bytes it consumed.
+func FuzzPQRead(f *testing.F) {
+	q, err := Train(randomUnitVecs(40, 8, 2), Config{M: 2, K: 4, Seed: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := q.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		q, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got, max := after.TotalAlloc-before.TotalAlloc, readAllocBudget(len(data)); got > max {
+			t.Fatalf("Read allocated %d bytes for a %d-byte image, budget %d", got, len(data), max)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := q.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted image re-serializes as %x, not a prefix of %x", out.Bytes(), data)
+		}
+	})
 }
 
 func TestDefaultM768(t *testing.T) {
