@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race portable fuzz race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
+.PHONY: build vet lint test race batch-cpu portable fuzz race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -65,7 +65,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 5s ./internal/obs
 
-check: lint race portable fuzz
+# The batch paths split a block over GOMAXPROCS workers (ExS's scan, ANNS's
+# walks) and reuse walk scratch and ADC tables across queries; race-checked
+# at 1, 2 and 4 workers, so the chunking is tested at more than the host's
+# core count.
+batch-cpu:
+	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table' ./internal/core ./internal/vectordb ./internal/pq .
+
+check: lint race batch-cpu portable fuzz
 
 # One-iteration pass over every microbenchmark (HNSW build, k-means, vector
 # kernels, ...): catches benchmarks that no longer compile or crash, without

@@ -7,15 +7,16 @@ import (
 	"semdisco/internal/obs"
 )
 
-// DoBatch implements Backend. Each distinct query text is encoded once
-// (duplicate strings share the vector) and the whole block is scored
-// together: ExS runs a single blocked scan over the corpus reusing each
-// value vector across every query of the batch, ANNS walks the graph per
-// query over shared scratch state, and CTS deduplicates cluster probes
-// across the batch.
+// DoBatch implements Backend. Each distinct query text is encoded once,
+// the distinct texts in parallel (duplicate strings share the vector), and
+// the whole block is scored together: ExS runs one centroid filter pass
+// over the corpus for every query of the batch, split over the cores; ANNS
+// walks the graph per query on every core, one walk scratch per worker;
+// and CTS deduplicates cluster probes across the batch. A store churned
+// by writes does the same in each of its segments and merges per query.
 //
-// Results are positionally aligned with queries and, for ExS, bit-identical
-// to issuing each query through Do. Cancellation via ctx aborts the whole
+// Results are positionally aligned with queries and bit-identical to
+// issuing each query through Do. Cancellation via ctx aborts the whole
 // batch with the context's error. Per-item costs also fold into a cost
 // accumulator carried by ctx, so batch work is visible to callers
 // accounting at the request level.
@@ -32,28 +33,36 @@ func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterRe
 		return nil, err
 	}
 
-	// Encode once per distinct text; duplicate strings — the common shape
-	// under coalesced traffic — share one vector. Items with K ≤ 0 are
-	// compacted out so the fused scan never scores them; active maps the
-	// compacted block back to input positions.
-	encoded := make(map[string][]float32, len(queries))
+	// Encode once per distinct text, the distinct texts on every core;
+	// duplicate strings — the common shape under coalesced traffic — share
+	// one vector. Items with K ≤ 0 are compacted out so the fused scan
+	// never scores them; active maps the compacted block back to input
+	// positions, and slot[s] is item s's distinct text.
+	distinct := make(map[string]int, len(queries))
 	var (
+		texts  []string
 		active []int
-		qs     [][]float32
+		slot   []int
 		ks     []int
 	)
 	for i, q := range queries {
 		if q.K <= 0 {
 			continue
 		}
-		v, ok := encoded[q.Text]
+		d, ok := distinct[q.Text]
 		if !ok {
-			v = e.model.Encode(q.Text)
-			encoded[q.Text] = v
+			d = len(texts)
+			distinct[q.Text] = d
+			texts = append(texts, q.Text)
 		}
 		active = append(active, i)
-		qs = append(qs, v)
+		slot = append(slot, d)
 		ks = append(ks, q.K)
+	}
+	vecs := e.model.EncodeAll(texts)
+	qs := make([][]float32, len(slot))
+	for s, d := range slot {
+		qs[s] = vecs[d]
 	}
 
 	costs := make([]*obs.Cost, len(qs))

@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
+	"semdisco/internal/embed"
 	"semdisco/internal/obs"
+	"semdisco/internal/segment"
+	"semdisco/internal/table"
 )
 
 // batchQueries builds nq encoded test queries with varied texts.
@@ -79,80 +83,133 @@ func TestExSBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential checks every method's batch path against its
-// sequential path, including skipped (k ≤ 0) items.
-func TestBatchMatchesSequential(t *testing.T) {
-	fed := testFederation(t, 50)
-	emb := EmbedFederation(fed, newTestEncoder(64))
-	ctx := context.Background()
+// namedSearcher labels a searcher for test messages: two ANNS
+// configurations share one Name.
+type namedSearcher struct {
+	name string
+	s    EncodedSearcher
+}
 
-	searchers := []Searcher{NewExS(emb, ExSOptions{})}
+// batchSearchers builds every method over emb, ANNS both raw and
+// PQ-compressed: only the compressed walk fills an ADC table.
+func batchSearchers(t *testing.T, emb *Embedded) []namedSearcher {
+	t.Helper()
 	anns, err := NewANNS(emb, ANNSOptions{Seed: 1, DisablePQ: true})
 	if err != nil {
 		t.Fatalf("anns: %v", err)
+	}
+	annsPQ, err := NewANNS(emb, ANNSOptions{Seed: 1, PQTrainSize: 64, PQK: 16})
+	if err != nil {
+		t.Fatalf("anns+pq: %v", err)
+	}
+	if annsPQ.coll.Quantizer() == nil {
+		t.Fatal("anns+pq: the quantizer never trained")
 	}
 	cts, err := NewCTS(emb, CTSOptions{Seed: 1, Reduction: ReducePCA})
 	if err != nil {
 		t.Fatalf("cts: %v", err)
 	}
-	searchers = append(searchers, anns, cts)
+	return []namedSearcher{{"ExS", NewExS(emb, ExSOptions{})}, {"ANNS", anns}, {"ANNS+PQ", annsPQ}, {"CTS", cts}}
+}
 
-	for _, s := range searchers {
-		bs, ok := s.(BatchSearcher)
-		if !ok {
-			t.Fatalf("%s does not implement BatchSearcher", s.Name())
+// mixedKs returns n result bounds cycling through small, large and
+// skipped (k ≤ 0) values.
+func mixedKs(n int) []int {
+	cycle := []int{5, 0, 3, -1, 8, 5, 1, 20, 4, 0, 7, 2}
+	ks := make([]int, n)
+	for i := range ks {
+		ks[i] = cycle[i%len(cycle)]
+	}
+	return ks
+}
+
+// sequentialRows answers each query with k > 0 through SearchEncoded,
+// charging costs[i] when costs is non-nil.
+func sequentialRows(t *testing.T, name string, s EncodedSearcher, qs [][]float32, ks []int, costs []*obs.Cost) [][]Match {
+	t.Helper()
+	seq := make([][]Match, len(qs))
+	for i := range qs {
+		if ks[i] <= 0 {
+			continue
 		}
-		es := s.(EncodedSearcher)
-		qs := batchQueries(emb, 12)
-		ks := []int{5, 0, 3, -1, 8, 5, 1, 20, 4, 0, 7, 2}
-		seq := make([][]Match, len(qs))
-		for i := range qs {
-			if ks[i] <= 0 {
-				continue
-			}
-			m, err := es.SearchEncoded(ctx, qs[i], ks[i])
-			if err != nil {
-				t.Fatalf("%s sequential: %v", s.Name(), err)
-			}
-			seq[i] = m
+		ctx := context.Background()
+		if costs != nil {
+			ctx = obs.ContextWithCost(ctx, costs[i])
 		}
-		batch, err := bs.SearchEncodedBatch(ctx, qs, ks, nil)
+		m, err := s.SearchEncoded(ctx, qs[i], ks[i])
 		if err != nil {
-			t.Fatalf("%s batch: %v", s.Name(), err)
+			t.Fatalf("%s sequential: %v", name, err)
 		}
-		assertRowsIdentical(t, s.Name(), seq, batch)
+		seq[i] = m
+	}
+	return seq
+}
+
+// newCosts returns n fresh accumulators.
+func newCosts(n int) []*obs.Cost {
+	costs := make([]*obs.Cost, n)
+	for i := range costs {
+		costs[i] = &obs.Cost{}
+	}
+	return costs
+}
+
+// TestBatchMatchesSequential checks every method's batch path against its
+// sequential path, including skipped (k ≤ 0) items. 37 queries leave ANNS
+// a short last block, and uneven shares at every worker count.
+func TestBatchMatchesSequential(t *testing.T) {
+	fed := testFederation(t, 50)
+	emb := EmbedFederation(fed, newTestEncoder(64))
+	qs := batchQueries(emb, 37)
+	ks := mixedKs(len(qs))
+	for _, ns := range batchSearchers(t, emb) {
+		bs, ok := ns.s.(BatchSearcher)
+		if !ok {
+			t.Fatalf("%s does not implement BatchSearcher", ns.name)
+		}
+		seq := sequentialRows(t, ns.name, ns.s, qs, ks, nil)
+		batch, err := bs.SearchEncodedBatch(context.Background(), qs, ks, nil)
+		if err != nil {
+			t.Fatalf("%s batch: %v", ns.name, err)
+		}
+		assertRowsIdentical(t, ns.name, seq, batch)
 		for i, k := range ks {
 			if k <= 0 && batch[i] != nil {
-				t.Errorf("%s: skipped item %d got %d matches", s.Name(), i, len(batch[i]))
+				t.Errorf("%s: skipped item %d got %d matches", ns.name, i, len(batch[i]))
 			}
 		}
 	}
 }
 
-// TestBatchCosts checks the batch path charges each query's accumulator the
-// same work its sequential call records.
+// TestBatchCosts checks every method's batch path charges each query's
+// accumulator the same work — distance computations, HNSW hops, PQ
+// lookups, bytes — its sequential call records.
 func TestBatchCosts(t *testing.T) {
 	fed := testFederation(t, 40)
 	emb := EmbedFederation(fed, newTestEncoder(64))
-	ctx := context.Background()
-	s := NewExS(emb, ExSOptions{})
-
-	qs := batchQueries(emb, 6)
-	ks := []int{5, 5, 5, 5, 5, 5}
-	costs := make([]*obs.Cost, len(qs))
-	for i := range costs {
-		costs[i] = &obs.Cost{}
+	qs := batchQueries(emb, 13)
+	ks := make([]int, len(qs))
+	for i := range ks {
+		ks[i] = 1 + i%6
 	}
-	if _, err := s.SearchEncodedBatch(ctx, qs, ks, costs); err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	for i := range qs {
-		seqCost := &obs.Cost{}
-		if _, err := s.SearchEncoded(obs.ContextWithCost(ctx, seqCost), qs[i], ks[i]); err != nil {
-			t.Fatalf("sequential: %v", err)
+	for _, ns := range batchSearchers(t, emb) {
+		costs := newCosts(len(qs))
+		if _, err := ns.s.(BatchSearcher).SearchEncodedBatch(context.Background(), qs, ks, costs); err != nil {
+			t.Fatalf("%s batch: %v", ns.name, err)
 		}
-		if got, want := costs[i].Report(), seqCost.Report(); got != want {
-			t.Errorf("query %d cost: batch %+v vs sequential %+v", i, got, want)
+		seqCosts := newCosts(len(qs))
+		sequentialRows(t, ns.name, ns.s, qs, ks, seqCosts)
+		for i := range qs {
+			got, want := costs[i].Report(), seqCosts[i].Report()
+			if got != want {
+				t.Errorf("%s query %d cost: batch %+v vs sequential %+v", ns.name, i, got, want)
+			}
+			if ns.name != "ExS" && got.HNSWHops+got.DistanceComps == 0 {
+				t.Errorf("%s query %d: no walk work charged: %+v", ns.name, i, got)
+			}
+			if ns.name == "ANNS+PQ" && got.PQLookups == 0 {
+				t.Errorf("%s query %d: no PQ lookups charged: %+v", ns.name, i, got)
+			}
 		}
 	}
 }
@@ -164,18 +221,11 @@ func TestBatchCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	searchers := []Searcher{NewExS(emb, ExSOptions{})}
-	if anns, err := NewANNS(emb, ANNSOptions{Seed: 1, DisablePQ: true}); err == nil {
-		searchers = append(searchers, anns)
-	}
-	if cts, err := NewCTS(emb, CTSOptions{Seed: 1, Reduction: ReducePCA}); err == nil {
-		searchers = append(searchers, cts)
-	}
 	qs := batchQueries(emb, 4)
 	ks := []int{5, 5, 5, 5}
-	for _, s := range searchers {
-		if _, err := s.(BatchSearcher).SearchEncodedBatch(ctx, qs, ks, nil); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: want context.Canceled, got %v", s.Name(), err)
+	for _, ns := range batchSearchers(t, emb) {
+		if _, err := ns.s.(BatchSearcher).SearchEncodedBatch(ctx, qs, ks, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: want context.Canceled, got %v", ns.name, err)
 		}
 	}
 }
@@ -195,51 +245,135 @@ func TestBatchArgMismatch(t *testing.T) {
 }
 
 // TestConcurrentBatches runs overlapping batches on every method under the
-// race detector: the batch paths share index state but no mutable scratch.
+// race detector: the batch paths share index state but no mutable scratch,
+// so every concurrent answer equals the lone one bit for bit.
 func TestConcurrentBatches(t *testing.T) {
 	fed := testFederation(t, 50)
 	emb := EmbedFederation(fed, newTestEncoder(64))
 	ctx := context.Background()
+	qs := batchQueries(emb, 11)
+	ks := []int{3, 5, 2, 7, 4, 1, 6, 5, 0, 9, 3}
 
-	searchers := []Searcher{NewExS(emb, ExSOptions{})}
-	anns, err := NewANNS(emb, ANNSOptions{Seed: 1, DisablePQ: true})
-	if err != nil {
-		t.Fatalf("anns: %v", err)
-	}
-	cts, err := NewCTS(emb, CTSOptions{Seed: 1, Reduction: ReducePCA})
-	if err != nil {
-		t.Fatalf("cts: %v", err)
-	}
-	searchers = append(searchers, anns, cts)
-
-	for _, s := range searchers {
-		bs := s.(BatchSearcher)
-		qs := batchQueries(emb, 8)
-		ks := []int{3, 5, 2, 7, 4, 1, 6, 5}
+	const goroutines, reps = 4, 5
+	for _, ns := range batchSearchers(t, emb) {
+		bs := ns.s.(BatchSearcher)
 		want, err := bs.SearchEncodedBatch(ctx, qs, ks, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", ns.name, err)
 		}
+		got := make([][][]Match, goroutines*reps)
 		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for rep := 0; rep < 5; rep++ {
-					got, err := bs.SearchEncodedBatch(ctx, qs, ks, nil)
+				for rep := 0; rep < reps; rep++ {
+					rows, err := bs.SearchEncodedBatch(ctx, qs, ks, nil)
 					if err != nil {
-						t.Errorf("%s: %v", s.Name(), err)
+						t.Errorf("%s: %v", ns.name, err)
 						return
 					}
-					for i := range want {
-						if len(got[i]) != len(want[i]) {
-							t.Errorf("%s row %d: %d vs %d matches", s.Name(), i, len(got[i]), len(want[i]))
-							return
-						}
-					}
+					got[g*reps+rep] = rows
 				}
 			}()
 		}
 		wg.Wait()
+		for _, rows := range got {
+			if rows != nil {
+				assertRowsIdentical(t, ns.name, want, rows)
+			}
+		}
+	}
+}
+
+// TestChurnedStoreBatchMatchesSequential pins the batch path of a store
+// past its first write — two sealed segments, tombstones in both, a
+// non-empty mutable segment — for every method: each batch row and each
+// query's cost equal the sequential answer's, and ExS's rows are the
+// oracle's over the surviving corpus embedded from scratch.
+func TestChurnedStoreBatchMatchesSequential(t *testing.T) {
+	model := embed.New(embed.Config{Dim: 64, Seed: 1})
+	builders := storeBuilders()
+	builders["ANNS+PQ"] = func(e *Embedded) (EncodedSearcher, error) {
+		return NewANNS(e, ANNSOptions{Seed: 1, PQTrainSize: 24, PQK: 16})
+	}
+	var texts []string
+	texts = append(texts, churnQueries...)
+	texts = append(texts, churnTopics...)
+	ks := mixedKs(len(texts))
+
+	for _, name := range []string{"ExS", "ANNS", "ANNS+PQ", "CTS"} {
+		build := builders[name]
+		t.Run(name, func(t *testing.T) {
+			st := newStore(t, name, build, churnFederation(16), model, SegmentStoreOptions{
+				Policy: segment.Policy{MaxMutableValues: 1 << 20, MaxSegments: 100, MaxDeadFraction: -1},
+			})
+			rels := make(map[string]*table.Relation)
+			add := func(i int, topic string) {
+				t.Helper()
+				id := fmt.Sprintf("rel-%02d", i)
+				if err := st.Add(newRelation(id, topic)); err != nil {
+					t.Fatal(err)
+				}
+				rels[id] = newRelation(id, topic)
+			}
+			for i := 0; i < 16; i++ {
+				rels[fmt.Sprintf("rel-%02d", i)] = newRelation(fmt.Sprintf("rel-%02d", i), churnTopics[i])
+			}
+			for i := 16; i < 26; i++ {
+				add(i, churnTopics[i%len(churnTopics)]+" second")
+			}
+			st.freeze()
+			if err := st.upgradeFrozen(); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{"rel-03", "rel-08", "rel-17", "rel-22"} {
+				if err := st.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(rels, id)
+			}
+			for i := 26; i < 30; i++ {
+				add(i, churnTopics[i%len(churnTopics)]+" mutable")
+			}
+			if s := st.Stats(); s.SealedSegments < 2 || s.MutableRelations == 0 || s.DeadRelations == 0 {
+				t.Fatalf("store not churned as intended: %+v", s)
+			}
+			if name == "ANNS+PQ" {
+				for i, sg := range st.view().segs {
+					if sg.searcher.(*ANNS).coll.Quantizer() == nil {
+						t.Fatalf("segment %d: the quantizer never trained", i)
+					}
+				}
+			}
+
+			qs := make([][]float32, len(texts))
+			for i, text := range texts {
+				qs[i] = model.Encode(text)
+			}
+			seqCosts := newCosts(len(qs))
+			seq := sequentialRows(t, name, st, qs, ks, seqCosts)
+			costs := newCosts(len(qs))
+			batch, err := st.SearchEncodedBatch(context.Background(), qs, ks, costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRowsIdentical(t, name, seq, batch)
+			for i := range qs {
+				if got, want := costs[i].Report(), seqCosts[i].Report(); got != want {
+					t.Errorf("query %d cost: batch %+v vs sequential %+v", i, got, want)
+				}
+			}
+			if name == "ExS" {
+				fresh := freshEmbedded(rels, st.LiveRelations(), model)
+				want := make([][]Match, len(qs))
+				for i, q := range qs {
+					if ks[i] > 0 {
+						want[i] = oracleRank(fresh, q, ks[i], 0)
+					}
+				}
+				assertRowsIdentical(t, name+" vs oracle", want, batch)
+			}
+		})
 	}
 }

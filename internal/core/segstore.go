@@ -790,34 +790,49 @@ func (st *SegmentStore) searchView(ctx context.Context, v *storeView, q []float3
 	o := startSearch(ctx, st.reg, st.method)
 	sp := o.stage("segments")
 	var all []RankedMatch
-	run := func(s EncodedSearcher, emb *Embedded) error {
-		if emb.NumValues() == 0 {
-			return nil
-		}
+	err := st.eachSegment(v, func(s EncodedSearcher, emb *Embedded) error {
 		ms, err := s.SearchFiltered(ctx, q, k, allow)
 		if err != nil {
 			return err
 		}
-		for _, m := range ms {
-			if i, ok := emb.RelIndex(m.RelationID); ok {
-				all = append(all, RankedMatch{Match: m, Order: emb.orderOf(i)})
-			}
-		}
+		all = emb.appendRanked(all, ms)
 		return nil
-	}
-	for _, sg := range v.segs {
-		if err := run(sg.searcher, sg.emb); err != nil {
-			return nil, err
-		}
-	}
-	if ex, memb := st.mutScan(v); ex != nil {
-		if err := run(ex, memb); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	matches := MergeRanked(all, k)
 	o.endStage(sp.AnnotateInt("segments", len(v.segs)+1).AnnotateInt("matches", len(matches)))
 	return matches, nil
+}
+
+// eachSegment calls fn on every non-empty segment of v: the frozen and
+// sealed ones oldest first, each with its own searcher, then the mutable
+// one with an exhaustive scan. It stops at the first error.
+func (st *SegmentStore) eachSegment(v *storeView, fn func(s EncodedSearcher, emb *Embedded) error) error {
+	for _, sg := range v.segs {
+		if sg.emb.NumValues() == 0 {
+			continue
+		}
+		if err := fn(sg.searcher, sg.emb); err != nil {
+			return err
+		}
+	}
+	if ex, memb := st.mutScan(v); ex != nil {
+		return fn(ex, memb)
+	}
+	return nil
+}
+
+// appendRanked appends one segment's matches to all, each tagged with its
+// relation's store-global insertion rank for MergeRanked.
+func (e *Embedded) appendRanked(all []RankedMatch, ms []Match) []RankedMatch {
+	for _, m := range ms {
+		if i, ok := e.RelIndex(m.RelationID); ok {
+			all = append(all, RankedMatch{Match: m, Order: e.orderOf(i)})
+		}
+	}
+	return all
 }
 
 // RankedMatch is a match tagged with its relation's global insertion rank,
@@ -851,35 +866,51 @@ func MergeRanked(all []RankedMatch, k int) []Match {
 }
 
 // SearchEncodedBatch implements BatchSearcher. A simple store delegates to
-// the base index's fused batch kernel; a multi-segment store answers
-// per-query over the same snapshot — every row still bit-identical to its
-// sequential counterpart, since the sequential path is the same merge.
+// the base index's batch body. A multi-segment store runs every segment's
+// batch body — the mutable segment's exhaustive scan included — once over
+// the whole block, then merges each query's per-segment prefixes as
+// searchView does. A segment's batch row is its sequential answer, so
+// every merged row is bit-identical to the sequential one, and costs[i]
+// is charged each segment's work for query i.
 func (st *SegmentStore) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
 	v := st.view()
 	if v.simple() {
-		if bs, ok := v.segs[0].searcher.(BatchSearcher); ok {
-			return bs.SearchEncodedBatch(ctx, qs, ks, costs)
-		}
+		return searchBatchOf(ctx, v.segs[0].searcher, qs, ks, costs)
 	}
 	if err := checkBatchArgs(len(qs), ks, costs); err != nil {
 		return nil, err
 	}
-	out := make([][]Match, len(qs))
-	for i := range qs {
-		ictx := ctx
-		if costs != nil && costs[i] != nil {
-			ictx = obs.ContextWithCost(ctx, costs[i])
-		}
-		if ks[i] <= 0 {
-			continue
-		}
-		ms, err := st.searchView(ictx, v, qs[i], ks[i], nil)
+	all := make([][]RankedMatch, len(qs))
+	err := st.eachSegment(v, func(s EncodedSearcher, emb *Embedded) error {
+		rows, err := searchBatchOf(ctx, s, qs, ks, costs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = ms
+		for i, ms := range rows {
+			all[i] = emb.appendRanked(all[i], ms)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(qs))
+	for i, k := range ks {
+		if k > 0 {
+			out[i] = MergeRanked(all[i], k)
+		}
 	}
 	return out, nil
+}
+
+// searchBatchOf runs a segment searcher's batch body; the searchers of all
+// three methods have one.
+func searchBatchOf(ctx context.Context, s EncodedSearcher, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
+	bs, ok := s.(BatchSearcher)
+	if !ok {
+		return nil, fmt.Errorf("core: %s searcher %T has no batch path", s.Name(), s)
+	}
+	return bs.SearchEncodedBatch(ctx, qs, ks, costs)
 }
 
 // IndexHealth implements HealthReporter by reporting the base segment's

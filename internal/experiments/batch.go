@@ -48,8 +48,8 @@ type BatchReportJSON struct {
 // sequential SearchEncoded loop and its fused SearchEncodedBatch path,
 // encoding outside both timed regions so the comparison isolates the scan.
 // ExS rows must be — and are checked — bit-identical between the two paths;
-// ANNS and CTS are checked the same way (their fused paths only amortize
-// scratch state and cluster probes, never changing any walk).
+// ANNS and CTS are checked the same way (their batch paths spread walks
+// over the cores and share cluster probes, never changing any walk).
 func (b *Bench) BatchReport(k int) (*BatchReportJSON, error) {
 	if k <= 0 {
 		k = 20

@@ -32,10 +32,6 @@ type Scratch struct {
 // query load allocates none.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// NewScratch returns an empty scratch. Equivalent to new(Scratch); provided
-// so callers outside the package don't depend on the zero value being valid.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // begin readies the scratch for one search over a graph of n nodes and
 // returns the generation stamp marking this search's visits.
 func (sc *Scratch) begin(n int) uint32 {

@@ -16,7 +16,7 @@ func TestSearchScratchIdentical(t *testing.T) {
 		s.add(v)
 	}
 	queries := randVecs(50, 16, 9)
-	sc := NewScratch()
+	sc := new(Scratch)
 	for qi, q := range queries {
 		qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
 		want, wantDone, wantStats := s.ix.SearchCancelStats(qd, 10, 64, nil, nil)
@@ -43,7 +43,7 @@ func TestSearchScratchFiltered(t *testing.T) {
 		s.add(v)
 	}
 	filter := func(id int32) bool { return id%3 == 0 }
-	sc := NewScratch()
+	sc := new(Scratch)
 	for _, q := range randVecs(20, 12, 11) {
 		qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
 		want, _, _ := s.ix.SearchCancelStats(qd, 8, 48, filter, nil)
@@ -70,7 +70,7 @@ func TestScratchGenerationWraparound(t *testing.T) {
 	for _, v := range randVecs(50, 8, 7) {
 		s.add(v)
 	}
-	sc := NewScratch()
+	sc := new(Scratch)
 	q := randVecs(1, 8, 13)[0]
 	qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
 	want, _, _ := s.ix.SearchCancelStats(qd, 5, 16, nil, nil)

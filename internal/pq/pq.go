@@ -242,27 +242,36 @@ type Table struct {
 	v []float32
 }
 
-func (q *Quantizer) newTable() Table {
-	return Table{k: q.k, v: make([]float32, q.m*q.k)}
+// reuseTable returns dst when it is sized for q, and a fresh table when it
+// is not — the zero Table, on first use — so a caller that keeps one table
+// pays the allocation once. Every entry of the result is overwritten by the
+// table builders, so nothing of dst's previous contents survives.
+func (q *Quantizer) reuseTable(dst Table) Table {
+	if dst.k != q.k || len(dst.v) != q.m*q.k {
+		return Table{k: q.k, v: make([]float32, q.m*q.k)}
+	}
+	return dst
 }
 
-// DistTable precomputes squared-L2 partials for the query so that
-// approximate distance to any code is M table lookups.
-func (q *Quantizer) DistTable(query []float32) Table {
-	return q.queryTable(query, l2sqRow)
+// DistTable fills dst with squared-L2 partials for the query, so that
+// approximate distance to any code is M table lookups, and returns it. dst
+// is reused as CodeDistRows reuses its table.
+func (q *Quantizer) DistTable(query []float32, dst Table) Table {
+	return q.queryTable(query, dst, l2sqRow)
 }
 
-// DotTable precomputes inner-product partials, used when ranking by cosine
-// over unit vectors (higher is better).
-func (q *Quantizer) DotTable(query []float32) Table {
-	return q.queryTable(query, dotRow)
+// DotTable fills dst with inner-product partials, used when ranking by
+// cosine over unit vectors (higher is better), and returns it. dst is
+// reused as CodeDistRows reuses its table.
+func (q *Quantizer) DotTable(query []float32, dst Table) Table {
+	return q.queryTable(query, dst, dotRow)
 }
 
-func (q *Quantizer) queryTable(query []float32, fillRow func(x, cents, row []float32)) Table {
+func (q *Quantizer) queryTable(query []float32, dst Table, fillRow func(x, cents, row []float32)) Table {
 	if len(query) != q.dim {
 		panic(fmt.Sprintf("pq: query dim %d, want %d", len(query), q.dim))
 	}
-	t := q.newTable()
+	t := q.reuseTable(dst)
 	for s := 0; s < q.m; s++ {
 		fillRow(query[s*q.subDim:(s+1)*q.subDim], q.subspace(s), t.v[s*q.k:(s+1)*q.k])
 	}
@@ -323,9 +332,7 @@ func (q *Quantizer) CodeDistRows(code []byte, dst Table) Table {
 	if len(code) != q.m {
 		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), q.m))
 	}
-	if dst.k != q.k || len(dst.v) != q.m*q.k {
-		dst = q.newTable()
-	}
+	dst = q.reuseTable(dst)
 	for s := 0; s < q.m; s++ {
 		l2sqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
 	}

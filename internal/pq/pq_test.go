@@ -89,7 +89,7 @@ func TestADCMatchesDecodedDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := randomUnitVecs(1, 64, 99)[0]
-	table := q.DistTable(query)
+	table := q.DistTable(query, Table{})
 	for _, v := range vs[:50] {
 		code := q.Encode(v)
 		adc := table.Lookup(code)
@@ -107,7 +107,7 @@ func TestDotTableMatchesDecodedDot(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := randomUnitVecs(1, 64, 98)[0]
-	table := q.DotTable(query)
+	table := q.DotTable(query, Table{})
 	for _, v := range vs[:50] {
 		code := q.Encode(v)
 		adc := table.Lookup(code)
@@ -142,7 +142,7 @@ func TestADCPreservesNeighborRanking(t *testing.T) {
 		codes[i] = q.Encode(v)
 	}
 	query := vs[0] // belongs to cluster 0 (indices 0..59)
-	table := q.DistTable(query)
+	table := q.DistTable(query, Table{})
 	type pair struct {
 		idx int
 		d   float32
@@ -300,7 +300,7 @@ func BenchmarkADCLookup(b *testing.B) {
 	for i, v := range vs {
 		codes[i] = q.Encode(v)
 	}
-	table := q.DistTable(vs[0])
+	table := q.DistTable(vs[0], Table{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -466,7 +466,7 @@ func TestFlatCodebookBitIdentical(t *testing.T) {
 		}
 		var rows Table
 		for i := 0; i < n; i += 7 {
-			dist, dot := q.DistTable(vs[i]), q.DotTable(vs[i])
+			dist, dot := q.DistTable(vs[i], Table{}), q.DotTable(vs[i], Table{})
 			refDist, refDot := refTable(cb, subDim, vs[i], vec.L2Sq), refTable(cb, subDim, vs[i], vec.Dot)
 			rows = q.CodeDistRows(codes[i], rows)
 			for j, code := range codes {
@@ -486,6 +486,43 @@ func TestFlatCodebookBitIdentical(t *testing.T) {
 				if got := rows.Lookup(code); got != want {
 					t.Fatalf("subDim %d: CodeDistRows(%d).Lookup(%d) = %v, reference SDC %v", subDim, i, j, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestTableReuseBitIdentical pins the dst contract of the query tables: a
+// table last filled for a different query — or by the other builder, or
+// sized for another quantizer — gives every Lookup the bits of a fresh
+// table, and a correctly sized one is filled in place.
+func TestTableReuseBitIdentical(t *testing.T) {
+	vs := randomUnitVecs(200, 64, 21)
+	q, err := Train(vs, Config{M: 16, K: 32, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Train(vs, Config{M: 8, K: 16, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([][]byte, len(vs))
+	for i, v := range vs {
+		codes[i] = q.Encode(v)
+	}
+	dist, dot := other.DistTable(vs[199], Table{}), other.DotTable(vs[198], Table{})
+	for i := 0; i < 40; i++ {
+		prevDist, prevDot := dist, dot
+		dist, dot = q.DistTable(vs[i], dot), q.DotTable(vs[i], prevDist)
+		if i > 0 && (&dist.v[0] != &prevDot.v[0] || &dot.v[0] != &prevDist.v[0]) {
+			t.Fatalf("query %d: a sized table was reallocated", i)
+		}
+		freshDist, freshDot := q.DistTable(vs[i], Table{}), q.DotTable(vs[i], Table{})
+		for j, code := range codes {
+			if got, want := dist.Lookup(code), freshDist.Lookup(code); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("query %d code %d: reused DistTable %v, fresh %v", i, j, got, want)
+			}
+			if got, want := dot.Lookup(code), freshDot.Lookup(code); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("query %d code %d: reused DotTable %v, fresh %v", i, j, got, want)
 			}
 		}
 	}

@@ -9,63 +9,81 @@ import (
 	"semdisco/internal/obs"
 )
 
-// TestSearchBatchMatchesSearch pins the collection batch contract: one
-// SearchBatch call returns exactly what per-query Search calls return, row
-// by row, and charges each query's accumulator the same work.
+// TestSearchBatchMatchesSearch pins the collection batch contract, raw and
+// PQ-compressed: one SearchBatch call — one walk scratch and one ADC table
+// reused across the block — returns exactly what per-query Search calls
+// return, row by row, and charges each query's accumulator the same work.
 func TestSearchBatchMatchesSearch(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 16, Seed: 1})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 400; i++ {
-		if _, err := c.Insert(randUnit(16, rng), map[string]string{"i": fmt.Sprint(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nq := 12
-	queries := make([][]float32, nq)
-	ks := make([]int, nq)
-	efs := make([]int, nq)
-	for i := range queries {
-		queries[i] = randUnit(16, rng)
-		ks[i] = 1 + i%7
-		efs[i] = 32 + i
-	}
-	ks[3] = 0 // skipped row
+	for _, tc := range []struct {
+		name string
+		pq   *PQConfig
+	}{
+		{"raw", nil},
+		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := New()
+			c, _ := db.CreateCollection("t", CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq})
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 400; i++ {
+				if _, err := c.Insert(randUnit(16, rng), map[string]string{"i": fmt.Sprint(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if (tc.pq != nil) != (c.Quantizer() != nil) {
+				t.Fatalf("quantizer trained = %v, want %v", c.Quantizer() != nil, tc.pq != nil)
+			}
+			nq := 37
+			queries := make([][]float32, nq)
+			ks := make([]int, nq)
+			efs := make([]int, nq)
+			for i := range queries {
+				queries[i] = randUnit(16, rng)
+				ks[i] = 1 + i%7
+				efs[i] = 32 + i
+			}
+			ks[3], ks[20] = 0, 0 // skipped rows
 
-	costs := make([]*obs.Cost, nq)
-	for i := range costs {
-		costs[i] = &obs.Cost{}
-	}
-	rows, err := c.SearchBatch(context.Background(), queries, ks, efs, nil, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if ks[i] <= 0 {
-			if rows[i] != nil {
-				t.Fatalf("row %d: skipped query got %d results", i, len(rows[i]))
+			costs := make([]*obs.Cost, nq)
+			for i := range costs {
+				costs[i] = &obs.Cost{}
 			}
-			continue
-		}
-		want, err := c.Search(queries[i], ks[i], efs[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqCost := &obs.Cost{}
-		if _, err := c.SearchContext(obs.ContextWithCost(context.Background(), seqCost), queries[i], ks[i], efs[i], nil); err != nil {
-			t.Fatal(err)
-		}
-		if len(rows[i]) != len(want) {
-			t.Fatalf("row %d: %d vs %d results", i, len(rows[i]), len(want))
-		}
-		for j := range want {
-			if rows[i][j].ID != want[j].ID || rows[i][j].Score != want[j].Score {
-				t.Errorf("row %d result %d: %+v vs %+v", i, j, rows[i][j], want[j])
+			rows, err := c.SearchBatch(context.Background(), queries, ks, efs, nil, costs)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got, wantRep := costs[i].Report(), seqCost.Report(); got != wantRep {
-			t.Errorf("row %d cost: batch %+v vs sequential %+v", i, got, wantRep)
-		}
+			for i := range queries {
+				if ks[i] <= 0 {
+					if rows[i] != nil {
+						t.Fatalf("row %d: skipped query got %d results", i, len(rows[i]))
+					}
+					continue
+				}
+				want, err := c.Search(queries[i], ks[i], efs[i], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seqCost := &obs.Cost{}
+				if _, err := c.SearchContext(obs.ContextWithCost(context.Background(), seqCost), queries[i], ks[i], efs[i], nil); err != nil {
+					t.Fatal(err)
+				}
+				if len(rows[i]) != len(want) {
+					t.Fatalf("row %d: %d vs %d results", i, len(rows[i]), len(want))
+				}
+				for j := range want {
+					if rows[i][j].ID != want[j].ID || rows[i][j].Score != want[j].Score {
+						t.Errorf("row %d result %d: %+v vs %+v", i, j, rows[i][j], want[j])
+					}
+				}
+				got, wantRep := costs[i].Report(), seqCost.Report()
+				if got != wantRep {
+					t.Errorf("row %d cost: batch %+v vs sequential %+v", i, got, wantRep)
+				}
+				if tc.pq != nil && got.PQLookups == 0 {
+					t.Errorf("row %d: no PQ lookups charged: %+v", i, got)
+				}
+			}
+		})
 	}
 }
 

@@ -465,10 +465,26 @@ func (c *Collection) searchCost(query []float32, k, ef int, filter Filter, cance
 	if ef <= 0 {
 		ef = c.cfg.EfSearch
 	}
+	ws := walkPool.Get().(*walkScratch)
+	defer walkPool.Put(ws)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.searchOneLocked(q, k, ef, filter, cancelled, cost, nil), nil
+	return c.searchOneLocked(q, k, ef, filter, cancelled, cost, ws), nil
 }
+
+// walkScratch is one query walk's working state: the HNSW visited set and
+// heaps, and beside them the M×K ADC table of a PQ-compressed collection
+// (64 KiB at dim 256). A walk owns one; SearchBatch reuses one across its
+// block, so neither is allocated per query.
+type walkScratch struct {
+	hnsw  hnsw.Scratch
+	table pq.Table
+}
+
+// walkPool serves the walks' scratch: a single search borrows one for the
+// call, a batch for its block, so no two live walks share one and a steady
+// query load allocates none.
+var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
 // qdCounter tallies one walk's distance computations and ADC lookups in
 // plain locals; the flush after the walk pays the cost accumulator's
@@ -509,12 +525,12 @@ func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.Sear
 }
 
 // searchOneLocked runs one already-normalized query through the index and
-// materializes results. Caller holds at least a read lock. q must already
-// be cloned/normalized per the metric. sc may be nil (the index lends one).
-// A nil return with no error means the walk was cancelled; the caller
-// surfaces ctx.Err().
-func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, sc *hnsw.Scratch) []Result {
-	qd := c.queryDistLocked(q)
+// materializes results over ws, which no other live walk uses. Caller
+// holds at least a read lock. q must already be cloned/normalized per the
+// metric. A nil return with no error means the walk was cancelled; the
+// caller surfaces ctx.Err().
+func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, ws *walkScratch) []Result {
+	qd := c.queryDistLocked(q, &ws.table)
 	var ctr qdCounter
 	if cost != nil {
 		qd = c.countingQDLocked(qd, &ctr)
@@ -525,7 +541,7 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 		}
 		return filter == nil || filter(c.payloads[slot])
 	}
-	found, done, st := c.index.SearchScratch(sc, qd, k, ef, accept, cancelled)
+	found, done, st := c.index.SearchScratch(&ws.hnsw, qd, k, ef, accept, cancelled)
 	if cost != nil {
 		c.flushCostLocked(cost, ctr, st)
 	}
@@ -543,14 +559,16 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 	return out
 }
 
-// SearchBatch runs a block of queries in one pass: one lock acquisition and
-// one reusable HNSW scratch (visited set + heap backings) across the whole
-// block, instead of per query. ks[i] and efs[i] are query i's result count
-// and beam width (efs may be nil, or entries ≤ 0, for the collection
-// default); a ks[i] ≤ 0 skips query i with a nil row. costs, when non-nil,
-// carries one optional accumulator per query, each charged exactly the
-// work its own walk performed. Results per query are identical to the
-// equivalent Search calls — scratch reuse changes where the walk's
+// SearchBatch runs a block of queries in one pass on the calling goroutine:
+// one lock acquisition and one walk scratch — the HNSW visited set and
+// heaps, and the ADC table of a PQ-compressed collection — reused across
+// the whole block instead of per query. Callers walking on several cores
+// give each worker its own sub-block. ks[i] and efs[i] are query i's
+// result count and beam width (efs may be nil, or entries ≤ 0, for the
+// collection default); a ks[i] ≤ 0 skips query i with a nil row. costs,
+// when non-nil, carries one optional accumulator per query, each charged
+// exactly the work its own walk performed. Results per query are identical
+// to the equivalent Search calls — scratch reuse changes where the walk's
 // bookkeeping lives, not which nodes it evaluates.
 func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, efs []int, filter Filter, costs []*obs.Cost) ([][]Result, error) {
 	if len(ks) != len(queries) {
@@ -585,9 +603,10 @@ func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, e
 		qs[i] = v
 	}
 
+	ws := walkPool.Get().(*walkScratch)
+	defer walkPool.Put(ws)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	sc := hnsw.NewScratch()
 	out := make([][]Result, len(queries))
 	for i, q := range qs {
 		if err := ctx.Err(); err != nil {
@@ -604,7 +623,7 @@ func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, e
 		if costs != nil {
 			cost = costs[i]
 		}
-		out[i] = c.searchOneLocked(q, ks[i], ef, filter, cancelled, cost, sc)
+		out[i] = c.searchOneLocked(q, ks[i], ef, filter, cancelled, cost, ws)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -636,7 +655,8 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 
-	qd := c.queryDistLocked(q)
+	var table pq.Table
+	qd := c.queryDistLocked(q, &table)
 	if k <= 0 {
 		return nil, nil
 	}
@@ -664,12 +684,16 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 }
 
 // queryDistLocked builds the per-query distance closure, using an ADC table
-// when the collection is PQ-compressed. Caller holds at least a read lock.
-func (c *Collection) queryDistLocked(q []float32) func(int32) float32 {
+// when the collection is PQ-compressed. The table is filled into *dst,
+// which is reused when already sized for the quantizer; the closure reads
+// it, so *dst must not be refilled while the closure is in use. Caller
+// holds at least a read lock.
+func (c *Collection) queryDistLocked(q []float32, dst *pq.Table) func(int32) float32 {
 	if c.quantizer != nil {
 		switch c.cfg.Metric {
 		case Cosine, Dot:
-			table := c.quantizer.DotTable(q)
+			table := c.quantizer.DotTable(q, *dst)
+			*dst = table
 			return func(slot int32) float32 {
 				if code := c.codes[slot]; code != nil {
 					return 1 - table.Lookup(code)
@@ -677,7 +701,8 @@ func (c *Collection) queryDistLocked(q []float32) func(int32) float32 {
 				return 1 - vec.Dot(q, c.vectors[slot])
 			}
 		default:
-			table := c.quantizer.DistTable(q)
+			table := c.quantizer.DistTable(q, *dst)
+			*dst = table
 			return func(slot int32) float32 {
 				if code := c.codes[slot]; code != nil {
 					return table.Lookup(code)
