@@ -52,23 +52,25 @@ portable:
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence' ./internal/core
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the
-# centroid bound, the coordinator↔shard wire frame, the HNSW and PQ image
-# readers, the CSV reader, the text pipeline and the traceparent parser.
+# centroid bound, the coordinator↔shard wire frame, the HNSW, PQ and vector
+# collection image readers, the CSV reader, the text pipeline and the
+# traceparent parser.
 # The checked-in corpora under testdata/fuzz run with the ordinary tests.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCentroidBound$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 5s ./internal/netcluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/hnsw
 	$(GO) test -run '^$$' -fuzz '^FuzzPQRead$$' -fuzztime 5s ./internal/pq
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/vectordb
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 5s ./internal/obs
 
 # The batch paths split a block over GOMAXPROCS workers (ExS's scan, ANNS's
-# walks) and reuse walk scratch and ADC tables across queries; race-checked
-# at 1, 2 and 4 workers, so the chunking is tested at more than the host's
-# core count.
+# walks, CTS's cluster probes) and reuse walk scratch and ADC tables across
+# queries; race-checked at 1, 2 and 4 workers, so the chunking is tested at
+# more than the host's core count.
 batch-cpu:
 	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table' ./internal/core ./internal/vectordb ./internal/pq .
 

@@ -14,6 +14,7 @@ package semdisco
 // in laptop territory; use cmd/semdisco-bench for full-scale runs.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -388,6 +389,40 @@ func BenchmarkEngineSearch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Search(queries[i%len(queries)].Text, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineBatch measures one 64-query DoBatch per method on the
+// public API, over the corpus of bench/'s cts-cluster workload (WikiTables
+// at scale 0.2, seed 7, dim 256, indexes built on one worker); ns/op and
+// allocs/op are per batch. It reproduces the in-process batch profile
+// without the HTTP harness:
+//
+//	go test -run '^$' -bench EngineBatch -benchtime 200x -cpuprofile cpu.out .
+func BenchmarkEngineBatch(b *testing.B) {
+	p := corpus.WikiTables().Scaled(0.2)
+	p.Seed = 7
+	c := corpus.Generate(p)
+	queries := make([]Query, 64)
+	for i := range queries {
+		queries[i] = Query{Text: c.Queries[i*len(c.Queries)/len(queries)].Text, K: 10}
+	}
+	for _, m := range []Method{ExS, ANNS, CTS} {
+		cfg := Config{Method: m, Dim: 256, Seed: 7, Lexicon: c.Lexicon}
+		cfg.ANNS.Build.Workers = 1
+		cfg.CTS.Build.Workers = 1
+		eng, err := Open(c.Federation, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.DoBatch(context.Background(), queries); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,7 +10,6 @@ package columns
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"semdisco/internal/embed"
@@ -105,8 +104,7 @@ type Index struct {
 
 // BuildIndex profiles every column of every relation.
 func BuildIndex(fed *table.Federation, enc embed.Encoder, seed int64) (*Index, error) {
-	db := vectordb.New()
-	coll, err := db.CreateCollection("columns", vectordb.CollectionConfig{
+	coll, err := vectordb.NewCollection(vectordb.CollectionConfig{
 		Dim:    enc.Dim(),
 		Metric: vectordb.Cosine,
 		Seed:   seed,
@@ -119,12 +117,10 @@ func BuildIndex(fed *table.Federation, enc embed.Encoder, seed int64) (*Index, e
 		for _, col := range r.Columns {
 			values, _ := r.Column(col)
 			p := newProfile(enc, r.ID, col, values)
-			idx := len(ix.profiles)
+			tag := int32(len(ix.profiles))
 			ix.profiles = append(ix.profiles, p)
 			ix.byRef[p.Ref] = p
-			if _, err := coll.Insert(p.Embedding, map[string]string{
-				"pi": strconv.Itoa(idx),
-			}); err != nil {
+			if _, err := coll.Insert(p.Embedding, tag); err != nil {
 				return nil, fmt.Errorf("columns: %w", err)
 			}
 		}
@@ -215,12 +211,8 @@ func (ix *Index) shortlist(query *Profile, n int) ([]scoredProfile, error) {
 		return nil, err
 	}
 	out := make([]scoredProfile, 0, len(hits))
-	for _, h := range hits {
-		pi, err := strconv.Atoi(h.Payload["pi"])
-		if err != nil || pi < 0 || pi >= len(ix.profiles) {
-			return nil, fmt.Errorf("columns: corrupt payload %q", h.Payload["pi"])
-		}
-		out = append(out, scoredProfile{ix.profiles[pi], h.Score})
+	for _, h := range hits { // a hit's tag is its profile's index
+		out = append(out, scoredProfile{ix.profiles[h.Tag], h.Score})
 	}
 	return out, nil
 }

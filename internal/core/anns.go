@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"semdisco/internal/vectordb"
 )
@@ -81,8 +80,7 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 		}
 		cfg.PQ = &vectordb.PQConfig{M: pqM, K: pqK, TrainSize: train}
 	}
-	db := vectordb.New()
-	coll, err := db.CreateCollection("values", cfg)
+	coll, err := vectordb.NewCollection(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: anns: %w", err)
 	}
@@ -90,12 +88,12 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	var insertErr error
 	buildPhase(emb.Obs, "hnsw_insert", func() {
 		vecs := make([][]float32, len(emb.Values))
-		pays := make([]map[string]string, len(emb.Values))
+		tags := make([]int32, len(emb.Values))
 		for i := range emb.Values {
 			vecs[i] = emb.Values[i].Vec
-			pays[i] = map[string]string{"vi": strconv.Itoa(i)}
+			tags[i] = int32(i)
 		}
-		if _, err := coll.InsertBatch(vecs, pays); err != nil {
+		if _, err := coll.InsertBatch(vecs, tags); err != nil {
 			insertErr = fmt.Errorf("core: anns insert: %w", err)
 		}
 	})
@@ -127,7 +125,7 @@ func (s *ANNS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, 
 }
 
 // SearchFiltered implements EncodedSearcher: the restriction is pushed
-// into the vector database as a payload filter, so the graph walk routes
+// into the vector database as a tag filter, so the graph walk routes
 // through rejected points but never returns them.
 func (s *ANNS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
 	if k <= 0 {
@@ -147,10 +145,7 @@ func (s *ANNS) SearchFiltered(ctx context.Context, q []float32, k int, allow fun
 	o.endStage(sp.AnnotateInt("hits", len(hits)))
 
 	sp = o.stage("rank")
-	matches, err := s.rankHits(hits, k)
-	if err != nil {
-		return nil, err
-	}
+	matches := s.rankHits(hits, k)
 	o.endStage(sp.AnnotateInt("matches", len(matches)))
 	return matches, nil
 }
@@ -170,14 +165,12 @@ func (s *ANNS) beam(k int) (fanout, ef int) {
 }
 
 // rankHits groups value hits into ranked relations.
-func (s *ANNS) rankHits(hits []vectordb.Result, k int) ([]Match, error) {
+func (s *ANNS) rankHits(hits []vectordb.Result, k int) []Match {
 	n := s.emb.NumRelations()
 	sums := make([]float32, n)
 	hitCount := make([]float32, n)
-	if err := s.emb.foldHits(hits, sums, hitCount); err != nil {
-		return nil, err
-	}
-	return s.emb.rankRelations(sums, hitCount, s.threshold, k), nil
+	s.emb.foldHits(hits, sums, hitCount)
+	return s.emb.rankRelations(sums, hitCount, s.threshold, k)
 }
 
 // Stats exposes the underlying collection's storage statistics.

@@ -19,11 +19,12 @@ import (
 // record. ExS, ANNS and CTS all implement it.
 //
 // Every method's batch rows are bit-identical to per-query SearchEncoded
-// calls. ExS scans the centroid rows once for the whole block, split over
-// the cores; ANNS walks its queries on every core, one walk scratch (HNSW
-// state and ADC table) per worker; CTS probes each selected cluster once
-// for all the queries that chose it, on one core. None of it changes which
-// nodes a walk evaluates or the order hits are folded.
+// calls, and every method spreads a batch over GOMAXPROCS workers. ExS
+// scans the centroid rows once for the whole block; ANNS walks its queries
+// with one walk scratch (HNSW state and ADC table) per worker; CTS probes
+// each selected cluster once for all the queries that chose it, the
+// distinct clusters spread over the workers. None of it changes which nodes
+// a walk evaluates or the order hits are folded.
 type BatchSearcher interface {
 	SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error)
 }
@@ -53,11 +54,13 @@ func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 }
 
 // annsBlock is how many consecutive queries an ANNS batch worker walks
-// before ranking them. A walk's hits, one cloned payload map per value,
-// are most of a query's allocation and stay live until ranked; blocks this
-// short keep a batch's live heap at one block per worker instead of the
-// whole batch. Against one chunk per worker, it cut a server's peak RSS
-// from 78 to 68 MB on 3.2k values at dim 256 with two cores.
+// before ranking them: the unit the workers pull from their queue. A run
+// pays one collection lock and one pooled walk scratch for eight walks, and
+// a 64-query batch still splits into eight runs, so a worker that drew
+// short walks takes another run instead of idling while the other finishes
+// one long chunk. A run's hits are 16 bytes each (id, score, tag), about
+// 5 KB per query at the default fanout of 320, so how many are live at
+// once no longer bounds the run length.
 const annsBlock = 8
 
 // SearchEncodedBatch implements BatchSearcher for ANNS: the block splits
@@ -97,12 +100,8 @@ func (s *ANNS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int,
 			return
 		}
 		for i := lo; i < hi; i++ {
-			if ks[i] <= 0 {
-				continue
-			}
-			if out[i], err = s.rankHits(hits[i-lo], ks[i]); err != nil {
-				errs[i] = err
-				return
+			if ks[i] > 0 {
+				out[i] = s.rankHits(hits[i-lo], ks[i])
 			}
 		}
 	})
@@ -127,13 +126,15 @@ type ctsPlan struct {
 
 // SearchEncodedBatch implements BatchSearcher for CTS with cluster-probe
 // deduplication: queries selecting the same cluster are grouped, so each
-// distinct cluster collection is visited once per batch — one lock
-// acquisition and one HNSW scratch per cluster rather than per
-// (query, cluster) pair. Every per-query hit list is buffered and folded in
-// the query's own medoid-score order, the exact accumulation order of the
-// sequential walk, so results match per-query SearchEncoded calls. The
-// probes run on one core: spread over two they raised peak RSS by 13–14%,
-// because every hit still clones its payload map (DESIGN.md §10).
+// distinct cluster collection is visited once per batch — one
+// Collection.SearchBatch, so one lock acquisition and one walk scratch per
+// cluster rather than per (query, cluster) pair. GOMAXPROCS workers pull
+// the distinct clusters from a queue; a probe writes its hit lists into
+// slots no other probe touches, and the atomic cost accumulators take each
+// walk's work from whichever worker ran it. Once every probe is back, each
+// query's hit lists are folded in its own medoid-score order, the exact
+// accumulation order of the sequential walk, so results match per-query
+// SearchEncoded calls. An error is the lowest-numbered cluster's.
 func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
 	if err := checkBatchArgs(len(qs), ks, costs); err != nil {
 		return nil, err
@@ -182,13 +183,17 @@ func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 	}
 
 	// Probe each distinct cluster once with every query that selected it.
+	var probed []int
 	for c, probes := range queriesOf {
-		if len(probes) == 0 {
-			continue
+		if len(probes) > 0 {
+			probed = append(probed, c)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	}
+	filter := s.emb.valueFilter(nil)
+	errs := make([]error, len(probed))
+	par.Each(len(probed), runtime.GOMAXPROCS(0), func(i int) {
+		c := probed[i]
+		probes := queriesOf[c]
 		coll := s.clusterColl[c]
 		l := coll.Len()
 		subQs := make([][]float32, len(probes))
@@ -206,12 +211,18 @@ func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 				subCosts[j] = costs[pr.qi]
 			}
 		}
-		hits, err := coll.SearchBatch(ctx, subQs, subKs, subEfs, s.emb.valueFilter(nil), subCosts)
+		hits, err := coll.SearchBatch(ctx, subQs, subKs, subEfs, filter, subCosts)
 		if err != nil {
-			return nil, err
+			errs[i] = err
+			return
 		}
 		for j, pr := range probes {
 			plans[pr.qi].hits[pr.pos] = hits[j]
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -226,9 +237,7 @@ func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, 
 		sums := make([]float32, n)
 		hitCount := make([]float32, n)
 		for _, hits := range p.hits {
-			if err := s.emb.foldHits(hits, sums, hitCount); err != nil {
-				return nil, err
-			}
+			s.emb.foldHits(hits, sums, hitCount)
 		}
 		out[qi] = s.emb.rankRelations(sums, hitCount, s.threshold, ks[qi])
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"semdisco/internal/embed"
@@ -375,5 +376,112 @@ func TestChurnedStoreBatchMatchesSequential(t *testing.T) {
 				assertRowsIdentical(t, name+" vs oracle", want, batch)
 			}
 		})
+	}
+}
+
+// TestSearchBatchAllocsIndependentOfFanout pins that a retrieved value costs
+// no allocation of its own: an ANNS query that walks in 320 value hits
+// allocates within a small constant of one that walks in 32. While every hit
+// carried a cloned payload map, the gap was about two allocations per extra
+// hit, over 500 here.
+func TestSearchBatchAllocsIndependentOfFanout(t *testing.T) {
+	fed := testFederation(t, 200)
+	emb := EmbedFederation(fed, newTestEncoder(64))
+	q := emb.Enc.Encode("abc def")
+	ctx := context.Background()
+	allocs := func(fanout int) float64 {
+		s, err := NewANNS(emb, ANNSOptions{Seed: 1, DisablePQ: true, Fanout: fanout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, _ := s.coll.Search(q, fanout, fanout, nil); len(hits) != fanout {
+			t.Fatalf("fanout %d: the walk returns %d hits", fanout, len(hits))
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.SearchEncoded(ctx, q, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(32), allocs(320)
+	if large-small > 32 {
+		t.Fatalf("a query allocates %.1f times at fanout 32 and %.1f at fanout 320", small, large)
+	}
+}
+
+// tripContext is a context that reports itself cancelled from its
+// (after+1)-th Err call on: a cancellation that lands deterministically
+// while a batch's cluster probes are walking. Done is non-nil, so the walks
+// poll Err between hops.
+type tripContext struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+	done  chan struct{}
+}
+
+func (c *tripContext) Done() <-chan struct{} { return c.done }
+
+func (c *tripContext) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCTSBatchSharedClusters runs a CTS batch in which many queries share a
+// few clusters — 48 queries over 12 texts, each descending into 2 of 4
+// clusters — so the workers' probes charge one query's accumulator
+// concurrently. Its relations hold 12 values each, so a relation's hits
+// come from both of a query's clusters and folding them out of itinerary
+// order changes score bits. Rows and per-query costs must equal the
+// sequential calls', and a context cancelled while the probes walk must
+// fail the whole batch with the context's error.
+func TestCTSBatchSharedClusters(t *testing.T) {
+	fed := table.NewFederation()
+	for i := 0; i < 40; i++ {
+		r := &table.Relation{ID: relID(i), Source: "src", Columns: []string{"a", "b"}}
+		for j := 0; j < 6; j++ {
+			r.Rows = append(r.Rows, []string{word(i, 2*j), word(i+j, 2*j+1)})
+		}
+		if err := fed.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emb := EmbedFederation(fed, newTestEncoder(64))
+	cts, err := NewCTS(emb, CTSOptions{Seed: 1, Reduction: ReducePCA, TopClusters: 2, MinClusterSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cts.NumClusters() < 4 {
+		t.Fatalf("%d clusters: too few for queries to share some and skip others", cts.NumClusters())
+	}
+	texts := batchQueries(emb, 12)
+	qs := make([][]float32, 48)
+	ks := make([]int, len(qs))
+	for i := range qs {
+		qs[i] = texts[i%len(texts)]
+		ks[i] = 1 + i%7
+	}
+	seqCosts := newCosts(len(qs))
+	seq := sequentialRows(t, "CTS", cts, qs, ks, seqCosts)
+	costs := newCosts(len(qs))
+	batch, err := cts.SearchEncodedBatch(context.Background(), qs, ks, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRowsIdentical(t, "CTS", seq, batch)
+	for i := range qs {
+		if got, want := costs[i].Report(), seqCosts[i].Report(); got != want {
+			t.Errorf("query %d cost: batch %+v vs sequential %+v", i, got, want)
+		}
+	}
+
+	for _, after := range []int64{1, 8, 64} {
+		ctx := &tripContext{Context: context.Background(), after: after, done: make(chan struct{})}
+		rows, err := cts.SearchEncodedBatch(ctx, qs, ks, nil)
+		if !errors.Is(err, context.Canceled) || rows != nil {
+			t.Errorf("cancelled after %d polls: %d rows, err %v; want context.Canceled", after, len(rows), err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 
 	"semdisco/internal/hdbscan"
 	"semdisco/internal/obs"
@@ -130,10 +129,9 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	}
 
 	// 5. One collection per cluster.
-	db := vectordb.New()
 	colls := make([]*vectordb.Collection, numClusters)
 	for c := range colls {
-		coll, err := db.CreateCollection(fmt.Sprintf("cluster-%d", c), vectordb.CollectionConfig{
+		coll, err := vectordb.NewCollection(vectordb.CollectionConfig{
 			Dim:            emb.Enc.Dim(),
 			Metric:         vectordb.Cosine,
 			M:              opt.M,
@@ -162,12 +160,12 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	buildPhase(emb.Obs, "hnsw_insert", func() {
 		par.Each(numClusters, workers, func(c int) {
 			vecs := make([][]float32, len(perCluster[c]))
-			pays := make([]map[string]string, len(perCluster[c]))
+			tags := make([]int32, len(perCluster[c]))
 			for j, i := range perCluster[c] {
 				vecs[j] = emb.Values[i].Vec
-				pays[j] = map[string]string{"vi": strconv.Itoa(i)}
+				tags[j] = int32(i)
 			}
-			if _, err := colls[c].InsertBatch(vecs, pays); err != nil {
+			if _, err := colls[c].InsertBatch(vecs, tags); err != nil {
 				insertErrs[c] = fmt.Errorf("core: cts insert: %w", err)
 			}
 		})
@@ -333,7 +331,7 @@ func clampBeam(perCluster, ef, collLen int) (int, int) {
 
 // SearchFiltered implements EncodedSearcher: cluster selection ignores the
 // restriction (medoids summarize the whole corpus) and the per-cluster
-// searches carry it as a payload filter.
+// searches carry it as a tag filter.
 func (s *CTS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -378,9 +376,7 @@ func (s *CTS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 			return nil, err
 		}
 		totalHits += len(hits)
-		if err := s.emb.foldHits(hits, sums, hitCount); err != nil {
-			return nil, err
-		}
+		s.emb.foldHits(hits, sums, hitCount)
 	}
 	o.endStage(sp.AnnotateInt("hits", totalHits))
 

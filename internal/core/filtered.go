@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strconv"
-
-	"semdisco/internal/vectordb"
-)
+import "semdisco/internal/vectordb"
 
 // relSet is the set of relation slots a filtered search may return. The
 // nil set accepts every slot — the unfiltered search.
@@ -39,7 +34,7 @@ func (e *Embedded) allowedSet(allow func(string) bool) relSet {
 	return set
 }
 
-// valueFilter returns the vectordb payload filter of one search: values of
+// valueFilter returns the vectordb tag filter of one search: values of
 // relations outside allowed are rejected, and so are values of tombstoned
 // relations. It is nil when there is nothing to reject — the common case,
 // which keeps churn-free unfiltered searches on the exact pre-mutation
@@ -51,11 +46,7 @@ func (e *Embedded) valueFilter(allowed relSet) vectordb.Filter {
 	if allowed == nil && e.deadCount() == 0 {
 		return nil
 	}
-	return func(p map[string]string) bool {
-		vi, err := strconv.Atoi(p["vi"])
-		if err != nil || vi < 0 || vi >= len(e.Values) {
-			return false
-		}
+	return func(vi int32) bool {
 		rel := int(e.Values[vi].Rel)
 		if allowed != nil {
 			return allowed.has(rel) // the set already excludes dead slots
@@ -66,18 +57,15 @@ func (e *Embedded) valueFilter(allowed relSet) vectordb.Filter {
 
 // foldHits accumulates value hits into per-relation weighted sums and hit
 // counts — the inputs of rankRelations — shared by ANNS and CTS, sequential
-// and batched.
-func (e *Embedded) foldHits(hits []vectordb.Result, sums, hitCount []float32) error {
+// and batched. A hit's tag is the value's index: ANNS and CTS tag every
+// point they insert, and their collections are never persisted (an engine
+// image rebuilds its index), so every tag names a value.
+func (e *Embedded) foldHits(hits []vectordb.Result, sums, hitCount []float32) {
 	for _, h := range hits {
-		vi, err := strconv.Atoi(h.Payload["vi"])
-		if err != nil || vi < 0 || vi >= len(e.Values) {
-			return fmt.Errorf("core: corrupt payload %q", h.Payload["vi"])
-		}
-		v := &e.Values[vi]
+		v := &e.Values[h.Tag]
 		if h.Score > 0 {
 			sums[v.Rel] += v.Weight * h.Score
 		}
 		hitCount[v.Rel]++
 	}
-	return nil
 }

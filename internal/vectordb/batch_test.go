@@ -2,7 +2,6 @@ package vectordb
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,11 +21,10 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 100}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db := New()
-			c, _ := db.CreateCollection("t", CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq})
+			c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq})
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 400; i++ {
-				if _, err := c.Insert(randUnit(16, rng), map[string]string{"i": fmt.Sprint(i)}); err != nil {
+				if _, err := c.Insert(randUnit(16, rng), int32(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -90,9 +88,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 // TestSearchBatchValidation covers shape mismatches, dimension errors and
 // cancellation.
 func TestSearchBatchValidation(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 4, Seed: 1})
-	c.Insert([]float32{1, 0, 0, 0}, nil)
+	c, _ := NewCollection(CollectionConfig{Dim: 4, Seed: 1})
+	c.Insert([]float32{1, 0, 0, 0}, 0)
 
 	q := [][]float32{{1, 0, 0, 0}}
 	if _, err := c.SearchBatch(context.Background(), q, []int{1, 2}, nil, nil, nil); err == nil {

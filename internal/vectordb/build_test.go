@@ -63,7 +63,7 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 		{"raw", nil, 0x65fee130aa6bee46},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New().CreateCollection("c", CollectionConfig{Dim: dim, Seed: 41, PQ: tc.pq, Workers: 1})
+			c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 41, PQ: tc.pq, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 			// crosses the PQ training boundary: both funnel into the same
 			// serial insertion body.
 			for _, v := range vecs[:n/4] {
-				if _, err := c.Insert(v, nil); err != nil {
+				if _, err := c.Insert(v, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -103,7 +103,7 @@ func BenchmarkInsertBatchPQ(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := New().CreateCollection("c", CollectionConfig{
+		c, err := NewCollection(CollectionConfig{
 			Dim: dim, Seed: 16, Workers: 1,
 			PQ: &PQConfig{M: 64, K: 256, TrainSize: 512},
 		})
@@ -139,7 +139,7 @@ func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = randUnit(dim, rng)
 	}
-	c, err := New().CreateCollection("c", CollectionConfig{
+	c, err := NewCollection(CollectionConfig{
 		Dim: dim, Seed: 77, Workers: 4, EfConstruction: 100,
 		PQ: &PQConfig{M: 16, K: 64, TrainSize: 300},
 	})
@@ -229,7 +229,7 @@ func TestRestoreBuildsNoDistanceTable(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = randUnit(dim, rng)
 	}
-	c, err := New().CreateCollection("c", CollectionConfig{
+	c, err := NewCollection(CollectionConfig{
 		Dim: dim, Seed: 5, EfConstruction: 40,
 		PQ: &PQConfig{M: 64, K: 256, TrainSize: 512},
 	})
@@ -275,14 +275,7 @@ func TestLoadsParentCommitImages(t *testing.T) {
 		{"testdata/parent_v1_pq.db", 31, 0xb77148a480782ba6, 0x19b374f6a8564ba8, 32},
 		{"testdata/parent_v1_workers.db", 33, 0x9088744a1136cbe2, 0x1bbabb22efd30867, 12},
 	} {
-		db, err := LoadFile(tc.file)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		c, ok := db.Collection("t")
-		if !ok {
-			t.Fatalf("%s: collection lost", tc.file)
-		}
+		c := loadFile(t, tc.file)
 		if got := graphHash(c); got != tc.graph {
 			t.Errorf("%s: graph hash %#x, want %#x", tc.file, got, tc.graph)
 		}
@@ -310,7 +303,7 @@ func TestLoadsParentCommitImages(t *testing.T) {
 		// A loaded graph keeps growing under the new construction path, and
 		// an over-long list shrinks to the bound the first time it is touched.
 		for i := 0; i < 50; i++ {
-			if _, err := c.Insert(randUnit(16, rng), nil); err != nil {
+			if _, err := c.Insert(randUnit(16, rng), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

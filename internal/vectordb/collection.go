@@ -1,11 +1,9 @@
 package vectordb
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -76,46 +74,27 @@ type CollectionConfig struct {
 	Workers int
 }
 
-// Result is one search hit.
+// Result is one search hit: the point's id, its score and its tag.
 type Result struct {
-	ID      uint64
-	Score   float32
-	Payload map[string]string
+	ID    uint64
+	Score float32
+	Tag   int32
 }
 
-// Filter restricts a search to points whose payload it accepts.
-type Filter func(payload map[string]string) bool
+// Filter restricts a search to points whose tag it accepts.
+type Filter func(tag int32) bool
 
-// FieldEquals returns a filter accepting points whose payload maps key to
-// value.
-func FieldEquals(key, value string) Filter {
-	return func(p map[string]string) bool { return p[key] == value }
-}
-
-// FieldIn returns a filter accepting points whose payload value for key is
-// any of values.
-func FieldIn(key string, values ...string) Filter {
-	set := make(map[string]struct{}, len(values))
-	for _, v := range values {
-		set[v] = struct{}{}
-	}
-	return func(p map[string]string) bool {
-		_, ok := set[p[key]]
-		return ok
-	}
-}
-
-// Collection stores vectors with payloads under one index.
+// Collection stores vectors, each with one int32 tag, under one index.
 type Collection struct {
 	cfg CollectionConfig
 
-	mu       sync.RWMutex
-	ids      []uint64
-	byID     map[uint64]int32
-	vectors  [][]float32 // raw vectors; nil entries once PQ takes over
-	codes    [][]byte    // PQ codes; nil until trained
-	payloads []map[string]string
-	deleted  map[int32]struct{}
+	mu      sync.RWMutex
+	ids     []uint64
+	byID    map[uint64]int32
+	vectors [][]float32 // raw vectors; nil entries once PQ takes over
+	codes   [][]byte    // PQ codes; nil until trained
+	tags    []int32
+	deleted map[int32]struct{}
 
 	index     *hnsw.Index
 	quantizer *pq.Quantizer
@@ -137,9 +116,20 @@ func (c *Collection) SetObserver(reg *obs.Registry) {
 	c.obsPQTrain = reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "pq_train"))
 }
 
-func newCollection(cfg CollectionConfig) (*Collection, error) {
-	if cfg.Dim <= 0 {
+// NewCollection returns an empty collection. It fails if the config is
+// invalid.
+func NewCollection(cfg CollectionConfig) (*Collection, error) {
+	switch {
+	case cfg.Dim <= 0:
 		return nil, errors.New("vectordb: Dim must be positive")
+	case cfg.Metric > Dot:
+		return nil, fmt.Errorf("vectordb: unknown %v", cfg.Metric)
+	case cfg.M < 0 || cfg.M == 1 || cfg.M > 1<<16:
+		return nil, fmt.Errorf("vectordb: M %d outside 2..65536 (0 for the default)", cfg.M)
+	case cfg.EfConstruction < 0 || cfg.EfSearch < 0:
+		return nil, errors.New("vectordb: negative beam width")
+	case cfg.PQ != nil && (cfg.PQ.M < 0 || cfg.PQ.K < 0 || cfg.PQ.TrainSize < 0):
+		return nil, errors.New("vectordb: negative PQ parameter")
 	}
 	if cfg.EfSearch == 0 {
 		cfg.EfSearch = 64
@@ -215,9 +205,9 @@ func (c *Collection) Len() int {
 // Dim returns the configured dimensionality.
 func (c *Collection) Dim() int { return c.cfg.Dim }
 
-// Insert adds a vector with payload and returns its assigned id.
+// Insert adds a vector with its tag and returns its assigned id.
 // The vector is copied (and normalized under the Cosine metric).
-func (c *Collection) Insert(vector []float32, payload map[string]string) (uint64, error) {
+func (c *Collection) Insert(vector []float32, tag int32) (uint64, error) {
 	if len(vector) != c.cfg.Dim {
 		return 0, fmt.Errorf("vectordb: vector dim %d, want %d", len(vector), c.cfg.Dim)
 	}
@@ -231,7 +221,7 @@ func (c *Collection) Insert(vector []float32, payload map[string]string) (uint64
 	id := c.nextID
 	c.nextID++
 	c.ids = append(c.ids, id)
-	c.payloads = append(c.payloads, clonePayload(payload))
+	c.tags = append(c.tags, tag)
 
 	if c.quantizer != nil {
 		c.vectors = append(c.vectors, nil)
@@ -254,7 +244,8 @@ func (c *Collection) Insert(vector []float32, payload map[string]string) (uint64
 }
 
 // InsertBatch adds many vectors at once and returns their assigned ids in
-// input order. payloads may be nil, or must have one entry per vector.
+// input order. tags may be nil (every tag 0), or must have one entry per
+// vector.
 //
 // It is semantically the same as calling Insert per vector — PQ training
 // still triggers on exactly the first TrainSize stored vectors, and graph
@@ -263,9 +254,9 @@ func (c *Collection) Insert(vector []float32, payload map[string]string) (uint64
 // 1 the resulting collection is bit-identical to the Insert loop; with 2+
 // workers the clone/normalize and PQ-encode steps shard across workers and
 // the HNSW inserts run concurrently.
-func (c *Collection) InsertBatch(vectors [][]float32, payloads []map[string]string) ([]uint64, error) {
-	if payloads != nil && len(payloads) != len(vectors) {
-		return nil, fmt.Errorf("vectordb: %d payloads for %d vectors", len(payloads), len(vectors))
+func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, error) {
+	if tags != nil && len(tags) != len(vectors) {
+		return nil, fmt.Errorf("vectordb: %d tags for %d vectors", len(tags), len(vectors))
 	}
 	for i, v := range vectors {
 		if len(v) != c.cfg.Dim {
@@ -277,7 +268,6 @@ func (c *Collection) InsertBatch(vectors [][]float32, payloads []map[string]stri
 		workers = 1
 	}
 	vs := make([][]float32, len(vectors))
-	pls := make([]map[string]string, len(vectors))
 	par.For(len(vectors), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := vec.Clone(vectors[i])
@@ -285,9 +275,6 @@ func (c *Collection) InsertBatch(vectors [][]float32, payloads []map[string]stri
 				vec.Normalize(v)
 			}
 			vs[i] = v
-			if payloads != nil {
-				pls[i] = clonePayload(payloads[i])
-			}
 		}
 	})
 
@@ -339,7 +326,11 @@ func (c *Collection) InsertBatch(vectors [][]float32, payloads []map[string]stri
 		ids[i] = c.nextID
 		c.nextID++
 		c.ids = append(c.ids, ids[i])
-		c.payloads = append(c.payloads, pls[i])
+		if tags != nil {
+			c.tags = append(c.tags, tags[i])
+		} else {
+			c.tags = append(c.tags, 0)
+		}
 		if c.quantizer != nil {
 			c.vectors = append(c.vectors, nil)
 			c.codes = append(c.codes, nil) // encoded in bulk at flush time
@@ -395,17 +386,6 @@ func (c *Collection) Delete(id uint64) {
 		c.deleted[slot] = struct{}{}
 		delete(c.byID, id)
 	}
-}
-
-// Get returns the payload of id.
-func (c *Collection) Get(id uint64) (map[string]string, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	slot, ok := c.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return clonePayload(c.payloads[slot]), true
 }
 
 // Vector returns the stored (possibly PQ-reconstructed) vector of id.
@@ -535,11 +515,14 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 	if cost != nil {
 		qd = c.countingQDLocked(qd, &ctr)
 	}
-	accept := func(slot int32) bool {
-		if _, dead := c.deleted[slot]; dead {
-			return false
+	var accept func(int32) bool // nil accepts every slot
+	if filter != nil || len(c.deleted) > 0 {
+		accept = func(slot int32) bool {
+			if _, dead := c.deleted[slot]; dead {
+				return false
+			}
+			return filter == nil || filter(c.tags[slot])
 		}
-		return filter == nil || filter(c.payloads[slot])
 	}
 	found, done, st := c.index.SearchScratch(&ws.hnsw, qd, k, ef, accept, cancelled)
 	if cost != nil {
@@ -550,11 +533,7 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 	}
 	out := make([]Result, 0, len(found))
 	for _, n := range found {
-		out = append(out, Result{
-			ID:      c.ids[n.ID],
-			Score:   c.distToScore(n.Dist),
-			Payload: clonePayload(c.payloads[n.ID]),
-		})
+		out = append(out, Result{ID: c.ids[n.ID], Score: c.distToScore(n.Dist), Tag: c.tags[n.ID]})
 	}
 	return out
 }
@@ -666,7 +645,7 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 		if _, dead := c.deleted[s]; dead {
 			continue
 		}
-		if filter != nil && !filter(c.payloads[s]) {
+		if filter != nil && !filter(c.tags[s]) {
 			continue
 		}
 		top.Push(slot, -qd(s))
@@ -674,11 +653,7 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 	ranked := top.Sorted()
 	out := make([]Result, 0, len(ranked))
 	for _, r := range ranked {
-		out = append(out, Result{
-			ID:      c.ids[r.ID],
-			Score:   c.distToScore(-r.Score),
-			Payload: clonePayload(c.payloads[int32(r.ID)]),
-		})
+		out = append(out, Result{ID: c.ids[r.ID], Score: c.distToScore(-r.Score), Tag: c.tags[r.ID]})
 	}
 	return out, nil
 }
@@ -770,121 +745,4 @@ func (c *Collection) Stats() Stats {
 		Compressed:  c.quantizer != nil,
 		VectorBytes: bytesUsed,
 	}
-}
-
-func clonePayload(p map[string]string) map[string]string {
-	if p == nil {
-		return nil
-	}
-	out := make(map[string]string, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
-// persistedCollection is the gob image of a collection. Live points only;
-// tombstones are compacted away. GraphBlob carries the serialized HNSW
-// graph; it is only usable when no tombstones were compacted (compaction
-// renumbers slots), in which case the graph is rebuilt instead.
-type persistedCollection struct {
-	Cfg       CollectionConfig
-	IDs       []uint64
-	Vectors   [][]float32
-	Codes     [][]byte
-	Payloads  []map[string]string
-	PQBlob    []byte
-	GraphBlob []byte
-	NextID    uint64
-}
-
-func (c *Collection) persist() *persistedCollection {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	p := &persistedCollection{Cfg: c.cfg, NextID: c.nextID}
-	if c.quantizer != nil {
-		var buf bytes.Buffer
-		if _, err := c.quantizer.WriteTo(&buf); err == nil {
-			p.PQBlob = buf.Bytes()
-		}
-	}
-	if len(c.deleted) == 0 {
-		// Slot numbering survives intact, so the graph can be persisted
-		// as-is and reloaded without the O(n·efConstruction) rebuild.
-		var buf bytes.Buffer
-		if _, err := c.index.WriteTo(&buf); err == nil {
-			p.GraphBlob = buf.Bytes()
-		}
-	}
-	for slot := range c.ids {
-		s := int32(slot)
-		if _, dead := c.deleted[s]; dead {
-			continue
-		}
-		p.IDs = append(p.IDs, c.ids[slot])
-		if c.vectors[slot] != nil {
-			p.Vectors = append(p.Vectors, c.vectors[slot])
-			p.Codes = append(p.Codes, nil)
-		} else {
-			p.Vectors = append(p.Vectors, nil)
-			p.Codes = append(p.Codes, c.codes[slot])
-		}
-		p.Payloads = append(p.Payloads, c.payloads[slot])
-	}
-	return p
-}
-
-func restoreCollection(p *persistedCollection) (*Collection, error) {
-	c, err := newCollection(p.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(p.PQBlob) > 0 {
-		q, err := pq.Read(bytes.NewReader(p.PQBlob))
-		if err != nil {
-			return nil, err
-		}
-		c.quantizer = q
-	}
-	c.ids = p.IDs
-	c.vectors = p.Vectors
-	c.codes = p.Codes
-	c.payloads = p.Payloads
-	c.nextID = p.NextID
-	if c.codes == nil && c.quantizer != nil {
-		c.codes = make([][]byte, len(c.ids))
-	}
-	if len(p.GraphBlob) > 0 {
-		// Fast path: restore the serialized graph directly.
-		ix, err := hnsw.Read(bytes.NewReader(p.GraphBlob), c.itemDist, c.newTargetDist)
-		if err != nil {
-			return nil, fmt.Errorf("vectordb: graph restore: %w", err)
-		}
-		if ix.Len() != len(c.ids) {
-			return nil, fmt.Errorf("vectordb: graph has %d nodes, collection %d points", ix.Len(), len(c.ids))
-		}
-		c.index = ix
-		for slot := range c.ids {
-			c.byID[c.ids[slot]] = int32(slot)
-		}
-	} else {
-		// Rebuild deterministically: same seed, same insertion order.
-		for slot := range c.ids {
-			got := c.index.Add()
-			if got != int32(slot) {
-				return nil, fmt.Errorf("vectordb: index rebuild slot mismatch %d != %d", got, slot)
-			}
-			c.byID[c.ids[slot]] = int32(slot)
-		}
-	}
-	// Validate dims of raw vectors.
-	for i, v := range c.vectors {
-		if v != nil && len(v) != c.cfg.Dim {
-			return nil, fmt.Errorf("vectordb: stored vector %d has dim %d", i, len(v))
-		}
-	}
-	if math.MaxUint64-c.nextID < 1 {
-		return nil, errors.New("vectordb: id space exhausted")
-	}
-	return c, nil
 }

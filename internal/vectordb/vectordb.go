@@ -1,142 +1,234 @@
-// Package vectordb is an embeddable vector database: named collections of
-// vectors with string payloads, HNSW-indexed approximate search, optional
-// Product-Quantization compression, metadata filtering and binary
+// Package vectordb is an embeddable vector store: a collection of vectors,
+// each carrying one int32 tag, under an HNSW index, with optional
+// Product-Quantization compression, tag-filtered search and binary
 // persistence.
 //
 // It plays the role Qdrant plays in the paper's experimental setup — the
 // paper uses Qdrant strictly as "store embeddings with metadata, index with
-// HNSW, search by cosine similarity", all of which this package provides
-// in-process with the same asymptotics.
+// HNSW, search by cosine similarity". The only metadata its callers keep per
+// point is one integer (the index of the value or column the vector
+// embeds), so that is what a point carries.
 package vectordb
 
 import (
+	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"sort"
-	"sync"
+	"math"
+	"strconv"
+
+	"semdisco/internal/hnsw"
+	"semdisco/internal/pq"
 )
 
-// DB is a set of named collections. All methods are safe for concurrent use.
-type DB struct {
-	mu          sync.RWMutex
-	collections map[string]*Collection
-}
-
-// New returns an empty database.
-func New() *DB {
-	return &DB{collections: make(map[string]*Collection)}
-}
-
-// CreateCollection creates and returns a collection. It fails if the name
-// is taken or the config is invalid.
-func (db *DB) CreateCollection(name string, cfg CollectionConfig) (*Collection, error) {
-	c, err := newCollection(cfg)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.collections[name]; exists {
-		return nil, fmt.Errorf("vectordb: collection %q already exists", name)
-	}
-	db.collections[name] = c
-	return c, nil
-}
-
-// Collection returns the named collection.
-func (db *DB) Collection(name string) (*Collection, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, ok := db.collections[name]
-	return c, ok
-}
-
-// Drop removes the named collection; dropping a missing collection is a
-// no-op.
-func (db *DB) Drop(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.collections, name)
-}
-
-// Names returns the collection names in sorted order.
-func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.collections))
-	for n := range db.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// persistedDB is the gob envelope. HNSW graphs are not persisted: they are
-// rebuilt deterministically on load from the same seed and insertion order,
-// trading load time for a simpler and corruption-resistant format.
-type persistedDB struct {
+// image is the gob envelope of a saved collection. Version 2 holds one
+// collection and its tags. Version 1, written when this package kept a
+// database of named collections with string payloads, holds a map that must
+// name exactly one collection.
+type image struct {
 	Version     int
-	Collections map[string]*persistedCollection
+	Collection  *persistedCollection            // version 2
+	Collections map[string]*persistedCollection // version 1
 }
 
-// Save writes the whole database to w.
-func (db *DB) Save(w io.Writer) error {
-	db.mu.RLock()
-	snapshot := make(map[string]*persistedCollection, len(db.collections))
-	for name, c := range db.collections {
-		snapshot[name] = c.persist()
-	}
-	db.mu.RUnlock()
-	return gob.NewEncoder(w).Encode(persistedDB{Version: 1, Collections: snapshot})
+// persistedCollection is the gob image of a collection. Live points only;
+// tombstones are compacted away. GraphBlob carries the serialized HNSW
+// graph; it is only usable when no tombstones were compacted (compaction
+// renumbers slots), in which case the graph is rebuilt deterministically
+// from the same seed and insertion order instead.
+type persistedCollection struct {
+	Cfg       CollectionConfig
+	IDs       []uint64
+	Vectors   [][]float32
+	Codes     [][]byte
+	Tags      []int32             // version 2
+	Payloads  []map[string]string // version 1
+	PQBlob    []byte
+	GraphBlob []byte
+	NextID    uint64
 }
 
-// Load reads a database written by Save, rebuilding all indexes.
-func Load(r io.Reader) (*DB, error) {
-	var p persistedDB
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+// Save writes the collection's live points, quantizer and graph to w.
+func (c *Collection) Save(w io.Writer) error {
+	return gob.NewEncoder(w).Encode(image{Version: 2, Collection: c.persist()})
+}
+
+// Load reads a collection written by Save. A version-1 image loads too when
+// each point's payload is empty (tag 0) or holds exactly one decimal int32,
+// which becomes the tag. The image is untrusted: one that contradicts
+// itself is an error, never a panic.
+func Load(r io.Reader) (*Collection, error) {
+	var img image
+	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("vectordb: decode: %w", err)
 	}
-	if p.Version != 1 {
-		return nil, fmt.Errorf("vectordb: unsupported version %d", p.Version)
-	}
-	db := New()
-	for name, pc := range p.Collections {
-		c, err := restoreCollection(pc)
-		if err != nil {
-			return nil, fmt.Errorf("vectordb: collection %q: %w", name, err)
+	var p *persistedCollection
+	switch img.Version {
+	case 1:
+		if len(img.Collections) != 1 {
+			return nil, fmt.Errorf("vectordb: version-1 image holds %d collections, want 1", len(img.Collections))
 		}
-		db.collections[name] = c
+		for _, pc := range img.Collections {
+			p = pc
+		}
+		if p != nil {
+			if err := p.tagsFromPayloads(); err != nil {
+				return nil, err
+			}
+		}
+	case 2:
+		p = img.Collection
+	default:
+		return nil, fmt.Errorf("vectordb: unsupported version %d", img.Version)
 	}
-	return db, nil
+	if p == nil {
+		return nil, errors.New("vectordb: image holds no collection")
+	}
+	return restoreCollection(p)
 }
 
-// SaveFile writes the database to path atomically (write temp + rename).
-func (db *DB) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
+// tagsFromPayloads turns a version-1 image's payloads into tags.
+func (p *persistedCollection) tagsFromPayloads() error {
+	if len(p.Payloads) != len(p.IDs) {
+		return fmt.Errorf("vectordb: %d payloads for %d points", len(p.Payloads), len(p.IDs))
 	}
-	if err := db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	p.Tags = make([]int32, len(p.Payloads))
+	for i, pl := range p.Payloads {
+		if len(pl) > 1 {
+			return fmt.Errorf("vectordb: point %d: payload has %d fields, want at most 1", i, len(pl))
+		}
+		for _, v := range pl {
+			tag, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return fmt.Errorf("vectordb: point %d: payload %q is not an int32", i, v)
+			}
+			p.Tags[i] = int32(tag)
+		}
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	p.Payloads = nil
+	return nil
 }
 
-// LoadFile reads a database written by SaveFile.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
+func (c *Collection) persist() *persistedCollection {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	p := &persistedCollection{Cfg: c.cfg, NextID: c.nextID}
+	if c.quantizer != nil {
+		var buf bytes.Buffer
+		if _, err := c.quantizer.WriteTo(&buf); err == nil {
+			p.PQBlob = buf.Bytes()
+		}
+	}
+	if len(c.deleted) == 0 {
+		// Slot numbering survives intact, so the graph can be persisted
+		// as-is and reloaded without the O(n·efConstruction) rebuild.
+		var buf bytes.Buffer
+		if _, err := c.index.WriteTo(&buf); err == nil {
+			p.GraphBlob = buf.Bytes()
+		}
+	}
+	for slot := range c.ids {
+		s := int32(slot)
+		if _, dead := c.deleted[s]; dead {
+			continue
+		}
+		p.IDs = append(p.IDs, c.ids[slot])
+		if c.vectors[slot] != nil {
+			p.Vectors = append(p.Vectors, c.vectors[slot])
+			p.Codes = append(p.Codes, nil)
+		} else {
+			p.Vectors = append(p.Vectors, nil)
+			p.Codes = append(p.Codes, c.codes[slot])
+		}
+		p.Tags = append(p.Tags, c.tags[slot])
+	}
+	return p
+}
+
+// restoreCollection validates an image against itself before it indexes a
+// row: one vector row and one tag per id, no or one code row per id, each
+// slot holding exactly one of a Dim-long vector or an M-byte code the
+// quantizer can decode, and ids strictly ascending below NextID.
+func restoreCollection(p *persistedCollection) (*Collection, error) {
+	c, err := NewCollection(p.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	n := len(p.IDs)
+	switch {
+	case len(p.Vectors) != n:
+		return nil, fmt.Errorf("vectordb: %d vector rows for %d points", len(p.Vectors), n)
+	case len(p.Codes) != 0 && len(p.Codes) != n:
+		return nil, fmt.Errorf("vectordb: %d code rows for %d points", len(p.Codes), n)
+	case len(p.Tags) != n:
+		return nil, fmt.Errorf("vectordb: %d tags for %d points", len(p.Tags), n)
+	case p.NextID == math.MaxUint64:
+		return nil, errors.New("vectordb: id space exhausted")
+	}
+	if len(p.PQBlob) > 0 {
+		q, err := pq.Read(bytes.NewReader(p.PQBlob))
+		if err != nil {
+			return nil, err
+		}
+		if q.Dim() != c.cfg.Dim {
+			return nil, fmt.Errorf("vectordb: quantizer dim %d, collection %d", q.Dim(), c.cfg.Dim)
+		}
+		c.quantizer = q
+		c.codes = make([][]byte, n)
+	}
+	for i, id := range p.IDs {
+		if id >= p.NextID || (i > 0 && id <= p.IDs[i-1]) {
+			return nil, fmt.Errorf("vectordb: id %d of point %d out of order or not below %d", id, i, p.NextID)
+		}
+		v := p.Vectors[i]
+		var code []byte
+		if len(p.Codes) > 0 {
+			code = p.Codes[i]
+		}
+		switch {
+		case (len(v) == 0) == (len(code) == 0):
+			return nil, fmt.Errorf("vectordb: point %d must hold one of a vector or a code", i)
+		case len(v) > 0 && len(v) != c.cfg.Dim:
+			return nil, fmt.Errorf("vectordb: stored vector %d has dim %d", i, len(v))
+		case len(code) > 0 && c.quantizer == nil:
+			return nil, fmt.Errorf("vectordb: point %d has a code but there is no quantizer", i)
+		case len(code) > 0 && len(code) != c.quantizer.CodeLen():
+			return nil, fmt.Errorf("vectordb: code %d has %d bytes, want %d", i, len(code), c.quantizer.CodeLen())
+		}
+		for _, b := range code {
+			if int(b) >= c.quantizer.K() {
+				return nil, fmt.Errorf("vectordb: code %d names centroid %d of %d", i, b, c.quantizer.K())
+			}
+		}
+		if len(v) == 0 { // a coded slot, so the quantizer exists
+			p.Vectors[i] = nil // a slot is raw iff its vector is non-nil
+			c.codes[i] = code
+		}
+	}
+	c.ids = p.IDs
+	c.vectors = p.Vectors
+	c.tags = p.Tags
+	c.nextID = p.NextID
+	if len(p.GraphBlob) > 0 {
+		// Fast path: restore the serialized graph directly.
+		ix, err := hnsw.Read(bytes.NewReader(p.GraphBlob), c.itemDist, c.newTargetDist)
+		if err != nil {
+			return nil, fmt.Errorf("vectordb: graph restore: %w", err)
+		}
+		if ix.Len() != n {
+			return nil, fmt.Errorf("vectordb: graph has %d nodes, collection %d points", ix.Len(), n)
+		}
+		c.index = ix
+	} else {
+		// Rebuild deterministically: same seed, same insertion order.
+		for range c.ids {
+			c.index.Add()
+		}
+	}
+	for slot, id := range c.ids {
+		c.byID[id] = int32(slot)
+	}
+	return c, nil
 }

@@ -1,26 +1,25 @@
 package vectordb
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// TestQuickInsertGetConsistency: whatever goes in comes back out, Len
-// tracks live points, and deleted ids stay gone.
+// TestQuickInsertGetConsistency: whatever goes in comes back out — the
+// vector under its id, the tag on its hit — Len tracks live points, and
+// deleted ids stay gone.
 func TestQuickInsertGetConsistency(t *testing.T) {
 	f := func(seed int64, nRaw, delRaw uint8) bool {
 		n := int(nRaw)%60 + 1
 		rng := rand.New(rand.NewSource(seed))
-		db := New()
-		c, err := db.CreateCollection("t", CollectionConfig{Dim: 6, Seed: seed})
+		c, err := NewCollection(CollectionConfig{Dim: 6, Seed: seed})
 		if err != nil {
 			return false
 		}
 		ids := make([]uint64, n)
 		for i := 0; i < n; i++ {
-			id, err := c.Insert(randUnit(6, rng), map[string]string{"i": fmt.Sprint(i)})
+			id, err := c.Insert(randUnit(6, rng), int32(i))
 			if err != nil {
 				return false
 			}
@@ -34,13 +33,17 @@ func TestQuickInsertGetConsistency(t *testing.T) {
 			return false
 		}
 		for i := del; i < n; i++ {
-			p, ok := c.Get(ids[i])
-			if !ok || p["i"] != fmt.Sprint(i) {
+			v, ok := c.Vector(ids[i])
+			if !ok {
+				return false
+			}
+			hits, err := c.SearchExact(v, 1, nil)
+			if err != nil || len(hits) != 1 || hits[0].ID != ids[i] || hits[0].Tag != int32(i) {
 				return false
 			}
 		}
 		for i := 0; i < del; i++ {
-			if _, ok := c.Get(ids[i]); ok {
+			if _, ok := c.Vector(ids[i]); ok {
 				return false
 			}
 		}
@@ -56,12 +59,11 @@ func TestQuickInsertGetConsistency(t *testing.T) {
 func TestQuickSearchNeverReturnsDeleted(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		db := New()
-		c, _ := db.CreateCollection("t", CollectionConfig{Dim: 6, Seed: seed})
+		c, _ := NewCollection(CollectionConfig{Dim: 6, Seed: seed})
 		n := 20 + rng.Intn(60)
 		ids := make([]uint64, n)
 		for i := range ids {
-			ids[i], _ = c.Insert(randUnit(6, rng), nil)
+			ids[i], _ = c.Insert(randUnit(6, rng), 0)
 		}
 		dead := map[uint64]struct{}{}
 		for i := 0; i < n/3; i++ {

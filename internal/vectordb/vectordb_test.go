@@ -2,8 +2,8 @@ package vectordb
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -20,42 +20,39 @@ func randUnit(dim int, rng *rand.Rand) []float32 {
 }
 
 func TestCreateAndLookup(t *testing.T) {
-	db := New()
-	if _, err := db.CreateCollection("a", CollectionConfig{Dim: 8}); err != nil {
+	for _, bad := range []CollectionConfig{
+		{},
+		{Dim: 4, Metric: Dot + 1},
+		{Dim: 4, M: 1},
+		{Dim: 4, M: -2},
+		{Dim: 4, EfSearch: -1},
+		{Dim: 4, PQ: &PQConfig{K: -1}},
+	} {
+		if _, err := NewCollection(bad); err == nil {
+			t.Errorf("config %+v must fail", bad)
+		}
+	}
+	c, err := NewCollection(CollectionConfig{Dim: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateCollection("a", CollectionConfig{Dim: 8}); err == nil {
-		t.Fatal("duplicate collection must fail")
+	id, _ := c.Insert([]float32{0, 1, 0, 0}, 7)
+	if v, ok := c.Vector(id); !ok || v[1] != 1 {
+		t.Fatalf("Vector=%v,%v", v, ok)
 	}
-	if _, err := db.CreateCollection("bad", CollectionConfig{}); err == nil {
-		t.Fatal("Dim=0 must fail")
-	}
-	if _, ok := db.Collection("a"); !ok {
-		t.Fatal("collection a missing")
-	}
-	if _, ok := db.Collection("nope"); ok {
-		t.Fatal("ghost collection")
-	}
-	db.CreateCollection("b", CollectionConfig{Dim: 4})
-	names := db.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names=%v", names)
-	}
-	db.Drop("a")
-	if _, ok := db.Collection("a"); ok {
-		t.Fatal("drop failed")
+	if _, ok := c.Vector(id + 1); ok {
+		t.Fatal("ghost point")
 	}
 }
 
 func TestInsertSearchCosine(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 16, Seed: 1})
+	c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 1})
 	rng := rand.New(rand.NewSource(1))
 	var vectors [][]float32
 	for i := 0; i < 300; i++ {
 		v := randUnit(16, rng)
 		vectors = append(vectors, v)
-		if _, err := c.Insert(v, map[string]string{"i": fmt.Sprint(i)}); err != nil {
+		if _, err := c.Insert(v, int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +60,7 @@ func TestInsertSearchCosine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Payload["i"] != "42" {
+	if len(got) != 1 || got[0].Tag != 42 {
 		t.Fatalf("got %+v", got)
 	}
 	if got[0].Score < 0.999 {
@@ -72,12 +69,11 @@ func TestInsertSearchCosine(t *testing.T) {
 }
 
 func TestDimValidation(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 4})
-	if _, err := c.Insert([]float32{1, 2}, nil); err == nil {
+	c, _ := NewCollection(CollectionConfig{Dim: 4})
+	if _, err := c.Insert([]float32{1, 2}, 0); err == nil {
 		t.Fatal("wrong insert dim must fail")
 	}
-	c.Insert([]float32{1, 0, 0, 0}, nil)
+	c.Insert([]float32{1, 0, 0, 0}, 0)
 	if _, err := c.Search([]float32{1}, 1, 10, nil); err == nil {
 		t.Fatal("wrong query dim must fail")
 	}
@@ -87,9 +83,8 @@ func TestDimValidation(t *testing.T) {
 }
 
 func TestCosineNormalizesInput(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 2})
-	c.Insert([]float32{10, 0}, map[string]string{"n": "x"}) // not unit norm
+	c, _ := NewCollection(CollectionConfig{Dim: 2})
+	c.Insert([]float32{10, 0}, 0) // not unit norm
 	got, _ := c.Search([]float32{3, 0}, 1, 10, nil)
 	if got[0].Score < 0.999 {
 		t.Fatalf("score %v, normalization missing", got[0].Score)
@@ -97,14 +92,13 @@ func TestCosineNormalizesInput(t *testing.T) {
 }
 
 func TestSearchExactMatchesBruteForce(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 8, Seed: 2})
+	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 2})
 	rng := rand.New(rand.NewSource(2))
 	var vecs [][]float32
 	for i := 0; i < 200; i++ {
 		v := randUnit(8, rng)
 		vecs = append(vecs, v)
-		c.Insert(v, nil)
+		c.Insert(v, 0)
 	}
 	q := randUnit(8, rng)
 	got, _ := c.SearchExact(q, 5, nil)
@@ -129,44 +123,42 @@ func TestSearchExactMatchesBruteForce(t *testing.T) {
 }
 
 func TestFilteredSearch(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 8, Seed: 3})
+	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		kind := "even"
-		if i%2 == 1 {
-			kind = "odd"
-		}
-		c.Insert(randUnit(8, rng), map[string]string{"kind": kind})
+		c.Insert(randUnit(8, rng), int32(i%2))
 	}
 	q := randUnit(8, rng)
-	got, _ := c.Search(q, 10, 128, FieldEquals("kind", "odd"))
+	odd := func(tag int32) bool { return tag == 1 }
+	got, _ := c.Search(q, 10, 128, odd)
 	if len(got) == 0 {
 		t.Fatal("no results")
 	}
 	for _, r := range got {
-		if r.Payload["kind"] != "odd" {
+		if r.Tag != 1 || r.ID%2 != 1 {
 			t.Fatalf("filter leaked: %+v", r)
 		}
 	}
-	got2, _ := c.SearchExact(q, 10, FieldIn("kind", "even"))
+	got2, _ := c.SearchExact(q, 10, func(tag int32) bool { return tag == 0 })
+	if len(got2) != 10 {
+		t.Fatalf("exact filtered search: %d results", len(got2))
+	}
 	for _, r := range got2 {
-		if r.Payload["kind"] != "even" {
+		if r.Tag != 0 || r.ID%2 != 0 {
 			t.Fatalf("exact filter leaked: %+v", r)
 		}
 	}
 }
 
 func TestDelete(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 4, Seed: 4})
-	id1, _ := c.Insert([]float32{1, 0, 0, 0}, map[string]string{"n": "1"})
-	id2, _ := c.Insert([]float32{0.9, 0.1, 0, 0}, map[string]string{"n": "2"})
+	c, _ := NewCollection(CollectionConfig{Dim: 4, Seed: 4})
+	id1, _ := c.Insert([]float32{1, 0, 0, 0}, 1)
+	id2, _ := c.Insert([]float32{0.9, 0.1, 0, 0}, 2)
 	c.Delete(id1)
 	if c.Len() != 1 {
 		t.Fatalf("Len=%d", c.Len())
 	}
-	if _, ok := c.Get(id1); ok {
+	if _, ok := c.Vector(id1); ok {
 		t.Fatal("deleted point still readable")
 	}
 	got, _ := c.Search([]float32{1, 0, 0, 0}, 2, 10, nil)
@@ -181,28 +173,24 @@ func TestDelete(t *testing.T) {
 	c.Delete(999) // unknown id: no-op
 }
 
-func TestGetAndVector(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 2})
-	id, _ := c.Insert([]float32{0, 1}, map[string]string{"a": "b"})
-	p, ok := c.Get(id)
-	if !ok || p["a"] != "b" {
-		t.Fatalf("Get=%v,%v", p, ok)
-	}
-	p["a"] = "mutated"
-	p2, _ := c.Get(id)
-	if p2["a"] != "b" {
-		t.Fatal("Get returned aliased payload")
-	}
+func TestVectorReturnsCopy(t *testing.T) {
+	c, _ := NewCollection(CollectionConfig{Dim: 2})
+	id, _ := c.Insert([]float32{0, 1}, -5)
 	v, ok := c.Vector(id)
 	if !ok || v[1] != 1 {
 		t.Fatalf("Vector=%v,%v", v, ok)
 	}
+	v[1] = 42
+	if v2, _ := c.Vector(id); v2[1] != 1 {
+		t.Fatal("Vector returned the stored row")
+	}
+	if got, _ := c.Search([]float32{0, 1}, 1, 0, nil); len(got) != 1 || got[0].Tag != -5 {
+		t.Fatalf("hit %+v, want tag -5", got)
+	}
 }
 
 func TestPQCompression(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{
+	c, _ := NewCollection(CollectionConfig{
 		Dim: 32, Seed: 5,
 		PQ: &PQConfig{M: 4, K: 16, TrainSize: 100},
 	})
@@ -211,7 +199,7 @@ func TestPQCompression(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		v := randUnit(32, rng)
 		vecs = append(vecs, v)
-		c.Insert(v, map[string]string{"i": fmt.Sprint(i)})
+		c.Insert(v, int32(i))
 	}
 	st := c.Stats()
 	if !st.Compressed {
@@ -228,7 +216,7 @@ func TestPQCompression(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range got {
-			if r.Payload["i"] == fmt.Sprint(i) {
+			if r.Tag == int32(i) {
 				hits++
 				break
 			}
@@ -240,33 +228,28 @@ func TestPQCompression(t *testing.T) {
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 8, Seed: 6})
+	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 6})
 	rng := rand.New(rand.NewSource(6))
 	var vecs [][]float32
 	for i := 0; i < 150; i++ {
 		v := randUnit(8, rng)
 		vecs = append(vecs, v)
-		c.Insert(v, map[string]string{"i": fmt.Sprint(i)})
+		c.Insert(v, int32(i))
 	}
 	c.Delete(3)
 
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Load(&buf)
+	c2, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	c2, ok := db2.Collection("t")
-	if !ok {
-		t.Fatal("collection lost")
 	}
 	if c2.Len() != 149 {
 		t.Fatalf("Len=%d want 149", c2.Len())
 	}
-	if _, ok := c2.Get(3); ok {
+	if _, ok := c2.Vector(3); ok {
 		t.Fatal("tombstoned point resurrected")
 	}
 	// Same query results on both.
@@ -277,30 +260,28 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Payload["i"] != b[i].Payload["i"] {
+		if a[i] != b[i] {
 			t.Fatalf("result %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
 
 func TestPersistenceWithPQ(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{
+	c, _ := NewCollection(CollectionConfig{
 		Dim: 16, Seed: 7, PQ: &PQConfig{M: 4, K: 16, TrainSize: 64},
 	})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 150; i++ {
-		c.Insert(randUnit(16, rng), map[string]string{"i": fmt.Sprint(i)})
+		c.Insert(randUnit(16, rng), int32(i))
 	}
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Load(&buf)
+	c2, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := db2.Collection("t")
 	if !c2.Stats().Compressed {
 		t.Fatal("compression lost on reload")
 	}
@@ -317,19 +298,19 @@ func TestPersistenceWithPQ(t *testing.T) {
 func TestSaveFileLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.bin")
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 4})
-	c.Insert([]float32{1, 0, 0, 0}, map[string]string{"x": "y"})
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := LoadFile(path)
+	c, _ := NewCollection(CollectionConfig{Dim: 4})
+	c.Insert([]float32{1, 0, 0, 0}, 9)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := db2.Collection("t")
-	if c2.Len() != 1 {
-		t.Fatal("file round trip lost data")
+	if err := c.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	c2 := loadFile(t, path)
+	if got, _ := c2.Search([]float32{1, 0, 0, 0}, 1, 0, nil); c2.Len() != 1 || len(got) != 1 || got[0].Tag != 9 {
+		t.Fatalf("file round trip: len %d, hits %+v", c2.Len(), got)
 	}
 }
 
@@ -340,12 +321,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestL2Metric(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 2, Metric: L2, Seed: 8})
-	c.Insert([]float32{0, 0}, map[string]string{"n": "origin"})
-	c.Insert([]float32{5, 5}, map[string]string{"n": "far"})
+	c, _ := NewCollection(CollectionConfig{Dim: 2, Metric: L2, Seed: 8})
+	c.Insert([]float32{0, 0}, 0) // origin
+	c.Insert([]float32{5, 5}, 1) // far
 	got, _ := c.Search([]float32{0.1, 0.1}, 2, 10, nil)
-	if got[0].Payload["n"] != "origin" {
+	if got[0].Tag != 0 {
 		t.Fatalf("L2 ranking wrong: %+v", got)
 	}
 	if got[0].Score < got[1].Score {
@@ -354,22 +334,20 @@ func TestL2Metric(t *testing.T) {
 }
 
 func TestDotMetric(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 2, Metric: Dot, Seed: 9})
-	c.Insert([]float32{2, 0}, map[string]string{"n": "big"})
-	c.Insert([]float32{1, 0}, map[string]string{"n": "small"})
+	c, _ := NewCollection(CollectionConfig{Dim: 2, Metric: Dot, Seed: 9})
+	c.Insert([]float32{2, 0}, 0) // big
+	c.Insert([]float32{1, 0}, 1) // small
 	got, _ := c.Search([]float32{1, 0}, 2, 10, nil)
-	if got[0].Payload["n"] != "big" {
+	if got[0].Tag != 0 {
 		t.Fatalf("Dot must favour larger magnitude: %+v", got)
 	}
 }
 
 func TestConcurrentInsertAndSearch(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 8, Seed: 10})
+	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 10})
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 100; i++ {
-		c.Insert(randUnit(8, rng), nil)
+		c.Insert(randUnit(8, rng), 0)
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -378,7 +356,7 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(11))
 		for i := 0; i < 100; i++ {
-			c.Insert(randUnit(8, r), nil)
+			c.Insert(randUnit(8, r), 0)
 		}
 		close(stop)
 	}()
@@ -413,11 +391,10 @@ func TestMetricString(t *testing.T) {
 }
 
 func BenchmarkSearchCosine10k(b *testing.B) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 64, Seed: 12})
+	c, _ := NewCollection(CollectionConfig{Dim: 64, Seed: 12})
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 10000; i++ {
-		c.Insert(randUnit(64, rng), nil)
+		c.Insert(randUnit(64, rng), 0)
 	}
 	queries := make([][]float32, 64)
 	for i := range queries {
@@ -433,21 +410,19 @@ func BenchmarkSearchCosine10k(b *testing.B) {
 }
 
 func TestPersistenceRestoresGraphExactly(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 16, Seed: 30})
+	c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 30})
 	rng := rand.New(rand.NewSource(30))
 	for i := 0; i < 300; i++ {
-		c.Insert(randUnit(16, rng), map[string]string{"i": fmt.Sprint(i)})
+		c.Insert(randUnit(16, rng), int32(i))
 	}
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Load(&buf)
+	c2, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := db2.Collection("t")
 	// Approximate search must return identical results: with no deletions
 	// the serialized graph is restored verbatim.
 	for probe := 0; probe < 10; probe++ {
@@ -464,65 +439,11 @@ func TestPersistenceRestoresGraphExactly(t *testing.T) {
 		}
 	}
 	// The restored collection must accept further inserts.
-	if _, err := c2.Insert(randUnit(16, rng), nil); err != nil {
+	if _, err := c2.Insert(randUnit(16, rng), 0); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Len() != 301 {
 		t.Fatalf("Len=%d", c2.Len())
-	}
-}
-
-func TestScrollAndCount(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("t", CollectionConfig{Dim: 4, Seed: 40})
-	rng := rand.New(rand.NewSource(40))
-	for i := 0; i < 25; i++ {
-		kind := "a"
-		if i%5 == 0 {
-			kind = "b"
-		}
-		c.Insert(randUnit(4, rng), map[string]string{"kind": kind, "i": fmt.Sprint(i)})
-	}
-	c.Delete(7)
-
-	if got := c.Count(nil); got != 24 {
-		t.Fatalf("Count=%d", got)
-	}
-	if got := c.Count(FieldEquals("kind", "b")); got != 5 {
-		t.Fatalf("Count(b)=%d", got)
-	}
-
-	// Paginate in chunks of 10 and reassemble.
-	var all []Point
-	cursor := uint64(0)
-	for {
-		page := c.Scroll(cursor, 10, nil)
-		if len(page) == 0 {
-			break
-		}
-		all = append(all, page...)
-		cursor = page[len(page)-1].ID + 1
-	}
-	if len(all) != 24 {
-		t.Fatalf("scrolled %d points", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].ID <= all[i-1].ID {
-			t.Fatal("scroll not in ascending id order")
-		}
-	}
-	for _, p := range all {
-		if p.ID == 7 {
-			t.Fatal("deleted point scrolled")
-		}
-	}
-	// Filtered scroll.
-	bs := c.Scroll(0, 100, FieldEquals("kind", "b"))
-	if len(bs) != 5 {
-		t.Fatalf("filtered scroll=%d", len(bs))
-	}
-	if got := c.Scroll(0, 0, nil); got != nil {
-		t.Fatal("limit 0 must return nil")
 	}
 }
 
@@ -540,22 +461,20 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	vecs := make([][]float32, n)
-	pays := make([]map[string]string, n)
+	tags := make([]int32, n)
 	for i := range vecs {
 		vecs[i] = randUnit(dim, rng)
-		pays[i] = map[string]string{"i": fmt.Sprint(i)}
+		tags[i] = int32(i)
 	}
 
-	serial := New()
-	cs, _ := serial.CreateCollection("c", cfg)
+	cs, _ := NewCollection(cfg)
 	for i := range vecs {
-		if _, err := cs.Insert(vecs[i], pays[i]); err != nil {
+		if _, err := cs.Insert(vecs[i], tags[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batched := New()
-	cb, _ := batched.CreateCollection("c", cfg)
-	ids, err := cb.InsertBatch(vecs, pays)
+	cb, _ := NewCollection(cfg)
+	ids, err := cb.InsertBatch(vecs, tags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,8 +543,7 @@ func TestInsertBatchParallel(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = randUnit(dim, rng)
 	}
-	db := New()
-	c, _ := db.CreateCollection("c", cfg)
+	c, _ := NewCollection(cfg)
 	ids, err := c.InsertBatch(vecs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -642,8 +560,7 @@ func TestInsertBatchParallel(t *testing.T) {
 	}
 	serialCfg := cfg
 	serialCfg.Workers = 1
-	sdb := New()
-	sc, _ := sdb.CreateCollection("c", serialCfg)
+	sc, _ := NewCollection(serialCfg)
 	if _, err := sc.InsertBatch(vecs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -660,13 +577,12 @@ func TestInsertBatchParallel(t *testing.T) {
 
 // TestInsertBatchValidation covers the error paths.
 func TestInsertBatchValidation(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("c", CollectionConfig{Dim: 4})
+	c, _ := NewCollection(CollectionConfig{Dim: 4})
 	if _, err := c.InsertBatch([][]float32{{1, 2}}, nil); err == nil {
 		t.Fatal("dim mismatch must fail")
 	}
-	if _, err := c.InsertBatch([][]float32{{1, 2, 3, 4}}, []map[string]string{{}, {}}); err == nil {
-		t.Fatal("payload count mismatch must fail")
+	if _, err := c.InsertBatch([][]float32{{1, 2, 3, 4}}, []int32{1, 2}); err == nil {
+		t.Fatal("tag count mismatch must fail")
 	}
 	ids, err := c.InsertBatch(nil, nil)
 	if err != nil || len(ids) != 0 {
@@ -676,10 +592,25 @@ func TestInsertBatchValidation(t *testing.T) {
 	if _, err := c.InsertBatch([][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert([]float32{0, 0, 1, 0}, nil); err != nil {
+	if _, err := c.Insert([]float32{0, 0, 1, 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("len=%d", c.Len())
 	}
+}
+
+// loadFile reads a collection image from path.
+func loadFile(t *testing.T, path string) *Collection {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := Load(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return c
 }
