@@ -67,12 +67,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 5s ./internal/obs
 
-# The batch paths split a block over GOMAXPROCS workers (ExS's scan, ANNS's
-# walks, CTS's cluster probes) and reuse walk scratch and ADC tables across
-# queries; race-checked at 1, 2 and 4 workers, so the chunking is tested at
-# more than the host's core count.
+# Every method's one query body splits a block over GOMAXPROCS workers
+# (ExS's scan, ANNS's walks, CTS's cluster probes) and reuses walk scratch
+# and ADC tables across queries; a single query is a block of one through
+# the same body. The batch, single-query and filtered tests are race-checked
+# at 1, 2 and 4 workers, so the chunking is tested at more than the host's
+# core count.
 batch-cpu:
-	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table' ./internal/core ./internal/vectordb ./internal/pq .
+	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table|SearchContext|Filter|Sources' ./internal/core ./internal/vectordb ./internal/pq .
 
 check: lint race batch-cpu portable fuzz
 
@@ -81,7 +83,7 @@ check: lint race batch-cpu portable fuzz
 # the cost of real measurement.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/...
-	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -shards 2 -batch -churn -json /dev/null
+	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -shards 2 -churn -json /dev/null
 
 # End-to-end benchmark smoke: the repeatable HTTP benchmark BENCHMARK.json
 # declares (bench/), one short untraced run of its cheapest workload and one
@@ -143,7 +145,7 @@ trace-smoke:
 # Scaled down and untrained to keep the run short; raise -scale for
 # paper-grade numbers.
 bench-json:
-	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.15 -dim 192 -train=false -cost -batch -churn -json BENCH_$(CORPUS).json
+	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.15 -dim 192 -train=false -cost -churn -json BENCH_$(CORPUS).json
 
 # Non-test Go lines per package, bench/ excluded, with a total: the number
 # simplification PRs quote. Plain line counts, so comments and blanks count.

@@ -44,7 +44,6 @@ func main() {
 		shards     = flag.Int("shards", 0, "also benchmark a sharded scatter-gather federation with this many shards (adds a per-shard breakdown to -json)")
 		tracingOH  = flag.Bool("tracing-overhead", false, "also measure span-tree tracing overhead on ExS p50 (adds a tracing section to -json)")
 		costOut    = flag.Bool("cost", false, "also report per-method cost-model numbers (distance comps per query) and accounting overhead (adds a cost section to -json)")
-		batchOut   = flag.Bool("batch", false, "also benchmark batched execution: 64-query fused batch vs sequential loop per method (adds a batch section to -json)")
 		churnOut   = flag.Bool("churn", false, "also benchmark the mutable segment store: write throughput, search latency under churn, compaction pause (adds a churn section to -json)")
 		netOut     = flag.Bool("netcluster", false, "also benchmark the networked cluster: loopback shard servers behind a replicated coordinator, equivalence + tail latency under stragglers and a killed replica (adds a netcluster section to -json)")
 		netSets    = flag.Int("netcluster-sets", 2, "replica-set count for -netcluster")
@@ -196,17 +195,6 @@ func main() {
 			}
 			fmt.Printf("cost accounting overhead: p50 %.3fms -> %.3fms (%.1f%%)\n",
 				report.Cost.BaselineP50MS, report.Cost.AccountedP50MS, report.Cost.OverheadPct)
-		}
-		if *batchOut {
-			report.Batch, err = bench.BatchReport(20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
-			}
-			for _, mb := range report.Batch.Methods {
-				fmt.Printf("batch %s: %d queries, %.0f qps sequential -> %.0f qps batched (%.2fx), identical=%v\n",
-					mb.Method, mb.Queries, mb.SequentialQPS, mb.BatchQPS, mb.Speedup, mb.Identical)
-			}
 		}
 		if *churnOut {
 			report.Churn, err = bench.ChurnReport(20)

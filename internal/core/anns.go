@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
+	"semdisco/internal/obs"
+	"semdisco/internal/par"
 	"semdisco/internal/vectordb"
 )
 
@@ -128,26 +131,76 @@ func (s *ANNS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, 
 // into the vector database as a tag filter, so the graph walk routes
 // through rejected points but never returns them.
 func (s *ANNS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
+	return searchOne(ctx, s, s.emb.Obs, q, k, allow)
+}
+
+// SearchEncodedBatch implements BatchSearcher.
+func (s *ANNS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
+	return searchBatch(ctx, s, qs, ks, costs)
+}
+
+func (s *ANNS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost) ([][]Match, error) {
+	return s.emb.searchAllowed(ctx, o, qs, ks, allow, costs, s.search)
+}
+
+// annsBlock is how many consecutive queries an ANNS worker walks in one
+// run: the unit the workers pull from their queue. A run pays one
+// collection lock and one pooled walk scratch for eight walks, and a
+// 64-query batch still splits into eight runs, so a worker that drew short
+// walks takes another run instead of idling while the other finishes one
+// long chunk. A block of one is one run, walked inline.
+const annsBlock = 8
+
+// search is ANNS's one query body (retrieve → rank) over a block of
+// queries. The block splits into contiguous runs of annsBlock queries,
+// which GOMAXPROCS workers pull from a queue; each run walks through one
+// collection SearchBatch, reusing one walk scratch (HNSW visited set and
+// heaps, and the ADC table) across its queries. A walk never reads
+// another's state, so a row and its costs[i] are the same whatever block
+// the query arrives in. The retrieved hits are then grouped into ranked
+// relations, the block split over the workers again. An error is the
+// lowest-indexed query's.
+func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int, allowed relSet, costs []*obs.Cost) ([][]Match, error) {
+	nq := len(qs)
+	fanouts := make([]int, nq)
+	efs := make([]int, nq)
+	for i, k := range ks {
+		if k > 0 {
+			fanouts[i], efs[i] = s.beam(k)
+		}
 	}
-	allowed := s.emb.allowedSet(allow)
-	if allowed != nil && len(allowed) == 0 {
-		return nil, nil
+	filter := s.emb.valueFilter(allowed)
+	workers := runtime.GOMAXPROCS(0)
+	sp := o.stage("retrieve").AnnotateInt("fanout", fanouts[0]).AnnotateInt("ef", efs[0])
+	hits := make([][]vectordb.Result, nq)
+	errs := make([]error, nq)
+	par.Each((nq+annsBlock-1)/annsBlock, workers, func(b int) {
+		lo, hi := b*annsBlock, min((b+1)*annsBlock, nq)
+		run, err := s.coll.SearchBatch(ctx, qs[lo:hi], fanouts[lo:hi], efs[lo:hi], filter, costs[lo:hi])
+		if err != nil {
+			errs[lo] = err
+			return
+		}
+		copy(hits[lo:hi], run)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	o := startSearch(ctx, s.emb.Obs, s.Name())
-	fanout, ef := s.beam(k)
-	sp := o.stage("retrieve").AnnotateInt("fanout", fanout).AnnotateInt("ef", ef)
-	hits, err := s.coll.SearchContext(ctx, q, fanout, ef, s.emb.valueFilter(allowed))
-	if err != nil {
-		return nil, err
-	}
-	o.endStage(sp.AnnotateInt("hits", len(hits)))
+	o.endStage(sp.AnnotateInt("hits", len(hits[0])))
 
 	sp = o.stage("rank")
-	matches := s.rankHits(hits, k)
-	o.endStage(sp.AnnotateInt("matches", len(matches)))
-	return matches, nil
+	out := make([][]Match, nq)
+	par.For(nq, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if ks[i] > 0 {
+				out[i] = s.emb.rankHits(s.threshold, ks[i], hits[i])
+			}
+		}
+	})
+	o.endStage(sp.AnnotateInt("matches", len(out[0])))
+	return out, nil
 }
 
 // beam returns how many value vectors a top-k query retrieves and the
@@ -162,15 +215,6 @@ func (s *ANNS) beam(k int) (fanout, ef int) {
 		ef = fanout
 	}
 	return fanout, ef
-}
-
-// rankHits groups value hits into ranked relations.
-func (s *ANNS) rankHits(hits []vectordb.Result, k int) []Match {
-	n := s.emb.NumRelations()
-	sums := make([]float32, n)
-	hitCount := make([]float32, n)
-	s.emb.foldHits(hits, sums, hitCount)
-	return s.emb.rankRelations(sums, hitCount, s.threshold, k)
 }
 
 // Stats exposes the underlying collection's storage statistics.

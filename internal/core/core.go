@@ -15,6 +15,7 @@ import (
 	"semdisco/internal/segment"
 	"semdisco/internal/table"
 	"semdisco/internal/vec"
+	"semdisco/internal/vectordb"
 )
 
 // Match is one ranked discovery result.
@@ -298,20 +299,32 @@ func (e *Embedded) NumValues() int { return len(e.Values) }
 // NumRelations returns the number of relations.
 func (e *Embedded) NumRelations() int { return len(e.RelIDs) }
 
-// rankRelations converts an accumulation of weighted hit sums per relation
-// into a ranked, thresholded, truncated result list. The denominator is
-// the relation's total value weight: a value the index did not retrieve
-// contributes its (near-zero) similarity as zero, so the score is the
-// paper's "average of the similarity scores of the vectors of the
-// relation" with the long tail truncated at zero — which is also what
-// keeps a relation that surfaced on one lucky hit from outranking a
-// relation with broad topical evidence. Relations with no hits at all are
-// omitted, and so are tombstoned ones: this is the common emission point
-// of every retrieval-based path (ANNS and CTS search, filtered and
-// batched), so the dead filter here guarantees a deleted relation never
-// ranks even if the index structure still holds its vectors.
-func (e *Embedded) rankRelations(sums, hits []float32, threshold float32, k int) []Match {
+// rankHits folds one query's value hit lists, in order, into weighted sums
+// per relation and ranks the relations: the rank step of ANNS and CTS. A
+// hit's tag is the value's index: ANNS and CTS tag every point they insert,
+// and their collections are never persisted (an engine image rebuilds its
+// index), so every tag names a value. The denominator is the relation's
+// total value weight: a value the index did not retrieve contributes its
+// (near-zero) similarity as zero, so the score is the paper's "average of
+// the similarity scores of the vectors of the relation" with the long tail
+// truncated at zero — which is also what keeps a relation that surfaced on
+// one lucky hit from outranking a relation with broad topical evidence.
+// Relations with no hits at all are omitted, and so are tombstoned ones,
+// so a deleted relation never ranks even if the index structure still
+// holds its vectors.
+func (e *Embedded) rankHits(threshold float32, k int, lists ...[]vectordb.Result) []Match {
 	ids, totalWeight := e.RelIDs, e.TotalWeight
+	sums := make([]float32, len(ids))
+	hits := make([]float32, len(ids))
+	for _, list := range lists {
+		for _, h := range list {
+			v := &e.Values[h.Tag]
+			if h.Score > 0 {
+				sums[v.Rel] += v.Weight * h.Score
+			}
+			hits[v.Rel]++
+		}
+	}
 	hasDead := e.deadCount() > 0
 	scored := make([]vec.Scored, 0, len(ids))
 	for i := range ids {

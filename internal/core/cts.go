@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"semdisco/internal/hdbscan"
 	"semdisco/internal/obs"
@@ -294,9 +295,25 @@ func (s *CTS) Search(query string, k int) ([]Match, error) {
 
 // SearchEncoded implements EncodedSearcher: the cluster walk for an
 // already-encoded query vector (medoid_match → descent → rank), with
-// cancellation checked between clusters and inside each HNSW walk.
+// cancellation checked inside each HNSW walk.
 func (s *CTS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
 	return s.SearchFiltered(ctx, q, k, nil)
+}
+
+// SearchFiltered implements EncodedSearcher: cluster selection ignores the
+// restriction (medoids summarize the whole corpus) and the per-cluster
+// searches carry it as a tag filter.
+func (s *CTS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
+	return searchOne(ctx, s, s.emb.Obs, q, k, allow)
+}
+
+// SearchEncodedBatch implements BatchSearcher.
+func (s *CTS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
+	return searchBatch(ctx, s, qs, ks, costs)
+}
+
+func (s *CTS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost) ([][]Match, error) {
+	return s.emb.searchAllowed(ctx, o, qs, ks, allow, costs, s.search)
 }
 
 // descent returns one query's per-cluster retrieval parameters: how many
@@ -329,61 +346,141 @@ func clampBeam(perCluster, ef, collLen int) (int, int) {
 	return perCluster, ef
 }
 
-// SearchFiltered implements EncodedSearcher: cluster selection ignores the
-// restriction (medoids summarize the whole corpus) and the per-cluster
-// searches carry it as a tag filter.
-func (s *CTS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	allowed := s.emb.allowedSet(allow)
-	if allowed != nil && len(allowed) == 0 {
-		return nil, nil
-	}
-	o := startSearch(ctx, s.emb.Obs, s.Name())
-	// Rank clusters by medoid similarity (original space; medoids are data
-	// points, so the query needs no reduction).
-	sp := o.stage("medoid_match").AnnotateInt("clusters_total", len(s.medoidVecs))
-	top := vec.NewTopK(minInt(s.topClusters, len(s.medoidVecs)))
-	for c, m := range s.medoidVecs {
-		top.Push(c, vec.Dot(q, m))
-	}
-	selected := top.Sorted()
-	o.endStage(sp.AnnotateInt("clusters_selected", len(selected)))
-	if cost := obs.CostFrom(ctx); cost != nil {
-		// One dot product per medoid; the per-cluster descents below account
-		// their own work through the collections' context plumbing.
-		cost.AddDistanceComps(int64(len(s.medoidVecs)))
-		cost.AddBytesScanned(int64(len(s.medoidVecs)) * int64(s.emb.Enc.Dim()) * 4)
-		cost.AddCandidatesPruned(int64(len(s.medoidVecs) - len(selected)))
-	}
+// ctsPlan is one query's cluster itinerary: the clusters it selected (in
+// medoid-score order) and the per-cluster retrieval parameters.
+type ctsPlan struct {
+	selected       []vec.Scored
+	perCluster, ef int
+	// hits[j] holds the results from selected[j]'s collection, filled by
+	// the grouped probe phase and folded in itinerary order afterwards.
+	hits [][]vectordb.Result
+}
 
-	perCluster, ef := s.descent(k, len(selected))
-	filter := s.emb.valueFilter(allowed)
-	sp = o.stage("descent").AnnotateInt("per_cluster_fanout", perCluster)
-	n := s.emb.NumRelations()
-	sums := make([]float32, n)
-	hitCount := make([]float32, n)
-	totalHits := 0
-	for _, sc := range selected {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// search is CTS's one query body over a block of queries, with
+// cluster-probe deduplication. Medoid match: one DotBatch pass scores every
+// query against every medoid, and each query selects its top clusters.
+// Descent: queries selecting the same cluster are grouped, so each distinct
+// cluster collection is visited once per block — one
+// Collection.SearchBatch, so one lock acquisition and one walk scratch per
+// cluster rather than per (query, cluster) pair. GOMAXPROCS workers (one
+// for a block of one) pull the distinct clusters from a queue; a probe
+// writes its hit lists into slots no other probe touches, and the atomic
+// cost accumulators take each walk's work from whichever worker ran it.
+// Rank: each query's hit lists are folded in its own medoid-score order, so
+// a row does not depend on the block it arrived in. An error is the
+// lowest-numbered cluster's.
+func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int, allowed relSet, costs []*obs.Cost) ([][]Match, error) {
+	nq := len(qs)
+	numClusters := len(s.medoidVecs)
+	dim := s.emb.Enc.Dim()
+	// Rank clusters by medoid similarity (original space; medoids are data
+	// points, so the query needs no reduction). DotBatch is bit-identical to
+	// a vec.Dot loop, and clusters are pushed in ascending order.
+	sp := o.stage("medoid_match").AnnotateInt("clusters_total", numClusters)
+	medoidDots := make([]float32, nq*numClusters)
+	vec.DotBatch(qs, s.medoidVecs, medoidDots)
+	plans := make([]ctsPlan, nq)
+	// first[c+1] counts the queries that selected cluster c.
+	first := make([]int, numClusters+1)
+	for qi, k := range ks {
+		if k <= 0 {
+			continue
 		}
-		coll := s.clusterColl[sc.ID]
-		pc, pcEf := clampBeam(perCluster, ef, coll.Len())
-		hits, err := coll.SearchContext(ctx, q, pc, pcEf, filter)
+		top := vec.NewTopK(minInt(s.topClusters, numClusters))
+		for c, sim := range medoidDots[qi*numClusters : (qi+1)*numClusters] {
+			top.Push(c, sim)
+		}
+		selected := top.Sorted()
+		if c := costs[qi]; c != nil {
+			// One dot product per medoid; the descents charge their own walks.
+			c.AddDistanceComps(int64(numClusters))
+			c.AddBytesScanned(int64(numClusters) * int64(dim) * 4)
+			c.AddCandidatesPruned(int64(numClusters - len(selected)))
+		}
+		perCluster, ef := s.descent(k, len(selected))
+		plans[qi] = ctsPlan{selected: selected, perCluster: perCluster, ef: ef,
+			hits: make([][]vectordb.Result, len(selected))}
+		for _, sel := range selected {
+			first[sel.ID+1]++
+		}
+	}
+	o.endStage(sp.AnnotateInt("clusters_selected", len(plans[0].selected)))
+
+	// Probe each distinct cluster once with every query that selected it.
+	// A counting sort lays the probes out cluster by cluster: cluster c's are
+	// slots first[c]..first[c+1] of the flat arrays, so a probe is one
+	// SearchBatch over a contiguous run.
+	sp = o.stage("descent").AnnotateInt("per_cluster_fanout", plans[0].perCluster)
+	var probed []int
+	for c := range numClusters {
+		if first[c+1] > 0 {
+			probed = append(probed, c)
+		}
+		first[c+1] += first[c]
+	}
+	n := first[numClusters]
+	type probe struct{ qi, pos int }
+	at := make([]probe, n)
+	probeQs := make([][]float32, n)
+	probeKs := make([]int, n)
+	probeEfs := make([]int, n)
+	probeCosts := make([]*obs.Cost, n)
+	next := append([]int(nil), first[:numClusters]...)
+	for qi := range plans {
+		for pos, sel := range plans[qi].selected {
+			j := next[sel.ID]
+			next[sel.ID]++
+			at[j], probeQs[j], probeCosts[j] = probe{qi, pos}, qs[qi], costs[qi]
+		}
+	}
+	// A block of one probes its clusters on the calling goroutine: split
+	// over two cores, a single query's probes cost cts-cluster ~10% of its
+	// qps (14 alternating pairs), the clients already keeping both busy.
+	workers := runtime.GOMAXPROCS(0)
+	if nq == 1 {
+		workers = 1
+	}
+	filter := s.emb.valueFilter(allowed)
+	errs := make([]error, len(probed))
+	par.Each(len(probed), workers, func(i int) {
+		c := probed[i]
+		lo, hi := first[c], first[c+1]
+		coll := s.clusterColl[c]
+		l := coll.Len()
+		for j := lo; j < hi; j++ {
+			p := &plans[at[j].qi]
+			probeKs[j], probeEfs[j] = clampBeam(p.perCluster, p.ef, l)
+		}
+		hits, err := coll.SearchBatch(ctx, probeQs[lo:hi], probeKs[lo:hi], probeEfs[lo:hi], filter, probeCosts[lo:hi])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		for j, h := range hits {
+			pr := at[lo+j]
+			plans[pr.qi].hits[pr.pos] = h
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	totalHits := 0
+	for _, hits := range plans[0].hits {
 		totalHits += len(hits)
-		s.emb.foldHits(hits, sums, hitCount)
 	}
 	o.endStage(sp.AnnotateInt("hits", totalHits))
 
 	sp = o.stage("rank")
-	matches := s.emb.rankRelations(sums, hitCount, s.threshold, k)
-	o.endStage(sp.AnnotateInt("matches", len(matches)))
-	return matches, nil
+	out := make([][]Match, nq)
+	for qi, k := range ks {
+		if k > 0 {
+			out[qi] = s.emb.rankHits(s.threshold, k, plans[qi].hits...)
+		}
+	}
+	o.endStage(sp.AnnotateInt("matches", len(out[0])))
+	return out, nil
 }
 
 // strideSample returns up to cap evenly spaced indices of [0, n).

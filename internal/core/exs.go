@@ -87,19 +87,20 @@ func stopped(ctx context.Context, stop *atomic.Bool) bool {
 	return stop.Load()
 }
 
-// SearchFiltered implements EncodedSearcher: the scan + rank body. Only
-// relations allow accepts are scored; the rest share the tombstones' −Inf
-// sentinel.
+// SearchFiltered implements EncodedSearcher: only relations allow accepts
+// are scored; the rest share the tombstones' −Inf sentinel.
 func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	o := startSearch(ctx, s.emb.Obs, s.Name())
-	out, err := s.filterVerify(ctx, o, [][]float32{q}, []int{k}, s.emb.allowedSet(allow), []*obs.Cost{obs.CostFrom(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return searchOne(ctx, s, s.emb.Obs, q, k, allow)
+}
+
+// SearchEncodedBatch implements BatchSearcher: the centroid rows stream
+// once for the whole block (DotBatch is bit-identical to Dot).
+func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
+	return searchBatch(ctx, s, qs, ks, costs)
+}
+
+func (s *ExS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost) ([][]Match, error) {
+	return s.emb.searchAllowed(ctx, o, qs, ks, allow, costs, s.filterVerify)
 }
 
 // chargeScan records scanned vectors, one distance computation each.
@@ -118,10 +119,10 @@ func (s *ExS) margin(norm float64, rel int) float64 {
 	return norm*s.emb.CentroidErr[rel] + float64(s.emb.Enc.Dim()+1)*0x1p-148
 }
 
-// filterVerify is the scan + rank of a block of queries (a block of
-// one is the single query, whose stages o records). Filter: every live,
-// allowed relation gets ã = q·c_rel from its centroid row, and its exact
-// score E lies within m = margin(‖q‖, rel) of ã. With L
+// filterVerify is ExS's one query body, the scan + rank of a block of
+// queries (a block of one is the single query, whose stages o records).
+// Filter: every live, allowed relation gets ã = q·c_rel from its centroid
+// row, and its exact score E lies within m = margin(‖q‖, rel) of ã. With L
 // the least ã − m among the k best ã, k relations score at least L, so
 // every relation of the exact top k has ã + m ≥ E ≥ L. Verify: exactly those
 // are re-scored with scoreRelation — pruning on strict ã + m < L keeps what

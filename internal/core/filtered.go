@@ -1,6 +1,11 @@
 package core
 
-import "semdisco/internal/vectordb"
+import (
+	"context"
+
+	"semdisco/internal/obs"
+	"semdisco/internal/vectordb"
+)
 
 // relSet is the set of relation slots a filtered search may return. The
 // nil set accepts every slot — the unfiltered search.
@@ -34,6 +39,25 @@ func (e *Embedded) allowedSet(allow func(string) bool) relSet {
 	return set
 }
 
+// searchAllowed is the searchBlock of ExS, ANNS and CTS: it resolves allow
+// to e's relation slots and runs the method's body over the block. When
+// allow accepts no live relation, every query answers an empty ranking
+// with no index work.
+func (e *Embedded) searchAllowed(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost,
+	body func(ctx context.Context, o searchObs, qs [][]float32, ks []int, allowed relSet, costs []*obs.Cost) ([][]Match, error)) ([][]Match, error) {
+	allowed := e.allowedSet(allow)
+	if allowed != nil && len(allowed) == 0 {
+		out := make([][]Match, len(qs))
+		for i, k := range ks {
+			if k > 0 {
+				out[i] = []Match{}
+			}
+		}
+		return out, nil
+	}
+	return body(ctx, o, qs, ks, allowed, costs)
+}
+
 // valueFilter returns the vectordb tag filter of one search: values of
 // relations outside allowed are rejected, and so are values of tombstoned
 // relations. It is nil when there is nothing to reject — the common case,
@@ -52,20 +76,5 @@ func (e *Embedded) valueFilter(allowed relSet) vectordb.Filter {
 			return allowed.has(rel) // the set already excludes dead slots
 		}
 		return !e.Tombs.Dead(rel)
-	}
-}
-
-// foldHits accumulates value hits into per-relation weighted sums and hit
-// counts — the inputs of rankRelations — shared by ANNS and CTS, sequential
-// and batched. A hit's tag is the value's index: ANNS and CTS tag every
-// point they insert, and their collections are never persisted (an engine
-// image rebuilds its index), so every tag names a value.
-func (e *Embedded) foldHits(hits []vectordb.Result, sums, hitCount []float32) {
-	for _, h := range hits {
-		v := &e.Values[h.Tag]
-		if h.Score > 0 {
-			sums[v.Rel] += v.Weight * h.Score
-		}
-		hitCount[v.Rel]++
 	}
 }

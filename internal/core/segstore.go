@@ -767,43 +767,55 @@ func (st *SegmentStore) SearchEncoded(ctx context.Context, q []float32, k int) (
 	return st.SearchFiltered(ctx, q, k, nil)
 }
 
-// SearchFiltered implements EncodedSearcher. A simple (never-mutated)
-// store delegates to the base searcher's own instrumented path; a
-// multi-segment store searches every segment of the loaded snapshot with
-// the allow predicate (tombstoned relations never pass) and merges the
-// per-segment prefixes under the total order (score descending, insertion
-// order ascending) — the same comparator a monolithic scan ranks by, so
-// the merged prefix is exactly the ranking a fresh build over the
-// surviving corpus would produce.
+// SearchFiltered implements EncodedSearcher.
 func (st *SegmentStore) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
-	return st.searchView(ctx, st.view(), q, k, allow)
+	return searchOne(ctx, st, st.reg, q, k, allow)
 }
 
-// searchView is SearchFiltered against one loaded snapshot.
-func (st *SegmentStore) searchView(ctx context.Context, v *storeView, q []float32, k int, allow func(string) bool) ([]Match, error) {
+// SearchEncodedBatch implements BatchSearcher.
+func (st *SegmentStore) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
+	return searchBatch(ctx, st, qs, ks, costs)
+}
+
+// searchBlock is the store's one query body, over one loaded snapshot. A
+// simple (never-mutated) store runs the base index's body unchanged. A
+// multi-segment store runs every segment's body — the mutable segment's
+// exhaustive scan included — over the whole block, each segment resolving
+// allow to its own relations (tombstoned ones never pass), then merges each
+// query's per-segment prefixes under the total order (score descending,
+// insertion order ascending). That is the comparator a monolithic scan
+// ranks by, so the merged prefix is exactly the ranking a fresh build over
+// the surviving corpus would produce, and costs[i] is charged each
+// segment's work for query i.
+func (st *SegmentStore) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost) ([][]Match, error) {
+	v := st.view()
 	if v.simple() {
-		return v.segs[0].searcher.SearchFiltered(ctx, q, k, allow)
+		base := v.segs[0].searcher
+		return base.searchBlock(ctx, o.as(base.Name()), qs, ks, allow, costs)
 	}
-	if k <= 0 {
-		return nil, nil
-	}
-	o := startSearch(ctx, st.reg, st.method)
 	sp := o.stage("segments")
-	var all []RankedMatch
+	all := make([][]RankedMatch, len(qs))
 	err := st.eachSegment(v, func(s EncodedSearcher, emb *Embedded) error {
-		ms, err := s.SearchFiltered(ctx, q, k, allow)
+		rows, err := s.searchBlock(ctx, o.as(s.Name()), qs, ks, allow, costs)
 		if err != nil {
 			return err
 		}
-		all = emb.appendRanked(all, ms)
+		for i, ms := range rows {
+			all[i] = emb.appendRanked(all[i], ms)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	matches := MergeRanked(all, k)
-	o.endStage(sp.AnnotateInt("segments", len(v.segs)+1).AnnotateInt("matches", len(matches)))
-	return matches, nil
+	out := make([][]Match, len(qs))
+	for i, k := range ks {
+		if k > 0 {
+			out[i] = MergeRanked(all[i], k)
+		}
+	}
+	o.endStage(sp.AnnotateInt("segments", len(v.segs)+1).AnnotateInt("matches", len(out[0])))
+	return out, nil
 }
 
 // eachSegment calls fn on every non-empty segment of v: the frozen and
@@ -863,54 +875,6 @@ func MergeRanked(all []RankedMatch, k int) []Match {
 		out[i] = t.Match
 	}
 	return out
-}
-
-// SearchEncodedBatch implements BatchSearcher. A simple store delegates to
-// the base index's batch body. A multi-segment store runs every segment's
-// batch body — the mutable segment's exhaustive scan included — once over
-// the whole block, then merges each query's per-segment prefixes as
-// searchView does. A segment's batch row is its sequential answer, so
-// every merged row is bit-identical to the sequential one, and costs[i]
-// is charged each segment's work for query i.
-func (st *SegmentStore) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
-	v := st.view()
-	if v.simple() {
-		return searchBatchOf(ctx, v.segs[0].searcher, qs, ks, costs)
-	}
-	if err := checkBatchArgs(len(qs), ks, costs); err != nil {
-		return nil, err
-	}
-	all := make([][]RankedMatch, len(qs))
-	err := st.eachSegment(v, func(s EncodedSearcher, emb *Embedded) error {
-		rows, err := searchBatchOf(ctx, s, qs, ks, costs)
-		if err != nil {
-			return err
-		}
-		for i, ms := range rows {
-			all[i] = emb.appendRanked(all[i], ms)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(qs))
-	for i, k := range ks {
-		if k > 0 {
-			out[i] = MergeRanked(all[i], k)
-		}
-	}
-	return out, nil
-}
-
-// searchBatchOf runs a segment searcher's batch body; the searchers of all
-// three methods have one.
-func searchBatchOf(ctx context.Context, s EncodedSearcher, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
-	bs, ok := s.(BatchSearcher)
-	if !ok {
-		return nil, fmt.Errorf("core: %s searcher %T has no batch path", s.Name(), s)
-	}
-	return bs.SearchEncodedBatch(ctx, qs, ks, costs)
 }
 
 // IndexHealth implements HealthReporter by reporting the base segment's

@@ -98,11 +98,14 @@ var MetricHelp = map[string]string{
 // once and fans the vector out to every shard.
 //
 // The context carries everything per-query: cancellation (polled between
-// ExS scan chunks, between CTS clusters and between HNSW hops, so an
-// expired deadline interrupts the search mid-flight), the request trace
-// the stage spans are recorded on (obs.TraceFrom; nil records nothing) and
-// the cost accumulator the index layers charge (obs.CostFrom; nil charges
-// nothing).
+// ExS scan chunks and between HNSW hops, so an expired deadline interrupts
+// the search mid-flight), the request trace the stage spans are recorded
+// on (obs.TraceFrom; nil records nothing) and the cost accumulator the
+// index layers charge (obs.CostFrom; nil charges nothing).
+//
+// Each implementation has one query body, searchBlock, which ranks a block
+// of queries: a single query is a block of one (searchOne) and
+// SearchEncodedBatch passes its block through (searchBatch).
 type EncodedSearcher interface {
 	Searcher
 	SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error)
@@ -110,6 +113,27 @@ type EncodedSearcher interface {
 	// accepts — e.g. "only datasets from the WHO and ECDC members of the
 	// federation". A nil allow accepts every relation.
 	SearchFiltered(ctx context.Context, q []float32, k int, allow func(relationID string) bool) ([]Match, error)
+	// searchBlock ranks relations for every query of a block: row i answers
+	// qs[i] with at most ks[i] matches (nil when ks[i] ≤ 0), restricted to
+	// the relations allow accepts, and charges costs[i] its work. o records
+	// the stage spans; a block of one records its query's, a batch passes
+	// the zero searchObs and records none.
+	searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost) ([][]Match, error)
+}
+
+// searchOne is SearchFiltered of every EncodedSearcher: the query runs
+// through s's body as a block of one, its stages recorded under s's name
+// on reg and the context's trace, its work charged to the context's cost
+// accumulator.
+func searchOne(ctx context.Context, s EncodedSearcher, reg *obs.Registry, q []float32, k int, allow func(string) bool) ([]Match, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	out, err := s.searchBlock(ctx, startSearch(ctx, reg, s.Name()), [][]float32{q}, []int{k}, allow, []*obs.Cost{obs.CostFrom(ctx)})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // Search answers a keyword query on any encoded searcher: an "encode"
@@ -145,6 +169,13 @@ type searchObs struct {
 
 func startSearch(ctx context.Context, reg *obs.Registry, method string) searchObs {
 	return searchObs{reg: reg, method: method, tr: obs.TraceFrom(ctx), start: time.Now()}
+}
+
+// as relabels o for a part of the query another searcher runs — a
+// segment's body inside the store's. A silent o stays silent.
+func (o searchObs) as(method string) searchObs {
+	o.method = method
+	return o
 }
 
 // stage begins a named span; pass the returned span to endStage.

@@ -59,18 +59,24 @@ func TestBenchBuildsAllMethodsAndSizes(t *testing.T) {
 	}
 }
 
+// TestSkipMethods builds ExS alone: every other method is skipped, so
+// the test costs one embedding pass per partition, not a second bench.
 func TestSkipMethods(t *testing.T) {
 	s := quickSetup()
-	s.SkipMethods = []string{"MDR", "WS", "TCS", "AdH", "TML"}
+	for _, m := range Methods {
+		if m != "ExS" {
+			s.SkipMethods = append(s.SkipMethods, m)
+		}
+	}
 	b, err := NewBench(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.PerSize["LD"].Searchers["MDR"]; ok {
-		t.Fatal("MDR built despite skip")
-	}
-	if _, ok := b.PerSize["LD"].Searchers["CTS"]; !ok {
-		t.Fatal("CTS missing")
+	for _, size := range Sizes {
+		got := b.PerSize[size].Searchers
+		if _, ok := got["ExS"]; !ok || len(got) != 1 {
+			t.Fatalf("%s: built %d methods despite the skips, ExS among them: %v", size, len(got), ok)
+		}
 	}
 }
 

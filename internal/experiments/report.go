@@ -67,10 +67,6 @@ type Report struct {
 	// Cost is the per-method cost-model section (semdisco-bench -cost),
 	// absent when not requested.
 	Cost *CostReportJSON `json:"cost,omitempty"`
-	// Batch is the batched-execution section (semdisco-bench -batch):
-	// sequential vs fused-batch throughput per method, absent when not
-	// requested.
-	Batch *BatchReportJSON `json:"batch,omitempty"`
 	// Churn is the mutable-storage section (semdisco-bench -churn): write
 	// throughput, search latency under concurrent churn, compaction pause
 	// and the fresh-rebuild equivalence check, absent when not requested.

@@ -21,12 +21,12 @@ const (
 	maxEncodedK     = 1 << 16
 )
 
-// ShardBackend is what a shard server executes encoded searches against.
-// *core.SegmentStore satisfies it (and so does every core method), which
-// is the point: the shard side of the wire protocol is the same encoded
-// search path the in-process Router calls directly.
+// ShardBackend is what a shard server executes encoded searches against:
+// one block of queries per request, the single-query route sending a block
+// of one. *core.SegmentStore satisfies it (and so does every core method),
+// which is the point: the shard side of the wire protocol is the same
+// encoded search path the in-process Router calls directly.
 type ShardBackend interface {
-	SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error)
 	SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]core.Match, error)
 }
 
@@ -89,32 +89,31 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tr := traceFor(r)
-	rep := reply{costs: make([]obs.CostReport, len(qs))}
-	var sp *obs.Span
-	var o obs.TraceOutcome
-	var err error
+	root, o := "shard_encoded_batch", obs.TraceOutcome{Method: "encoded_batch", K: len(qs)}
 	if single {
-		sp = tr.StartRoot("shard_encoded_search").AnnotateInt("k", ks[0])
-		cost := &obs.Cost{}
-		var ms []core.Match
-		ms, err = h.backend.SearchEncoded(obs.ContextWithCost(r.Context(), cost), qs[0], ks[0])
-		rep.ms, rep.costs[0] = [][]core.Match{ms}, cost.Report()
-		sp.AnnotateInt("matches", len(ms)).AnnotateInt("distance_comps", int(rep.costs[0].DistanceComps))
-		o = obs.TraceOutcome{Method: "encoded", K: ks[0], Matches: len(ms)}
-	} else {
-		sp = tr.StartRoot("shard_encoded_batch").AnnotateInt("queries", len(qs))
-		costs := make([]*obs.Cost, len(qs))
-		for i := range costs {
-			costs[i] = &obs.Cost{}
-		}
-		rep.ms, err = h.backend.SearchEncodedBatch(r.Context(), qs, ks, costs)
-		for i, c := range costs {
-			rep.costs[i] = c.Report()
-		}
-		o = obs.TraceOutcome{Method: "encoded_batch", K: len(qs)}
+		root, o = "shard_encoded_search", obs.TraceOutcome{Method: "encoded", K: ks[0]}
+	}
+	sp := tr.StartRoot(root)
+	costs := make([]*obs.Cost, len(qs))
+	for i := range costs {
+		costs[i] = &obs.Cost{}
+	}
+	rep := reply{costs: make([]obs.CostReport, len(qs))}
+	var err error
+	rep.ms, err = h.backend.SearchEncodedBatch(r.Context(), qs, ks, costs)
+	for i, c := range costs {
+		rep.costs[i] = c.Report()
 	}
 	if err == nil && len(rep.ms) != len(qs) {
 		err = fmt.Errorf("backend answered %d of %d queries", len(rep.ms), len(qs))
+	}
+	if single {
+		if err == nil {
+			o.Matches = len(rep.ms[0])
+		}
+		sp.AnnotateInt("k", ks[0]).AnnotateInt("matches", o.Matches).AnnotateInt("distance_comps", int(rep.costs[0].DistanceComps))
+	} else {
+		sp.AnnotateInt("queries", len(qs))
 	}
 	if err != nil {
 		sp.Annotate("error", err.Error())

@@ -90,7 +90,7 @@ func (t *Trace) StartRoot(name string) *Span {
 	if t == nil {
 		return &Span{name: name, start: time.Now()}
 	}
-	s := &Span{tr: t, id: NewSpanID(), name: name, start: time.Now()}
+	s := &Span{tr: t, id: NewSpanID(), parent: t.remote, name: name, start: time.Now()}
 	t.mu.Lock()
 	t.rootID = s.id
 	t.mu.Unlock()

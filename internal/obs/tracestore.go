@@ -191,12 +191,11 @@ func (s *TraceStore) Offer(tr *Trace, o TraceOutcome) (kept bool, kind string) {
 }
 
 // storedSpans converts a trace's span records to the serialization form.
-// The root span's parent is the remote span when the trace was propagated
-// in — the cross-process link a distributed trace viewer stitches on.
+// The root span's record names the remote span as its parent when the
+// trace was propagated in — the cross-process link a distributed trace
+// viewer stitches on.
 func storedSpans(tr *Trace) []StoredSpan {
 	recs := tr.Spans()
-	root := tr.RootID()
-	remote := tr.Remote()
 	start := tr.Start()
 	out := make([]StoredSpan, len(recs))
 	for i, r := range recs {
@@ -207,11 +206,8 @@ func storedSpans(tr *Trace) []StoredSpan {
 			DurationMS:    float64(r.Duration) / float64(time.Millisecond),
 			Annotations:   r.Annotations,
 		}
-		switch {
-		case !r.Parent.IsZero():
+		if !r.Parent.IsZero() {
 			sp.ParentID = r.Parent.String()
-		case r.SpanID == root && !remote.IsZero():
-			sp.ParentID = remote.String()
 		}
 		out[i] = sp
 	}

@@ -11,7 +11,8 @@ import (
 // TestSearchBatchMatchesSearch pins the collection batch contract, raw and
 // PQ-compressed: one SearchBatch call — one walk scratch and one ADC table
 // reused across the block — returns exactly what per-query Search calls
-// return, row by row, and charges each query's accumulator the same work.
+// return, row by row, and charges each query's accumulator the same work
+// as a block of one.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -62,7 +63,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 					t.Fatal(err)
 				}
 				seqCost := &obs.Cost{}
-				if _, err := c.SearchContext(obs.ContextWithCost(context.Background(), seqCost), queries[i], ks[i], efs[i], nil); err != nil {
+				if _, err := c.SearchBatch(context.Background(), queries[i:i+1], ks[i:i+1], efs[i:i+1], nil, []*obs.Cost{seqCost}); err != nil {
 					t.Fatal(err)
 				}
 				if len(rows[i]) != len(want) {

@@ -400,56 +400,14 @@ func (c *Collection) Vector(id uint64) ([]float32, bool) {
 }
 
 // Search returns the k best-scoring points for the query using the HNSW
-// index. ef overrides the collection's default beam width when positive.
-// filter may be nil.
+// index: a SearchBatch block of one. ef overrides the collection's default
+// beam width when positive. filter may be nil.
 func (c *Collection) Search(query []float32, k, ef int, filter Filter) ([]Result, error) {
-	return c.search(query, k, ef, filter, nil)
-}
-
-// SearchContext is Search with cooperative cancellation: the HNSW walk
-// polls ctx between hops, so an expired deadline interrupts the search
-// mid-graph instead of after it, and the context's error is returned.
-// When the context carries a cost accumulator (obs.ContextWithCost), the
-// walk's distance computations, ADC lookups and graph hops are accounted
-// into it.
-func (c *Collection) SearchContext(ctx context.Context, query []float32, k, ef int, filter Filter) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cost := obs.CostFrom(ctx)
-	if ctx.Done() == nil { // never cancellable: skip the per-hop polling
-		return c.searchCost(query, k, ef, filter, nil, cost)
-	}
-	out, err := c.searchCost(query, k, ef, filter, func() bool { return ctx.Err() != nil }, cost)
+	out, err := c.SearchBatch(context.Background(), [][]float32{query}, []int{k}, []int{ef}, filter, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (c *Collection) search(query []float32, k, ef int, filter Filter, cancelled func() bool) ([]Result, error) {
-	return c.searchCost(query, k, ef, filter, cancelled, nil)
-}
-
-func (c *Collection) searchCost(query []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost) ([]Result, error) {
-	if len(query) != c.cfg.Dim {
-		return nil, fmt.Errorf("vectordb: query dim %d, want %d", len(query), c.cfg.Dim)
-	}
-	q := vec.Clone(query)
-	if c.cfg.Metric == Cosine {
-		vec.Normalize(q)
-	}
-	if ef <= 0 {
-		ef = c.cfg.EfSearch
-	}
-	ws := walkPool.Get().(*walkScratch)
-	defer walkPool.Put(ws)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.searchOneLocked(q, k, ef, filter, cancelled, cost, ws), nil
+	return out[0], nil
 }
 
 // walkScratch is one query walk's working state: the HNSW visited set and
@@ -461,9 +419,9 @@ type walkScratch struct {
 	table pq.Table
 }
 
-// walkPool serves the walks' scratch: a single search borrows one for the
-// call, a batch for its block, so no two live walks share one and a steady
-// query load allocates none.
+// walkPool serves the walks' scratch: a SearchBatch borrows one for its
+// block, so no two live walks share one and a steady query load allocates
+// none.
 var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
 // qdCounter tallies one walk's distance computations and ADC lookups in
@@ -546,9 +504,12 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 // result count and beam width (efs may be nil, or entries ≤ 0, for the
 // collection default); a ks[i] ≤ 0 skips query i with a nil row. costs,
 // when non-nil, carries one optional accumulator per query, each charged
-// exactly the work its own walk performed. Results per query are identical
-// to the equivalent Search calls — scratch reuse changes where the walk's
-// bookkeeping lives, not which nodes it evaluates.
+// exactly the work its own walk performed: distance computations, ADC
+// lookups and graph hops. A cancellable ctx is polled between HNSW hops, so
+// an expired deadline interrupts a walk mid-graph and the context's error
+// is returned. A query's results are the same in any block, a block of one
+// included — scratch reuse changes where the walk's bookkeeping lives, not
+// which nodes it evaluates.
 func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, efs []int, filter Filter, costs []*obs.Cost) ([][]Result, error) {
 	if len(ks) != len(queries) {
 		return nil, fmt.Errorf("vectordb: %d ks for %d queries", len(ks), len(queries))
@@ -572,14 +533,15 @@ func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, e
 		cancelled = func() bool { return ctx.Err() != nil }
 	}
 
-	// Clone/normalize outside the lock, like the single-query path.
-	qs := make([][]float32, len(queries))
+	// Clone/normalize outside the lock, into one buffer for the block.
+	dim := c.cfg.Dim
+	qs := make([]float32, len(queries)*dim)
 	for i, q := range queries {
-		v := vec.Clone(q)
+		v := qs[i*dim : (i+1)*dim]
+		copy(v, q)
 		if c.cfg.Metric == Cosine {
 			vec.Normalize(v)
 		}
-		qs[i] = v
 	}
 
 	ws := walkPool.Get().(*walkScratch)
@@ -587,7 +549,8 @@ func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, e
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([][]Result, len(queries))
-	for i, q := range qs {
+	for i := range queries {
+		q := qs[i*dim : (i+1)*dim]
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -147,6 +147,56 @@ func assertNetEquivalence(t *testing.T, fx *netFixture, label string) {
 	}
 }
 
+// TestNetCoordinatorTraceIsOneTree: the shard-side spans a coordinator
+// grafts into its trace hang under the coordinator's own spans. In the
+// stored trace of a query every span but the coordinator's root names a
+// parent, and the parent is a span of the same tree.
+func TestNetCoordinatorTraceIsOneTree(t *testing.T) {
+	fx := newNetFixture(t, 48)
+	var sets [][]string
+	for _, row := range fx.servers {
+		var urls []string
+		for _, srv := range row {
+			urls = append(urls, srv.URL)
+		}
+		sets = append(sets, urls)
+	}
+	nc, err := NewNetCoordinator(synthFederation(t, 48), sets, NetCoordinatorConfig{
+		Config: Config{Method: ExS, Dim: 64, Seed: 1, Tracing: TracingConfig{HeadSampleEvery: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := nc.Do(context.Background(), Request{Query: "abc def", K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := nc.Traces().Get(resp.TraceID)
+	if !ok {
+		t.Fatalf("trace %s not retained", resp.TraceID)
+	}
+	ids := make(map[string]bool, len(st.Spans))
+	for _, sp := range st.Spans {
+		ids[sp.SpanID] = true
+	}
+	roots, shardRoots := 0, 0
+	for _, sp := range st.Spans {
+		if sp.Name == "shard_encoded_search" {
+			shardRoots++
+		}
+		switch {
+		case sp.ParentID == "":
+			roots++
+		case !ids[sp.ParentID]:
+			t.Errorf("span %s (%s) names parent %s, which is not in the trace", sp.Name, sp.SpanID, sp.ParentID)
+		}
+	}
+	if roots != 1 || shardRoots != netTestSets {
+		t.Fatalf("%d parentless spans and %d shard roots in %d spans, want 1 and %d: %+v",
+			roots, shardRoots, len(st.Spans), netTestSets, st.Spans)
+	}
+}
+
 // TestNetShardPartitioning: every replica of a set builds the identical
 // partition, partitions are disjoint, and together they cover the
 // federation.
