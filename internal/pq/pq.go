@@ -159,9 +159,7 @@ func (q *Quantizer) EncodeTo(v []float32, code []byte) {
 	if len(v) != q.dim {
 		panic(fmt.Sprintf("pq: encode dim %d, want %d", len(v), q.dim))
 	}
-	if len(code) != q.m {
-		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), q.m))
-	}
+	checkCodeLen(code, q.m)
 	var buf [256]float32 // K ≤ 256
 	row := buf[:q.k]
 	for s := 0; s < q.m; s++ {
@@ -176,12 +174,22 @@ func (q *Quantizer) EncodeTo(v []float32, code []byte) {
 	}
 }
 
+// checkCodeLen panics unless code has one byte per subspace: a shorter code
+// would make a distance a partial sum, a longer one read past the codebook
+// or the table — which the byte-indexed kernels must never be handed.
+func checkCodeLen(code []byte, m int) {
+	if len(code) != m {
+		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), m))
+	}
+}
+
 // l2sqRow sets row[c] to the squared distance between x and the c-th of
 // the len(x)-dim centroids laid back to back in cents: one subspace's row
 // of every table this package builds, bit-equal to vec.L2Sq per entry.
 // Subvectors shorter than vec's 8-wide unroll — the index's 4-dim subspaces
 // — get only vec.L2Sq's scalar tail, which the loop below repeats float for
-// float without a call per centroid.
+// float without a call per centroid. On amd64 a 4-dim row runs four
+// centroids at a time in SSE2 (pq_amd64.s), and the K%4 left take the loop.
 func l2sqRow(x, cents, row []float32) {
 	sd := len(x)
 	if sd >= 8 {
@@ -189,6 +197,10 @@ func l2sqRow(x, cents, row []float32) {
 			row[c] = vec.L2Sq(x, cents[c*sd:(c+1)*sd])
 		}
 		return
+	}
+	if n := len(row) &^ 3; kernelAsm && sd == 4 && n > 0 {
+		l2sqRowAsm(x, cents[:n*4], row[:n])
+		cents, row = cents[n*4:], row[n:]
 	}
 	for c := range row {
 		y := cents[c*sd:][:sd]
@@ -210,6 +222,10 @@ func dotRow(x, cents, row []float32) {
 		}
 		return
 	}
+	if n := len(row) &^ 3; kernelAsm && sd == 4 && n > 0 {
+		dotRowAsm(x, cents[:n*4], row[:n])
+		cents, row = cents[n*4:], row[n:]
+	}
 	for c := range row {
 		y := cents[c*sd:][:sd]
 		var sum float32
@@ -222,9 +238,7 @@ func dotRow(x, cents, row []float32) {
 
 // Decode reconstructs the centroid approximation of a code.
 func (q *Quantizer) Decode(code []byte) []float32 {
-	if len(code) != q.m {
-		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), q.m))
-	}
+	checkCodeLen(code, q.m)
 	out := make([]float32, q.dim)
 	for s := 0; s < q.m; s++ {
 		copy(out[s*q.subDim:], q.centroid(s, int(code[s])))
@@ -279,8 +293,15 @@ func (q *Quantizer) queryTable(query []float32, dst Table, fillRow func(x, cents
 }
 
 // Lookup sums the table partials for code: approximate squared distance for
-// DistTable and CodeDistRows, approximate dot product for DotTable.
+// DistTable and CodeDistRows, approximate dot product for DotTable. code
+// must hold one byte per row of the table.
 func (t Table) Lookup(code []byte) float32 {
+	if len(code)*t.k != len(t.v) {
+		checkCodeLen(code, len(t.v)/max(t.k, 1))
+	}
+	if kernelAsm && t.k == 256 {
+		return lookupAsm(t.v, code)
+	}
 	var sum float32
 	v := t.v
 	for _, c := range code {
@@ -297,11 +318,15 @@ func (t Table) Lookup(code []byte) float32 {
 // have been dropped after compression: it is the pairwise distance of HNSW
 // neighbour selection, several thousand calls per inserted vector.
 func (q *Quantizer) CodeDist(a, b []byte) float32 {
+	checkCodeLen(a, q.m)
+	checkCodeLen(b, q.m)
 	sd, stride := q.subDim, q.k*q.subDim
-	b = b[:len(a)]
 	cents := q.codebook
 	var d float32
 	if sd == 4 {
+		if kernelAsm && q.k == 256 {
+			return codeDistAsm(cents, a, b)
+		}
 		// The ANNS index's subspace width (dim/4 subspaces of 4 dims).
 		// Unrolled, with one bounds check per centroid: the same four
 		// squares added in the same order as vec.L2Sq's scalar tail.
@@ -329,9 +354,7 @@ func (q *Quantizer) CodeDist(a, b []byte) float32 {
 // measures hundreds of items against one inserted target, which is what
 // pays for the M·K partials computed here.
 func (q *Quantizer) CodeDistRows(code []byte, dst Table) Table {
-	if len(code) != q.m {
-		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), q.m))
-	}
+	checkCodeLen(code, q.m)
 	dst = q.reuseTable(dst)
 	for s := 0; s < q.m; s++ {
 		l2sqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])

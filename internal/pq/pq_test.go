@@ -2,10 +2,12 @@ package pq
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"semdisco/internal/vec"
@@ -290,24 +292,6 @@ func BenchmarkEncode768(b *testing.B) {
 	}
 }
 
-func BenchmarkADCLookup(b *testing.B) {
-	vs := randomUnitVecs(300, 768, 11)
-	q, err := Train(vs, Config{K: 64, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	codes := make([][]byte, len(vs))
-	for i, v := range vs {
-		codes[i] = q.Encode(v)
-	}
-	table := q.DistTable(vs[0], Table{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = table.Lookup(codes[i%len(codes)])
-	}
-}
-
 func TestCodeDistMatchesDecodedPairs(t *testing.T) {
 	vs := randomUnitVecs(300, 64, 20)
 	q, err := Train(vs, Config{M: 8, K: 32, Seed: 20})
@@ -446,11 +430,15 @@ func (s *refSDC) dist(a, b []byte) float32 {
 // TestFlatCodebookBitIdentical pins every distance the flat codebook serves
 // to the nested-slice reference, bit for bit, on both sides of vec's 8-wide
 // unroll (subDim 1 and 4 run only its scalar tail, 8 only the unrolled
-// body, 12 both).
+// body, 12 both), and at the index's shape — subDim 4 with K = 256, where
+// CodeDist and Lookup take their byte-indexed kernels — and at a K that
+// leaves the 4-dim row kernels a tail (30 = 7·4 + 2).
 func TestFlatCodebookBitIdentical(t *testing.T) {
-	const m, k, n = 6, 32, 120
-	for _, subDim := range []int{1, 4, 8, 12} {
-		vs := randomUnitVecs(n, m*subDim, int64(40+subDim))
+	const m = 6
+	for _, tc := range []struct{ subDim, k int }{{1, 32}, {4, 32}, {8, 32}, {12, 32}, {4, 256}, {4, 30}} {
+		subDim, k := tc.subDim, tc.k
+		n := max(120, k+44)
+		vs := randomUnitVecs(n, m*subDim, int64(40+subDim+k))
 		q, err := Train(vs, Config{M: m, K: k, Seed: 40})
 		if err != nil {
 			t.Fatal(err)
@@ -461,7 +449,13 @@ func TestFlatCodebookBitIdentical(t *testing.T) {
 		for i, v := range vs {
 			codes[i] = q.Encode(v)
 			if want := refEncode(cb, subDim, v); !bytes.Equal(codes[i], want) {
-				t.Fatalf("subDim %d: Encode(%d) = %v, reference %v", subDim, i, codes[i], want)
+				t.Fatalf("subDim %d K %d: Encode(%d) = %v, reference %v", subDim, k, i, codes[i], want)
+			}
+		}
+		same := func(what string, i, j int, got, want float32) {
+			t.Helper()
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("subDim %d K %d: %s(%d, %d) = %v, reference %v", subDim, k, what, i, j, got, want)
 			}
 		}
 		var rows Table
@@ -470,22 +464,201 @@ func TestFlatCodebookBitIdentical(t *testing.T) {
 			refDist, refDot := refTable(cb, subDim, vs[i], vec.L2Sq), refTable(cb, subDim, vs[i], vec.Dot)
 			rows = q.CodeDistRows(codes[i], rows)
 			for j, code := range codes {
-				if got, want := dist.Lookup(code), refLookup(refDist, code); got != want {
-					t.Fatalf("subDim %d: DistTable(%d).Lookup(%d) = %v, reference %v", subDim, i, j, got, want)
-				}
-				if got, want := dot.Lookup(code), refLookup(refDot, code); got != want {
-					t.Fatalf("subDim %d: DotTable(%d).Lookup(%d) = %v, reference %v", subDim, i, j, got, want)
-				}
+				same("DistTable.Lookup", i, j, dist.Lookup(code), refLookup(refDist, code))
+				same("DotTable.Lookup", i, j, dot.Lookup(code), refLookup(refDot, code))
 				want := sdc.dist(codes[i], code)
-				if got := q.CodeDist(codes[i], code); got != want {
-					t.Fatalf("subDim %d: CodeDist(%d, %d) = %v, reference SDC %v", subDim, i, j, got, want)
+				same("CodeDist", i, j, q.CodeDist(codes[i], code), want)
+				same("CodeDist", j, i, q.CodeDist(code, codes[i]), want)
+				same("CodeDistRows.Lookup", i, j, rows.Lookup(code), want)
+			}
+		}
+	}
+}
+
+// TestCodeLenChecked pins that a code with too few or too many bytes is
+// refused, on the byte-indexed kernels' shape (subDim 4, K = 256) and off
+// it: a short code once gave a partial distance, and CodeDist re-extended a
+// short second code into its capacity.
+func TestCodeLenChecked(t *testing.T) {
+	for _, k := range []int{256, 32} {
+		vs := randomUnitVecs(300, 64, 22)
+		q, err := Train(vs, Config{M: 16, K: k, Seed: 22, MaxIter: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := q.Encode(vs[0]), q.Encode(vs[1])
+		long := append(q.Encode(vs[2]), 0)
+		table, rows := q.DistTable(vs[3], Table{}), q.CodeDistRows(a, Table{})
+		for name, f := range map[string]func(){
+			"CodeDist(short, b)": func() { q.CodeDist(a[:10], b) },
+			"CodeDist(a, short)": func() { q.CodeDist(a, b[:10]) },
+			"CodeDist(long, b)":  func() { q.CodeDist(long, b) },
+			"CodeDist(a, long)":  func() { q.CodeDist(a, long) },
+			"Lookup(short)":      func() { table.Lookup(a[:10]) },
+			"Lookup(long)":       func() { table.Lookup(long) },
+			"rows.Lookup(short)": func() { rows.Lookup(b[:10]) },
+			"Lookup(empty)":      func() { table.Lookup(nil) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "pq: code len ") || !strings.HasSuffix(msg, ", want 16") {
+						t.Errorf("K %d: %s: panic %q, want a code length panic", k, name, msg)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+}
+
+// The kernel references below are the Go bodies of CodeDist at subDim 4,
+// the 4-dim table rows and Table.Lookup, kept verbatim: whatever runs in
+// their place must return their bits.
+
+func refCodeDist4(cents []float32, k int, a, b []byte) float32 {
+	stride := k * 4
+	var d float32
+	for s := range a {
+		x := (*[4]float32)(cents[int(a[s])*4:])
+		y := (*[4]float32)(cents[int(b[s])*4:])
+		d0, d1, d2, d3 := x[0]-y[0], x[1]-y[1], x[2]-y[2], x[3]-y[3]
+		d += d0*d0 + d1*d1 + d2*d2 + d3*d3
+		cents = cents[stride:]
+	}
+	return d
+}
+
+func refL2sqRow(x, cents, row []float32) {
+	sd := len(x)
+	for c := range row {
+		y := cents[c*sd:][:sd]
+		var sum float32
+		for i, xi := range x {
+			d := xi - y[i]
+			sum += d * d
+		}
+		row[c] = sum
+	}
+}
+
+func refDotRow(x, cents, row []float32) {
+	sd := len(x)
+	for c := range row {
+		y := cents[c*sd:][:sd]
+		var sum float32
+		for i, xi := range x {
+			sum += xi * y[i]
+		}
+		row[c] = sum
+	}
+}
+
+func refFlatLookup(v []float32, k int, code []byte) float32 {
+	var sum float32
+	for _, c := range code {
+		sum += v[c]
+		v = v[k:]
+	}
+	return sum
+}
+
+// TestPQKernelsBitIdentical holds CodeDist, the 4-dim table rows and Lookup
+// to their Go bodies by bit pattern, at K = 256 (every kernel) and K = 30
+// (the row kernels with a 2-centroid tail), on mixed-magnitude data where
+// the order of additions matters, and with one special value at a time —
+// NaN, ±Inf, subnormal, −0, the extremes — at every coordinate of every
+// centroid and of the query. One special against finite data fixes the
+// result's bits by IEEE 754 alone (two NaNs meeting would not: which
+// payload survives depends on operand order).
+func TestPQKernelsBitIdentical(t *testing.T) {
+	subnormal := math.Float32frombits(0x00000123)
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		subnormal, -subnormal, math.SmallestNonzeroFloat32, math.MaxFloat32,
+		-math.MaxFloat32, float32(math.Copysign(0, -1)),
+	}
+	for _, k := range []int{256, 30} {
+		const m = 2
+		rng := rand.New(rand.NewSource(int64(k)))
+		fill := func(x []float32) {
+			for i := range x {
+				x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+			}
+		}
+		q := &Quantizer{dim: m * 4, m: m, k: k, subDim: 4, codebook: make([]float32, m*k*4)}
+		fill(q.codebook)
+		query := make([]float32, m*4)
+		fill(query)
+		got, want := make([]float32, k), make([]float32, k)
+		same := func(what string, g, w float32) {
+			t.Helper()
+			if math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("K %d: %s = %#08x, Go body %#08x", k, what, math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+		sameRow := func(what string, kernel, ref func(x, cents, row []float32), x []float32, s int) {
+			t.Helper()
+			kernel(x, q.subspace(s), got)
+			ref(x, q.subspace(s), want)
+			for c := range got {
+				if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+					t.Fatalf("K %d: %s, subspace %d, centroid %d = %#08x, Go body %#08x",
+						k, what, s, c, math.Float32bits(got[c]), math.Float32bits(want[c]))
 				}
-				if got := q.CodeDist(code, codes[i]); got != want {
-					t.Fatalf("subDim %d: CodeDist(%d, %d) = %v, reference SDC %v", subDim, j, i, got, want)
+			}
+		}
+		// checkAll compares every kernel on inputs that touch centroid c of
+		// subspace s: c against itself and against its neighbour, as one
+		// side of a code-to-code distance, as a row's left-hand side, and
+		// looked up in tables built from the query.
+		checkAll := func(what string, s, c int) {
+			t.Helper()
+			other := (c + 1) % k
+			dist, dot := q.DistTable(query, Table{}), q.DotTable(query, Table{})
+			for _, pair := range [][2]int{{c, c}, {c, other}, {other, c}} {
+				a, b := make([]byte, m), make([]byte, m)
+				for i := range a {
+					a[i], b[i] = byte(rng.Intn(k)), byte(rng.Intn(k))
 				}
-				if got := rows.Lookup(code); got != want {
-					t.Fatalf("subDim %d: CodeDistRows(%d).Lookup(%d) = %v, reference SDC %v", subDim, i, j, got, want)
-				}
+				a[s], b[s] = byte(pair[0]), byte(pair[1])
+				same(what+": CodeDist", q.CodeDist(a, b), refCodeDist4(q.codebook, k, a, b))
+				same(what+": DistTable.Lookup", dist.Lookup(a), refFlatLookup(dist.v, k, a))
+				same(what+": DotTable.Lookup", dot.Lookup(a), refFlatLookup(dot.v, k, a))
+			}
+			cent := q.centroid(s, c)
+			sameRow(what+": l2sqRow(centroid)", l2sqRow, refL2sqRow, cent, s)
+			sameRow(what+": dotRow(centroid)", dotRow, refDotRow, cent, s)
+			x := query[s*4 : s*4+4]
+			sameRow(what+": l2sqRow(query)", l2sqRow, refL2sqRow, x, s)
+			sameRow(what+": dotRow(query)", dotRow, refDotRow, x, s)
+		}
+		checkAll("random", 0, 0)
+		checkAll("random", 1, k-1)
+		// A ±0 query makes every product of a dot row ±0: only the Go
+		// body's +0 start then decides the sign of the entry.
+		keep := append([]float32(nil), query...)
+		for _, z := range []float32{0, float32(math.Copysign(0, -1))} {
+			for i := range query {
+				query[i] = z
+			}
+			checkAll(fmt.Sprintf("query of %v", z), 0, 0)
+		}
+		copy(query, keep)
+		for _, sp := range specials {
+			for p := range q.codebook {
+				keep := q.codebook[p]
+				q.codebook[p] = sp
+				s, c := p/(k*4), p/4%k
+				checkAll(fmt.Sprintf("centroid %d of subspace %d, dim %d = %v", c, s, p%4, sp), s, c)
+				q.codebook[p] = keep
+			}
+			for p := range query {
+				keep := query[p]
+				query[p] = sp
+				s := p / 4
+				checkAll(fmt.Sprintf("query dim %d = %v", p, sp), s, rng.Intn(k))
+				query[p] = keep
 			}
 		}
 	}
@@ -528,10 +701,9 @@ func TestTableReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkCodeDist measures the code-to-code distance in the shape the
-// ANNS index uses (dim 256, 4-dim subspaces, 256 centroids): the pairwise
-// distance of HNSW neighbour selection.
-func BenchmarkCodeDist(b *testing.B) {
+// benchQuantizer256 trains a quantizer in the ANNS index's shape (dim 256,
+// 4-dim subspaces, 256 centroids) and encodes its sample.
+func benchQuantizer256(b *testing.B) (*Quantizer, [][]float32, [][]byte) {
 	vs := randomUnitVecs(600, 256, 12)
 	q, err := Train(vs, Config{M: 64, K: 256, Seed: 12, MaxIter: 2})
 	if err != nil {
@@ -541,12 +713,94 @@ func BenchmarkCodeDist(b *testing.B) {
 	for i, v := range vs {
 		codes[i] = q.Encode(v)
 	}
-	var sink float32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += q.CodeDist(codes[i%len(codes)], codes[(i*7+1)%len(codes)])
+	return q, vs, codes
+}
+
+// BenchmarkCodeDist measures the code-to-code distance in the ANNS index's
+// shape — the pairwise distance of HNSW neighbour selection — beside the Go
+// body the kernel reproduces.
+func BenchmarkCodeDist(b *testing.B) {
+	q, _, codes := benchQuantizer256(b)
+	for _, k := range []struct {
+		name string
+		fn   func(a, b []byte) float32
+	}{
+		{"kernel", q.CodeDist},
+		{"go", func(a, b []byte) float32 { return refCodeDist4(q.codebook, q.k, a, b) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			var sink float32
+			for i := 0; i < b.N; i++ {
+				sink += k.fn(codes[i%len(codes)], codes[(i*7+1)%len(codes)])
+			}
+			benchSink = sink
+		})
 	}
-	benchSink = sink
+}
+
+// BenchmarkTables256 times the table builders in the ANNS index's shape: a
+// query's DistTable and DotTable, and the per-target row table of HNSW
+// construction, then DistTable's rows through the Go body.
+func BenchmarkTables256(b *testing.B) {
+	q, vs, codes := benchQuantizer256(b)
+	t := q.DistTable(vs[0], Table{})
+	for _, bc := range []struct {
+		name string
+		fill func(i int)
+	}{
+		{"DistTable/kernel", func(i int) { t = q.DistTable(vs[i%len(vs)], t) }},
+		{"DotTable/kernel", func(i int) { t = q.DotTable(vs[i%len(vs)], t) }},
+		{"CodeDistRows/kernel", func(i int) { t = q.CodeDistRows(codes[i%len(codes)], t) }},
+		{"DistTable/go", func(i int) {
+			query := vs[i%len(vs)]
+			for s := 0; s < q.m; s++ {
+				refL2sqRow(query[s*4:s*4+4], q.subspace(s), t.v[s*q.k:(s+1)*q.k])
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.fill(i)
+			}
+		})
+	}
+}
+
+// BenchmarkADCLookup times one table lookup per code: at dim 768 with 64
+// centroids (the general body), and in the ANNS index's shape (K = 256, the
+// byte-indexed kernel) beside the Go body.
+func BenchmarkADCLookup(b *testing.B) {
+	vs := randomUnitVecs(300, 768, 11)
+	q768, err := Train(vs, Config{K: 64, Seed: 11, MaxIter: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	codes768 := make([][]byte, len(vs))
+	for i, v := range vs {
+		codes768[i] = q768.Encode(v)
+	}
+	t768 := q768.DistTable(vs[0], Table{})
+	q, vs256, codes := benchQuantizer256(b)
+	t := q.DistTable(vs256[0], Table{})
+	for _, bc := range []struct {
+		name  string
+		codes [][]byte
+		fn    func(code []byte) float32
+	}{
+		{"dim768-K64", codes768, t768.Lookup},
+		{"dim256-K256/kernel", codes, t.Lookup},
+		{"dim256-K256/go", codes, func(code []byte) float32 { return refFlatLookup(t.v, t.k, code) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float32
+			for i := 0; i < b.N; i++ {
+				sink += bc.fn(bc.codes[i%len(bc.codes)])
+			}
+			benchSink = sink
+		})
+	}
 }
 
 var benchSink float32

@@ -41,41 +41,42 @@ func graphHash(c *Collection) uint64 {
 
 // TestSerialBuildGraphGolden pins the serial construction path edge for
 // edge: the constants were recorded by running this test body at the commit
-// before construction distances moved off the SDC table, so any change to
-// which floats are summed, in which order, or to the beam's tie-breaking
-// shows up here as a different graph.
+// before construction distances moved off the SDC table (pq256: before the
+// PQ kernels moved to assembly), so any change to which floats are summed,
+// in which order, or to the beam's tie-breaking shows up here as a
+// different graph. pq256 is the ANNS index's shape — 4-dim subspaces with
+// 256 centroids, where CodeDist and Table.Lookup take their byte-indexed
+// kernels; pq's K = 64 keeps their general bodies.
 func TestSerialBuildGraphGolden(t *testing.T) {
-	const (
-		n   = 800
-		dim = 64
-	)
-	rng := rand.New(rand.NewSource(41))
-	vecs := make([][]float32, n)
-	for i := range vecs {
-		vecs[i] = randUnit(dim, rng)
-	}
 	for _, tc := range []struct {
-		name string
-		pq   *PQConfig
-		want uint64
+		name   string
+		n, dim int
+		pq     *PQConfig
+		want   uint64
 	}{
-		{"pq", &PQConfig{M: 16, K: 64, TrainSize: 256}, 0x1dc83a0d05f1019b},
-		{"raw", nil, 0x65fee130aa6bee46},
+		{"pq", 800, 64, &PQConfig{M: 16, K: 64, TrainSize: 256}, 0x1dc83a0d05f1019b},
+		{"raw", 800, 64, nil, 0x65fee130aa6bee46},
+		{"pq256", 1000, 256, &PQConfig{M: 64, K: 256, TrainSize: 256}, 0xe902ebcce35b12b2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 41, PQ: tc.pq, Workers: 1})
+			rng := rand.New(rand.NewSource(41))
+			vecs := make([][]float32, tc.n)
+			for i := range vecs {
+				vecs[i] = randUnit(tc.dim, rng)
+			}
+			c, err := NewCollection(CollectionConfig{Dim: tc.dim, Seed: 41, PQ: tc.pq, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// A quarter through Insert, the rest through an InsertBatch that
 			// crosses the PQ training boundary: both funnel into the same
 			// serial insertion body.
-			for _, v := range vecs[:n/4] {
+			for _, v := range vecs[:tc.n/4] {
 				if _, err := c.Insert(v, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := c.InsertBatch(vecs[n/4:], nil); err != nil {
+			if _, err := c.InsertBatch(vecs[tc.n/4:], nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := graphHash(c); got != tc.want {
