@@ -85,7 +85,7 @@ check: lint race batch-cpu portable fuzz
 # the cost of real measurement.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/...
-	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -shards 2 -churn -json /dev/null
+	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -json /dev/null
 
 # End-to-end benchmark smoke: the repeatable HTTP benchmark BENCHMARK.json
 # declares (bench/), one short untraced run of its cheapest workload and one
@@ -146,12 +146,12 @@ trace-smoke:
 	sh ./scripts/trace-smoke.sh
 
 # Machine-readable benchmark report (build time, latency quantiles,
-# MAP/NDCG, per-method cost-model numbers) for the selected corpus profile,
+# MAP/NDCG per method) for the selected corpus profile,
 # written to BENCH_$(CORPUS).json at the repo root and echoed to stdout.
 # Scaled down and untrained to keep the run short; raise -scale for
 # paper-grade numbers.
 bench-json:
-	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.15 -dim 192 -train=false -cost -churn -json BENCH_$(CORPUS).json
+	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.15 -dim 192 -train=false -json BENCH_$(CORPUS).json
 
 # Non-test Go lines per package, bench/ excluded, with a total: the number
 # simplification PRs quote. Plain line counts, so comments and blanks count.

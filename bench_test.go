@@ -24,6 +24,7 @@ import (
 	"semdisco/internal/corpus"
 	"semdisco/internal/eval"
 	"semdisco/internal/experiments"
+	"semdisco/internal/obs"
 	"semdisco/internal/vec"
 )
 
@@ -423,6 +424,36 @@ func BenchmarkEngineBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.DoBatch(context.Background(), queries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCostAccounting measures what per-query cost accounting costs:
+// ExS through core.Search without and with an obs.Cost in the context,
+// over the corpus of bench/'s exs-scan workload (WikiTables at scale 4,
+// seed 7, dim 256). ns/op is per query; on minus off is the overhead.
+//
+//	go test -run '^$' -bench CostAccounting -count 5 .
+func BenchmarkCostAccounting(b *testing.B) {
+	p := corpus.WikiTables().Scaled(4)
+	p.Seed = 7
+	c := corpus.Generate(p)
+	eng, err := Open(c.Federation, Config{Method: ExS, Dim: 256, Seed: 7, Lexicon: c.Lexicon})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, accounted := range []bool{false, true} {
+		b.Run(map[bool]string{false: "off", true: "on"}[accounted], func(b *testing.B) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				if accounted {
+					ctx = obs.ContextWithCost(context.Background(), &obs.Cost{})
+				}
+				q := c.Queries[i%len(c.Queries)].Text
+				if _, err := core.Search(ctx, eng.store, eng.model, nil, q, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,18 +41,22 @@ func main() {
 		storage    = flag.Bool("storage", false, "report index storage and build cost per method")
 		sweep      = flag.Bool("sweep", false, "run the scaling sweep (builds the methods at several corpus scales)")
 		jsonOut    = flag.String("json", "", `write machine-readable results (build time, latency quantiles, MAP/NDCG) to this file; "-" for stdout`)
-		shards     = flag.Int("shards", 0, "also benchmark a sharded scatter-gather federation with this many shards (adds a per-shard breakdown to -json)")
-		tracingOH  = flag.Bool("tracing-overhead", false, "also measure span-tree tracing overhead on ExS p50 (adds a tracing section to -json)")
-		costOut    = flag.Bool("cost", false, "also report per-method cost-model numbers (distance comps per query) and accounting overhead (adds a cost section to -json)")
-		churnOut   = flag.Bool("churn", false, "also benchmark the mutable segment store: write throughput, search latency under churn, compaction pause (adds a churn section to -json)")
-		netOut     = flag.Bool("netcluster", false, "also benchmark the networked cluster: loopback shard servers behind a replicated coordinator, equivalence + tail latency under stragglers and a killed replica (adds a netcluster section to -json)")
-		netSets    = flag.Int("netcluster-sets", 2, "replica-set count for -netcluster")
-		netReps    = flag.Int("netcluster-replicas", 2, "replicas per set for -netcluster")
 	)
 	flag.Parse()
 
 	if !*all && *tableNo == 0 && *figureNo == 0 && !*caseStudy && *dumpRuns == "" && !*storage && !*sweep && *jsonOut == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+
+	// Reject a bad -table or -figure before the build, which takes minutes
+	// at the default scale.
+	if *tableNo < 0 || *tableNo > 4 {
+		fmt.Fprintf(os.Stderr, "no table %d\n", *tableNo)
+		os.Exit(2)
+	}
+	if *figureNo != 0 && *figureNo != 3 {
+		fmt.Fprintf(os.Stderr, "no figure %d\n", *figureNo)
 		os.Exit(2)
 	}
 
@@ -112,21 +116,14 @@ func main() {
 		tables = []int{*tableNo}
 	}
 	for _, tn := range tables {
-		switch tn {
-		case 1, 2, 3:
-			emit(bench.RunQualityTable(tn))
-		case 4:
+		if tn == 4 {
 			emit(bench.RunTable4())
-		default:
-			fmt.Fprintf(os.Stderr, "no table %d\n", tn)
-			os.Exit(2)
+		} else {
+			emit(bench.RunQualityTable(tn))
 		}
 	}
 	if *all || *figureNo == 3 {
 		emit(bench.RunFigure3())
-	} else if *figureNo != 0 {
-		fmt.Fprintf(os.Stderr, "no figure %d\n", *figureNo)
-		os.Exit(2)
 	}
 	if *all || *caseStudy {
 		q := bench.Corpus.QueriesOf(corpus.Moderate)[0]
@@ -163,66 +160,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
-		}
-		if *shards > 0 {
-			report.Cluster, err = bench.ClusterReport(*shards, 20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("sharded federation: %d shards, ExS-equivalent=%v\n",
-				report.Cluster.Shards, report.Cluster.EquivalentToExS)
-		}
-		if *tracingOH {
-			report.Tracing, err = bench.TracingReport(20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("tracing overhead: p50 %.3fms -> %.3fms (%.1f%%), %d traces kept\n",
-				report.Tracing.BaselineP50MS, report.Tracing.TracedP50MS,
-				report.Tracing.OverheadPct, report.Tracing.TracesKept)
-		}
-		if *costOut {
-			report.Cost, err = bench.CostReport(20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
-			}
-			for _, mc := range report.Cost.Methods {
-				fmt.Printf("cost %s: %.0f distance comps/query, %.0f hops, %.0f pq lookups\n",
-					mc.Method, mc.MeanDistanceComps, mc.MeanHNSWHops, mc.MeanPQLookups)
-			}
-			fmt.Printf("cost accounting overhead: p50 %.3fms -> %.3fms (%.1f%%)\n",
-				report.Cost.BaselineP50MS, report.Cost.AccountedP50MS, report.Cost.OverheadPct)
-		}
-		if *churnOut {
-			report.Churn, err = bench.ChurnReport(20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
-			}
-			c := report.Churn
-			fmt.Printf("churn: %d rels, %d deleted / %d updated / %d added (%.0f%% churn), %.0f write ops/s\n",
-				c.Relations, c.Deleted, c.Updated, c.Added, c.ChurnFraction*100, c.WriteOpsPerSec)
-			fmt.Printf("churn search p95: %.3fms quiet -> %.3fms under churn (%d samples); compaction pause %.1fms (%d seals, %d compactions), fresh-equivalent=%v\n",
-				c.QuietLatency.P95MS, c.ChurnLatency.P95MS, c.ChurnSamples,
-				c.CompactionPauseMS, c.Seals, c.Compactions, c.EquivalentToFresh)
-		}
-		if *netOut {
-			report.Netcluster, err = bench.NetclusterReport(*netSets, *netReps, 20)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				os.Exit(1)
-			}
-			nr := report.Netcluster
-			fmt.Printf("netcluster: %d sets x %d replicas, exs-equivalent=%v router-equivalent=%v\n",
-				nr.Sets, nr.Replicas, nr.EquivalentToExS, nr.EquivalentToRouter)
-			fmt.Printf("netcluster p99: %.3fms in-process -> %.3fms wire -> %.3fms straggler (%d hedges, %d retries)\n",
-				nr.InProcess.P99MS, nr.Healthy.P99MS, nr.Straggler.P99MS,
-				nr.StragglerHedges, nr.StragglerRetries)
-			fmt.Printf("netcluster replica kill: %d/%d answered (degraded=%d), all_answered=%v\n",
-				nr.KilledAnswered, nr.KilledQueries, nr.KilledDegraded, nr.AllAnswered)
 		}
 		var out io.Writer = os.Stdout
 		if *jsonOut != "-" {

@@ -242,32 +242,6 @@ func TestWriteRunRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChurnReport(t *testing.T) {
-	b := quickBench(t)
-	c, err := b.ChurnReport(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.EquivalentToFresh {
-		t.Fatal("churned store diverged from a fresh rebuild")
-	}
-	if c.ChurnFraction < 0.2 {
-		t.Fatalf("churn fraction %.2f below the 20%% floor", c.ChurnFraction)
-	}
-	if c.Deleted == 0 || c.Updated == 0 || c.Added == 0 {
-		t.Fatalf("missing mutation kinds: %+v", c)
-	}
-	if c.Seals == 0 || c.Compactions == 0 {
-		t.Fatalf("no maintenance happened: seals=%d compactions=%d", c.Seals, c.Compactions)
-	}
-	if c.SegmentsAfter != 1 {
-		t.Fatalf("compaction left %d segments", c.SegmentsAfter)
-	}
-	if c.WriteOpsPerSec <= 0 || c.ChurnSamples == 0 {
-		t.Fatalf("empty measurements: %+v", c)
-	}
-}
-
 func TestStorageTableRenders(t *testing.T) {
 	b := quickBench(t)
 	out, err := b.RunStorageTable()

@@ -58,23 +58,6 @@ type Report struct {
 	Workers    int            `json:"workers"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
 	Methods    []MethodReport `json:"methods"`
-	// Cluster is the sharded-federation benchmark (semdisco-bench -shards),
-	// absent when sharding was not requested.
-	Cluster *ClusterReportJSON `json:"cluster,omitempty"`
-	// Tracing is the tracing-overhead measurement (semdisco-bench
-	// -tracing-overhead), absent when not requested.
-	Tracing *TracingReportJSON `json:"tracing,omitempty"`
-	// Cost is the per-method cost-model section (semdisco-bench -cost),
-	// absent when not requested.
-	Cost *CostReportJSON `json:"cost,omitempty"`
-	// Churn is the mutable-storage section (semdisco-bench -churn): write
-	// throughput, search latency under concurrent churn, compaction pause
-	// and the fresh-rebuild equivalence check, absent when not requested.
-	Churn *ChurnReportJSON `json:"churn,omitempty"`
-	// Netcluster is the networked-cluster section (semdisco-bench
-	// -netcluster): wire-level deployment equivalence and tail latency under
-	// induced stragglers and a killed replica, absent when not requested.
-	Netcluster *NetclusterReportJSON `json:"netcluster,omitempty"`
 }
 
 // classes maps the report's JSON keys to the corpus query classes.

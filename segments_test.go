@@ -204,8 +204,8 @@ func TestEngineChurnEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.SegmentStats()
-	if st.Compactions < 1 {
-		t.Fatalf("no compaction completed: %+v", st)
+	if st.Seals < 1 || st.Compactions < 1 {
+		t.Fatalf("no seal or no compaction completed: %+v", st)
 	}
 	if st.DeadRelations != 0 || st.Segments != 1 {
 		t.Fatalf("compaction left garbage: %+v", st)
