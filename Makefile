@@ -40,18 +40,19 @@ hedge-stress:
 	$(GO) test -race -count=10 -run 'Race|Hedg|Failover|FailsOver|Straggler|HungReplica' ./internal/cluster/ ./internal/netcluster/
 
 # Everything off the amd64 assembly path still has to build and agree:
-# arm64 compiles every package against the stubs in dotbatch_generic.go and
-# pq_generic.go, and the purego tag runs the vec and pq tests, the HNSW
-# golden graphs and the PQ-coded vectordb golden graphs and saved images —
-# the same constants — through the pure-Go kernel bodies on this machine. ExS's
+# arm64 compiles every package against the stubs in dotbatch_generic.go,
+# pq_generic.go and sgd_generic.go, and the purego tag runs the vec, pq,
+# umap and hdbscan tests, the HNSW golden graphs, the PQ-coded vectordb
+# golden graphs and saved images and the CTS build golden — the same
+# constants — through the pure-Go kernel bodies on this machine. ExS's
 # centroid filter rests on a rounding bound, so its bound and oracle-
 # equivalence tests run on those bodies too (the bound must also hold for
 # arm64's fused multiply-adds, which round fewer times, not more).
 portable:
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq
-	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
+	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/umap ./internal/hdbscan
 	$(GO) test -tags purego -run 'SerialBuildGraphGolden|LoadsParentCommitImages' ./internal/vectordb
-	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence' ./internal/core
+	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden' ./internal/core
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the
 # centroid bound, the coordinator↔shard wire frame, the HNSW, PQ and vector
@@ -106,14 +107,15 @@ bench-e2e:
 # single-query Dot calls, the bounded top-k selection, PQ's 4-dim kernels in
 # the ANNS index's shape (code-to-code distance, table rows, ADC lookup) and
 # the serial HNSW + PQ build that runs on them, and the pieces of the CTS
-# build (the SGD's pow, a whole UMAP fit, HDBSCAN's core-distance pass). The
+# build (the SGD's pow and its three 16-dim steps beside their Go bodies, a
+# whole UMAP fit, HDBSCAN's core-distance pass). The
 # transcript lands in benchrun_kernels.txt so kernel regressions show up in
 # review diffs.
 bench-kernels:
 	{ $(GO) test -run=^$$ -bench 'Dot|L2Sq|TopK|FullSort' -benchtime=2s ./internal/vec/ && \
 	  $(GO) test -run=^$$ -bench 'CodeDist|Tables256|ADCLookup' -benchtime=2s ./internal/pq/ && \
 	  $(GO) test -run=^$$ -bench 'InsertBatchPQ' -benchtime=3x ./internal/vectordb/ && \
-	  $(GO) test -run=^$$ -bench 'Pow32' -benchtime=2s ./internal/umap/ && \
+	  $(GO) test -run=^$$ -bench 'Pow32|SGD' -benchtime=2s ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'Fit3200x256' -benchtime=3x ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'CoreDistances4096x16' -benchtime=5x ./internal/hdbscan/; } | tee benchrun_kernels.txt
 

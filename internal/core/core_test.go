@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"semdisco/internal/corpus"
@@ -344,6 +345,31 @@ func TestCTSEmptyFederation(t *testing.T) {
 	emb := EmbedFederation(fed, model)
 	if _, err := NewCTS(emb, CTSOptions{}); err == nil {
 		t.Fatal("empty federation must error")
+	}
+}
+
+// A negative size or count in CTSOptions is an error naming the field, not
+// a makeslice panic deep in the build or a silent default.
+func TestCTSRejectsNegativeOptions(t *testing.T) {
+	fed, model := covidFederation(t)
+	emb := EmbedFederation(fed, model)
+	for _, c := range []struct {
+		field string
+		opt   CTSOptions
+	}{
+		{"ReducedDim", CTSOptions{ReducedDim: -1}},
+		{"SampleCap", CTSOptions{SampleCap: -1}},
+		{"UMAPEpochs", CTSOptions{UMAPEpochs: -5}},
+		{"MinClusterSize", CTSOptions{MinClusterSize: -3}},
+	} {
+		cts, err := NewCTS(emb, c.opt)
+		if err == nil || cts != nil {
+			t.Errorf("%s: NewCTS(%+v) = %v, %v; want nil and an error", c.field, c.opt, cts, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name the field", c.field, err)
+		}
 	}
 }
 

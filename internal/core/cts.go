@@ -100,6 +100,19 @@ type CTSOptions struct {
 // (reduce + cluster + per-cluster graphs); queries afterwards only touch
 // medoids and the selected clusters.
 func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"ReducedDim", opt.ReducedDim},
+		{"MinClusterSize", opt.MinClusterSize},
+		{"SampleCap", opt.SampleCap},
+		{"UMAPEpochs", opt.UMAPEpochs},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("core: cts: %s = %d, want >= 0 (0 takes the default)", f.name, f.v)
+		}
+	}
 	if opt.ReducedDim == 0 {
 		opt.ReducedDim = 16
 	}

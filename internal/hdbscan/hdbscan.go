@@ -119,9 +119,8 @@ func Cluster(points [][]float32, cfg Config) Result {
 const parallelMinPoints = 256
 
 // coreDistances returns, for each point, the distance to its k-th nearest
-// neighbour (the point itself not counted). Rows are independent, so the
-// scan shards across workers; the output does not depend on the worker
-// count.
+// neighbour (the point itself not counted): the last entry of its
+// vec.NearestAll list, which does not depend on the worker count.
 func coreDistances(points [][]float32, k, workers int) []float64 {
 	n := len(points)
 	if k >= n {
@@ -131,16 +130,9 @@ func coreDistances(points [][]float32, k, workers int) []float64 {
 		k = 1
 	}
 	core := make([]float64, n)
-	par.For(n, workers, func(lo, hi int) {
-		nearest := make([]vec.Neighbor, 0, k)
-		vec.L2SqRows(points, lo, hi, func(i int, row []float32) {
-			// The root is monotone, so the k-th smallest distance is the
-			// root of the k-th smallest square: one sqrt per row, and the
-			// value vec.L2 gives for that pair.
-			kth := vec.NearestK(row, k, i, nearest)[k-1].Dist
-			core[i] = float64(float32(math.Sqrt(float64(kth))))
-		})
-	})
+	for i, nbrs := range vec.NearestAll(points, k, workers) {
+		core[i] = float64(nbrs[k-1].Dist)
+	}
 	return core
 }
 

@@ -38,8 +38,9 @@ type Config struct {
 	// Seed makes the embedding deterministic.
 	Seed int64
 	// ExactKNNThreshold: inputs up to this size use exact O(n²) kNN, larger
-	// ones use an HNSW approximation. Defaults to 7000, where the blocked
-	// exact scan and the HNSW build + n searches cost the same at dim 256.
+	// ones use an HNSW approximation. Defaults to 20000, just below where
+	// the exact scan, which scores each pair once, and the HNSW build + n
+	// searches cost the same at dim 256 (between 20,600 and 25,400 points).
 	ExactKNNThreshold int
 	// Workers bounds build parallelism. 0 or 1 runs the historical serial
 	// pipeline, bit-identical for a fixed seed. With 2+ workers the kNN
@@ -74,7 +75,7 @@ func (c *Config) fill(n int) {
 		c.NegativeSamples = 5
 	}
 	if c.ExactKNNThreshold == 0 {
-		c.ExactKNNThreshold = 7000
+		c.ExactKNNThreshold = 20000
 	}
 }
 
@@ -97,8 +98,7 @@ func Fit(points [][]float32, cfg Config) [][]float32 {
 	if workers < 1 {
 		workers = 1
 	}
-	knnIdx, knnDist := knnGraph(points, k, cfg.ExactKNNThreshold, cfg.Seed, workers)
-	rows, cols, weights := fuzzySimplicialSet(knnIdx, knnDist)
+	rows, cols, weights := fuzzySimplicialSet(knnGraph(points, k, cfg.ExactKNNThreshold, cfg.Seed, workers))
 	// The layout lives in one n·dim buffer for the whole optimization: the
 	// SGD reads rows at random, and a flat buffer makes that one address
 	// computation instead of a slice-header load per row.
@@ -117,83 +117,60 @@ func Fit(points [][]float32, cfg Config) [][]float32 {
 	return out
 }
 
-// knnGraph returns, for each point, the indices and distances of its k
-// nearest neighbours (self excluded). Rows are independent, so both the
-// exact and the query phase of the approximate path shard across workers
-// without changing the result; only the HNSW construction itself depends
-// on insert order when built concurrently.
-func knnGraph(points [][]float32, k, exactThreshold int, seed int64, workers int) (idx [][]int32, dist [][]float32) {
+// knnGraph returns, for each point, its k nearest neighbours (self
+// excluded) with their Euclidean distances, nearest first. The exact path is
+// vec.NearestAll, the same lists at every worker count; in the approximate
+// one the query phase shards across workers without changing a row, and
+// only the HNSW construction itself depends on insert order when built
+// concurrently.
+func knnGraph(points [][]float32, k, exactThreshold int, seed int64, workers int) [][]vec.Neighbor {
 	n := len(points)
-	idx = make([][]int32, n)
-	dist = make([][]float32, n)
 	if n <= exactThreshold {
-		par.For(n, workers, func(lo, hi int) {
-			nearest := make([]vec.Neighbor, 0, k)
-			vec.L2SqRows(points, lo, hi, func(i int, row []float32) {
-				// Select on the rooted distances, not the squares: the
-				// float32 root merges neighbouring squares, and the lower
-				// index wins the tie that makes.
-				for j, d2 := range row {
-					row[j] = float32(math.Sqrt(float64(d2)))
-				}
-				nearest = vec.NearestK(row, k, i, nearest)
-				idx[i] = make([]int32, len(nearest))
-				dist[i] = make([]float32, len(nearest))
-				for t, nb := range nearest {
-					idx[i][t] = nb.ID
-					dist[i][t] = nb.Dist
-				}
-			})
-		})
-		return idx, dist
+		// NearestAll selects on the rooted distances, not the squares: the
+		// float32 root merges neighbouring squares, and the lower index
+		// wins the tie that makes.
+		return vec.NearestAll(points, k, workers)
 	}
 	// Approximate path: build an HNSW over the points.
 	ix := hnsw.New(hnsw.Config{M: 16, EfConstruction: 100, Seed: seed}, func(a, b int32) float32 {
 		return vec.L2Sq(points[a], points[b])
 	}, nil)
 	ix.AddBatch(n, workers)
+	knn := make([][]vec.Neighbor, n)
 	par.For(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			self := int32(i)
 			res := ix.Search(func(id int32) float32 {
 				return vec.L2Sq(points[i], points[id])
 			}, k+1, 2*(k+1), func(id int32) bool { return id != self })
-			m := len(res)
-			if m > k {
-				m = k
-			}
-			idx[i] = make([]int32, m)
-			dist[i] = make([]float32, m)
-			for t := 0; t < m; t++ {
-				idx[i][t] = res[t].ID
-				dist[i][t] = float32(math.Sqrt(float64(res[t].Dist)))
+			knn[i] = make([]vec.Neighbor, min(len(res), k))
+			for t := range knn[i] {
+				knn[i][t] = vec.Neighbor{ID: res[t].ID, Dist: float32(math.Sqrt(float64(res[t].Dist)))}
 			}
 		}
 	})
-	return idx, dist
+	return knn
 }
 
 // fuzzySimplicialSet computes per-point (rho, sigma) by the smooth-kNN-dist
 // binary search and returns the symmetrized weighted edge list.
-func fuzzySimplicialSet(knnIdx [][]int32, knnDist [][]float32) (rows, cols []int32, weights []float32) {
-	n := len(knnIdx)
+func fuzzySimplicialSet(knn [][]vec.Neighbor) (rows, cols []int32, weights []float32) {
+	n := len(knn)
 	directed := make([]map[int32]float32, n)
-	for i := 0; i < n; i++ {
-		ds := knnDist[i]
-		if len(ds) == 0 {
+	for i, nbrs := range knn {
+		if len(nbrs) == 0 {
 			directed[i] = map[int32]float32{}
 			continue
 		}
-		rho := ds[0]
-		sigma := smoothKNNDist(ds, rho)
-		m := make(map[int32]float32, len(ds))
-		for t, j := range knnIdx[i] {
-			d := float64(ds[t] - rho)
+		rho := nbrs[0].Dist
+		sigma := smoothKNNDist(nbrs, rho)
+		m := make(map[int32]float32, len(nbrs))
+		for _, nb := range nbrs {
+			d := float64(nb.Dist - rho)
 			if d < 0 {
 				d = 0
 			}
-			w := float32(math.Exp(-d / sigma))
-			m[j] = w
+			m[nb.ID] = float32(math.Exp(-d / sigma))
 		}
 		directed[i] = m
 	}
@@ -201,8 +178,9 @@ func fuzzySimplicialSet(knnIdx [][]int32, knnDist [][]float32) (rows, cols []int
 	// order, not map order, so the edge list — and therefore the SGD
 	// sampling sequence — is deterministic.
 	seen := make(map[[2]int32]struct{})
-	for i := 0; i < n; i++ {
-		for _, j := range knnIdx[i] {
+	for i, nbrs := range knn {
+		for _, nb := range nbrs {
+			j := nb.ID
 			key := [2]int32{int32(i), j}
 			if int32(i) > j {
 				key = [2]int32{j, int32(i)}
@@ -227,14 +205,14 @@ func fuzzySimplicialSet(knnIdx [][]int32, knnDist [][]float32) (rows, cols []int
 
 // smoothKNNDist binary-searches sigma so that the effective neighbourhood
 // size Σ exp(-(d-rho)/sigma) equals log2(k).
-func smoothKNNDist(ds []float32, rho float32) float64 {
-	target := math.Log2(float64(len(ds)))
+func smoothKNNDist(nbrs []vec.Neighbor, rho float32) float64 {
+	target := math.Log2(float64(len(nbrs)))
 	lo, hi := 0.0, math.Inf(1)
 	sigma := 1.0
 	for iter := 0; iter < 64; iter++ {
 		var sum float64
-		for _, d := range ds {
-			x := float64(d - rho)
+		for _, nb := range nbrs {
+			x := float64(nb.Dist - rho)
 			if x < 0 {
 				x = 0
 			}
@@ -363,18 +341,9 @@ func optimize(emb []float32, rows, cols []int32, weights []float32, cfg Config, 
 			}
 			nextEpoch[e] += epochsPerSample[e]
 			i, j := int(rows[e]), int(cols[e])
-			// Reslicing the other row to len(vi) lets the update loops
-			// run without bounds checks.
-			vi := emb[i*dim : (i+1)*dim]
-			vj := emb[j*dim : (j+1)*dim][:len(vi)]
-			// Attractive gradient.
-			if d2 := vec.L2Sq(vi, vj); d2 > 0 {
-				g := attractCoef(d2, a, b)
-				for d, x := range vi {
-					gd := clip(g * (x - vj[d]))
-					vi[d] = x + alpha*gd
-					vj[d] -= alpha * gd
-				}
+			vi, vj := emb[i*dim:(i+1)*dim], emb[j*dim:(j+1)*dim]
+			if d2 := layoutL2Sq(vi, vj); d2 > 0 {
+				attract(vi, vj, attractCoef(d2, a, b), alpha)
 			}
 			// Repulsive updates against random negatives.
 			for s := 0; s < cfg.NegativeSamples; s++ {
@@ -382,13 +351,52 @@ func optimize(emb []float32, rows, cols []int32, weights []float32, cfg Config, 
 				if k == i {
 					continue
 				}
-				vk := emb[k*dim : (k+1)*dim][:len(vi)]
-				g := repelCoef(vec.L2Sq(vi, vk), a, b)
-				for d, x := range vi {
-					vi[d] = x + alpha*clip(g*(x-vk[d]))
-				}
+				vk := emb[k*dim : (k+1)*dim]
+				repel(vi, vk, repelCoef(layoutL2Sq(vi, vk), a, b), alpha)
 			}
 		}
+	}
+}
+
+// The three per-edge steps of optimize. Each Go loop is the step's
+// definition; at 16 dimensions, CTS's, an SSE2 body returns its bits
+// (sgd_amd64.go). Reslicing the other row to len(x) lets the loops run
+// without bounds checks.
+
+// layoutL2Sq is vec.L2Sq of two layout rows.
+func layoutL2Sq(x, y []float32) float32 {
+	if sgdAsm && len(x) == 16 {
+		y = y[:16]
+		return l2sq16(&x[0], &y[0])
+	}
+	return vec.L2Sq(x, y)
+}
+
+// attract moves x and y toward each other along the attractive gradient
+// with coefficient g.
+func attract(x, y []float32, g, alpha float32) {
+	y = y[:len(x)]
+	if sgdAsm && len(x) == 16 {
+		attract16(&x[0], &y[0], g, alpha)
+		return
+	}
+	for d, xd := range x {
+		gd := clip(g * (xd - y[d]))
+		x[d] = xd + alpha*gd
+		y[d] -= alpha * gd
+	}
+}
+
+// repel moves x away from the negative sample z along the repulsive
+// gradient with coefficient g.
+func repel(x, z []float32, g, alpha float32) {
+	z = z[:len(x)]
+	if sgdAsm && len(x) == 16 {
+		repel16(&x[0], &z[0], g, alpha)
+		return
+	}
+	for d, xd := range x {
+		x[d] = xd + alpha*clip(g*(xd-z[d]))
 	}
 }
 

@@ -155,7 +155,11 @@ func TestFitABDefaults(t *testing.T) {
 func TestSmoothKNNDistTargets(t *testing.T) {
 	ds := []float32{0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9}
 	rho := ds[0]
-	sigma := smoothKNNDist(ds, rho)
+	nbrs := make([]vec.Neighbor, len(ds))
+	for i, d := range ds {
+		nbrs[i] = vec.Neighbor{ID: int32(i), Dist: d}
+	}
+	sigma := smoothKNNDist(nbrs, rho)
 	var sum float64
 	for _, d := range ds {
 		x := float64(d - rho)

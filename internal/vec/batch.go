@@ -1,5 +1,11 @@
 package vec
 
+import (
+	"math"
+
+	"semdisco/internal/par"
+)
+
 // Batched (GEMM-style) kernels: a block of queries against a block of value
 // vectors. The point is memory amortization — every value vector loaded from
 // RAM is reused across a register block of 4 queries, turning Q scan passes
@@ -70,24 +76,106 @@ func L2SqBatch(qs, vs [][]float32, out []float32) {
 	}
 }
 
-// L2SqRows calls fn(i, row) for every i in [lo, hi), in order, with
-// row[j] = L2Sq(points[i], points[j]) for all j: the all-pairs scan of an
-// exact kNN or a core-distance pass, scored four rows at a time through
-// L2SqBatch so each point is loaded once per block. row is reused between
-// calls; fn must not retain it.
-func L2SqRows(points [][]float32, lo, hi int, fn func(i int, row []float32)) {
+// NearestAll returns every point's k nearest other points: nbrs[i] is
+// NearestK(row, k, i, …) over row[j] = float32(√L2Sq(points[i], points[j])),
+// the rooted distances of the exact kNN and of a core-distance pass. Each
+// unordered pair is scored once: a tile of 4 rows [t, t+4) goes through
+// L2SqBatch against the columns [t, n) only, and the rooted distance of
+// (r, j) is offered to both r's and j's list. L2Sq(a, b) and L2Sq(b, a)
+// are the same float, since only the sign of each difference changes.
+//
+// A list receives its candidates in ascending index order — first the
+// rows scored before its own, then its own row's columns — so the strict <
+// insertion of NearestK is the whole (dist, index) tie-break, and the list
+// equals NearestK's on the full row. With workers > 1 each worker scores a
+// contiguous run of tiles into lists of its own, and the lists are merged
+// by (dist, index); every candidate reaches exactly one worker, so the
+// result does not depend on the worker count. Like NearestK it expects
+// NaN-free distances.
+func NearestAll(points [][]float32, k, workers int) [][]Neighbor {
 	n := len(points)
-	block := make([]float32, 4*n)
-	for i := lo; i < hi; i += 4 {
-		end := i + 4
-		if end > hi {
-			end = hi
-		}
-		L2SqBatch(points[i:end], points, block)
-		for r := i; r < end; r++ {
-			fn(r, block[(r-i)*n:(r-i+1)*n])
+	if k > n-1 {
+		k = n - 1
+	}
+	if k <= 0 {
+		return make([][]Neighbor, n)
+	}
+	workers = max(1, min(workers, n/nearestTile))
+	// Row r pairs with the n−1−r rows after it, so equal pair counts put
+	// boundary w at n·(1 − √(1 − w/workers)), rounded to a tile.
+	bounds := make([]int, workers+1)
+	for w := 1; w < workers; w++ {
+		b := int(float64(n) * (1 - math.Sqrt(1-float64(w)/float64(workers))))
+		bounds[w] = b - b%nearestTile
+	}
+	bounds[workers] = n
+	parts := make([][][]Neighbor, workers)
+	par.Each(workers, workers, func(w int) {
+		parts[w] = newNearestLists(n, k)
+		nearestTiles(points, bounds[w], bounds[w+1], k, parts[w])
+	})
+	lists := parts[0]
+	merged := make([]Neighbor, 0, k)
+	for i := range lists {
+		for _, part := range parts[1:] {
+			merged = mergeNearest(merged[:0], lists[i], part[i], k)
+			lists[i] = append(lists[i][:0], merged...)
 		}
 	}
+	return lists
+}
+
+// nearestTile is NearestAll's row tile: L2SqBatch's 4-query block.
+const nearestTile = 4
+
+// newNearestLists returns n empty lists of capacity k over one slab.
+func newNearestLists(n, k int) [][]Neighbor {
+	slab := make([]Neighbor, n*k)
+	lists := make([][]Neighbor, n)
+	for i := range lists {
+		lists[i] = slab[i*k : i*k : (i+1)*k]
+	}
+	return lists
+}
+
+// nearestTiles scores the rows [lo, hi) against every later column, tile by
+// tile, and offers each pair to both of its lists. The column loop is the
+// outer one, so each list — a tile row's or a column's — sees its
+// candidates in ascending index order.
+func nearestTiles(points [][]float32, lo, hi, k int, lists [][]Neighbor) {
+	n := len(points)
+	block := make([]float32, nearestTile*(n-lo))
+	for t := lo; t < hi; t += nearestTile {
+		e := min(t+nearestTile, hi)
+		m := n - t
+		L2SqBatch(points[t:e], points[t:], block[:(e-t)*m])
+		for j := t + 1; j < n; j++ {
+			lj := lists[j]
+			for r := t; r < e && r < j; r++ {
+				d := float32(math.Sqrt(float64(block[(r-t)*m+j-t])))
+				if lr := lists[r]; len(lr) < k || d < lr[k-1].Dist {
+					lists[r] = placeNearest(lr, k, int32(j), d)
+				}
+				if len(lj) < k || d < lj[k-1].Dist {
+					lj = placeNearest(lj, k, int32(r), d)
+				}
+			}
+			lists[j] = lj
+		}
+	}
+}
+
+// mergeNearest appends to dst the k first entries, in (dist, index) order,
+// of two lists sorted that way whose indices are distinct.
+func mergeNearest(dst, a, b []Neighbor, k int) []Neighbor {
+	for len(dst) < k && len(a)+len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && (a[0].Dist < b[0].Dist || a[0].Dist == b[0].Dist && a[0].ID < b[0].ID) {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return dst
 }
 
 // dot4 computes the inner product of four queries against one shared value

@@ -251,30 +251,57 @@ func TestNearestKMatchesFullSort(t *testing.T) {
 	}
 }
 
-// L2SqRows must hand every row of [lo, hi) to fn once, in order, each entry
-// bit-identical to L2Sq — whatever the range's length modulo the 4-row block.
-func TestL2SqRowsBitIdenticalToL2Sq(t *testing.T) {
+// NearestAll must return, for every point, what the per-row scan it
+// replaced returned: the full row through L2SqBatch, rooted, then NearestK
+// skipping the point itself. The inputs are tie-heavy — integer-grid
+// coordinates and repeated points — so the (dist, index) order decides
+// most lists; n runs off the 4-row tile, and the worker counts split the
+// tiles differently without changing a list.
+func TestNearestAllMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dim := range []int{3, 16, 40} {
-		points := randMat(rng, 23, dim)
-		for _, r := range [][2]int{{0, 23}, {0, 0}, {5, 6}, {2, 9}, {7, 23}, {20, 23}} {
-			next := r[0]
-			L2SqRows(points, r[0], r[1], func(i int, row []float32) {
-				if i != next {
-					t.Fatalf("dim=%d range=%v: row %d delivered, want %d", dim, r, i, next)
+		for _, n := range []int{0, 1, 2, 5, 23, 37, 101} {
+			points := make([][]float32, n)
+			for i := range points {
+				if i > 0 && rng.Intn(4) == 0 {
+					points[i] = points[rng.Intn(i)] // a duplicate
+					continue
 				}
-				next++
-				if len(row) != len(points) {
-					t.Fatalf("dim=%d row %d has %d entries, want %d", dim, i, len(row), len(points))
+				p := make([]float32, dim)
+				for d := range p {
+					p[d] = float32(rng.Intn(3))
 				}
-				for j, got := range row {
-					if want := L2Sq(points[i], points[j]); math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("dim=%d row[%d][%d]=%b L2Sq=%b: not bit-identical", dim, i, j, got, want)
+				points[i] = p
+			}
+			row := make([]float32, n)
+			for _, k := range []int{0, 1, 5, 15, n - 1, n + 2} {
+				want := make([][]Neighbor, n)
+				for i := range points {
+					L2SqBatch(points[i:i+1], points, row)
+					for j, d2 := range row {
+						row[j] = float32(math.Sqrt(float64(d2)))
+					}
+					want[i] = NearestK(row, k, i, nil)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					got := NearestAll(points, k, workers)
+					if len(got) != n {
+						t.Fatalf("dim=%d n=%d k=%d workers=%d: %d lists, want %d", dim, n, k, workers, len(got), n)
+					}
+					for i := range want {
+						if len(got[i]) != len(want[i]) {
+							t.Fatalf("dim=%d n=%d k=%d workers=%d: list %d has %d entries, want %d",
+								dim, n, k, workers, i, len(got[i]), len(want[i]))
+						}
+						for r := range want[i] {
+							g, w := got[i][r], want[i][r]
+							if g.ID != w.ID || math.Float32bits(g.Dist) != math.Float32bits(w.Dist) {
+								t.Fatalf("dim=%d n=%d k=%d workers=%d: list %d entry %d = %+v, per-row scan gives %+v",
+									dim, n, k, workers, i, r, g, w)
+							}
+						}
 					}
 				}
-			})
-			if next != r[1] {
-				t.Fatalf("dim=%d range=%v: rows stopped at %d", dim, r, next)
 			}
 		}
 	}

@@ -189,19 +189,24 @@ func NearestK(dists []float32, k, skip int, buf []Neighbor) []Neighbor {
 		return buf
 	}
 	for j, d := range dists {
-		if j == skip {
-			continue
+		if j != skip && (len(buf) < k || d < buf[k-1].Dist) {
+			buf = placeNearest(buf, k, int32(j), d)
 		}
-		if len(buf) < k {
-			buf = append(buf, Neighbor{})
-		} else if !(d < buf[k-1].Dist) {
-			continue
-		}
-		p := len(buf) - 1
-		for ; p > 0 && d < buf[p-1].Dist; p-- {
-			buf[p] = buf[p-1]
-		}
-		buf[p] = Neighbor{ID: int32(j), Dist: d}
 	}
 	return buf
+}
+
+// placeNearest inserts (id, d) into the ascending list l of capacity k,
+// which the caller has found it belongs in: a list short of k grows, a full
+// one loses its last entry. A candidate that ties a survivor goes after it.
+func placeNearest(l []Neighbor, k int, id int32, d float32) []Neighbor {
+	if len(l) < k {
+		l = append(l, Neighbor{})
+	}
+	p := len(l) - 1
+	for ; p > 0 && d < l[p-1].Dist; p-- {
+		l[p] = l[p-1]
+	}
+	l[p] = Neighbor{ID: id, Dist: d}
+	return l
 }
