@@ -55,12 +55,14 @@ portable:
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden' ./internal/core
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the
-# centroid bound, the coordinator↔shard wire frame, the HNSW, PQ and vector
-# collection image readers, the CSV reader, the text pipeline and the
+# centroid bound, the embedded-federation image reader, the
+# coordinator↔shard wire frame, the HNSW, PQ and vector collection image
+# readers, the CSV reader, the text pipeline and the
 # traceparent parser.
 # The checked-in corpora under testdata/fuzz run with the ordinary tests.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCentroidBound$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEmbedded$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 5s ./internal/netcluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/hnsw
 	$(GO) test -run '^$$' -fuzz '^FuzzPQRead$$' -fuzztime 5s ./internal/pq

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"semdisco/internal/core"
 )
 
 func TestEngineAdd(t *testing.T) {
@@ -73,14 +75,27 @@ func TestEngineSearchDatasets(t *testing.T) {
 	}
 }
 
+// TestEngineSaveLoad: an engine image stores each segment's vocabulary (a
+// text and its vector once, the values as references into it), and an
+// engine loaded from it ranks exactly as the one that saved it — relations
+// and score bits — under every method, with a relation in the mutable
+// segment that repeats base texts. Index builds are serial, so the rebuilt
+// ANNS graph and CTS clustering are the saved engine's own.
 func TestEngineSaveLoad(t *testing.T) {
+	serial := core.BuildOptions{Workers: 1}
 	for _, m := range []Method{ExS, ANNS, CTS} {
 		eng, err := Open(vaccineFederation(t), Config{
 			Method: m, Dim: 96, Seed: 7, Lexicon: vaccineLexicon(),
-			CTS: CTSOptions{MinClusterSize: 4, UMAPEpochs: 40},
+			ANNS: ANNSOptions{Build: serial},
+			CTS:  CTSOptions{MinClusterSize: 4, UMAPEpochs: 40, Build: serial},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
+		}
+		err = eng.Add(&Relation{ID: "repeat", Source: "WHO", Columns: []string{"Region", "Vaccine"},
+			Rows: [][]string{{"Europe", "Vaxzevria"}, {"Asia", "Comirnaty"}}})
+		if err != nil {
+			t.Fatalf("%v: Add: %v", m, err)
 		}
 		var buf bytes.Buffer
 		if err := eng.Save(&buf); err != nil {
@@ -93,22 +108,25 @@ func TestEngineSaveLoad(t *testing.T) {
 		if loaded.Method() != m {
 			t.Fatalf("%v: method lost", m)
 		}
-		// Same query: same ranked relations (scores bit-identical for ExS;
-		// index rebuilds are seeded so ANNS/CTS agree too).
-		a, err := eng.Search("COVID", 3)
-		if err != nil {
-			t.Fatal(err)
+		if a, b := eng.SegmentStats().Texts, loaded.SegmentStats().Texts; a != b || a == 0 {
+			t.Fatalf("%v: %d texts saved, %d loaded", m, a, b)
 		}
-		b, err := loaded.Search("COVID", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%v: result counts differ: %v vs %v", m, a, b)
-		}
-		for i := range a {
-			if a[i].RelationID != b[i].RelationID {
-				t.Fatalf("%v: rankings differ: %v vs %v", m, a, b)
+		for _, q := range []string{"COVID", "vaccine europe", "minerals", "Vaxzevria", "football stadium"} {
+			a, err := eng.Search(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := loaded.Search(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%v %q: %v saved, %v loaded", m, q, a, b)
+			}
+			for i := range a {
+				if a[i].RelationID != b[i].RelationID || math.Float32bits(a[i].Score) != math.Float32bits(b[i].Score) {
+					t.Fatalf("%v %q rank %d: %v saved, %v loaded", m, q, i, a[i], b[i])
+				}
 			}
 		}
 		// Loaded engines keep dataset grouping.

@@ -38,9 +38,12 @@ type Searcher interface {
 // valueRef is one embedded attribute value of a relation. Values are
 // deduplicated per relation and carry their multiplicity as Weight, so the
 // weighted mean equals the paper's average over every attribute occurrence.
+// Text is the value's vocabulary entry, and Vec is that entry's row: every
+// value with the same text in a segment shares one row.
 type valueRef struct {
 	Rel    int32
 	Weight float32
+	Text   int32
 	Vec    []float32
 }
 
@@ -77,8 +80,14 @@ type Embedded struct {
 	// exactly like a monolithic index built in insertion order. Nil means
 	// the identity order 0..n-1 (the build-time layout).
 	RelOrder []int
-	// valueTexts[i] is the original text of Values[i], kept for Explain.
-	valueTexts []string
+	// texts and rows are the segment's vocabulary: its distinct value texts
+	// in first-seen order, with one encoded row each. Both are append-only,
+	// like Values.
+	texts []string
+	rows  [][]float32
+	// textIdx maps a text to its vocabulary id. Only the writer reads or
+	// writes it (intern), so RCU snapshots share it.
+	textIdx map[string]int32
 	// relIdx maps relation ID -> index in RelIDs, so lookups by ID are O(1)
 	// instead of a linear scan over the federation.
 	relIdx map[string]int
@@ -108,7 +117,9 @@ func (e *Embedded) RelIndex(id string) (int, bool) {
 }
 
 // EmbedFederation embeds every relation's cell values and caption with enc,
-// in parallel. Deterministic: output order depends only on input order.
+// encoding each distinct text once, in parallel. Deterministic: output
+// order depends only on input order, and Encode is a pure function, so
+// every row is the one a per-value encode would give.
 func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 	rels := fed.Relations()
 	dim := enc.Dim()
@@ -125,37 +136,40 @@ func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 		e.RelIDs[i] = r.ID
 		e.relIdx[r.ID] = i
 	}
+	workers := par.Workers(0)
 
-	// Encode relations in parallel, each worker also folding its relation's
-	// total weight and centroid row; assembly stays in input order.
+	// 1. Count each relation's texts, in parallel.
 	texts := make([][]string, len(rels))
-	vals := make([][]valueRef, len(rels))
-	par.Each(len(rels), par.Workers(0), func(i int) {
-		texts[i], vals[i], e.TotalWeight[i] = encodeRelation(rels[i], i, enc)
-		e.CentroidErr[i] = relationCentroid(vals[i], e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim])
+	weights := make([][]float32, len(rels))
+	par.Each(len(rels), workers, func(i int) {
+		texts[i], weights[i], e.TotalWeight[i] = countRelation(rels[i])
 	})
+	// 2. Intern them serially, in relation order: the vocabulary and the
+	// values come out in the order the inputs fix.
+	n := 0
 	for i := range rels {
-		e.PerRel[i] = e.appendValues(texts[i], vals[i])
+		n += len(texts[i])
 	}
+	e.Values = make([]valueRef, 0, n)
+	for i := range rels {
+		e.PerRel[i] = e.appendValues(i, texts[i], weights[i])
+	}
+	// 3. Encode each distinct text once, in parallel.
+	par.Each(len(e.texts), workers, func(t int) {
+		e.rows[t] = enc.Encode(e.texts[t])
+	})
+	e.linkRows(0)
+	// 4. Fold the centroids, in parallel. A relation's values are contiguous.
+	par.Each(len(rels), workers, func(i int) {
+		e.CentroidErr[i] = relationCentroid(e.relValues(i), e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim])
+	})
 	return e
 }
 
-// appendValues appends one relation's encoded values and returns their
-// indices, the relation's PerRel entry.
-func (e *Embedded) appendValues(texts []string, vals []valueRef) []int32 {
-	var idxs []int32
-	for j := range vals {
-		idxs = append(idxs, int32(len(e.Values)+j))
-	}
-	e.Values = append(e.Values, vals...)
-	e.valueTexts = append(e.valueTexts, texts...)
-	return idxs
-}
-
-// encodeRelation embeds relation slot rel's distinct non-empty cell values
-// and caption, in sorted text order, each weighted by its multiplicity, and
-// returns them with the float32 sum of the weights in that order.
-func encodeRelation(r *table.Relation, rel int, enc embed.Encoder) (texts []string, vals []valueRef, total float32) {
+// countRelation returns relation r's distinct non-empty cell values and
+// caption in sorted text order, each with its multiplicity, and the float32
+// sum of the weights in that order.
+func countRelation(r *table.Relation) (texts []string, weights []float32, total float32) {
 	counts := make(map[string]float32)
 	for _, v := range r.Values() {
 		if v == "" {
@@ -171,12 +185,60 @@ func encodeRelation(r *table.Relation, rel int, enc embed.Encoder) (texts []stri
 		texts = append(texts, v)
 	}
 	sort.Strings(texts)
-	vals = make([]valueRef, len(texts))
+	weights = make([]float32, len(texts))
 	for j, t := range texts {
-		vals[j] = valueRef{Rel: int32(rel), Weight: counts[t], Vec: enc.Encode(t)}
-		total += counts[t]
+		weights[j] = counts[t]
+		total += weights[j]
 	}
-	return texts, vals, total
+	return texts, weights, total
+}
+
+// appendValues interns relation slot rel's texts and appends one value per
+// text, returning their indices, the relation's PerRel entry. A text new to
+// the vocabulary gets a nil row: the caller encodes it and then links the
+// values to their rows (linkRows).
+func (e *Embedded) appendValues(rel int, texts []string, weights []float32) []int32 {
+	idxs := make([]int32, len(texts))
+	for j, t := range texts {
+		idxs[j] = int32(len(e.Values))
+		id, _ := e.intern(t)
+		e.Values = append(e.Values, valueRef{Rel: int32(rel), Weight: weights[j], Text: id})
+	}
+	return idxs
+}
+
+// linkRows points Values[from:] at their vocabulary rows.
+func (e *Embedded) linkRows(from int) {
+	for i := from; i < len(e.Values); i++ {
+		e.Values[i].Vec = e.rows[e.Values[i].Text]
+	}
+}
+
+// intern returns text's vocabulary id, appending the text with a nil row
+// when it is new (added). The caller fills a new row before any reader can
+// see it: rows past a published snapshot's length are the writer's alone.
+func (e *Embedded) intern(text string) (id int32, added bool) {
+	if e.textIdx == nil {
+		e.textIdx = make(map[string]int32)
+	}
+	if id, ok := e.textIdx[text]; ok {
+		return id, false
+	}
+	id = int32(len(e.texts))
+	e.texts = append(e.texts, text)
+	e.rows = append(e.rows, nil)
+	e.textIdx[text] = id
+	return id, true
+}
+
+// relValues returns relation rel's values when they are contiguous in
+// Values, as every path that appends a relation lays them out.
+func (e *Embedded) relValues(rel int) []valueRef {
+	idxs := e.PerRel[rel]
+	if len(idxs) == 0 {
+		return nil
+	}
+	return e.Values[idxs[0] : int(idxs[0])+len(idxs)]
 }
 
 // Limits under which no float32 intermediate of either scoring path can
@@ -244,8 +306,9 @@ func NewEmptyEmbedded(enc embed.Encoder, reg *obs.Registry) *Embedded {
 // cloneForAppend returns an RCU snapshot suitable for appending one more
 // relation: slice headers are shared (appends only ever extend, and readers
 // of an older snapshot never look past their own lengths), the relIdx map
-// is deep-copied because map writes are not snapshot-safe, and the
-// tombstone set is shared so deletes reach every snapshot. Callers must
+// is deep-copied because map writes are not snapshot-safe, the intern map
+// is shared because no reader touches it, and the tombstone set is shared
+// so deletes reach every snapshot. Callers must
 // serialize clone+append+publish externally — in the segment store, under
 // its mutation mutex.
 func (e *Embedded) cloneForAppend() *Embedded {
@@ -260,7 +323,9 @@ func (e *Embedded) cloneForAppend() *Embedded {
 		Obs:         e.Obs,
 		Tombs:       e.Tombs,
 		RelOrder:    e.RelOrder,
-		valueTexts:  e.valueTexts,
+		texts:       e.texts,
+		rows:        e.rows,
+		textIdx:     e.textIdx,
 		relIdx:      make(map[string]int, len(e.relIdx)+1),
 	}
 	for k, v := range e.relIdx {
@@ -269,10 +334,10 @@ func (e *Embedded) cloneForAppend() *Embedded {
 	return ne
 }
 
-// appendFrom copies relation slot src of other into e, reusing the stored
-// value vectors and centroid row (compaction never re-encodes, and the
-// values it moves are unchanged). The relation keeps its store-global order
-// rank.
+// appendFrom copies relation slot src of other into e, re-interning its
+// texts into e's vocabulary and reusing other's rows and centroid row
+// (compaction never re-encodes, and the values it moves are unchanged).
+// The relation keeps its store-global order rank.
 func (e *Embedded) appendFrom(other *Embedded, src int) {
 	id := other.RelIDs[src]
 	dst := len(e.RelIDs)
@@ -282,10 +347,12 @@ func (e *Embedded) appendFrom(other *Embedded, src int) {
 	e.PerRel = append(e.PerRel, nil)
 	for _, vi := range other.PerRel[src] {
 		v := other.Values[vi]
-		idx := int32(len(e.Values))
-		e.Values = append(e.Values, valueRef{Rel: int32(dst), Weight: v.Weight, Vec: v.Vec})
-		e.valueTexts = append(e.valueTexts, other.valueTexts[vi])
-		e.PerRel[dst] = append(e.PerRel[dst], idx)
+		t, added := e.intern(other.texts[v.Text])
+		if added {
+			e.rows[t] = v.Vec
+		}
+		e.PerRel[dst] = append(e.PerRel[dst], int32(len(e.Values)))
+		e.Values = append(e.Values, valueRef{Rel: int32(dst), Weight: v.Weight, Text: t, Vec: e.rows[t]})
 	}
 	e.TotalWeight = append(e.TotalWeight, other.TotalWeight[src])
 	dim := e.Enc.Dim()
@@ -295,6 +362,9 @@ func (e *Embedded) appendFrom(other *Embedded, src int) {
 
 // NumValues returns the number of embedded (deduplicated) values.
 func (e *Embedded) NumValues() int { return len(e.Values) }
+
+// NumTexts returns the number of vocabulary rows: the distinct value texts.
+func (e *Embedded) NumTexts() int { return len(e.texts) }
 
 // NumRelations returns the number of relations.
 func (e *Embedded) NumRelations() int { return len(e.RelIDs) }

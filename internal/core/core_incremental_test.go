@@ -208,4 +208,55 @@ func TestRestoreEmbeddedValidation(t *testing.T) {
 	if _, err := RestoreEmbedded(bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("dim mismatch must fail")
 	}
+
+	// An image whose PerRel lists disagree with its values' relations (ExS
+	// would score a relation by one and ANNS attribute hits by the other),
+	// or whose text ids or rows do not fit its vocabulary, does not load.
+	model = embed.New(embed.Config{Dim: 64, Seed: 3})
+	emb = EmbedFederation(vocabFederation(), model)
+	if _, err := RestoreEmbedded(bytes.NewReader(encodeImage(t, imageOfEmbedded(t, emb))), model); err != nil {
+		t.Fatalf("unmodified image: %v", err)
+	}
+	for name, corrupt := range map[string]func(img *embeddedImage){
+		"value moved to another relation's list": func(img *embeddedImage) {
+			img.PerRel[1] = append(img.PerRel[1], img.PerRel[0][0])
+			img.PerRel[0] = img.PerRel[0][1:]
+		},
+		"value in two lists": func(img *embeddedImage) {
+			img.PerRel[1] = append(img.PerRel[1], img.PerRel[0][0])
+		},
+		"value twice in its own list": func(img *embeddedImage) {
+			img.PerRel[0] = append(img.PerRel[0], img.PerRel[0][0])
+		},
+		"value in no list": func(img *embeddedImage) { img.PerRel[0] = img.PerRel[0][1:] },
+		"list index out of range": func(img *embeddedImage) {
+			img.PerRel[0] = append(img.PerRel[0], int32(len(img.Rels)))
+		},
+		"text id out of range":  func(img *embeddedImage) { img.TextIDs[0] = int32(len(img.Texts)) },
+		"negative text id":      func(img *embeddedImage) { img.TextIDs[0] = -1 },
+		"short row":             func(img *embeddedImage) { img.Vecs[0] = img.Vecs[0][:63] },
+		"text stored twice":     func(img *embeddedImage) { img.Texts[1] = img.Texts[0] },
+		"missing text ids":      func(img *embeddedImage) { img.TextIDs = img.TextIDs[1:] },
+		"relation out of range": func(img *embeddedImage) { img.Rels[0] = int32(len(img.RelIDs)) },
+		"v1 text with two vectors": func(img *embeddedImage) {
+			*img = v1Image(*img)
+			i, j := firstRepeat(img.Texts)
+			img.Vecs[j] = append([]float32(nil), img.Vecs[i]...)
+			img.Vecs[j][0] = -img.Vecs[j][0]
+		},
+		"v1 without texts": func(img *embeddedImage) {
+			*img = v1Image(*img)
+			img.Texts = nil
+		},
+		"v1 short row": func(img *embeddedImage) {
+			*img = v1Image(*img)
+			img.Vecs[2] = img.Vecs[2][:1]
+		},
+	} {
+		img := imageOfEmbedded(t, emb)
+		corrupt(&img)
+		if _, err := RestoreEmbedded(bytes.NewReader(encodeImage(t, img)), model); err == nil {
+			t.Errorf("%s: image loaded", name)
+		}
+	}
 }

@@ -60,7 +60,7 @@ func (e *Embedded) Explain(query, relationID string, topN int) (*Explanation, er
 			positiveMass += v.Weight * sim
 		}
 		contributions = append(contributions, Contribution{
-			Value:      e.valueText(vi),
+			Value:      e.texts[v.Text],
 			Similarity: sim,
 			Weight:     v.Weight,
 		})
@@ -82,13 +82,4 @@ func (e *Embedded) Explain(query, relationID string, topN int) (*Explanation, er
 		exp.Score = scoreSum / tw
 	}
 	return exp, nil
-}
-
-// valueText returns the original text of a stored value. Texts are kept
-// lazily: the first Explain call materializes the reverse index.
-func (e *Embedded) valueText(vi int32) string {
-	if e.valueTexts == nil {
-		return fmt.Sprintf("value[%d]", vi)
-	}
-	return e.valueTexts[vi]
 }

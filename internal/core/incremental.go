@@ -10,7 +10,8 @@ import (
 // internal index. The relation's ID must be new.
 //
 // This is the write path of the segment store's mutable segment: the
-// relation's values are encoded and appended, nothing else — no HNSW
+// relation's texts new to the segment's vocabulary are encoded, its values
+// appended, nothing else — no HNSW
 // insert, no cluster assignment, no index maintenance of any kind. The
 // historical per-method AddRelation implementations (graft into the ANNS
 // graph, nearest-medoid assignment for CTS) are gone: new relations land in
@@ -32,11 +33,16 @@ func (e *Embedded) AddRelation(r *table.Relation) (int, error) {
 	}
 	e.relIdx[r.ID] = relIdx
 
-	texts, vals, total := encodeRelation(r, relIdx, e.Enc)
-	e.PerRel = append(e.PerRel, e.appendValues(texts, vals))
+	texts, weights, total := countRelation(r)
+	firstValue, firstText := len(e.Values), len(e.texts)
+	e.PerRel = append(e.PerRel, e.appendValues(relIdx, texts, weights))
+	for t := firstText; t < len(e.texts); t++ {
+		e.rows[t] = e.Enc.Encode(e.texts[t])
+	}
+	e.linkRows(firstValue)
 	e.TotalWeight = append(e.TotalWeight, total)
 	row := make([]float32, e.Enc.Dim())
-	e.CentroidErr = append(e.CentroidErr, relationCentroid(vals, total, row))
+	e.CentroidErr = append(e.CentroidErr, relationCentroid(e.relValues(relIdx), total, row))
 	e.Centroids = append(e.Centroids, row...)
 	return relIdx, nil
 }

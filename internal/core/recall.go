@@ -79,19 +79,18 @@ func ProbeRecall(s Searcher, emb *Embedded, queries []string, k int, threshold f
 	return res, nil
 }
 
-// SampleValueTexts returns a stride sample of up to n stored value texts —
-// surrogate probe queries for engines that have not yet served real
-// traffic. Empty when the reverse text index was not materialized.
+// SampleValueTexts returns the texts of a stride sample of up to n stored
+// values — surrogate probe queries for engines that have not yet served
+// real traffic. The stride runs over values, not the vocabulary, so a text
+// is sampled as often as the relations holding it make it.
 func (e *Embedded) SampleValueTexts(n int) []string {
-	if len(e.valueTexts) == 0 || n <= 0 {
+	if len(e.Values) == 0 || n <= 0 {
 		return nil
 	}
-	idx := strideSample(len(e.valueTexts), n)
-	out := make([]string, 0, len(idx))
-	for _, gi := range idx {
-		if t := e.valueTexts[gi]; t != "" {
-			out = append(out, t)
-		}
+	idx := strideSample(len(e.Values), n)
+	out := make([]string, len(idx))
+	for i, gi := range idx {
+		out[i] = e.texts[e.Values[gi].Text]
 	}
 	return out
 }

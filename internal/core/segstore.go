@@ -131,7 +131,10 @@ type SegmentStore struct {
 }
 
 // SegmentStats is the store's observable state, exported through
-// Engine.Stats and the HTTP debug surface.
+// Engine.Stats and the HTTP debug surface. Texts counts vocabulary rows,
+// the distinct value texts, summed over the current segments: each segment
+// holds one row per text it stores, so Texts/LiveValues is the share of
+// value vectors that are not copies.
 type SegmentStats struct {
 	// Segments counts frozen/sealed segments plus a non-empty mutable one.
 	Segments int `json:"segments"`
@@ -142,6 +145,7 @@ type SegmentStats struct {
 	LiveRelations    int    `json:"live_relations"`
 	DeadRelations    int    `json:"dead_relations"`
 	LiveValues       int    `json:"live_values"`
+	Texts            int    `json:"texts"`
 	DeadValues       int    `json:"dead_values"`
 	Epoch            uint64 `json:"epoch"`
 	Seals            int64  `json:"seals"`
@@ -739,10 +743,12 @@ func (st *SegmentStore) Stats() SegmentStats {
 	if memb.NumValues() > 0 {
 		s.Segments++
 	}
+	s.Texts = memb.NumTexts()
 	for _, sg := range v.segs {
 		if sg.sealed {
 			s.SealedSegments++
 		}
+		s.Texts += sg.emb.NumTexts()
 	}
 	if t, ok := st.lastTrigger.Load().(string); ok {
 		s.LastCompactionTrigger = t

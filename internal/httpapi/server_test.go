@@ -272,6 +272,8 @@ func TestServerWrites(t *testing.T) {
 			}
 			sameMatches(t, q, resp.Matches, want)
 		}
+		var before StatsResponse
+		mustJSON(t, m.srv, "GET", "/v1/stats", "", http.StatusOK, &before)
 		// One write sequence per ID: a plain one, and one whose every reserved
 		// character must survive the item route's path — and, in coordinator
 		// mode, the path of the request forwarded to each replica.
@@ -334,6 +336,11 @@ func TestServerWrites(t *testing.T) {
 		if stats.NumRelations != 24 || (m.mode == "engine" && stats.Segments.DeadRelations != 2*len(ids)) {
 			t.Fatalf("stats after writes: relations=%d segments=%+v", stats.NumRelations, stats.Segments)
 		}
+		// Every write went to the one mutable segment, whose vocabulary
+		// holds the six cell texts once although each ID wrote them.
+		if m.mode == "engine" && stats.Segments.Texts != before.Segments.Texts+6 {
+			t.Fatalf("stats after writes: %d texts, %d before", stats.Segments.Texts, before.Segments.Texts)
+		}
 	})
 }
 
@@ -353,6 +360,10 @@ func TestServerRoutes(t *testing.T) {
 		case "engine":
 			if stats.NumValues == 0 || stats.Cluster != nil || stats.Netcluster != nil {
 				t.Errorf("engine stats: %+v", stats)
+			}
+			// The vocabulary holds each distinct text once.
+			if seg := stats.Segments; seg.Texts <= 0 || seg.Texts > seg.LiveValues {
+				t.Errorf("engine stats: %d texts for %d live values", seg.Texts, seg.LiveValues)
 			}
 		case "cluster":
 			if stats.Cluster == nil || len(stats.Cluster.Shards) != 2 ||
