@@ -43,7 +43,8 @@ hedge-stress:
 # arm64 compiles every package against the stubs in dotbatch_generic.go,
 # pq_generic.go and sgd_generic.go, and the purego tag runs the vec, pq,
 # umap and hdbscan tests, the HNSW golden graphs, the PQ-coded vectordb
-# golden graphs and saved images and the CTS build golden — the same
+# golden graphs and saved images, the CTS build golden, the filtered
+# ANNS/CTS rankings golden and the saved engine image's rankings — the same
 # constants — through the pure-Go kernel bodies on this machine. ExS's
 # centroid filter rests on a rounding bound, so its bound and oracle-
 # equivalence tests run on those bodies too (the bound must also hold for
@@ -52,7 +53,8 @@ portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/umap ./internal/hdbscan
 	$(GO) test -tags purego -run 'SerialBuildGraphGolden|LoadsParentCommitImages' ./internal/vectordb
-	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden' ./internal/core
+	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
+	$(GO) test -tags purego -run 'LoadsParentCommitEngineImage' .
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the
 # centroid bound, the embedded-federation image reader, the

@@ -14,10 +14,13 @@ import (
 // value vectors live in a vector database collection, optionally compressed
 // with Product Quantization, indexed with HNSW; a query retrieves the
 // nearest value vectors and scores each relation by the average similarity
-// of its retrieved vectors.
+// of its retrieved vectors. The collection holds one point per distinct
+// text, and each hit expands through the text's postings to the values
+// that carry it.
 type ANNS struct {
 	emb       *Embedded
 	coll      *vectordb.Collection
+	post      *postings
 	threshold float32
 	fanout    int
 	efSearch  int
@@ -27,8 +30,8 @@ type ANNS struct {
 type ANNSOptions struct {
 	// Threshold is the paper's h.
 	Threshold float32
-	// Fanout is how many value vectors the index retrieves per query before
-	// grouping by relation; defaults to 32·k at query time when zero.
+	// Fanout is how many distinct texts the index retrieves per query
+	// before grouping by relation; defaults to 32·k at query time when zero.
 	Fanout int
 	// EfSearch is the HNSW beam width; defaults to 128.
 	EfSearch int
@@ -45,7 +48,8 @@ type ANNSOptions struct {
 	Build BuildOptions
 }
 
-// NewANNS builds the vector-database index over the embedded federation.
+// NewANNS builds the vector-database index over the embedded federation's
+// vocabulary: one point per distinct text.
 func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	if opt.EfSearch == 0 {
 		opt.EfSearch = 128
@@ -88,15 +92,10 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 		return nil, fmt.Errorf("core: anns: %w", err)
 	}
 	coll.SetObserver(emb.Obs)
+	post := newPostings(emb, nil, 1)
 	var insertErr error
 	buildPhase(emb.Obs, "hnsw_insert", func() {
-		vecs := make([][]float32, len(emb.Values))
-		tags := make([]int32, len(emb.Values))
-		for i := range emb.Values {
-			vecs[i] = emb.Values[i].Vec
-			tags[i] = int32(i)
-		}
-		if _, err := coll.InsertBatch(vecs, tags); err != nil {
+		if _, err := coll.InsertBatch(post.group(emb, 0)); err != nil {
 			insertErr = fmt.Errorf("core: anns insert: %w", err)
 		}
 	})
@@ -107,6 +106,7 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	return &ANNS{
 		emb:       emb,
 		coll:      coll,
+		post:      post,
 		threshold: opt.Threshold,
 		fanout:    opt.Fanout,
 		efSearch:  opt.EfSearch,
@@ -169,7 +169,7 @@ func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int
 			fanouts[i], efs[i] = s.beam(k)
 		}
 	}
-	filter := s.emb.valueFilter(allowed)
+	filter := s.emb.valueFilter(s.post, allowed)
 	workers := runtime.GOMAXPROCS(0)
 	sp := o.stage("retrieve").AnnotateInt("fanout", fanouts[0]).AnnotateInt("ef", efs[0])
 	hits := make([][]vectordb.Result, nq)
@@ -195,7 +195,7 @@ func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int
 	par.For(nq, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if ks[i] > 0 {
-				out[i] = s.emb.rankHits(s.threshold, ks[i], hits[i])
+				out[i] = s.emb.rankHits(s.post, allowed, s.threshold, ks[i], hits[i])
 			}
 		}
 	})
@@ -203,7 +203,7 @@ func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int
 	return out, nil
 }
 
-// beam returns how many value vectors a top-k query retrieves and the
+// beam returns how many texts a top-k query retrieves and the
 // HNSW beam width it walks with.
 func (s *ANNS) beam(k int) (fanout, ef int) {
 	fanout = s.fanout

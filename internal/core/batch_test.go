@@ -379,14 +379,21 @@ func TestChurnedStoreBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSearchBatchAllocsIndependentOfFanout pins that a retrieved value costs
-// no allocation of its own: an ANNS query that walks in 320 value hits
+// TestSearchBatchAllocsIndependentOfFanout pins that a retrieved text costs
+// no allocation of its own: an ANNS query that walks in 320 text hits
 // allocates within a small constant of one that walks in 32. While every hit
 // carried a cloned payload map, the gap was about two allocations per extra
-// hit, over 500 here.
+// hit, over 500 here. Each relation adds a row of texts of its own to
+// testFederation's shared ones, so the index holds more than 320 points.
 func TestSearchBatchAllocsIndependentOfFanout(t *testing.T) {
 	fed := testFederation(t, 200)
+	for _, r := range fed.Relations() {
+		r.Rows = append(r.Rows, []string{r.ID + " alpha", r.ID + " beta"})
+	}
 	emb := EmbedFederation(fed, newTestEncoder(64))
+	if emb.NumTexts() < 320 {
+		t.Fatalf("%d distinct texts, fewer than the fanout", emb.NumTexts())
+	}
 	q := emb.Enc.Encode("abc def")
 	ctx := context.Background()
 	allocs := func(fanout int) float64 {

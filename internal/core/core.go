@@ -7,6 +7,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"semdisco/internal/embed"
@@ -334,6 +335,23 @@ func (e *Embedded) cloneForAppend() *Embedded {
 	return ne
 }
 
+// reserve sizes an empty e for rels relations holding values values over
+// at most texts distinct texts, so the appendFrom calls that fill it
+// append without reallocating or rehashing.
+func (e *Embedded) reserve(rels, values, texts int) {
+	e.RelIDs = slices.Grow(e.RelIDs, rels)
+	e.RelOrder = slices.Grow(e.RelOrder, rels)
+	e.PerRel = slices.Grow(e.PerRel, rels)
+	e.TotalWeight = slices.Grow(e.TotalWeight, rels)
+	e.Centroids = slices.Grow(e.Centroids, rels*e.Enc.Dim())
+	e.CentroidErr = slices.Grow(e.CentroidErr, rels)
+	e.Values = slices.Grow(e.Values, values)
+	e.texts = slices.Grow(e.texts, texts)
+	e.rows = slices.Grow(e.rows, texts)
+	e.relIdx = make(map[string]int, rels)
+	e.textIdx = make(map[string]int32, texts)
+}
+
 // appendFrom copies relation slot src of other into e, re-interning its
 // texts into e's vocabulary and reusing other's rows and centroid row
 // (compaction never re-encodes, and the values it moves are unchanged).
@@ -344,16 +362,17 @@ func (e *Embedded) appendFrom(other *Embedded, src int) {
 	e.RelIDs = append(e.RelIDs, id)
 	e.relIdx[id] = dst
 	e.RelOrder = append(e.RelOrder, other.orderOf(src))
-	e.PerRel = append(e.PerRel, nil)
-	for _, vi := range other.PerRel[src] {
+	idxs := make([]int32, len(other.PerRel[src]))
+	for j, vi := range other.PerRel[src] {
 		v := other.Values[vi]
 		t, added := e.intern(other.texts[v.Text])
 		if added {
 			e.rows[t] = v.Vec
 		}
-		e.PerRel[dst] = append(e.PerRel[dst], int32(len(e.Values)))
+		idxs[j] = int32(len(e.Values))
 		e.Values = append(e.Values, valueRef{Rel: int32(dst), Weight: v.Weight, Text: t, Vec: e.rows[t]})
 	}
+	e.PerRel = append(e.PerRel, idxs)
 	e.TotalWeight = append(e.TotalWeight, other.TotalWeight[src])
 	dim := e.Enc.Dim()
 	e.Centroids = append(e.Centroids, other.Centroids[src*dim:(src+1)*dim]...)
@@ -369,30 +388,36 @@ func (e *Embedded) NumTexts() int { return len(e.texts) }
 // NumRelations returns the number of relations.
 func (e *Embedded) NumRelations() int { return len(e.RelIDs) }
 
-// rankHits folds one query's value hit lists, in order, into weighted sums
-// per relation and ranks the relations: the rank step of ANNS and CTS. A
-// hit's tag is the value's index: ANNS and CTS tag every point they insert,
-// and their collections are never persisted (an engine image rebuilds its
-// index), so every tag names a value. The denominator is the relation's
-// total value weight: a value the index did not retrieve contributes its
-// (near-zero) similarity as zero, so the score is the paper's "average of
-// the similarity scores of the vectors of the relation" with the long tail
-// truncated at zero — which is also what keeps a relation that surfaced on
-// one lucky hit from outranking a relation with broad topical evidence.
-// Relations with no hits at all are omitted, and so are tombstoned ones,
-// so a deleted relation never ranks even if the index structure still
-// holds its vectors.
-func (e *Embedded) rankHits(threshold float32, k int, lists ...[]vectordb.Result) []Match {
+// rankHits folds one query's hit lists, in order, into weighted sums per
+// relation and ranks the relations: the rank step of ANNS and CTS. A hit's
+// tag is an index point, and each hit expands through its posting in value
+// order, skipping values outside allowed; ANNS and CTS tag every point
+// they insert, and their collections are never persisted (an engine image
+// rebuilds its index), so every tag names a posting. The denominator is the
+// relation's total value weight: a value the index did not retrieve
+// contributes its (near-zero) similarity as zero, so the score is the
+// paper's "average of the similarity scores of the vectors of the
+// relation" with the long tail truncated at zero — which is also what
+// keeps a relation that surfaced on one lucky hit from outranking a
+// relation with broad topical evidence. Relations with no hits at all are
+// omitted, and so are tombstoned ones, so a deleted relation never ranks
+// even if the index structure still holds its vectors.
+func (e *Embedded) rankHits(post *postings, allowed relSet, threshold float32, k int, lists ...[]vectordb.Result) []Match {
 	ids, totalWeight := e.RelIDs, e.TotalWeight
 	sums := make([]float32, len(ids))
 	hits := make([]float32, len(ids))
 	for _, list := range lists {
 		for _, h := range list {
-			v := &e.Values[h.Tag]
-			if h.Score > 0 {
-				sums[v.Rel] += v.Weight * h.Score
+			for _, vi := range post.of(h.Tag) {
+				v := &e.Values[vi]
+				if !allowed.has(int(v.Rel)) {
+					continue
+				}
+				if h.Score > 0 {
+					sums[v.Rel] += v.Weight * h.Score
+				}
+				hits[v.Rel]++
 			}
-			hits[v.Rel]++
 		}
 	}
 	hasDead := e.deadCount() > 0

@@ -20,7 +20,9 @@ import (
 // database collection. Query time: the query is compared against the
 // medoids (in the original embedding space — medoids are real data points,
 // so the query needs no reduction), the top clusters are selected, and the
-// ANNS procedure runs only inside those clusters.
+// ANNS procedure runs only inside those clusters. A cluster's collection
+// holds one point per distinct text among its values, and each hit expands
+// through that (cluster, text) posting.
 type CTS struct {
 	emb *Embedded
 	// medoidVecs[c] is cluster c's medoid in the original embedding space.
@@ -29,6 +31,7 @@ type CTS struct {
 	// in a vector database, where each collection contains unique data
 	// points").
 	clusterColl []*vectordb.Collection
+	post        *postings
 	clusterOf   []int // value index -> cluster
 	threshold   float32
 	topClusters int
@@ -83,8 +86,8 @@ type CTSOptions struct {
 	SampleCap int
 	// UMAPEpochs caps layout optimization; 0 uses umap defaults.
 	UMAPEpochs int
-	// Fanout is value hits retrieved per query across the selected
-	// clusters; defaults to 32·k at query time.
+	// Fanout is distinct-text hits retrieved per query across the
+	// selected clusters; defaults to 32·k at query time.
 	Fanout int
 	// EfSearch is the per-cluster HNSW beam width; default 96.
 	EfSearch int
@@ -160,26 +163,17 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 		coll.SetObserver(emb.Obs)
 		colls[c] = coll
 	}
-	// Group values by cluster, then build the per-cluster graphs. Within a
-	// collection the insert order is the value order, exactly what the
-	// historical interleaved loop produced, so Workers <= 1 is bit-identical;
-	// with more workers the clusters — uneven, independent build jobs —
-	// pull from a shared queue while each batch also parallelizes inside.
-	perCluster := make([][]int, numClusters)
-	for i := range emb.Values {
-		c := clusterOf[i]
-		perCluster[c] = append(perCluster[c], i)
-	}
+	// Give each cluster one point per distinct text among its values, then
+	// build the per-cluster graphs. Within a collection the insert order is
+	// the points' first occurrence in value order, so a serial build is a
+	// function of the clustering alone; with more workers the clusters —
+	// uneven, independent build jobs — pull from a shared queue while each
+	// batch also parallelizes inside.
+	post := newPostings(emb, clusterOf, numClusters)
 	insertErrs := make([]error, numClusters)
 	buildPhase(emb.Obs, "hnsw_insert", func() {
 		par.Each(numClusters, workers, func(c int) {
-			vecs := make([][]float32, len(perCluster[c]))
-			tags := make([]int32, len(perCluster[c]))
-			for j, i := range perCluster[c] {
-				vecs[j] = emb.Values[i].Vec
-				tags[j] = int32(i)
-			}
-			if _, err := colls[c].InsertBatch(vecs, tags); err != nil {
+			if _, err := colls[c].InsertBatch(post.group(emb, c)); err != nil {
 				insertErrs[c] = fmt.Errorf("core: cts insert: %w", err)
 			}
 		})
@@ -203,6 +197,7 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 		emb:         emb,
 		medoidVecs:  medoidVecs,
 		clusterColl: colls,
+		post:        post,
 		clusterOf:   clusterOf,
 		threshold:   opt.Threshold,
 		topClusters: topClusters,
@@ -330,7 +325,7 @@ func (s *CTS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks [
 }
 
 // descent returns one query's per-cluster retrieval parameters: how many
-// value hits to ask of each of the selected clusters and the beam width.
+// hits to ask of each of the selected clusters and the beam width.
 func (s *CTS) descent(k, selected int) (perCluster, ef int) {
 	fanout := s.fanout
 	if fanout == 0 {
@@ -453,7 +448,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	if nq == 1 {
 		workers = 1
 	}
-	filter := s.emb.valueFilter(allowed)
+	filter := s.emb.valueFilter(s.post, allowed)
 	errs := make([]error, len(probed))
 	par.Each(len(probed), workers, func(i int) {
 		c := probed[i]
@@ -489,7 +484,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	out := make([][]Match, nq)
 	for qi, k := range ks {
 		if k > 0 {
-			out[qi] = s.emb.rankHits(s.threshold, k, plans[qi].hits...)
+			out[qi] = s.emb.rankHits(s.post, allowed, s.threshold, k, plans[qi].hits...)
 		}
 	}
 	o.endStage(sp.AnnotateInt("matches", len(out[0])))

@@ -7,34 +7,41 @@ import (
 	"semdisco/internal/vectordb"
 )
 
-// relSet is the set of relation slots a filtered search may return. The
-// nil set accepts every slot — the unfiltered search.
-type relSet map[int32]struct{}
+// relSet is the set of relation slots a filtered search may return, one bit
+// per slot. The nil set accepts every slot — the unfiltered search; an
+// empty, non-nil set accepts none.
+type relSet []uint64
 
 func (s relSet) has(rel int) bool {
 	if s == nil {
 		return true
 	}
-	_, ok := s[int32(rel)]
-	return ok
+	w := rel >> 6
+	return w < len(s) && s[w]&(1<<(uint(rel)&63)) != 0
 }
 
 // allowedSet precomputes the relation slots accepted by allow; nil for a
-// nil allow. Tombstoned relations never enter the set, which makes the
-// dead filter a single check shared by every filtered search.
+// nil allow, and empty when allow accepts no live slot. Tombstoned
+// relations never enter the set, which makes the dead filter a single check
+// shared by every filtered search.
 func (e *Embedded) allowedSet(allow func(string) bool) relSet {
 	if allow == nil {
 		return nil
 	}
 	hasDead := e.deadCount() > 0
-	set := make(relSet)
+	set := make(relSet, (len(e.RelIDs)+63)/64)
+	empty := true
 	for i, id := range e.RelIDs {
 		if hasDead && e.Tombs.Dead(i) {
 			continue
 		}
 		if allow(id) {
-			set[int32(i)] = struct{}{}
+			set[i>>6] |= 1 << (uint(i) & 63)
+			empty = false
 		}
+	}
+	if empty {
+		return set[:0]
 	}
 	return set
 }
@@ -58,23 +65,30 @@ func (e *Embedded) searchAllowed(ctx context.Context, o searchObs, qs [][]float3
 	return body(ctx, o, qs, ks, allowed, costs)
 }
 
-// valueFilter returns the vectordb tag filter of one search: values of
-// relations outside allowed are rejected, and so are values of tombstoned
-// relations. It is nil when there is nothing to reject — the common case,
+// valueFilter returns the vectordb tag filter of one search over an index
+// whose points stand for post's postings: a point is accepted when any of
+// its values belongs to a relation in allowed, or, unfiltered, to a live
+// relation. It is nil when there is nothing to reject — the common case,
 // which keeps churn-free unfiltered searches on the exact pre-mutation
 // code path. Pushing the filter into the index means the graph walk still
 // routes through rejected points but replaces them in the result beam, so
-// a heavily tombstoned segment keeps returning k live values until
-// compaction reclaims the space.
-func (e *Embedded) valueFilter(allowed relSet) vectordb.Filter {
+// a heavily tombstoned segment keeps returning k live points until
+// compaction reclaims the space. An accepted point may still hold rejected
+// values; rankHits skips them.
+func (e *Embedded) valueFilter(post *postings, allowed relSet) vectordb.Filter {
 	if allowed == nil && e.deadCount() == 0 {
 		return nil
 	}
-	return func(vi int32) bool {
-		rel := int(e.Values[vi].Rel)
-		if allowed != nil {
-			return allowed.has(rel) // the set already excludes dead slots
+	keep := allowed.has // the set already excludes dead slots
+	if allowed == nil {
+		keep = func(rel int) bool { return !e.Tombs.Dead(rel) }
+	}
+	return func(p int32) bool {
+		for _, vi := range post.of(p) {
+			if keep(int(e.Values[vi].Rel)) {
+				return true
+			}
 		}
-		return !e.Tombs.Dead(rel)
+		return false
 	}
 }

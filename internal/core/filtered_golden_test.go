@@ -86,10 +86,10 @@ func TestFilteredRankingsGolden(t *testing.T) {
 		hash    uint64
 		matches int
 	}{
-		"ANNS/one segment": {0x32a1fb96bdf94c3b, 115},
-		"ANNS/churned":     {0xb0b8bb2632945902, 114},
-		"CTS/one segment":  {0x6cbbc019c4839241, 115},
-		"CTS/churned":      {0xff27fa00529ddc94, 114},
+		"ANNS/one segment": {0xe2e93ffd0bc7f813, 115},
+		"ANNS/churned":     {0x992eefdf080787f0, 114},
+		"CTS/one segment":  {0x908cf24355829970, 115},
+		"CTS/churned":      {0x8a1c8dfd44d6a990, 114},
 	}
 
 	rng := rand.New(rand.NewSource(20251016))

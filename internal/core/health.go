@@ -90,7 +90,7 @@ func (s *ExS) IndexHealth() IndexHealth {
 }
 
 // IndexHealth implements HealthReporter: HNSW graph structure plus PQ
-// distortion sampled over the stored value vectors.
+// distortion sampled over the stored text vectors.
 func (s *ANNS) IndexHealth() IndexHealth {
 	h := IndexHealth{
 		Method: s.Name(),
@@ -99,12 +99,12 @@ func (s *ANNS) IndexHealth() IndexHealth {
 	}
 	if q := s.coll.Quantizer(); q != nil {
 		// Reconstruction error against the unit-normalized originals the
-		// collection indexed (embeddings are already unit vectors). Only
-		// live values are sampled: as tombstones accumulate, the sample
-		// drifts away from the distribution the codebook was trained on, so
-		// the distortion gauge grows — the signal the compaction policy
-		// turns into a PQ re-train.
-		sample := sampleVectors(s.emb, healthSampleCap)
+		// collection indexed (embeddings are already unit vectors), one per
+		// text. Only live texts are sampled: as tombstones accumulate, the
+		// sample drifts away from the distribution the codebook was trained
+		// on, so the distortion gauge grows — the signal the compaction
+		// policy turns into a PQ re-train.
+		sample := sampleVectors(s.emb, s.post, healthSampleCap)
 		h.PQ = &PQHealth{Trained: true, M: q.CodeLen(), K: q.K(), Distortion: q.Distortion(sample)}
 	} else {
 		h.PQ = &PQHealth{Trained: false}
@@ -206,27 +206,21 @@ func (s *CTS) IndexHealth() IndexHealth {
 	return h
 }
 
-// sampleVectors returns a stride sample of up to cap stored value vectors,
-// drawn from live values only when the segment carries tombstones.
-func sampleVectors(emb *Embedded, cap int) [][]float32 {
-	if emb.deadCount() == 0 {
-		idx := strideSample(len(emb.Values), cap)
-		out := make([][]float32, len(idx))
-		for i, gi := range idx {
-			out[i] = emb.Values[gi].Vec
-		}
-		return out
-	}
-	live := make([]int, 0, len(emb.Values))
-	for i := range emb.Values {
-		if !emb.Tombs.Dead(int(emb.Values[i].Rel)) {
-			live = append(live, i)
+// sampleVectors returns a stride sample of up to cap of the vocabulary rows
+// ANNS indexes, drawn from live texts only when the segment carries
+// tombstones: a text is live when any value in its posting is.
+func sampleVectors(emb *Embedded, post *postings, cap int) [][]float32 {
+	live := emb.valueFilter(post, nil)
+	texts := make([]int32, 0, len(post.text))
+	for p, t := range post.text {
+		if live == nil || live(int32(p)) {
+			texts = append(texts, t)
 		}
 	}
-	idx := strideSample(len(live), cap)
+	idx := strideSample(len(texts), cap)
 	out := make([][]float32, len(idx))
-	for i, li := range idx {
-		out[i] = emb.Values[live[li]].Vec
+	for i, j := range idx {
+		out[i] = emb.rows[texts[j]]
 	}
 	return out
 }

@@ -6,6 +6,9 @@ import (
 	"semdisco/internal/segment"
 )
 
+// TestIndexHealthAllMethods: a graph holds one node per index point — a
+// text for ANNS, a (cluster, text) pair for CTS — while Values stays the
+// segment's value count.
 func TestIndexHealthAllMethods(t *testing.T) {
 	fed, model := covidFederation(t)
 	emb := EmbedFederation(fed, model)
@@ -24,7 +27,7 @@ func TestIndexHealthAllMethods(t *testing.T) {
 				t.Fatalf("ExS should report corpus shape only: %+v", h)
 			}
 		case "ANNS":
-			if h.Graph == nil || h.Graph.Nodes != emb.NumValues() {
+			if h.Graph == nil || h.Graph.Nodes != emb.NumTexts() {
 				t.Fatalf("ANNS graph health=%+v", h.Graph)
 			}
 			if h.Graph.ReachableFraction != 1 {
@@ -37,7 +40,11 @@ func TestIndexHealthAllMethods(t *testing.T) {
 				t.Fatalf("ANNS pq health=%+v", h.PQ)
 			}
 		case "CTS":
-			if h.Graphs == nil || h.Graphs.Nodes != emb.NumValues() {
+			pairs := make(map[[2]int]bool)
+			for i := range emb.Values {
+				pairs[[2]int{s.(*CTS).ClusterOf(i), int(emb.Values[i].Text)}] = true
+			}
+			if h.Graphs == nil || h.Graphs.Nodes != len(pairs) {
 				t.Fatalf("CTS graph aggregate=%+v", h.Graphs)
 			}
 			if h.Graphs.MeanReachable != 1 || h.Graphs.MinReachable != 1 {

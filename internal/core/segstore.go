@@ -621,7 +621,15 @@ func (st *SegmentStore) compactLocked(trigger string) error {
 	}
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i].order < survivors[j].order })
 
+	values, texts := 0, 0
+	for _, sv := range survivors {
+		values += len(sv.sg.emb.PerRel[sv.slot])
+	}
+	for _, sg := range inputs {
+		texts += sg.emb.NumTexts()
+	}
 	merged := NewEmptyEmbedded(st.enc, st.reg)
+	merged.reserve(len(survivors), values, min(texts, values))
 	for _, sv := range survivors {
 		merged.appendFrom(sv.sg.emb, sv.slot)
 	}

@@ -48,8 +48,9 @@ const (
 	// queries and the highest retrieval quality, at the price of the most
 	// expensive index build (reduction + clustering).
 	CTS Method = iota
-	// ANNS indexes value vectors in an embedded vector database with HNSW
-	// and Product Quantization: near-ExS quality, far faster queries.
+	// ANNS indexes each distinct value text's vector once in an embedded
+	// vector database with HNSW and Product Quantization: near-ExS
+	// quality, far faster queries.
 	ANNS
 	// ExS scans every value vector exhaustively: exact, no index build,
 	// query cost linear in the corpus' total value count.
