@@ -75,13 +75,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 5s ./internal/obs
 
 # Every method's one query body splits a block over GOMAXPROCS workers
-# (ExS's scan, ANNS's walks, CTS's cluster probes) and reuses walk scratch
-# and ADC tables across queries; a single query is a block of one through
-# the same body. The batch, single-query and filtered tests are race-checked
-# at 1, 2 and 4 workers, so the chunking is tested at more than the host's
-# core count.
+# (ExS's scan, ANNS's walks and rank, CTS's cluster probes and rank) and
+# reuses walk, ADC and rank scratch across queries; a single query is a
+# block of one through the same body. The batch, single-query and filtered
+# tests are race-checked at 1, 2 and 4 workers, so the chunking is tested
+# at more than the host's core count, and so is the encoder's token table,
+# which every worker's queries read and fill.
 batch-cpu:
-	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table|SearchContext|Filter|Sources' ./internal/core ./internal/vectordb ./internal/pq .
+	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table|SearchContext|Filter|Sources' ./internal/core ./internal/vectordb ./internal/pq ./internal/embed .
 
 check: lint race batch-cpu portable fuzz
 
@@ -93,18 +94,20 @@ bench-smoke:
 	$(GO) run ./cmd/semdisco-bench -corpus $(CORPUS) -scale 0.05 -dim 96 -train=false -json /dev/null
 
 # End-to-end benchmark smoke: the repeatable HTTP benchmark BENCHMARK.json
-# declares (bench/), one short untraced run of its cheapest workload and one
-# of each workload that builds an index. Each builds ./bench, serves an
-# engine on loopback, drives every phase and checks answers against the
-# oracle, so it catches a benchmark that no longer compiles against the
-# library or an answer that changed. exs-scan executes no hnsw, pq or
-# vectordb code; anns-graph's set-up is an HNSW + PQ build and cts-cluster's
-# a UMAP + HDBSCAN one, so a broken index, reduction or clustering build
-# fails the benchmark's correctness gate here.
+# declares (bench/), one short untraced run of each of its four workloads.
+# Each builds ./bench, serves on loopback, drives every phase and checks
+# answers against the oracle, so it catches a benchmark that no longer
+# compiles against the library or an answer that changed. exs-scan executes
+# no hnsw, pq or vectordb code; anns-graph's set-up is an HNSW + PQ build
+# and cts-cluster's a UMAP + HDBSCAN one, so a broken index, reduction or
+# clustering build fails the benchmark's correctness gate here; coord-fanout
+# sends its queries through a NetCoordinator's HTTP hops, the Router merge
+# and the shard wire codec into the same gate.
 bench-e2e:
 	bash bench/run.sh --workload exs-scan --seed 7 --seconds 2 --trace 0
 	bash bench/run.sh --workload anns-graph --seed 7 --seconds 2 --trace 0
 	bash bench/run.sh --workload cts-cluster --seed 7 --seconds 2 --trace 0
+	bash bench/run.sh --workload coord-fanout --seed 7 --seconds 2 --trace 0
 
 # Kernel micro-benchmarks: the single-pair Dot/L2Sq kernels beside their
 # scalar reference, the batched DotBatch/L2SqBatch kernels against repeated

@@ -61,14 +61,22 @@ func LoadDir(dir string) (*Federation, error) { return table.LoadDir(dir) }
 
 // federationStats builds inverse-document-frequency statistics over the
 // federation's relations, treating each relation's consolidated text as a
-// document.
+// document. Relations repeat their tokens heavily, so each distinct token
+// is stemmed once.
 func federationStats(fed *Federation) *text.CorpusStats {
 	stats := &text.CorpusStats{}
+	stems := make(map[string]string)
+	var stemmed []string
 	for _, r := range fed.Relations() {
 		toks := text.Tokenize(r.Text())
-		stemmed := make([]string, len(toks))
-		for i, t := range toks {
-			stemmed[i] = text.Stem(t)
+		stemmed = stemmed[:0]
+		for _, t := range toks {
+			st, ok := stems[t]
+			if !ok {
+				st = text.Stem(t)
+				stems[t] = st
+			}
+			stemmed = append(stemmed, st)
 		}
 		stats.AddDocument(stemmed)
 	}

@@ -26,6 +26,10 @@ type ANNS struct {
 	efSearch  int
 }
 
+// indexMetric is the metric of every ANNS and CTS collection: the paper
+// scores by cosine similarity.
+const indexMetric = vectordb.Cosine
+
 // ANNSOptions configures ANNS.
 type ANNSOptions struct {
 	// Threshold is the paper's h.
@@ -56,7 +60,7 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	}
 	cfg := vectordb.CollectionConfig{
 		Dim:            emb.Enc.Dim(),
-		Metric:         vectordb.Cosine,
+		Metric:         indexMetric,
 		M:              opt.M,
 		EfConstruction: opt.EfConstruction,
 		EfSearch:       opt.EfSearch,
@@ -170,13 +174,12 @@ func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int
 		}
 	}
 	filter := s.emb.valueFilter(s.post, allowed)
-	workers := runtime.GOMAXPROCS(0)
 	sp := o.stage("retrieve").AnnotateInt("fanout", fanouts[0]).AnnotateInt("ef", efs[0])
 	hits := make([][]vectordb.Result, nq)
 	errs := make([]error, nq)
-	par.Each((nq+annsBlock-1)/annsBlock, workers, func(b int) {
+	par.Each((nq+annsBlock-1)/annsBlock, runtime.GOMAXPROCS(0), func(b int) {
 		lo, hi := b*annsBlock, min((b+1)*annsBlock, nq)
-		run, err := s.coll.SearchBatch(ctx, qs[lo:hi], fanouts[lo:hi], efs[lo:hi], filter, costs[lo:hi])
+		run, err := s.coll.SearchBatch(ctx, indexMetric.Prepare(qs[lo:hi]), fanouts[lo:hi], efs[lo:hi], filter, costs[lo:hi])
 		if err != nil {
 			errs[lo] = err
 			return
@@ -191,14 +194,7 @@ func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int
 	o.endStage(sp.AnnotateInt("hits", len(hits[0])))
 
 	sp = o.stage("rank")
-	out := make([][]Match, nq)
-	par.For(nq, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ks[i] > 0 {
-				out[i] = s.emb.rankHits(s.post, allowed, s.threshold, ks[i], hits[i])
-			}
-		}
-	})
+	out := s.emb.rankBlock(s.post, allowed, s.threshold, ks, func(i int) [][]vectordb.Result { return hits[i : i+1] })
 	o.endStage(sp.AnnotateInt("matches", len(out[0])))
 	return out, nil
 }

@@ -7,8 +7,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"semdisco/internal/embed"
 	"semdisco/internal/obs"
@@ -388,6 +390,43 @@ func (e *Embedded) NumTexts() int { return len(e.texts) }
 // NumRelations returns the number of relations.
 func (e *Embedded) NumRelations() int { return len(e.RelIDs) }
 
+// rankScratch is one rank worker's fold state. sums and seen are indexed
+// by relation slot and are all zero (false) between folds: a fold records
+// each slot it touches in touched and resets only those, so a query costs
+// in proportion to its hits, not to the segment's relations. The rows grow
+// to the largest segment ranked with them.
+type rankScratch struct {
+	sums    []float32
+	seen    []bool
+	touched []int32
+	top     vec.DescTop
+}
+
+// rankPool serves the rank workers' scratch: a worker borrows one for its
+// share of a block, so no two live folds share one and a steady query load
+// allocates none.
+var rankPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// rankBlock ranks each query of a block whose k is positive, lists(i)
+// being query i's hit lists, split over GOMAXPROCS workers that each fold
+// with one pooled rankScratch; rows for k ≤ 0 stay nil. A block of one
+// ranks on the calling goroutine.
+func (e *Embedded) rankBlock(post *postings, allowed relSet, threshold float32, ks []int, lists func(i int) [][]vectordb.Result) [][]Match {
+	out := make([][]Match, len(ks))
+	par.For(len(ks), runtime.GOMAXPROCS(0), func(lo, hi int) {
+		rs := rankPool.Get().(*rankScratch)
+		for i := lo; i < hi; i++ {
+			if ks[i] > 0 {
+				out[i] = e.rankHits(rs, post, allowed, threshold, ks[i], lists(i))
+			}
+		}
+		// Not deferred: a fold that panics leaves its scratch dirty, and
+		// dropping it keeps the pool's rows zero.
+		rankPool.Put(rs)
+	})
+	return out
+}
+
 // rankHits folds one query's hit lists, in order, into weighted sums per
 // relation and ranks the relations: the rank step of ANNS and CTS. A hit's
 // tag is an index point, and each hit expands through its posting in value
@@ -402,10 +441,16 @@ func (e *Embedded) NumRelations() int { return len(e.RelIDs) }
 // relation with broad topical evidence. Relations with no hits at all are
 // omitted, and so are tombstoned ones, so a deleted relation never ranks
 // even if the index structure still holds its vectors.
-func (e *Embedded) rankHits(post *postings, allowed relSet, threshold float32, k int, lists ...[]vectordb.Result) []Match {
-	ids, totalWeight := e.RelIDs, e.TotalWeight
-	sums := make([]float32, len(ids))
-	hits := make([]float32, len(ids))
+//
+// Only the touched relations are scored, and the k best at or above
+// threshold are selected by rs's heap in (score descending, slot
+// ascending) order: the order, and the rows, a full sort of every scored
+// relation gives. rs is left zeroed.
+func (e *Embedded) rankHits(rs *rankScratch, post *postings, allowed relSet, threshold float32, k int, lists [][]vectordb.Result) []Match {
+	if n := len(e.RelIDs); len(rs.sums) < n {
+		rs.sums, rs.seen = make([]float32, n), make([]bool, n)
+	}
+	sums, seen, touched := rs.sums, rs.seen, rs.touched[:0]
 	for _, list := range lists {
 		for _, h := range list {
 			for _, vi := range post.of(h.Tag) {
@@ -413,34 +458,34 @@ func (e *Embedded) rankHits(post *postings, allowed relSet, threshold float32, k
 				if !allowed.has(int(v.Rel)) {
 					continue
 				}
+				if !seen[v.Rel] {
+					seen[v.Rel] = true
+					touched = append(touched, v.Rel)
+				}
 				if h.Score > 0 {
 					sums[v.Rel] += v.Weight * h.Score
 				}
-				hits[v.Rel]++
 			}
 		}
 	}
 	hasDead := e.deadCount() > 0
-	scored := make([]vec.Scored, 0, len(ids))
-	for i := range ids {
-		if hits[i] <= 0 || totalWeight[i] <= 0 {
+	rs.top.Reset(k)
+	for _, r := range touched {
+		sum := sums[r]
+		sums[r], seen[r] = 0, false
+		w := e.TotalWeight[r]
+		if w <= 0 || hasDead && e.Tombs.Dead(int(r)) {
 			continue
 		}
-		if hasDead && e.Tombs.Dead(i) {
-			continue
+		if score := sum / w; score >= threshold {
+			rs.top.Push(vec.Scored{ID: int(r), Score: score})
 		}
-		scored = append(scored, vec.Scored{ID: i, Score: sums[i] / totalWeight[i]})
 	}
-	vec.SortScoredDesc(scored)
-	out := make([]Match, 0, min(k, len(scored)))
-	for _, s := range scored {
-		if s.Score < threshold {
-			break // list is sorted descending; nothing below passes
-		}
-		out = append(out, Match{RelationID: ids[s.ID], Score: s.Score})
-		if len(out) == k {
-			break
-		}
+	rs.touched = touched
+	top := rs.top.Sorted()
+	out := make([]Match, len(top))
+	for i, s := range top {
+		out[i] = Match{RelationID: e.RelIDs[s.ID], Score: s.Score}
 	}
 	return out
 }

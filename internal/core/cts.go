@@ -150,7 +150,7 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	for c := range colls {
 		coll, err := vectordb.NewCollection(vectordb.CollectionConfig{
 			Dim:            emb.Enc.Dim(),
-			Metric:         vectordb.Cosine,
+			Metric:         indexMetric,
 			M:              opt.M,
 			EfConstruction: opt.EfConstruction,
 			EfSearch:       opt.EfSearch,
@@ -429,7 +429,8 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	n := first[numClusters]
 	type probe struct{ qi, pos int }
 	at := make([]probe, n)
-	probeQs := make([][]float32, n)
+	prepared := indexMetric.Prepare(qs)
+	probeQs := make(vectordb.Queries, n)
 	probeKs := make([]int, n)
 	probeEfs := make([]int, n)
 	probeCosts := make([]*obs.Cost, n)
@@ -438,7 +439,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 		for pos, sel := range plans[qi].selected {
 			j := next[sel.ID]
 			next[sel.ID]++
-			at[j], probeQs[j], probeCosts[j] = probe{qi, pos}, qs[qi], costs[qi]
+			at[j], probeQs[j], probeCosts[j] = probe{qi, pos}, prepared[qi], costs[qi]
 		}
 	}
 	// A block of one probes its clusters on the calling goroutine: split
@@ -481,12 +482,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	o.endStage(sp.AnnotateInt("hits", totalHits))
 
 	sp = o.stage("rank")
-	out := make([][]Match, nq)
-	for qi, k := range ks {
-		if k > 0 {
-			out[qi] = s.emb.rankHits(s.post, allowed, s.threshold, k, plans[qi].hits...)
-		}
-	}
+	out := s.emb.rankBlock(s.post, allowed, s.threshold, ks, func(i int) [][]vectordb.Result { return plans[i].hits })
 	o.endStage(sp.AnnotateInt("matches", len(out[0])))
 	return out, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -875,11 +877,14 @@ type RankedMatch struct {
 // relation index ascending), so for exact partitions the merged ranking is
 // bit-identical to the monolith's. all is sorted in place.
 func MergeRanked(all []RankedMatch, k int) []Match {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
+	slices.SortFunc(all, func(a, b RankedMatch) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		return all[i].Order < all[j].Order
+		return cmp.Compare(a.Order, b.Order)
 	})
 	if len(all) > k {
 		all = all[:k]

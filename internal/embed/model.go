@@ -46,7 +46,9 @@ type Config struct {
 	// NGramN is the character-n-gram order for out-of-lexicon backoff.
 	// Defaults to 3.
 	NGramN int
-	// IDF optionally weights tokens during pooling; unweighted if nil.
+	// IDF optionally weights tokens during pooling; unweighted if nil. It
+	// must be a pure function of the token: the model calls it once per
+	// distinct token and keeps the weight beside the token's vector.
 	IDF func(term string) float64
 }
 
@@ -62,13 +64,22 @@ type Model struct {
 	idf           func(string) float64
 
 	mu    sync.RWMutex
-	cache map[string][]float32 // token -> unit vector
+	cache map[string]*tokenEntry
 
 	// Observability hooks, resolved once by SetObserver so the per-token
 	// hot path is a single atomic add. Nil hooks are no-ops.
 	obsHits   *obs.Counter
 	obsMisses *obs.Counter
 	obsSize   *obs.Gauge
+}
+
+// tokenEntry is one token's cached embedding: its unit vector and its
+// pooling weight (the IDF callback's value as float32, 1 without one),
+// both filled by the first lookup to pass once.
+type tokenEntry struct {
+	once sync.Once
+	vec  []float32
+	w    float32
 }
 
 // SetObserver wires the encoder's token-cache instrumentation (hits,
@@ -112,7 +123,7 @@ func New(cfg Config) *Model {
 		conceptWeight: cfg.ConceptWeight,
 		ngramN:        cfg.NGramN,
 		idf:           cfg.IDF,
-		cache:         make(map[string][]float32),
+		cache:         make(map[string]*tokenEntry),
 	}
 }
 
@@ -140,11 +151,8 @@ func (m *Model) EncodeTokens(toks []string) []float32 {
 		return out
 	}
 	for _, tok := range content {
-		w := float32(1)
-		if m.idf != nil {
-			w = float32(m.idf(tok))
-		}
-		vec.AddScaled(out, w, m.tokenVec(tok))
+		e := m.token(tok)
+		vec.AddScaled(out, e.w, e.vec)
 	}
 	vec.Normalize(out)
 	return out
@@ -153,25 +161,40 @@ func (m *Model) EncodeTokens(toks []string) []float32 {
 // TokenVec returns the unit embedding of one token. The returned slice is
 // shared with the model's cache and must be treated as read-only; it exists
 // for early-fusion scorers that compare token sets pairwise.
-func (m *Model) TokenVec(tok string) []float32 { return m.tokenVec(tok) }
+func (m *Model) TokenVec(tok string) []float32 { return m.token(tok).vec }
 
-// tokenVec returns the memoized unit vector for a single token.
-func (m *Model) tokenVec(tok string) []float32 {
+// token returns the memoized entry of a single token. A lookup that finds
+// the entry is a hit; the one that inserts it is the miss, so misses count
+// distinct tokens. The entry's vector and weight are computed once, outside
+// the table lock, by whichever lookup reaches the entry's once first; a
+// lookup of the same token meanwhile waits for that one. So the IDF
+// callback runs once per distinct token.
+func (m *Model) token(tok string) *tokenEntry {
 	m.mu.RLock()
-	v, ok := m.cache[tok]
+	e := m.cache[tok]
 	hits := m.obsHits
 	m.mu.RUnlock()
-	if ok {
+	if e != nil {
 		hits.Inc()
-		return v
+	} else {
+		m.mu.Lock()
+		if e = m.cache[tok]; e != nil {
+			m.obsHits.Inc()
+		} else {
+			e = new(tokenEntry)
+			m.cache[tok] = e
+			m.obsMisses.Inc()
+			m.obsSize.Set(float64(len(m.cache)))
+		}
+		m.mu.Unlock()
 	}
-	v = m.computeTokenVec(tok)
-	m.mu.Lock()
-	m.cache[tok] = v
-	m.obsMisses.Inc()
-	m.obsSize.Set(float64(len(m.cache)))
-	m.mu.Unlock()
-	return v
+	e.once.Do(func() {
+		e.vec, e.w = m.computeTokenVec(tok), 1
+		if m.idf != nil {
+			e.w = float32(m.idf(tok))
+		}
+	})
+	return e
 }
 
 func (m *Model) computeTokenVec(tok string) []float32 {

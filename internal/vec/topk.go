@@ -1,8 +1,9 @@
 package vec
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // Scored pairs an item identifier with a score. It is the currency of every
@@ -66,11 +67,14 @@ func (t *TopK) Sorted() []Scored {
 
 // SortScoredDesc orders s by descending score, breaking ties by ascending ID.
 func SortScoredDesc(s []Scored) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Score != s[j].Score {
-			return s[i].Score > s[j].Score
+	slices.SortFunc(s, func(a, b Scored) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		return s[i].ID < s[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
@@ -99,53 +103,99 @@ func TopKDesc(scores []float32, k int) []Scored {
 		SortScoredDesc(out)
 		return out
 	}
-	// sortsAfter(a, b): a would appear after b in SortScoredDesc order. The
-	// heap keeps its "last-sorting" element at the root, so the retained set
-	// is exactly the k first elements of the full sort. The order is total
-	// (IDs are distinct), which is what makes the selected set unique.
-	sortsAfter := func(a, b Scored) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.ID > b.ID
-	}
-	h := make([]Scored, 0, k)
+	// Push, inlined by hand: a dense row pays one comparison per entry,
+	// not a call.
+	d := DescTop{k: k, h: make([]Scored, 0, k)}
 	for i, s := range scores {
 		e := Scored{ID: i, Score: s}
-		if len(h) < k {
-			h = append(h, e)
-			for j := len(h) - 1; j > 0; {
-				p := (j - 1) / 2
-				if !sortsAfter(h[j], h[p]) {
-					break
-				}
-				h[j], h[p] = h[p], h[j]
-				j = p
-			}
-			continue
-		}
-		if sortsAfter(e, h[0]) {
-			continue
-		}
-		h[0] = e
-		for j := 0; ; {
-			l, r := 2*j+1, 2*j+2
-			m := j
-			if l < k && sortsAfter(h[l], h[m]) {
-				m = l
-			}
-			if r < k && sortsAfter(h[r], h[m]) {
-				m = r
-			}
-			if m == j {
-				break
-			}
-			h[j], h[m] = h[m], h[j]
-			j = m
+		if len(d.h) < k {
+			d.up(e)
+		} else if !sortsAfter(e, d.h[0]) {
+			d.replaceRoot(e)
 		}
 	}
-	SortScoredDesc(h)
-	return h
+	return d.Sorted()
+}
+
+// DescTop selects, among the entries pushed, the k first of SortScoredDesc
+// order: descending score, ties broken by ascending ID. Its heap orders on
+// that full comparator, so when IDs are distinct the order is total and the
+// selected set is exactly the prefix a full sort would give. It is the
+// selection under TopKDesc, for callers whose candidates are not one dense
+// row. The zero value selects nothing; Reset arms it.
+type DescTop struct {
+	k int
+	h []Scored
+}
+
+// Reset empties d and arms it to keep the k first entries, reusing its
+// buffer.
+func (d *DescTop) Reset(k int) {
+	d.k = k
+	d.h = d.h[:0]
+}
+
+// sortsAfter reports whether a would appear after b in SortScoredDesc
+// order. The heap keeps its last-sorting entry at the root.
+func sortsAfter(a, b Scored) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.ID > b.ID
+}
+
+// Push offers e. Once k entries are held, an entry that sorts after the
+// root is rejected with one comparison.
+func (d *DescTop) Push(e Scored) {
+	if len(d.h) < d.k {
+		d.up(e)
+		return
+	}
+	if d.k > 0 && !sortsAfter(e, d.h[0]) {
+		d.replaceRoot(e)
+	}
+}
+
+// up appends e to the heap and sifts it up.
+func (d *DescTop) up(e Scored) {
+	h := append(d.h, e)
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !sortsAfter(h[j], h[p]) {
+			break
+		}
+		h[j], h[p] = h[p], h[j]
+		j = p
+	}
+	d.h = h
+}
+
+// replaceRoot puts e at the root of the full heap and sifts it down.
+func (d *DescTop) replaceRoot(e Scored) {
+	h, k := d.h, len(d.h)
+	h[0] = e
+	for j := 0; ; {
+		l, r := 2*j+1, 2*j+2
+		m := j
+		if l < k && sortsAfter(h[l], h[m]) {
+			m = l
+		}
+		if r < k && sortsAfter(h[r], h[m]) {
+			m = r
+		}
+		if m == j {
+			break
+		}
+		h[j], h[m] = h[m], h[j]
+		j = m
+	}
+}
+
+// Sorted sorts the held entries best first, in place, and returns them.
+// The slice is d's buffer: it is valid until the next Reset.
+func (d *DescTop) Sorted() []Scored {
+	SortScoredDesc(d.h)
+	return d.h
 }
 
 type scoredMinHeap []Scored

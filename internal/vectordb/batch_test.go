@@ -9,7 +9,7 @@ import (
 )
 
 // TestSearchBatchMatchesSearch pins the collection batch contract, raw and
-// PQ-compressed: one SearchBatch call — one walk scratch and one ADC table
+// PQ-compressed: one SearchBatch call over a prepared block — one walk scratch and one ADC table
 // reused across the block — returns exactly what per-query Search calls
 // return, row by row, and charges each query's accumulator the same work
 // as a block of one.
@@ -47,7 +47,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			for i := range costs {
 				costs[i] = &obs.Cost{}
 			}
-			rows, err := c.SearchBatch(context.Background(), queries, ks, efs, nil, costs)
+			prepared := Cosine.Prepare(queries)
+			rows, err := c.SearchBatch(context.Background(), prepared, ks, efs, nil, costs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 					t.Fatal(err)
 				}
 				seqCost := &obs.Cost{}
-				if _, err := c.SearchBatch(context.Background(), queries[i:i+1], ks[i:i+1], efs[i:i+1], nil, []*obs.Cost{seqCost}); err != nil {
+				if _, err := c.SearchBatch(context.Background(), prepared[i:i+1], ks[i:i+1], efs[i:i+1], nil, []*obs.Cost{seqCost}); err != nil {
 					t.Fatal(err)
 				}
 				if len(rows[i]) != len(want) {

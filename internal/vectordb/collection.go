@@ -399,11 +399,40 @@ func (c *Collection) Vector(id uint64) ([]float32, bool) {
 	return vec.Clone(c.vectorOf(slot)), true
 }
 
+// Queries is a block of query vectors prepared for one metric by
+// Metric.Prepare: each row a copy of its query, normalized under Cosine.
+// SearchBatch reads the rows as they are, so a block prepared once serves
+// every collection of that metric — CTS probes each query's clusters with
+// the one copy. Rows may be picked from a prepared block in any order and
+// with repeats.
+type Queries [][]float32
+
+// Prepare clones queries into one buffer and, under Cosine, normalizes
+// each row: the form SearchBatch expects. The caller's vectors are not
+// modified.
+func (m Metric) Prepare(queries [][]float32) Queries {
+	n := 0
+	for _, q := range queries {
+		n += len(q)
+	}
+	buf := make([]float32, 0, n)
+	out := make(Queries, len(queries))
+	for i, q := range queries {
+		lo := len(buf)
+		buf = append(buf, q...)
+		out[i] = buf[lo:len(buf):len(buf)]
+		if m == Cosine {
+			vec.Normalize(out[i])
+		}
+	}
+	return out
+}
+
 // Search returns the k best-scoring points for the query using the HNSW
 // index: a SearchBatch block of one. ef overrides the collection's default
 // beam width when positive. filter may be nil.
 func (c *Collection) Search(query []float32, k, ef int, filter Filter) ([]Result, error) {
-	out, err := c.SearchBatch(context.Background(), [][]float32{query}, []int{k}, []int{ef}, filter, nil)
+	out, err := c.SearchBatch(context.Background(), c.cfg.Metric.Prepare([][]float32{query}), []int{k}, []int{ef}, filter, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -462,11 +491,10 @@ func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.Sear
 	cost.AddBytesScanned(ctr.dists*int64(c.cfg.Dim)*4 + ctr.lookups*c.codeBytesLocked())
 }
 
-// searchOneLocked runs one already-normalized query through the index and
+// searchOneLocked runs one prepared query through the index and
 // materializes results over ws, which no other live walk uses. Caller
-// holds at least a read lock. q must already be cloned/normalized per the
-// metric. A nil return with no error means the walk was cancelled; the
-// caller surfaces ctx.Err().
+// holds at least a read lock. A nil return with no error means the walk
+// was cancelled; the caller surfaces ctx.Err().
 func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, ws *walkScratch) []Result {
 	qd := c.queryDistLocked(q, &ws.table)
 	var ctr qdCounter
@@ -496,11 +524,12 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 	return out
 }
 
-// SearchBatch runs a block of queries in one pass on the calling goroutine:
-// one lock acquisition and one walk scratch — the HNSW visited set and
-// heaps, and the ADC table of a PQ-compressed collection — reused across
-// the whole block instead of per query. Callers walking on several cores
-// give each worker its own sub-block. ks[i] and efs[i] are query i's
+// SearchBatch runs a block of queries, prepared for the collection's
+// metric (Metric.Prepare), in one pass on the calling goroutine: one lock
+// acquisition and one walk scratch — the HNSW visited set and heaps, and
+// the ADC table of a PQ-compressed collection — reused across the whole
+// block instead of per query. Callers walking on several cores give each
+// worker its own sub-block. ks[i] and efs[i] are query i's
 // result count and beam width (efs may be nil, or entries ≤ 0, for the
 // collection default); a ks[i] ≤ 0 skips query i with a nil row. costs,
 // when non-nil, carries one optional accumulator per query, each charged
@@ -510,7 +539,7 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 // is returned. A query's results are the same in any block, a block of one
 // included — scratch reuse changes where the walk's bookkeeping lives, not
 // which nodes it evaluates.
-func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, efs []int, filter Filter, costs []*obs.Cost) ([][]Result, error) {
+func (c *Collection) SearchBatch(ctx context.Context, queries Queries, ks, efs []int, filter Filter, costs []*obs.Cost) ([][]Result, error) {
 	if len(ks) != len(queries) {
 		return nil, fmt.Errorf("vectordb: %d ks for %d queries", len(ks), len(queries))
 	}
@@ -533,24 +562,12 @@ func (c *Collection) SearchBatch(ctx context.Context, queries [][]float32, ks, e
 		cancelled = func() bool { return ctx.Err() != nil }
 	}
 
-	// Clone/normalize outside the lock, into one buffer for the block.
-	dim := c.cfg.Dim
-	qs := make([]float32, len(queries)*dim)
-	for i, q := range queries {
-		v := qs[i*dim : (i+1)*dim]
-		copy(v, q)
-		if c.cfg.Metric == Cosine {
-			vec.Normalize(v)
-		}
-	}
-
 	ws := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(ws)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([][]Result, len(queries))
-	for i := range queries {
-		q := qs[i*dim : (i+1)*dim]
+	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

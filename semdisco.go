@@ -89,7 +89,8 @@ type Config struct {
 	Lexicon *Lexicon
 	// IDF optionally weights query/value tokens by informativeness
 	// (higher = more important). Built automatically from the federation
-	// when nil.
+	// when nil. It must be a pure function of the token: the encoder calls
+	// it once per distinct token and caches the weight.
 	IDF func(token string) float64
 	// Threshold is the paper's h: matches scoring below it are dropped.
 	Threshold float32
