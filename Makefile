@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race batch-cpu portable fuzz race-cluster hedge-stress check bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
+.PHONY: build vet lint test race batch-cpu portable fuzz race-cluster hedge-stress check examples bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,15 @@ batch-cpu:
 	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table|SearchContext|Filter|Sources' ./internal/core ./internal/vectordb ./internal/pq ./internal/embed .
 
 check: lint race batch-cpu portable fuzz
+
+# Run every example end to end: go build only proves they compile, so an
+# example that fails at run time (log.Fatal on an error) passes it. Each
+# must exit 0.
+examples:
+	@for d in ./examples/*/; do \
+		echo "== go run $$d"; \
+		$(GO) run "$$d" >/dev/null || exit 1; \
+	done
 
 # One-iteration pass over every microbenchmark (HNSW build, k-means, vector
 # kernels, ...): catches benchmarks that no longer compile or crash, without

@@ -22,20 +22,14 @@ type Request struct {
 	// query, and the expanded query is searched. Useful for very short
 	// queries that lack context on their own. Engine only.
 	Feedback bool
-	// Trace asks for the query's per-stage breakdown in Response.Stages.
-	Trace bool
 }
 
 // Response is a query answer: the ranked matches with the trace ID, cost
 // accounting and — on a Cluster or NetCoordinator — the scatter-gather
-// health metadata of ClusterResult, plus the stage breakdown when the
-// request asked for one.
+// health metadata of ClusterResult. The per-stage breakdown is the span
+// tree the trace store keeps under TraceID (Traces().Get).
 type Response struct {
 	ClusterResult
-	// Stages is the flat per-stage breakdown (encode → index walk → rank on
-	// an Engine; encode → scatter with one stage per shard attempt → merge
-	// on a Cluster or NetCoordinator). Nil unless Request.Trace was set.
-	Stages []TraceStage
 }
 
 // Query is one item of a batched search: the query text and its result

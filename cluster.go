@@ -237,10 +237,10 @@ func clusterTelemetry(m Method, reg *obs.Registry, shards int, tc TracingConfig,
 // top-(k+Slack) lists merge into the global top-k. A failed or timed-out
 // shard degrades the response (Degraded, ShardErrors) instead of failing
 // the query; only all shards failing — or the caller's own context
-// expiring — returns an error. Request.Trace returns the federated stage
-// breakdown: encode, scatter (one stage per shard attempt, hedges
-// included), merge. Interesting outcomes (degraded, hedged, errored, slow)
-// land in the trace store under Response.TraceID. Source filters and
+// expiring — returns an error. The span tree holds the federated stages:
+// encode, scatter (one child per shard attempt, hedges included), merge.
+// Interesting outcomes (degraded, hedged, errored, slow) land in the trace
+// store under Response.TraceID. Source filters and
 // feedback are not federated: they answer ErrUnsupported.
 func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 	if len(req.Sources) > 0 || req.Feedback {

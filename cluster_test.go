@@ -249,24 +249,21 @@ func TestClusterCacheAndStats(t *testing.T) {
 
 func TestClusterTracedStages(t *testing.T) {
 	fed := synthFederation(t, 12)
-	cl, err := NewCluster(fed, clusterCfg(2))
+	cfg := clusterCfg(2)
+	cfg.Tracing = TracingConfig{HeadSampleEvery: 1}
+	cl, err := NewCluster(fed, cfg)
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	resp, err := cl.Do(context.Background(), Request{Query: "abc", K: 5, Trace: true})
+	resp, err := cl.Do(context.Background(), Request{Query: "abc", K: 5})
 	if err != nil {
 		t.Fatalf("traced: %v", err)
 	}
-	stages := resp.Stages
-	names := make(map[string]bool)
-	for _, s := range stages {
-		names[s.Name] = true
+	st, ok := cl.Traces().Get(resp.TraceID)
+	if !ok {
+		t.Fatalf("trace %s not retained", resp.TraceID)
 	}
-	for _, want := range []string{"encode", "scatter", "merge"} {
-		if !names[want] {
-			t.Errorf("missing stage %q in %v", want, stages)
-		}
-	}
+	wantStages(t, st, "encode", "scatter", "merge")
 }
 
 func TestClusterSearchContextCancelled(t *testing.T) {

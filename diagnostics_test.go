@@ -147,38 +147,45 @@ func TestDiagnosticsDisabled(t *testing.T) {
 	}
 }
 
-// Satellite (c): traced search must return the full stage breakdown even
-// with the metrics registry disabled.
+// wantStages asserts that each named stage is a span of the stored trace.
+func wantStages(t *testing.T, st StoredTrace, stages ...string) {
+	t.Helper()
+	names := make(map[string]bool)
+	for _, sp := range st.Spans {
+		names[sp.Name] = true
+	}
+	for _, want := range stages {
+		if !names[want] {
+			t.Errorf("missing stage %q in %+v", want, st.Spans)
+		}
+	}
+}
+
+// A search must leave its full span tree in the trace store even with the
+// metrics registry disabled.
 func TestSearchTracedWithoutRegistry(t *testing.T) {
 	eng := diagEngine(t, Config{Method: ExS, DisableMetrics: true})
 	if eng.MetricsRegistry() != nil {
 		t.Fatal("registry should be nil under DisableMetrics")
 	}
-	resp, err := eng.Do(context.Background(), Request{Query: "COVID", K: 3, Trace: true})
+	resp, err := eng.Do(context.Background(), Request{Query: "COVID", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, stages := resp.Matches, resp.Stages
-	if len(matches) == 0 {
+	if len(resp.Matches) == 0 {
 		t.Fatal("no matches")
 	}
-	if len(stages) == 0 {
-		t.Fatal("no stage timings under DisableMetrics")
+	// The head sampler keeps the first query.
+	stored, ok := eng.Traces().Get(resp.TraceID)
+	if !ok {
+		t.Fatalf("trace %s not retained under DisableMetrics", resp.TraceID)
 	}
-	names := make(map[string]bool)
-	for _, s := range stages {
-		names[s.Name] = true
-	}
-	if !names["encode"] {
-		t.Fatalf("missing encode stage: %+v", stages)
-	}
+	wantStages(t, stored, "encode", "scan", "rank")
 	// Stats must degrade gracefully, not panic, without a registry.
 	st := eng.Stats()
 	if st.NumValues == 0 || st.Searches != nil {
 		t.Fatalf("stats=%+v", st)
 	}
-	// The trace store still works without a registry: the head sampler
-	// keeps the first query.
 	if got := eng.Traces().Len(); got != 1 {
 		t.Fatalf("trace store without registry retained %d traces, want 1", got)
 	}

@@ -206,29 +206,6 @@ func TestEngineSearchWithFeedback(t *testing.T) {
 	}
 }
 
-func TestOpenColumnsPublicAPI(t *testing.T) {
-	ci, err := OpenColumns(vaccineFederation(t), Config{Dim: 128, Seed: 13, Lexicon: vaccineLexicon()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.NumColumns() == 0 {
-		t.Fatal("no columns profiled")
-	}
-	if _, err := ci.Unionable("who", "Vaccine", 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ci.Joinable("nope", "Vaccine", 2); err == nil {
-		t.Fatal("unknown column must error")
-	}
-	if _, err := OpenColumns(NewFederation(), Config{}); err == nil {
-		t.Fatal("empty federation must error")
-	}
-	adhoc, err := ci.UnionableValues("shots", []string{"Comirnaty"}, 2)
-	if err != nil || len(adhoc) == 0 {
-		t.Fatalf("ad-hoc unionable: %v %v", adhoc, err)
-	}
-}
-
 func TestEngineExplain(t *testing.T) {
 	eng, err := Open(vaccineFederation(t), Config{
 		Method: ExS, Dim: 128, Seed: 14, Lexicon: vaccineLexicon(),

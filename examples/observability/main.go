@@ -1,4 +1,4 @@
-// Observability: run a few searches, inspect the per-stage trace of one
+// Observability: run a few searches, inspect the stored span tree of one
 // query and the engine's aggregated statistics (latency quantiles, cache
 // effectiveness, index-build phase costs). Run with:
 //
@@ -49,10 +49,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A traced request returns the usual matches plus the per-stage
-	// breakdown of where the time went.
 	resp, err := eng.Do(context.Background(), semdisco.Request{
-		Query: "COVID vaccines in Europe", K: 3, Trace: true})
+		Query: "COVID vaccines in Europe", K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,21 +58,16 @@ func main() {
 	for _, m := range resp.Matches {
 		fmt.Printf("  %-10s score=%.3f\n", m.RelationID, m.Score)
 	}
-	fmt.Println("trace:")
-	for _, st := range resp.Stages {
-		fmt.Printf("  %-14s %8.3fms  %v\n", st.Name, st.DurationMS, st.Annotations)
-	}
 
-	// Every search also ran under a span tree offered to the trace store;
-	// render the most recent one by its parent links. A served engine
-	// exposes the same tree at /v1/debug/traces/{trace_id}.
-	if stored := eng.Traces().List(1); len(stored) > 0 {
-		st := stored[0]
+	// Every search runs under a span tree offered to the trace store; look
+	// this one up by its trace ID and render it by its parent links. A
+	// served engine exposes the same tree at /v1/debug/traces/{trace_id}.
+	if st, ok := eng.Traces().Get(resp.TraceID); ok {
 		fmt.Printf("\nstored trace %s (kind=%s, %.3fms):\n", st.TraceID, st.Kind, st.DurationMS)
 		printSpanTree(st.Spans)
 	}
 
-	// A few more (untraced) queries to populate the latency histograms.
+	// A few more queries to populate the latency histograms.
 	for _, q := range []string{"mineral hardness", "coronavirus doses", "quartz"} {
 		if _, err := eng.Search(q, 3); err != nil {
 			log.Fatal(err)

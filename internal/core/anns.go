@@ -26,10 +26,6 @@ type ANNS struct {
 	efSearch  int
 }
 
-// indexMetric is the metric of every ANNS and CTS collection: the paper
-// scores by cosine similarity.
-const indexMetric = vectordb.Cosine
-
 // ANNSOptions configures ANNS.
 type ANNSOptions struct {
 	// Threshold is the paper's h.
@@ -60,7 +56,6 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	}
 	cfg := vectordb.CollectionConfig{
 		Dim:            emb.Enc.Dim(),
-		Metric:         indexMetric,
 		M:              opt.M,
 		EfConstruction: opt.EfConstruction,
 		EfSearch:       opt.EfSearch,
@@ -179,7 +174,7 @@ func (s *ANNS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int
 	errs := make([]error, nq)
 	par.Each((nq+annsBlock-1)/annsBlock, runtime.GOMAXPROCS(0), func(b int) {
 		lo, hi := b*annsBlock, min((b+1)*annsBlock, nq)
-		run, err := s.coll.SearchBatch(ctx, indexMetric.Prepare(qs[lo:hi]), fanouts[lo:hi], efs[lo:hi], filter, costs[lo:hi])
+		run, err := s.coll.SearchBatch(ctx, vectordb.Prepare(qs[lo:hi]), fanouts[lo:hi], efs[lo:hi], filter, costs[lo:hi])
 		if err != nil {
 			errs[lo] = err
 			return

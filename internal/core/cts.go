@@ -150,7 +150,6 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	for c := range colls {
 		coll, err := vectordb.NewCollection(vectordb.CollectionConfig{
 			Dim:            emb.Enc.Dim(),
-			Metric:         indexMetric,
 			M:              opt.M,
 			EfConstruction: opt.EfConstruction,
 			EfSearch:       opt.EfSearch,
@@ -429,7 +428,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	n := first[numClusters]
 	type probe struct{ qi, pos int }
 	at := make([]probe, n)
-	prepared := indexMetric.Prepare(qs)
+	prepared := vectordb.Prepare(qs)
 	probeQs := make(vectordb.Queries, n)
 	probeKs := make([]int, n)
 	probeEfs := make([]int, n)

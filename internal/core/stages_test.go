@@ -20,16 +20,20 @@ var stageContract = map[string][]string{
 	"CTS":  {"medoid_match{clusters_selected,clusters_total}", "descent{hits,per_cluster_fanout}", "rank{matches}"},
 }
 
-// tracedStages runs fn under a fresh trace and renders its stages as
-// name{sorted annotation keys}.
+// tracedStages runs fn under a fresh trace and renders its spans, root
+// excluded, as name{sorted annotation keys}.
 func tracedStages(t *testing.T, fn func(ctx context.Context) error) []string {
 	t.Helper()
 	tr := obs.NewTrace()
 	if err := fn(obs.ContextWithTrace(context.Background(), tr)); err != nil {
 		t.Fatal(err)
 	}
+	root := tr.RootID()
 	var out []string
-	for _, st := range tr.Stages() {
+	for _, st := range tr.Spans() {
+		if !root.IsZero() && st.SpanID == root {
+			continue
+		}
 		keys := make([]string, 0, len(st.Annotations))
 		for k := range st.Annotations {
 			keys = append(keys, k)

@@ -480,35 +480,24 @@ func (b *builder) selectHeuristic(dst []int32, candidates []Neighbor, m int) []i
 // still traversed through rejected nodes so the filtered region remains
 // reachable.
 func (ix *Index) Search(qd func(id int32) float32, k, ef int, filter func(int32) bool) []Neighbor {
-	res, _ := ix.SearchCancel(qd, k, ef, filter, nil)
+	res, _, _ := ix.SearchScratch(nil, qd, k, ef, filter, nil)
 	return res
 }
 
-// SearchCancel is Search with cooperative cancellation: cancelled, when
-// non-nil, is polled between hops of the greedy descent and every
-// cancelCheckHops expansions of the layer-0 beam. A true return abandons
-// the walk; the second result reports whether the search ran to completion
-// (false means it was cancelled and the neighbor slice is nil).
-func (ix *Index) SearchCancel(qd func(id int32) float32, k, ef int, filter func(int32) bool, cancelled func() bool) ([]Neighbor, bool) {
-	res, done, _ := ix.SearchCancelStats(qd, k, ef, filter, cancelled)
-	return res, done
-}
-
-// SearchCancelStats is SearchCancel that additionally reports the walk's
-// work counters — hops, candidates admitted to the beam, candidates pruned
-// — for per-query cost accounting. The stats are meaningful even when the
-// search was cancelled (they cover the work done up to the abort).
-func (ix *Index) SearchCancelStats(qd func(id int32) float32, k, ef int, filter func(int32) bool, cancelled func() bool) ([]Neighbor, bool, SearchStats) {
-	return ix.SearchScratch(nil, qd, k, ef, filter, cancelled)
-}
-
-// SearchScratch is SearchCancelStats with caller-owned working state: sc
-// supplies the walk's visited set and heaps, so a caller that keeps one (per
-// batch or per worker) pays no allocation per query beyond the k results. A
-// nil sc borrows one from a package-wide pool for the call, which is what
-// Search, SearchCancel and SearchCancelStats do. Results never depend on the
-// scratch — it only changes where the bookkeeping lives, not which nodes are
-// evaluated. sc must not be shared between concurrent searches.
+// SearchScratch is Search with cooperative cancellation, work counters and
+// caller-owned working state. cancelled, when non-nil, is polled between
+// hops of the greedy descent and every cancelCheckHops expansions of the
+// layer-0 beam; a true return abandons the walk, and the second result
+// reports whether the search ran to completion (false means it was
+// cancelled and the neighbor slice is nil). The stats — hops, candidates
+// admitted to the beam, candidates pruned — feed per-query cost accounting
+// and cover the work done up to an abort. sc supplies the walk's visited
+// set and heaps, so a caller that keeps one (per batch or per worker) pays
+// no allocation per query beyond the k results. A nil sc borrows one from
+// a package-wide pool for the call, which is what Search does. Results
+// never depend on the scratch — it only changes where the bookkeeping
+// lives, not which nodes are evaluated. sc must not be shared between
+// concurrent searches.
 func (ix *Index) SearchScratch(sc *Scratch, qd func(id int32) float32, k, ef int, filter func(int32) bool, cancelled func() bool) ([]Neighbor, bool, SearchStats) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

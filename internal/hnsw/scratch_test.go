@@ -8,8 +8,8 @@ import (
 
 // TestSearchScratchIdentical pins the scratch contract: a reused Scratch
 // changes where the walk's working state lives, never which nodes it
-// evaluates — results and stats must match the map-based path exactly,
-// across many consecutive reuses of the same Scratch.
+// evaluates — results and stats must match a walk on a pooled Scratch
+// exactly, across many consecutive reuses of the same Scratch.
 func TestSearchScratchIdentical(t *testing.T) {
 	s := newStore(Config{M: 8, EfConstruction: 64, Seed: 1})
 	for _, v := range randVecs(400, 16, 3) {
@@ -19,7 +19,7 @@ func TestSearchScratchIdentical(t *testing.T) {
 	sc := new(Scratch)
 	for qi, q := range queries {
 		qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
-		want, wantDone, wantStats := s.ix.SearchCancelStats(qd, 10, 64, nil, nil)
+		want, wantDone, wantStats := s.ix.SearchScratch(nil, qd, 10, 64, nil, nil)
 		got, gotDone, gotStats := s.ix.SearchScratch(sc, qd, 10, 64, nil, nil)
 		if wantDone != gotDone || wantStats != gotStats {
 			t.Fatalf("query %d: stats diverge: %v/%+v vs %v/%+v", qi, wantDone, wantStats, gotDone, gotStats)
@@ -46,7 +46,7 @@ func TestSearchScratchFiltered(t *testing.T) {
 	sc := new(Scratch)
 	for _, q := range randVecs(20, 12, 11) {
 		qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
-		want, _, _ := s.ix.SearchCancelStats(qd, 8, 48, filter, nil)
+		want, _, _ := s.ix.SearchScratch(nil, qd, 8, 48, filter, nil)
 		got, _, _ := s.ix.SearchScratch(sc, qd, 8, 48, filter, nil)
 		if len(want) != len(got) {
 			t.Fatalf("%d vs %d neighbors", len(want), len(got))
@@ -73,7 +73,7 @@ func TestScratchGenerationWraparound(t *testing.T) {
 	sc := new(Scratch)
 	q := randVecs(1, 8, 13)[0]
 	qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
-	want, _, _ := s.ix.SearchCancelStats(qd, 5, 16, nil, nil)
+	want, _, _ := s.ix.SearchScratch(nil, qd, 5, 16, nil, nil)
 	sc.gen = ^uint32(0) - 1 // next two begin() calls straddle the wrap
 	for rep := 0; rep < 3; rep++ {
 		got, _, _ := s.ix.SearchScratch(sc, qd, 5, 16, nil, nil)

@@ -13,7 +13,7 @@
 //	GET  /healthz               liveness
 //	GET  /metrics               Prometheus text exposition of engine + HTTP metrics
 //	GET  /v1/stats              engine statistics (counters, latency quantiles, build phases)
-//	POST /v1/search             {"query": "...", "k": 10, "sources": ["WHO"], "trace": true}
+//	POST /v1/search             {"query": "...", "k": 10, "sources": ["WHO"]}
 //	POST /v1/search/batch       {"queries": [{"query": "...", "k": 10}, ...]} — fused batched execution
 //	POST /v1/datasets           {"query": "...", "k": 5}
 //	POST /v1/relations          a Relation to index incrementally
@@ -291,16 +291,6 @@ type SearchRequest struct {
 	K     int    `json:"k"`
 	// Sources optionally restricts the search to federation members.
 	Sources []string `json:"sources,omitempty"`
-	// Trace asks for the per-stage breakdown of this query in the
-	// response, in every mode.
-	Trace bool `json:"trace,omitempty"`
-}
-
-// TraceJSON is the per-request stage breakdown returned when the search
-// request set "trace": true.
-type TraceJSON struct {
-	TotalMS float64               `json:"total_ms"`
-	Stages  []semdisco.TraceStage `json:"stages"`
 }
 
 // SearchResponse is the body returned by /v1/search. The cluster-mode
@@ -312,8 +302,7 @@ type SearchResponse struct {
 	// X-Trace-Id response header). When the outcome was interesting — slow,
 	// degraded, hedged, errored, or head-sampled — the full span tree is
 	// retrievable at /v1/debug/traces/{trace_id}.
-	TraceID string     `json:"trace_id,omitempty"`
-	Trace   *TraceJSON `json:"trace,omitempty"`
+	TraceID string `json:"trace_id,omitempty"`
 	// Degraded is set in cluster mode when one or more shards failed or
 	// timed out; ShardErrors names them.
 	Degraded    bool     `json:"degraded,omitempty"`
@@ -448,7 +437,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.backend.Do(r.Context(), semdisco.Request{
-		Query: req.Query, K: req.K, Sources: req.Sources, Trace: req.Trace})
+		Query: req.Query, K: req.K, Sources: req.Sources})
 	if errors.Is(err, semdisco.ErrUnsupported) {
 		writeError(w, http.StatusNotImplemented, "source-filtered search not available in "+s.mode+" mode")
 		return
@@ -466,13 +455,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, se := range res.ShardErrors {
 		resp.ShardErrors = append(resp.ShardErrors, se.Error())
-	}
-	if res.Stages != nil {
-		t := &TraceJSON{Stages: res.Stages}
-		for _, st := range res.Stages {
-			t.TotalMS += st.DurationMS
-		}
-		resp.Trace = t
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -111,6 +111,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTracedSearch: a body that still carries the retired "trace" field
+// gets the ordinary answer, and the query's stages are read from its
+// stored span tree (the head sampler keeps the first query).
 func TestTracedSearch(t *testing.T) {
 	srv := testServer(t)
 	rec, body := do(t, srv, "POST", "/v1/search", `{"query":"COVID","k":1,"trace":true}`)
@@ -124,27 +127,15 @@ func TestTracedSearch(t *testing.T) {
 	if len(resp.Matches) == 0 {
 		t.Fatal("no matches")
 	}
-	if resp.Trace == nil {
-		t.Fatal("trace requested but absent")
+	rec, body = do(t, srv, "GET", "/v1/debug/traces/"+resp.TraceID, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("trace %s = %d %s", resp.TraceID, rec.Code, body)
 	}
-	names := make(map[string]bool)
-	for _, st := range resp.Trace.Stages {
-		names[st.Name] = true
-	}
-	for _, want := range []string{"encode", "retrieve", "rank"} {
-		if !names[want] {
-			t.Errorf("trace missing stage %q (got %v)", want, resp.Trace.Stages)
-		}
-	}
-	// Untraced search carries no trace.
-	rec, body = do(t, srv, "POST", "/v1/search", `{"query":"COVID","k":1}`)
-	resp = SearchResponse{}
-	if err := json.Unmarshal(body, &resp); err != nil {
+	var tr TraceResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Trace != nil {
-		t.Fatalf("unexpected trace: %+v", resp.Trace)
-	}
+	wantStages(t, tr, "encode", "retrieve", "rank")
 }
 
 func TestStatsObservability(t *testing.T) {

@@ -149,11 +149,33 @@ func wantError(t *testing.T, srv *Server, method, path, body string, status int,
 	return e
 }
 
+// wantStages asserts that each named stage appears anywhere in the trace's
+// rendered span tree.
+func wantStages(t *testing.T, tr TraceResponse, stages ...string) {
+	t.Helper()
+	names := make(map[string]bool)
+	var walk func(nodes []*SpanTreeJSON)
+	walk = func(nodes []*SpanTreeJSON) {
+		for _, n := range nodes {
+			names[n.Name] = true
+			walk(n.Children)
+		}
+	}
+	walk(tr.Tree)
+	for _, want := range stages {
+		if !names[want] {
+			t.Errorf("span tree missing stage %q (got %+v)", want, tr.Spans)
+		}
+	}
+}
+
 // TestServerSearch: /v1/search has one shape in every mode — the single
-// engine's ranking, a trace ID, cost accounting, and the stage breakdown
-// exactly when "trace": true asks for it.
+// engine's ranking, a trace ID and cost accounting — and its trace, head-
+// sampled here, is retained as a span tree naming the mode's stages.
 func TestServerSearch(t *testing.T) {
-	forEachMode(t, modeConfig(), func(t *testing.T, m modeServer, oracle *semdisco.Engine) {
+	cfg := modeConfig()
+	cfg.Tracing.HeadSampleEvery = 1
+	forEachMode(t, cfg, func(t *testing.T, m modeServer, oracle *semdisco.Engine) {
 		for _, q := range []string{"abc", "mno", "xyz qrs"} {
 			var resp SearchResponse
 			mustJSON(t, m.srv, "POST", "/v1/search", fmt.Sprintf(`{"query":%q,"k":5}`, q), http.StatusOK, &resp)
@@ -171,27 +193,15 @@ func TestServerSearch(t *testing.T) {
 			if resp.Cost == nil || resp.Cost.DistanceComps == 0 {
 				t.Errorf("%q: no cost accounting: %+v", q, resp.Cost)
 			}
-			if resp.Trace != nil {
-				t.Errorf("%q: unrequested trace %+v", q, resp.Trace)
-			}
 		}
 		var traced SearchResponse
-		mustJSON(t, m.srv, "POST", "/v1/search", `{"query":"bfd","k":3,"trace":true}`, http.StatusOK, &traced)
-		if traced.Trace == nil {
-			t.Fatal(`"trace": true returned no stages`)
-		}
-		names := make(map[string]bool)
-		for _, st := range traced.Trace.Stages {
-			names[st.Name] = true
-		}
-		wantStages := []string{"encode", "scatter", "merge"}
+		mustJSON(t, m.srv, "POST", "/v1/search", `{"query":"bfd","k":3}`, http.StatusOK, &traced)
+		var tr TraceResponse
+		mustJSON(t, m.srv, "GET", "/v1/debug/traces/"+traced.TraceID, "", http.StatusOK, &tr)
 		if m.mode == "engine" {
-			wantStages = []string{"encode", "scan", "rank"}
-		}
-		for _, want := range wantStages {
-			if !names[want] {
-				t.Errorf("trace missing stage %q (got %v)", want, traced.Trace.Stages)
-			}
+			wantStages(t, tr, "encode", "scan", "rank")
+		} else {
+			wantStages(t, tr, "encode", "scatter", "merge")
 		}
 		// Absent and oversized k clamp instead of failing.
 		var clamped SearchResponse

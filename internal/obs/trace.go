@@ -6,19 +6,6 @@ import (
 	"time"
 )
 
-// Stage is one completed, named step of a traced request — the flat view
-// of a span, kept for callers that want the stage breakdown without the
-// tree structure.
-type Stage struct {
-	// Name identifies the step ("encode", "medoid_match", "descent", …).
-	Name string
-	// Duration is the step's wall-clock time.
-	Duration time.Duration
-	// Annotations carries key/value detail recorded while the stage ran
-	// (vectors scanned, clusters selected, cache hits). Nil when none.
-	Annotations map[string]string
-}
-
 // Trace collects the span tree of one request: a 128-bit trace ID, an
 // optional root span, and the completed spans with parent links. A nil
 // *Trace is the off switch: StartSpan still times (so metrics stay
@@ -154,34 +141,6 @@ func (t *Trace) Spans() []SpanRecord {
 	out := make([]SpanRecord, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// Stages returns the flat stage view of the recorded spans in completion
-// order. The root span is excluded: it covers the whole request, and
-// including it would double-count every stage in Total.
-func (t *Trace) Stages() []Stage {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Stage, 0, len(t.spans))
-	for _, rec := range t.spans {
-		if rec.SpanID == t.rootID && !t.rootID.IsZero() {
-			continue
-		}
-		out = append(out, Stage{Name: rec.Name, Duration: rec.Duration, Annotations: rec.Annotations})
-	}
-	return out
-}
-
-// Total sums the recorded stage durations (root span excluded).
-func (t *Trace) Total() time.Duration {
-	var sum time.Duration
-	for _, s := range t.Stages() {
-		sum += s.Duration
-	}
-	return sum
 }
 
 // Span is one in-flight stage. It always measures time — End reports the

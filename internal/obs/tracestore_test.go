@@ -396,16 +396,6 @@ func TestSpanTreeStructure(t *testing.T) {
 	if !parents[root.ID()].IsZero() {
 		t.Error("root span has a parent")
 	}
-	// Stages excludes the root so totals don't double-count.
-	stages := tr.Stages()
-	if len(stages) != 3 {
-		t.Fatalf("Stages returned %d, want 3 (root excluded)", len(stages))
-	}
-	for _, st := range stages {
-		if st.Name == "search" {
-			t.Error("root span leaked into Stages")
-		}
-	}
 }
 
 func TestSpanNilSafety(t *testing.T) {
@@ -420,7 +410,7 @@ func TestSpanNilSafety(t *testing.T) {
 	if child.End() <= 0 || sp.End() <= 0 || root.End() <= 0 {
 		t.Error("nil-trace spans should still measure time")
 	}
-	if tr.Spans() != nil || tr.Stages() != nil {
+	if tr.Spans() != nil {
 		t.Error("nil trace retained spans")
 	}
 	var nilSpan *Span

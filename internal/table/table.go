@@ -108,20 +108,6 @@ func (r *Relation) Attributes() []Attribute {
 	return out
 }
 
-// Column returns the values of the named column and whether it exists.
-func (r *Relation) Column(name string) ([]string, bool) {
-	for c, col := range r.Columns {
-		if col == name {
-			out := make([]string, len(r.Rows))
-			for i, row := range r.Rows {
-				out[i] = row[c]
-			}
-			return out, true
-		}
-	}
-	return nil, false
-}
-
 // Text concatenates context, header and body into one string — the
 // "consolidated single column per table" representation the paper uses for
 // the WikiTables corpus.

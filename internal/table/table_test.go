@@ -60,17 +60,6 @@ func TestValuesAndAttributes(t *testing.T) {
 	}
 }
 
-func TestColumn(t *testing.T) {
-	r := sampleRelation()
-	col, ok := r.Column("Vaccine")
-	if !ok || !reflect.DeepEqual(col, []string{"Comirnaty", "Vaxzevria"}) {
-		t.Fatalf("Column=%v,%v", col, ok)
-	}
-	if _, ok := r.Column("Nope"); ok {
-		t.Fatal("ghost column")
-	}
-}
-
 func TestText(t *testing.T) {
 	r := sampleRelation()
 	txt := r.Text()

@@ -47,7 +47,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			for i := range costs {
 				costs[i] = &obs.Cost{}
 			}
-			prepared := Cosine.Prepare(queries)
+			prepared := Prepare(queries)
 			rows, err := c.SearchBatch(context.Background(), prepared, ks, efs, nil, costs)
 			if err != nil {
 				t.Fatal(err)

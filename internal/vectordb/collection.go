@@ -14,33 +14,6 @@ import (
 	"semdisco/internal/vec"
 )
 
-// Metric selects how similarity is computed. Scores returned by Search are
-// always "higher is better".
-type Metric uint8
-
-const (
-	// Cosine scores by cosine similarity; vectors are normalized on insert.
-	// This is the paper's metric.
-	Cosine Metric = iota
-	// L2 scores by negative squared Euclidean distance.
-	L2
-	// Dot scores by inner product without normalization.
-	Dot
-)
-
-func (m Metric) String() string {
-	switch m {
-	case Cosine:
-		return "cosine"
-	case L2:
-		return "l2"
-	case Dot:
-		return "dot"
-	default:
-		return fmt.Sprintf("metric(%d)", uint8(m))
-	}
-}
-
 // PQConfig enables Product-Quantization compression of stored vectors.
 type PQConfig struct {
 	// M is the number of subspaces (0 = dim/8, see pq.Config).
@@ -56,8 +29,6 @@ type PQConfig struct {
 type CollectionConfig struct {
 	// Dim is the vector dimensionality; required.
 	Dim int
-	// Metric defaults to Cosine.
-	Metric Metric
 	// M and EfConstruction tune the HNSW index (see hnsw.Config).
 	M, EfConstruction int
 	// EfSearch is the default search beam width; defaults to 64.
@@ -74,7 +45,8 @@ type CollectionConfig struct {
 	Workers int
 }
 
-// Result is one search hit: the point's id, its score and its tag.
+// Result is one search hit: the point's id, its cosine similarity to the
+// query and its tag.
 type Result struct {
 	ID    uint64
 	Score float32
@@ -122,8 +94,6 @@ func NewCollection(cfg CollectionConfig) (*Collection, error) {
 	switch {
 	case cfg.Dim <= 0:
 		return nil, errors.New("vectordb: Dim must be positive")
-	case cfg.Metric > Dot:
-		return nil, fmt.Errorf("vectordb: unknown %v", cfg.Metric)
 	case cfg.M < 0 || cfg.M == 1 || cfg.M > 1<<16:
 		return nil, fmt.Errorf("vectordb: M %d outside 2..65536 (0 for the default)", cfg.M)
 	case cfg.EfConstruction < 0 || cfg.EfSearch < 0:
@@ -153,15 +123,7 @@ func (c *Collection) itemDist(a, b int32) float32 {
 	if c.codes != nil && c.codes[a] != nil && c.codes[b] != nil {
 		return c.quantizer.CodeDist(c.codes[a], c.codes[b])
 	}
-	va, vb := c.vectorOf(a), c.vectorOf(b)
-	switch c.cfg.Metric {
-	case Dot:
-		return -vec.Dot(va, vb)
-	case Cosine:
-		return 1 - vec.Dot(va, vb) // vectors are unit-normalized on insert
-	default:
-		return vec.L2Sq(va, vb)
-	}
+	return 1 - vec.Dot(c.vectorOf(a), c.vectorOf(b)) // vectors are unit-normalized on insert
 }
 
 // newTargetDist answers the index once per builder (the serial insertion
@@ -206,15 +168,13 @@ func (c *Collection) Len() int {
 func (c *Collection) Dim() int { return c.cfg.Dim }
 
 // Insert adds a vector with its tag and returns its assigned id.
-// The vector is copied (and normalized under the Cosine metric).
+// The vector is copied and normalized.
 func (c *Collection) Insert(vector []float32, tag int32) (uint64, error) {
 	if len(vector) != c.cfg.Dim {
 		return 0, fmt.Errorf("vectordb: vector dim %d, want %d", len(vector), c.cfg.Dim)
 	}
 	v := vec.Clone(vector)
-	if c.cfg.Metric == Cosine {
-		vec.Normalize(v)
-	}
+	vec.Normalize(v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -271,9 +231,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 	par.For(len(vectors), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := vec.Clone(vectors[i])
-			if c.cfg.Metric == Cosine {
-				vec.Normalize(v)
-			}
+			vec.Normalize(v)
 			vs[i] = v
 		}
 	})
@@ -399,18 +357,16 @@ func (c *Collection) Vector(id uint64) ([]float32, bool) {
 	return vec.Clone(c.vectorOf(slot)), true
 }
 
-// Queries is a block of query vectors prepared for one metric by
-// Metric.Prepare: each row a copy of its query, normalized under Cosine.
-// SearchBatch reads the rows as they are, so a block prepared once serves
-// every collection of that metric — CTS probes each query's clusters with
-// the one copy. Rows may be picked from a prepared block in any order and
-// with repeats.
+// Queries is a block of query vectors prepared by Prepare: each row a
+// normalized copy of its query. SearchBatch reads the rows as they are, so
+// a block prepared once serves every collection — CTS probes each query's
+// clusters with the one copy. Rows may be picked from a prepared block in
+// any order and with repeats.
 type Queries [][]float32
 
-// Prepare clones queries into one buffer and, under Cosine, normalizes
-// each row: the form SearchBatch expects. The caller's vectors are not
-// modified.
-func (m Metric) Prepare(queries [][]float32) Queries {
+// Prepare clones queries into one buffer and normalizes each row: the form
+// SearchBatch expects. The caller's vectors are not modified.
+func Prepare(queries [][]float32) Queries {
 	n := 0
 	for _, q := range queries {
 		n += len(q)
@@ -421,9 +377,7 @@ func (m Metric) Prepare(queries [][]float32) Queries {
 		lo := len(buf)
 		buf = append(buf, q...)
 		out[i] = buf[lo:len(buf):len(buf)]
-		if m == Cosine {
-			vec.Normalize(out[i])
-		}
+		vec.Normalize(out[i])
 	}
 	return out
 }
@@ -432,7 +386,7 @@ func (m Metric) Prepare(queries [][]float32) Queries {
 // index: a SearchBatch block of one. ef overrides the collection's default
 // beam width when positive. filter may be nil.
 func (c *Collection) Search(query []float32, k, ef int, filter Filter) ([]Result, error) {
-	out, err := c.SearchBatch(context.Background(), c.cfg.Metric.Prepare([][]float32{query}), []int{k}, []int{ef}, filter, nil)
+	out, err := c.SearchBatch(context.Background(), Prepare([][]float32{query}), []int{k}, []int{ef}, filter, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -519,13 +473,12 @@ func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, canc
 	}
 	out := make([]Result, 0, len(found))
 	for _, n := range found {
-		out = append(out, Result{ID: c.ids[n.ID], Score: c.distToScore(n.Dist), Tag: c.tags[n.ID]})
+		out = append(out, Result{ID: c.ids[n.ID], Score: distToScore(n.Dist), Tag: c.tags[n.ID]})
 	}
 	return out
 }
 
-// SearchBatch runs a block of queries, prepared for the collection's
-// metric (Metric.Prepare), in one pass on the calling goroutine: one lock
+// SearchBatch runs a block of queries, prepared by Prepare, in one pass on the calling goroutine: one lock
 // acquisition and one walk scratch — the HNSW visited set and heaps, and
 // the ADC table of a PQ-compressed collection — reused across the whole
 // block instead of per query. Callers walking on several cores give each
@@ -608,9 +561,7 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 		return nil, fmt.Errorf("vectordb: query dim %d, want %d", len(query), c.cfg.Dim)
 	}
 	q := vec.Clone(query)
-	if c.cfg.Metric == Cosine {
-		vec.Normalize(q)
-	}
+	vec.Normalize(q)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 
@@ -633,7 +584,7 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 	ranked := top.Sorted()
 	out := make([]Result, 0, len(ranked))
 	for _, r := range ranked {
-		out = append(out, Result{ID: c.ids[r.ID], Score: c.distToScore(-r.Score), Tag: c.tags[r.ID]})
+		out = append(out, Result{ID: c.ids[r.ID], Score: distToScore(-r.Score), Tag: c.tags[r.ID]})
 	}
 	return out, nil
 }
@@ -645,45 +596,21 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 // holds at least a read lock.
 func (c *Collection) queryDistLocked(q []float32, dst *pq.Table) func(int32) float32 {
 	if c.quantizer != nil {
-		switch c.cfg.Metric {
-		case Cosine, Dot:
-			table := c.quantizer.DotTable(q, *dst)
-			*dst = table
-			return func(slot int32) float32 {
-				if code := c.codes[slot]; code != nil {
-					return 1 - table.Lookup(code)
-				}
-				return 1 - vec.Dot(q, c.vectors[slot])
+		table := c.quantizer.DotTable(q, *dst)
+		*dst = table
+		return func(slot int32) float32 {
+			if code := c.codes[slot]; code != nil {
+				return 1 - table.Lookup(code)
 			}
-		default:
-			table := c.quantizer.DistTable(q, *dst)
-			*dst = table
-			return func(slot int32) float32 {
-				if code := c.codes[slot]; code != nil {
-					return table.Lookup(code)
-				}
-				return vec.L2Sq(q, c.vectors[slot])
-			}
+			return 1 - vec.Dot(q, c.vectors[slot])
 		}
 	}
-	switch c.cfg.Metric {
-	case Cosine, Dot:
-		return func(slot int32) float32 { return 1 - vec.Dot(q, c.vectors[slot]) }
-	default:
-		return func(slot int32) float32 { return vec.L2Sq(q, c.vectors[slot]) }
-	}
+	return func(slot int32) float32 { return 1 - vec.Dot(q, c.vectors[slot]) }
 }
 
-// distToScore converts internal "smaller is closer" distances back to the
-// metric's natural score.
-func (c *Collection) distToScore(d float32) float32 {
-	switch c.cfg.Metric {
-	case Cosine, Dot:
-		return 1 - d
-	default:
-		return -d
-	}
-}
+// distToScore converts the internal cosine distance (smaller is closer)
+// back to the cosine similarity.
+func distToScore(d float32) float32 { return 1 - d }
 
 // GraphStats reports the structural health of the collection's HNSW graph
 // (per-layer occupancy, degree spread, reachability from the entry point).

@@ -125,6 +125,20 @@ func TestLoadRejectsMalformedImages(t *testing.T) {
 			p.Cfg.EfSearch = -1
 			return image{Version: 2, Collection: p}
 		}},
+		// Codes earlier versions saved for their L2 (1) and inner-product
+		// (2) metrics, and one the package never had.
+		{"L2 metric", false, func(p *persistedCollection) image {
+			p.Cfg.Metric = 1
+			return image{Version: 2, Collection: p}
+		}},
+		{"dot metric", false, func(p *persistedCollection) image {
+			p.Cfg.Metric = 2
+			return image{Version: 2, Collection: p}
+		}},
+		{"unknown metric", false, func(p *persistedCollection) image {
+			p.Cfg.Metric = 3
+			return image{Version: 2, Collection: p}
+		}},
 		{"no collection", false, func(p *persistedCollection) image {
 			return image{Version: 2}
 		}},

@@ -39,7 +39,7 @@ type image struct {
 // renumbers slots), in which case the graph is rebuilt deterministically
 // from the same seed and insertion order instead.
 type persistedCollection struct {
-	Cfg       CollectionConfig
+	Cfg       persistedConfig
 	IDs       []uint64
 	Vectors   [][]float32
 	Codes     [][]byte
@@ -48,6 +48,17 @@ type persistedCollection struct {
 	PQBlob    []byte
 	GraphBlob []byte
 	NextID    uint64
+}
+
+// persistedConfig is the gob image of a CollectionConfig. Metric is the
+// saved similarity code: 0 is cosine, the only metric; images written while
+// the package also offered L2 (1) and inner product (2) may carry another
+// code, and such an image is rejected.
+type persistedConfig struct {
+	Dim, M, EfConstruction, EfSearch, Workers int
+	Seed                                      int64
+	PQ                                        *PQConfig
+	Metric                                    uint8
 }
 
 // Save writes the collection's live points, quantizer and graph to w.
@@ -114,7 +125,11 @@ func (p *persistedCollection) tagsFromPayloads() error {
 func (c *Collection) persist() *persistedCollection {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	p := &persistedCollection{Cfg: c.cfg, NextID: c.nextID}
+	cfg := c.cfg
+	p := &persistedCollection{NextID: c.nextID, Cfg: persistedConfig{
+		Dim: cfg.Dim, M: cfg.M, EfConstruction: cfg.EfConstruction, EfSearch: cfg.EfSearch,
+		Workers: cfg.Workers, Seed: cfg.Seed, PQ: cfg.PQ,
+	}}
 	if c.quantizer != nil {
 		var buf bytes.Buffer
 		if _, err := c.quantizer.WriteTo(&buf); err == nil {
@@ -152,7 +167,14 @@ func (c *Collection) persist() *persistedCollection {
 // slot holding exactly one of a Dim-long vector or an M-byte code the
 // quantizer can decode, and ids strictly ascending below NextID.
 func restoreCollection(p *persistedCollection) (*Collection, error) {
-	c, err := NewCollection(p.Cfg)
+	pc := p.Cfg
+	if pc.Metric != 0 {
+		return nil, fmt.Errorf("vectordb: image names metric %d, want 0 (cosine)", pc.Metric)
+	}
+	c, err := NewCollection(CollectionConfig{
+		Dim: pc.Dim, M: pc.M, EfConstruction: pc.EfConstruction, EfSearch: pc.EfSearch,
+		Workers: pc.Workers, Seed: pc.Seed, PQ: pc.PQ,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ func randUnit(dim int, rng *rand.Rand) []float32 {
 func TestCreateAndLookup(t *testing.T) {
 	for _, bad := range []CollectionConfig{
 		{},
-		{Dim: 4, Metric: Dot + 1},
 		{Dim: 4, M: 1},
 		{Dim: 4, M: -2},
 		{Dim: 4, EfSearch: -1},
@@ -320,29 +319,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestL2Metric(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 2, Metric: L2, Seed: 8})
-	c.Insert([]float32{0, 0}, 0) // origin
-	c.Insert([]float32{5, 5}, 1) // far
-	got, _ := c.Search([]float32{0.1, 0.1}, 2, 10, nil)
-	if got[0].Tag != 0 {
-		t.Fatalf("L2 ranking wrong: %+v", got)
-	}
-	if got[0].Score < got[1].Score {
-		t.Fatal("L2 scores must still be higher-is-better")
-	}
-}
-
-func TestDotMetric(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 2, Metric: Dot, Seed: 9})
-	c.Insert([]float32{2, 0}, 0) // big
-	c.Insert([]float32{1, 0}, 1) // small
-	got, _ := c.Search([]float32{1, 0}, 2, 10, nil)
-	if got[0].Tag != 0 {
-		t.Fatalf("Dot must favour larger magnitude: %+v", got)
-	}
-}
-
 func TestConcurrentInsertAndSearch(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 10})
 	rng := rand.New(rand.NewSource(10))
@@ -381,12 +357,6 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 200 {
 		t.Fatalf("Len=%d want 200", c.Len())
-	}
-}
-
-func TestMetricString(t *testing.T) {
-	if Cosine.String() != "cosine" || L2.String() != "l2" || Dot.String() != "dot" {
-		t.Fatal("Metric.String broken")
 	}
 }
 

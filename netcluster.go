@@ -190,8 +190,8 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 // the in-process cluster. A whole replica set failing degrades the
 // Response; only every set failing — or ctx expiring — returns an error.
 // The retained trace holds the federated span tree with every winning
-// replica's remote spans grafted in; Request.Trace returns its flat stage
-// view. Source filters and feedback answer ErrUnsupported.
+// replica's remote spans grafted in. Source filters and feedback answer
+// ErrUnsupported.
 func (nc *NetCoordinator) Do(ctx context.Context, req Request) (*Response, error) {
 	if len(req.Sources) > 0 || req.Feedback {
 		return nil, ErrUnsupported

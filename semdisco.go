@@ -98,8 +98,8 @@ type Config struct {
 	// (atomic counters and latency histograms, see Engine.Stats and
 	// Engine.MetricsRegistry). The default keeps metrics on: the cost is a
 	// few atomic adds per query, cheap enough for production. Tracing is
-	// independent of this switch: Request.Trace and the trace store work
-	// even without a registry.
+	// independent of this switch: the trace store works even without a
+	// registry.
 	DisableMetrics bool
 	// Tracing tunes the span-tree tracing subsystem: every search runs
 	// under a 128-bit trace ID, and the tail-based trace store retains the

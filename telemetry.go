@@ -20,7 +20,6 @@ import (
 // 1 in 64).
 type TracingConfig struct {
 	// Disable turns trace retention off: the trace store is not created.
-	// Request.Trace still returns stage breakdowns.
 	Disable bool
 	// StoreSize is the retained-trace ring capacity; default 256.
 	StoreSize int
@@ -41,15 +40,6 @@ type StoredTrace = obs.StoredTrace
 // StoredSpan is one completed span of a stored trace, positioned in the
 // span tree by its ParentID. See obs.StoredSpan.
 type StoredSpan = obs.StoredSpan
-
-// TraceStage is one step of a traced search: its name, wall-clock duration
-// and the key/value annotations the stage recorded (vectors scanned,
-// clusters selected, …).
-type TraceStage struct {
-	Name        string            `json:"name"`
-	DurationMS  float64           `json:"duration_ms"`
-	Annotations map[string]string `json:"annotations,omitempty"`
-}
 
 // CostReport is the per-query work accounting attached to search results:
 // distance computations, HNSW hops, PQ table lookups, values and bytes
@@ -249,9 +239,6 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 	if err != nil {
 		return nil, err
 	}
-	if req.Trace {
-		resp.Stages = toTraceStages(tr.Stages())
-	}
 	return resp, nil
 }
 
@@ -300,19 +287,6 @@ func (t *telemetry) observeBatch(ctx context.Context, queries []Query, run func(
 		t.reg.Histogram(t.latency).SetExemplar(dur, id)
 	}
 	return out, err
-}
-
-// toTraceStages converts internal trace stages to the public form.
-func toTraceStages(stages []obs.Stage) []TraceStage {
-	out := make([]TraceStage, len(stages))
-	for i, s := range stages {
-		out[i] = TraceStage{
-			Name:        s.Name,
-			DurationMS:  float64(s.Duration) / float64(time.Millisecond),
-			Annotations: s.Annotations,
-		}
-	}
-	return out
 }
 
 // LatencySummary is the quantile snapshot of one latency histogram.
