@@ -42,7 +42,8 @@ hedge-stress:
 # Everything off the amd64 assembly path still has to build and agree:
 # arm64 compiles every package against the stubs in dotbatch_generic.go,
 # pq_generic.go and sgd_generic.go, and the purego tag runs the vec, pq,
-# umap and hdbscan tests, the HNSW golden graphs, the PQ-coded vectordb
+# kmeans (whose bit-identity test reaches vec's row body), umap and hdbscan
+# tests, the HNSW golden graphs, the PQ-coded vectordb
 # golden graphs and saved images, the CTS build golden, the filtered
 # ANNS/CTS rankings golden and the saved engine image's rankings — the same
 # constants — through the pure-Go kernel bodies on this machine. ExS's
@@ -51,7 +52,7 @@ hedge-stress:
 # arm64's fused multiply-adds, which round fewer times, not more).
 portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
-	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/umap ./internal/hdbscan
+	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/kmeans ./internal/umap ./internal/hdbscan
 	$(GO) test -tags purego -run 'SerialBuildGraphGolden|LoadsParentCommitImages' ./internal/vectordb
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
 	$(GO) test -tags purego -run 'LoadsParentCommitEngineImage' .
@@ -121,8 +122,9 @@ bench-e2e:
 # Kernel micro-benchmarks: the single-pair Dot/L2Sq kernels beside their
 # scalar reference, the batched DotBatch/L2SqBatch kernels against repeated
 # single-query Dot calls, the bounded top-k selection, PQ's 4-dim kernels in
-# the ANNS index's shape (code-to-code distance, table rows, ADC lookup) and
-# the serial HNSW + PQ build that runs on them, and the pieces of the CTS
+# the ANNS index's shape (code-to-code distance, table rows, ADC lookup), one
+# subspace's k-means training in that shape beside the per-pair loop it
+# replaced, and the serial HNSW + PQ build that runs on them, and the pieces of the CTS
 # build (the SGD's pow and its three 16-dim steps beside their Go bodies, a
 # whole UMAP fit, HDBSCAN's core-distance pass). The
 # transcript lands in benchrun_kernels.txt so kernel regressions show up in
@@ -130,6 +132,7 @@ bench-e2e:
 bench-kernels:
 	{ $(GO) test -run=^$$ -bench 'Dot|L2Sq|TopK|FullSort' -benchtime=2s ./internal/vec/ && \
 	  $(GO) test -run=^$$ -bench 'CodeDist|Tables256|ADCLookup' -benchtime=2s ./internal/pq/ && \
+	  $(GO) test -run=^$$ -bench 'Run512x4K256' -benchtime=2s ./internal/kmeans/ && \
 	  $(GO) test -run=^$$ -bench 'InsertBatchPQ' -benchtime=3x ./internal/vectordb/ && \
 	  $(GO) test -run=^$$ -bench 'Pow32|SGD' -benchtime=2s ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'Fit3200x256' -benchtime=3x ./internal/umap/ && \

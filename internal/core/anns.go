@@ -92,14 +92,8 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	}
 	coll.SetObserver(emb.Obs)
 	post := newPostings(emb, nil, 1)
-	var insertErr error
-	buildPhase(emb.Obs, "hnsw_insert", func() {
-		if _, err := coll.InsertBatch(post.group(emb, 0)); err != nil {
-			insertErr = fmt.Errorf("core: anns insert: %w", err)
-		}
-	})
-	if insertErr != nil {
-		return nil, insertErr
+	if _, err := coll.InsertBatch(post.group(emb, 0)); err != nil {
+		return nil, fmt.Errorf("core: anns insert: %w", err)
 	}
 	emb.Obs.Gauge(MetricValues).Set(float64(len(emb.Values)))
 	return &ANNS{

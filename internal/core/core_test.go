@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"semdisco/internal/corpus"
 	"semdisco/internal/embed"
 	"semdisco/internal/eval"
+	"semdisco/internal/obs"
 	"semdisco/internal/table"
 )
 
@@ -336,6 +338,35 @@ func TestANNSWithPQ(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("PQ-compressed ANNS returned nothing")
+	}
+}
+
+// TestANNSBuildPhasesDisjoint pins what the two build gauges of a PQ-coded
+// ANNS build time: pq_train is codebook training, hnsw_insert the graph
+// insertions around it, so both are positive and together fit inside the
+// build's wall clock instead of counting training twice.
+func TestANNSBuildPhasesDisjoint(t *testing.T) {
+	p := corpus.WikiTables()
+	p.NumRelations = 60
+	p.NumTopics = 6
+	p.QueriesPerClass = 2
+	c := corpus.Generate(p)
+	emb := EmbedFederation(c.Federation, c.NewEncoder(64, 4))
+	emb.Obs = obs.NewRegistry()
+	start := time.Now()
+	if _, err := NewANNS(emb, ANNSOptions{Seed: 4, PQTrainSize: 128, PQM: 8, PQK: 32}); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Seconds()
+	phase := func(name string) float64 {
+		return emb.Obs.Gauge(obs.L(MetricBuildSeconds, "phase", name)).Value()
+	}
+	train, insert := phase("pq_train"), phase("hnsw_insert")
+	if train <= 0 || insert <= 0 {
+		t.Fatalf("pq_train %v s, hnsw_insert %v s: both phases must be recorded", train, insert)
+	}
+	if train+insert > wall {
+		t.Fatalf("pq_train %v s + hnsw_insert %v s exceed the build's %v s", train, insert, wall)
 	}
 }
 

@@ -170,12 +170,10 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	// batch also parallelizes inside.
 	post := newPostings(emb, clusterOf, numClusters)
 	insertErrs := make([]error, numClusters)
-	buildPhase(emb.Obs, "hnsw_insert", func() {
-		par.Each(numClusters, workers, func(c int) {
-			if _, err := colls[c].InsertBatch(post.group(emb, c)); err != nil {
-				insertErrs[c] = fmt.Errorf("core: cts insert: %w", err)
-			}
-		})
+	par.Each(numClusters, workers, func(c int) {
+		if _, err := colls[c].InsertBatch(post.group(emb, c)); err != nil {
+			insertErrs[c] = fmt.Errorf("core: cts insert: %w", err)
+		}
 	})
 	for _, err := range insertErrs {
 		if err != nil {

@@ -19,7 +19,9 @@ const (
 	// stage ("encode", "scan", "retrieve", "medoid_match", "descent", "rank").
 	MetricStageSeconds = "semdisco_search_stage_seconds"
 	// MetricBuildSeconds is index-build phase wall clock, labelled by phase
-	// ("embed", "umap", "hdbscan", "pq_train", "hnsw_insert").
+	// ("embed", "umap", "hdbscan", "pq_train", "hnsw_insert"). pq_train and
+	// hnsw_insert are recorded by the vector collections and do not overlap;
+	// each sums its collections, which a parallel CTS build runs at once.
 	MetricBuildSeconds = "semdisco_index_build_seconds"
 	// MetricClusters is the CTS cluster count.
 	MetricClusters = "semdisco_index_clusters"

@@ -35,30 +35,19 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 		workers = count
 	}
 	if workers <= 1 {
+		if ix.serial == nil {
+			ix.serial = ix.newBuilder(nil)
+		}
+		ix.serial.memo = newPairMemo(count, len(ix.nodes)+count, ix.dist)
+		defer func() { ix.serial.memo = nil }()
 		for i := 0; i < count; i++ {
 			ix.addLocked()
 		}
 		return first
 	}
 
-	// Critical section: draw levels in serial RNG order and allocate every
-	// node, so the nodes slice never grows (and never reallocates) while
-	// workers hold references into it.
-	levels := make([]int, count)
-	for i := range levels {
-		levels[i] = ix.randomLevel()
-		ix.grow(levels[i])
-	}
-	start := 0
-	if ix.entry < 0 {
-		// Seed an empty index with the batch's first node; it has no peers
-		// to link to, exactly like the first serial Add.
-		ix.entry = first
-		ix.maxLevel = levels[0]
-		start = 1
-	}
-
-	batch := &batchState{locks: make([]sync.Mutex, len(ix.nodes))}
+	levels, start, batch := ix.beginBatch(count)
+	n := len(ix.nodes)
 	var next atomic.Int64
 	next.Store(int64(start))
 	var wg sync.WaitGroup
@@ -67,6 +56,7 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 		go func() {
 			defer wg.Done()
 			b := ix.newBuilder(batch)
+			b.memo = newPairMemo(count, n, ix.dist)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= count {
@@ -78,6 +68,28 @@ func (ix *Index) AddBatch(count, workers int) int32 {
 	}
 	wg.Wait()
 	return first
+}
+
+// beginBatch is a concurrent batch's critical section, run under ix.mu:
+// draw levels in serial RNG order and allocate every node, so the nodes
+// slice never grows (and never reallocates) while workers hold references
+// into it. It returns the batch's levels, the offset of its first item to
+// insert and its lock set.
+func (ix *Index) beginBatch(count int) (levels []int, start int, batch *batchState) {
+	first := int32(len(ix.nodes))
+	levels = make([]int, count)
+	for i := range levels {
+		levels[i] = ix.randomLevel()
+		ix.grow(levels[i])
+	}
+	if ix.entry < 0 {
+		// Seed an empty index with the batch's first node; it has no peers
+		// to link to, exactly like the first serial Add.
+		ix.entry = first
+		ix.maxLevel = levels[0]
+		start = 1
+	}
+	return levels, start, &batchState{locks: make([]sync.Mutex, len(ix.nodes))}
 }
 
 // batchState is the lock set shared by one AddBatch call: one mutex per

@@ -290,6 +290,9 @@ type builder struct {
 	// path (which runs under ix.mu alone).
 	batch      *batchState
 	targetDist TargetDist
+	// memo caches pair distances for the AddBatch call in progress; nil
+	// outside one, and on a lone Add, which measures few pairs twice.
+	memo       *pairMemo
 	selected   [][]int32  // the inserted node's chosen neighbours, per layer
 	reselected []int32    // a full neighbour's re-chosen list
 	pruned     []Neighbor // selectHeuristic's backfill pool
@@ -305,6 +308,15 @@ func (ix *Index) newBuilder(batch *batchState) *builder {
 		b.targetDist = ix.newTargetDist()
 	}
 	return b
+}
+
+// dist is the pairwise construction distance of neighbour selection, read
+// through the call's memo when there is one.
+func (b *builder) dist(x, y int32) float32 {
+	if b.memo != nil {
+		return b.memo.get(x, y)
+	}
+	return b.ix.dist(x, y)
 }
 
 func (b *builder) lock(id int32) {
@@ -424,9 +436,9 @@ func (b *builder) connect(from int32, l int, to int32, maxConn int) {
 	}
 	cands := b.cands[:0]
 	for _, n := range nbs {
-		cands = append(cands, Neighbor{n, ix.dist(from, n)})
+		cands = append(cands, Neighbor{n, b.dist(from, n)})
 	}
-	cands = append(cands, Neighbor{to, ix.dist(from, to)})
+	cands = append(cands, Neighbor{to, b.dist(from, to)})
 	slices.SortFunc(cands, compare)
 	b.cands = cands
 	b.reselected = b.selectHeuristic(b.reselected[:0], cands, maxConn)
@@ -445,7 +457,6 @@ func (b *builder) selectHeuristic(dst []int32, candidates []Neighbor, m int) []i
 		}
 		return dst
 	}
-	dist := b.ix.dist
 	pruned := b.pruned[:0]
 	for _, c := range candidates {
 		if len(dst) >= m {
@@ -453,7 +464,7 @@ func (b *builder) selectHeuristic(dst []int32, candidates []Neighbor, m int) []i
 		}
 		ok := true
 		for _, s := range dst {
-			if dist(c.ID, s) < c.Dist {
+			if b.dist(c.ID, s) < c.Dist {
 				ok = false
 				break
 			}

@@ -1,8 +1,11 @@
 package kmeans
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"semdisco/internal/vec"
@@ -187,5 +190,113 @@ func TestAssignmentIsNearest(t *testing.T) {
 		if res.Assignment[i] != best {
 			t.Fatalf("point %d assigned %d but nearest is %d", i, res.Assignment[i], best)
 		}
+	}
+}
+
+// mixedPoints returns n points of dim d with mixed magnitudes, so that the
+// order of additions shows in the bits, drawn from a pool of `distinct`
+// points when distinct > 0: duplicates make ties and empty clusters.
+func mixedPoints(n, d, distinct int, seed int64) [][]float32 {
+	rng := rand.New(rand.NewSource(seed))
+	pool := n
+	if distinct > 0 {
+		pool = distinct
+	}
+	base := make([][]float32, pool)
+	for i := range base {
+		base[i] = make([]float32, d)
+		for j := range base[i] {
+			base[i][j] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2)))
+		}
+	}
+	pts := make([][]float32, n)
+	for i := range pts {
+		pts[i] = append([]float32(nil), base[rng.Intn(pool)]...)
+	}
+	return pts
+}
+
+// sameResult fails unless got carries want's bits: every centroid
+// coordinate, every assignment, the inertia and the iteration count.
+func sameResult(t *testing.T, what string, got, want Result) {
+	t.Helper()
+	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) || got.Iterations != want.Iterations {
+		t.Fatalf("%s: inertia %v after %d iterations, reference %v after %d",
+			what, got.Inertia, got.Iterations, want.Inertia, want.Iterations)
+	}
+	if !slices.Equal(got.Assignment, want.Assignment) {
+		t.Fatalf("%s: assignments differ from the reference", what)
+	}
+	if len(got.Centroids) != len(want.Centroids) {
+		t.Fatalf("%s: %d centroids, reference %d", what, len(got.Centroids), len(want.Centroids))
+	}
+	for c := range want.Centroids {
+		for j, w := range want.Centroids[c] {
+			if g := got.Centroids[c][j]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%s: centroid %d dim %d = %#08x, reference %#08x",
+					what, c, j, math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+	}
+}
+
+// TestRunMatchesPairLoop holds Run to refRun, the per-pair loop it
+// replaced, by bit pattern at every worker count: across dims below, at and
+// above the 4-dim row kernel and the 8-wide unroll; with K > n (the padding
+// path, whose duplicate centroids always leave a cluster empty and reseat
+// it) and with duplicate points; and with one NaN, ±Inf, −0 or subnormal
+// coordinate at a time, which the assignment's argmin, the seeding's D²
+// update and the reseat's farthest point must all treat as the pair loop
+// did. Point counts clear parallelMinPoints so the sharded paths run.
+func TestRunMatchesPairLoop(t *testing.T) {
+	subnormal := math.Float32frombits(0x00000123)
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), subnormal,
+	}
+	check := func(what string, pts [][]float32, cfg Config) {
+		t.Helper()
+		want := refRun(pts, cfg)
+		for _, w := range []int{1, 2, 4} {
+			cfg.Workers = w
+			sameResult(t, fmt.Sprintf("%s, workers %d", what, w), Run(pts, cfg), want)
+		}
+	}
+	for _, d := range []int{1, 3, 4, 5, 8, 12} {
+		pts := mixedPoints(300, d, 0, int64(d))
+		check(fmt.Sprintf("dim %d", d), pts, Config{K: 13, Seed: int64(d)})
+		check(fmt.Sprintf("dim %d, K > n", d), pts[:9], Config{K: 12, Seed: int64(d)})
+		check(fmt.Sprintf("dim %d, 20 distinct points", d), mixedPoints(300, d, 20, int64(d)), Config{K: 24, Seed: int64(d)})
+		for _, sp := range specials {
+			for _, at := range [][2]int{{0, 0}, {150, d / 2}, {299, d - 1}} {
+				keep := pts[at[0]][at[1]]
+				pts[at[0]][at[1]] = sp
+				check(fmt.Sprintf("dim %d, point %d dim %d = %v", d, at[0], at[1], sp), pts, Config{K: 13, Seed: int64(d), MaxIter: 6})
+				pts[at[0]][at[1]] = keep
+			}
+		}
+	}
+	// The ANNS index's training shape: one 4-dim subspace of 512 vectors
+	// into 256 centroids, PQ's iteration cap.
+	check("PQ shape", mixedPoints(512, 4, 0, 99), Config{K: 256, Seed: 99, MaxIter: 15})
+}
+
+// BenchmarkRun512x4K256 times one PQ subspace's training in the ANNS
+// index's shape (512 training vectors, 4-dim subspaces, K = 256, PQ's
+// iteration cap) through the row kernel beside the per-pair loop it
+// replaced.
+func BenchmarkRun512x4K256(b *testing.B) {
+	pts := mixedPoints(512, 4, 0, 7)
+	cfg := Config{K: 256, Seed: 7, MaxIter: 15}
+	for _, bc := range []struct {
+		name string
+		run  func([][]float32, Config) Result
+	}{{"row", Run}, {"pair", refRun}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.run(pts, cfg)
+			}
+		})
 	}
 }

@@ -163,7 +163,7 @@ func (q *Quantizer) EncodeTo(v []float32, code []byte) {
 	var buf [256]float32 // K ≤ 256
 	row := buf[:q.k]
 	for s := 0; s < q.m; s++ {
-		l2sqRow(v[s*q.subDim:(s+1)*q.subDim], q.subspace(s), row)
+		vec.L2SqRow(v[s*q.subDim:(s+1)*q.subDim], q.subspace(s), row)
 		best, bestD := 0, float32(math.MaxFloat32)
 		for c, d := range row {
 			if d < bestD {
@@ -180,59 +180,6 @@ func (q *Quantizer) EncodeTo(v []float32, code []byte) {
 func checkCodeLen(code []byte, m int) {
 	if len(code) != m {
 		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), m))
-	}
-}
-
-// l2sqRow sets row[c] to the squared distance between x and the c-th of
-// the len(x)-dim centroids laid back to back in cents: one subspace's row
-// of every table this package builds, bit-equal to vec.L2Sq per entry.
-// Subvectors shorter than vec's 8-wide unroll — the index's 4-dim subspaces
-// — get only vec.L2Sq's scalar tail, which the loop below repeats float for
-// float without a call per centroid. On amd64 a 4-dim row runs four
-// centroids at a time in SSE2 (pq_amd64.s), and the K%4 left take the loop.
-func l2sqRow(x, cents, row []float32) {
-	sd := len(x)
-	if sd >= 8 {
-		for c := range row {
-			row[c] = vec.L2Sq(x, cents[c*sd:(c+1)*sd])
-		}
-		return
-	}
-	if n := len(row) &^ 3; kernelAsm && sd == 4 && n > 0 {
-		l2sqRowAsm(x, cents[:n*4], row[:n])
-		cents, row = cents[n*4:], row[n:]
-	}
-	for c := range row {
-		y := cents[c*sd:][:sd]
-		var sum float32
-		for i, xi := range x {
-			d := xi - y[i]
-			sum += d * d
-		}
-		row[c] = sum
-	}
-}
-
-// dotRow is l2sqRow for inner products, bit-equal to vec.Dot per entry.
-func dotRow(x, cents, row []float32) {
-	sd := len(x)
-	if sd >= 8 {
-		for c := range row {
-			row[c] = vec.Dot(x, cents[c*sd:(c+1)*sd])
-		}
-		return
-	}
-	if n := len(row) &^ 3; kernelAsm && sd == 4 && n > 0 {
-		dotRowAsm(x, cents[:n*4], row[:n])
-		cents, row = cents[n*4:], row[n:]
-	}
-	for c := range row {
-		y := cents[c*sd:][:sd]
-		var sum float32
-		for i, xi := range x {
-			sum += xi * y[i]
-		}
-		row[c] = sum
 	}
 }
 
@@ -271,14 +218,14 @@ func (q *Quantizer) reuseTable(dst Table) Table {
 // approximate distance to any code is M table lookups, and returns it. dst
 // is reused as CodeDistRows reuses its table.
 func (q *Quantizer) DistTable(query []float32, dst Table) Table {
-	return q.queryTable(query, dst, l2sqRow)
+	return q.queryTable(query, dst, vec.L2SqRow)
 }
 
 // DotTable fills dst with inner-product partials, used when ranking by
 // cosine over unit vectors (higher is better), and returns it. dst is
 // reused as CodeDistRows reuses its table.
 func (q *Quantizer) DotTable(query []float32, dst Table) Table {
-	return q.queryTable(query, dst, dotRow)
+	return q.queryTable(query, dst, vec.DotRow)
 }
 
 func (q *Quantizer) queryTable(query []float32, dst Table, fillRow func(x, cents, row []float32)) Table {
@@ -357,7 +304,7 @@ func (q *Quantizer) CodeDistRows(code []byte, dst Table) Table {
 	checkCodeLen(code, q.m)
 	dst = q.reuseTable(dst)
 	for s := 0; s < q.m; s++ {
-		l2sqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
+		vec.L2SqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
 	}
 	return dst
 }

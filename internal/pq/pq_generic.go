@@ -2,8 +2,8 @@
 
 package pq
 
-// Without the assembly (another GOARCH, or the purego tag) every distance
-// and table runs its Go body in pq.go. The stubs are never called; they
+// Without the assembly (another GOARCH, or the purego tag) CodeDist and
+// Lookup run their Go bodies in pq.go. The stubs are never called; they
 // exist so pq.go compiles on every GOARCH.
 
 const kernelAsm = false
@@ -13,13 +13,5 @@ func codeDistAsm(cents []float32, a, b []byte) float32 {
 }
 
 func lookupAsm(v []float32, code []byte) float32 {
-	panic("pq: assembly kernel unavailable in this build")
-}
-
-func l2sqRowAsm(x, cents, row []float32) {
-	panic("pq: assembly kernel unavailable in this build")
-}
-
-func dotRowAsm(x, cents, row []float32) {
 	panic("pq: assembly kernel unavailable in this build")
 }

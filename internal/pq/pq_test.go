@@ -627,11 +627,11 @@ func TestPQKernelsBitIdentical(t *testing.T) {
 				same(what+": DotTable.Lookup", dot.Lookup(a), refFlatLookup(dot.v, k, a))
 			}
 			cent := q.centroid(s, c)
-			sameRow(what+": l2sqRow(centroid)", l2sqRow, refL2sqRow, cent, s)
-			sameRow(what+": dotRow(centroid)", dotRow, refDotRow, cent, s)
+			sameRow(what+": L2SqRow(centroid)", vec.L2SqRow, refL2sqRow, cent, s)
+			sameRow(what+": DotRow(centroid)", vec.DotRow, refDotRow, cent, s)
 			x := query[s*4 : s*4+4]
-			sameRow(what+": l2sqRow(query)", l2sqRow, refL2sqRow, x, s)
-			sameRow(what+": dotRow(query)", dotRow, refDotRow, x, s)
+			sameRow(what+": L2SqRow(query)", vec.L2SqRow, refL2sqRow, x, s)
+			sameRow(what+": DotRow(query)", vec.DotRow, refDotRow, x, s)
 		}
 		checkAll("random", 0, 0)
 		checkAll("random", 1, k-1)

@@ -107,3 +107,21 @@ func l2sq4Asm(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
 	}
 	return o0, o1, o2, o3
 }
+
+//go:noescape
+func l2sqRow4x4(x, cents, row *float32, n int)
+
+//go:noescape
+func dotRow4x4(x, cents, row *float32, n int)
+
+// l2sqRowAsm is L2SqRow at 4 dims for len(row) a positive multiple of 4.
+func l2sqRowAsm(x, cents, row []float32) {
+	_, _ = x[3], cents[len(row)*4-1]
+	l2sqRow4x4(&x[0], &cents[0], &row[0], len(row))
+}
+
+// dotRowAsm is DotRow at 4 dims for len(row) a positive multiple of 4.
+func dotRowAsm(x, cents, row []float32) {
+	_, _ = x[3], cents[len(row)*4-1]
+	dotRow4x4(&x[0], &cents[0], &row[0], len(row))
+}

@@ -10,7 +10,7 @@ package vec
 const kernelAsm = false
 
 // The assembly wrappers are never called when kernelAsm is false; the stubs
-// exist so vec.go and batch.go compile on every GOARCH.
+// exist so vec.go, batch.go and row.go compile on every GOARCH.
 func dotAsm(a, b []float32) float32 {
 	panic("vec: assembly kernel unavailable in this build")
 }
@@ -24,5 +24,13 @@ func dot4Asm(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
 }
 
 func l2sq4Asm(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
+	panic("vec: assembly kernel unavailable in this build")
+}
+
+func l2sqRowAsm(x, cents, row []float32) {
+	panic("vec: assembly kernel unavailable in this build")
+}
+
+func dotRowAsm(x, cents, row []float32) {
 	panic("vec: assembly kernel unavailable in this build")
 }

@@ -448,3 +448,76 @@ var benchSink float32
 
 func BenchmarkDot(b *testing.B)  { benchPair(b, Dot, refDot) }
 func BenchmarkL2Sq(b *testing.B) { benchPair(b, L2Sq, refL2Sq) }
+
+// TestRowKernelsBitIdentical holds L2SqRow and DotRow to L2Sq and Dot per
+// entry by bit pattern, with the operands of L2Sq in both orders — k-means
+// seeding reads a row of one point against all others where the pairwise
+// loop had each point first. It covers every width around the 4-dim body
+// and the 8-wide unroll, rows with a len%4 tail, and one special value at a
+// time in x or in a point.
+func TestRowKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fill := func(x []float32) {
+		for i := range x {
+			x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+		}
+	}
+	check := func(what string, x, cents []float32) {
+		t.Helper()
+		d := len(x)
+		n := len(cents) / d
+		l2, dot := make([]float32, n), make([]float32, n)
+		L2SqRow(x, cents, l2)
+		DotRow(x, cents, dot)
+		for c := 0; c < n; c++ {
+			y := cents[c*d : (c+1)*d]
+			for _, p := range []struct {
+				name      string
+				got, want float32
+			}{
+				{"L2SqRow vs L2Sq(x, c)", l2[c], L2Sq(x, y)},
+				{"L2SqRow vs L2Sq(c, x)", l2[c], L2Sq(y, x)},
+				{"DotRow vs Dot(x, c)", dot[c], Dot(x, y)},
+			} {
+				if math.Float32bits(p.got) != math.Float32bits(p.want) {
+					t.Fatalf("%s dim %d, point %d of %d: %s = %#08x, want %#08x",
+						what, d, c, n, p.name, math.Float32bits(p.got), math.Float32bits(p.want))
+				}
+			}
+		}
+	}
+	subnormal := math.Float32frombits(0x00000123)
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		subnormal, -subnormal, math.MaxFloat32, float32(math.Copysign(0, -1)),
+	}
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 20} {
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 11, 30} {
+			x, cents := make([]float32, d), make([]float32, n*d)
+			fill(x)
+			fill(cents)
+			check("random", x, cents)
+		}
+		x, cents := make([]float32, d), make([]float32, 6*d)
+		for _, sp := range specials {
+			for p := range x {
+				fill(x)
+				fill(cents)
+				x[p] = sp
+				check(fmt.Sprintf("x[%d] = %v", p, sp), x, cents)
+			}
+			for p := range cents {
+				fill(x)
+				fill(cents)
+				cents[p] = sp
+				check(fmt.Sprintf("point %d dim %d = %v", p/d, p%d, sp), x, cents)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("L2SqRow accepted points of the wrong total length")
+		}
+	}()
+	L2SqRow(make([]float32, 4), make([]float32, 15), make([]float32, 4))
+}

@@ -74,18 +74,22 @@ type Collection struct {
 
 	// Observability hooks, resolved once by SetObserver so the insert path
 	// never does a registry lookup. Nil hooks are no-ops.
-	obsInserts *obs.Counter
-	obsPQTrain *obs.Gauge
+	obsInserts    *obs.Counter
+	obsPQTrain    *obs.Gauge
+	obsHNSWInsert *obs.Gauge
 }
 
 // SetObserver wires the collection's build instrumentation into a metrics
-// registry: insert counts and Product-Quantization training time. A nil
-// registry (or never calling SetObserver) keeps instrumentation off.
+// registry: insert counts, Product-Quantization training time and the time
+// InsertBatch spends inserting into the graph, which excludes training and
+// encoding. A nil registry (or never calling SetObserver) keeps
+// instrumentation off.
 func (c *Collection) SetObserver(reg *obs.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.obsInserts = reg.Counter("semdisco_index_inserts_total")
 	c.obsPQTrain = reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "pq_train"))
+	c.obsHNSWInsert = reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "hnsw_insert"))
 }
 
 // NewCollection returns an empty collection. It fails if the config is
@@ -267,7 +271,9 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 			return
 		}
 		encodePendingLocked()
+		start := time.Now()
 		first := c.index.AddBatch(pending, workers)
+		c.obsHNSWInsert.Add(time.Since(start).Seconds())
 		for slot := int(first); slot < len(c.ids); slot++ {
 			c.byID[c.ids[slot]] = int32(slot)
 		}
