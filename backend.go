@@ -68,13 +68,12 @@ type Backend interface {
 
 	Method() Method
 	NumRelations() int
-	// MetricsRegistry, Traces, SLO and Workload expose the backend's
+	// MetricsRegistry, Traces and SLO expose the backend's
 	// telemetry sinks. Each is nil when disabled, and a nil sink is a valid
 	// no-op everywhere.
 	MetricsRegistry() *obs.Registry
 	Traces() *obs.TraceStore
 	SLO() *obs.SLOEngine
-	Workload() *obs.Workload
 }
 
 // resultOf and matchesOf unwrap a Do answer for the legacy wrappers that

@@ -81,7 +81,6 @@ func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterRe
 			res[i].Matches = rows[s]
 			res[i].Cost = costs[s].Report()
 			parent.AddReport(res[i].Cost)
-			e.workload.RecordShard(0)
 		}
 	}
 	out := make([]*ClusterResult, len(queries))

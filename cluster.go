@@ -157,7 +157,7 @@ func NewCluster(fed *Federation, cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		telemetry: clusterTelemetry(cfg.Method, reg, cfg.Shards, cfg.Tracing, cfg.SLO),
+		telemetry: clusterTelemetry(cfg.Method, reg, cfg.Tracing, cfg.SLO),
 		cfg:       cfg,
 		model:     model,
 		stats:     stats,
@@ -217,7 +217,6 @@ func (c *Cluster) routerOptions() cluster.Options {
 		},
 		CacheSize: c.cfg.CacheSize,
 		Registry:  c.reg,
-		Workload:  c.workload,
 		SegmentInfo: func(shard int) (int, int) {
 			st := c.shards[shard].Stats()
 			return st.Segments, st.DeadRelations
@@ -226,9 +225,9 @@ func (c *Cluster) routerOptions() cluster.Options {
 }
 
 // clusterTelemetry is the bookkeeping of a sharded cluster.
-func clusterTelemetry(m Method, reg *obs.Registry, shards int, tc TracingConfig, sc SLOConfig) telemetry {
+func clusterTelemetry(m Method, reg *obs.Registry, tc TracingConfig, sc SLOConfig) telemetry {
 	return telemetry{method: m, span: "cluster_search", latency: cluster.MetricSearchSeconds, reg: reg,
-		traces: newTraceStore(tc), workload: newWorkload(shards, reg), slo: newSLOEngine(sc, reg)}
+		traces: newTraceStore(tc), slo: newSLOEngine(sc, reg)}
 }
 
 // Do implements Backend by scatter-gather over all shards: the query is
@@ -500,7 +499,7 @@ func LoadCluster(r io.Reader) (*Cluster, error) {
 		p.Owner = make(map[string]int)
 	}
 	c := &Cluster{
-		telemetry: clusterTelemetry(cfg.Method, reg, len(blobs), TracingConfig{}, SLOConfig{}),
+		telemetry: clusterTelemetry(cfg.Method, reg, TracingConfig{}, SLOConfig{}),
 		cfg:       cfg,
 		model:     model,
 		stats:     p.Stats,

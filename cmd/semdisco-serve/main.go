@@ -61,15 +61,14 @@
 // per -trace-threshold, degraded, hedged, errored, plus a 1-in-M head
 // sample per -trace-head-sample — are retained in a -trace-store-sized
 // ring. It is the one retained-query record, in every mode:
-// /v1/debug/traces lists it newest first, /v1/debug/slow slowest first and
-// /v1/debug/journal streams it as JSON lines (-trace-head-sample 1 keeps
-// every query). Scrapes accepting OpenMetrics get histogram exemplars on
+// /v1/debug/traces lists it newest first, /v1/debug/slow slowest first,
+// /v1/debug/costly costliest first and /v1/debug/journal streams it as
+// JSON lines (-trace-head-sample 1 keeps every query). Scrapes accepting OpenMetrics get histogram exemplars on
 // /metrics linking latency buckets to stored trace IDs. -no-trace turns
 // the subsystem off.
 //
 // Cost accounting and SLOs: every search response carries a "cost" block
-// (distance computations, graph hops, PQ lookups, bytes scanned),
-// /v1/debug/workload serves heavy-hitter queries and shard-load skew, and
+// (distance computations, graph hops, PQ lookups, bytes scanned), and
 // /v1/debug/slo serves multi-window error-budget burn rates.
 // -slo-availability, -slo-latency-objective and -slo-latency-threshold set
 // the objectives; -no-slo turns the SLO engine off.
@@ -107,7 +106,7 @@ var (
 		"probe recall@10 against an exhaustive scan this often (0 disables)")
 
 	noTrace = flag.Bool("no-trace", false,
-		"disable span-tree tracing and the /v1/debug/{traces,slow,journal} store")
+		"disable span-tree tracing and the /v1/debug/{traces,slow,costly,journal} store")
 	traceStore = flag.Int("trace-store", 0,
 		"retained-trace ring capacity (0 = default 256)")
 	traceThreshold = flag.Duration("trace-threshold", 0,

@@ -140,8 +140,9 @@ func TestSearchCostCTSNonzero(t *testing.T) {
 }
 
 // TestSearchRecordsWorkloadAndSLO asserts a plain engine search feeds the
-// workload analyzer and the SLO engine — also with the trace store
-// switched off, which used to short-circuit past both.
+// SLO engine and leaves its cost on the retained trace — and still feeds
+// the SLO engine with the trace store switched off, which used to
+// short-circuit past it.
 func TestSearchRecordsWorkloadAndSLO(t *testing.T) {
 	quiet := Config{Method: ExS, Dim: 64, Seed: 1}
 	quiet.Tracing.Disable = true
@@ -160,15 +161,10 @@ func searchRecordsWorkloadAndSLO(t *testing.T, cfg Config) {
 			t.Fatal(err)
 		}
 	}
-	ws := eng.Workload().Snapshot()
-	if ws.Queries != 3 {
-		t.Fatalf("workload saw %d queries, want 3", ws.Queries)
-	}
-	if len(ws.HeavyHitters) == 0 || ws.HeavyHitters[0].Query != "covid vaccines" {
-		t.Fatalf("heavy hitters = %+v", ws.HeavyHitters)
-	}
-	if len(ws.Costliest) == 0 || ws.Costliest[0].Cost.DistanceComps == 0 {
-		t.Fatalf("costliest board = %+v", ws.Costliest)
+	// The default head sample keeps the first query.
+	if top := eng.Traces().Costliest(0); !cfg.Tracing.Disable &&
+		(len(top) != 1 || top[0].Query != "covid vaccines" || top[0].Cost == 0) {
+		t.Fatalf("costliest traces = %+v", top)
 	}
 	ss := eng.SLO().Snapshot()
 	if len(ss.Objectives) != 2 {

@@ -227,7 +227,7 @@ func TestEngineIndexHealth(t *testing.T) {
 func TestEngineRecallProbe(t *testing.T) {
 	eng := diagEngine(t, Config{Method: ANNS, Lexicon: vaccineLexicon()})
 
-	// Fresh engine: no served queries, probe falls back to value texts.
+	// Fresh engine: no retained traces, probe falls back to value texts.
 	res, err := eng.RecallProbe(5)
 	if err != nil {
 		t.Fatal(err)
@@ -239,17 +239,17 @@ func TestEngineRecallProbe(t *testing.T) {
 		t.Fatalf("recall=%v out of [0,1]", res.Recall)
 	}
 
-	// After real traffic the probe replays the workload's heavy hitters.
-	for _, q := range []string{"COVID", "mineral hardness"} {
-		if _, err := eng.Search(q, 5); err != nil {
-			t.Fatal(err)
-		}
+	// The head sampler keeps the first query, so one served query is
+	// enough for the probe to replay real traffic.
+	if _, err := eng.Search("COVID", 5); err != nil {
+		t.Fatal(err)
 	}
+	offered := eng.Traces().Offered()
 	res, err = eng.RecallProbe(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != "heavy_hitters" {
+	if res.Source != "traces" || res.Probed+res.Skipped != 1 {
 		t.Fatalf("warm probe=%+v", res)
 	}
 	if res.Method != "ANNS" || res.K != 5 {
@@ -264,9 +264,62 @@ func TestEngineRecallProbe(t *testing.T) {
 	if !found {
 		t.Fatal("recall gauge not exported")
 	}
-	// Probes must not pollute the workload they sample from.
-	if got := eng.Workload().Snapshot().Queries; got != 2 {
-		t.Fatalf("probe polluted the workload: queries=%d", got)
+	// Probes bypass Do: they offer no trace to the store they sample from.
+	if got := eng.Traces().Offered(); got != offered {
+		t.Fatalf("probe offered %d traces", got-offered)
+	}
+
+	// Every retained query text is replayed once, newest first.
+	eng.ConfigureTracing(TracingConfig{HeadSampleEvery: 1})
+	for _, q := range []string{"COVID", "quartz", "COVID"} {
+		if _, err := eng.Search(q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err = eng.RecallProbe(5); err != nil {
+		t.Fatal(err)
+	}
+	var probed []string
+	for _, s := range res.Samples {
+		probed = append(probed, s.Query)
+	}
+	if res.Source != "traces" || strings.Join(probed, "|") != "COVID|quartz" {
+		t.Fatalf("probe replayed %q from %s, want the two distinct queries newest first", probed, res.Source)
+	}
+
+	// Without tracing there is nothing to replay.
+	eng.ConfigureTracing(TracingConfig{Disable: true})
+	if res, err = eng.RecallProbe(5); err != nil || res.Source != "value_sample" {
+		t.Fatalf("untraced probe=%+v err=%v", res, err)
+	}
+}
+
+// TestTracesCostliestFirst: the trace store's costliest view lists an
+// expensive query's trace above a cheaper, newer one's and honours n.
+func TestTracesCostliestFirst(t *testing.T) {
+	eng := diagEngine(t, Config{Method: ANNS, Lexicon: vaccineLexicon(),
+		Tracing: TracingConfig{HeadSampleEvery: 1}})
+	ctx := context.Background()
+	costly, err := eng.Do(ctx, Request{Query: "COVID vaccines", K: 10, Feedback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheap, err := eng.Do(ctx, Request{Query: "quartz", K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costly.Cost.Total() <= cheap.Cost.Total() {
+		t.Fatalf("costs %d and %d: the first query must cost more", costly.Cost.Total(), cheap.Cost.Total())
+	}
+	top := eng.Traces().Costliest(0)
+	if len(top) != 2 || top[0].TraceID != costly.TraceID || top[1].TraceID != cheap.TraceID {
+		t.Fatalf("costliest = %+v, want %s then %s", top, costly.TraceID, cheap.TraceID)
+	}
+	if top[0].Cost != costly.Cost.Total() {
+		t.Errorf("stored cost %d, response cost %d", top[0].Cost, costly.Cost.Total())
+	}
+	if got := eng.Traces().Costliest(1); len(got) != 1 || got[0].TraceID != costly.TraceID {
+		t.Errorf("Costliest(1) = %+v", got)
 	}
 }
 

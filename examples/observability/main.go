@@ -113,8 +113,8 @@ func main() {
 			h.Clusters.SizeCV, h.Clusters.MeanMedoidDrift, h.Clusters.MaxMedoidDrift)
 	}
 
-	// The recall probe replays the workload's heavy-hitter queries through
-	// both this index and an exhaustive scan, measuring how much the
+	// The recall probe replays the retained traces' queries through both
+	// this index and an exhaustive scan, measuring how much the
 	// approximation loses.
 	res, err := eng.RecallProbe(3)
 	if err != nil {

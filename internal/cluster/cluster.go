@@ -167,9 +167,6 @@ type Options struct {
 	CacheSize int
 	// Registry receives the router's metrics; nil disables them.
 	Registry *obs.Registry
-	// Workload, when non-nil, receives one per-shard load observation per
-	// shard attempt, feeding the load-skew (Gini) gauge.
-	Workload *obs.Workload
 	// SegmentInfo, when non-nil, reports a shard's segment count and
 	// tombstoned-relation count for Stats.
 	SegmentInfo func(shard int) (segments, tombstoned int)
@@ -614,7 +611,6 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 func (r *Router) attemptShard(sctx, parent context.Context, scatter *obs.Span, i int, qs [][]float32, ks []int, hedge bool) (shardAnswer, error) {
 	st := r.state[i]
 	st.searches.Add(1)
-	r.opts.Workload.RecordShard(i)
 	attempt := "primary"
 	if hedge {
 		attempt = "hedge"

@@ -138,3 +138,15 @@ func (s *Server) StartRecallProbe(done <-chan struct{}, interval time.Duration, 
 		}
 	}()
 }
+
+// handleDebugSLO serves the SLO engine's snapshot: per-objective
+// (availability, latency) multi-window burn rates and the derived alert
+// state (ok, slow_burn, fast_burn).
+func (s *Server) handleDebugSLO(w http.ResponseWriter, _ *http.Request) {
+	e := s.backend.SLO()
+	if e == nil {
+		writeError(w, http.StatusNotFound, "the SLO engine is disabled on this server")
+		return
+	}
+	writeJSON(w, http.StatusOK, e.Snapshot())
+}

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -179,6 +180,134 @@ func TestDebugJournalDisabled(t *testing.T) {
 		if rec, _ := do(t, srv, "GET", path, ""); rec.Code != http.StatusNotFound {
 			t.Fatalf("%s with tracing disabled: code=%d", path, rec.Code)
 		}
+	}
+}
+
+// TestDebugJournalLimit checks the JSON-lines export's ?n follows the
+// shared limit-parameter convention: newest-n selection, oldest first, 400
+// on garbage, and the unlimited default.
+func TestDebugJournalLimit(t *testing.T) {
+	srv := testTracedServer(t)
+	burst(t, srv, "COVID", "quartz", "coronavirus vaccines")
+
+	const base = "/v1/debug/journal?"
+	queries := func(body []byte) []string {
+		var out []string
+		for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+			var st semdisco.StoredTrace
+			if err := json.Unmarshal([]byte(line), &st); err != nil {
+				t.Fatalf("bad line %q: %v", line, err)
+			}
+			out = append(out, st.Query)
+		}
+		return out
+	}
+	rec, body := do(t, srv, "GET", base+"n=2", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("n=2 = %d %s", rec.Code, body)
+	}
+	if got := queries(body); len(got) != 2 || got[0] != "quartz" || got[1] != "coronavirus vaccines" {
+		t.Fatalf("n=2 returned %q, want the newest two, oldest first", got)
+	}
+
+	// Explicit n=0 means no limit, same as the absent parameter.
+	for _, path := range []string{base, base + "n=0"} {
+		_, body = do(t, srv, "GET", path, "")
+		if got := queries(body); len(got) != 3 {
+			t.Fatalf("%s returned %d lines, want 3", path, len(got))
+		}
+	}
+
+	for _, q := range []string{"n=abc", "n=-1", "n=2.5"} {
+		rec, body := do(t, srv, "GET", base+q, "")
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: code=%d %s", q, rec.Code, body)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("%s: error body=%s", q, body)
+		}
+	}
+}
+
+// TestDebugSLOEngine checks the SLO endpoint reports both objectives after
+// traffic, and 404s once the engine is disabled.
+func TestDebugSLOEngine(t *testing.T) {
+	srv := testServer(t)
+	burst(t, srv, "COVID", "quartz hardness")
+
+	rec, body := do(t, srv, "GET", "/v1/debug/slo", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("debug/slo=%d %s", rec.Code, body)
+	}
+	var ss semdisco.SLOSnapshot
+	if err := json.Unmarshal(body, &ss); err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.Objectives) != 2 {
+		t.Fatalf("objectives=%+v", ss.Objectives)
+	}
+	for _, o := range ss.Objectives {
+		if o.State != "ok" {
+			t.Fatalf("objective %s state=%q", o.Objective, o.State)
+		}
+		if len(o.Windows) != 3 || o.Windows[0].Total != 2 {
+			t.Fatalf("objective %s windows=%+v", o.Objective, o.Windows)
+		}
+	}
+
+	srv.backend.(*semdisco.Engine).ConfigureSLO(semdisco.SLOConfig{Disable: true})
+	rec, _ = do(t, srv, "GET", "/v1/debug/slo", "")
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("disabled slo: code=%d", rec.Code)
+	}
+}
+
+// TestDebugSLOCluster checks /v1/debug/slo covers the 4-shard cluster
+// search path and the burn-rate gauges reach /metrics.
+func TestDebugSLOCluster(t *testing.T) {
+	fed := semdisco.NewFederation()
+	for i := 0; i < 12; i++ {
+		r := &semdisco.Relation{
+			ID:      fmt.Sprintf("rel-%d", i),
+			Source:  "src",
+			Columns: []string{"a", "b"},
+			Rows:    [][]string{{fmt.Sprintf("val%d", i), "common"}},
+		}
+		if err := fed.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := semdisco.NewCluster(fed, semdisco.ClusterConfig{
+		Config:    semdisco.Config{Method: semdisco.ExS, Dim: 64, Seed: 1},
+		Shards:    4,
+		Policy:    semdisco.ShardRoundRobin,
+		CacheSize: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewCluster(cl)
+	burst(t, srv, "common", "common", "common", "val1", "val7")
+
+	rec, body := do(t, srv, "GET", "/v1/debug/slo", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("debug/slo=%d %s", rec.Code, body)
+	}
+	var ss semdisco.SLOSnapshot
+	if err := json.Unmarshal(body, &ss); err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.Objectives) != 2 || ss.Objectives[0].State != "ok" || ss.Objectives[0].Windows[0].Total != 5 {
+		t.Fatalf("cluster slo=%+v", ss)
+	}
+
+	rec, body = do(t, srv, "GET", "/metrics", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics=%d", rec.Code)
+	}
+	if !strings.Contains(string(body), "semdisco_slo_burn_rate") {
+		t.Fatal("metrics output missing semdisco_slo_burn_rate")
 	}
 }
 

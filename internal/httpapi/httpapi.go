@@ -5,7 +5,7 @@
 // federation setting implies. Every route has one handler over the Backend;
 // the routes only a single engine can serve (/v1/datasets, "sources" on
 // /v1/search, /v1/debug/{index,recall}) answer 501 in the other two modes.
-// The retained-query views — /v1/debug/{traces,slow,journal} — all read
+// The retained-query views — /v1/debug/{traces,slow,costly,journal} — all read
 // the backend's one trace store, so they answer in every mode.
 //
 // Endpoints:
@@ -20,12 +20,12 @@
 //	DELETE /v1/relations/{id}   tombstone a relation (404 when unknown)
 //	PUT  /v1/relations/{id}     replace a relation's contents in place
 //	GET  /v1/debug/slow         retained traces, slowest first (?n=20, max 100)
+//	GET  /v1/debug/costly       retained traces, costliest first (?n=20, max 100)
 //	GET  /v1/debug/index        index health: HNSW graphs, PQ distortion, cluster balance
 //	GET  /v1/debug/recall       online recall probe vs exhaustive scan (?k=10, max 50)
 //	GET  /v1/debug/journal      retained traces as JSON lines, oldest first (?n keeps the newest n)
-//	GET  /v1/debug/traces       retained traces, newest first (?n=20; ?format=jsonl is /v1/debug/journal)
+//	GET  /v1/debug/traces       retained traces, newest first (?n=20, max 100)
 //	GET  /v1/debug/traces/{id}  one retained trace rendered as a span tree
-//	GET  /v1/debug/workload     workload analytics: heavy hitters, shard load skew, costliest queries
 //	GET  /v1/debug/slo          SLO burn rates per objective and window, with alert states
 //	GET  /debug/pprof/          runtime profiles (only with WithPprof)
 //
@@ -175,12 +175,12 @@ func (s *Server) init(opts []Option) {
 	s.mux.HandleFunc("PUT /v1/relations/{id}", s.handleUpdateRelation)
 	s.mux.HandleFunc("/v1/relations/{id}", s.methodNotAllowed("DELETE, PUT"))
 	route("GET", "/v1/debug/slow", s.handleDebugSlow)
+	route("GET", "/v1/debug/costly", s.handleDebugCostly)
 	route("GET", "/v1/debug/index", s.handleDebugIndex)
 	route("GET", "/v1/debug/recall", s.handleDebugRecall)
 	route("GET", "/v1/debug/journal", s.handleTracesJSONL)
 	route("GET", "/v1/debug/traces", s.handleDebugTraces)
 	route("GET", "/v1/debug/traces/{id}", s.handleDebugTrace)
-	route("GET", "/v1/debug/workload", s.handleDebugWorkload)
 	route("GET", "/v1/debug/slo", s.handleDebugSLO)
 	s.mux.HandleFunc("/", s.handleNotFound)
 	for _, opt := range opts {

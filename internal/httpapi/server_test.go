@@ -234,6 +234,7 @@ func TestServerBatch(t *testing.T) {
 		if len(resp.Results) != 3 {
 			t.Fatalf("%d results, want 3", len(resp.Results))
 		}
+		var cost int64
 		for i, tc := range []struct {
 			q string
 			k int
@@ -244,8 +245,12 @@ func TestServerBatch(t *testing.T) {
 			}
 			sameMatches(t, fmt.Sprintf("item %d", i), resp.Results[i].Matches, want)
 			if resp.Results[i].Cost == nil || resp.Results[i].Cost.DistanceComps == 0 {
-				t.Errorf("item %d: no cost accounting: %+v", i, resp.Results[i].Cost)
+				t.Fatalf("item %d: no cost accounting: %+v", i, resp.Results[i].Cost)
 			}
+			cost += resp.Results[i].Cost.Total()
+		}
+		if tr.Cost != cost {
+			t.Errorf("batch trace cost %d, want the items' sum %d", tr.Cost, cost)
 		}
 		for name, body := range map[string]string{
 			"empty":       `{"queries":[]}`,
@@ -409,18 +414,18 @@ func TestServerRoutes(t *testing.T) {
 				t.Errorf("%s %s: 501 body %q does not name %s mode", r.method, r.path, e.Error, m.mode)
 			}
 		}
-		// Telemetry every backend carries — the SLO engine and the three views
-		// of the one trace store — and the one it may not: the coordinator
-		// runs no workload analyzer and says so with a 404.
+		// Telemetry every backend carries: the SLO engine and the four views
+		// of the one trace store, which answer 404 once tracing is off.
 		mustJSON(t, m.srv, "GET", "/v1/debug/slo", "", http.StatusOK, nil)
-		for _, path := range []string{"/v1/debug/traces", "/v1/debug/slow", "/v1/debug/journal"} {
+		views := []string{"/v1/debug/traces", "/v1/debug/slow", "/v1/debug/costly", "/v1/debug/journal"}
+		for _, path := range views {
 			mustJSON(t, m.srv, "GET", path, "", http.StatusOK, nil)
 		}
-		wantWorkload := http.StatusOK
-		if m.mode == "coordinator" {
-			wantWorkload = http.StatusNotFound
+		m.srv.backend.(interface{ ConfigureTracing(semdisco.TracingConfig) }).
+			ConfigureTracing(semdisco.TracingConfig{Disable: true})
+		for _, path := range views {
+			wantError(t, m.srv, "GET", path, "", http.StatusNotFound, netcluster.CodeNotFound)
 		}
-		mustJSON(t, m.srv, "GET", "/v1/debug/workload", "", wantWorkload, nil)
 	})
 }
 

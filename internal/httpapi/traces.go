@@ -11,14 +11,15 @@ import (
 // Bounds on the trace debug endpoints: they exist for humans with curl,
 // and must not become a way to make the server do unbounded work.
 const (
-	defaultTracesN = 20   // /v1/debug/{traces,slow} default ?n
-	maxTracesN     = 100  // /v1/debug/{traces,slow} cap on ?n
+	defaultTracesN = 20   // /v1/debug/{traces,slow,costly} default ?n
+	maxTracesN     = 100  // /v1/debug/{traces,slow,costly} cap on ?n
 	maxJSONLN      = 1000 // JSON-lines export cap on ?n; absent streams all
 )
 
 // TracesResponse is the body of /v1/debug/traces (retained traces, newest
-// first) and /v1/debug/slow (the same traces, slowest first): store volume
-// counters and the listed traces.
+// first), /v1/debug/slow (the same traces, slowest first) and
+// /v1/debug/costly (costliest first): store volume counters and the listed
+// traces.
 type TracesResponse struct {
 	// Offered counts every trace submitted to the store; Kept the ones
 	// retained (tail criteria or head sample); Evicted the retained traces
@@ -100,12 +101,8 @@ func (s *Server) traceStore(w http.ResponseWriter) (*obs.TraceStore, bool) {
 }
 
 // handleDebugTraces lists the retained traces, newest first: up to ?n
-// (default 20, capped at 100). ?format=jsonl is the JSON-lines export.
+// (default 20, capped at 100).
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "jsonl" {
-		s.handleTracesJSONL(w, r)
-		return
-	}
 	s.listTraces(w, r, (*obs.TraceStore).List)
 }
 
@@ -113,6 +110,12 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // ?n bounds as the newest-first list.
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	s.listTraces(w, r, (*obs.TraceStore).Slowest)
+}
+
+// handleDebugCostly lists the retained traces costliest first (distance
+// computations + HNSW hops + PQ lookups), under the same ?n bounds.
+func (s *Server) handleDebugCostly(w http.ResponseWriter, r *http.Request) {
+	s.listTraces(w, r, (*obs.TraceStore).Costliest)
 }
 
 // listTraces answers a TracesResponse with up to ?n traces in the order
@@ -136,9 +139,8 @@ func (s *Server) listTraces(w http.ResponseWriter, r *http.Request, list func(*o
 }
 
 // handleTracesJSONL streams the retained traces as JSON lines, oldest
-// first, for offline analysis: /v1/debug/journal and
-// /v1/debug/traces?format=jsonl. ?n keeps the newest n (absent or 0
-// streams everything retained, capped at 1000).
+// first, for offline analysis: /v1/debug/journal. ?n keeps the newest n
+// (absent or 0 streams everything retained, capped at 1000).
 func (s *Server) handleTracesJSONL(w http.ResponseWriter, r *http.Request) {
 	store, ok := s.traceStore(w)
 	if !ok {

@@ -1,8 +1,6 @@
 package httpapi
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -154,30 +152,6 @@ func TestDebugTracesList(t *testing.T) {
 	if list.Traces[0].TraceID != ids[2] || list.Traces[1].TraceID != ids[1] {
 		t.Errorf("list order = %s, %s; want %s, %s",
 			list.Traces[0].TraceID, list.Traces[1].TraceID, ids[2], ids[1])
-	}
-
-	// JSONL export: every retained trace, oldest first, one JSON doc a line.
-	rec, body = do(t, srv, "GET", "/v1/debug/traces?format=jsonl", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("jsonl=%d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("jsonl content type = %q", ct)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	var lines int
-	for sc.Scan() {
-		var st semdisco.StoredTrace
-		if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
-			t.Fatalf("jsonl line %d: %v", lines, err)
-		}
-		if st.TraceID != ids[lines] {
-			t.Errorf("jsonl line %d = %s, want %s (oldest first)", lines, st.TraceID, ids[lines])
-		}
-		lines++
-	}
-	if lines != 3 {
-		t.Errorf("jsonl wrote %d lines, want 3", lines)
 	}
 }
 

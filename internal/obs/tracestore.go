@@ -19,6 +19,9 @@ type TraceOutcome struct {
 	Method   string
 	K        int
 	Matches  int
+	// Cost is the request's CostReport.Total(): the sum of the root span's
+	// distance_comps, hnsw_hops and pq_lookups annotations.
+	Cost int64
 	// RequestID is the HTTP correlation ID, "" for in-process callers.
 	RequestID string
 	// Err is the failure text; any error makes the trace interesting.
@@ -55,6 +58,7 @@ type StoredTrace struct {
 	K           int          `json:"k,omitempty"`
 	Matches     int          `json:"matches"`
 	DurationMS  float64      `json:"duration_ms"`
+	Cost        int64        `json:"cost"`
 	RequestID   string       `json:"request_id,omitempty"`
 	Err         string       `json:"error,omitempty"`
 	Degraded    bool         `json:"degraded,omitempty"`
@@ -109,14 +113,6 @@ func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
 	}
 }
 
-// Config reports the store's retention settings; zero on a nil receiver.
-func (s *TraceStore) Config() TraceStoreConfig {
-	if s == nil {
-		return TraceStoreConfig{}
-	}
-	return s.cfg
-}
-
 // kind classifies why a trace is retained; "" means not interesting.
 // Severity order: an error outranks degradation outranks hedging outranks
 // plain slowness, so the stored Kind names the worst thing that happened.
@@ -163,6 +159,7 @@ func (s *TraceStore) Offer(tr *Trace, o TraceOutcome) (kept bool, kind string) {
 		K:           o.K,
 		Matches:     o.Matches,
 		DurationMS:  float64(o.Duration) / float64(time.Millisecond),
+		Cost:        o.Cost,
 		RequestID:   o.RequestID,
 		Err:         o.Err,
 		Degraded:    o.Degraded,
@@ -282,8 +279,20 @@ func (s *TraceStore) List(n int) []StoredTrace {
 // Slowest returns up to n retained traces, longest duration first, ties
 // newest first. n ≤ 0 returns all.
 func (s *TraceStore) Slowest(n int) []StoredTrace {
+	return s.top(n, func(a, b *StoredTrace) bool { return a.DurationMS > b.DurationMS })
+}
+
+// Costliest returns up to n retained traces, highest cost first, ties
+// newest first. n ≤ 0 returns all.
+func (s *TraceStore) Costliest(n int) []StoredTrace {
+	return s.top(n, func(a, b *StoredTrace) bool { return a.Cost > b.Cost })
+}
+
+// top returns up to n retained traces stably sorted by before, so ties
+// keep List's newest-first order. n ≤ 0 returns all.
+func (s *TraceStore) top(n int, before func(a, b *StoredTrace) bool) []StoredTrace {
 	out := s.List(0)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].DurationMS > out[j].DurationMS })
+	sort.SliceStable(out, func(i, j int) bool { return before(&out[i], &out[j]) })
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

@@ -143,6 +143,34 @@ func TestTraceStoreSlowest(t *testing.T) {
 	}
 }
 
+// TestTraceStoreCostliest: the costliest view ranks by the cost each
+// outcome carried, not by duration, and breaks ties newest first.
+func TestTraceStoreCostliest(t *testing.T) {
+	s := NewTraceStore(TraceStoreConfig{})
+	var ids []string
+	for i, c := range []int64{30, 10, 90, 50, 50, 20} {
+		tr := finishedTrace(t)
+		ids = append(ids, tr.ID().String())
+		// Durations fall as costs rise, so a duration sort ranks 90 last.
+		s.Offer(tr, TraceOutcome{Err: "x", Cost: c, Duration: time.Duration(10-i) * time.Millisecond})
+	}
+	top := s.Costliest(3)
+	if len(top) != 3 {
+		t.Fatalf("Costliest(3) returned %d traces", len(top))
+	}
+	for i, c := range []int64{90, 50, 50} {
+		if top[i].Cost != c {
+			t.Errorf("costliest[%d] cost %d, want %d", i, top[i].Cost, c)
+		}
+	}
+	if top[1].TraceID != ids[4] {
+		t.Errorf("tie broken oldest first: costliest[1] = %s, want the newer %s", top[1].TraceID, ids[4])
+	}
+	if all := s.Costliest(0); len(all) != 6 {
+		t.Errorf("Costliest(0) returned %d traces, want 6", len(all))
+	}
+}
+
 func TestSamplerRate(t *testing.T) {
 	s := NewSampler(3)
 	var hits int
@@ -349,8 +377,8 @@ func TestTraceStoreNil(t *testing.T) {
 	if s.List(5) != nil {
 		t.Error("nil store listed traces")
 	}
-	if s.Slowest(5) != nil {
-		t.Error("nil store listed slow traces")
+	if s.Slowest(5) != nil || s.Costliest(5) != nil {
+		t.Error("nil store listed slow or costly traces")
 	}
 	if err := s.WriteJSONL(&bytes.Buffer{}, 0); err != nil {
 		t.Errorf("nil store WriteJSONL: %v", err)

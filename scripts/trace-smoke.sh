@@ -8,8 +8,8 @@
 #      cluster_search root and one shard span per shard under scatter,
 #   3. the OpenMetrics scrape carries an exemplar naming that trace ID,
 #   4. the retained-query views answer on a cluster: /v1/debug/slow?n=1
-#      names that trace, and the trace_id on the last /v1/debug/journal
-#      line resolves at /v1/debug/traces/{id}.
+#      and /v1/debug/costly?n=1 name that trace, and the trace_id on the
+#      last /v1/debug/journal line resolves at /v1/debug/traces/{id}.
 #
 # Needs curl and jq. Pass PORT to override the default 18080.
 set -eu
@@ -93,12 +93,14 @@ if ! curl -sf -H 'Accept: application/openmetrics-text' "$BASE/metrics" \
     exit 1
 fi
 
-echo "== checking the slow and journal views"
-SLOW_ID="$(curl -sf "$BASE/v1/debug/slow?n=1" | jq -r '.traces[0].trace_id')"
-if [ "$SLOW_ID" != "$TRACE_ID" ]; then
-    echo "FAIL: /v1/debug/slow?n=1 names trace '$SLOW_ID', want $TRACE_ID" >&2
-    exit 1
-fi
+echo "== checking the slow, costly and journal views"
+for view in slow costly; do
+    VIEW_ID="$(curl -sf "$BASE/v1/debug/$view?n=1" | jq -r '.traces[0].trace_id')"
+    if [ "$VIEW_ID" != "$TRACE_ID" ]; then
+        echo "FAIL: /v1/debug/$view?n=1 names trace '$VIEW_ID', want $TRACE_ID" >&2
+        exit 1
+    fi
+done
 JOURNAL_ID="$(curl -sf "$BASE/v1/debug/journal" | tail -n 1 | jq -r '.trace_id')"
 if ! curl -sf "$BASE/v1/debug/traces/$JOURNAL_ID" >/dev/null; then
     echo "FAIL: last journal line's trace '$JOURNAL_ID' does not resolve at /v1/debug/traces/{id}" >&2

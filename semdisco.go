@@ -189,10 +189,9 @@ func Open(fed *Federation, cfg Config) (*Engine, error) {
 // engineTelemetry is the bookkeeping of a single engine.
 func engineTelemetry(cfg Config, reg *obs.Registry) telemetry {
 	return telemetry{method: cfg.Method, span: "search", reg: reg,
-		latency:  obs.L(core.MetricSearchSeconds, "method", cfg.Method.String()),
-		traces:   newTraceStore(cfg.Tracing),
-		workload: newWorkload(1, reg),
-		slo:      newSLOEngine(cfg.SLO, reg)}
+		latency: obs.L(core.MetricSearchSeconds, "method", cfg.Method.String()),
+		traces:  newTraceStore(cfg.Tracing),
+		slo:     newSLOEngine(cfg.SLO, reg)}
 }
 
 // buildSearcher constructs the configured method's index over an embedded
@@ -245,11 +244,10 @@ func buildSearcher(cfg Config, emb *core.Embedded) (core.EncodedSearcher, error)
 // so an expired deadline or a cancelled request interrupts the query
 // mid-index and returns the context's error; a propagated span context
 // (see obs.ContextWithSpan) is continued instead of minting a fresh trace
-// ID. Every query feeds the workload analyzer, SLO engine and trace store
-// that are enabled; the overhead is a few timestamps and map writes.
+// ID. Every query feeds the SLO engine and trace store that are enabled;
+// the overhead is a few timestamps and map writes.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	return e.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
-		e.workload.RecordShard(0)
 		matches, err := e.search(obs.ContextWithTrace(ctx, tr), req)
 		return &ClusterResult{Matches: matches, Cost: obs.CostFrom(ctx).Report()}, err
 	})

@@ -47,11 +47,6 @@ type StoredSpan = obs.StoredSpan
 // obs.CostReport.
 type CostReport = obs.CostReport
 
-// WorkloadSnapshot is the workload analyzer's point-in-time view: heavy-
-// hitter queries, per-shard load and skew, costliest queries. See
-// obs.WorkloadSnapshot.
-type WorkloadSnapshot = obs.WorkloadSnapshot
-
 // SLOSnapshot is the SLO engine's point-in-time view: per-objective
 // multi-window burn rates and alert states. See obs.SLOSnapshot.
 type SLOSnapshot = obs.SLOSnapshot
@@ -87,7 +82,6 @@ type telemetry struct {
 	span, latency string
 	reg           *obs.Registry   // nil when Config.DisableMetrics
 	traces        *obs.TraceStore // nil when Config.Tracing.Disable
-	workload      *obs.Workload   // heavy hitters, shard load skew, costliest queries
 	slo           *obs.SLOEngine  // nil when Config.SLO.Disable
 }
 
@@ -102,14 +96,9 @@ func (t *telemetry) Method() Method { return t.method }
 func (t *telemetry) MetricsRegistry() *obs.Registry { return t.reg }
 
 // Traces exposes the backend's tail-sampling trace store: retained span
-// trees listable newest or slowest first, fetchable by trace ID and
-// exportable as JSON lines. Nil when tracing is disabled.
+// trees listable newest, slowest or costliest first, fetchable by trace ID
+// and exportable as JSON lines. Nil when tracing is disabled.
 func (t *telemetry) Traces() *obs.TraceStore { return t.traces }
-
-// Workload exposes the backend's workload analyzer: heavy-hitter queries,
-// per-shard load skew and the costliest-queries board. Nil on a
-// NetCoordinator, which does not run one.
-func (t *telemetry) Workload() *obs.Workload { return t.workload }
 
 // SLO exposes the backend's SLO burn-rate engine; nil when disabled.
 func (t *telemetry) SLO() *obs.SLOEngine { return t.slo }
@@ -148,43 +137,25 @@ func newSLOEngine(sc SLOConfig, reg *obs.Registry) *obs.SLOEngine {
 	}, reg)
 }
 
-// newWorkload builds the workload analyzer over the given shard count.
-func newWorkload(shards int, reg *obs.Registry) *obs.Workload {
-	reg.SetHelps(map[string]string{
-		obs.MetricWorkloadQueries: "Queries seen by the workload analyzer.",
-		obs.MetricWorkloadGini:    "Gini coefficient of per-shard query load; 0 balanced, 1 maximally skewed.",
-	})
-	return obs.NewWorkload(obs.WorkloadConfig{Shards: shards}, reg)
-}
+// ConfigureTracing replaces the backend's tracing subsystem, e.g. to apply
+// a retention threshold to an engine restored with LoadEngine or a cluster
+// restored with LoadCluster. Call it before serving traffic; it must not
+// race with Do.
+func (t *telemetry) ConfigureTracing(tc TracingConfig) { t.traces = newTraceStore(tc) }
 
-// ConfigureTracing replaces the engine's tracing subsystem, e.g. to apply
-// a retention threshold to an engine restored with LoadEngine. Call it
-// before serving traffic; it must not race with Do.
-func (e *Engine) ConfigureTracing(tc TracingConfig) { e.traces = newTraceStore(tc) }
-
-// ConfigureTracing replaces the cluster's tracing subsystem, e.g. to apply
-// a retention threshold to a cluster restored with LoadCluster. Call it
-// before serving traffic; it must not race with Do.
-func (c *Cluster) ConfigureTracing(tc TracingConfig) { c.traces = newTraceStore(tc) }
-
-// ConfigureSLO replaces the engine's SLO subsystem, e.g. to set objectives
-// on an engine restored with LoadEngine. Call it before serving traffic;
-// it must not race with Do.
-func (e *Engine) ConfigureSLO(sc SLOConfig) { e.slo = newSLOEngine(sc, e.reg) }
-
-// ConfigureSLO replaces the cluster's SLO subsystem, e.g. to set
-// objectives on a cluster restored with LoadCluster. Call it before
-// serving traffic; it must not race with Do.
-func (c *Cluster) ConfigureSLO(sc SLOConfig) { c.slo = newSLOEngine(sc, c.reg) }
+// ConfigureSLO replaces the backend's SLO subsystem, e.g. to set
+// objectives on a restored engine or cluster. Call it before serving
+// traffic; it must not race with Do.
+func (t *telemetry) ConfigureSLO(sc SLOConfig) { t.slo = newSLOEngine(sc, t.reg) }
 
 // observe is the per-query bookkeeping of every backend, written once: run
 // executes the query under a root span — continuing a propagated trace
 // when ctx carries one — with a cost accumulator in the context so the
-// index layers account their work; the outcome then feeds the workload
-// analyzer, the SLO engine (a degraded answer counts against availability)
-// and the tail-based trace store, which links the latency histogram to a
-// retained trace via an exemplar and whose retention kind drives the
-// slow-query and sampled-trace counters.
+// index layers account their work; the outcome then feeds the SLO engine
+// (a degraded answer counts against availability) and the tail-based trace
+// store, which keeps the query's text and cost with its span tree, links
+// the latency histogram to a retained trace via an exemplar and whose
+// retention kind drives the slow-query and sampled-trace counters.
 func (t *telemetry) observe(ctx context.Context, req Request, run func(context.Context, *obs.Trace) (*ClusterResult, error)) (*Response, error) {
 	if obs.CostFrom(ctx) == nil {
 		ctx = obs.ContextWithCost(ctx, &obs.Cost{})
@@ -205,7 +176,6 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 	dur := root.End()
 
 	method := t.method.String()
-	t.workload.Record(req.Query, method, resp.TraceID, resp.Cost, dur, time.Now())
 	t.slo.Record(dur, err != nil || resp.Degraded)
 	o := obs.TraceOutcome{
 		Duration:  dur,
@@ -213,6 +183,7 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 		Method:    method,
 		K:         req.K,
 		Matches:   len(resp.Matches),
+		Cost:      resp.Cost.Total(),
 		Degraded:  resp.Degraded,
 		Hedged:    resp.Hedged,
 		RequestID: obs.RequestIDFrom(ctx),
@@ -244,10 +215,10 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 
 // observeBatch is observe for a block of queries: run executes the whole
 // batch under one root span (<span>_batch), every item carries that
-// trace's ID, and the trace is offered to the store once. Each item feeds
-// the workload analyzer and the SLO engine with its amortized share of the
-// batch latency, so heavy-hitter and cost rankings stay meaningful under
-// batched traffic. An empty batch is answered without running or tracing.
+// trace's ID, and the trace is offered to the store once, carrying the
+// items' summed cost. Each item feeds the SLO engine with its amortized
+// share of the batch latency. An empty batch is answered without running
+// or tracing.
 func (t *telemetry) observeBatch(ctx context.Context, queries []Query, run func(context.Context, *obs.Trace) ([]*ClusterResult, error)) ([]*Response, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -269,7 +240,6 @@ func (t *telemetry) observeBatch(ctx context.Context, queries []Query, run func(
 		out = make([]*Response, len(results))
 		resps := make([]Response, len(results))
 		perItem := dur / time.Duration(len(queries))
-		now := time.Now()
 		for i, r := range results {
 			// Copies: a router shares results with coalesced followers.
 			resps[i].ClusterResult = *r
@@ -277,8 +247,8 @@ func (t *telemetry) observeBatch(ctx context.Context, queries []Query, run func(
 			out[i] = &resps[i]
 			o.Degraded = o.Degraded || r.Degraded
 			o.Hedged = max(o.Hedged, r.Hedged)
+			o.Cost += r.Cost.Total()
 			if queries[i].K > 0 {
-				t.workload.Record(queries[i].Text, method, id, r.Cost, perItem, now)
 				t.slo.Record(perItem, r.Degraded)
 			}
 		}
@@ -434,30 +404,33 @@ type RecallResult = core.RecallResult
 // recallProbeQueries bounds how many queries one probe replays.
 const recallProbeQueries = 16
 
-// RecallProbe replays the workload analyzer's heaviest-hitting queries
-// through both the engine's (approximate) index and an exhaustive scan of
-// the same embeddings, and reports recall@k in [0,1] — the measured answer
-// to "is ANNS/CTS still finding what ExS would". Engines that have not
-// served traffic yet probe with a stride sample of stored value texts
-// instead. The result is exported as the semdisco_recall_at_k gauge. Cost
-// is ~2·recallProbeQueries searches, one of them exhaustive; probe at
+// RecallProbe replays the distinct query texts of the retained traces,
+// newest first, through both the engine's (approximate) index and an
+// exhaustive scan of the same embeddings, and reports recall@k in [0,1] —
+// the measured answer to "is ANNS/CTS still finding what ExS would".
+// Engines that have not served traffic yet, or run without tracing, probe
+// with a stride sample of stored value texts instead. The result is
+// exported as the semdisco_recall_at_k gauge. Cost is
+// ~2·recallProbeQueries searches, one of them exhaustive; probe at
 // diagnostic cadence. Must not race with Add.
 //
-// Probe queries bypass Do, so probing never counts as traffic in the
-// workload analyzer it samples from, the SLO engine or the trace store.
+// Probe queries bypass Do, so probing never counts as traffic in the SLO
+// engine or offers a trace to the store it samples from.
 func (e *Engine) RecallProbe(k int) (RecallResult, error) {
 	if k <= 0 {
 		k = 10
 	}
-	// Heavy-hitter keys are lowercased and whitespace-collapsed, which the
-	// encoder's tokenizer does anyway.
-	source := "heavy_hitters"
+	source := "traces"
 	var queries []string
-	for _, h := range e.workload.Snapshot().HeavyHitters {
+	seen := make(map[string]bool)
+	for _, st := range e.traces.List(0) {
 		if len(queries) == recallProbeQueries {
 			break
 		}
-		queries = append(queries, h.Query)
+		if st.Query != "" && !seen[st.Query] {
+			seen[st.Query] = true
+			queries = append(queries, st.Query)
+		}
 	}
 	baseSearcher, baseEmb := e.store.Base()
 	if len(queries) == 0 {
