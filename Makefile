@@ -44,7 +44,8 @@ hedge-stress:
 # pq_generic.go and sgd_generic.go, and the purego tag runs the vec, pq,
 # kmeans (whose bit-identity test reaches vec's row body), umap and hdbscan
 # tests, the HNSW golden graphs, the PQ-coded vectordb
-# golden graphs and saved images, the CTS build golden, the filtered
+# golden graphs and saved images, the scan's identity with the exhaustive
+# walk (LookupBatch against Lookup's Go body), the CTS build golden, the filtered
 # ANNS/CTS rankings golden and the saved engine image's rankings — the same
 # constants — through the pure-Go kernel bodies on this machine. ExS's
 # centroid filter rests on a rounding bound, so its bound and oracle-
@@ -53,7 +54,7 @@ hedge-stress:
 portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/kmeans ./internal/umap ./internal/hdbscan
-	$(GO) test -tags purego -run 'SerialBuildGraphGolden|LoadsParentCommitImages' ./internal/vectordb
+	$(GO) test -tags purego -run 'SerialBuildGraphGolden|LoadsParentCommitImages|ScanMatchesExhaustiveWalk' ./internal/vectordb
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
 	$(GO) test -tags purego -run 'LoadsParentCommitEngineImage' .
 
@@ -122,9 +123,12 @@ bench-e2e:
 # Kernel micro-benchmarks: the single-pair Dot/L2Sq kernels beside their
 # scalar reference, the batched DotBatch/L2SqBatch kernels against repeated
 # single-query Dot calls, the bounded top-k selection, PQ's 4-dim kernels in
-# the ANNS index's shape (code-to-code distance, table rows, ADC lookup), one
+# the ANNS index's shape (code-to-code distance, table rows, ADC lookup, the
+# scan's four-code ADC batch), one
 # subspace's k-means training in that shape beside the per-pair loop it
-# replaced, and the serial HNSW + PQ build that runs on them, and the pieces of the CTS
+# replaced, the serial HNSW + PQ build that runs on them, a query walked
+# beside the same query scanned from 1k to 32k points (where the scan
+# bound comes from), and the pieces of the CTS
 # build (the SGD's pow and its three 16-dim steps beside their Go bodies, a
 # whole UMAP fit, HDBSCAN's core-distance pass). The
 # transcript lands in benchrun_kernels.txt so kernel regressions show up in
@@ -134,6 +138,7 @@ bench-kernels:
 	  $(GO) test -run=^$$ -bench 'CodeDist|Tables256|ADCLookup' -benchtime=2s ./internal/pq/ && \
 	  $(GO) test -run=^$$ -bench 'Run512x4K256' -benchtime=2s ./internal/kmeans/ && \
 	  $(GO) test -run=^$$ -bench 'InsertBatchPQ' -benchtime=3x ./internal/vectordb/ && \
+	  $(GO) test -run=^$$ -bench 'SearchPlan' -benchtime=1s ./internal/vectordb/ && \
 	  $(GO) test -run=^$$ -bench 'Pow32|SGD' -benchtime=2s ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'Fit3200x256' -benchtime=3x ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'CoreDistances4096x16' -benchtime=5x ./internal/hdbscan/; } | tee benchrun_kernels.txt

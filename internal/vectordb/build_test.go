@@ -172,7 +172,7 @@ func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want[i], err = c.Search(q, k, 128, nil); err != nil {
+		if want[i], err = walkSearch(c, q, k, 128, nil); err != nil {
 			t.Fatal(err)
 		}
 		truth := make(map[uint64]bool, k)
@@ -195,7 +195,7 @@ func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(queries); i += 4 { // every query from two goroutines
-				got, err := c.Search(queries[i], k, 128, nil)
+				got, err := walkSearch(c, queries[i], k, 128, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -287,7 +287,7 @@ func TestLoadsParentCommitImages(t *testing.T) {
 		var buf [8]byte
 		rng := rand.New(rand.NewSource(tc.probeSeed))
 		for probe := 0; probe < 10; probe++ {
-			res, err := c.Search(randUnit(16, rng), 10, 64, nil)
+			res, err := walkSearch(c, randUnit(16, rng), 10, 64, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,11 +74,12 @@ func TestQuickSearchNeverReturnsDeleted(t *testing.T) {
 		}
 		q := randUnit(6, rng)
 		approx, err1 := c.Search(q, 10, 64, nil)
-		exact, err2 := c.SearchExact(q, 10, nil)
-		if err1 != nil || err2 != nil {
+		walked, err2 := walkSearch(c, q, 10, 64, nil)
+		exact, err3 := c.SearchExact(q, 10, nil)
+		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
-		for _, r := range append(approx, exact...) {
+		for _, r := range slices.Concat(approx, walked, exact) {
 			if _, isDead := dead[r.ID]; isDead {
 				return false
 			}

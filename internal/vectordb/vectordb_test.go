@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,18 @@ func randUnit(dim int, rng *rand.Rand) []float32 {
 		v[d] = float32(rng.NormFloat64())
 	}
 	return vec.Normalize(v)
+}
+
+// walkSearch answers one query by walking the graph, whatever the
+// collection's size. The tests of the graph itself — its recall, filtered
+// routing, restoration from an image, concurrent use — call it: their
+// collections are small enough that Search would scan them instead.
+func walkSearch(c *Collection, q []float32, k, ef int, filter Filter) ([]Result, error) {
+	out, err := c.searchBatch(context.Background(), Prepare([][]float32{q}), []int{k}, []int{ef}, filter, nil, planWalk)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 func TestCreateAndLookup(t *testing.T) {
@@ -129,13 +142,18 @@ func TestFilteredSearch(t *testing.T) {
 	}
 	q := randUnit(8, rng)
 	odd := func(tag int32) bool { return tag == 1 }
-	got, _ := c.Search(q, 10, 128, odd)
-	if len(got) == 0 {
-		t.Fatal("no results")
-	}
-	for _, r := range got {
-		if r.Tag != 1 || r.ID%2 != 1 {
-			t.Fatalf("filter leaked: %+v", r)
+	for name, search := range map[string]func(q []float32, k, ef int, filter Filter) ([]Result, error){
+		"Search": c.Search,
+		"walk":   func(q []float32, k, ef int, filter Filter) ([]Result, error) { return walkSearch(c, q, k, ef, filter) },
+	} {
+		got, _ := search(q, 10, 128, odd)
+		if len(got) == 0 {
+			t.Fatalf("%s: no results", name)
+		}
+		for _, r := range got {
+			if r.Tag != 1 || r.ID%2 != 1 {
+				t.Fatalf("%s: filter leaked: %+v", name, r)
+			}
 		}
 	}
 	got2, _ := c.SearchExact(q, 10, func(tag int32) bool { return tag == 0 })
@@ -210,7 +228,7 @@ func TestPQCompression(t *testing.T) {
 	// Recall sanity: self-queries should still surface the right region.
 	hits := 0
 	for i := 0; i < 50; i++ {
-		got, err := c.Search(vecs[i], 5, 64, nil)
+		got, err := walkSearch(c, vecs[i], 5, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +365,14 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.Search(randUnit(8, r), 3, 32, nil); err != nil {
+				// Half the readers walk the graph an insert is
+				// growing; the other half scan, as Search does at
+				// this size.
+				search := c.Search
+				if seed%2 == 0 {
+					search = func(q []float32, k, ef int, filter Filter) ([]Result, error) { return walkSearch(c, q, k, ef, filter) }
+				}
+				if _, err := search(randUnit(8, r), 3, 32, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -397,8 +422,8 @@ func TestPersistenceRestoresGraphExactly(t *testing.T) {
 	// the serialized graph is restored verbatim.
 	for probe := 0; probe < 10; probe++ {
 		q := randUnit(16, rng)
-		a, _ := c.Search(q, 10, 64, nil)
-		b, _ := c2.Search(q, 10, 64, nil)
+		a, _ := walkSearch(c, q, 10, 64, nil)
+		b, _ := walkSearch(c2, q, 10, 64, nil)
 		if len(a) != len(b) {
 			t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 		}
