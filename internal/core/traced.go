@@ -192,6 +192,32 @@ func (o searchObs) endStage(sp *obs.Span) {
 	o.reg.Histogram(obs.L(MetricStageSeconds, "method", o.method, "stage", name)).Observe(d)
 }
 
+// scanMark is how many points a traced query's collection searches had
+// scored by a scan, not a graph walk, when a stage began: vectordb charges
+// each such point to the query's ValuesScanned. An untraced or uncosted
+// query takes no mark.
+type scanMark struct {
+	cost  *obs.Cost
+	start int64
+}
+
+// scanned marks cost at the start of a stage that searches collections.
+func (o searchObs) scanned(cost *obs.Cost) scanMark {
+	if o.tr == nil || cost == nil {
+		return scanMark{}
+	}
+	return scanMark{cost, cost.Report().ValuesScanned}
+}
+
+// annotate records on sp how many points the stage scored by a scan (0
+// when every search walked) and returns sp.
+func (m scanMark) annotate(sp *obs.Span) *obs.Span {
+	if m.cost != nil {
+		sp.AnnotateInt("scanned", int(m.cost.Report().ValuesScanned-m.start))
+	}
+	return sp
+}
+
 // finish records the completed query.
 func (o searchObs) finish() {
 	o.reg.Counter(obs.L(MetricSearches, "method", o.method)).Inc()
