@@ -69,9 +69,20 @@ type IndexHealth struct {
 // HealthReporter is implemented by searchers that can introspect their
 // index structures. All three methods implement it. IndexHealth walks the
 // index (O(nodes+edges) per graph plus a bounded distortion sample); call
-// it at diagnostic cadence, not per query. Must not race with AddRelation.
+// it at diagnostic cadence, not per query. Reading the graph stats links
+// the rows each collection left pending (see vectordb's InsertBatch), so
+// the first call after a build pays for the graphs no query had walked.
+// Must not race with AddRelation.
 type HealthReporter interface {
 	IndexHealth() IndexHealth
+}
+
+// driftReporter is the part of IndexHealth the compaction policy reads:
+// the PQ and cluster sections, which drift as values are deleted, without
+// the graph stats, whose reading would link every pending graph row.
+// ANNS and CTS implement it; IndexHealth adds the graph sections to it.
+type driftReporter interface {
+	driftHealth() IndexHealth
 }
 
 func graphHealth(gs hnsw.GraphStats) *GraphHealth {
@@ -92,11 +103,14 @@ func (s *ExS) IndexHealth() IndexHealth {
 // IndexHealth implements HealthReporter: HNSW graph structure plus PQ
 // distortion sampled over the stored text vectors.
 func (s *ANNS) IndexHealth() IndexHealth {
-	h := IndexHealth{
-		Method: s.Name(),
-		Values: s.emb.NumValues(),
-		Graph:  graphHealth(s.coll.GraphStats()),
-	}
+	h := s.driftHealth()
+	h.Graph = graphHealth(s.coll.GraphStats())
+	return h
+}
+
+// driftHealth implements driftReporter: the PQ section.
+func (s *ANNS) driftHealth() IndexHealth {
+	h := IndexHealth{Method: s.Name(), Values: s.emb.NumValues()}
 	if q := s.coll.Quantizer(); q != nil {
 		// Reconstruction error against the unit-normalized originals the
 		// collection indexed (embeddings are already unit vectors), one per
@@ -115,12 +129,11 @@ func (s *ANNS) IndexHealth() IndexHealth {
 // IndexHealth implements HealthReporter: cluster size balance, medoid
 // drift, and the per-cluster graphs aggregated.
 func (s *CTS) IndexHealth() IndexHealth {
-	h := IndexHealth{Method: s.Name(), Values: s.emb.NumValues()}
+	h := s.driftHealth()
 	nc := len(s.clusterColl)
 	if nc == 0 {
 		return h
 	}
-
 	agg := &GraphAggregate{Graphs: nc, MinReachable: math.MaxFloat64}
 	var reachSum float64
 	for _, coll := range s.clusterColl {
@@ -136,6 +149,17 @@ func (s *CTS) IndexHealth() IndexHealth {
 	}
 	agg.MeanReachable = reachSum / float64(nc)
 	h.Graphs = agg
+	return h
+}
+
+// driftHealth implements driftReporter: cluster size balance and medoid
+// drift.
+func (s *CTS) driftHealth() IndexHealth {
+	h := IndexHealth{Method: s.Name(), Values: s.emb.NumValues()}
+	nc := len(s.clusterColl)
+	if nc == 0 {
+		return h
+	}
 
 	// Cluster sizes and fresh centroids in the original embedding space,
 	// over live values only: deleting a cluster's values pulls its live

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"semdisco/internal/obs"
 	"semdisco/internal/segment"
 )
 
@@ -57,6 +58,50 @@ func TestIndexHealthAllMethods(t *testing.T) {
 			if ch.MeanMedoidDrift < 0 || ch.MaxMedoidDrift < ch.MeanMedoidDrift {
 				t.Fatalf("CTS drift=%+v", ch)
 			}
+		}
+	}
+}
+
+// TestOpenLinksNoGraphBelowTheScanBound guards set-up against a health
+// read that links graphs. Over a corpus whose every collection a default
+// query scans, building ANNS (PQ off) or CTS and opening a segment store
+// over it, which records the segment's drift baselines, links no graph row,
+// so the hnsw_insert build gauge stays 0. A later IndexHealth links the
+// graphs and reports every point: one per text for ANNS, one per (cluster,
+// text) pair for CTS.
+func TestOpenLinksNoGraphBelowTheScanBound(t *testing.T) {
+	fed, model := covidFederation(t)
+	for method, build := range storeBuilders() {
+		if method == "ExS" {
+			continue
+		}
+		emb := EmbedFederation(fed, model)
+		emb.Obs = obs.NewRegistry()
+		s, err := build(emb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewSegmentStore(emb, s, SegmentStoreOptions{Build: build, Method: method})
+		linkSeconds := emb.Obs.Gauge(obs.L(MetricBuildSeconds, "phase", "hnsw_insert"))
+		if got := linkSeconds.Value(); got != 0 {
+			t.Fatalf("%s: hnsw_insert %v s after Open, want 0", method, got)
+		}
+		h := st.IndexHealth()
+		if linkSeconds.Value() <= 0 {
+			t.Fatalf("%s: IndexHealth linked no graph row", method)
+		}
+		if method == "ANNS" {
+			if h.Graph == nil || h.Graph.Nodes != emb.NumTexts() {
+				t.Fatalf("ANNS graph health %+v, want %d nodes", h.Graph, emb.NumTexts())
+			}
+			continue
+		}
+		pairs := make(map[[2]int]bool)
+		for i := range emb.Values {
+			pairs[[2]int{s.(*CTS).ClusterOf(i), int(emb.Values[i].Text)}] = true
+		}
+		if h.Graphs == nil || h.Graphs.Nodes != len(pairs) {
+			t.Fatalf("CTS graph aggregate %+v, want %d nodes", h.Graphs, len(pairs))
 		}
 	}
 }

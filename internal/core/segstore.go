@@ -213,13 +213,14 @@ func NewSegmentStore(base *Embedded, baseSearcher EncodedSearcher, opt SegmentSt
 }
 
 // recordBaselines captures a segment's build-time drift/distortion gauges
-// so the compaction policy can trigger on growth, not absolute level.
+// so the compaction policy can trigger on growth, not absolute level. It
+// reads no graph stats, so the build's pending graph rows stay pending.
 func (st *SegmentStore) recordBaselines(sg *seg) {
-	hr, ok := sg.searcher.(HealthReporter)
+	dr, ok := sg.searcher.(driftReporter)
 	if !ok {
 		return
 	}
-	h := hr.IndexHealth()
+	h := dr.driftHealth()
 	if h.Clusters != nil {
 		sg.baselineDrift = h.Clusters.MeanMedoidDrift
 	}
@@ -562,11 +563,11 @@ func (st *SegmentStore) compactTrigger() string {
 		if !sg.sealed || sg.emb.deadCount() == 0 {
 			continue
 		}
-		hr, ok := sg.searcher.(HealthReporter)
+		dr, ok := sg.searcher.(driftReporter)
 		if !ok {
 			continue
 		}
-		h := hr.IndexHealth()
+		h := dr.driftHealth()
 		if st.policy.MaxMedoidDrift > 0 && h.Clusters != nil &&
 			h.Clusters.MeanMedoidDrift-sg.baselineDrift > st.policy.MaxMedoidDrift {
 			return segment.TriggerMedoidDrift

@@ -12,8 +12,11 @@ import (
 )
 
 // graphHash folds every layer's adjacency — layer, node id, degree and the
-// neighbour ids in stored order — into one FNV-1a value.
+// neighbour ids in stored order — into one FNV-1a value. It links the
+// collection's pending rows first, through GraphStats, so the graph hashed
+// is the one a walk would take.
 func graphHash(c *Collection) uint64 {
+	c.GraphStats()
 	h := fnv.New64a()
 	var buf [4]byte
 	put := func(v int32) {
@@ -86,10 +89,15 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkInsertBatchPQ times serial construction in the regime the
-// end-to-end benchmark's anns-graph set-up lives in: dim 256, 4-dim PQ
-// subspaces with 256 centroids, so every construction distance after the
-// first 512 vectors is a code-to-code distance.
+// BenchmarkInsertBatchPQ times serial construction in the ANNS index's
+// shape: dim 256, 4-dim PQ subspaces with 256 centroids, so every
+// construction distance after the first 512 vectors is a code-to-code
+// distance. The end-to-end benchmark's anns-graph set-up no longer builds
+// this graph: its 1,822 texts stay below the default beam's scan bound, so
+// it links only the 511 rows stored before training. 3,200 points are past
+// the bound (¾ × 64 × 32 = 1,536 at the default beam), so the batch links
+// every row; the benchmark fails if the collection ends with rows pending,
+// which would make it time appends alone.
 func BenchmarkInsertBatchPQ(b *testing.B) {
 	const (
 		n   = 3200
@@ -114,6 +122,9 @@ func BenchmarkInsertBatchPQ(b *testing.B) {
 		if _, err := c.InsertBatch(vecs, nil); err != nil {
 			b.Fatal(err)
 		}
+		if got := linkedRows(c); got != n {
+			b.Fatalf("%d of %d rows linked: the batch timed appends, not the graph build", got, n)
+		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -125,7 +136,9 @@ func BenchmarkInsertBatchPQ(b *testing.B) {
 // TestParallelBuildAcrossTrainingBoundary runs the concurrent construction
 // path end to end under -race: a four-worker InsertBatch whose rows straddle
 // the PQ training boundary, so the early rows enter the graph under raw
-// distances and the rest under per-target row tables, one table per worker.
+// distances and the rest, linked by the first GraphStats since 1,200 points
+// stay below the default beam's scan bound, under per-target row tables,
+// one table per worker.
 // The graph must come out whole and as useful as a serial one; then
 // concurrent single-query searches share the index's scratch pool, where a
 // scratch handed to two live walks would corrupt both answers.

@@ -38,11 +38,14 @@ type CollectionConfig struct {
 	Seed int64
 	// PQ, when non-nil, compresses vectors once TrainSize points arrived.
 	PQ *PQConfig
-	// Workers bounds the parallelism of InsertBatch and PQ training. 0 or 1
-	// runs serially; batch inserts are then bit-identical to the equivalent
-	// sequence of Insert calls. With 2+ workers the HNSW graph shape depends
-	// on insert interleaving (quality is asserted by the graph stats probe),
-	// while PQ codebooks and codes stay worker-count-invariant.
+	// Workers bounds the parallelism of InsertBatch, of linking rows into
+	// the graph and of PQ training. 0 or 1 runs serially; the graph, once
+	// linked, is then the same edge for edge whatever the batch boundaries
+	// and whenever its rows were linked (on insert, or deferred until
+	// something walks it; see InsertBatch). With 2+ workers the HNSW graph
+	// shape depends on insert interleaving (quality is asserted by the
+	// graph stats probe), while PQ codebooks and codes stay
+	// worker-count-invariant.
 	Workers int
 }
 
@@ -82,8 +85,9 @@ type Collection struct {
 
 // SetObserver wires the collection's build instrumentation into a metrics
 // registry: insert counts, Product-Quantization training time and the time
-// InsertBatch spends inserting into the graph, which excludes training and
-// encoding. A nil registry (or never calling SetObserver) keeps
+// spent linking rows into the graph, whenever that happens (on insert, or
+// deferred to the first walk, GraphStats or Save), which excludes training
+// and encoding. A nil registry (or never calling SetObserver) keeps
 // instrumentation off.
 func (c *Collection) SetObserver(reg *obs.Registry) {
 	c.mu.Lock()
@@ -172,53 +176,33 @@ func (c *Collection) Len() int {
 // Dim returns the configured dimensionality.
 func (c *Collection) Dim() int { return c.cfg.Dim }
 
-// Insert adds a vector with its tag and returns its assigned id.
-// The vector is copied and normalized.
+// Insert adds a vector with its tag and returns its assigned id: an
+// InsertBatch of one row. The vector is copied and normalized.
 func (c *Collection) Insert(vector []float32, tag int32) (uint64, error) {
-	if len(vector) != c.cfg.Dim {
-		return 0, fmt.Errorf("vectordb: vector dim %d, want %d", len(vector), c.cfg.Dim)
+	ids, err := c.InsertBatch([][]float32{vector}, []int32{tag})
+	if err != nil {
+		return 0, err
 	}
-	v := vec.Clone(vector)
-	vec.Normalize(v)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	id := c.nextID
-	c.nextID++
-	c.ids = append(c.ids, id)
-	c.tags = append(c.tags, tag)
-
-	if c.quantizer != nil {
-		c.vectors = append(c.vectors, nil)
-		c.codes = append(c.codes, c.quantizer.Encode(v))
-	} else {
-		c.vectors = append(c.vectors, v)
-		if c.codes != nil {
-			c.codes = append(c.codes, nil)
-		}
-		if c.cfg.PQ != nil && len(c.vectors) >= c.cfg.PQ.TrainSize {
-			if err := c.trainPQLocked(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	slot := c.index.Add()
-	c.byID[id] = slot
-	c.obsInserts.Inc()
-	return id, nil
+	return ids[0], nil
 }
 
 // InsertBatch adds many vectors at once and returns their assigned ids in
 // input order. tags may be nil (every tag 0), or must have one entry per
 // vector.
 //
-// It is semantically the same as calling Insert per vector — PQ training
-// still triggers on exactly the first TrainSize stored vectors, and graph
-// edges created before training use raw distances while later ones use
-// code-to-code distances, exactly as the incremental path does. With cfg.Workers 0 or
-// 1 the resulting collection is bit-identical to the Insert loop; with 2+
-// workers the clone/normalize and PQ-encode steps shard across workers and
-// the HNSW inserts run concurrently.
+// Rows are appended and, once the quantizer is trained, PQ-encoded at
+// once, so every search sees them; they are linked into the HNSW graph only
+// when something can walk it. InsertBatch links every pending row once the
+// collection holds more than ¾ × EfSearch × 2M points, the size from which
+// a query of the default beam walks (scansLocked); below that, rows stay
+// pending until a walk, GraphStats or Save links them first. PQ training
+// still triggers on exactly the first TrainSize stored vectors, and the
+// rows stored before it are linked under raw distances just before
+// training drops their vectors, so rows linked later use code-to-code
+// distances: with cfg.Workers 0 or 1 the graph, once linked, is edge for
+// edge the one linking each row on insert would have built, whatever the
+// batch boundaries. With 2+ workers the clone/normalize and PQ-encode
+// steps shard across workers and the HNSW inserts run concurrently.
 func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, error) {
 	if tags != nil && len(tags) != len(vectors) {
 		return nil, fmt.Errorf("vectordb: %d tags for %d vectors", len(tags), len(vectors))
@@ -228,10 +212,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 			return nil, fmt.Errorf("vectordb: vector %d dim %d, want %d", i, len(v), c.cfg.Dim)
 		}
 	}
-	workers := c.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := c.workers()
 	vs := make([][]float32, len(vectors))
 	par.For(len(vectors), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -246,50 +227,17 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 
 	startSlot := len(c.ids)
 	ids := make([]uint64, len(vs))
-
-	// encodePendingLocked fills the codes of rows appended after the
-	// quantizer existed (left nil by the append loop). Encode is pure, so
-	// sharding it does not change the bytes.
-	encodePendingLocked := func() {
-		if c.quantizer == nil {
-			return
-		}
-		lo := c.index.Len()
-		par.For(len(c.ids)-lo, workers, func(a, b int) {
-			for off := a; off < b; off++ {
-				slot := lo + off
-				if c.codes[slot] == nil && c.vectors[slot] == nil {
-					c.codes[slot] = c.quantizer.Encode(vs[slot-startSlot])
-				}
-			}
-		})
-	}
-	// flushGraphLocked inserts every appended-but-unindexed row into the
-	// HNSW graph.
-	flushGraphLocked := func() {
-		pending := len(c.ids) - c.index.Len()
-		if pending == 0 {
-			return
-		}
-		encodePendingLocked()
-		start := time.Now()
-		first := c.index.AddBatch(pending, workers)
-		c.obsHNSWInsert.Add(time.Since(start).Seconds())
-		for slot := int(first); slot < len(c.ids); slot++ {
-			c.byID[c.ids[slot]] = int32(slot)
-		}
-	}
-
 	for i := range vs {
 		if c.quantizer == nil && c.cfg.PQ != nil && len(c.vectors)+1 >= c.cfg.PQ.TrainSize {
 			// The next append triggers PQ training, which flips itemDist
-			// from raw to code distances. Rows appended so far must enter
-			// the graph first, under the distances the serial Insert loop
-			// gave them.
-			flushGraphLocked()
+			// from raw to code distances and drops the raw vectors. Rows
+			// appended so far must enter the graph first, under the raw
+			// distances they were stored with.
+			c.linkLocked()
 		}
 		ids[i] = c.nextID
 		c.nextID++
+		c.byID[ids[i]] = int32(len(c.ids))
 		c.ids = append(c.ids, ids[i])
 		if tags != nil {
 			c.tags = append(c.tags, tags[i])
@@ -298,7 +246,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 		}
 		if c.quantizer != nil {
 			c.vectors = append(c.vectors, nil)
-			c.codes = append(c.codes, nil) // encoded in bulk at flush time
+			c.codes = append(c.codes, nil) // encoded in bulk below
 		} else {
 			c.vectors = append(c.vectors, vs[i])
 			if c.codes != nil {
@@ -311,9 +259,57 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 			}
 		}
 	}
-	flushGraphLocked()
+	if c.quantizer != nil {
+		// Rows appended after the quantizer existed hold neither a vector
+		// nor a code yet. Encode is pure, so sharding it does not change
+		// the bytes.
+		par.For(len(c.ids)-startSlot, workers, func(a, b int) {
+			for slot := startSlot + a; slot < startSlot+b; slot++ {
+				if c.codes[slot] == nil && c.vectors[slot] == nil {
+					c.codes[slot] = c.quantizer.Encode(vs[slot-startSlot])
+				}
+			}
+		})
+	}
+	if !c.scansLocked(c.cfg.EfSearch) {
+		c.linkLocked()
+	}
 	c.obsInserts.Add(int64(len(vs)))
 	return ids, nil
+}
+
+// workers is cfg.Workers, at least 1.
+func (c *Collection) workers() int { return max(c.cfg.Workers, 1) }
+
+// pendingLocked is how many rows are stored but not yet linked into the
+// HNSW graph: the slots from c.index.Len() on. Caller holds at least a
+// read lock.
+func (c *Collection) pendingLocked() int { return len(c.ids) - c.index.Len() }
+
+// linkLocked links every pending row into the HNSW graph in slot order and
+// charges the time to the hnsw_insert build gauge. Caller holds the write
+// lock.
+func (c *Collection) linkLocked() {
+	pending := c.pendingLocked()
+	if pending == 0 {
+		return
+	}
+	start := time.Now()
+	c.index.AddBatch(pending, c.workers())
+	c.obsHNSWInsert.Add(time.Since(start).Seconds())
+}
+
+// link links the pending rows, taking the write lock only when there are
+// some.
+func (c *Collection) link() {
+	c.mu.RLock()
+	pending := c.pendingLocked()
+	c.mu.RUnlock()
+	if pending > 0 {
+		c.mu.Lock()
+		c.linkLocked()
+		c.mu.Unlock()
+	}
 }
 
 // trainPQLocked trains the quantizer on the buffered raw vectors, encodes
@@ -321,10 +317,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 // encoding shard across cfg.Workers; both are worker-count-invariant, so
 // the codebooks and codes match the serial run exactly.
 func (c *Collection) trainPQLocked() error {
-	workers := c.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := c.workers()
 	start := time.Now()
 	q, err := pq.Train(c.vectors, pq.Config{M: c.cfg.PQ.M, K: c.cfg.PQ.K, Seed: c.cfg.Seed, Workers: workers})
 	if err != nil {
@@ -511,17 +504,25 @@ func (c *Collection) scansLocked(ef int) bool {
 	return (4*len(c.ids)+per-1)/per <= ef
 }
 
+// walksLocked reports whether a query of k results and beam width ef walks
+// the graph under plan p: planWalk always, planAuto when the collection is
+// too large for the beam to cover (scansLocked). Caller holds at least a
+// read lock.
+func (c *Collection) walksLocked(k, ef int, p plan) bool {
+	return p == planWalk || p == planAuto && !c.scansLocked(max(ef, k))
+}
+
 // searchOneLocked answers one prepared query over ws, which no other live
-// query uses: by a scan when p says so, or when p is planAuto and the
-// beam covers the collection, and by a walk of the graph otherwise. Caller
-// holds at least a read lock. A nil return means the query was cancelled;
-// the caller surfaces ctx.Err().
+// query uses: by a walk of the graph when walksLocked says so, and by a
+// scan otherwise. A walking query finds every row linked (searchBatch
+// links them first). Caller holds at least a read lock. A nil return means
+// the query was cancelled; the caller surfaces ctx.Err().
 func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, ws *walkScratch, p plan) []Result {
-	ef = max(ef, k)
 	accept := c.acceptLocked(filter)
-	if p == planScan || p == planAuto && c.scansLocked(ef) {
+	if !c.walksLocked(k, ef, p) {
 		return c.scanLocked(q, k, accept, cancelled, cost, ws)
 	}
+	ef = max(ef, k)
 	qd := c.queryDistLocked(q, &ws.table)
 	var ctr qdCounter
 	if cost != nil {
@@ -689,14 +690,18 @@ func (c *Collection) resultsLocked(found []hnsw.Neighbor) []Result {
 // nil, or entries ≤ 0, for the collection default); a ks[i] ≤ 0 skips
 // query i with a nil row. A query whose beam covers the collection — at
 // most ¾ × ef × 2M slots — scores every slot instead of walking the graph
-// (see scansLocked); a larger collection is walked. costs, when non-nil,
-// carries one optional accumulator per query, each charged exactly the
-// work its own query performed: distance computations, ADC lookups and
-// graph hops, or for a scan one scanned value per slot and no hops. A cancellable ctx is polled between HNSW
-// hops and between scan blocks, so an expired deadline interrupts a query
-// mid-flight and the context's error is returned. A query's results are
-// the same in any block, a block of one included — scratch reuse changes
-// where the bookkeeping lives, not which slots are scored.
+// (see scansLocked); a larger collection is walked. When some query of the
+// block walks while rows are still pending, the block first links them
+// into the graph under the write lock (see InsertBatch); a block that only
+// scans links nothing. costs, when non-nil, carries one optional
+// accumulator per query, each charged exactly the work its own query
+// performed: distance computations, ADC lookups and graph hops, or for a
+// scan one scanned value per slot and no hops; linking is charged to no
+// query. A cancellable ctx is polled between HNSW hops and between scan
+// blocks, so an expired deadline interrupts a query mid-flight and the
+// context's error is returned. A query's results are the same in any
+// block, a block of one included — scratch reuse changes where the
+// bookkeeping lives, not which slots are scored.
 func (c *Collection) SearchBatch(ctx context.Context, queries Queries, ks, efs []int, filter Filter, costs []*obs.Cost) ([][]Result, error) {
 	return c.searchBatch(ctx, queries, ks, efs, filter, costs, planAuto)
 }
@@ -725,9 +730,34 @@ func (c *Collection) searchBatch(ctx context.Context, queries Queries, ks, efs [
 		cancelled = func() bool { return ctx.Err() != nil }
 	}
 
+	ef := func(i int) int {
+		if efs != nil && efs[i] > 0 {
+			return efs[i]
+		}
+		return c.cfg.EfSearch
+	}
+	walks := func() bool {
+		for i, k := range ks {
+			if k > 0 && c.walksLocked(k, ef(i), p) {
+				return true
+			}
+		}
+		return false
+	}
+
 	ws := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(ws)
 	c.mu.RLock()
+	// An insert may append rows between the write lock's release and the
+	// read lock's return, so the check repeats until a walk finds every
+	// row linked.
+	for c.pendingLocked() > 0 && walks() {
+		c.mu.RUnlock()
+		c.mu.Lock()
+		c.linkLocked()
+		c.mu.Unlock()
+		c.mu.RLock()
+	}
 	defer c.mu.RUnlock()
 	out := make([][]Result, len(queries))
 	for i, q := range queries {
@@ -737,15 +767,11 @@ func (c *Collection) searchBatch(ctx context.Context, queries Queries, ks, efs [
 		if ks[i] <= 0 {
 			continue
 		}
-		ef := c.cfg.EfSearch
-		if efs != nil && efs[i] > 0 {
-			ef = efs[i]
-		}
 		var cost *obs.Cost
 		if costs != nil {
 			cost = costs[i]
 		}
-		out[i] = c.searchOneLocked(q, ks[i], ef, filter, cancelled, cost, ws, p)
+		out[i] = c.searchOneLocked(q, ks[i], ef(i), filter, cancelled, cost, ws, p)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -800,7 +826,10 @@ func distToScore(d float32) float32 { return 1 - d }
 
 // GraphStats reports the structural health of the collection's HNSW graph
 // (per-layer occupancy, degree spread, reachability from the entry point).
+// Pending rows are linked first, so the graph reported is the one a walk
+// would take, and the linking is charged to the hnsw_insert build gauge.
 func (c *Collection) GraphStats() hnsw.GraphStats {
+	c.link()
 	return c.index.Stats()
 }
 

@@ -20,7 +20,7 @@ func encodeImage(t testing.TB, img image) []byte {
 }
 
 // malformedBase persists 20 points, one of them deleted, so the image
-// carries no graph and Load rebuilds it from the rows.
+// carries no graph and Load leaves the rows to be linked by a first walk.
 func malformedBase(t *testing.T, compressed bool) *persistedCollection {
 	t.Helper()
 	cfg := CollectionConfig{Dim: 8, Seed: 3}

@@ -35,9 +35,10 @@ type image struct {
 
 // persistedCollection is the gob image of a collection. Live points only;
 // tombstones are compacted away. GraphBlob carries the serialized HNSW
-// graph; it is only usable when no tombstones were compacted (compaction
-// renumbers slots), in which case the graph is rebuilt deterministically
-// from the same seed and insertion order instead.
+// graph; it is only written when no tombstones were compacted (compaction
+// renumbers slots) and every row is linked. Without it the loaded rows are
+// left pending, and the graph is linked in slot order from the same seed
+// (deterministically at Workers ≤ 1) when something first reads it.
 type persistedCollection struct {
 	Cfg       persistedConfig
 	IDs       []uint64
@@ -61,7 +62,8 @@ type persistedConfig struct {
 	Metric                                    uint8
 }
 
-// Save writes the collection's live points, quantizer and graph to w.
+// Save writes the collection's live points, quantizer and graph to w,
+// linking pending rows first.
 func (c *Collection) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(image{Version: 2, Collection: c.persist()})
 }
@@ -123,6 +125,7 @@ func (p *persistedCollection) tagsFromPayloads() error {
 }
 
 func (c *Collection) persist() *persistedCollection {
+	c.link()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	cfg := c.cfg
@@ -136,9 +139,10 @@ func (c *Collection) persist() *persistedCollection {
 			p.PQBlob = buf.Bytes()
 		}
 	}
-	if len(c.deleted) == 0 {
+	if len(c.deleted) == 0 && c.pendingLocked() == 0 {
 		// Slot numbering survives intact, so the graph can be persisted
-		// as-is and reloaded without the O(n·efConstruction) rebuild.
+		// as-is and reloaded without the O(n·efConstruction) rebuild. Rows
+		// an insert appended after link() leave the image without a graph.
 		var buf bytes.Buffer
 		if _, err := c.index.WriteTo(&buf); err == nil {
 			p.GraphBlob = buf.Bytes()
@@ -243,11 +247,6 @@ func restoreCollection(p *persistedCollection) (*Collection, error) {
 			return nil, fmt.Errorf("vectordb: graph has %d nodes, collection %d points", ix.Len(), n)
 		}
 		c.index = ix
-	} else {
-		// Rebuild deterministically: same seed, same insertion order.
-		for range c.ids {
-			c.index.Add()
-		}
 	}
 	for slot, id := range c.ids {
 		c.byID[id] = int32(slot)

@@ -418,8 +418,12 @@ func TestPersistenceRestoresGraphExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Approximate search must return identical results: with no deletions
-	// the serialized graph is restored verbatim.
+	// Save linked the pending rows, so the image carries the graph, and
+	// with no deletions it is restored verbatim.
+	if a, b := graphHash(c), graphHash(c2); a != b {
+		t.Fatalf("graph hash %#x after reload, %#x before", b, a)
+	}
+	// Approximate search must return identical results.
 	for probe := 0; probe < 10; probe++ {
 		q := randUnit(16, rng)
 		a, _ := walkSearch(c, q, 10, 64, nil)
@@ -489,6 +493,8 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 			t.Fatalf("codes[%d] diverged", slot)
 		}
 	}
+	cs.GraphStats() // link the pending rows before reading the graphs
+	cb.GraphStats()
 	for l := 0; l <= cs.index.MaxLevel(); l++ {
 		ga, gb := cs.index.Graph(l), cb.index.Graph(l)
 		if len(ga) != len(gb) {

@@ -378,8 +378,11 @@ type IndexHealth = core.IndexHealth
 // IndexHealth introspects the built index: HNSW graph shape and
 // reachability, PQ distortion, CTS cluster balance and medoid drift. The
 // walk is O(nodes+edges) plus a bounded distortion sample — call it at
-// diagnostic cadence, not per query. The headline figures are also
-// exported as gauges on the metrics registry. Must not race with Add.
+// diagnostic cadence, not per query. The first call after a build also
+// links the graph rows the build left unlinked because every default query
+// scans their collection, so it can take as long as that graph build. The
+// headline figures are also exported as gauges on the metrics registry.
+// Must not race with Add.
 func (e *Engine) IndexHealth() IndexHealth {
 	h := e.store.IndexHealth()
 	if h.Graph != nil {
