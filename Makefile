@@ -27,15 +27,15 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the scatter-gather layer: the cluster router's
-# concurrent fan-out, hedging and cache invalidation, the LRU it shares,
-# and the replica groups, which run the router package's Race. Fast enough
-# to run on every change to any of the three packages.
+# concurrent fan-out, coalescing and cache invalidation, the LRU it
+# shares, and the replica groups, which run the router package's Race.
+# Fast enough to run on every change to any of the three packages.
 race-cluster:
 	$(GO) test -race ./internal/cluster/... ./internal/cache/... ./internal/netcluster/
 
-# The timing-based tests of Router and Group all guard one state machine
-# (cluster.Race); ten race-checked rounds shake out an ordering that one
-# round lets through.
+# The timing-based tests of Race and the replica Group that runs it guard
+# one state machine (cluster.Race); ten race-checked rounds shake out an
+# ordering that one round lets through.
 hedge-stress:
 	$(GO) test -race -count=10 -run 'Race|Hedg|Failover|FailsOver|Straggler|HungReplica' ./internal/cluster/ ./internal/netcluster/
 
@@ -148,7 +148,7 @@ bench-kernels:
 # ranks bit-identically to one built fresh from the surviving corpus and
 # that searches never block or degrade while a compaction swaps segments.
 segment-churn-smoke:
-	$(GO) test -race -run 'TestEngineChurnEquivalence|TestEngineSearchNonBlockingDuringCompaction|TestClusterDeleteUpdate' .
+	$(GO) test -race -run 'TestEngineChurnEquivalence|TestEngineSearchNonBlockingDuringCompaction' .
 	$(GO) test -race -run 'TestSegmentStoreChurnEquivalence|TestSegmentStoreSearchDuringCompaction|TestSegmentStoreConcurrentChurn' ./internal/core/
 
 # Networked-cluster smoke: replica sets of shard servers on loopback HTTP
@@ -156,18 +156,19 @@ segment-churn-smoke:
 # protocol and replica failover (hung replica, whole set down, malformed
 # responses), the bit-identical-to-single-engine merge over the wire, a
 # replica killed mid-run leaving every query answered, and the coordinator
-# mode of the HTTP API (one subtest of every three-mode TestServer* suite,
+# mode of the HTTP API (one subtest of every two-mode TestServer* suite,
 # plus the search-during-a-stuck-write test).
 netcluster-smoke:
 	$(GO) test -race ./internal/netcluster/
 	$(GO) test -race -run 'TestNetShard|TestNetCluster' .
 	$(GO) test -race -run 'TestServer' ./internal/httpapi/
 
-# End-to-end tracing smoke: serve a freshly generated corpus as a 4-shard
-# hedged cluster with every trace retained, run one search, and assert the
-# span tree comes back from /v1/debug/traces/{id}, its exemplar shows up on
-# the OpenMetrics scrape, and the slow and journal views of the store name
-# it. Needs curl and jq.
+# End-to-end tracing smoke: serve a freshly generated corpus as two shard
+# servers behind a hedging coordinator with every trace retained, run one
+# search, and assert the span tree (remote shard spans grafted) comes back
+# from /v1/debug/traces/{id}, its exemplar shows up on the OpenMetrics
+# scrape, and the slow, costly and journal views of the store name it.
+# Needs curl and jq.
 trace-smoke:
 	sh ./scripts/trace-smoke.sh
 

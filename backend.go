@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"semdisco/internal/cluster"
 	"semdisco/internal/obs"
 )
 
@@ -14,8 +15,8 @@ type Request struct {
 	K     int
 	// Sources restricts the search to relations belonging to any of the
 	// named federation members — "find COVID tables, but only from WHO or
-	// ECDC". Empty means no restriction. Only an Engine can filter; Cluster
-	// and NetCoordinator answer ErrUnsupported.
+	// ECDC". Empty means no restriction. Only an Engine can filter; a
+	// NetCoordinator answers ErrUnsupported.
 	Sources []string
 	// Feedback runs pseudo-relevance feedback (Rocchio): an initial search
 	// retrieves a few top relations, their embedding centroids expand the
@@ -24,10 +25,16 @@ type Request struct {
 	Feedback bool
 }
 
+// ClusterResult is a query answer: the ranked top-k plus the
+// scatter-gather health metadata a NetCoordinator fills in (which replica
+// sets failed, whether hedges launched, whether the answer came from
+// cache).
+type ClusterResult = cluster.Result
+
 // Response is a query answer: the ranked matches with the trace ID, cost
-// accounting and — on a Cluster or NetCoordinator — the scatter-gather
-// health metadata of ClusterResult. The per-stage breakdown is the span
-// tree the trace store keeps under TraceID (Traces().Get).
+// accounting and — on a NetCoordinator — the scatter-gather health
+// metadata of ClusterResult. The per-stage breakdown is the span tree the
+// trace store keeps under TraceID (Traces().Get).
 type Response struct {
 	ClusterResult
 }
@@ -40,22 +47,21 @@ type Query struct {
 }
 
 // ErrUnsupported is returned by Do for a Request field the backend cannot
-// serve (Sources or Feedback on a Cluster or NetCoordinator).
+// serve (Sources or Feedback on a NetCoordinator).
 var ErrUnsupported = errors.New("semdisco: request not supported by this backend")
 
-// Backend is the one query and mutation surface of the three deployment
-// shapes — Engine (one index), Cluster (in-process shards) and
-// NetCoordinator (replica sets over the wire). Every method is safe for
-// concurrent use: searches never block on writes.
+// Backend is the one query and mutation surface of the two deployment
+// shapes — Engine (one index) and NetCoordinator (replica sets over the
+// wire). Every method is safe for concurrent use: searches never block on
+// writes.
 type Backend interface {
 	// Do answers one query. See Request.
 	Do(ctx context.Context, req Request) (*Response, error)
 	// DoBatch answers a block of queries in one fused pass: each distinct
 	// query text is encoded once and the whole block is scored together
-	// (one blocked scan on an Engine, one scatter-gather per shard on a
-	// Cluster or NetCoordinator). Responses are positionally aligned with
-	// queries and carry per-item cost; batching changes throughput, never
-	// answers.
+	// (one blocked scan on an Engine, one scatter-gather per replica set on
+	// a NetCoordinator). Responses are positionally aligned with queries and
+	// carry per-item cost; batching changes throughput, never answers.
 	DoBatch(ctx context.Context, queries []Query) ([]*Response, error)
 	// AddRelation indexes one more relation; its ID must not be live.
 	AddRelation(ctx context.Context, r *Relation) error

@@ -3,7 +3,6 @@ package semdisco
 import (
 	"context"
 
-	"semdisco/internal/cluster"
 	"semdisco/internal/obs"
 )
 
@@ -88,26 +87,4 @@ func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterRe
 		out[i] = &res[i]
 	}
 	return out, nil
-}
-
-// DoBatch implements Backend with one scatter-gather per shard: the router
-// checks its result cache per item, encodes each distinct remaining query
-// text once, deduplicates identical (Text, K) items inside the batch, and
-// sends the whole encoded block to every shard in a single fan-out — one
-// deadline and one hedge decision per shard for the block, not per query.
-// Per-item degradation semantics match Do, and coalesced duplicates are
-// marked Coalesced with their cost charged to the slot owner.
-func (c *Cluster) DoBatch(ctx context.Context, queries []Query) ([]*Response, error) {
-	return c.observeBatch(ctx, queries, func(ctx context.Context, tr *obs.Trace) ([]*ClusterResult, error) {
-		return c.router.SearchBatch(obs.ContextWithTrace(ctx, tr), batchItems(queries))
-	})
-}
-
-// batchItems converts public batch queries to the router's form.
-func batchItems(queries []Query) []cluster.BatchQuery {
-	items := make([]cluster.BatchQuery, len(queries))
-	for i, q := range queries {
-		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
-	}
-	return items
 }

@@ -75,56 +75,3 @@ func TestEngineSearchBatchEmptyAndCancelled(t *testing.T) {
 		t.Fatal("dead context must fail the batch")
 	}
 }
-
-// TestClusterSearchBatchMatchesSearch checks the federated batch facade:
-// per-item answers equal SearchContext's, duplicates coalesce, cache hits
-// ride along.
-func TestClusterSearchBatchMatchesSearch(t *testing.T) {
-	fed := synthFederation(t, 40)
-	cfg := clusterCfg(4)
-	cfg.CacheSize = 16
-	cl, err := NewCluster(fed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{
-		{Text: "abc def", K: 5},
-		{Text: "ghi jkl", K: 3},
-		{Text: "abc def", K: 5}, // in-batch duplicate
-		{Text: "mno", K: 0},     // skipped
-	}
-	results, err := cl.DoBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results[3].Matches) != 0 {
-		t.Error("k=0 item got matches")
-	}
-	if !results[2].Coalesced {
-		t.Error("in-batch duplicate not coalesced")
-	}
-	for _, i := range []int{0, 1} {
-		want, err := cl.Do(context.Background(), Request{Query: queries[i].Text, K: queries[i].K})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The sequential comparison runs second, so it may hit the cache the
-		// batch populated; matches must agree either way.
-		if len(results[i].Matches) != len(want.Matches) {
-			t.Fatalf("item %d: %d matches vs %d sequential", i, len(results[i].Matches), len(want.Matches))
-		}
-		for j := range want.Matches {
-			if results[i].Matches[j] != want.Matches[j] {
-				t.Errorf("item %d match %d: %+v vs %+v", i, j, results[i].Matches[j], want.Matches[j])
-			}
-		}
-	}
-	// A repeat batch should answer from the cluster cache.
-	again, err := cl.DoBatch(context.Background(), queries[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again[0].CacheHit {
-		t.Error("repeat batch item missed the cache")
-	}
-}

@@ -4,19 +4,9 @@
 //
 //	semdisco-serve -dir ./tables -addr :8080           # index CSVs, serve
 //	semdisco-serve -load engine.bin -addr :8080        # serve a saved engine
-//	semdisco-serve -dir ./tables -shards 4 -shard-timeout 100ms -hedge
 //	semdisco-serve -dir ./tables -pprof -log-format json
 //
-// With -shards N the corpus is partitioned into N shards behind an
-// in-process scatter-gather router: queries fan out to all shards
-// concurrently, -shard-timeout bounds each shard's work, -hedge races a
-// retry against shards running past their p95, and a failed shard degrades
-// the answer (response carries "degraded" and "shard_errors") instead of
-// failing the query. /v1/stats then reports per-shard health. The
-// engine-only debug endpoints (/v1/debug/index, /v1/debug/recall) respond
-// 501 in cluster mode.
-//
-// Networked cluster: -role turns the process into one node of a wire-level
+// Networked cluster: -role turns the process into one node of a sharded
 // deployment. A shard server
 //
 //	semdisco-serve -dir ./tables -role shard -sets 2 -set 0 -addr :8081
@@ -35,7 +25,11 @@
 // the servers started with -set i), queries are embedded once and raw
 // vectors fan out with per-attempt timeouts, sequential failover and
 // optional cross-replica hedging, and writes route to every replica of the
-// ring-owning set.
+// ring-owning set. A replica set that fails degrades the answer (the
+// response carries "degraded" and "shard_errors") instead of failing the
+// query, and /v1/stats reports per-set and per-replica health. The
+// engine-only endpoints (/v1/datasets, "sources", /v1/debug/index,
+// /v1/debug/recall) respond 501 on a coordinator.
 //
 // Shutdown: SIGINT/SIGTERM drains in-flight requests for up to -drain,
 // stops the background compactor (-compact-interval) and recall-probe
@@ -123,14 +117,10 @@ var (
 	sloLatencyThreshold = flag.Duration("slo-latency-threshold", 0,
 		"latency objective cutoff (0 = default 500ms)")
 
-	shards = flag.Int("shards", 0,
-		"partition the corpus into this many shards behind an in-process scatter-gather router (0 = single engine)")
-	shardTimeout = flag.Duration("shard-timeout", 0,
-		"per-shard search deadline; timed-out shards degrade the answer (0 disables)")
 	hedge = flag.Bool("hedge", false,
-		"hedge a retry against shards (replicas in coordinator role) running past their observed p95 latency")
+		"coordinator role: hedge a second replica against an attempt running past the set's observed p95 latency")
 	cacheSize = flag.Int("cache", 0,
-		"query-result cache entries (0 disables)")
+		"coordinator role: query-result cache entries (0 disables)")
 
 	role = flag.String("role", "",
 		"networked-cluster role: shard or coordinator (empty = standalone)")
@@ -200,7 +190,7 @@ func main() {
 
 	switch *role {
 	case "":
-		// Standalone (or in-process cluster) below.
+		// Standalone below.
 	case "shard":
 		serveShard(logger, cfg)
 		return
@@ -210,11 +200,6 @@ func main() {
 	default:
 		logger.Error("unknown role", "role", *role)
 		os.Exit(2)
-	}
-
-	if *shards > 0 {
-		serveCluster(logger, cfg)
-		return
 	}
 
 	var (
@@ -362,64 +347,6 @@ func serveEngine(logger *slog.Logger, eng *semdisco.Engine) {
 			stopCompactor()
 		}
 		flushTraces(logger, eng.Traces())
-	})
-}
-
-// serveCluster builds or loads an in-process sharded cluster and serves it.
-func serveCluster(logger *slog.Logger, cfg semdisco.Config) {
-	var (
-		cl  *semdisco.Cluster
-		err error
-	)
-	if *loadPath != "" {
-		f, ferr := os.Open(*loadPath)
-		if ferr != nil {
-			fatal(logger, "opening cluster file", ferr)
-		}
-		cl, err = semdisco.LoadCluster(f)
-		f.Close()
-		if err != nil {
-			fatal(logger, "loading cluster", err)
-		}
-		cl.ConfigureTracing(cfg.Tracing)
-		cl.ConfigureSLO(cfg.SLO)
-		logger.Info("cluster loaded", "path", *loadPath,
-			"method", cl.Method().String(),
-			"shards", cl.NumShards(), "relations", cl.NumRelations())
-	} else {
-		fed, ferr := semdisco.LoadDir(*dir)
-		if ferr != nil {
-			fatal(logger, "loading corpus", ferr)
-		}
-		start := time.Now()
-		cl, err = semdisco.NewCluster(fed, semdisco.ClusterConfig{
-			Config:       cfg,
-			Shards:       *shards,
-			ShardTimeout: *shardTimeout,
-			Hedge:        *hedge,
-			CacheSize:    *cacheSize,
-		})
-		if err != nil {
-			fatal(logger, "building cluster", err)
-		}
-		logger.Info("cluster built", "method", cfg.Method.String(),
-			"shards", cl.NumShards(), "relations", cl.NumRelations(),
-			"duration", time.Since(start).Round(time.Millisecond))
-	}
-
-	opts := []httpapi.Option{httpapi.WithLogger(logger)}
-	if *enablePprof {
-		opts = append(opts, httpapi.WithPprof())
-	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           httpapi.NewCluster(cl, opts...),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	logger.Info("serving cluster", "addr", *addr,
-		"method", cl.Method().String(), "shards", cl.NumShards())
-	serveHTTP(logger, srv, func() {
-		flushTraces(logger, cl.Traces())
 	})
 }
 

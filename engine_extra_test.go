@@ -323,25 +323,4 @@ func TestLoadRefusesRemovedAggregator(t *testing.T) {
 	if _, err := LoadEngine(&img); err == nil {
 		t.Fatal("LoadEngine accepted an image with Aggregator 1")
 	}
-
-	cl, err := NewCluster(vaccineFederation(t), ClusterConfig{Config: cfg, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.Reset()
-	if err := cl.Save(&img); err != nil {
-		t.Fatal(err)
-	}
-	var cp clusterPersist
-	if err := gob.NewDecoder(&img).Decode(&cp); err != nil {
-		t.Fatal(err)
-	}
-	cp.ExS.Aggregator = 1
-	img.Reset()
-	if err := gob.NewEncoder(&img).Encode(cp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCluster(&img); err == nil {
-		t.Fatal("LoadCluster accepted an image with Aggregator 1")
-	}
 }

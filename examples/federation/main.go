@@ -1,20 +1,26 @@
 // Federation-scale example: generate a synthetic multi-source corpus (the
 // EDP-like profile), build all three engines over it, and compare their
 // answers and latency on the same queries — a miniature of the paper's
-// performance evaluation. A sharded scatter-gather cluster then answers
-// the same queries federated across 4 shards, demonstrating that the
-// merged ExS ranking is identical to the monolithic one. Run with:
+// performance evaluation. A networked cluster then answers the same
+// queries: two shard servers on loopback HTTP, each indexing the half of
+// the federation the placement ring gives it, behind a coordinator that
+// embeds each query once and merges the shards' answers. The merged ExS
+// ranking is identical to the monolithic one, and with one shard server
+// down the coordinator still answers, marked degraded. Run with:
 //
 //	go run ./examples/federation
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"net/http/httptest"
 	"time"
 
 	"semdisco"
 	"semdisco/internal/corpus"
+	"semdisco/internal/httpapi"
 )
 
 func main() {
@@ -65,22 +71,37 @@ func main() {
 		}
 	}
 
-	// The same federation, sharded 4 ways behind a scatter-gather router:
-	// one shared encoder, concurrent fan-out, deterministic merge. For ExS
-	// the federated ranking is identical to the monolithic one.
-	fmt.Println("\n--- sharded federation (4-shard scatter-gather) ---")
-	cl, err := semdisco.NewCluster(c.Federation, semdisco.ClusterConfig{
-		Config:       semdisco.Config{Method: semdisco.ExS, Dim: 256, Seed: 7, Lexicon: c.Lexicon},
-		Shards:       4,
-		ShardTimeout: 2 * time.Second,
-		CacheSize:    64,
+	// The same federation, split over two shard servers behind a
+	// coordinator: one shared encoder, concurrent fan-out over the wire,
+	// deterministic merge. For ExS the federated ranking is identical to
+	// the monolithic one.
+	fmt.Println("\n--- networked federation (2 shard servers behind a coordinator) ---")
+	cfg := semdisco.Config{Method: semdisco.ExS, Dim: 256, Seed: 7, Lexicon: c.Lexicon}
+	const sets = 2
+	var servers []*httptest.Server
+	var replicaSets [][]string
+	for set := 0; set < sets; set++ {
+		shard, err := semdisco.NewNetShard(c.Federation, semdisco.NetShardConfig{Config: cfg, Sets: sets, Set: set})
+		if err != nil {
+			log.Fatal(err)
+		}
+		srv := httptest.NewServer(httpapi.New(shard))
+		defer srv.Close()
+		servers = append(servers, srv)
+		replicaSets = append(replicaSets, []string{srv.URL})
+		fmt.Printf("shard server %d: %d relations\n", set, shard.NumRelations())
+	}
+	nc, err := semdisco.NewNetCoordinator(c.Federation, replicaSets, semdisco.NetCoordinatorConfig{
+		Config:         cfg,
+		AttemptTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, q := range c.QueriesOf(corpus.Short) {
 		start := time.Now()
-		res, err := cl.Search(q.Text, 5)
+		res, err := nc.Do(ctx, semdisco.Request{Query: q.Text, K: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,12 +117,31 @@ func main() {
 				break
 			}
 		}
+		if !identical {
+			log.Fatalf("query %q: the coordinator's ranking differs from the single ExS engine's", q.Text)
+		}
 		fmt.Printf("query %q: %v, degraded=%v, identical-to-monolithic-ExS=%v\n",
 			q.Text, elapsed.Round(time.Microsecond), res.Degraded, identical)
 	}
-	fmt.Println("\nper-shard health:")
-	for _, sh := range cl.Stats().Shards {
-		fmt.Printf("  shard %d: %3d relations, %d searches, p95 %.3fms\n",
-			sh.Shard, sh.Relations, sh.Searches, sh.P95MS)
+
+	// Take shard server 1 down: its set has no replica left, so the
+	// coordinator answers from set 0 alone and says so.
+	servers[1].Close()
+	q := c.QueriesOf(corpus.Short)[0].Text
+	res, err := nc.Do(ctx, semdisco.Request{Query: q, K: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !res.Degraded || len(res.ShardErrors) != 1 || res.ShardErrors[0].Shard != 1 {
+		log.Fatalf("with set 1 down: degraded=%v shard errors %v, want set 1 reported", res.Degraded, res.ShardErrors)
+	}
+	fmt.Printf("\nwith shard server 1 down: degraded=%v, %d matches from set 0, failed set %d\n",
+		res.Degraded, len(res.Matches), res.ShardErrors[0].Shard)
+
+	fmt.Println("\nper-set health:")
+	st := nc.Stats()
+	for i, sh := range st.Router.Shards {
+		fmt.Printf("  set %d: %d searches, %d errors, p95 %.3fms\n",
+			i, sh.Searches, sh.Errors, sh.P95MS)
 	}
 }

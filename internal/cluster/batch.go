@@ -9,9 +9,10 @@ import (
 )
 
 // BatchShard is optionally implemented by shards that can answer a block of
-// queries in one call (core.ExS/ANNS/CTS do, via SearchEncodedBatch). The
-// router uses it to send a block of more than one query to a shard in one
-// call, falling back to per-query SearchEncoded calls on shards without it.
+// queries in one call (netcluster.Group does, over the batch wire route).
+// The router uses it to send a block of more than one query to a shard in
+// one call, falling back to per-query SearchEncoded calls on shards
+// without it.
 type BatchShard interface {
 	SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]core.Match, error)
 }
@@ -27,9 +28,9 @@ type BatchQuery struct {
 // (query, k) items so repeated requests ride one slot, and hands the
 // distinct remainder to the same scatter a single Search runs — each
 // distinct query string encoded once, the whole encoded block sent to every
-// shard in a single fan-out (per-shard deadline and hedging decided once
-// per shard, not once per query), merged and recorded per item. The spans
-// land on the trace ctx carries, if any.
+// shard in a single fan-out (one call per shard, so a netcluster.Group
+// runs one failover race for the block, not one per query), merged and
+// recorded per item. The spans land on the trace ctx carries, if any.
 //
 // The returned slice has one Result per item, in input order. Per-item
 // semantics match Search: an item with K ≤ 0 yields an empty Result, a

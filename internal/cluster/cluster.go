@@ -1,17 +1,15 @@
-// Package cluster is the sharded query-federation layer: a Router that
-// owns N shards (each a core-level search engine over a corpus partition),
-// routes relations to shards at build and add time, and answers queries by
-// scatter-gather — encode once, fan out concurrently, merge per-shard
-// top-k′ into a global top-k with deterministic tie-breaking.
+// Package cluster is the scatter-gather layer under netcluster's
+// coordinator: a Router that owns N shards (each one replica set of a
+// corpus partition) and answers queries by encoding once, fanning out
+// concurrently and merging per-shard top-k′ into a global top-k with
+// deterministic tie-breaking. A shard that fails degrades the answer to
+// the healthy shards' results, annotated rather than discarded. The
+// Router also keeps the result cache and the request coalescer, both
+// fenced by mutations.
 //
-// The layer exists so per-query work can be bounded and parallelized the
-// way large-scale vector-set search systems (DESSERT, KOIOS) bound theirs:
-// instead of one monolithic index, each shard scans or walks only its
-// slice, and the router absorbs the operational failure modes of fan-out —
-// per-shard deadlines interrupt straggler work (context threaded down to
-// the scan/hop level), hedged retries race a second attempt against a
-// shard running past its p95, and a shard that still fails degrades the
-// answer to the healthy shards' results, annotated rather than discarded.
+// Race, the attempt state machine (per-attempt timeouts, hedging,
+// sequential failover), lives here too; netcluster.Group runs it across
+// the replicas of a set.
 package cluster
 
 import (
@@ -41,13 +39,10 @@ const (
 	MetricShardSearchSeconds = "semdisco_cluster_shard_search_seconds"
 	// MetricShardErrors counts failed shard searches, timeouts included.
 	MetricShardErrors = "semdisco_cluster_shard_errors_total"
-	// MetricShardTimeouts counts shard searches that hit the per-shard
-	// deadline.
+	// MetricShardTimeouts counts shard searches that failed on a deadline
+	// of their own (every replica attempt timed out) while the query's
+	// context was still live.
 	MetricShardTimeouts = "semdisco_cluster_shard_timeouts_total"
-	// MetricHedges counts hedge attempts launched against slow shards.
-	MetricHedges = "semdisco_cluster_hedges_total"
-	// MetricHedgeWins counts hedges that beat their primary.
-	MetricHedgeWins = "semdisco_cluster_hedge_wins_total"
 	// MetricDegraded counts searches answered from a strict subset of
 	// shards.
 	MetricDegraded = "semdisco_cluster_degraded_total"
@@ -77,9 +72,7 @@ var MetricHelp = map[string]string{
 	MetricSearchSeconds:      "End-to-end federated query latency in seconds.",
 	MetricShardSearchSeconds: "Per-shard search latency in seconds.",
 	MetricShardErrors:        "Failed shard searches, timeouts included.",
-	MetricShardTimeouts:      "Shard searches that hit the per-shard deadline.",
-	MetricHedges:             "Hedge attempts launched against slow shards.",
-	MetricHedgeWins:          "Hedge attempts that beat their primary.",
+	MetricShardTimeouts:      "Shard searches that timed out while the query was still live.",
 	MetricDegraded:           "Searches answered from a strict subset of shards.",
 	MetricCacheHits:          "Query-result cache hits.",
 	MetricCacheMisses:        "Query-result cache misses.",
@@ -89,71 +82,20 @@ var MetricHelp = map[string]string{
 	MetricBatchQueries:       "Queries answered through the batch path.",
 }
 
-// Policy selects how relations are assigned to shards.
-type Policy int
-
-const (
-	// PolicyHash routes each relation by a hash of its ID: stateless,
-	// stable under reloads, and the same relation always lands on the same
-	// shard regardless of insertion order.
-	PolicyHash Policy = iota
-	// PolicyRoundRobin deals relations out in arrival order at build time
-	// and routes later Adds to the currently smallest shard, keeping the
-	// partition balanced as the corpus grows (rebalance-aware routing).
-	PolicyRoundRobin
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyHash:
-		return "hash"
-	case PolicyRoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// HashShard returns the shard index a relation ID maps to under PolicyHash
-// (FNV-1a, mod n). Exported so build-time assignment and add-time routing
-// agree by construction.
-func HashShard(id string, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
 // Shard is one partition's search engine: rank the shard's relations for a
-// pre-encoded query vector, honoring ctx. core.ExS/ANNS/CTS satisfy it via
-// SearchEncoded.
+// pre-encoded query vector, honoring ctx. netcluster.Group satisfies it
+// for a replica set.
 type Shard interface {
 	SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error)
 }
 
 // Options configures a Router.
 type Options struct {
-	// Policy selects the partitioning scheme; default PolicyHash.
-	Policy Policy
 	// Slack widens the per-shard fetch: each shard returns its top k+Slack
 	// and the router merges down to k. Exact methods (ExS) need no slack —
 	// the global top-k is a subset of the shards' top-k — but approximate
 	// shards benefit from the extra margin. Default 8.
 	Slack int
-	// ShardTimeout is the per-shard deadline; a shard still running when it
-	// expires is interrupted mid-scan and reported as a timeout. 0 disables.
-	ShardTimeout time.Duration
-	// Hedge enables hedged retries: when a shard runs past its observed p95
-	// latency (floored at 1ms), a second attempt is raced against the first
-	// and the earlier answer wins. Hedging arms once a shard has answered 16
-	// searches.
-	Hedge bool
 	// Method labels metrics and stats ("ExS", "CTS", …).
 	Method string
 	// Encode embeds a query string once; the vector fans out to all shards.
@@ -167,9 +109,6 @@ type Options struct {
 	CacheSize int
 	// Registry receives the router's metrics; nil disables them.
 	Registry *obs.Registry
-	// SegmentInfo, when non-nil, reports a shard's segment count and
-	// tombstoned-relation count for Stats.
-	SegmentInfo func(shard int) (segments, tombstoned int)
 }
 
 // ShardError is one shard's failure during a scatter-gather query.
@@ -219,13 +158,12 @@ type cacheKey struct {
 	k     int
 }
 
-// shardState is the router's per-shard bookkeeping: counters for stats and
-// the latency window behind the hedge trigger.
+// shardState is the router's per-shard bookkeeping: counters and the
+// latency window behind Stats.
 type shardState struct {
 	searches atomic.Int64
 	errors   atomic.Int64
 	timeouts atomic.Int64
-	hedges   atomic.Int64
 	lat      Window
 }
 
@@ -245,13 +183,11 @@ type inflightCall struct {
 	waiters atomic.Int64
 }
 
-// Router fans queries out over N shards and merges their answers. Search
-// is safe for concurrent use; Route/NoteAdd (the add path) must not race
-// with the owning layer's shard mutation, mirroring Engine.Add's contract.
+// Router fans queries out over N shards and merges their answers. Search,
+// SearchBatch and the Note* fences are safe for concurrent use.
 type Router struct {
 	shards []Shard
 	opts   Options
-	policy RacePolicy
 	state  []*shardState
 	reg    *obs.Registry
 	cache  *cache.LRU[cacheKey, []core.Match]
@@ -259,8 +195,8 @@ type Router struct {
 	// scatter (singleflight); guarded by inflightMu.
 	inflightMu sync.Mutex
 	inflight   map[cacheKey]*inflightCall
-	// relCount[i] tracks shard i's relation count for rebalance-aware
-	// routing; degraded counts stats queries, not correctness.
+	// relCount[i] tracks shard i's relation count for Stats; searches and
+	// degraded count stats queries, not correctness.
 	relCount []atomic.Int64
 	searches atomic.Int64
 	degraded atomic.Int64
@@ -273,8 +209,7 @@ type Router struct {
 }
 
 // NewRouter builds a Router over pre-built shards. relCounts mirrors each
-// shard's relation count (used by round-robin rebalance routing and
-// Stats); len(relCounts) must equal len(shards).
+// shard's relation count for Stats; len(relCounts) must equal len(shards).
 func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("cluster: at least one shard required")
@@ -292,11 +227,8 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 		opts.Slack = 8
 	}
 	r := &Router{
-		shards: shards,
-		opts:   opts,
-		// Two attempts on the same shard, no sequential failover; the shard
-		// deadline is applied outside the race (searchShard).
-		policy:   RacePolicy{Targets: 2, Hedge: opts.Hedge, HedgeFloor: time.Millisecond, HedgeWarmup: 16},
+		shards:   shards,
+		opts:     opts,
 		state:    make([]*shardState, len(shards)),
 		reg:      opts.Registry,
 		inflight: make(map[cacheKey]*inflightCall),
@@ -311,25 +243,6 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 		r.cache = cache.New[cacheKey, []core.Match](opts.CacheSize)
 	}
 	return r, nil
-}
-
-// NumShards reports the shard count.
-func (r *Router) NumShards() int { return len(r.shards) }
-
-// Route returns the shard index a new relation should be added to: the
-// hash bucket under PolicyHash, the currently smallest shard (ties to the
-// lowest index) under PolicyRoundRobin.
-func (r *Router) Route(relID string) int {
-	if r.opts.Policy == PolicyHash {
-		return HashShard(relID, len(r.shards))
-	}
-	best, bestN := 0, r.relCount[0].Load()
-	for i := 1; i < len(r.shards); i++ {
-		if n := r.relCount[i].Load(); n < bestN {
-			best, bestN = i, n
-		}
-	}
-	return best
 }
 
 // NoteAdd records that one relation landed on shard i and fences both
@@ -369,11 +282,11 @@ func (r *Router) Search(ctx context.Context, query string, k int) (*Result, erro
 
 // SearchTraced is Search with the span tree of the federated query
 // recorded on tr: encode → scatter → merge, with one child span under
-// scatter per shard attempt (hedge retries included), each annotated with
-// its shard index, attempt kind and failure detail. The scatter span
-// itself is annotated with shard count, failures and hedges. The error
-// return is reserved for total failure — the parent context expiring, or
-// every shard failing; partial failure returns a degraded Result instead.
+// scatter per shard, each annotated with its shard index, the hedges
+// raced beneath it and failure detail. The scatter span itself is
+// annotated with shard count, failures and hedges. The error return is
+// reserved for total failure — the parent context expiring, or every
+// shard failing; partial failure returns a degraded Result instead.
 func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.Trace) (*Result, error) {
 	if k <= 0 {
 		return &Result{}, nil
@@ -563,63 +476,29 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, ke
 	return results, nil
 }
 
-// shardAnswer is what one shard attempt yields for a block of queries.
+// shardAnswer is what one shard yields for a block of queries.
 type shardAnswer struct {
-	// matches holds one ranking per query; nil when the attempt failed.
+	// matches holds one ranking per query; nil when the shard failed.
 	matches [][]core.Match
-	// costs holds the work done per query, reported by failed attempts too.
+	// costs holds the work done per query, reported by failed shards too.
 	costs []obs.CostReport
-	// hedges counts the hedges launched for the shard: the Router's own and
-	// those a Shard raced beneath the attempt (NoteHedge).
+	// hedges counts the hedges a Shard raced beneath the call (NoteHedge).
 	hedges int
 }
 
-// searchShard runs one shard's block under the per-shard deadline, which
-// spans the primary and its hedge: the Router's configuration of Race is
-// two attempts on the same shard and no sequential failover, so a failed
-// un-hedged shard is not retried and a failed first finisher waits for its
-// twin.
+// searchShard runs one shard's block — a block of one through
+// SearchEncoded, a larger one through the BatchShard fast path when the
+// shard has it and query by query otherwise — recording latency,
+// per-query cost, its span (a child of the scatter span, annotated with
+// shard index and failure detail) and classifying failures. A failed shard
+// is not retried here: failover and hedging across a set's replicas are
+// the Shard's own (netcluster.Group).
 func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [][]float32, ks []int) (shardAnswer, error) {
-	sctx := ctx
-	if r.opts.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, r.opts.ShardTimeout)
-		defer cancel()
-	}
-	st := r.state[i]
-	ans, out, err := Race(sctx, r.policy, &st.lat, func(actx context.Context, _ int, hedge bool) (shardAnswer, error) {
-		return r.attemptShard(actx, ctx, scatter, i, qs, ks, hedge)
-	})
-	if out.Hedged {
-		ans.hedges++
-		st.hedges.Add(1)
-		r.reg.Counter(MetricHedges).Inc()
-	}
-	if out.HedgeWon {
-		r.reg.Counter(MetricHedgeWins).Inc()
-	}
-	return ans, err
-}
-
-// attemptShard executes one shard attempt for a block of queries — a block
-// of one through SearchEncoded, a larger one through the BatchShard fast
-// path when the shard has it and query by query otherwise — recording
-// latency, per-query cost, its span (a child of the scatter span,
-// annotated with shard index, attempt kind and failure detail) and
-// classifying failures. parent distinguishes a shard-deadline timeout from
-// the whole query's context dying.
-func (r *Router) attemptShard(sctx, parent context.Context, scatter *obs.Span, i int, qs [][]float32, ks []int, hedge bool) (shardAnswer, error) {
 	st := r.state[i]
 	st.searches.Add(1)
-	attempt := "primary"
-	if hedge {
-		attempt = "hedge"
-	}
-	sp := scatter.StartChild("shard").
-		AnnotateInt("shard", i).
-		Annotate("attempt", attempt)
+	sp := scatter.StartChild("shard").AnnotateInt("shard", i)
 	var hedges atomic.Int64 // NoteHedge's tally
-	sctx = context.WithValue(sctx, hedgeKey{}, &hedges)
+	sctx := context.WithValue(ctx, hedgeKey{}, &hedges)
 	costs := make([]*obs.Cost, len(qs))
 	for j := range costs {
 		costs[j] = &obs.Cost{}
@@ -654,6 +533,7 @@ func (r *Router) attemptShard(sctx, parent context.Context, scatter *obs.Span, i
 		sp.AnnotateInt("hedges", ans.hedges)
 	}
 	if err == nil {
+		st.lat.record(d)
 		ans.matches = ms
 		found := 0
 		for _, m := range ms {
@@ -668,13 +548,26 @@ func (r *Router) attemptShard(sctx, parent context.Context, scatter *obs.Span, i
 	st.errors.Add(1)
 	r.reg.Counter(obs.L(MetricShardErrors, "shard", shard)).Inc()
 	sp.Annotate("error", err.Error())
-	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
+	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		st.timeouts.Add(1)
 		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", shard)).Inc()
 		sp.Annotate("timeout", "true")
 	}
 	sp.End()
 	return ans, err
+}
+
+// hedgeKey carries a Router shard call's *atomic.Int64 hedge tally in its
+// context, the way obs.Cost carries work upward.
+type hedgeKey struct{}
+
+// NoteHedge tells the Router whose shard call ctx belongs to that the
+// Shard raced a hedge beneath it, so the query's Result.Hedged and its
+// shard span count it. A no-op when ctx is not a Router shard call's.
+func NoteHedge(ctx context.Context) {
+	if n, _ := ctx.Value(hedgeKey{}).(*atomic.Int64); n != nil {
+		n.Add(1)
+	}
 }
 
 // merge folds per-shard top-k′ lists into the global top-k. Ordering is
@@ -696,26 +589,21 @@ func (r *Router) merge(perShard [][]core.Match, k int) []core.Match {
 	return core.MergeRanked(all, k)
 }
 
-// ShardStats is one shard's health snapshot.
+// ShardStats is one shard's health snapshot; the latency quantiles are
+// over its recent successful searches.
 type ShardStats struct {
 	Shard     int     `json:"shard"`
 	Relations int     `json:"relations"`
 	Searches  int64   `json:"searches"`
 	Errors    int64   `json:"errors"`
 	Timeouts  int64   `json:"timeouts"`
-	Hedges    int64   `json:"hedges"`
 	P50MS     float64 `json:"p50_ms"`
 	P95MS     float64 `json:"p95_ms"`
-	// Segments and TombstonedRelations describe the shard's segment store
-	// (populated when Options.SegmentInfo is set).
-	Segments            int `json:"segments,omitempty"`
-	TombstonedRelations int `json:"tombstoned_relations,omitempty"`
 }
 
 // Stats is the router's point-in-time health snapshot.
 type Stats struct {
 	Shards      []ShardStats `json:"shards"`
-	Policy      string       `json:"policy"`
 	Searches    int64        `json:"searches"`
 	Degraded    int64        `json:"degraded"`
 	CacheHits   int64        `json:"cache_hits"`
@@ -726,7 +614,6 @@ type Stats struct {
 // Stats snapshots per-shard counters and latency quantiles.
 func (r *Router) Stats() Stats {
 	s := Stats{
-		Policy:   r.opts.Policy.String(),
 		Searches: r.searches.Load(),
 		Degraded: r.degraded.Load(),
 	}
@@ -737,20 +624,15 @@ func (r *Router) Stats() Stats {
 	for i, st := range r.state {
 		p50 := st.lat.Quantile(0.50)
 		p95 := st.lat.Quantile(0.95)
-		ss := ShardStats{
+		s.Shards = append(s.Shards, ShardStats{
 			Shard:     i,
 			Relations: int(r.relCount[i].Load()),
 			Searches:  st.searches.Load(),
 			Errors:    st.errors.Load(),
 			Timeouts:  st.timeouts.Load(),
-			Hedges:    st.hedges.Load(),
 			P50MS:     float64(p50) / float64(time.Millisecond),
 			P95MS:     float64(p95) / float64(time.Millisecond),
-		}
-		if r.opts.SegmentInfo != nil {
-			ss.Segments, ss.TombstonedRelations = r.opts.SegmentInfo(i)
-		}
-		s.Shards = append(s.Shards, ss)
+		})
 	}
 	return s
 }

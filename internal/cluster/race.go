@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"semdisco/internal/obs"
@@ -56,8 +55,8 @@ func (w *Window) Quantile(q float64) time.Duration { return obs.SampleQuantile(w
 
 // RacePolicy is the attempt policy of one Race: how many targets it may
 // try, what bounds an attempt, when a straggler is hedged and whether a
-// failure moves on to the next target. The Router and netcluster.Group are
-// its two configurations (DESIGN.md §9).
+// failure moves on to the next target. netcluster.Group configures it for
+// the replicas of a set (DESIGN.md §9).
 type RacePolicy struct {
 	// Targets is how many attempts the race may launch, numbered from 0;
 	// do maps the number to a target.
@@ -203,19 +202,5 @@ func Race[T any](ctx context.Context, p RacePolicy, w *Window, do func(ctx conte
 			var zero T
 			return zero, out, ctx.Err()
 		}
-	}
-}
-
-// hedgeKey carries a Router shard attempt's *atomic.Int64 hedge tally in
-// its context, the way obs.Cost carries work upward.
-type hedgeKey struct{}
-
-// NoteHedge tells the Router whose shard attempt ctx belongs to that a
-// Shard implementation raced a hedge of its own beneath it, so the query's
-// Result.Hedged and its shard span see hedges the Router did not launch.
-// A no-op when ctx is not a Router attempt's.
-func NoteHedge(ctx context.Context) {
-	if n, _ := ctx.Value(hedgeKey{}).(*atomic.Int64); n != nil {
-		n.Add(1)
 	}
 }

@@ -114,25 +114,17 @@ func TestMergeOrderAndTieBreak(t *testing.T) {
 }
 
 func TestDegradationWithinDeadline(t *testing.T) {
-	// One shard never answers; the per-shard deadline must cut it off and
-	// the query must come back degraded with the healthy shard's results,
-	// well before the parent context's much larger deadline.
+	// One shard fails on a deadline of its own — a replica set whose every
+	// attempt timed out — while the query's context is live: the query
+	// must come back degraded with the healthy shard's results, and the
+	// failure must count as that shard's timeout.
 	healthy := &stubShard{matches: []core.Match{m(0, 0.9), m(1, 0.8)}}
-	stuck := &stubShard{block: true}
-	opts := testOpts()
-	opts.ShardTimeout = 50 * time.Millisecond
-	r := mustRouter(t, []Shard{healthy, stuck}, opts)
+	timedOut := &stubShard{err: fmt.Errorf("set down: %w", context.DeadlineExceeded)}
+	r := mustRouter(t, []Shard{healthy, timedOut}, testOpts())
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	res, err := r.Search(ctx, "q", 2)
-	elapsed := time.Since(start)
+	res, err := r.Search(context.Background(), "q", 2)
 	if err != nil {
 		t.Fatalf("search: %v", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("degraded search took %v; the shard deadline did not fire", elapsed)
 	}
 	if !res.Degraded {
 		t.Fatal("want Degraded=true")
@@ -147,8 +139,8 @@ func TestDegradationWithinDeadline(t *testing.T) {
 		t.Fatalf("matches = %+v, want healthy shard's results", res.Matches)
 	}
 	st := r.Stats()
-	if st.Shards[1].Timeouts != 1 {
-		t.Errorf("shard 1 timeouts = %d, want 1", st.Shards[1].Timeouts)
+	if st.Shards[1].Timeouts != 1 || st.Shards[1].Errors != 1 {
+		t.Errorf("shard 1 timeouts = %d errors = %d, want 1 each", st.Shards[1].Timeouts, st.Shards[1].Errors)
 	}
 	if st.Degraded != 1 {
 		t.Errorf("degraded counter = %d, want 1", st.Degraded)
@@ -171,44 +163,6 @@ func TestParentContextCancelled(t *testing.T) {
 	_, err := r.Search(ctx, "q", 3)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-func TestHedging(t *testing.T) {
-	// Warm the latency window with fast queries, then make the shard slow:
-	// a hedge must launch after the (floored) p95 and its result must win.
-	slow := &stubShard{matches: []core.Match{m(0, 1)}}
-	opts := testOpts()
-	opts.Hedge = true
-	opts.CacheSize = 0
-	reg := obs.NewRegistry()
-	opts.Registry = reg
-	r := mustRouter(t, []Shard{slow}, opts)
-
-	const warm = 16
-	for i := 0; i < warm; i++ {
-		if _, err := r.Search(context.Background(), fmt.Sprintf("warm-%d", i), 1); err != nil {
-			t.Fatalf("warm search: %v", err)
-		}
-	}
-	slow.delay = 200 * time.Millisecond
-	// The hedge is equally slow, but it must at least fire.
-	res, err := r.Search(context.Background(), "slow", 1)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if res.Hedged != 1 {
-		t.Fatalf("hedged = %d, want 1", res.Hedged)
-	}
-	if slow.callCount() != warm+2 {
-		t.Fatalf("shard saw %d calls, want %d (warm-up + primary + hedge)", slow.callCount(), warm+2)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters[MetricHedges] != 1 {
-		t.Errorf("hedge counter = %d, want 1", snap.Counters[MetricHedges])
-	}
-	if r.Stats().Shards[0].Hedges != 1 {
-		t.Errorf("shard hedge stat = %d, want 1", r.Stats().Shards[0].Hedges)
 	}
 }
 
@@ -387,39 +341,6 @@ func TestDegradedResultNotCached(t *testing.T) {
 	}
 }
 
-func TestRoutePolicies(t *testing.T) {
-	shards := []Shard{&stubShard{}, &stubShard{}, &stubShard{}}
-	hash := mustRouter(t, shards, testOpts())
-	for _, id := range []string{"a", "b", "rel-42", "customers"} {
-		want := HashShard(id, 3)
-		if got := hash.Route(id); got != want {
-			t.Errorf("hash route(%q) = %d, want %d", id, got, want)
-		}
-		if got := hash.Route(id); got != want {
-			t.Errorf("hash route(%q) unstable", id)
-		}
-	}
-
-	opts := testOpts()
-	opts.Policy = PolicyRoundRobin
-	rr, err := NewRouter(shards, []int{2, 0, 1}, opts)
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	// Smallest shard first, ties to the lowest index.
-	if got := rr.Route("x"); got != 1 {
-		t.Fatalf("rr route = %d, want 1 (smallest shard)", got)
-	}
-	rr.NoteAdd(1)
-	if got := rr.Route("y"); got != 1 {
-		t.Fatalf("rr route = %d, want 1 (tied smallest, lowest index)", got)
-	}
-	rr.NoteAdd(1)
-	if got := rr.Route("z"); got != 2 {
-		t.Fatalf("rr route = %d, want 2", got)
-	}
-}
-
 func TestConcurrentSearch(t *testing.T) {
 	shards := []Shard{
 		&stubShard{matches: []core.Match{m(0, 0.9), m(2, 0.7)}},
@@ -427,8 +348,6 @@ func TestConcurrentSearch(t *testing.T) {
 	}
 	opts := testOpts()
 	opts.CacheSize = 16
-	opts.Hedge = true
-	opts.ShardTimeout = time.Second
 	r := mustRouter(t, shards, opts)
 
 	var wg sync.WaitGroup
@@ -448,7 +367,7 @@ func TestConcurrentSearch(t *testing.T) {
 					return
 				}
 				if i%17 == 0 {
-					r.NoteAdd(r.Route(fmt.Sprintf("rel-new-%d-%d", w, i)))
+					r.NoteAdd(w % len(shards))
 				}
 			}
 		}(w)
@@ -479,35 +398,30 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 }
 
+// hedgingShard answers like its stubShard after reporting one hedge
+// through NoteHedge, as a netcluster.Group does when it races a second
+// replica.
+type hedgingShard struct{ stubShard }
+
+func (s *hedgingShard) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
+	NoteHedge(ctx)
+	return s.stubShard.SearchEncoded(ctx, q, k)
+}
+
 func TestSearchTracedSpanTree(t *testing.T) {
-	// The acceptance scenario for the tracing subsystem: a 4-shard query
-	// where two shards answer promptly, one is slow enough that its hedge
-	// launches, and one rides into its per-shard deadline. The recorded
-	// span tree must tell the whole story — root → encode/scatter/merge,
-	// one shard child per attempt under scatter with the hedge and the
-	// timeout annotated, and every parent link correct.
+	// A 4-shard query where two shards answer promptly, one hedges beneath
+	// the Router (a replica race) and one fails on its own deadline. The
+	// recorded span tree must tell the whole story — root →
+	// encode/scatter/merge, one shard child per shard under scatter with
+	// the hedge and the timeout annotated, and every parent link correct.
 	fast0 := &stubShard{matches: []core.Match{m(0, 0.9)}}
 	fast1 := &stubShard{matches: []core.Match{m(1, 0.8)}}
-	slow := &stubShard{matches: []core.Match{m(2, 0.7)}}
-	stuck := &stubShard{matches: []core.Match{m(3, 0.6)}}
-	opts := testOpts()
-	opts.Hedge = true
-	opts.ShardTimeout = 250 * time.Millisecond
-	opts.CacheSize = 0
-	r := mustRouter(t, []Shard{fast0, fast1, slow, stuck}, opts)
-
-	// Warm every shard's latency window so the hedge arms at the 1ms floor,
-	// then degrade shards 2 and 3.
-	for i := 0; i < 16; i++ {
-		if _, err := r.Search(context.Background(), fmt.Sprintf("warm-%d", i), 1); err != nil {
-			t.Fatalf("warm search: %v", err)
-		}
-	}
-	slow.delay = 100 * time.Millisecond
-	stuck.block = true
+	hedged := &hedgingShard{stubShard{matches: []core.Match{m(2, 0.7)}}}
+	timedOut := &stubShard{err: fmt.Errorf("set down: %w", context.DeadlineExceeded)}
+	r := mustRouter(t, []Shard{fast0, fast1, hedged, timedOut}, testOpts())
 
 	tr := obs.NewTrace()
-	root := tr.StartRoot("cluster_search")
+	root := tr.StartRoot("coordinator_search")
 	res, err := r.SearchTraced(context.Background(), "q", 4, tr)
 	root.End()
 	if err != nil {
@@ -516,30 +430,26 @@ func TestSearchTracedSpanTree(t *testing.T) {
 	if !res.Degraded {
 		t.Error("want Degraded=true with a timed-out shard")
 	}
-	if res.Hedged < 1 {
-		t.Errorf("hedged = %d, want at least 1", res.Hedged)
+	if res.Hedged != 1 {
+		t.Errorf("hedged = %d, want 1", res.Hedged)
 	}
 	if len(res.ShardErrors) != 1 || res.ShardErrors[0].Shard != 3 {
 		t.Fatalf("shard errors = %+v, want shard 3 only", res.ShardErrors)
-	}
-	if !errors.Is(res.ShardErrors[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("shard 3 error = %v, want deadline exceeded", res.ShardErrors[0].Err)
 	}
 	if len(res.Matches) != 3 {
 		t.Fatalf("matches = %+v, want the 3 healthy shards' results", res.Matches)
 	}
 
-	spans := tr.Spans()
 	byName := make(map[string]obs.SpanRecord)
-	var shardSpans []obs.SpanRecord
-	for _, sp := range spans {
+	byShard := make(map[string][]obs.SpanRecord)
+	for _, sp := range tr.Spans() {
 		if sp.Name == "shard" {
-			shardSpans = append(shardSpans, sp)
+			byShard[sp.Annotations["shard"]] = append(byShard[sp.Annotations["shard"]], sp)
 		} else {
 			byName[sp.Name] = sp
 		}
 	}
-	rootRec, ok := byName["cluster_search"]
+	rootRec, ok := byName["coordinator_search"]
 	if !ok {
 		t.Fatal("root span not recorded")
 	}
@@ -556,41 +466,26 @@ func TestSearchTracedSpanTree(t *testing.T) {
 		}
 	}
 	scatter := byName["scatter"]
-	if scatter.Annotations["shards"] != "4" {
-		t.Errorf("scatter shards annotation = %q, want 4", scatter.Annotations["shards"])
+	if scatter.Annotations["shards"] != "4" || scatter.Annotations["hedges"] != "1" || scatter.Annotations["failed_shards"] != "1" {
+		t.Errorf("scatter annotations = %v, want shards 4, hedges 1, failed_shards 1", scatter.Annotations)
 	}
 	if byName["merge"].Annotations["matches"] != "3" {
 		t.Errorf("merge matches annotation = %q, want 3", byName["merge"].Annotations["matches"])
 	}
 
-	// Per-shard attempts: shards 0 and 1 one primary each; shard 3 a
-	// primary and a hedge, both timed out. (Shard 2's winning attempt is
-	// always recorded; its losing twin may land late, so it is not
-	// counted on.)
-	attempts := make(map[string][]obs.SpanRecord) // "shard/attempt" -> spans
-	for _, sp := range shardSpans {
-		if sp.Parent != scatter.SpanID {
-			t.Errorf("shard span parent = %s, want scatter %s", sp.Parent, scatter.SpanID)
+	for _, shard := range []string{"0", "1", "2", "3"} {
+		spans := byShard[shard]
+		if len(spans) != 1 {
+			t.Fatalf("shard %s recorded %d spans, want 1", shard, len(spans))
 		}
-		key := sp.Annotations["shard"] + "/" + sp.Annotations["attempt"]
-		attempts[key] = append(attempts[key], sp)
-	}
-	for _, key := range []string{"0/primary", "1/primary", "3/primary", "3/hedge"} {
-		if len(attempts[key]) != 1 {
-			t.Errorf("attempt %s recorded %d spans, want 1", key, len(attempts[key]))
+		if spans[0].Parent != scatter.SpanID {
+			t.Errorf("shard %s span parent = %s, want scatter %s", shard, spans[0].Parent, scatter.SpanID)
 		}
 	}
-	for _, key := range []string{"3/primary", "3/hedge"} {
-		for _, sp := range attempts[key] {
-			if sp.Annotations["timeout"] != "true" {
-				t.Errorf("%s span missing timeout annotation: %v", key, sp.Annotations)
-			}
-			if sp.Annotations["error"] == "" {
-				t.Errorf("%s span missing error annotation", key)
-			}
-		}
+	if got := byShard["2"][0].Annotations["hedges"]; got != "1" {
+		t.Errorf("hedged shard's span hedges annotation = %q, want 1", got)
 	}
-	if len(attempts["2/primary"])+len(attempts["2/hedge"]) < 1 {
-		t.Error("slow shard recorded no attempt spans")
+	if a := byShard["3"][0].Annotations; a["timeout"] != "true" || a["error"] == "" {
+		t.Errorf("timed-out shard's span annotations = %v, want timeout and error", a)
 	}
 }

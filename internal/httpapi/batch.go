@@ -25,8 +25,8 @@ type BatchSearchRequest struct {
 }
 
 // BatchItemJSON is one query's slice of a /v1/search/batch response,
-// positionally aligned with the request's queries. The cluster-mode fields
-// (degraded, shard_errors, cache_hit, coalesced) mirror /v1/search.
+// positionally aligned with the request's queries. The coordinator-mode
+// fields (degraded, shard_errors, cache_hit, coalesced) mirror /v1/search.
 type BatchItemJSON struct {
 	Matches []MatchJSON `json:"matches"`
 	// Cost is this item's work accounting. A coalesced or cached item
@@ -47,8 +47,9 @@ type BatchSearchResponse struct {
 
 // handleSearchBatch answers POST /v1/search/batch: a block of queries
 // executed in one fused pass — one blocked scan scoring every query per
-// corpus chunk in engine mode, one scatter-gather per shard for the whole
-// block in cluster mode. Results are positionally aligned with the request.
+// corpus chunk in engine mode, one scatter-gather per replica set for the
+// whole block in coordinator mode. Results are positionally aligned with
+// the request.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSearchRequest
 	if !decodeJSON(w, r, &req) {

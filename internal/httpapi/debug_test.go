@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -260,54 +259,6 @@ func TestDebugSLOEngine(t *testing.T) {
 	rec, _ = do(t, srv, "GET", "/v1/debug/slo", "")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("disabled slo: code=%d", rec.Code)
-	}
-}
-
-// TestDebugSLOCluster checks /v1/debug/slo covers the 4-shard cluster
-// search path and the burn-rate gauges reach /metrics.
-func TestDebugSLOCluster(t *testing.T) {
-	fed := semdisco.NewFederation()
-	for i := 0; i < 12; i++ {
-		r := &semdisco.Relation{
-			ID:      fmt.Sprintf("rel-%d", i),
-			Source:  "src",
-			Columns: []string{"a", "b"},
-			Rows:    [][]string{{fmt.Sprintf("val%d", i), "common"}},
-		}
-		if err := fed.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := semdisco.NewCluster(fed, semdisco.ClusterConfig{
-		Config:    semdisco.Config{Method: semdisco.ExS, Dim: 64, Seed: 1},
-		Shards:    4,
-		Policy:    semdisco.ShardRoundRobin,
-		CacheSize: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewCluster(cl)
-	burst(t, srv, "common", "common", "common", "val1", "val7")
-
-	rec, body := do(t, srv, "GET", "/v1/debug/slo", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("debug/slo=%d %s", rec.Code, body)
-	}
-	var ss semdisco.SLOSnapshot
-	if err := json.Unmarshal(body, &ss); err != nil {
-		t.Fatal(err)
-	}
-	if len(ss.Objectives) != 2 || ss.Objectives[0].State != "ok" || ss.Objectives[0].Windows[0].Total != 5 {
-		t.Fatalf("cluster slo=%+v", ss)
-	}
-
-	rec, body = do(t, srv, "GET", "/metrics", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("metrics=%d", rec.Code)
-	}
-	if !strings.Contains(string(body), "semdisco_slo_burn_rate") {
-		t.Fatal("metrics output missing semdisco_slo_burn_rate")
 	}
 }
 

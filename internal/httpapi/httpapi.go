@@ -1,12 +1,12 @@
-// Package httpapi exposes a semdisco.Backend — an Engine, a sharded
-// Cluster or a networked-cluster NetCoordinator — over HTTP with a small
-// JSON API, so a federation member can host its (embedding-only,
-// non-reversible) index as a service — the deployment shape the paper's
-// federation setting implies. Every route has one handler over the Backend;
-// the routes only a single engine can serve (/v1/datasets, "sources" on
-// /v1/search, /v1/debug/{index,recall}) answer 501 in the other two modes.
-// The retained-query views — /v1/debug/{traces,slow,costly,journal} — all read
-// the backend's one trace store, so they answer in every mode.
+// Package httpapi exposes a semdisco.Backend — an Engine or a
+// networked-cluster NetCoordinator — over HTTP with a small JSON API, so a
+// federation member can host its (embedding-only, non-reversible) index as
+// a service — the deployment shape the paper's federation setting implies.
+// Every route has one handler over the Backend; the routes only a single
+// engine can serve (/v1/datasets, "sources" on /v1/search,
+// /v1/debug/{index,recall}) answer 501 in coordinator mode. The
+// retained-query views — /v1/debug/{traces,slow,costly,journal} — all read
+// the backend's one trace store, so they answer in both modes.
 //
 // Endpoints:
 //
@@ -69,13 +69,13 @@ import (
 )
 
 // Server serves one semdisco.Backend over HTTP. It holds no lock of its
-// own around the backend: Engine, Cluster and NetCoordinator are all safe
-// for concurrent searches and writes, so a slow write (a compaction-heavy
+// own around the backend: Engine and NetCoordinator are both safe for
+// concurrent searches and writes, so a slow write (a compaction-heavy
 // add, a replica fan-out) never stalls a read.
 type Server struct {
 	probeMu sync.Mutex // at most one recall probe at a time
 	backend semdisco.Backend
-	// mode names the backend's deployment shape ("engine", "cluster",
+	// mode names the backend's deployment shape ("engine" or
 	// "coordinator") in the 501 bodies of the surfaces it cannot serve.
 	mode  string
 	mux   *http.ServeMux
@@ -110,7 +110,7 @@ func WithPprof() Option {
 // query POSTs the raw vector here, so the shard never re-encodes. They are
 // what make an ordinary engine server usable as one shard of a networked
 // cluster. Only an engine serves /v1/datasets, source filters and the
-// index/recall debug endpoints; the other modes answer 501.
+// index/recall debug endpoints; coordinator mode answers 501.
 func New(eng *semdisco.Engine, opts ...Option) *Server {
 	s := newServer(eng, "engine", opts)
 	sh := netcluster.NewShardHandler(eng.EncodedBackend(), eng.Traces(), eng.Dim())
@@ -119,17 +119,9 @@ func New(eng *semdisco.Engine, opts ...Option) *Server {
 	return s
 }
 
-// NewCluster builds a Server around a sharded cluster: /v1/search answers
-// by scatter-gather (with degradation metadata in the response), /v1/stats
-// reports per-shard health, /v1/relations routes writes to shards.
-func NewCluster(cl *semdisco.Cluster, opts ...Option) *Server {
-	return newServer(cl, "cluster", opts)
-}
-
 // NewCoordinator builds a Server fronting a networked-cluster coordinator:
 // /v1/search and /v1/search/batch answer by wire-level scatter-gather over
-// the replica sets (with the same degradation metadata cluster mode
-// reports), /v1/relations writes route to the ring-owning set's replicas,
+// the replica sets (with degradation metadata in the response), /v1/relations writes route to the ring-owning set's replicas,
 // /v1/stats reports router plus per-replica-set failover health, and the
 // trace endpoints serve the coordinator's store — federated span trees with
 // every winning replica's remote spans grafted in.
@@ -145,8 +137,8 @@ func newServer(b semdisco.Backend, mode string, opts []Option) *Server {
 
 // requireEngine returns the backend as an Engine for the surfaces only a
 // single index has (datasets, sources, index health, recall probes). In
-// cluster and coordinator modes it answers 501 rather than pretending a
-// monolithic engine exists behind the router.
+// coordinator mode it answers 501 rather than pretending a monolithic
+// engine exists behind the router.
 func (s *Server) requireEngine(w http.ResponseWriter) (*semdisco.Engine, bool) {
 	eng, ok := s.backend.(*semdisco.Engine)
 	if !ok {
@@ -293,9 +285,9 @@ type SearchRequest struct {
 	Sources []string `json:"sources,omitempty"`
 }
 
-// SearchResponse is the body returned by /v1/search. The cluster-mode
+// SearchResponse is the body returned by /v1/search. The coordinator-mode
 // fields report federated-query health: a degraded answer covers only the
-// healthy shards' partitions.
+// healthy replica sets' partitions.
 type SearchResponse struct {
 	Matches []MatchJSON `json:"matches"`
 	// TraceID is the hex trace ID the query ran under (also on the
@@ -303,15 +295,15 @@ type SearchResponse struct {
 	// degraded, hedged, errored, or head-sampled — the full span tree is
 	// retrievable at /v1/debug/traces/{trace_id}.
 	TraceID string `json:"trace_id,omitempty"`
-	// Degraded is set in cluster mode when one or more shards failed or
-	// timed out; ShardErrors names them.
+	// Degraded is set in coordinator mode when one or more replica sets
+	// failed or timed out; ShardErrors names them.
 	Degraded    bool     `json:"degraded,omitempty"`
 	ShardErrors []string `json:"shard_errors,omitempty"`
-	// CacheHit reports the answer came from the cluster's query cache.
+	// CacheHit reports the answer came from the coordinator's query cache.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Cost is the query's work accounting: distance computations, graph
 	// hops, PQ table lookups, values/bytes scanned, candidate counts. In
-	// cluster mode it is the sum across every shard attempt.
+	// coordinator mode it is the sum across every replica set.
 	Cost *semdisco.CostReport `json:"cost,omitempty"`
 }
 
@@ -334,12 +326,9 @@ type DatasetsResponse struct {
 }
 
 // StatsResponse is the body returned by /v1/stats: the engine's full
-// observability snapshot plus server uptime. In cluster mode Cluster
-// carries per-shard health (relation counts, searches, errors, timeouts,
-// hedges, latency quantiles) and the query-cache counters.
+// observability snapshot plus server uptime.
 type StatsResponse struct {
 	semdisco.EngineStats
-	Cluster *semdisco.ClusterStats `json:"cluster,omitempty"`
 	// Netcluster carries coordinator-mode health: the federated router view
 	// plus each replica set's failover counters and ring share.
 	Netcluster    *netcluster.CoordinatorStats `json:"netcluster,omitempty"`
@@ -410,14 +399,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := StatsResponse{UptimeSeconds: time.Since(s.start).Seconds()}
 	resp.Method = s.backend.Method().String()
 	resp.NumRelations = s.backend.NumRelations()
-	// The one place the three deployment shapes differ by design: each
+	// The one place the two deployment shapes differ by design: each
 	// reports the health of what it is made of.
 	switch b := s.backend.(type) {
 	case *semdisco.Engine:
 		resp.EngineStats = b.Stats()
-	case *semdisco.Cluster:
-		cs := b.Stats()
-		resp.Cluster = &cs
 	case *semdisco.NetCoordinator:
 		ns := b.Stats()
 		resp.Netcluster = &ns
@@ -427,10 +413,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // handleSearch answers /v1/search through the backend's one query entry
 // point. The request context is threaded into the index walk (and, behind
-// a router, into every shard's scan loops or replica attempts), so a
-// client hanging up stops the work; in cluster and coordinator modes
-// degradation metadata rides along in the response instead of failing the
-// query.
+// a router, into every replica attempt), so a client hanging up stops the
+// work; in coordinator mode degradation metadata rides along in the
+// response instead of failing the query.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeSearch(w, r)
 	if !ok {

@@ -17,7 +17,7 @@ import (
 )
 
 // netFed builds n deterministic relations with overlapping vocabulary, the
-// same shape the root cluster tests use.
+// same shape the root package's networked-cluster tests use.
 func netFed(t *testing.T, n int) *semdisco.Federation {
 	t.Helper()
 	fed := semdisco.NewFederation()
@@ -42,7 +42,7 @@ func netFed(t *testing.T, n int) *semdisco.Federation {
 	return fed
 }
 
-// modeConfig is the engine configuration the three-mode suites share:
+// modeConfig is the engine configuration the two-mode suites share:
 // exhaustive search (so every mode must rank bit-identically to a single
 // engine) over hand-driven segments (no background compaction inside an
 // assertion).
@@ -90,20 +90,14 @@ type modeServer struct {
 	srv  *Server
 }
 
-// forEachMode serves one 24-relation federation three ways — a single
-// engine, a 2-shard cluster and a coordinator over 2 sets × 2 replicas —
-// and runs fn as one subtest per deployment shape, each with an
+// forEachMode serves one 24-relation federation two ways — a single
+// engine and a coordinator over 2 sets × 2 replicas — and runs fn as one subtest per deployment shape, each with an
 // independent single engine over the same federation: the oracle the
 // mode's answers are compared against.
 func forEachMode(t *testing.T, cfg semdisco.Config, fn func(t *testing.T, m modeServer, oracle *semdisco.Engine)) {
 	fed := netFed(t, 24)
-	cl, err := semdisco.NewCluster(fed, semdisco.ClusterConfig{Config: cfg, Shards: 2, Policy: semdisco.ShardRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, m := range []modeServer{
 		{"engine", New(mustOpen(t, fed, cfg))},
-		{"cluster", NewCluster(cl)},
 		{"coordinator", coordServer(t, fed, cfg, nil)},
 	} {
 		t.Run(m.mode, func(t *testing.T) { fn(t, m, mustOpen(t, fed, cfg)) })
@@ -373,17 +367,12 @@ func TestServerRoutes(t *testing.T) {
 		}
 		switch m.mode {
 		case "engine":
-			if stats.NumValues == 0 || stats.Cluster != nil || stats.Netcluster != nil {
+			if stats.NumValues == 0 || stats.Netcluster != nil {
 				t.Errorf("engine stats: %+v", stats)
 			}
 			// The vocabulary holds each distinct text once.
 			if seg := stats.Segments; seg.Texts <= 0 || seg.Texts > seg.LiveValues {
 				t.Errorf("engine stats: %d texts for %d live values", seg.Texts, seg.LiveValues)
-			}
-		case "cluster":
-			if stats.Cluster == nil || len(stats.Cluster.Shards) != 2 ||
-				stats.Cluster.Shards[0].Relations != 12 || stats.Cluster.Shards[1].Relations != 12 {
-				t.Errorf("cluster stats: %+v", stats.Cluster)
 			}
 		case "coordinator":
 			if stats.Netcluster == nil || stats.Netcluster.Sets != 2 {

@@ -22,13 +22,6 @@ func testTracedServer(t *testing.T) *Server {
 	return srv
 }
 
-func testTracedClusterServer(t *testing.T) *Server {
-	t.Helper()
-	srv := testClusterServer(t)
-	srv.backend.(*semdisco.Cluster).ConfigureTracing(keepAll)
-	return srv
-}
-
 // doHdr is do with request headers.
 func doHdr(t *testing.T, srv *Server, method, path, body string, hdr map[string]string) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
@@ -171,54 +164,6 @@ func TestDebugTraceErrors(t *testing.T) {
 	for _, path := range []string{"/v1/debug/traces", "/v1/debug/traces/deadbeef"} {
 		if rec, _ := do(t, srv, "GET", path, ""); rec.Code != http.StatusNotFound {
 			t.Errorf("%s with tracing disabled: %d, want 404", path, rec.Code)
-		}
-	}
-}
-
-func TestClusterTraceSpanTree(t *testing.T) {
-	srv := testTracedClusterServer(t)
-	rec, body := do(t, srv, "POST", "/v1/search", `{"query":"common","k":5}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("search=%d %s", rec.Code, body)
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID == "" {
-		t.Fatal("cluster response carries no trace_id")
-	}
-	if hdr := rec.Header().Get("X-Trace-Id"); hdr != resp.TraceID {
-		t.Errorf("X-Trace-Id = %s, body trace_id = %s; must match", hdr, resp.TraceID)
-	}
-
-	rec, body = do(t, srv, "GET", "/v1/debug/traces/"+resp.TraceID, "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("trace fetch=%d %s", rec.Code, body)
-	}
-	var tr TraceResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Tree) != 1 || tr.Tree[0].Name != "cluster_search" {
-		t.Fatalf("span forest = %+v, want one cluster_search root", tr.Tree)
-	}
-	stages := make(map[string]*SpanTreeJSON)
-	for _, c := range tr.Tree[0].Children {
-		stages[c.Name] = c
-	}
-	for _, want := range []string{"encode", "scatter", "merge"} {
-		if stages[want] == nil {
-			t.Fatalf("missing %q under the root; children = %v", want, tr.Tree[0].Children)
-		}
-	}
-	// One shard attempt span per shard, nested under scatter.
-	if got := len(stages["scatter"].Children); got != 2 {
-		t.Errorf("scatter has %d shard children, want 2", got)
-	}
-	for _, sh := range stages["scatter"].Children {
-		if sh.Name != "shard" || sh.Annotations["attempt"] != "primary" {
-			t.Errorf("shard span = %s %v, want a primary shard attempt", sh.Name, sh.Annotations)
 		}
 	}
 }

@@ -19,8 +19,7 @@ type CoordinatorOptions struct {
 	Encode func(query string) []float32
 	// Order maps a relation ID to its global insertion rank; the merge
 	// tie-breaks on it, keeping the networked ranking bit-identical to the
-	// in-process Router's and the single engine's for exact search.
-	// Required.
+	// single engine's for exact search. Required.
 	Order func(relID string) int
 	// Method labels the router's stats and metrics ("ExS", …).
 	Method string
@@ -46,12 +45,12 @@ type CoordinatorOptions struct {
 // Coordinator is the client-facing node of a networked cluster: it owns
 // the consistent-hash ring mapping relations to replica sets, encodes each
 // query once, fans raw vectors out to one replica per set (with failover
-// and hedging inside each set), and merges per-set answers with the same
-// deterministic comparator the in-process Router uses — so the networked
-// ranking is bit-identical to the monolith's for exact search. The Router
-// underneath also contributes its result cache, request coalescing, cost
-// aggregation and batch fan-out unchanged; netcluster adds the wire, not a
-// second query engine.
+// and hedging inside each set), and merges per-set answers through a
+// cluster.Router, whose comparator is the single engine's — so the
+// networked ranking is bit-identical to the monolith's for exact search.
+// The Router also contributes its result cache, request coalescing, cost
+// aggregation and batch fan-out; netcluster adds the wire, not a second
+// query engine.
 type Coordinator struct {
 	ring   *Ring
 	groups []*Group
@@ -95,11 +94,10 @@ func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinat
 		c.groups = append(c.groups, g)
 		routerShards[i] = g
 	}
-	// The Router sees one logical shard per replica set. Its own per-shard
-	// timeout and same-shard hedging stay off: the group already bounds
-	// each attempt and hedges across replicas, which a same-shard retry
-	// could never do for a wedged server. Both run the one cluster.Race, and
-	// a group's hedges reach the query's Result through cluster.NoteHedge.
+	// The Router sees one logical shard per replica set and never retries
+	// it: the group bounds each attempt and hedges across replicas through
+	// cluster.Race, and its hedges reach the query's Result through
+	// cluster.NoteHedge.
 	router, err := cluster.NewRouter(routerShards, relCounts, cluster.Options{
 		Slack:     opts.Slack,
 		Method:    opts.Method,

@@ -330,10 +330,10 @@ func TestCoordinatorHungReplicaTail(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReportsReplicaHedges: the Router's own hedger is off in a
-// coordinator, so the hedges a Group races across replicas must still reach
-// the query's Result and its shard span — TestGroupHedgesPastStraggler's
-// scenario, seen from above the Group.
+// TestCoordinatorReportsReplicaHedges: the Router never hedges, so the
+// hedges a Group races across replicas must reach the query's Result and
+// its shard span — TestGroupHedgesPastStraggler's scenario, seen from
+// above the Group.
 func TestCoordinatorReportsReplicaHedges(t *testing.T) {
 	fx := newCoordFixture(t, 1, 2, CoordinatorOptions{AttemptTimeout: 2 * time.Second, Hedge: true})
 	ctx := context.Background()

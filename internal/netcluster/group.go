@@ -141,7 +141,7 @@ type reply struct {
 // to the next untried one. It returns an error only when every replica
 // failed, the request itself was bad, or the query's own context died. The
 // winner's remote spans are grafted into the trace ctx carries, and a hedge
-// is reported to the Router whose shard attempt this is.
+// is reported to the Router whose shard call this is.
 func (g *Group) race(ctx context.Context, call func(context.Context, *Client) (reply, error)) (reply, error) {
 	n := len(g.clients)
 	first := int(g.rr.Add(1)-1) % n

@@ -25,7 +25,7 @@ const (
 // one block of queries per request, the single-query route sending a block
 // of one. *core.SegmentStore satisfies it (and so does every core method),
 // which is the point: the shard side of the wire protocol is the same
-// encoded search path the in-process Router calls directly.
+// encoded search path an engine's own queries run.
 type ShardBackend interface {
 	SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]core.Match, error)
 }

@@ -42,12 +42,11 @@ type Config struct {
 	// the exact scan, which scores each pair once, and the HNSW build + n
 	// searches cost the same at dim 256 (between 20,600 and 25,400 points).
 	ExactKNNThreshold int
-	// Workers bounds build parallelism. 0 or 1 runs the historical serial
-	// pipeline, bit-identical for a fixed seed. With 2+ workers the kNN
-	// graph construction shards across points and the SGD runs lock-free
-	// Hogwild-style over edge shards, so the embedding varies slightly
-	// between runs (as with every parallel UMAP); cluster structure is
-	// preserved and asserted by the package tests.
+	// Workers bounds the kNN graph's parallelism; 0 means 1. The SGD runs
+	// serially at every worker count. Up to ExactKNNThreshold points the
+	// layout is bit-identical at every Workers for a fixed seed; above it
+	// the HNSW the approximate kNN builds concurrently depends on insert
+	// order.
 	Workers int
 }
 
@@ -105,11 +104,7 @@ func Fit(points [][]float32, cfg Config) [][]float32 {
 	dim := cfg.NComponents
 	emb := randomProjectionInit(points, dim, cfg.Seed)
 	a, b := fitAB(1.0, float64(cfg.MinDist))
-	if workers > 1 {
-		optimizeParallel(emb, rows, cols, weights, cfg, float32(a), float32(b), workers)
-	} else {
-		optimize(emb, rows, cols, weights, cfg, float32(a), float32(b))
-	}
+	optimize(emb, rows, cols, weights, cfg, float32(a), float32(b))
 	out := make([][]float32, n)
 	for i := range out {
 		out[i] = emb[i*dim : (i+1)*dim : (i+1)*dim]

@@ -382,10 +382,8 @@ func TestTransformExactTrainingPoint(t *testing.T) {
 	}
 }
 
-// TestParallelFitPreservesClusterStructure exercises the Hogwild SGD and
-// sharded kNN path: the parallel embedding is not bit-reproducible, but it
-// must keep the same cluster structure the serial path does. Run under
-// -race this doubles as the data-race check for the CAS embedding buffer.
+// TestParallelFitPreservesClusterStructure runs the sharded exact kNN
+// (Workers 4) and checks the layout keeps the clusters apart.
 func TestParallelFitPreservesClusterStructure(t *testing.T) {
 	pts, labels := clusters(4, 40, 32, 1)
 	emb := Fit(pts, Config{NComponents: 4, NNeighbors: 10, NEpochs: 100, Seed: 1, Workers: 4})
@@ -402,6 +400,27 @@ func TestParallelFitPreservesClusterStructure(t *testing.T) {
 	purity := neighborPurity(emb, labels)
 	if purity < 0.9 {
 		t.Fatalf("parallel neighbor purity %.3f < 0.9", purity)
+	}
+}
+
+// TestFitWorkerCountInvariant: up to ExactKNNThreshold points the kNN
+// lists are the same at every worker count and the SGD is serial, so one
+// seed gives one layout, bit for bit, whatever Workers says.
+func TestFitWorkerCountInvariant(t *testing.T) {
+	pts, _ := clusters(4, 40, 32, 3)
+	fit := func(workers int) [][]float32 {
+		return Fit(pts, Config{NComponents: 4, NNeighbors: 10, NEpochs: 60, Seed: 3, Workers: workers})
+	}
+	want := fit(1)
+	for _, workers := range []int{2, 4} {
+		got := fit(workers)
+		for i := range want {
+			for d := range want[i] {
+				if math.Float32bits(got[i][d]) != math.Float32bits(want[i][d]) {
+					t.Fatalf("workers=%d: row %d dim %d = %v, want %v (workers=1)", workers, i, d, got[i][d], want[i][d])
+				}
+			}
+		}
 	}
 }
 

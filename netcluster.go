@@ -16,8 +16,8 @@ import (
 // EncodedBackend exposes the engine's encoded-search path — what a shard
 // server mounts behind the internal wire endpoints (see
 // netcluster.ShardHandler). The backend ranks pre-encoded vectors against
-// this engine's partition; it is the same code path the in-process cluster
-// Router calls, which is what keeps the networked ranking identical.
+// this engine's partition; it is the same code path the engine's own Do
+// runs, which is what keeps the networked ranking identical.
 func (e *Engine) EncodedBackend() netcluster.ShardBackend { return e.store }
 
 // Dim reports the engine's embedding dimensionality.
@@ -186,9 +186,10 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 
 // Do implements Backend: the query is encoded once, the raw vector fans
 // out to one replica per set (with failover, hedging and per-attempt
-// timeouts inside each set), and per-set answers merge bit-identically to
-// the in-process cluster. A whole replica set failing degrades the
-// Response; only every set failing — or ctx expiring — returns an error.
+// timeouts inside each set), and per-set answers merge — for ExS
+// bit-identically to a single engine. A whole replica set failing
+// degrades the Response; only every set failing — or ctx expiring —
+// returns an error.
 // The retained trace holds the federated span tree with every winning
 // replica's remote spans grafted in. Source filters and feedback answer
 // ErrUnsupported.
@@ -293,3 +294,12 @@ func (nc *NetCoordinator) Embed(text string) []float32 { return nc.model.Encode(
 // Stats snapshots the coordinator's health: the federated router view plus
 // each replica set's failover counters.
 func (nc *NetCoordinator) Stats() netcluster.CoordinatorStats { return nc.coord.Stats() }
+
+// batchItems converts public batch queries to the router's form.
+func batchItems(queries []Query) []cluster.BatchQuery {
+	items := make([]cluster.BatchQuery, len(queries))
+	for i, q := range queries {
+		items[i] = cluster.BatchQuery{Query: q.Text, K: q.K}
+	}
+	return items
+}

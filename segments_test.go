@@ -412,141 +412,3 @@ func TestEngineAutoMaintenance(t *testing.T) {
 		t.Fatalf("NumRelations=%d, want 24", eng.NumRelations())
 	}
 }
-
-// TestClusterDeleteUpdate: mutations reach the owning shard, invalidate
-// the router's result cache, and keep the shard router consistent.
-func TestClusterDeleteUpdate(t *testing.T) {
-	fed := NewFederation()
-	for i := 0; i < 12; i++ {
-		if err := fed.Add(churnRelation(fmt.Sprintf("rel-%02d", i), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := NewCluster(fed, ClusterConfig{
-		Config:    Config{Method: ExS, Dim: 64, Seed: 1},
-		Shards:    3,
-		Policy:    ShardRoundRobin,
-		CacheSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the cache.
-	res, err := cl.Search("solar energy", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) == 0 || res.Matches[0].RelationID != "rel-00" {
-		t.Fatalf("warmup: %+v", res.Matches)
-	}
-	if err := cl.DeleteRelation(context.Background(), "rel-00"); err != nil {
-		t.Fatal(err)
-	}
-	res, err = cl.Search("solar energy", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("stale cache served after delete")
-	}
-	for _, m := range res.Matches {
-		if m.RelationID == "rel-00" {
-			t.Fatalf("deleted relation served: %+v", res.Matches)
-		}
-	}
-	if err := cl.DeleteRelation(context.Background(), "rel-00"); err == nil {
-		t.Fatal("double delete accepted")
-	}
-	if cl.NumRelations() != 11 {
-		t.Fatalf("NumRelations=%d, want 11", cl.NumRelations())
-	}
-
-	// Update rewrites content in place (same shard) and purges the cache.
-	upd := churnRelation("rel-01", 1)
-	upd.Rows = [][]string{{"lighthouse beacon coastal", "signal"}}
-	if err := cl.UpdateRelation(context.Background(), upd); err != nil {
-		t.Fatal(err)
-	}
-	res, err = cl.Search("lighthouse beacon", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) == 0 || res.Matches[0].RelationID != "rel-01" {
-		t.Fatalf("updated relation not served: %+v", res.Matches)
-	}
-	if err := cl.UpdateRelation(context.Background(), churnRelation("ghost", 0)); err == nil {
-		t.Fatal("update of unknown relation accepted")
-	}
-
-	// Compaction across shards leaves the cluster consistent.
-	if err := cl.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	stats := cl.Stats()
-	for i, sh := range stats.Shards {
-		if sh.TombstonedRelations != 0 {
-			t.Fatalf("shard %d kept tombstones after compact: %+v", i, sh)
-		}
-		if sh.Segments != 1 {
-			t.Fatalf("shard %d segments=%d after compact", i, sh.Segments)
-		}
-	}
-}
-
-// TestClusterSaveLoadChurned: the sharded persistence roundtrip carries
-// segment layouts, the owner table and tombstones.
-func TestClusterSaveLoadChurned(t *testing.T) {
-	fed := NewFederation()
-	for i := 0; i < 9; i++ {
-		if err := fed.Add(churnRelation(fmt.Sprintf("rel-%02d", i), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := NewCluster(fed, ClusterConfig{
-		Config: Config{Method: ExS, Dim: 64, Seed: 1,
-			Segments: SegmentsConfig{Manual: true}},
-		Shards: 3,
-		Policy: ShardRoundRobin,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.DeleteRelation(context.Background(), "rel-04"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AddRelation(context.Background(), churnRelation("rel-09", 9)); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := cl.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadCluster(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.NumRelations() != cl.NumRelations() {
-		t.Fatalf("relations: %d vs %d", re.NumRelations(), cl.NumRelations())
-	}
-	for _, q := range []string{"solar energy", "coral fish", "honeybee nectar"} {
-		a, err := cl.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := re.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Matches, b.Matches) {
-			t.Fatalf("query %q diverged after load:\n got: %v\nwant: %v", q, b.Matches, a.Matches)
-		}
-	}
-	// Mutations still route correctly after the roundtrip.
-	if err := re.DeleteRelation(context.Background(), "rel-09"); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.DeleteRelation(context.Background(), "rel-04"); err == nil {
-		t.Fatal("tombstone lost in roundtrip: deleted relation resurfaced")
-	}
-}

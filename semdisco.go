@@ -22,8 +22,8 @@
 //	eng, err := semdisco.Open(fed, semdisco.Config{Method: semdisco.CTS})
 //	resp, err := eng.Do(ctx, semdisco.Request{Query: "COVID vaccines in Europe", K: 10})
 //
-// Engine, Cluster (in-process shards) and NetCoordinator (replica sets
-// over the wire) all implement Backend: one Request → Response entry point
+// Engine (one index) and NetCoordinator (replica sets over the wire) both
+// implement Backend: one Request → Response entry point
 // (Do), its batched form (DoBatch) and the mutation trio. The older
 // Search* names are one-line wrappers over Do.
 package semdisco

@@ -1,6 +1,7 @@
 package semdisco
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -137,4 +138,31 @@ func TestReadCSVReexport(t *testing.T) {
 	if r.NumRows() != 1 {
 		t.Fatalf("rows=%d", r.NumRows())
 	}
+}
+
+// synthFederation builds n deterministic relations with overlapping
+// vocabulary, enough for ring partitions to stay non-empty and score ties
+// to occur.
+func synthFederation(t testing.TB, n int) *Federation {
+	t.Helper()
+	fed := NewFederation()
+	letters := "abcdefghijklmnopqrstuvwxyz"
+	word := func(i, j int) string {
+		return string(letters[(i+j)%26]) + string(letters[(i*3+j)%26]) + string(letters[(i*7+j*5)%26])
+	}
+	for i := 0; i < n; i++ {
+		r := &Relation{
+			ID:      fmt.Sprintf("rel-%03d", i),
+			Source:  fmt.Sprintf("src-%d", i%3),
+			Columns: []string{"a", "b"},
+			Rows: [][]string{
+				{word(i, 0), word(i, 1)},
+				{word(i, 2), word(i, 3)},
+			},
+		}
+		if err := fed.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fed
 }

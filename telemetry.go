@@ -60,8 +60,9 @@ type SLOConfig struct {
 	// Disable turns the SLO engine off; /v1/debug/slo answers 404 and no
 	// burn-rate gauges are exported.
 	Disable bool
-	// Availability is the target fraction of non-failing (and, in cluster
-	// mode, non-degraded) requests, e.g. 0.999. Zero selects 0.999.
+	// Availability is the target fraction of non-failing (and, behind a
+	// NetCoordinator, non-degraded) requests, e.g. 0.999. Zero selects
+	// 0.999.
 	Availability float64
 	// LatencyObjective is the target fraction of requests completing under
 	// LatencyThreshold, e.g. 0.99. Zero selects 0.99.
@@ -138,14 +139,13 @@ func newSLOEngine(sc SLOConfig, reg *obs.Registry) *obs.SLOEngine {
 }
 
 // ConfigureTracing replaces the backend's tracing subsystem, e.g. to apply
-// a retention threshold to an engine restored with LoadEngine or a cluster
-// restored with LoadCluster. Call it before serving traffic; it must not
-// race with Do.
+// a retention threshold to an engine restored with LoadEngine. Call it
+// before serving traffic; it must not race with Do.
 func (t *telemetry) ConfigureTracing(tc TracingConfig) { t.traces = newTraceStore(tc) }
 
 // ConfigureSLO replaces the backend's SLO subsystem, e.g. to set
-// objectives on a restored engine or cluster. Call it before serving
-// traffic; it must not race with Do.
+// objectives on a restored engine. Call it before serving traffic; it must
+// not race with Do.
 func (t *telemetry) ConfigureSLO(sc SLOConfig) { t.slo = newSLOEngine(sc, t.reg) }
 
 // observe is the per-query bookkeeping of every backend, written once: run
