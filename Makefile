@@ -1,7 +1,7 @@
 GO ?= go
 CORPUS ?= wikitables
 
-.PHONY: build vet lint test race batch-cpu portable fuzz race-cluster hedge-stress check examples bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
+.PHONY: build vet lint test race batch-cpu portable fuzz race-cluster failover-stress check examples bench-smoke bench-e2e bench-json bench-kernels trace-smoke segment-churn-smoke netcluster-smoke loc
 
 build:
 	$(GO) build ./...
@@ -27,17 +27,16 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the scatter-gather layer: the cluster router's
-# concurrent fan-out, coalescing and cache invalidation, the LRU it
-# shares, and the replica groups, which run the router package's Race.
-# Fast enough to run on every change to any of the three packages.
+# concurrent fan-out and the replica groups under it. Fast enough to run
+# on every change to either package.
 race-cluster:
-	$(GO) test -race ./internal/cluster/... ./internal/cache/... ./internal/netcluster/
+	$(GO) test -race ./internal/cluster/... ./internal/netcluster/
 
-# The timing-based tests of Race and the replica Group that runs it guard
-# one state machine (cluster.Race); ten race-checked rounds shake out an
-# ordering that one round lets through.
-hedge-stress:
-	$(GO) test -race -count=10 -run 'Race|Hedg|Failover|FailsOver|Straggler|HungReplica' ./internal/cluster/ ./internal/netcluster/
+# The timing-based tests of the replica Group's failover loop (attempt
+# timeout, back-off, final errors, a hung replica, a whole set down); ten
+# race-checked rounds shake out an ordering that one round lets through.
+failover-stress:
+	$(GO) test -race -count=10 -run 'Failover|FailsOver|HungReplica|WholeSetDown|NonRetryable' ./internal/netcluster/
 
 # Everything off the amd64 assembly path still has to build and agree:
 # arm64 compiles every package against the stubs in dotbatch_generic.go,
@@ -164,7 +163,7 @@ netcluster-smoke:
 	$(GO) test -race -run 'TestServer' ./internal/httpapi/
 
 # End-to-end tracing smoke: serve a freshly generated corpus as two shard
-# servers behind a hedging coordinator with every trace retained, run one
+# servers behind a coordinator with every trace retained, run one
 # search, and assert the span tree (remote shard spans grafted) comes back
 # from /v1/debug/traces/{id}, its exemplar shows up on the OpenMetrics
 # scrape, and the slow, costly and journal views of the store name it.

@@ -26,9 +26,8 @@ type Request struct {
 }
 
 // ClusterResult is a query answer: the ranked top-k plus the
-// scatter-gather health metadata a NetCoordinator fills in (which replica
-// sets failed, whether hedges launched, whether the answer came from
-// cache).
+// scatter-gather health metadata a NetCoordinator fills in (whether the
+// answer is degraded and which replica sets failed).
 type ClusterResult = cluster.Result
 
 // Response is a query answer: the ranked matches with the trace ID, cost

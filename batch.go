@@ -33,8 +33,7 @@ func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterRe
 	}
 
 	// Encode once per distinct text, the distinct texts on every core;
-	// duplicate strings — the common shape under coalesced traffic — share
-	// one vector. Items with K ≤ 0 are compacted out so the fused scan
+	// duplicate strings share one vector. Items with K ≤ 0 are compacted out so the fused scan
 	// never scores them; active maps the compacted block back to input
 	// positions, and slot[s] is item s's distinct text.
 	distinct := make(map[string]int, len(queries))

@@ -18,14 +18,13 @@
 //
 //	semdisco-serve -dir ./tables -role coordinator \
 //	    -peers "http://h1:8081,http://h2:8081;http://h3:8082,http://h4:8082" \
-//	    -attempt-timeout 2s -hedge -addr :8080
+//	    -attempt-timeout 2s -addr :8080
 //
 // fronts those replica sets: -peers lists them (commas separate replicas
 // within a set, semicolons separate sets; set i of the coordinator must be
 // the servers started with -set i), queries are embedded once and raw
-// vectors fan out with per-attempt timeouts, sequential failover and
-// optional cross-replica hedging, and writes route to every replica of the
-// ring-owning set. A replica set that fails degrades the answer (the
+// vectors fan out with per-attempt timeouts and sequential failover, and
+// writes route to every replica of the ring-owning set. A replica set that fails degrades the answer (the
 // response carries "degraded" and "shard_errors") instead of failing the
 // query, and /v1/stats reports per-set and per-replica health. The
 // engine-only endpoints (/v1/datasets, "sources", /v1/debug/index,
@@ -52,7 +51,7 @@
 // Tracing: every request runs under a W3C trace context (inbound
 // traceparent headers are continued; X-Trace-Id / Traceparent /
 // X-Request-Id are stamped on responses), and interesting traces — slow
-// per -trace-threshold, degraded, hedged, errored, plus a 1-in-M head
+// per -trace-threshold, degraded, errored, plus a 1-in-M head
 // sample per -trace-head-sample — are retained in a -trace-store-sized
 // ring. It is the one retained-query record, in every mode:
 // /v1/debug/traces lists it newest first, /v1/debug/slow slowest first,
@@ -116,11 +115,6 @@ var (
 		"latency objective as a fraction of requests under -slo-latency-threshold (0 = default 0.99)")
 	sloLatencyThreshold = flag.Duration("slo-latency-threshold", 0,
 		"latency objective cutoff (0 = default 500ms)")
-
-	hedge = flag.Bool("hedge", false,
-		"coordinator role: hedge a second replica against an attempt running past the set's observed p95 latency")
-	cacheSize = flag.Int("cache", 0,
-		"coordinator role: query-result cache entries (0 disables)")
 
 	role = flag.String("role", "",
 		"networked-cluster role: shard or coordinator (empty = standalone)")
@@ -283,10 +277,8 @@ func serveCoordinator(logger *slog.Logger, cfg semdisco.Config) {
 	}
 	nc, err := semdisco.NewNetCoordinator(fed, replicaSets, semdisco.NetCoordinatorConfig{
 		Config:         cfg,
-		CacheSize:      *cacheSize,
 		Vnodes:         *vnodes,
 		AttemptTimeout: *attemptTimeout,
-		Hedge:          *hedge,
 	})
 	if err != nil {
 		fatal(logger, "building coordinator", err)
@@ -306,8 +298,7 @@ func serveCoordinator(logger *slog.Logger, cfg semdisco.Config) {
 	}
 	logger.Info("serving coordinator", "addr", *addr,
 		"sets", len(replicaSets), "replicas", replicas,
-		"method", nc.Method().String(), "hedge", *hedge,
-		"attempt_timeout", *attemptTimeout)
+		"method", nc.Method().String(), "attempt_timeout", *attemptTimeout)
 	serveHTTP(logger, srv, func() {
 		flushTraces(logger, nc.Traces())
 	})

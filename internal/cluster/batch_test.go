@@ -4,131 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
 )
-
-// inflightWaiters counts followers parked on in-flight calls.
-func (r *Router) inflightWaiters() int {
-	r.inflightMu.Lock()
-	defer r.inflightMu.Unlock()
-	n := 0
-	for _, c := range r.inflight {
-		n += int(c.waiters.Load())
-	}
-	return n
-}
-
-// gatedShard signals when a search enters it and blocks until released, so
-// tests can pin concurrent requests behind one in-flight scan.
-type gatedShard struct {
-	stubShard
-	entered chan struct{} // closed on first entry
-	release chan struct{} // entry blocks until closed
-	once    sync.Once
-	inside  atomic.Int32 // searches that have entered
-}
-
-func (s *gatedShard) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
-	s.inside.Add(1)
-	s.once.Do(func() { close(s.entered) })
-	select {
-	case <-s.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return s.stubShard.SearchEncoded(ctx, q, k)
-}
-
-// TestCoalescingSingleScan pins the singleflight contract: N concurrent
-// identical (query, k) requests execute exactly one shard scan; the
-// followers get the leader's matches marked Coalesced.
-func TestCoalescingSingleScan(t *testing.T) {
-	shard := &gatedShard{
-		stubShard: stubShard{matches: []core.Match{m(0, 0.9), m(1, 0.8)}},
-		entered:   make(chan struct{}),
-		release:   make(chan struct{}),
-	}
-	r := mustRouter(t, []Shard{shard}, testOpts())
-
-	const followers = 8
-	results := make([]*Result, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	run := func(i int) {
-		defer wg.Done()
-		results[i], errs[i] = r.Search(context.Background(), "q", 2)
-	}
-	// The leader registers the in-flight call before its scatter reaches the
-	// shard, so once the shard reports entry every later request must join
-	// the existing call rather than start its own scan.
-	wg.Add(1)
-	go run(0)
-	<-shard.entered
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go run(i)
-	}
-	// Wait until all followers are parked on the in-flight call, then let
-	// the leader's scan finish.
-	for r.inflightWaiters() < followers {
-		runtime.Gosched()
-	}
-	close(shard.release)
-	wg.Wait()
-
-	if got := shard.callCount(); got != 1 {
-		t.Fatalf("shard scanned %d times, want exactly 1", got)
-	}
-	coalesced := 0
-	for i, res := range results {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if len(res.Matches) != 2 || res.Matches[0] != m(0, 0.9) {
-			t.Fatalf("request %d: wrong matches %+v", i, res.Matches)
-		}
-		if res.Coalesced {
-			coalesced++
-		}
-	}
-	if coalesced != followers {
-		t.Errorf("%d coalesced results, want %d", coalesced, followers)
-	}
-}
-
-// TestCoalescedResultIsolated verifies a follower's matches are a private
-// copy: mutating them must not corrupt the leader's result or the cache.
-func TestCoalescedResultIsolated(t *testing.T) {
-	shard := &gatedShard{
-		stubShard: stubShard{matches: []core.Match{m(0, 0.9)}},
-		entered:   make(chan struct{}),
-		release:   make(chan struct{}),
-	}
-	r := mustRouter(t, []Shard{shard}, testOpts())
-	var follower *Result
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var leader *Result
-	go func() { defer wg.Done(); leader, _ = r.Search(context.Background(), "q", 1) }()
-	<-shard.entered
-	go func() { defer wg.Done(); follower, _ = r.Search(context.Background(), "q", 1) }()
-	for r.inflightWaiters() < 1 {
-		runtime.Gosched()
-	}
-	close(shard.release)
-	wg.Wait()
-
-	follower.Matches[0].Score = -1
-	if leader.Matches[0].Score != 0.9 {
-		t.Fatalf("mutating the coalesced copy reached the leader: %+v", leader.Matches[0])
-	}
-}
 
 // batchStubShard implements the BatchShard fast path over a stubShard.
 type batchStubShard struct {
@@ -205,62 +86,36 @@ func TestSearchBatchFallback(t *testing.T) {
 	}
 }
 
-// TestSearchBatchDedup verifies identical (query, k) items inside one batch
-// share a single slot: one scan, duplicates marked Coalesced with zero cost.
-func TestSearchBatchDedup(t *testing.T) {
-	shard := &batchStubShard{stubShard: stubShard{matches: []core.Match{m(0, 0.9)}}}
+// TestSearchBatchEdgeCases covers K ≤ 0 items, repeated items each
+// answered in their own slot, a block of one taking the single-query
+// path, and an all-failed batch turning into an error.
+func TestSearchBatchEdgeCases(t *testing.T) {
+	shard := &batchStubShard{stubShard: stubShard{matches: []core.Match{m(0, 0.9), m(1, 0.8)}}}
 	r := mustRouter(t, []Shard{shard}, testOpts())
 
-	items := []BatchQuery{{"q", 1}, {"q", 1}, {"q", 2}, {"q", 1}}
-	results, err := r.SearchBatch(context.Background(), items)
+	results, err := r.SearchBatch(context.Background(), []BatchQuery{{"q", 1}, {"skip", 0}, {"q", 1}, {"q", 2}})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	coalesced := 0
-	for i, res := range results {
-		if len(res.Matches) != 1 {
-			t.Fatalf("item %d: %d matches", i, len(res.Matches))
-		}
-		if res.Coalesced {
-			coalesced++
-			if res.Cost != (obs.CostReport{}) {
-				t.Errorf("item %d: coalesced item carries cost %+v", i, res.Cost)
-			}
-		}
-	}
-	// Two distinct slots — ("q",1) and ("q",2) — so two of the four items
-	// coalesce onto the first slot.
-	if coalesced != 2 {
-		t.Errorf("%d coalesced items, want 2", coalesced)
-	}
-}
-
-// TestSearchBatchCacheAndEdgeCases covers K ≤ 0 items, the cache answering
-// a repeat batch, and an all-failed batch turning into an error.
-func TestSearchBatchCacheAndEdgeCases(t *testing.T) {
-	shard := &batchStubShard{stubShard: stubShard{matches: []core.Match{m(0, 0.9)}}}
-	opts := testOpts()
-	opts.CacheSize = 8
-	r := mustRouter(t, []Shard{shard}, opts)
-
-	items := []BatchQuery{{"q", 1}, {"skip", 0}}
-	first, err := r.SearchBatch(context.Background(), items)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	if len(first[1].Matches) != 0 {
+	if len(results[1].Matches) != 0 {
 		t.Fatalf("k=0 item got matches")
 	}
-	second, err := r.SearchBatch(context.Background(), items)
-	if err != nil {
-		t.Fatalf("repeat batch: %v", err)
+	if results[0] == results[2] || !reflect.DeepEqual(results[0].Matches, results[2].Matches) || len(results[0].Matches) != 1 {
+		t.Errorf("repeated items: %+v and %+v, want equal answers in separate Results", results[0], results[2])
 	}
-	if !second[0].CacheHit {
-		t.Error("repeat batch item missed the cache")
+	if len(results[3].Matches) != 2 {
+		t.Errorf("k=2 item got %d matches", len(results[3].Matches))
 	}
-	// A block of one distinct query goes through SearchEncoded, like Search.
-	if got, batched := shard.callCount(), shard.batchCallCount(); got != 1 || batched != 0 {
-		t.Errorf("cacheable repeat caused %d scans (%d batched), want 1 (0)", got, batched)
+	// The three scored items go to the shard as one block.
+	if got, batched := shard.callCount(), shard.batchCallCount(); got != 3 || batched != 1 {
+		t.Errorf("batch made %d scans in %d batched calls, want 3 in 1", got, batched)
+	}
+	// A block of one goes through SearchEncoded, like Search.
+	if _, err := r.SearchBatch(context.Background(), []BatchQuery{{"q", 1}, {"skip", 0}}); err != nil {
+		t.Fatalf("batch of one: %v", err)
+	}
+	if got, batched := shard.callCount(), shard.batchCallCount(); got != 4 || batched != 1 {
+		t.Errorf("batch of one: %d scans in %d batched calls, want 4 in 1", got, batched)
 	}
 
 	bad := mustRouter(t, []Shard{&stubShard{err: context.DeadlineExceeded}}, testOpts())
@@ -333,7 +188,7 @@ func TestSearchBatchMatchesSearchUnderFailedShard(t *testing.T) {
 	if !want.Degraded || want.ShardCosts[1].DistanceComps != 7 || want.Cost.DistanceComps != 7 {
 		t.Fatalf("single result does not report the failed shard's work: %+v", want)
 	}
-	if !reflect.DeepEqual(got.Matches, want.Matches) || got.Degraded != want.Degraded || got.Hedged != want.Hedged ||
+	if !reflect.DeepEqual(got.Matches, want.Matches) || got.Degraded != want.Degraded ||
 		!reflect.DeepEqual(got.ShardErrors, want.ShardErrors) || !reflect.DeepEqual(got.ShardCosts, want.ShardCosts) ||
 		got.Cost != want.Cost {
 		t.Errorf("batch of one disagrees with the single search:\nbatch  %+v\nsingle %+v", got, want)

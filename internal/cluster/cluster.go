@@ -3,13 +3,8 @@
 // corpus partition) and answers queries by encoding once, fanning out
 // concurrently and merging per-shard top-k′ into a global top-k with
 // deterministic tie-breaking. A shard that fails degrades the answer to
-// the healthy shards' results, annotated rather than discarded. The
-// Router also keeps the result cache and the request coalescer, both
-// fenced by mutations.
-//
-// Race, the attempt state machine (per-attempt timeouts, hedging,
-// sequential failover), lives here too; netcluster.Group runs it across
-// the replicas of a set.
+// the healthy shards' results, annotated rather than discarded. Failover
+// across the replicas of a set is the Shard's own (netcluster.Group).
 package cluster
 
 import (
@@ -17,11 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"semdisco/internal/cache"
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
 	"semdisco/internal/par"
@@ -46,18 +39,6 @@ const (
 	// MetricDegraded counts searches answered from a strict subset of
 	// shards.
 	MetricDegraded = "semdisco_cluster_degraded_total"
-	// MetricCacheHits / MetricCacheMisses track the query-result cache.
-	MetricCacheHits   = "semdisco_cluster_cache_hits_total"
-	MetricCacheMisses = "semdisco_cluster_cache_misses_total"
-	// MetricCacheHitSeconds is the latency of cache-served searches. Cache
-	// hits land here instead of MetricSearchSeconds so the end-to-end
-	// latency histogram — and every p95 estimate derived from it — keeps
-	// describing real scatter-gather work rather than being dragged toward
-	// zero by memory lookups.
-	MetricCacheHitSeconds = "semdisco_cluster_cache_hit_seconds"
-	// MetricCoalesced counts searches answered by riding a concurrent
-	// identical in-flight search instead of scattering their own.
-	MetricCoalesced = "semdisco_cluster_coalesced_total"
 	// MetricBatchSearches counts SearchBatch fan-outs (one per batch, not
 	// per query; the queries inside still count into MetricSearches).
 	MetricBatchSearches = "semdisco_cluster_batch_searches_total"
@@ -74,10 +55,6 @@ var MetricHelp = map[string]string{
 	MetricShardErrors:        "Failed shard searches, timeouts included.",
 	MetricShardTimeouts:      "Shard searches that timed out while the query was still live.",
 	MetricDegraded:           "Searches answered from a strict subset of shards.",
-	MetricCacheHits:          "Query-result cache hits.",
-	MetricCacheMisses:        "Query-result cache misses.",
-	MetricCacheHitSeconds:    "Latency of cache-served searches in seconds.",
-	MetricCoalesced:          "Searches coalesced onto a concurrent identical in-flight search.",
 	MetricBatchSearches:      "Batched scatter-gather fan-outs.",
 	MetricBatchQueries:       "Queries answered through the batch path.",
 }
@@ -105,8 +82,6 @@ type Options struct {
 	// ranking bit-identical to the single-engine ranking for ExS — the
 	// single engine breaks score ties by ascending relation index.
 	Order func(relID string) int
-	// CacheSize bounds the (query, k) → results LRU; 0 disables caching.
-	CacheSize int
 	// Registry receives the router's metrics; nil disables them.
 	Registry *obs.Registry
 }
@@ -127,35 +102,20 @@ type Result struct {
 	// Matches is the merged global top-k.
 	Matches []core.Match
 	// TraceID is the hex trace ID the query ran under, "" when untraced.
-	// Interesting outcomes (degraded, hedged, errored, slow) are retained
-	// in the owning layer's trace store under this ID.
+	// Interesting outcomes (degraded, errored, slow) are retained in the
+	// owning layer's trace store under this ID.
 	TraceID string
 	// Degraded reports that at least one shard failed or timed out and
 	// Matches covers only the healthy shards' partitions.
 	Degraded bool
 	// ShardErrors lists the failed shards, ascending by shard index.
 	ShardErrors []ShardError
-	// Hedged counts hedge attempts launched for this query.
-	Hedged int
-	// CacheHit reports the answer came from the query-result cache.
-	CacheHit bool
-	// Coalesced reports the answer was shared from a concurrent identical
-	// in-flight search (same query, same k): this request scattered no
-	// work of its own, so its Cost is empty.
-	Coalesced bool
 	// Cost aggregates the work every shard attempt performed for this
-	// query. A cache hit reports only CacheHits: 1 — no index work ran.
+	// query.
 	Cost obs.CostReport
 	// ShardCosts is the per-shard breakdown, indexed by shard; failed
 	// shards report the work their failing attempt still performed.
 	ShardCosts []obs.CostReport
-}
-
-// cacheKey identifies one cacheable query. The method is part of the
-// router's identity, not the key: one router serves one method.
-type cacheKey struct {
-	query string
-	k     int
 }
 
 // shardState is the router's per-shard bookkeeping: counters and the
@@ -167,45 +127,18 @@ type shardState struct {
 	lat      Window
 }
 
-// inflightCall is one in-progress scatter-gather that concurrent identical
-// requests can ride. done is closed after res/err are set and the call is
-// unregistered, so a woken follower can never re-join a finished call.
-type inflightCall struct {
-	done chan struct{}
-	res  *Result
-	err  error
-	// gen is the router's mutation generation when the leader scattered. A
-	// follower arriving after a mutation must not ride this call: the
-	// leader's answer may predate a delete.
-	gen uint64
-	// waiters counts followers parked on done; tests use it to pin the
-	// exactly-one-scan contract without sleeping.
-	waiters atomic.Int64
-}
-
 // Router fans queries out over N shards and merges their answers. Search,
-// SearchBatch and the Note* fences are safe for concurrent use.
+// SearchBatch, NoteAdd and NoteDelete are safe for concurrent use.
 type Router struct {
 	shards []Shard
 	opts   Options
 	state  []*shardState
 	reg    *obs.Registry
-	cache  *cache.LRU[cacheKey, []core.Match]
-	// inflight coalesces concurrent identical (query, k) searches onto one
-	// scatter (singleflight); guarded by inflightMu.
-	inflightMu sync.Mutex
-	inflight   map[cacheKey]*inflightCall
 	// relCount[i] tracks shard i's relation count for Stats; searches and
 	// degraded count stats queries, not correctness.
 	relCount []atomic.Int64
 	searches atomic.Int64
 	degraded atomic.Int64
-	// mutGen counts corpus mutations (add, delete, update). It fences both
-	// staleness channels a mutation opens: the result cache (purged, and a
-	// scatter that started before the mutation refuses to populate it) and
-	// the singleflight coalescer (a follower never rides a leader that
-	// scattered under an older generation).
-	mutGen atomic.Uint64
 }
 
 // NewRouter builds a Router over pre-built shards. relCounts mirrors each
@@ -231,7 +164,6 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 		opts:     opts,
 		state:    make([]*shardState, len(shards)),
 		reg:      opts.Registry,
-		inflight: make(map[cacheKey]*inflightCall),
 		relCount: make([]atomic.Int64, len(shards)),
 	}
 	r.reg.SetHelps(MetricHelp)
@@ -239,40 +171,14 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 		r.state[i] = &shardState{}
 		r.relCount[i].Store(int64(relCounts[i]))
 	}
-	if opts.CacheSize > 0 {
-		r.cache = cache.New[cacheKey, []core.Match](opts.CacheSize)
-	}
 	return r, nil
 }
 
-// NoteAdd records that one relation landed on shard i and fences both
-// staleness channels (result cache, coalescer).
-func (r *Router) NoteAdd(i int) {
-	r.relCount[i].Add(1)
-	r.NoteMutation()
-}
+// NoteAdd records that one relation landed on shard i.
+func (r *Router) NoteAdd(i int) { r.relCount[i].Add(1) }
 
-// NoteDelete records that one relation left shard i and fences both
-// staleness channels (result cache, coalescer).
-func (r *Router) NoteDelete(i int) {
-	r.relCount[i].Add(-1)
-	r.NoteMutation()
-}
-
-// NoteUpdate records an in-place replacement on shard i: counts are
-// unchanged, but every cached or in-flight ranking is stale.
-func (r *Router) NoteUpdate(i int) { r.NoteMutation() }
-
-// NoteMutation advances the mutation generation and purges the result
-// cache. Scatters already in flight see the generation change and refuse
-// to (a) serve followers or (b) repopulate the cache with pre-mutation
-// rankings.
-func (r *Router) NoteMutation() {
-	r.mutGen.Add(1)
-	if r.cache != nil {
-		r.cache.Purge()
-	}
-}
+// NoteDelete records that one relation left shard i.
+func (r *Router) NoteDelete(i int) { r.relCount[i].Add(-1) }
 
 // Search answers a query by scatter-gather over all shards. See
 // SearchTraced for the trace-carrying variant.
@@ -282,11 +188,11 @@ func (r *Router) Search(ctx context.Context, query string, k int) (*Result, erro
 
 // SearchTraced is Search with the span tree of the federated query
 // recorded on tr: encode → scatter → merge, with one child span under
-// scatter per shard, each annotated with its shard index, the hedges
-// raced beneath it and failure detail. The scatter span itself is
-// annotated with shard count, failures and hedges. The error return is
-// reserved for total failure — the parent context expiring, or every
-// shard failing; partial failure returns a degraded Result instead.
+// scatter per shard, each annotated with its shard index and failure
+// detail. The scatter span itself is annotated with shard count and
+// failures. The error return is reserved for total failure — the parent
+// context expiring, or every shard failing; partial failure returns a
+// degraded Result instead.
 func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.Trace) (*Result, error) {
 	if k <= 0 {
 		return &Result{}, nil
@@ -294,113 +200,33 @@ func (r *Router) SearchTraced(ctx context.Context, query string, k int, tr *obs.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	key := cacheKey{query: query, k: k}
-	if res, ok := r.cacheLookup(ctx, key, start); ok {
-		return res, nil
+	res, err := r.scatter(ctx, tr, time.Now(), []BatchQuery{{Query: query, K: k}})
+	if err != nil {
+		return nil, err
 	}
-
-	// Singleflight coalescing: if an identical (query, k) search is already
-	// scattering, ride it instead of duplicating the fan-out. The loop
-	// re-checks after a leader fails — its deadline may have expired while
-	// ours is still live, in which case we become (or follow) a new leader.
-	// A leader that scattered before a mutation is not followed — its answer
-	// would resurrect a deleted relation or miss a new one — but replaced.
-	for {
-		r.inflightMu.Lock()
-		if c, ok := r.inflight[key]; ok && c.gen == r.mutGen.Load() {
-			c.waiters.Add(1)
-			r.inflightMu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if c.err == nil {
-				return r.coalesced(c.res), nil
-			}
-			continue
-		}
-		c := &inflightCall{done: make(chan struct{}), gen: r.mutGen.Load()}
-		r.inflight[key] = c
-		r.inflightMu.Unlock()
-
-		if res, err := r.scatter(ctx, tr, start, []cacheKey{key}); err != nil {
-			c.err = err
-		} else {
-			c.res = res[0]
-		}
-		r.inflightMu.Lock()
-		if r.inflight[key] == c {
-			delete(r.inflight, key)
-		}
-		r.inflightMu.Unlock()
-		close(c.done)
-		return c.res, c.err
-	}
+	return res[0], nil
 }
 
-// coalesced answers a request from the Result of an identical one that
-// scattered for it — a concurrent leader, or an earlier item of the same
-// batch: a private copy marked Coalesced, with no cost of its own since the
-// request scattered nothing.
-func (r *Router) coalesced(src *Result) *Result {
-	r.reg.Counter(MetricCoalesced).Inc()
-	r.searches.Add(1)
-	r.reg.Counter(MetricSearches).Inc()
-	res := *src
-	res.Matches = cloneMatches(src.Matches)
-	res.Coalesced = true
-	res.Cost = obs.CostReport{}
-	res.ShardCosts = nil
-	return &res
-}
-
-// cacheLookup serves a query from the result cache when possible,
-// recording the cache metrics either way (when caching is enabled).
-func (r *Router) cacheLookup(ctx context.Context, key cacheKey, start time.Time) (*Result, bool) {
-	if r.cache == nil {
-		return nil, false
-	}
-	cached, ok := r.cache.Get(key)
-	if !ok {
-		r.reg.Counter(MetricCacheMisses).Inc()
-		return nil, false
-	}
-	r.reg.Counter(MetricCacheHits).Inc()
-	r.searches.Add(1)
-	r.reg.Counter(MetricSearches).Inc()
-	// Cache hits get their own latency series; folding their near-zero
-	// durations into MetricSearchSeconds would drag the end-to-end p95
-	// below what any scatter-gather actually costs.
-	r.reg.Histogram(MetricCacheHitSeconds).Observe(time.Since(start))
-	res := &Result{Matches: cloneMatches(cached), CacheHit: true, Cost: obs.CostReport{CacheHits: 1}}
-	obs.CostFrom(ctx).AddCacheHits(1)
-	return res, true
-}
-
-// scatter is the uncached, uncoalesced body of every federated search, one
-// query or a block of distinct ones: encode → fan out → merge → record,
-// yielding one Result per key. Search and SearchBatch share it whole, so
-// cache fencing, failed-shard cost, hedge counting and shard spans cannot
-// differ between them.
-func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, keys []cacheKey) ([]*Result, error) {
-	startGen := r.mutGen.Load()
+// scatter is the body of every federated search, one query or a block:
+// encode → fan out → merge → record, yielding one Result per item. Search
+// and SearchBatch share it whole, so failed-shard cost and shard spans
+// cannot differ between them.
+func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, items []BatchQuery) ([]*Result, error) {
 	sp := tr.StartSpan("encode")
 	// Each distinct string is encoded once; the same string under another k
 	// shares the vector.
-	encoded := make(map[string][]float32, len(keys))
-	qs := make([][]float32, len(keys))
-	kPrimes := make([]int, len(keys))
+	encoded := make(map[string][]float32, len(items))
+	qs := make([][]float32, len(items))
+	kPrimes := make([]int, len(items))
 	widest := 0
-	for s, key := range keys {
-		q, ok := encoded[key.query]
+	for s, it := range items {
+		q, ok := encoded[it.Query]
 		if !ok {
-			q = r.opts.Encode(key.query)
-			encoded[key.query] = q
+			q = r.opts.Encode(it.Query)
+			encoded[it.Query] = q
 		}
 		qs[s] = q
-		kPrimes[s] = key.k + r.opts.Slack
+		kPrimes[s] = it.K + r.opts.Slack
 		widest = max(widest, kPrimes[s])
 	}
 	sp.End()
@@ -409,20 +235,18 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, ke
 	outs, errs := make([]shardAnswer, n), make([]error, n)
 	sp = tr.StartSpan("scatter").
 		AnnotateInt("shards", n).
-		AnnotateInt("queries", len(keys)).
+		AnnotateInt("queries", len(items)).
 		AnnotateInt("k_prime", widest)
 	par.Each(n, n, func(i int) {
 		outs[i], errs[i] = r.searchShard(ctx, sp, i, qs, kPrimes)
 	})
 	var shardErrs []ShardError
-	hedges := 0
 	for i := range outs {
-		hedges += outs[i].hedges
 		if errs[i] != nil {
 			shardErrs = append(shardErrs, ShardError{Shard: i, Err: errs[i]})
 		}
 	}
-	sp.AnnotateInt("failed_shards", len(shardErrs)).AnnotateInt("hedges", hedges)
+	sp.AnnotateInt("failed_shards", len(shardErrs))
 	sp.End()
 
 	// The parent context dying is a query-level failure: whatever shards
@@ -435,14 +259,13 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, ke
 	}
 
 	sp = tr.StartSpan("merge")
-	results := make([]*Result, len(keys))
+	results := make([]*Result, len(items))
 	perShard := make([][]core.Match, 0, n)
 	merged := 0
-	for s, key := range keys {
+	for s, it := range items {
 		res := &Result{
 			Degraded:    len(shardErrs) > 0,
 			ShardErrors: shardErrs,
-			Hedged:      hedges,
 			ShardCosts:  make([]obs.CostReport, n),
 		}
 		perShard = perShard[:0]
@@ -453,7 +276,7 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, ke
 				perShard = append(perShard, outs[i].matches[s])
 			}
 		}
-		res.Matches = r.merge(perShard, key.k)
+		res.Matches = r.merge(perShard, it.K)
 		merged += len(res.Matches)
 		// Fold the aggregate into a caller-provided accumulator, so a layer
 		// above the router (or a test) can account federated work uniformly.
@@ -463,11 +286,6 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, ke
 		if res.Degraded {
 			r.degraded.Add(1)
 			r.reg.Counter(MetricDegraded).Inc()
-		} else if r.cache != nil && r.mutGen.Load() == startGen {
-			// Only complete answers are worth remembering — and only if no
-			// mutation landed while we scattered, else the entry would outlive
-			// the purge that should have killed it.
-			r.cache.Put(key, cloneMatches(res.Matches))
 		}
 		results[s] = res
 	}
@@ -482,8 +300,6 @@ type shardAnswer struct {
 	matches [][]core.Match
 	// costs holds the work done per query, reported by failed shards too.
 	costs []obs.CostReport
-	// hedges counts the hedges a Shard raced beneath the call (NoteHedge).
-	hedges int
 }
 
 // searchShard runs one shard's block — a block of one through
@@ -491,14 +307,12 @@ type shardAnswer struct {
 // shard has it and query by query otherwise — recording latency,
 // per-query cost, its span (a child of the scatter span, annotated with
 // shard index and failure detail) and classifying failures. A failed shard
-// is not retried here: failover and hedging across a set's replicas are
-// the Shard's own (netcluster.Group).
+// is not retried here: failover across a set's replicas is the Shard's
+// own (netcluster.Group).
 func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [][]float32, ks []int) (shardAnswer, error) {
 	st := r.state[i]
 	st.searches.Add(1)
 	sp := scatter.StartChild("shard").AnnotateInt("shard", i)
-	var hedges atomic.Int64 // NoteHedge's tally
-	sctx := context.WithValue(ctx, hedgeKey{}, &hedges)
 	costs := make([]*obs.Cost, len(qs))
 	for j := range costs {
 		costs[j] = &obs.Cost{}
@@ -509,11 +323,11 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 	)
 	start := time.Now()
 	if bs, ok := r.shards[i].(BatchShard); ok && len(qs) > 1 {
-		ms, err = bs.SearchEncodedBatch(sctx, qs, ks, costs)
+		ms, err = bs.SearchEncodedBatch(ctx, qs, ks, costs)
 	} else {
 		ms = make([][]core.Match, len(qs))
 		for j := range qs {
-			ms[j], err = r.shards[i].SearchEncoded(obs.ContextWithCost(sctx, costs[j]), qs[j], ks[j])
+			ms[j], err = r.shards[i].SearchEncoded(obs.ContextWithCost(ctx, costs[j]), qs[j], ks[j])
 			if err != nil {
 				break
 			}
@@ -521,7 +335,7 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 	}
 	d := time.Since(start)
 
-	ans := shardAnswer{costs: make([]obs.CostReport, len(qs)), hedges: int(hedges.Load())}
+	ans := shardAnswer{costs: make([]obs.CostReport, len(qs))}
 	var work obs.CostReport
 	for j, c := range costs {
 		ans.costs[j] = c.Report()
@@ -529,11 +343,8 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 	}
 	shard := strconv.Itoa(i)
 	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", shard)).Observe(d)
-	if ans.hedges > 0 {
-		sp.AnnotateInt("hedges", ans.hedges)
-	}
 	if err == nil {
-		st.lat.record(d)
+		st.lat.Record(d)
 		ans.matches = ms
 		found := 0
 		for _, m := range ms {
@@ -555,19 +366,6 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 	}
 	sp.End()
 	return ans, err
-}
-
-// hedgeKey carries a Router shard call's *atomic.Int64 hedge tally in its
-// context, the way obs.Cost carries work upward.
-type hedgeKey struct{}
-
-// NoteHedge tells the Router whose shard call ctx belongs to that the
-// Shard raced a hedge beneath it, so the query's Result.Hedged and its
-// shard span count it. A no-op when ctx is not a Router shard call's.
-func NoteHedge(ctx context.Context) {
-	if n, _ := ctx.Value(hedgeKey{}).(*atomic.Int64); n != nil {
-		n.Add(1)
-	}
 }
 
 // merge folds per-shard top-k′ lists into the global top-k. Ordering is
@@ -603,12 +401,9 @@ type ShardStats struct {
 
 // Stats is the router's point-in-time health snapshot.
 type Stats struct {
-	Shards      []ShardStats `json:"shards"`
-	Searches    int64        `json:"searches"`
-	Degraded    int64        `json:"degraded"`
-	CacheHits   int64        `json:"cache_hits"`
-	CacheMisses int64        `json:"cache_misses"`
-	CacheLen    int          `json:"cache_len"`
+	Shards   []ShardStats `json:"shards"`
+	Searches int64        `json:"searches"`
+	Degraded int64        `json:"degraded"`
 }
 
 // Stats snapshots per-shard counters and latency quantiles.
@@ -616,10 +411,6 @@ func (r *Router) Stats() Stats {
 	s := Stats{
 		Searches: r.searches.Load(),
 		Degraded: r.degraded.Load(),
-	}
-	if r.cache != nil {
-		s.CacheHits, s.CacheMisses = r.cache.Stats()
-		s.CacheLen = r.cache.Len()
 	}
 	for i, st := range r.state {
 		p50 := st.lat.Quantile(0.50)
@@ -635,10 +426,4 @@ func (r *Router) Stats() Stats {
 		})
 	}
 	return s
-}
-
-func cloneMatches(ms []core.Match) []core.Match {
-	out := make([]core.Match, len(ms))
-	copy(out, ms)
-	return out
 }

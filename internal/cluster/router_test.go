@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,189 +165,12 @@ func TestParentContextCancelled(t *testing.T) {
 	}
 }
 
-func TestCacheHitAndInvalidation(t *testing.T) {
-	shard := &stubShard{matches: []core.Match{m(0, 1), m(1, 0.5)}}
-	opts := testOpts()
-	opts.CacheSize = 8
-	reg := obs.NewRegistry()
-	opts.Registry = reg
-	r := mustRouter(t, []Shard{shard}, opts)
-
-	first, err := r.Search(context.Background(), "q", 2)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if first.CacheHit {
-		t.Fatal("first search must miss")
-	}
-	second, err := r.Search(context.Background(), "q", 2)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if !second.CacheHit {
-		t.Fatal("second search must hit the cache")
-	}
-	if shard.callCount() != 1 {
-		t.Fatalf("shard saw %d calls, want 1 (second served from cache)", shard.callCount())
-	}
-	// Mutating the cached slice must not corrupt the cache.
-	second.Matches[0].Score = -1
-	third, _ := r.Search(context.Background(), "q", 2)
-	if third.Matches[0].Score != 1 {
-		t.Fatal("cache returned aliased slice")
-	}
-	// A different k is a different answer.
-	if res, _ := r.Search(context.Background(), "q", 1); res.CacheHit {
-		t.Fatal("k=1 must not hit the k=2 entry")
-	}
-
-	// Adding a relation invalidates everything.
-	r.NoteAdd(0)
-	after, err := r.Search(context.Background(), "q", 2)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if after.CacheHit {
-		t.Fatal("cache must be purged after NoteAdd")
-	}
-	hits, misses := reg.Snapshot().Counters[MetricCacheHits], reg.Snapshot().Counters[MetricCacheMisses]
-	if hits < 2 || misses < 2 {
-		t.Errorf("cache counters hits=%d misses=%d; want >=2 each", hits, misses)
-	}
-}
-
-func TestCachePurgedOnDeleteAndUpdate(t *testing.T) {
-	shard := &stubShard{matches: []core.Match{m(0, 1), m(1, 0.5)}}
-	opts := testOpts()
-	opts.CacheSize = 8
-	r := mustRouter(t, []Shard{shard}, opts)
-
-	note := map[string]func(){
-		"NoteDelete": func() { r.NoteDelete(0) },
-		"NoteUpdate": func() { r.NoteUpdate(0) },
-	}
-	for name, fence := range note {
-		if _, err := r.Search(context.Background(), "q", 2); err != nil {
-			t.Fatalf("%s warmup: %v", name, err)
-		}
-		if res, _ := r.Search(context.Background(), "q", 2); !res.CacheHit {
-			t.Fatalf("%s: warmup did not cache", name)
-		}
-		fence()
-		res, err := r.Search(context.Background(), "q", 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.CacheHit {
-			t.Fatalf("cache must be purged after %s", name)
-		}
-	}
-}
-
-// TestMutationFencesInflightScatter: a scatter that started before a
-// mutation must neither populate the result cache with its pre-mutation
-// ranking nor serve as a coalescing leader for post-mutation followers —
-// whether it was started by Search or by SearchBatch.
-func TestMutationFencesInflightScatter(t *testing.T) {
-	entries := map[string]func(*Router) error{
-		"Search": func(r *Router) error {
-			_, err := r.Search(context.Background(), "q", 1)
-			return err
-		},
-		"SearchBatch": func(r *Router) error {
-			_, err := r.SearchBatch(context.Background(), []BatchQuery{{"q", 1}})
-			return err
-		},
-	}
-	for name, search := range entries {
-		// inflight starts a scatter, parks it inside the shard and lands a
-		// mutation on it.
-		inflight := func(t *testing.T) (*gatedShard, *Router, chan error) {
-			shard := &gatedShard{
-				stubShard: stubShard{matches: []core.Match{m(0, 1)}},
-				entered:   make(chan struct{}),
-				release:   make(chan struct{}),
-			}
-			opts := testOpts()
-			opts.CacheSize = 8
-			r := mustRouter(t, []Shard{shard}, opts)
-			done := make(chan error, 1)
-			go func() { done <- search(r) }()
-			<-shard.entered
-			r.NoteDelete(0)
-			return shard, r, done
-		}
-		t.Run(name+"/cache", func(t *testing.T) {
-			shard, r, done := inflight(t)
-			close(shard.release)
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if err := search(r); err != nil {
-				t.Fatal(err)
-			}
-			if c := shard.callCount(); c != 2 {
-				t.Fatalf("shard calls = %d, want 2 (a pre-mutation scatter must not repopulate the cache)", c)
-			}
-			res, err := r.Search(context.Background(), "q", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.CacheHit || shard.callCount() != 2 {
-				t.Fatal("post-mutation scatter should have repopulated the cache")
-			}
-		})
-		t.Run(name+"/coalescer", func(t *testing.T) {
-			shard, r, done := inflight(t)
-			follower := make(chan error, 1)
-			go func() { follower <- search(r) }()
-			// The follower either reaches the shard on its own or (the bug)
-			// parks on the stale leader.
-			for shard.inside.Load() < 2 && r.inflightWaiters() == 0 {
-				runtime.Gosched()
-			}
-			close(shard.release)
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if err := <-follower; err != nil {
-				t.Fatal(err)
-			}
-			if c := shard.callCount(); c != 2 {
-				t.Fatalf("shard calls = %d, want 2 (follower must bypass a pre-mutation leader)", c)
-			}
-		})
-	}
-}
-
-func TestDegradedResultNotCached(t *testing.T) {
-	healthy := &stubShard{matches: []core.Match{m(0, 1)}}
-	failing := &stubShard{err: errors.New("down")}
-	opts := testOpts()
-	opts.CacheSize = 4
-	r := mustRouter(t, []Shard{healthy, failing}, opts)
-
-	res, err := r.Search(context.Background(), "q", 1)
-	if err != nil || !res.Degraded {
-		t.Fatalf("want degraded success, got %+v, %v", res, err)
-	}
-	res2, err := r.Search(context.Background(), "q", 1)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if res2.CacheHit {
-		t.Fatal("degraded result must not be served from cache")
-	}
-}
-
 func TestConcurrentSearch(t *testing.T) {
 	shards := []Shard{
 		&stubShard{matches: []core.Match{m(0, 0.9), m(2, 0.7)}},
 		&stubShard{matches: []core.Match{m(1, 0.8), m(3, 0.6)}},
 	}
-	opts := testOpts()
-	opts.CacheSize = 16
-	r := mustRouter(t, shards, opts)
+	r := mustRouter(t, shards, testOpts())
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -398,27 +220,16 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 }
 
-// hedgingShard answers like its stubShard after reporting one hedge
-// through NoteHedge, as a netcluster.Group does when it races a second
-// replica.
-type hedgingShard struct{ stubShard }
-
-func (s *hedgingShard) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
-	NoteHedge(ctx)
-	return s.stubShard.SearchEncoded(ctx, q, k)
-}
-
 func TestSearchTracedSpanTree(t *testing.T) {
-	// A 4-shard query where two shards answer promptly, one hedges beneath
-	// the Router (a replica race) and one fails on its own deadline. The
-	// recorded span tree must tell the whole story — root →
-	// encode/scatter/merge, one shard child per shard under scatter with
-	// the hedge and the timeout annotated, and every parent link correct.
+	// A 4-shard query where three shards answer promptly and one fails on
+	// its own deadline. The recorded span tree must tell the whole story —
+	// root → encode/scatter/merge, one shard child per shard under scatter
+	// with the timeout annotated, and every parent link correct.
 	fast0 := &stubShard{matches: []core.Match{m(0, 0.9)}}
 	fast1 := &stubShard{matches: []core.Match{m(1, 0.8)}}
-	hedged := &hedgingShard{stubShard{matches: []core.Match{m(2, 0.7)}}}
+	fast2 := &stubShard{matches: []core.Match{m(2, 0.7)}}
 	timedOut := &stubShard{err: fmt.Errorf("set down: %w", context.DeadlineExceeded)}
-	r := mustRouter(t, []Shard{fast0, fast1, hedged, timedOut}, testOpts())
+	r := mustRouter(t, []Shard{fast0, fast1, fast2, timedOut}, testOpts())
 
 	tr := obs.NewTrace()
 	root := tr.StartRoot("coordinator_search")
@@ -429,9 +240,6 @@ func TestSearchTracedSpanTree(t *testing.T) {
 	}
 	if !res.Degraded {
 		t.Error("want Degraded=true with a timed-out shard")
-	}
-	if res.Hedged != 1 {
-		t.Errorf("hedged = %d, want 1", res.Hedged)
 	}
 	if len(res.ShardErrors) != 1 || res.ShardErrors[0].Shard != 3 {
 		t.Fatalf("shard errors = %+v, want shard 3 only", res.ShardErrors)
@@ -466,8 +274,8 @@ func TestSearchTracedSpanTree(t *testing.T) {
 		}
 	}
 	scatter := byName["scatter"]
-	if scatter.Annotations["shards"] != "4" || scatter.Annotations["hedges"] != "1" || scatter.Annotations["failed_shards"] != "1" {
-		t.Errorf("scatter annotations = %v, want shards 4, hedges 1, failed_shards 1", scatter.Annotations)
+	if scatter.Annotations["shards"] != "4" || scatter.Annotations["failed_shards"] != "1" {
+		t.Errorf("scatter annotations = %v, want shards 4, failed_shards 1", scatter.Annotations)
 	}
 	if byName["merge"].Annotations["matches"] != "3" {
 		t.Errorf("merge matches annotation = %q, want 3", byName["merge"].Annotations["matches"])
@@ -481,9 +289,6 @@ func TestSearchTracedSpanTree(t *testing.T) {
 		if spans[0].Parent != scatter.SpanID {
 			t.Errorf("shard %s span parent = %s, want scatter %s", shard, spans[0].Parent, scatter.SpanID)
 		}
-	}
-	if got := byShard["2"][0].Annotations["hedges"]; got != "1" {
-		t.Errorf("hedged shard's span hedges annotation = %q, want 1", got)
 	}
 	if a := byShard["3"][0].Annotations; a["timeout"] != "true" || a["error"] == "" {
 		t.Errorf("timed-out shard's span annotations = %v, want timeout and error", a)

@@ -26,18 +26,13 @@ type BatchSearchRequest struct {
 
 // BatchItemJSON is one query's slice of a /v1/search/batch response,
 // positionally aligned with the request's queries. The coordinator-mode
-// fields (degraded, shard_errors, cache_hit, coalesced) mirror /v1/search.
+// fields (degraded, shard_errors) mirror /v1/search.
 type BatchItemJSON struct {
 	Matches []MatchJSON `json:"matches"`
-	// Cost is this item's work accounting. A coalesced or cached item
-	// reports zero cost: the scan was charged to the request it shared.
+	// Cost is this item's work accounting.
 	Cost        *semdisco.CostReport `json:"cost,omitempty"`
 	Degraded    bool                 `json:"degraded,omitempty"`
 	ShardErrors []string             `json:"shard_errors,omitempty"`
-	CacheHit    bool                 `json:"cache_hit,omitempty"`
-	// Coalesced reports the item shared another identical in-flight or
-	// in-batch (query, k) request's scan instead of running its own.
-	Coalesced bool `json:"coalesced,omitempty"`
 }
 
 // BatchSearchResponse is the body returned by /v1/search/batch.
@@ -81,11 +76,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchSearchResponse{Results: make([]BatchItemJSON, len(results))}
 	for i, res := range results {
 		item := BatchItemJSON{
-			Matches:   matchesJSON(res.Matches),
-			Cost:      &res.Cost,
-			Degraded:  res.Degraded,
-			CacheHit:  res.CacheHit,
-			Coalesced: res.Coalesced,
+			Matches:  matchesJSON(res.Matches),
+			Cost:     &res.Cost,
+			Degraded: res.Degraded,
 		}
 		for _, se := range res.ShardErrors {
 			item.ShardErrors = append(item.ShardErrors, se.Error())

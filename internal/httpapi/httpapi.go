@@ -292,15 +292,13 @@ type SearchResponse struct {
 	Matches []MatchJSON `json:"matches"`
 	// TraceID is the hex trace ID the query ran under (also on the
 	// X-Trace-Id response header). When the outcome was interesting — slow,
-	// degraded, hedged, errored, or head-sampled — the full span tree is
+	// degraded, errored, or head-sampled — the full span tree is
 	// retrievable at /v1/debug/traces/{trace_id}.
 	TraceID string `json:"trace_id,omitempty"`
 	// Degraded is set in coordinator mode when one or more replica sets
 	// failed or timed out; ShardErrors names them.
 	Degraded    bool     `json:"degraded,omitempty"`
 	ShardErrors []string `json:"shard_errors,omitempty"`
-	// CacheHit reports the answer came from the coordinator's query cache.
-	CacheHit bool `json:"cache_hit,omitempty"`
 	// Cost is the query's work accounting: distance computations, graph
 	// hops, PQ table lookups, values/bytes scanned, candidate counts. In
 	// coordinator mode it is the sum across every replica set.
@@ -435,7 +433,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Matches:  matchesJSON(res.Matches),
 		TraceID:  res.TraceID,
 		Degraded: res.Degraded,
-		CacheHit: res.CacheHit,
 		Cost:     &res.Cost,
 	}
 	for _, se := range res.ShardErrors {

@@ -21,19 +21,13 @@ type CoordinatorOptions struct {
 	// tie-breaks on it, keeping the networked ranking bit-identical to the
 	// single engine's for exact search. Required.
 	Order func(relID string) int
-	// Method labels the router's stats and metrics ("ExS", …).
-	Method string
 	// Slack widens each set's fetch to k+Slack before the merge; default 8.
 	Slack int
-	// CacheSize bounds the coordinator's (query, k) result LRU; 0 disables.
-	CacheSize int
 	// Vnodes is the consistent-hash ring's virtual-node count per set;
 	// default DefaultVnodes.
 	Vnodes int
 	// AttemptTimeout bounds each replica attempt (see GroupOptions).
 	AttemptTimeout time.Duration
-	// Hedge enables cross-replica hedging inside each set.
-	Hedge bool
 	// Transport carries every coordinator→shard request; nil means
 	// http.DefaultTransport. Tests and the bench pass a *FaultInjector.
 	Transport http.RoundTripper
@@ -45,12 +39,11 @@ type CoordinatorOptions struct {
 // Coordinator is the client-facing node of a networked cluster: it owns
 // the consistent-hash ring mapping relations to replica sets, encodes each
 // query once, fans raw vectors out to one replica per set (with failover
-// and hedging inside each set), and merges per-set answers through a
-// cluster.Router, whose comparator is the single engine's — so the
-// networked ranking is bit-identical to the monolith's for exact search.
-// The Router also contributes its result cache, request coalescing, cost
-// aggregation and batch fan-out; netcluster adds the wire, not a second
-// query engine.
+// inside each set), and merges per-set answers through a cluster.Router,
+// whose comparator is the single engine's — so the networked ranking is
+// bit-identical to the monolith's for exact search. The Router also
+// contributes cost aggregation and batch fan-out; netcluster adds the
+// wire, not a second query engine.
 type Coordinator struct {
 	ring   *Ring
 	groups []*Group
@@ -59,8 +52,10 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over replica sets: replicaSets[i]
 // lists the base URLs of set i's members, each holding an identical copy
-// of partition i. At least one set with at least one member is required.
-func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinator, error) {
+// of partition i. relationIDs lists the relations the sets hold at start;
+// the ring places each, which seeds every set's relation count in Stats.
+// At least one set with at least one member is required.
+func NewCoordinator(replicaSets [][]string, relationIDs []string, opts CoordinatorOptions) (*Coordinator, error) {
 	if len(replicaSets) == 0 {
 		return nil, errors.New("netcluster: at least one replica set required")
 	}
@@ -82,10 +77,12 @@ func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinat
 	newClient := func(u string) *Client { return NewClient(u, opts.Transport) }
 	routerShards := make([]cluster.Shard, len(replicaSets))
 	relCounts := make([]int, len(replicaSets))
+	for _, id := range relationIDs {
+		relCounts[ring.Owner(id)]++
+	}
 	for i, urls := range replicaSets {
 		g, err := NewGroup(i, urls, newClient, GroupOptions{
 			AttemptTimeout: opts.AttemptTimeout,
-			Hedge:          opts.Hedge,
 			Registry:       opts.Registry,
 		})
 		if err != nil {
@@ -95,16 +92,12 @@ func NewCoordinator(replicaSets [][]string, opts CoordinatorOptions) (*Coordinat
 		routerShards[i] = g
 	}
 	// The Router sees one logical shard per replica set and never retries
-	// it: the group bounds each attempt and hedges across replicas through
-	// cluster.Race, and its hedges reach the query's Result through
-	// cluster.NoteHedge.
+	// it: the group bounds each attempt and fails over across replicas.
 	router, err := cluster.NewRouter(routerShards, relCounts, cluster.Options{
-		Slack:     opts.Slack,
-		Method:    opts.Method,
-		Encode:    opts.Encode,
-		Order:     opts.Order,
-		CacheSize: opts.CacheSize,
-		Registry:  opts.Registry,
+		Slack:    opts.Slack,
+		Encode:   opts.Encode,
+		Order:    opts.Order,
+		Registry: opts.Registry,
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +124,7 @@ func (c *Coordinator) Search(ctx context.Context, query string, k int, tr *obs.T
 }
 
 // SearchBatch answers a block of queries with one networked fan-out per
-// replica set (one failover race per set for the whole block), recording
+// replica set (one failover call per set for the whole block), recording
 // its spans on tr as Search does; the caller owns the root span and the
 // trace's retention.
 func (c *Coordinator) SearchBatch(ctx context.Context, items []cluster.BatchQuery, tr *obs.Trace) ([]*cluster.Result, error) {
@@ -168,11 +161,11 @@ func (e *WriteError) Error() string {
 // Unwrap exposes the last replica error to errors.Is/As.
 func (e *WriteError) Unwrap() error { return e.LastErr }
 
-// writeAll applies one mutation to every replica of the owning set. The
-// result cache and coalescer are fenced as soon as any replica applied it
-// (the federation's answer may already have changed); a partial
-// application returns *WriteError naming the replicas needing repair.
-func (c *Coordinator) writeAll(ctx context.Context, op, id string, fence func(set int), apply func(context.Context, *Client) error) error {
+// writeAll applies one mutation to every replica of the owning set. Once
+// any replica applied it, note (nil for an update) records the set's
+// relation-count change; a partial application returns *WriteError naming
+// the replicas needing repair.
+func (c *Coordinator) writeAll(ctx context.Context, op, id string, note func(set int), apply func(context.Context, *Client) error) error {
 	set := c.ring.Owner(id)
 	g := c.groups[set]
 	var (
@@ -188,8 +181,8 @@ func (c *Coordinator) writeAll(ctx context.Context, op, id string, fence func(se
 		}
 		applied++
 	}
-	if applied > 0 {
-		fence(set)
+	if applied > 0 && note != nil {
+		note(set)
 	}
 	if lastErr == nil {
 		return nil
@@ -219,14 +212,14 @@ func (c *Coordinator) Delete(ctx context.Context, id string) error {
 // Update replaces a relation's contents on every replica of its owning
 // set.
 func (c *Coordinator) Update(ctx context.Context, rel Relation) error {
-	return c.writeAll(ctx, "update", rel.ID, c.router.NoteUpdate, func(ctx context.Context, cl *Client) error {
+	return c.writeAll(ctx, "update", rel.ID, nil, func(ctx context.Context, cl *Client) error {
 		return cl.UpdateRelation(ctx, rel)
 	})
 }
 
 // CoordinatorStats is the coordinator's health snapshot: the Router's
-// federated view (per-set latency, cache, degradation) plus each replica
-// set's failover counters.
+// federated view (per-set latency, relation counts, degradation) plus
+// each replica set's failover counters.
 type CoordinatorStats struct {
 	Sets   int                `json:"sets"`
 	Router cluster.Stats      `json:"router"`

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"semdisco/internal/cluster"
-	"semdisco/internal/obs"
 )
 
 // writeLog records the mutations one replica server received.
@@ -93,11 +92,8 @@ func newCoordFixture(t *testing.T, sets, replicas int, opts CoordinatorOptions) 
 	if opts.Order == nil {
 		opts.Order = globalOrder
 	}
-	if opts.Method == "" {
-		opts.Method = "ExS"
-	}
 	opts.Transport = fx.inj
-	coord, err := NewCoordinator(fx.urls, opts)
+	coord, err := NewCoordinator(fx.urls, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +104,16 @@ func newCoordFixture(t *testing.T, sets, replicas int, opts CoordinatorOptions) 
 func TestCoordinatorValidation(t *testing.T) {
 	enc := func(string) []float32 { return testVec }
 	ord := func(string) int { return 0 }
-	if _, err := NewCoordinator(nil, CoordinatorOptions{Encode: enc, Order: ord}); err == nil {
+	if _, err := NewCoordinator(nil, nil, CoordinatorOptions{Encode: enc, Order: ord}); err == nil {
 		t.Error("want error for zero replica sets")
 	}
-	if _, err := NewCoordinator([][]string{{"http://x"}}, CoordinatorOptions{Order: ord}); err == nil {
+	if _, err := NewCoordinator([][]string{{"http://x"}}, nil, CoordinatorOptions{Order: ord}); err == nil {
 		t.Error("want error for missing Encode")
 	}
-	if _, err := NewCoordinator([][]string{{"http://x"}}, CoordinatorOptions{Encode: enc}); err == nil {
+	if _, err := NewCoordinator([][]string{{"http://x"}}, nil, CoordinatorOptions{Encode: enc}); err == nil {
 		t.Error("want error for missing Order")
 	}
-	if _, err := NewCoordinator([][]string{{}}, CoordinatorOptions{Encode: enc, Order: ord}); err == nil {
+	if _, err := NewCoordinator([][]string{{}}, nil, CoordinatorOptions{Encode: enc, Order: ord}); err == nil {
 		t.Error("want error for an empty replica set")
 	}
 }
@@ -279,41 +275,6 @@ func TestCoordinatorWritePartialFailure(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWriteFencesCache: any applied write must invalidate the
-// owning set's cached results — a cached ranking from before the mutation
-// is stale.
-func TestCoordinatorWriteFencesCache(t *testing.T) {
-	fx := newCoordFixture(t, 1, 1, CoordinatorOptions{CacheSize: 8})
-	ctx := context.Background()
-	if _, err := fx.coord.Search(ctx, "q", 5, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := fx.coord.Search(ctx, "q", 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("second identical search missed the cache")
-	}
-	if got := fx.backends[0].calls.Load(); got != 1 {
-		t.Fatalf("backend saw %d calls before the write, want 1", got)
-	}
-	rel := Relation{ID: "new-3", Source: "s", Columns: []string{"a"}, Rows: [][]string{{"x"}}}
-	if err := fx.coord.Add(ctx, rel); err != nil {
-		t.Fatal(err)
-	}
-	res, err = fx.coord.Search(ctx, "q", 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("search after a write served the stale cached result")
-	}
-	if got := fx.backends[0].calls.Load(); got != 2 {
-		t.Fatalf("backend saw %d calls after the write, want 2", got)
-	}
-}
-
 // TestCoordinatorHungReplicaTail: end-to-end, a wedged replica must cost
 // at most the attempt timeout, never hang the query.
 func TestCoordinatorHungReplicaTail(t *testing.T) {
@@ -327,42 +288,5 @@ func TestCoordinatorHungReplicaTail(t *testing.T) {
 	}
 	if res.Degraded {
 		t.Fatal("one hung replica of two must not degrade the set")
-	}
-}
-
-// TestCoordinatorReportsReplicaHedges: the Router never hedges, so the
-// hedges a Group races across replicas must reach the query's Result and
-// its shard span — TestGroupHedgesPastStraggler's scenario, seen from
-// above the Group.
-func TestCoordinatorReportsReplicaHedges(t *testing.T) {
-	fx := newCoordFixture(t, 1, 2, CoordinatorOptions{AttemptTimeout: 2 * time.Second, Hedge: true})
-	ctx := context.Background()
-	for i := 0; i < 20; i++ { // warm the set's p95 window past its 16 samples
-		if _, err := fx.coord.Search(ctx, fmt.Sprintf("warm-%d", i), 3, nil); err != nil {
-			t.Fatalf("warm-up %d: %v", i, err)
-		}
-	}
-	fx.inj.Set(fx.urls[0][0], Fault{Latency: 150 * time.Millisecond, Remaining: -1})
-	hedged, annotated := 0, 0
-	for i := 0; i < 4; i++ { // the rotating primary lands on the straggler every other query
-		tr := obs.NewTrace()
-		root := tr.StartRoot("test_root")
-		res, err := fx.coord.Search(ctx, fmt.Sprintf("straggler-%d", i), 3, tr)
-		root.End()
-		if err != nil {
-			t.Fatalf("straggler query %d: %v", i, err)
-		}
-		hedged += res.Hedged
-		for _, sp := range tr.Spans() {
-			if sp.Name == "shard" && sp.Annotations["hedges"] == "1" {
-				annotated++
-			}
-		}
-	}
-	if st := fx.coord.Stats().Groups[0]; st.Hedges == 0 {
-		t.Fatal("the group launched no hedge against a 150ms straggler")
-	}
-	if hedged < 1 || annotated < 1 {
-		t.Errorf("Result.Hedged summed to %d over %d annotated shard spans, want at least 1 each", hedged, annotated)
 	}
 }

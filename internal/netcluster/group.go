@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -16,18 +17,13 @@ import (
 // Metric series recorded by replica groups. Per-replica series carry
 // set="<set>" and replica="<index>" labels; per-set series carry set.
 const (
-	// MetricAttempts counts shard attempts (primaries, retries and hedges).
+	// MetricAttempts counts shard attempts (primaries and retries).
 	MetricAttempts = "semdisco_netcluster_attempts_total"
 	// MetricReplicaErrors counts failed attempts per replica.
 	MetricReplicaErrors = "semdisco_netcluster_replica_errors_total"
 	// MetricRetries counts sequential failover retries after a replica
 	// failed.
 	MetricRetries = "semdisco_netcluster_retries_total"
-	// MetricGroupHedges counts hedge attempts launched against a replica
-	// running past the set's observed p95.
-	MetricGroupHedges = "semdisco_netcluster_hedges_total"
-	// MetricGroupHedgeWins counts hedges that beat the replica they raced.
-	MetricGroupHedgeWins = "semdisco_netcluster_hedge_wins_total"
 	// MetricSetDown counts searches where every replica of a set failed —
 	// the degraded answers the coordinator served.
 	MetricSetDown = "semdisco_netcluster_set_down_total"
@@ -35,12 +31,10 @@ const (
 
 // MetricHelp maps the group metrics to their Prometheus HELP texts.
 var MetricHelp = map[string]string{
-	MetricAttempts:       "Replica attempts: primaries, failover retries and hedges.",
-	MetricReplicaErrors:  "Failed replica attempts.",
-	MetricRetries:        "Sequential failover retries after a replica failure.",
-	MetricGroupHedges:    "Hedge attempts raced across replicas of a set.",
-	MetricGroupHedgeWins: "Replica hedges that beat the attempt they raced.",
-	MetricSetDown:        "Searches in which an entire replica set failed.",
+	MetricAttempts:      "Replica attempts: primaries and failover retries.",
+	MetricReplicaErrors: "Failed replica attempts.",
+	MetricRetries:       "Sequential failover retries after a replica failure.",
+	MetricSetDown:       "Searches in which an entire replica set failed.",
 }
 
 // GroupOptions tunes one replica set's failover behavior.
@@ -49,11 +43,6 @@ type GroupOptions struct {
 	// over to the next replica. 0 leaves attempts bounded only by the
 	// query's own deadline.
 	AttemptTimeout time.Duration
-	// Hedge races a second replica against an attempt running past the
-	// set's observed p95 latency (floored at 2ms, armed after 16 answers) —
-	// hedging across replicas, not a retry of the same process, so a wedged
-	// replica cannot also absorb the hedge.
-	Hedge bool
 	// Registry receives the group's metrics; nil disables them.
 	Registry *obs.Registry
 }
@@ -66,29 +55,84 @@ type replicaState struct {
 
 // Group is one replica set presented to the cluster Router as a single
 // logical Shard: R servers holding identical copies of one partition.
-// SearchEncoded tries replicas with per-attempt timeouts, hedges a second
-// replica against a slow attempt, retries failures on the next replica
-// with exponential backoff plus jitter, and only fails — degrading the
-// federated answer — when every replica of the set has failed.
+// SearchEncoded tries replicas one at a time with per-attempt timeouts,
+// retries failures on the next replica with exponential backoff plus
+// jitter, and only fails — degrading the federated answer — when every
+// replica of the set has failed.
 type Group struct {
 	set     int
 	clients []*Client
-	// policy is the Group's configuration of cluster.Race: one attempt per
-	// replica, each under the attempt timeout, failing over on anything but
-	// a request error (DESIGN.md §9).
-	policy cluster.RacePolicy
+	// policy is the Group's failover: one attempt per replica, each under
+	// the attempt timeout, failing over on anything but a request error
+	// (DESIGN.md §9).
+	policy failover
 	reg    *obs.Registry
 	state  []*replicaState
 	// rr rotates the preferred replica so read load spreads across the
 	// set instead of hammering replica 0.
-	rr        atomic.Uint64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-	retries   atomic.Int64
-	setDown   atomic.Int64
-	// lat is the set's recent winning-attempt latency, the p95 estimator
-	// behind the hedge trigger.
+	rr      atomic.Uint64
+	retries atomic.Int64
+	setDown atomic.Int64
+	// lat is the set's recent successful-attempt latency, behind the
+	// p50/p95 in Stats.
 	lat cluster.Window
+}
+
+// failover is the attempt policy of one replica set: how many replicas a
+// call may try, what bounds an attempt, how long to back off before the
+// next one and which errors end the call at once.
+type failover struct {
+	// targets is how many attempts a call may make, numbered from 0; the
+	// caller maps the number to a replica.
+	targets int
+	// attemptTimeout bounds each attempt on its own; 0 leaves attempts
+	// bounded by ctx alone.
+	attemptTimeout time.Duration
+	// A failed attempt is followed by the next one after
+	// backoffBase·2ⁿ (capped at backoffMax) plus up to 50% jitter, so a
+	// fleet retrying a flapping replica does not beat on it in lockstep.
+	backoffBase, backoffMax time.Duration
+	// final reports an error every target would repeat (a bad request);
+	// it ends the call at once. Nil means no error is final.
+	final func(error) bool
+}
+
+func (p failover) backoff(n int) time.Duration {
+	d := p.backoffBase << uint(n)
+	if d > p.backoffMax || d <= 0 {
+		d = p.backoffMax
+	}
+	return d + time.Duration(rand.Int63n(int64(d)/2+1))
+}
+
+// run calls do for attempt 0, 1, … on the caller's goroutine until one
+// succeeds, recording its duration in w, and returns the number of
+// attempts made. It stops early on a final error or when ctx dies during
+// a back-off; when every attempt failed it returns the last failure.
+func (p failover) run(ctx context.Context, w *cluster.Window, do func(ctx context.Context, attempt int) (reply, error)) (reply, int, error) {
+	for n := 0; ; n++ {
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if p.attemptTimeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, p.attemptTimeout)
+		}
+		start := time.Now()
+		rep, err := do(actx, n)
+		cancel()
+		if err == nil {
+			w.Record(time.Since(start))
+			return rep, n + 1, nil
+		}
+		if n+1 == p.targets || (p.final != nil && p.final(err)) {
+			return reply{}, n + 1, err
+		}
+		t := time.NewTimer(p.backoff(n))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return reply{}, n + 1, ctx.Err()
+		}
+	}
 }
 
 // NewGroup builds a replica set over shard base URLs sharing one
@@ -99,15 +143,12 @@ func NewGroup(set int, urls []string, rt func(string) *Client, opts GroupOptions
 	}
 	g := &Group{
 		set: set,
-		policy: cluster.RacePolicy{
-			Targets:        len(urls),
-			AttemptTimeout: opts.AttemptTimeout,
-			Hedge:          opts.Hedge,
-			HedgeFloor:     2 * time.Millisecond,
-			HedgeWarmup:    16,
-			BackoffBase:    5 * time.Millisecond,
-			BackoffMax:     250 * time.Millisecond,
-			Final:          requestError,
+		policy: failover{
+			targets:        len(urls),
+			attemptTimeout: opts.AttemptTimeout,
+			backoffBase:    5 * time.Millisecond,
+			backoffMax:     250 * time.Millisecond,
+			final:          requestError,
 		},
 		reg:   opts.Registry,
 		state: make([]*replicaState, len(urls)),
@@ -136,40 +177,30 @@ type reply struct {
 	spans []obs.SpanRecord
 }
 
-// race runs one remote call through the replica-failover race: the
-// preferred replica first (rotating per call), a hedge or a failover going
-// to the next untried one. It returns an error only when every replica
-// failed, the request itself was bad, or the query's own context died. The
-// winner's remote spans are grafted into the trace ctx carries, and a hedge
-// is reported to the Router whose shard call this is.
-func (g *Group) race(ctx context.Context, call func(context.Context, *Client) (reply, error)) (reply, error) {
+// call runs one remote call through the replica failover: the preferred
+// replica first (rotating per call), each failure moving on to the next
+// untried one. It returns an error only when every replica failed, the
+// request itself was bad, or the query's own context died. The answering
+// replica's remote spans are grafted into the trace ctx carries.
+func (g *Group) call(ctx context.Context, remote func(context.Context, *Client) (reply, error)) (reply, error) {
 	n := len(g.clients)
 	first := int(g.rr.Add(1)-1) % n
 	set := strconv.Itoa(g.set)
-	rep, out, err := cluster.Race(ctx, g.policy, &g.lat, func(actx context.Context, attempt int, _ bool) (reply, error) {
+	rep, attempts, err := g.policy.run(ctx, &g.lat, func(actx context.Context, attempt int) (reply, error) {
 		idx := (first + attempt) % n
 		replica := strconv.Itoa(idx)
 		g.state[idx].attempts.Add(1)
 		g.reg.Counter(obs.L(MetricAttempts, "set", set, "replica", replica)).Inc()
-		rep, err := call(actx, g.clients[idx])
+		rep, err := remote(actx, g.clients[idx])
 		if err != nil && ctx.Err() == nil { // a query that gave up is not the replica's failure
 			g.state[idx].errors.Add(1)
 			g.reg.Counter(obs.L(MetricReplicaErrors, "set", set, "replica", replica)).Inc()
 		}
 		return rep, err
 	})
-	if out.Retries > 0 {
-		g.retries.Add(int64(out.Retries))
-		g.reg.Counter(obs.L(MetricRetries, "set", set)).Add(int64(out.Retries))
-	}
-	if out.Hedged {
-		g.hedges.Add(1)
-		g.reg.Counter(obs.L(MetricGroupHedges, "set", set)).Inc()
-		cluster.NoteHedge(ctx)
-	}
-	if out.HedgeWon {
-		g.hedgeWins.Add(1)
-		g.reg.Counter(obs.L(MetricGroupHedgeWins, "set", set)).Inc()
+	if retries := int64(attempts - 1); retries > 0 {
+		g.retries.Add(retries)
+		g.reg.Counter(obs.L(MetricRetries, "set", set)).Add(retries)
 	}
 	switch {
 	case err == nil:
@@ -184,10 +215,10 @@ func (g *Group) race(ctx context.Context, call func(context.Context, *Client) (r
 }
 
 // SearchEncoded implements cluster.Shard: one pre-encoded query answered
-// by whichever replica wins the failover race. The remote cost report is
-// folded into the accumulator ctx carries (the Router's per-shard Cost).
+// by the first replica that succeeds. The remote cost report is folded
+// into the accumulator ctx carries (the Router's per-shard Cost).
 func (g *Group) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
-	rep, err := g.race(ctx, func(actx context.Context, cl *Client) (reply, error) {
+	rep, err := g.call(ctx, func(actx context.Context, cl *Client) (reply, error) {
 		ms, cost, spans, err := cl.SearchEncoded(actx, q, k)
 		return reply{ms: [][]core.Match{ms}, costs: []obs.CostReport{cost}, spans: spans}, err
 	})
@@ -199,10 +230,10 @@ func (g *Group) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.M
 }
 
 // SearchEncodedBatch implements cluster.BatchShard: the whole block rides
-// one failover race, so a straggling replica costs one hedge for the
-// batch, not one per query.
+// one failover call, so a failing replica costs one retry for the batch,
+// not one per query.
 func (g *Group) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]core.Match, error) {
-	rep, err := g.race(ctx, func(actx context.Context, cl *Client) (reply, error) {
+	rep, err := g.call(ctx, func(actx context.Context, cl *Client) (reply, error) {
 		ms, reps, spans, err := cl.SearchEncodedBatch(actx, qs, ks)
 		return reply{ms: ms, costs: reps, spans: spans}, err
 	})
@@ -226,24 +257,20 @@ type ReplicaStats struct {
 
 // GroupStats is one replica set's health snapshot.
 type GroupStats struct {
-	Set       int            `json:"set"`
-	Replicas  []ReplicaStats `json:"replicas"`
-	Hedges    int64          `json:"hedges"`
-	HedgeWins int64          `json:"hedge_wins"`
-	Retries   int64          `json:"retries"`
-	SetDown   int64          `json:"set_down"`
-	P50MS     float64        `json:"p50_ms"`
-	P95MS     float64        `json:"p95_ms"`
+	Set      int            `json:"set"`
+	Replicas []ReplicaStats `json:"replicas"`
+	Retries  int64          `json:"retries"`
+	SetDown  int64          `json:"set_down"`
+	P50MS    float64        `json:"p50_ms"`
+	P95MS    float64        `json:"p95_ms"`
 }
 
 // Stats snapshots the set's failover counters and attempt latency.
 func (g *Group) Stats() GroupStats {
 	s := GroupStats{
-		Set:       g.set,
-		Hedges:    g.hedges.Load(),
-		HedgeWins: g.hedgeWins.Load(),
-		Retries:   g.retries.Load(),
-		SetDown:   g.setDown.Load(),
+		Set:     g.set,
+		Retries: g.retries.Load(),
+		SetDown: g.setDown.Load(),
 	}
 	s.P50MS = float64(g.lat.Quantile(0.50)) / float64(time.Millisecond)
 	s.P95MS = float64(g.lat.Quantile(0.95)) / float64(time.Millisecond)

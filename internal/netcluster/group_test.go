@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"semdisco/internal/cluster"
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
 )
@@ -185,39 +186,6 @@ func TestGroupNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
-// TestGroupHedgesPastStraggler: once the latency window is warm, an
-// attempt running past the set's p95 races a second replica; a healthy
-// sibling must win against a straggler without the query erroring.
-func TestGroupHedgesPastStraggler(t *testing.T) {
-	fx := newGroupFixture(t, 2, GroupOptions{
-		AttemptTimeout: 2 * time.Second,
-		Hedge:          true,
-	})
-	ctx := context.Background()
-	for i := 0; i < 20; i++ { // warm the p95 window past HedgeAfter
-		if _, err := fx.group.SearchEncoded(ctx, testVec, 3); err != nil {
-			t.Fatalf("warm-up %d: %v", i, err)
-		}
-	}
-	fx.inj.Set(fx.urls[0], Fault{Latency: 150 * time.Millisecond, Remaining: -1})
-	for i := 0; i < 20; i++ {
-		ms, err := fx.group.SearchEncoded(ctx, testVec, 3)
-		if err != nil {
-			t.Fatalf("straggler query %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(ms, fx.backend.matches[:3]) {
-			t.Fatalf("straggler query %d answer wrong: %+v", i, ms)
-		}
-	}
-	st := fx.group.Stats()
-	if st.Hedges == 0 {
-		t.Error("no hedges launched against a 150ms straggler")
-	}
-	if st.HedgeWins == 0 {
-		t.Error("no hedge won against a 150ms straggler")
-	}
-}
-
 func TestGroupBatchFailover(t *testing.T) {
 	fx := newGroupFixture(t, 2, GroupOptions{})
 	fx.inj.Set(fx.urls[0], Fault{Drop: true, Remaining: -1})
@@ -262,15 +230,13 @@ func TestGroupTraceGrafting(t *testing.T) {
 	}
 }
 
-// TestGroupConcurrentSearches drives the failover state machine from many
-// goroutines with a straggling replica — the -race run of this test is the
-// point, not the assertions.
+// TestGroupConcurrentSearches drives the failover loop from many
+// goroutines with a straggling replica and a dead one — the -race run of
+// this test is the point, not the assertions.
 func TestGroupConcurrentSearches(t *testing.T) {
-	fx := newGroupFixture(t, 3, GroupOptions{
-		AttemptTimeout: 2 * time.Second,
-		Hedge:          true,
-	})
+	fx := newGroupFixture(t, 3, GroupOptions{AttemptTimeout: 2 * time.Second})
 	fx.inj.Set(fx.urls[1], Fault{Latency: 10 * time.Millisecond, Remaining: -1})
+	fx.inj.Set(fx.urls[2], Fault{Drop: true, Remaining: -1})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -289,5 +255,102 @@ func TestGroupConcurrentSearches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Errorf("concurrent search: %v", err)
+	}
+}
+
+// TestFailover drives the Group's failover loop through every transition
+// against a scripted attempt function; the Group tests above check its
+// wiring to replicas, this table checks the loop.
+func TestFailover(t *testing.T) {
+	var (
+		errA     = errors.New("a")
+		errB     = errors.New("b")
+		errFinal = errors.New("bad request")
+	)
+	// step scripts attempt n: wait (honouring the attempt's context), then
+	// fail with err or answer.
+	type step struct {
+		wait time.Duration
+		err  error
+	}
+	const slow = 400 * time.Millisecond // far past every timeout and back-off used below
+	cases := []struct {
+		name        string
+		policy      failover
+		script      []step
+		cancelAfter time.Duration
+		wantErr     error
+		attempts    int
+		samples     int // successful attempts the window gained
+		atLeast     time.Duration
+		atMost      time.Duration
+	}{
+		{name: "inline single attempt",
+			policy: failover{targets: 2}, script: []step{{}},
+			attempts: 1, samples: 1},
+		{name: "a final error ends the call",
+			policy: failover{targets: 3, backoffBase: time.Millisecond, backoffMax: time.Millisecond,
+				final: func(err error) bool { return errors.Is(err, errFinal) }},
+			script:  []step{{err: errFinal}},
+			wantErr: errFinal, attempts: 1},
+		{name: "back-off failover across 3 targets",
+			policy:   failover{targets: 3, backoffBase: 4 * time.Millisecond, backoffMax: 6 * time.Millisecond},
+			script:   []step{{err: errA}, {err: errB}, {}},
+			attempts: 3, samples: 1, atLeast: 10 * time.Millisecond},
+		{name: "every target fails: the last error",
+			policy:  failover{targets: 2, backoffBase: time.Millisecond, backoffMax: time.Millisecond},
+			script:  []step{{err: errA}, {err: errB}},
+			wantErr: errB, attempts: 2},
+		{name: "ctx dies during back-off",
+			policy: failover{targets: 2, backoffBase: slow, backoffMax: slow}, script: []step{{err: errA}},
+			cancelAfter: 10 * time.Millisecond,
+			wantErr:     context.Canceled, attempts: 1, atMost: slow / 2},
+		{name: "the attempt timeout fails over",
+			policy:   failover{targets: 2, attemptTimeout: 10 * time.Millisecond, backoffBase: time.Millisecond, backoffMax: time.Millisecond},
+			script:   []step{{wait: slow}, {}},
+			attempts: 2, samples: 1, atMost: slow / 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &cluster.Window{}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelAfter > 0 {
+				time.AfterFunc(tc.cancelAfter, cancel)
+			}
+			var seen []int
+			start := time.Now()
+			_, attempts, err := tc.policy.run(ctx, w, func(actx context.Context, n int) (reply, error) {
+				seen = append(seen, n)
+				select {
+				case <-time.After(tc.script[n].wait):
+				case <-actx.Done():
+					return reply{}, actx.Err()
+				}
+				return reply{}, tc.script[n].err
+			})
+			elapsed := time.Since(start)
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if attempts != tc.attempts || len(seen) != tc.attempts {
+				t.Errorf("attempts = %d, ran %v, want %d", attempts, seen, tc.attempts)
+			}
+			for i, n := range seen {
+				if n != i {
+					t.Errorf("attempts ran in order %v, want 0, 1, …", seen)
+					break
+				}
+			}
+			if tc.atLeast > 0 && elapsed < tc.atLeast {
+				t.Errorf("returned after %v, want at least %v", elapsed, tc.atLeast)
+			}
+			if tc.atMost > 0 && elapsed > tc.atMost {
+				t.Errorf("returned after %v, want at most %v", elapsed, tc.atMost)
+			}
+			if got := w.Quantile(1) > 0; got != (tc.samples > 0) {
+				t.Errorf("window holds a sample: %v, want %v", got, tc.samples > 0)
+			}
+		})
 	}
 }

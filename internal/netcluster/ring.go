@@ -2,14 +2,14 @@
 // behind the wire: shard servers host one partition each behind the HTTP API (plus an
 // internal encoded-search endpoint, so the coordinator embeds a query once
 // and fans raw vectors out), and a coordinator owns a consistent-hash ring
-// of R-way replica sets, routing reads and writes to sets, hedging slow
-// attempts across replicas, retrying with exponential backoff and jitter,
-// and degrading partially when a whole replica set is unreachable.
+// of R-way replica sets, routing reads and writes to sets, failing over
+// across replicas with exponential backoff and jitter, and degrading
+// partially when a whole replica set is unreachable.
 //
 // The coordinator runs the cluster Router — each replica set is presented
 // to it as one logical Shard — so the networked deployment gets the
-// Router's bit-identical ExS merge, result cache, request coalescing, cost
-// aggregation and span-tree tracing. What this
+// Router's bit-identical ExS merge, cost aggregation and span-tree
+// tracing. What this
 // package adds is everything the wire makes necessary: an HTTP transport
 // (with pluggable fault injection for tests and benches), remote-error
 // classification, replica failover, and traceparent propagation so a

@@ -123,7 +123,7 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status, code := http.StatusInternalServerError, CodeInternal
 		if r.Context().Err() != nil {
-			// The coordinator hung up (deadline or hedge winner elsewhere);
+			// The coordinator hung up (its deadline or attempt timeout);
 			// 503 tells the client this was availability, not a bad query.
 			status, code = http.StatusServiceUnavailable, CodeUnavailable
 		}

@@ -219,7 +219,7 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 // SampleQuantile estimates the q-quantile of an ascending-sorted sample
 // by linear interpolation between adjacent order statistics — the same
 // interpolation HistSnapshot.Quantile applies inside a bucket, shared so
-// every quantile this codebase reports (hedge triggers, shard p95s,
+// every quantile this codebase reports (shard and replica-set p95s,
 // histogram summaries) agrees on the estimator. Returns 0 when empty.
 func SampleQuantile(sorted []time.Duration, q float64) time.Duration {
 	n := len(sorted)

@@ -28,8 +28,6 @@ type TraceOutcome struct {
 	Err string
 	// Degraded reports a scatter-gather answer missing one or more shards.
 	Degraded bool
-	// Hedged counts hedge attempts launched for the request.
-	Hedged int
 	// ShardErrors lists per-shard failure texts, ascending by shard.
 	ShardErrors []string
 }
@@ -50,7 +48,7 @@ type StoredSpan struct {
 type StoredTrace struct {
 	TraceID string    `json:"trace_id"`
 	Time    time.Time `json:"time"`
-	// Kind is the retention reason: "error", "degraded", "hedged", "slow"
+	// Kind is the retention reason: "error", "degraded", "slow"
 	// (tail-based) or "sampled" (1-in-M head sample).
 	Kind        string       `json:"kind"`
 	Query       string       `json:"query,omitempty"`
@@ -62,7 +60,6 @@ type StoredTrace struct {
 	RequestID   string       `json:"request_id,omitempty"`
 	Err         string       `json:"error,omitempty"`
 	Degraded    bool         `json:"degraded,omitempty"`
-	Hedged      int          `json:"hedged,omitempty"`
 	ShardErrors []string     `json:"shard_errors,omitempty"`
 	Spans       []StoredSpan `json:"spans"`
 }
@@ -82,8 +79,8 @@ type TraceStoreConfig struct {
 
 // TraceStore is the tail-sampling retention layer: every finished request
 // offers its trace, and the store keeps the ones whose outcome makes them
-// worth a human's time — errors, degraded or hedged scatter-gathers,
-// latency over the threshold — plus a 1-in-M head sample for baseline.
+// worth a human's time — errors, degraded scatter-gathers, latency over
+// the threshold — plus a 1-in-M head sample for baseline.
 // Eviction is strictly oldest-first. A nil *TraceStore is a valid no-op.
 type TraceStore struct {
 	cfg     TraceStoreConfig
@@ -114,16 +111,14 @@ func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
 }
 
 // kind classifies why a trace is retained; "" means not interesting.
-// Severity order: an error outranks degradation outranks hedging outranks
-// plain slowness, so the stored Kind names the worst thing that happened.
+// Severity order: an error outranks degradation outranks plain slowness,
+// so the stored Kind names the worst thing that happened.
 func (s *TraceStore) kind(o TraceOutcome) string {
 	switch {
 	case o.Err != "":
 		return "error"
 	case o.Degraded || len(o.ShardErrors) > 0:
 		return "degraded"
-	case o.Hedged > 0:
-		return "hedged"
 	case s.cfg.LatencyThreshold > 0 && o.Duration >= s.cfg.LatencyThreshold:
 		return "slow"
 	default:
@@ -163,7 +158,6 @@ func (s *TraceStore) Offer(tr *Trace, o TraceOutcome) (kept bool, kind string) {
 		RequestID:   o.RequestID,
 		Err:         o.Err,
 		Degraded:    o.Degraded,
-		Hedged:      o.Hedged,
 		ShardErrors: o.ShardErrors,
 		Spans:       storedSpans(tr),
 	}

@@ -27,10 +27,9 @@ func TestTraceStoreKindPrecedence(t *testing.T) {
 		o    TraceOutcome
 		want string
 	}{
-		{"error beats degraded", TraceOutcome{Err: "boom", Degraded: true, Hedged: 2, Duration: 2 * time.Second}, "error"},
-		{"degraded beats hedged", TraceOutcome{Degraded: true, Hedged: 2, Duration: 2 * time.Second}, "degraded"},
+		{"error beats degraded", TraceOutcome{Err: "boom", Degraded: true, Duration: 2 * time.Second}, "error"},
+		{"degraded beats slow", TraceOutcome{Degraded: true, Duration: 2 * time.Second}, "degraded"},
 		{"shard errors imply degraded", TraceOutcome{ShardErrors: []string{"shard 1: x"}}, "degraded"},
-		{"hedged beats slow", TraceOutcome{Hedged: 1, Duration: 2 * time.Second}, "hedged"},
 		{"slow", TraceOutcome{Duration: 2 * time.Second}, "slow"},
 	}
 	for _, c := range cases {
@@ -236,12 +235,12 @@ func TestTraceStoreSpanTreeParents(t *testing.T) {
 	scatter := tr.StartSpan("scatter")
 	sh0 := scatter.StartChild("shard").AnnotateInt("shard", 0).Annotate("attempt", "primary")
 	sh0.End()
-	sh1 := scatter.StartChild("shard").AnnotateInt("shard", 1).Annotate("attempt", "hedge")
+	sh1 := scatter.StartChild("shard").AnnotateInt("shard", 1).Annotate("attempt", "retry")
 	sh1.End()
 	scatter.End()
 	root.End()
-	if kept, _ := s.Offer(tr, TraceOutcome{Hedged: 1}); !kept {
-		t.Fatal("hedged trace not kept")
+	if kept, _ := s.Offer(tr, TraceOutcome{Degraded: true}); !kept {
+		t.Fatal("degraded trace not kept")
 	}
 	st, ok := s.Get(tr.ID().String())
 	if !ok {

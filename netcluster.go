@@ -88,8 +88,6 @@ type NetCoordinatorConfig struct {
 	Config
 	// Slack widens each set's fetch to k+Slack before the merge; default 8.
 	Slack int
-	// CacheSize bounds the coordinator's (query, k) result LRU; 0 disables.
-	CacheSize int
 	// Vnodes is the placement ring's virtual-node count per set; it must
 	// match the shards'.
 	Vnodes int
@@ -97,9 +95,6 @@ type NetCoordinatorConfig struct {
 	// over to the next replica of the set. 0 leaves attempts bounded only
 	// by the query's deadline.
 	AttemptTimeout time.Duration
-	// Hedge races a second replica against an attempt running past the
-	// set's observed p95 latency.
-	Hedge bool
 	// Transport carries coordinator→shard requests; nil means
 	// http.DefaultTransport. Tests and benches pass a
 	// *netcluster.FaultInjector.
@@ -147,8 +142,10 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 	model.SetObserver(reg)
 
 	order := make(map[string]int, fed.Len())
+	ids := make([]string, 0, fed.Len())
 	for i, r := range fed.Relations() {
 		order[r.ID] = i
+		ids = append(ids, r.ID)
 	}
 	nc := &NetCoordinator{
 		telemetry: telemetry{method: cfg.Method, span: "coordinator_search", latency: cluster.MetricSearchSeconds,
@@ -157,7 +154,7 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 		order:     order,
 		nextOrder: fed.Len(),
 	}
-	coord, err := netcluster.NewCoordinator(replicaSets, netcluster.CoordinatorOptions{
+	coord, err := netcluster.NewCoordinator(replicaSets, ids, netcluster.CoordinatorOptions{
 		Encode: model.Encode,
 		Order: func(relID string) int {
 			nc.orderMu.RLock()
@@ -168,12 +165,9 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 			}
 			return int(^uint(0) >> 1) // unknown IDs tie-break last
 		},
-		Method:         cfg.Method.String(),
 		Slack:          cfg.Slack,
-		CacheSize:      cfg.CacheSize,
 		Vnodes:         cfg.Vnodes,
 		AttemptTimeout: cfg.AttemptTimeout,
-		Hedge:          cfg.Hedge,
 		Transport:      cfg.Transport,
 		Registry:       reg,
 	})
@@ -185,8 +179,8 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 }
 
 // Do implements Backend: the query is encoded once, the raw vector fans
-// out to one replica per set (with failover, hedging and per-attempt
-// timeouts inside each set), and per-set answers merge — for ExS
+// out to one replica per set (with failover and per-attempt timeouts
+// inside each set), and per-set answers merge — for ExS
 // bit-identically to a single engine. A whole replica set failing
 // degrades the Response; only every set failing — or ctx expiring —
 // returns an error.

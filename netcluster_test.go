@@ -224,6 +224,52 @@ func TestNetShardPartitioning(t *testing.T) {
 	}
 }
 
+// TestNetCoordinatorRelationCounts: the coordinator's per-set relation
+// counts in Stats start at what each set's shard engine holds, and a
+// delete lowers the owning set's count by exactly one.
+func TestNetCoordinatorRelationCounts(t *testing.T) {
+	fx := newNetFixture(t, 48)
+	counts := func() []int {
+		var out []int
+		for _, sh := range fx.nc.Stats().Router.Shards {
+			out = append(out, sh.Relations)
+		}
+		return out
+	}
+	before := counts()
+	if len(before) != netTestSets {
+		t.Fatalf("stats report %d sets, want %d", len(before), netTestSets)
+	}
+	for s, engs := range fx.engines {
+		if want := engs[0].NumRelations(); before[s] != want {
+			t.Fatalf("set %d: stats count %d relations, its shard engine holds %d", s, before[s], want)
+		}
+	}
+	id := synthFederation(t, 48).Relations()[0].ID
+	owner := -1
+	for s, engs := range fx.engines {
+		if engs[0].Has(id) {
+			owner = s
+		}
+	}
+	if owner < 0 {
+		t.Fatalf("no set holds %s", id)
+	}
+	if err := fx.nc.DeleteRelation(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	after := counts()
+	for s := range after {
+		want := before[s]
+		if s == owner {
+			want--
+		}
+		if after[s] != want {
+			t.Errorf("set %d after deleting %s (owned by set %d): %d relations, want %d", s, id, owner, after[s], want)
+		}
+	}
+}
+
 // TestNetClusterExSEquivalence is the wire-level acceptance criterion: the
 // networked deployment — coordinator, HTTP fan-out, replica failover, JSON
 // round-trip — must be bit-identical to a single ExS engine.

@@ -2,7 +2,7 @@
 # trace-smoke: end-to-end check of the tracing subsystem against a real
 # networked deployment. Generates a small corpus, serves it as two shard
 # servers (-role shard, one replica set each) behind a coordinator
-# (-role coordinator, hedging on) with every trace retained, runs one
+# (-role coordinator) with every trace retained, runs one
 # search through the coordinator, and asserts that:
 #
 #   1. the response body and X-Trace-Id header carry the same trace ID,
@@ -66,7 +66,7 @@ waitup "http://127.0.0.1:$SHARD1_PORT" shard1.log "$SHARD1_PID"
 echo "== starting the coordinator on :$PORT"
 serve coordinator.log -role coordinator \
     -peers "127.0.0.1:$SHARD0_PORT;127.0.0.1:$SHARD1_PORT" \
-    -attempt-timeout 2s -hedge -trace-head-sample 1 -addr "127.0.0.1:$PORT"
+    -attempt-timeout 2s -trace-head-sample 1 -addr "127.0.0.1:$PORT"
 COORD_PID=$!
 waitup "$BASE" coordinator.log "$COORD_PID"
 

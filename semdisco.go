@@ -103,7 +103,7 @@ type Config struct {
 	DisableMetrics bool
 	// Tracing tunes the span-tree tracing subsystem: every search runs
 	// under a 128-bit trace ID, and the tail-based trace store retains the
-	// traces whose outcome is interesting (slow, degraded, hedged, failed)
+	// traces whose outcome is interesting (slow, degraded, failed)
 	// plus a 1-in-M head sample — the one record behind the trace list, the
 	// slowest-first view and the JSON-lines export. The zero value enables
 	// tracing with defaults. See TracingConfig.

@@ -12,8 +12,8 @@ import (
 // TracingConfig tunes the span-tree tracing subsystem. Every search runs
 // under a 128-bit trace ID with a root span and per-stage child spans; a
 // tail-based store retains the traces whose outcome makes them worth a
-// human's time — errors, degraded or hedged scatter-gathers, latency over
-// the threshold — plus a 1-in-M head sample for baseline comparison. The
+// human's time — errors, degraded scatter-gathers, latency over the
+// threshold — plus a 1-in-M head sample for baseline comparison. The
 // store is the one retained-query record: the trace list, the slowest-first
 // view and the JSON-lines export all read it. The zero value enables
 // tracing with defaults (256-trace store, no latency criterion, head sample
@@ -24,8 +24,8 @@ type TracingConfig struct {
 	// StoreSize is the retained-trace ring capacity; default 256.
 	StoreSize int
 	// LatencyThreshold retains every trace whose request ran at least this
-	// long. Zero disables the latency criterion; errors, degradation and
-	// hedging still retain regardless.
+	// long. Zero disables the latency criterion; errors and degradation
+	// still retain regardless.
 	LatencyThreshold time.Duration
 	// HeadSampleEvery keeps 1 in every M otherwise-uninteresting traces so
 	// the store always holds healthy baselines. Zero selects the default of
@@ -165,7 +165,6 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 	resp := &Response{}
 	res, err := run(ctx, tr)
 	if res != nil {
-		// A copy: a router shares its result with coalesced followers.
 		resp.ClusterResult = *res
 	}
 	resp.TraceID = tr.ID().String()
@@ -185,7 +184,6 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 		Matches:   len(resp.Matches),
 		Cost:      resp.Cost.Total(),
 		Degraded:  resp.Degraded,
-		Hedged:    resp.Hedged,
 		RequestID: obs.RequestIDFrom(ctx),
 	}
 	if err != nil {
@@ -241,12 +239,10 @@ func (t *telemetry) observeBatch(ctx context.Context, queries []Query, run func(
 		resps := make([]Response, len(results))
 		perItem := dur / time.Duration(len(queries))
 		for i, r := range results {
-			// Copies: a router shares results with coalesced followers.
 			resps[i].ClusterResult = *r
 			resps[i].TraceID = id
 			out[i] = &resps[i]
 			o.Degraded = o.Degraded || r.Degraded
-			o.Hedged = max(o.Hedged, r.Hedged)
 			o.Cost += r.Cost.Total()
 			if queries[i].K > 0 {
 				t.slo.Record(perItem, r.Degraded)
