@@ -53,23 +53,21 @@ failover-stress:
 portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/kmeans ./internal/umap ./internal/hdbscan
-	$(GO) test -tags purego -run 'SerialBuildGraphGolden|LoadsParentCommitImages|ScanMatchesExhaustiveWalk' ./internal/vectordb
+	$(GO) test -tags purego -run 'SerialBuildGraphGolden|ScanMatchesExhaustiveWalk' ./internal/vectordb
 	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
 	$(GO) test -tags purego -run 'LoadsParentCommitEngineImage' .
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the
-# centroid bound, the embedded-federation image reader, the
-# coordinator↔shard wire frame, the HNSW, PQ and vector collection image
-# readers, the CSV reader, the text pipeline and the
+# centroid bound, the engine image reader (LoadEngine, the one decoder a
+# file on disk reaches) and the embedded-federation image inside it, the
+# coordinator↔shard wire frame, the CSV reader, the text pipeline and the
 # traceparent parser.
 # The checked-in corpora under testdata/fuzz run with the ordinary tests.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCentroidBound$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEmbedded$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 5s ./internal/netcluster
-	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/hnsw
-	$(GO) test -run '^$$' -fuzz '^FuzzPQRead$$' -fuzztime 5s ./internal/pq
-	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/vectordb
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadEngine$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 5s ./internal/text

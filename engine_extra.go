@@ -183,12 +183,20 @@ func (e *Engine) Save(w io.Writer) error {
 // LoadEngine restores an engine written by Save. Value embeddings are read
 // back verbatim; the method's index structures are rebuilt.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	var p enginePersist
+	// RelSource is made before decoding: gob sizes a nil map by the entry
+	// count the image claims, before reading a single entry.
+	p := enginePersist{RelSource: make(map[string]string)}
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("semdisco: load: %w", err)
 	}
 	if p.Version != 1 && p.Version != 2 {
 		return nil, fmt.Errorf("semdisco: unsupported engine version %d", p.Version)
+	}
+	switch {
+	case p.Dim != 0 && p.Dim < embed.MinDim:
+		return nil, fmt.Errorf("semdisco: load: dimension %d, want 0 or at least %d", p.Dim, embed.MinDim)
+	case p.Method != CTS && p.Method != ANNS && p.Method != ExS:
+		return nil, fmt.Errorf("semdisco: load: unknown %v", p.Method)
 	}
 	exs, err := p.ExS.options()
 	if err != nil {
@@ -238,9 +246,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if p.RelSource == nil {
-		p.RelSource = make(map[string]string)
 	}
 	return &Engine{telemetry: engineTelemetry(cfg, reg), cfg: cfg, model: model, store: store, stats: p.Stats, relSource: p.RelSource}, nil
 }

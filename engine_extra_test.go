@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -150,10 +149,86 @@ func TestEngineSaveRejectsCustomIDF(t *testing.T) {
 	}
 }
 
-func TestLoadEngineRejectsGarbage(t *testing.T) {
-	if _, err := LoadEngine(strings.NewReader("not an engine")); err == nil {
-		t.Fatal("garbage must not load")
+// tinyEngineImage is the Save image of a small engine over the vaccine
+// federation.
+func tinyEngineImage(t testing.TB, m Method) []byte {
+	t.Helper()
+	eng, err := Open(vaccineFederation(t), Config{Method: m, Dim: 16, Seed: 3, Lexicon: vaccineLexicon()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var img bytes.Buffer
+	if err := eng.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	return img.Bytes()
+}
+
+// encodeEngineImage gob-encodes p as Save would.
+func encodeEngineImage(t testing.TB, p enginePersist) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(p); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// editEngineImage decodes img, applies edit and encodes the result again.
+func editEngineImage(t testing.TB, img []byte, edit func(*enginePersist)) []byte {
+	t.Helper()
+	var p enginePersist
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	edit(&p)
+	return encodeEngineImage(t, p)
+}
+
+// malformedEngineImages are images LoadEngine must refuse with an error:
+// garbage, and envelopes naming a dimension the encoder cannot take (0
+// selects the default; below embed.MinDim it would panic) or a method that
+// does not exist.
+func malformedEngineImages(t testing.TB) map[string][]byte {
+	exs := tinyEngineImage(t, ExS)
+	return map[string][]byte{
+		"garbage":         []byte("not an engine"),
+		"bare dim 3":      encodeEngineImage(t, enginePersist{Version: 2, Dim: 3}),
+		"bare dim -1":     encodeEngineImage(t, enginePersist{Version: 2, Dim: -1}),
+		"saved dim 3":     editEngineImage(t, exs, func(p *enginePersist) { p.Dim = 3 }),
+		"saved dim 7":     editEngineImage(t, exs, func(p *enginePersist) { p.Dim = 7 }),
+		"unknown method":  editEngineImage(t, exs, func(p *enginePersist) { p.Method = 3 }),
+		"negative method": editEngineImage(t, exs, func(p *enginePersist) { p.Method = -1 }),
+	}
+}
+
+func TestLoadEngineRejectsGarbage(t *testing.T) {
+	for name, img := range malformedEngineImages(t) {
+		if _, err := LoadEngine(bytes.NewReader(img)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+	}
+}
+
+// FuzzLoadEngine feeds LoadEngine arbitrary images: it must return an
+// engine or an error, never panic, and an engine it returns must answer Do
+// without panicking. The allocation is not bounded by the input's length:
+// the gob envelope cannot promise that.
+func FuzzLoadEngine(f *testing.F) {
+	f.Add(tinyEngineImage(f, ExS))
+	f.Add(tinyEngineImage(f, ANNS))
+	for _, img := range malformedEngineImages(f) {
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eng, err := LoadEngine(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, req := range []Request{{Query: "vaccine europe", K: 3}, {Query: "COVID", K: 2, Feedback: true}} {
+			eng.Do(context.Background(), req)
+		}
+	})
 }
 
 func TestEngineSearchSources(t *testing.T) {
@@ -302,25 +377,8 @@ func TestLoadsParentCommitEngineImage(t *testing.T) {
 // or top-m of value scores. Those aggregators are gone, and an image that
 // names one must fail to load rather than come back ranking by the mean.
 func TestLoadRefusesRemovedAggregator(t *testing.T) {
-	cfg := Config{Method: ExS, Dim: 64, Seed: 7, Lexicon: vaccineLexicon()}
-	eng, err := Open(vaccineFederation(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if err := eng.Save(&img); err != nil {
-		t.Fatal(err)
-	}
-	var ep enginePersist
-	if err := gob.NewDecoder(&img).Decode(&ep); err != nil {
-		t.Fatal(err)
-	}
-	ep.ExS.Aggregator = 1
-	img.Reset()
-	if err := gob.NewEncoder(&img).Encode(ep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEngine(&img); err == nil {
+	img := editEngineImage(t, tinyEngineImage(t, ExS), func(p *enginePersist) { p.ExS.Aggregator = 1 })
+	if _, err := LoadEngine(bytes.NewReader(img)); err == nil {
 		t.Fatal("LoadEngine accepted an image with Aggregator 1")
 	}
 }

@@ -92,7 +92,7 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 	}
 	coll.SetObserver(emb.Obs)
 	post := newPostings(emb, nil, 1)
-	if _, err := coll.InsertBatch(post.group(emb, 0)); err != nil {
+	if err := coll.InsertBatch(post.group(emb, 0)); err != nil {
 		return nil, fmt.Errorf("core: anns insert: %w", err)
 	}
 	emb.Obs.Gauge(MetricValues).Set(float64(len(emb.Values)))

@@ -171,7 +171,7 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	post := newPostings(emb, clusterOf, numClusters)
 	insertErrs := make([]error, numClusters)
 	par.Each(numClusters, workers, func(c int) {
-		if _, err := colls[c].InsertBatch(post.group(emb, c)); err != nil {
+		if err := colls[c].InsertBatch(post.group(emb, c)); err != nil {
 			insertErrs[c] = fmt.Errorf("core: cts insert: %w", err)
 		}
 	})

@@ -24,20 +24,16 @@ func (l *Lexicon) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. The maps are made before decoding:
+// gob sizes a nil map by the entry count the image claims, before reading
+// a single entry, but fills a non-nil one as its entries arrive.
 func (l *Lexicon) GobDecode(data []byte) error {
-	var img lexiconImage
+	img := lexiconImage{Concepts: make(map[string]int32), Parents: make(map[int32]int32)}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
 		return err
 	}
 	l.concepts = img.Concepts
 	l.parents = img.Parents
 	l.next = img.Next
-	if l.concepts == nil {
-		l.concepts = make(map[string]int32)
-	}
-	if l.parents == nil {
-		l.parents = make(map[int32]int32)
-	}
 	return nil
 }

@@ -15,6 +15,9 @@ import (
 // 768-dimensional sentence embeddings.
 const DefaultDim = 768
 
+// MinDim is the smallest dimensionality New accepts.
+const MinDim = 8
+
 // Encoder is the minimal contract the rest of the system depends on: map a
 // string to a fixed-dimension unit vector. Model satisfies it, and so do the
 // constrained wrappers used by the baselines.
@@ -107,7 +110,7 @@ func New(cfg Config) *Model {
 	if cfg.Dim == 0 {
 		cfg.Dim = DefaultDim
 	}
-	if cfg.Dim < 8 {
+	if cfg.Dim < MinDim {
 		panic(fmt.Sprintf("embed: dimension %d too small", cfg.Dim))
 	}
 	if cfg.ConceptWeight == 0 {

@@ -64,7 +64,6 @@ type Index struct {
 	mMax0          int
 	efConstruction int
 	ml             float64
-	seed           int64
 
 	dist          func(a, b int32) float32
 	newTargetDist func() TargetDist
@@ -99,7 +98,6 @@ func New(cfg Config, dist func(a, b int32) float32, newTargetDist func() TargetD
 		mMax0:          2 * cfg.M,
 		efConstruction: cfg.EfConstruction,
 		ml:             1 / math.Log(float64(cfg.M)),
-		seed:           cfg.Seed,
 		dist:           dist,
 		newTargetDist:  newTargetDist,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),

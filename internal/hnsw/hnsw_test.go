@@ -1,7 +1,6 @@
 package hnsw
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
 	"sync"
@@ -351,79 +350,5 @@ func BenchmarkAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.add(vs[i])
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	s := newStore(Config{M: 8, EfConstruction: 80, Seed: 21})
-	vs := randVecs(500, 16, 21)
-	for _, v := range vs {
-		s.add(v)
-	}
-	var buf bytes.Buffer
-	if _, err := s.ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Read(bytes.NewReader(buf.Bytes()), func(a, b int32) float32 {
-		return vec.L2Sq(s.vecs[a], s.vecs[b])
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != s.ix.Len() || restored.MaxLevel() != s.ix.MaxLevel() {
-		t.Fatal("shape lost in round trip")
-	}
-	// Same queries must give identical results on both graphs.
-	for probe := 0; probe < 20; probe++ {
-		q := randVecs(1, 16, int64(100+probe))[0]
-		qd := func(id int32) float32 { return vec.L2Sq(q, s.vecs[id]) }
-		a := s.ix.Search(qd, 10, 64, nil)
-		b := restored.Search(qd, 10, 64, nil)
-		if len(a) != len(b) {
-			t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("results differ at %d: %v vs %v", i, a[i], b[i])
-			}
-		}
-	}
-	// The restored graph must accept further inserts.
-	s2 := &store{vecs: append([][]float32{}, s.vecs...), ix: restored}
-	_ = s2 // restored uses the closure over s.vecs; add via s.
-	s.ix = restored
-	s.add(randVecs(1, 16, 999)[0])
-	if restored.Len() != 501 {
-		t.Fatalf("Len after add = %d", restored.Len())
-	}
-}
-
-func TestSerializationEmpty(t *testing.T) {
-	s := newStore(Config{Seed: 22})
-	var buf bytes.Buffer
-	if _, err := s.ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Read(bytes.NewReader(buf.Bytes()), s.ix.dist, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 0 {
-		t.Fatal("empty index round trip broken")
-	}
-	if got := restored.Search(func(int32) float32 { return 0 }, 5, 10, nil); got != nil {
-		t.Fatalf("empty restored search: %v", got)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	for _, data := range [][]byte{
-		nil,
-		{1, 2, 3},
-		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
-	} {
-		if _, err := Read(bytes.NewReader(data), nil, nil); err == nil {
-			t.Fatalf("garbage %v parsed", data)
-		}
 	}
 }

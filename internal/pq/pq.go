@@ -9,10 +9,8 @@
 package pq
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"semdisco/internal/kmeans"
@@ -349,74 +347,4 @@ func (q *Quantizer) CodeDistRows(code []byte, dst Table) Table {
 		vec.L2SqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
 	}
 	return dst
-}
-
-// WriteTo serializes the quantizer. Format: magic, dims, then codebooks as
-// little-endian float32.
-func (q *Quantizer) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	write := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		k, err := w.Write(buf[:])
-		n += int64(k)
-		return err
-	}
-	if err := write(pqMagic); err != nil {
-		return n, err
-	}
-	for _, v := range []int{q.dim, q.m, q.k} {
-		if err := write(uint32(v)); err != nil {
-			return n, err
-		}
-	}
-	for _, f := range q.codebook {
-		if err := write(math.Float32bits(f)); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-const pqMagic = 0x50511001
-
-// Read deserializes a quantizer written by WriteTo.
-func Read(r io.Reader) (*Quantizer, error) {
-	var buf [4]byte // outside read: it escapes into r, once instead of per float
-	read := func() (uint32, error) {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(buf[:]), nil
-	}
-	magic, err := read()
-	if err != nil {
-		return nil, err
-	}
-	if magic != pqMagic {
-		return nil, errors.New("pq: bad magic")
-	}
-	var dims [3]uint32
-	for i := range dims {
-		if dims[i], err = read(); err != nil {
-			return nil, err
-		}
-	}
-	dim, m, k := int(dims[0]), int(dims[1]), int(dims[2])
-	if dim <= 0 || m <= 0 || k <= 0 || k > 256 || dim%m != 0 {
-		return nil, fmt.Errorf("pq: corrupt header dim=%d m=%d k=%d", dim, m, k)
-	}
-	// The header is untrusted: beyond 256 KiB (K = 256 at dim 256, one
-	// allocation) the codebook grows as floats actually arrive instead of
-	// being allocated on its word.
-	q := &Quantizer{dim: dim, m: m, k: k, subDim: dim / m,
-		codebook: make([]float32, 0, min(k*dim, 1<<16))}
-	for i := 0; i < k*dim; i++ {
-		bits, err := read()
-		if err != nil {
-			return nil, err
-		}
-		q.codebook = append(q.codebook, math.Float32frombits(bits))
-	}
-	return q, nil
 }

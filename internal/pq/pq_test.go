@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -187,84 +186,6 @@ func TestKReducedToSampleSize(t *testing.T) {
 	if q.K() != 10 {
 		t.Fatalf("K=%d want 10", q.K())
 	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	vs := randomUnitVecs(200, 32, 8)
-	q, err := Train(vs, Config{M: 4, K: 32, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := q.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vs[3]
-	c1, c2 := q.Encode(v), q2.Encode(v)
-	if !bytes.Equal(c1, c2) {
-		t.Fatal("round-tripped quantizer encodes differently")
-	}
-	d1, d2 := q.Decode(c1), q2.Decode(c2)
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatal("round-tripped quantizer decodes differently")
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("garbage must not parse")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty must not parse")
-	}
-}
-
-// readAllocBudget bounds what Read may allocate for an n-byte image: the
-// codebook's up-front 256 KiB plus a constant factor of the floats that
-// actually arrive, however large the header claims the codebook is.
-func readAllocBudget(n int) uint64 {
-	return 320<<10 + 32*uint64(n)
-}
-
-// FuzzPQRead feeds Read arbitrary images: it must return a quantizer or an
-// error, never panic, allocate no more than the input's length justifies,
-// and whatever it accepts must serialize back to the bytes it consumed.
-func FuzzPQRead(f *testing.F) {
-	q, err := Train(randomUnitVecs(40, 8, 2), Config{M: 2, K: 4, Seed: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := q.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		q, err := Read(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if got, max := after.TotalAlloc-before.TotalAlloc, readAllocBudget(len(data)); got > max {
-			t.Fatalf("Read allocated %d bytes for a %d-byte image, budget %d", got, len(data), max)
-		}
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if _, err := q.WriteTo(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(data, out.Bytes()) {
-			t.Fatalf("accepted image re-serializes as %x, not a prefix of %x", out.Bytes(), data)
-		}
-	})
 }
 
 func TestDefaultM768(t *testing.T) {

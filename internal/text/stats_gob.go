@@ -26,9 +26,11 @@ func (c *CorpusStats) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. The maps are made before decoding:
+// gob sizes a nil map by the entry count the image claims, before reading
+// a single entry, but fills a non-nil one as its entries arrive.
 func (c *CorpusStats) GobDecode(data []byte) error {
-	var img statsImage
+	img := statsImage{DocFreq: make(map[string]int), TermCount: make(map[string]int64)}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
 		return err
 	}
@@ -36,11 +38,5 @@ func (c *CorpusStats) GobDecode(data []byte) error {
 	c.docFreq = img.DocFreq
 	c.termCount = img.TermCount
 	c.totalLen = img.TotalLen
-	if c.docFreq == nil {
-		c.docFreq = make(map[string]int)
-	}
-	if c.termCount == nil {
-		c.termCount = make(map[string]int64)
-	}
 	return nil
 }

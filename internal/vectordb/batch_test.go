@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq})
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 400; i++ {
-				if _, err := c.Insert(randUnit(16, rng), int32(i)); err != nil {
+				if err := c.Insert(randUnit(16, rng), int32(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +72,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 					t.Fatalf("row %d: %d vs %d results", i, len(rows[i]), len(want))
 				}
 				for j := range want {
-					if rows[i][j].ID != want[j].ID || rows[i][j].Score != want[j].Score {
+					if rows[i][j].Tag != want[j].Tag || math.Float32bits(rows[i][j].Score) != math.Float32bits(want[j].Score) {
 						t.Errorf("row %d result %d: %+v vs %+v", i, j, rows[i][j], want[j])
 					}
 				}

@@ -49,10 +49,9 @@ type CollectionConfig struct {
 	Workers int
 }
 
-// Result is one search hit: the point's id, its cosine similarity to the
-// query and its tag.
+// Result is one search hit: the point's cosine similarity to the query and
+// its tag.
 type Result struct {
-	ID    uint64
 	Score float32
 	Tag   int32
 }
@@ -60,21 +59,18 @@ type Result struct {
 // Filter restricts a search to points whose tag it accepts.
 type Filter func(tag int32) bool
 
-// Collection stores vectors, each with one int32 tag, under one index.
+// Collection stores vectors, each with one int32 tag, under one index. Rows
+// are only appended; a row's slot is its insertion index.
 type Collection struct {
 	cfg CollectionConfig
 
 	mu      sync.RWMutex
-	ids     []uint64
-	byID    map[uint64]int32
 	vectors [][]float32 // raw vectors; nil entries once PQ takes over
 	codes   [][]byte    // PQ codes; nil until trained
-	tags    []int32
-	deleted map[int32]struct{}
+	tags    []int32     // one per row, so len(tags) is the row count
 
 	index     *hnsw.Index
 	quantizer *pq.Quantizer
-	nextID    uint64
 
 	// Observability hooks, resolved once by SetObserver so the insert path
 	// never does a registry lookup. Nil hooks are no-ops.
@@ -86,7 +82,7 @@ type Collection struct {
 // SetObserver wires the collection's build instrumentation into a metrics
 // registry: insert counts, Product-Quantization training time and the time
 // spent linking rows into the graph, whenever that happens (on insert, or
-// deferred to the first walk, GraphStats or Save), which excludes training
+// deferred to the first walk or GraphStats), which excludes training
 // and encoding. A nil registry (or never calling SetObserver) keeps
 // instrumentation off.
 func (c *Collection) SetObserver(reg *obs.Registry) {
@@ -116,11 +112,7 @@ func NewCollection(cfg CollectionConfig) (*Collection, error) {
 	if cfg.PQ != nil && cfg.PQ.TrainSize == 0 {
 		cfg.PQ.TrainSize = 256
 	}
-	c := &Collection{
-		cfg:     cfg,
-		byID:    make(map[uint64]int32),
-		deleted: make(map[int32]struct{}),
-	}
+	c := &Collection{cfg: cfg}
 	c.index = hnsw.New(hnsw.Config{M: cfg.M, EfConstruction: cfg.EfConstruction, Seed: cfg.Seed}, c.itemDist, c.newTargetDist)
 	return c, nil
 }
@@ -166,36 +158,31 @@ func (c *Collection) vectorOf(slot int32) []float32 {
 	return c.quantizer.Decode(c.codes[slot])
 }
 
-// Len returns the number of live points.
+// Len returns the number of rows.
 func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.ids) - len(c.deleted)
+	return len(c.tags)
 }
 
 // Dim returns the configured dimensionality.
 func (c *Collection) Dim() int { return c.cfg.Dim }
 
-// Insert adds a vector with its tag and returns its assigned id: an
-// InsertBatch of one row. The vector is copied and normalized.
-func (c *Collection) Insert(vector []float32, tag int32) (uint64, error) {
-	ids, err := c.InsertBatch([][]float32{vector}, []int32{tag})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
+// Insert adds a vector with its tag: an InsertBatch of one row. The vector
+// is copied and normalized.
+func (c *Collection) Insert(vector []float32, tag int32) error {
+	return c.InsertBatch([][]float32{vector}, []int32{tag})
 }
 
-// InsertBatch adds many vectors at once and returns their assigned ids in
-// input order. tags may be nil (every tag 0), or must have one entry per
-// vector.
+// InsertBatch appends many vectors at once, in input order. tags may be nil
+// (every tag 0), or must have one entry per vector.
 //
 // Rows are appended and, once the quantizer is trained, PQ-encoded at
 // once, so every search sees them; they are linked into the HNSW graph only
 // when something can walk it. InsertBatch links every pending row once the
 // collection holds more than ¾ × EfSearch × 2M points, the size from which
 // a query of the default beam walks (scansLocked); below that, rows stay
-// pending until a walk, GraphStats or Save links them first. PQ training
+// pending until a walk or GraphStats links them first. PQ training
 // still triggers on exactly the first TrainSize stored vectors, and the
 // rows stored before it are linked under raw distances just before
 // training drops their vectors, so rows linked later use code-to-code
@@ -203,13 +190,13 @@ func (c *Collection) Insert(vector []float32, tag int32) (uint64, error) {
 // edge the one linking each row on insert would have built, whatever the
 // batch boundaries. With 2+ workers the clone/normalize and PQ-encode
 // steps shard across workers and the HNSW inserts run concurrently.
-func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, error) {
+func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) error {
 	if tags != nil && len(tags) != len(vectors) {
-		return nil, fmt.Errorf("vectordb: %d tags for %d vectors", len(tags), len(vectors))
+		return fmt.Errorf("vectordb: %d tags for %d vectors", len(tags), len(vectors))
 	}
 	for i, v := range vectors {
 		if len(v) != c.cfg.Dim {
-			return nil, fmt.Errorf("vectordb: vector %d dim %d, want %d", i, len(v), c.cfg.Dim)
+			return fmt.Errorf("vectordb: vector %d dim %d, want %d", i, len(v), c.cfg.Dim)
 		}
 	}
 	workers := c.workers()
@@ -225,8 +212,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	startSlot := len(c.ids)
-	ids := make([]uint64, len(vs))
+	startSlot := len(c.tags)
 	for i := range vs {
 		if c.quantizer == nil && c.cfg.PQ != nil && len(c.vectors)+1 >= c.cfg.PQ.TrainSize {
 			// The next append triggers PQ training, which flips itemDist
@@ -235,10 +221,6 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 			// distances they were stored with.
 			c.linkLocked()
 		}
-		ids[i] = c.nextID
-		c.nextID++
-		c.byID[ids[i]] = int32(len(c.ids))
-		c.ids = append(c.ids, ids[i])
 		if tags != nil {
 			c.tags = append(c.tags, tags[i])
 		} else {
@@ -254,7 +236,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 			}
 			if c.cfg.PQ != nil && len(c.vectors) >= c.cfg.PQ.TrainSize {
 				if err := c.trainPQLocked(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -263,7 +245,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 		// Rows appended after the quantizer existed hold neither a vector
 		// nor a code yet. Encode is pure, so sharding it does not change
 		// the bytes.
-		par.For(len(c.ids)-startSlot, workers, func(a, b int) {
+		par.For(len(c.tags)-startSlot, workers, func(a, b int) {
 			for slot := startSlot + a; slot < startSlot+b; slot++ {
 				if c.codes[slot] == nil && c.vectors[slot] == nil {
 					c.codes[slot] = c.quantizer.Encode(vs[slot-startSlot])
@@ -275,7 +257,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) ([]uint64, e
 		c.linkLocked()
 	}
 	c.obsInserts.Add(int64(len(vs)))
-	return ids, nil
+	return nil
 }
 
 // workers is cfg.Workers, at least 1.
@@ -284,7 +266,7 @@ func (c *Collection) workers() int { return max(c.cfg.Workers, 1) }
 // pendingLocked is how many rows are stored but not yet linked into the
 // HNSW graph: the slots from c.index.Len() on. Caller holds at least a
 // read lock.
-func (c *Collection) pendingLocked() int { return len(c.ids) - c.index.Len() }
+func (c *Collection) pendingLocked() int { return len(c.tags) - c.index.Len() }
 
 // linkLocked links every pending row into the HNSW graph in slot order and
 // charges the time to the hnsw_insert build gauge. Caller holds the write
@@ -333,28 +315,6 @@ func (c *Collection) trainPQLocked() error {
 		}
 	})
 	return nil
-}
-
-// Delete tombstones a point. Deleting an unknown id is a no-op. The slot
-// stays in the graph (as a routing waypoint) but never appears in results.
-func (c *Collection) Delete(id uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if slot, ok := c.byID[id]; ok {
-		c.deleted[slot] = struct{}{}
-		delete(c.byID, id)
-	}
-}
-
-// Vector returns the stored (possibly PQ-reconstructed) vector of id.
-func (c *Collection) Vector(id uint64) ([]float32, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	slot, ok := c.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return vec.Clone(c.vectorOf(slot)), true
 }
 
 // Queries is a block of query vectors prepared by Prepare: each row a
@@ -470,19 +430,14 @@ func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.Sear
 	cost.AddBytesScanned(ctr.dists*int64(c.cfg.Dim)*4 + ctr.lookups*c.codeBytesLocked())
 }
 
-// acceptLocked is the slot predicate of a search: live slots whose tag
-// filter accepts. Nil accepts every slot. Caller holds at least a read
-// lock.
+// acceptLocked is the slot predicate of a search: the slots whose tag the
+// filter accepts. A nil filter gives nil, which accepts every slot. Caller
+// holds at least a read lock.
 func (c *Collection) acceptLocked(filter Filter) func(int32) bool {
-	if filter == nil && len(c.deleted) == 0 {
+	if filter == nil {
 		return nil
 	}
-	return func(slot int32) bool {
-		if _, dead := c.deleted[slot]; dead {
-			return false
-		}
-		return filter == nil || filter(c.tags[slot])
-	}
+	return func(slot int32) bool { return filter(c.tags[slot]) }
 }
 
 // scanQuarters is, in quarters of ef × 2M, how many slots a query of
@@ -501,7 +456,7 @@ const scanQuarters = 3
 // scanQuarters/4 × ef × 2M slots. Caller holds at least a read lock.
 func (c *Collection) scansLocked(ef int) bool {
 	per := scanQuarters * c.index.MaxDegree0()
-	return (4*len(c.ids)+per-1)/per <= ef
+	return (4*len(c.tags)+per-1)/per <= ef
 }
 
 // walksLocked reports whether a query of k results and beam width ef walks
@@ -552,7 +507,7 @@ func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, can
 	if c.quantizer != nil {
 		ws.table = c.quantizer.DotTable(q, ws.table)
 	}
-	n := len(c.ids)
+	n := len(c.tags)
 	cands := ws.cands[:0]
 	var ctr qdCounter
 	done := true
@@ -676,7 +631,7 @@ func partialSelect(a []hnsw.Neighbor, k int) {
 func (c *Collection) resultsLocked(found []hnsw.Neighbor) []Result {
 	out := make([]Result, 0, len(found))
 	for _, n := range found {
-		out = append(out, Result{ID: c.ids[n.ID], Score: distToScore(n.Dist), Tag: c.tags[n.ID]})
+		out = append(out, Result{Score: distToScore(n.Dist), Tag: c.tags[n.ID]})
 	}
 	return out
 }
@@ -790,7 +745,7 @@ func (c *Collection) codeBytesLocked() int64 {
 	return 0
 }
 
-// SearchExact returns the k best-scoring live points by scoring every
+// SearchExact returns the k best-scoring points by scoring every
 // slot: the scan every small-collection search runs, whatever the
 // collection's size. It is the ground truth of the recall tests.
 func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Result, error) {
@@ -845,7 +800,6 @@ func (c *Collection) Quantizer() *pq.Quantizer {
 // Stats describes a collection's storage.
 type Stats struct {
 	Points      int
-	Deleted     int
 	Compressed  bool
 	VectorBytes int64
 }
@@ -862,8 +816,7 @@ func (c *Collection) Stats() Stats {
 		bytesUsed += int64(len(code))
 	}
 	return Stats{
-		Points:      len(c.ids) - len(c.deleted),
-		Deleted:     len(c.deleted),
+		Points:      len(c.tags),
 		Compressed:  c.quantizer != nil,
 		VectorBytes: bytesUsed,
 	}

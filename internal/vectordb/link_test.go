@@ -1,7 +1,6 @@
 package vectordb
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"sync"
@@ -19,12 +18,12 @@ func insertMixed(t *testing.T, c *Collection, vecs [][]float32, batch int) {
 	t.Helper()
 	singles := min(10, len(vecs))
 	for _, v := range vecs[:singles] {
-		if _, err := c.Insert(v, 0); err != nil {
+		if err := c.Insert(v, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for lo := singles; lo < len(vecs); lo += batch {
-		if _, err := c.InsertBatch(vecs[lo:min(lo+batch, len(vecs))], nil); err != nil {
+		if err := c.InsertBatch(vecs[lo:min(lo+batch, len(vecs))], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,10 +70,10 @@ func TestLinkRuleAtTheBound(t *testing.T) {
 			if got := linkedRows(twin); got != bound {
 				t.Fatalf("twin: %d of %d rows linked, want all", got, twin.Len())
 			}
-			if _, err := c.InsertBatch(vecs[bound:], nil); err != nil {
+			if err := c.InsertBatch(vecs[bound:], nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := twin.InsertBatch(vecs[bound:], nil); err != nil {
+			if err := twin.InsertBatch(vecs[bound:], nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := linkedRows(c); got != bound+1 {
@@ -114,14 +113,16 @@ func TestNarrowBeamWalkLinksFirst(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(8))
 			vecs := make([][]float32, n)
+			tags := make([]int32, n)
 			for i := range vecs {
 				vecs[i] = randUnit(dim, rng)
+				tags[i] = int32(i)
 			}
 			for lo := 0; lo < n; lo += 100 {
-				if _, err := c.InsertBatch(vecs[lo:lo+100], nil); err != nil {
+				if err := c.InsertBatch(vecs[lo:lo+100], tags[lo:lo+100]); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := twin.InsertBatch(vecs[lo:lo+100], nil); err != nil {
+				if err := twin.InsertBatch(vecs[lo:lo+100], tags[lo:lo+100]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -190,7 +191,7 @@ func TestConcurrentLinkOnWalk(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = randUnit(dim, rng)
 	}
-	if _, err := c.InsertBatch(vecs[:300], nil); err != nil {
+	if err := c.InsertBatch(vecs[:300], nil); err != nil {
 		t.Fatal(err)
 	}
 	if linkedRows(c) != 0 {
@@ -201,7 +202,7 @@ func TestConcurrentLinkOnWalk(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for lo := 300; lo < len(vecs); lo += 20 {
-			if _, err := c.InsertBatch(vecs[lo:lo+20], nil); err != nil {
+			if err := c.InsertBatch(vecs[lo:lo+20], nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -232,88 +233,5 @@ func TestConcurrentLinkOnWalk(t *testing.T) {
 	wg.Wait()
 	if gs := c.GraphStats(); gs.Nodes != len(vecs) || gs.ReachableFraction != 1 {
 		t.Fatalf("graph stats %+v after the concurrent run, want %d nodes all reachable", gs, len(vecs))
-	}
-}
-
-// TestSaveLoadUnlinked round-trips collections whose rows are pending.
-// Save links them, so an image without tombstones carries the graph and
-// Load restores it whole; an image with a tombstone carries none, and Load
-// leaves its rows pending until a walk links them.
-func TestSaveLoadUnlinked(t *testing.T) {
-	const n, dim = 300, 16
-	for _, tc := range []struct {
-		name string
-		pq   *PQConfig
-	}{
-		{"raw", nil},
-		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 100}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			vecs := make([][]float32, n)
-			for i := range vecs {
-				vecs[i] = randUnit(dim, rng)
-			}
-			q := randUnit(dim, rng)
-			for _, deleted := range []bool{false, true} {
-				c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 21, PQ: tc.pq})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids, err := c.InsertBatch(vecs, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if deleted {
-					c.Delete(ids[7])
-				}
-				if linkedRows(c) == n {
-					t.Fatal("every row linked below the bound")
-				}
-				var buf bytes.Buffer
-				if err := c.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if linkedRows(c) != n {
-					t.Fatalf("deleted=%v: Save left %d of %d rows linked", deleted, linkedRows(c), n)
-				}
-				c2, err := Load(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := c.Len()
-				if c2.Len() != live {
-					t.Fatalf("deleted=%v: %d points reload as %d", deleted, live, c2.Len())
-				}
-				wantLinked := live
-				if deleted {
-					wantLinked = 0
-				}
-				if got := linkedRows(c2); got != wantLinked {
-					t.Fatalf("deleted=%v: %d rows linked on load, want %d", deleted, got, wantLinked)
-				}
-				a, err := c.Search(q, 10, 0, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := c2.Search(q, 10, 0, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, "default search after reload", b, a)
-				if !deleted {
-					if ha, hb := graphHash(c), graphHash(c2); ha != hb {
-						t.Fatalf("graph hash %#x after reload, %#x before", hb, ha)
-					}
-					continue
-				}
-				if got, err := walkSearch(c2, q, 10, 20, nil); err != nil || len(got) != 10 {
-					t.Fatalf("walk after reload: %d results, %v", len(got), err)
-				}
-				if got := linkedRows(c2); got != live {
-					t.Fatalf("%d of %d reloaded rows linked after a walk", got, live)
-				}
-			}
-		})
 	}
 }

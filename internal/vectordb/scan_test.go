@@ -11,14 +11,15 @@ import (
 )
 
 // sameResults fails unless a and b hold the same hits in the same order:
-// ids, tags and score bits.
+// tags and score bits. The tests that call it tag each row with its
+// insertion index, so a tag names one row.
 func sameResults(t *testing.T, what string, a, b []Result) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: %d results vs %d", what, len(a), len(b))
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Tag != b[i].Tag || math.Float32bits(a[i].Score) != math.Float32bits(b[i].Score) {
+		if a[i].Tag != b[i].Tag || math.Float32bits(a[i].Score) != math.Float32bits(b[i].Score) {
 			t.Fatalf("%s: result %d is %+v vs %+v", what, i, a[i], b[i])
 		}
 	}
@@ -29,14 +30,14 @@ func sameResults(t *testing.T, what string, a, b []Result) {
 // connected graph evaluates every slot and evicts none, so it returns the
 // first k accepted slots under (distance, slot) — what the scan computes.
 // Raw, PQ at K = 256 (LookupBatch's four-code pass) and PQ at K = 30
-// (Lookup per code) collections carry tombstones, duplicate vectors (so
-// distances tie and the slot order decides) and tags a filter rejects; the
-// queries include stored vectors and k beyond the live count. Every query's
-// results, single and in a block, must match the forced walk in ids, tags
-// and score bits, and the default plan must take the scan and charge one
+// (Lookup per code) collections carry duplicate vectors (so distances tie
+// and the slot order decides) and tags a filter rejects; the queries include
+// stored vectors and k beyond the row count. Every query's results, single
+// and in a block, must match the forced walk in tags and score bits, and
+// the default plan must take the scan and charge one
 // ADC lookup (raw: one distance) per slot and no hops.
 func TestScanMatchesExhaustiveWalk(t *testing.T) {
-	const n, dim = 605, 32 // the last scan block holds 29 slots: 7 four-code passes and a live slot left
+	const n, dim = 605, 32 // the last scan block holds 29 slots: 7 four-code passes and one slot left
 	for _, tc := range []struct {
 		name string
 		pq   *PQConfig
@@ -55,14 +56,13 @@ func TestScanMatchesExhaustiveWalk(t *testing.T) {
 				} else {
 					vecs[i] = randUnit(dim, rng)
 				}
-				tags[i] = int32(i % 5)
+				tags[i] = int32(i)
 			}
 			c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 43, PQ: tc.pq})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids, err := c.InsertBatch(vecs, tags)
-			if err != nil {
+			if err := c.InsertBatch(vecs, tags); err != nil {
 				t.Fatal(err)
 			}
 			if (tc.pq != nil) != (c.Quantizer() != nil) {
@@ -70,9 +70,6 @@ func TestScanMatchesExhaustiveWalk(t *testing.T) {
 			}
 			if got := c.GraphStats().ReachableFraction; got != 1 {
 				t.Fatalf("reachable fraction %v: the walk would not be exhaustive", got)
-			}
-			for i := 0; i < n; i += 7 {
-				c.Delete(ids[i])
 			}
 
 			var queries [][]float32
@@ -91,7 +88,7 @@ func TestScanMatchesExhaustiveWalk(t *testing.T) {
 				filter Filter
 			}{
 				{"unfiltered", nil},
-				{"filtered", func(tag int32) bool { return tag != 2 }},
+				{"filtered", func(tag int32) bool { return tag%5 != 2 }},
 			} {
 				walk, err := c.searchBatch(ctx, prepared, ks, efs, f.filter, nil, planWalk)
 				if err != nil {
@@ -148,7 +145,7 @@ func TestSearchPlanBound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 80; i++ {
-		if _, err := c.Insert(randUnit(8, rng), 0); err != nil {
+		if err := c.Insert(randUnit(8, rng), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +213,7 @@ func BenchmarkSearchPlan(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, n := range []int{1 << 10, 2 << 10, 3 << 10, 4 << 10, 6 << 10, 7680, 8 << 10, 10 << 10, 12 << 10, 16 << 10, maxN} {
-		if _, err := c.InsertBatch(vecs[c.Len():n], nil); err != nil {
+		if err := c.InsertBatch(vecs[c.Len():n], nil); err != nil {
 			b.Fatal(err)
 		}
 		for _, ef := range []int{128, 320} {

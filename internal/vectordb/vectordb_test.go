@@ -3,9 +3,8 @@ package vectordb
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -22,7 +21,7 @@ func randUnit(dim int, rng *rand.Rand) []float32 {
 
 // walkSearch answers one query by walking the graph, whatever the
 // collection's size. The tests of the graph itself — its recall, filtered
-// routing, restoration from an image, concurrent use — call it: their
+// routing, concurrent use — call it: their
 // collections are small enough that Search would scan them instead.
 func walkSearch(c *Collection, q []float32, k, ef int, filter Filter) ([]Result, error) {
 	out, err := c.searchBatch(context.Background(), Prepare([][]float32{q}), []int{k}, []int{ef}, filter, nil, planWalk)
@@ -48,12 +47,18 @@ func TestCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := c.Insert([]float32{0, 1, 0, 0}, 7)
-	if v, ok := c.Vector(id); !ok || v[1] != 1 {
-		t.Fatalf("Vector=%v,%v", v, ok)
+	if err := c.Insert([]float32{0, 2, 0, 0}, -5); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Vector(id + 1); ok {
-		t.Fatal("ghost point")
+	if err := c.Insert([]float32{1, 0, 0, 0}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len=%d want 2", c.Len())
+	}
+	got, err := c.Search([]float32{0, 1, 0, 0}, 1, 0, nil)
+	if err != nil || len(got) != 1 || got[0].Tag != -5 || got[0].Score != 1 {
+		t.Fatalf("hit %+v, %v: want tag -5 at score 1", got, err)
 	}
 }
 
@@ -64,7 +69,7 @@ func TestInsertSearchCosine(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		v := randUnit(16, rng)
 		vectors = append(vectors, v)
-		if _, err := c.Insert(v, int32(i)); err != nil {
+		if err := c.Insert(v, int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +87,7 @@ func TestInsertSearchCosine(t *testing.T) {
 
 func TestDimValidation(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 4})
-	if _, err := c.Insert([]float32{1, 2}, 0); err == nil {
+	if err := c.Insert([]float32{1, 2}, 0); err == nil {
 		t.Fatal("wrong insert dim must fail")
 	}
 	c.Insert([]float32{1, 0, 0, 0}, 0)
@@ -110,7 +115,7 @@ func TestSearchExactMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		v := randUnit(8, rng)
 		vecs = append(vecs, v)
-		c.Insert(v, 0)
+		c.Insert(v, int32(i))
 	}
 	q := randUnit(8, rng)
 	got, _ := c.SearchExact(q, 5, nil)
@@ -124,8 +129,8 @@ func TestSearchExactMatchesBruteForce(t *testing.T) {
 			bestID, bestScore = i, s
 		}
 	}
-	if got[0].ID != uint64(bestID) {
-		t.Fatalf("exact top-1 %d, brute force %d", got[0].ID, bestID)
+	if got[0].Tag != int32(bestID) {
+		t.Fatalf("exact top-1 %d, brute force %d", got[0].Tag, bestID)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Score > got[i-1].Score {
@@ -138,10 +143,10 @@ func TestFilteredSearch(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		c.Insert(randUnit(8, rng), int32(i%2))
+		c.Insert(randUnit(8, rng), int32(i))
 	}
 	q := randUnit(8, rng)
-	odd := func(tag int32) bool { return tag == 1 }
+	odd := func(tag int32) bool { return tag%2 == 1 }
 	for name, search := range map[string]func(q []float32, k, ef int, filter Filter) ([]Result, error){
 		"Search": c.Search,
 		"walk":   func(q []float32, k, ef int, filter Filter) ([]Result, error) { return walkSearch(c, q, k, ef, filter) },
@@ -151,58 +156,19 @@ func TestFilteredSearch(t *testing.T) {
 			t.Fatalf("%s: no results", name)
 		}
 		for _, r := range got {
-			if r.Tag != 1 || r.ID%2 != 1 {
+			if r.Tag%2 != 1 {
 				t.Fatalf("%s: filter leaked: %+v", name, r)
 			}
 		}
 	}
-	got2, _ := c.SearchExact(q, 10, func(tag int32) bool { return tag == 0 })
+	got2, _ := c.SearchExact(q, 10, func(tag int32) bool { return tag%2 == 0 })
 	if len(got2) != 10 {
 		t.Fatalf("exact filtered search: %d results", len(got2))
 	}
 	for _, r := range got2 {
-		if r.Tag != 0 || r.ID%2 != 0 {
+		if r.Tag%2 != 0 {
 			t.Fatalf("exact filter leaked: %+v", r)
 		}
-	}
-}
-
-func TestDelete(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 4, Seed: 4})
-	id1, _ := c.Insert([]float32{1, 0, 0, 0}, 1)
-	id2, _ := c.Insert([]float32{0.9, 0.1, 0, 0}, 2)
-	c.Delete(id1)
-	if c.Len() != 1 {
-		t.Fatalf("Len=%d", c.Len())
-	}
-	if _, ok := c.Vector(id1); ok {
-		t.Fatal("deleted point still readable")
-	}
-	got, _ := c.Search([]float32{1, 0, 0, 0}, 2, 10, nil)
-	for _, r := range got {
-		if r.ID == id1 {
-			t.Fatal("deleted point surfaced in search")
-		}
-	}
-	if len(got) != 1 || got[0].ID != id2 {
-		t.Fatalf("got %+v", got)
-	}
-	c.Delete(999) // unknown id: no-op
-}
-
-func TestVectorReturnsCopy(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 2})
-	id, _ := c.Insert([]float32{0, 1}, -5)
-	v, ok := c.Vector(id)
-	if !ok || v[1] != 1 {
-		t.Fatalf("Vector=%v,%v", v, ok)
-	}
-	v[1] = 42
-	if v2, _ := c.Vector(id); v2[1] != 1 {
-		t.Fatal("Vector returned the stored row")
-	}
-	if got, _ := c.Search([]float32{0, 1}, 1, 0, nil); len(got) != 1 || got[0].Tag != -5 {
-		t.Fatalf("hit %+v, want tag -5", got)
 	}
 }
 
@@ -241,99 +207,6 @@ func TestPQCompression(t *testing.T) {
 	}
 	if hits < 35 {
 		t.Fatalf("PQ recall too low: %d/50 self-hits", hits)
-	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 6})
-	rng := rand.New(rand.NewSource(6))
-	var vecs [][]float32
-	for i := 0; i < 150; i++ {
-		v := randUnit(8, rng)
-		vecs = append(vecs, v)
-		c.Insert(v, int32(i))
-	}
-	c.Delete(3)
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 149 {
-		t.Fatalf("Len=%d want 149", c2.Len())
-	}
-	if _, ok := c2.Vector(3); ok {
-		t.Fatal("tombstoned point resurrected")
-	}
-	// Same query results on both.
-	q := randUnit(8, rng)
-	a, _ := c.SearchExact(q, 5, nil)
-	b, _ := c2.SearchExact(q, 5, nil)
-	if len(a) != len(b) {
-		t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestPersistenceWithPQ(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{
-		Dim: 16, Seed: 7, PQ: &PQConfig{M: 4, K: 16, TrainSize: 64},
-	})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 150; i++ {
-		c.Insert(randUnit(16, rng), int32(i))
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.Stats().Compressed {
-		t.Fatal("compression lost on reload")
-	}
-	q := randUnit(16, rng)
-	a, _ := c.SearchExact(q, 3, nil)
-	b, _ := c2.SearchExact(q, 3, nil)
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatalf("PQ results differ after reload: %+v vs %+v", a, b)
-		}
-	}
-}
-
-func TestSaveFileLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.bin")
-	c, _ := NewCollection(CollectionConfig{Dim: 4})
-	c.Insert([]float32{1, 0, 0, 0}, 9)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	c2 := loadFile(t, path)
-	if got, _ := c2.Search([]float32{1, 0, 0, 0}, 1, 0, nil); c2.Len() != 1 || len(got) != 1 || got[0].Tag != 9 {
-		t.Fatalf("file round trip: len %d, hits %+v", c2.Len(), got)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a database"))); err == nil {
-		t.Fatal("garbage must not load")
 	}
 }
 
@@ -404,50 +277,8 @@ func BenchmarkSearchCosine10k(b *testing.B) {
 	}
 }
 
-func TestPersistenceRestoresGraphExactly(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 30})
-	rng := rand.New(rand.NewSource(30))
-	for i := 0; i < 300; i++ {
-		c.Insert(randUnit(16, rng), int32(i))
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Save linked the pending rows, so the image carries the graph, and
-	// with no deletions it is restored verbatim.
-	if a, b := graphHash(c), graphHash(c2); a != b {
-		t.Fatalf("graph hash %#x after reload, %#x before", b, a)
-	}
-	// Approximate search must return identical results.
-	for probe := 0; probe < 10; probe++ {
-		q := randUnit(16, rng)
-		a, _ := walkSearch(c, q, 10, 64, nil)
-		b, _ := walkSearch(c2, q, 10, 64, nil)
-		if len(a) != len(b) {
-			t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Score != b[i].Score {
-				t.Fatalf("probe %d result %d differs: %+v vs %+v", probe, i, a[i], b[i])
-			}
-		}
-	}
-	// The restored collection must accept further inserts.
-	if _, err := c2.Insert(randUnit(16, rng), 0); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 301 {
-		t.Fatalf("Len=%d", c2.Len())
-	}
-}
-
 // TestInsertBatchSerialMatchesInsertLoop pins the Workers <= 1 determinism
-// contract for batch inserts, across the PQ training boundary: same ids,
+// contract for batch inserts, across the PQ training boundary: same tags,
 // same codes, same graph as the equivalent Insert loop.
 func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 	const (
@@ -468,21 +299,20 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 
 	cs, _ := NewCollection(cfg)
 	for i := range vecs {
-		if _, err := cs.Insert(vecs[i], tags[i]); err != nil {
+		if err := cs.Insert(vecs[i], tags[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cb, _ := NewCollection(cfg)
-	ids, err := cb.InsertBatch(vecs, tags)
-	if err != nil {
+	if err := cb.InsertBatch(vecs, tags); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != n {
-		t.Fatalf("got %d ids", len(ids))
+	if cb.Len() != n {
+		t.Fatalf("got %d rows", cb.Len())
 	}
-	for i, id := range ids {
-		if id != uint64(i) {
-			t.Fatalf("id[%d] = %d", i, id)
+	for slot := range tags {
+		if cs.tags[slot] != tags[slot] || cb.tags[slot] != tags[slot] {
+			t.Fatalf("tags[%d] = %d (loop), %d (batch), want %d", slot, cs.tags[slot], cb.tags[slot], tags[slot])
 		}
 	}
 	if cs.quantizer == nil || cb.quantizer == nil {
@@ -520,7 +350,7 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 		t.Fatalf("result counts %d vs %d", len(ra), len(rb))
 	}
 	for i := range ra {
-		if ra[i].ID != rb[i].ID || ra[i].Score != rb[i].Score {
+		if ra[i].Tag != rb[i].Tag || math.Float32bits(ra[i].Score) != math.Float32bits(rb[i].Score) {
 			t.Fatalf("result %d diverged: %v vs %v", i, ra[i], rb[i])
 		}
 	}
@@ -545,12 +375,11 @@ func TestInsertBatchParallel(t *testing.T) {
 		vecs[i] = randUnit(dim, rng)
 	}
 	c, _ := NewCollection(cfg)
-	ids, err := c.InsertBatch(vecs, nil)
-	if err != nil {
+	if err := c.InsertBatch(vecs, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != n || c.Len() != n {
-		t.Fatalf("ids=%d len=%d", len(ids), c.Len())
+	if c.Len() != n {
+		t.Fatalf("len=%d", c.Len())
 	}
 	st := c.GraphStats()
 	if st.ReachableFraction != 1.0 {
@@ -562,7 +391,7 @@ func TestInsertBatchParallel(t *testing.T) {
 	serialCfg := cfg
 	serialCfg.Workers = 1
 	sc, _ := NewCollection(serialCfg)
-	if _, err := sc.InsertBatch(vecs, nil); err != nil {
+	if err := sc.InsertBatch(vecs, nil); err != nil {
 		t.Fatal(err)
 	}
 	for slot := range sc.codes {
@@ -579,39 +408,23 @@ func TestInsertBatchParallel(t *testing.T) {
 // TestInsertBatchValidation covers the error paths.
 func TestInsertBatchValidation(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 4})
-	if _, err := c.InsertBatch([][]float32{{1, 2}}, nil); err == nil {
+	if err := c.InsertBatch([][]float32{{1, 2}}, nil); err == nil {
 		t.Fatal("dim mismatch must fail")
 	}
-	if _, err := c.InsertBatch([][]float32{{1, 2, 3, 4}}, []int32{1, 2}); err == nil {
+	if err := c.InsertBatch([][]float32{{1, 2, 3, 4}}, []int32{1, 2}); err == nil {
 		t.Fatal("tag count mismatch must fail")
 	}
-	ids, err := c.InsertBatch(nil, nil)
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("empty batch: %v %v", ids, err)
+	if err := c.InsertBatch(nil, nil); err != nil || c.Len() != 0 {
+		t.Fatalf("empty batch: len %d, %v", c.Len(), err)
 	}
 	// Batch then single insert must compose.
-	if _, err := c.InsertBatch([][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}}, nil); err != nil {
+	if err := c.InsertBatch([][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert([]float32{0, 0, 1, 0}, 0); err != nil {
+	if err := c.Insert([]float32{0, 0, 1, 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("len=%d", c.Len())
 	}
-}
-
-// loadFile reads a collection image from path.
-func loadFile(t *testing.T, path string) *Collection {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c, err := Load(f)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return c
 }
