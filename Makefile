@@ -47,14 +47,16 @@ failover-stress:
 # walk (LookupBatch against Lookup's Go body), the CTS build golden, the filtered
 # ANNS/CTS rankings golden and the saved engine image's rankings — the same
 # constants — through the pure-Go kernel bodies on this machine. ExS's
-# centroid filter rests on a rounding bound, so its bound and oracle-
-# equivalence tests run on those bodies too (the bound must also hold for
-# arm64's fused multiply-adds, which round fewer times, not more).
+# centroid filter rests on a rounding bound, so its bound, oracle-
+# equivalence and block-cost tests run on those bodies too: the binary16
+# centroid rows are scored by vec.DotHalf's Go body, the one arm64 and
+# CPUs without AVX2/FMA/F16C run (the bound must also hold for arm64's
+# fused multiply-adds, which round fewer times, not more).
 portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/kmeans ./internal/umap ./internal/hdbscan
 	$(GO) test -tags purego -run 'SerialBuildGraphGolden|ScanMatchesExhaustiveWalk' ./internal/vectordb
-	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
+	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|ExSCostIndependentOfBlock|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
 	$(GO) test -tags purego -run 'LoadsParentCommitEngineImage' .
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the
@@ -119,7 +121,9 @@ bench-e2e:
 
 # Kernel micro-benchmarks: the single-pair Dot/L2Sq kernels beside their
 # scalar reference, the batched DotBatch/L2SqBatch kernels against repeated
-# single-query Dot calls, the bounded top-k selection, PQ's 4-dim kernels in
+# single-query Dot calls, ExS's binary16 centroid kernel DotHalf (1 and 4
+# queries over exs-scan's 2,400 × 256 rows, in GB/s, beside its Go body),
+# the bounded top-k selection, PQ's 4-dim kernels in
 # the ANNS index's shape (code-to-code distance, table rows, ADC lookup, the
 # scan's four-code ADC batch), one
 # subspace's k-means training in that shape beside the per-pair loop it

@@ -32,8 +32,9 @@ func syntheticFederation(t testing.TB, rels, rows int) *Federation {
 }
 
 // TestSearchCostExSFormula pins the filter–verify scan's cost to its exact
-// formula: one distance computation per live relation (its centroid row)
-// plus one per value of each relation the filter could not rule out — at
+// formula: one distance computation per live relation (its binary16
+// centroid row, 2 bytes a dim) plus one per value of each relation the
+// filter could not rule out (4 bytes a dim) — at
 // least the k returned, and on this corpus of well-separated scores at
 // most a couple more — the same count on every run, single or batched.
 func TestSearchCostExSFormula(t *testing.T) {
@@ -62,8 +63,9 @@ func TestSearchCostExSFormula(t *testing.T) {
 	if rep.ValuesScanned != rep.DistanceComps {
 		t.Fatalf("ExS ValuesScanned = %d, want %d", rep.ValuesScanned, rep.DistanceComps)
 	}
-	if rep.BytesScanned != rep.DistanceComps*dim*4 {
-		t.Fatalf("ExS BytesScanned = %d, want %d", rep.BytesScanned, rep.DistanceComps*dim*4)
+	if want := rels*dim*2 + verified*perRel*dim*4; rep.BytesScanned != want {
+		t.Fatalf("ExS BytesScanned = %d, want %d: %d binary16 centroid rows and %d float32 values of dim %d",
+			rep.BytesScanned, want, rels, verified*perRel, dim)
 	}
 	if rep.CandidatesGenerated == 0 {
 		t.Fatal("ExS reported no candidates generated")

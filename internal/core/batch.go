@@ -27,9 +27,9 @@ type BatchSearcher interface {
 }
 
 // centroidBlock is how many relation centroid rows the ExS filter pass
-// gathers per kernel call: 64 rows × 192 dims × 4 B = 48 KiB per block,
-// sized so a block plus the query rows streams through L1/L2 while the
-// DotBatch register blocking reuses each row across 4 queries.
+// scores between cancellation checks, at most one vec.DotHalf call per
+// run of live rows: 64 binary16 rows × 256 dims = 32 KiB, so a block stays
+// in L1/L2 while every 4-query group of a batch passes over it.
 const centroidBlock = 64
 
 // searchBatch is SearchEncodedBatch of every EncodedSearcher: it checks

@@ -46,7 +46,7 @@ func assertRowsIdentical(t *testing.T, name string, seq, batch [][]Match) {
 // TestExSBatchBitIdentical pins the batch invariant: the fused blocked scan
 // returns bit-identical rows to per-query SearchEncoded calls and to the
 // value-by-value oracle, with and without a threshold filtering part of
-// the corpus.
+// the corpus, on both centroid kernel bodies.
 func TestExSBatchBitIdentical(t *testing.T) {
 	fed := testFederation(t, 60)
 	emb := EmbedFederation(fed, newTestEncoder(64))
@@ -59,30 +59,69 @@ func TestExSBatchBitIdentical(t *testing.T) {
 		{"threshold", ExSOptions{Threshold: 0.05}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewExS(emb, tc.opt)
-			qs := batchQueries(emb, 17)
-			ks := make([]int, len(qs))
-			seq := make([][]Match, len(qs))
-			for i := range qs {
-				ks[i] = 1 + i%9
-				m, err := s.SearchEncoded(ctx, qs[i], ks[i])
-				if err != nil {
-					t.Fatalf("sequential: %v", err)
+			forEachHalfBody(t, func(t *testing.T) {
+				s := NewExS(emb, tc.opt)
+				qs := batchQueries(emb, 17)
+				ks := make([]int, len(qs))
+				seq := make([][]Match, len(qs))
+				for i := range qs {
+					ks[i] = 1 + i%9
+					m, err := s.SearchEncoded(ctx, qs[i], ks[i])
+					if err != nil {
+						t.Fatalf("sequential: %v", err)
+					}
+					seq[i] = m
 				}
-				seq[i] = m
-			}
-			batch, err := s.SearchEncodedBatch(ctx, qs, ks, nil)
-			if err != nil {
-				t.Fatalf("batch: %v", err)
-			}
-			assertRowsIdentical(t, tc.name, seq, batch)
-			want := make([][]Match, len(qs))
-			for i := range qs {
-				want[i] = oracleRank(emb, qs[i], ks[i], tc.opt.Threshold)
-			}
-			assertRowsIdentical(t, tc.name+" vs oracle", want, batch)
+				batch, err := s.SearchEncodedBatch(ctx, qs, ks, nil)
+				if err != nil {
+					t.Fatalf("batch: %v", err)
+				}
+				assertRowsIdentical(t, tc.name, seq, batch)
+				want := make([][]Match, len(qs))
+				for i := range qs {
+					want[i] = oracleRank(emb, qs[i], ks[i], tc.opt.Threshold)
+				}
+				assertRowsIdentical(t, tc.name+" vs oracle", want, batch)
+			})
 		})
 	}
+}
+
+// TestExSCostIndependentOfBlock: a query is charged the same centroid rows
+// and verified values as a block of one and inside a 17-query batch (four
+// 4-query groups and one left over), at dims on and off the kernels'
+// 16-float block. The verified set follows ã's bits, so this pins the
+// centroid kernel's promise that a pair scores alike in either shape.
+func TestExSCostIndependentOfBlock(t *testing.T) {
+	forEachHalfBody(t, func(t *testing.T) {
+		ctx := context.Background()
+		fed := testFederation(t, 60)
+		for _, dim := range []int{48, 64, 72, 100} {
+			emb := EmbedFederation(fed, newTestEncoder(dim))
+			s := NewExS(emb, ExSOptions{})
+			qs := batchQueries(emb, 17)
+			ks := make([]int, len(qs))
+			costs := make([]*obs.Cost, len(qs))
+			for i := range qs {
+				ks[i] = 1 + i%9
+				costs[i] = new(obs.Cost)
+			}
+			if _, err := s.SearchEncodedBatch(ctx, qs, ks, costs); err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs {
+				one := new(obs.Cost)
+				if _, err := s.SearchEncoded(obs.ContextWithCost(ctx, one), q, ks[i]); err != nil {
+					t.Fatal(err)
+				}
+				got, want := costs[i].Report(), one.Report()
+				if got.ValuesScanned != want.ValuesScanned || got.DistanceComps != want.DistanceComps || got.ValuesScanned <= int64(emb.NumRelations()) {
+					t.Fatalf("dim %d, query %d, k %d: batched %d values / %d distances, alone %d / %d (%d centroid rows)",
+						dim, i, ks[i], got.ValuesScanned, got.DistanceComps, want.ValuesScanned, want.DistanceComps, emb.NumRelations())
+				}
+			}
+		}
+	})
 }
 
 // namedSearcher labels a searcher for test messages: two ANNS

@@ -63,10 +63,11 @@ type Embedded struct {
 	// TotalWeight[i] is the summed multiplicity of relation i's values.
 	TotalWeight []float32
 	// Centroids is the relations × dim matrix of weighted value centroids
-	// c_rel = Σ wᵢvᵢ / W, one row per slot; CentroidErr[rel]·‖q‖ bounds how
-	// far Dot(q, c_rel) is from ExS's score (relationCentroid). Both
-	// are written with a relation's values and, like them, never change.
-	Centroids   []float32
+	// c_rel = Σ wᵢvᵢ / W in binary16 bits, one row per slot; CentroidErr[rel]·‖q‖
+	// bounds how far vec.DotHalf's score for the row is from ExS's score
+	// (relationCentroid). Both are written with a relation's values and,
+	// like them, never change.
+	Centroids   []uint16
 	CentroidErr []float64
 	// Obs receives the searchers' metrics (search counters, stage latency,
 	// index-build phase timings). May be nil: all instrumentation is then a
@@ -131,7 +132,7 @@ func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 		RelIDs:      make([]string, len(rels)),
 		PerRel:      make([][]int32, len(rels)),
 		TotalWeight: make([]float32, len(rels)),
-		Centroids:   make([]float32, len(rels)*dim),
+		Centroids:   make([]uint16, len(rels)*dim),
 		CentroidErr: make([]float64, len(rels)),
 		relIdx:      make(map[string]int, len(rels)),
 	}
@@ -262,14 +263,19 @@ func gamma32(n int) float64 {
 	return math.Inf(1)
 }
 
-// relationCentroid writes the weighted centroid Σ wᵢvᵢ / total of one
-// relation's m values (in PerRel order; total is their stored float32 weight
-// sum, the divisor ExS uses) into row, accumulating in float64, and returns
-// the relation's error factor (derived in DESIGN.md §11; the last term is a
-// row entry rounded in the subnormal range):
+// relationCentroid writes the weighted centroid ĉ = Σ wᵢvᵢ / total of one
+// relation's m values (in PerRel order; total is their stored float32
+// weight sum, the divisor ExS uses) into row as binary16 h, accumulating in
+// float64 and rounding once, and returns the relation's error factor
+// (derived in DESIGN.md §11):
 //
-//	A = (γ_{dim+m+2} + γ_{dim+3}) · Σ wᵢ‖vᵢ‖ / total  +  dim·2⁻¹⁴⁹
-func relationCentroid(vals []valueRef, total float32, row []float32) float64 {
+//	A = (γ_{dim+m+2} + γ_2) · Σ wᵢ‖vᵢ‖ / total  +  ‖h − ĉ‖  +  γ_dim · ‖h‖
+//
+// with both norms of the row taken in float64 as it is written. A relation
+// whose centroid has an entry past binary16's range, or whose weighted norm
+// is past maxWeightedNorm, gets A = +Inf and a zero row: its score is
+// finite, it is always verified, and in the top k it turns the filter off.
+func relationCentroid(vals []valueRef, total float32, row []uint16) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
@@ -284,14 +290,24 @@ func relationCentroid(vals []valueRef, total float32, row []float32) float64 {
 		}
 		weightedNorm += w * math.Sqrt(sq)
 	}
-	for j := range row {
-		row[j] = float32(acc[j] / float64(total))
-	}
 	if !(weightedNorm < maxWeightedNorm) {
+		clear(row)
 		return math.Inf(1)
 	}
+	var errSq, halfSq float64
+	for j := range row {
+		c := acc[j] / float64(total)
+		if !(math.Abs(c) <= vec.MaxHalf) {
+			clear(row)
+			return math.Inf(1)
+		}
+		row[j] = vec.ToHalf(c)
+		h := float64(vec.HalfToFloat32(row[j]))
+		errSq += (h - c) * (h - c)
+		halfSq += h * h
+	}
 	dim := len(row)
-	return (gamma32(dim+len(vals)+2)+gamma32(dim+3))*weightedNorm/float64(total) + float64(dim)*0x1p-149
+	return (gamma32(dim+len(vals)+2)+gamma32(2))*weightedNorm/float64(total) + math.Sqrt(errSq) + gamma32(dim)*math.Sqrt(halfSq)
 }
 
 // NewEmptyEmbedded returns an embedded federation with no relations: the

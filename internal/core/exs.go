@@ -42,7 +42,8 @@ type ExSOptions struct {
 // parallelScanMinDots gates the scan fan-out on the dot products of the
 // pass — centroid rows streamed times queries scored against each — so a
 // tiny corpus never pays the goroutines. Measured on two cores at dim 256
-// (DESIGN.md §11): even at 2,048, 10–20% saved at 4,096, 30% at 8,192.
+// with binary16 rows (DESIGN.md §11): even at 1,024–2,048, 20–25% saved at
+// 4,096 and 8,192.
 const parallelScanMinDots = 4096
 
 // scanWorkers is how many relation ranges a scan of nq queries splits into.
@@ -94,7 +95,8 @@ func (s *ExS) SearchFiltered(ctx context.Context, q []float32, k int, allow func
 }
 
 // SearchEncodedBatch implements BatchSearcher: the centroid rows stream
-// once for the whole block (DotBatch is bit-identical to Dot).
+// once for the whole block (vec.DotHalf scores a pair alike in a block of
+// one and in a batch).
 func (s *ExS) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int, costs []*obs.Cost) ([][]Match, error) {
 	return searchBatch(ctx, s, qs, ks, costs)
 }
@@ -103,29 +105,37 @@ func (s *ExS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks [
 	return s.emb.searchAllowed(ctx, o, qs, ks, allow, costs, s.filterVerify)
 }
 
-// chargeScan records scanned vectors, one distance computation each.
-func (s *ExS) chargeScan(cost *obs.Cost, scanned int64) {
-	if cost != nil && scanned > 0 {
-		cost.AddDistanceComps(scanned)
-		cost.AddValuesScanned(scanned)
-		cost.AddBytesScanned(scanned * int64(s.emb.Enc.Dim()) * 4)
+// chargeScan records what a query streamed: rows centroid rows of dim
+// binary16 values and values value vectors of dim float32s, one distance
+// computation each.
+func (s *ExS) chargeScan(cost *obs.Cost, rows, values int64) {
+	if cost != nil && rows+values > 0 {
+		dim := int64(s.emb.Enc.Dim())
+		cost.AddDistanceComps(rows + values)
+		cost.AddValuesScanned(rows + values)
+		cost.AddBytesScanned(rows*dim*2 + values*dim*4)
 	}
 }
 
-// margin bounds |q·c_rel − exact score| for a query of the given norm. The
-// absolute part is underflow: a product below 2⁻¹²⁶ rounds by up to 2⁻¹⁵⁰
-// absolutely, at most 2·dim+2 times a relation.
-func (s *ExS) margin(norm float64, rel int) float64 {
-	return norm*s.emb.CentroidErr[rel] + float64(s.emb.Enc.Dim()+1)*0x1p-148
-}
+// underflowMargin is the absolute part of every margin at dim: a product
+// below 2⁻¹²⁶ rounds by up to 2⁻¹⁵⁰ absolutely, at most 2·dim+2 times a
+// relation.
+func underflowMargin(dim int) float64 { return float64(dim+1) * 0x1p-148 }
+
+// margin bounds |ã − exact score| for a query of the given norm and a
+// relation of error factor errFactor; under is underflowMargin(dim).
+// filterVerify takes norm and under once per query, so its prune loop
+// reads one error factor per relation and makes no call.
+func margin(norm, errFactor, under float64) float64 { return norm*errFactor + under }
 
 // filterVerify is ExS's one query body, the scan + rank of a block of
 // queries (a block of one is the single query, whose stages o records).
-// Filter: every live, allowed relation gets ã = q·c_rel from its centroid
-// row, and its exact score E lies within m = margin(‖q‖, rel) of ã. With L
-// the least ã − m among the k best ã, k relations score at least L, so
-// every relation of the exact top k has ã + m ≥ E ≥ L. Verify: exactly those
-// are re-scored with scoreRelation — pruning on strict ã + m < L keeps what
+// Filter: every live, allowed relation gets ã = q·h_rel from its binary16
+// centroid row (vec.DotHalf, scored a run of contiguous rows at a time),
+// and its exact score E lies within m = margin(‖q‖, A_rel, ·) of ã. With L the
+// least ã − m among the k best ã, k relations score at least L, so every
+// relation of the exact top k has ã + m ≥ E ≥ L. Verify: exactly those are
+// re-scored with scoreRelation — pruning on strict ã + m < L keeps what
 // ties L — and ranking them as TopKDesc would (exact score descending, slot
 // ascending) ranks the corpus (DESIGN.md §11). Fewer than k scored
 // relations, a query norm over maxQueryNorm and any NaN all fall on the
@@ -145,39 +155,38 @@ func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks 
 	cancellable := ctx.Done() != nil
 	var filtered atomic.Int64
 	par.For(n, workers, func(lo, hi int) {
-		rows := make([][]float32, 0, centroidBlock)
-		rels := make([]int, 0, centroidBlock)
-		dots := make([]float32, nq*centroidBlock)
+		scored := 0
 		for start := lo; start < hi; start += centroidBlock {
 			if cancellable && stopped(ctx, &stop) {
 				break
 			}
-			rows, rels = rows[:0], rels[:0]
-			for rel := start; rel < min(start+centroidBlock, hi); rel++ {
+			end := min(start+centroidBlock, hi)
+			for rel := start; rel < end; {
 				if skipped(rel) {
 					for qi := 0; qi < nq; qi++ {
 						approx[qi*n+rel] = negInf
 					}
+					rel++
 					continue
 				}
-				rows = append(rows, emb.Centroids[rel*dim:(rel+1)*dim])
-				rels = append(rels, rel)
-			}
-			vec.DotBatch(qs, rows, dots)
-			for qi := 0; qi < nq; qi++ {
-				for j, rel := range rels {
-					approx[qi*n+rel] = dots[qi*len(rows)+j]
+				run := rel + 1
+				for run < end && !skipped(run) {
+					run++
 				}
+				vec.DotHalf(qs, emb.Centroids[rel*dim:run*dim], approx[rel:], n)
+				scored += run - rel
+				rel = run
 			}
-			filtered.Add(int64(len(rows)))
 		}
+		filtered.Add(int64(scored))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	cands := make([][]vec.Scored, nq)
-	scanned := make([]int64, nq)
+	values := make([]int64, nq)
+	errs, under := emb.CentroidErr, underflowMargin(dim)
 	par.For(nq, workers, func(lo, hi int) {
 		for qi := lo; qi < hi; qi++ {
 			q, k, row := qs[qi], ks[qi], approx[qi*n:(qi+1)*n]
@@ -193,23 +202,23 @@ func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks 
 			if top := vec.TopKDesc(row, k); len(top) == k && norm < maxQueryNorm {
 				cutoff = math.Inf(1)
 				for _, t := range top {
-					if low := float64(t.Score) - s.margin(norm, t.ID); !(low >= cutoff) {
+					if low := float64(t.Score) - margin(norm, errs[t.ID], under); !(low >= cutoff) {
 						cutoff = low
 					}
 				}
 			}
 			cands[qi] = make([]vec.Scored, 0, min(k, n))
-			scanned[qi] = filtered.Load()
 			for rel, a := range row {
-				if float64(a)+s.margin(norm, rel) < cutoff || skipped(rel) {
+				if float64(a)+margin(norm, errs[rel], under) < cutoff || skipped(rel) {
 					continue
 				}
 				cands[qi] = append(cands[qi], vec.Scored{ID: rel, Score: s.scoreRelation(q, rel)})
-				scanned[qi] += int64(len(emb.PerRel[rel]))
+				values[qi] += int64(len(emb.PerRel[rel]))
 			}
 		}
 	})
-	o.endStage(sp.AnnotateInt("values_scanned", int(scanned[0])))
+	rows := filtered.Load()
+	o.endStage(sp.AnnotateInt("values_scanned", int(rows+values[0])).AnnotateInt("relations_verified", len(cands[0])))
 
 	sp = o.stage("rank")
 	out := make([][]Match, nq)
@@ -226,7 +235,7 @@ func (s *ExS) filterVerify(ctx context.Context, o searchObs, qs [][]float32, ks 
 			out[qi] = append(out[qi], Match{RelationID: emb.RelIDs[sc.ID], Score: sc.Score})
 		}
 		if costs[qi] != nil {
-			s.chargeScan(costs[qi], scanned[qi])
+			s.chargeScan(costs[qi], rows, values[qi])
 			costs[qi].AddCandidatesGenerated(int64(n))
 			costs[qi].AddCandidatesPruned(int64(n - len(out[qi])))
 		}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"semdisco/internal/obs"
 	"semdisco/internal/segment"
 	"semdisco/internal/table"
 	"semdisco/internal/vec"
@@ -84,16 +85,18 @@ func boundCase(dim, m int, seed int64, qExp, vExp, wMax int) (*Embedded, []float
 		Values:      vals,
 		PerRel:      [][]int32{idxs},
 		TotalWeight: []float32{total},
-		Centroids:   make([]float32, dim),
+		Centroids:   make([]uint16, dim),
 	}
 	emb.CentroidErr = []float64{relationCentroid(vals, total, emb.Centroids)}
 	return emb, q
 }
 
 // centroidBoundUse checks the inequality filterVerify prunes by — the
-// centroid score within ExS.margin of the value-by-value score — and returns the share of the margin the case used. A case
-// the search would not filter (infinite error factor, query norm over the
-// limit) uses none.
+// centroid score, from the filter's own kernel, within the margin of the
+// value-by-value score — and returns the share of the margin the case
+// used. A case the search would not filter (query norm over the limit)
+// uses none; one with an infinite error factor must have a zero row and be
+// verified: the search scans all its values and returns the exact score.
 func centroidBoundUse(t *testing.T, emb *Embedded, q []float32) float64 {
 	t.Helper()
 	s := NewExS(emb, ExSOptions{})
@@ -102,18 +105,37 @@ func centroidBoundUse(t *testing.T, emb *Embedded, q []float32) float64 {
 		sq += float64(x) * float64(x)
 	}
 	norm := math.Sqrt(sq)
-	margin := s.margin(norm, 0)
-	if !(norm < maxQueryNorm) || math.IsInf(margin, 1) {
+	bound := margin(norm, emb.CentroidErr[0], underflowMargin(emb.Enc.Dim()))
+	exact := s.scoreRelation(q, 0)
+	if math.IsInf(bound, 1) {
+		cost := new(obs.Cost)
+		got, err := s.SearchEncoded(obs.ContextWithCost(context.Background(), cost), q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range emb.Centroids {
+			if h != 0 {
+				t.Fatalf("dim %d: infinite error factor beside a nonzero row", emb.Enc.Dim())
+			}
+		}
+		if scanned := cost.Report().ValuesScanned; scanned != int64(1+len(emb.Values)) || len(got) != 1 && exact >= 0 ||
+			len(got) == 1 && math.Float32bits(got[0].Score) != math.Float32bits(exact) {
+			t.Fatalf("dim %d: infinite error factor, but %d vectors scanned (want %d) and matches %v (exact score %g)",
+				emb.Enc.Dim(), scanned, 1+len(emb.Values), got, exact)
+		}
 		return 0
 	}
-	exact := s.scoreRelation(q, 0)
-	approx := vec.Dot(q, emb.Centroids)
-	diff := math.Abs(float64(approx) - float64(exact))
-	if !(diff <= margin) {
-		t.Fatalf("dim %d, %d values, ‖q‖ %g: centroid score %g, exact %g: |diff| %g over the margin %g",
-			emb.Enc.Dim(), len(emb.Values), norm, approx, exact, diff, margin)
+	if !(norm < maxQueryNorm) {
+		return 0
 	}
-	return diff / margin
+	var approx [1]float32
+	vec.DotHalf([][]float32{q}, emb.Centroids, approx[:], 1)
+	diff := math.Abs(float64(approx[0]) - float64(exact))
+	if !(diff <= bound) {
+		t.Fatalf("dim %d, %d values, ‖q‖ %g: centroid score %g, exact %g: |diff| %g over the margin %g",
+			emb.Enc.Dim(), len(emb.Values), norm, approx[0], exact, diff, bound)
+	}
+	return diff / bound
 }
 
 // TestCentroidBoundHolds is the property the whole filter rests on, over
@@ -150,10 +172,58 @@ func TestCentroidBoundHolds(t *testing.T) {
 		emb, q := boundCase(edge.dim, edge.m, 13, edge.qExp, edge.vExp, 3)
 		centroidBoundUse(t, emb, q)
 	}
+	// Two values of binary16 subnormals whose numerators (of 2⁻²⁴) differ
+	// by even steps average to a binary16 number, so ‖h − ĉ‖ = 0; a query
+	// near 2⁻¹²⁵ then puts the products of both paths, which differ, deep in
+	// float32's subnormal range, where only the underflow term covers them.
+	for _, qExp := range []int{-122, -123, -124} {
+		emb, q := boundCase(256, 2, 13, qExp, -16, 1)
+		v0, v1 := emb.Values[0].Vec, emb.Values[1].Vec
+		for j := range v0 {
+			v0[j] = vec.HalfToFloat32(vec.ToHalf(float64(v0[j])))
+			v1[j] = v0[j] + float32(j%7-3)*0x1p-23
+		}
+		emb.CentroidErr[0] = relationCentroid(emb.Values, emb.TotalWeight[0], emb.Centroids)
+		if use := centroidBoundUse(t, emb, q); use == 0 {
+			t.Fatalf("‖q‖ 2^%d: exact and centroid scores agree", qExp)
+		}
+	}
+	// Centroid entries past binary16's range: the factor is +Inf, the row
+	// zero and the relation verified (centroidBoundUse checks the last two).
+	for _, edge := range []struct{ dim, m, qExp, vExp int }{
+		{64, 3, 0, 20}, {256, 26, -20, 24}, {8, 5, 10, 19},
+	} {
+		emb, q := boundCase(edge.dim, edge.m, 13, edge.qExp, edge.vExp, 3)
+		if !math.IsInf(emb.CentroidErr[0], 1) {
+			t.Fatalf("%+v: no entry overflows binary16: error factor %g", edge, emb.CentroidErr[0])
+		}
+		centroidBoundUse(t, emb, q)
+	}
+	// Rows of binary16 subnormals (below 2⁻¹⁴, multiples of 2⁻²⁴), where
+	// rounding keeps a few bits or none, under small and large queries.
+	for _, edge := range []struct{ dim, m, qExp, vExp int }{
+		{64, 3, 0, -20}, {256, 26, 20, -18}, {8, 5, -10, -17}, {768, 40, 40, -16},
+	} {
+		emb, q := boundCase(edge.dim, edge.m, 13, edge.qExp, edge.vExp, 3)
+		subnormals := 0
+		for _, h := range emb.Centroids {
+			if h&0x7c00 != 0 {
+				t.Fatalf("%+v: row entry %#04x is not a binary16 subnormal", edge, h)
+			}
+			if h&0x3ff != 0 {
+				subnormals++
+			}
+		}
+		if subnormals == 0 {
+			t.Fatalf("%+v: the row is all zeros", edge)
+		}
+		centroidBoundUse(t, emb, q)
+	}
 }
 
 // FuzzCentroidBound drives the same property from fuzzed parameters,
-// exponents out to where float32 underflows and overflows included.
+// exponents out to where float32 underflows and overflows included, and
+// binary16 rows that overflow or are all subnormals (seed-half-*).
 func FuzzCentroidBound(f *testing.F) {
 	f.Add(uint16(256), uint16(26), int64(7), int8(0), int8(0), uint16(3))
 	f.Fuzz(func(t *testing.T, dim, m uint16, seed int64, qExp, vExp int8, wMax uint16) {
@@ -192,15 +262,20 @@ func newTieCorpus(t *testing.T) *tieCorpus {
 	}
 
 	// Variants of one three-value relation, each component jittered by a few
-	// parts in 10⁶: their exact scores scatter over a handful of ulps.
+	// parts in 10⁶: their exact scores scatter over a handful of ulps. Each
+	// value also moves by ~10⁻² orthogonally to q, which leaves its
+	// similarity alone but not its binary16 centroid row, so the variants'
+	// centroid scores err differently.
 	base := [][]float32{towards(0.5), towards(0.45), towards(0.55)}
 	fed := table.NewFederation()
 	for i := 0; i < variants; i++ {
 		vs := make([][]float32, len(base))
 		for a, b := range base {
+			off := gaussian(rng, dim, 0.01/math.Sqrt(dim))
+			along := vec.Dot(off, q)
 			vs[a] = make([]float32, dim)
 			for j := range b {
-				vs[a][j] = b[j] * float32(1+3e-6*rng.NormFloat64())
+				vs[a][j] = b[j]*float32(1+3e-6*rng.NormFloat64()) + (off[j] - along*q[j])
 			}
 		}
 		fed.Add(enc.relation(fmt.Sprintf("var-%03d", i), "ties", vs, []int{2, 1, 3}))
@@ -213,7 +288,7 @@ func newTieCorpus(t *testing.T) *tieCorpus {
 		rel, _ := emb.RelIndex(m.RelationID)
 		exact[m.Score] = append(exact[m.Score], rel)
 		exactOf[rel] = m.Score
-		approx[rel] = vec.Dot(q, emb.Centroids[rel*dim:(rel+1)*dim])
+		vec.DotHalf([][]float32{q}, emb.Centroids[rel*dim:(rel+1)*dim], approx[rel:rel+1], 1)
 	}
 	var tied float32
 	for score, rels := range exact {
@@ -352,12 +427,40 @@ func assertRanksLikeOracle(t *testing.T, label string, s filteredBatchSearcher, 
 	}
 }
 
+// forEachHalfBody runs f once per body of vec.DotHalf this build has —
+// the assembly one where the CPU has it, and the pure-Go one — so the
+// rankings that rest on the centroid filter are pinned on both in a plain
+// go test.
+func forEachHalfBody(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	bodies := []bool{true}
+	if vec.HalfAsm() {
+		bodies = []bool{false, true}
+	}
+	for _, goBody := range bodies {
+		name := "asm"
+		if goBody {
+			name = "go"
+		}
+		t.Run(name, func(t *testing.T) {
+			vec.SetHalfGoBody(goBody)
+			defer vec.SetHalfGoBody(false)
+			f(t)
+		})
+	}
+}
+
 // TestFilterVerifyRanksTiesLikeOracle is the adversarial pin of the filter's
 // margin: with exact scores that tie to the last ulp around every k-th
 // place, and centroid scores that order them differently, the ranking still
 // equals the oracle's — under tombstones, a source filter, a threshold
-// inside the tied group and fewer than k live relations.
+// inside the tied group and fewer than k live relations — on both
+// centroid kernel bodies.
 func TestFilterVerifyRanksTiesLikeOracle(t *testing.T) {
+	forEachHalfBody(t, testFilterVerifyRanksTiesLikeOracle)
+}
+
+func testFilterVerifyRanksTiesLikeOracle(t *testing.T) {
 	tc := newTieCorpus(t)
 	qs := tc.queries()
 	emb := EmbedFederation(tc.federation(tc.rels), tc.enc)
@@ -426,7 +529,7 @@ func assertCentroidsFresh(t *testing.T, label string, st *SegmentStore) {
 			for j, vi := range idxs {
 				vals[j] = emb.Values[vi]
 			}
-			row := make([]float32, dim)
+			row := make([]uint16, dim)
 			errFactor := relationCentroid(vals, emb.TotalWeight[rel], row)
 			if !reflect.DeepEqual(row, emb.Centroids[rel*dim:(rel+1)*dim]) || errFactor != emb.CentroidErr[rel] {
 				t.Fatalf("%s: segment %d relation %s: stored centroid differs from a recomputation", label, si, emb.RelIDs[rel])

@@ -41,7 +41,7 @@ func (e *Embedded) AddRelation(r *table.Relation) (int, error) {
 	}
 	e.linkRows(firstValue)
 	e.TotalWeight = append(e.TotalWeight, total)
-	row := make([]float32, e.Enc.Dim())
+	row := make([]uint16, e.Enc.Dim())
 	e.CentroidErr = append(e.CentroidErr, relationCentroid(e.relValues(relIdx), total, row))
 	e.Centroids = append(e.Centroids, row...)
 	return relIdx, nil

@@ -133,7 +133,7 @@ func RestoreEmbedded(r io.Reader, enc embed.Encoder) (*Embedded, error) {
 		return nil, err
 	}
 	// Centroids are a function of the values, so no image carries them.
-	e.Centroids = make([]float32, numRels*img.Dim)
+	e.Centroids = make([]uint16, numRels*img.Dim)
 	e.CentroidErr = make([]float64, numRels)
 	for rel, idxs := range img.PerRel {
 		vals := make([]valueRef, len(idxs))

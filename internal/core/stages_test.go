@@ -15,7 +15,7 @@ import (
 // stageContract is each method's stages of a traced single query, in
 // order, with their annotation keys.
 var stageContract = map[string][]string{
-	"ExS":  {"scan{relations,values_scanned}", "rank{matches}"},
+	"ExS":  {"scan{relations,relations_verified,values_scanned}", "rank{matches}"},
 	"ANNS": {"retrieve{ef,fanout,hits,scanned}", "rank{matches}"},
 	"CTS":  {"medoid_match{clusters_selected,clusters_total}", "descent{hits,per_cluster_fanout,scanned}", "rank{matches}"},
 }

@@ -18,8 +18,10 @@ package vec
 // latency (8 floats per ~4 cycles) where the scalar loop is bound by issue
 // width; the 4-query block hides that latency behind four pairs.
 //
-// SSE2 is in the amd64 baseline, so there is no runtime feature dispatch;
-// the purego build tag selects the Go bodies instead.
+// SSE2 is in the amd64 baseline, so these kernels need no runtime feature
+// dispatch; the purego build tag selects the Go bodies instead. DotHalf's
+// AVX2 + FMA + F16C body is the one kernel chosen at start-up, from CPUID
+// (half_amd64.go).
 
 const kernelAsm = true
 

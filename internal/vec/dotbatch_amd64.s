@@ -5,7 +5,8 @@
 // the four scalar accumulator chains of Dot/L2Sq, so MULPS/ADDPS perform the
 // same individually-rounded float32 operations the scalar kernels do.
 //
-// SSE2 is part of the amd64 baseline, so no CPUID dispatch is needed.
+// SSE2 is part of the amd64 baseline, so these need no CPUID dispatch
+// (DotHalf's AVX2 body in half_amd64.s is the one that does).
 
 #include "textflag.h"
 
