@@ -163,9 +163,13 @@ func EmbedFederation(fed *table.Federation, enc embed.Encoder) *Embedded {
 		e.rows[t] = enc.Encode(e.texts[t])
 	})
 	e.linkRows(0)
-	// 4. Fold the centroids, in parallel. A relation's values are contiguous.
-	par.Each(len(rels), workers, func(i int) {
-		e.CentroidErr[i] = relationCentroid(e.relValues(i), e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim])
+	// 4. Fold the centroids, in parallel, each worker into one accumulator.
+	// A relation's values are contiguous.
+	par.For(len(rels), workers, func(lo, hi int) {
+		acc := make([]float64, dim)
+		for i := lo; i < hi; i++ {
+			e.CentroidErr[i] = relationCentroid(e.relValues(i), e.TotalWeight[i], e.Centroids[i*dim:(i+1)*dim], acc)
+		}
 	})
 	return e
 }
@@ -275,11 +279,16 @@ func gamma32(n int) float64 {
 // whose centroid has an entry past binary16's range, or whose weighted norm
 // is past maxWeightedNorm, gets A = +Inf and a zero row: its score is
 // finite, it is always verified, and in the top k it turns the filter off.
-func relationCentroid(vals []valueRef, total float32, row []uint16) float64 {
+// acc is the caller's accumulator of len(row) floats, so a fold worker
+// reuses one across its relations; nil allocates one.
+func relationCentroid(vals []valueRef, total float32, row []uint16, acc []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	acc := make([]float64, len(row))
+	if acc == nil {
+		acc = make([]float64, len(row))
+	}
+	clear(acc)
 	var weightedNorm float64
 	for i := range vals {
 		w := float64(vals[i].Weight)

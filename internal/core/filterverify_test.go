@@ -87,7 +87,7 @@ func boundCase(dim, m int, seed int64, qExp, vExp, wMax int) (*Embedded, []float
 		TotalWeight: []float32{total},
 		Centroids:   make([]uint16, dim),
 	}
-	emb.CentroidErr = []float64{relationCentroid(vals, total, emb.Centroids)}
+	emb.CentroidErr = []float64{relationCentroid(vals, total, emb.Centroids, nil)}
 	return emb, q
 }
 
@@ -183,7 +183,7 @@ func TestCentroidBoundHolds(t *testing.T) {
 			v0[j] = vec.HalfToFloat32(vec.ToHalf(float64(v0[j])))
 			v1[j] = v0[j] + float32(j%7-3)*0x1p-23
 		}
-		emb.CentroidErr[0] = relationCentroid(emb.Values, emb.TotalWeight[0], emb.Centroids)
+		emb.CentroidErr[0] = relationCentroid(emb.Values, emb.TotalWeight[0], emb.Centroids, nil)
 		if use := centroidBoundUse(t, emb, q); use == 0 {
 			t.Fatalf("‖q‖ 2^%d: exact and centroid scores agree", qExp)
 		}
@@ -530,7 +530,7 @@ func assertCentroidsFresh(t *testing.T, label string, st *SegmentStore) {
 				vals[j] = emb.Values[vi]
 			}
 			row := make([]uint16, dim)
-			errFactor := relationCentroid(vals, emb.TotalWeight[rel], row)
+			errFactor := relationCentroid(vals, emb.TotalWeight[rel], row, nil)
 			if !reflect.DeepEqual(row, emb.Centroids[rel*dim:(rel+1)*dim]) || errFactor != emb.CentroidErr[rel] {
 				t.Fatalf("%s: segment %d relation %s: stored centroid differs from a recomputation", label, si, emb.RelIDs[rel])
 			}

@@ -42,7 +42,7 @@ func (e *Embedded) AddRelation(r *table.Relation) (int, error) {
 	e.linkRows(firstValue)
 	e.TotalWeight = append(e.TotalWeight, total)
 	row := make([]uint16, e.Enc.Dim())
-	e.CentroidErr = append(e.CentroidErr, relationCentroid(e.relValues(relIdx), total, row))
+	e.CentroidErr = append(e.CentroidErr, relationCentroid(e.relValues(relIdx), total, row, nil))
 	e.Centroids = append(e.Centroids, row...)
 	return relIdx, nil
 }

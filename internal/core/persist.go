@@ -135,12 +135,14 @@ func RestoreEmbedded(r io.Reader, enc embed.Encoder) (*Embedded, error) {
 	// Centroids are a function of the values, so no image carries them.
 	e.Centroids = make([]uint16, numRels*img.Dim)
 	e.CentroidErr = make([]float64, numRels)
+	var vals []valueRef
+	acc := make([]float64, img.Dim)
 	for rel, idxs := range img.PerRel {
-		vals := make([]valueRef, len(idxs))
-		for j, vi := range idxs {
-			vals[j] = e.Values[vi]
+		vals = vals[:0]
+		for _, vi := range idxs {
+			vals = append(vals, e.Values[vi])
 		}
-		e.CentroidErr[rel] = relationCentroid(vals, img.TotalWeight[rel], e.Centroids[rel*img.Dim:(rel+1)*img.Dim])
+		e.CentroidErr[rel] = relationCentroid(vals, img.TotalWeight[rel], e.Centroids[rel*img.Dim:(rel+1)*img.Dim], acc)
 	}
 	return e, nil
 }

@@ -13,9 +13,9 @@ import (
 
 // maxEncodedBatch caps one encoded-batch request, mirroring the public
 // batch endpoint's limit. maxEncodedK caps the k of one encoded query: a
-// coordinator asks for k+Slack with k at most the public API's 1000, so
-// anything near this is not a coordinator, and the bytes come from outside
-// the process.
+// coordinator asks for k, or k plus a small slack for an approximate
+// method, with k at most the public API's 1000, so anything near this is
+// not a coordinator, and the bytes come from outside the process.
 const (
 	maxEncodedBatch = 256
 	maxEncodedK     = 1 << 16

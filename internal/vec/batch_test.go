@@ -345,6 +345,44 @@ func BenchmarkDotRepeated192x64(b *testing.B) { benchDotLoop(b, 64, 64, 192) }
 func BenchmarkDotBatch768x16(b *testing.B)    { benchDotBatch(b, 16, 64, 768) }
 func BenchmarkDotRepeated768x16(b *testing.B) { benchDotLoop(b, 16, 64, 768) }
 
+// BenchmarkDotBatchRows is ExS's verify shape for one query: a relation's
+// 26 value rows of dim 256 scored through DotBatch with the rows as the
+// block's "queries" against q (batch), and through a Dot loop (dot). hot
+// reuses one relation's rows; pool steps through the relations of an 8 MB
+// row pool, past this box's L2, as a large corpus's verification does.
+func BenchmarkDotBatchRows(b *testing.B) {
+	const dim, m = 256, 26
+	rng := rand.New(rand.NewSource(12))
+	q := randMat(rng, 1, dim)
+	pool := randMat(rng, 8<<20/(dim*4), dim)
+	for _, set := range []struct {
+		name string
+		rels int
+	}{{"hot", 1}, {"pool", len(pool) / m}} {
+		for _, batch := range []bool{true, false} {
+			name := set.name + "/dot"
+			if batch {
+				name = set.name + "/batch"
+			}
+			b.Run(name, func(b *testing.B) {
+				out := make([]float32, m)
+				b.SetBytes(m * dim * 4)
+				for i := 0; i < b.N; i++ {
+					r := i % set.rels
+					rows := pool[r*m : (r+1)*m]
+					if batch {
+						DotBatch(rows, q, out)
+						continue
+					}
+					for j, row := range rows {
+						out[j] = Dot(q[0], row)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkL2SqBatch192x64(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	qs := randMat(rng, 64, 192)

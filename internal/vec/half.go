@@ -24,6 +24,19 @@ const MaxHalf = 65504
 // the one a float64 → binary16 conversion makes in a single step.
 func ToHalf(x float64) uint16 {
 	b := math.Float64bits(x)
+	if a := b &^ (1 << 63); a-0x3f10_0000_0000_0000 < 0x40f0_0000_0000_0000-0x3f10_0000_0000_0000 {
+		// A normal binary16 magnitude, 2⁻¹⁴ ≤ |x| < 2¹⁶: rebias the
+		// exponent from 1023 to 15 and round away the low 42 fraction bits,
+		// to nearest, ties to even (a carry moves into the exponent, up to
+		// Inf past 65504).
+		return uint16(b>>48)&0x8000 | uint16((a-(1023-15)<<52+(1<<41-1)+a>>42&1)>>42)
+	}
+	return toHalfSlow(b)
+}
+
+// toHalfSlow is ToHalf for the rest, float64 bits b: zero, subnormal
+// results, overflow, Inf and NaN.
+func toHalfSlow(b uint64) uint16 {
 	sign := uint16(b>>48) & 0x8000
 	exp := int(b>>52&0x7ff) - 1023
 	switch {

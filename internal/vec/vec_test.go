@@ -349,7 +349,9 @@ func refL2Sq(a, b []float32) float32 {
 // bit pattern: every length around the 8-wide body and the assembly cut,
 // the dimensions the system runs at, operands that start at every offset of
 // a 16-byte line (the kernels use unaligned loads), and the values where a
-// reordered or fused operation would show first.
+// reordered or fused operation would show first. On the same operands it
+// holds Dot(a, b) to Dot(b, a), and a query's rows scored through
+// DotBatch(rows, {q}) to Dot(q, row) — the call shape ExS verifies with.
 func TestPairKernelsBitIdentical(t *testing.T) {
 	check := func(t *testing.T, what string, a, b []float32) {
 		t.Helper()
@@ -358,6 +360,20 @@ func TestPairKernelsBitIdentical(t *testing.T) {
 		}
 		if got, want := L2Sq(a, b), refL2Sq(a, b); math.Float32bits(got) != math.Float32bits(want) {
 			t.Fatalf("%s len=%d: L2Sq=%#08x ref=%#08x", what, len(a), math.Float32bits(got), math.Float32bits(want))
+		}
+		// Dot is symmetric bit for bit, so a single query may score rows as
+		// DotBatch's "queries" against it: five rows run one 4-row block
+		// and one left over.
+		if ab, ba := Dot(a, b), Dot(b, a); math.Float32bits(ab) != math.Float32bits(ba) {
+			t.Fatalf("%s len=%d: Dot(a, b)=%#08x Dot(b, a)=%#08x", what, len(a), math.Float32bits(ab), math.Float32bits(ba))
+		}
+		rows := [][]float32{b, a, b, b, a}
+		var out [5]float32
+		DotBatch(rows, [][]float32{a}, out[:])
+		for j, row := range rows {
+			if got, want := out[j], Dot(a, row); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%s len=%d: DotBatch(rows, {q})[%d]=%#08x Dot(q, rows[%d])=%#08x", what, len(a), j, math.Float32bits(got), j, math.Float32bits(want))
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(17))

@@ -83,11 +83,10 @@ func NewNetShard(fed *Federation, cfg NetShardConfig) (*Engine, error) {
 // NetCoordinatorConfig parameterizes NewNetCoordinator.
 type NetCoordinatorConfig struct {
 	// Config supplies the encoder parameters (Dim, Seed, Lexicon, IDF —
-	// they must match the shards'), the method label, and the tracing/SLO
-	// subsystems' tuning.
+	// they must match the shards'), the method, and the tracing/SLO
+	// subsystems' tuning. The method sets each set's fetch width: ExS sets
+	// are asked for k, approximate ones for a few more.
 	Config
-	// Slack widens each set's fetch to k+Slack before the merge; default 8.
-	Slack int
 	// Vnodes is the placement ring's virtual-node count per set; it must
 	// match the shards'.
 	Vnodes int
@@ -165,7 +164,7 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 			}
 			return int(^uint(0) >> 1) // unknown IDs tie-break last
 		},
-		Slack:          cfg.Slack,
+		Exact:          cfg.Method == ExS,
 		Vnodes:         cfg.Vnodes,
 		AttemptTimeout: cfg.AttemptTimeout,
 		Transport:      cfg.Transport,

@@ -3,6 +3,7 @@ package semdisco
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -81,7 +82,12 @@ type netFixture struct {
 // replica sets, and a single monolithic engine as the equivalence oracle.
 func newNetFixture(t *testing.T, n int) *netFixture {
 	t.Helper()
-	fed := synthFederation(t, n)
+	return newNetFixtureOf(t, synthFederation(t, n))
+}
+
+// newNetFixtureOf is newNetFixture over a given federation.
+func newNetFixtureOf(t *testing.T, fed *Federation) *netFixture {
+	t.Helper()
 	cfg := Config{Method: ExS, Dim: 64, Seed: 1}
 	single, err := Open(fed, cfg)
 	if err != nil {
@@ -276,6 +282,96 @@ func TestNetCoordinatorRelationCounts(t *testing.T) {
 func TestNetClusterExSEquivalence(t *testing.T) {
 	fx := newNetFixture(t, 48)
 	assertNetEquivalence(t, fx, "healthy")
+}
+
+// TestNetClusterExSTiesAtK: an ExS set is asked for exactly k, which is
+// exact because each set ranks its relations by (score descending,
+// insertion rank ascending), the global order restricted to the set. Here
+// relations of identical content — equal scores — sit in both sets and
+// straddle position k for every k from 1 to 5, so a set breaking ties any
+// other way hands the merge the wrong tied relations. The coordinator must
+// match the single engine healthy, after an update that moves a tied
+// relation to the end of the merge order (and onto a second segment of
+// its shard), and after a delete.
+func TestNetClusterExSTiesAtK(t *testing.T) {
+	tie := func(id string) *Relation {
+		return &Relation{ID: id, Source: "src-tie", Columns: []string{"a", "b"},
+			Rows: [][]string{{"abc", "def"}, {"ghi", "jkl"}}}
+	}
+	fed := NewFederation()
+	var tied []string
+	for i, r := range synthFederation(t, 24).Relations() {
+		if err := fed.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			id := fmt.Sprintf("tie-%02d", i)
+			tied = append(tied, id)
+			if err := fed.Add(tie(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ring, err := netcluster.NewRing(netTestSets, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSet := make([]int, netTestSets)
+	for _, id := range tied {
+		perSet[ring.Owner(id)]++
+	}
+	for s, c := range perSet {
+		if c < 2 {
+			t.Fatalf("set %d owns %d of the %d tied relations; the test needs ties inside and across sets", s, c, len(tied))
+		}
+	}
+	fx := newNetFixtureOf(t, fed)
+	ctx := context.Background()
+	check := func(label string) {
+		t.Helper()
+		for _, q := range []string{"abc def ghi jkl", "abc", "jkl mno"} {
+			full := oracleSearch(t, fx.single, q, 8)
+			if len(full) < 6 || full[0].Score != full[5].Score {
+				t.Fatalf("%s q=%q: the top 6 do not tie: %+v", label, q, full)
+			}
+			for k := 1; k <= 5; k++ {
+				want := oracleSearch(t, fx.single, q, k)
+				res, err := fx.nc.SearchContext(ctx, q, k)
+				if err != nil {
+					t.Fatalf("%s q=%q k=%d: %v", label, q, k, err)
+				}
+				if res.Degraded || len(res.Matches) != len(want) {
+					t.Fatalf("%s q=%q k=%d: %d matches (degraded %v), engine returned %d",
+						label, q, k, len(res.Matches), res.Degraded, len(want))
+				}
+				for i := range want {
+					if res.Matches[i] != want[i] {
+						t.Fatalf("%s q=%q k=%d match %d: networked %+v, engine %+v",
+							label, q, k, i, res.Matches[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	check("healthy")
+
+	// The first tied relation moves behind every other one in the merge
+	// order: its shard now holds it in a mutable segment beside the base.
+	if err := fx.nc.UpdateRelation(ctx, tie(tied[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.single.Update(tie(tied[0])); err != nil {
+		t.Fatal(err)
+	}
+	check("after update")
+
+	if err := fx.nc.DeleteRelation(ctx, tied[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.single.Delete(tied[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("after delete")
 }
 
 // TestNetClusterReplicaKill: with one replica of a set killed mid-run the
