@@ -157,6 +157,54 @@ func TestCoordinatorMatchesRouter(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFetchWidth: over exact sets the coordinator asks each set
+// for k, otherwise for k plus the router's approximate slack of 8 — the
+// width an in-process Router over the same backends asks for — and the two
+// merges stay bit-identical at either width.
+func TestCoordinatorFetchWidth(t *testing.T) {
+	ctx := context.Background()
+	for _, exact := range []bool{true, false} {
+		fx := newCoordFixture(t, 3, 2, CoordinatorOptions{Exact: exact})
+		shards := make([]cluster.Shard, len(fx.backends))
+		counts := make([]int, len(fx.backends))
+		for i, b := range fx.backends {
+			shards[i] = b
+			counts[i] = len(b.matches)
+		}
+		router, err := cluster.NewRouter(shards, counts, cluster.Options{
+			Exact:  exact,
+			Encode: func(string) []float32 { return testVec },
+			Order:  globalOrder,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 3, 5, 10, 30} {
+			wantK := k
+			if !exact {
+				wantK += 8
+			}
+			want, err := router.Search(ctx, "q", k)
+			if err != nil {
+				t.Fatalf("exact=%v k=%d router: %v", exact, k, err)
+			}
+			if got := fx.backends[0].lastK.Load(); got != int64(wantK) {
+				t.Fatalf("exact=%v k=%d: the router asks a shard for %d, want %d", exact, k, got, wantK)
+			}
+			got, err := fx.coord.Search(ctx, "q", k, nil)
+			if err != nil {
+				t.Fatalf("exact=%v k=%d coordinator: %v", exact, k, err)
+			}
+			if fetched := fx.backends[0].lastK.Load(); fetched != int64(wantK) {
+				t.Fatalf("exact=%v k=%d: the coordinator asks a set for %d, want %d", exact, k, fetched, wantK)
+			}
+			if !reflect.DeepEqual(got.Matches, want.Matches) {
+				t.Fatalf("exact=%v k=%d:\nwire   %+v\nrouter %+v", exact, k, got.Matches, want.Matches)
+			}
+		}
+	}
+}
+
 // TestCoordinatorBatchMatchesSequential: the batched fan-out must answer
 // each item exactly as the sequential path would.
 func TestCoordinatorBatchMatchesSequential(t *testing.T) {

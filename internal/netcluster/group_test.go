@@ -23,10 +23,12 @@ import (
 type fakeBackend struct {
 	matches []core.Match
 	calls   atomic.Int64
+	lastK   atomic.Int64 // the k of the latest search
 }
 
 func (f *fakeBackend) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, error) {
 	f.calls.Add(1)
+	f.lastK.Store(int64(k))
 	if k > len(f.matches) {
 		k = len(f.matches)
 	}
