@@ -44,9 +44,10 @@ failover-stress:
 # kmeans (whose bit-identity test reaches vec's row body), umap and hdbscan
 # tests, the HNSW golden graphs, the PQ-coded vectordb
 # golden graphs and saved images, the scan's identity with the exhaustive
-# walk (LookupBatch against Lookup's Go body), the CTS build golden, the filtered
-# ANNS/CTS rankings golden and the saved engine image's rankings — the same
-# constants — through the pure-Go kernel bodies on this machine. ExS's
+# walk (LookupBatch against Lookup's Go body), the CTS build golden, CTS's
+# identity with its exact form, the filtered ANNS/CTS rankings golden and the
+# saved ANNS and CTS engine images' rankings — the same constants — through
+# the pure-Go kernel bodies on this machine. ExS's
 # centroid filter rests on a rounding bound, so its bound, oracle-
 # equivalence and block-cost tests run on those bodies too: the binary16
 # centroid rows are scored by vec.DotHalf's Go body, the one arm64 and
@@ -56,7 +57,7 @@ portable:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/vec ./internal/pq ./internal/umap
 	$(GO) test -tags purego ./internal/vec ./internal/hnsw ./internal/pq ./internal/kmeans ./internal/umap ./internal/hdbscan
 	$(GO) test -tags purego -run 'SerialBuildGraphGolden|ScanMatchesExhaustiveWalk' ./internal/vectordb
-	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|ExSCostIndependentOfBlock|SegmentStoreChurnEquivalence|CTSBuildGolden|FilteredRankingsGolden' ./internal/core
+	$(GO) test -tags purego -run 'CentroidBound|FilterVerify|ExSMatchesOracle|ExSBatchBitIdentical|ExSCostIndependentOfBlock|SegmentStoreChurnEquivalence|CTSBuildGolden|CTSBatchMatchesOracle|FilteredRankingsGolden' ./internal/core
 	$(GO) test -tags purego -run 'LoadsParentCommitEngineImage' .
 
 # A few seconds of coverage-guided search per fuzz target in the tree: the

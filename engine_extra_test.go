@@ -329,7 +329,39 @@ func TestEngineConcurrentSearch(t *testing.T) {
 // included — must match what that commit's own rebuild answered, recorded
 // beside the image.
 func TestLoadsParentCommitEngineImage(t *testing.T) {
-	img, err := os.Open("testdata/engine_anns_pq.img")
+	assertImageGolden(t, "testdata/engine_anns_pq")
+}
+
+// TestLoadsParentCommitEngineImageCTS loads a CTS engine image saved by the
+// commit before CTS's lists became ranges of one row arena
+// (testdata/engine_cts.img: dim 32, 912 values, serial build), with the
+// per-cluster HNSW options CTSOptions has since dropped set to EfSearch
+// 200, M 8 and EfConstruction 40. gob skips the fields CTSOptions no longer
+// has, and every list of that build was under the graphs' scan bound, so
+// the rebuilt index must rank exactly as that commit's rebuild did.
+func TestLoadsParentCommitEngineImageCTS(t *testing.T) {
+	raw, err := os.ReadFile("testdata/engine_cts.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Method Method
+		CTS    struct{ EfSearch, M, EfConstruction int }
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Method != CTS || old.CTS.EfSearch != 200 || old.CTS.M != 8 || old.CTS.EfConstruction != 40 {
+		t.Fatalf("image carries %v with %+v, want CTS with the dropped options set", old.Method, old.CTS)
+	}
+	assertImageGolden(t, "testdata/engine_cts")
+}
+
+// assertImageGolden loads base+".img" and checks that every query recorded
+// in base+".golden.json" ranks the same relations with the same score bits.
+func assertImageGolden(t *testing.T, base string) {
+	t.Helper()
+	img, err := os.Open(base + ".img")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +370,7 @@ func TestLoadsParentCommitEngineImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile("testdata/engine_anns_pq.golden.json")
+	raw, err := os.ReadFile(base + ".golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}

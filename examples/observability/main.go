@@ -98,15 +98,10 @@ func main() {
 			st.Query, st.DurationMS, len(st.Spans), st.Matches)
 	}
 
-	// IndexHealth introspects the built index: for CTS, per-cluster HNSW
-	// graph reachability plus cluster balance and medoid drift.
+	// IndexHealth introspects the built index: for CTS, cluster balance and
+	// medoid drift.
 	h := eng.IndexHealth()
 	fmt.Printf("\nindex health (%s, %d values):\n", h.Method, h.Values)
-	if h.Graphs != nil {
-		fmt.Printf("  graphs: %d (%d nodes, %d edges), reachable min=%.2f mean=%.2f\n",
-			h.Graphs.Graphs, h.Graphs.Nodes, h.Graphs.Edges,
-			h.Graphs.MinReachable, h.Graphs.MeanReachable)
-	}
 	if h.Clusters != nil {
 		fmt.Printf("  clusters: %d, sizes %d..%d (cv=%.2f), medoid drift mean=%.4f max=%.4f\n",
 			h.Clusters.Clusters, h.Clusters.MinSize, h.Clusters.MaxSize,

@@ -13,6 +13,7 @@ import (
 	"semdisco/internal/obs"
 	"semdisco/internal/segment"
 	"semdisco/internal/table"
+	"semdisco/internal/vectordb"
 )
 
 // batchQueries builds nq encoded test queries with varied texts.
@@ -267,7 +268,7 @@ func TestBatchCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := annsWalk.coll.Len(); n <= 48 {
+	if n := annsWalk.coll.Stats().Points; n <= 48 {
 		t.Fatalf("ANNS walk: %d points, want more than a beam of 2 scans", n)
 	}
 	for _, ns := range append(batchSearchers(t, emb), namedSearcher{"ANNS walk", annsWalk}) {
@@ -525,8 +526,9 @@ func TestSearchBatchAllocsIndependentOfFanout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hits, _ := s.coll.Search(q, fanout, fanout, nil); len(hits) != fanout {
-			t.Fatalf("fanout %d: the walk returns %d hits", fanout, len(hits))
+		hits, _ := s.coll.SearchBatch(ctx, vectordb.Prepare([][]float32{q}), []int{fanout}, []int{fanout}, nil, nil)
+		if len(hits[0]) != fanout {
+			t.Fatalf("fanout %d: the walk returns %d hits", fanout, len(hits[0]))
 		}
 		return testing.AllocsPerRun(50, func() {
 			if _, err := s.SearchEncoded(ctx, q, 10); err != nil {

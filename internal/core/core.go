@@ -456,7 +456,7 @@ func (e *Embedded) rankBlock(post *postings, allowed relSet, threshold float32, 
 // relation and ranks the relations: the rank step of ANNS and CTS. A hit's
 // tag is an index point, and each hit expands through its posting in value
 // order, skipping values outside allowed; ANNS and CTS tag every point
-// they insert, and their collections are never persisted (an engine image
+// they index, and their indexes are never persisted (an engine image
 // rebuilds its index), so every tag names a posting. The denominator is the
 // relation's total value weight: a value the index did not retrieve
 // contributes its (near-zero) similarity as zero, so the score is the

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"semdisco/internal/hdbscan"
+	"semdisco/internal/hnsw"
 	"semdisco/internal/obs"
 	"semdisco/internal/par"
 	"semdisco/internal/umap"
@@ -15,28 +17,28 @@ import (
 )
 
 // CTS is the Clustered Targeted Search of §4.3 / Algorithm 3, the paper's
-// central contribution. Index time: value vectors are reduced with UMAP,
-// clustered with HDBSCAN, each cluster gets a medoid and its own vector-
-// database collection. Query time: the query is compared against the
-// medoids (in the original embedding space — medoids are real data points,
-// so the query needs no reduction), the top clusters are selected, and the
-// ANNS procedure runs only inside those clusters. A cluster's collection
-// holds one point per distinct text among its values, and each hit expands
-// through that (cluster, text) posting.
+// central contribution, laid out as an inverted file (Jégou et al.): the
+// medoids are the coarse quantizer and the clusters its lists. Index time:
+// value vectors are reduced with UMAP and clustered with HDBSCAN, each
+// cluster gets a medoid, and its list holds one unit row per distinct text
+// among its values. Query time: the query is compared against the medoids
+// (in the original embedding space — medoids are real data points, so the
+// query needs no reduction), the top clusters are selected, and the query
+// scans only their lists. Each hit expands through its (cluster, text)
+// posting.
 type CTS struct {
 	emb *Embedded
 	// medoidVecs[c] is cluster c's medoid in the original embedding space.
 	medoidVecs [][]float32
-	// clusterColl[c] is the per-cluster collection ("we store each cluster
-	// in a vector database, where each collection contains unique data
-	// points").
-	clusterColl []*vectordb.Collection
+	// rows[p] is index point p's unit row: a normalized copy of its text's
+	// vocabulary row, every row a view of one buffer in postings order, so
+	// cluster c's list is rows[post.first[c]:post.first[c+1]].
+	rows        [][]float32
 	post        *postings
 	clusterOf   []int // value index -> cluster
 	threshold   float32
 	topClusters int
 	fanout      int
-	efSearch    int
 }
 
 // Reduction selects CTS's dimensionality-reduction stage.
@@ -89,19 +91,15 @@ type CTSOptions struct {
 	// Fanout is distinct-text hits retrieved per query across the
 	// selected clusters; defaults to 32·k at query time.
 	Fanout int
-	// EfSearch is the per-cluster HNSW beam width; default 96.
-	EfSearch int
-	// M, EfConstruction tune the per-cluster HNSW graphs.
-	M, EfConstruction int
-	// Seed drives reduction, clustering and index construction.
+	// Seed drives reduction and clustering.
 	Seed int64
 	// Build bounds construction parallelism (see BuildOptions).
 	Build BuildOptions
 }
 
 // NewCTS builds the clustered index. Building is the expensive phase
-// (reduce + cluster + per-cluster graphs); queries afterwards only touch
-// medoids and the selected clusters.
+// (reduce + cluster); queries afterwards only touch medoids and the
+// selected clusters' lists.
 func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	for _, f := range []struct {
 		name string
@@ -125,9 +123,6 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	if opt.SampleCap == 0 {
 		opt.SampleCap = 4096
 	}
-	if opt.EfSearch == 0 {
-		opt.EfSearch = 96
-	}
 	n := len(emb.Values)
 	if n == 0 {
 		return nil, fmt.Errorf("core: cts: empty federation")
@@ -145,41 +140,19 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 		medoidVecs[c] = points[gi]
 	}
 
-	// 5. One collection per cluster.
-	colls := make([]*vectordb.Collection, numClusters)
-	for c := range colls {
-		coll, err := vectordb.NewCollection(vectordb.CollectionConfig{
-			Dim:            emb.Enc.Dim(),
-			M:              opt.M,
-			EfConstruction: opt.EfConstruction,
-			EfSearch:       opt.EfSearch,
-			Seed:           opt.Seed + int64(c),
-			Workers:        workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: cts: %w", err)
-		}
-		coll.SetObserver(emb.Obs)
-		colls[c] = coll
-	}
-	// Give each cluster one point per distinct text among its values, then
-	// build the per-cluster graphs. Within a collection the insert order is
-	// the points' first occurrence in value order, so a serial build is a
-	// function of the clustering alone; with more workers the clusters —
-	// uneven, independent build jobs — pull from a shared queue while each
-	// batch also parallelizes inside.
+	// 5. One list per cluster: a unit row per point, filled by the copy and
+	// normalization a vector database's insert performs.
 	post := newPostings(emb, clusterOf, numClusters)
-	insertErrs := make([]error, numClusters)
-	par.Each(numClusters, workers, func(c int) {
-		if err := colls[c].InsertBatch(post.group(emb, c)); err != nil {
-			insertErrs[c] = fmt.Errorf("core: cts insert: %w", err)
+	dim := emb.Enc.Dim()
+	buf := make([]float32, len(post.text)*dim)
+	rows := make([][]float32, len(post.text))
+	par.For(len(rows), workers, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			rows[p] = buf[p*dim : (p+1)*dim : (p+1)*dim]
+			copy(rows[p], emb.rows[post.text[p]])
+			vec.Normalize(rows[p])
 		}
 	})
-	for _, err := range insertErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	emb.Obs.Gauge(MetricClusters).Set(float64(numClusters))
 	emb.Obs.Gauge(MetricValues).Set(float64(len(emb.Values)))
 
@@ -193,13 +166,12 @@ func NewCTS(emb *Embedded, opt CTSOptions) (*CTS, error) {
 	return &CTS{
 		emb:         emb,
 		medoidVecs:  medoidVecs,
-		clusterColl: colls,
+		rows:        rows,
 		post:        post,
 		clusterOf:   clusterOf,
 		threshold:   opt.Threshold,
 		topClusters: topClusters,
 		fanout:      opt.Fanout,
-		efSearch:    opt.EfSearch,
 	}, nil
 }
 
@@ -293,21 +265,24 @@ func (s *CTS) NumClusters() int { return len(s.medoidVecs) }
 // ClusterOf exposes the value-to-cluster assignment for diagnostics.
 func (s *CTS) ClusterOf(valueIdx int) int { return s.clusterOf[valueIdx] }
 
+// Medoid exposes cluster c's medoid, a value vector, for diagnostics.
+func (s *CTS) Medoid(c int) []float32 { return s.medoidVecs[c] }
+
 // Search implements Searcher: Algorithm 3's query phase for a keyword query.
 func (s *CTS) Search(query string, k int) ([]Match, error) {
 	return Search(context.Background(), s, s.emb.Enc, s.emb.Obs, query, k)
 }
 
-// SearchEncoded implements EncodedSearcher: the cluster walk for an
+// SearchEncoded implements EncodedSearcher: the cluster scan for an
 // already-encoded query vector (medoid_match → descent → rank), with
-// cancellation checked inside each HNSW walk.
+// cancellation checked before each list probe and after each list.
 func (s *CTS) SearchEncoded(ctx context.Context, q []float32, k int) ([]Match, error) {
 	return s.SearchFiltered(ctx, q, k, nil)
 }
 
 // SearchFiltered implements EncodedSearcher: cluster selection ignores the
-// restriction (medoids summarize the whole corpus) and the per-cluster
-// searches carry it as a tag filter.
+// restriction (medoids summarize the whole corpus) and the list scans carry
+// it as a point filter.
 func (s *CTS) SearchFiltered(ctx context.Context, q []float32, k int, allow func(string) bool) ([]Match, error) {
 	return searchOne(ctx, s, s.emb.Obs, q, k, allow)
 }
@@ -321,47 +296,41 @@ func (s *CTS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks [
 	return s.emb.searchAllowed(ctx, o, qs, ks, allow, costs, s.search)
 }
 
-// descent returns one query's per-cluster retrieval parameters: how many
-// hits to ask of each of the selected clusters and the beam width.
-func (s *CTS) descent(k, selected int) (perCluster, ef int) {
+// perCluster is how many hits a query of k results asks of each of the
+// selected clusters.
+func (s *CTS) perCluster(k, selected int) int {
 	fanout := s.fanout
 	if fanout == 0 {
 		fanout = 32 * k
 	}
-	perCluster = fanout / selected
-	if perCluster < k {
-		perCluster = k
-	}
-	ef = s.efSearch
-	if ef < perCluster {
-		ef = perCluster
-	}
-	return perCluster, ef
+	return max(fanout/selected, k)
 }
 
 // ctsPlan is one query's cluster itinerary: the clusters it selected (in
-// medoid-score order) and the per-cluster retrieval parameters.
+// medoid-score order) and how many hits it asks of each.
 type ctsPlan struct {
-	selected       []vec.Scored
-	perCluster, ef int
-	// hits[j] holds the results from selected[j]'s collection, filled by
-	// the grouped probe phase and folded in itinerary order afterwards.
+	selected   []vec.Scored
+	perCluster int
+	// hits[j] holds the results from selected[j]'s list, filled by the
+	// grouped probe phase and folded in itinerary order afterwards.
 	hits [][]vectordb.Result
 }
+
+// candPool serves the probe workers' candidate lists: a worker borrows one
+// per cluster, so a steady query load allocates none.
+var candPool = sync.Pool{New: func() any { return new([]hnsw.Neighbor) }}
 
 // search is CTS's one query body over a block of queries, with
 // cluster-probe deduplication. Medoid match: one DotBatch pass scores every
 // query against every medoid, and each query selects its top clusters.
 // Descent: queries selecting the same cluster are grouped, so each distinct
-// cluster collection is visited once per block — one
-// Collection.SearchBatch, so one lock acquisition and one walk scratch per
-// cluster rather than per (query, cluster) pair. GOMAXPROCS workers (one
-// for a block of one) pull the distinct clusters from a queue; a probe
-// writes its hit lists into slots no other probe touches, and the atomic
-// cost accumulators take each walk's work from whichever worker ran it.
-// Rank: each query's hit lists are folded in its own medoid-score order, so
-// a row does not depend on the block it arrived in. An error is the
-// lowest-numbered cluster's.
+// list is visited by one worker with one candidate buffer, once per block.
+// GOMAXPROCS workers (one for a block of one) pull the distinct clusters
+// from a queue; a probe writes its hit list into a slot no other probe
+// touches, and the atomic cost accumulators take each scan's work from
+// whichever worker ran it. Rank: each query's hit lists are folded in its
+// own medoid-score order, so a row does not depend on the block it arrived
+// in. An error is the lowest-numbered cluster's.
 func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int, allowed relSet, costs []*obs.Cost) ([][]Match, error) {
 	nq := len(qs)
 	numClusters := len(s.medoidVecs)
@@ -385,13 +354,12 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 		}
 		selected := top.Sorted()
 		if c := costs[qi]; c != nil {
-			// One dot product per medoid; the descents charge their own walks.
+			// One dot product per medoid; the descents charge their own scans.
 			c.AddDistanceComps(int64(numClusters))
 			c.AddBytesScanned(int64(numClusters) * int64(dim) * 4)
 			c.AddCandidatesPruned(int64(numClusters - len(selected)))
 		}
-		perCluster, ef := s.descent(k, len(selected))
-		plans[qi] = ctsPlan{selected: selected, perCluster: perCluster, ef: ef,
+		plans[qi] = ctsPlan{selected: selected, perCluster: s.perCluster(k, len(selected)),
 			hits: make([][]vectordb.Result, len(selected))}
 		for _, sel := range selected {
 			first[sel.ID+1]++
@@ -401,8 +369,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 
 	// Probe each distinct cluster once with every query that selected it.
 	// A counting sort lays the probes out cluster by cluster: cluster c's are
-	// slots first[c]..first[c+1] of the flat arrays, so a probe is one
-	// SearchBatch over a contiguous run.
+	// slots first[c]..first[c+1] of at.
 	sp = o.stage("descent").AnnotateInt("per_cluster_fanout", plans[0].perCluster)
 	scanned := o.scanned(costs[0])
 	var probed []int
@@ -412,21 +379,14 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 		}
 		first[c+1] += first[c]
 	}
-	n := first[numClusters]
 	type probe struct{ qi, pos int }
-	at := make([]probe, n)
+	at := make([]probe, first[numClusters])
 	prepared := vectordb.Prepare(qs)
-	probeQs := make(vectordb.Queries, n)
-	probeKs := make([]int, n)
-	probeEfs := make([]int, n)
-	probeCosts := make([]*obs.Cost, n)
 	next := append([]int(nil), first[:numClusters]...)
 	for qi := range plans {
 		for pos, sel := range plans[qi].selected {
-			j := next[sel.ID]
+			at[next[sel.ID]] = probe{qi, pos}
 			next[sel.ID]++
-			at[j], probeQs[j], probeCosts[j] = probe{qi, pos}, prepared[qi], costs[qi]
-			probeKs[j], probeEfs[j] = plans[qi].perCluster, plans[qi].ef
 		}
 	}
 	// A block of one probes its clusters on the calling goroutine: split
@@ -440,16 +400,16 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	errs := make([]error, len(probed))
 	par.Each(len(probed), workers, func(i int) {
 		c := probed[i]
-		lo, hi := first[c], first[c+1]
-		hits, err := s.clusterColl[c].SearchBatch(ctx, probeQs[lo:hi], probeKs[lo:hi], probeEfs[lo:hi], filter, probeCosts[lo:hi])
-		if err != nil {
-			errs[i] = err
-			return
+		cands := candPool.Get().(*[]hnsw.Neighbor)
+		defer candPool.Put(cands)
+		for _, pr := range at[first[c]:first[c+1]] {
+			if errs[i] = ctx.Err(); errs[i] != nil {
+				return
+			}
+			plan := &plans[pr.qi]
+			plan.hits[pr.pos] = s.probe(prepared[pr.qi], c, plan.perCluster, filter, costs[pr.qi], cands)
 		}
-		for j, h := range hits {
-			pr := at[lo+j]
-			plans[pr.qi].hits[pr.pos] = h
-		}
+		errs[i] = ctx.Err()
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -466,6 +426,39 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	out := s.emb.rankBlock(s.post, allowed, s.threshold, ks, func(i int) [][]vectordb.Result { return plans[i].hits })
 	o.endStage(sp.AnnotateInt("matches", len(out[0])))
 	return out, nil
+}
+
+// probe scans cluster c's list exactly for one prepared query q: every row
+// is scored by its dot product with q, the rows filter accepts are kept as
+// (1 − dot, point) candidates in *cands, and the perCluster first of them
+// in that order come back as hits scored 1 − distance — a vector
+// database's exact scan of the same rows. cost, when non-nil, is charged
+// one distance computation and one scanned value per row, the candidates
+// kept and the candidates pruned.
+func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost *obs.Cost, cands *[]hnsw.Neighbor) []vectordb.Result {
+	lo, hi := s.post.first[c], s.post.first[c+1]
+	cs := (*cands)[:0]
+	for p, row := range s.rows[lo:hi] {
+		d := vec.Dot(q, row)
+		if point := int32(lo + p); filter == nil || filter(point) {
+			cs = append(cs, hnsw.Neighbor{ID: point, Dist: 1 - d})
+		}
+	}
+	*cands = cs
+	found := vectordb.SelectNearest(cs, perCluster)
+	if cost != nil {
+		n := int64(hi - lo)
+		cost.AddDistanceComps(n)
+		cost.AddValuesScanned(n)
+		cost.AddBytesScanned(n * int64(len(q)) * 4)
+		cost.AddCandidatesGenerated(int64(len(cs)))
+		cost.AddCandidatesPruned(int64(len(cs) - len(found)))
+	}
+	hits := make([]vectordb.Result, len(found))
+	for i, nb := range found {
+		hits[i] = vectordb.Result{Score: 1 - nb.Dist, Tag: nb.ID}
+	}
+	return hits
 }
 
 // strideSample returns up to cap evenly spaced indices of [0, n).

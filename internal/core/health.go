@@ -20,16 +20,6 @@ type GraphHealth struct {
 	ReachableFraction float64           `json:"reachable_fraction"`
 }
 
-// GraphAggregate summarizes many per-cluster HNSW graphs (CTS) without
-// dumping every layer of every cluster.
-type GraphAggregate struct {
-	Graphs        int     `json:"graphs"`
-	Nodes         int     `json:"nodes"`
-	Edges         int     `json:"edges"`
-	MinReachable  float64 `json:"min_reachable_fraction"`
-	MeanReachable float64 `json:"mean_reachable_fraction"`
-}
-
 // PQHealth reports quantizer shape and sampled reconstruction distortion.
 type PQHealth struct {
 	Trained    bool          `json:"trained"`
@@ -56,23 +46,22 @@ type ClusterHealth struct {
 
 // IndexHealth is the self-diagnosis of one built index. Which sections are
 // populated depends on the method: ExS has none (no index), ANNS has Graph
-// and PQ, CTS has Graphs and Clusters.
+// and PQ, CTS has Clusters.
 type IndexHealth struct {
-	Method   string          `json:"method"`
-	Values   int             `json:"values"`
-	Graph    *GraphHealth    `json:"graph,omitempty"`
-	Graphs   *GraphAggregate `json:"graphs,omitempty"`
-	PQ       *PQHealth       `json:"pq,omitempty"`
-	Clusters *ClusterHealth  `json:"clusters,omitempty"`
+	Method   string         `json:"method"`
+	Values   int            `json:"values"`
+	Graph    *GraphHealth   `json:"graph,omitempty"`
+	PQ       *PQHealth      `json:"pq,omitempty"`
+	Clusters *ClusterHealth `json:"clusters,omitempty"`
 }
 
 // HealthReporter is implemented by searchers that can introspect their
 // index structures. All three methods implement it. IndexHealth walks the
-// index (O(nodes+edges) per graph plus a bounded distortion sample); call
-// it at diagnostic cadence, not per query. Reading the graph stats links
-// the rows each collection left pending (see vectordb's InsertBatch), so
-// the first call after a build pays for the graphs no query had walked.
-// Must not race with AddRelation.
+// index (O(nodes+edges) of ANNS's graph plus a bounded distortion sample);
+// call it at diagnostic cadence, not per query. Reading the graph stats
+// links the rows ANNS's collection left pending (see vectordb's
+// InsertBatch), so the first call after an ANNS build pays for the graph no
+// query had walked. Must not race with AddRelation.
 type HealthReporter interface {
 	IndexHealth() IndexHealth
 }
@@ -80,7 +69,7 @@ type HealthReporter interface {
 // driftReporter is the part of IndexHealth the compaction policy reads:
 // the PQ and cluster sections, which drift as values are deleted, without
 // the graph stats, whose reading would link every pending graph row.
-// ANNS and CTS implement it; IndexHealth adds the graph sections to it.
+// ANNS and CTS implement it; ANNS's IndexHealth adds the graph section.
 type driftReporter interface {
 	driftHealth() IndexHealth
 }
@@ -126,37 +115,15 @@ func (s *ANNS) driftHealth() IndexHealth {
 	return h
 }
 
-// IndexHealth implements HealthReporter: cluster size balance, medoid
-// drift, and the per-cluster graphs aggregated.
-func (s *CTS) IndexHealth() IndexHealth {
-	h := s.driftHealth()
-	nc := len(s.clusterColl)
-	if nc == 0 {
-		return h
-	}
-	agg := &GraphAggregate{Graphs: nc, MinReachable: math.MaxFloat64}
-	var reachSum float64
-	for _, coll := range s.clusterColl {
-		gs := coll.GraphStats()
-		agg.Nodes += gs.Nodes
-		for _, l := range gs.Layers {
-			agg.Edges += l.Edges
-		}
-		reachSum += gs.ReachableFraction
-		if gs.ReachableFraction < agg.MinReachable {
-			agg.MinReachable = gs.ReachableFraction
-		}
-	}
-	agg.MeanReachable = reachSum / float64(nc)
-	h.Graphs = agg
-	return h
-}
+// IndexHealth implements HealthReporter: cluster size balance and medoid
+// drift. CTS keeps no graph, so this is its driftHealth.
+func (s *CTS) IndexHealth() IndexHealth { return s.driftHealth() }
 
 // driftHealth implements driftReporter: cluster size balance and medoid
 // drift.
 func (s *CTS) driftHealth() IndexHealth {
 	h := IndexHealth{Method: s.Name(), Values: s.emb.NumValues()}
-	nc := len(s.clusterColl)
+	nc := len(s.medoidVecs)
 	if nc == 0 {
 		return h
 	}

@@ -24,7 +24,7 @@ func TestIndexHealthAllMethods(t *testing.T) {
 		}
 		switch s.Name() {
 		case "ExS":
-			if h.Graph != nil || h.Graphs != nil || h.PQ != nil || h.Clusters != nil {
+			if h.Graph != nil || h.PQ != nil || h.Clusters != nil {
 				t.Fatalf("ExS should report corpus shape only: %+v", h)
 			}
 		case "ANNS":
@@ -41,15 +41,8 @@ func TestIndexHealthAllMethods(t *testing.T) {
 				t.Fatalf("ANNS pq health=%+v", h.PQ)
 			}
 		case "CTS":
-			pairs := make(map[[2]int]bool)
-			for i := range emb.Values {
-				pairs[[2]int{s.(*CTS).ClusterOf(i), int(emb.Values[i].Text)}] = true
-			}
-			if h.Graphs == nil || h.Graphs.Nodes != len(pairs) {
-				t.Fatalf("CTS graph aggregate=%+v", h.Graphs)
-			}
-			if h.Graphs.MeanReachable != 1 || h.Graphs.MinReachable != 1 {
-				t.Fatalf("fresh CTS graphs reachable=%+v", h.Graphs)
+			if h.Graph != nil || h.PQ != nil {
+				t.Fatalf("CTS keeps no graph or quantizer: %+v", h)
 			}
 			ch := h.Clusters
 			if ch == nil || ch.Clusters == 0 || ch.MaxSize < ch.MinSize || ch.MeanSize <= 0 {
@@ -64,11 +57,11 @@ func TestIndexHealthAllMethods(t *testing.T) {
 
 // TestOpenLinksNoGraphBelowTheScanBound guards set-up against a health
 // read that links graphs. Over a corpus whose every collection a default
-// query scans, building ANNS (PQ off) or CTS and opening a segment store
-// over it, which records the segment's drift baselines, links no graph row,
-// so the hnsw_insert build gauge stays 0. A later IndexHealth links the
-// graphs and reports every point: one per text for ANNS, one per (cluster,
-// text) pair for CTS.
+// query scans, building ANNS (PQ off) and opening a segment store over it,
+// which records the segment's drift baselines, links no graph row, so the
+// hnsw_insert build gauge stays 0; a later IndexHealth links the graph and
+// reports one point per text. CTS never links a graph: the gauge stays 0
+// after IndexHealth too.
 func TestOpenLinksNoGraphBelowTheScanBound(t *testing.T) {
 	fed, model := covidFederation(t)
 	for method, build := range storeBuilders() {
@@ -87,21 +80,17 @@ func TestOpenLinksNoGraphBelowTheScanBound(t *testing.T) {
 			t.Fatalf("%s: hnsw_insert %v s after Open, want 0", method, got)
 		}
 		h := st.IndexHealth()
-		if linkSeconds.Value() <= 0 {
-			t.Fatalf("%s: IndexHealth linked no graph row", method)
-		}
-		if method == "ANNS" {
-			if h.Graph == nil || h.Graph.Nodes != emb.NumTexts() {
-				t.Fatalf("ANNS graph health %+v, want %d nodes", h.Graph, emb.NumTexts())
+		if method == "CTS" {
+			if got := linkSeconds.Value(); got != 0 {
+				t.Fatalf("CTS: hnsw_insert %v s after IndexHealth, want 0", got)
 			}
 			continue
 		}
-		pairs := make(map[[2]int]bool)
-		for i := range emb.Values {
-			pairs[[2]int{s.(*CTS).ClusterOf(i), int(emb.Values[i].Text)}] = true
+		if linkSeconds.Value() <= 0 {
+			t.Fatalf("%s: IndexHealth linked no graph row", method)
 		}
-		if h.Graphs == nil || h.Graphs.Nodes != len(pairs) {
-			t.Fatalf("CTS graph aggregate %+v, want %d nodes", h.Graphs, len(pairs))
+		if h.Graph == nil || h.Graph.Nodes != emb.NumTexts() {
+			t.Fatalf("ANNS graph health %+v, want %d nodes", h.Graph, emb.NumTexts())
 		}
 	}
 }

@@ -5,4 +5,7 @@ import (
 	"semdisco/internal/oracle"
 )
 
-func init() { core.SetOracleRank(oracle.Rank) }
+func init() {
+	core.SetOracleRank(oracle.Rank)
+	core.SetOracleCTS(oracle.CTS)
+}

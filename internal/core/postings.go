@@ -6,7 +6,7 @@ package core
 // points are first[g]..first[g+1], numbered by first occurrence in value
 // order, and text[p] is point p's text. Point p's values are
 // vals[off[p]:off[p+1]], in value order (CSR). So an index holds each text's
-// vector once per collection, while every value stays in exactly one
+// vector once per group, while every value stays in exactly one
 // posting and a hit list never counts a value twice. Postings are built
 // with the index and never persisted, because an engine image rebuilds its
 // index.

@@ -20,8 +20,8 @@ const (
 	MetricStageSeconds = "semdisco_search_stage_seconds"
 	// MetricBuildSeconds is index-build phase wall clock, labelled by phase
 	// ("embed", "umap", "hdbscan", "pq_train", "hnsw_insert"). pq_train and
-	// hnsw_insert are recorded by the vector collections and do not overlap;
-	// each sums its collections, which a parallel CTS build runs at once.
+	// hnsw_insert are recorded by ANNS's vector collection and do not
+	// overlap; CTS builds no collection, so it records neither.
 	MetricBuildSeconds = "semdisco_index_build_seconds"
 	// MetricClusters is the CTS cluster count.
 	MetricClusters = "semdisco_index_clusters"
@@ -38,9 +38,9 @@ const (
 	// method and k. Values in [0,1]; a falling gauge means the approximate
 	// index is silently losing ground truth.
 	MetricRecallAtK = "semdisco_recall_at_k"
-	// MetricReachableFraction is the share of HNSW layer-0 nodes reachable
-	// from the entry point (mean over clusters for CTS); below 1.0 some
-	// values can never be retrieved.
+	// MetricReachableFraction is the share of ANNS's HNSW layer-0 nodes
+	// reachable from the entry point; below 1.0 some values can never be
+	// retrieved.
 	MetricReachableFraction = "semdisco_index_reachable_fraction"
 	// MetricPQDistortion is the mean sampled PQ reconstruction error.
 	MetricPQDistortion = "semdisco_index_pq_distortion_mean"

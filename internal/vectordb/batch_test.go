@@ -11,7 +11,7 @@ import (
 
 // TestSearchBatchMatchesSearch pins the collection batch contract, raw and
 // PQ-compressed: one SearchBatch call over a prepared block — one walk scratch and one ADC table
-// reused across the block — returns exactly what per-query Search calls
+// reused across the block — returns exactly what per-query blocks of one
 // return, row by row, and charges each query's accumulator the same work
 // as a block of one.
 func TestSearchBatchMatchesSearch(t *testing.T) {
@@ -26,7 +26,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq})
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 400; i++ {
-				if err := c.Insert(randUnit(16, rng), int32(i)); err != nil {
+				if err := insertOne(c, randUnit(16, rng), int32(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -60,7 +60,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 					}
 					continue
 				}
-				want, err := c.Search(queries[i], ks[i], efs[i], nil)
+				want, err := searchOne(c, queries[i], ks[i], efs[i], nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 // cancellation.
 func TestSearchBatchValidation(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 4, Seed: 1})
-	c.Insert([]float32{1, 0, 0, 0}, 0)
+	insertOne(c, []float32{1, 0, 0, 0}, 0)
 
 	q := [][]float32{{1, 0, 0, 0}}
 	if _, err := c.SearchBatch(context.Background(), q, []int{1, 2}, nil, nil, nil); err == nil {

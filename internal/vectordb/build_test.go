@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -75,7 +76,7 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 			// crosses the PQ training boundary: both funnel into the same
 			// serial insertion body.
 			for _, v := range vecs[:tc.n/4] {
-				if err := c.Insert(v, 0); err != nil {
+				if err := insertOne(c, v, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -229,4 +230,49 @@ func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRawOrCodedAtEveryBatchBoundary: a collection is raw or coded, never
+// both. After each InsertBatch of sequences whose boundaries fall at 1,
+// TrainSize − 1, TrainSize and TrainSize + 1 rows, either there is no
+// quantizer and every slot holds a vector, or there is one and every slot
+// holds a code with no raw vector left.
+func TestRawOrCodedAtEveryBatchBoundary(t *testing.T) {
+	const dim, train = 16, 32
+	rng := rand.New(rand.NewSource(5))
+	vecs := make([][]float32, 2*train)
+	for i := range vecs {
+		vecs[i] = randUnit(dim, rng)
+	}
+	for _, ends := range [][]int{
+		{1, train - 1, train, train + 1, 2 * train},
+		{train - 1, train + 1},
+		{1, train},
+		{train + 1, 2 * train},
+		{2 * train},
+	} {
+		for _, workers := range []int{1, 4} {
+			c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 2, Workers: workers,
+				PQ: &PQConfig{M: 4, K: 8, TrainSize: train}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := 0
+			for _, hi := range ends {
+				if err := c.InsertBatch(vecs[lo:hi], nil); err != nil {
+					t.Fatal(err)
+				}
+				lo = hi
+				c.mu.RLock()
+				raw := c.quantizer == nil && c.codes == nil && len(c.vectors) == hi &&
+					!slices.ContainsFunc(c.vectors, func(v []float32) bool { return v == nil })
+				coded := c.quantizer != nil && c.vectors == nil && len(c.codes) == hi &&
+					!slices.ContainsFunc(c.codes, func(code []byte) bool { return len(code) != c.quantizer.CodeLen() })
+				c.mu.RUnlock()
+				if raw == coded || coded != (hi >= train) || len(c.tags) != hi {
+					t.Fatalf("ends %v, workers %d, after %d rows: raw %v, coded %v", ends, workers, hi, raw, coded)
+				}
+			}
+		}
+	}
 }

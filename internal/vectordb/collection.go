@@ -64,8 +64,12 @@ type Filter func(tag int32) bool
 type Collection struct {
 	cfg CollectionConfig
 
+	// A collection is raw or coded, never both: until the quantizer is
+	// trained every row has a vector and codes is nil; from then on every
+	// row has a code and vectors is nil. (InsertBatch holds the write lock
+	// while its new rows wait for their codes.)
 	mu      sync.RWMutex
-	vectors [][]float32 // raw vectors; nil entries once PQ takes over
+	vectors [][]float32 // raw unit vectors; nil once PQ takes over
 	codes   [][]byte    // PQ codes; nil until trained
 	tags    []int32     // one per row, so len(tags) is the row count
 
@@ -121,10 +125,10 @@ func NewCollection(cfg CollectionConfig) (*Collection, error) {
 // pairwise distance of neighbour selection. Between PQ-coded items it is
 // the code-to-code distance, read from the codebook.
 func (c *Collection) itemDist(a, b int32) float32 {
-	if c.codes != nil && c.codes[a] != nil && c.codes[b] != nil {
+	if c.quantizer != nil {
 		return c.quantizer.CodeDist(c.codes[a], c.codes[b])
 	}
-	return 1 - vec.Dot(c.vectorOf(a), c.vectorOf(b)) // vectors are unit-normalized on insert
+	return 1 - vec.Dot(c.vectors[a], c.vectors[b]) // vectors are unit-normalized on insert
 }
 
 // newTargetDist answers the index once per builder (the serial insertion
@@ -133,45 +137,18 @@ func (c *Collection) itemDist(a, b int32) float32 {
 // target's per-subspace distances to every centroid, after which each of
 // the beam's hundreds of distances to that target is M lookups in a table
 // small enough to stay in L1/L2 — and sums the same floats in the same
-// order as itemDist. Uncoded targets fall back to itemDist (a nil return).
+// order as itemDist. A raw collection's targets use itemDist (a nil
+// return).
 func (c *Collection) newTargetDist() hnsw.TargetDist {
 	var rows pq.Table
 	return func(target int32) func(int32) float32 {
-		if c.codes == nil || c.codes[target] == nil {
+		if c.quantizer == nil {
 			return nil
 		}
 		rows = c.quantizer.CodeDistRows(c.codes[target], rows)
 		codes := c.codes
-		return func(id int32) float32 {
-			if code := codes[id]; code != nil {
-				return rows.Lookup(code)
-			}
-			return c.itemDist(id, target)
-		}
+		return func(id int32) float32 { return rows.Lookup(codes[id]) }
 	}
-}
-
-func (c *Collection) vectorOf(slot int32) []float32 {
-	if v := c.vectors[slot]; v != nil {
-		return v
-	}
-	return c.quantizer.Decode(c.codes[slot])
-}
-
-// Len returns the number of rows.
-func (c *Collection) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.tags)
-}
-
-// Dim returns the configured dimensionality.
-func (c *Collection) Dim() int { return c.cfg.Dim }
-
-// Insert adds a vector with its tag: an InsertBatch of one row. The vector
-// is copied and normalized.
-func (c *Collection) Insert(vector []float32, tag int32) error {
-	return c.InsertBatch([][]float32{vector}, []int32{tag})
 }
 
 // InsertBatch appends many vectors at once, in input order. tags may be nil
@@ -214,7 +191,7 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) error {
 
 	startSlot := len(c.tags)
 	for i := range vs {
-		if c.quantizer == nil && c.cfg.PQ != nil && len(c.vectors)+1 >= c.cfg.PQ.TrainSize {
+		if c.quantizer == nil && c.cfg.PQ != nil && len(c.tags)+1 >= c.cfg.PQ.TrainSize {
 			// The next append triggers PQ training, which flips itemDist
 			// from raw to code distances and drops the raw vectors. Rows
 			// appended so far must enter the graph first, under the raw
@@ -227,27 +204,22 @@ func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) error {
 			c.tags = append(c.tags, 0)
 		}
 		if c.quantizer != nil {
-			c.vectors = append(c.vectors, nil)
 			c.codes = append(c.codes, nil) // encoded in bulk below
-		} else {
-			c.vectors = append(c.vectors, vs[i])
-			if c.codes != nil {
-				c.codes = append(c.codes, nil)
-			}
-			if c.cfg.PQ != nil && len(c.vectors) >= c.cfg.PQ.TrainSize {
-				if err := c.trainPQLocked(); err != nil {
-					return err
-				}
+			continue
+		}
+		c.vectors = append(c.vectors, vs[i])
+		if c.cfg.PQ != nil && len(c.vectors) >= c.cfg.PQ.TrainSize {
+			if err := c.trainPQLocked(); err != nil {
+				return err
 			}
 		}
 	}
 	if c.quantizer != nil {
-		// Rows appended after the quantizer existed hold neither a vector
-		// nor a code yet. Encode is pure, so sharding it does not change
-		// the bytes.
+		// Rows appended after the quantizer existed hold no code yet.
+		// Encode is pure, so sharding it does not change the bytes.
 		par.For(len(c.tags)-startSlot, workers, func(a, b int) {
 			for slot := startSlot + a; slot < startSlot+b; slot++ {
-				if c.codes[slot] == nil && c.vectors[slot] == nil {
+				if c.codes[slot] == nil {
 					c.codes[slot] = c.quantizer.Encode(vs[slot-startSlot])
 				}
 			}
@@ -311,17 +283,17 @@ func (c *Collection) trainPQLocked() error {
 	par.For(len(c.vectors), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c.codes[i] = q.Encode(c.vectors[i])
-			c.vectors[i] = nil
 		}
 	})
+	c.vectors = nil
 	return nil
 }
 
 // Queries is a block of query vectors prepared by Prepare: each row a
 // normalized copy of its query. SearchBatch reads the rows as they are, so
-// a block prepared once serves every collection — CTS probes each query's
-// clusters with the one copy. Rows may be picked from a prepared block in
-// any order and with repeats.
+// a block prepared once serves every search over rows of its dimension —
+// CTS scans each query's clusters with the one copy. Rows may be picked
+// from a prepared block in any order and with repeats.
 type Queries [][]float32
 
 // Prepare clones queries into one buffer and normalizes each row: the form
@@ -340,17 +312,6 @@ func Prepare(queries [][]float32) Queries {
 		vec.Normalize(out[i])
 	}
 	return out
-}
-
-// Search returns the k best-scoring points for the query: a SearchBatch
-// block of one. ef overrides the collection's default beam width when
-// positive. filter may be nil.
-func (c *Collection) Search(query []float32, k, ef int, filter Filter) ([]Result, error) {
-	out, err := c.SearchBatch(context.Background(), Prepare([][]float32{query}), []int{k}, []int{ef}, filter, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // plan is how a query finds its nearest slots.
@@ -403,13 +364,8 @@ type qdCounter struct {
 // least a read lock.
 func (c *Collection) countingQDLocked(qd func(int32) float32, ctr *qdCounter) func(int32) float32 {
 	if c.quantizer != nil {
-		codes := c.codes
 		return func(slot int32) float32 {
-			if codes[slot] != nil {
-				ctr.lookups++
-			} else {
-				ctr.dists++
-			}
+			ctr.lookups++
 			return qd(slot)
 		}
 	}
@@ -427,7 +383,11 @@ func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.Sear
 	cost.AddHNSWHops(st.Hops)
 	cost.AddCandidatesGenerated(st.Candidates)
 	cost.AddCandidatesPruned(st.Pruned)
-	cost.AddBytesScanned(ctr.dists*int64(c.cfg.Dim)*4 + ctr.lookups*c.codeBytesLocked())
+	bytes := ctr.dists * int64(c.cfg.Dim) * 4
+	if c.quantizer != nil {
+		bytes += ctr.lookups * int64(c.quantizer.CodeLen())
+	}
+	cost.AddBytesScanned(bytes)
 }
 
 // acceptLocked is the slot predicate of a search: the slots whose tag the
@@ -528,7 +488,7 @@ func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, can
 	ws.cands = cands
 	var found []hnsw.Neighbor
 	if done {
-		found = selectNearest(cands, k)
+		found = SelectNearest(cands, k)
 	}
 	if cost != nil {
 		c.flushCostLocked(cost, ctr, hnsw.SearchStats{
@@ -544,40 +504,27 @@ func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, can
 }
 
 // scoreBlockLocked sets dots[i] to the query's similarity to slot lo+i —
-// the ADC table's sum for a coded slot, the dot product for a raw one —
+// the ADC table's sum in a coded collection, the dot product in a raw one —
 // bit for bit what queryDistLocked's closure subtracts from 1, and tallies
 // the work in ctr. Caller holds at least a read lock.
 func (c *Collection) scoreBlockLocked(q []float32, table pq.Table, lo int, dots []float32, ctr *qdCounter) {
-	if c.quantizer == nil {
-		for i := range dots {
-			dots[i] = vec.Dot(q, c.vectors[lo+i])
-		}
-		ctr.dists += int64(len(dots))
-		return
-	}
-	codes := c.codes[lo : lo+len(dots)]
-	if !slices.ContainsFunc(codes, func(code []byte) bool { return code == nil }) {
-		table.LookupBatch(codes, dots)
+	if c.quantizer != nil {
+		table.LookupBatch(c.codes[lo:lo+len(dots)], dots)
 		ctr.lookups += int64(len(dots))
 		return
 	}
-	for i, code := range codes {
-		if code != nil {
-			dots[i] = table.Lookup(code)
-			ctr.lookups++
-		} else {
-			dots[i] = vec.Dot(q, c.vectors[lo+i])
-			ctr.dists++
-		}
+	for i := range dots {
+		dots[i] = vec.Dot(q, c.vectors[lo+i])
 	}
+	ctr.dists += int64(len(dots))
 }
 
-// selectNearest moves the k first of cands under the walk's (distance,
+// SelectNearest moves the k first of cands under the walk's (distance,
 // slot) order to the front, sorted, and returns them: a linear partial
 // select, then a sort of the k kept. Slots are distinct, so for NaN-free
 // distances the order is total and the result is the first k of a full
 // sort.
-func selectNearest(cands []hnsw.Neighbor, k int) []hnsw.Neighbor {
+func SelectNearest(cands []hnsw.Neighbor, k int) []hnsw.Neighbor {
 	if k < len(cands) {
 		partialSelect(cands, k)
 		cands = cands[:k]
@@ -734,17 +681,6 @@ func (c *Collection) searchBatch(ctx context.Context, queries Queries, ks, efs [
 	return out, nil
 }
 
-// codeBytesLocked is the PQ code width in bytes, for byte accounting.
-// Caller holds at least a read lock.
-func (c *Collection) codeBytesLocked() int64 {
-	for _, code := range c.codes {
-		if code != nil {
-			return int64(len(code))
-		}
-	}
-	return 0
-}
-
 // SearchExact returns the k best-scoring points by scoring every
 // slot: the scan every small-collection search runs, whatever the
 // collection's size. It is the ground truth of the recall tests.
@@ -765,12 +701,7 @@ func (c *Collection) queryDistLocked(q []float32, dst *pq.Table) func(int32) flo
 	if c.quantizer != nil {
 		table := c.quantizer.DotTable(q, *dst)
 		*dst = table
-		return func(slot int32) float32 {
-			if code := c.codes[slot]; code != nil {
-				return 1 - table.Lookup(code)
-			}
-			return 1 - vec.Dot(q, c.vectors[slot])
-		}
+		return func(slot int32) float32 { return 1 - table.Lookup(c.codes[slot]) }
 	}
 	return func(slot int32) float32 { return 1 - vec.Dot(q, c.vectors[slot]) }
 }

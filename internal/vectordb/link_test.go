@@ -18,7 +18,7 @@ func insertMixed(t *testing.T, c *Collection, vecs [][]float32, batch int) {
 	t.Helper()
 	singles := min(10, len(vecs))
 	for _, v := range vecs[:singles] {
-		if err := c.Insert(v, 0); err != nil {
+		if err := insertOne(c, v, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,11 +64,11 @@ func TestLinkRuleAtTheBound(t *testing.T) {
 			}
 			insertMixed(t, c, vecs[:bound], 25)
 			insertMixed(t, twin, vecs[:bound], 25)
-			if got := linkedRows(c); c.Len() != bound || got != tc.atBound {
-				t.Fatalf("%d of %d rows linked at the bound, want %d", got, c.Len(), tc.atBound)
+			if got := linkedRows(c); rowCount(c) != bound || got != tc.atBound {
+				t.Fatalf("%d of %d rows linked at the bound, want %d", got, rowCount(c), tc.atBound)
 			}
 			if got := linkedRows(twin); got != bound {
-				t.Fatalf("twin: %d of %d rows linked, want all", got, twin.Len())
+				t.Fatalf("twin: %d of %d rows linked, want all", got, rowCount(twin))
 			}
 			if err := c.InsertBatch(vecs[bound:], nil); err != nil {
 				t.Fatal(err)
@@ -77,7 +77,7 @@ func TestLinkRuleAtTheBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := linkedRows(c); got != bound+1 {
-				t.Fatalf("%d of %d rows linked past the bound, want all", got, c.Len())
+				t.Fatalf("%d of %d rows linked past the bound, want all", got, rowCount(c))
 			}
 			if a, b := graphHash(c), graphHash(twin); a != b {
 				t.Fatalf("graph hash %#x, twin linked on insert %#x", a, b)
@@ -218,7 +218,7 @@ func TestConcurrentLinkOnWalk(t *testing.T) {
 				ef = 8 // covers ¾ × 8 × 32 = 192 points: a walk
 			}
 			for i := 0; i < 40; i++ {
-				got, err := c.Search(randUnit(dim, r), k, ef, nil)
+				got, err := searchOne(c, randUnit(dim, r), k, ef, nil)
 				if err != nil {
 					t.Error(err)
 					return

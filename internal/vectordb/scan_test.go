@@ -145,7 +145,7 @@ func TestSearchPlanBound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 80; i++ {
-		if err := c.Insert(randUnit(8, rng), 0); err != nil {
+		if err := insertOne(c, randUnit(8, rng), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func BenchmarkSearchPlan(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, n := range []int{1 << 10, 2 << 10, 3 << 10, 4 << 10, 6 << 10, 7680, 8 << 10, 10 << 10, 12 << 10, 16 << 10, maxN} {
-		if err := c.InsertBatch(vecs[c.Len():n], nil); err != nil {
+		if err := c.InsertBatch(vecs[rowCount(c):n], nil); err != nil {
 			b.Fatal(err)
 		}
 		for _, ef := range []int{128, 320} {

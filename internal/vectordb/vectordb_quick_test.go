@@ -20,11 +20,11 @@ func TestQuickInsertGetConsistency(t *testing.T) {
 		vecs := make([][]float32, n)
 		for i := range vecs {
 			vecs[i] = randUnit(6, rng)
-			if err := c.Insert(vecs[i], int32(i)); err != nil {
+			if err := insertOne(c, vecs[i], int32(i)); err != nil {
 				return false
 			}
 		}
-		if c.Len() != n {
+		if rowCount(c) != n {
 			return false
 		}
 		for i, v := range vecs {

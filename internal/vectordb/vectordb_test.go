@@ -19,12 +19,30 @@ func randUnit(dim int, rng *rand.Rand) []float32 {
 	return vec.Normalize(v)
 }
 
+// insertOne appends one row with its tag: an InsertBatch of one.
+func insertOne(c *Collection, v []float32, tag int32) error {
+	return c.InsertBatch([][]float32{v}, []int32{tag})
+}
+
+// rowCount is the number of rows c holds.
+func rowCount(c *Collection) int { return c.Stats().Points }
+
+// searchOne answers one query under plan planAuto: a SearchBatch block of
+// one. ef overrides the collection's default beam width when positive.
+func searchOne(c *Collection, q []float32, k, ef int, filter Filter) ([]Result, error) {
+	return searchPlan(c, q, k, ef, filter, planAuto)
+}
+
 // walkSearch answers one query by walking the graph, whatever the
 // collection's size. The tests of the graph itself — its recall, filtered
 // routing, concurrent use — call it: their
-// collections are small enough that Search would scan them instead.
+// collections are small enough that searchOne would scan them instead.
 func walkSearch(c *Collection, q []float32, k, ef int, filter Filter) ([]Result, error) {
-	out, err := c.searchBatch(context.Background(), Prepare([][]float32{q}), []int{k}, []int{ef}, filter, nil, planWalk)
+	return searchPlan(c, q, k, ef, filter, planWalk)
+}
+
+func searchPlan(c *Collection, q []float32, k, ef int, filter Filter, p plan) ([]Result, error) {
+	out, err := c.searchBatch(context.Background(), Prepare([][]float32{q}), []int{k}, []int{ef}, filter, nil, p)
 	if err != nil {
 		return nil, err
 	}
@@ -47,16 +65,16 @@ func TestCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert([]float32{0, 2, 0, 0}, -5); err != nil {
+	if err := insertOne(c, []float32{0, 2, 0, 0}, -5); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert([]float32{1, 0, 0, 0}, 7); err != nil {
+	if err := insertOne(c, []float32{1, 0, 0, 0}, 7); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len=%d want 2", c.Len())
+	if rowCount(c) != 2 {
+		t.Fatalf("Len=%d want 2", rowCount(c))
 	}
-	got, err := c.Search([]float32{0, 1, 0, 0}, 1, 0, nil)
+	got, err := searchOne(c, []float32{0, 1, 0, 0}, 1, 0, nil)
 	if err != nil || len(got) != 1 || got[0].Tag != -5 || got[0].Score != 1 {
 		t.Fatalf("hit %+v, %v: want tag -5 at score 1", got, err)
 	}
@@ -69,11 +87,11 @@ func TestInsertSearchCosine(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		v := randUnit(16, rng)
 		vectors = append(vectors, v)
-		if err := c.Insert(v, int32(i)); err != nil {
+		if err := insertOne(c, v, int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.Search(vectors[42], 1, 64, nil)
+	got, err := searchOne(c, vectors[42], 1, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +105,11 @@ func TestInsertSearchCosine(t *testing.T) {
 
 func TestDimValidation(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 4})
-	if err := c.Insert([]float32{1, 2}, 0); err == nil {
+	if err := insertOne(c, []float32{1, 2}, 0); err == nil {
 		t.Fatal("wrong insert dim must fail")
 	}
-	c.Insert([]float32{1, 0, 0, 0}, 0)
-	if _, err := c.Search([]float32{1}, 1, 10, nil); err == nil {
+	insertOne(c, []float32{1, 0, 0, 0}, 0)
+	if _, err := searchOne(c, []float32{1}, 1, 10, nil); err == nil {
 		t.Fatal("wrong query dim must fail")
 	}
 	if _, err := c.SearchExact([]float32{1}, 1, nil); err == nil {
@@ -101,8 +119,8 @@ func TestDimValidation(t *testing.T) {
 
 func TestCosineNormalizesInput(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 2})
-	c.Insert([]float32{10, 0}, 0) // not unit norm
-	got, _ := c.Search([]float32{3, 0}, 1, 10, nil)
+	insertOne(c, []float32{10, 0}, 0) // not unit norm
+	got, _ := searchOne(c, []float32{3, 0}, 1, 10, nil)
 	if got[0].Score < 0.999 {
 		t.Fatalf("score %v, normalization missing", got[0].Score)
 	}
@@ -115,7 +133,7 @@ func TestSearchExactMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		v := randUnit(8, rng)
 		vecs = append(vecs, v)
-		c.Insert(v, int32(i))
+		insertOne(c, v, int32(i))
 	}
 	q := randUnit(8, rng)
 	got, _ := c.SearchExact(q, 5, nil)
@@ -143,12 +161,12 @@ func TestFilteredSearch(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		c.Insert(randUnit(8, rng), int32(i))
+		insertOne(c, randUnit(8, rng), int32(i))
 	}
 	q := randUnit(8, rng)
 	odd := func(tag int32) bool { return tag%2 == 1 }
 	for name, search := range map[string]func(q []float32, k, ef int, filter Filter) ([]Result, error){
-		"Search": c.Search,
+		"Search": func(q []float32, k, ef int, filter Filter) ([]Result, error) { return searchOne(c, q, k, ef, filter) },
 		"walk":   func(q []float32, k, ef int, filter Filter) ([]Result, error) { return walkSearch(c, q, k, ef, filter) },
 	} {
 		got, _ := search(q, 10, 128, odd)
@@ -182,7 +200,7 @@ func TestPQCompression(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		v := randUnit(32, rng)
 		vecs = append(vecs, v)
-		c.Insert(v, int32(i))
+		insertOne(c, v, int32(i))
 	}
 	st := c.Stats()
 	if !st.Compressed {
@@ -214,7 +232,7 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 10})
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 100; i++ {
-		c.Insert(randUnit(8, rng), 0)
+		insertOne(c, randUnit(8, rng), 0)
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -223,7 +241,7 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(11))
 		for i := 0; i < 100; i++ {
-			c.Insert(randUnit(8, r), 0)
+			insertOne(c, randUnit(8, r), 0)
 		}
 		close(stop)
 	}()
@@ -239,13 +257,13 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 				default:
 				}
 				// Half the readers walk the graph an insert is
-				// growing; the other half scan, as Search does at
+				// growing; the other half scan, as SearchBatch does at
 				// this size.
-				search := c.Search
+				search := searchOne
 				if seed%2 == 0 {
-					search = func(q []float32, k, ef int, filter Filter) ([]Result, error) { return walkSearch(c, q, k, ef, filter) }
+					search = walkSearch
 				}
-				if _, err := search(randUnit(8, r), 3, 32, nil); err != nil {
+				if _, err := search(c, randUnit(8, r), 3, 32, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -253,8 +271,8 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 		}(int64(20 + w))
 	}
 	wg.Wait()
-	if c.Len() != 200 {
-		t.Fatalf("Len=%d want 200", c.Len())
+	if rowCount(c) != 200 {
+		t.Fatalf("Len=%d want 200", rowCount(c))
 	}
 }
 
@@ -262,7 +280,7 @@ func BenchmarkSearchCosine10k(b *testing.B) {
 	c, _ := NewCollection(CollectionConfig{Dim: 64, Seed: 12})
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 10000; i++ {
-		c.Insert(randUnit(64, rng), 0)
+		insertOne(c, randUnit(64, rng), 0)
 	}
 	queries := make([][]float32, 64)
 	for i := range queries {
@@ -271,7 +289,7 @@ func BenchmarkSearchCosine10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Search(queries[i%len(queries)], 10, 64, nil); err != nil {
+		if _, err := searchOne(c, queries[i%len(queries)], 10, 64, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +317,7 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 
 	cs, _ := NewCollection(cfg)
 	for i := range vecs {
-		if err := cs.Insert(vecs[i], tags[i]); err != nil {
+		if err := insertOne(cs, vecs[i], tags[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,8 +325,8 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 	if err := cb.InsertBatch(vecs, tags); err != nil {
 		t.Fatal(err)
 	}
-	if cb.Len() != n {
-		t.Fatalf("got %d rows", cb.Len())
+	if rowCount(cb) != n {
+		t.Fatalf("got %d rows", rowCount(cb))
 	}
 	for slot := range tags {
 		if cs.tags[slot] != tags[slot] || cb.tags[slot] != tags[slot] {
@@ -344,8 +362,8 @@ func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
 	}
 	// Both must answer searches identically.
 	q := randUnit(dim, rng)
-	ra, _ := cs.Search(q, 5, 0, nil)
-	rb, _ := cb.Search(q, 5, 0, nil)
+	ra, _ := searchOne(cs, q, 5, 0, nil)
+	rb, _ := searchOne(cb, q, 5, 0, nil)
 	if len(ra) != len(rb) {
 		t.Fatalf("result counts %d vs %d", len(ra), len(rb))
 	}
@@ -378,8 +396,8 @@ func TestInsertBatchParallel(t *testing.T) {
 	if err := c.InsertBatch(vecs, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != n {
-		t.Fatalf("len=%d", c.Len())
+	if rowCount(c) != n {
+		t.Fatalf("len=%d", rowCount(c))
 	}
 	st := c.GraphStats()
 	if st.ReachableFraction != 1.0 {
@@ -399,7 +417,7 @@ func TestInsertBatchParallel(t *testing.T) {
 			t.Fatalf("codes[%d] depend on worker count", slot)
 		}
 	}
-	res, err := c.Search(vecs[17], 3, 0, nil)
+	res, err := searchOne(c, vecs[17], 3, 0, nil)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("search after parallel build: res=%v err=%v", res, err)
 	}
@@ -414,17 +432,17 @@ func TestInsertBatchValidation(t *testing.T) {
 	if err := c.InsertBatch([][]float32{{1, 2, 3, 4}}, []int32{1, 2}); err == nil {
 		t.Fatal("tag count mismatch must fail")
 	}
-	if err := c.InsertBatch(nil, nil); err != nil || c.Len() != 0 {
-		t.Fatalf("empty batch: len %d, %v", c.Len(), err)
+	if err := c.InsertBatch(nil, nil); err != nil || rowCount(c) != 0 {
+		t.Fatalf("empty batch: len %d, %v", rowCount(c), err)
 	}
 	// Batch then single insert must compose.
 	if err := c.InsertBatch([][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert([]float32{0, 0, 1, 0}, 0); err != nil {
+	if err := insertOne(c, []float32{0, 0, 1, 0}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len=%d", c.Len())
+	if rowCount(c) != 3 {
+		t.Fatalf("len=%d", rowCount(c))
 	}
 }

@@ -13,7 +13,7 @@
 // Three search strategies are available: exhaustive scan (ExS), vector-
 // database approximate search (ANNS: HNSW index + Product Quantization),
 // and clustered targeted search (CTS: UMAP reduction + HDBSCAN clustering
-// + per-cluster indexes), the paper's headline method.
+// + an exact scan of the selected clusters), the paper's headline method.
 //
 // Quickstart:
 //

@@ -374,18 +374,15 @@ type IndexHealth = core.IndexHealth
 // IndexHealth introspects the built index: HNSW graph shape and
 // reachability, PQ distortion, CTS cluster balance and medoid drift. The
 // walk is O(nodes+edges) plus a bounded distortion sample — call it at
-// diagnostic cadence, not per query. The first call after a build also
-// links the graph rows the build left unlinked because every default query
-// scans their collection, so it can take as long as that graph build. The
+// diagnostic cadence, not per query. The first call after an ANNS build
+// also links the graph rows the build left unlinked because every default
+// query scans its collection, so it can take as long as that graph build. The
 // headline figures are also exported as gauges on the metrics registry.
 // Must not race with Add.
 func (e *Engine) IndexHealth() IndexHealth {
 	h := e.store.IndexHealth()
 	if h.Graph != nil {
 		e.reg.Gauge(core.MetricReachableFraction).Set(h.Graph.ReachableFraction)
-	}
-	if h.Graphs != nil {
-		e.reg.Gauge(core.MetricReachableFraction).Set(h.Graphs.MeanReachable)
 	}
 	if h.PQ != nil && h.PQ.Trained {
 		e.reg.Gauge(core.MetricPQDistortion).Set(h.PQ.Distortion.Mean)
