@@ -43,7 +43,7 @@ failover-stress:
 # pq_generic.go and sgd_generic.go, and the purego tag runs the vec, pq,
 # kmeans (whose bit-identity test reaches vec's row body), umap and hdbscan
 # tests, the HNSW golden graphs, the PQ-coded vectordb
-# golden graphs and saved images, the scan's identity with the exhaustive
+# golden graphs, the scan's identity with the exhaustive
 # walk (LookupBatch against Lookup's Go body), the CTS build golden, CTS's
 # identity with its exact form, the filtered ANNS/CTS rankings golden and the
 # saved ANNS and CTS engine images' rankings — the same constants — through
@@ -82,9 +82,11 @@ fuzz:
 # block of one through the same body. The batch, single-query and filtered
 # tests are race-checked at 1, 2 and 4 workers, so the chunking is tested
 # at more than the host's core count, and so is the encoder's token table,
-# which every worker's queries read and fill.
+# which every worker's queries read and fill, and vectordb's one deferred
+# link, which the first walks and GraphStats calls of a fresh collection
+# race for.
 batch-cpu:
-	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table|SearchContext|Filter|Sources' ./internal/core ./internal/vectordb ./internal/pq ./internal/embed .
+	$(GO) test -race -cpu 1,2,4 -run 'Batch|SearchBatch|Table|SearchContext|Filter|Sources|ConcurrentLinkOnWalk' ./internal/core ./internal/vectordb ./internal/pq ./internal/embed .
 
 check: lint race batch-cpu portable fuzz
 
@@ -139,7 +141,7 @@ bench-kernels:
 	{ $(GO) test -run=^$$ -bench 'Dot|L2Sq|TopK|FullSort' -benchtime=2s ./internal/vec/ && \
 	  $(GO) test -run=^$$ -bench 'CodeDist|Tables256|ADCLookup' -benchtime=2s ./internal/pq/ && \
 	  $(GO) test -run=^$$ -bench 'Run512x4K256' -benchtime=2s ./internal/kmeans/ && \
-	  $(GO) test -run=^$$ -bench 'InsertBatchPQ' -benchtime=3x ./internal/vectordb/ && \
+	  $(GO) test -run=^$$ -bench 'BuildPQ' -benchtime=3x ./internal/vectordb/ && \
 	  $(GO) test -run=^$$ -bench 'SearchPlan' -benchtime=1s ./internal/vectordb/ && \
 	  $(GO) test -run=^$$ -bench 'Pow32|SGD' -benchtime=2s ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'Fit3200x256' -benchtime=3x ./internal/umap/ && \

@@ -147,8 +147,8 @@ func TestSearchCostANNSBelowExS(t *testing.T) {
 	}
 }
 
-// TestSearchCostCTSNonzero asserts CTS accounts its medoid scan and
-// per-cluster index walks.
+// TestSearchCostCTSNonzero asserts CTS accounts its medoid scan and the
+// scans of the cluster lists it probes.
 func TestSearchCostCTSNonzero(t *testing.T) {
 	fed := vaccineFederation(t)
 	eng, err := Open(fed, Config{Method: CTS, Dim: 128, Seed: 1,

@@ -86,14 +86,11 @@ func NewANNS(emb *Embedded, opt ANNSOptions) (*ANNS, error) {
 		}
 		cfg.PQ = &vectordb.PQConfig{M: pqM, K: pqK, TrainSize: train}
 	}
-	coll, err := vectordb.NewCollection(cfg)
+	post := newPostings(emb, nil, 1)
+	vecs, tags := post.group(emb, 0)
+	coll, err := vectordb.Build(cfg, vecs, tags, emb.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("core: anns: %w", err)
-	}
-	coll.SetObserver(emb.Obs)
-	post := newPostings(emb, nil, 1)
-	if err := coll.InsertBatch(post.group(emb, 0)); err != nil {
-		return nil, fmt.Errorf("core: anns insert: %w", err)
 	}
 	emb.Obs.Gauge(MetricValues).Set(float64(len(emb.Values)))
 	return &ANNS{
@@ -138,7 +135,7 @@ func (s *ANNS) searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks 
 
 // annsBlock is how many consecutive queries an ANNS worker walks in one
 // run: the unit the workers pull from their queue. A run pays one
-// collection lock and one pooled walk scratch for eight walks, and a
+// SearchBatch call and one pooled walk scratch for eight walks, and a
 // 64-query batch still splits into eight runs, so a worker that drew short
 // walks takes another run instead of idling while the other finishes one
 // long chunk. A block of one is one run, walked inline.

@@ -59,9 +59,9 @@ type IndexHealth struct {
 // index structures. All three methods implement it. IndexHealth walks the
 // index (O(nodes+edges) of ANNS's graph plus a bounded distortion sample);
 // call it at diagnostic cadence, not per query. Reading the graph stats
-// links the rows ANNS's collection left pending (see vectordb's
-// InsertBatch), so the first call after an ANNS build pays for the graph no
-// query had walked. Must not race with AddRelation.
+// links the rows ANNS's collection left pending (see vectordb.Build), so
+// the first call after an ANNS build pays for the graph no query had
+// walked. It may run concurrently with searches.
 type HealthReporter interface {
 	IndexHealth() IndexHealth
 }

@@ -23,13 +23,9 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 100}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq})
 			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < 400; i++ {
-				if err := insertOne(c, randUnit(16, rng), int32(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
+			vecs, tags := randUnits(400, 16, rng)
+			c := build(t, CollectionConfig{Dim: 16, Seed: 1, PQ: tc.pq}, vecs, tags)
 			if (tc.pq != nil) != (c.Quantizer() != nil) {
 				t.Fatalf("quantizer trained = %v, want %v", c.Quantizer() != nil, tc.pq != nil)
 			}
@@ -91,8 +87,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 // TestSearchBatchValidation covers shape mismatches, dimension errors and
 // cancellation.
 func TestSearchBatchValidation(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 4, Seed: 1})
-	insertOne(c, []float32{1, 0, 0, 0}, 0)
+	c := build(t, CollectionConfig{Dim: 4, Seed: 1}, [][]float32{{1, 0, 0, 0}}, nil)
 
 	q := [][]float32{{1, 0, 0, 0}}
 	if _, err := c.SearchBatch(context.Background(), q, []int{1, 2}, nil, nil, nil); err == nil {

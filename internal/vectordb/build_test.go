@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -63,26 +62,8 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 		{"pq256", 1000, 256, &PQConfig{M: 64, K: 256, TrainSize: 256}, 0xe902ebcce35b12b2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(41))
-			vecs := make([][]float32, tc.n)
-			for i := range vecs {
-				vecs[i] = randUnit(tc.dim, rng)
-			}
-			c, err := NewCollection(CollectionConfig{Dim: tc.dim, Seed: 41, PQ: tc.pq, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A quarter through Insert, the rest through an InsertBatch that
-			// crosses the PQ training boundary: both funnel into the same
-			// serial insertion body.
-			for _, v := range vecs[:tc.n/4] {
-				if err := insertOne(c, v, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.InsertBatch(vecs[tc.n/4:], nil); err != nil {
-				t.Fatal(err)
-			}
+			vecs, _ := randUnits(tc.n, tc.dim, rand.New(rand.NewSource(41)))
+			c := build(t, CollectionConfig{Dim: tc.dim, Seed: 41, PQ: tc.pq, Workers: 1}, vecs, nil)
 			if got := graphHash(c); got != tc.want {
 				t.Fatalf("graph hash %#x, want %#x", got, tc.want)
 			}
@@ -90,41 +71,29 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkInsertBatchPQ times serial construction in the ANNS index's
-// shape: dim 256, 4-dim PQ subspaces with 256 centroids, so every
-// construction distance after the first 512 vectors is a code-to-code
-// distance. The end-to-end benchmark's anns-graph set-up no longer builds
-// this graph: its 1,822 texts stay below the default beam's scan bound, so
-// it links only the 511 rows stored before training. 3,200 points are past
-// the bound (¾ × 64 × 32 = 1,536 at the default beam), so the batch links
-// every row; the benchmark fails if the collection ends with rows pending,
-// which would make it time appends alone.
-func BenchmarkInsertBatchPQ(b *testing.B) {
+// BenchmarkBuildPQ times serial construction in the ANNS index's shape:
+// dim 256, 4-dim PQ subspaces with 256 centroids, so every construction
+// distance after the first 512 vectors is a code-to-code distance. The
+// end-to-end benchmark's anns-graph set-up no longer builds this graph: its
+// 1,822 texts stay below the default beam's scan bound, so it links only
+// the 511 rows stored before training. 3,200 points are past the bound
+// (¾ × 64 × 32 = 1,536 at the default beam), so Build links every row; the
+// benchmark fails if the collection ends with rows pending, which would
+// make it time storage alone.
+func BenchmarkBuildPQ(b *testing.B) {
 	const (
 		n   = 3200
 		dim = 256
 	)
-	rng := rand.New(rand.NewSource(16))
-	vecs := make([][]float32, n)
-	for i := range vecs {
-		vecs[i] = randUnit(dim, rng)
-	}
+	vecs, _ := randUnits(n, dim, rand.New(rand.NewSource(16)))
+	cfg := CollectionConfig{Dim: dim, Seed: 16, Workers: 1, PQ: &PQConfig{M: 64, K: 256, TrainSize: 512}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := NewCollection(CollectionConfig{
-			Dim: dim, Seed: 16, Workers: 1,
-			PQ: &PQConfig{M: 64, K: 256, TrainSize: 512},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.InsertBatch(vecs, nil); err != nil {
-			b.Fatal(err)
-		}
+		c := build(b, cfg, vecs, nil)
 		if got := linkedRows(c); got != n {
-			b.Fatalf("%d of %d rows linked: the batch timed appends, not the graph build", got, n)
+			b.Fatalf("%d of %d rows linked: the build timed storage, not the graph", got, n)
 		}
 	}
 	b.StopTimer()
@@ -135,8 +104,8 @@ func BenchmarkInsertBatchPQ(b *testing.B) {
 }
 
 // TestParallelBuildAcrossTrainingBoundary runs the concurrent construction
-// path end to end under -race: a four-worker InsertBatch whose rows straddle
-// the PQ training boundary, so the early rows enter the graph under raw
+// path end to end under -race: a four-worker Build whose rows straddle the
+// PQ training boundary, so the early rows enter the graph under raw
 // distances and the rest, linked by the first GraphStats since 1,200 points
 // stay below the default beam's scan bound, under per-target row tables,
 // one table per worker.
@@ -149,26 +118,11 @@ func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
 		dim = 32
 		k   = 10
 	)
-	rng := rand.New(rand.NewSource(77))
-	vecs := make([][]float32, n)
-	tags := make([]int32, n)
-	for i := range vecs {
-		vecs[i] = randUnit(dim, rng)
-		tags[i] = int32(i)
-	}
-	c, err := NewCollection(CollectionConfig{
+	vecs, tags := randUnits(n, dim, rand.New(rand.NewSource(77)))
+	c := build(t, CollectionConfig{
 		Dim: dim, Seed: 77, Workers: 4, EfConstruction: 100,
 		PQ: &PQConfig{M: 16, K: 64, TrainSize: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.InsertBatch(vecs[:100], tags[:100]); err != nil { // still raw
-		t.Fatal(err)
-	}
-	if err := c.InsertBatch(vecs[100:], tags[100:]); err != nil { // trains mid-batch
-		t.Fatal(err)
-	}
+	}, vecs, tags)
 	if !c.Stats().Compressed {
 		t.Fatal("PQ did not train")
 	}
@@ -230,49 +184,4 @@ func TestParallelBuildAcrossTrainingBoundary(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestRawOrCodedAtEveryBatchBoundary: a collection is raw or coded, never
-// both. After each InsertBatch of sequences whose boundaries fall at 1,
-// TrainSize − 1, TrainSize and TrainSize + 1 rows, either there is no
-// quantizer and every slot holds a vector, or there is one and every slot
-// holds a code with no raw vector left.
-func TestRawOrCodedAtEveryBatchBoundary(t *testing.T) {
-	const dim, train = 16, 32
-	rng := rand.New(rand.NewSource(5))
-	vecs := make([][]float32, 2*train)
-	for i := range vecs {
-		vecs[i] = randUnit(dim, rng)
-	}
-	for _, ends := range [][]int{
-		{1, train - 1, train, train + 1, 2 * train},
-		{train - 1, train + 1},
-		{1, train},
-		{train + 1, 2 * train},
-		{2 * train},
-	} {
-		for _, workers := range []int{1, 4} {
-			c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 2, Workers: workers,
-				PQ: &PQConfig{M: 4, K: 8, TrainSize: train}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo := 0
-			for _, hi := range ends {
-				if err := c.InsertBatch(vecs[lo:hi], nil); err != nil {
-					t.Fatal(err)
-				}
-				lo = hi
-				c.mu.RLock()
-				raw := c.quantizer == nil && c.codes == nil && len(c.vectors) == hi &&
-					!slices.ContainsFunc(c.vectors, func(v []float32) bool { return v == nil })
-				coded := c.quantizer != nil && c.vectors == nil && len(c.codes) == hi &&
-					!slices.ContainsFunc(c.codes, func(code []byte) bool { return len(code) != c.quantizer.CodeLen() })
-				c.mu.RUnlock()
-				if raw == coded || coded != (hi >= train) || len(c.tags) != hi {
-					t.Fatalf("ends %v, workers %d, after %d rows: raw %v, coded %v", ends, workers, hi, raw, coded)
-				}
-			}
-		}
-	}
 }

@@ -21,8 +21,8 @@ type PQConfig struct {
 	M int
 	// K is centroids per subspace (0 = 256).
 	K int
-	// TrainSize is how many vectors accumulate before the codebooks are
-	// trained and raw storage is dropped. Defaults to 256.
+	// TrainSize is how many of the first vectors train the codebooks; Build
+	// keeps a collection of fewer vectors raw. Defaults to 256.
 	TrainSize int
 }
 
@@ -36,16 +36,16 @@ type CollectionConfig struct {
 	EfSearch int
 	// Seed makes index construction deterministic.
 	Seed int64
-	// PQ, when non-nil, compresses vectors once TrainSize points arrived.
+	// PQ, when non-nil, compresses the vectors of a collection built from
+	// at least TrainSize of them.
 	PQ *PQConfig
-	// Workers bounds the parallelism of InsertBatch, of linking rows into
-	// the graph and of PQ training. 0 or 1 runs serially; the graph, once
-	// linked, is then the same edge for edge whatever the batch boundaries
-	// and whenever its rows were linked (on insert, or deferred until
-	// something walks it; see InsertBatch). With 2+ workers the HNSW graph
-	// shape depends on insert interleaving (quality is asserted by the
-	// graph stats probe), while PQ codebooks and codes stay
-	// worker-count-invariant.
+	// Workers bounds the parallelism of Build's normalizing, PQ training
+	// and encoding, and of linking rows into the graph. 0 or 1 links
+	// serially; the graph is then the same edge for edge whether its rows
+	// were linked in Build or by the first walk (see Build). With 2+
+	// workers the HNSW graph shape depends on insert interleaving (quality
+	// is asserted by the graph stats probe), while PQ codebooks and codes
+	// stay worker-count-invariant.
 	Workers int
 }
 
@@ -59,47 +59,46 @@ type Result struct {
 // Filter restricts a search to points whose tag it accepts.
 type Filter func(tag int32) bool
 
-// Collection stores vectors, each with one int32 tag, under one index. Rows
-// are only appended; a row's slot is its insertion index.
+// Collection stores vectors, each with one int32 tag, under one index. A
+// row's slot is its index in Build's input. Build fills the collection; its
+// one later change is linking the graph rows Build left pending, which the
+// first reader of the graph does once (link).
 type Collection struct {
 	cfg CollectionConfig
 
-	// A collection is raw or coded, never both: until the quantizer is
-	// trained every row has a vector and codes is nil; from then on every
-	// row has a code and vectors is nil. (InsertBatch holds the write lock
-	// while its new rows wait for their codes.)
-	mu      sync.RWMutex
+	// A collection is raw or coded, never both: without a quantizer every
+	// row has a vector and codes is nil; with one every row has a code and
+	// vectors is nil.
 	vectors [][]float32 // raw unit vectors; nil once PQ takes over
 	codes   [][]byte    // PQ codes; nil until trained
 	tags    []int32     // one per row, so len(tags) is the row count
 
 	index     *hnsw.Index
 	quantizer *pq.Quantizer
+	linked    sync.Once // links the rows Build left pending
 
-	// Observability hooks, resolved once by SetObserver so the insert path
-	// never does a registry lookup. Nil hooks are no-ops.
-	obsInserts    *obs.Counter
-	obsPQTrain    *obs.Gauge
-	obsHNSWInsert *obs.Gauge
+	obsHNSWInsert *obs.Gauge // nil: no-op
 }
 
-// SetObserver wires the collection's build instrumentation into a metrics
-// registry: insert counts, Product-Quantization training time and the time
-// spent linking rows into the graph, whenever that happens (on insert, or
-// deferred to the first walk or GraphStats), which excludes training
-// and encoding. A nil registry (or never calling SetObserver) keeps
-// instrumentation off.
-func (c *Collection) SetObserver(reg *obs.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obsInserts = reg.Counter("semdisco_index_inserts_total")
-	c.obsPQTrain = reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "pq_train"))
-	c.obsHNSWInsert = reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "hnsw_insert"))
-}
-
-// NewCollection returns an empty collection. It fails if the config is
-// invalid.
-func NewCollection(cfg CollectionConfig) (*Collection, error) {
+// Build stores vectors, in input order, under an HNSW index, and returns the
+// collection. tags may be nil (every tag 0), or must have one entry per
+// vector. reg, when non-nil, receives the build instrumentation: the row
+// count, Product-Quantization training time and the time spent linking rows
+// into the graph, whenever that happens (in Build, or deferred to the first
+// walk or GraphStats), which excludes training and encoding.
+//
+// Every row is stored at once (raw, or PQ-coded once the quantizer exists),
+// so every search sees it; rows are linked into the HNSW graph only when
+// something can walk it. Build links every row once the collection holds
+// more than ¾ × EfSearch × 2M points, the size from which a query of the
+// default beam walks (scans); below that, rows stay pending until a walk
+// or GraphStats links them first. With PQ on and at least TrainSize
+// vectors, the quantizer trains on the first TrainSize vectors, and the
+// rows before the last of them are linked under raw distances just before
+// training drops the raw vectors, so rows linked later use code-to-code
+// distances: with cfg.Workers 0 or 1 the graph, once linked, is edge for
+// edge the one linking each row as it arrived would have built.
+func Build(cfg CollectionConfig, vectors [][]float32, tags []int32, reg *obs.Registry) (*Collection, error) {
 	switch {
 	case cfg.Dim <= 0:
 		return nil, errors.New("vectordb: Dim must be positive")
@@ -109,6 +108,13 @@ func NewCollection(cfg CollectionConfig) (*Collection, error) {
 		return nil, errors.New("vectordb: negative beam width")
 	case cfg.PQ != nil && (cfg.PQ.M < 0 || cfg.PQ.K < 0 || cfg.PQ.TrainSize < 0):
 		return nil, errors.New("vectordb: negative PQ parameter")
+	case tags != nil && len(tags) != len(vectors):
+		return nil, fmt.Errorf("vectordb: %d tags for %d vectors", len(tags), len(vectors))
+	}
+	for i, v := range vectors {
+		if len(v) != cfg.Dim {
+			return nil, fmt.Errorf("vectordb: vector %d dim %d, want %d", i, len(v), cfg.Dim)
+		}
 	}
 	if cfg.EfSearch == 0 {
 		cfg.EfSearch = 64
@@ -116,8 +122,36 @@ func NewCollection(cfg CollectionConfig) (*Collection, error) {
 	if cfg.PQ != nil && cfg.PQ.TrainSize == 0 {
 		cfg.PQ.TrainSize = 256
 	}
-	c := &Collection{cfg: cfg}
+	inserts := reg.Counter("semdisco_index_inserts_total")
+	pqTrain := reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "pq_train"))
+	c := &Collection{
+		cfg:           cfg,
+		vectors:       make([][]float32, len(vectors)),
+		tags:          make([]int32, len(vectors)),
+		obsHNSWInsert: reg.Gauge(obs.L("semdisco_index_build_seconds", "phase", "hnsw_insert")),
+	}
+	copy(c.tags, tags)
 	c.index = hnsw.New(hnsw.Config{M: cfg.M, EfConstruction: cfg.EfConstruction, Seed: cfg.Seed}, c.itemDist, c.newTargetDist)
+	par.For(len(vectors), c.workers(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c.vectors[i] = vec.Normalized(vectors[i])
+		}
+	})
+	if cfg.PQ != nil && len(vectors) >= cfg.PQ.TrainSize {
+		// Training flips itemDist from raw to code distances, so the rows
+		// before the training set's last one enter the graph first, under
+		// the raw distances a row-by-row build linked them with.
+		c.addRows(cfg.PQ.TrainSize - 1)
+		start := time.Now()
+		if err := c.trainPQ(); err != nil {
+			return nil, err
+		}
+		pqTrain.Add(time.Since(start).Seconds())
+	}
+	if !c.scans(cfg.EfSearch) {
+		c.link()
+	}
+	inserts.Add(int64(len(vectors)))
 	return c, nil
 }
 
@@ -128,11 +162,11 @@ func (c *Collection) itemDist(a, b int32) float32 {
 	if c.quantizer != nil {
 		return c.quantizer.CodeDist(c.codes[a], c.codes[b])
 	}
-	return 1 - vec.Dot(c.vectors[a], c.vectors[b]) // vectors are unit-normalized on insert
+	return 1 - vec.Dot(c.vectors[a], c.vectors[b]) // vectors are unit-normalized in Build
 }
 
 // newTargetDist answers the index once per builder (the serial insertion
-// path, each InsertBatch worker). The hnsw.TargetDist it returns owns one
+// path, each AddBatch worker). The hnsw.TargetDist it returns owns one
 // M × K row table: per inserted PQ-coded target it fills the table with the
 // target's per-subspace distances to every centroid, after which each of
 // the beam's hundreds of distances to that target is M lookups in a table
@@ -151,133 +185,37 @@ func (c *Collection) newTargetDist() hnsw.TargetDist {
 	}
 }
 
-// InsertBatch appends many vectors at once, in input order. tags may be nil
-// (every tag 0), or must have one entry per vector.
-//
-// Rows are appended and, once the quantizer is trained, PQ-encoded at
-// once, so every search sees them; they are linked into the HNSW graph only
-// when something can walk it. InsertBatch links every pending row once the
-// collection holds more than ¾ × EfSearch × 2M points, the size from which
-// a query of the default beam walks (scansLocked); below that, rows stay
-// pending until a walk or GraphStats links them first. PQ training
-// still triggers on exactly the first TrainSize stored vectors, and the
-// rows stored before it are linked under raw distances just before
-// training drops their vectors, so rows linked later use code-to-code
-// distances: with cfg.Workers 0 or 1 the graph, once linked, is edge for
-// edge the one linking each row on insert would have built, whatever the
-// batch boundaries. With 2+ workers the clone/normalize and PQ-encode
-// steps shard across workers and the HNSW inserts run concurrently.
-func (c *Collection) InsertBatch(vectors [][]float32, tags []int32) error {
-	if tags != nil && len(tags) != len(vectors) {
-		return fmt.Errorf("vectordb: %d tags for %d vectors", len(tags), len(vectors))
-	}
-	for i, v := range vectors {
-		if len(v) != c.cfg.Dim {
-			return fmt.Errorf("vectordb: vector %d dim %d, want %d", i, len(v), c.cfg.Dim)
-		}
-	}
-	workers := c.workers()
-	vs := make([][]float32, len(vectors))
-	par.For(len(vectors), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := vec.Clone(vectors[i])
-			vec.Normalize(v)
-			vs[i] = v
-		}
-	})
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	startSlot := len(c.tags)
-	for i := range vs {
-		if c.quantizer == nil && c.cfg.PQ != nil && len(c.tags)+1 >= c.cfg.PQ.TrainSize {
-			// The next append triggers PQ training, which flips itemDist
-			// from raw to code distances and drops the raw vectors. Rows
-			// appended so far must enter the graph first, under the raw
-			// distances they were stored with.
-			c.linkLocked()
-		}
-		if tags != nil {
-			c.tags = append(c.tags, tags[i])
-		} else {
-			c.tags = append(c.tags, 0)
-		}
-		if c.quantizer != nil {
-			c.codes = append(c.codes, nil) // encoded in bulk below
-			continue
-		}
-		c.vectors = append(c.vectors, vs[i])
-		if c.cfg.PQ != nil && len(c.vectors) >= c.cfg.PQ.TrainSize {
-			if err := c.trainPQLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	if c.quantizer != nil {
-		// Rows appended after the quantizer existed hold no code yet.
-		// Encode is pure, so sharding it does not change the bytes.
-		par.For(len(c.tags)-startSlot, workers, func(a, b int) {
-			for slot := startSlot + a; slot < startSlot+b; slot++ {
-				if c.codes[slot] == nil {
-					c.codes[slot] = c.quantizer.Encode(vs[slot-startSlot])
-				}
-			}
-		})
-	}
-	if !c.scansLocked(c.cfg.EfSearch) {
-		c.linkLocked()
-	}
-	c.obsInserts.Add(int64(len(vs)))
-	return nil
-}
-
 // workers is cfg.Workers, at least 1.
 func (c *Collection) workers() int { return max(c.cfg.Workers, 1) }
 
-// pendingLocked is how many rows are stored but not yet linked into the
-// HNSW graph: the slots from c.index.Len() on. Caller holds at least a
-// read lock.
-func (c *Collection) pendingLocked() int { return len(c.tags) - c.index.Len() }
-
-// linkLocked links every pending row into the HNSW graph in slot order and
-// charges the time to the hnsw_insert build gauge. Caller holds the write
-// lock.
-func (c *Collection) linkLocked() {
-	pending := c.pendingLocked()
-	if pending == 0 {
+// addRows links the next count rows into the HNSW graph in slot order and
+// charges the time to the hnsw_insert build gauge.
+func (c *Collection) addRows(count int) {
+	if count <= 0 {
 		return
 	}
 	start := time.Now()
-	c.index.AddBatch(pending, c.workers())
+	c.index.AddBatch(count, c.workers())
 	c.obsHNSWInsert.Add(time.Since(start).Seconds())
 }
 
-// link links the pending rows, taking the write lock only when there are
-// some.
+// link links every row not yet in the graph, once: every reader of the
+// graph calls it first, and a reader that comes while another links waits
+// for the graph to be whole.
 func (c *Collection) link() {
-	c.mu.RLock()
-	pending := c.pendingLocked()
-	c.mu.RUnlock()
-	if pending > 0 {
-		c.mu.Lock()
-		c.linkLocked()
-		c.mu.Unlock()
-	}
+	c.linked.Do(func() { c.addRows(len(c.tags) - c.index.Len()) })
 }
 
-// trainPQLocked trains the quantizer on the buffered raw vectors, encodes
-// them, and drops raw storage. Caller holds the write lock. Training and
-// encoding shard across cfg.Workers; both are worker-count-invariant, so
-// the codebooks and codes match the serial run exactly.
-func (c *Collection) trainPQLocked() error {
+// trainPQ trains the quantizer on the first TrainSize raw vectors, encodes
+// every row, and drops raw storage. Training and encoding shard across
+// cfg.Workers; both are worker-count-invariant, so the codebooks and codes
+// match the serial run exactly.
+func (c *Collection) trainPQ() error {
 	workers := c.workers()
-	start := time.Now()
-	q, err := pq.Train(c.vectors, pq.Config{M: c.cfg.PQ.M, K: c.cfg.PQ.K, Seed: c.cfg.Seed, Workers: workers})
+	q, err := pq.Train(c.vectors[:c.cfg.PQ.TrainSize], pq.Config{M: c.cfg.PQ.M, K: c.cfg.PQ.K, Seed: c.cfg.Seed, Workers: workers})
 	if err != nil {
 		return fmt.Errorf("vectordb: PQ training: %w", err)
 	}
-	c.obsPQTrain.Add(time.Since(start).Seconds())
 	c.quantizer = q
 	c.codes = make([][]byte, len(c.vectors))
 	par.For(len(c.vectors), workers, func(lo, hi int) {
@@ -319,7 +257,7 @@ type plan uint8
 
 const (
 	// planAuto scans when the beam covers the collection and walks
-	// otherwise (scansLocked). Every product search runs it.
+	// otherwise (scans). Every product search runs it.
 	planAuto plan = iota
 	// planWalk walks the HNSW graph whatever the collection's size.
 	planWalk
@@ -360,9 +298,8 @@ type qdCounter struct {
 	dists, lookups int64
 }
 
-// countingQDLocked wraps qd to bump ctr per evaluation. Caller holds at
-// least a read lock.
-func (c *Collection) countingQDLocked(qd func(int32) float32, ctr *qdCounter) func(int32) float32 {
+// countingQD wraps qd to bump ctr per evaluation.
+func (c *Collection) countingQD(qd func(int32) float32, ctr *qdCounter) func(int32) float32 {
 	if c.quantizer != nil {
 		return func(slot int32) float32 {
 			ctr.lookups++
@@ -375,9 +312,8 @@ func (c *Collection) countingQDLocked(qd func(int32) float32, ctr *qdCounter) fu
 	}
 }
 
-// flushCostLocked charges one query's tallies and graph stats to cost.
-// Caller holds at least a read lock.
-func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.SearchStats) {
+// flushCost charges one query's tallies and graph stats to cost.
+func (c *Collection) flushCost(cost *obs.Cost, ctr qdCounter, st hnsw.SearchStats) {
 	cost.AddDistanceComps(ctr.dists)
 	cost.AddPQLookups(ctr.lookups)
 	cost.AddHNSWHops(st.Hops)
@@ -390,10 +326,9 @@ func (c *Collection) flushCostLocked(cost *obs.Cost, ctr qdCounter, st hnsw.Sear
 	cost.AddBytesScanned(bytes)
 }
 
-// acceptLocked is the slot predicate of a search: the slots whose tag the
-// filter accepts. A nil filter gives nil, which accepts every slot. Caller
-// holds at least a read lock.
-func (c *Collection) acceptLocked(filter Filter) func(int32) bool {
+// accept is the slot predicate of a search: the slots whose tag the
+// filter accepts. A nil filter gives nil, which accepts every slot.
+func (c *Collection) accept(filter Filter) func(int32) bool {
 	if filter == nil {
 		return nil
 	}
@@ -411,59 +346,57 @@ func (c *Collection) acceptLocked(filter Filter) func(int32) bool {
 // sits inside that range.
 const scanQuarters = 3
 
-// scansLocked reports whether a query of beam width ef scores every slot
+// scans reports whether a query of beam width ef scores every slot
 // instead of walking the graph: when the collection holds at most
-// scanQuarters/4 × ef × 2M slots. Caller holds at least a read lock.
-func (c *Collection) scansLocked(ef int) bool {
+// scanQuarters/4 × ef × 2M slots.
+func (c *Collection) scans(ef int) bool {
 	per := scanQuarters * c.index.MaxDegree0()
 	return (4*len(c.tags)+per-1)/per <= ef
 }
 
-// walksLocked reports whether a query of k results and beam width ef walks
+// walks reports whether a query of k results and beam width ef walks
 // the graph under plan p: planWalk always, planAuto when the collection is
-// too large for the beam to cover (scansLocked). Caller holds at least a
-// read lock.
-func (c *Collection) walksLocked(k, ef int, p plan) bool {
-	return p == planWalk || p == planAuto && !c.scansLocked(max(ef, k))
+// too large for the beam to cover (scans).
+func (c *Collection) walks(k, ef int, p plan) bool {
+	return p == planWalk || p == planAuto && !c.scans(max(ef, k))
 }
 
-// searchOneLocked answers one prepared query over ws, which no other live
-// query uses: by a walk of the graph when walksLocked says so, and by a
+// searchOne answers one prepared query over ws, which no other live
+// query uses: by a walk of the graph when walks says so, and by a
 // scan otherwise. A walking query finds every row linked (searchBatch
-// links them first). Caller holds at least a read lock. A nil return means
-// the query was cancelled; the caller surfaces ctx.Err().
-func (c *Collection) searchOneLocked(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, ws *walkScratch, p plan) []Result {
-	accept := c.acceptLocked(filter)
-	if !c.walksLocked(k, ef, p) {
-		return c.scanLocked(q, k, accept, cancelled, cost, ws)
+// links them first). A nil return means the query was cancelled; the
+// caller surfaces ctx.Err().
+func (c *Collection) searchOne(q []float32, k, ef int, filter Filter, cancelled func() bool, cost *obs.Cost, ws *walkScratch, p plan) []Result {
+	accept := c.accept(filter)
+	if !c.walks(k, ef, p) {
+		return c.scan(q, k, accept, cancelled, cost, ws)
 	}
 	ef = max(ef, k)
-	qd := c.queryDistLocked(q, &ws.table)
+	qd := c.queryDist(q, &ws.table)
 	var ctr qdCounter
 	if cost != nil {
-		qd = c.countingQDLocked(qd, &ctr)
+		qd = c.countingQD(qd, &ctr)
 	}
 	found, done, st := c.index.SearchScratch(&ws.hnsw, qd, k, ef, accept, cancelled)
 	if cost != nil {
-		c.flushCostLocked(cost, ctr, st)
+		c.flushCost(cost, ctr, st)
 	}
 	if !done {
 		return nil
 	}
-	return c.resultsLocked(found)
+	return c.results(found)
 }
 
-// scanLocked scores every slot in blocks of scanBlock — ADC lookups four
+// scan scores every slot in blocks of scanBlock — ADC lookups four
 // codes at a time for a PQ-coded collection, dot products for a raw one —
 // and returns the k first slots accept takes under the walk's (distance,
 // slot) order. Each distance is the bits the walk's qd gives the
 // slot, so when the walk would have reached every slot (ef at least the
-// slot count, layer 0 connected) the two return the same results. Caller
-// holds at least a read lock. cost is charged one scanned value per slot
-// scored — how a trace tells a scan from a walk — besides the lookups or
-// distances. A nil return means the scan was cancelled; cost is charged
+// slot count, layer 0 connected) the two return the same results. cost is
+// charged one scanned value per slot scored — how a trace tells a scan
+// from a walk — besides the lookups or distances. A nil return means the scan was cancelled; cost is charged
 // the slots scored up to then, as a walk charges its work up to an abort.
-func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, cancelled func() bool, cost *obs.Cost, ws *walkScratch) []Result {
+func (c *Collection) scan(q []float32, k int, accept func(int32) bool, cancelled func() bool, cost *obs.Cost, ws *walkScratch) []Result {
 	if c.quantizer != nil {
 		ws.table = c.quantizer.DotTable(q, ws.table)
 	}
@@ -478,7 +411,7 @@ func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, can
 		}
 		hi := min(lo+scanBlock, n)
 		dots := ws.dists[:hi-lo]
-		c.scoreBlockLocked(q, ws.table, lo, dots, &ctr)
+		c.scoreBlock(q, ws.table, lo, dots, &ctr)
 		for i, d := range dots {
 			if slot := int32(lo + i); accept == nil || accept(slot) {
 				cands = append(cands, hnsw.Neighbor{ID: slot, Dist: 1 - d})
@@ -491,7 +424,7 @@ func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, can
 		found = SelectNearest(cands, k)
 	}
 	if cost != nil {
-		c.flushCostLocked(cost, ctr, hnsw.SearchStats{
+		c.flushCost(cost, ctr, hnsw.SearchStats{
 			Candidates: int64(len(cands)),
 			Pruned:     int64(len(cands) - len(found)),
 		})
@@ -500,14 +433,14 @@ func (c *Collection) scanLocked(q []float32, k int, accept func(int32) bool, can
 	if !done {
 		return nil
 	}
-	return c.resultsLocked(found)
+	return c.results(found)
 }
 
-// scoreBlockLocked sets dots[i] to the query's similarity to slot lo+i —
+// scoreBlock sets dots[i] to the query's similarity to slot lo+i —
 // the ADC table's sum in a coded collection, the dot product in a raw one —
-// bit for bit what queryDistLocked's closure subtracts from 1, and tallies
-// the work in ctr. Caller holds at least a read lock.
-func (c *Collection) scoreBlockLocked(q []float32, table pq.Table, lo int, dots []float32, ctr *qdCounter) {
+// bit for bit what queryDist's closure subtracts from 1, and tallies
+// the work in ctr.
+func (c *Collection) scoreBlock(q []float32, table pq.Table, lo int, dots []float32, ctr *qdCounter) {
 	if c.quantizer != nil {
 		table.LookupBatch(c.codes[lo:lo+len(dots)], dots)
 		ctr.lookups += int64(len(dots))
@@ -573,9 +506,8 @@ func partialSelect(a []hnsw.Neighbor, k int) {
 	}
 }
 
-// resultsLocked materializes found slots as results. Caller holds at least
-// a read lock.
-func (c *Collection) resultsLocked(found []hnsw.Neighbor) []Result {
+// results materializes found slots as results.
+func (c *Collection) results(found []hnsw.Neighbor) []Result {
 	out := make([]Result, 0, len(found))
 	for _, n := range found {
 		out = append(out, Result{Score: distToScore(n.Dist), Tag: c.tags[n.ID]})
@@ -584,19 +516,19 @@ func (c *Collection) resultsLocked(found []hnsw.Neighbor) []Result {
 }
 
 // SearchBatch runs a block of queries, prepared by Prepare, in one pass on
-// the calling goroutine: one lock acquisition and one query scratch — the
-// HNSW visited set and heaps, the ADC table of a PQ-compressed collection,
-// the scan's buffers — reused across the whole block instead of per query.
+// the calling goroutine, with one query scratch — the HNSW visited set and
+// heaps, the ADC table of a PQ-compressed collection, the scan's buffers —
+// reused across the whole block instead of per query.
 // Callers searching on several cores give each worker its own sub-block.
 // ks[i] and efs[i] are query i's result count and beam width (efs may be
 // nil, or entries ≤ 0, for the collection default); a ks[i] ≤ 0 skips
 // query i with a nil row. A query whose beam covers the collection — at
 // most ¾ × ef × 2M slots — scores every slot instead of walking the graph
-// (see scansLocked); a larger collection is walked. When some query of the
-// block walks while rows are still pending, the block first links them
-// into the graph under the write lock (see InsertBatch); a block that only
-// scans links nothing. costs, when non-nil, carries one optional
-// accumulator per query, each charged exactly the work its own query
+// (see scans); a larger collection is walked. When some query of the
+// block walks, the block first links the rows Build left pending (see
+// Build); a block that only scans links nothing. Blocks may run
+// concurrently. costs, when non-nil, carries one optional accumulator per
+// query, each charged exactly the work its own query
 // performed: distance computations, ADC lookups and graph hops, or for a
 // scan one scanned value per slot and no hops; linking is charged to no
 // query. A cancellable ctx is polled between HNSW hops and between scan
@@ -638,29 +570,15 @@ func (c *Collection) searchBatch(ctx context.Context, queries Queries, ks, efs [
 		}
 		return c.cfg.EfSearch
 	}
-	walks := func() bool {
-		for i, k := range ks {
-			if k > 0 && c.walksLocked(k, ef(i), p) {
-				return true
-			}
+	for i, k := range ks {
+		if k > 0 && c.walks(k, ef(i), p) {
+			c.link()
+			break
 		}
-		return false
 	}
 
 	ws := walkPool.Get().(*walkScratch)
 	defer walkPool.Put(ws)
-	c.mu.RLock()
-	// An insert may append rows between the write lock's release and the
-	// read lock's return, so the check repeats until a walk finds every
-	// row linked.
-	for c.pendingLocked() > 0 && walks() {
-		c.mu.RUnlock()
-		c.mu.Lock()
-		c.linkLocked()
-		c.mu.Unlock()
-		c.mu.RLock()
-	}
-	defer c.mu.RUnlock()
 	out := make([][]Result, len(queries))
 	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
@@ -673,7 +591,7 @@ func (c *Collection) searchBatch(ctx context.Context, queries Queries, ks, efs [
 		if costs != nil {
 			cost = costs[i]
 		}
-		out[i] = c.searchOneLocked(q, ks[i], ef(i), filter, cancelled, cost, ws, p)
+		out[i] = c.searchOne(q, ks[i], ef(i), filter, cancelled, cost, ws, p)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -692,12 +610,11 @@ func (c *Collection) SearchExact(query []float32, k int, filter Filter) ([]Resul
 	return out[0], nil
 }
 
-// queryDistLocked builds the walk's per-query distance closure, using an
+// queryDist builds the walk's per-query distance closure, using an
 // ADC table when the collection is PQ-compressed. The table is filled into
 // *dst, which is reused when already sized for the quantizer; the closure
 // reads it, so *dst must not be refilled while the closure is in use.
-// Caller holds at least a read lock.
-func (c *Collection) queryDistLocked(q []float32, dst *pq.Table) func(int32) float32 {
+func (c *Collection) queryDist(q []float32, dst *pq.Table) func(int32) float32 {
 	if c.quantizer != nil {
 		table := c.quantizer.DotTable(q, *dst)
 		*dst = table
@@ -720,11 +637,9 @@ func (c *Collection) GraphStats() hnsw.GraphStats {
 }
 
 // Quantizer exposes the trained Product Quantizer for diagnostics
-// (distortion probes). Nil while the collection is uncompressed — before
-// TrainSize inserts, or when PQ is disabled.
+// (distortion probes). Nil when the collection is uncompressed — built from
+// fewer than TrainSize vectors, or with PQ disabled.
 func (c *Collection) Quantizer() *pq.Quantizer {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.quantizer
 }
 
@@ -737,8 +652,6 @@ type Stats struct {
 
 // Stats reports size and compression state.
 func (c *Collection) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var bytesUsed int64
 	for _, v := range c.vectors {
 		bytesUsed += int64(len(v)) * 4

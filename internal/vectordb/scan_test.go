@@ -58,13 +58,7 @@ func TestScanMatchesExhaustiveWalk(t *testing.T) {
 				}
 				tags[i] = int32(i)
 			}
-			c, err := NewCollection(CollectionConfig{Dim: dim, Seed: 43, PQ: tc.pq})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.InsertBatch(vecs, tags); err != nil {
-				t.Fatal(err)
-			}
+			c := build(t, CollectionConfig{Dim: dim, Seed: 43, PQ: tc.pq}, vecs, tags)
 			if (tc.pq != nil) != (c.Quantizer() != nil) {
 				t.Fatalf("quantizer trained = %v, want %v", c.Quantizer() != nil, tc.pq != nil)
 			}
@@ -139,16 +133,9 @@ func TestScanMatchesExhaustiveWalk(t *testing.T) {
 // while the collection holds at most ¾ × ef × 2M slots and walks above
 // that, and only a scan charges scanned values.
 func TestSearchPlanBound(t *testing.T) {
-	c, err := NewCollection(CollectionConfig{Dim: 8, Seed: 5, M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 80; i++ {
-		if err := insertOne(c, randUnit(8, rng), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	vecs, _ := randUnits(80, 8, rng)
+	c := build(t, CollectionConfig{Dim: 8, Seed: 5, M: 4}, vecs, nil)
 	// 2M = 8: a beam of 14 covers ¾ × 14 × 8 = 84 slots, a beam of 13 78.
 	q := Prepare([][]float32{randUnit(8, rng)})
 	for _, tc := range []struct {
@@ -170,9 +157,10 @@ func TestSearchPlanBound(t *testing.T) {
 // PQ-coded collection in the ANNS index's shape (dim 256, 4-dim subspaces
 // with 256 centroids), at 1k to 32k slots and beams of 128 and 320, each
 // query retrieving as many points as its beam is wide, as an ANNS query
-// does. One collection grows through the sizes. Its points are drawn
-// around 64 centres (cosine ~0.5 to their centre), closer to embedded text
-// than uniform noise; the queries are fresh points of the same mixture.
+// does. Each size builds its collection from a prefix of one point set,
+// drawn around 64 centres (cosine ~0.5 to their centre), closer to embedded
+// text than uniform noise; the queries are fresh points of the same
+// mixture.
 // The sizes step finely around ef × 2M = ef × 32 slots (4,096 at ef 128,
 // 10,240 at ef 320), the most the walk's expansions can read, and include
 // the default plan's bound, ¾ of that (3,072 and 7,680): the table this
@@ -204,18 +192,10 @@ func BenchmarkSearchPlan(b *testing.B) {
 		queries[i] = point()
 	}
 	prepared := Prepare(queries)
-	c, err := NewCollection(CollectionConfig{
-		Dim: dim, Seed: 19, Workers: 2,
-		PQ: &PQConfig{M: 64, K: 256, TrainSize: 512},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := CollectionConfig{Dim: dim, Seed: 19, Workers: 2, PQ: &PQConfig{M: 64, K: 256, TrainSize: 512}}
 	ctx := context.Background()
 	for _, n := range []int{1 << 10, 2 << 10, 3 << 10, 4 << 10, 6 << 10, 7680, 8 << 10, 10 << 10, 12 << 10, 16 << 10, maxN} {
-		if err := c.InsertBatch(vecs[rowCount(c):n], nil); err != nil {
-			b.Fatal(err)
-		}
+		c := build(b, cfg, vecs[:n], nil)
 		for _, ef := range []int{128, 320} {
 			for _, p := range []struct {
 				name string

@@ -8,23 +8,14 @@ import (
 
 // TestQuickInsertGetConsistency: whatever goes in comes back out — each
 // stored vector's exact search finds its own row first, under the tag it
-// was inserted with — and Len tracks the rows.
+// was built with — and the row count is the input's.
 func TestQuickInsertGetConsistency(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%60 + 1
 		rng := rand.New(rand.NewSource(seed))
-		c, err := NewCollection(CollectionConfig{Dim: 6, Seed: seed})
-		if err != nil {
-			return false
-		}
-		vecs := make([][]float32, n)
-		for i := range vecs {
-			vecs[i] = randUnit(6, rng)
-			if err := insertOne(c, vecs[i], int32(i)); err != nil {
-				return false
-			}
-		}
-		if rowCount(c) != n {
+		vecs, tags := randUnits(n, 6, rng)
+		c, err := Build(CollectionConfig{Dim: 6, Seed: seed}, vecs, tags, nil)
+		if err != nil || rowCount(c) != n {
 			return false
 		}
 		for i, v := range vecs {

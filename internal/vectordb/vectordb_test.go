@@ -3,9 +3,8 @@ package vectordb
 import (
 	"bytes"
 	"context"
-	"math"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
 	"semdisco/internal/vec"
@@ -19,9 +18,25 @@ func randUnit(dim int, rng *rand.Rand) []float32 {
 	return vec.Normalize(v)
 }
 
-// insertOne appends one row with its tag: an InsertBatch of one.
-func insertOne(c *Collection, v []float32, tag int32) error {
-	return c.InsertBatch([][]float32{v}, []int32{tag})
+// build is Build without a registry; it fails the test on an error.
+func build(tb testing.TB, cfg CollectionConfig, vecs [][]float32, tags []int32) *Collection {
+	tb.Helper()
+	c, err := Build(cfg, vecs, tags, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// randUnits draws n random unit vectors of dim, and tags each with its index.
+func randUnits(n, dim int, rng *rand.Rand) ([][]float32, []int32) {
+	vecs := make([][]float32, n)
+	tags := make([]int32, n)
+	for i := range vecs {
+		vecs[i] = randUnit(dim, rng)
+		tags[i] = int32(i)
+	}
+	return vecs, tags
 }
 
 // rowCount is the number of rows c holds.
@@ -50,27 +65,7 @@ func searchPlan(c *Collection, q []float32, k, ef int, filter Filter, p plan) ([
 }
 
 func TestCreateAndLookup(t *testing.T) {
-	for _, bad := range []CollectionConfig{
-		{},
-		{Dim: 4, M: 1},
-		{Dim: 4, M: -2},
-		{Dim: 4, EfSearch: -1},
-		{Dim: 4, PQ: &PQConfig{K: -1}},
-	} {
-		if _, err := NewCollection(bad); err == nil {
-			t.Errorf("config %+v must fail", bad)
-		}
-	}
-	c, err := NewCollection(CollectionConfig{Dim: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := insertOne(c, []float32{0, 2, 0, 0}, -5); err != nil {
-		t.Fatal(err)
-	}
-	if err := insertOne(c, []float32{1, 0, 0, 0}, 7); err != nil {
-		t.Fatal(err)
-	}
+	c := build(t, CollectionConfig{Dim: 4}, [][]float32{{0, 2, 0, 0}, {1, 0, 0, 0}}, []int32{-5, 7})
 	if rowCount(c) != 2 {
 		t.Fatalf("Len=%d want 2", rowCount(c))
 	}
@@ -81,16 +76,8 @@ func TestCreateAndLookup(t *testing.T) {
 }
 
 func TestInsertSearchCosine(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 16, Seed: 1})
-	rng := rand.New(rand.NewSource(1))
-	var vectors [][]float32
-	for i := 0; i < 300; i++ {
-		v := randUnit(16, rng)
-		vectors = append(vectors, v)
-		if err := insertOne(c, v, int32(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	vectors, tags := randUnits(300, 16, rand.New(rand.NewSource(1)))
+	c := build(t, CollectionConfig{Dim: 16, Seed: 1}, vectors, tags)
 	got, err := searchOne(c, vectors[42], 1, 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +91,7 @@ func TestInsertSearchCosine(t *testing.T) {
 }
 
 func TestDimValidation(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 4})
-	if err := insertOne(c, []float32{1, 2}, 0); err == nil {
-		t.Fatal("wrong insert dim must fail")
-	}
-	insertOne(c, []float32{1, 0, 0, 0}, 0)
+	c := build(t, CollectionConfig{Dim: 4}, [][]float32{{1, 0, 0, 0}}, nil)
 	if _, err := searchOne(c, []float32{1}, 1, 10, nil); err == nil {
 		t.Fatal("wrong query dim must fail")
 	}
@@ -118,8 +101,7 @@ func TestDimValidation(t *testing.T) {
 }
 
 func TestCosineNormalizesInput(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 2})
-	insertOne(c, []float32{10, 0}, 0) // not unit norm
+	c := build(t, CollectionConfig{Dim: 2}, [][]float32{{10, 0}}, nil) // not unit norm
 	got, _ := searchOne(c, []float32{3, 0}, 1, 10, nil)
 	if got[0].Score < 0.999 {
 		t.Fatalf("score %v, normalization missing", got[0].Score)
@@ -127,14 +109,9 @@ func TestCosineNormalizesInput(t *testing.T) {
 }
 
 func TestSearchExactMatchesBruteForce(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 2})
 	rng := rand.New(rand.NewSource(2))
-	var vecs [][]float32
-	for i := 0; i < 200; i++ {
-		v := randUnit(8, rng)
-		vecs = append(vecs, v)
-		insertOne(c, v, int32(i))
-	}
+	vecs, tags := randUnits(200, 8, rng)
+	c := build(t, CollectionConfig{Dim: 8, Seed: 2}, vecs, tags)
 	q := randUnit(8, rng)
 	got, _ := c.SearchExact(q, 5, nil)
 	if len(got) != 5 {
@@ -158,11 +135,9 @@ func TestSearchExactMatchesBruteForce(t *testing.T) {
 }
 
 func TestFilteredSearch(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		insertOne(c, randUnit(8, rng), int32(i))
-	}
+	vecs, tags := randUnits(200, 8, rng)
+	c := build(t, CollectionConfig{Dim: 8, Seed: 3}, vecs, tags)
 	q := randUnit(8, rng)
 	odd := func(tag int32) bool { return tag%2 == 1 }
 	for name, search := range map[string]func(q []float32, k, ef int, filter Filter) ([]Result, error){
@@ -190,18 +165,23 @@ func TestFilteredSearch(t *testing.T) {
 	}
 }
 
+// TestPQCompression: a collection built from fewer than TrainSize vectors
+// stays raw, one of TrainSize or more is coded with no raw vector left, and
+// the coded graph still finds each stored vector's region.
 func TestPQCompression(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{
-		Dim: 32, Seed: 5,
-		PQ: &PQConfig{M: 4, K: 16, TrainSize: 100},
-	})
 	rng := rand.New(rand.NewSource(5))
-	var vecs [][]float32
-	for i := 0; i < 400; i++ {
-		v := randUnit(32, rng)
-		vecs = append(vecs, v)
-		insertOne(c, v, int32(i))
+	vecs, tags := randUnits(400, 32, rng)
+	cfg := CollectionConfig{Dim: 32, Seed: 5, PQ: &PQConfig{M: 4, K: 16, TrainSize: 100}}
+	for _, n := range []int{99, 100} {
+		c := build(t, cfg, vecs[:n], nil)
+		raw := c.quantizer == nil && c.codes == nil && len(c.vectors) == n
+		coded := c.quantizer != nil && c.vectors == nil && len(c.codes) == n &&
+			!slices.ContainsFunc(c.codes, func(code []byte) bool { return len(code) != c.quantizer.CodeLen() })
+		if raw == coded || coded != (n >= 100) {
+			t.Fatalf("%d rows: raw %v, coded %v", n, raw, coded)
+		}
 	}
+	c := build(t, cfg, vecs, tags)
 	st := c.Stats()
 	if !st.Compressed {
 		t.Fatal("PQ not trained")
@@ -228,60 +208,10 @@ func TestPQCompression(t *testing.T) {
 	}
 }
 
-func TestConcurrentInsertAndSearch(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 8, Seed: 10})
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 100; i++ {
-		insertOne(c, randUnit(8, rng), 0)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(11))
-		for i := 0; i < 100; i++ {
-			insertOne(c, randUnit(8, r), 0)
-		}
-		close(stop)
-	}()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Half the readers walk the graph an insert is
-				// growing; the other half scan, as SearchBatch does at
-				// this size.
-				search := searchOne
-				if seed%2 == 0 {
-					search = walkSearch
-				}
-				if _, err := search(c, randUnit(8, r), 3, 32, nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(20 + w))
-	}
-	wg.Wait()
-	if rowCount(c) != 200 {
-		t.Fatalf("Len=%d want 200", rowCount(c))
-	}
-}
-
 func BenchmarkSearchCosine10k(b *testing.B) {
-	c, _ := NewCollection(CollectionConfig{Dim: 64, Seed: 12})
 	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 10000; i++ {
-		insertOne(c, randUnit(64, rng), 0)
-	}
+	vecs, _ := randUnits(10000, 64, rng)
+	c := build(b, CollectionConfig{Dim: 64, Seed: 12}, vecs, nil)
 	queries := make([][]float32, 64)
 	for i := range queries {
 		queries[i] = randUnit(64, rng)
@@ -295,89 +225,10 @@ func BenchmarkSearchCosine10k(b *testing.B) {
 	}
 }
 
-// TestInsertBatchSerialMatchesInsertLoop pins the Workers <= 1 determinism
-// contract for batch inserts, across the PQ training boundary: same tags,
-// same codes, same graph as the equivalent Insert loop.
-func TestInsertBatchSerialMatchesInsertLoop(t *testing.T) {
-	const (
-		dim = 16
-		n   = 120
-	)
-	cfg := CollectionConfig{
-		Dim: dim, M: 8, EfConstruction: 40, Seed: 9,
-		PQ: &PQConfig{M: 4, K: 16, TrainSize: 64},
-	}
-	rng := rand.New(rand.NewSource(9))
-	vecs := make([][]float32, n)
-	tags := make([]int32, n)
-	for i := range vecs {
-		vecs[i] = randUnit(dim, rng)
-		tags[i] = int32(i)
-	}
-
-	cs, _ := NewCollection(cfg)
-	for i := range vecs {
-		if err := insertOne(cs, vecs[i], tags[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cb, _ := NewCollection(cfg)
-	if err := cb.InsertBatch(vecs, tags); err != nil {
-		t.Fatal(err)
-	}
-	if rowCount(cb) != n {
-		t.Fatalf("got %d rows", rowCount(cb))
-	}
-	for slot := range tags {
-		if cs.tags[slot] != tags[slot] || cb.tags[slot] != tags[slot] {
-			t.Fatalf("tags[%d] = %d (loop), %d (batch), want %d", slot, cs.tags[slot], cb.tags[slot], tags[slot])
-		}
-	}
-	if cs.quantizer == nil || cb.quantizer == nil {
-		t.Fatal("PQ must have trained in both paths")
-	}
-	for slot := range cs.codes {
-		if !bytes.Equal(cs.codes[slot], cb.codes[slot]) {
-			t.Fatalf("codes[%d] diverged", slot)
-		}
-	}
-	cs.GraphStats() // link the pending rows before reading the graphs
-	cb.GraphStats()
-	for l := 0; l <= cs.index.MaxLevel(); l++ {
-		ga, gb := cs.index.Graph(l), cb.index.Graph(l)
-		if len(ga) != len(gb) {
-			t.Fatalf("layer %d: %d vs %d nodes", l, len(ga), len(gb))
-		}
-		for id, nbs := range ga {
-			got := gb[id]
-			if len(got) != len(nbs) {
-				t.Fatalf("layer %d node %d: degree %d vs %d", l, id, len(got), len(nbs))
-			}
-			for i := range nbs {
-				if nbs[i] != got[i] {
-					t.Fatalf("layer %d node %d: adjacency diverged", l, id)
-				}
-			}
-		}
-	}
-	// Both must answer searches identically.
-	q := randUnit(dim, rng)
-	ra, _ := searchOne(cs, q, 5, 0, nil)
-	rb, _ := searchOne(cb, q, 5, 0, nil)
-	if len(ra) != len(rb) {
-		t.Fatalf("result counts %d vs %d", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i].Tag != rb[i].Tag || math.Float32bits(ra[i].Score) != math.Float32bits(rb[i].Score) {
-			t.Fatalf("result %d diverged: %v vs %v", i, ra[i], rb[i])
-		}
-	}
-}
-
-// TestInsertBatchParallel exercises the concurrent construction path end to
+// TestBuildParallel exercises the concurrent construction path end to
 // end: graph intact (fully reachable), PQ trained, searches work, and the
 // codes match the serial run (encode is worker-count-invariant).
-func TestInsertBatchParallel(t *testing.T) {
+func TestBuildParallel(t *testing.T) {
 	const (
 		dim = 16
 		n   = 400
@@ -387,31 +238,21 @@ func TestInsertBatchParallel(t *testing.T) {
 		PQ:      &PQConfig{M: 4, K: 16, TrainSize: 128},
 		Workers: 4,
 	}
-	rng := rand.New(rand.NewSource(4))
-	vecs := make([][]float32, n)
-	for i := range vecs {
-		vecs[i] = randUnit(dim, rng)
-	}
-	c, _ := NewCollection(cfg)
-	if err := c.InsertBatch(vecs, nil); err != nil {
-		t.Fatal(err)
-	}
+	vecs, _ := randUnits(n, dim, rand.New(rand.NewSource(4)))
+	c := build(t, cfg, vecs, nil)
 	if rowCount(c) != n {
 		t.Fatalf("len=%d", rowCount(c))
 	}
 	st := c.GraphStats()
 	if st.ReachableFraction != 1.0 {
-		t.Fatalf("reachable fraction %v after parallel batch insert", st.ReachableFraction)
+		t.Fatalf("reachable fraction %v after parallel build", st.ReachableFraction)
 	}
 	if c.quantizer == nil {
 		t.Fatal("PQ must have trained")
 	}
 	serialCfg := cfg
 	serialCfg.Workers = 1
-	sc, _ := NewCollection(serialCfg)
-	if err := sc.InsertBatch(vecs, nil); err != nil {
-		t.Fatal(err)
-	}
+	sc := build(t, serialCfg, vecs, nil)
 	for slot := range sc.codes {
 		if !bytes.Equal(sc.codes[slot], c.codes[slot]) {
 			t.Fatalf("codes[%d] depend on worker count", slot)
@@ -423,26 +264,31 @@ func TestInsertBatchParallel(t *testing.T) {
 	}
 }
 
-// TestInsertBatchValidation covers the error paths.
-func TestInsertBatchValidation(t *testing.T) {
-	c, _ := NewCollection(CollectionConfig{Dim: 4})
-	if err := c.InsertBatch([][]float32{{1, 2}}, nil); err == nil {
+// TestBuildValidation covers the error paths: bad configs, a vector of
+// the wrong dimension, a tag count that does not match; and an empty build,
+// which holds no rows and answers a search with none.
+func TestBuildValidation(t *testing.T) {
+	for _, bad := range []CollectionConfig{
+		{},
+		{Dim: 4, M: 1},
+		{Dim: 4, M: -2},
+		{Dim: 4, EfSearch: -1},
+		{Dim: 4, PQ: &PQConfig{K: -1}},
+	} {
+		if _, err := Build(bad, nil, nil, nil); err == nil {
+			t.Errorf("config %+v must fail", bad)
+		}
+	}
+	cfg := CollectionConfig{Dim: 4}
+	if _, err := Build(cfg, [][]float32{{1, 0, 0, 0}, {1, 2}}, nil, nil); err == nil {
 		t.Fatal("dim mismatch must fail")
 	}
-	if err := c.InsertBatch([][]float32{{1, 2, 3, 4}}, []int32{1, 2}); err == nil {
+	if _, err := Build(cfg, [][]float32{{1, 2, 3, 4}}, []int32{1, 2}, nil); err == nil {
 		t.Fatal("tag count mismatch must fail")
 	}
-	if err := c.InsertBatch(nil, nil); err != nil || rowCount(c) != 0 {
-		t.Fatalf("empty batch: len %d, %v", rowCount(c), err)
-	}
-	// Batch then single insert must compose.
-	if err := c.InsertBatch([][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := insertOne(c, []float32{0, 0, 1, 0}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if rowCount(c) != 3 {
-		t.Fatalf("len=%d", rowCount(c))
+	c := build(t, cfg, nil, nil)
+	got, err := searchOne(c, []float32{1, 0, 0, 0}, 3, 0, nil)
+	if err != nil || len(got) != 0 || rowCount(c) != 0 {
+		t.Fatalf("empty build: len %d, search %v, %v", rowCount(c), got, err)
 	}
 }
