@@ -40,7 +40,9 @@ failover-stress:
 
 # Everything off the amd64 assembly path still has to build and agree:
 # arm64 compiles every package against the stubs in dotbatch_generic.go,
-# pq_generic.go and sgd_generic.go, and the purego tag runs the vec, pq,
+# pq_generic.go and sgd_generic.go, and the purego tag runs the vec tests
+# (TestAddScaledMatchesScalar among them: the encoder's pooling kernel
+# against its scalar loop), the pq,
 # kmeans (whose bit-identity test reaches vec's row body), umap and hdbscan
 # tests, the HNSW golden graphs, the PQ-coded vectordb
 # golden graphs, the scan's identity with the exhaustive
@@ -63,8 +65,10 @@ portable:
 # A few seconds of coverage-guided search per fuzz target in the tree: the
 # centroid bound, the engine image reader (LoadEngine, the one decoder a
 # file on disk reaches) and the embedded-federation image inside it, the
-# coordinator↔shard wire frame, the CSV reader, the text pipeline and the
-# traceparent parser.
+# coordinator↔shard wire frame, the CSV reader, the text pipeline (the
+# tokenizer against its reference), the traceparent parser, and the HTTP
+# search codec: the request decoder against encoding/json's Decoder and the
+# search and batch response encoders against its Encoder, byte for byte.
 # The checked-in corpora under testdata/fuzz run with the ordinary tests.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCentroidBound$$' -fuzztime 5s ./internal/core
@@ -75,6 +79,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 5s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 5s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchRequest$$' -fuzztime 5s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchResponse$$' -fuzztime 5s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchResponse$$' -fuzztime 5s ./internal/httpapi
 
 # Every method's one query body splits a block over GOMAXPROCS workers
 # (ExS's scan, ANNS's walks and rank, CTS's cluster probes and rank) and

@@ -2,6 +2,7 @@ package semdisco
 
 import (
 	"context"
+	"sync"
 
 	"semdisco/internal/obs"
 )
@@ -57,10 +58,14 @@ func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterRe
 		slot = append(slot, d)
 		ks = append(ks, q.K)
 	}
-	vecs := e.model.EncodeAll(texts)
+	// The vectors live only through the search below, so their storage is
+	// pooled: the rows are ranked into matches of their own.
+	bs := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(bs)
+	bs.vecBuf, bs.vecs = e.model.EncodeAllInto(bs.vecBuf, bs.vecs, texts)
 	qs := make([][]float32, len(slot))
 	for s, d := range slot {
-		qs[s] = vecs[d]
+		qs[s] = bs.vecs[d]
 	}
 
 	costs := make([]*obs.Cost, len(qs))
@@ -87,3 +92,11 @@ func (e *Engine) searchBatch(ctx context.Context, queries []Query) ([]*ClusterRe
 	}
 	return out, nil
 }
+
+// batchScratch is one searchBatch call's encoded query storage.
+type batchScratch struct {
+	vecBuf []float32
+	vecs   [][]float32
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}

@@ -61,8 +61,8 @@ func (r *Router) SearchBatch(ctx context.Context, items []BatchQuery) ([]*Result
 	if err != nil {
 		return nil, err
 	}
-	r.reg.Counter(MetricBatchSearches).Inc()
-	r.reg.Counter(MetricBatchQueries).Add(int64(len(active)))
+	r.batchesC.Get().Inc()
+	r.batchQueriesC.Get().Add(int64(len(active)))
 	for s, i := range pos {
 		results[i] = scattered[s]
 	}

@@ -120,12 +120,16 @@ type Result struct {
 }
 
 // shardState is the router's per-shard bookkeeping: counters and the
-// latency window behind Stats.
+// latency window behind Stats, and the shard's metric series, resolved on
+// first use.
 type shardState struct {
 	searches atomic.Int64
 	errors   atomic.Int64
 	timeouts atomic.Int64
 	lat      Window
+
+	seconds           *obs.HistogramRef
+	errorsC, timeoutC *obs.CounterRef
 }
 
 // approxSlack widens each shard's fetch when the shards rank approximately
@@ -145,6 +149,9 @@ type Router struct {
 	relCount []atomic.Int64
 	searches atomic.Int64
 	degraded atomic.Int64
+	// The router's own series, resolved on first use.
+	searchesC, degradedC, batchesC, batchQueriesC *obs.CounterRef
+	seconds                                       *obs.HistogramRef
 }
 
 // NewRouter builds a Router over pre-built shards. relCounts mirrors each
@@ -170,8 +177,18 @@ func NewRouter(shards []Shard, relCounts []int, opts Options) (*Router, error) {
 		relCount: make([]atomic.Int64, len(shards)),
 	}
 	r.reg.SetHelps(MetricHelp)
+	r.searchesC = r.reg.CounterRef(MetricSearches)
+	r.degradedC = r.reg.CounterRef(MetricDegraded)
+	r.batchesC = r.reg.CounterRef(MetricBatchSearches)
+	r.batchQueriesC = r.reg.CounterRef(MetricBatchQueries)
+	r.seconds = r.reg.HistogramRef(MetricSearchSeconds)
 	for i := range r.state {
-		r.state[i] = &shardState{}
+		shard := strconv.Itoa(i)
+		r.state[i] = &shardState{
+			seconds:  r.reg.HistogramRef(obs.L(MetricShardSearchSeconds, "shard", shard)),
+			errorsC:  r.reg.CounterRef(obs.L(MetricShardErrors, "shard", shard)),
+			timeoutC: r.reg.CounterRef(obs.L(MetricShardTimeouts, "shard", shard)),
+		}
 		r.relCount[i].Store(int64(relCounts[i]))
 	}
 	return r, nil
@@ -288,15 +305,15 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, it
 		// above the router (or a test) can account federated work uniformly.
 		obs.CostFrom(ctx).AddReport(res.Cost)
 		r.searches.Add(1)
-		r.reg.Counter(MetricSearches).Inc()
+		r.searchesC.Get().Inc()
 		if res.Degraded {
 			r.degraded.Add(1)
-			r.reg.Counter(MetricDegraded).Inc()
+			r.degradedC.Get().Inc()
 		}
 		results[s] = res
 	}
 	sp.AnnotateInt("matches", merged).End()
-	r.reg.Histogram(MetricSearchSeconds).Observe(time.Since(start))
+	r.seconds.Get().Observe(time.Since(start))
 	return results, nil
 }
 
@@ -347,8 +364,7 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 		ans.costs[j] = c.Report()
 		work.Add(ans.costs[j])
 	}
-	shard := strconv.Itoa(i)
-	r.reg.Histogram(obs.L(MetricShardSearchSeconds, "shard", shard)).Observe(d)
+	st.seconds.Get().Observe(d)
 	if err == nil {
 		st.lat.Record(d)
 		ans.matches = ms
@@ -363,11 +379,11 @@ func (r *Router) searchShard(ctx context.Context, scatter *obs.Span, i int, qs [
 		return ans, nil
 	}
 	st.errors.Add(1)
-	r.reg.Counter(obs.L(MetricShardErrors, "shard", shard)).Inc()
+	st.errorsC.Get().Inc()
 	sp.Annotate("error", err.Error())
 	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		st.timeouts.Add(1)
-		r.reg.Counter(obs.L(MetricShardTimeouts, "shard", shard)).Inc()
+		st.timeoutC.Get().Inc()
 		sp.Annotate("timeout", "true")
 	}
 	sp.End()

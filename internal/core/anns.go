@@ -18,6 +18,7 @@ import (
 // text, and each hit expands through the text's postings to the values
 // that carry it.
 type ANNS struct {
+	queryMetricsCache
 	emb       *Embedded
 	coll      *vectordb.Collection
 	post      *postings

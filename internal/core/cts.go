@@ -27,6 +27,7 @@ import (
 // scans only their lists. Each hit expands through its (cluster, text)
 // posting.
 type CTS struct {
+	queryMetricsCache
 	emb *Embedded
 	// medoidVecs[c] is cluster c's medoid in the original embedding space.
 	medoidVecs [][]float32
@@ -320,6 +321,47 @@ type ctsPlan struct {
 // per cluster, so a steady query load allocates none.
 var candPool = sync.Pool{New: func() any { return new([]hnsw.Neighbor) }}
 
+// ctsScratch is one search call's working storage, pooled so a steady
+// query or batch load allocates none of it: the medoid scores, the plans
+// and the arenas their selections and hit lists are views of, the probe
+// layout and the prepared queries. Nothing in it outlives the call; the
+// ranked matches are built apart from it.
+type ctsScratch struct {
+	dots     []float32
+	top      vec.TopK
+	plans    []ctsPlan
+	selected []vec.Scored
+	lists    [][]vectordb.Result
+	hits     []vectordb.Result
+	first    []int
+	next     []int
+	probed   []int
+	at       []ctsProbe
+	errs     []error
+	qbuf     []float32
+	prepared vectordb.Queries
+}
+
+// ctsProbe is one (query, itinerary position) pair of the probe layout.
+type ctsProbe struct{ qi, pos int }
+
+var ctsScratchPool = sync.Pool{New: func() any { return new(ctsScratch) }}
+
+// release returns sc to the pool with its errors dropped.
+func (sc *ctsScratch) release() {
+	clear(sc.errs)
+	ctsScratchPool.Put(sc)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // search is CTS's one query body over a block of queries, with
 // cluster-probe deduplication. Medoid match: one DotBatch pass scores every
 // query against every medoid, and each query selects its top clusters.
@@ -335,35 +377,69 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	nq := len(qs)
 	numClusters := len(s.medoidVecs)
 	dim := s.emb.Enc.Dim()
+	sc := ctsScratchPool.Get().(*ctsScratch)
+	defer sc.release()
 	// Rank clusters by medoid similarity (original space; medoids are data
 	// points, so the query needs no reduction). DotBatch is bit-identical to
 	// a vec.Dot loop, and clusters are pushed in ascending order.
 	sp := o.stage("medoid_match").AnnotateInt("clusters_total", numClusters)
-	medoidDots := make([]float32, nq*numClusters)
+	sc.dots = resize(sc.dots, nq*numClusters)
+	medoidDots := sc.dots
 	vec.DotBatch(qs, s.medoidVecs, medoidDots)
-	plans := make([]ctsPlan, nq)
+	sc.plans = resize(sc.plans, nq)
+	plans := sc.plans
 	// first[c+1] counts the queries that selected cluster c.
-	first := make([]int, numClusters+1)
+	sc.first = resize(sc.first, numClusters+1)
+	first := sc.first
+	clear(first)
+	// Each query's selection is a view of one arena, and so, once every
+	// query has one, are its hit-list slots and its hit lists' room.
+	selected := sc.selected[:0]
+	slots, room := 0, 0
 	for qi, k := range ks {
+		plans[qi] = ctsPlan{}
 		if k <= 0 {
 			continue
 		}
-		top := vec.NewTopK(minInt(s.topClusters, numClusters))
+		sc.top.Reset(minInt(s.topClusters, numClusters))
 		for c, sim := range medoidDots[qi*numClusters : (qi+1)*numClusters] {
-			top.Push(c, sim)
+			sc.top.Push(c, sim)
 		}
-		selected := top.Sorted()
+		lo := len(selected)
+		selected = sc.top.AppendSorted(selected)
+		sel := selected[lo:len(selected):len(selected)]
 		if c := costs[qi]; c != nil {
 			// One dot product per medoid; the descents charge their own scans.
 			c.AddDistanceComps(int64(numClusters))
 			c.AddBytesScanned(int64(numClusters) * int64(dim) * 4)
-			c.AddCandidatesPruned(int64(numClusters - len(selected)))
+			c.AddCandidatesPruned(int64(numClusters - len(sel)))
 		}
-		plans[qi] = ctsPlan{selected: selected, perCluster: s.perCluster(k, len(selected)),
-			hits: make([][]vectordb.Result, len(selected))}
-		for _, sel := range selected {
-			first[sel.ID+1]++
+		plans[qi] = ctsPlan{selected: sel, perCluster: s.perCluster(k, len(sel))}
+		slots += len(sel)
+		for _, m := range sel {
+			first[m.ID+1]++
+			room += s.hitRoom(m.ID, plans[qi].perCluster)
 		}
+	}
+	// The arena may have moved while it grew: re-slice the selections.
+	sc.selected = selected
+	sc.lists = resize(sc.lists, slots)
+	sc.hits = resize(sc.hits, room)
+	slots, room = 0, 0
+	for qi := range plans {
+		p := &plans[qi]
+		n := len(p.selected)
+		if n == 0 {
+			continue
+		}
+		p.selected = selected[slots : slots+n : slots+n]
+		p.hits = sc.lists[slots : slots+n : slots+n]
+		for j, m := range p.selected {
+			r := s.hitRoom(m.ID, p.perCluster)
+			p.hits[j] = sc.hits[room : room : room+r]
+			room += r
+		}
+		slots += n
 	}
 	o.endStage(sp.AnnotateInt("clusters_selected", len(plans[0].selected)))
 
@@ -372,20 +448,23 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	// slots first[c]..first[c+1] of at.
 	sp = o.stage("descent").AnnotateInt("per_cluster_fanout", plans[0].perCluster)
 	scanned := o.scanned(costs[0])
-	var probed []int
+	probed := sc.probed[:0]
 	for c := range numClusters {
 		if first[c+1] > 0 {
 			probed = append(probed, c)
 		}
 		first[c+1] += first[c]
 	}
-	type probe struct{ qi, pos int }
-	at := make([]probe, first[numClusters])
-	prepared := vectordb.Prepare(qs)
-	next := append([]int(nil), first[:numClusters]...)
+	sc.probed = probed
+	sc.at = resize(sc.at, first[numClusters])
+	at := sc.at
+	sc.qbuf, sc.prepared = vectordb.PrepareInto(sc.qbuf, sc.prepared, qs)
+	prepared := sc.prepared
+	sc.next = append(sc.next[:0], first[:numClusters]...)
+	next := sc.next
 	for qi := range plans {
 		for pos, sel := range plans[qi].selected {
-			at[next[sel.ID]] = probe{qi, pos}
+			at[next[sel.ID]] = ctsProbe{qi, pos}
 			next[sel.ID]++
 		}
 	}
@@ -397,7 +476,9 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 		workers = 1
 	}
 	filter := s.emb.valueFilter(s.post, allowed)
-	errs := make([]error, len(probed))
+	sc.errs = resize(sc.errs, len(probed))
+	errs := sc.errs
+	clear(errs)
 	par.Each(len(probed), workers, func(i int) {
 		c := probed[i]
 		cands := candPool.Get().(*[]hnsw.Neighbor)
@@ -407,7 +488,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 				return
 			}
 			plan := &plans[pr.qi]
-			plan.hits[pr.pos] = s.probe(prepared[pr.qi], c, plan.perCluster, filter, costs[pr.qi], cands)
+			plan.hits[pr.pos] = s.probe(prepared[pr.qi], c, plan.perCluster, filter, costs[pr.qi], cands, plan.hits[pr.pos])
 		}
 		errs[i] = ctx.Err()
 	})
@@ -431,11 +512,11 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 // probe scans cluster c's list exactly for one prepared query q: every row
 // is scored by its dot product with q, the rows filter accepts are kept as
 // (1 − dot, point) candidates in *cands, and the perCluster first of them
-// in that order come back as hits scored 1 − distance — a vector
-// database's exact scan of the same rows. cost, when non-nil, is charged
-// one distance computation and one scanned value per row, the candidates
-// kept and the candidates pruned.
-func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost *obs.Cost, cands *[]hnsw.Neighbor) []vectordb.Result {
+// in that order come back as hits scored 1 − distance, appended to dst —
+// a vector database's exact scan of the same rows. cost, when non-nil, is
+// charged one distance computation and one scanned value per row, the
+// candidates kept and the candidates pruned.
+func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost *obs.Cost, cands *[]hnsw.Neighbor, dst []vectordb.Result) []vectordb.Result {
 	lo, hi := s.post.first[c], s.post.first[c+1]
 	cs := (*cands)[:0]
 	for p, row := range s.rows[lo:hi] {
@@ -454,11 +535,16 @@ func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost
 		cost.AddCandidatesGenerated(int64(len(cs)))
 		cost.AddCandidatesPruned(int64(len(cs) - len(found)))
 	}
-	hits := make([]vectordb.Result, len(found))
-	for i, nb := range found {
-		hits[i] = vectordb.Result{Score: 1 - nb.Dist, Tag: nb.ID}
+	for _, nb := range found {
+		dst = append(dst, vectordb.Result{Score: 1 - nb.Dist, Tag: nb.ID})
 	}
-	return hits
+	return dst
+}
+
+// hitRoom is the most hits a probe of cluster c for perCluster can
+// return: its list's length when that is shorter.
+func (s *CTS) hitRoom(c, perCluster int) int {
+	return min(perCluster, s.post.first[c+1]-s.post.first[c])
 }
 
 // strideSample returns up to cap evenly spaced indices of [0, n).

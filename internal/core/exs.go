@@ -24,6 +24,7 @@ var negInf = float32(math.Inf(-1))
 // rounding cannot separate (filterVerify) gets the ranking a scan of every
 // value would, bit for bit.
 type ExS struct {
+	queryMetricsCache
 	emb       *Embedded
 	threshold float32
 	parallel  bool

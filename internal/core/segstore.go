@@ -98,6 +98,7 @@ type relLoc struct {
 // delegates straight to the base searcher, preserving the monolithic fast
 // paths (and their results) bit for bit.
 type SegmentStore struct {
+	queryMetricsCache
 	build  SegmentBuilder
 	exsOpt ExSOptions
 	policy segment.Policy
@@ -808,12 +809,12 @@ func (st *SegmentStore) searchBlock(ctx context.Context, o searchObs, qs [][]flo
 	v := st.view()
 	if v.simple() {
 		base := v.segs[0].searcher
-		return base.searchBlock(ctx, o.as(base.Name()), qs, ks, allow, costs)
+		return base.searchBlock(ctx, o.as(base), qs, ks, allow, costs)
 	}
 	sp := o.stage("segments")
 	all := make([][]RankedMatch, len(qs))
 	err := st.eachSegment(v, func(s EncodedSearcher, emb *Embedded) error {
-		rows, err := s.searchBlock(ctx, o.as(s.Name()), qs, ks, allow, costs)
+		rows, err := s.searchBlock(ctx, o.as(s), qs, ks, allow, costs)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"semdisco/internal/embed"
@@ -121,6 +122,9 @@ type EncodedSearcher interface {
 	// the stage spans; a block of one records its query's, a batch passes
 	// the zero searchObs and records none.
 	searchBlock(ctx context.Context, o searchObs, qs [][]float32, ks []int, allow func(string) bool, costs []*obs.Cost) ([][]Match, error)
+	// metrics returns the searcher's query series on reg under method,
+	// resolved once (queryMetricsCache).
+	metrics(reg *obs.Registry, method string) *queryMetrics
 }
 
 // searchOne is SearchFiltered of every EncodedSearcher: the query runs
@@ -131,7 +135,7 @@ func searchOne(ctx context.Context, s EncodedSearcher, reg *obs.Registry, q []fl
 	if k <= 0 {
 		return nil, nil
 	}
-	out, err := s.searchBlock(ctx, startSearch(ctx, reg, s.Name()), [][]float32{q}, []int{k}, allow, []*obs.Cost{obs.CostFrom(ctx)})
+	out, err := s.searchBlock(ctx, startSearch(ctx, s.metrics(reg, s.Name())), [][]float32{q}, []int{k}, allow, []*obs.Cost{obs.CostFrom(ctx)})
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +151,7 @@ func Search(ctx context.Context, s EncodedSearcher, enc embed.Encoder, reg *obs.
 	if k <= 0 {
 		return nil, nil
 	}
-	o := startSearch(ctx, reg, s.Name())
+	o := startSearch(ctx, s.metrics(reg, s.Name()))
 	sp := o.stage("encode")
 	q := enc.Encode(query)
 	o.endStage(sp)
@@ -161,22 +165,23 @@ func Search(ctx context.Context, s EncodedSearcher, enc embed.Encoder, reg *obs.
 // searchObs accumulates the per-query observability of one method: stage
 // spans feed both the request trace (when the context carries one) and the
 // method's stage histograms; finish records the query counter and total
-// latency. All methods are safe when the registry is nil.
+// latency. The zero searchObs records no metrics.
 type searchObs struct {
-	reg    *obs.Registry
-	method string
-	tr     *obs.Trace
-	start  time.Time
+	m     *queryMetrics
+	tr    *obs.Trace
+	start time.Time
 }
 
-func startSearch(ctx context.Context, reg *obs.Registry, method string) searchObs {
-	return searchObs{reg: reg, method: method, tr: obs.TraceFrom(ctx), start: time.Now()}
+func startSearch(ctx context.Context, m *queryMetrics) searchObs {
+	return searchObs{m: m, tr: obs.TraceFrom(ctx), start: time.Now()}
 }
 
-// as relabels o for a part of the query another searcher runs — a
-// segment's body inside the store's. A silent o stays silent.
-func (o searchObs) as(method string) searchObs {
-	o.method = method
+// as relabels o for a part of the query s runs — a segment's body inside
+// the store's. A silent o stays silent.
+func (o searchObs) as(s EncodedSearcher) searchObs {
+	if o.m != nil {
+		o.m = s.metrics(o.m.reg, s.Name())
+	}
 	return o
 }
 
@@ -189,7 +194,63 @@ func (o searchObs) stage(name string) *obs.Span {
 func (o searchObs) endStage(sp *obs.Span) {
 	name := sp.Name()
 	d := sp.End()
-	o.reg.Histogram(obs.L(MetricStageSeconds, "method", o.method, "stage", name)).Observe(d)
+	o.m.stage(name).Observe(d)
+}
+
+// queryMetrics is one method's query series on one registry, each
+// resolved on first use: the searches counter, the latency histogram and
+// one histogram per stage. A nil *queryMetrics records nothing.
+type queryMetrics struct {
+	reg      *obs.Registry
+	method   string
+	searches *obs.CounterRef
+	seconds  *obs.HistogramRef
+	stages   [len(stageNames)]*obs.HistogramRef
+}
+
+// stageNames are the stages ExS, ANNS, CTS and the segment store record.
+var stageNames = [...]string{"encode", "scan", "retrieve", "medoid_match", "descent", "rank", "segments"}
+
+func newQueryMetrics(reg *obs.Registry, method string) *queryMetrics {
+	m := &queryMetrics{
+		reg:      reg,
+		method:   method,
+		searches: reg.CounterRef(obs.L(MetricSearches, "method", method)),
+		seconds:  reg.HistogramRef(obs.L(MetricSearchSeconds, "method", method)),
+	}
+	for i, name := range stageNames {
+		m.stages[i] = reg.HistogramRef(obs.L(MetricStageSeconds, "method", method, "stage", name))
+	}
+	return m
+}
+
+// stage returns the named stage's histogram.
+func (m *queryMetrics) stage(name string) *obs.Histogram {
+	if m == nil || m.reg == nil {
+		return nil
+	}
+	for i, s := range stageNames {
+		if s == name {
+			return m.stages[i].Get()
+		}
+	}
+	return m.reg.Histogram(obs.L(MetricStageSeconds, "method", m.method, "stage", name))
+}
+
+// queryMetricsCache keeps a searcher's queryMetrics, so each query finds
+// its series without building a label. A searcher embeds one; it rebuilds
+// only if asked for another registry or name.
+type queryMetricsCache struct {
+	p atomic.Pointer[queryMetrics]
+}
+
+func (c *queryMetricsCache) metrics(reg *obs.Registry, method string) *queryMetrics {
+	if m := c.p.Load(); m != nil && m.reg == reg && m.method == method {
+		return m
+	}
+	m := newQueryMetrics(reg, method)
+	c.p.Store(m)
+	return m
 }
 
 // scanMark is how many points a traced query's collection searches had
@@ -220,8 +281,11 @@ func (m scanMark) annotate(sp *obs.Span) *obs.Span {
 
 // finish records the completed query.
 func (o searchObs) finish() {
-	o.reg.Counter(obs.L(MetricSearches, "method", o.method)).Inc()
-	o.reg.Histogram(obs.L(MetricSearchSeconds, "method", o.method)).Observe(time.Since(o.start))
+	if o.m == nil {
+		return
+	}
+	o.m.searches.Get().Inc()
+	o.m.seconds.Get().Observe(time.Since(o.start))
 }
 
 // buildPhase runs fn and records its wall clock under the named build

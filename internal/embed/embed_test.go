@@ -2,9 +2,14 @@ package embed
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"semdisco/internal/obs"
+	"semdisco/internal/text"
 	"semdisco/internal/vec"
 )
 
@@ -151,6 +156,24 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestEncodeAllIntoReusesStorage encodes into storage a longer earlier
+// call left dirty and holds each vector to Encode's.
+func TestEncodeAllIntoReusesStorage(t *testing.T) {
+	m := newTestModel(t)
+	buf, vecs := m.EncodeAllInto(nil, nil, []string{"vaccine dose", "Europe", "2021 Pfizer", "mRNA", "the"})
+	for _, ss := range [][]string{{"alpha", "", "covid 19"}, {"Moderna"}, {}} {
+		buf, vecs = m.EncodeAllInto(buf, vecs, ss)
+		if len(vecs) != len(ss) {
+			t.Fatalf("%d vectors for %d texts", len(vecs), len(ss))
+		}
+		for i, s := range ss {
+			if !slices.Equal(vecs[i], m.Encode(s)) {
+				t.Fatalf("EncodeAllInto(%q) != Encode", s)
+			}
+		}
+	}
+}
+
 func TestTruncatingEncoder(t *testing.T) {
 	m := newTestModel(t)
 	long := "covid vaccine europe germany france spain italy dosage manufacturer trade name"
@@ -245,5 +268,78 @@ func BenchmarkEncodeColdToken(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Encode(words[i%len(words)])
+	}
+}
+
+// TestEncodeMatchesTokenPath holds Encode, which tokenizes into a reused
+// buffer and looks tokens up as bytes, to the per-token path
+// EncodeTokens(text.Tokenize(s)) bit for bit, on edge cases and on random
+// strings over letters, digits, separators and runes whose lowercase has
+// another UTF-8 length. Each path runs on its own model, so both fill their
+// token tables from the same queries, and the two tables' hit and miss
+// counts must agree too.
+func TestEncodeMatchesTokenPath(t *testing.T) {
+	fast, slow := newTestModel(t), newTestModel(t)
+	fastReg, slowReg := obs.NewRegistry(), obs.NewRegistry()
+	fast.SetObserver(fastReg)
+	slow.SetObserver(slowReg)
+	check := func(s string) {
+		t.Helper()
+		got, want := fast.Encode(s), slow.EncodeTokens(text.Tokenize(s))
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("Encode(%q)[%d] = %#08x, per-token path %#08x", s, i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	cases := []string{
+		"", " ", "the", "the of and", "The OF and a", "covid vaccine covid",
+		// Lower-casing shortens U+0130 (2 bytes to 1) and U+212A, the
+		// Kelvin sign (3 bytes to 1): token offsets follow the lowered bytes.
+		"\u0130stanbul", "\u0130\u0130x", "\u212Aelvin", "\u212A\u212A", "\u01C5emal", "\u03A3\u0391\u03A3",
+		"\xff\xfeabc\xc3", "a\xc3(b", "covid19", "2021-01-01", "x1y2z3",
+		"\u0663\u0664abc\u0665", "\u216B\u2163", "\u65E5\u672C\u8A9E text", "COVID-19 vaccinations per country",
+		"Pfizer-BioNTech BNT162b2", "\u00AD\u200Bzero\u200Dwidth",
+	}
+	for _, s := range cases {
+		check(s)
+	}
+	alphabet := []rune("aZkq09 -_,.\u0130\u0131\u212AkK\u00DF\u03A3\u03C3\u03C2\u65E5\u672Ce\u0301\u0663\uFFFD\x00\t")
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 3000; n++ {
+		var b strings.Builder
+		for l := rng.Intn(24); l > 0; l-- {
+			if rng.Intn(16) == 0 {
+				b.WriteByte(byte(0x80 + rng.Intn(0x80))) // a stray byte: invalid UTF-8
+				continue
+			}
+			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
+		}
+		if rng.Intn(8) == 0 {
+			b.WriteString(" the of")
+		}
+		check(b.String())
+	}
+	fh, fm := fast.CacheStats()
+	sh, sm := slow.CacheStats()
+	if fh != sh || fm != sm {
+		t.Fatalf("token table counts: Encode %d hits / %d misses, per-token path %d / %d", fh, fm, sh, sm)
+	}
+}
+
+// TestEncodeAllocsOnlyItsResult pins Encode's allocation floor: once every
+// token of a query is in the table, encoding it allocates the result and
+// nothing else.
+func TestEncodeAllocsOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	m := newTestModel(t)
+	m.SetObserver(obs.NewRegistry())
+	const q = "COVID-19 vaccinations per country in Europe, 2021"
+	m.Encode(q)
+	if n := testing.AllocsPerRun(100, func() { m.Encode(q) }); n != 1 {
+		t.Fatalf("Encode of a cached query allocates %v times, want 1", n)
 	}
 }

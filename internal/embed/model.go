@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"semdisco/internal/obs"
@@ -137,8 +138,95 @@ func (m *Model) Dim() int { return m.dim }
 // pool, L2 normalize. Stopwords are dropped unless the string consists only
 // of stopwords. The empty string embeds to a fixed "null" direction so that
 // downstream code never sees a zero vector.
+//
+// It returns EncodeTokens(text.Tokenize(s))'s bits without a string per
+// token: the tokens are lowercased into one reused buffer and looked up in
+// the token table as bytes, all under one read lock, with one add to the
+// hits counter. A query whose tokens are all in the table allocates only
+// its result; a token the table lacks takes token's path, which allocates
+// its key.
 func (m *Model) Encode(s string) []float32 {
-	return m.EncodeTokens(text.Tokenize(s))
+	return m.encodeInto(make([]float32, m.dim), s)
+}
+
+// encodeInto is Encode into out, a zeroed vector of m.dim entries.
+func (m *Model) encodeInto(out []float32, s string) []float32 {
+	sc := encodeScratchPool.Get().(*encodeScratch)
+	defer sc.release()
+	sc.buf, sc.ends = text.AppendTokens(sc.buf[:0], sc.ends[:0], s)
+	tok := func(i int) []byte {
+		start := 0
+		if i > 0 {
+			start = sc.ends[i-1]
+		}
+		return sc.buf[start:sc.ends[i]]
+	}
+
+	// The content tokens, in order: the non-stopwords, or every token when
+	// all are stopwords.
+	content := sc.content[:0]
+	for i := range sc.ends {
+		if !text.IsStopword(string(tok(i))) {
+			content = append(content, i)
+		}
+	}
+	if len(content) == 0 {
+		for i := range sc.ends {
+			content = append(content, i)
+		}
+	}
+	sc.content = content
+	if len(content) == 0 {
+		gaussianVec(out, m.seed, "\x00empty")
+		return out
+	}
+
+	entries := sc.entries[:0]
+	var hits int64
+	m.mu.RLock()
+	for _, i := range content {
+		e := m.cache[string(tok(i))]
+		if e != nil {
+			hits++
+		}
+		entries = append(entries, e)
+	}
+	obsHits := m.obsHits
+	m.mu.RUnlock()
+	obsHits.Add(hits)
+	sc.entries = entries
+	for j, e := range entries {
+		if e == nil {
+			e = m.token(string(tok(content[j])))
+		} else {
+			e.once.Do(func() { m.fill(e, string(tok(content[j]))) })
+		}
+		vec.AddScaled(out, e.w, e.vec)
+	}
+	vec.Normalize(out)
+	return out
+}
+
+// encodeScratch is one Encode call's reusable state: the lowercased token
+// bytes and their end offsets, the content tokens' indices and their table
+// entries.
+type encodeScratch struct {
+	buf     []byte
+	ends    []int
+	content []int
+	entries []*tokenEntry
+}
+
+var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// release returns sc to the pool, dropping its entry pointers, unless a
+// long text grew its buffer past what queries need.
+func (sc *encodeScratch) release() {
+	if cap(sc.buf) > 1<<16 {
+		return
+	}
+	clear(sc.entries)
+	encodeScratchPool.Put(sc)
 }
 
 // EncodeTokens is Encode for pre-tokenized input. Used directly by the
@@ -191,13 +279,16 @@ func (m *Model) token(tok string) *tokenEntry {
 		}
 		m.mu.Unlock()
 	}
-	e.once.Do(func() {
-		e.vec, e.w = m.computeTokenVec(tok), 1
-		if m.idf != nil {
-			e.w = float32(m.idf(tok))
-		}
-	})
+	e.once.Do(func() { m.fill(e, tok) })
 	return e
+}
+
+// fill computes tok's entry; it runs under the entry's once.
+func (m *Model) fill(e *tokenEntry, tok string) {
+	e.vec, e.w = m.computeTokenVec(tok), 1
+	if m.idf != nil {
+		e.w = float32(m.idf(tok))
+	}
 }
 
 func (m *Model) computeTokenVec(tok string) []float32 {
@@ -283,16 +374,31 @@ func sqrt1m(w float32) float32 {
 // EncodeAll embeds every string in ss concurrently and returns the vectors
 // in input order. Parallelism defaults to GOMAXPROCS.
 func (m *Model) EncodeAll(ss []string) [][]float32 {
-	out := make([][]float32, len(ss))
+	_, out := m.EncodeAllInto(nil, nil, ss)
+	return out
+}
+
+// EncodeAllInto is EncodeAll into reused storage: the vectors are views of
+// buf's backing array, listed in out's, each grown when too small. It
+// returns both for the caller to reuse; a caller that does keeps no vector
+// past its next call.
+func (m *Model) EncodeAllInto(buf []float32, out [][]float32, ss []string) ([]float32, [][]float32) {
+	n := len(ss) * m.dim
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	out = slices.Grow(out[:0], len(ss))[:len(ss)]
+	for i := range out {
+		out[i] = buf[i*m.dim : (i+1)*m.dim : (i+1)*m.dim]
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ss) {
 		workers = len(ss)
 	}
 	if workers <= 1 {
 		for i, s := range ss {
-			out[i] = m.Encode(s)
+			m.encodeInto(out[i], s)
 		}
-		return out
+		return buf, out
 	}
 	var wg sync.WaitGroup
 	next := make(chan int, len(ss))
@@ -305,12 +411,12 @@ func (m *Model) EncodeAll(ss []string) [][]float32 {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = m.Encode(ss[i])
+				m.encodeInto(out[i], ss[i])
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	return buf, out
 }
 
 // Truncating wraps a Model with a hard token budget, modelling encoders

@@ -46,8 +46,9 @@ type BatchSearchResponse struct {
 // whole block in coordinator mode. Results are positionally aligned with
 // the request.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchSearchRequest
-	if !decodeJSON(w, r, &req) {
+	req, err := readBatchRequest(r.Body, maxBodyBytes)
+	if err != nil {
+		writeError(w, decodeError(err), fmt.Sprintf("bad body: %v", err))
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -66,7 +67,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		queries[i] = semdisco.Query{Text: q.Query, K: clampK(q.K)}
 	}
-	annotate(r, slog.Int("batch", len(queries)))
+	s.annotate(r, "batch", slog.IntValue(len(queries)))
 
 	results, err := s.backend.DoBatch(r.Context(), queries)
 	if err != nil {
@@ -85,5 +86,5 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = item
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBatchResponse(w, &resp)
 }

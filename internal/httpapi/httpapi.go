@@ -58,9 +58,11 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semdisco"
@@ -96,11 +98,11 @@ func WithLogger(l *slog.Logger) Option {
 // can be CPU- and heap-profiled with `go tool pprof`.
 func WithPprof() Option {
 	return func(s *Server) {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		s.handle("GET /debug/pprof/", http.HandlerFunc(pprof.Index))
+		s.handle("GET /debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
+		s.handle("GET /debug/pprof/profile", http.HandlerFunc(pprof.Profile))
+		s.handle("GET /debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
+		s.handle("GET /debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 	}
 }
 
@@ -114,8 +116,8 @@ func WithPprof() Option {
 func New(eng *semdisco.Engine, opts ...Option) *Server {
 	s := newServer(eng, "engine", opts)
 	sh := netcluster.NewShardHandler(eng.EncodedBackend(), eng.Traces(), eng.Dim())
-	s.mux.Handle(netcluster.PathEncodedSearch, sh)
-	s.mux.Handle(netcluster.PathEncodedSearchBatch, sh)
+	s.handle(netcluster.PathEncodedSearch, sh)
+	s.handle(netcluster.PathEncodedSearchBatch, sh)
 	return s
 }
 
@@ -147,14 +149,39 @@ func (s *Server) requireEngine(w http.ResponseWriter) (*semdisco.Engine, bool) {
 	return eng, ok
 }
 
+// handle registers h under pattern. The mux's one match reaches h through
+// the route, which hands ServeHTTP the pattern's metrics; no second match
+// after serving looks the pattern up.
+func (s *Server) handle(pattern string, h http.Handler) {
+	m := &routeMetrics{
+		pattern: pattern,
+		seconds: s.reg.HistogramRef(obs.L("semdisco_http_request_seconds", "path", pattern)),
+	}
+	m.codes.Store(new([]statusCounter))
+	s.mux.Handle(pattern, routed{h: h, m: m})
+}
+
+// routed is a registered handler with its pattern's metrics.
+type routed struct {
+	h http.Handler
+	m *routeMetrics
+}
+
+func (rt routed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.route = rt.m
+	}
+	rt.h.ServeHTTP(w, r)
+}
+
 func (s *Server) init(opts []Option) {
 	s.mux = http.NewServeMux()
 	s.start = time.Now()
 	route := func(method, path string, h http.HandlerFunc) {
-		s.mux.HandleFunc(method+" "+path, h)
+		s.handle(method+" "+path, h)
 		// The method-less fallback catches wrong-method requests, which
 		// would otherwise get the mux's plain-text 405.
-		s.mux.HandleFunc(path, s.methodNotAllowed(method))
+		s.handle(path, s.methodNotAllowed(method))
 	}
 	route("GET", "/healthz", s.handleHealth)
 	route("GET", "/metrics", s.handleMetrics)
@@ -163,9 +190,9 @@ func (s *Server) init(opts []Option) {
 	route("POST", "/v1/search/batch", s.handleSearchBatch)
 	route("POST", "/v1/datasets", s.handleDatasets)
 	route("POST", "/v1/relations", s.handleAddRelation)
-	s.mux.HandleFunc("DELETE /v1/relations/{id}", s.handleDeleteRelation)
-	s.mux.HandleFunc("PUT /v1/relations/{id}", s.handleUpdateRelation)
-	s.mux.HandleFunc("/v1/relations/{id}", s.methodNotAllowed("DELETE, PUT"))
+	s.handle("DELETE /v1/relations/{id}", http.HandlerFunc(s.handleDeleteRelation))
+	s.handle("PUT /v1/relations/{id}", http.HandlerFunc(s.handleUpdateRelation))
+	s.handle("/v1/relations/{id}", s.methodNotAllowed("DELETE, PUT"))
 	route("GET", "/v1/debug/slow", s.handleDebugSlow)
 	route("GET", "/v1/debug/costly", s.handleDebugCostly)
 	route("GET", "/v1/debug/index", s.handleDebugIndex)
@@ -174,14 +201,15 @@ func (s *Server) init(opts []Option) {
 	route("GET", "/v1/debug/traces", s.handleDebugTraces)
 	route("GET", "/v1/debug/traces/{id}", s.handleDebugTrace)
 	route("GET", "/v1/debug/slo", s.handleDebugSLO)
-	s.mux.HandleFunc("/", s.handleNotFound)
+	s.handle("/", http.HandlerFunc(s.handleNotFound))
 	for _, opt := range opts {
 		opt(s)
 	}
 }
 
 // logAttrs is the per-request annotation bag handlers append to (query
-// length, k) so the access log line carries request-specific detail.
+// length, k) so the access log line carries request-specific detail. A
+// request carries one only when a logger is attached.
 type logAttrs struct {
 	mu    sync.Mutex
 	attrs []slog.Attr
@@ -189,21 +217,27 @@ type logAttrs struct {
 
 type logAttrsKey struct{}
 
-// annotate attaches request detail to the access log line.
-func annotate(r *http.Request, attrs ...slog.Attr) {
+// annotate attaches key=v to the request's access log line. Without a
+// logger it returns before looking for the bag or building an attribute.
+func (s *Server) annotate(r *http.Request, key string, v slog.Value) {
+	if s.log == nil {
+		return
+	}
 	bag, ok := r.Context().Value(logAttrsKey{}).(*logAttrs)
 	if !ok {
 		return
 	}
 	bag.mu.Lock()
-	bag.attrs = append(bag.attrs, attrs...)
+	bag.attrs = append(bag.attrs, slog.Attr{Key: key, Value: v})
 	bag.mu.Unlock()
 }
 
-// statusWriter captures the response status for logging and metrics.
+// statusWriter captures the response status for logging and metrics, and
+// the route the mux dispatched to (nil for a redirect or no match).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	route  *routeMetrics
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -222,8 +256,12 @@ func (w *statusWriter) WriteHeader(code int) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	bag := &logAttrs{}
-	ctx := context.WithValue(r.Context(), logAttrsKey{}, bag)
+	ctx := r.Context()
+	var bag *logAttrs
+	if s.log != nil {
+		bag = &logAttrs{}
+		ctx = context.WithValue(ctx, logAttrsKey{}, bag)
+	}
 
 	sc, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	if !ok {
@@ -231,29 +269,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// with the server itself as the root span's remote parent.
 		sc = obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Flags: obs.FlagSampled}
 	}
+	// The one hex rendering of the trace ID: the headers, the default
+	// request ID and the access log share it, and a backend answering
+	// under that request ID reuses it for the response's trace_id.
+	traceID := sc.TraceID.String()
 	requestID := r.Header.Get("X-Request-Id")
 	if requestID == "" {
-		requestID = sc.TraceID.String()
+		requestID = traceID
 	}
 	ctx = obs.ContextWithSpan(ctx, sc)
 	ctx = obs.ContextWithRequestID(ctx, requestID)
 	r = r.WithContext(ctx)
 
+	// The three headers' values share one backing array; each is capped at
+	// its own element, so an Add to one header copies instead of writing
+	// into the next.
+	vals := []string{traceID, sc.Traceparent(), requestID}
 	hdr := sw.Header()
-	hdr.Set("X-Trace-Id", sc.TraceID.String())
-	hdr.Set("Traceparent", sc.Traceparent())
-	hdr.Set("X-Request-Id", requestID)
+	hdr["X-Trace-Id"] = vals[0:1:1]
+	hdr["Traceparent"] = vals[1:2:2]
+	hdr["X-Request-Id"] = vals[2:3:3]
 
 	s.mux.ServeHTTP(sw, r)
 
 	elapsed := time.Since(start)
-	_, pattern := s.mux.Handler(r)
-	if pattern == "" {
-		pattern = "unmatched"
-	}
-	s.reg.Counter(obs.L("semdisco_http_requests_total",
-		"path", pattern, "code", strconv.Itoa(sw.status))).Inc()
-	s.reg.Histogram(obs.L("semdisco_http_request_seconds", "path", pattern)).Observe(elapsed)
+	s.recordRequest(r, sw, elapsed)
 
 	if s.log != nil {
 		attrs := []slog.Attr{
@@ -261,7 +301,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
 			slog.Duration("duration", elapsed),
-			slog.String("trace_id", sc.TraceID.String()),
+			slog.String("trace_id", traceID),
 			slog.String("request_id", requestID),
 		}
 		bag.mu.Lock()
@@ -275,6 +315,71 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		s.log.LogAttrs(r.Context(), level, "request", attrs...)
 	}
+}
+
+// routeMetrics is one route pattern's HTTP series: its latency histogram
+// and a requests counter per status it has answered, each resolved once.
+type routeMetrics struct {
+	pattern string
+	seconds *obs.HistogramRef
+	mu      sync.Mutex // serializes adding a status
+	codes   atomic.Pointer[[]statusCounter]
+}
+
+type statusCounter struct {
+	status int
+	c      *obs.Counter
+}
+
+// requests returns the route's counter for status on reg, creating the
+// series the first time the route answers with it.
+func (m *routeMetrics) requests(reg *obs.Registry, status int) *obs.Counter {
+	if c := m.counter(status); c != nil {
+		return c
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if c := m.counter(status); c != nil {
+		return c
+	}
+	c := reg.Counter(obs.L("semdisco_http_requests_total", "path", m.pattern, "code", strconv.Itoa(status)))
+	codes := append(slices.Clip(*m.codes.Load()), statusCounter{status, c})
+	m.codes.Store(&codes)
+	return c
+}
+
+// counter returns the route's counter for status, nil before its first
+// use.
+func (m *routeMetrics) counter(status int) *obs.Counter {
+	for _, sc := range *m.codes.Load() {
+		if sc.status == status {
+			return sc.c
+		}
+	}
+	return nil
+}
+
+// recordRequest counts the request and observes its latency under the
+// route pattern the mux matched — "unmatched" when none did.
+func (s *Server) recordRequest(r *http.Request, sw *statusWriter, elapsed time.Duration) {
+	if s.reg == nil {
+		return
+	}
+	status := sw.status
+	if m := sw.route; m != nil {
+		m.requests(s.reg, status).Inc()
+		m.seconds.Get().Observe(elapsed)
+		return
+	}
+	// No registered handler ran: the mux redirected, or refused the
+	// request itself. Ask it which pattern it matched.
+	_, pattern := s.mux.Handler(r)
+	if pattern == "" {
+		pattern = "unmatched"
+	}
+	s.reg.Counter(obs.L("semdisco_http_requests_total",
+		"path", pattern, "code", strconv.Itoa(status))).Inc()
+	s.reg.Histogram(obs.L("semdisco_http_request_seconds", "path", pattern)).Observe(elapsed)
 }
 
 // SearchRequest is the body of /v1/search and /v1/datasets.
@@ -415,7 +520,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // work; in coordinator mode degradation metadata rides along in the
 // response instead of failing the query.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeSearch(w, r)
+	req, ok := s.decodeSearch(w, r)
 	if !ok {
 		return
 	}
@@ -438,11 +543,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for _, se := range res.ShardErrors {
 		resp.ShardErrors = append(resp.ShardErrors, se.Error())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSearchResponse(w, &resp)
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeSearch(w, r)
+	req, ok := s.decodeSearch(w, r)
 	if !ok {
 		return
 	}
@@ -469,7 +574,7 @@ type RelationJSON = netcluster.Relation
 // decodeRelation reads and validates an ingest body, answering 400 (or
 // 413) itself when it cannot. On PUT the path names the relation: the
 // body's ID may be omitted (the path wins) but must match when present.
-func decodeRelation(w http.ResponseWriter, r *http.Request, pathID string) (*semdisco.Relation, bool) {
+func (s *Server) decodeRelation(w http.ResponseWriter, r *http.Request, pathID string) (*semdisco.Relation, bool) {
 	var body RelationJSON
 	if !decodeJSON(w, r, &body) {
 		return nil, false
@@ -484,7 +589,7 @@ func decodeRelation(w http.ResponseWriter, r *http.Request, pathID string) (*sem
 			return nil, false
 		}
 	}
-	annotate(r, slog.String("relation", body.ID))
+	s.annotate(r, "relation", slog.StringValue(body.ID))
 	rel := &semdisco.Relation{
 		ID:           body.ID,
 		Source:       body.Source,
@@ -502,7 +607,7 @@ func decodeRelation(w http.ResponseWriter, r *http.Request, pathID string) (*sem
 }
 
 func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
-	rel, ok := decodeRelation(w, r, "")
+	rel, ok := s.decodeRelation(w, r, "")
 	if !ok {
 		return
 	}
@@ -517,7 +622,7 @@ func (s *Server) handleAddRelation(w http.ResponseWriter, r *http.Request) {
 // /v1/relations/{id}): tombstone plus re-ingest under the same ID, moving
 // the relation to the end of the global merge order.
 func (s *Server) handleUpdateRelation(w http.ResponseWriter, r *http.Request) {
-	rel, ok := decodeRelation(w, r, r.PathValue("id"))
+	rel, ok := s.decodeRelation(w, r, r.PathValue("id"))
 	if !ok {
 		return
 	}
@@ -533,7 +638,7 @@ func (s *Server) handleUpdateRelation(w http.ResponseWriter, r *http.Request) {
 // relation stops appearing in results immediately. Unknown IDs get 404.
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	annotate(r, slog.String("relation", id))
+	s.annotate(r, "relation", slog.StringValue(id))
 	if err := s.backend.DeleteRelation(r.Context(), id); err != nil {
 		writeBackendError(w, err, http.StatusNotFound)
 		return
@@ -584,12 +689,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if err == nil {
 		return true
 	}
-	status := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeError(w, status, fmt.Sprintf("bad body: %v", err))
+	writeError(w, decodeError(err), fmt.Sprintf("bad body: %v", err))
 	return false
 }
 
@@ -605,9 +705,12 @@ func clampK(k int) int {
 	return k
 }
 
-func decodeSearch(w http.ResponseWriter, r *http.Request) (SearchRequest, bool) {
-	var req SearchRequest
-	if !decodeJSON(w, r, &req) {
+// decodeSearch reads a /v1/search or /v1/datasets body in one pass
+// (decodeSearchRequest), answering 400 or 413 itself when it cannot.
+func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (SearchRequest, bool) {
+	req, err := readSearchRequest(r.Body, maxBodyBytes)
+	if err != nil {
+		writeError(w, decodeError(err), fmt.Sprintf("bad body: %v", err))
 		return req, false
 	}
 	if req.Query == "" {
@@ -615,7 +718,8 @@ func decodeSearch(w http.ResponseWriter, r *http.Request) (SearchRequest, bool) 
 		return req, false
 	}
 	req.K = clampK(req.K)
-	annotate(r, slog.Int("query_len", len(req.Query)), slog.Int("k", req.K))
+	s.annotate(r, "query_len", slog.IntValue(len(req.Query)))
+	s.annotate(r, "k", slog.IntValue(req.K))
 	return req, true
 }
 

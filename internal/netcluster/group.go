@@ -51,6 +51,8 @@ type GroupOptions struct {
 type replicaState struct {
 	attempts atomic.Int64
 	errors   atomic.Int64
+	// The replica's metric series, resolved on first use.
+	attemptsC, errorsC *obs.CounterRef
 }
 
 // Group is one replica set presented to the cluster Router as a single
@@ -66,13 +68,14 @@ type Group struct {
 	// the attempt timeout, failing over on anything but a request error
 	// (DESIGN.md §9).
 	policy failover
-	reg    *obs.Registry
 	state  []*replicaState
 	// rr rotates the preferred replica so read load spreads across the
 	// set instead of hammering replica 0.
 	rr      atomic.Uint64
 	retries atomic.Int64
 	setDown atomic.Int64
+	// The set's metric series, resolved on first use.
+	retriesC, setDownC *obs.CounterRef
 	// lat is the set's recent successful-attempt latency, behind the
 	// p50/p95 in Stats.
 	lat cluster.Window
@@ -150,12 +153,18 @@ func NewGroup(set int, urls []string, rt func(string) *Client, opts GroupOptions
 			backoffMax:     250 * time.Millisecond,
 			final:          requestError,
 		},
-		reg:   opts.Registry,
 		state: make([]*replicaState, len(urls)),
 	}
+	reg, setLabel := opts.Registry, strconv.Itoa(set)
+	g.retriesC = reg.CounterRef(obs.L(MetricRetries, "set", setLabel))
+	g.setDownC = reg.CounterRef(obs.L(MetricSetDown, "set", setLabel))
 	for i, u := range urls {
 		g.clients = append(g.clients, rt(u))
-		g.state[i] = &replicaState{}
+		replica := strconv.Itoa(i)
+		g.state[i] = &replicaState{
+			attemptsC: reg.CounterRef(obs.L(MetricAttempts, "set", setLabel, "replica", replica)),
+			errorsC:   reg.CounterRef(obs.L(MetricReplicaErrors, "set", setLabel, "replica", replica)),
+		}
 	}
 	return g, nil
 }
@@ -185,22 +194,21 @@ type reply struct {
 func (g *Group) call(ctx context.Context, remote func(context.Context, *Client) (reply, error)) (reply, error) {
 	n := len(g.clients)
 	first := int(g.rr.Add(1)-1) % n
-	set := strconv.Itoa(g.set)
 	rep, attempts, err := g.policy.run(ctx, &g.lat, func(actx context.Context, attempt int) (reply, error) {
 		idx := (first + attempt) % n
-		replica := strconv.Itoa(idx)
-		g.state[idx].attempts.Add(1)
-		g.reg.Counter(obs.L(MetricAttempts, "set", set, "replica", replica)).Inc()
+		st := g.state[idx]
+		st.attempts.Add(1)
+		st.attemptsC.Get().Inc()
 		rep, err := remote(actx, g.clients[idx])
 		if err != nil && ctx.Err() == nil { // a query that gave up is not the replica's failure
-			g.state[idx].errors.Add(1)
-			g.reg.Counter(obs.L(MetricReplicaErrors, "set", set, "replica", replica)).Inc()
+			st.errors.Add(1)
+			st.errorsC.Get().Inc()
 		}
 		return rep, err
 	})
 	if retries := int64(attempts - 1); retries > 0 {
 		g.retries.Add(retries)
-		g.reg.Counter(obs.L(MetricRetries, "set", set)).Add(retries)
+		g.retriesC.Get().Add(retries)
 	}
 	switch {
 	case err == nil:
@@ -210,7 +218,7 @@ func (g *Group) call(ctx context.Context, remote func(context.Context, *Client) 
 		return reply{}, err
 	}
 	g.setDown.Add(1)
-	g.reg.Counter(obs.L(MetricSetDown, "set", set)).Inc()
+	g.setDownC.Get().Inc()
 	return reply{}, fmt.Errorf("netcluster: replica set %d down (%d replicas failed): %w", g.set, n, err)
 }
 

@@ -484,6 +484,68 @@ func (r *Registry) Histogram(series string) *Histogram {
 	return h
 }
 
+// CounterRef is one counter series of a registry, resolved on first use
+// and kept: a per-query caller pays an atomic load, not a label string and
+// a registry lookup, and the series still enters the exposition only once
+// something records to it, as with a lookup by name. A nil *CounterRef
+// hands out the nil counter.
+type CounterRef struct {
+	reg    *Registry
+	series string
+	c      atomic.Pointer[Counter]
+}
+
+// CounterRef returns a ref to the named counter; nil on a nil registry.
+// It creates no series.
+func (r *Registry) CounterRef(series string) *CounterRef {
+	if r == nil {
+		return nil
+	}
+	return &CounterRef{reg: r, series: series}
+}
+
+// Get returns the ref's counter, creating the series on the first call.
+func (c *CounterRef) Get() *Counter {
+	if c == nil {
+		return nil
+	}
+	if h := c.c.Load(); h != nil {
+		return h
+	}
+	h := c.reg.Counter(c.series)
+	c.c.Store(h)
+	return h
+}
+
+// HistogramRef is CounterRef for a histogram series.
+type HistogramRef struct {
+	reg    *Registry
+	series string
+	h      atomic.Pointer[Histogram]
+}
+
+// HistogramRef returns a ref to the named histogram; nil on a nil
+// registry. It creates no series.
+func (r *Registry) HistogramRef(series string) *HistogramRef {
+	if r == nil {
+		return nil
+	}
+	return &HistogramRef{reg: r, series: series}
+}
+
+// Get returns the ref's histogram, creating the series on the first call.
+func (h *HistogramRef) Get() *Histogram {
+	if h == nil {
+		return nil
+	}
+	if m := h.h.Load(); m != nil {
+		return m
+	}
+	m := h.reg.Histogram(h.series)
+	h.h.Store(m)
+	return m
+}
+
 // Snapshot is a point-in-time copy of every metric in a registry.
 type Snapshot struct {
 	Counters   map[string]int64

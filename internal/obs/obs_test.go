@@ -116,6 +116,33 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestMetricRefs: a ref creates its series on first use, not when made,
+// and always hands out the series a lookup by name would; a nil registry
+// hands out nil refs whose metrics are no-ops.
+func TestMetricRefs(t *testing.T) {
+	reg := NewRegistry()
+	c, h := reg.CounterRef(L("c", "k", "v")), reg.HistogramRef("h")
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Histograms) != 0 {
+		t.Fatalf("refs created series before use: %+v", snap)
+	}
+	c.Get().Add(2)
+	h.Get().Observe(time.Millisecond)
+	if c.Get() != reg.Counter(`c{k="v"}`) || h.Get() != reg.Histogram("h") {
+		t.Fatal("a ref resolved to another series than its name")
+	}
+	if v := reg.Counter(`c{k="v"}`).Value(); v != 2 {
+		t.Fatalf("counter = %d, want 2", v)
+	}
+
+	var nilReg *Registry
+	nc, nh := nilReg.CounterRef("c"), nilReg.HistogramRef("h")
+	nc.Get().Inc()
+	nh.Get().Observe(time.Millisecond)
+	if nc != nil || nh != nil || nc.Get() != nil || nh.Get() != nil {
+		t.Fatal("nil registry handed out live refs")
+	}
+}
+
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace()
 	sp := tr.StartSpan("encode")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/hex"
 	"strings"
 )
 
@@ -22,18 +23,17 @@ func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.I
 // Traceparent renders the context as a W3C traceparent header value:
 // version 00, lowercase hex, "00-<trace-id>-<parent-id>-<flags>".
 func (sc SpanContext) Traceparent() string {
-	var b strings.Builder
-	b.Grow(55)
-	b.WriteString("00-")
-	b.WriteString(sc.TraceID.String())
-	b.WriteByte('-')
-	b.WriteString(sc.SpanID.String())
-	b.WriteByte('-')
-	const hexdigits = "0123456789abcdef"
-	b.WriteByte(hexdigits[sc.Flags>>4])
-	b.WriteByte(hexdigits[sc.Flags&0xf])
-	return b.String()
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], sc.TraceID[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], sc.SpanID[:])
+	b[52] = '-'
+	b[53], b[54] = hexDigits[sc.Flags>>4], hexDigits[sc.Flags&0xf]
+	return string(b[:])
 }
+
+const hexDigits = "0123456789abcdef"
 
 // ParseTraceparent parses a W3C traceparent header value. Per the spec:
 // exactly four hyphen-separated fields for version 00; future versions

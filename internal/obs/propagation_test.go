@@ -133,6 +133,16 @@ func TestParseIDValidation(t *testing.T) {
 	if !ok || sback != sid {
 		t.Errorf("span ID round trip failed: %s", sid)
 	}
+	// Reuse keeps a string only when it is the ID's own rendering.
+	hexID := id.String()
+	if got := id.Reuse(hexID); got != hexID {
+		t.Errorf("Reuse(own hex) = %q", got)
+	}
+	for _, other := range []string{"", "req-1", strings.Repeat("g", 32), NewTraceID().String(), hexID[:31] + "x"} {
+		if got := id.Reuse(other); got != hexID {
+			t.Errorf("Reuse(%q) = %q, want %q", other, got, hexID)
+		}
+	}
 }
 
 func TestContextPropagation(t *testing.T) {

@@ -12,7 +12,26 @@ import (
 type TraceID [16]byte
 
 // String renders the ID as 32 lowercase hex digits.
-func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
+func (id TraceID) String() string {
+	var b [32]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
+
+// Reuse returns s when it is already the ID's String form, and String()
+// otherwise, so a layer handed the rendering by its caller does not format
+// the ID again.
+func (id TraceID) Reuse(s string) string {
+	if len(s) != 32 {
+		return id.String()
+	}
+	for i, c := range id {
+		if s[2*i] != hexDigits[c>>4] || s[2*i+1] != hexDigits[c&0xf] {
+			return id.String()
+		}
+	}
+	return s
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (id TraceID) IsZero() bool { return id == TraceID{} }
@@ -21,7 +40,11 @@ func (id TraceID) IsZero() bool { return id == TraceID{} }
 type SpanID [8]byte
 
 // String renders the ID as 16 lowercase hex digits.
-func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
+func (id SpanID) String() string {
+	var b [16]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (id SpanID) IsZero() bool { return id == SpanID{} }

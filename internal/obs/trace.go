@@ -20,6 +20,9 @@ type Trace struct {
 	mu     sync.Mutex
 	rootID SpanID
 	spans  []SpanRecord
+	// spanBuf holds the first spans, so a single query's tree (a root and
+	// its stages) needs no allocation beyond the Trace.
+	spanBuf [6]SpanRecord
 }
 
 // NewTrace returns an empty trace with a fresh random trace ID.
@@ -111,6 +114,9 @@ func (t *Trace) add(rec SpanRecord) {
 		return
 	}
 	t.mu.Lock()
+	if t.spans == nil {
+		t.spans = t.spanBuf[:0]
+	}
 	t.spans = append(t.spans, rec)
 	t.mu.Unlock()
 }

@@ -6,6 +6,7 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lowercase word tokens. A token is a maximal run of
@@ -13,36 +14,73 @@ import (
 // ("covid19", "2021-01-01") split into their letter and digit parts so that
 // numbers remain individually matchable, mirroring how word-piece tokenizers
 // isolate digit groups.
+//
+// Each token is its own string: callers keep tokens as map keys (corpus
+// statistics, the lexicon), and tokens sliced from one shared string would
+// pin the whole text for as long as any one of them lives.
 func Tokenize(s string) []string {
-	var out []string
-	var cur strings.Builder
-	var curKind rune // 'a' letters, 'd' digits, 0 none
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-		curKind = 0
+	var stack [256]byte
+	buf, ends := AppendTokens(stack[:0], nil, s)
+	if len(ends) == 0 {
+		return nil
 	}
-	for _, r := range s {
-		var kind rune
-		switch {
-		case unicode.IsLetter(r):
-			kind = 'a'
-		case unicode.IsDigit(r):
-			kind = 'd'
-		default:
-			flush()
+	out := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i] = string(buf[start:end])
+		start = end
+	}
+	return out
+}
+
+// AppendTokens is Tokenize without a string per token: it appends the
+// lowercased bytes of each of s's tokens to buf, back to back, and each
+// token's end offset in buf to ends. Token i is buf[ends[i-1]:ends[i]]
+// (from 0 for the first). An encoder that reuses buf and ends tokenizes
+// without allocating.
+func AppendTokens(buf []byte, ends []int, s string) ([]byte, []int) {
+	var kind byte // 'a' letters, 'd' digits, 0 between tokens
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			i++
+			var k byte
+			switch {
+			case 'a' <= c && c <= 'z':
+				k = 'a'
+			case 'A' <= c && c <= 'Z':
+				k, c = 'a', c+('a'-'A')
+			case '0' <= c && c <= '9':
+				k = 'd'
+			}
+			if k != kind && kind != 0 {
+				ends = append(ends, len(buf))
+			}
+			if kind = k; k != 0 {
+				buf = append(buf, c)
+			}
 			continue
 		}
-		if curKind != 0 && kind != curKind {
-			flush()
+		r, size := utf8.DecodeRuneInString(s[i:])
+		i += size
+		var k byte
+		switch {
+		case unicode.IsLetter(r):
+			k = 'a'
+		case unicode.IsDigit(r):
+			k = 'd'
 		}
-		curKind = kind
-		cur.WriteRune(unicode.ToLower(r))
+		if k != kind && kind != 0 {
+			ends = append(ends, len(buf))
+		}
+		if kind = k; k != 0 {
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		}
 	}
-	flush()
-	return out
+	if kind != 0 {
+		ends = append(ends, len(buf))
+	}
+	return buf, ends
 }
 
 // stopwords is the standard short English stop list used by the syntactic

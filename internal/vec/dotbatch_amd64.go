@@ -60,6 +60,15 @@ func l2sqAsm(a, b []float32) float32 {
 }
 
 //go:noescape
+func addScaled8(a *float32, s float32, b *float32, n int)
+
+// addScaledAsm is AddScaled through the SSE2 body. Caller guarantees
+// len(a) == len(b), a positive multiple of 8.
+func addScaledAsm(a []float32, s float32, b []float32) {
+	addScaled8(&a[0], s, &b[:len(a)][0], len(a))
+}
+
+//go:noescape
 func dot4x8(q0, q1, q2, q3, v *float32, iters int, out *[16]float32)
 
 //go:noescape

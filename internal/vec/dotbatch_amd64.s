@@ -216,3 +216,31 @@ l2done:
 	MOVUPS X2, 32(DI)
 	MOVUPS X3, 48(DI)
 	RET
+
+// func addScaled8(a *float32, s float32, b *float32, n int)
+//
+// a[i] += s·b[i] for n floats, n a positive multiple of 8: MULPS rounds
+// each product and ADDPS each sum, the two roundings addScaledGo makes.
+TEXT ·addScaled8(SB), NOSPLIT, $0-32
+	MOVQ   a+0(FP), DI
+	MOVSS  s+8(FP), X0
+	SHUFPS $0x00, X0, X0 // s in every lane
+	MOVQ   b+16(FP), SI
+	MOVQ   n+24(FP), CX
+
+addscaledloop:
+	MOVUPS (SI), X1
+	MOVUPS 16(SI), X2
+	MULPS  X0, X1 // s·b[i+j]
+	MULPS  X0, X2
+	MOVUPS (DI), X3
+	MOVUPS 16(DI), X4
+	ADDPS  X1, X3 // a[i+j] + s·b[i+j]
+	ADDPS  X2, X4
+	MOVUPS X3, (DI)
+	MOVUPS X4, 16(DI)
+	ADDQ   $32, SI
+	ADDQ   $32, DI
+	SUBQ   $8, CX
+	JNZ    addscaledloop
+	RET

@@ -19,6 +19,10 @@ func l2sqAsm(a, b []float32) float32 {
 	panic("vec: assembly kernel unavailable in this build")
 }
 
+func addScaledAsm(a []float32, s float32, b []float32) {
+	panic("vec: assembly kernel unavailable in this build")
+}
+
 func dot4Asm(q0, q1, q2, q3, v []float32) (o0, o1, o2, o3 float32) {
 	panic("vec: assembly kernel unavailable in this build")
 }

@@ -31,10 +31,22 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, h: make(scoredMinHeap, 0, k)}
 }
 
+// Reset empties t and arms it to keep the k best items, reusing its
+// buffer. k must be positive.
+func (t *TopK) Reset(k int) {
+	if k <= 0 {
+		panic("vec: TopK requires k > 0")
+	}
+	t.k, t.h = k, t.h[:0]
+}
+
 // Push offers an item to the collector.
 func (t *TopK) Push(id int, score float32) {
 	if len(t.h) < t.k {
-		heap.Push(&t.h, Scored{ID: id, Score: score})
+		// heap.Push's steps without boxing the item: append, then sift
+		// the new last entry up (Fix of a leaf only sifts up).
+		t.h = append(t.h, Scored{ID: id, Score: score})
+		heap.Fix(&t.h, len(t.h)-1)
 		return
 	}
 	if score > t.h[0].Score {
@@ -58,11 +70,17 @@ func (t *TopK) WorstScore() (score float32, full bool) {
 // Sorted drains the collector and returns the items ordered best-first.
 // Ties are broken by ascending ID so results are deterministic.
 func (t *TopK) Sorted() []Scored {
-	out := make([]Scored, len(t.h))
-	copy(out, t.h)
-	SortScoredDesc(out)
+	return t.AppendSorted(make([]Scored, 0, len(t.h)))
+}
+
+// AppendSorted is Sorted into dst: it drains the collector, appends the
+// items to dst ordered best-first and returns the extended slice.
+func (t *TopK) AppendSorted(dst []Scored) []Scored {
+	n := len(dst)
+	dst = append(dst, t.h...)
+	SortScoredDesc(dst[n:])
 	t.h = t.h[:0]
-	return out
+	return dst
 }
 
 // SortScoredDesc orders s by descending score, breaking ties by ascending ID.

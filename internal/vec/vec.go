@@ -147,11 +147,25 @@ func Add(a, b []float32) {
 	}
 }
 
-// AddScaled accumulates s*b into a in place.
+// AddScaled accumulates s*b into a in place: each a[i] + s·b[i] rounds
+// the product and then the sum, never fused, so the SSE2 body (MULPS then
+// ADDPS) and addScaledGo agree bit for bit.
 func AddScaled(a []float32, s float32, b []float32) {
 	assertSameLen(len(a), len(b))
+	if n := len(a) &^ 7; kernelAsm && n >= pairKernelMinLen {
+		addScaledAsm(a[:n], s, b[:n])
+		a, b = a[n:], b[n:]
+	}
+	addScaledGo(a, s, b)
+}
+
+// addScaledGo defines AddScaled's value. The conversion rounds the product
+// before the add, which also keeps a compiler targeting FMA from fusing
+// the two.
+func addScaledGo(a []float32, s float32, b []float32) {
+	b = b[:len(a)]
 	for i := range a {
-		a[i] += s * b[i]
+		a[i] += float32(s * b[i])
 	}
 }
 

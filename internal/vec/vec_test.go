@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +199,30 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 	}
 	if !(got[0].ID < got[1].ID) {
 		t.Fatalf("ties must sort by ascending ID: %v", got)
+	}
+}
+
+// TestTopKResetReuses holds a collector reused through Reset and drained
+// with AppendSorted to a fresh NewTopK's Sorted, selection after selection.
+func TestTopKResetReuses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var reused TopK
+	dst := []Scored{{ID: -1}}
+	for round := 0; round < 50; round++ {
+		k := 1 + rng.Intn(12)
+		fresh := NewTopK(k)
+		reused.Reset(k)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			// Few distinct scores, so ties at the boundary are common.
+			s := float32(rng.Intn(5))
+			fresh.Push(i, s)
+			reused.Push(i, s)
+		}
+		want := fresh.Sorted()
+		dst = reused.AppendSorted(dst[:1])
+		if dst[0].ID != -1 || !slices.Equal(dst[1:], want) {
+			t.Fatalf("round %d: AppendSorted %v, want %v after the first entry", round, dst, want)
+		}
 	}
 }
 
@@ -431,6 +456,88 @@ func TestPairKernelsBitIdentical(t *testing.T) {
 		b[i] = -math.Float32frombits(uint32(rng.Intn(1 << 23)))
 	}
 	check(t, "subnormal", a, b)
+}
+
+// refAddScaled is AddScaled's scalar reference: one rounded product and
+// one rounded sum per element.
+func refAddScaled(a []float32, s float32, b []float32) {
+	for i := range a {
+		p := s * b[i]
+		a[i] += p
+	}
+}
+
+// TestAddScaledMatchesScalar holds AddScaled to the scalar loop by bit
+// pattern at every length from 0 to 67 (below the assembly cut, whole
+// 8-wide blocks and every tail) and at the embedding dimensions, with
+// operands at every offset of a 16-byte line and one special value at a
+// time in a, in b or as the scale. The encoder pools token vectors with
+// it, so a query's embedding — and every ranking — rests on this identity.
+func TestAddScaledMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fill := func(n int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+		}
+		return x
+	}
+	check := func(what string, a []float32, s float32, b []float32) {
+		t.Helper()
+		got := append([]float32(nil), a...)
+		want := append([]float32(nil), a...)
+		AddScaled(got, s, b)
+		refAddScaled(want, s, b)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s len=%d s=%v: [%d] = %#08x, want %#08x", what, len(a), s, i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	lengths := []int{256, 768}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for rep := 0; rep < 4; rep++ {
+			check("random", fill(n), float32(rng.NormFloat64()), fill(n))
+		}
+	}
+	for offA := 0; offA < 4; offA++ {
+		for offB := 0; offB < 4; offB++ {
+			for _, n := range []int{16, 23, 64, 257} {
+				check("unaligned", fill(n + offA)[offA:], 0.37, fill(n + offB)[offB:])
+			}
+		}
+	}
+	subnormal := math.Float32frombits(0x00000123)
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		subnormal, -subnormal, math.SmallestNonzeroFloat32, math.MaxFloat32,
+		-math.MaxFloat32, 0, float32(math.Copysign(0, -1)),
+	}
+	for _, sp := range specials {
+		for pos := 0; pos < 40; pos++ {
+			a, b := fill(40), fill(40)
+			a[pos] = sp
+			check("special in a", a, 1.5, b)
+			a, b = fill(40), fill(40)
+			b[pos] = sp
+			check("special in b", a, 1.5, b)
+			b[pos] = 0 // Inf·0
+			check("special scale against zero", a, sp, b)
+		}
+		check("special scale", fill(40), sp, fill(40))
+	}
+	// Products that underflow to subnormals or zero.
+	a, b := make([]float32, 48), make([]float32, 48)
+	for i := range a {
+		a[i] = math.Float32frombits(uint32(rng.Intn(1 << 23)))
+		b[i] = -math.Float32frombits(uint32(rng.Intn(1 << 23)))
+	}
+	check("subnormal", a, 1e-3, b)
+	check("subnormal", a, float32(math.Copysign(0, -1)), b)
 }
 
 // benchPair times one single-pair kernel at the dimensions the system runs

@@ -237,19 +237,28 @@ type Queries [][]float32
 // Prepare clones queries into one buffer and normalizes each row: the form
 // SearchBatch expects. The caller's vectors are not modified.
 func Prepare(queries [][]float32) Queries {
+	_, out := PrepareInto(nil, nil, queries)
+	return out
+}
+
+// PrepareInto is Prepare into reused storage: the rows are cloned into
+// buf's backing array and listed in out's, each grown when too small. It
+// returns both, for the caller to reuse; the prepared rows are views of
+// the returned buffer.
+func PrepareInto(buf []float32, out Queries, queries [][]float32) ([]float32, Queries) {
 	n := 0
 	for _, q := range queries {
 		n += len(q)
 	}
-	buf := make([]float32, 0, n)
-	out := make(Queries, len(queries))
+	buf = slices.Grow(buf[:0], n)
+	out = slices.Grow(out[:0], len(queries))[:len(queries)]
 	for i, q := range queries {
 		lo := len(buf)
 		buf = append(buf, q...)
 		out[i] = buf[lo:len(buf):len(buf)]
 		vec.Normalize(out[i])
 	}
-	return out
+	return buf, out
 }
 
 // plan is how a query finds its nearest slots.

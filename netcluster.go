@@ -147,8 +147,8 @@ func NewNetCoordinator(fed *Federation, replicaSets [][]string, cfg NetCoordinat
 		ids = append(ids, r.ID)
 	}
 	nc := &NetCoordinator{
-		telemetry: telemetry{method: cfg.Method, span: "coordinator_search", latency: cluster.MetricSearchSeconds,
-			reg: reg, traces: newTraceStore(cfg.Tracing), slo: newSLOEngine(cfg.SLO, reg)},
+		telemetry: newTelemetry(cfg.Method, "coordinator_search", cluster.MetricSearchSeconds,
+			reg, cfg.Tracing, cfg.SLO),
 		model:     model,
 		order:     order,
 		nextOrder: fed.Len(),
@@ -190,8 +190,12 @@ func (nc *NetCoordinator) Do(ctx context.Context, req Request) (*Response, error
 	if len(req.Sources) > 0 || req.Feedback {
 		return nil, ErrUnsupported
 	}
-	return nc.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
-		return nc.coord.Search(ctx, req.Query, req.K, tr)
+	return nc.observe(ctx, req, func(ctx context.Context, tr *obs.Trace, res *ClusterResult) error {
+		r, err := nc.coord.Search(ctx, req.Query, req.K, tr)
+		if r != nil {
+			*res = *r
+		}
+		return err
 	})
 }
 

@@ -188,10 +188,8 @@ func Open(fed *Federation, cfg Config) (*Engine, error) {
 
 // engineTelemetry is the bookkeeping of a single engine.
 func engineTelemetry(cfg Config, reg *obs.Registry) telemetry {
-	return telemetry{method: cfg.Method, span: "search", reg: reg,
-		latency: obs.L(core.MetricSearchSeconds, "method", cfg.Method.String()),
-		traces:  newTraceStore(cfg.Tracing),
-		slo:     newSLOEngine(cfg.SLO, reg)}
+	return newTelemetry(cfg.Method, "search", obs.L(core.MetricSearchSeconds, "method", cfg.Method.String()),
+		reg, cfg.Tracing, cfg.SLO)
 }
 
 // buildSearcher constructs the configured method's index over an embedded
@@ -247,9 +245,11 @@ func buildSearcher(cfg Config, emb *core.Embedded) (core.EncodedSearcher, error)
 // ID. Every query feeds the SLO engine and trace store that are enabled;
 // the overhead is a few timestamps and map writes.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
-	return e.observe(ctx, req, func(ctx context.Context, tr *obs.Trace) (*ClusterResult, error) {
-		matches, err := e.search(obs.ContextWithTrace(ctx, tr), req)
-		return &ClusterResult{Matches: matches, Cost: obs.CostFrom(ctx).Report()}, err
+	return e.observe(ctx, req, func(ctx context.Context, tr *obs.Trace, res *ClusterResult) error {
+		var err error
+		res.Matches, err = e.search(obs.ContextWithTrace(ctx, tr), req)
+		res.Cost = obs.CostFrom(ctx).Report()
+		return err
 	})
 }
 

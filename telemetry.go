@@ -78,12 +78,28 @@ type SLOConfig struct {
 // subsystem costs a nil check.
 type telemetry struct {
 	method Method
-	// span names the root span; latency is the histogram series a retained
-	// trace's exemplar attaches to.
-	span, latency string
-	reg           *obs.Registry   // nil when Config.DisableMetrics
-	traces        *obs.TraceStore // nil when Config.Tracing.Disable
-	slo           *obs.SLOEngine  // nil when Config.SLO.Disable
+	// span names the root span.
+	span   string
+	reg    *obs.Registry   // nil when Config.DisableMetrics
+	traces *obs.TraceStore // nil when Config.Tracing.Disable
+	slo    *obs.SLOEngine  // nil when Config.SLO.Disable
+	// latency is the histogram a retained trace's exemplar attaches to;
+	// slow and sampled count the traces retained for each reason. All three
+	// are resolved once, not per query.
+	latency       *obs.HistogramRef
+	slow, sampled *obs.CounterRef
+}
+
+// newTelemetry builds a backend's bookkeeping: latency names the
+// histogram series exemplars attach to.
+func newTelemetry(method Method, span, latency string, reg *obs.Registry, tc TracingConfig, sc SLOConfig) telemetry {
+	return telemetry{method: method, span: span, reg: reg,
+		traces:  newTraceStore(tc),
+		slo:     newSLOEngine(sc, reg),
+		latency: reg.HistogramRef(latency),
+		slow:    reg.CounterRef(obs.L(core.MetricSlowQueries, "method", method.String())),
+		sampled: reg.CounterRef(obs.L(core.MetricSampledTraces, "method", method.String())),
+	}
 }
 
 // Method reports the backend's search strategy.
@@ -149,25 +165,25 @@ func (t *telemetry) ConfigureTracing(tc TracingConfig) { t.traces = newTraceStor
 func (t *telemetry) ConfigureSLO(sc SLOConfig) { t.slo = newSLOEngine(sc, t.reg) }
 
 // observe is the per-query bookkeeping of every backend, written once: run
-// executes the query under a root span — continuing a propagated trace
+// executes the query into the response's result under a root span — continuing a propagated trace
 // when ctx carries one — with a cost accumulator in the context so the
 // index layers account their work; the outcome then feeds the SLO engine
 // (a degraded answer counts against availability) and the tail-based trace
 // store, which keeps the query's text and cost with its span tree, links
 // the latency histogram to a retained trace via an exemplar and whose
 // retention kind drives the slow-query and sampled-trace counters.
-func (t *telemetry) observe(ctx context.Context, req Request, run func(context.Context, *obs.Trace) (*ClusterResult, error)) (*Response, error) {
+func (t *telemetry) observe(ctx context.Context, req Request, run func(context.Context, *obs.Trace, *ClusterResult) error) (*Response, error) {
 	if obs.CostFrom(ctx) == nil {
 		ctx = obs.ContextWithCost(ctx, &obs.Cost{})
 	}
 	tr := obs.NewTraceFrom(ctx)
 	root := tr.StartRoot(t.span).AnnotateInt("k", req.K)
 	resp := &Response{}
-	res, err := run(ctx, tr)
-	if res != nil {
-		resp.ClusterResult = *res
-	}
-	resp.TraceID = tr.ID().String()
+	err := run(ctx, tr, &resp.ClusterResult)
+	// Under a request ID that is the trace ID's rendering (the HTTP
+	// server's default), the response reuses that string.
+	requestID := obs.RequestIDFrom(ctx)
+	resp.TraceID = tr.ID().Reuse(requestID)
 	root.AnnotateInt("matches", len(resp.Matches)).
 		AnnotateInt("distance_comps", int(resp.Cost.DistanceComps)).
 		AnnotateInt("hnsw_hops", int(resp.Cost.HNSWHops)).
@@ -184,7 +200,7 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 		Matches:   len(resp.Matches),
 		Cost:      resp.Cost.Total(),
 		Degraded:  resp.Degraded,
-		RequestID: obs.RequestIDFrom(ctx),
+		RequestID: requestID,
 	}
 	if err != nil {
 		o.Err = err.Error()
@@ -197,13 +213,13 @@ func (t *telemetry) observe(ctx context.Context, req Request, run func(context.C
 	// stored span tree.
 	kept, kind := t.traces.Offer(tr, o)
 	if kept {
-		t.reg.Histogram(t.latency).SetExemplar(dur, resp.TraceID)
+		t.latency.Get().SetExemplar(dur, resp.TraceID)
 	}
 	switch kind {
 	case "slow":
-		t.reg.Counter(obs.L(core.MetricSlowQueries, "method", method)).Inc()
+		t.slow.Get().Inc()
 	case "sampled":
-		t.reg.Counter(obs.L(core.MetricSampledTraces, "method", method)).Inc()
+		t.sampled.Get().Inc()
 	}
 	if err != nil {
 		return nil, err
@@ -250,7 +266,7 @@ func (t *telemetry) observeBatch(ctx context.Context, queries []Query, run func(
 		}
 	}
 	if kept, _ := t.traces.Offer(tr, o); kept {
-		t.reg.Histogram(t.latency).SetExemplar(dur, id)
+		t.latency.Get().SetExemplar(dur, id)
 	}
 	return out, err
 }
