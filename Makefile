@@ -135,11 +135,12 @@ bench-e2e:
 # queries over exs-scan's 2,400 × 256 rows, in GB/s, beside its Go body),
 # the bounded top-k selection, PQ's 4-dim kernels in
 # the ANNS index's shape (code-to-code distance, table rows, ADC lookup, the
-# scan's four-code ADC batch), one
+# scan's eight-slot ADC over the code arena beside per-slot lookups), one
 # subspace's k-means training in that shape beside the per-pair loop it
-# replaced, the serial HNSW + PQ build that runs on them, a query walked
-# beside the same query scanned from 1k to 32k points (where the scan
-# bound comes from), and the pieces of the CTS
+# replaced, the serial HNSW + PQ build that runs on them, one scan in
+# anns-graph's shape split into its table, lookups and select, a query
+# walked beside the same query scanned from 1k to 32k points (where the
+# scan bound comes from), and the pieces of the CTS
 # build (the SGD's pow and its three 16-dim steps beside their Go bodies, a
 # whole UMAP fit, HDBSCAN's core-distance pass). The
 # transcript lands in benchrun_kernels.txt so kernel regressions show up in
@@ -149,6 +150,7 @@ bench-kernels:
 	  $(GO) test -run=^$$ -bench 'CodeDist|Tables256|ADCLookup' -benchtime=2s ./internal/pq/ && \
 	  $(GO) test -run=^$$ -bench 'Run512x4K256' -benchtime=2s ./internal/kmeans/ && \
 	  $(GO) test -run=^$$ -bench 'BuildPQ' -benchtime=3x ./internal/vectordb/ && \
+	  $(GO) test -run=^$$ -bench 'Scan$$' -benchtime=2s ./internal/vectordb/ && \
 	  $(GO) test -run=^$$ -bench 'SearchPlan' -benchtime=1s ./internal/vectordb/ && \
 	  $(GO) test -run=^$$ -bench 'Pow32|SGD' -benchtime=2s ./internal/umap/ && \
 	  $(GO) test -run=^$$ -bench 'Fit3200x256' -benchtime=3x ./internal/umap/ && \

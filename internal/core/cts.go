@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"semdisco/internal/hdbscan"
-	"semdisco/internal/hnsw"
 	"semdisco/internal/obs"
 	"semdisco/internal/par"
 	"semdisco/internal/umap"
@@ -319,7 +318,7 @@ type ctsPlan struct {
 
 // candPool serves the probe workers' candidate lists: a worker borrows one
 // per cluster, so a steady query load allocates none.
-var candPool = sync.Pool{New: func() any { return new([]hnsw.Neighbor) }}
+var candPool = sync.Pool{New: func() any { return new([]vectordb.Key) }}
 
 // ctsScratch is one search call's working storage, pooled so a steady
 // query or batch load allocates none of it: the medoid scores, the plans
@@ -481,7 +480,7 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 	clear(errs)
 	par.Each(len(probed), workers, func(i int) {
 		c := probed[i]
-		cands := candPool.Get().(*[]hnsw.Neighbor)
+		cands := candPool.Get().(*[]vectordb.Key)
 		defer candPool.Put(cands)
 		for _, pr := range at[first[c]:first[c+1]] {
 			if errs[i] = ctx.Err(); errs[i] != nil {
@@ -516,13 +515,13 @@ func (s *CTS) search(ctx context.Context, o searchObs, qs [][]float32, ks []int,
 // a vector database's exact scan of the same rows. cost, when non-nil, is
 // charged one distance computation and one scanned value per row, the
 // candidates kept and the candidates pruned.
-func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost *obs.Cost, cands *[]hnsw.Neighbor, dst []vectordb.Result) []vectordb.Result {
+func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost *obs.Cost, cands *[]vectordb.Key, dst []vectordb.Result) []vectordb.Result {
 	lo, hi := s.post.first[c], s.post.first[c+1]
 	cs := (*cands)[:0]
 	for p, row := range s.rows[lo:hi] {
 		d := vec.Dot(q, row)
 		if point := int32(lo + p); filter == nil || filter(point) {
-			cs = append(cs, hnsw.Neighbor{ID: point, Dist: 1 - d})
+			cs = append(cs, vectordb.KeyOf(d, point))
 		}
 	}
 	*cands = cs
@@ -535,8 +534,8 @@ func (s *CTS) probe(q []float32, c, perCluster int, filter vectordb.Filter, cost
 		cost.AddCandidatesGenerated(int64(len(cs)))
 		cost.AddCandidatesPruned(int64(len(cs) - len(found)))
 	}
-	for _, nb := range found {
-		dst = append(dst, vectordb.Result{Score: 1 - nb.Dist, Tag: nb.ID})
+	for _, key := range found {
+		dst = append(dst, vectordb.Result{Score: 1 - key.Dist(), Tag: key.Slot()})
 	}
 	return dst
 }

@@ -119,7 +119,7 @@ func Run(points [][]float32, cfg Config) Result {
 		// scan shards freely; per-point distances land in bestD and the
 		// inertia reduction below runs in point order, keeping the float64
 		// sum identical to the serial loop. The argmin keeps the first
-		// strict minimum, as pq's EncodeTo does.
+		// strict minimum, as pq's Encode does.
 		par.For(n, workers, func(lo, hi int) {
 			row := make([]float32, cfg.K)
 			for i := lo; i < hi; i++ {

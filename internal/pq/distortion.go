@@ -22,7 +22,9 @@ type Distortion struct {
 // ReconstructionError returns the L2 distance between v and its quantized
 // reconstruction.
 func (q *Quantizer) ReconstructionError(v []float32) float64 {
-	return math.Sqrt(float64(vec.L2Sq(v, q.Decode(q.Encode(v)))))
+	codes := q.NewCodes(1)
+	q.Encode(v, codes, 0)
+	return math.Sqrt(float64(vec.L2Sq(v, q.Decode(codes, 0))))
 }
 
 // Distortion measures reconstruction error over the given vectors. The

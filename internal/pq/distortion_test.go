@@ -27,7 +27,7 @@ func TestDistortionStats(t *testing.T) {
 
 	// Exact reconstruction of a centroid has (near-)zero error: encode a
 	// decoded vector and the round trip is a fixed point.
-	fixed := q.Decode(q.Encode(vs[0]))
+	fixed := q.Decode(encodeAll(q, vs[:1]), 0)
 	if e := q.ReconstructionError(fixed); e > 1e-5 {
 		t.Fatalf("fixed-point reconstruction error %v", e)
 	}

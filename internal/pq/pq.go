@@ -145,19 +145,58 @@ func (q *Quantizer) CodeLen() int { return q.m }
 // K returns the number of centroids per subspace.
 func (q *Quantizer) K() int { return q.k }
 
-// Encode quantizes v into a fresh M-byte code.
-func (q *Quantizer) Encode(v []float32) []byte {
-	code := make([]byte, q.m)
-	q.EncodeTo(v, code)
-	return code
+// BlockSlots is how many codes one block of a Codes arena holds.
+const BlockSlots = 8
+
+// Codes is an arena of codes, one per slot, in blocks of BlockSlots slots
+// laid out subspace-major: byte (b·M + s)·8 + j is code byte s of slot
+// 8b + j. The eight codes of a block keep their bytes of one subspace
+// together, so LookupBatch loads them with one 8-byte load and adds each
+// into its own slot's sum; one slot's code is its M bytes at stride 8. The
+// last block is padded with zero bytes, which LookupBatch scores and drops.
+// An arena is filled by Encode and read by Lookup, LookupBatch, CodeDist,
+// CodeDistRows and Decode of a quantizer with its M.
+type Codes struct {
+	m, n  int
+	bytes []byte
 }
 
-// EncodeTo quantizes v into code, which must have length M.
-func (q *Quantizer) EncodeTo(v []float32, code []byte) {
+// NewCodes returns an arena of n zero codes, sized for q.
+func (q *Quantizer) NewCodes(n int) *Codes {
+	return &Codes{m: q.m, n: n, bytes: make([]byte, (n+BlockSlots-1)/BlockSlots*BlockSlots*q.m)}
+}
+
+// Len returns the number of slots.
+func (c *Codes) Len() int { return c.n }
+
+// Size returns the arena's bytes, the last block's padding included.
+func (c *Codes) Size() int { return len(c.bytes) }
+
+// code returns slot i's code: byte s at s·BlockSlots.
+func (c *Codes) code(i int) []byte {
+	if uint(i) >= uint(c.n) {
+		panic(fmt.Sprintf("pq: slot %d of %d", i, c.n))
+	}
+	off := i/BlockSlots*BlockSlots*c.m + i%BlockSlots
+	return c.bytes[off : off+(c.m-1)*BlockSlots+1]
+}
+
+// checkCodes panics unless codes holds m bytes per slot: a shorter code
+// would make a distance a partial sum, a longer one read past the codebook
+// or the table — which the byte-indexed kernels must never be handed.
+func checkCodes(codes *Codes, m int) {
+	if codes.m != m {
+		panic(fmt.Sprintf("pq: code len %d, want %d", codes.m, m))
+	}
+}
+
+// Encode quantizes v into slot of codes.
+func (q *Quantizer) Encode(v []float32, codes *Codes, slot int) {
 	if len(v) != q.dim {
 		panic(fmt.Sprintf("pq: encode dim %d, want %d", len(v), q.dim))
 	}
-	checkCodeLen(code, q.m)
+	checkCodes(codes, q.m)
+	code := codes.code(slot)
 	var buf [256]float32 // K ≤ 256
 	row := buf[:q.k]
 	for s := 0; s < q.m; s++ {
@@ -168,25 +207,17 @@ func (q *Quantizer) EncodeTo(v []float32, code []byte) {
 				best, bestD = c, d
 			}
 		}
-		code[s] = byte(best)
+		code[s*BlockSlots] = byte(best)
 	}
 }
 
-// checkCodeLen panics unless code has one byte per subspace: a shorter code
-// would make a distance a partial sum, a longer one read past the codebook
-// or the table — which the byte-indexed kernels must never be handed.
-func checkCodeLen(code []byte, m int) {
-	if len(code) != m {
-		panic(fmt.Sprintf("pq: code len %d, want %d", len(code), m))
-	}
-}
-
-// Decode reconstructs the centroid approximation of a code.
-func (q *Quantizer) Decode(code []byte) []float32 {
-	checkCodeLen(code, q.m)
+// Decode reconstructs the centroid approximation of slot's code.
+func (q *Quantizer) Decode(codes *Codes, slot int) []float32 {
+	checkCodes(codes, q.m)
+	code := codes.code(slot)
 	out := make([]float32, q.dim)
 	for s := 0; s < q.m; s++ {
-		copy(out[s*q.subDim:], q.centroid(s, int(code[s])))
+		copy(out[s*q.subDim:], q.centroid(s, int(code[s*BlockSlots])))
 	}
 	return out
 }
@@ -237,114 +268,132 @@ func (q *Quantizer) queryTable(query []float32, dst Table, fillRow func(x, cents
 	return t
 }
 
-// Lookup sums the table partials for code: approximate squared distance for
-// DistTable and CodeDistRows, approximate dot product for DotTable. code
-// must hold one byte per row of the table.
-func (t Table) Lookup(code []byte) float32 {
-	if len(code)*t.k != len(t.v) {
-		checkCodeLen(code, len(t.v)/max(t.k, 1))
-	}
+// Lookup sums the table partials for slot's code, in subspace order from
+// +0: approximate squared distance for DistTable and CodeDistRows,
+// approximate dot product for DotTable. codes must hold one byte per row
+// of the table.
+func (t Table) Lookup(codes *Codes, slot int) float32 {
+	checkCodes(codes, len(t.v)/max(t.k, 1))
+	code := codes.code(slot)
 	if kernelAsm && t.k == 256 {
-		return lookupAsm(t.v, code)
+		return lookupAsm(t.v, code, codes.m)
 	}
 	var sum float32
 	v := t.v
-	for _, c := range code {
-		sum += v[c]
+	for s := 0; s < codes.m; s++ {
+		sum += v[code[s*BlockSlots]]
 		v = v[t.k:]
 	}
 	return sum
 }
 
-// LookupBatch sets out[i] to Lookup(codes[i]) for every code, bit for bit:
-// the exhaustive scan's distances. Over a K = 256 table — the only K the
-// ANNS index trains — it runs four codes per pass over the table's rows,
-// each with its own running total that starts at +0 and adds its partials
-// in row order, as Lookup does: the four independent add chains overlap
-// instead of one code's M dependent adds running alone, and every total
-// rounds exactly as Lookup's. The len(codes)%4 left over, and every code of
-// a table of any other K, take Lookup itself. Every code must hold one byte
-// per row of the table; out must have room for one distance per code.
-func (t Table) LookupBatch(codes [][]byte, out []float32) {
-	out = out[:len(codes)]
+// LookupBatch sets out[i] to Lookup(codes, lo+i) for every i, bit for bit:
+// the exhaustive scan's distances. It scores whole blocks of the arena:
+// slot 8b + j's sum is chain j of block b, which starts at +0 and adds the
+// slot's partials in subspace order, as Lookup does, so every sum rounds
+// exactly as Lookup's while the eight chains' adds overlap. At K = 256 — the
+// only K the ANNS index trains — an assembly body runs the blocks on amd64
+// (DESIGN.md §10, "PQ kernels"); elsewhere a Go body does. A last block
+// that out covers only in part is scored whole into a local buffer. codes
+// must hold one byte per row of the table and slots lo..lo+len(out)−1, and
+// lo must start a block.
+func (t Table) LookupBatch(codes *Codes, lo int, out []float32) {
 	m := len(t.v) / max(t.k, 1)
-	for _, code := range codes {
-		if len(code)*t.k != len(t.v) {
-			checkCodeLen(code, m)
-		}
+	checkCodes(codes, m)
+	if lo < 0 || lo%BlockSlots != 0 || len(out) > codes.n-lo {
+		panic(fmt.Sprintf("pq: slots %d..%d of %d, from a block's start", lo, lo+len(out)-1, codes.n))
 	}
-	i := 0
-	if t.k == 256 {
-		for ; i+4 <= len(codes); i += 4 {
-			out[i], out[i+1], out[i+2], out[i+3] = lookup4x256(t.v, codes[i], codes[i+1], codes[i+2], codes[i+3])
-		}
-	}
-	for ; i < len(codes); i++ {
-		out[i] = t.Lookup(codes[i])
+	blocks := codes.bytes[lo*m:]
+	full := len(out) / BlockSlots * BlockSlots
+	t.lookupBlocks(blocks, m, out[:full])
+	if tail := out[full:]; len(tail) > 0 {
+		var buf [BlockSlots]float32
+		t.lookupBlocks(blocks[full*m:], m, buf[:])
+		copy(tail, buf[:])
 	}
 }
 
-// lookup4x256 is four Lookups over a K = 256 table, where a code byte
-// indexes a row without a bounds check.
-func lookup4x256(v []float32, c0, c1, c2, c3 []byte) (s0, s1, s2, s3 float32) {
-	c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
-	for s, b0 := range c0 {
-		row := (*[256]float32)(v[s*256:])
-		s0 += row[b0]
-		s1 += row[c1[s]]
-		s2 += row[c2[s]]
-		s3 += row[c3[s]]
+// lookupBlocks sets out[8b + j] to the sum of slot j of block b of blocks,
+// whole blocks of M subspaces each.
+func (t Table) lookupBlocks(blocks []byte, m int, out []float32) {
+	if kernelAsm && t.k == 256 {
+		lookupBlocksAsm(t.v, blocks, m, out)
+		return
 	}
-	return
+	lookupBlocksGo(t.v, t.k, blocks, m, out)
 }
 
-// CodeDist estimates the squared Euclidean distance between two codes
-// without decoding them (symmetric distance computation): the sum over
-// subspaces of the squared distance between the two codes' centroids, read
-// straight from the codebook. Used for graph construction once raw vectors
-// have been dropped after compression: it is the pairwise distance of HNSW
-// neighbour selection, several thousand calls per inserted vector.
-func (q *Quantizer) CodeDist(a, b []byte) float32 {
-	checkCodeLen(a, q.m)
-	checkCodeLen(b, q.m)
+// lookupBlocksGo is lookupBlocks' Go body over a table of k centroids per
+// row.
+func lookupBlocksGo(v []float32, k int, blocks []byte, m int, out []float32) {
+	for b := 0; b < len(out)/BlockSlots; b++ {
+		blk := blocks[b*BlockSlots*m : (b+1)*BlockSlots*m]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for s := 0; s < m; s++ {
+			row, c := v[s*k:(s+1)*k], (*[BlockSlots]byte)(blk[s*BlockSlots:])
+			s0 += row[c[0]]
+			s1 += row[c[1]]
+			s2 += row[c[2]]
+			s3 += row[c[3]]
+			s4 += row[c[4]]
+			s5 += row[c[5]]
+			s6 += row[c[6]]
+			s7 += row[c[7]]
+		}
+		o := (*[BlockSlots]float32)(out[b*BlockSlots:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+}
+
+// CodeDist estimates the squared Euclidean distance between the codes of
+// slots a and b without decoding them (symmetric distance computation):
+// the sum over subspaces of the squared distance between the two codes'
+// centroids, read straight from the codebook. Used for graph construction
+// once raw vectors have been dropped after compression: it is the pairwise
+// distance of HNSW neighbour selection, several thousand calls per
+// inserted vector.
+func (q *Quantizer) CodeDist(codes *Codes, a, b int) float32 {
+	checkCodes(codes, q.m)
+	ca, cb := codes.code(a), codes.code(b)
 	sd, stride := q.subDim, q.k*q.subDim
 	cents := q.codebook
 	var d float32
 	if sd == 4 {
 		if kernelAsm && q.k == 256 {
-			return codeDistAsm(cents, a, b)
+			return codeDistAsm(cents, ca, cb, q.m)
 		}
 		// The ANNS index's subspace width (dim/4 subspaces of 4 dims).
 		// Unrolled, with one bounds check per centroid: the same four
 		// squares added in the same order as vec.L2Sq's scalar tail.
-		for s := range a {
-			x := (*[4]float32)(cents[int(a[s])*4:])
-			y := (*[4]float32)(cents[int(b[s])*4:])
+		for s := 0; s < q.m; s++ {
+			x := (*[4]float32)(cents[int(ca[s*BlockSlots])*4:])
+			y := (*[4]float32)(cents[int(cb[s*BlockSlots])*4:])
 			d0, d1, d2, d3 := x[0]-y[0], x[1]-y[1], x[2]-y[2], x[3]-y[3]
 			d += d0*d0 + d1*d1 + d2*d2 + d3*d3
 			cents = cents[stride:]
 		}
 		return d
 	}
-	for s := range a {
-		d += vec.L2Sq(cents[int(a[s])*sd:][:sd], cents[int(b[s])*sd:][:sd])
+	for s := 0; s < q.m; s++ {
+		d += vec.L2Sq(cents[int(ca[s*BlockSlots])*sd:][:sd], cents[int(cb[s*BlockSlots])*sd:][:sd])
 		cents = cents[stride:]
 	}
 	return d
 }
 
-// CodeDistRows fills dst with the partials of CodeDist for one fixed code
-// and returns it: afterwards dst.Lookup(b) == q.CodeDist(code, b) bit for
-// bit, at M loads instead of M centroid distances. A dst not sized for q —
-// the zero Table, on first use — is replaced by a fresh one, so a caller
-// keeps one table and pays the allocation once. A construction beam
+// CodeDistRows fills dst with the partials of CodeDist for slot's code and
+// returns it: afterwards dst.Lookup(codes, b) == q.CodeDist(codes, slot, b)
+// bit for bit, at M loads instead of M centroid distances. A dst not sized
+// for q — the zero Table, on first use — is replaced by a fresh one, so a
+// caller keeps one table and pays the allocation once. A construction beam
 // measures hundreds of items against one inserted target, which is what
 // pays for the M·K partials computed here.
-func (q *Quantizer) CodeDistRows(code []byte, dst Table) Table {
-	checkCodeLen(code, q.m)
+func (q *Quantizer) CodeDistRows(codes *Codes, slot int, dst Table) Table {
+	checkCodes(codes, q.m)
+	code := codes.code(slot)
 	dst = q.reuseTable(dst)
 	for s := 0; s < q.m; s++ {
-		vec.L2SqRow(q.centroid(s, int(code[s])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
+		vec.L2SqRow(q.centroid(s, int(code[s*BlockSlots])), q.subspace(s), dst.v[s*q.k:(s+1)*q.k])
 	}
 	return dst
 }

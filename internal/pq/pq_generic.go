@@ -2,16 +2,20 @@
 
 package pq
 
-// Without the assembly (another GOARCH, or the purego tag) CodeDist and
-// Lookup run their Go bodies in pq.go. The stubs are never called; they
-// exist so pq.go compiles on every GOARCH.
+// Without the assembly (another GOARCH, or the purego tag) CodeDist,
+// Lookup and LookupBatch run their Go bodies in pq.go. The stubs are never
+// called; they exist so pq.go compiles on every GOARCH.
 
 const kernelAsm = false
 
-func codeDistAsm(cents []float32, a, b []byte) float32 {
+func codeDistAsm(cents []float32, a, b []byte, m int) float32 {
 	panic("pq: assembly kernel unavailable in this build")
 }
 
-func lookupAsm(v []float32, code []byte) float32 {
+func lookupAsm(v []float32, code []byte, m int) float32 {
+	panic("pq: assembly kernel unavailable in this build")
+}
+
+func lookupBlocksAsm(v []float32, blocks []byte, m int, out []float32) {
 	panic("pq: assembly kernel unavailable in this build")
 }

@@ -25,6 +25,25 @@ func randomUnitVecs(n, dim int, seed int64) [][]float32 {
 	return out
 }
 
+// encodeAll encodes vs into one arena of q, slot i holding vs[i].
+func encodeAll(q *Quantizer, vs [][]float32) *Codes {
+	codes := q.NewCodes(len(vs))
+	for i, v := range vs {
+		q.Encode(v, codes, i)
+	}
+	return codes
+}
+
+// codeOf returns a contiguous copy of slot's code: the layout the Go
+// bodies kept below index.
+func codeOf(codes *Codes, slot int) []byte {
+	code, c := make([]byte, codes.m), codes.code(slot)
+	for s := range code {
+		code[s] = c[s*BlockSlots]
+	}
+	return code
+}
+
 func TestTrainValidation(t *testing.T) {
 	if _, err := Train(nil, Config{}); err == nil {
 		t.Fatal("empty sample must error")
@@ -47,8 +66,9 @@ func TestEncodeDecodeRoundTripError(t *testing.T) {
 		t.Fatalf("CodeLen=%d", q.CodeLen())
 	}
 	var totalErr float64
-	for _, v := range vs {
-		rec := q.Decode(q.Encode(v))
+	codes := encodeAll(q, vs)
+	for i, v := range vs {
+		rec := q.Decode(codes, i)
 		totalErr += float64(vec.L2Sq(v, rec))
 	}
 	mse := totalErr / float64(len(vs))
@@ -66,7 +86,7 @@ func TestQuantizationIsNearestCentroid(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := vs[7]
-	code := q.Encode(v)
+	code := codeOf(encodeAll(q, vs[7:8]), 0)
 	for s := 0; s < q.CodeLen(); s++ {
 		lo := s * q.subDim
 		subv := v[lo : lo+q.subDim]
@@ -91,10 +111,10 @@ func TestADCMatchesDecodedDistance(t *testing.T) {
 	}
 	query := randomUnitVecs(1, 64, 99)[0]
 	table := q.DistTable(query, Table{})
-	for _, v := range vs[:50] {
-		code := q.Encode(v)
-		adc := table.Lookup(code)
-		exact := vec.L2Sq(query, q.Decode(code))
+	codes := encodeAll(q, vs[:50])
+	for i := range vs[:50] {
+		adc := table.Lookup(codes, i)
+		exact := vec.L2Sq(query, q.Decode(codes, i))
 		if math.Abs(float64(adc-exact)) > 1e-3 {
 			t.Fatalf("ADC=%v decoded=%v", adc, exact)
 		}
@@ -109,10 +129,10 @@ func TestDotTableMatchesDecodedDot(t *testing.T) {
 	}
 	query := randomUnitVecs(1, 64, 98)[0]
 	table := q.DotTable(query, Table{})
-	for _, v := range vs[:50] {
-		code := q.Encode(v)
-		adc := table.Lookup(code)
-		exact := vec.Dot(query, q.Decode(code))
+	codes := encodeAll(q, vs[:50])
+	for i := range vs[:50] {
+		adc := table.Lookup(codes, i)
+		exact := vec.Dot(query, q.Decode(codes, i))
 		if math.Abs(float64(adc-exact)) > 1e-3 {
 			t.Fatalf("DotTable=%v decoded=%v", adc, exact)
 		}
@@ -138,10 +158,7 @@ func TestADCPreservesNeighborRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes := make([][]byte, len(vs))
-	for i, v := range vs {
-		codes[i] = q.Encode(v)
-	}
+	codes := encodeAll(q, vs)
 	query := vs[0] // belongs to cluster 0 (indices 0..59)
 	table := q.DistTable(query, Table{})
 	type pair struct {
@@ -150,7 +167,7 @@ func TestADCPreservesNeighborRanking(t *testing.T) {
 	}
 	ps := make([]pair, len(vs))
 	for i := range vs {
-		ps[i] = pair{i, table.Lookup(codes[i])}
+		ps[i] = pair{i, table.Lookup(codes, i)}
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].d < ps[j].d })
 	inCluster := 0
@@ -205,11 +222,11 @@ func BenchmarkEncode768(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	code := make([]byte, q.CodeLen())
+	codes := q.NewCodes(len(vs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.EncodeTo(vs[i%len(vs)], code)
+		q.Encode(vs[i%len(vs)], codes, i%len(vs))
 	}
 }
 
@@ -219,10 +236,10 @@ func TestCodeDistMatchesDecodedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	codes := encodeAll(q, vs[:40])
 	for i := 0; i < 20; i++ {
-		a, b := q.Encode(vs[i]), q.Encode(vs[i+20])
-		got := q.CodeDist(a, b)
-		want := vec.L2Sq(q.Decode(a), q.Decode(b))
+		got := q.CodeDist(codes, i, i+20)
+		want := vec.L2Sq(q.Decode(codes, i), q.Decode(codes, i+20))
 		if math.Abs(float64(got-want)) > 1e-3 {
 			t.Fatalf("CodeDist=%v decoded=%v", got, want)
 		}
@@ -235,8 +252,7 @@ func TestCodeDistSelfDistanceZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := q.Encode(vs[0])
-	if d := q.CodeDist(code, code); d != 0 {
+	if d := q.CodeDist(encodeAll(q, vs[:1]), 0, 0); d != 0 {
 		t.Fatalf("self distance %v", d)
 	}
 }
@@ -366,9 +382,10 @@ func TestFlatCodebookBitIdentical(t *testing.T) {
 		}
 		cb := nestedCodebooks(q)
 		sdc := newRefSDC(cb)
+		arena := encodeAll(q, vs)
 		codes := make([][]byte, n)
 		for i, v := range vs {
-			codes[i] = q.Encode(v)
+			codes[i] = codeOf(arena, i)
 			if want := refEncode(cb, subDim, v); !bytes.Equal(codes[i], want) {
 				t.Fatalf("subDim %d K %d: Encode(%d) = %v, reference %v", subDim, k, i, codes[i], want)
 			}
@@ -383,59 +400,82 @@ func TestFlatCodebookBitIdentical(t *testing.T) {
 		for i := 0; i < n; i += 7 {
 			dist, dot := q.DistTable(vs[i], Table{}), q.DotTable(vs[i], Table{})
 			refDist, refDot := refTable(cb, subDim, vs[i], vec.L2Sq), refTable(cb, subDim, vs[i], vec.Dot)
-			rows = q.CodeDistRows(codes[i], rows)
+			rows = q.CodeDistRows(arena, i, rows)
 			for j, code := range codes {
-				same("DistTable.Lookup", i, j, dist.Lookup(code), refLookup(refDist, code))
-				same("DotTable.Lookup", i, j, dot.Lookup(code), refLookup(refDot, code))
+				same("DistTable.Lookup", i, j, dist.Lookup(arena, j), refLookup(refDist, code))
+				same("DotTable.Lookup", i, j, dot.Lookup(arena, j), refLookup(refDot, code))
 				want := sdc.dist(codes[i], code)
-				same("CodeDist", i, j, q.CodeDist(codes[i], code), want)
-				same("CodeDist", j, i, q.CodeDist(code, codes[i]), want)
-				same("CodeDistRows.Lookup", i, j, rows.Lookup(code), want)
+				same("CodeDist", i, j, q.CodeDist(arena, i, j), want)
+				same("CodeDist", j, i, q.CodeDist(arena, j, i), want)
+				same("CodeDistRows.Lookup", i, j, rows.Lookup(arena, j), want)
 			}
 		}
 	}
 }
 
-// TestCodeLenChecked pins that a code with too few or too many bytes is
-// refused, on the byte-indexed kernels' shape (subDim 4, K = 256) and off
-// it: a short code once gave a partial distance, and CodeDist re-extended a
-// short second code into its capacity.
+// TestCodeLenChecked pins that an arena whose codes have too few or too
+// many bytes is refused, on the byte-indexed kernels' shape (subDim 4,
+// K = 256) and off it — a short code once gave a partial distance — and
+// that a slot outside the arena is refused too.
 func TestCodeLenChecked(t *testing.T) {
+	expect := func(k int, name, prefix, suffix string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, prefix) || !strings.HasSuffix(msg, suffix) {
+				t.Errorf("K %d: %s: panic %q, want %q…%q", k, name, msg, prefix, suffix)
+			}
+		}()
+		f()
+	}
 	for _, k := range []int{256, 32} {
 		vs := randomUnitVecs(300, 64, 22)
 		q, err := Train(vs, Config{M: 16, K: k, Seed: 22, MaxIter: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := q.Encode(vs[0]), q.Encode(vs[1])
-		long := append(q.Encode(vs[2]), 0)
-		table, rows := q.DistTable(vs[3], Table{}), q.CodeDistRows(a, Table{})
+		codes := encodeAll(q, vs[:4])
+		short := &Codes{m: 10, n: 4, bytes: make([]byte, BlockSlots*10)}
+		long := &Codes{m: 17, n: 4, bytes: make([]byte, BlockSlots*17)}
+		table, rows := q.DistTable(vs[3], Table{}), q.CodeDistRows(codes, 0, Table{})
+		out := make([]float32, 4)
 		for name, f := range map[string]func(){
-			"CodeDist(short, b)": func() { q.CodeDist(a[:10], b) },
-			"CodeDist(a, short)": func() { q.CodeDist(a, b[:10]) },
-			"CodeDist(long, b)":  func() { q.CodeDist(long, b) },
-			"CodeDist(a, long)":  func() { q.CodeDist(a, long) },
-			"Lookup(short)":      func() { table.Lookup(a[:10]) },
-			"Lookup(long)":       func() { table.Lookup(long) },
-			"rows.Lookup(short)": func() { rows.Lookup(b[:10]) },
-			"Lookup(empty)":      func() { table.Lookup(nil) },
+			"CodeDist(short)":     func() { q.CodeDist(short, 0, 1) },
+			"CodeDist(long)":      func() { q.CodeDist(long, 0, 1) },
+			"Lookup(short)":       func() { table.Lookup(short, 0) },
+			"Lookup(long)":        func() { table.Lookup(long, 0) },
+			"rows.Lookup(short)":  func() { rows.Lookup(short, 1) },
+			"Lookup(empty)":       func() { table.Lookup(&Codes{}, 0) },
+			"LookupBatch(short)":  func() { table.LookupBatch(short, 0, out) },
+			"LookupBatch(long)":   func() { table.LookupBatch(long, 0, out) },
+			"CodeDistRows(short)": func() { q.CodeDistRows(short, 0, Table{}) },
+			"Encode(short)":       func() { q.Encode(vs[0], short, 0) },
+			"Decode(short)":       func() { q.Decode(short, 0) },
 		} {
-			func() {
-				defer func() {
-					msg, _ := recover().(string)
-					if !strings.HasPrefix(msg, "pq: code len ") || !strings.HasSuffix(msg, ", want 16") {
-						t.Errorf("K %d: %s: panic %q, want a code length panic", k, name, msg)
-					}
-				}()
-				f()
-			}()
+			expect(k, name, "pq: code len ", ", want 16", f)
+		}
+		for name, f := range map[string]func(){
+			"Lookup(-1)":               func() { table.Lookup(codes, -1) },
+			"Lookup(4)":                func() { table.Lookup(codes, 4) },
+			"CodeDist(0, 4)":           func() { q.CodeDist(codes, 0, 4) },
+			"CodeDist(8, 0)":           func() { q.CodeDist(codes, 8, 0) },
+			"CodeDistRows(4)":          func() { q.CodeDistRows(codes, 4, Table{}) },
+			"Encode(4)":                func() { q.Encode(vs[0], codes, 4) },
+			"Decode(5)":                func() { q.Decode(codes, 5) },
+			"LookupBatch(-1)":          func() { table.LookupBatch(codes, -1, out[:1]) },
+			"LookupBatch(1)":           func() { table.LookupBatch(codes, 1, out[:1]) },
+			"LookupBatch past the end": func() { table.LookupBatch(codes, 0, make([]float32, 5)) },
+		} {
+			expect(k, name, "pq: slot", "", f)
 		}
 	}
 }
 
 // The kernel references below are the Go bodies of CodeDist at subDim 4,
-// the 4-dim table rows and Table.Lookup, kept verbatim: whatever runs in
-// their place must return their bits.
+// the 4-dim table rows, CodeDistRows and Table.Lookup over a contiguous
+// code, kept verbatim: whatever runs in their place, reading a slot's code
+// at the arena's stride, must return their bits.
 
 func refCodeDist4(cents []float32, k int, a, b []byte) float32 {
 	stride := k * 4
@@ -475,6 +515,14 @@ func refDotRow(x, cents, row []float32) {
 	}
 }
 
+func refCodeDistRows(q *Quantizer, code []byte) []float32 {
+	rows := make([]float32, q.m*q.k)
+	for s := 0; s < q.m; s++ {
+		refL2sqRow(q.centroid(s, int(code[s])), q.subspace(s), rows[s*q.k:(s+1)*q.k])
+	}
+	return rows
+}
+
 func refFlatLookup(v []float32, k int, code []byte) float32 {
 	var sum float32
 	for _, c := range code {
@@ -484,8 +532,10 @@ func refFlatLookup(v []float32, k int, code []byte) float32 {
 	return sum
 }
 
-// TestPQKernelsBitIdentical holds CodeDist, the 4-dim table rows and Lookup
-// to their Go bodies by bit pattern, at K = 256 (every kernel) and K = 30
+// TestPQKernelsBitIdentical holds CodeDist, the 4-dim table rows,
+// CodeDistRows and Lookup to their Go bodies by bit pattern — the per-slot
+// readers on two slots of an arena, in different blocks and at neither
+// block's start, so each reads its code at stride 8 — at K = 256 (every kernel) and K = 30
 // (the row kernels with a 2-centroid tail), on mixed-magnitude data where
 // the order of additions matters, and with one special value at a time —
 // NaN, ±Inf, subnormal, −0, the extremes — at every coordinate of every
@@ -511,6 +561,9 @@ func TestPQKernelsBitIdentical(t *testing.T) {
 		fill(q.codebook)
 		query := make([]float32, m*4)
 		fill(query)
+		// Slots 3 and 9 of an arena of 11 slots, two blocks.
+		const sa, sb = 3, 9
+		codes := &Codes{m: m, n: 11, bytes: make([]byte, 2*BlockSlots*m)}
 		got, want := make([]float32, k), make([]float32, k)
 		same := func(what string, g, w float32) {
 			t.Helper()
@@ -538,14 +591,21 @@ func TestPQKernelsBitIdentical(t *testing.T) {
 			other := (c + 1) % k
 			dist, dot := q.DistTable(query, Table{}), q.DotTable(query, Table{})
 			for _, pair := range [][2]int{{c, c}, {c, other}, {other, c}} {
-				a, b := make([]byte, m), make([]byte, m)
-				for i := range a {
-					a[i], b[i] = byte(rng.Intn(k)), byte(rng.Intn(k))
+				ca, cb := codes.code(sa), codes.code(sb)
+				for i := 0; i < m; i++ {
+					ca[i*BlockSlots], cb[i*BlockSlots] = byte(rng.Intn(k)), byte(rng.Intn(k))
 				}
-				a[s], b[s] = byte(pair[0]), byte(pair[1])
-				same(what+": CodeDist", q.CodeDist(a, b), refCodeDist4(q.codebook, k, a, b))
-				same(what+": DistTable.Lookup", dist.Lookup(a), refFlatLookup(dist.v, k, a))
-				same(what+": DotTable.Lookup", dot.Lookup(a), refFlatLookup(dot.v, k, a))
+				ca[s*BlockSlots], cb[s*BlockSlots] = byte(pair[0]), byte(pair[1])
+				a, b := codeOf(codes, sa), codeOf(codes, sb)
+				same(what+": CodeDist", q.CodeDist(codes, sa, sb), refCodeDist4(q.codebook, k, a, b))
+				same(what+": DistTable.Lookup", dist.Lookup(codes, sa), refFlatLookup(dist.v, k, a))
+				same(what+": DotTable.Lookup", dot.Lookup(codes, sb), refFlatLookup(dot.v, k, b))
+			}
+			rows, ref := q.CodeDistRows(codes, sa, Table{}), refCodeDistRows(q, codeOf(codes, sa))
+			for e := range ref {
+				if math.Float32bits(rows.v[e]) != math.Float32bits(ref[e]) {
+					same(fmt.Sprintf("%s: CodeDistRows entry %d", what, e), rows.v[e], ref[e])
+				}
 			}
 			cent := q.centroid(s, c)
 			sameRow(what+": L2SqRow(centroid)", vec.L2SqRow, refL2sqRow, cent, s)
@@ -599,10 +659,7 @@ func TestTableReuseBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes := make([][]byte, len(vs))
-	for i, v := range vs {
-		codes[i] = q.Encode(v)
-	}
+	codes := encodeAll(q, vs)
 	dist, dot := other.DistTable(vs[199], Table{}), other.DotTable(vs[198], Table{})
 	for i := 0; i < 40; i++ {
 		prevDist, prevDot := dist, dot
@@ -611,11 +668,11 @@ func TestTableReuseBitIdentical(t *testing.T) {
 			t.Fatalf("query %d: a sized table was reallocated", i)
 		}
 		freshDist, freshDot := q.DistTable(vs[i], Table{}), q.DotTable(vs[i], Table{})
-		for j, code := range codes {
-			if got, want := dist.Lookup(code), freshDist.Lookup(code); math.Float32bits(got) != math.Float32bits(want) {
+		for j := range vs {
+			if got, want := dist.Lookup(codes, j), freshDist.Lookup(codes, j); math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("query %d code %d: reused DistTable %v, fresh %v", i, j, got, want)
 			}
-			if got, want := dot.Lookup(code), freshDot.Lookup(code); math.Float32bits(got) != math.Float32bits(want) {
+			if got, want := dot.Lookup(codes, j), freshDot.Lookup(codes, j); math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("query %d code %d: reused DotTable %v, fresh %v", i, j, got, want)
 			}
 		}
@@ -623,36 +680,39 @@ func TestTableReuseBitIdentical(t *testing.T) {
 }
 
 // benchQuantizer256 trains a quantizer in the ANNS index's shape (dim 256,
-// 4-dim subspaces, 256 centroids) and encodes its sample.
-func benchQuantizer256(b *testing.B) (*Quantizer, [][]float32, [][]byte) {
+// 4-dim subspaces, 256 centroids) and encodes its sample: into one arena,
+// and each code contiguous for the Go bodies kept above.
+func benchQuantizer256(b *testing.B) (*Quantizer, [][]float32, *Codes, [][]byte) {
 	vs := randomUnitVecs(600, 256, 12)
 	q, err := Train(vs, Config{M: 64, K: 256, Seed: 12, MaxIter: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	codes := make([][]byte, len(vs))
-	for i, v := range vs {
-		codes[i] = q.Encode(v)
+	codes := encodeAll(q, vs)
+	flat := make([][]byte, len(vs))
+	for i := range flat {
+		flat[i] = codeOf(codes, i)
 	}
-	return q, vs, codes
+	return q, vs, codes, flat
 }
 
 // BenchmarkCodeDist measures the code-to-code distance in the ANNS index's
 // shape — the pairwise distance of HNSW neighbour selection — beside the Go
 // body the kernel reproduces.
 func BenchmarkCodeDist(b *testing.B) {
-	q, _, codes := benchQuantizer256(b)
+	q, _, codes, flat := benchQuantizer256(b)
+	n := codes.Len()
 	for _, k := range []struct {
 		name string
-		fn   func(a, b []byte) float32
+		fn   func(a, b int) float32
 	}{
-		{"kernel", q.CodeDist},
-		{"go", func(a, b []byte) float32 { return refCodeDist4(q.codebook, q.k, a, b) }},
+		{"kernel", func(a, b int) float32 { return q.CodeDist(codes, a, b) }},
+		{"go", func(a, b int) float32 { return refCodeDist4(q.codebook, q.k, flat[a], flat[b]) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			var sink float32
 			for i := 0; i < b.N; i++ {
-				sink += k.fn(codes[i%len(codes)], codes[(i*7+1)%len(codes)])
+				sink += k.fn(i%n, (i*7+1)%n)
 			}
 			benchSink = sink
 		})
@@ -663,7 +723,7 @@ func BenchmarkCodeDist(b *testing.B) {
 // query's DistTable and DotTable, and the per-target row table of HNSW
 // construction, then DistTable's rows through the Go body.
 func BenchmarkTables256(b *testing.B) {
-	q, vs, codes := benchQuantizer256(b)
+	q, vs, codes, _ := benchQuantizer256(b)
 	t := q.DistTable(vs[0], Table{})
 	for _, bc := range []struct {
 		name string
@@ -671,7 +731,7 @@ func BenchmarkTables256(b *testing.B) {
 	}{
 		{"DistTable/kernel", func(i int) { t = q.DistTable(vs[i%len(vs)], t) }},
 		{"DotTable/kernel", func(i int) { t = q.DotTable(vs[i%len(vs)], t) }},
-		{"CodeDistRows/kernel", func(i int) { t = q.CodeDistRows(codes[i%len(codes)], t) }},
+		{"CodeDistRows/kernel", func(i int) { t = q.CodeDistRows(codes, i%codes.Len(), t) }},
 		{"DistTable/go", func(i int) {
 			query := vs[i%len(vs)]
 			for s := 0; s < q.m; s++ {
@@ -688,7 +748,7 @@ func BenchmarkTables256(b *testing.B) {
 	}
 }
 
-// BenchmarkADCLookup times one table lookup per code: at dim 768 with 64
+// BenchmarkADCLookup times one table lookup per slot: at dim 768 with 64
 // centroids (the general body), and in the ANNS index's shape (K = 256, the
 // byte-indexed kernel) beside the Go body.
 func BenchmarkADCLookup(b *testing.B) {
@@ -697,27 +757,24 @@ func BenchmarkADCLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	codes768 := make([][]byte, len(vs))
-	for i, v := range vs {
-		codes768[i] = q768.Encode(v)
-	}
+	codes768 := encodeAll(q768, vs)
 	t768 := q768.DistTable(vs[0], Table{})
-	q, vs256, codes := benchQuantizer256(b)
+	q, vs256, codes, flat := benchQuantizer256(b)
 	t := q.DistTable(vs256[0], Table{})
 	for _, bc := range []struct {
-		name  string
-		codes [][]byte
-		fn    func(code []byte) float32
+		name string
+		n    int
+		fn   func(slot int) float32
 	}{
-		{"dim768-K64", codes768, t768.Lookup},
-		{"dim256-K256/kernel", codes, t.Lookup},
-		{"dim256-K256/go", codes, func(code []byte) float32 { return refFlatLookup(t.v, t.k, code) }},
+		{"dim768-K64", codes768.Len(), func(slot int) float32 { return t768.Lookup(codes768, slot) }},
+		{"dim256-K256/kernel", codes.Len(), func(slot int) float32 { return t.Lookup(codes, slot) }},
+		{"dim256-K256/go", len(flat), func(slot int) float32 { return refFlatLookup(t.v, t.k, flat[slot]) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sink float32
 			for i := 0; i < b.N; i++ {
-				sink += bc.fn(bc.codes[i%len(bc.codes)])
+				sink += bc.fn(i % bc.n)
 			}
 			benchSink = sink
 		})
@@ -726,14 +783,17 @@ func BenchmarkADCLookup(b *testing.B) {
 
 var benchSink float32
 
-// TestLookupBatchBitIdentical holds LookupBatch to Lookup, code by code and
-// bit for bit, at K = 256 (the byte-indexed four-code pass) and K = 30
-// (Lookup per code), for every batch length from 1 to 9 — so every
-// remainder of the four-code passes, and the Lookup tail after them, is
-// covered — on mixed-magnitude tables where the order of additions
-// matters, and with one special value at a time in the table: NaN, ±Inf,
-// subnormal, −0, the extremes. The output is pre-filled with a sentinel,
-// so a code the batch skips shows too.
+// TestLookupBatchBitIdentical holds LookupBatch to Lookup and to Lookup's
+// Go body over the contiguous code, slot by slot and bit for bit, at
+// K = 256 (the arena kernel) and K = 30 (the Go block body), for every slot
+// count from 1 to 17 — so every remainder of eight, and the padded tail
+// block, is covered — on mixed-magnitude tables where the order of
+// additions matters, and with one special value at a time in the table:
+// NaN, ±Inf, subnormal, −0, the extremes. The output is pre-filled with a
+// sentinel, so a slot the batch skips shows too. A finite table is also
+// scored over every sub-range of the arena that starts a block, so a batch
+// that ends inside a block, or starts past the first, is held to the same
+// sums.
 func TestLookupBatchBitIdentical(t *testing.T) {
 	subnormal := math.Float32frombits(0x00000123)
 	specials := []float32{
@@ -749,44 +809,63 @@ func TestLookupBatchBitIdentical(t *testing.T) {
 		for i := range table.v {
 			table.v[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
 		}
-		// check builds n codes, each of which reads entry p of the table
-		// (row p/k, centroid p%k) with probability one half, and compares
-		// the batch with Lookup.
-		check := func(what string, n, p int) {
-			t.Helper()
-			codes := make([][]byte, n)
-			for i := range codes {
-				codes[i] = make([]byte, m)
-				for s := range codes[i] {
-					codes[i][s] = byte(rng.Intn(k))
+		// arena builds n codes, each of which reads entry p of the table
+		// (row p/k, centroid p%k) with probability one half.
+		arena := func(n, p int) *Codes {
+			codes := &Codes{m: m, n: n, bytes: make([]byte, (n+BlockSlots-1)/BlockSlots*BlockSlots*m)}
+			for i := 0; i < n; i++ {
+				code := codes.code(i)
+				for s := 0; s < m; s++ {
+					code[s*BlockSlots] = byte(rng.Intn(k))
 				}
 				if rng.Intn(2) == 0 {
-					codes[i][p/k] = byte(p % k)
+					code[p/k*BlockSlots] = byte(p % k)
 				}
 			}
-			out := make([]float32, n)
+			return codes
+		}
+		// check scores slots lo..hi−1 of codes in one batch and compares
+		// each with Lookup and with Lookup's Go body.
+		check := func(what string, codes *Codes, lo, hi int) {
+			t.Helper()
+			out := make([]float32, hi-lo)
 			for i := range out {
 				out[i] = sentinel
 			}
-			table.LookupBatch(codes, out)
-			for i, code := range codes {
-				if got, want := out[i], table.Lookup(code); math.Float32bits(got) != math.Float32bits(want) {
-					t.Fatalf("K %d, %s, %d codes: code %d = %#08x, Lookup %#08x",
-						k, what, n, i, math.Float32bits(got), math.Float32bits(want))
+			table.LookupBatch(codes, lo, out)
+			for i, got := range out {
+				slot := lo + i
+				for _, w := range []struct {
+					name string
+					want float32
+				}{
+					{"Lookup", table.Lookup(codes, slot)},
+					{"Go body", refFlatLookup(table.v, k, codeOf(codes, slot))},
+				} {
+					if math.Float32bits(got) != math.Float32bits(w.want) {
+						t.Fatalf("K %d, %s, slots %d..%d of %d: slot %d = %#08x, %s %#08x",
+							k, what, lo, hi-1, codes.n, slot, math.Float32bits(got), w.name, math.Float32bits(w.want))
+					}
 				}
 			}
 		}
-		for n := 1; n <= 9; n++ {
+		for n := 1; n <= 17; n++ {
 			for p := 0; p < m*k; p += 7 {
-				check("finite table", n, p)
+				check("finite table", arena(n, p), 0, n)
+			}
+			codes := arena(n, 0)
+			for lo := 0; lo < n; lo += BlockSlots {
+				for hi := lo + 1; hi <= n; hi++ {
+					check("finite table", codes, lo, hi)
+				}
 			}
 		}
 		for _, sp := range specials {
 			for p := range table.v {
 				keep := table.v[p]
 				table.v[p] = sp
-				for n := 1; n <= 9; n++ {
-					check(fmt.Sprintf("entry %d = %v", p, sp), n, p)
+				for n := 1; n <= 17; n++ {
+					check(fmt.Sprintf("entry %d = %v", p, sp), arena(n, p), 0, n)
 				}
 				table.v[p] = keep
 			}
@@ -795,26 +874,31 @@ func TestLookupBatchBitIdentical(t *testing.T) {
 }
 
 // BenchmarkADCLookupBatch times the scan's ADC in the ANNS index's shape:
-// a block of 64 codes through LookupBatch beside 64 Lookup calls, per code.
+// 64 slots of the arena through LookupBatch — the eight-chain kernel
+// beside its Go body — and through 64 Lookup calls, per code.
 func BenchmarkADCLookupBatch(b *testing.B) {
-	q, vs, codes := benchQuantizer256(b)
+	q, vs, codes, _ := benchQuantizer256(b)
 	t := q.DotTable(vs[0], Table{})
 	out := make([]float32, 64)
+	blocks := (codes.Len() - 64) / BlockSlots
 	for _, bc := range []struct {
 		name string
-		fn   func(block [][]byte)
+		fn   func(lo int)
 	}{
-		{"batch", func(block [][]byte) { t.LookupBatch(block, out) }},
-		{"lookup", func(block [][]byte) {
-			for i, code := range block {
-				out[i] = t.Lookup(code)
+		{"batch/kernel", func(lo int) { t.LookupBatch(codes, lo, out) }},
+		{"batch/go", func(lo int) {
+			blockLen := BlockSlots * codes.m
+			lookupBlocksGo(t.v, t.k, codes.bytes[lo/BlockSlots*blockLen:], codes.m, out)
+		}},
+		{"lookup", func(lo int) {
+			for i := range out {
+				out[i] = t.Lookup(codes, lo+i)
 			}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lo := i * 64 % (len(codes) - 64)
-				bc.fn(codes[lo : lo+64])
+				bc.fn(i % blocks * BlockSlots)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/code")
 		})

@@ -75,8 +75,8 @@ func TestSerialBuildGraphGolden(t *testing.T) {
 // dim 256, 4-dim PQ subspaces with 256 centroids, so every construction
 // distance after the first 512 vectors is a code-to-code distance. The
 // end-to-end benchmark's anns-graph set-up no longer builds this graph: its
-// 1,822 texts stay below the default beam's scan bound, so it links only
-// the 511 rows stored before training. 3,200 points are past the bound
+// 1,822 texts stay below the default beam's scan bound, so it links no row
+// until something reads the graph. 3,200 points are past the bound
 // (¾ × 64 × 32 = 1,536 at the default beam), so Build links every row; the
 // benchmark fails if the collection ends with rows pending, which would
 // make it time storage alone.
@@ -105,10 +105,10 @@ func BenchmarkBuildPQ(b *testing.B) {
 
 // TestParallelBuildAcrossTrainingBoundary runs the concurrent construction
 // path end to end under -race: a four-worker Build whose rows straddle the
-// PQ training boundary, so the early rows enter the graph under raw
-// distances and the rest, linked by the first GraphStats since 1,200 points
-// stay below the default beam's scan bound, under per-target row tables,
-// one table per worker.
+// PQ training boundary, linked by the first GraphStats since 1,200 points
+// stay below the default beam's scan bound: the early rows enter the graph
+// under raw distances and the rest under per-target row tables, one table
+// per worker.
 // The graph must come out whole and as useful as a serial one; then
 // concurrent single-query searches share the index's scratch pool, where a
 // scratch handed to two live walks would corrupt both answers.

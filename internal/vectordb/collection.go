@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -66,11 +68,12 @@ type Filter func(tag int32) bool
 type Collection struct {
 	cfg CollectionConfig
 
-	// A collection is raw or coded, never both: without a quantizer every
-	// row has a vector and codes is nil; with one every row has a code and
-	// vectors is nil.
-	vectors [][]float32 // raw unit vectors; nil once PQ takes over
-	codes   [][]byte    // PQ codes; nil until trained
+	// A collection is raw or coded: without a quantizer every row has a
+	// vector and codes is nil; with one every row has a code in the arena,
+	// and vectors holds only the rows stored before the training set's
+	// last one, which link enters under raw distances and then drops.
+	vectors [][]float32 // raw unit vectors
+	codes   *pq.Codes   // PQ codes; nil without a quantizer
 	tags    []int32     // one per row, so len(tags) is the row count
 
 	index     *hnsw.Index
@@ -93,9 +96,10 @@ type Collection struct {
 // more than ¾ × EfSearch × 2M points, the size from which a query of the
 // default beam walks (scans); below that, rows stay pending until a walk
 // or GraphStats links them first. With PQ on and at least TrainSize
-// vectors, the quantizer trains on the first TrainSize vectors, and the
-// rows before the last of them are linked under raw distances just before
-// training drops the raw vectors, so rows linked later use code-to-code
+// vectors, the quantizer trains on the first TrainSize vectors and every
+// row is encoded; the unit vectors of the rows before the training set's
+// last one are kept until the link, which enters those rows first under
+// raw distances, drops the vectors and links the rest under code-to-code
 // distances: with cfg.Workers 0 or 1 the graph, once linked, is edge for
 // edge the one linking each row as it arrived would have built.
 func Build(cfg CollectionConfig, vectors [][]float32, tags []int32, reg *obs.Registry) (*Collection, error) {
@@ -138,10 +142,6 @@ func Build(cfg CollectionConfig, vectors [][]float32, tags []int32, reg *obs.Reg
 		}
 	})
 	if cfg.PQ != nil && len(vectors) >= cfg.PQ.TrainSize {
-		// Training flips itemDist from raw to code distances, so the rows
-		// before the training set's last one enter the graph first, under
-		// the raw distances a row-by-row build linked them with.
-		c.addRows(cfg.PQ.TrainSize - 1)
 		start := time.Now()
 		if err := c.trainPQ(); err != nil {
 			return nil, err
@@ -156,11 +156,13 @@ func Build(cfg CollectionConfig, vectors [][]float32, tags []int32, reg *obs.Reg
 }
 
 // itemDist is the construction-time distance between two stored items: the
-// pairwise distance of neighbour selection. Between PQ-coded items it is
-// the code-to-code distance, read from the codebook.
+// pairwise distance of neighbour selection. While link enters the rows
+// whose raw vectors a coded collection keeps, and throughout in a raw one,
+// it is the raw distance; between PQ-coded items after that, the
+// code-to-code distance, read from the codebook.
 func (c *Collection) itemDist(a, b int32) float32 {
-	if c.quantizer != nil {
-		return c.quantizer.CodeDist(c.codes[a], c.codes[b])
+	if c.vectors == nil {
+		return c.quantizer.CodeDist(c.codes, int(a), int(b))
 	}
 	return 1 - vec.Dot(c.vectors[a], c.vectors[b]) // vectors are unit-normalized in Build
 }
@@ -171,17 +173,17 @@ func (c *Collection) itemDist(a, b int32) float32 {
 // target's per-subspace distances to every centroid, after which each of
 // the beam's hundreds of distances to that target is M lookups in a table
 // small enough to stay in L1/L2 — and sums the same floats in the same
-// order as itemDist. A raw collection's targets use itemDist (a nil
-// return).
+// order as itemDist. Targets linked under raw distances use itemDist (a
+// nil return).
 func (c *Collection) newTargetDist() hnsw.TargetDist {
 	var rows pq.Table
 	return func(target int32) func(int32) float32 {
-		if c.quantizer == nil {
+		if c.vectors != nil {
 			return nil
 		}
-		rows = c.quantizer.CodeDistRows(c.codes[target], rows)
 		codes := c.codes
-		return func(id int32) float32 { return rows.Lookup(codes[id]) }
+		rows = c.quantizer.CodeDistRows(codes, int(target), rows)
+		return func(id int32) float32 { return rows.Lookup(codes, int(id)) }
 	}
 }
 
@@ -201,29 +203,42 @@ func (c *Collection) addRows(count int) {
 
 // link links every row not yet in the graph, once: every reader of the
 // graph calls it first, and a reader that comes while another links waits
-// for the graph to be whole.
+// for the graph to be whole. In a coded collection the rows whose raw
+// vectors were kept go first, under the raw distances a row-by-row build
+// linked them with before training; then the vectors are dropped and the
+// rest link under code distances.
 func (c *Collection) link() {
-	c.linked.Do(func() { c.addRows(len(c.tags) - c.index.Len()) })
+	c.linked.Do(func() {
+		if c.quantizer != nil {
+			c.addRows(len(c.vectors))
+			c.vectors = nil
+		}
+		c.addRows(len(c.tags) - c.index.Len())
+	})
 }
 
 // trainPQ trains the quantizer on the first TrainSize raw vectors, encodes
-// every row, and drops raw storage. Training and encoding shard across
-// cfg.Workers; both are worker-count-invariant, so the codebooks and codes
-// match the serial run exactly.
+// every row into the code arena, and keeps only the vectors of the rows
+// before the training set's last one, for link. Training and encoding
+// shard across cfg.Workers, encoding one arena block per task; both are
+// worker-count-invariant, so the codebooks and codes match the serial run
+// exactly.
 func (c *Collection) trainPQ() error {
 	workers := c.workers()
 	q, err := pq.Train(c.vectors[:c.cfg.PQ.TrainSize], pq.Config{M: c.cfg.PQ.M, K: c.cfg.PQ.K, Seed: c.cfg.Seed, Workers: workers})
 	if err != nil {
 		return fmt.Errorf("vectordb: PQ training: %w", err)
 	}
-	c.quantizer = q
-	c.codes = make([][]byte, len(c.vectors))
-	par.For(len(c.vectors), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.codes[i] = q.Encode(c.vectors[i])
+	n := len(c.vectors)
+	c.quantizer, c.codes = q, q.NewCodes(n)
+	par.For((n+pq.BlockSlots-1)/pq.BlockSlots, workers, func(lo, hi int) {
+		for i := lo * pq.BlockSlots; i < min(hi*pq.BlockSlots, n); i++ {
+			q.Encode(c.vectors[i], c.codes, i)
 		}
 	})
-	c.vectors = nil
+	keep := c.cfg.PQ.TrainSize - 1
+	clear(c.vectors[keep:])
+	c.vectors = slices.Clip(c.vectors[:keep])
 	return nil
 }
 
@@ -276,7 +291,7 @@ const (
 
 // scanBlock is how many slots the scan scores per pass: the block's 256
 // bytes of distances stay in L1 between scoring and the accept pass that
-// reads them, and the ADC batch runs 16 four-code passes per block.
+// reads them, and the ADC batch runs 8 eight-slot arena blocks per block.
 const scanBlock = 64
 
 // scanCancelBlocks is how many scan blocks pass between two cancellation
@@ -292,7 +307,7 @@ type walkScratch struct {
 	hnsw  hnsw.Scratch
 	table pq.Table
 	dists [scanBlock]float32
-	cands []hnsw.Neighbor
+	cands []Key
 }
 
 // walkPool serves the queries' scratch: a SearchBatch borrows one for its
@@ -396,7 +411,7 @@ func (c *Collection) searchOne(q []float32, k, ef int, filter Filter, cancelled 
 	return c.results(found)
 }
 
-// scan scores every slot in blocks of scanBlock — ADC lookups four
+// scan scores every slot in blocks of scanBlock — ADC lookups eight
 // codes at a time for a PQ-coded collection, dot products for a raw one —
 // and returns the k first slots accept takes under the walk's (distance,
 // slot) order. Each distance is the bits the walk's qd gives the
@@ -423,12 +438,12 @@ func (c *Collection) scan(q []float32, k int, accept func(int32) bool, cancelled
 		c.scoreBlock(q, ws.table, lo, dots, &ctr)
 		for i, d := range dots {
 			if slot := int32(lo + i); accept == nil || accept(slot) {
-				cands = append(cands, hnsw.Neighbor{ID: slot, Dist: 1 - d})
+				cands = append(cands, KeyOf(d, slot))
 			}
 		}
 	}
 	ws.cands = cands
-	var found []hnsw.Neighbor
+	var found []Key
 	if done {
 		found = SelectNearest(cands, k)
 	}
@@ -442,7 +457,11 @@ func (c *Collection) scan(q []float32, k int, accept func(int32) bool, cancelled
 	if !done {
 		return nil
 	}
-	return c.results(found)
+	out := make([]Result, len(found))
+	for i, key := range found {
+		out[i] = Result{Score: distToScore(key.Dist()), Tag: c.tags[key.Slot()]}
+	}
+	return out
 }
 
 // scoreBlock sets dots[i] to the query's similarity to slot lo+i —
@@ -451,7 +470,7 @@ func (c *Collection) scan(q []float32, k int, accept func(int32) bool, cancelled
 // the work in ctr.
 func (c *Collection) scoreBlock(q []float32, table pq.Table, lo int, dots []float32, ctr *qdCounter) {
 	if c.quantizer != nil {
-		table.LookupBatch(c.codes[lo:lo+len(dots)], dots)
+		table.LookupBatch(c.codes, lo, dots)
 		ctr.lookups += int64(len(dots))
 		return
 	}
@@ -461,58 +480,91 @@ func (c *Collection) scoreBlock(q []float32, table pq.Table, lo int, dots []floa
 	ctr.dists += int64(len(dots))
 }
 
-// SelectNearest moves the k first of cands under the walk's (distance,
-// slot) order to the front, sorted, and returns them: a linear partial
-// select, then a sort of the k kept. Slots are distinct, so for NaN-free
-// distances the order is total and the result is the first k of a full
-// sort.
-func SelectNearest(cands []hnsw.Neighbor, k int) []hnsw.Neighbor {
-	if k < len(cands) {
-		partialSelect(cands, k)
-		cands = cands[:k]
+// Key is a scanned candidate packed for SelectNearest: the high word is the
+// bits of its distance 1 − d, mapped so that unsigned order is the float
+// order, and the low word its slot. Key order is then the walk's
+// (distance, slot) order (hnsw.Less). It is keyed on 1 − d, not on the
+// similarity d: two different d can round to the same 1 − d, which the
+// walk then orders by slot. −0 keys as +0, which Less holds equal (1 − d
+// is never −0), and every NaN — which Less orders with nothing — keys as
+// one value after +Inf: NaN candidates come last, by slot, with the
+// distance NaN 0x7fffffff.
+type Key uint64
+
+// KeyOf packs the candidate of similarity d at slot: distance 1 − d.
+func KeyOf(d float32, slot int32) Key {
+	dist := 1 - d
+	b := math.Float32bits(dist)
+	switch {
+	case dist != dist:
+		b = math.MaxUint32
+	case b == 1<<31: // −0
+		b = 1 << 31
+	case b>>31 != 0:
+		b = ^b
+	default:
+		b |= 1 << 31
 	}
-	slices.SortFunc(cands, hnsw.Compare)
-	return cands
+	return Key(uint64(b)<<32 | uint64(uint32(slot)))
 }
 
-// partialSelect reorders a so that a[:k] holds its k first entries under
-// hnsw.Less, in no particular order (0 < k < len(a)): quickselect with a
-// median-of-three pivot and a Lomuto partition that swaps unconditionally,
-// so the partition's one data-dependent branch is the counter increment.
-// Every round drops the pivot from the range, so it ends whatever the
-// comparisons say — a NaN distance included.
-func partialSelect(a []hnsw.Neighbor, k int) {
-	lo, hi := 0, len(a)
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if hnsw.Less(a[mid], a[lo]) {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if hnsw.Less(a[hi-1], a[lo]) {
-			a[hi-1], a[lo] = a[lo], a[hi-1]
-		}
-		if hnsw.Less(a[mid], a[hi-1]) {
-			a[mid], a[hi-1] = a[hi-1], a[mid]
-		}
-		pivot, store := a[hi-1], lo
-		for i := lo; i < hi-1; i++ {
-			x := a[i]
-			a[i] = a[store]
-			a[store] = x
-			if hnsw.Less(x, pivot) {
-				store++
+// Dist returns the key's distance, 1 − d.
+func (k Key) Dist() float32 {
+	b := uint32(k >> 32)
+	if b>>31 != 0 {
+		return math.Float32frombits(b &^ (1 << 31))
+	}
+	return math.Float32frombits(^b)
+}
+
+// Slot returns the key's slot.
+func (k Key) Slot() int32 { return int32(uint32(k)) }
+
+// SelectNearest moves the k least of keys to the front, sorted, and
+// returns them: the k first candidates under the walk's (distance, slot)
+// order. Slots are distinct, so every key is, and the result is the first
+// k of a full sort. It is a quickselect with a median-of-three pivot and a
+// Lomuto partition that swaps unconditionally and counts with the borrow
+// of a subtraction, so the partition's loop has no data-dependent branch,
+// then a sort of the k kept. ANNS's scan and CTS's cluster probes both
+// select with it.
+func SelectNearest(keys []Key, k int) []Key {
+	if k < len(keys) {
+		lo, hi := 0, len(keys)
+	partition:
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if keys[mid] < keys[lo] {
+				keys[mid], keys[lo] = keys[lo], keys[mid]
+			}
+			if keys[hi-1] < keys[lo] {
+				keys[hi-1], keys[lo] = keys[lo], keys[hi-1]
+			}
+			if keys[mid] < keys[hi-1] {
+				keys[mid], keys[hi-1] = keys[hi-1], keys[mid]
+			}
+			pivot, store := keys[hi-1], lo
+			for i := lo; i < hi-1; i++ {
+				x := keys[i]
+				keys[i] = keys[store]
+				keys[store] = x
+				_, less := bits.Sub64(uint64(x), uint64(pivot), 0) // x < pivot, as a borrow
+				store += int(less)
+			}
+			keys[store], keys[hi-1] = keys[hi-1], keys[store]
+			switch {
+			case k < store:
+				hi = store
+			case k > store+1:
+				lo = store + 1
+			default:
+				break partition
 			}
 		}
-		a[store], a[hi-1] = a[hi-1], a[store]
-		switch {
-		case k < store:
-			hi = store
-		case k > store+1:
-			lo = store + 1
-		default:
-			return
-		}
+		keys = keys[:k]
 	}
+	slices.Sort(keys)
+	return keys
 }
 
 // results materializes found slots as results.
@@ -627,7 +679,8 @@ func (c *Collection) queryDist(q []float32, dst *pq.Table) func(int32) float32 {
 	if c.quantizer != nil {
 		table := c.quantizer.DotTable(q, *dst)
 		*dst = table
-		return func(slot int32) float32 { return 1 - table.Lookup(c.codes[slot]) }
+		codes := c.codes
+		return func(slot int32) float32 { return 1 - table.Lookup(codes, int(slot)) }
 	}
 	return func(slot int32) float32 { return 1 - vec.Dot(q, c.vectors[slot]) }
 }
@@ -662,11 +715,12 @@ type Stats struct {
 // Stats reports size and compression state.
 func (c *Collection) Stats() Stats {
 	var bytesUsed int64
-	for _, v := range c.vectors {
-		bytesUsed += int64(len(v)) * 4
-	}
-	for _, code := range c.codes {
-		bytesUsed += int64(len(code))
+	if c.codes != nil {
+		bytesUsed = int64(c.codes.Size())
+	} else {
+		for _, v := range c.vectors {
+			bytesUsed += int64(len(v)) * 4
+		}
 	}
 	return Stats{
 		Points:      len(c.tags),

@@ -16,10 +16,9 @@ func linkedRows(c *Collection) int { return c.index.Len() }
 
 // TestLinkRuleAtTheBound pins when Build links rows into the graph. At M 4
 // and EfSearch 16 a default query scans up to ¾ × 16 × 8 = 96 points. Up
-// to that size a raw collection links nothing and a PQ collection only the
-// rows stored before the training set's last one (linked under raw
-// distances before training drops their vectors); one row more and Build
-// links every row. The graph the first GraphStats links then equals, edge
+// to that size neither a raw nor a PQ collection links a row (the PQ one
+// keeps the raw vectors of the rows before the training set's last one
+// until the link); one row more and Build links every row. The graph the first GraphStats links then equals, edge
 // for edge, a twin's whose EfSearch of 1 made Build link every row.
 func TestLinkRuleAtTheBound(t *testing.T) {
 	const bound = 96
@@ -29,7 +28,7 @@ func TestLinkRuleAtTheBound(t *testing.T) {
 		atBound int
 	}{
 		{"raw", nil, 0},
-		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 40}, 39},
+		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 40}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := CollectionConfig{Dim: 16, M: 4, EfSearch: 16, Seed: 3, PQ: tc.pq, Workers: 1}
@@ -65,7 +64,7 @@ func TestNarrowBeamWalkLinksFirst(t *testing.T) {
 		pending int
 	}{
 		{"raw", nil, n},
-		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 200}, n - 199},
+		{"pq", &PQConfig{M: 4, K: 16, TrainSize: 200}, n},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(8))
@@ -126,7 +125,7 @@ func TestNarrowBeamWalkLinksFirst(t *testing.T) {
 
 // TestConcurrentLinkOnWalk runs, under -race, narrow-beam first walks,
 // default scans and GraphStats at once on a fresh collection below the
-// bound, whose rows past the training set are pending: every graph reader
+// bound, whose rows are all pending: every graph reader
 // waits for the one link, so none may walk into an unlinked slot, and
 // every answer equals a serially used twin's.
 func TestConcurrentLinkOnWalk(t *testing.T) {
@@ -155,8 +154,8 @@ func TestConcurrentLinkOnWalk(t *testing.T) {
 	}
 
 	c := build(t, cfg, vecs, tags)
-	if linkedRows(c) != train-1 {
-		t.Fatalf("%d rows linked below the bound, want the %d before training", linkedRows(c), train-1)
+	if linkedRows(c) != 0 {
+		t.Fatalf("%d rows linked below the bound, want none", linkedRows(c))
 	}
 	// All readers start at once, so several reach the link together.
 	start := make(chan struct{})

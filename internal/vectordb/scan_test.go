@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"semdisco/internal/hnsw"
 	"semdisco/internal/obs"
+	"semdisco/internal/pq"
 )
 
 // sameResults fails unless a and b hold the same hits in the same order:
@@ -29,15 +32,15 @@ func sameResults(t *testing.T, what string, a, b []Result) {
 // where that walk is exhaustive: a beam of at least the slot count over a
 // connected graph evaluates every slot and evicts none, so it returns the
 // first k accepted slots under (distance, slot) — what the scan computes.
-// Raw, PQ at K = 256 (LookupBatch's four-code pass) and PQ at K = 30
-// (Lookup per code) collections carry duplicate vectors (so distances tie
+// Raw, PQ at K = 256 (LookupBatch's eight-slot kernel) and PQ at K = 30
+// (its Go body) collections carry duplicate vectors (so distances tie
 // and the slot order decides) and tags a filter rejects; the queries include
 // stored vectors and k beyond the row count. Every query's results, single
 // and in a block, must match the forced walk in tags and score bits, and
 // the default plan must take the scan and charge one
 // ADC lookup (raw: one distance) per slot and no hops.
 func TestScanMatchesExhaustiveWalk(t *testing.T) {
-	const n, dim = 605, 32 // the last scan block holds 29 slots: 7 four-code passes and one slot left
+	const n, dim = 605, 32 // the last scan block holds 29 slots: 3 arena blocks and 5 slots of a padded one
 	for _, tc := range []struct {
 		name string
 		pq   *PQConfig
@@ -210,6 +213,134 @@ func BenchmarkSearchPlan(b *testing.B) {
 					}
 					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/query")
 				})
+			}
+		}
+	}
+}
+
+// BenchmarkScan times one query's scan in anns-graph's shape — 1,822
+// PQ-coded slots at dim 256 (64 subspaces of 4 dims, K = 256), k = the
+// fanout 320 — whole, and in its three parts: the query's ADC table, the
+// arena's lookups (LookupBatch over every slot) and the select (a key per
+// slot, then SelectNearest), in µs per query.
+func BenchmarkScan(b *testing.B) {
+	const n, dim, k, nQueries = 1822, 256, 320, 16
+	rng := rand.New(rand.NewSource(23))
+	vecs, _ := randUnits(n, dim, rng)
+	c := build(b, CollectionConfig{Dim: dim, Seed: 23, PQ: &PQConfig{M: 64, K: 256, TrainSize: 512}}, vecs, nil)
+	queries := make([][]float32, nQueries)
+	for i := range queries {
+		queries[i] = randUnit(dim, rng)
+	}
+	prepared := Prepare(queries)
+	ws := new(walkScratch)
+	tables := make([]pq.Table, nQueries)
+	dots := make([][]float32, nQueries)
+	for j, q := range prepared {
+		tables[j] = c.quantizer.DotTable(q, pq.Table{})
+		dots[j] = make([]float32, n)
+		tables[j].LookupBatch(c.codes, 0, dots[j])
+	}
+	out := make([]float32, n)
+	keys := make([]Key, 0, n)
+	for _, bc := range []struct {
+		name string
+		fn   func(j int)
+	}{
+		{"scan", func(j int) { c.scan(prepared[j], k, nil, nil, nil, ws) }},
+		{"table", func(j int) { ws.table = c.quantizer.DotTable(prepared[j], ws.table) }},
+		{"lookups", func(j int) { tables[j].LookupBatch(c.codes, 0, out) }},
+		{"select", func(j int) {
+			keys = keys[:0]
+			for slot, d := range dots[j] {
+				keys = append(keys, KeyOf(d, int32(slot)))
+			}
+			SelectNearest(keys, k)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.fn(i % nQueries)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/query")
+		})
+	}
+}
+
+// TestSelectNearestMatchesSort holds SelectNearest over KeyOf's keys to a
+// full sort of the same candidates under hnsw.Compare — the walk's
+// (distance, slot) order — for k of 1, 2, n−1, n and n+3, slot and distance
+// bits alike. The similarities repeat (equal distances, ordered by slot),
+// include pairs d ≠ d′ whose distances 1 − d and 1 − d′ round to one float
+// (ordered by slot too, not by d), ±Inf and exact ±1, and the candidates
+// arrive shuffled. A NaN similarity's candidate, which Compare orders with
+// nothing, sorts after every number, NaNs by slot, with distance NaN.
+func TestSelectNearestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	// Each pair d ≠ d′ rounds to one distance: 1 − d is 1 for both of the
+	// first two, and the others are neighbouring floats in [¼, ½), whose
+	// ulp is half that of 1 − d.
+	collide := [][2]float32{{1e-9, 2e-9}, {-1e-9, 3e-9}}
+	for len(collide) < 8 {
+		d := 0.25 + rng.Float32()/4
+		d2 := math.Float32frombits(math.Float32bits(d) + 1)
+		if 1-d == 1-d2 {
+			collide = append(collide, [2]float32{d, d2})
+		}
+	}
+	for _, n := range []int{1, 2, 3, 8, 9, 64, 333} {
+		for _, nans := range []int{0, 1, 3} {
+			sims := make([]float32, n)
+			for i := range sims {
+				switch r := rng.Intn(10); {
+				case r < 4:
+					sims[i] = float32(rng.Intn(7)) / 6 // repeats
+				case r < 6:
+					p := collide[rng.Intn(len(collide))]
+					sims[i] = p[rng.Intn(2)]
+				case r == 6:
+					sims[i] = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), 1, -1}[rng.Intn(4)]
+				default:
+					sims[i] = float32(rng.NormFloat64())
+				}
+			}
+			for i := 0; i < nans && i < n; i++ {
+				sims[rng.Intn(n)] = float32(math.NaN())
+			}
+			var want, nan []hnsw.Neighbor
+			for slot, d := range sims {
+				nb := hnsw.Neighbor{ID: int32(slot) * 3, Dist: 1 - d}
+				if d != d {
+					nan = append(nan, nb)
+				} else {
+					want = append(want, nb)
+				}
+			}
+			slices.SortFunc(want, hnsw.Compare)
+			want = append(want, nan...) // already by slot
+			keys := make([]Key, n)
+			for slot, d := range sims {
+				keys[slot] = KeyOf(d, int32(slot)*3)
+			}
+			for _, k := range []int{1, 2, n - 1, n, n + 3} {
+				in := slices.Clone(keys)
+				rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+				got := SelectNearest(in, k)
+				if len(got) != min(k, n) {
+					t.Fatalf("n %d, k %d: %d keys selected", n, k, len(got))
+				}
+				for i, key := range got {
+					w := want[i]
+					wantBits := math.Float32bits(w.Dist)
+					if w.Dist != w.Dist {
+						wantBits = 0x7fffffff
+					}
+					if key.Slot() != w.ID || math.Float32bits(key.Dist()) != wantBits {
+						t.Fatalf("n %d, %d NaNs, k %d: rank %d is slot %d at %v, sort gives slot %d at %v",
+							n, nans, k, i, key.Slot(), key.Dist(), w.ID, w.Dist)
+					}
+				}
 			}
 		}
 	}

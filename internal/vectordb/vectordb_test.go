@@ -1,10 +1,9 @@
 package vectordb
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"semdisco/internal/vec"
@@ -166,7 +165,8 @@ func TestFilteredSearch(t *testing.T) {
 }
 
 // TestPQCompression: a collection built from fewer than TrainSize vectors
-// stays raw, one of TrainSize or more is coded with no raw vector left, and
+// stays raw; one of TrainSize or more is coded, keeping raw vectors only for
+// the rows before the training set's last one, and none once linked; and
 // the coded graph still finds each stored vector's region.
 func TestPQCompression(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -175,10 +175,13 @@ func TestPQCompression(t *testing.T) {
 	for _, n := range []int{99, 100} {
 		c := build(t, cfg, vecs[:n], nil)
 		raw := c.quantizer == nil && c.codes == nil && len(c.vectors) == n
-		coded := c.quantizer != nil && c.vectors == nil && len(c.codes) == n &&
-			!slices.ContainsFunc(c.codes, func(code []byte) bool { return len(code) != c.quantizer.CodeLen() })
+		coded := c.quantizer != nil && len(c.vectors) == 99 && c.codes.Len() == n &&
+			c.codes.Size() == (n+7)/8*8*c.quantizer.CodeLen()
 		if raw == coded || coded != (n >= 100) {
 			t.Fatalf("%d rows: raw %v, coded %v", n, raw, coded)
+		}
+		if c.GraphStats(); coded && c.vectors != nil {
+			t.Fatalf("%d rows: %d raw vectors kept after the link", n, len(c.vectors))
 		}
 	}
 	c := build(t, cfg, vecs, tags)
@@ -253,10 +256,8 @@ func TestBuildParallel(t *testing.T) {
 	serialCfg := cfg
 	serialCfg.Workers = 1
 	sc := build(t, serialCfg, vecs, nil)
-	for slot := range sc.codes {
-		if !bytes.Equal(sc.codes[slot], c.codes[slot]) {
-			t.Fatalf("codes[%d] depend on worker count", slot)
-		}
+	if !reflect.DeepEqual(sc.codes, c.codes) {
+		t.Fatal("codes depend on worker count")
 	}
 	res, err := searchOne(c, vecs[17], 3, 0, nil)
 	if err != nil || len(res) == 0 {
