@@ -33,10 +33,13 @@ race-cluster:
 	$(GO) test -race ./internal/cluster/... ./internal/netcluster/
 
 # The timing-based tests of the replica Group's failover loop (attempt
-# timeout, back-off, final errors, a hung replica, a whole set down); ten
-# race-checked rounds shake out an ordering that one round lets through.
+# timeout, back-off, final errors, a hung replica, a whole set down) and of
+# the search streams under it (a cancelled exchange's stream never pooled,
+# a killed replica's streams failing over, the pool's cap, the deadline
+# budget); ten race-checked rounds shake out an ordering that one round
+# lets through.
 failover-stress:
-	$(GO) test -race -count=10 -run 'Failover|FailsOver|HungReplica|WholeSetDown|NonRetryable' ./internal/netcluster/
+	$(GO) test -race -count=10 -run 'Failover|FailsOver|HungReplica|WholeSetDown|NonRetryable|Stream' ./internal/netcluster/
 
 # Everything off the amd64 assembly path still has to build and agree:
 # arm64 compiles every package against the stubs in dotbatch_generic.go,
@@ -65,7 +68,7 @@ portable:
 # A few seconds of coverage-guided search per fuzz target in the tree: the
 # centroid bound, the engine image reader (LoadEngine, the one decoder a
 # file on disk reaches) and the embedded-federation image inside it, the
-# coordinator↔shard wire frame, the CSV reader, the text pipeline (the
+# coordinator↔shard wire frame and the stream envelope around it, the CSV reader, the text pipeline (the
 # tokenizer against its reference), the traceparent parser, and the HTTP
 # search codec: the request decoder against encoding/json's Decoder and the
 # search and batch response encoders against its Encoder, byte for byte.
@@ -74,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCentroidBound$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEmbedded$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 5s ./internal/netcluster
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamEnvelope$$' -fuzztime 5s ./internal/netcluster
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadEngine$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime 5s ./internal/text

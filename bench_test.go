@@ -460,3 +460,54 @@ func BenchmarkCostAccounting(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNetCoordinator measures the coordinator↔shard hop: a
+// NetCoordinator over 2 sets × 2 replicas of ExS shards on loopback
+// servers, over the corpus of bench/'s coord-fanout workload (WikiTables at
+// scale 1, seed 7, dim 256). ns/op and allocs/op are per search (search)
+// and per 64-query batch (batch64), and include the shards' side, which
+// runs in the same process.
+//
+//	go test -run '^$' -bench NetCoordinator -benchtime 2000x .
+func BenchmarkNetCoordinator(b *testing.B) {
+	p := corpus.WikiTables()
+	p.Seed = 7
+	c := corpus.Generate(p)
+	cfg := Config{Method: ExS, Dim: 256, Seed: 7, Lexicon: c.Lexicon}
+	const sets, replicas = 2, 2
+	urls := make([][]string, sets)
+	for s := range urls {
+		for r := 0; r < replicas; r++ {
+			eng, err := NewNetShard(c.Federation, NetShardConfig{Config: cfg, Sets: sets, Set: s})
+			if err != nil {
+				b.Fatal(err)
+			}
+			urls[s] = append(urls[s], serveShard(b, eng).URL)
+		}
+	}
+	nc, err := NewNetCoordinator(c.Federation, urls, NetCoordinatorConfig{Config: cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.Run("search", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := nc.SearchContext(ctx, c.Queries[i%len(c.Queries)].Text, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	batch := make([]Query, 64)
+	for i := range batch {
+		batch[i] = Query{Text: c.Queries[i*len(c.Queries)/len(batch)].Text, K: 10}
+	}
+	b.Run("batch64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := nc.DoBatch(ctx, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

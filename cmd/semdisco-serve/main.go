@@ -13,7 +13,7 @@
 //
 // loads the full corpus for encoder statistics but indexes only the
 // relations the placement ring assigns to its set, and serves the internal
-// encoded-search endpoints alongside the public API. Every replica of a
+// search stream alongside the public API. Every replica of a
 // set runs the identical command. A coordinator
 //
 //	semdisco-serve -dir ./tables -role coordinator \
@@ -234,7 +234,7 @@ func main() {
 
 // serveShard builds one shard server of a networked cluster: full-corpus
 // encoder statistics, partition-only index, internal encoded-search
-// endpoints mounted by httpapi.New.
+// stream mounted by httpapi.New.
 func serveShard(logger *slog.Logger, cfg semdisco.Config) {
 	if *dir == "" {
 		fatal(logger, "role shard", errors.New("-dir is required (the full corpus feeds the shared encoder statistics)"))
@@ -331,6 +331,7 @@ func serveEngine(logger *slog.Logger, eng *semdisco.Engine) {
 		Handler:           api,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	srv.RegisterOnShutdown(api.CloseStreams)
 	logger.Info("serving", "addr", *addr, "method", eng.Method().String())
 	serveHTTP(logger, srv, func() {
 		close(done)

@@ -79,15 +79,18 @@ func main() {
 	cfg := semdisco.Config{Method: semdisco.ExS, Dim: 256, Seed: 7, Lexicon: c.Lexicon}
 	const sets = 2
 	var servers []*httptest.Server
+	var apis []*httpapi.Server
 	var replicaSets [][]string
 	for set := 0; set < sets; set++ {
 		shard, err := semdisco.NewNetShard(c.Federation, semdisco.NetShardConfig{Config: cfg, Sets: sets, Set: set})
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := httptest.NewServer(httpapi.New(shard))
+		api := httpapi.New(shard)
+		srv := httptest.NewServer(api)
+		defer api.CloseStreams() // Close leaves the coordinator's search streams open
 		defer srv.Close()
-		servers = append(servers, srv)
+		servers, apis = append(servers, srv), append(apis, api)
 		replicaSets = append(replicaSets, []string{srv.URL})
 		fmt.Printf("shard server %d: %d relations\n", set, shard.NumRelations())
 	}
@@ -124,9 +127,11 @@ func main() {
 			q.Text, elapsed.Round(time.Microsecond), res.Degraded, identical)
 	}
 
-	// Take shard server 1 down: its set has no replica left, so the
+	// Take shard server 1 down — the listener and the search streams the
+	// coordinator holds to it: its set has no replica left, so the
 	// coordinator answers from set 0 alone and says so.
 	servers[1].Close()
+	apis[1].CloseStreams()
 	q := c.QueriesOf(corpus.Short)[0].Text
 	res, err := nc.Do(ctx, semdisco.Request{Query: q, K: 5})
 	if err != nil {

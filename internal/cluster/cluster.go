@@ -12,12 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
-	"semdisco/internal/par"
 )
 
 // Metric series recorded by the Router. Per-shard series carry a
@@ -260,9 +260,18 @@ func (r *Router) scatter(ctx context.Context, tr *obs.Trace, start time.Time, it
 		AnnotateInt("shards", n).
 		AnnotateInt("queries", len(items)).
 		AnnotateInt("k_prime", widest)
-	par.Each(n, n, func(i int) {
-		outs[i], errs[i] = r.searchShard(ctx, sp, i, qs, kPrimes)
-	})
+	// Every set but the last gets a goroutine; the last runs on the
+	// caller's, which would otherwise only wait.
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = r.searchShard(ctx, sp, i, qs, kPrimes)
+		}(i)
+	}
+	outs[n-1], errs[n-1] = r.searchShard(ctx, sp, n-1, qs, kPrimes)
+	wg.Wait()
 	var shardErrs []ShardError
 	for i := range outs {
 		if errs[i] != nil {

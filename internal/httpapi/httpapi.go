@@ -29,12 +29,12 @@
 //	GET  /v1/debug/slo          SLO burn rates per objective and window, with alert states
 //	GET  /debug/pprof/          runtime profiles (only with WithPprof)
 //
-// Engine-mode servers additionally mount the internal encoded-search
-// endpoints (POST /internal/v1/search/encoded and .../encoded/batch): a
-// networked-cluster coordinator that already embedded the query posts the
-// raw vector, so shards never re-encode. Coordinator-mode servers
-// (NewCoordinator) answer the public API by wire-level scatter-gather over
-// replica sets.
+// Engine-mode servers additionally mount the internal search stream
+// (GET /internal/v1/search/stream with Upgrade: semdisco-frame): a
+// networked-cluster coordinator that already embedded a query sends the
+// raw vector as a frame on a pooled, upgraded connection, so shards never
+// re-encode. Coordinator-mode servers (NewCoordinator) answer the public
+// API by wire-level scatter-gather over replica sets.
 //
 // Every request runs under a W3C trace context: an inbound traceparent
 // header is continued, otherwise a trace ID is minted; the ID is stamped
@@ -84,6 +84,8 @@ type Server struct {
 	log   *slog.Logger  // nil: request logging off
 	reg   *obs.Registry // backend registry; nil when metrics are disabled
 	start time.Time
+	// streams serves the internal search stream; nil in coordinator mode.
+	streams *netcluster.ShardHandler
 }
 
 // Option configures a Server.
@@ -107,18 +109,29 @@ func WithPprof() Option {
 }
 
 // New builds a Server around an engine. Alongside the public API the
-// server mounts the internal encoded-search endpoints (see
+// server mounts the internal search stream (see
 // semdisco/internal/netcluster): a coordinator that has already embedded a
-// query POSTs the raw vector here, so the shard never re-encodes. They are
-// what make an ordinary engine server usable as one shard of a networked
-// cluster. Only an engine serves /v1/datasets, source filters and the
-// index/recall debug endpoints; coordinator mode answers 501.
+// query sends the raw vector there, so the shard never re-encodes. It is
+// what makes an ordinary engine server usable as one shard of a networked
+// cluster; CloseStreams ends its streams. Only an engine serves
+// /v1/datasets, source filters and the index/recall debug endpoints;
+// coordinator mode answers 501.
 func New(eng *semdisco.Engine, opts ...Option) *Server {
 	s := newServer(eng, "engine", opts)
-	sh := netcluster.NewShardHandler(eng.EncodedBackend(), eng.Traces(), eng.Dim())
-	s.handle(netcluster.PathEncodedSearch, sh)
-	s.handle(netcluster.PathEncodedSearchBatch, sh)
+	s.streams = netcluster.NewShardHandler(eng.EncodedBackend(), eng.Traces(), s.reg, eng.Dim())
+	s.handle(netcluster.PathSearchStream, s.streams)
 	return s
+}
+
+// CloseStreams ends the internal search streams the server has upgraded
+// and refuses new ones; a stream running a search ends once it has
+// answered. http.Server.Shutdown and Close leave upgraded connections
+// open, so a shard server registers this with
+// http.Server.RegisterOnShutdown. A no-op in coordinator mode.
+func (s *Server) CloseStreams() {
+	if s.streams != nil {
+		s.streams.Close()
+	}
 }
 
 // NewCoordinator builds a Server fronting a networked-cluster coordinator:
@@ -245,6 +258,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.NewResponseController reach the connection beneath,
+// which the search stream's upgrade hijacks.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // ServeHTTP implements http.Handler: trace propagation + metrics + logging
 // middleware around the mux. Every request runs under a W3C trace context —
 // the inbound traceparent header's when one parses, a freshly minted one
@@ -368,7 +385,11 @@ func (s *Server) recordRequest(r *http.Request, sw *statusWriter, elapsed time.D
 	status := sw.status
 	if m := sw.route; m != nil {
 		m.requests(s.reg, status).Inc()
-		m.seconds.Get().Observe(elapsed)
+		// A 101's elapsed time is its search stream's lifetime, not a
+		// request's latency; the stream's frames are timed by netcluster.
+		if status != http.StatusSwitchingProtocols {
+			m.seconds.Get().Observe(elapsed)
+		}
 		return
 	}
 	// No registered handler ran: the mux redirected, or refused the

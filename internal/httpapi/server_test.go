@@ -1,9 +1,13 @@
 package httpapi
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -54,7 +58,7 @@ func modeConfig() semdisco.Config {
 
 // coordServer stands up the full networked stack over httpapi itself:
 // every replica is a complete httpapi.New shard server (public API plus
-// the internal wire endpoints), and the returned Server fronts a
+// the internal search stream), and the returned Server fronts a
 // NetCoordinator over them — the deployment cmd/semdisco-serve assembles,
 // in-process. transport (nil for the default) carries coordinator→shard
 // requests.
@@ -68,8 +72,12 @@ func coordServer(t *testing.T, fed *semdisco.Federation, cfg semdisco.Config, tr
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(New(eng))
-			t.Cleanup(srv.Close)
+			api := New(eng)
+			srv := httptest.NewServer(api)
+			t.Cleanup(func() {
+				srv.Close()
+				api.CloseStreams()
+			})
 			replicaSets[s] = append(replicaSets[s], srv.URL)
 		}
 	}
@@ -419,10 +427,10 @@ func TestServerRoutes(t *testing.T) {
 }
 
 // TestServerBodyLimit: no handler reads an unbounded body — one byte over
-// the cap is refused with 413 before it is parsed. The internal
-// encoded-search routes' cap is the length their frame header declares: a
-// valid one-query header followed by the same oversized body is refused
-// the same way.
+// the cap is refused with 413 before it is parsed. On the internal search
+// stream the cap is the length a frame's header declares: a valid
+// one-query header in an envelope that goes on for the same oversized body
+// is refused the same way, and the stream answers the next frame.
 func TestServerBodyLimit(t *testing.T) {
 	eng := mustOpen(t, netFed(t, 4), modeConfig())
 	srv := New(eng)
@@ -439,17 +447,50 @@ func TestServerBodyLimit(t *testing.T) {
 			t.Errorf("%s %s with %d-byte body = %d, want 413: %.80s", r.method, r.path, len(huge), rec.Code, out)
 		}
 	}
-	// version 1, one query of eng.Dim() components, k = 1, then the rest.
+
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.CloseStreams()
+	})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+		netcluster.PathSearchStream, netcluster.StreamProtocol)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v, %v", resp, err)
+	}
+	// An envelope: length, zero trace context and budget, then version 1,
+	// one query of eng.Dim() components, k = 1, then the rest.
 	frame := []byte{1, 1, 0, 0, 0, byte(eng.Dim()), byte(eng.Dim() >> 8), 0, 0, 1, 0, 0, 0}
-	frame = append(frame, huge...)
-	for _, path := range []string{netcluster.PathEncodedSearch, netcluster.PathEncodedSearchBatch} {
-		req := httptest.NewRequest("POST", path, strings.NewReader(string(frame)))
-		req.Header.Set("Content-Type", netcluster.FrameContentType)
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s with a %d-byte frame body = %d, want 413: %.80s", path, len(frame), rec.Code, rec.Body)
+	send := func(frame []byte) int {
+		t.Helper()
+		env := binary.LittleEndian.AppendUint32(nil, uint32(16+8+1+1+len(frame)))
+		env = append(append(env, make([]byte, 16+8+1+1)...), frame...)
+		if _, err := conn.Write(env); err != nil {
+			t.Fatal(err)
 		}
+		var head [6]byte
+		if _, err := io.ReadFull(br, head[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.CopyN(io.Discard, br, int64(binary.LittleEndian.Uint32(head[:]))-2); err != nil {
+			t.Fatal(err)
+		}
+		return int(binary.LittleEndian.Uint16(head[4:]))
+	}
+	oversized := append(append([]byte{}, frame...), huge...)
+	if got := send(oversized); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("a %d-byte frame declaring %d = %d, want 413", len(oversized), len(frame)+4*eng.Dim(), got)
+	}
+	whole := append(append([]byte{}, frame...), make([]byte, 4*eng.Dim())...)
+	if got := send(whole); got != http.StatusOK {
+		t.Errorf("the next frame on the stream = %d, want 200", got)
 	}
 }
 

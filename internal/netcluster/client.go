@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
+	"syscall"
+	"time"
 
 	"semdisco/internal/core"
 	"semdisco/internal/obs"
@@ -50,16 +54,32 @@ func (e *MalformedError) Error() string {
 
 func (e *MalformedError) Unwrap() error { return e.Err }
 
-// Client speaks the wire protocol to one shard server. It is cheap (one
-// *http.Client) and safe for concurrent use.
+// Client speaks the wire protocol to one shard server: searches as frames
+// on pooled search streams, writes and probes as JSON over plain HTTP. It
+// is safe for concurrent use.
 type Client struct {
 	base string // "http://127.0.0.1:8081", no trailing slash
 	hc   *http.Client
+
+	mu   sync.Mutex
+	idle []*stream // LIFO: the most recently used stream is reused first
+}
+
+// maxIdleStreams caps the idle streams a Client keeps to one shard; a
+// stream finishing an exchange while the pool is full is closed.
+const maxIdleStreams = 8
+
+// stream is one search stream: the upgraded connection and the buffer its
+// request and answer envelopes are built and read in.
+type stream struct {
+	rwc io.ReadWriteCloser
+	buf []byte
 }
 
 // NewClient builds a client for a shard base URL over a transport (nil
 // means http.DefaultTransport; the coordinator passes its fault-injectable
-// transport). Deadlines come from the per-call context, not the client.
+// transport). Search streams are dialed through it too, as upgrade
+// requests. Deadlines come from the per-call context, not the client.
 func NewClient(base string, rt http.RoundTripper) *Client {
 	return &Client{
 		base: strings.TrimRight(base, "/"),
@@ -75,13 +95,12 @@ func (c *Client) URL() string { return c.base }
 // coordinator's memory.
 const maxResponseBytes = 16 << 20
 
-// do issues one request with an optional body of the given content type,
-// propagating the context's W3C trace context as a traceparent header and
-// classifying every failure mode: transport errors attribute to the
-// context's error when it caused them, and non-2xx becomes *RemoteError
-// carrying the unified error body's code. On success the caller owns the
-// response body.
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
+// do issues one request with an optional JSON body, propagating the
+// context's W3C trace context as a traceparent header and classifying
+// every failure mode: transport errors attribute to the context's error
+// when it caused them, and non-2xx becomes *RemoteError carrying the
+// unified error body's code. On success the caller owns the response body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -91,32 +110,43 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		return nil, fmt.Errorf("netcluster: building request: %w", err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if sc, ok := obs.SpanContextFrom(ctx); ok && sc.Valid() {
 		req.Header.Set("traceparent", sc.Traceparent())
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		if ctx.Err() != nil {
-			// Attribute the failure to the deadline/cancellation that caused
-			// it, so errors.Is(err, context.DeadlineExceeded) holds upstream.
-			return nil, fmt.Errorf("netcluster: %s %s: %w", method, c.base+path, ctx.Err())
-		}
-		return nil, err
+		return nil, ctxError(ctx, method+" "+c.base+path, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
-		re := &RemoteError{URL: c.base + path, Status: resp.StatusCode}
-		var eb ErrorBody
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); err == nil {
-			re.Code, re.Msg = eb.Code, eb.Error
-		} else {
-			re.Msg = "undecodable error body"
-		}
-		return nil, re
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, remoteError(c.base+path, resp.StatusCode, b)
 	}
 	return resp, nil
+}
+
+// ctxError attributes a failed exchange to the deadline or cancellation
+// that caused it, so errors.Is(err, context.DeadlineExceeded) holds
+// upstream.
+func ctxError(ctx context.Context, what string, err error) error {
+	if ctx.Err() != nil {
+		return fmt.Errorf("netcluster: %s: %w", what, ctx.Err())
+	}
+	return err
+}
+
+// remoteError classifies a non-2xx answer by its unified error body.
+func remoteError(url string, status int, body []byte) *RemoteError {
+	re := &RemoteError{URL: url, Status: status}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err == nil {
+		re.Code, re.Msg = eb.Code, eb.Error
+	} else {
+		re.Msg = "undecodable error body"
+	}
+	return re
 }
 
 // call issues one JSON request of the write path or a probe (in may be
@@ -129,7 +159,7 @@ func (c *Client) call(ctx context.Context, method, path string, in interface{}) 
 			return fmt.Errorf("netcluster: encoding request: %w", err)
 		}
 	}
-	resp, err := c.do(ctx, method, path, "application/json", body)
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
@@ -138,42 +168,157 @@ func (c *Client) call(ctx context.Context, method, path string, in interface{}) 
 	return nil
 }
 
-// search posts a block of queries as one request frame to an
-// encoded-search route and decodes the response frame: the one body of
-// SearchEncoded and SearchEncodedBatch. A 2xx body over maxResponseBytes,
-// damaged, or answering another number of queries is *MalformedError.
-func (c *Client) search(ctx context.Context, path string, qs [][]float32, ks []int) (reply, error) {
-	frame, err := appendRequest(nil, qs, ks)
+// dial opens a search stream: an upgrade request through the client's
+// transport, whose 101 answer carries the connection as its body.
+func (c *Client) dial(ctx context.Context) (*stream, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathSearchStream, nil)
 	if err != nil {
-		return reply{}, err
+		return nil, fmt.Errorf("netcluster: building request: %w", err)
 	}
-	resp, err := c.do(ctx, http.MethodPost, path, FrameContentType, frame)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", StreamProtocol)
+	resp, err := c.hc.Do(req)
 	if err != nil {
-		return reply{}, err
+		return nil, ctxError(ctx, "dialing "+c.base+PathSearchStream, err)
+	}
+	if rwc, ok := resp.Body.(io.ReadWriteCloser); ok && resp.StatusCode == http.StatusSwitchingProtocols {
+		return &stream{rwc: rwc}, nil
 	}
 	defer resp.Body.Close()
-	// MinRead spare bytes let the read that finds EOF run without growing.
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxResponseBytes)+bytes.MinRead))
-	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes+1))
-	var rep reply
-	switch {
-	case err != nil:
-	case buf.Len() > maxResponseBytes:
-		err = fmt.Errorf("body exceeds %d bytes", maxResponseBytes)
-	default:
-		if rep, err = decodeResponse(buf.Bytes()); err == nil && len(rep.ms) != len(qs) {
-			err = fmt.Errorf("sent %d queries, got %d answers", len(qs), len(rep.ms))
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if resp.StatusCode/100 != 2 {
+		return nil, remoteError(c.base+PathSearchStream, resp.StatusCode, b)
+	}
+	return nil, &MalformedError{URL: c.base + PathSearchStream, Err: fmt.Errorf("answered %d, not a stream", resp.StatusCode)}
+}
+
+// take pops the most recently pooled stream, or dials one when the pool
+// is empty; reused reports which.
+func (c *Client) take(ctx context.Context) (s *stream, reused bool, err error) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		s = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+	}
+	c.mu.Unlock()
+	if s != nil {
+		return s, true, nil
+	}
+	s, err = c.dial(ctx)
+	return s, false, err
+}
+
+// put pools a stream whose exchange finished cleanly, or closes it when
+// the pool is full.
+func (c *Client) put(s *stream) {
+	if cap(s.buf) > 1<<20 {
+		s.buf = nil // a rare huge answer does not stay with the pool
+	}
+	c.mu.Lock()
+	if len(c.idle) < maxIdleStreams {
+		c.idle = append(c.idle, s)
+		s = nil
+	}
+	c.mu.Unlock()
+	if s != nil {
+		s.rwc.Close()
+	}
+}
+
+// search sends a block of queries as one request envelope on a pooled
+// stream and decodes the answer: the one body of SearchEncoded and
+// SearchEncodedBatch. A 2xx answer over maxResponseBytes, damaged, or
+// answering another number of queries is *MalformedError. A pooled stream
+// the shard closed while it idled is dropped and the search goes on with
+// the next one, or a fresh one once the pool is empty.
+func (c *Client) search(ctx context.Context, qs [][]float32, ks []int) (reply, error) {
+	for {
+		s, reused, err := c.take(ctx)
+		if err != nil {
+			return reply{}, err
 		}
+		rep, err := c.exchange(ctx, s, qs, ks)
+		if reused && errors.Is(err, errNoAnswer) && peerClosed(err) && ctx.Err() == nil {
+			continue
+		}
+		return rep, err
+	}
+}
+
+// peerClosed reports a connection the other end had closed or reset.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
+// exchange runs one request/answer exchange on s and pools s when it
+// finished cleanly; a stream whose exchange failed, or whose ctx ended
+// during it, is closed and never pooled. A ctx that ends mid-exchange
+// closes the stream, which unblocks its write or read.
+func (c *Client) exchange(ctx context.Context, s *stream, qs [][]float32, ks []int) (reply, error) {
+	sc, _ := obs.SpanContextFrom(ctx)
+	var budget time.Duration
+	if dl, ok := ctx.Deadline(); ok {
+		budget = max(time.Until(dl), 1)
+	}
+	buf, err := appendEnvelope(s.buf[:0], sc, budget, qs, ks)
+	if err != nil {
+		c.put(s)
+		return reply{}, err
+	}
+	live := func() bool { return true }
+	if ctx.Done() != nil {
+		live = context.AfterFunc(ctx, func() { s.rwc.Close() })
+	}
+	var (
+		rep    reply
+		status int
+		body   []byte
+	)
+	if _, err = s.rwc.Write(buf); err != nil {
+		err = fmt.Errorf("%w: %w", errNoAnswer, err)
+	} else if buf, status, body, err = readAnswer(s.rwc, buf); err == nil {
+		rep, err = c.decodeAnswer(status, body, len(qs))
+	} else if !errors.Is(err, errNoAnswer) {
+		err = &MalformedError{URL: c.base + PathSearchStream, Err: err}
+	}
+	s.buf = buf
+	if !live() || err != nil {
+		s.rwc.Close()
+		switch {
+		case ctx.Err() != nil:
+			return reply{}, ctxError(ctx, "searching "+c.base, ctx.Err())
+		case errors.Is(err, errNoAnswer):
+			return reply{}, fmt.Errorf("netcluster: searching %s: %w", c.base, err)
+		}
+		return reply{}, err
+	}
+	c.put(s)
+	return rep, nil
+}
+
+// decodeAnswer turns an answer envelope's status and body into the reply
+// to nq queries: *RemoteError for a non-2xx, *MalformedError for a 2xx
+// body that is damaged or answers another number of queries.
+func (c *Client) decodeAnswer(status int, body []byte, nq int) (reply, error) {
+	switch {
+	case status < 200 || status > 599:
+		return reply{}, &MalformedError{URL: c.base + PathSearchStream, Err: fmt.Errorf("status %d", status)}
+	case status/100 != 2:
+		return reply{}, remoteError(c.base+PathSearchStream, status, body)
+	}
+	rep, err := decodeResponse(body)
+	if err == nil && len(rep.ms) != nq {
+		err = fmt.Errorf("sent %d queries, got %d answers", nq, len(rep.ms))
 	}
 	if err != nil {
-		return reply{}, &MalformedError{URL: c.base + path, Err: err}
+		return reply{}, &MalformedError{URL: c.base + PathSearchStream, Err: err}
 	}
 	return rep, nil
 }
 
 // SearchEncoded runs one pre-encoded query on the shard.
 func (c *Client) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.Match, obs.CostReport, []obs.SpanRecord, error) {
-	rep, err := c.search(ctx, PathEncodedSearch, [][]float32{q}, []int{k})
+	rep, err := c.search(ctx, [][]float32{q}, []int{k})
 	if err != nil {
 		return nil, obs.CostReport{}, nil, err
 	}
@@ -182,7 +327,7 @@ func (c *Client) SearchEncoded(ctx context.Context, q []float32, k int) ([]core.
 
 // SearchEncodedBatch runs a blocked multi-query request on the shard.
 func (c *Client) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks []int) ([][]core.Match, []obs.CostReport, []obs.SpanRecord, error) {
-	rep, err := c.search(ctx, PathEncodedSearchBatch, qs, ks)
+	rep, err := c.search(ctx, qs, ks)
 	if err != nil {
 		return nil, nil, nil, err
 	}

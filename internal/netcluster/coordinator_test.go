@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -60,14 +59,13 @@ func newCoordFixture(t *testing.T, sets, replicas int, opts CoordinatorOptions) 
 	for s := 0; s < sets; s++ {
 		backend := &fakeBackend{matches: rankedMatches(s, 10)}
 		fx.backends = append(fx.backends, backend)
-		h := NewShardHandler(backend, nil, 0)
+		h := NewShardHandler(backend, nil, nil, 0)
 		var urls []string
 		var logs []*writeLog
 		for r := 0; r < replicas; r++ {
 			log := &writeLog{}
 			mux := http.NewServeMux()
-			mux.Handle(PathEncodedSearch, h)
-			mux.Handle(PathEncodedSearchBatch, h)
+			mux.Handle(PathSearchStream, h)
 			mux.HandleFunc("POST /v1/relations", func(w http.ResponseWriter, r *http.Request) {
 				log.add("add")
 				w.WriteHeader(http.StatusCreated)
@@ -78,9 +76,7 @@ func newCoordFixture(t *testing.T, sets, replicas int, opts CoordinatorOptions) 
 			mux.HandleFunc("PUT /v1/relations/{id}", func(w http.ResponseWriter, r *http.Request) {
 				log.add("update " + r.PathValue("id"))
 			})
-			srv := httptest.NewServer(mux)
-			t.Cleanup(srv.Close)
-			urls = append(urls, srv.URL)
+			urls = append(urls, serveStreams(t, mux, h).URL)
 			logs = append(logs, log)
 		}
 		fx.urls = append(fx.urls, urls)

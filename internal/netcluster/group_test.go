@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -79,13 +78,11 @@ type groupFixture struct {
 func newGroupFixture(t *testing.T, replicas int, opts GroupOptions) *groupFixture {
 	t.Helper()
 	backend := &fakeBackend{matches: rankedMatches(0, 8)}
-	h := NewShardHandler(backend, nil, 0)
+	h := NewShardHandler(backend, nil, nil, 0)
 	inj := NewFaultInjector(nil)
 	urls := make([]string, replicas)
 	for i := range urls {
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
+		urls[i] = serveStreams(t, h, h).URL
 	}
 	g, err := NewGroup(0, urls, func(u string) *Client { return NewClient(u, inj) }, opts)
 	if err != nil {

@@ -1,20 +1,74 @@
 package netcluster
 
 import (
-	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 )
 
-// postFrame sends body to one of the handler's routes as a request frame.
-func postFrame(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", FrameContentType)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
+// serveStreams serves h on a loopback server; cleanup closes the server
+// and then sh's streams, which the server's Close leaves open.
+func serveStreams(t testing.TB, h http.Handler, sh *ShardHandler) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(func() {
+		srv.Close()
+		sh.Close()
+	})
+	return srv
+}
+
+// rawStream is a search stream driven by hand, for envelopes a Client
+// would never send.
+type rawStream struct {
+	t   testing.TB
+	rwc io.ReadWriteCloser
+}
+
+// dialStream upgrades a connection to the shard at base.
+func dialStream(t testing.TB, base string) *rawStream {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+PathSearchStream, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", StreamProtocol)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if !ok || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade answered %d", resp.StatusCode)
+	}
+	t.Cleanup(func() { rwc.Close() })
+	return &rawStream{t: t, rwc: rwc}
+}
+
+// sendFrame sends frame in an envelope with no trace context or budget
+// and returns the answer's status and body.
+func (s *rawStream) sendFrame(frame []byte) (int, []byte) {
+	s.t.Helper()
+	env := binary.LittleEndian.AppendUint32(nil, uint32(minEnvelopeLen+len(frame)))
+	env = append(append(env, make([]byte, minEnvelopeLen)...), frame...)
+	return s.send(env)
+}
+
+// send writes raw bytes and reads one answer.
+func (s *rawStream) send(raw []byte) (int, []byte) {
+	s.t.Helper()
+	if _, err := s.rwc.Write(raw); err != nil {
+		s.t.Fatal(err)
+	}
+	_, status, body, err := readAnswer(s.rwc, nil)
+	if err != nil {
+		s.t.Fatalf("reading the answer: %v", err)
+	}
+	return status, body
 }
 
 func mustFrame(t *testing.T, qs [][]float32, ks []int) []byte {
@@ -27,12 +81,13 @@ func mustFrame(t *testing.T, qs [][]float32, ks []int) []byte {
 }
 
 // TestShardHandlerRejectsOversizedK: k arrives from outside the process and
-// sizes result buffers behind the handler, so both encoded routes refuse a
-// k no coordinator would send — before the backend sees it — and still
-// serve the largest k they admit.
+// sizes result buffers behind the handler, so a shard refuses a k no
+// coordinator would send — alone or in a block, before the backend sees
+// it — and still serves the largest k it admits.
 func TestShardHandlerRejectsOversizedK(t *testing.T) {
 	backend := &fakeBackend{matches: rankedMatches(0, 8)}
-	h := NewShardHandler(backend, nil, 0)
+	h := NewShardHandler(backend, nil, nil, 0)
+	st := dialStream(t, serveStreams(t, h, h).URL)
 	for _, tc := range []struct {
 		k    int
 		want int
@@ -43,12 +98,12 @@ func TestShardHandlerRejectsOversizedK(t *testing.T) {
 		{0, http.StatusBadRequest},
 	} {
 		single := mustFrame(t, [][]float32{testVec}, []int{tc.k})
-		if got := postFrame(h, PathEncodedSearch, single).Code; got != tc.want {
-			t.Errorf("%s k=%d: status %d, want %d", PathEncodedSearch, tc.k, got, tc.want)
+		if got, _ := st.sendFrame(single); got != tc.want {
+			t.Errorf("single k=%d: status %d, want %d", tc.k, got, tc.want)
 		}
 		batch := mustFrame(t, [][]float32{testVec, {1, 0, 0}}, []int{3, tc.k})
-		if got := postFrame(h, PathEncodedSearchBatch, batch).Code; got != tc.want {
-			t.Errorf("%s k=%d: status %d, want %d", PathEncodedSearchBatch, tc.k, got, tc.want)
+		if got, _ := st.sendFrame(batch); got != tc.want {
+			t.Errorf("batch k=%d: status %d, want %d", tc.k, got, tc.want)
 		}
 	}
 	if calls := backend.calls.Load(); calls != 3 {
@@ -57,12 +112,13 @@ func TestShardHandlerRejectsOversizedK(t *testing.T) {
 }
 
 // TestShardHandlerRejectsBadFrames: every header field is checked before
-// the body it sizes is read, and a body whose length disagrees with its
+// the body it sizes is read, and a frame whose length disagrees with its
 // header is refused — short with 400, long with 413 — without reaching the
-// backend.
+// backend. Each refusal leaves the stream in step for the next frame.
 func TestShardHandlerRejectsBadFrames(t *testing.T) {
 	backend := &fakeBackend{matches: rankedMatches(0, 8)}
-	h := NewShardHandler(backend, nil, len(testVec))
+	h := NewShardHandler(backend, nil, nil, len(testVec))
+	st := dialStream(t, serveStreams(t, h, h).URL)
 	ok := mustFrame(t, [][]float32{testVec}, []int{3})
 	block := make([][]float32, maxEncodedBatch+1)
 	ks := make([]int, len(block))
@@ -70,23 +126,22 @@ func TestShardHandlerRejectsBadFrames(t *testing.T) {
 		block[i], ks[i] = testVec, 1
 	}
 	for _, tc := range []struct {
-		name, path string
-		body       []byte
-		want       int
+		name string
+		body []byte
+		want int
 	}{
-		{"empty body", PathEncodedSearch, nil, http.StatusBadRequest},
-		{"short header", PathEncodedSearch, ok[:requestHeaderLen-1], http.StatusBadRequest},
-		{"bad version", PathEncodedSearch, append([]byte{2}, ok[1:]...), http.StatusBadRequest},
-		{"short body", PathEncodedSearch, ok[:len(ok)-1], http.StatusBadRequest},
-		{"trailing bytes", PathEncodedSearch, append(append([]byte{}, ok...), 0), http.StatusRequestEntityTooLarge},
-		{"wrong dim", PathEncodedSearch, mustFrame(t, [][]float32{{1, 0}}, []int{3}), http.StatusBadRequest},
-		{"zero queries", PathEncodedSearchBatch, mustFrame(t, nil, nil), http.StatusBadRequest},
-		{"two on the single route", PathEncodedSearch, mustFrame(t, [][]float32{testVec, testVec}, []int{1, 1}), http.StatusBadRequest},
-		{"batch over the cap", PathEncodedSearchBatch, mustFrame(t, block, ks), http.StatusBadRequest},
-		{"batch at the cap", PathEncodedSearchBatch, mustFrame(t, block[1:], ks[1:]), http.StatusOK},
+		{"empty body", nil, http.StatusBadRequest},
+		{"short header", ok[:requestHeaderLen-1], http.StatusBadRequest},
+		{"bad version", append([]byte{2}, ok[1:]...), http.StatusBadRequest},
+		{"short body", ok[:len(ok)-1], http.StatusBadRequest},
+		{"trailing bytes", append(append([]byte{}, ok...), 0), http.StatusRequestEntityTooLarge},
+		{"wrong dim", mustFrame(t, [][]float32{{1, 0}}, []int{3}), http.StatusBadRequest},
+		{"zero queries", mustFrame(t, nil, nil), http.StatusBadRequest},
+		{"batch over the cap", mustFrame(t, block, ks), http.StatusBadRequest},
+		{"batch at the cap", mustFrame(t, block[1:], ks[1:]), http.StatusOK},
 	} {
-		if got := postFrame(h, tc.path, tc.body); got.Code != tc.want {
-			t.Errorf("%s: status %d, want %d: %s", tc.name, got.Code, tc.want, got.Body)
+		if got, body := st.sendFrame(tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, got, tc.want, body)
 		}
 	}
 	if calls := backend.calls.Load(); calls != maxEncodedBatch {
@@ -94,7 +149,8 @@ func TestShardHandlerRejectsBadFrames(t *testing.T) {
 	}
 	// Without a dimension to check against, dim is still bounded.
 	wide := mustFrame(t, [][]float32{make([]float32, maxFrameDim+1)}, []int{1})
-	if got := postFrame(NewShardHandler(backend, nil, 0), PathEncodedSearch, wide).Code; got != http.StatusBadRequest {
+	unchecked := NewShardHandler(backend, nil, nil, 0)
+	if got, _ := dialStream(t, serveStreams(t, unchecked, unchecked).URL).sendFrame(wide); got != http.StatusBadRequest {
 		t.Errorf("dim %d on an unchecked shard: status %d, want 400", maxFrameDim+1, got)
 	}
 }

@@ -3,10 +3,10 @@ package netcluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -32,8 +32,8 @@ func TestHostOf(t *testing.T) {
 func transportFixture(t *testing.T) (*Client, *FaultInjector, *fakeBackend, string) {
 	t.Helper()
 	backend := &fakeBackend{matches: rankedMatches(0, 8)}
-	srv := httptest.NewServer(NewShardHandler(backend, nil, 0))
-	t.Cleanup(srv.Close)
+	h := NewShardHandler(backend, nil, nil, 0)
+	srv := serveStreams(t, h, h)
 	inj := NewFaultInjector(nil)
 	return NewClient(srv.URL, inj), inj, backend, srv.URL
 }
@@ -134,9 +134,10 @@ func TestFaultHangHonorsContext(t *testing.T) {
 	}
 }
 
-// bloatTransport answers requests to one host with a 200 whose body is a
-// well-formed response frame padded past maxResponseBytes — a replica streaming
-// without end, as far as a reader bounded by bytes can tell.
+// bloatTransport answers the stream upgrade to one host with a stream
+// whose answer is a well-formed response frame padded past
+// maxResponseBytes — a replica streaming without end, as far as a reader
+// bounded by bytes can tell.
 type bloatTransport struct{ host string }
 
 type spaces struct{}
@@ -148,17 +149,26 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// bloatStream swallows what is written and reads from its Reader.
+type bloatStream struct{ io.Reader }
+
+func (bloatStream) Write(p []byte) (int, error) { return len(p), nil }
+func (bloatStream) Close() error                { return nil }
+
 func (b bloatTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.URL.Host != b.host {
 		return http.DefaultTransport.RoundTrip(req)
 	}
 	frame := appendResponse(nil, reply{ms: make([][]core.Match, 1), costs: make([]obs.CostReport, 1)})
-	body := io.MultiReader(bytes.NewReader(frame), io.LimitReader(spaces{}, maxResponseBytes))
-	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": []string{FrameContentType}},
-		ContentLength: -1, Body: io.NopCloser(body), Request: req}, nil
+	head := appendAnswer(nil, http.StatusOK, frame)
+	binary.LittleEndian.PutUint32(head, uint32(len(head)-4+maxResponseBytes))
+	body := io.MultiReader(bytes.NewReader(head), io.LimitReader(spaces{}, maxResponseBytes))
+	return &http.Response{StatusCode: http.StatusSwitchingProtocols,
+		Header: http.Header{"Upgrade": []string{StreamProtocol}, "Connection": []string{"Upgrade"}},
+		Body:   bloatStream{body}, Request: req}, nil
 }
 
-// TestClientOversizedResponseIsMalformed: a 2xx body past the cap is a
+// TestClientOversizedResponseIsMalformed: a 2xx answer past the cap is a
 // broken replica — *MalformedError, which a Group fails over on
 // (TestGroupMalformedResponseFailsOver) — never an unbounded read.
 func TestClientOversizedResponseIsMalformed(t *testing.T) {

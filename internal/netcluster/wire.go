@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,16 +15,20 @@ import (
 	"semdisco/internal/obs"
 )
 
-// Wire paths of the internal coordinator↔shard protocol. They live under
-// /internal/ because they accept pre-encoded vectors: the public API's
-// contract (queries are strings, embeddings never leave the box they were
-// computed on) does not hold for them, and a deployment fronting shards
-// with a reverse proxy should not route them from outside.
+// The internal coordinator↔shard search protocol lives under /internal/
+// because it accepts pre-encoded vectors: the public API's contract
+// (queries are strings, embeddings never leave the box they were computed
+// on) does not hold for it, and a deployment fronting shards with a
+// reverse proxy should not route it from outside.
 const (
-	// PathEncodedSearch is the single-query encoded-search endpoint.
-	PathEncodedSearch = "/internal/v1/search/encoded"
-	// PathEncodedSearchBatch is the blocked multi-query variant.
-	PathEncodedSearchBatch = "/internal/v1/search/encoded/batch"
+	// PathSearchStream is the route a coordinator upgrades to a search
+	// stream: a GET carrying "Connection: Upgrade" and "Upgrade:
+	// StreamProtocol", answered 101, after which the connection carries
+	// request and answer envelopes (DESIGN.md §9) until either side closes
+	// it.
+	PathSearchStream = "/internal/v1/search/stream"
+	// StreamProtocol is the Upgrade token of a search stream.
+	StreamProtocol = "semdisco-frame"
 )
 
 // Error codes of the unified error body (ErrorBody / httpapi's
@@ -49,7 +54,7 @@ type ErrorBody struct {
 }
 
 // WireMatch, EncodedSearchRequest and EncodedSearchResponse are the
-// logical content of a PathEncodedSearch exchange, for tools that measure
+// logical content of a one-query search exchange, for tools that measure
 // or log it; the wire carries the binary frame below, not their JSON.
 type WireMatch struct {
 	RelationID string  `json:"relation_id"`
@@ -82,8 +87,8 @@ type Relation struct {
 	Rows         [][]string `json:"rows"`
 }
 
-// The frame both encoded-search routes speak, in both directions (DESIGN.md
-// §9). Fixed-width fields are little-endian, counts and lengths uvarints,
+// The frame a search stream carries, in both directions (DESIGN.md §9).
+// Fixed-width fields are little-endian, counts and lengths uvarints,
 // costs and times zigzag varints. Floats travel as their IEEE-754 bits, so
 // a vector component or score arrives as the float32 that left, NaN
 // payloads and signed zeros included.
@@ -96,15 +101,169 @@ type Relation struct {
 //
 // Annotation keys go in ascending order and the decoders accept only
 // canonical frames, so a frame that decodes re-encodes to its own bytes.
+//
+// On the stream each frame rides in an envelope whose u32 length prefix
+// counts the bytes after it:
+//
+//	request envelope: len u32 | trace ID [16]byte | span ID [8]byte
+//	                  | flags u8 | budget ns uvarint (0: none) | request frame
+//	answer envelope:  len u32 | status u16 | response frame (2xx) or ErrorBody JSON
 const (
-	// FrameContentType is the frame's media type; a shard answers a
-	// request of any other type 415.
-	FrameContentType = "application/x-semdisco-frame"
 	frameVersion     = 1
 	requestHeaderLen = 9 // version, n, dim
 	// maxFrameDim bounds dim on a shard built without one to check.
 	maxFrameDim = 1 << 16
+
+	traceContextLen = 16 + 8 + 1 // trace ID, span ID, flags
+	// minEnvelopeLen and maxEnvelopeLen bound a request envelope's length
+	// prefix: the trace context and a one-byte budget with an empty frame,
+	// and the widest budget with the largest frame any shard admits. A
+	// prefix outside them ends the stream; one inside is read to its end,
+	// so the stream stays in step even when the frame is refused.
+	minEnvelopeLen = traceContextLen + 1
+	maxEnvelopeLen = traceContextLen + binary.MaxVarintLen64 + requestHeaderLen + 4*maxEncodedBatch*(1+maxFrameDim)
+	answerHeadLen  = 4 + 2 // length prefix, status
 )
+
+// request is one decoded request envelope: the trace context the
+// coordinator's query runs under, its remaining deadline (0: none) and the
+// block of queries.
+type request struct {
+	sc     obs.SpanContext
+	budget time.Duration
+	qs     [][]float32
+	ks     []int
+}
+
+// appendEnvelope appends the request envelope of a block of queries to
+// dst.
+func appendEnvelope(dst []byte, sc obs.SpanContext, budget time.Duration, qs [][]float32, ks []int) ([]byte, error) {
+	at := len(dst)
+	dst = append(append(append(dst, 0, 0, 0, 0), sc.TraceID[:]...), sc.SpanID[:]...)
+	dst = binary.AppendUvarint(append(dst, sc.Flags), uint64(max(budget, 0)))
+	dst, err := appendRequest(dst, qs, ks)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst, nil
+}
+
+// readEnvelope reads the next request envelope from a stream. A refusal
+// (*frameError) is answered and the stream goes on, the envelope having
+// been read to its end; an error ends the stream: the stream ended, or its
+// length prefix is one no envelope can have. dim and maxN are
+// readRequest's.
+func readEnvelope(r io.Reader, dim, maxN int) (request, *frameError, error) {
+	var head [4 + traceContextLen]byte
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
+		return request{}, nil, err
+	}
+	size := binary.LittleEndian.Uint32(head[:])
+	if size < minEnvelopeLen || size > maxEnvelopeLen {
+		return request{}, nil, fmt.Errorf("netcluster: envelope length %d outside [%d, %d]", size, minEnvelopeLen, maxEnvelopeLen)
+	}
+	lr := &io.LimitedReader{R: r, N: int64(size)}
+	req, fe := readEnvelopeBody(lr, head[4:], dim, maxN)
+	// What a refusal left unread is skipped, keeping the stream in step;
+	// io.Discard reads it through a pooled buffer.
+	if _, err := io.Copy(io.Discard, lr); err != nil || lr.N > 0 {
+		return request{}, nil, io.ErrUnexpectedEOF
+	}
+	return req, fe, nil
+}
+
+// readEnvelopeBody reads an envelope's trace context, budget and frame
+// from lr, which holds the rest of the envelope.
+func readEnvelopeBody(lr *io.LimitedReader, tc []byte, dim, maxN int) (request, *frameError) {
+	var req request
+	if _, err := io.ReadFull(lr, tc); err != nil {
+		return req, &frameError{status: http.StatusBadRequest, msg: "reading the trace context: " + err.Error()}
+	}
+	copy(req.sc.TraceID[:], tc)
+	copy(req.sc.SpanID[:], tc[16:])
+	req.sc.Flags = tc[24]
+	// The budget is a canonical uvarint of at most MaxInt64 nanoseconds.
+	var b [1]byte
+	var budget uint64
+	for i := 0; ; i++ {
+		if _, err := io.ReadFull(lr, b[:]); err != nil {
+			return req, &frameError{status: http.StatusBadRequest, msg: "reading the deadline budget: " + err.Error()}
+		}
+		if i == binary.MaxVarintLen64-1 && b[0] > 1 || i > 0 && b[0] == 0 {
+			return req, &frameError{status: http.StatusBadRequest, msg: "bad deadline budget"}
+		}
+		budget |= uint64(b[0]&0x7f) << (7 * i)
+		if b[0] < 0x80 {
+			break
+		}
+	}
+	if budget > math.MaxInt64 {
+		return req, &frameError{status: http.StatusBadRequest, msg: "bad deadline budget"}
+	}
+	req.budget = time.Duration(budget)
+	var fe *frameError
+	req.qs, req.ks, fe = readRequest(lr, lr.N, dim, maxN)
+	return req, fe
+}
+
+// appendAnswer appends an answer envelope to dst: a status and, for 2xx,
+// a response frame, an ErrorBody's JSON otherwise.
+func appendAnswer(dst []byte, status int, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(2+len(body)))
+	return append(binary.LittleEndian.AppendUint16(dst, uint16(status)), body...)
+}
+
+// appendErrorAnswer appends the answer envelope of a refusal or failure.
+func appendErrorAnswer(dst []byte, status int, code, msg string) []byte {
+	body, _ := json.Marshal(ErrorBody{Error: msg, Code: code})
+	return appendAnswer(dst, status, body)
+}
+
+// errNoAnswer marks a stream that ended before an answer's first byte:
+// the connection failed, not the answer, so the shard may never have
+// seen the request.
+var errNoAnswer = errors.New("netcluster: stream ended before the answer")
+
+// readAnswer reads one answer envelope from r into buf's storage and
+// returns the envelope, its status and its body. The buffer grows with the
+// bytes that arrive, never by what a prefix claims, and a prefix over
+// maxResponseBytes is refused before its body is read. A stream that ends
+// before the first byte wraps errNoAnswer; any other failure is
+// *MalformedError's cause.
+func readAnswer(r io.Reader, buf []byte) ([]byte, int, []byte, error) {
+	if cap(buf) < 512 {
+		buf = make([]byte, 512)
+	}
+	buf = buf[:cap(buf)]
+	n, err := io.ReadAtLeast(r, buf, answerHeadLen)
+	switch {
+	case n == 0 && err != nil:
+		return buf[:0], 0, nil, fmt.Errorf("%w: %w", errNoAnswer, err)
+	case err != nil:
+		return buf[:0], 0, nil, fmt.Errorf("answer cut after %d bytes: %w", n, err)
+	}
+	size := binary.LittleEndian.Uint32(buf)
+	if size > maxResponseBytes+2 {
+		return buf[:0], 0, nil, fmt.Errorf("body exceeds %d bytes", maxResponseBytes)
+	}
+	total := 4 + int(size)
+	if n > total {
+		return buf[:0], 0, nil, fmt.Errorf("%d bytes past the answer", n-total)
+	}
+	for n < total {
+		if n == len(buf) {
+			buf = slices.Grow(buf[:n], min(total, 2*n)-n)[:min(total, 2*n)]
+		}
+		m, err := r.Read(buf[n:min(total, len(buf))])
+		n += m
+		if err != nil && n < total {
+			return buf[:0], 0, nil, fmt.Errorf("answer cut after %d of %d bytes: %w", n, total, err)
+		}
+	}
+	buf = buf[:total]
+	return buf, int(binary.LittleEndian.Uint16(buf[4:])), buf[answerHeadLen:], nil
+}
 
 // appendRequest appends the request frame of a block of queries to dst.
 // A k beyond the u32 range is clamped, and the shard refuses it like any
@@ -142,11 +301,12 @@ func refuse(status int, format string, args ...interface{}) ([][]float32, []int,
 	return nil, nil, &frameError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// readRequest reads one request frame of size bytes (the body's
-// Content-Length) from r. It validates the header — 1 ≤ n ≤ maxN, dim the
-// shard's (at most maxFrameDim when dim is 0), every k in 1..maxEncodedK —
-// and matches size to the length the header declares before it allocates
-// the vectors, so no body costs more than the validated frame it carries.
+// readRequest reads one request frame of size bytes (what its envelope
+// holds after the budget) from r. It validates the header — 1 ≤ n ≤ maxN,
+// dim the shard's (at most maxFrameDim when dim is 0), every k in
+// 1..maxEncodedK — and matches size to the length the header declares
+// before it reads the vectors; they are read into storage that grows with
+// the bytes that arrive, so no frame costs more than the bytes it carries.
 func readRequest(r io.Reader, size int64, dim, maxN int) ([][]float32, []int, *frameError) {
 	const bad = http.StatusBadRequest
 	var buf [4096]byte // the header, the ks (maxN ≤ 256), then the vectors a chunk at a time
@@ -156,20 +316,18 @@ func readRequest(r io.Reader, size int64, dim, maxN int) ([][]float32, []int, *f
 	n, d := binary.LittleEndian.Uint32(buf[1:]), binary.LittleEndian.Uint32(buf[5:])
 	want := requestHeaderLen + 4*int64(n)*(1+int64(d))
 	switch {
-	case size < 0:
-		return refuse(http.StatusLengthRequired, "a request frame needs a Content-Length")
 	case buf[0] != frameVersion:
 		return refuse(bad, "frame version %d; this shard speaks %d", buf[0], frameVersion)
 	case n < 1 || n > uint32(maxN):
-		return refuse(bad, "frame carries %d queries; this route takes 1 to %d", n, maxN)
+		return refuse(bad, "frame carries %d queries; want 1 to %d", n, maxN)
 	case dim > 0 && d != uint32(dim):
 		return refuse(bad, "vectors have %d dimensions; this shard indexes %d", d, dim)
 	case d < 1 || d > maxFrameDim:
 		return refuse(bad, "vectors have %d dimensions; want 1 to %d", d, maxFrameDim)
 	case size < want:
-		return refuse(bad, "body is %d bytes; its frame header declares %d", size, want)
+		return refuse(bad, "frame is %d bytes; its header declares %d", size, want)
 	case size > want:
-		return refuse(http.StatusRequestEntityTooLarge, "body is %d bytes; its frame header declares %d", size, want)
+		return refuse(http.StatusRequestEntityTooLarge, "frame is %d bytes; its header declares %d", size, want)
 	}
 	if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
 		return refuse(bad, "reading ks: %v", err)
@@ -180,14 +338,15 @@ func readRequest(r io.Reader, size int64, dim, maxN int) ([][]float32, []int, *f
 			return refuse(bad, "ks[%d] must be between 1 and %d", i, maxEncodedK)
 		}
 	}
-	flat := make([]float32, int(n)*int(d))
-	for off := 0; off < len(flat); off += len(buf) / 4 {
-		chunk := flat[off:min(off+len(buf)/4, len(flat))]
-		if _, err := io.ReadFull(r, buf[:4*len(chunk)]); err != nil {
+	total := int(n) * int(d)
+	flat := make([]float32, 0, min(total, 8<<10))
+	for len(flat) < total {
+		m := min(len(buf)/4, total-len(flat))
+		if _, err := io.ReadFull(r, buf[:4*m]); err != nil {
 			return refuse(bad, "reading vectors: %v", err)
 		}
-		for j := range chunk {
-			chunk[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+		for j := 0; j < m; j++ {
+			flat = append(flat, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
 		}
 	}
 	qs := make([][]float32, n)

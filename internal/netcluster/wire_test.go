@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -67,11 +66,11 @@ func (e *echoBackend) SearchEncodedBatch(ctx context.Context, qs [][]float32, ks
 
 // TestFrameFloatsRoundTripBitForBit: through a real shard, a request
 // vector reaches the backend and a score reaches the client as the same
-// bits for every float32 class, on both routes.
+// bits for every float32 class, alone and in a block.
 func TestFrameFloatsRoundTripBitForBit(t *testing.T) {
 	backend := &echoBackend{}
-	srv := httptest.NewServer(NewShardHandler(backend, nil, len(floatClasses)))
-	t.Cleanup(srv.Close)
+	h := NewShardHandler(backend, nil, nil, len(floatClasses))
+	srv := serveStreams(t, h, h)
 	cl := NewClient(srv.URL, nil)
 	v := classVector()
 	same := func(what string, got []float32) {
@@ -115,45 +114,41 @@ func TestFrameFloatsRoundTripBitForBit(t *testing.T) {
 	}
 }
 
-// TestShardHandlerRefusesJSON: the routes speak only the frame. A JSON
-// request — an older coordinator — gets 415 with the bad_request code, a
-// request error the replica race does not retry on another replica.
-func TestShardHandlerRefusesJSON(t *testing.T) {
-	backend := &fakeBackend{matches: rankedMatches(0, 8)}
-	srv := httptest.NewServer(NewShardHandler(backend, nil, 0))
-	t.Cleanup(srv.Close)
-	cl := NewClient(srv.URL, nil)
-	for _, path := range []string{PathEncodedSearch, PathEncodedSearchBatch} {
-		err := cl.call(context.Background(), http.MethodPost, path, EncodedSearchRequest{Vector: testVec, K: 3})
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Status != http.StatusUnsupportedMediaType || re.Code != CodeBadRequest {
-			t.Fatalf("%s with a JSON body: %v, want a 415 %s *RemoteError", path, err, CodeBadRequest)
-		}
-		if !requestError(err) {
-			t.Errorf("%s: a 415 must end the replica race, not fail over", path)
-		}
-	}
-	if calls := backend.calls.Load(); calls != 0 {
-		t.Errorf("JSON requests reached the backend %d times", calls)
-	}
-}
+// answerEditor dials streams over http.DefaultTransport and rewrites the
+// body of every 2xx answer they carry through edit.
+type answerEditor struct{ edit func([]byte) []byte }
 
-// bodyTransport rewrites every 2xx response body through edit.
-type bodyTransport struct{ edit func([]byte) []byte }
-
-func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (a answerEditor) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil || resp.StatusCode/100 != 2 {
-		return resp, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if err != nil {
 		return nil, err
 	}
-	body = b.edit(body)
-	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	if rwc, ok := resp.Body.(io.ReadWriteCloser); ok && resp.StatusCode == http.StatusSwitchingProtocols {
+		resp.Body = &editedStream{ReadWriteCloser: rwc, edit: a.edit}
+	}
 	return resp, nil
+}
+
+type editedStream struct {
+	io.ReadWriteCloser
+	edit    func([]byte) []byte
+	pending []byte
+}
+
+func (s *editedStream) Read(p []byte) (int, error) {
+	if len(s.pending) == 0 {
+		ans, status, body, err := readAnswer(s.ReadWriteCloser, nil)
+		if err != nil {
+			return 0, err
+		}
+		if status/100 == 2 {
+			ans = appendAnswer(nil, status, s.edit(body))
+		}
+		s.pending = ans
+	}
+	n := copy(p, s.pending)
+	s.pending = s.pending[n:]
+	return n, nil
 }
 
 // TestClientRejectsDamagedFrames: a response frame carrying a trailing
@@ -162,8 +157,8 @@ func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // TestFaultTruncateYieldsMalformed).
 func TestClientRejectsDamagedFrames(t *testing.T) {
 	backend := &fakeBackend{matches: rankedMatches(0, 8)}
-	srv := httptest.NewServer(NewShardHandler(backend, nil, 0))
-	t.Cleanup(srv.Close)
+	h := NewShardHandler(backend, nil, nil, 0)
+	srv := serveStreams(t, h, h)
 	for name, edit := range map[string]func([]byte) []byte{
 		"trailing byte": func(b []byte) []byte { return append(b, 0) },
 		"empty":         func([]byte) []byte { return nil },
@@ -171,7 +166,7 @@ func TestClientRejectsDamagedFrames(t *testing.T) {
 			return appendResponse(nil, reply{ms: make([][]core.Match, 2), costs: make([]obs.CostReport, 2)})
 		},
 	} {
-		cl := NewClient(srv.URL, bodyTransport{edit: edit})
+		cl := NewClient(srv.URL, answerEditor{edit: edit})
 		_, _, _, err := cl.SearchEncoded(context.Background(), testVec, 3)
 		var me *MalformedError
 		if !errors.As(err, &me) {
@@ -213,8 +208,8 @@ func TestGroupGraftsShardRecordsExactly(t *testing.T) {
 		rep:         obs.CostReport{DistanceComps: 1 << 40, HNSWHops: 7, PQLookups: 300, ValuesScanned: 1 << 20, BytesScanned: 1 << 33, CandidatesGenerated: 5, CandidatesPruned: 4, CacheHits: 1},
 	}
 	store := obs.NewTraceStore(obs.TraceStoreConfig{HeadSampleEvery: 1})
-	srv := httptest.NewServer(NewShardHandler(backend, store, 0))
-	t.Cleanup(srv.Close)
+	h := NewShardHandler(backend, store, nil, 0)
+	srv := serveStreams(t, h, h)
 	g, err := NewGroup(0, []string{srv.URL}, func(u string) *Client { return NewClient(u, nil) }, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +334,49 @@ func FuzzWireFrame(f *testing.F) {
 		if respErr == nil {
 			if again := appendResponse(nil, rep); !bytes.Equal(again, data) {
 				t.Fatalf("response frame re-encodes to %x, decoded from %x", again, data)
+			}
+		}
+	})
+}
+
+// FuzzStreamEnvelope feeds arbitrary bytes to a shard's request-envelope
+// reader and a client's answer reader, as each meets a stream: the length
+// prefix, trace context, budget and status around a frame. Neither may
+// panic or allocate past frameAllocBudget, whatever a prefix claims; an
+// envelope or answer either reads re-encodes to exactly the bytes it
+// consumed; and an answer classifies as a reply, *RemoteError or
+// *MalformedError.
+func FuzzStreamEnvelope(f *testing.F) {
+	cl := &Client{base: "http://shard"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := bytes.NewReader(data)
+		req, fe, reqErr := readEnvelope(r, 0, maxEncodedBatch)
+		consumed := len(data) - r.Len()
+		ans, status, body, ansErr := readAnswer(bytes.NewReader(data), nil)
+		var decErr error
+		if ansErr == nil {
+			_, decErr = cl.decodeAnswer(status, body, 1)
+		}
+		runtime.ReadMemStats(&after)
+		if got, max := after.TotalAlloc-before.TotalAlloc, frameAllocBudget(len(data)); got > max {
+			t.Fatalf("reading allocated %d bytes for %d bytes of stream, budget %d", got, len(data), max)
+		}
+		if reqErr == nil && fe == nil {
+			again, err := appendEnvelope(nil, req.sc, req.budget, req.qs, req.ks)
+			if err != nil || !bytes.Equal(again, data[:consumed]) {
+				t.Fatalf("request envelope re-encodes to %x (%v), read from %x", again, err, data[:consumed])
+			}
+		}
+		if ansErr == nil {
+			if again := appendAnswer(nil, status, body); !bytes.Equal(again, ans) || !bytes.Equal(ans, data[:len(ans)]) {
+				t.Fatalf("answer re-encodes to %x, read %x from %x", again, ans, data)
+			}
+			var re *RemoteError
+			var me *MalformedError
+			if decErr != nil && !errors.As(decErr, &re) && !errors.As(decErr, &me) {
+				t.Fatalf("answer with status %d: unclassified error %v", status, decErr)
 			}
 		}
 	})

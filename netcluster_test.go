@@ -17,15 +17,15 @@ const (
 	netTestReplicas = 2
 )
 
-// netShardMux is a replica server: the internal wire endpoints over the
+// netShardMux is a replica server: the internal search stream over the
 // shard engine's encoded backend, plus the write routes the coordinator's
 // replication fan-out targets — the same surface cmd/semdisco-serve mounts,
-// minus the rest of the public API this test never calls.
-func netShardMux(eng *Engine) http.Handler {
+// minus the rest of the public API this test never calls. Closing the
+// returned handler ends the streams it upgraded.
+func netShardMux(eng *Engine) (http.Handler, *netcluster.ShardHandler) {
 	mux := http.NewServeMux()
-	sh := netcluster.NewShardHandler(eng.EncodedBackend(), nil, eng.Dim())
-	mux.Handle(netcluster.PathEncodedSearch, sh)
-	mux.Handle(netcluster.PathEncodedSearchBatch, sh)
+	sh := netcluster.NewShardHandler(eng.EncodedBackend(), nil, nil, eng.Dim())
+	mux.Handle(netcluster.PathSearchStream, sh)
 	writeErr := func(w http.ResponseWriter, status int, msg string) {
 		w.WriteHeader(status)
 		_ = json.NewEncoder(w).Encode(netcluster.ErrorBody{Error: msg})
@@ -65,14 +65,35 @@ func netShardMux(eng *Engine) http.Handler {
 			writeErr(w, http.StatusNotFound, err.Error())
 		}
 	})
-	return mux
+	return mux, sh
+}
+
+// shardServer is one replica's loopback server. Close kills it as ending
+// its process would: httptest.Server.Close leaves upgraded connections
+// open, so the replica's search streams are closed with it.
+type shardServer struct {
+	*httptest.Server
+	streams *netcluster.ShardHandler
+}
+
+func (s *shardServer) Close() {
+	s.Server.Close()
+	s.streams.Close()
+}
+
+// serveShard serves a shard engine as one replica until the test ends.
+func serveShard(tb testing.TB, eng *Engine) *shardServer {
+	mux, sh := netShardMux(eng)
+	srv := &shardServer{Server: httptest.NewServer(mux), streams: sh}
+	tb.Cleanup(srv.Close)
+	return srv
 }
 
 type netFixture struct {
 	nc      *NetCoordinator
 	single  *Engine
 	inj     *netcluster.FaultInjector
-	servers [][]*httptest.Server
+	servers [][]*shardServer
 	engines [][]*Engine
 }
 
@@ -96,15 +117,14 @@ func newNetFixtureOf(t *testing.T, fed *Federation) *netFixture {
 	fx := &netFixture{single: single, inj: netcluster.NewFaultInjector(nil)}
 	replicaSets := make([][]string, netTestSets)
 	for s := 0; s < netTestSets; s++ {
-		var row []*httptest.Server
+		var row []*shardServer
 		var engs []*Engine
 		for r := 0; r < netTestReplicas; r++ {
 			eng, err := NewNetShard(fed, NetShardConfig{Config: cfg, Sets: netTestSets, Set: s})
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(netShardMux(eng))
-			t.Cleanup(srv.Close)
+			srv := serveShard(t, eng)
 			row = append(row, srv)
 			engs = append(engs, eng)
 			replicaSets[s] = append(replicaSets[s], srv.URL)
